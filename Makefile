@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet lint-metrics lint-docs lint-api build test test-race bench bench-smoke fuzz-smoke
+.PHONY: check fmt vet lint-metrics lint-docs lint-api build test test-race bench bench-smoke bench-repo-smoke fuzz-smoke
 
 ## check runs the tier-1 verification gate: formatting, vet, the metric-
 ## cardinality lint, the exported-godoc lint, the route-table/API.md
 ## bijection lint, build, the full test suite under the race detector, a
-## short fuzz pass over the WAL replay contract, and a smoke pass over the
-## read-path microbenchmarks. CI and pre-merge runs use this.
-check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-smoke
+## short fuzz pass over the WAL replay contract, a smoke pass over the
+## read-path microbenchmarks, and the repository benchmark's own vet and
+## tests. CI and pre-merge runs use this.
+check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-smoke bench-repo-smoke
 
 ## lint-metrics fails when any obs.L / obs.Label value is not a
 ## compile-time constant — the static half of the bounded-cardinality
@@ -43,14 +44,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-## fuzz-smoke runs the WAL-replay and block-decode fuzzers for short,
-## bounded bursts: long enough to shake out regressions in the torn-tail /
-## mid-log corruption contract and the untrusted-block parsing contract,
-## short enough for every pre-merge run.
+## fuzz-smoke runs the WAL-replay, block-decode and visit-view fuzzers for
+## short, bounded bursts: long enough to shake out regressions in the
+## torn-tail / mid-log corruption contract, the untrusted-block parsing
+## contract and the visit walker's agreement with the reference decoder,
+## short enough for every pre-merge run. (The visit fuzzer takes two
+## arguments, and minimizing an interesting pair at the default budget would
+## eat the whole burst.)
 fuzz-smoke:
 	$(GO) test ./internal/kvstore -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime=10s
 	$(GO) test ./internal/kvstore -run FuzzBlockDecode -fuzz FuzzBlockDecode -fuzztime=5s
 	$(GO) test ./internal/kvstore -run FuzzLZDecompress -fuzz FuzzLZDecompress -fuzztime=5s
+	$(GO) test ./internal/model -run FuzzVisitView -fuzz FuzzVisitView -fuzztime=5s -fuzzminimizetime=1s
 
 bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
@@ -81,3 +86,10 @@ bench-smoke:
 	$(GO) run ./cmd/modissense-bench -exp blocks -quick
 	$(GO) run ./cmd/modissense-bench -exp pubsub -quick
 	$(GO) run ./cmd/modissense-bench -exp trending -quick
+
+## bench-repo-smoke vets and tests the repository benchmark (bench/, a Go
+## module of its own that `go build ./...` and `go test ./...` here do not
+## see): seconds, and it is what notices an API rename in internal/ breaking
+## the benchmark every performance claim is measured with.
+bench-repo-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

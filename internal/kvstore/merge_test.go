@@ -152,6 +152,74 @@ func TestMergeIteratorDuplicateSkip(t *testing.T) {
 	}
 }
 
+// TestMergeIteratorRunsAndInterleaving drives the run fast path through
+// the shapes that switch it on and off: long single-source runs (the
+// runner-up is cached and has to take over at the right cell), strictly
+// alternating single-cell runs (it must never be trusted stale), and both
+// with keys duplicated across sources at run boundaries and inside runs —
+// against the linear reference, values included, so a duplicate surfaced
+// from the wrong source fails.
+func TestMergeIteratorRunsAndInterleaving(t *testing.T) {
+	key := func(i int) Cell {
+		return Cell{Row: fmt.Sprintf("r%06d", i), Qualifier: "q", Timestamp: 7}
+	}
+	for _, n := range []int{2, 3, 5, 8} {
+		for _, runLen := range []int{1, 2, 3, 17} {
+			rng := rand.New(rand.NewSource(int64(n*100 + runLen)))
+			sources := make([][]Cell, n)
+			next := 0
+			for run := 0; run < 40; run++ {
+				// Runs rotate through the sources, so with runLen 1 every
+				// cell comes from another source than the one before it.
+				src := run % n
+				for j := 0; j < runLen; j++ {
+					c := key(next)
+					next++
+					c.Value = []byte(fmt.Sprintf("s%d", src))
+					sources[src] = append(sources[src], c)
+					// Shadow some keys in other sources: the first and last
+					// cell of a run and a random one in between.
+					if j == 0 || j == runLen-1 || rng.Intn(4) == 0 {
+						for other := 0; other < n; other++ {
+							if other != src && rng.Intn(3) == 0 {
+								dup := c
+								dup.Value = []byte(fmt.Sprintf("s%d-dup", other))
+								sources[other] = append(sources[other], dup)
+							}
+						}
+					}
+				}
+			}
+			tree := newMergeIterator(flatIterators(sources))
+			linear := &linearMergeIterator{sources: flatIterators(sources)}
+			for step := 0; tree.valid() || linear.valid(); step++ {
+				if tree.valid() != linear.valid() {
+					t.Fatalf("n=%d run=%d step=%d: validity diverged (tree=%v linear=%v)", n, runLen, step, tree.valid(), linear.valid())
+				}
+				tc, lc := tree.cell(), linear.cell()
+				if compareCells(tc, lc) != 0 || string(tc.Value) != string(lc.Value) {
+					t.Fatalf("n=%d run=%d step=%d: tree %v vs linear %v", n, runLen, step, tc, lc)
+				}
+				// A seek in the middle of a run must drop the cached
+				// runner-up with the rest of the tournament.
+				if step%23 == 11 {
+					probe := key(rng.Intn(next))
+					probe.Timestamp, probe.Tombstone = int64(1)<<62, true
+					if compareCells(&probe, tc) > 0 {
+						tree.seek(&probe)
+						for linear.valid() && compareCells(linear.cell(), &probe) < 0 {
+							linear.sources[linear.smallest()].next()
+						}
+						continue
+					}
+				}
+				tree.next()
+				linear.next()
+			}
+		}
+	}
+}
+
 func benchMergeSources(n int) [][]Cell {
 	rng := rand.New(rand.NewSource(1))
 	return genMergeSources(rng, n, 400, 0)

@@ -372,12 +372,22 @@ type cellIterator interface {
 // multi-range coprocessor scans that merge 16+ sources. Sources must be
 // given newest-first: when two sources expose cells that compare equal,
 // the earlier source wins and later duplicates are skipped.
+//
+// Time-ordered segments hand a range scan long runs of cells from one
+// source (a friend's visits in one window mostly sit in one segment), so
+// advancing does not replay the winner's path every time: once a source
+// has won twice running the iterator caches the runner-up — the best loser
+// on the winner's path, the only source that can take over — and keeps the
+// winner for one comparison per cell until the runner-up beats it.
 type mergeIterator struct {
 	sources []cellIterator
 	// tree[1..k-1] hold the losers of each internal tournament match;
 	// leaves are implicit (node n >= k is source n-k). tree[0] is unused.
 	tree   []int
 	winner int // source index holding the current smallest cell, -1 when k == 0
+	// runnerUp is the best loser on the winner's leaf-to-root path, or -1
+	// while it has not been worked out for the current winner.
+	runnerUp int
 }
 
 func newMergeIterator(newestFirst []cellIterator) *mergeIterator {
@@ -405,6 +415,7 @@ func (m *mergeIterator) beats(a, b int) bool {
 // after a seek moves every source at once.
 func (m *mergeIterator) rebuild() {
 	k := len(m.sources)
+	m.runnerUp = -1
 	switch k {
 	case 0:
 		m.winner = -1
@@ -436,15 +447,43 @@ func (m *mergeIterator) rebuild() {
 // advanced — the O(log k) step that replaces findSmallest.
 func (m *mergeIterator) replay(w int) {
 	k := len(m.sources)
-	if k <= 1 {
-		return
-	}
 	for n := (w + k) / 2; n >= 1; n /= 2 {
 		if m.beats(m.tree[n], w) {
 			w, m.tree[n] = m.tree[n], w
 		}
 	}
 	m.winner = w
+}
+
+// advanced restores the tournament after the winner w moved to its next
+// cell. While w still beats the cached runner-up it beats every loser on
+// its path, so the tree stands as it is; otherwise the path is replayed.
+// The runner-up costs as many matches as a replay, so it is worked out only
+// when a source has just won twice running.
+func (m *mergeIterator) advanced(w int) {
+	k := len(m.sources)
+	if k <= 1 {
+		return
+	}
+	if m.runnerUp >= 0 {
+		if m.beats(w, m.runnerUp) {
+			return
+		}
+		m.runnerUp = -1
+		m.replay(w)
+		return
+	}
+	m.replay(w)
+	if m.winner != w {
+		return
+	}
+	best := -1
+	for n := (w + k) / 2; n >= 1; n /= 2 {
+		if best < 0 || m.beats(m.tree[n], best) {
+			best = m.tree[n]
+		}
+	}
+	m.runnerUp = best
 }
 
 func (m *mergeIterator) valid() bool {
@@ -472,12 +511,17 @@ func (m *mergeIterator) next() {
 	// shadowed duplicates (older segments rewritten at the same timestamp)
 	// are skipped. Equal cells always surface consecutively as winners
 	// (ties break by index, and advancing the winner promotes the next
-	// equal source), so each duplicate costs one replay.
-	cur := *m.cell()
-	for m.valid() && compareCells(m.cell(), &cur) == 0 {
+	// equal source). The current cell is compared in place, not copied: a
+	// source's cells live in a decoded block or a memtable node, neither of
+	// which moves while the iterator's reader holds the store lock.
+	cur := m.cell()
+	for {
 		w := m.winner
 		m.sources[w].next()
-		m.replay(w)
+		m.advanced(w)
+		if !m.valid() || compareCells(m.cell(), cur) != 0 {
+			return
+		}
 	}
 }
 

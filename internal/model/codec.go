@@ -76,50 +76,137 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 	return b
 }
 
-// DecodeVisitBinary decodes either binary visit layout, dispatching on the
-// tag byte. Normalized payloads yield a Visit whose POI carries only the
-// id, mirroring the JSON normalized schema.
-func DecodeVisitBinary(b []byte) (Visit, error) {
+// VisitView is an allocation-free view of one validated binary visit
+// payload: the scalar fields are decoded, while the strings and the keyword
+// list stay behind as sub-slices of the payload. The personalized-query
+// coprocessor filters and aggregates every scanned row from a view and
+// materializes a POI document only for the first row of each POI, so the
+// per-row cost of the replicated schema is a field walk, not a document
+// decode. A view aliases the payload it was built from and is valid only
+// while those bytes are; the zero value is ready for Parse, and one view can
+// be parsed over any number of payloads. A normalized payload leaves every
+// POI field but POIID at its zero value.
+type VisitView struct {
+	UserID int64
+	// Time is the visit timestamp in milliseconds since epoch.
+	Time  int64
+	Grade float64
+	POIID int64
+	Lat   float64
+	Lon   float64
+	// Hotness and Interest are the replicated POI metrics.
+	Hotness  float64
+	Interest float64
+
+	network []byte
+	name    []byte
+	// keywords is the encoded keyword span: nKeywords length-prefixed
+	// strings, every length already checked against the span.
+	keywords  []byte
+	nKeywords int
+}
+
+// Parse points the view at a binary visit payload of either layout,
+// dispatching on the tag byte. It is the codec's only parser —
+// DecodeVisitBinary materializes its result — and rejects an unknown version
+// or tag, any length or count that overruns the payload, and trailing bytes.
+// A view whose Parse failed holds no usable state.
+func (v *VisitView) Parse(b []byte) error {
 	if len(b) < 2 {
-		return Visit{}, fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
+		return fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
 	}
 	tag, version := b[0], b[1]
 	if version != visitBinaryVersion {
-		return Visit{}, fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
+		return fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
 	}
-	d := &binReader{b: b[2:]}
-	var v Visit
+	d := binReader{b: b[2:]}
+	*v = VisitView{}
 	v.UserID = d.varint()
 	v.Time = d.varint()
 	v.Grade = d.float()
-	v.Network = d.str()
-	v.POI.ID = d.varint()
-	if tag == VisitBinaryTagReplicated {
-		v.POI.Name = d.str()
-		v.POI.Lat = d.float()
-		v.POI.Lon = d.float()
-		if n := d.uvarint(); n > 0 {
-			if n > uint64(len(d.b)) {
-				d.fail("keyword count")
-			} else {
-				v.POI.Keywords = make([]string, n)
-				for i := range v.POI.Keywords {
-					v.POI.Keywords[i] = d.str()
-				}
+	v.network = d.bytes()
+	v.POIID = d.varint()
+	switch tag {
+	case VisitBinaryTagReplicated:
+		v.name = d.bytes()
+		v.Lat = d.float()
+		v.Lon = d.float()
+		// Every keyword takes at least its length byte, so a count beyond
+		// the remaining bytes is corrupt whatever follows.
+		if n := d.uvarint(); n > uint64(len(d.b)) {
+			d.fail("keyword count")
+		} else {
+			span := d.b
+			for i := uint64(0); i < n; i++ {
+				d.bytes()
 			}
+			v.keywords, v.nKeywords = span[:len(span)-len(d.b)], int(n)
 		}
-		v.POI.Hotness = d.float()
-		v.POI.Interest = d.float()
-	} else if tag != VisitBinaryTagNormalized {
-		return Visit{}, fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
+		v.Hotness = d.float()
+		v.Interest = d.float()
+	case VisitBinaryTagNormalized:
+	default:
+		return fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
 	}
 	if d.err != nil {
-		return Visit{}, d.err
+		return d.err
 	}
 	if len(d.b) != 0 {
-		return Visit{}, fmt.Errorf("model: %d trailing bytes in binary visit", len(d.b))
+		return fmt.Errorf("model: %d trailing bytes in binary visit", len(d.b))
 	}
-	return v, nil
+	return nil
+}
+
+// nextString splits the first length-prefixed string off a span Parse has
+// already validated.
+func nextString(span []byte) (s, rest []byte) {
+	n, w := binary.Uvarint(span)
+	end := w + int(n)
+	return span[w:end], span[end:]
+}
+
+// HasKeyword reports whether kw is one of the visit's POI keywords,
+// comparing bytes in place.
+func (v *VisitView) HasKeyword(kw string) bool {
+	for rest := v.keywords; len(rest) > 0; {
+		var k []byte
+		if k, rest = nextString(rest); string(k) == kw {
+			return true
+		}
+	}
+	return false
+}
+
+// POI materializes the POI document the payload carries: the full record
+// under the replicated layout, the id alone under the normalized one.
+func (v *VisitView) POI() POI {
+	p := POI{ID: v.POIID, Name: string(v.name), Lat: v.Lat, Lon: v.Lon, Hotness: v.Hotness, Interest: v.Interest}
+	if v.nKeywords > 0 {
+		p.Keywords = make([]string, v.nKeywords)
+		rest := v.keywords
+		for i := range p.Keywords {
+			var k []byte
+			k, rest = nextString(rest)
+			p.Keywords[i] = string(k)
+		}
+	}
+	return p
+}
+
+// Visit materializes the whole visit.
+func (v *VisitView) Visit() Visit {
+	return Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: string(v.network), POI: v.POI()}
+}
+
+// DecodeVisitBinary decodes either binary visit layout. Normalized payloads
+// yield a Visit whose POI carries only the id, mirroring the JSON
+// normalized schema.
+func DecodeVisitBinary(b []byte) (Visit, error) {
+	var view VisitView
+	if err := view.Parse(b); err != nil {
+		return Visit{}, err
+	}
+	return view.Visit(), nil
 }
 
 func appendFloat(b []byte, f float64) []byte {
@@ -175,13 +262,15 @@ func (d *binReader) float() float64 {
 	return v
 }
 
-func (d *binReader) str() string {
+// bytes consumes one length-prefixed string and returns it as a sub-slice
+// of the payload.
+func (d *binReader) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil || n > uint64(len(d.b)) {
 		d.fail("string")
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	s := d.b[:n]
 	d.b = d.b[n:]
 	return s
 }

@@ -143,25 +143,20 @@ func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spe
 	mQueriesRelational.Inc()
 	cost := e.clus.Config().Cost
 	var latency float64
-	var schedErr error
-	web := e.clus.PickWebServer()
-	base := e.clus.Engine().Now()
-	_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-		_, err := web.Submit(parseDone, cost.MergeServiceTime(candidates, len(aggs)), func(done float64) {
-			latency = done - base
+	err := e.simulate(func(base float64, fail func(error)) error {
+		web := e.clus.PickWebServer()
+		_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
+			_, err := web.Submit(parseDone, cost.MergeServiceTime(candidates, len(aggs)), func(done float64) {
+				latency = done - base
+			})
+			if err != nil {
+				fail(fmt.Errorf("query: schedule view merge: %w", err))
+			}
 		})
-		if err != nil {
-			schedErr = fmt.Errorf("query: schedule view merge: %w", err)
-		}
+		return err
 	})
 	if err != nil {
 		return nil, err
-	}
-	if _, err := e.clus.Run(); err != nil {
-		return nil, err
-	}
-	if schedErr != nil {
-		return nil, schedErr
 	}
 	res := &Result{LatencySeconds: latency}
 	for _, a := range aggs {

@@ -339,3 +339,55 @@ func TestTrendingEmptyWindowRejected(t *testing.T) {
 		t.Fatalf("valid window must pass: %v", err)
 	}
 }
+
+// TestConcurrentQueriesShareTheSimulation is the regression test for the
+// crash two simultaneous searches caused: every query path ends in a timing
+// simulation on the cluster's one unlocked event heap, and two of them
+// scheduling at once corrupted it (a nil dereference in the heap, or an
+// event fired behind the clock) within a second. Six goroutines mix the
+// three paths — personalized scans and cache hits, view-served trending,
+// relational search — and every answer must still carry its own simulated
+// latency.
+func TestConcurrentQueriesShareTheSimulation(t *testing.T) {
+	f, _, _ := cachedFixture(t)
+	from, to := window()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				var latency float64
+				var err error
+				switch (g + i) % 3 {
+				case 0:
+					var res *Result
+					res, err = f.engine.Run(ctx, Spec{
+						FriendIDs: friendRange(1, int64(5+i%20)), FromMillis: from, ToMillis: to, Limit: 5, NoCache: g%2 == 0,
+					})
+					if err == nil {
+						latency = res.LatencySeconds
+					}
+				case 1:
+					var res *Result
+					res, err = f.engine.Trending(ctx, Spec{FromMillis: to - int64(time.Hour/time.Millisecond)*24*int64(1+i%30), ToMillis: to, Limit: 5})
+					if err == nil {
+						latency = res.LatencySeconds
+					}
+				default:
+					_, latency, err = f.engine.NonPersonalized(ctx, repos.SearchSpec{Keyword: "food", Limit: 5})
+				}
+				if err != nil {
+					t.Errorf("goroutine %d op %d: %v", g, i, err)
+					return
+				}
+				if latency <= 0 {
+					t.Errorf("goroutine %d op %d: no simulated latency", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

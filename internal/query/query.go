@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -168,6 +169,31 @@ type Engine struct {
 	// cache, when set, memoizes personalized results keyed by the
 	// normalized spec, invalidated by friend check-ins (nil = no caching).
 	cache atomic.Pointer[matview.ResultCache]
+	// simMu serializes the timing simulations: the cluster's event heap and
+	// clock are one unlocked structure, so two requests scheduling on it at
+	// once corrupt it. Only the simulation is serialized — the real region
+	// work of concurrent requests runs in parallel before it.
+	simMu sync.Mutex
+}
+
+// simulate runs one timing simulation alone on the cluster: schedule
+// submits the request's first events at the current simulation clock, the
+// cluster drains them, and the errors schedule's callbacks reported through
+// fail while it drained are returned joined. Scheduling in the past is a bug
+// in the cost model, but a buggy cost model must fail the query, not crash
+// the process.
+func (e *Engine) simulate(schedule func(base float64, fail func(error)) error) error {
+	e.simMu.Lock()
+	defer e.simMu.Unlock()
+	var schedErr error
+	fail := func(err error) { schedErr = errors.Join(schedErr, err) }
+	if err := schedule(e.clus.Engine().Now(), fail); err != nil {
+		return err
+	}
+	if _, err := e.clus.Run(); err != nil {
+		return err
+	}
+	return schedErr
 }
 
 // NewEngine builds the query engine.
@@ -215,17 +241,16 @@ type queryPlan struct {
 
 // visitsCoprocessor executes one query against one region, HBase-style:
 // read each local friend's visit rows, filter, aggregate per POI and sort.
-// The read path batches every local friend's row range into one
-// multi-range scan per region (kvstore.MultiScanCtx): one store lock, one
-// iterator set, segment pruning — instead of one full scan setup per
-// friend. The per-friend N-scan path is retained behind nScan for the
-// read-path microbenchmarks; both paths are property-tested identical.
+// Every local friend's row range goes into one multi-range scan per region
+// (kvstore.MultiScanCtx): one store lock, one iterator set, segment pruning.
+// The scan is late-materializing: each row is filtered and folded into its
+// POI's sums from an allocation-free view of the encoded payload, and a POI
+// document is decoded only for the first row of each POI in the region
+// (regionAggregator).
 type visitsCoprocessor struct {
 	spec    *Spec
 	schema  repos.VisitSchema
 	friends []int64 // sorted, deduplicated
-	// nScan forces the pre-kernel one-scan-per-friend read path.
-	nScan bool
 }
 
 // Name implements kvstore.Coprocessor.
@@ -247,100 +272,134 @@ func (cp *visitsCoprocessor) RunRegionCtx(ctx context.Context, r *kvstore.Region
 		mCoprocLatency.ObserveDuration(time.Since(regionStart))
 		span.End()
 	}()
-	out := &regionOutput{}
-	aggs := map[int64]*poiAgg{}
-	// visitRow aggregates one scanned visit row; shared verbatim by the
-	// multi-range and N-scan paths, which is what keeps them identical.
-	visitRow := func(row kvstore.RowResult) bool {
-		raw, ok := row.Get(repos.VisitQualifier)
-		if !ok {
-			return true
+	agg := newRegionAggregator(cp)
+	// Friends are sorted and distinct, so the per-friend ranges are sorted
+	// and non-overlapping — exactly the multi-range contract.
+	ranges := make([]kvstore.ScanRange, 0, len(cp.friends))
+	for _, friend := range cp.friends {
+		if !r.Contains(repos.UserKeyPrefix(friend)) {
+			continue
 		}
-		out.work.RowsScanned++
-		v, err := repos.DecodeVisit(cp.schema, raw)
-		if err != nil {
-			return true // skip undecodable rows; accounted as scanned
-		}
-		// Under the replicated schema every predicate evaluates right
-		// here; the normalized schema can only filter by time and must
-		// ship every aggregate to the web server for the join.
-		if cp.schema == repos.SchemaReplicated && !cp.matches(&v) {
-			return true
-		}
-		out.work.VisitsMatched++
-		a := aggs[v.POI.ID]
-		if a == nil {
-			a = &poiAgg{poi: v.POI}
-			aggs[v.POI.ID] = a
-		}
-		a.gradeSum += v.Grade
-		a.visits++
-		return true
+		agg.out.work.Friends++
+		start, stop := repos.VisitScanBounds(friend, cp.spec.FromMillis, cp.spec.ToMillis)
+		ranges = append(ranges, kvstore.ScanRange{Start: start, Stop: stop})
 	}
-	if cp.nScan {
-		for _, friend := range cp.friends {
-			if !r.Contains(repos.UserKeyPrefix(friend)) {
-				continue
-			}
-			out.work.Friends++
-			start, stop := repos.VisitScanBounds(friend, cp.spec.FromMillis, cp.spec.ToMillis)
-			if err := r.Store().ScanCtx(ctx, kvstore.ScanOptions{StartRow: start, StopRow: stop}, visitRow); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Friends are sorted and distinct, so the per-friend ranges are
-		// sorted and non-overlapping — exactly the multi-range contract.
-		ranges := make([]kvstore.ScanRange, 0, len(cp.friends))
-		for _, friend := range cp.friends {
-			if !r.Contains(repos.UserKeyPrefix(friend)) {
-				continue
-			}
-			out.work.Friends++
-			start, stop := repos.VisitScanBounds(friend, cp.spec.FromMillis, cp.spec.ToMillis)
-			ranges = append(ranges, kvstore.ScanRange{Start: start, Stop: stop})
-		}
-		if len(ranges) > 0 {
-			if err := r.Store().MultiScanCtx(ctx, ranges, 0, visitRow); err != nil {
-				return nil, err
-			}
+	if len(ranges) > 0 {
+		if err := r.Store().MultiScanCtx(ctx, ranges, 0, agg.visitRow); err != nil {
+			return nil, err
 		}
 	}
-	out.aggs = make([]poiAgg, 0, len(aggs))
-	for _, a := range aggs {
-		out.aggs = append(out.aggs, *a)
-	}
-	// Region-side sort by the query criterion (the coprocessor "sorts the
-	// candidate POIs according to the aggregated scores").
-	sortAggs(out.aggs, cp.spec.orderOrDefault())
-	if k := cp.spec.RegionTopK; k > 0 && len(out.aggs) > k {
-		out.aggs = out.aggs[:k]
-	}
-	out.work.CandidatePOIs = len(out.aggs)
+	out := agg.finish()
 	span.SetAttrInt("rows", int64(out.work.RowsScanned))
 	span.SetAttrInt("friends", int64(out.work.Friends))
 	span.SetAttrInt("candidates", int64(out.work.CandidatePOIs))
 	return out, nil
 }
 
-// matches evaluates the spatial/keyword predicates on a replicated visit.
-func (cp *visitsCoprocessor) matches(v *model.Visit) bool {
-	if cp.spec.BBox != nil && !cp.spec.BBox.Contains(v.POI.Point()) {
-		return false
+// regionAggregator folds one region's scanned visit rows into per-POI
+// partial aggregates. Predicates run on every row — two visits to one POI
+// can carry different replicated documents, so a verdict cannot be cached
+// per POI — but the aggregate keeps the document of the first matching row
+// only, so nothing else of a row is ever decoded.
+type regionAggregator struct {
+	cp  *visitsCoprocessor
+	out *regionOutput
+	// slot maps a POI id to its aggregate's index in out.aggs.
+	slot map[int64]int
+}
+
+func newRegionAggregator(cp *visitsCoprocessor) *regionAggregator {
+	return &regionAggregator{cp: cp, out: &regionOutput{}, slot: map[int64]int{}}
+}
+
+// visitRow is the scan callback: it aggregates one visit row and never
+// stops the scan. Binary payloads are read through model.VisitView; legacy
+// JSON rows take the full decoder. A payload neither accepts is skipped,
+// still accounted as scanned.
+func (g *regionAggregator) visitRow(row kvstore.RowResult) bool {
+	raw, ok := row.Get(repos.VisitQualifier)
+	if !ok {
+		return true
 	}
-	if cp.spec.Keyword != "" {
-		found := false
-		for _, k := range v.POI.Keywords {
-			if k == cp.spec.Keyword {
-				found = true
-				break
+	g.out.work.RowsScanned++
+	// Under the replicated schema every predicate evaluates right here; the
+	// normalized schema can only filter by time and must ship every
+	// aggregate to the web server for the join.
+	filter := g.cp.schema == repos.SchemaReplicated
+	spec := g.cp.spec
+	if model.IsVisitBinary(raw) {
+		var v model.VisitView
+		if v.Parse(raw) == nil && (!filter || spec.matchesView(&v)) {
+			if a := g.add(v.POIID, v.Grade); a.visits == 1 {
+				a.poi = v.POI()
 			}
 		}
-		if !found {
-			return false
+		return true
+	}
+	if v, err := repos.DecodeVisit(g.cp.schema, raw); err == nil && (!filter || spec.matchesPOI(&v.POI)) {
+		if a := g.add(v.POI.ID, v.Grade); a.visits == 1 {
+			a.poi = v.POI
 		}
 	}
 	return true
+}
+
+// add folds one matched visit into its POI's aggregate and returns it; a
+// visit count of one marks the POI's first row in the region, the one whose
+// document the caller keeps.
+func (g *regionAggregator) add(poiID int64, grade float64) *poiAgg {
+	g.out.work.VisitsMatched++
+	i, seen := g.slot[poiID]
+	if !seen {
+		i = len(g.out.aggs)
+		g.slot[poiID] = i
+		g.out.aggs = append(g.out.aggs, poiAgg{})
+	}
+	a := &g.out.aggs[i]
+	a.gradeSum += grade
+	a.visits++
+	return a
+}
+
+// finish sorts the aggregates by the query criterion (the coprocessor
+// "sorts the candidate POIs according to the aggregated scores"), applies
+// the optional region top-k cut and returns the region's output.
+func (g *regionAggregator) finish() *regionOutput {
+	out := g.out
+	sortAggs(out.aggs, g.cp.spec.orderOrDefault())
+	if k := g.cp.spec.RegionTopK; k > 0 && len(out.aggs) > k {
+		out.aggs = out.aggs[:k]
+	}
+	out.work.CandidatePOIs = len(out.aggs)
+	return out
+}
+
+// inBBox evaluates the spatial predicate on a POI location.
+func (s *Spec) inBBox(lat, lon float64) bool {
+	return s.BBox == nil || s.BBox.Contains(geo.Point{Lat: lat, Lon: lon})
+}
+
+// matchesView evaluates the spatial/keyword predicates on an encoded visit.
+func (s *Spec) matchesView(v *model.VisitView) bool {
+	return s.inBBox(v.Lat, v.Lon) && (s.Keyword == "" || v.HasKeyword(s.Keyword))
+}
+
+// matchesPOI evaluates the spatial/keyword predicates on a decoded POI
+// document: a legacy JSON row in the coprocessor, a joined POI in the
+// normalized schema's merge.
+func (s *Spec) matchesPOI(p *model.POI) bool {
+	if !s.inBBox(p.Lat, p.Lon) {
+		return false
+	}
+	if s.Keyword == "" {
+		return true
+	}
+	for _, k := range p.Keywords {
+		if k == s.Keyword {
+			return true
+		}
+	}
+	return false
 }
 
 // aggLess is the strict total order of the final ranking: score (or visit
@@ -569,91 +628,85 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 	// Phase 2: schedule all queries as simultaneous arrivals at the current
 	// simulation clock (the cluster may have served earlier work, so
 	// latencies are measured relative to this batch's arrival time).
-	// Scheduling in the past is a bug in the cost model, but a buggy cost
-	// model must fail the query, not crash the process: callback errors are
-	// collected and reported after the simulation drains.
-	var schedErr error
-	fail := func(err error) { schedErr = errors.Join(schedErr, err) }
-	base := e.clus.Engine().Now()
-	for qi, plan := range plans {
-		qi, plan := qi, plan
-		web := e.clus.PickWebServer()
-		if plan == nil {
-			// Cache hit: the web server parses the request, reads the
-			// memoized ranking and responds — no region RPCs to charge.
-			n := len(results[qi].POIs)
-			_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-				_, err := web.Submit(parseDone, cost.MergeServiceTime(n, n), func(done float64) {
-					results[qi].LatencySeconds = done - base
-				})
-				if err != nil {
-					fail(fmt.Errorf("query %d: schedule cached response: %w", qi, err))
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		totalCandidates := 0
-		for _, out := range plan.outputs {
-			totalCandidates += len(out.aggs)
-		}
-		// The web server parses the request, then issues one RPC per
-		// region; each region's coprocessor runs on its node's cores; when
-		// the last region returns, the web server merges and responds.
-		_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-			if len(plan.outputs) == 0 {
-				// Fully-degraded answer: every region was dropped, so the web
-				// server replies with the empty merge straight after parsing.
-				_, err := web.Submit(parseDone, cost.MergeServiceTime(0, 0), func(done float64) {
-					results[qi].LatencySeconds = done - base
-				})
-				if err != nil {
-					fail(fmt.Errorf("query %d: schedule empty merge: %w", qi, err))
-				}
-				return
-			}
-			remaining := len(plan.outputs)
-			var lastRegion float64
-			for ri, out := range plan.outputs {
-				node := e.clus.Node(plan.nodes[ri])
-				service := cost.CoprocessorServiceTime(out.work)
-				_, err := node.Submit(parseDone+cost.RPC, service, func(at float64) {
-					if at > lastRegion {
-						lastRegion = at
-					}
-					remaining--
-					if remaining > 0 {
-						return
-					}
-					mergeService := cost.MergeServiceTime(totalCandidates, len(results[qi].POIs))
-					if e.visits.Schema() == repos.SchemaNormalized {
-						// The normalized schema pays the POI join at merge
-						// time: one indexed lookup per candidate.
-						mergeService += cost.RelationalServiceTime(totalCandidates)
-					}
-					_, err := web.Submit(lastRegion+cost.RPC, mergeService, func(done float64) {
+	err := e.simulate(func(base float64, fail func(error)) error {
+		for qi, plan := range plans {
+			qi, plan := qi, plan
+			web := e.clus.PickWebServer()
+			if plan == nil {
+				// Cache hit: the web server parses the request, reads the
+				// memoized ranking and responds — no region RPCs to charge.
+				n := len(results[qi].POIs)
+				_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
+					_, err := web.Submit(parseDone, cost.MergeServiceTime(n, n), func(done float64) {
 						results[qi].LatencySeconds = done - base
 					})
 					if err != nil {
-						fail(fmt.Errorf("query %d: schedule merge: %w", qi, err))
+						fail(fmt.Errorf("query %d: schedule cached response: %w", qi, err))
 					}
 				})
 				if err != nil {
-					fail(fmt.Errorf("query %d: schedule region %d: %w", qi, ri, err))
+					return err
 				}
+				continue
 			}
-		})
-		if err != nil {
-			return nil, err
+			totalCandidates := 0
+			for _, out := range plan.outputs {
+				totalCandidates += len(out.aggs)
+			}
+			// The web server parses the request, then issues one RPC per
+			// region; each region's coprocessor runs on its node's cores; when
+			// the last region returns, the web server merges and responds.
+			_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
+				if len(plan.outputs) == 0 {
+					// Fully-degraded answer: every region was dropped, so the web
+					// server replies with the empty merge straight after parsing.
+					_, err := web.Submit(parseDone, cost.MergeServiceTime(0, 0), func(done float64) {
+						results[qi].LatencySeconds = done - base
+					})
+					if err != nil {
+						fail(fmt.Errorf("query %d: schedule empty merge: %w", qi, err))
+					}
+					return
+				}
+				remaining := len(plan.outputs)
+				var lastRegion float64
+				for ri, out := range plan.outputs {
+					node := e.clus.Node(plan.nodes[ri])
+					service := cost.CoprocessorServiceTime(out.work)
+					_, err := node.Submit(parseDone+cost.RPC, service, func(at float64) {
+						if at > lastRegion {
+							lastRegion = at
+						}
+						remaining--
+						if remaining > 0 {
+							return
+						}
+						mergeService := cost.MergeServiceTime(totalCandidates, len(results[qi].POIs))
+						if e.visits.Schema() == repos.SchemaNormalized {
+							// The normalized schema pays the POI join at merge
+							// time: one indexed lookup per candidate.
+							mergeService += cost.RelationalServiceTime(totalCandidates)
+						}
+						_, err := web.Submit(lastRegion+cost.RPC, mergeService, func(done float64) {
+							results[qi].LatencySeconds = done - base
+						})
+						if err != nil {
+							fail(fmt.Errorf("query %d: schedule merge: %w", qi, err))
+						}
+					})
+					if err != nil {
+						fail(fmt.Errorf("query %d: schedule region %d: %w", qi, ri, err))
+					}
+				}
+			})
+			if err != nil {
+				return err
+			}
 		}
-	}
-	if _, err := e.clus.Run(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if schedErr != nil {
-		return nil, schedErr
 	}
 	for qi, r := range results {
 		if r.LatencySeconds <= 0 {
@@ -712,20 +765,8 @@ func (e *Engine) merge(plan *queryPlan, stats *exec.Stats) ([]ScoredPOI, cluster
 			}
 			a.poi = poi
 			// Post-join residual predicates.
-			if plan.spec.BBox != nil && !plan.spec.BBox.Contains(poi.Point()) {
+			if !plan.spec.matchesPOI(&poi) {
 				continue
-			}
-			if plan.spec.Keyword != "" {
-				found := false
-				for _, k := range poi.Keywords {
-					if k == plan.spec.Keyword {
-						found = true
-						break
-					}
-				}
-				if !found {
-					continue
-				}
 			}
 		}
 		if topk != nil {
@@ -762,31 +803,25 @@ func (e *Engine) NonPersonalized(ctx context.Context, spec repos.SearchSpec) ([]
 	mQueriesRelational.Inc()
 	cost := e.clus.Config().Cost
 	var latency float64
-	var schedErr error
-	fail := func(err error) { schedErr = errors.Join(schedErr, err) }
-	web := e.clus.PickWebServer()
-	base := e.clus.Engine().Now()
-	_, err = web.Submit(base, cost.WebParse, func(parseDone float64) {
-		_, err := e.clus.PG().Submit(parseDone+cost.RPC, cost.RelationalServiceTime(examined), func(pgDone float64) {
-			_, err := web.Submit(pgDone+cost.RPC, cost.MergeServiceTime(len(pois), len(pois)), func(done float64) {
-				latency = done - base
+	err = e.simulate(func(base float64, fail func(error)) error {
+		web := e.clus.PickWebServer()
+		_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
+			_, err := e.clus.PG().Submit(parseDone+cost.RPC, cost.RelationalServiceTime(examined), func(pgDone float64) {
+				_, err := web.Submit(pgDone+cost.RPC, cost.MergeServiceTime(len(pois), len(pois)), func(done float64) {
+					latency = done - base
+				})
+				if err != nil {
+					fail(fmt.Errorf("query: schedule response: %w", err))
+				}
 			})
 			if err != nil {
-				fail(fmt.Errorf("query: schedule response: %w", err))
+				fail(fmt.Errorf("query: schedule relational lookup: %w", err))
 			}
 		})
-		if err != nil {
-			fail(fmt.Errorf("query: schedule relational lookup: %w", err))
-		}
+		return err
 	})
 	if err != nil {
 		return nil, 0, err
-	}
-	if _, err := e.clus.Run(); err != nil {
-		return nil, 0, err
-	}
-	if schedErr != nil {
-		return nil, 0, schedErr
 	}
 	return pois, latency, nil
 }

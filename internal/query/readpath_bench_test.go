@@ -39,7 +39,7 @@ func benchVisits(b *testing.B, users int, legacyJSON bool) *repos.VisitsRepo {
 // benchCoprocessor measures the full region-side read path of one
 // personalized query with `friends` friends: scan, decode, filter,
 // aggregate — the work Figure 2 scales with cluster size.
-func benchCoprocessor(b *testing.B, friends int, legacyJSON, nScan bool) {
+func benchCoprocessor(b *testing.B, friends int, legacyJSON bool) {
 	visits := benchVisits(b, friends, legacyJSON)
 	from, to := window()
 	spec := Spec{FriendIDs: friendRange(1, int64(friends)), FromMillis: from, ToMillis: to, OrderBy: ByInterest}
@@ -50,7 +50,6 @@ func benchCoprocessor(b *testing.B, friends int, legacyJSON, nScan bool) {
 		spec:    &spec,
 		schema:  repos.SchemaReplicated,
 		friends: sortedDistinctFriends(spec.FriendIDs),
-		nScan:   nScan,
 	}
 	regions := visits.Table().Regions()
 	ctx := context.Background()
@@ -71,25 +70,25 @@ func benchCoprocessor(b *testing.B, friends int, legacyJSON, nScan bool) {
 	}
 }
 
-// BenchmarkCoprocessor6000FriendsNScanJSON is the retained PR-1 baseline:
-// one scan per friend per region, JSON visit payloads.
-func BenchmarkCoprocessor6000FriendsNScanJSON(b *testing.B) {
-	benchCoprocessor(b, 6000, true, true)
+// BenchmarkCoprocessor6000FriendsJSON reads legacy JSON visit payloads: the
+// rows that still take the full decoder.
+func BenchmarkCoprocessor6000FriendsJSON(b *testing.B) {
+	benchCoprocessor(b, 6000, true)
 }
 
-// BenchmarkCoprocessor6000FriendsMultiBinary is the tentpole configuration:
-// one multi-range scan per region, binary visit payloads.
-func BenchmarkCoprocessor6000FriendsMultiBinary(b *testing.B) {
-	benchCoprocessor(b, 6000, false, false)
+// BenchmarkCoprocessor6000FriendsBinary reads binary visit payloads through
+// the allocation-free view — what every row written today costs.
+func BenchmarkCoprocessor6000FriendsBinary(b *testing.B) {
+	benchCoprocessor(b, 6000, false)
 }
 
 // The small variants keep `make bench-smoke` fast while exercising the
 // identical code paths.
 
-func BenchmarkCoprocessor200FriendsNScanJSON(b *testing.B) {
-	benchCoprocessor(b, 200, true, true)
+func BenchmarkCoprocessor200FriendsJSON(b *testing.B) {
+	benchCoprocessor(b, 200, true)
 }
 
-func BenchmarkCoprocessor200FriendsMultiBinary(b *testing.B) {
-	benchCoprocessor(b, 200, false, false)
+func BenchmarkCoprocessor200FriendsBinary(b *testing.B) {
+	benchCoprocessor(b, 200, false)
 }

@@ -42,14 +42,21 @@ func UserKeyPrefix(userID int64) string {
 }
 
 // visitRowKey builds a Visits row key: user, time, then a sequence number
-// to keep same-millisecond visits distinct.
+// to keep same-millisecond visits distinct. The sequence takes six digits,
+// zero-padded, up to 999 999 and as many as it needs (at most ten) beyond:
+// it only has to be unique, so keys written before a repository's millionth
+// visit keep their bytes and later ones stay off the fmt path.
 func visitRowKey(userID, timeMillis int64, seq uint32) string {
-	var b [35]byte
+	var b [39]byte
 	b[0], b[13], b[14], b[28] = 'u', '|', 't', '|'
-	if !putPadded(b[1:13], userID) || !putPadded(b[15:28], timeMillis) || !putPadded(b[29:35], int64(seq)) {
+	end := 35
+	for limit := int64(1000000); int64(seq) >= limit; limit *= 10 {
+		end++
+	}
+	if !putPadded(b[1:13], userID) || !putPadded(b[15:28], timeMillis) || !putPadded(b[29:end], int64(seq)) {
 		return fmt.Sprintf("u%012d|t%013d|%06d", userID, timeMillis, seq)
 	}
-	return string(b[:])
+	return string(b[:end])
 }
 
 // visitTimeKey builds the "u<user>|t<time>|" prefix that bounds one user's
@@ -74,7 +81,7 @@ func VisitScanBounds(userID, fromMillis, toMillis int64) (string, string) {
 // parseVisitRowKey decodes a Visits row key.
 func parseVisitRowKey(key string) (userID, timeMillis int64, seq uint32, err error) {
 	parts := strings.Split(key, "|")
-	if len(parts) != 3 || len(parts[0]) != 13 || len(parts[1]) != 14 || len(parts[2]) != 6 {
+	if len(parts) != 3 || len(parts[0]) != 13 || len(parts[1]) != 14 || len(parts[2]) < 6 || len(parts[2]) > 10 {
 		return 0, 0, 0, fmt.Errorf("repos: malformed visit key %q", key)
 	}
 	userID, err = strconv.ParseInt(parts[0][1:], 10, 64)
