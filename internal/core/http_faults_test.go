@@ -11,7 +11,8 @@ import (
 // TestAPIDegradedSearch boots a replicated platform, permanently fails one
 // region's reads on every copy, and demands the graceful-degradation
 // contract: a 200 answer flagged degraded with the failed region listed —
-// and, with degradation disabled, the structured 500 envelope instead.
+// and, with degradation disabled or no read policy at all, the structured
+// 500 envelope instead.
 func TestAPIDegradedSearch(t *testing.T) {
 	c, p := newAPIClient(t)
 	in := c.signIn("facebook", "facebook:1")
@@ -56,9 +57,19 @@ func TestAPIDegradedSearch(t *testing.T) {
 		t.Errorf("error envelope = %+v, want code %q and a message", apiErr, "internal")
 	}
 
-	// Clearing policy and injector restores the plain healthy path.
-	p.Query.SetFaultInjector(nil)
+	// The injector needs no policy to apply: with none installed a read is
+	// one attempt on the primary, and its failure is the query's.
 	p.Query.SetReadPolicy(nil)
+	apiErr = apiError{}
+	if code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
+		t.Fatalf("faulted search with no read policy: status = %d, want 500", code)
+	}
+	if apiErr.Error.Code != "internal" {
+		t.Errorf("error envelope = %+v, want code %q", apiErr, "internal")
+	}
+
+	// Clearing the injector restores the healthy path.
+	p.Query.SetFaultInjector(nil)
 	res.Degraded, res.Missing = false, nil
 	if code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
 		t.Fatalf("restored search status = %d, want 200", code)

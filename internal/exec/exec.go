@@ -328,13 +328,16 @@ func (p *Pool) Gather(ctx context.Context, tasks []Task) ([]Result, error) {
 // runTask executes one task, converting a panic into an error so a buggy
 // callback degrades into a failed query instead of a crashed process.
 func runTask(ctx context.Context, t Task) (v interface{}, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("exec: task panic: %v", r)
-		}
-	}()
+	defer recoverTask(&err)
 	if t == nil {
 		return nil, fmt.Errorf("exec: nil task")
 	}
 	return t(ctx)
+}
+
+// recoverTask, deferred, turns a panic of the surrounding call into *err.
+func recoverTask(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("exec: task panic: %v", r)
+	}
 }

@@ -15,12 +15,6 @@ import (
 // unavailable" (degradable) from caller cancellation (fatal).
 var ErrAttemptsExhausted = errors.New("exec: read attempts exhausted")
 
-// AttemptFunc executes one read attempt. attempt is the 0-based attempt
-// index within one RunHedged call; replica is the replica index the attempt
-// should read (0 = primary). Implementations must honor ctx: losing hedge
-// attempts are cancelled through it.
-type AttemptFunc func(ctx context.Context, attempt, replica int) (interface{}, error)
-
 // RetryPolicy budgets the attempts of one hedged read and shapes the
 // backoff between consecutive failures.
 type RetryPolicy struct {
@@ -191,16 +185,25 @@ type ReadMeta struct {
 }
 
 // attemptResult is one attempt's outcome inside RunHedged.
-type attemptResult struct {
-	v       interface{}
+type attemptResult[T any] struct {
+	v       T
 	err     error
 	idx     int
 	replica int
 }
 
+// runAttempt executes one attempt, converting a panic into an error exactly
+// as runTask does for pool tasks.
+func runAttempt[T any](ctx context.Context, fn func(context.Context, int, int) (T, error), idx, replica int) (v T, err error) {
+	defer recoverTask(&err)
+	return fn(ctx, idx, replica)
+}
+
 // RunHedged executes fn with retries, exponential backoff and latency
 // hedging until one attempt succeeds or the budget is spent — the
-// tail-tolerant read primitive of the scatter path.
+// tail-tolerant read primitive of the scatter path. fn receives the 0-based
+// attempt index and the replica index it should read (0 = primary), and
+// must honor its ctx: losing hedge attempts are cancelled through it.
 //
 // The first attempt goes to the primary (replica 0); subsequent attempts
 // rotate round-robin across the replicas+1 copies. While an attempt is
@@ -210,6 +213,10 @@ type attemptResult struct {
 // with no attempt outstanding, the next attempt starts after the retry
 // policy's jittered backoff (salt varies the jitter per caller/region).
 //
+// A one-attempt budget has nothing to race or retry, so it runs fn on the
+// caller's goroutine: no goroutine, channel or cancel context is created,
+// and the outcome is reported exactly as the raced path would report it.
+//
 // Cancellation accounting is exactly-once per attempt: a losing attempt
 // that observes the cancellation is recorded as a hedge-loser cancel in the
 // context's Stats; a losing attempt that completed before noticing is not
@@ -218,23 +225,36 @@ type attemptResult struct {
 //
 // On exhaustion the returned error matches both ErrAttemptsExhausted and
 // the last attempt error under errors.Is.
-func RunHedged(ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp HedgePolicy, fn AttemptFunc) (interface{}, ReadMeta, error) {
+func RunHedged[T any](ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp HedgePolicy, fn func(ctx context.Context, attempt, replica int) (T, error)) (T, ReadMeta, error) {
+	var zero T
 	meta := ReadMeta{Replica: -1, Attempt: -1}
 	if fn == nil {
-		return nil, meta, fmt.Errorf("exec: nil attempt func")
+		return zero, meta, fmt.Errorf("exec: nil attempt func")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	maxAttempts := rp.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
+	if maxAttempts <= 1 {
+		rp.Budget.OnAttempt()
+		meta.Attempts = 1
+		start := time.Now()
+		v, err := runAttempt(ctx, fn, 0, 0)
+		if err == nil {
+			hp.Tracker.Observe(time.Since(start))
+			meta.Replica, meta.Attempt = 0, 0
+			return v, meta, nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return zero, meta, cerr
+		}
+		return zero, meta, errors.Join(ErrAttemptsExhausted, err)
 	}
 	st := StatsFrom(ctx)
 	actx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
-	resCh := make(chan attemptResult, maxAttempts)
+	resCh := make(chan attemptResult[T], maxAttempts)
 	// winner is the 1-based index of the first successful attempt; the CAS
 	// is what makes each loser classify its own outcome exactly once.
 	var winner atomic.Int32
@@ -245,9 +265,7 @@ func RunHedged(ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp
 		}
 		go func() {
 			start := time.Now()
-			v, err := runTask(actx, func(c context.Context) (interface{}, error) {
-				return fn(c, idx, replica)
-			})
+			v, err := runAttempt(actx, fn, idx, replica)
 			d := time.Since(start)
 			switch {
 			case err == nil:
@@ -267,7 +285,7 @@ func RunHedged(ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp
 					mHedgeLoserCanceled.Inc()
 				}
 			}
-			resCh <- attemptResult{v: v, err: err, idx: idx, replica: replica}
+			resCh <- attemptResult[T]{v: v, err: err, idx: idx, replica: replica}
 		}()
 	}
 
@@ -320,7 +338,7 @@ func RunHedged(ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp
 				// the cancellation itself.
 				meta.Attempts = launched
 				meta.Hedged = hedged
-				return nil, meta, err
+				return zero, meta, err
 			}
 			if outstanding > 0 {
 				// The raced hedge is still running; wait for it.
@@ -329,14 +347,14 @@ func RunHedged(ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp
 			if launched >= maxAttempts {
 				meta.Attempts = launched
 				meta.Hedged = hedged
-				return nil, meta, errors.Join(ErrAttemptsExhausted, lastErr)
+				return zero, meta, errors.Join(ErrAttemptsExhausted, lastErr)
 			}
 			if !rp.Budget.Spend() {
 				// Out of retry budget: give up now rather than queue a
 				// backoff for an attempt that may not be afforded.
 				meta.Attempts = launched
 				meta.Hedged = hedged
-				return nil, meta, errors.Join(ErrAttemptsExhausted, ErrRetryBudgetExhausted, lastErr)
+				return zero, meta, errors.Join(ErrAttemptsExhausted, ErrRetryBudgetExhausted, lastErr)
 			}
 			retry := launched - 1 // 0-based retry index
 			if d := rp.backoff(salt, retry); d > 0 {
@@ -346,7 +364,7 @@ func RunHedged(ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp
 					t.Stop()
 					meta.Attempts = launched
 					meta.Hedged = hedged
-					return nil, meta, ctx.Err()
+					return zero, meta, ctx.Err()
 				case <-t.C:
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,6 +158,55 @@ func TestRunHedgedCallerCancellation(t *testing.T) {
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled (no hour-long backoff wait)", err)
+	}
+}
+
+// TestRunHedgedOneAttemptRunsInline: a one-attempt budget has nothing to
+// race or retry, so fn runs on the caller's goroutine — no goroutine, result
+// channel or cancel context, which is what a zero allocation count shows —
+// while the budget, the tracker, panics, failures and caller cancellation
+// are all reported as the raced path reports them.
+func TestRunHedgedOneAttemptRunsInline(t *testing.T) {
+	budget := NewRetryBudget(0.5, 10)
+	tracker := NewLatencyTracker(8)
+	hp := HedgePolicy{Enabled: true, Max: time.Nanosecond, Tracker: tracker} // would hedge at once, given the attempts
+	answer := func(ctx context.Context, attempt, replica int) (int, error) { return 40 + attempt + replica, nil }
+	for _, maxAttempts := range []int{0, 1} {
+		rp := RetryPolicy{MaxAttempts: maxAttempts, Budget: budget}
+		ctx := WithStats(context.Background(), &Stats{})
+		allocs := testing.AllocsPerRun(50, func() {
+			v, meta, err := RunHedged(ctx, 1, 2, rp, hp, answer)
+			want := ReadMeta{Attempts: 1}
+			if v != 40 || meta != want || err != nil {
+				t.Fatalf("MaxAttempts %d: v=%v meta=%+v err=%v", maxAttempts, v, meta, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("MaxAttempts %d: a one-attempt read allocated %v times, want 0", maxAttempts, allocs)
+		}
+	}
+	if budget.Attempts() == 0 || int64(tracker.Len()) != min(budget.Attempts(), 8) {
+		t.Errorf("budget credited %d attempts, tracker holds %d observations", budget.Attempts(), tracker.Len())
+	}
+
+	rp := RetryPolicy{MaxAttempts: 1}
+	boom := errors.New("boom")
+	_, meta, err := RunHedged(context.Background(), 1, 2, rp, hp, func(context.Context, int, int) (int, error) { return 0, boom })
+	want := ReadMeta{Attempts: 1, Replica: -1, Attempt: -1}
+	if !errors.Is(err, ErrAttemptsExhausted) || !errors.Is(err, boom) || meta != want {
+		t.Errorf("failed attempt: err = %v meta = %+v, want attempts exhausted wrapping boom and %+v", err, meta, want)
+	}
+	_, _, err = RunHedged(context.Background(), 1, 2, rp, hp, func(context.Context, int, int) (int, error) { panic("kaboom") })
+	if !errors.Is(err, ErrAttemptsExhausted) || !strings.Contains(err.Error(), "kaboom") {
+		t.Errorf("panicking attempt: err = %v, want the panic recovered into an exhausted read", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	_, _, err = RunHedged(ctx, 1, 2, rp, hp, func(ctx context.Context, _, _ int) (int, error) {
+		cancel()
+		return 0, ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrAttemptsExhausted) {
+		t.Errorf("cancelled caller: err = %v, want the bare context error", err)
 	}
 }
 

@@ -12,10 +12,7 @@ var (
 
 	mRowsScanned  = obs.Default().Counter("kvstore_rows_scanned_total", "Rows delivered by scans.")
 	mBytesScanned = obs.Default().Counter("kvstore_bytes_scanned_total", "Approximate bytes of cells delivered by scans.")
-	mScanLatency  = obs.Default().Histogram("kvstore_scan_seconds", "Latency of one store-level scan.", obs.LatencyBuckets(),
-		obs.L("op", "scan"))
-	mMultiScanLatency = obs.Default().Histogram("kvstore_scan_seconds", "Latency of one store-level scan.", obs.LatencyBuckets(),
-		obs.L("op", "multiscan"))
+	mScanLatency  = obs.Default().Histogram("kvstore_scan_seconds", "Latency of one store-level scan.", obs.LatencyBuckets())
 
 	mBloomHits   = obs.Default().Counter("kvstore_bloom_hits_total", "Point reads where a segment Bloom filter admitted the row.")
 	mBloomMisses = obs.Default().Counter("kvstore_bloom_misses_total", "Point reads where a segment Bloom filter excluded the row.")

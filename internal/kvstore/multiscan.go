@@ -9,14 +9,23 @@ import (
 	"modissense/internal/obs"
 )
 
-// Multi-range scan kernel. A personalized query's coprocessor reads one
-// contiguous row range per friend hosted in the region — thousands of
-// ranges against the same store. Issuing one ScanCtx per range re-acquires
-// the store lock, rebuilds the memtable and segment iterators and a fresh
-// merge view every time. MultiScanCtx serves all ranges under one RLock
-// with one iterator set, seeking forward between ranges, and prunes
-// segments whose [minRow, maxRow] span is disjoint from every requested
-// range — the range-scan complement of the point-read Bloom filters.
+// The scan kernel: every row scan of the store — Scan and ScanCtx are its
+// one-range case — runs the loop in Store.MultiScanCtx. A personalized
+// query's region function reads one contiguous row range per friend hosted
+// in the region — thousands of ranges against the same store. Issuing one
+// scan per range would re-acquire the store lock and rebuild the memtable
+// and segment iterators and a fresh merge view every time. MultiScanCtx
+// serves all ranges under one RLock with one iterator set, seeking forward
+// between ranges, and prunes segments whose [minRow, maxRow] span is
+// disjoint from every requested range — the range-scan complement of the
+// point-read Bloom filters.
+
+// ctxPollInterval is how many row iterations a scan processes between
+// ctx.Done() polls. Cancellation needs to be prompt, not instant: checking
+// every row puts a select on the hottest loop in the store for no practical
+// gain, so scans poll every 64 rows and deliver at most that many extra
+// rows after a cancellation.
+const ctxPollInterval = 64
 
 // ScanRange is one [Start, Stop) row range of a multi-range scan.
 type ScanRange struct {
@@ -132,7 +141,7 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 		mRowsScanned.Add(delivered)
 		mBytesScanned.Add(deliveredBytes)
 		mSegsPruned.Add(int64(pruned))
-		mMultiScanLatency.ObserveDuration(time.Since(scanStart))
+		mScanLatency.ObserveDuration(time.Since(scanStart))
 		if sp := obs.SpanFromContext(ctx); sp != nil {
 			// One child span per store-level multiscan keeps the per-scan
 			// block accounting out of the (append-only) parent attrs.

@@ -40,8 +40,9 @@ func benchScanStore(b *testing.B, nRows, nRanges int) (*Store, []ScanRange) {
 	return s, ranges
 }
 
-// BenchmarkScanPathNScan is the retained baseline: one ScanCtx per range,
-// each paying lock acquisition and full iterator construction.
+// BenchmarkScanPathNScan is N one-range calls against BenchmarkScanPathMulti's
+// one multi-range call. Both run the MultiScanCtx loop; what the N calls pay
+// on top is a lock acquisition, an iterator set and a merge view per range.
 func BenchmarkScanPathNScan(b *testing.B) {
 	s, ranges := benchScanStore(b, 20000, 500)
 	ctx := context.Background()

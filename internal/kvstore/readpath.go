@@ -3,7 +3,6 @@ package kvstore
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"modissense/internal/admit"
@@ -12,9 +11,10 @@ import (
 	"modissense/internal/obs"
 )
 
-// ReadOptions configures the fault-tolerant coprocessor fan-out of
-// ExecCoprocessorHedged: the per-region retry budget/backoff, the hedge
-// policy and an optional fault injector intercepting every attempt.
+// ReadOptions configures how ExecRegions reads each region: the attempt
+// budget and backoff, the hedge policy, and the optional fault injector and
+// circuit breakers every attempt passes. The zero value means one attempt,
+// on the primary, with nothing intercepting it.
 type ReadOptions struct {
 	// Retry budgets the attempts of each region's read.
 	Retry exec.RetryPolicy
@@ -30,69 +30,75 @@ type ReadOptions struct {
 	Breakers *admit.BreakerSet
 }
 
-// ExecCoprocessorHedged fans the coprocessor out across all regions like
-// ExecCoprocessorCtx, but executes each region's read through the
-// tail-tolerant exec.RunHedged primitive: failed attempts are retried with
-// jittered exponential backoff, slow attempts are hedged to a read replica
-// after the policy's latency threshold, and the first success wins (losers
-// are cancelled). Every attempt passes the interception point where
-// ReadOptions.Injector may inject crash/stall/slow/scan faults, and every
-// attempt is recorded as a child span of the scatter span, so the query
-// trace shows exactly which replica answered.
+// RegionResult is one region's outcome of an ExecRegions call.
+type RegionResult[T any] struct {
+	// Region is the frozen view the call captured for this region.
+	Region *Region
+	// Value is the winning attempt's result (the zero T when Err is set).
+	Value T
+	// Err is why the region has no value: the attempt budget ran out (it
+	// matches exec.ErrAttemptsExhausted and the last attempt's error), the
+	// scatter pool shed the task, or the caller's context ended.
+	Err error
+	// Meta describes the read: how many attempts it launched, whether a
+	// hedge fired, and which attempt and replica won (-1 when none did).
+	Meta exec.ReadMeta
+	// ServedNode is the simulated node that served the winning attempt —
+	// a replica's node when a hedge or retry won, otherwise the primary's.
+	ServedNode int
+}
+
+// ExecRegions runs fn region-locally on every region of the table — the
+// coprocessor call of the personalized query path — and returns one result
+// per region in key order, whatever order they completed in. Regions are
+// frozen first, so a concurrent SplitRegion cannot swap a store out from
+// under a running fn; the frozen views fan out on the shared scatter-gather
+// pool (exec.Default), and each region's read goes through exec.RunHedged
+// under ro: failed attempts are retried with jittered backoff, slow ones
+// hedged to a read replica, and the first success wins (losers are
+// cancelled through the ctx fn receives, which fn must honor). The zero ro
+// runs fn once per region on the pool worker's own goroutine.
 //
-// Unlike ExecCoprocessorCtx the returned error reports only invalid
-// arguments: per-region outcomes — including exhausted attempt budgets
-// (errors matching exec.ErrAttemptsExhausted) — land solely in
-// RegionResult.Err, leaving the served-regions/missing-regions split to the
-// caller's degradation policy.
-func (t *Table) ExecCoprocessorHedged(ctx context.Context, cp Coprocessor, ro ReadOptions) ([]RegionResult, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("kvstore: nil coprocessor")
-	}
+// There is no first-error abort: every region's outcome is reported in its
+// RegionResult, leaving the served/missing split to the caller. When ctx
+// carries an exec.Stats the fan-out's parallelism, retries and hedges are
+// recorded there; when it carries a span, each attempt is a child span.
+func ExecRegions[T any](ctx context.Context, t *Table, ro ReadOptions, fn func(context.Context, *Region) (T, error)) []RegionResult[T] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cpCtx, _ := cp.(CoprocessorCtx)
 	regions := t.frozenRegions()
+	out := make([]RegionResult[T], len(regions))
 	tasks := make([]exec.Task, len(regions))
 	for i, r := range regions {
-		r := r
+		res := &out[i]
+		res.Region, res.ServedNode = r, r.NodeID
 		tasks[i] = func(tctx context.Context) (interface{}, error) {
 			v, meta, err := exec.RunHedged(tctx, int64(r.ID), r.Replicas(), ro.Retry, ro.Hedge,
-				func(actx context.Context, attempt, replica int) (interface{}, error) {
-					return t.runReadAttempt(actx, cp, cpCtx, r, attempt, replica, ro)
+				func(actx context.Context, attempt, replica int) (T, error) {
+					return runReadAttempt(actx, t, r, attempt, replica, &ro, fn)
 				})
-			if err != nil {
-				return nil, err
+			res.Value, res.Meta = v, meta
+			if meta.Replica > 0 {
+				res.ServedNode = r.ReadView(meta.Replica).NodeID
 			}
-			return &hedgedValue{v: v, meta: meta, node: r.ReadView(meta.Replica).NodeID}, nil
+			return nil, err
 		}
 	}
+	// The pool reports tasks it never ran (shed, or cancelled while queued)
+	// in its own results, so every region's error is taken from there.
 	results, _ := exec.Default().Gather(ctx, tasks)
-	out := make([]RegionResult, len(regions))
-	for i, r := range regions {
-		out[i] = RegionResult{Region: r, ServedNode: r.NodeID}
-		if results[i].Err != nil {
-			out[i].Err = results[i].Err
-			continue
-		}
-		hv := results[i].Value.(*hedgedValue)
-		out[i].Value, out[i].Meta, out[i].ServedNode = hv.v, hv.meta, hv.node
+	for i := range out {
+		out[i].Err = results[i].Err
 	}
-	return out, nil
+	return out
 }
 
-// hedgedValue carries one region's winning attempt through the pool.
-type hedgedValue struct {
-	v    interface{}
-	meta exec.ReadMeta
-	node int
-}
-
-// runReadAttempt executes one per-replica coprocessor attempt: resolve the
-// replica's read view, consult the node's circuit breaker, pass the
-// fault-injection interception point, run the coprocessor, and record the
-// attempt as a span with its outcome.
+// runReadAttempt executes one attempt of one region's read: pick the copy
+// to read, consult its node's circuit breaker, pass the fault-injection
+// interception point, run fn, and record the attempt as a span with its
+// outcome. fn's ctx carries that span, so fn annotates it rather than
+// opening one of its own.
 //
 // Breaker feedback is deliberately conservative: a clean completion records
 // a success, a non-cancellation error records a failure, and a fail-slow
@@ -100,8 +106,14 @@ type hedgedValue struct {
 // breaker's SlowAfter threshold — so a stalled node trips its breaker even
 // when a winning hedge later cancels the stalled attempt (which would
 // otherwise end as a neutral context.Canceled).
-func (t *Table) runReadAttempt(ctx context.Context, cp Coprocessor, cpCtx CoprocessorCtx, r *Region, attempt, replica int, ro ReadOptions) (interface{}, error) {
-	view := r.ReadView(replica)
+func runReadAttempt[T any](ctx context.Context, t *Table, r *Region, attempt, replica int, ro *ReadOptions, fn func(context.Context, *Region) (T, error)) (T, error) {
+	var none T
+	// The frozen region is already a view of the primary; only replica
+	// reads need a view of their own.
+	view := r
+	if replica > 0 {
+		view = r.ReadView(replica)
+	}
 	br := ro.Breakers.For(view.NodeID)
 	mReadAttempts.Inc()
 	if replica > 0 {
@@ -114,10 +126,13 @@ func (t *Table) runReadAttempt(ctx context.Context, cp Coprocessor, cpCtx Coproc
 	span.SetAttrInt("replica", int64(replica))
 	span.SetAttrInt("node", int64(view.NodeID))
 	defer span.End()
+	if span != nil {
+		ctx = obs.ContextWithSpan(ctx, span)
+	}
 
 	if !br.Allow() {
 		span.SetAttr("outcome", "breaker-open")
-		return nil, admit.ErrBreakerOpen
+		return none, admit.ErrBreakerOpen
 	}
 	if slowAfter := br.SlowAfter(); slowAfter > 0 {
 		slow := time.AfterFunc(slowAfter, br.RecordFailure)
@@ -129,30 +144,24 @@ func (t *Table) runReadAttempt(ctx context.Context, cp Coprocessor, cpCtx Coproc
 		span.SetAttr("outcome", "injected-crash")
 		br.RecordFailure()
 		t.noteReadFailure(view.NodeID)
-		return nil, d.Err
+		return none, d.Err
 	}
 	if d.Stall > 0 {
 		span.SetAttrInt("stall_ms", d.Stall.Milliseconds())
 		if err := faultinject.Sleep(ctx, d.Stall); err != nil {
 			span.SetAttr("outcome", "canceled")
-			return nil, err
+			return none, err
 		}
 	}
 	start := time.Now()
-	var v interface{}
-	var err error
-	if cpCtx != nil {
-		v, err = cpCtx.RunRegionCtx(ctx, view)
-	} else {
-		v, err = cp.RunRegion(view)
-	}
+	v, err := fn(ctx, view)
 	if err == nil && d.SlowFactor > 1 {
 		// Stretch the measured service time to the injected multiplier.
 		extra := time.Duration(float64(time.Since(start)) * (d.SlowFactor - 1))
 		span.SetAttrInt("slow_extra_us", extra.Microseconds())
 		if serr := faultinject.Sleep(ctx, extra); serr != nil {
 			span.SetAttr("outcome", "canceled")
-			return nil, serr
+			return none, serr
 		}
 	}
 	if err == nil && d.Err != nil {

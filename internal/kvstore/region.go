@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"modissense/internal/exec"
 	"modissense/internal/faultinject"
 )
 
@@ -43,8 +42,8 @@ type Region struct {
 }
 
 // EndKey returns the region's exclusive upper bound ("" = unbounded). A
-// concurrent split may shrink it; coprocessors and scans never observe that
-// because they run against frozen region views (see frozen).
+// concurrent split may shrink it; region functions and scans never observe
+// that because they run against frozen region views (see frozen).
 func (r *Region) EndKey() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -108,27 +107,6 @@ func (r *Region) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.epoch
-}
-
-// Coprocessor is server-side code executed against a single region. The
-// returned value travels back to the client; implementations report the
-// work they performed through their own result type so the caller's cost
-// model can convert it into simulated service time.
-type Coprocessor interface {
-	// Name identifies the coprocessor in errors and traces.
-	Name() string
-	// RunRegion executes against one region.
-	RunRegion(r *Region) (interface{}, error)
-}
-
-// CoprocessorCtx is an optional extension implemented by coprocessors that
-// honor cancellation. ExecCoprocessorCtx prefers RunRegionCtx when present
-// and falls back to RunRegion otherwise.
-type CoprocessorCtx interface {
-	Coprocessor
-	// RunRegionCtx executes against one region, returning early (with
-	// ctx.Err()) when the context is cancelled.
-	RunRegionCtx(ctx context.Context, r *Region) (interface{}, error)
 }
 
 // Table is an ordered collection of regions covering the whole key space.
@@ -407,112 +385,11 @@ func (t *Table) Scan(opts ScanOptions, fn func(RowResult) bool) error {
 	return t.ScanCtx(context.Background(), opts, fn)
 }
 
-// ScanCtx is Scan with row-granular cancellation: it stops and returns
-// ctx.Err() as soon as the context is done, even mid-region.
+// ScanCtx is Scan with cancellation: the one-range case of MultiScanCtx,
+// with its semantics (including the reused RowResult backing slice).
 func (t *Table) ScanCtx(ctx context.Context, opts ScanOptions, fn func(RowResult) bool) error {
-	regions := t.frozenRegions()
-	remaining := opts.Limit
-	stopped := false
-	for _, r := range regions {
-		if stopped {
-			return nil
-		}
-		if opts.StopRow != "" && r.StartKey != "" && r.StartKey >= opts.StopRow {
-			return nil
-		}
-		if opts.StartRow != "" && r.endKey != "" && r.endKey <= opts.StartRow {
-			continue
-		}
-		ro := opts
-		ro.Limit = remaining
-		err := r.store.ScanCtx(ctx, ro, func(res RowResult) bool {
-			if remaining > 0 {
-				remaining--
-				if remaining == 0 {
-					stopped = true
-				}
-			}
-			if !fn(res) {
-				stopped = true
-			}
-			return !stopped
-		})
-		if err != nil {
-			return err
-		}
-		if opts.Limit > 0 && stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
-// RegionResult pairs a region with its coprocessor output.
-type RegionResult struct {
-	Region *Region
-	Value  interface{}
-	Err    error
-	// Meta describes the hedged read that produced Value; it stays zero on
-	// the plain (non-hedged) execution paths.
-	Meta exec.ReadMeta
-	// ServedNode is the simulated node that served the winning attempt —
-	// a replica's node when a hedge won, otherwise the primary's.
-	ServedNode int
-}
-
-// ExecCoprocessor runs the coprocessor on every region sequentially and
-// returns per-region results in key order. Regions execute against frozen
-// views, so a concurrent SplitRegion cannot swap a store out from under a
-// running coprocessor. Prefer ExecCoprocessorCtx on hot paths.
-func (t *Table) ExecCoprocessor(cp Coprocessor) ([]RegionResult, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("kvstore: nil coprocessor")
-	}
-	regions := t.frozenRegions()
-	out := make([]RegionResult, 0, len(regions))
-	for _, r := range regions {
-		v, err := cp.RunRegion(r)
-		out = append(out, RegionResult{Region: r, Value: v, Err: err, ServedNode: r.NodeID})
-	}
-	return out, nil
-}
-
-// ExecCoprocessorCtx fans the coprocessor out across all regions on the
-// shared scatter-gather pool (exec.Default). Results come back in region
-// key order regardless of completion order — byte-identical to the
-// sequential path. Per-region failures land in RegionResult.Err and are
-// also joined into the returned error; no first-error abort, so every
-// region's outcome is always reported. When ctx carries an exec.Stats (see
-// exec.WithStats) the fan-out's parallelism and row counts are recorded
-// there.
-func (t *Table) ExecCoprocessorCtx(ctx context.Context, cp Coprocessor) ([]RegionResult, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("kvstore: nil coprocessor")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cpCtx, _ := cp.(CoprocessorCtx)
-	regions := t.frozenRegions()
-	tasks := make([]exec.Task, len(regions))
-	for i, r := range regions {
-		r := r
-		tasks[i] = func(ctx context.Context) (interface{}, error) {
-			if cpCtx != nil {
-				return cpCtx.RunRegionCtx(ctx, r)
-			}
-			return cp.RunRegion(r)
-		}
-	}
-	results, err := exec.Default().Gather(ctx, tasks)
-	out := make([]RegionResult, len(regions))
-	for i, r := range regions {
-		out[i] = RegionResult{Region: r, Value: results[i].Value, Err: results[i].Err, ServedNode: r.NodeID}
-	}
-	if err != nil {
-		return out, fmt.Errorf("kvstore: coprocessor %q: %w", cp.Name(), err)
-	}
-	return out, nil
+	ranges, fn := opts.oneRange(fn)
+	return t.MultiScanCtx(ctx, ranges, opts.AsOf, fn)
 }
 
 // SplitRegion splits the region containing splitKey at splitKey: the upper

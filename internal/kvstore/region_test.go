@@ -1,11 +1,14 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+
+	"modissense/internal/exec"
 )
 
 func newTestTable(t testing.TB, splits []string, nodes int) *Table {
@@ -175,36 +178,52 @@ func TestTableScanRangeSpanningRegions(t *testing.T) {
 	}
 }
 
-// countingCoprocessor counts live rows per region.
-type countingCoprocessor struct{}
-
-func (countingCoprocessor) Name() string { return "count" }
-
-func (countingCoprocessor) RunRegion(r *Region) (interface{}, error) {
+// countRows is the region function most tests fan out: it counts the live
+// rows of one region.
+func countRows(ctx context.Context, r *Region) (int, error) {
 	count := 0
-	err := r.Store().Scan(ScanOptions{}, func(RowResult) bool { count++; return true })
+	err := r.Store().ScanCtx(ctx, ScanOptions{}, func(RowResult) bool { count++; return true })
 	return count, err
 }
 
-func TestExecCoprocessorPerRegion(t *testing.T) {
+// requireNoRegionErr fails the test on the first region that reported an error.
+func requireNoRegionErr[T any](t testing.TB, results []RegionResult[T]) {
+	t.Helper()
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("region %d: %v", r.Region.ID, r.Err)
+		}
+	}
+}
+
+func TestExecRegionsPerRegion(t *testing.T) {
 	tbl := newTestTable(t, []string{"m"}, 2)
 	for _, k := range []string{"a", "b", "c", "x", "y"} {
 		if err := tbl.Put(k, "q", 1, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	results, err := tbl.ExecCoprocessor(countingCoprocessor{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := ExecRegions(context.Background(), tbl, ReadOptions{}, countRows)
+	requireNoRegionErr(t, results)
 	if len(results) != 2 {
 		t.Fatalf("got %d region results, want 2", len(results))
 	}
-	if results[0].Value.(int) != 3 || results[1].Value.(int) != 2 {
+	if results[0].Value != 3 || results[1].Value != 2 {
 		t.Errorf("per-region counts = %v, %v; want 3, 2", results[0].Value, results[1].Value)
 	}
-	if _, err := tbl.ExecCoprocessor(nil); err == nil {
-		t.Error("nil coprocessor must fail")
+	for i, r := range results {
+		// The zero ReadOptions: one attempt, served by the primary.
+		want := exec.ReadMeta{Attempts: 1}
+		if r.Meta != want || r.ServedNode != r.Region.NodeID {
+			t.Errorf("region %d: meta %+v served by node %d, want %+v on node %d", i, r.Meta, r.ServedNode, want, r.Region.NodeID)
+		}
+	}
+	// A nil region function is a caller bug: it must fail every region, not
+	// crash the process.
+	for i, r := range ExecRegions[int](context.Background(), tbl, ReadOptions{}, nil) {
+		if r.Err == nil {
+			t.Errorf("region %d: nil region function reported no error", i)
+		}
 	}
 }
 
@@ -292,8 +311,8 @@ func TestSplitRegionRepeatedIncreasesParallelUnits(t *testing.T) {
 }
 
 // TestTableConcurrentMutationsAndCoprocessors stresses the table with
-// parallel writers, readers and coprocessor fan-outs; run it under -race.
-func TestTableConcurrentMutationsAndCoprocessors(t *testing.T) {
+// parallel writers, readers and region fan-outs; run it under -race.
+func TestTableConcurrentMutationsAndExecRegions(t *testing.T) {
 	tbl := newTestTable(t, []string{"g", "p"}, 4)
 	done := make(chan error, 6)
 	for w := 0; w < 3; w++ {
@@ -312,9 +331,11 @@ func TestTableConcurrentMutationsAndCoprocessors(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func() {
 			for i := 0; i < 100; i++ {
-				if _, err := tbl.ExecCoprocessor(countingCoprocessor{}); err != nil {
-					done <- err
-					return
+				for _, r := range ExecRegions(context.Background(), tbl, ReadOptions{}, countRows) {
+					if r.Err != nil {
+						done <- r.Err
+						return
+					}
 				}
 			}
 			done <- nil

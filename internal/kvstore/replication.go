@@ -272,7 +272,7 @@ func (r *Region) ReadView(replica int) *Region {
 // in batches of shipBatch (values < 1 ship every mutation immediately);
 // CatchUpReplication force-ships the tail. Replicas created by a later
 // SplitRegion inherit the same settings. Call once per table, after which
-// reads may be served by ReadView / ExecCoprocessorHedged.
+// reads may be served by ReadView / ExecRegions.
 func (t *Table) EnableReplication(n, shipBatch int) error {
 	if n < 1 {
 		return fmt.Errorf("kvstore: replication needs at least 1 replica, got %d", n)

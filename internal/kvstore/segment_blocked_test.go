@@ -189,7 +189,7 @@ func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
 
 				var gotFull []RowResult
 				if err := s.Scan(ScanOptions{}, func(res RowResult) bool {
-					gotFull = append(gotFull, res)
+					gotFull = append(gotFull, copyRow(res))
 					return true
 				}); err != nil {
 					t.Fatalf("%s: scan: %v", name, err)
@@ -253,7 +253,7 @@ func TestBlockedSegmentAfterCompaction(t *testing.T) {
 	want := referenceMultiScan(sorted, []ScanRange{{}}, 0)
 	var got []RowResult
 	if err := s.Scan(ScanOptions{}, func(res RowResult) bool {
-		got = append(got, res)
+		got = append(got, copyRow(res))
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
-
-	"modissense/internal/obs"
 )
 
 // DefaultMaxImmutableMemtables is the rotated-memtable backlog a store
@@ -566,82 +563,35 @@ type ScanOptions struct {
 	Limit int
 }
 
+// oneRange puts the options into MultiScanCtx's terms: the single range to
+// scan — none when the bounds are empty or inverted, which selects no row —
+// and fn wrapped to stop the scan after Limit delivered rows.
+func (o ScanOptions) oneRange(fn func(RowResult) bool) ([]ScanRange, func(RowResult) bool) {
+	var ranges []ScanRange
+	if o.StopRow == "" || o.StopRow > o.StartRow {
+		ranges = []ScanRange{{Start: o.StartRow, Stop: o.StopRow}}
+	}
+	if o.Limit <= 0 || fn == nil {
+		return ranges, fn
+	}
+	remaining := o.Limit
+	return ranges, func(res RowResult) bool {
+		remaining--
+		return fn(res) && remaining > 0
+	}
+}
+
 // Scan streams resolved rows in key order to fn; returning false from fn
 // stops the scan early. The scan holds the store read lock for its duration.
 func (s *Store) Scan(opts ScanOptions, fn func(RowResult) bool) error {
 	return s.ScanCtx(context.Background(), opts, fn)
 }
 
-// ctxPollInterval is how many row iterations a scan processes between
-// ctx.Done() polls. Cancellation needs to be prompt, not instant: checking
-// every row puts a select on the hottest loop in the store for no practical
-// gain, so scans poll every 64 rows and deliver at most that many extra
-// rows after a cancellation.
-const ctxPollInterval = 64
-
-// ScanCtx is Scan with row-granular cancellation: it polls ctx every
-// ctxPollInterval rows and returns ctx.Err() soon after the context is
-// done, so a cancelled query releases the store read lock promptly instead
-// of finishing a large scan it no longer needs. Rows and bytes delivered to
-// fn are counted into the context's obs.QueryStats (when one is attached)
-// and the shared registry in one batch at scan end.
+// ScanCtx is Scan with cancellation: the one-range case of MultiScanCtx,
+// with its semantics (including the reused RowResult backing slice).
 func (s *Store) ScanCtx(ctx context.Context, opts ScanOptions, fn func(RowResult) bool) error {
-	if fn == nil {
-		return fmt.Errorf("kvstore: nil scan callback")
-	}
-	st := obs.QueryStatsFrom(ctx)
-	scanStart := time.Now()
-	done := ctx.Done()
-	asOf := opts.AsOf
-	if asOf == 0 {
-		asOf = int64(1) << 62
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var start *Cell
-	if opts.StartRow != "" {
-		start = &Cell{Row: opts.StartRow, Timestamp: int64(1) << 62, Tombstone: true}
-	}
-	var bs blockScanStats
-	merged := newMergeIterator(s.iteratorsLocked(start, &bs))
-	rows := 0
-	var delivered, deliveredBytes int64
-	defer func() {
-		st.AddRows(delivered)
-		st.AddBlocksDecoded(bs.decoded)
-		st.AddBlocksSkipped(bs.skipped)
-		bs.flush()
-		mRowsScanned.Add(delivered)
-		mBytesScanned.Add(deliveredBytes)
-		mScanLatency.ObserveDuration(time.Since(scanStart))
-	}()
-	for iter := 0; merged.valid(); iter++ {
-		if done != nil && iter%ctxPollInterval == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		row := merged.cell().Row
-		if opts.StopRow != "" && row >= opts.StopRow {
-			return nil
-		}
-		res := RowResult{Row: row}
-		resolveRowVersions(merged, row, asOf, &res)
-		if !res.Empty() {
-			rows++
-			delivered++
-			deliveredBytes += approxRowBytes(&res)
-			if !fn(res) {
-				return nil
-			}
-			if opts.Limit > 0 && rows >= opts.Limit {
-				return nil
-			}
-		}
-	}
-	return nil
+	ranges, fn := opts.oneRange(fn)
+	return s.MultiScanCtx(ctx, ranges, opts.AsOf, fn)
 }
 
 // Stats reports store counters for tests and observability. Compactions

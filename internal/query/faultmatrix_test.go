@@ -3,11 +3,13 @@ package query
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"modissense/internal/admit"
+	"modissense/internal/exec"
 	"modissense/internal/faultinject"
 	"modissense/internal/kvstore"
 	"modissense/internal/repos"
@@ -117,7 +119,7 @@ func TestFaultMatrix(t *testing.T) {
 			from, to := window()
 			spec := Spec{FriendIDs: friendRange(1, 10), FromMillis: from, ToMillis: to, Limit: 5}
 
-			// Fault-free baseline on the plain path: the oracle every
+			// Fault-free baseline with no policy installed: the oracle every
 			// successful cell must reproduce exactly.
 			baseline, err := f.engine.Run(context.Background(), spec)
 			if err != nil {
@@ -190,6 +192,45 @@ func TestFaultMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultsApplyWithoutReadPolicy is the matrix's no-policy row: the
+// injector and the breakers intercept every read attempt whether or not a
+// read policy is installed. With none, a region gets one attempt on its
+// primary and its failure fails the query.
+func TestFaultsApplyWithoutReadPolicy(t *testing.T) {
+	f := newFixture(t, repos.SchemaReplicated, 2, 10)
+	from, to := window()
+	spec := Spec{FriendIDs: friendRange(1, 10), FromMillis: from, ToMillis: to, Limit: 5}
+	baseline, err := f.engine.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := f.visits.Table().Regions()[0]
+	f.engine.SetFaultInjector(faultinject.New(faultinject.Schedule{Seed: 42, Rules: []faultinject.Rule{{
+		Fault: faultinject.ScanError, Node: faultinject.Any, Region: target.ID, Replica: faultinject.Any, Prob: 1,
+	}}}))
+	if _, err := f.engine.Run(context.Background(), spec); !errors.Is(err, exec.ErrAttemptsExhausted) || !errors.Is(err, faultinject.ErrInjectedScan) {
+		t.Fatalf("faulted region, no policy: err = %v, want attempts exhausted by the injected scan error", err)
+	}
+	// Under breakers the same failure trips the primary's node, which then
+	// fails fast even once the fault itself is gone.
+	f.engine.SetBreakers(admit.NewBreakerSet(admit.BreakerConfig{Failures: 1, OpenFor: 10 * time.Second, Seed: 42}))
+	if _, err := f.engine.Run(context.Background(), spec); !errors.Is(err, faultinject.ErrInjectedScan) {
+		t.Fatalf("faulted region under breakers: err = %v, want the injected scan error", err)
+	}
+	f.engine.SetFaultInjector(nil)
+	if _, err := f.engine.Run(context.Background(), spec); !errors.Is(err, admit.ErrBreakerOpen) {
+		t.Fatalf("healthy region behind a tripped breaker: err = %v, want breaker open", err)
+	}
+	f.engine.SetBreakers(nil)
+	res, err := f.engine.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("cleared injector and breakers: %v", err)
+	}
+	if !reflect.DeepEqual(res.POIs, baseline.POIs) {
+		t.Errorf("restored answer differs from the baseline:\ngot  %+v\nwant %+v", res.POIs, baseline.POIs)
 	}
 }
 

@@ -148,8 +148,8 @@ type Engine struct {
 	visits *repos.VisitsRepo
 	pois   *repos.POIRepo
 	clus   *cluster.Cluster
-	// readPolicy, when set, routes the personalized scatter through the
-	// hedged/retried read path; nil keeps the plain fail-fast path.
+	// readPolicy budgets and hedges each region's read of the personalized
+	// scatter; never nil (see SetReadPolicy).
 	readPolicy atomic.Pointer[ReadPolicy]
 	// injector intercepts read attempts with deterministic faults (tests
 	// and the -faults benchmark).
@@ -201,7 +201,9 @@ func NewEngine(visits *repos.VisitsRepo, pois *repos.POIRepo, clus *cluster.Clus
 	if visits == nil || pois == nil || clus == nil {
 		return nil, fmt.Errorf("query: engine dependencies must be non-nil")
 	}
-	return &Engine{visits: visits, pois: pois, clus: clus, hedgeTracker: exec.NewLatencyTracker(0)}, nil
+	e := &Engine{visits: visits, pois: pois, clus: clus, hedgeTracker: exec.NewLatencyTracker(0)}
+	e.SetReadPolicy(nil)
+	return e, nil
 }
 
 // poiAgg is one POI's partial aggregate inside a region.
@@ -253,25 +255,12 @@ type visitsCoprocessor struct {
 	friends []int64 // sorted, deduplicated
 }
 
-// Name implements kvstore.Coprocessor.
-func (cp *visitsCoprocessor) Name() string { return "personalized-visits" }
-
-// RunRegion implements kvstore.Coprocessor.
-func (cp *visitsCoprocessor) RunRegion(r *kvstore.Region) (interface{}, error) {
-	return cp.RunRegionCtx(context.Background(), r)
-}
-
-// RunRegionCtx implements kvstore.CoprocessorCtx: the region scan honors
-// cancellation at row granularity.
-func (cp *visitsCoprocessor) RunRegionCtx(ctx context.Context, r *kvstore.Region) (interface{}, error) {
+// runRegion is the region function kvstore.ExecRegions fans out: the region
+// scan honors cancellation at row granularity, and the work it did is noted
+// on the span of the read attempt it runs under.
+func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (*regionOutput, error) {
 	regionStart := time.Now()
-	span := obs.SpanFromContext(ctx).Child("coprocessor")
-	span.SetAttrInt("region", int64(r.ID))
-	span.SetAttrInt("node", int64(r.NodeID))
-	defer func() {
-		mCoprocLatency.ObserveDuration(time.Since(regionStart))
-		span.End()
-	}()
+	defer func() { mCoprocLatency.ObserveDuration(time.Since(regionStart)) }()
 	agg := newRegionAggregator(cp)
 	// Friends are sorted and distinct, so the per-friend ranges are sorted
 	// and non-overlapping — exactly the multi-range contract.
@@ -290,6 +279,7 @@ func (cp *visitsCoprocessor) RunRegionCtx(ctx context.Context, r *kvstore.Region
 		}
 	}
 	out := agg.finish()
+	span := obs.SpanFromContext(ctx)
 	span.SetAttrInt("rows", int64(out.work.RowsScanned))
 	span.SetAttrInt("friends", int64(out.work.Friends))
 	span.SetAttrInt("candidates", int64(out.work.CandidatePOIs))
@@ -555,17 +545,8 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 		pol := e.readPolicy.Load()
 		scatterSpan := obs.SpanFromContext(ctx).Child("scatter")
 		sctx := obs.ContextWithSpan(qctx, scatterSpan)
-		var regionResults []kvstore.RegionResult
-		var err error
-		if pol == nil {
-			regionResults, err = e.visits.Table().ExecCoprocessorCtx(sctx, cp)
-		} else {
-			regionResults, err = e.visits.Table().ExecCoprocessorHedged(sctx, cp, e.readOptions(pol))
-		}
+		regionResults := kvstore.ExecRegions(sctx, e.visits.Table(), e.readOptions(pol), cp.runRegion)
 		scatterSpan.End()
-		if err != nil {
-			return nil, err
-		}
 		plan := &queryPlan{spec: &spec}
 		var missing []int
 		for _, rr := range regionResults {
@@ -581,14 +562,14 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 				if errors.Is(rr.Err, exec.ErrShed) {
 					return nil, rr.Err
 				}
-				if pol != nil && pol.AllowDegraded {
+				if pol.AllowDegraded {
 					missing = append(missing, rr.Region.ID)
 					mRegionsMissing.Inc()
 					continue
 				}
 				return nil, rr.Err
 			}
-			plan.outputs = append(plan.outputs, rr.Value.(*regionOutput))
+			plan.outputs = append(plan.outputs, rr.Value)
 			plan.regions = append(plan.regions, rr.Region)
 			plan.nodes = append(plan.nodes, rr.ServedNode)
 		}

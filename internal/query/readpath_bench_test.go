@@ -7,12 +7,14 @@ import (
 	"time"
 
 	"modissense/internal/kvstore"
+	"modissense/internal/model"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
 )
 
-// benchVisits populates a visits table for `users` users, either with the
-// current binary codec or the legacy JSON payloads.
+// benchVisits populates a visits table for `users` users, either through the
+// repository (the binary codec) or with the JSON payloads older deployments
+// left behind, which only a test can still write.
 func benchVisits(b *testing.B, users int, legacyJSON bool) *repos.VisitsRepo {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -21,14 +23,13 @@ func benchVisits(b *testing.B, users int, legacyJSON bool) *repos.VisitsRepo {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if legacyJSON {
-		visits.UseLegacyJSON()
-	}
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	end := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	for uid := int64(1); uid <= int64(users); uid++ {
-		for _, v := range workload.GenVisitsForUser(rng, uid, pois, start, end, 10, 2) {
-			if err := visits.Store(v); err != nil {
+		for i, v := range workload.GenVisitsForUser(rng, uid, pois, start, end, 10, 2) {
+			if legacyJSON {
+				putVisitPayload(b, visits, &v, i, model.EncodeJSON(v))
+			} else if err := visits.Store(v); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -58,11 +59,11 @@ func benchCoprocessor(b *testing.B, friends int, legacyJSON bool) {
 	for i := 0; i < b.N; i++ {
 		matched := 0
 		for _, r := range regions {
-			out, err := cp.RunRegionCtx(ctx, r)
+			out, err := cp.runRegion(ctx, r)
 			if err != nil {
 				b.Fatal(err)
 			}
-			matched += out.(*regionOutput).work.VisitsMatched
+			matched += out.work.VisitsMatched
 		}
 		if matched == 0 {
 			b.Fatal("benchmark query matched no visits")

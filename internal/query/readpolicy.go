@@ -9,10 +9,11 @@ import (
 	"modissense/internal/kvstore"
 )
 
-// ReadPolicy configures the fault-tolerant scatter path of the personalized
-// query: the per-region attempt budget with backoff, the latency-hedging
-// thresholds, and whether a query may be answered without every region.
-// A nil policy on the engine keeps the plain fail-fast scatter path.
+// ReadPolicy configures how the personalized query reads each region: the
+// per-region attempt budget with backoff, the latency-hedging thresholds,
+// and whether a query may be answered without every region. An engine with
+// no policy installed reads as ReadPolicy{MaxAttempts: 1}: one attempt on
+// the primary, and a region that fails it fails the query.
 type ReadPolicy struct {
 	// MaxAttempts is each region's total attempt budget per query, hedges
 	// included (< 1 means a single attempt: no retries, no hedging).
@@ -57,40 +58,25 @@ func DefaultReadPolicy() ReadPolicy {
 	}
 }
 
-// SetReadPolicy installs (or, with nil, removes) the engine's fault-tolerant
-// read policy. Queries in flight keep the policy they started with; the
-// plain fail-fast scatter path serves while no policy is set.
+// SetReadPolicy installs (or, with nil, removes) the engine's read policy.
+// Queries in flight keep the policy they started with.
 func (e *Engine) SetReadPolicy(p *ReadPolicy) {
-	if p == nil {
-		e.readPolicy.Store(nil)
-		return
+	cp := ReadPolicy{MaxAttempts: 1}
+	if p != nil {
+		cp = *p
 	}
-	cp := *p
 	e.readPolicy.Store(&cp)
 }
 
-// CurrentReadPolicy returns a copy of the installed read policy, or nil when
-// the engine runs the plain scatter path.
-func (e *Engine) CurrentReadPolicy() *ReadPolicy {
-	p := e.readPolicy.Load()
-	if p == nil {
-		return nil
-	}
-	cp := *p
-	return &cp
-}
-
 // SetFaultInjector installs (or, with nil, removes) the deterministic fault
-// injector intercepting every read attempt. It only takes effect on reads
-// executed under a ReadPolicy — the plain scatter path has no interception
-// point. Tests and the -faults benchmark drive this.
+// injector intercepting every read attempt. Tests and the -faults benchmark
+// drive this.
 func (e *Engine) SetFaultInjector(inj *faultinject.Injector) {
 	e.injector.Store(inj)
 }
 
 // SetBreakers installs (or, with nil, removes) the per-node circuit
-// breakers gating every hedged read attempt. Like the injector it only
-// applies to reads executed under a ReadPolicy.
+// breakers gating every read attempt.
 func (e *Engine) SetBreakers(s *admit.BreakerSet) {
 	e.breakers.Store(s)
 }
@@ -114,7 +100,7 @@ func (e *Engine) RetryBudget() *exec.RetryBudget {
 }
 
 // readOptions assembles the kvstore fan-out options from the policy, the
-// engine-wide latency tracker and the installed injector.
+// engine-wide latency tracker, retry budget, injector and breakers.
 func (e *Engine) readOptions(p *ReadPolicy) kvstore.ReadOptions {
 	return kvstore.ReadOptions{
 		Retry: exec.RetryPolicy{

@@ -48,16 +48,13 @@ type normalizedVisit struct {
 // struct carries full POI info; under the normalized schema readers must
 // join against the POI repository.
 //
-// New rows are written with the compact binary visit codec (model.codec);
-// rows written by older deployments carry JSON payloads, and the decode
-// path accepts both indefinitely — a WAL replay of pre-codec data keeps
-// working. UseLegacyJSON pins a repository to JSON writes, which the
-// benchmarks use to measure the codec against its baseline.
+// Rows are written with the compact binary visit codec (model.codec); rows
+// written by older deployments carry JSON payloads, and the decode path
+// accepts both indefinitely — a WAL replay of pre-codec data keeps working.
 type VisitsRepo struct {
-	table      *kvstore.Table
-	schema     VisitSchema
-	seq        atomic.Uint32
-	legacyJSON bool
+	table  *kvstore.Table
+	schema VisitSchema
+	seq    atomic.Uint32
 	// onStore, when set, observes every batch after it commits — the
 	// platform hooks the pub/sub matcher here so both API ingest and the
 	// collector publish to standing subscriptions. Set once at wiring time,
@@ -109,13 +106,7 @@ func NewDurableVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int,
 // Schema returns the storage layout.
 func (r *VisitsRepo) Schema() VisitSchema { return r.schema }
 
-// UseLegacyJSON makes future Store calls write the pre-codec JSON payloads
-// instead of the binary encoding. Reads are unaffected (both always
-// decode); this exists for the codec ablation benchmarks and for producing
-// mixed-format fixtures.
-func (r *VisitsRepo) UseLegacyJSON() { r.legacyJSON = true }
-
-// Table exposes the backing table for coprocessor fan-out.
+// Table exposes the backing table for the region fan-out.
 func (r *VisitsRepo) Table() *kvstore.Table { return r.table }
 
 // visitCell validates one visit and renders it as the cell Store/StoreBatch
@@ -129,16 +120,9 @@ func (r *VisitsRepo) visitCell(v model.Visit) (kvstore.Cell, error) {
 	}
 	key := visitRowKey(v.UserID, v.Time, r.seq.Add(1))
 	var payload []byte
-	switch {
-	case r.legacyJSON && r.schema == SchemaReplicated:
-		payload = model.EncodeJSON(v)
-	case r.legacyJSON:
-		payload = model.EncodeJSON(normalizedVisit{
-			UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: v.Network, POIID: v.POI.ID,
-		})
-	case r.schema == SchemaReplicated:
+	if r.schema == SchemaReplicated {
 		payload = model.EncodeVisitBinary(&v)
-	default:
+	} else {
 		payload = model.EncodeVisitBinaryNormalized(&v)
 	}
 	return kvstore.Cell{Row: key, Qualifier: VisitQualifier, Timestamp: v.Time, Value: payload}, nil

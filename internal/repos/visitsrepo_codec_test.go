@@ -12,6 +12,21 @@ import (
 	"modissense/internal/model"
 )
 
+// storeLegacyJSON writes v the way a pre-codec deployment stored it: under
+// the repository's own row key, as the JSON document of its schema.
+func storeLegacyJSON(t *testing.T, r *VisitsRepo, v model.Visit) {
+	t.Helper()
+	payload := model.EncodeJSON(v)
+	if r.schema == SchemaNormalized {
+		payload = model.EncodeJSON(normalizedVisit{
+			UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: v.Network, POIID: v.POI.ID,
+		})
+	}
+	if err := r.table.Put(visitRowKey(v.UserID, v.Time, r.seq.Add(1)), VisitQualifier, v.Time, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVisitsRepoMixedJSONBinaryDecode stores rows under both payload
 // formats in one repository — the state a store reaches after a WAL replay
 // of pre-codec JSON data followed by new binary writes — and checks scans
@@ -24,16 +39,12 @@ func TestVisitsRepoMixedJSONBinaryDecode(t *testing.T) {
 			base := time.Date(2015, 5, 1, 8, 0, 0, 0, time.UTC)
 			want := make([]model.Visit, 0, 8)
 			// First half: legacy JSON writes (the pre-codec deployment).
-			repo.UseLegacyJSON()
 			for i := 0; i < 4; i++ {
 				v := model.Visit{UserID: 11, Time: model.Millis(base.Add(time.Duration(i) * time.Minute)), Grade: float64(i + 1), Network: "twitter", POI: poi}
-				if err := repo.Store(v); err != nil {
-					t.Fatal(err)
-				}
+				storeLegacyJSON(t, repo, v)
 				want = append(want, v)
 			}
 			// Second half: current binary writes on the same table.
-			repo.legacyJSON = false
 			for i := 4; i < 8; i++ {
 				v := model.Visit{UserID: 11, Time: model.Millis(base.Add(time.Duration(i) * time.Minute)), Grade: float64(i + 1), Network: "twitter", POI: poi}
 				if err := repo.Store(v); err != nil {
