@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet lint-metrics lint-docs lint-api build test test-race bench bench-smoke bench-repo-smoke fuzz-smoke
+.PHONY: check fmt vet lint-metrics lint-docs lint-api build test test-race bench bench-smoke bench-repo-smoke fuzz-smoke clean
 
 ## check runs the tier-1 verification gate: formatting, vet, the metric-
 ## cardinality lint, the exported-godoc lint, the route-table/API.md
-## bijection lint, build, the full test suite under the race detector, a
-## short fuzz pass over the WAL replay contract, a smoke pass over the
-## read-path microbenchmarks, and the repository benchmark's own vet and
-## tests. CI and pre-merge runs use this.
+## bijection lint, build, the full test suite under the race detector (the
+## read-fault, overload and primary-kill scenarios of internal/bench
+## included: a broken invariant there fails this target), a short fuzz pass
+## over the WAL replay contract, a smoke pass over the read-path
+## microbenchmarks, and the repository benchmark's own vet and tests. CI and
+## pre-merge runs use this.
 check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-smoke bench-repo-smoke
 
 ## lint-metrics fails when any obs.L / obs.Label value is not a
@@ -60,32 +62,13 @@ fuzz-smoke:
 bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
-## bench-smoke runs the scan-kernel and coprocessor read-path
-## microbenchmarks a fixed small number of iterations — it verifies the
-## benchmarks still build and run, not their timings — then scrapes
-## GET /metrics after live API traffic into BENCH_metrics.json, runs the
-## seeded fault-injection workload into BENCH_faults.json, the
-## primary-kill failover workload into BENCH_failover.json, and runs the
-## overload-protection stall-storm workload into BENCH_overload.json, and
-## the write-path ingest workload into BENCH_ingest.json, and the
-## block-format workload into BENCH_blocks.json, and the standing-query
-## pub/sub workload into BENCH_pubsub.json, and the materialized-trending
-## workload into BENCH_trending.json so each run records the
-## fault-tolerance, failover, shedding, group-commit, compression,
-## block-cache, continuous-query and view/cache gates alongside the
-## latency figures.
+## bench-smoke runs the three read-path microbenchmarks a fixed small
+## number of iterations: it verifies they still build and run, not their
+## timings (numbers come from bench/, see BENCHMARK.json).
 bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x
-	$(GO) run ./cmd/modissense-bench -exp metrics -quick
-	$(GO) run ./cmd/modissense-bench -exp faults -quick
-	$(GO) run ./cmd/modissense-bench -exp failover -quick
-	$(GO) run ./cmd/modissense-bench -exp overload -quick
-	$(GO) run ./cmd/modissense-bench -exp ingest -quick
-	$(GO) run ./cmd/modissense-bench -exp blocks -quick
-	$(GO) run ./cmd/modissense-bench -exp pubsub -quick
-	$(GO) run ./cmd/modissense-bench -exp trending -quick
 
 ## bench-repo-smoke vets and tests the repository benchmark (bench/, a Go
 ## module of its own that `go build ./...` and `go test ./...` here do not
@@ -93,3 +76,8 @@ bench-smoke:
 ## the benchmark every performance claim is measured with.
 bench-repo-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## clean removes what building and running the repository benchmark leaves
+## in the working tree (both directories are gitignored).
+clean:
+	rm -rf .bench_build bench/out

@@ -11,103 +11,70 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strconv"
+	"strings"
 	"time"
 
 	"modissense/internal/bench"
 	"modissense/internal/exec"
 )
 
-// outDir receives the machine-readable BENCH_*.json series files next to
-// the rendered tables.
-var outDir string
+// experiments is the one table of what -exp accepts, in the order "all"
+// runs them.
+var experiments = []struct {
+	name string
+	run  func(quick bool) error
+}{
+	{"fig2", runFig2},
+	{"fig3", runFig3},
+	{"fig4", runFig4},
+	{"accuracy", runAccuracy},
+	{"ablation-schema", runSchemaAblation},
+	{"ablation-regions", runRegionAblation},
+	{"dbscan", runDBSCAN},
+	{"ext-cnb", runCNB},
+	{"ext-webservers", runWebServers},
+	{"ext-topk", runTopK},
+}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig2 | fig3 | fig4 | accuracy | ablation-schema | ablation-regions | dbscan | ext-cnb | ext-webservers | ext-topk | metrics | faults | failover | overload | ingest | blocks | pubsub | trending | all")
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, " | ")+" | all")
 	quick := flag.Bool("quick", false, "run reduced sweeps (smaller dataset, fewer points)")
 	scatterWorkers := flag.Int("scatter-workers", 0, "scatter-gather worker-pool size for real region execution (0 = GOMAXPROCS)")
-	out := flag.String("out", ".", "directory for machine-readable BENCH_*.json result files")
-	faults := flag.String("faults", "", "fault schedule DSL for the faults experiment (e.g. \"stall:node=1,dur=400ms\"; empty = the experiment's default)")
 	flag.Parse()
 
 	exec.SetDefaultWorkers(*scatterWorkers)
-	outDir = *out
-	faultSchedule = *faults
 
-	runners := map[string]func(bool) error{
-		"fig2":             runFig2,
-		"fig3":             runFig3,
-		"fig4":             runFig4,
-		"accuracy":         runAccuracy,
-		"ablation-schema":  runSchemaAblation,
-		"ablation-regions": runRegionAblation,
-		"dbscan":           runDBSCAN,
-		"ext-cnb":          runCNB,
-		"ext-webservers":   runWebServers,
-		"ext-topk":         runTopK,
-		"metrics":          runMetrics,
-		"faults":           runFaults,
-		"failover":         runFailover,
-		"overload":         runOverload,
-		"ingest":           runIngest,
-		"blocks":           runBlocks,
-		"pubsub":           runPubSub,
-		"trending":         runTrending,
-	}
-	order := []string{"fig2", "fig3", "fig4", "accuracy", "ablation-schema", "ablation-regions", "dbscan", "ext-cnb", "ext-webservers", "ext-topk", "metrics", "faults", "failover", "overload", "ingest", "blocks", "pubsub", "trending"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			if err := timed(name, runners[name], *quick); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		return
+		ran = true
+		start := time.Now()
+		err := e.run(*quick)
+		fmt.Printf("[%s finished in %.1fs]\n\n", e.name, time.Since(start).Seconds())
+		if err != nil {
+			log.Fatalf("%s: %v", e.name, err)
+		}
 	}
-	runner, ok := runners[*exp]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := timed(*exp, runner, *quick); err != nil {
-		log.Fatalf("%s: %v", *exp, err)
-	}
-}
-
-func timed(name string, fn func(bool) error, quick bool) error {
-	start := time.Now()
-	err := fn(quick)
-	fmt.Printf("[%s finished in %.1fs]\n\n", name, time.Since(start).Seconds())
-	return err
 }
 
 func f(v float64) string  { return strconv.FormatFloat(v, 'f', 3, 64) }
 func ms(v float64) string { return strconv.FormatFloat(v*1000, 'f', 0, 64) }
-
-// writeSeriesJSON emits one experiment's points as an indented JSON array so
-// plots and regression checks can consume the run without parsing tables.
-func writeSeriesJSON(name string, v interface{}) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(outDir, name)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
 
 func runFig2(quick bool) error {
 	cfg := bench.DefaultFig2()
@@ -135,7 +102,7 @@ func runFig2(quick bool) error {
 	}
 	fmt.Println(bench.RenderTable(
 		[]string{"nodes", "friends", "latency(ms)", "paper-equivalent(ms)", "rows-scanned", "bytes-merged"}, rows))
-	return writeSeriesJSON("BENCH_fig2.json", points)
+	return nil
 }
 
 func runFig3(quick bool) error {
@@ -161,7 +128,7 @@ func runFig3(quick bool) error {
 	}
 	fmt.Println(bench.RenderTable(
 		[]string{"nodes", "concurrent", "avg-latency(s)", "paper-equivalent(s)", "rows-scanned", "bytes-merged"}, rows))
-	return writeSeriesJSON("BENCH_fig3.json", points)
+	return nil
 }
 
 func runFig4(quick bool) error {

@@ -1,7 +1,9 @@
 // Package bench implements the experiment harness that regenerates every
 // table and figure of the paper's evaluation (§3). Each experiment is a
-// pure function from a configuration to structured rows, used by both the
-// modissense-bench binary and the repository's testing.B benchmarks.
+// pure function from a configuration to structured rows, printed by the
+// modissense-bench binary and shape-tested here. The package's tests also
+// hold the three whole-system fault scenarios (TestScenario*), which run on
+// the same Dataset builder.
 //
 // Workload scale: the paper's dataset is 8 500 POIs, 150 000 users and
 // ~170 visits per user (≈25M visits) — too large for an in-memory

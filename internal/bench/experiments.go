@@ -48,19 +48,18 @@ func DefaultFig2() Fig2Config {
 	}
 }
 
-// Fig2Point is one measured point of Figure 2. The JSON tags define the
-// machine-readable series format cmd/modissense-bench emits (BENCH_fig2.json).
+// Fig2Point is one measured point of Figure 2.
 type Fig2Point struct {
-	Nodes          int     `json:"nodes"`
-	Friends        int     `json:"friends"`
-	LatencySeconds float64 `json:"latency_seconds"`
+	Nodes          int
+	Friends        int
+	LatencySeconds float64
 	// PaperEquivalentSeconds rescales to the paper's visit volume.
-	PaperEquivalentSeconds float64 `json:"paper_equivalent_seconds"`
+	PaperEquivalentSeconds float64
 	// RowsScanned / BytesMerged are real work counters from the execution
 	// engine, averaged over the repetitions: how much the read path actually
 	// touched to serve the point.
-	RowsScanned int64 `json:"rows_scanned"`
-	BytesMerged int64 `json:"bytes_merged"`
+	RowsScanned int64
+	BytesMerged int64
 }
 
 // RunFig2 executes the sweep. Each (nodes) series shares one dataset; the
@@ -136,17 +135,16 @@ func DefaultFig3() Fig3Config {
 	}
 }
 
-// Fig3Point is one measured point of Figure 3, JSON-tagged for the
-// BENCH_fig3.json series file cmd/modissense-bench emits.
+// Fig3Point is one measured point of Figure 3.
 type Fig3Point struct {
-	Nodes                  int     `json:"nodes"`
-	Concurrent             int     `json:"concurrent"`
-	AvgLatencySeconds      float64 `json:"avg_latency_seconds"`
-	PaperEquivalentSeconds float64 `json:"paper_equivalent_seconds"`
+	Nodes                  int
+	Concurrent             int
+	AvgLatencySeconds      float64
+	PaperEquivalentSeconds float64
 	// RowsScanned / BytesMerged total the real read-path work across the
 	// whole concurrent batch.
-	RowsScanned int64 `json:"rows_scanned"`
-	BytesMerged int64 `json:"bytes_merged"`
+	RowsScanned int64
+	BytesMerged int64
 }
 
 // RunFig3 executes the concurrency sweep.

@@ -28,7 +28,8 @@ func newTrendingClient(t *testing.T, mutate func(*Config)) (*apiClient, *Platfor
 
 // TestAPITrendingFromView pushes check-ins through the API and reads them
 // back through /trending: the ingest hook must have applied them to the view,
-// and the matview metric families must show up on /metrics.
+// and the matview metric families — the result cache's hit counter included —
+// must show up on /metrics.
 func TestAPITrendingFromView(t *testing.T) {
 	c, p := newTrendingClient(t, nil)
 	in := c.signIn("facebook", "facebook:5")
@@ -65,6 +66,20 @@ func TestAPITrendingFromView(t *testing.T) {
 		t.Fatalf("trending = %+v, want poi %d with %d visits first", trending.POIs, poi.ID, len(pushes))
 	}
 
+	// The same personalized search twice: the repeat is served by the result
+	// cache, which the cache's own counters must show on /metrics.
+	var repeat struct {
+		Cached bool `json:"cached"`
+	}
+	for i := 0; i < 2; i++ {
+		if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{in.UserID}, Limit: 5}, &repeat); code != http.StatusOK {
+			t.Fatalf("search %d status %d", i, code)
+		}
+	}
+	if !repeat.Cached {
+		t.Error("repeated search not served from the result cache")
+	}
+
 	// The matview families are on /metrics.
 	resp, err := http.Get(c.srv.URL + "/metrics")
 	if err != nil {
@@ -76,10 +91,16 @@ func TestAPITrendingFromView(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
-	for _, family := range []string{"matview_applies_total", "matview_buckets", "matview_reads_total", "matview_cache_bytes"} {
+	for _, family := range []string{
+		"matview_applies_total", "matview_buckets", "matview_reads_total",
+		"matview_cache_hits_total", "matview_cache_misses_total", "matview_cache_bytes",
+	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics missing %s", family)
 		}
+	}
+	if strings.Contains(text, "\nmatview_cache_hits_total 0\n") {
+		t.Error("/metrics shows no result-cache hit after a cached answer")
 	}
 }
 

@@ -73,7 +73,9 @@ func TestResultCacheEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	from, to := window()
 	box := workload.GreeceBounds()
-	for iter := 0; iter < 12; iter++ {
+	const iters = 12
+	hits0, misses0 := matview.CacheHitsTotal(), matview.CacheMissesTotal()
+	for iter := 0; iter < iters; iter++ {
 		spec := Spec{
 			FriendIDs:  workload.GenFriendList(rng, 0, 40, 5+rng.Intn(10)),
 			FromMillis: from,
@@ -134,6 +136,11 @@ func TestResultCacheEquivalence(t *testing.T) {
 		if string(poisJSON(t, after.POIs)) != string(poisJSON(t, uncached.POIs)) {
 			t.Fatalf("iter %d: post-invalidation ranking differs from the uncached scan", iter)
 		}
+	}
+	// The exported counters account for exactly that: one hit per repeat, one
+	// miss per cold and per invalidated run, nothing for a NoCache run.
+	if hits, misses := matview.CacheHitsTotal()-hits0, matview.CacheMissesTotal()-misses0; hits != iters || misses != 2*iters {
+		t.Errorf("cache counters moved by %d hits / %d misses, want %d / %d", hits, misses, iters, 2*iters)
 	}
 }
 
