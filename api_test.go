@@ -103,7 +103,7 @@ func TestPublicRESTHandler(t *testing.T) {
 	srv := httptest.NewServer(modissense.NewHandler(p))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/api/signin", "application/json",
+	resp, err := http.Post(srv.URL+"/api/v1/signin", "application/json",
 		strings.NewReader(`{"network":"twitter","credentials":"twitter:9"}`))
 	if err != nil {
 		t.Fatal(err)

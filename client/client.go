@@ -28,8 +28,10 @@ import (
 type Client struct {
 	baseURL string
 	http    *http.Client
-	// token is the access token of the signed-in user ("" before SignIn).
-	token string
+	// token is the access token of the signed-in user ("" before SignIn),
+	// userID the account it belongs to (the {id} of its resource paths).
+	token  string
+	userID int64
 
 	mu sync.Mutex
 	// lastRequestID is the X-Request-ID of the most recent response.
@@ -311,7 +313,7 @@ func (c *Client) SignIn(network, credentials string) (Session, error) {
 		"network": network, "credentials": credentials,
 	}, &s)
 	if err == nil {
-		c.token = s.Token
+		c.token, c.userID = s.Token, s.UserID
 	}
 	return s, err
 }
@@ -487,11 +489,9 @@ func (c *Client) GenerateBlog(day time.Time) (Blog, error) {
 
 // GetBlog fetches the signed-in user's blog for the day.
 func (c *Client) GetBlog(day time.Time) (Blog, error) {
-	v := url.Values{}
-	v.Set("token", c.token)
-	v.Set("date", day.Format("2006-01-02"))
 	var out Blog
-	err := c.do(http.MethodGet, "/api/v1/blog?"+v.Encode(), nil, &out)
+	err := c.do(http.MethodGet, fmt.Sprintf("/api/v1/users/%d/blogs/%s?token=%s",
+		c.userID, day.Format("2006-01-02"), url.QueryEscape(c.token)), nil, &out)
 	return out, err
 }
 
@@ -504,7 +504,8 @@ func (c *Client) AdminCollect(since, until time.Time) (map[string]interface{}, e
 	return out, err
 }
 
-// AdminHotIn triggers a HotIn aggregation over the window.
+// AdminHotIn refreshes the POI table's hotness/interest from the check-ins
+// of the window.
 func (c *Client) AdminHotIn(from, to time.Time) (map[string]interface{}, error) {
 	var out map[string]interface{}
 	err := c.do(http.MethodPost, "/api/v1/admin/hotin", map[string]string{
@@ -531,9 +532,22 @@ func (c *Client) Stats() (map[string]interface{}, error) {
 
 // Blogs lists every blog of the signed-in user, newest first.
 func (c *Client) Blogs() ([]Blog, error) {
-	var out []Blog
-	err := c.do(http.MethodGet, "/api/v1/blogs?token="+url.QueryEscape(c.token), nil, &out)
-	return out, err
+	base := fmt.Sprintf("/api/v1/users/%d/blogs?token=%s", c.userID, url.QueryEscape(c.token))
+	var all []Blog
+	for path := base; ; {
+		var page struct {
+			Items      []Blog `json:"items"`
+			NextCursor string `json:"next_cursor"`
+		}
+		if err := c.do(http.MethodGet, path, nil, &page); err != nil {
+			return nil, err
+		}
+		all = append(all, page.Items...)
+		if page.NextCursor == "" {
+			return all, nil
+		}
+		path = base + "&cursor=" + url.QueryEscape(page.NextCursor)
+	}
 }
 
 // QueryTrace fetches the span tree of a completed request by its

@@ -128,10 +128,11 @@ func routesFromSource(path string) (map[string]bool, error) {
 	return routes, nil
 }
 
-// docRouteRow matches one row of API.md's five-column route table: the
-// method cell, then the backticked path cell. The metrics table and prose
-// mentions of endpoints don't match this shape.
-var docRouteRow = regexp.MustCompile("^\\| (GET|POST|PUT|PATCH|DELETE) \\| `(/[^`]*)` \\|(?:[^|]*\\|){3}$")
+// docRouteRow matches one row of API.md's four-column route table: the
+// method cell, then the backticked path cell, then auth and description.
+// The three-column /metrics table and prose mentions of endpoints don't
+// match this shape.
+var docRouteRow = regexp.MustCompile("^\\| (GET|POST|PUT|PATCH|DELETE) \\| `(/[^`]*)` \\|(?:[^|]*\\|){2}$")
 
 // routesFromDoc extracts "METHOD /path" keys from the API.md route table.
 func routesFromDoc(path string) (map[string]bool, error) {

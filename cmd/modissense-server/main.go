@@ -7,7 +7,7 @@
 //
 // Then, for example:
 //
-//	curl -s -X POST localhost:8080/api/signin \
+//	curl -s -X POST localhost:8080/api/v1/signin \
 //	     -d '{"network":"facebook","credentials":"facebook:1"}'
 package main
 
@@ -34,7 +34,6 @@ func main() {
 	scatterWorkers := flag.Int("scatter-workers", 0, "scatter-gather worker-pool size (0 = GOMAXPROCS)")
 	readReplicas := flag.Int("read-replicas", 0, "read-only replicas per visits region (0 = no replication)")
 	readAttempts := flag.Int("read-attempts", 0, "per-region read attempt budget (0 = plain fail-fast reads)")
-	readBackoff := flag.Duration("read-backoff", 0, "base retry backoff of the fault-tolerant read path (0 = 2ms default)")
 	readHedgeAfter := flag.Duration("read-hedge-after", 0, "enable latency hedging, capped at this threshold (0 = no hedging)")
 	allowDegraded := flag.Bool("allow-degraded", false, "answer partial results when a region exhausts its read attempts")
 	admitQPS := flag.Float64("admit-qps", 0, "interactive admission rate in requests/s; batch routes get half (0 = no rate limiting)")
@@ -52,15 +51,14 @@ func main() {
 	compactRate := flag.Float64("compact-rate-mb", 0, "background-compaction I/O cap in MB/s (0 = unlimited)")
 	memtableFlush := flag.Int("memtable-flush-bytes", 0, "per-region memtable size that triggers rotation and background flush (0 = engine default)")
 	writeQPS := flag.Float64("write-qps", 0, "write-class admission rate in requests/s for batched check-ins (0 = no rate limiting)")
-	writeBurst := flag.Int("write-burst", 0, "write-class token-bucket depth (0 = derived from -write-qps)")
 	blockSize := flag.Int("block-size", 0, "target encoded segment-block size in bytes (0 = engine default, 4096)")
 	blockCacheMB := flag.Int("block-cache-mb", 0, "decoded-block cache shared by all tables, in MiB (0 = process default, 64)")
 	blockCompression := flag.String("block-compression", "none", "segment block codec: none, flate or snappy")
 	maxSubscriptions := flag.Int("max-subscriptions", 0, "global cap on live pub/sub subscriptions (0 = registry default, 10000)")
 	subQueueCap := flag.Int("sub-queue-cap", 0, "per-subscription bounded event queue; overflow drops oldest (0 = registry default, 256)")
 	subTTL := flag.Duration("sub-ttl", 0, "default subscription time-to-live (0 = registry default, 15m; clamped to 24h)")
-	hotinBucket := flag.Duration("hotin-bucket", time.Hour, "materialized trending view bucket width (0 disables the view; trending falls back to scans)")
-	hotinHorizon := flag.Duration("hotin-horizon", 336*time.Hour, "trending view retention horizon; trending windows are clamped to this span (0 = 14d default)")
+	hotinBucket := flag.Duration("hotin-bucket", time.Hour, "materialized trending view bucket width (0 = 1h default)")
+	hotinHorizon := flag.Duration("hotin-horizon", 336*time.Hour, "trending view retention horizon; friendless trending windows are clamped to this span (0 = 14d default)")
 	resultCacheMB := flag.Int("result-cache-mb", 32, "personalized result cache budget in MiB (0 disables caching)")
 	flag.Parse()
 
@@ -75,7 +73,6 @@ func main() {
 	cfg.QueryTimeout = *queryTimeout
 	cfg.ReadReplicas = *readReplicas
 	cfg.ReadMaxAttempts = *readAttempts
-	cfg.ReadBackoff = *readBackoff
 	cfg.ReadHedgeAfter = *readHedgeAfter
 	cfg.AllowDegraded = *allowDegraded
 	cfg.AdmitQPS = *admitQPS
@@ -93,7 +90,6 @@ func main() {
 	cfg.CompactRateMBps = *compactRate
 	cfg.MemtableFlushBytes = *memtableFlush
 	cfg.WriteQPS = *writeQPS
-	cfg.WriteBurst = *writeBurst
 	cfg.BlockSizeBytes = *blockSize
 	cfg.BlockCacheMB = *blockCacheMB
 	cfg.BlockCompression = *blockCompression
@@ -102,11 +98,6 @@ func main() {
 	cfg.SubTTL = *subTTL
 	cfg.HotInBucket = *hotinBucket
 	cfg.HotInHorizon = *hotinHorizon
-	if *hotinBucket == 0 {
-		// -hotin-bucket 0 turns the whole view off; don't make the user
-		// zero the horizon too.
-		cfg.HotInHorizon = 0
-	}
 	cfg.ResultCacheMB = *resultCacheMB
 	if *normalized {
 		cfg.VisitSchema = repos.SchemaNormalized

@@ -48,13 +48,14 @@ func main() {
 	fmt.Printf("collected %d check-ins from %d users (%d friend records)\n",
 		stats.Checkins, stats.UsersScanned, stats.FriendsStored)
 
-	// Aggregate hotness/interest over the window (the HotIn MapReduce job).
+	// Refresh the POI table's hotness/interest over the window from the
+	// trending view the collected check-ins were folded into.
 	hot, err := p.UpdateHotIn(since, until)
 	if err != nil {
 		log.Fatalf("hotin: %v", err)
 	}
-	fmt.Printf("hotin update: %d POIs refreshed in %.2f simulated seconds\n",
-		hot.POIsUpdated, hot.SimulatedSeconds)
+	fmt.Printf("hotin update: %d POIs refreshed from %d visits\n",
+		hot.POIsUpdated, hot.VisitsAggregated)
 
 	// Personalized search: top venues in all of Greece judged by the
 	// user's own visit history (user 1 is its own best critic here).

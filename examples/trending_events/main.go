@@ -47,24 +47,21 @@ func main() {
 	}
 	fmt.Printf("collected %d check-ins from %d users\n", stats.Checkins, stats.UsersScanned)
 
-	// HotIn update over the full window powers the non-personalized path.
-	if _, err := p.UpdateHotIn(since, until); err != nil {
-		log.Fatal(err)
-	}
-
 	bounds := modissense.NewRect(
 		modissense.Point{Lat: 34.8, Lon: 19.3},
 		modissense.Point{Lat: 41.8, Lon: 28.3},
 	)
 
-	// Non-personalized: hottest places of the last 3 days, platform-wide.
+	// Non-personalized: hottest places of the last 3 days, platform-wide,
+	// answered from the trending view the collected check-ins were folded
+	// into as they were stored.
 	trend, err := p.Trending(context.Background(), &bounds, nil, since, until, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nhottest places, all users, last 72h:")
 	for i, s := range trend.POIs {
-		fmt.Printf("  %d. %-20s hotness %.2f\n", i+1, s.POI.Name, s.POI.Hotness)
+		fmt.Printf("  %d. %-20s %d visits\n", i+1, s.POI.Name, s.Visits)
 	}
 
 	// Personalized, tighter granularity: hottest places among 10 specific

@@ -76,52 +76,6 @@ func TestAPIRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestAPILegacyAliasParity drives the same endpoint through the /api/v1
-// route and its deprecated /api alias: identical bodies, and only the alias
-// carries the Deprecation + successor Link headers.
-func TestAPILegacyAliasParity(t *testing.T) {
-	c, _ := newAPIClient(t)
-	fetch := func(path string) (*http.Response, string) {
-		t.Helper()
-		resp, err := http.Get(c.srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, string(raw)
-	}
-	v1Resp, v1Body := fetch("/api/v1/stats")
-	legacyResp, legacyBody := fetch("/api/stats")
-	if v1Resp.StatusCode != http.StatusOK || legacyResp.StatusCode != http.StatusOK {
-		t.Fatalf("status v1=%d legacy=%d", v1Resp.StatusCode, legacyResp.StatusCode)
-	}
-	if v1Body != legacyBody {
-		t.Errorf("alias body differs:\nv1:     %s\nlegacy: %s", v1Body, legacyBody)
-	}
-	if legacyResp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias missing Deprecation header")
-	}
-	if link := legacyResp.Header.Get("Link"); !strings.Contains(link, "/api/v1/stats") || !strings.Contains(link, "successor-version") {
-		t.Errorf("legacy Link header = %q", link)
-	}
-	if v1Resp.Header.Get("Deprecation") != "" {
-		t.Error("v1 route must not be deprecated")
-	}
-
-	// Error answers ride the same envelope through the alias.
-	var legacyErr apiError
-	if code := c.get("/api/friends?token=bogus", &legacyErr); code != http.StatusUnauthorized {
-		t.Fatalf("legacy bad token status = %d", code)
-	}
-	if legacyErr.Error.Code != "unauthorized" {
-		t.Errorf("legacy envelope = %+v", legacyErr)
-	}
-}
-
 // TestAPIMetricsExposition scrapes /metrics after real traffic and demands
 // series from all four instrumented layers: kvstore, exec, query and HTTP.
 func TestAPIMetricsExposition(t *testing.T) {

@@ -470,29 +470,6 @@ func (p *Platform) handleBlogGenerate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, blog)
 }
 
-func (p *Platform) handleBlogGet(w http.ResponseWriter, r *http.Request) {
-	uid, err := p.Users.Authenticate(r.URL.Query().Get("token"))
-	if err != nil {
-		writeErr(w, r, http.StatusUnauthorized, err)
-		return
-	}
-	day, err := parseDay(r.URL.Query().Get("date"))
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
-		return
-	}
-	blog, ok, err := p.Blogs.Get(uid, day)
-	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	if !ok {
-		writeErr(w, r, http.StatusNotFound, fmt.Errorf("core: no blog for %s", r.URL.Query().Get("date")))
-		return
-	}
-	writeJSON(w, http.StatusOK, blog)
-}
-
 type windowRequest struct {
 	Since string `json:"since"`
 	Until string `json:"until"`
@@ -641,27 +618,4 @@ func (p *Platform) handleCategoryAnalytics(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	writeJSON(w, http.StatusOK, stats)
-}
-
-func (p *Platform) handleBlogList(w http.ResponseWriter, r *http.Request) {
-	uid, err := p.Users.Authenticate(r.URL.Query().Get("token"))
-	if err != nil {
-		writeErr(w, r, http.StatusUnauthorized, err)
-		return
-	}
-	blogs, err := p.Blogs.ListUser(uid)
-	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	pp, err := parsePageParams(r)
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if pp.explicit {
-		writePage(w, blogs, pp)
-		return
-	}
-	writeJSON(w, http.StatusOK, blogs)
 }

@@ -19,7 +19,7 @@ func TestAPIQueryTimeout(t *testing.T) {
 
 	p.cfg.QueryTimeout = time.Nanosecond
 	var apiErr apiError
-	code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr)
+	code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("expired-deadline search status = %d, want %d", code, http.StatusGatewayTimeout)
 	}
@@ -29,7 +29,7 @@ func TestAPIQueryTimeout(t *testing.T) {
 
 	// Trending rides the same per-request context plumbing.
 	apiErr = apiError{}
-	if code := c.get("/api/trending?min_lat=37&min_lon=23&max_lat=39&max_lon=24&hours=24&limit=3", &apiErr); code != http.StatusGatewayTimeout {
+	if code := c.get("/api/v1/trending?min_lat=37&min_lon=23&max_lat=39&max_lon=24&hours=24&limit=3", &apiErr); code != http.StatusGatewayTimeout {
 		t.Fatalf("expired-deadline trending status = %d, want %d", code, http.StatusGatewayTimeout)
 	}
 	if apiErr.Error.Code != "timeout" {
@@ -38,7 +38,7 @@ func TestAPIQueryTimeout(t *testing.T) {
 
 	// Restoring the deadline restores service.
 	p.cfg.QueryTimeout = 30 * time.Second
-	if code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
+	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
 		t.Errorf("search after deadline restore status = %d, want 200", code)
 	}
 }
@@ -60,7 +60,7 @@ func TestAPIQueryClientCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodPost, "/api/search", bytes.NewReader(body)).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/search", bytes.NewReader(body)).WithContext(ctx)
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, req)

@@ -36,7 +36,7 @@ func TestAPIDegradedSearch(t *testing.T) {
 		Degraded bool  `json:"degraded"`
 		Missing  []int `json:"missing_regions"`
 	}
-	if code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
+	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
 		t.Fatalf("degraded search status = %d, want 200", code)
 	}
 	if !res.Degraded {
@@ -50,7 +50,7 @@ func TestAPIDegradedSearch(t *testing.T) {
 	pol.AllowDegraded = false
 	p.Query.SetReadPolicy(&pol)
 	var apiErr apiError
-	if code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
+	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
 		t.Fatalf("non-degradable search status = %d, want 500", code)
 	}
 	if apiErr.Error.Code != "internal" || apiErr.Error.Message == "" {
@@ -61,7 +61,7 @@ func TestAPIDegradedSearch(t *testing.T) {
 	// one attempt on the primary, and its failure is the query's.
 	p.Query.SetReadPolicy(nil)
 	apiErr = apiError{}
-	if code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
+	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
 		t.Fatalf("faulted search with no read policy: status = %d, want 500", code)
 	}
 	if apiErr.Error.Code != "internal" {
@@ -71,7 +71,7 @@ func TestAPIDegradedSearch(t *testing.T) {
 	// Clearing the injector restores the healthy path.
 	p.Query.SetFaultInjector(nil)
 	res.Degraded, res.Missing = false, nil
-	if code := c.post("/api/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
+	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
 		t.Fatalf("restored search status = %d, want 200", code)
 	}
 	if res.Degraded || len(res.Missing) != 0 {

@@ -118,11 +118,6 @@ func TestAPICheckinsBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body status = %d, want 400", resp.StatusCode)
 	}
-	// The endpoint is v1-only: no deprecated /api alias.
-	if code := c.post("/api/checkins", checkinsRequest{Token: in.Token,
-		Checkins: []CheckinPush{{POIID: poi.ID, Time: 1}}}, nil); code != http.StatusNotFound {
-		t.Errorf("legacy alias status = %d, want 404", code)
-	}
 }
 
 // TestAPICheckinsShedsOnPressure pins the backpressure contract: when the

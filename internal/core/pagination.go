@@ -8,9 +8,9 @@ import (
 
 // listPage is the uniform list envelope: every paginated list endpoint
 // answers {"items": [...], "next_cursor": "..."}, with next_cursor absent
-// on the final page. New list resources always use it; the pre-existing
-// bare-array endpoints (/friends, legacy /blogs) switch to it only when
-// the caller passes ?limit= or ?cursor=, so old clients keep decoding.
+// on the final page. List resources always use it; the bare-array /friends
+// endpoint switches to it only when the caller passes ?limit= or ?cursor=,
+// so old clients keep decoding.
 type listPage struct {
 	Items      interface{} `json:"items"`
 	NextCursor string      `json:"next_cursor,omitempty"`

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"modissense/internal/hotin"
 	"modissense/internal/model"
 	"modissense/internal/social"
 )
@@ -19,8 +18,6 @@ type PipelineOptions struct {
 	// HotInWindow is how far back the hotness aggregation looks (defaults
 	// to 7 days).
 	HotInWindow time.Duration
-	// HotInDecayHalfLife optionally weights recent visits higher (0 = off).
-	HotInDecayHalfLife time.Duration
 	// EventEps / EventMinPts are the detection density parameters
 	// (defaults: 120 m, 15 fixes).
 	EventEps    float64
@@ -35,12 +32,10 @@ type PipelineOptions struct {
 type PipelineReport struct {
 	Day        time.Time
 	Collection social.RunStats
-	HotIn      hotin.Stats
+	HotIn      HotInStats
 	Events     *EventDetectionResult
 	// BlogsGenerated counts users whose blog for Day was (re)built.
 	BlogsGenerated int
-	// SimulatedSeconds sums the batch stages' modeled durations.
-	SimulatedSeconds float64
 }
 
 // RunDailyPipeline executes the platform's periodic batch work for the
@@ -74,17 +69,9 @@ func (p *Platform) RunDailyPipeline(ctx context.Context, day time.Time, opts Pip
 	report.Collection = collStats
 
 	// Stage 2: refresh hotness/interest over the trailing window.
-	hotStats, err := hotin.Run(p.Visits, p.POIs, hotin.Config{
-		FromMillis:          dayEnd.Add(-opts.HotInWindow).UnixMilli(),
-		ToMillis:            dayEnd.UnixMilli(),
-		Cluster:             p.Cluster,
-		DecayHalfLifeMillis: opts.HotInDecayHalfLife.Milliseconds(),
-	})
-	if err != nil {
+	if report.HotIn, err = p.UpdateHotIn(dayEnd.Add(-opts.HotInWindow), dayEnd); err != nil {
 		return nil, fmt.Errorf("core: pipeline hotin: %w", err)
 	}
-	report.HotIn = hotStats
-	report.SimulatedSeconds += hotStats.SimulatedSeconds
 
 	// Stage 3: detect new events/POIs from the day's GPS-trace updates
 	// (incremental, per the paper's "processes the updates of GPS Traces
@@ -100,7 +87,6 @@ func (p *Platform) RunDailyPipeline(ctx context.Context, day time.Time, opts Pip
 			return nil, fmt.Errorf("core: pipeline event detection: %w", err)
 		}
 		report.Events = events
-		report.SimulatedSeconds += events.SimulatedSeconds
 	}
 
 	// Stage 4: regenerate blogs for every account with GPS activity today.

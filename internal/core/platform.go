@@ -1,8 +1,9 @@
 // Package core wires every module into the MoDisSENSE platform: the
 // simulated cluster, the six repositories, the social connectors and user
 // management, the data-collection pipeline, the sentiment classifier, the
-// query-answering engine, the HotIn updater, event detection and blog
-// generation — plus the REST API the web and mobile clients speak.
+// query-answering engine, the incrementally maintained HotIn view, event
+// detection and blog generation — plus the REST API the web and mobile
+// clients speak.
 package core
 
 import (
@@ -20,7 +21,6 @@ import (
 	"modissense/internal/dbscan"
 	"modissense/internal/exec"
 	"modissense/internal/geo"
-	"modissense/internal/hotin"
 	"modissense/internal/kvstore"
 	"modissense/internal/matview"
 	"modissense/internal/model"
@@ -78,9 +78,6 @@ type Config struct {
 	// fault-tolerant read path with this per-region attempt budget (hedges
 	// included). Zero keeps the plain fail-fast path.
 	ReadMaxAttempts int
-	// ReadBackoff overrides the base retry backoff of the fault-tolerant
-	// path (0 keeps the 2ms default).
-	ReadBackoff time.Duration
 	// ReadHedgeAfter, when > 0, enables latency hedging and caps the hedge
 	// threshold at this duration. Zero disables hedging.
 	ReadHedgeAfter time.Duration
@@ -146,11 +143,9 @@ type Config struct {
 	// (0 keeps the kvstore default).
 	MemtableFlushBytes int
 	// WriteQPS, when > 0, rate-limits the write class (the batched check-in
-	// endpoint) at admission; tokens are per request, not per cell.
+	// endpoint) at admission; tokens are per request, not per cell, and the
+	// bucket holds one second's worth.
 	WriteQPS float64
-	// WriteBurst is the write token-bucket depth (0 derives it from
-	// WriteQPS).
-	WriteBurst int
 	// BlockSizeBytes is the target encoded size of one kvstore segment
 	// block (0 keeps the kvstore default).
 	BlockSizeBytes int
@@ -170,15 +165,15 @@ type Config struct {
 	// SubTTL is the default subscription lifetime when a request names no
 	// TTL (0 keeps the pubsub default of 15m).
 	SubTTL time.Duration
-	// HotInBucket, when > 0, enables the incrementally maintained trending
-	// view: per-POI visit aggregates in buckets of this width, updated on
-	// every stored check-in, serving friendless trending queries without a
-	// history scan. 0 (the default) keeps the scan path.
+	// HotInBucket is the bucket width of the incrementally maintained
+	// trending view: per-POI visit aggregates updated on every stored
+	// check-in, the one source of friendless trending answers and of the
+	// hotness/interest UpdateHotIn writes (0 keeps the 1-hour default).
 	HotInBucket time.Duration
 	// HotInHorizon bounds the trending view's retention: buckets older than
 	// this behind the newest applied check-in are dropped, and every
-	// trending window is clamped to at most this span (0 with HotInBucket
-	// set keeps the 14-day default).
+	// friendless trending window is clamped to at most this span (0 keeps
+	// the 14-day default).
 	HotInHorizon time.Duration
 	// ResultCacheMB, when > 0, enables the per-user personalized result
 	// cache at this MiB budget: completed top-k rankings are memoized by
@@ -234,8 +229,8 @@ func (c Config) Validate() error {
 	if c.ReadMaxAttempts < 0 {
 		return fmt.Errorf("core: negative read attempts")
 	}
-	if c.ReadBackoff < 0 || c.ReadHedgeAfter < 0 {
-		return fmt.Errorf("core: negative read backoff/hedge threshold")
+	if c.ReadHedgeAfter < 0 {
+		return fmt.Errorf("core: negative read hedge threshold")
 	}
 	if c.AdmitQPS < 0 || c.AdmitBurst < 0 {
 		return fmt.Errorf("core: negative admission rate/burst")
@@ -261,8 +256,8 @@ func (c Config) Validate() error {
 	if c.CompactRateMBps < 0 || c.MemtableFlushBytes < 0 {
 		return fmt.Errorf("core: negative compaction rate/flush threshold")
 	}
-	if c.WriteQPS < 0 || c.WriteBurst < 0 {
-		return fmt.Errorf("core: negative write admission rate/burst")
+	if c.WriteQPS < 0 {
+		return fmt.Errorf("core: negative write admission rate")
 	}
 	if c.BlockSizeBytes < 0 || c.BlockCacheMB < 0 {
 		return fmt.Errorf("core: negative block size/cache size")
@@ -275,12 +270,6 @@ func (c Config) Validate() error {
 	}
 	if c.HotInBucket < 0 || c.HotInHorizon < 0 {
 		return fmt.Errorf("core: negative trending view bucket/horizon")
-	}
-	if c.HotInHorizon > 0 && c.HotInBucket == 0 {
-		return fmt.Errorf("core: trending view horizon set without a bucket width")
-	}
-	if c.HotInBucket > 0 && c.HotInHorizon > 0 && c.HotInHorizon < c.HotInBucket {
-		return fmt.Errorf("core: trending view horizon shorter than its bucket")
 	}
 	if c.ResultCacheMB < 0 {
 		return fmt.Errorf("core: negative result cache size")
@@ -314,9 +303,9 @@ type Platform struct {
 	// the Visits repository (API ingest and collector alike) is matched
 	// against it and delivered to subscriber queues.
 	PubSub *pubsub.Registry
-	// MatView is the incrementally maintained trending view (nil unless
-	// HotInBucket is set); the Visits store hook applies every committed
-	// batch as counter deltas.
+	// MatView is the incrementally maintained trending view, the platform's
+	// one aggregator of hotness; the Visits store hook applies every
+	// committed batch as counter deltas.
 	MatView *matview.HotInView
 	// ResultCache memoizes completed personalized top-k rankings (nil
 	// unless ResultCacheMB is set); the Visits store hook invalidates by
@@ -454,25 +443,19 @@ func New(cfg Config) (*Platform, error) {
 		DefaultTTL:       cfg.SubTTL,
 	})
 
-	// Materialized trending view + personalized result cache (both off by
-	// default; see DESIGN.md "Materialized trending & result caching"). The
-	// view and the cache ride the same post-commit hook as pub/sub: one
+	// Materialized trending view + personalized result cache (the cache off
+	// by default; see DESIGN.md "Materialized trending & result caching").
+	// The view and the cache ride the same post-commit hook as pub/sub: one
 	// committed batch → counter deltas into the view, epoch bumps for the
 	// writing users in the cache, then subscription matching.
-	if cfg.HotInBucket > 0 {
-		horizon := cfg.HotInHorizon
-		if horizon == 0 {
-			horizon = time.Duration(matview.DefaultHorizonMillis) * time.Millisecond
-		}
-		p.MatView, err = matview.NewHotInView(matview.ViewOptions{
-			BucketMillis:  cfg.HotInBucket.Milliseconds(),
-			HorizonMillis: horizon.Milliseconds(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: trending view: %w", err)
-		}
-		p.Query.SetHotInView(p.MatView)
+	p.MatView, err = matview.NewHotInView(matview.ViewOptions{
+		BucketMillis:  cfg.HotInBucket.Milliseconds(),
+		HorizonMillis: cfg.HotInHorizon.Milliseconds(),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: trending view: %w", err)
 	}
+	p.Query.SetHotInView(p.MatView)
 	if cfg.ResultCacheMB > 0 {
 		p.ResultCache = matview.NewResultCache(int64(cfg.ResultCacheMB) << 20)
 		p.Query.SetResultCache(p.ResultCache)
@@ -482,7 +465,7 @@ func New(cfg Config) (*Platform, error) {
 	// A durable boot replays WAL history before the hook above exists, so
 	// the view's aggregates must be rebuilt from one scan; the normalized
 	// schema stores POI ids only, so the catalog is joined back in.
-	if p.MatView != nil && cfg.WALDir != "" {
+	if cfg.WALDir != "" {
 		batch := make([]model.Visit, 0, 1024)
 		scanErr := p.Visits.ScanAll(func(v model.Visit) bool {
 			if cfg.VisitSchema != repos.SchemaReplicated {
@@ -524,9 +507,6 @@ func New(cfg Config) (*Platform, error) {
 		pol := query.DefaultReadPolicy()
 		pol.MaxAttempts = cfg.ReadMaxAttempts
 		pol.JitterSeed = cfg.Seed
-		if cfg.ReadBackoff > 0 {
-			pol.BaseBackoff = cfg.ReadBackoff
-		}
 		pol.HedgeEnabled = cfg.ReadHedgeAfter > 0
 		if cfg.ReadHedgeAfter > 0 {
 			pol.HedgeMax = cfg.ReadHedgeAfter
@@ -543,13 +523,9 @@ func New(cfg Config) (*Platform, error) {
 		pool.SetQueueCap(cfg.ExecQueueCap)
 	}
 	if cfg.AdmitQPS > 0 || cfg.ExecQueueCap > 0 || cfg.WriteQPS > 0 {
-		writeBurst := cfg.WriteBurst
-		if writeBurst < 1 {
-			writeBurst = int(math.Ceil(cfg.WriteQPS))
-		}
 		acfg := admit.Config{
 			WriteQPS:   cfg.WriteQPS,
-			WriteBurst: writeBurst,
+			WriteBurst: int(math.Ceil(cfg.WriteQPS)),
 			// Write admission watches the Visits table's hottest region: when
 			// flushing lags ingest to the stall point, check-in pushes answer
 			// 503 + Retry-After instead of blocking inside the write lock.
@@ -622,13 +598,42 @@ func (p *Platform) Collect(since, until time.Time) (social.RunStats, error) {
 	return p.Collector.Run(model.Millis(since), model.Millis(until))
 }
 
-// UpdateHotIn aggregates hotness/interest over the window.
-func (p *Platform) UpdateHotIn(from, to time.Time) (hotin.Stats, error) {
-	return hotin.Run(p.Visits, p.POIs, hotin.Config{
-		FromMillis: model.Millis(from),
-		ToMillis:   model.Millis(to),
-		Cluster:    p.Cluster,
-	})
+// HotInStats summarizes one hotness/interest refresh.
+type HotInStats struct {
+	VisitsAggregated int
+	POIsUpdated      int
+	// MaxVisits is the window's hottest POI visit count (the hotness
+	// normalizer).
+	MaxVisits int
+}
+
+// UpdateHotIn refreshes the POI repository's hotness/interest columns — the
+// ordering of the paper's non-personalized search — from the trending view's
+// aggregates over [from, to), bounds quantized outward to view buckets.
+// Hotness is a POI's visit count divided by the window maximum (∈ [0,1]);
+// interest is its mean sentiment grade rescaled from [1,5] to [0,1]. POIs
+// with no visit in the window keep their stored values, and only what the
+// view retains (HotInHorizon behind the newest check-in) can be counted.
+func (p *Platform) UpdateHotIn(from, to time.Time) (HotInStats, error) {
+	if to.Before(from) {
+		return HotInStats{}, fmt.Errorf("core: hotin window inverted")
+	}
+	// TopK ranks by visits descending, so the first aggregate is the maximum.
+	aggs, _ := p.MatView.TopK(matview.TopKSpec{FromMillis: model.Millis(from), ToMillis: model.Millis(to)})
+	var stats HotInStats
+	if len(aggs) > 0 {
+		stats.MaxVisits = aggs[0].Visits
+	}
+	for _, a := range aggs {
+		stats.VisitsAggregated += a.Visits
+		hotness := float64(a.Visits) / float64(stats.MaxVisits)
+		interest := (a.GradeSum/float64(a.Visits) - 1) / 4
+		if err := p.POIs.UpdateHotIn(a.POI.ID, hotness, interest); err != nil {
+			continue // visited, but no longer (or never) in the catalog
+		}
+		stats.POIsUpdated++
+	}
+	return stats, nil
 }
 
 // SearchRequest is the platform-level personalized search request: the
@@ -673,8 +678,8 @@ func (p *Platform) Search(ctx context.Context, req SearchRequest) (*query.Result
 	})
 }
 
-// Trending answers a trending-events query; with a token and friend list
-// it is personalized, otherwise it serves the precomputed hotness ranking.
+// Trending answers a trending-events query; with a friend list it is
+// personalized, otherwise it is served from the trending view.
 func (p *Platform) Trending(ctx context.Context, bbox *geo.Rect, friends []int64, from, to time.Time, limit int) (*query.Result, error) {
 	return p.Query.Trending(ctx, query.Spec{
 		BBox:       bbox,
@@ -758,9 +763,7 @@ func (p *Platform) PushCheckins(token string, items []CheckinPush) (int, []Check
 // and the pub/sub matcher. It runs synchronously on the writer, so each
 // stage is O(batch) with no I/O.
 func (p *Platform) onVisitsStored(visits []model.Visit) {
-	if v := p.MatView; v != nil {
-		v.Apply(visits)
-	}
+	p.MatView.Apply(visits)
 	if c := p.ResultCache; c != nil {
 		users := make([]int64, 0, len(visits))
 		for i := range visits {
@@ -1009,7 +1012,7 @@ func (p *Platform) generateBlogForUser(uid int64, day time.Time) (repos.StoredBl
 	return p.Blogs.Save(blog)
 }
 
-// PlatformStats is an operational snapshot served by /api/stats.
+// PlatformStats is an operational snapshot served by /api/v1/stats.
 type PlatformStats struct {
 	POIs          int    `json:"pois"`
 	VisitRegions  int    `json:"visit_regions"`

@@ -14,10 +14,9 @@ import (
 //   - the X-Request-ID a client supplies is echoed on every answer;
 //   - every non-2xx answer is the uniform error envelope with a code from
 //     the fixed enum and the request's id;
-//   - every non-v1Only route answers byte-identical bodies through its
-//     deprecated /api alias, which carries the Deprecation + successor
-//     Link headers (and the v1 path carries them exactly when the whole
-//     endpoint is superseded by a successor route).
+//   - no route is served anywhere but under /api/v1/: the same path under
+//     the un-versioned /api/ prefix, at the root, or under another version
+//     is a 404, and /metrics is the only other routable pattern.
 //
 // Requests are deliberately unauthenticated/malformed so each route
 // answers deterministically without platform state.
@@ -92,49 +91,24 @@ func TestAPIRouteContract(t *testing.T) {
 					t.Errorf("envelope requestId = %q, want %q", envelope.Error.RequestID, fixedID)
 				}
 			}
-			// Deprecation headers on the v1 path: present exactly when the
-			// route is superseded by a successor resource.
-			if rt.successor != "" {
-				if v1Resp.Header.Get("Deprecation") != "true" {
-					t.Error("superseded v1 route missing Deprecation header")
+			// The versioned prefix is the only entry point.
+			for _, prefix := range []string{"/api", "", "/api/v2"} {
+				resp, _ := do(t, rt.method, c.srv.URL+prefix+path+"?"+query)
+				if resp.StatusCode != http.StatusNotFound {
+					t.Errorf("%s%s is routable: status %d, want 404", prefix, path, resp.StatusCode)
 				}
-				if link := v1Resp.Header.Get("Link"); !strings.Contains(link, "</api/v1"+rt.successor+">") ||
-					!strings.Contains(link, `rel="successor-version"`) {
-					t.Errorf("superseded v1 Link = %q, want successor %q", link, rt.successor)
-				}
-			} else if v1Resp.Header.Get("Deprecation") != "" {
-				t.Error("current v1 route must not carry Deprecation")
-			}
-
-			if rt.v1Only {
-				// No legacy alias: the /api path must not serve this route.
-				aliasResp, _ := do(t, rt.method, c.srv.URL+"/api"+path+"?"+query)
-				if aliasResp.StatusCode != http.StatusNotFound &&
-					aliasResp.StatusCode != http.StatusMethodNotAllowed {
-					t.Errorf("v1-only route reachable via alias: %d", aliasResp.StatusCode)
-				}
-				return
-			}
-
-			// Legacy alias parity: identical body, deprecation headers.
-			aliasResp, aliasBody := do(t, rt.method, c.srv.URL+"/api"+path+"?"+query)
-			if aliasResp.StatusCode != v1Resp.StatusCode {
-				t.Errorf("alias status %d != v1 status %d", aliasResp.StatusCode, v1Resp.StatusCode)
-			}
-			if aliasBody != v1Body {
-				t.Errorf("alias body differs:\nv1:    %q\nalias: %q", v1Body, aliasBody)
-			}
-			if aliasResp.Header.Get("Deprecation") != "true" {
-				t.Error("alias missing Deprecation header")
-			}
-			wantSucc := rt.path
-			if rt.successor != "" {
-				wantSucc = rt.successor
-			}
-			if link := aliasResp.Header.Get("Link"); !strings.Contains(link, "</api/v1"+wantSucc+">") ||
-				!strings.Contains(link, `rel="successor-version"`) {
-				t.Errorf("alias Link = %q, want successor %q", link, wantSucc)
 			}
 		})
+	}
+
+	// The pre-resource blog routes are gone from the versioned prefix too,
+	// and /metrics is the one pattern outside it.
+	for _, gone := range []string{"/api/v1/blog", "/api/v1/blogs", "/api/v1", "/api/v1/", "/"} {
+		if resp, _ := do(t, http.MethodGet, c.srv.URL+gone+"?token=bogus"); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", gone, resp.StatusCode)
+		}
+	}
+	if resp, _ := do(t, http.MethodGet, c.srv.URL+"/metrics"); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /metrics: status %d, want 200", resp.StatusCode)
 	}
 }

@@ -12,10 +12,8 @@ import (
 	"modissense/internal/obs"
 )
 
-// The REST API is a single versioned route table. Every endpoint lives
-// under /api/v1/; the pre-versioning /api/... paths are kept as deprecated
-// aliases that serve the same handler and announce their replacement with a
-// Deprecation header. API.md documents the table.
+// The REST API is a single versioned route table: every endpoint lives
+// under /api/v1/ and nowhere else. API.md documents the table.
 //
 // Every request is wrapped in one middleware stack: an X-Request-ID is
 // propagated (or generated), a trace is recorded into Platform.Traces keyed
@@ -26,22 +24,13 @@ import (
 // route is one row of the API route table.
 type route struct {
 	method string
-	// path is the route's pattern suffix under /api/v1 (and under /api for
-	// the deprecated alias).
+	// path is the route's pattern suffix under /api/v1.
 	path string
 	// label names the route in metrics; values are compile-time constants.
 	label obs.Label
-	// v1Only suppresses the deprecated /api alias (new v1 endpoints never
-	// had a legacy path).
-	v1Only bool
 	// noTrace keeps the route out of the trace store (introspection
 	// endpoints would otherwise evict real query traces).
 	noTrace bool
-	// successor, when non-empty, marks the whole route deprecated in favor
-	// of the named v1 path: every answer (v1 and alias alike) carries the
-	// Deprecation header and a Link to /api/v1<successor>, and is counted in
-	// http_legacy_requests_total. Used by the pre-resource blog endpoints.
-	successor string
 	// admitted routes pass the overload-admission controller before their
 	// handler runs and tag their context with the class's exec priority;
 	// cheap CRUD/introspection routes bypass admission entirely.
@@ -62,26 +51,22 @@ var routeTable = []route{
 		handler: func(p *Platform) http.HandlerFunc { return p.handleTrending }},
 	{method: "GET", path: "/pois/{id}", label: obs.L("route", "poi"), handler: func(p *Platform) http.HandlerFunc { return p.handlePOI }},
 	{method: "POST", path: "/gps", label: obs.L("route", "gps"), handler: func(p *Platform) http.HandlerFunc { return p.handleGPS }},
-	{method: "POST", path: "/checkins", label: obs.L("route", "checkins"), v1Only: true, admitted: true, class: admit.Write,
+	{method: "POST", path: "/checkins", label: obs.L("route", "checkins"), admitted: true, class: admit.Write,
 		handler: func(p *Platform) http.HandlerFunc { return p.handleCheckins }},
 	{method: "POST", path: "/blog/generate", label: obs.L("route", "blog_generate"), handler: func(p *Platform) http.HandlerFunc { return p.handleBlogGenerate }},
-	{method: "GET", path: "/blog", label: obs.L("route", "blog_get"), successor: "/users/{id}/blogs/{day}",
-		handler: func(p *Platform) http.HandlerFunc { return p.handleBlogGet }},
-	{method: "GET", path: "/blogs", label: obs.L("route", "blog_list"), successor: "/users/{id}/blogs",
-		handler: func(p *Platform) http.HandlerFunc { return p.handleBlogList }},
-	{method: "GET", path: "/users/{id}/blogs", label: obs.L("route", "user_blogs"), v1Only: true,
+	{method: "GET", path: "/users/{id}/blogs", label: obs.L("route", "user_blogs"),
 		handler: func(p *Platform) http.HandlerFunc { return p.handleUserBlogList }},
-	{method: "GET", path: "/users/{id}/blogs/{day}", label: obs.L("route", "user_blog"), v1Only: true,
+	{method: "GET", path: "/users/{id}/blogs/{day}", label: obs.L("route", "user_blog"),
 		handler: func(p *Platform) http.HandlerFunc { return p.handleUserBlogGet }},
-	{method: "POST", path: "/subscriptions", label: obs.L("route", "sub_create"), v1Only: true, admitted: true, class: admit.Write,
+	{method: "POST", path: "/subscriptions", label: obs.L("route", "sub_create"), admitted: true, class: admit.Write,
 		handler: func(p *Platform) http.HandlerFunc { return p.handleSubscriptionCreate }},
-	{method: "GET", path: "/subscriptions", label: obs.L("route", "sub_list"), v1Only: true,
+	{method: "GET", path: "/subscriptions", label: obs.L("route", "sub_list"),
 		handler: func(p *Platform) http.HandlerFunc { return p.handleSubscriptionList }},
-	{method: "GET", path: "/subscriptions/{id}", label: obs.L("route", "sub_get"), v1Only: true,
+	{method: "GET", path: "/subscriptions/{id}", label: obs.L("route", "sub_get"),
 		handler: func(p *Platform) http.HandlerFunc { return p.handleSubscriptionGet }},
-	{method: "DELETE", path: "/subscriptions/{id}", label: obs.L("route", "sub_delete"), v1Only: true,
+	{method: "DELETE", path: "/subscriptions/{id}", label: obs.L("route", "sub_delete"),
 		handler: func(p *Platform) http.HandlerFunc { return p.handleSubscriptionDelete }},
-	{method: "GET", path: "/subscriptions/{id}/events", label: obs.L("route", "sub_events"), v1Only: true, noTrace: true,
+	{method: "GET", path: "/subscriptions/{id}/events", label: obs.L("route", "sub_events"), noTrace: true,
 		handler: func(p *Platform) http.HandlerFunc { return p.handleSubscriptionEvents }},
 	{method: "POST", path: "/admin/collect", label: obs.L("route", "collect"), handler: func(p *Platform) http.HandlerFunc { return p.handleCollect }},
 	{method: "POST", path: "/admin/hotin", label: obs.L("route", "hotin"), handler: func(p *Platform) http.HandlerFunc { return p.handleHotIn }},
@@ -91,24 +76,20 @@ var routeTable = []route{
 		handler: func(p *Platform) http.HandlerFunc { return p.handlePipeline }},
 	{method: "GET", path: "/analytics/categories", label: obs.L("route", "categories"), handler: func(p *Platform) http.HandlerFunc { return p.handleCategoryAnalytics }},
 	{method: "GET", path: "/stats", label: obs.L("route", "stats"), handler: func(p *Platform) http.HandlerFunc { return p.handleStats }},
-	{method: "GET", path: "/queries/{id}/trace", label: obs.L("route", "query_trace"), v1Only: true, noTrace: true,
+	{method: "GET", path: "/queries/{id}/trace", label: obs.L("route", "query_trace"), noTrace: true,
 		handler: func(p *Platform) http.HandlerFunc { return p.handleQueryTrace }},
 }
 
 // NewHandler returns the platform's REST API: the versioned route table
-// under /api/v1/, deprecated /api/ aliases, and the Prometheus exposition
-// at /metrics. The JSON formats mirror the request/response contract the
-// paper's web and mobile clients use; any client that speaks them
-// integrates seamlessly (§2, "this feature enables the seamless integration
-// of more client applications"). See API.md for the full route table.
+// under /api/v1/ and the Prometheus exposition at /metrics. The JSON formats
+// mirror the request/response contract the paper's web and mobile clients
+// use; any client that speaks them integrates seamlessly (§2, "this feature
+// enables the seamless integration of more client applications"). See
+// API.md for the full route table.
 func NewHandler(p *Platform) http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range routeTable {
-		h := p.instrument(rt, rt.handler(p))
-		mux.HandleFunc(rt.method+" /api/v1"+rt.path, h(false))
-		if !rt.v1Only {
-			mux.HandleFunc(rt.method+" /api"+rt.path, h(true))
-		}
+		mux.HandleFunc(rt.method+" /api/v1"+rt.path, p.instrument(rt, rt.handler(p)))
 	}
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
 	return mux
@@ -134,10 +115,9 @@ func (w *statusWriter) Flush() {
 }
 
 // instrument builds the middleware stack of one route: request-ID
-// propagation, tracing, per-route metrics and (for legacy aliases) the
-// deprecation headers. Metric handles resolve once per route at handler
-// construction; the request path touches only atomics.
-func (p *Platform) instrument(rt route, h http.HandlerFunc) func(deprecated bool) http.HandlerFunc {
+// propagation, tracing and per-route metrics. Metric handles resolve once
+// per route at handler construction; the request path touches only atomics.
+func (p *Platform) instrument(rt route, h http.HandlerFunc) http.HandlerFunc {
 	reg := obs.Default()
 	classCounters := map[int]*obs.Counter{
 		1: reg.Counter("http_requests_total", "Requests served by route and status class.", rt.label, obs.L("class", "1xx")),
@@ -147,61 +127,46 @@ func (p *Platform) instrument(rt route, h http.HandlerFunc) func(deprecated bool
 		5: reg.Counter("http_requests_total", "Requests served by route and status class.", rt.label, obs.L("class", "5xx")),
 	}
 	latency := reg.Histogram("http_request_seconds", "Request latency by route.", obs.LatencyBuckets(), rt.label)
-	legacyHits := reg.Counter("http_legacy_requests_total", "Requests served through a deprecated /api alias.", rt.label)
 	routeName := "http:" + rt.label.Value
-	return func(deprecated bool) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			reqID := r.Header.Get(requestIDHeader)
-			if reqID == "" {
-				reqID = newRequestID()
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		reqID := r.Header.Get(requestIDHeader)
+		if reqID == "" {
+			reqID = newRequestID()
+		}
+		w.Header().Set(requestIDHeader, reqID)
+		ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
+		if rt.admitted {
+			ctx = exec.WithPriority(ctx, rt.class.Priority())
+		}
+		var tr *obs.Trace
+		if !rt.noTrace {
+			tr = obs.NewTrace(reqID, routeName)
+			ctx = obs.ContextWithSpan(ctx, tr.Root())
+		}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		rr := r.WithContext(ctx)
+		if dec, rejected := p.admitCheck(rt, rr); rejected {
+			// Shed up front: the handler never runs, no query work is
+			// queued, and the client gets a well-formed overload answer
+			// with a Retry-After hint.
+			obs.SpanFromContext(ctx).SetAttr("admit", dec.Reason)
+			status := http.StatusServiceUnavailable
+			if dec.Reason == admit.ReasonRate {
+				status = http.StatusTooManyRequests
 			}
-			w.Header().Set(requestIDHeader, reqID)
-			if deprecated || rt.successor != "" {
-				// The successor a deprecated answer points to: the same path
-				// under /api/v1 for un-versioned aliases, or the replacing
-				// resource route when the whole endpoint is superseded.
-				succ := rt.path
-				if rt.successor != "" {
-					succ = rt.successor
-				}
-				legacyHits.Inc()
-				w.Header().Set("Deprecation", "true")
-				w.Header().Set("Link", "</api/v1"+succ+`>; rel="successor-version"`)
-			}
-			ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
-			if rt.admitted {
-				ctx = exec.WithPriority(ctx, rt.class.Priority())
-			}
-			var tr *obs.Trace
-			if !rt.noTrace {
-				tr = obs.NewTrace(reqID, routeName)
-				ctx = obs.ContextWithSpan(ctx, tr.Root())
-			}
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			rr := r.WithContext(ctx)
-			if dec, rejected := p.admitCheck(rt, rr); rejected {
-				// Shed up front: the handler never runs, no query work is
-				// queued, and the client gets a well-formed overload answer
-				// with a Retry-After hint.
-				obs.SpanFromContext(ctx).SetAttr("admit", dec.Reason)
-				status := http.StatusServiceUnavailable
-				if dec.Reason == admit.ReasonRate {
-					status = http.StatusTooManyRequests
-				}
-				writeOverloaded(sw, rr, status, dec.RetryAfter,
-					"core: overloaded: admission rejected ("+dec.Reason+")")
-			} else {
-				h(sw, rr)
-			}
-			if tr != nil {
-				tr.Finish()
-				p.Traces.Put(tr)
-			}
-			latency.ObserveDuration(time.Since(start))
-			if c := classCounters[sw.status/100]; c != nil {
-				c.Inc()
-			}
+			writeOverloaded(sw, rr, status, dec.RetryAfter,
+				"core: overloaded: admission rejected ("+dec.Reason+")")
+		} else {
+			h(sw, rr)
+		}
+		if tr != nil {
+			tr.Finish()
+			p.Traces.Put(tr)
+		}
+		latency.ObserveDuration(time.Since(start))
+		if c := classCounters[sw.status/100]; c != nil {
+			c.Inc()
 		}
 	}
 }

@@ -269,9 +269,9 @@ func (p *Platform) serveEventStream(w http.ResponseWriter, r *http.Request, uid 
 	}
 }
 
-// handleUserBlogList serves GET /users/{id}/blogs — the resource-shaped
-// successor of GET /blogs. The listing is always the uniform page
-// envelope; only the authenticated owner may list their blogs.
+// handleUserBlogList serves GET /users/{id}/blogs. The listing is always
+// the uniform page envelope; only the authenticated owner may list their
+// blogs.
 func (p *Platform) handleUserBlogList(w http.ResponseWriter, r *http.Request) {
 	uid, ok := p.authBlogOwner(w, r)
 	if !ok {
@@ -290,8 +290,7 @@ func (p *Platform) handleUserBlogList(w http.ResponseWriter, r *http.Request) {
 	writePage(w, blogs, pp)
 }
 
-// handleUserBlogGet serves GET /users/{id}/blogs/{day} — the
-// resource-shaped successor of GET /blog?date=.
+// handleUserBlogGet serves GET /users/{id}/blogs/{day}.
 func (p *Platform) handleUserBlogGet(w http.ResponseWriter, r *http.Request) {
 	uid, ok := p.authBlogOwner(w, r)
 	if !ok {

@@ -357,16 +357,12 @@ func TestAPIUserBlogResources(t *testing.T) {
 	if code := c.post("/api/v1/gps", gpsRequest{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
 		t.Fatalf("gps push failed")
 	}
-	if code := c.post("/api/v1/blog/generate", blogRequest{Token: in.Token, Date: "2015-05-30"}, nil); code != http.StatusOK {
+	var generated json.RawMessage
+	if code := c.post("/api/v1/blog/generate", blogRequest{Token: in.Token, Date: "2015-05-30"}, &generated); code != http.StatusOK {
 		t.Fatalf("blog generate failed")
 	}
 
-	// The resource listing is the page envelope over the same blogs the
-	// deprecated bare-array route serves.
-	var legacy []json.RawMessage
-	if code := c.get("/api/v1/blogs?token="+in.Token, &legacy); code != http.StatusOK {
-		t.Fatal("legacy blog list failed")
-	}
+	// The resource listing is the page envelope over the stored blogs.
 	userPath := fmt.Sprintf("/api/v1/users/%d/blogs", in.UserID)
 	var page struct {
 		Items      []json.RawMessage `json:"items"`
@@ -375,28 +371,17 @@ func TestAPIUserBlogResources(t *testing.T) {
 	if code := c.get(userPath+"?token="+in.Token, &page); code != http.StatusOK {
 		t.Fatal("user blog list failed")
 	}
-	if len(page.Items) != len(legacy) || len(page.Items) == 0 {
-		t.Fatalf("resource listing has %d items, legacy %d", len(page.Items), len(legacy))
-	}
-	for i := range legacy {
-		if string(page.Items[i]) != string(legacy[i]) {
-			t.Errorf("item %d differs between resource and legacy listings", i)
-		}
+	if len(page.Items) != 1 || string(page.Items[0]) != string(generated) {
+		t.Fatalf("resource listing = %s, want the one generated blog %s", page.Items, generated)
 	}
 
-	// Addressing one day by path serves the same blog GET /blog?date= does.
-	var byPath, byQuery struct {
-		ID       int64  `json:"id"`
-		Rendered string `json:"rendered"`
-	}
+	// Addressing one day by path serves the same stored blog.
+	var byPath json.RawMessage
 	if code := c.get(userPath+"/2015-05-30?token="+in.Token, &byPath); code != http.StatusOK {
 		t.Fatal("user blog get failed")
 	}
-	if code := c.get("/api/v1/blog?token="+in.Token+"&date=2015-05-30", &byQuery); code != http.StatusOK {
-		t.Fatal("legacy blog get failed")
-	}
-	if byPath.ID == 0 || byPath.ID != byQuery.ID || byPath.Rendered != byQuery.Rendered {
-		t.Fatalf("resource blog %+v != legacy blog %+v", byPath, byQuery)
+	if string(byPath) != string(generated) {
+		t.Fatalf("resource blog %s != generated blog %s", byPath, generated)
 	}
 	if code := c.get(userPath+"/2015-06-01?token="+in.Token, nil); code != http.StatusNotFound {
 		t.Error("missing day must 404")

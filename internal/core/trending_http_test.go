@@ -12,18 +12,27 @@ import (
 	"modissense/internal/matview"
 )
 
-// newTrendingClient boots a platform with the materialized trending view and
-// the personalized result cache on, at test scale.
-func newTrendingClient(t *testing.T, mutate func(*Config)) (*apiClient, *Platform) {
+// newTrendingClient boots a platform with the personalized result cache on
+// (the trending view always is, here at its 1 h / 14 d defaults), at test
+// scale.
+func newTrendingClient(t *testing.T) (*apiClient, *Platform) {
 	t.Helper()
-	return newIngestClient(t, func(c *Config) {
-		c.HotInBucket = time.Hour
-		c.HotInHorizon = 14 * 24 * time.Hour
-		c.ResultCacheMB = 8
-		if mutate != nil {
-			mutate(c)
-		}
-	})
+	return newIngestClient(t, func(c *Config) { c.ResultCacheMB = 8 })
+}
+
+// scrapeMetrics returns the /metrics exposition.
+func scrapeMetrics(t *testing.T, c *apiClient) string {
+	t.Helper()
+	resp, err := http.Get(c.srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestAPITrendingFromView pushes check-ins through the API and reads them
@@ -31,7 +40,7 @@ func newTrendingClient(t *testing.T, mutate func(*Config)) (*apiClient, *Platfor
 // and the matview metric families — the result cache's hit counter included —
 // must show up on /metrics.
 func TestAPITrendingFromView(t *testing.T) {
-	c, p := newTrendingClient(t, nil)
+	c, p := newTrendingClient(t)
 	in := c.signIn("facebook", "facebook:5")
 	poi := p.Catalog()[3]
 	base := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
@@ -46,7 +55,7 @@ func TestAPITrendingFromView(t *testing.T) {
 	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: pushes}, &res); code != http.StatusOK || res.Stored != len(pushes) {
 		t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
 	}
-	if p.MatView == nil || p.MatView.Buckets() == 0 {
+	if p.MatView.Buckets() == 0 {
 		t.Fatal("ingest hook did not populate the view")
 	}
 	path := fmt.Sprintf("/api/v1/trending?hours=24&limit=5&until=%s",
@@ -81,16 +90,7 @@ func TestAPITrendingFromView(t *testing.T) {
 	}
 
 	// The matview families are on /metrics.
-	resp, err := http.Get(c.srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := scrapeMetrics(t, c)
 	for _, family := range []string{
 		"matview_applies_total", "matview_buckets", "matview_reads_total",
 		"matview_cache_hits_total", "matview_cache_misses_total", "matview_cache_bytes",
@@ -104,11 +104,89 @@ func TestAPITrendingFromView(t *testing.T) {
 	}
 }
 
+// TestAPITrendingClampsToCoverageFloor asks for a friendless window that
+// starts behind the view's coverage floor (a later check-in pushed the
+// horizon past it). The answer must be the in-window visits the view still
+// retains, flagged window_clamped with the floor as effective_from_millis —
+// not a ranking read off the POI table's stored hotness, which knows nothing
+// of the window: the table is seeded with a hotness that would betray it.
+func TestAPITrendingClampsToCoverageFloor(t *testing.T) {
+	c, p := newTrendingClient(t)
+	in := c.signIn("facebook", "facebook:5")
+	cat := p.Catalog()
+	expired, retained, newest, decoy := cat[1], cat[2], cat[3], cat[4]
+	base := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
+	day := 24 * time.Hour
+	push := func(poi int64, at time.Time, n int) {
+		t.Helper()
+		var items []CheckinPush
+		for i := 0; i < n; i++ {
+			items = append(items, CheckinPush{POIID: poi, Time: at.Add(time.Duration(i) * time.Minute).UnixMilli(), Grade: 4, Network: "facebook"})
+		}
+		var res checkinsResponse
+		if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: items}, &res); code != http.StatusOK || res.Stored != n {
+			t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
+		}
+	}
+	// Both in the requested window [base+5d, base+7d); the check-in at
+	// base+20d then raises the floor to base+6d, between them.
+	push(expired.ID, base.Add(5*day+time.Hour), 2)
+	push(retained.ID, base.Add(6*day+2*time.Hour), 3)
+	push(newest.ID, base.Add(20*day), 1)
+	floor := base.Add(6 * day)
+	if got := p.MatView.Floor(); got != floor.UnixMilli() {
+		t.Fatalf("view floor = %d, want %d", got, floor.UnixMilli())
+	}
+	if err := p.POIs.UpdateHotIn(decoy.ID, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	path := fmt.Sprintf("/api/v1/trending?limit=10&from=%s&until=%s",
+		url.QueryEscape(base.Add(5*day).Format(time.RFC3339)), url.QueryEscape(base.Add(7*day).Format(time.RFC3339)))
+	type answer struct {
+		POIs []struct {
+			POI struct {
+				ID int64 `json:"id"`
+			} `json:"poi"`
+			Visits int `json:"visits"`
+		} `json:"pois"`
+		WindowClamped       bool  `json:"window_clamped"`
+		EffectiveFromMillis int64 `json:"effective_from_millis"`
+	}
+	var trending answer
+	if code := c.get(path, &trending); code != http.StatusOK {
+		t.Fatalf("trending status %d", code)
+	}
+	if !trending.WindowClamped || trending.EffectiveFromMillis != floor.UnixMilli() {
+		t.Errorf("clamp not surfaced: window_clamped=%v effective_from_millis=%d, want true/%d",
+			trending.WindowClamped, trending.EffectiveFromMillis, floor.UnixMilli())
+	}
+	if len(trending.POIs) != 1 || trending.POIs[0].POI.ID != retained.ID || trending.POIs[0].Visits != 3 {
+		t.Errorf("trending = %+v, want only poi %d with its 3 retained in-window visits", trending.POIs, retained.ID)
+	}
+
+	// A window wholly behind the floor is an empty, flagged answer.
+	path = fmt.Sprintf("/api/v1/trending?from=%s&until=%s",
+		url.QueryEscape(base.Add(4*day).Format(time.RFC3339)), url.QueryEscape(base.Add(5*day+12*time.Hour).Format(time.RFC3339)))
+	var behind answer
+	if code := c.get(path, &behind); code != http.StatusOK {
+		t.Fatalf("trending status %d", code)
+	}
+	if !behind.WindowClamped || len(behind.POIs) != 0 {
+		t.Errorf("window behind the floor: window_clamped=%v pois=%+v, want true and none", behind.WindowClamped, behind.POIs)
+	}
+
+	// One serving path: the view's series is on /metrics, a fallback one is not.
+	if text := scrapeMetrics(t, c); !strings.Contains(text, `matview_reads_total{path="view"}`) || strings.Contains(text, `path="fallback"`) {
+		t.Error(`/metrics must expose matview_reads_total{path="view"} and no path="fallback" series`)
+	}
+}
+
 // TestAPITrendingEmptyWindow covers the HTTP reachability of the
 // empty-window guard: an explicit from at/after until answers the uniform
 // 400 envelope instead of silently scanning full history.
 func TestAPITrendingEmptyWindow(t *testing.T) {
-	c, _ := newTrendingClient(t, nil)
+	c, _ := newTrendingClient(t)
 	until := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	path := fmt.Sprintf("/api/v1/trending?from=%s&until=%s",
 		url.QueryEscape(until.Add(time.Hour).Format(time.RFC3339)),
@@ -137,13 +215,8 @@ func TestAPITrendingEmptyWindow(t *testing.T) {
 // hook, so New must warm it from a scan).
 func TestDurableBootWarmsView(t *testing.T) {
 	dir := t.TempDir()
-	mutate := func(c *Config) {
-		c.HotInBucket = time.Hour
-		c.HotInHorizon = 14 * 24 * time.Hour
-		c.WALDir = dir
-	}
 	cfg := testConfig()
-	mutate(&cfg)
+	cfg.WALDir = dir
 	p1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +242,6 @@ func TestDurableBootWarmsView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if p2.MatView == nil {
-		t.Fatal("rebooted platform has no view")
-	}
 	aggs, _ := p2.MatView.TopK(matview.TopKSpec{
 		FromMillis: base.Add(-time.Hour).UnixMilli(),
 		ToMillis:   base.Add(time.Hour).UnixMilli(),

@@ -10,7 +10,7 @@
 // functions of the schedule seed, the target (kind, node, region, replica)
 // and that target's own operation counter — goroutine interleavings across
 // targets cannot change any target's fault sequence, which is what keeps
-// the fault-matrix tests and the `-faults` bench runs reproducible.
+// the fault-matrix tests and TestScenarioReadFaults reproducible.
 package faultinject
 
 import (

@@ -1,7 +1,11 @@
-// Package hotin implements the HotIn Update module: a periodic MapReduce
+// Package hotin holds the paper's HotIn Update module — a periodic MapReduce
 // job that aggregates hotness (crowd concentration) and interest (average
 // friend opinion) over all visits inside a configurable time frame T and
-// writes the metrics into the POI repository.
+// writes the metrics into the POI repository — as a test oracle. Production
+// maintains the same aggregate incrementally (internal/matview, read by
+// core.Platform.UpdateHotIn); the package has test files only, and
+// TestUpdateHotInMatchesMRJob holds the two to the same numbers, as
+// sequential DBSCAN does for MR-DBSCAN.
 package hotin
 
 import (

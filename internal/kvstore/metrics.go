@@ -102,13 +102,6 @@ var (
 		"Encoded (resident) segment block bytes held by installed segments (all stores).")
 )
 
-// BlockCounters reports the process-wide blocks-decoded and blocks-skipped
-// totals — the benchmark harness diffs them around a workload phase to gate
-// block-level pruning.
-func BlockCounters() (decoded, skipped int64) {
-	return mBlockDecodes.Value(), mBlocksSkipped.Value()
-}
-
 // approxRowBytes estimates the wire footprint of one delivered row: key,
 // qualifiers, values, plus a fixed per-cell overhead for the timestamp and
 // framing. Mirrors the memtable's footprint accounting.

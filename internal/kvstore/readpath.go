@@ -21,7 +21,7 @@ type ReadOptions struct {
 	// Hedge decides when an outstanding attempt gets raced by a replica.
 	Hedge exec.HedgePolicy
 	// Injector, when non-nil, intercepts every read attempt with the
-	// deterministic fault harness (tests and the -faults bench flag).
+	// deterministic fault harness (tests and TestScenarioReadFaults).
 	Injector *faultinject.Injector
 	// Breakers, when non-nil, gates every attempt on the target node's
 	// circuit breaker: attempts to open nodes fail fast with

@@ -2,6 +2,7 @@ package matview
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -104,12 +105,12 @@ func TestViewExpiryAndCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An empty view covers everything: it has seen the whole (empty) stream.
-	if !v.Covers(0) {
+	// An empty view has no floor: it has seen the whole (empty) stream.
+	if v.Floor() != math.MinInt64 {
 		t.Fatal("fresh view must cover every window")
 	}
 	v.Apply([]model.Visit{mkVisit(1, 1, hourMs, 5)})
-	if !v.Covers(0) {
+	if v.Floor() > 0 {
 		t.Fatal("nothing expired yet; coverage must reach the epoch")
 	}
 	// Advance far enough that the first bucket falls behind the horizon.
@@ -117,11 +118,9 @@ func TestViewExpiryAndCoverage(t *testing.T) {
 	if v.Buckets() != 1 {
 		t.Fatalf("buckets = %d, want 1 after expiry", v.Buckets())
 	}
-	if v.Covers(hourMs) {
-		t.Fatal("expired range must not be covered")
-	}
-	if !v.Covers(20*hourMs - 10*hourMs) {
-		t.Fatal("window inside the horizon must be covered")
+	// The floor rose past the expired bucket to exactly the horizon cutoff.
+	if got := v.Floor(); got != 20*hourMs-10*hourMs {
+		t.Fatalf("floor = %d, want the horizon cutoff %d", got, 10*hourMs)
 	}
 	// The expired POI's metadata is released once unreferenced.
 	if _, candidates := v.TopK(TopKSpec{FromMillis: 0, ToMillis: 30 * hourMs}); candidates != 1 {
@@ -129,8 +128,8 @@ func TestViewExpiryAndCoverage(t *testing.T) {
 	}
 	// A visit older than the horizon is skipped, not resurrected.
 	v.Apply([]model.Visit{mkVisit(1, 3, hourMs, 5)})
-	if v.Covers(hourMs) {
-		t.Fatal("stale apply must not extend coverage backwards")
+	if got := v.Floor(); got != 10*hourMs {
+		t.Fatalf("stale apply moved the floor to %d", got)
 	}
 }
 

@@ -2,13 +2,6 @@ package matview
 
 import "modissense/internal/obs"
 
-// Read-path labels for matview_reads_total. Constants so cmd/obs-lint can
-// prove the label cardinality is bounded.
-const (
-	pathView     = "view"
-	pathFallback = "fallback"
-)
-
 // Metric handles, resolved once at package init per the obs hot-path
 // discipline. All registries share one process, so these live on
 // obs.Default() and surface in GET /metrics.
@@ -22,11 +15,8 @@ var (
 	mExpired = obs.Default().Counter("matview_buckets_expired_total",
 		"Buckets lazily dropped after falling behind the retention horizon.")
 	mViewReads = obs.Default().Counter("matview_reads_total",
-		"Trending reads by serving path: the materialized view or the scan fallback.",
-		obs.L("path", pathView))
-	mFallbackReads = obs.Default().Counter("matview_reads_total",
-		"Trending reads by serving path: the materialized view or the scan fallback.",
-		obs.L("path", pathFallback))
+		"Friendless trending reads answered from the materialized view.",
+		obs.L("path", "view"))
 	mCacheHits = obs.Default().Counter("matview_cache_hits_total",
 		"Personalized queries answered from the result cache.")
 	mCacheMisses = obs.Default().Counter("matview_cache_misses_total",
@@ -44,25 +34,5 @@ var (
 )
 
 // RecordViewRead counts one trending read served from the materialized
-// view; the query engine calls it so the serving-path split is visible in
-// GET /metrics.
+// view; the query engine calls it per friendless trending answer.
 func RecordViewRead() { mViewReads.Inc() }
-
-// RecordFallbackRead counts one trending read that fell back to the scan
-// path because the view did not cover the requested window.
-func RecordFallbackRead() { mFallbackReads.Inc() }
-
-// CacheHitsTotal returns the process-wide result-cache hit count; the
-// trending benchmark reads it to compute the hit rate.
-func CacheHitsTotal() int64 { return mCacheHits.Value() }
-
-// CacheMissesTotal returns the process-wide result-cache miss count.
-func CacheMissesTotal() int64 { return mCacheMisses.Value() }
-
-// ViewReadsTotal returns how many trending reads the materialized view
-// served process-wide.
-func ViewReadsTotal() int64 { return mViewReads.Value() }
-
-// FallbackReadsTotal returns how many trending reads fell back to the
-// scan path process-wide.
-func FallbackReadsTotal() int64 { return mFallbackReads.Value() }

@@ -58,9 +58,9 @@ type poiCounter struct {
 // window by summing the buckets it covers. Buckets older than the horizon
 // (measured from the newest applied visit) are expired lazily on write.
 //
-// Attach the view before the first write (or warm it with a scan) —
-// Covers reports whether a window's start is inside the maintained range,
-// and the query engine falls back to the scan path when it is not.
+// Attach the view before the first write (or warm it with a scan). Floor
+// is where the retained range starts; the query engine clamps a window
+// reaching behind it.
 type HotInView struct {
 	bucketMillis  int64
 	horizonMillis int64
@@ -74,8 +74,8 @@ type HotInView struct {
 	applied bool                            // at least one visit applied (high/low meaningful)
 }
 
-// NewHotInView builds an empty view. A fresh view covers every window —
-// it legitimately knows the stream contained nothing yet — so it must be
+// NewHotInView builds an empty view. A fresh view has no floor — it
+// legitimately knows the stream contained nothing yet — so it must be
 // attached to the Visits repository's store hook before writes begin.
 func NewHotInView(opts ViewOptions) (*HotInView, error) {
 	if opts.BucketMillis < 0 || opts.HorizonMillis < 0 {
@@ -195,13 +195,15 @@ func (v *HotInView) expireLocked() {
 	}
 }
 
-// Covers reports whether the view's retained buckets fully represent a
-// window starting at fromMillis. Windows reaching behind the coverage
-// floor must fall back to the scan path.
-func (v *HotInView) Covers(fromMillis int64) bool {
+// Floor returns the inclusive start of the range the retained buckets fully
+// represent: the horizon cutoff behind the newest applied visit, rounded
+// down to a bucket (math.MinInt64 until the first visit is applied). Visits
+// before it were expired or never folded in, so a window reaching behind it
+// can only be answered from the floor on.
+func (v *HotInView) Floor() int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return fromMillis >= v.low
+	return v.low
 }
 
 // TopKSpec is one trending read against the view.
@@ -228,7 +230,7 @@ type Agg struct {
 // TopK answers a trending window from the retained buckets: sum the per-POI
 // counters of every bucket the window touches, filter by the spatial and
 // keyword predicates, and rank by visit volume (POI id ascending as the
-// tiebreak — the same total order as the scan path's hotness ranking).
+// tiebreak — the same total order as the personalized hotness ranking).
 // The second result is the candidate count before the limit, which the
 // caller feeds to the latency cost model. Cost is proportional to
 // buckets-in-window × POIs-per-bucket, independent of total history.

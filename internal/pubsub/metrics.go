@@ -54,20 +54,3 @@ func countRejected(reason string) {
 		mRejectedQuota.Inc()
 	}
 }
-
-// DeliveredTotal returns the process-wide delivered-event count; the
-// pubsub benchmark reads it to compute match throughput.
-func DeliveredTotal() int64 { return mDelivered.Value() }
-
-// DroppedTotal returns the process-wide dropped-event count.
-func DroppedTotal() int64 { return mDropped.Value() }
-
-// MatchesTotal returns the process-wide matcher hit count.
-func MatchesTotal() int64 { return mMatches.Value() }
-
-// MatchCount returns how many check-ins the matcher has timed; paired
-// with MatchesTotal it gives matches per publish.
-func MatchCount() int64 { return mMatchSeconds.Count() }
-
-// MatchSecondsSum returns the cumulative matcher time in seconds.
-func MatchSecondsSum() float64 { return mMatchSeconds.Sum() }

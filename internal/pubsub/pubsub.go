@@ -572,8 +572,8 @@ func (r *Registry) Publish(c Checkin) int {
 // Seq > cursor, long-polling up to wait when none are ready (wait <= 0
 // returns immediately). The second return is the resume cursor: pass it
 // back to receive only newer events. Events evicted by drop-oldest are
-// skipped silently — the cursor jumps forward; DroppedTotal exposes the
-// count. Cancelling ctx returns early with the events seen so far.
+// skipped silently — the cursor jumps forward; pubsub_events_dropped_total
+// exposes the count. Cancelling ctx returns early with the events seen so far.
 func (r *Registry) Poll(ctx context.Context, userID int64, id string, cursor uint64, limit int, wait time.Duration) ([]Event, uint64, error) {
 	deadline := r.opts.Now().Add(wait)
 	for {

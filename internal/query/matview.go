@@ -17,19 +17,12 @@ import (
 var ErrEmptyWindow = errors.New("query: empty trending time window")
 
 // SetHotInView installs (or, with nil, removes) the materialized trending
-// view. With a view installed, friendless trending queries whose window the
-// view covers are answered from its bucket aggregates instead of the scan
-// path, with windows wider than the view's retention horizon clamped to
-// their trailing horizon-sized suffix (personalized queries keep their full
-// window on the scan path). Install it at wiring time, attached to the same
-// visit stream the engine queries.
-func (e *Engine) SetHotInView(v *matview.HotInView) {
-	if v == nil {
-		e.view.Store(nil)
-		return
-	}
-	e.view.Store(v)
-}
+// view, the one source of friendless trending answers: windows reaching
+// behind what it retains are clamped (personalized queries keep their full
+// window on the scan path), and without a view a friendless query is an
+// error. Install it at wiring time, attached to the same visit stream the
+// engine queries.
+func (e *Engine) SetHotInView(v *matview.HotInView) { e.view.Store(v) }
 
 // SetResultCache installs (or, with nil, removes) the personalized result
 // cache. With a cache installed, Run/RunConcurrent consult it before
@@ -109,17 +102,19 @@ func validateTrendingWindow(spec *Spec) error {
 	return nil
 }
 
-// clampToHorizon narrows a window longer than the view's retention
-// horizon to its trailing horizon-sized suffix, reporting whether it did.
-// Only windows the view will actually answer are clamped — the scan path
-// can serve the full window, so callers apply this on the friendless view
-// route alone and surface the narrowing in the Result.
-func clampToHorizon(spec *Spec, v *matview.HotInView) bool {
-	if h := v.HorizonMillis(); h > 0 && spec.ToMillis-spec.FromMillis > h {
-		spec.FromMillis = spec.ToMillis - h
-		return true
+// clampToView narrows a window reaching behind what the view retains — the
+// later of its coverage floor and the horizon counted back from the window's
+// end — to the retained part, reporting whether it did. A window lying
+// wholly behind the floor collapses to the empty window at its end. Only the
+// friendless view route clamps: the scan path serves a personalized window
+// in full.
+func clampToView(spec *Spec, v *matview.HotInView) bool {
+	lo := max(v.Floor(), spec.ToMillis-v.HorizonMillis())
+	if spec.FromMillis >= lo {
+		return false
 	}
-	return false
+	spec.FromMillis = min(lo, spec.ToMillis)
+	return true
 }
 
 // trendingFromView answers a friendless trending query from the

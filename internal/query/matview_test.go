@@ -9,19 +9,18 @@ import (
 	"testing"
 	"time"
 
-	"modissense/internal/geo"
 	"modissense/internal/matview"
 	"modissense/internal/model"
+	"modissense/internal/obs"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
 )
 
-// cachedFixture wires a fixture's visit stream to a result cache and a
-// materialized view through the store hook, the way core.Platform does.
-func cachedFixture(t testing.TB) (*fixture, *matview.ResultCache, *matview.HotInView) {
+// attachView installs a materialized view on the fixture's engine. The
+// fixture loaded its history before the view existed, so the view is warmed
+// from a scan, the way the platform does after a WAL replay.
+func attachView(t testing.TB, f *fixture) *matview.HotInView {
 	t.Helper()
-	f := newFixture(t, repos.SchemaReplicated, 4, 40)
-	cache := matview.NewResultCache(8 << 20)
 	view, err := matview.NewHotInView(matview.ViewOptions{
 		BucketMillis:  int64(time.Hour / time.Millisecond),
 		HorizonMillis: int64(365 * 24 * time.Hour / time.Millisecond),
@@ -29,8 +28,6 @@ func cachedFixture(t testing.TB) (*fixture, *matview.ResultCache, *matview.HotIn
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fixture loaded its history before the view existed; warm the view
-	// from a scan, the way the platform does after a WAL replay.
 	var history []model.Visit
 	if err := f.visits.ScanAll(func(v model.Visit) bool {
 		history = append(history, v)
@@ -39,6 +36,17 @@ func cachedFixture(t testing.TB) (*fixture, *matview.ResultCache, *matview.HotIn
 		t.Fatal(err)
 	}
 	view.Apply(history)
+	f.engine.SetHotInView(view)
+	return view
+}
+
+// cachedFixture wires a fixture's visit stream to a result cache and a
+// materialized view through the store hook, the way core.Platform does.
+func cachedFixture(t testing.TB) (*fixture, *matview.ResultCache, *matview.HotInView) {
+	t.Helper()
+	f := newFixture(t, repos.SchemaReplicated, 4, 40)
+	cache := matview.NewResultCache(8 << 20)
+	view := attachView(t, f)
 	f.visits.SetOnStore(func(vs []model.Visit) {
 		view.Apply(vs)
 		users := make([]int64, 0, len(vs))
@@ -48,7 +56,6 @@ func cachedFixture(t testing.TB) (*fixture, *matview.ResultCache, *matview.HotIn
 		cache.Invalidate(users)
 	})
 	f.engine.SetResultCache(cache)
-	f.engine.SetHotInView(view)
 	return f, cache, view
 }
 
@@ -74,7 +81,10 @@ func TestResultCacheEquivalence(t *testing.T) {
 	from, to := window()
 	box := workload.GreeceBounds()
 	const iters = 12
-	hits0, misses0 := matview.CacheHitsTotal(), matview.CacheMissesTotal()
+	// The live handles, by the names /metrics exports them under.
+	mHits := obs.Default().Counter("matview_cache_hits_total", "")
+	mMisses := obs.Default().Counter("matview_cache_misses_total", "")
+	hits0, misses0 := mHits.Value(), mMisses.Value()
 	for iter := 0; iter < iters; iter++ {
 		spec := Spec{
 			FriendIDs:  workload.GenFriendList(rng, 0, 40, 5+rng.Intn(10)),
@@ -139,7 +149,7 @@ func TestResultCacheEquivalence(t *testing.T) {
 	}
 	// The exported counters account for exactly that: one hit per repeat, one
 	// miss per cold and per invalidated run, nothing for a NoCache run.
-	if hits, misses := matview.CacheHitsTotal()-hits0, matview.CacheMissesTotal()-misses0; hits != iters || misses != 2*iters {
+	if hits, misses := mHits.Value()-hits0, mMisses.Value()-misses0; hits != iters || misses != 2*iters {
 		t.Errorf("cache counters moved by %d hits / %d misses, want %d / %d", hits, misses, iters, 2*iters)
 	}
 }
@@ -175,11 +185,13 @@ func TestTrendingViewMatchesScan(t *testing.T) {
 	ctx := context.Background()
 	from, to := window()
 	spec := Spec{FromMillis: from + (to-from)/2, ToMillis: to, Limit: 10}
+	viewReads := obs.Default().Counter("matview_reads_total", "", obs.L("path", "view"))
+	reads0 := viewReads.Value()
 	res, err := f.engine.Trending(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matview.ViewReadsTotal() == 0 {
+	if viewReads.Value() == reads0 {
 		t.Fatal("trending read must be served by the view")
 	}
 	// Brute force over the repository, quantized the way the view is.
@@ -338,10 +350,10 @@ func TestTrendingEmptyWindowRejected(t *testing.T) {
 			t.Errorf("spec %+v: empty window must be rejected", spec)
 		}
 	}
-	// Unused bbox var guard: a valid window still works.
+	// A valid window still works.
+	attachView(t, f)
 	from, to := window()
 	box := workload.GreeceBounds()
-	_ = geo.Rect{}
 	if _, err := f.engine.Trending(context.Background(), Spec{BBox: &box, FromMillis: from, ToMillis: to, Limit: 3}); err != nil {
 		t.Fatalf("valid window must pass: %v", err)
 	}

@@ -1,8 +1,8 @@
 // Package query implements the Query Answering module: personalized POI
 // search executed as coprocessors fanned out across the Visits table's
 // regions (with the web-server merge the paper describes), non-personalized
-// search on the relational POI repository, and trending-events queries on
-// either path.
+// search on the relational POI repository, and trending-events queries —
+// personalized on the coprocessor path, global from the materialized view.
 //
 // Every query executes for real against the real stores — in parallel, on
 // the shared scatter-gather pool (internal/exec) — while the simulated
@@ -129,9 +129,9 @@ type Result struct {
 	// MissingRegions lists the ids of the regions dropped from a degraded
 	// answer (empty on a complete one).
 	MissingRegions []int `json:"missing_regions,omitempty"`
-	// WindowClamped reports a trending window wider than the materialized
-	// view's retention horizon was narrowed to its trailing horizon-sized
-	// suffix before the view answered it.
+	// WindowClamped reports a friendless trending window reached behind
+	// what the materialized view retains (its horizon or coverage floor) and
+	// was narrowed to the retained part before the view answered it.
 	WindowClamped bool `json:"window_clamped,omitempty"`
 	// FailoverInProgress reports a write-path primary cutover was pending
 	// on the backing table when this answer was produced: reads still
@@ -152,7 +152,7 @@ type Engine struct {
 	// scatter; never nil (see SetReadPolicy).
 	readPolicy atomic.Pointer[ReadPolicy]
 	// injector intercepts read attempts with deterministic faults (tests
-	// and the -faults benchmark).
+	// and TestScenarioReadFaults).
 	injector atomic.Pointer[faultinject.Injector]
 	// breakers gates read attempts on per-node circuit breakers (nil =
 	// breakers off).
@@ -163,8 +163,8 @@ type Engine struct {
 	// hedgeTracker feeds the observed attempt-latency distribution into the
 	// adaptive hedge threshold, shared across queries.
 	hedgeTracker *exec.LatencyTracker
-	// view, when set, answers friendless trending queries from the
-	// incrementally maintained bucket aggregates (nil = scan path only).
+	// view answers friendless trending queries from the incrementally
+	// maintained bucket aggregates (nil = personalized trending only).
 	view atomic.Pointer[matview.HotInView]
 	// cache, when set, memoizes personalized results keyed by the
 	// normalized spec, invalidated by friend check-ins (nil = no caching).
@@ -810,16 +810,16 @@ func (e *Engine) NonPersonalized(ctx context.Context, spec repos.SearchSpec) ([]
 // Trending answers a trending-events query: the hottest places within the
 // window. With friends it runs the personalized coprocessor path ordered
 // by hotness ("the three hottest places visited by my x specific friends
-// the last y hours"); without friends it is served from the materialized
-// view's bucket aggregates when one is installed and covers the window,
-// falling back to the precomputed hotness ranking from the POI repository.
+// the last y hours") over the full window; without friends it is answered
+// from the materialized view's bucket aggregates, and an engine with no view
+// installed refuses the query.
 //
 // The window is validated up front: an empty or inverted window returns
 // ErrEmptyWindow instead of silently scanning full history. A friendless
-// window longer than the view's retention horizon is clamped to its
-// trailing horizon-sized suffix before the view answers it, and the
-// narrowing is surfaced on the Result (WindowClamped/EffectiveFromMillis);
-// personalized queries run the scan path with their full window.
+// window reaching behind what the view retains — longer than its horizon,
+// or starting before its coverage floor — is clamped to the retained part
+// before the view answers it, and the narrowing is surfaced on the Result
+// (WindowClamped/EffectiveFromMillis).
 func (e *Engine) Trending(ctx context.Context, spec Spec) (*Result, error) {
 	spec.OrderBy = ByHotness
 	if err := validateTrendingWindow(&spec); err != nil {
@@ -828,27 +828,15 @@ func (e *Engine) Trending(ctx context.Context, spec Spec) (*Result, error) {
 	if len(spec.FriendIDs) > 0 {
 		return e.Run(ctx, spec)
 	}
-	if v := e.view.Load(); v != nil {
-		clamped := clampToHorizon(&spec, v)
-		if v.Covers(spec.FromMillis) {
-			res, err := e.trendingFromView(ctx, v, spec)
-			if err == nil && clamped {
-				res.WindowClamped = true
-				res.EffectiveFromMillis = spec.FromMillis
-			}
-			return res, err
-		}
-		matview.RecordFallbackRead()
+	v := e.view.Load()
+	if v == nil {
+		return nil, errors.New("query: friendless trending needs a trending view (SetHotInView)")
 	}
-	pois, latency, err := e.NonPersonalized(ctx, repos.SearchSpec{
-		BBox: spec.BBox, Keyword: spec.Keyword, OrderBy: "hotness", Limit: spec.Limit,
-	})
-	if err != nil {
-		return nil, err
+	clamped := clampToView(&spec, v)
+	res, err := e.trendingFromView(ctx, v, spec)
+	if err == nil && clamped {
+		res.WindowClamped = true
+		res.EffectiveFromMillis = spec.FromMillis
 	}
-	res := &Result{LatencySeconds: latency}
-	for _, p := range pois {
-		res.POIs = append(res.POIs, ScoredPOI{POI: p, Score: p.Interest * 5, Visits: int(p.Hotness * 1000)})
-	}
-	return res, nil
+	return res, err
 }

@@ -390,13 +390,37 @@ func TestNonPersonalizedAndTrending(t *testing.T) {
 		t.Fatalf("empty trending window must fail with ErrEmptyWindow, got %v", err)
 	}
 	from0, to0 := window()
-	// Trending without friends and without a view = relational path.
+	// Trending without friends is the view's to answer: with none installed
+	// the engine refuses rather than serve the POI table's stored ranking.
+	if _, err := f.engine.Trending(context.Background(), Spec{BBox: &box, FromMillis: from0, ToMillis: to0, Limit: 3}); err == nil {
+		t.Fatal("friendless trending without a view must fail")
+	}
+	// With a view it ranks by the window's visit counts, whatever hotness
+	// the POI table holds.
+	attachView(t, f)
 	res, err := f.engine.Trending(context.Background(), Spec{BBox: &box, FromMillis: from0, ToMillis: to0, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.POIs) != 3 || res.POIs[0].POI.ID != f.pois[0].ID {
-		t.Errorf("trending = %+v", res.POIs)
+	counts := map[int64]int{}
+	if err := f.visits.ScanAll(func(v model.Visit) bool {
+		if v.Time >= from0 && v.Time < to0 {
+			counts[v.POI.ID]++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.POIs) != 3 {
+		t.Fatalf("trending = %+v, want 3 POIs", res.POIs)
+	}
+	for i, p := range res.POIs {
+		if p.Visits != counts[p.POI.ID] {
+			t.Errorf("poi %d: trending visits %d, scan %d", p.POI.ID, p.Visits, counts[p.POI.ID])
+		}
+		if i > 0 && res.POIs[i-1].Visits < p.Visits {
+			t.Error("trending must order by visit volume")
+		}
 	}
 	// Trending with friends = personalized hotness path.
 	from, to := window()

@@ -69,7 +69,7 @@ func (e *Engine) SetReadPolicy(p *ReadPolicy) {
 }
 
 // SetFaultInjector installs (or, with nil, removes) the deterministic fault
-// injector intercepting every read attempt. Tests and the -faults benchmark
+// injector intercepting every read attempt. Tests and TestScenarioReadFaults
 // drive this.
 func (e *Engine) SetFaultInjector(inj *faultinject.Injector) {
 	e.injector.Store(inj)

@@ -27,7 +27,8 @@
 //   - trajectory — stay points, POI matching, daily blog generation
 //   - social     — connector plugins, OAuth-style sign-in, data collection
 //   - repos      — the six datastore repositories of the paper's §2.1
-//   - hotin      — the periodic hotness/interest MapReduce job
+//   - matview    — the HotIn module: incrementally maintained hotness/trending
+//     view (the paper's periodic MapReduce job is its test oracle, hotin)
 //   - query      — coprocessor-based personalized query answering
 //   - core       — the wired platform + REST API
 //   - workload   — synthetic dataset generators (the paper's §3 datasets)
