@@ -774,16 +774,19 @@ func (p *Platform) onVisitsStored(visits []model.Visit) {
 	p.publishVisits(visits)
 }
 
-// publishVisits feeds each stored check-in to the pub/sub matcher. The
-// matched text is the POI name plus its catalog keywords, tokenized by the
-// same textproc pipeline the subscription keywords went through.
+// publishVisits hands the committed batch to the pub/sub matcher in one
+// call. The matched text is the POI name plus its catalog keywords,
+// tokenized by the same textproc pipeline the subscription keywords went
+// through.
 func (p *Platform) publishVisits(visits []model.Visit) {
 	reg := p.PubSub
 	if reg == nil || reg.Len() == 0 {
 		return
 	}
-	for _, v := range visits {
-		reg.Publish(pubsub.Checkin{
+	batch := make([]pubsub.Checkin, len(visits))
+	for i := range visits {
+		v := &visits[i]
+		batch[i] = pubsub.Checkin{
 			UserID:     v.UserID,
 			POIID:      v.POI.ID,
 			POIName:    v.POI.Name,
@@ -792,8 +795,9 @@ func (p *Platform) publishVisits(visits []model.Visit) {
 			Grade:      v.Grade,
 			Network:    v.Network,
 			Text:       v.POI.Name + " " + strings.Join(v.POI.Keywords, " "),
-		})
+		}
 	}
+	reg.PublishBatch(batch)
 }
 
 // PushGPS ingests GPS fixes for the authenticated user (overriding the

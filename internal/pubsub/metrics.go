@@ -32,14 +32,14 @@ var (
 	mMatches = obs.Default().Counter("pubsub_matches_total",
 		"Check-in/subscription matches produced by the incremental matcher.")
 	mMatchSeconds = obs.Default().Histogram("pubsub_match_seconds",
-		"Latency of matching one check-in against the registry.",
+		"Latency of matching one published batch of check-ins against the registry.",
 		obs.LatencyBuckets())
 	mDelivered = obs.Default().Counter("pubsub_events_delivered_total",
 		"Matched events handed to a consumer (long-poll or SSE).")
 	mDropped = obs.Default().Counter("pubsub_events_dropped_total",
 		"Matched events evicted from full subscriber queues (drop-oldest).")
 	mQueueDepth = obs.Default().Gauge("pubsub_queue_depth",
-		"Matched events buffered across all subscriber queues.")
+		"Matched events held in the rings of live subscriptions (ring occupancy; delivery does not free a slot).")
 	mDeliverySeconds = obs.Default().Histogram("pubsub_delivery_seconds",
 		"Publish-to-delivery latency of matched events.",
 		obs.LatencyBuckets())

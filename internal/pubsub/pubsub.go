@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modissense/internal/geo"
@@ -165,50 +166,61 @@ func (o Options) withDefaults() Options {
 }
 
 // subscriber is a registered subscription plus its delivery state: a
-// fixed-size event ring and a broadcast channel closed whenever an event
-// arrives (long-pollers and SSE streams select on it).
+// fixed-size event ring and a broadcast channel long-pollers and SSE
+// streams select on. The channel is lazy: it exists only between a poller
+// finding nothing to return and the next event (or removal) waking it, so
+// a subscription nobody watches costs a ring write per match and nothing
+// else.
 type subscriber struct {
 	sub    Subscription
 	num    int64
 	tokens []string // normalized keywords (sorted, deduped)
 
 	mu      sync.Mutex
-	buf     []Event // ring of cap(QueueCap)
-	start   int     // index of the oldest buffered event
-	count   int     // buffered events
-	nextSeq uint64  // seq assigned to the next event (starts at 1)
-	dropped uint64  // events evicted by drop-oldest
-	gone    bool    // removed or expired; wakes and fails waiters
-	notify  chan struct{}
+	buf     []Event       // ring of cap(QueueCap)
+	start   int           // index of the oldest buffered event
+	count   int           // buffered events
+	nextSeq uint64        // seq assigned to the next event (starts at 1)
+	dropped uint64        // events evicted by drop-oldest
+	gone    bool          // removed or expired; wakes and fails waiters
+	notify  chan struct{} // nil unless a poller is waiting
 }
 
 // push appends an event, evicting the oldest when the ring is full, and
-// wakes every waiter. It reports whether an event was dropped.
-func (s *subscriber) push(e Event) bool {
+// wakes every waiter. queued is false on a removed or expired subscriber,
+// which buffers nothing; evicted reports a drop-oldest eviction.
+func (s *subscriber) push(e Event) (queued, evicted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gone {
-		return false
+		return false, false
 	}
 	e.Seq = s.nextSeq
 	s.nextSeq++
-	var droppedOne bool
 	if s.count == len(s.buf) {
 		s.start = (s.start + 1) % len(s.buf)
 		s.count--
 		s.dropped++
-		droppedOne = true
+		evicted = true
 	}
 	s.buf[(s.start+s.count)%len(s.buf)] = e
 	s.count++
-	close(s.notify)
-	s.notify = make(chan struct{})
-	return droppedOne
+	s.wakeLocked()
+	return true, evicted
 }
 
-// collect returns up to limit buffered events with Seq > cursor plus the
-// channel to wait on when none are ready.
-func (s *subscriber) collect(cursor uint64, limit int) ([]Event, chan struct{}, bool) {
+// wakeLocked releases every poller waiting on the notify channel. Caller
+// holds s.mu.
+func (s *subscriber) wakeLocked() {
+	if s.notify != nil {
+		close(s.notify)
+		s.notify = nil
+	}
+}
+
+// collect returns up to limit buffered events with Seq > cursor, or, when
+// none are ready, the channel the next push or removal closes.
+func (s *subscriber) collect(cursor uint64, limit int) ([]Event, <-chan struct{}, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gone {
@@ -221,30 +233,34 @@ func (s *subscriber) collect(cursor uint64, limit int) ([]Event, chan struct{}, 
 			out = append(out, e)
 		}
 	}
-	return out, s.notify, true
-}
-
-// markGone flags the subscriber dead and wakes every waiter.
-func (s *subscriber) markGone() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.gone {
-		s.gone = true
-		close(s.notify)
+	if len(out) > 0 {
+		return out, nil, true
+	}
+	if s.notify == nil {
 		s.notify = make(chan struct{})
 	}
+	return nil, s.notify, true
 }
 
-// queueLen returns the buffered-event count.
-func (s *subscriber) queueLen() int {
+// markGone flags the subscriber dead, wakes every waiter and returns the
+// number of events its ring held — read under the same lock hold that
+// stops further pushes, so the queue-depth gauge gives back exactly what
+// was counted in.
+func (s *subscriber) markGone() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.gone {
+		return 0
+	}
+	s.gone = true
+	s.wakeLocked()
 	return s.count
 }
 
 // Registry is the subscription store plus the incremental matcher. All
-// methods are safe for concurrent use; Publish runs on the ingest path
-// and takes only a read lock on the registry plus per-subscriber locks.
+// methods are safe for concurrent use; PublishBatch runs on the ingest
+// path and takes only a read lock on the registry plus per-subscriber
+// locks.
 type Registry struct {
 	opts Options
 
@@ -253,12 +269,32 @@ type Registry struct {
 	perUser map[int64]int
 	tree    *geo.RTree
 	nextID  int64
-	// publishes counts Publish calls to pace the lazy expiry sweep.
-	publishes int64
+
+	// memo caches the matcher's answer per (point, text): the match set is
+	// a pure function of those two and of the registry's membership, so
+	// every membership change drops the whole memo under mu's write lock.
+	// Publishers read and fill it under mu's read lock plus memoMu.
+	memoMu   sync.Mutex
+	memo     map[memoKey][]*subscriber
+	memoSize int // entries plus memoised pointers, at most memoCap
+
+	// published counts check-ins to pace the lazy expiry sweep.
+	published atomic.Int64
 }
 
+// memoKey is what a check-in's match set depends on besides membership.
+type memoKey struct {
+	pt   geo.Point
+	text string
+}
+
+// memoCap bounds the memo (one unit per entry plus one per memoised
+// subscriber pointer, 2 MiB of pointers at most); on overflow it is
+// cleared whole and refills from the stream.
+const memoCap = 1 << 18
+
 // sweepEvery paces the lazy TTL sweep: one full scan per this many
-// Publish calls (plus the sweep every Add performs).
+// published check-ins (plus the sweep every Add performs).
 const sweepEvery = 1024
 
 // NewRegistry builds an empty registry.
@@ -273,6 +309,7 @@ func NewRegistry(opts Options) *Registry {
 		subs:    make(map[int64]*subscriber),
 		perUser: make(map[int64]int),
 		tree:    tree,
+		memo:    make(map[memoKey][]*subscriber),
 	}
 }
 
@@ -352,12 +389,12 @@ func (r *Registry) Add(userID int64, region geo.Rect, keywords []string, ttl tim
 		num:    num,
 		tokens: sub.Keywords,
 		buf:    make([]Event, r.opts.QueueCap),
-		notify: make(chan struct{}),
 	}
 	s.nextSeq = 1
 	r.subs[num] = s
 	r.perUser[userID]++
 	r.tree.Insert(num, region)
+	r.dropMemoLocked()
 	mCreated.Inc()
 	mActive.Set(int64(len(r.subs)))
 	return sub, nil
@@ -438,21 +475,12 @@ func (r *Registry) Remove(userID int64, id string) error {
 // selects the metric the removal is counted under.
 func (r *Registry) removeNum(num int64, expired bool) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.subs[num]
 	if s == nil {
-		r.mu.Unlock()
 		return false
 	}
-	delete(r.subs, num)
-	if r.perUser[s.sub.UserID]--; r.perUser[s.sub.UserID] <= 0 {
-		delete(r.perUser, s.sub.UserID)
-	}
-	r.tree.Delete(num, s.sub.Region())
-	mActive.Set(int64(len(r.subs)))
-	r.mu.Unlock()
-
-	mQueueDepth.Add(int64(-s.queueLen()))
-	s.markGone()
+	r.dropLocked(s)
 	if expired {
 		mExpired.Inc()
 	} else {
@@ -464,78 +492,99 @@ func (r *Registry) removeNum(num int64, expired bool) bool {
 // sweepLocked removes every expired subscription. Caller holds r.mu.
 func (r *Registry) sweepLocked(now time.Time) {
 	nowMillis := now.UnixMilli()
-	for num, s := range r.subs {
-		if s.sub.ExpiresMillis > nowMillis {
-			continue
+	for _, s := range r.subs {
+		if s.sub.ExpiresMillis <= nowMillis {
+			r.dropLocked(s)
+			mExpired.Inc()
 		}
-		delete(r.subs, num)
-		if r.perUser[s.sub.UserID]--; r.perUser[s.sub.UserID] <= 0 {
-			delete(r.perUser, s.sub.UserID)
-		}
-		r.tree.Delete(num, s.sub.Region())
-		mQueueDepth.Add(int64(-s.queueLen()))
-		s.markGone()
-		mExpired.Inc()
 	}
-	mActive.Set(int64(len(r.subs)))
 }
 
-// Publish matches one check-in against every standing query and enqueues
-// an event per match. It returns the number of subscriptions matched.
-// This is the ingest hot path: one R-tree point probe for spatial
-// candidates, one tokenize of the check-in text, then per-candidate
-// keyword containment.
+// dropLocked takes s out of every index, drops the memo that may name it,
+// fails its waiters and gives its slot and its buffered events back to the
+// active and queue-depth gauges. Caller holds r.mu for writing.
+func (r *Registry) dropLocked(s *subscriber) {
+	delete(r.subs, s.num)
+	if r.perUser[s.sub.UserID]--; r.perUser[s.sub.UserID] <= 0 {
+		delete(r.perUser, s.sub.UserID)
+	}
+	r.tree.Delete(s.num, s.sub.Region())
+	r.dropMemoLocked()
+	mActive.Set(int64(len(r.subs)))
+	mQueueDepth.Add(int64(-s.markGone()))
+}
+
+// dropMemoLocked forgets every memoised match set. Caller holds r.mu for
+// writing (no publisher is inside the memo) or memoMu.
+func (r *Registry) dropMemoLocked() {
+	clear(r.memo)
+	r.memoSize = 0
+}
+
+// matchesLocked returns the subscribers whose region contains c's point
+// and whose keywords all appear in c's text, expired ones included (the
+// caller checks expiry at push time). A memo miss pays one R-tree point
+// probe, one tokenize of the text if any spatial candidate has keywords,
+// and a keyword containment test per candidate. Caller holds r.mu for
+// reading, and the returned slice is valid for as long as it does.
+func (r *Registry) matchesLocked(c *Checkin) []*subscriber {
+	key := memoKey{pt: c.Point, text: c.Text}
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	if subs, ok := r.memo[key]; ok {
+		return subs
+	}
+	var subs []*subscriber
+	var tokens map[string]bool
+candidates:
+	for _, num := range r.tree.Search(nil, geo.NewRect(c.Point, c.Point)) {
+		s := r.subs[num]
+		if s == nil || !s.sub.Region().Contains(c.Point) {
+			continue
+		}
+		if len(s.tokens) > 0 && tokens == nil {
+			tokens = map[string]bool{}
+			for _, t := range textproc.Tokenize(c.Text) {
+				tokens[t] = true
+			}
+		}
+		for _, k := range s.tokens {
+			if !tokens[k] {
+				continue candidates
+			}
+		}
+		subs = append(subs, s)
+	}
+	if r.memoSize+1+len(subs) > memoCap {
+		r.dropMemoLocked()
+	}
+	r.memo[key] = subs
+	r.memoSize += 1 + len(subs)
+	return subs
+}
+
+// Publish matches one check-in against every standing query: the
+// one-element PublishBatch.
 func (r *Registry) Publish(c Checkin) int {
+	return r.PublishBatch([]Checkin{c})
+}
+
+// PublishBatch matches a committed batch of check-ins against every
+// standing query, in batch order, and enqueues an event per match. It
+// returns the number of events enqueued. This is the ingest hot path: one
+// registry read lock and one clock read per batch, a memo lookup per
+// check-in and a ring write per match.
+func (r *Registry) PublishBatch(batch []Checkin) int {
 	start := time.Now()
-	pt := geo.Rect{MinLat: c.Point.Lat, MaxLat: c.Point.Lat, MinLon: c.Point.Lon, MaxLon: c.Point.Lon}
+	publishedNanos := start.UnixNano()
+	nowMillis := r.opts.Now().UnixMilli()
+	var matched, evicted int
+	var expired []*subscriber
 
 	r.mu.RLock()
-	if len(r.subs) == 0 {
-		r.mu.RUnlock()
-		return 0
-	}
-	candidates := r.tree.Search(nil, pt)
-	// Resolve candidate subscribers under the read lock; match and push
-	// outside it.
-	subs := make([]*subscriber, 0, len(candidates))
-	for _, num := range candidates {
-		if s := r.subs[num]; s != nil {
-			subs = append(subs, s)
-		}
-	}
-	r.mu.RUnlock()
-
-	var tokens map[string]bool
-	nowMillis := r.opts.Now().UnixMilli()
-	matched := 0
-	for _, s := range subs {
-		if s.sub.ExpiresMillis <= nowMillis {
-			r.removeNum(s.num, true)
-			continue
-		}
-		if !s.sub.Region().Contains(c.Point) {
-			continue
-		}
-		if len(s.tokens) > 0 {
-			if tokens == nil {
-				tokens = map[string]bool{}
-				for _, t := range textproc.Tokenize(c.Text) {
-					tokens[t] = true
-				}
-			}
-			ok := true
-			for _, k := range s.tokens {
-				if !tokens[k] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-		}
-		dropped := s.push(Event{
-			SubscriptionID: s.sub.ID,
+	for i := range batch {
+		c := &batch[i]
+		e := Event{
 			UserID:         c.UserID,
 			POIID:          c.POIID,
 			POIName:        c.POIName,
@@ -544,27 +593,43 @@ func (r *Registry) Publish(c Checkin) int {
 			TimeMillis:     c.TimeMillis,
 			Grade:          c.Grade,
 			Network:        c.Network,
-			publishedNanos: start.UnixNano(),
-		})
-		matched++
-		if dropped {
-			mDropped.Inc()
-		} else {
-			mQueueDepth.Add(1)
+			publishedNanos: publishedNanos,
+		}
+		for _, s := range r.matchesLocked(c) {
+			if s.sub.ExpiresMillis <= nowMillis {
+				expired = append(expired, s)
+				continue
+			}
+			e.SubscriptionID = s.sub.ID
+			queued, evictedOne := s.push(e)
+			if queued {
+				matched++
+			}
+			if evictedOne {
+				evicted++
+			}
 		}
 	}
-	if matched > 0 {
-		mMatches.Add(int64(matched))
+	r.mu.RUnlock()
+
+	// Expiry on touch: an expired match queued nothing above and is
+	// unregistered now (once; a repeat finds it gone).
+	for _, s := range expired {
+		r.removeNum(s.num, true)
 	}
+	mMatches.Add(int64(matched))
+	mDropped.Add(int64(evicted))
+	mQueueDepth.Add(int64(matched - evicted))
 	mMatchSeconds.ObserveDuration(time.Since(start))
 
-	// Amortized expiry: a full sweep every sweepEvery publishes keeps dead
-	// queues from pinning memory on write-only workloads.
-	r.mu.Lock()
-	if r.publishes++; r.publishes%sweepEvery == 0 {
+	// Amortized expiry: a full sweep every sweepEvery published check-ins
+	// keeps dead queues from pinning memory on write-only workloads.
+	n := int64(len(batch))
+	if after := r.published.Add(n); after/sweepEvery != (after-n)/sweepEvery {
+		r.mu.Lock()
 		r.sweepLocked(r.opts.Now())
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 	return matched
 }
 
@@ -591,7 +656,6 @@ func (r *Registry) Poll(ctx context.Context, userID int64, id string, cursor uin
 				mDeliverySeconds.Observe(float64(nowNanos-e.publishedNanos) / 1e9)
 			}
 			mDelivered.Add(int64(len(events)))
-			mQueueDepth.Add(int64(-len(events)))
 			return events, events[len(events)-1].Seq, nil
 		}
 		remaining := deadline.Sub(r.opts.Now())
