@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"modissense/internal/admit"
@@ -289,19 +291,42 @@ func (p *Platform) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// queryBox reads the optional min_lat/min_lon/max_lat/max_lon bounding box
+// of a GET request. All four absent means no box; anything else — a corner
+// missing, or one that is not a number — is an error, so a mistyped box is
+// refused rather than answered as the unfiltered query.
+func queryBox(q url.Values) (*geo.Rect, error) {
+	keys := [4]string{"min_lat", "min_lon", "max_lat", "max_lon"}
+	var c [4]float64
+	present := 0
+	for i, k := range keys {
+		raw := q.Get(k)
+		if raw == "" {
+			continue
+		}
+		present++
+		v, err := strconv.ParseFloat(raw, 64)
+		if err != nil {
+			return nil, fmt.Errorf("core: invalid bounding box: %s %q", k, raw)
+		}
+		c[i] = v
+	}
+	switch present {
+	case 0:
+		return nil, nil
+	case len(keys):
+		b := geo.NewRect(geo.Point{Lat: c[0], Lon: c[1]}, geo.Point{Lat: c[2], Lon: c[3]})
+		return &b, nil
+	}
+	return nil, fmt.Errorf("core: invalid bounding box: %d of %s given", present, strings.Join(keys[:], ", "))
+}
+
 func (p *Platform) handleTrending(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	parseF := func(key string) (float64, error) {
-		return strconv.ParseFloat(q.Get(key), 64)
-	}
-	minLat, err1 := parseF("min_lat")
-	minLon, err2 := parseF("min_lon")
-	maxLat, err3 := parseF("max_lat")
-	maxLon, err4 := parseF("max_lon")
-	var bbox *geo.Rect
-	if err1 == nil && err2 == nil && err3 == nil && err4 == nil {
-		b := geo.NewRect(geo.Point{Lat: minLat, Lon: minLon}, geo.Point{Lat: maxLat, Lon: maxLon})
-		bbox = &b
+	bbox, err := queryBox(q)
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return
 	}
 	hours := 24
 	if h := q.Get("hours"); h != "" {
@@ -598,19 +623,10 @@ func (p *Platform) handlePipeline(w http.ResponseWriter, r *http.Request) {
 
 func (p *Platform) handleCategoryAnalytics(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var bbox *geo.Rect
-	if q.Get("min_lat") != "" {
-		parseF := func(key string) (float64, error) { return strconv.ParseFloat(q.Get(key), 64) }
-		minLat, e1 := parseF("min_lat")
-		minLon, e2 := parseF("min_lon")
-		maxLat, e3 := parseF("max_lat")
-		maxLon, e4 := parseF("max_lon")
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-			writeErr(w, r, http.StatusBadRequest, fmt.Errorf("core: invalid bounding box"))
-			return
-		}
-		b := geo.NewRect(geo.Point{Lat: minLat, Lon: minLon}, geo.Point{Lat: maxLat, Lon: maxLon})
-		bbox = &b
+	bbox, err := queryBox(q)
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, err)
+		return
 	}
 	stats, err := p.POIs.CategoryStats(bbox)
 	if err != nil {

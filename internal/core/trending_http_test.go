@@ -210,6 +210,69 @@ func TestAPITrendingEmptyWindow(t *testing.T) {
 	}
 }
 
+// TestAPITrendingMalformedBox pins the bounding-box contract of GET
+// /trending: four corners that parse filter the ranking, none is no box, and
+// anything else — a corner that is not a number, or fewer than four — is the
+// uniform 400 envelope, not the unfiltered global ranking. /analytics/categories
+// reads its box with the same code.
+func TestAPITrendingMalformedBox(t *testing.T) {
+	c, p := newTrendingClient(t)
+	in := c.signIn("facebook", "facebook:5")
+	cat := p.Catalog()
+	inside, outside := cat[0], cat[1]
+	for _, poi := range cat[1:] {
+		if poi.Lat != inside.Lat || poi.Lon != inside.Lon {
+			outside = poi
+			break
+		}
+	}
+	base := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
+	var res checkinsResponse
+	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: []CheckinPush{
+		{POIID: inside.ID, Time: base.UnixMilli(), Grade: 4, Network: "facebook"},
+		{POIID: outside.ID, Time: base.Add(time.Minute).UnixMilli(), Grade: 4, Network: "facebook"},
+		{POIID: outside.ID, Time: base.Add(2 * time.Minute).UnixMilli(), Grade: 4, Network: "facebook"},
+	}}, &res); code != http.StatusOK || res.Stored != 3 {
+		t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
+	}
+	window := "until=" + url.QueryEscape(base.Add(time.Hour).Format(time.RFC3339)) + "&hours=2"
+	// A box of exactly the first POI's point: only it may be ranked.
+	corners := fmt.Sprintf("min_lat=%g&min_lon=%g&max_lat=%g&max_lon=%g", inside.Lat, inside.Lon, inside.Lat, inside.Lon)
+	var boxed, global struct {
+		POIs []struct {
+			POI struct {
+				ID int64 `json:"id"`
+			} `json:"poi"`
+		} `json:"pois"`
+	}
+	if code := c.get("/api/v1/trending?"+window+"&"+corners, &boxed); code != http.StatusOK {
+		t.Fatalf("well-formed box: status %d", code)
+	}
+	if len(boxed.POIs) != 1 || boxed.POIs[0].POI.ID != inside.ID {
+		t.Fatalf("well-formed box ranked %+v, want only poi %d", boxed.POIs, inside.ID)
+	}
+	if code := c.get("/api/v1/trending?"+window, &global); code != http.StatusOK || len(global.POIs) != 2 {
+		t.Fatalf("no box: status %d, ranked %+v, want both POIs", code, global.POIs)
+	}
+	for _, bad := range []string{
+		strings.Replace(corners, fmt.Sprintf("min_lat=%g", inside.Lat), "min_lat=abc", 1), // not a number
+		corners[:strings.LastIndex(corners, "&")],                                         // three corners of four
+		"max_lon=23.5", // one corner
+		strings.Replace(corners, fmt.Sprintf("min_lat=%g", inside.Lat), "min_lat=", 1), // empty corner
+	} {
+		for _, route := range []string{"/api/v1/trending?" + window + "&", "/api/v1/analytics/categories?"} {
+			var env apiError
+			if code := c.get(route+bad, &env); code != http.StatusBadRequest {
+				t.Errorf("GET %s%s: status %d, want 400", route, bad, code)
+				continue
+			}
+			if env.Error.Code != "bad_request" || env.Error.Message == "" || env.Error.RequestID == "" {
+				t.Errorf("GET %s%s: envelope = %+v, want bad_request with a message and request id", route, bad, env)
+			}
+		}
+	}
+}
+
 // TestDurableBootWarmsView reboots a durable platform and checks that the
 // replayed history is folded back into the view (replay predates the ingest
 // hook, so New must warm it from a scan).

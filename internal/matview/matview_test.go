@@ -3,7 +3,6 @@ package matview
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -17,56 +16,6 @@ func mkVisit(user, poi int64, t int64, grade float64) model.Visit {
 	return model.Visit{
 		UserID: user, Time: t, Grade: grade,
 		POI: model.POI{ID: poi, Name: fmt.Sprintf("poi-%d", poi), Lat: float64(poi % 10), Lon: float64(poi % 10), Keywords: []string{"food"}},
-	}
-}
-
-func TestViewMatchesBruteForce(t *testing.T) {
-	v, err := NewHotInView(ViewOptions{BucketMillis: hourMs, HorizonMillis: 100 * hourMs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	type key struct{ poi int64 }
-	visits := make([]model.Visit, 0, 3000)
-	for i := 0; i < 3000; i++ {
-		visits = append(visits, mkVisit(int64(rng.Intn(50)+1), int64(rng.Intn(20)+1),
-			int64(rng.Intn(90))*hourMs+int64(rng.Intn(int(hourMs))), float64(rng.Intn(5)+1)))
-	}
-	for i := 0; i < len(visits); i += 17 {
-		end := i + 17
-		if end > len(visits) {
-			end = len(visits)
-		}
-		v.Apply(visits[i:end])
-	}
-	from, to := 10*hourMs, 60*hourMs
-	wantVisits := map[key]int{}
-	wantGrades := map[key]float64{}
-	for _, vis := range visits {
-		// The view quantizes: any visit in a bucket touching the window
-		// counts, i.e. timestamps in [floor(from), to).
-		if vis.Time >= from && vis.Time < to {
-			wantVisits[key{vis.POI.ID}]++
-			wantGrades[key{vis.POI.ID}] += vis.Grade
-		}
-	}
-	aggs, candidates := v.TopK(TopKSpec{FromMillis: from, ToMillis: to})
-	if candidates != len(wantVisits) {
-		t.Fatalf("candidates = %d, want %d", candidates, len(wantVisits))
-	}
-	for _, a := range aggs {
-		if a.Visits != wantVisits[key{a.POI.ID}] {
-			t.Errorf("poi %d visits = %d, want %d", a.POI.ID, a.Visits, wantVisits[key{a.POI.ID}])
-		}
-		if a.GradeSum != wantGrades[key{a.POI.ID}] {
-			t.Errorf("poi %d gradeSum = %g, want %g", a.POI.ID, a.GradeSum, wantGrades[key{a.POI.ID}])
-		}
-	}
-	for i := 1; i < len(aggs); i++ {
-		prev, cur := aggs[i-1], aggs[i]
-		if prev.Visits < cur.Visits || (prev.Visits == cur.Visits && prev.POI.ID > cur.POI.ID) {
-			t.Fatalf("ranking out of order at %d: %+v before %+v", i, prev, cur)
-		}
 	}
 }
 

@@ -102,35 +102,29 @@ func validateTrendingWindow(spec *Spec) error {
 	return nil
 }
 
-// clampToView narrows a window reaching behind what the view retains — the
-// later of its coverage floor and the horizon counted back from the window's
-// end — to the retained part, reporting whether it did. A window lying
-// wholly behind the floor collapses to the empty window at its end. Only the
-// friendless view route clamps: the scan path serves a personalized window
-// in full.
-func clampToView(spec *Spec, v *matview.HotInView) bool {
-	lo := max(v.Floor(), spec.ToMillis-v.HorizonMillis())
-	if spec.FromMillis >= lo {
-		return false
-	}
-	spec.FromMillis = min(lo, spec.ToMillis)
-	return true
-}
-
 // trendingFromView answers a friendless trending query from the
 // materialized view: sum the buckets covering the window, rank by visit
 // volume, and charge the web server a parse plus a merge proportional to
 // the candidate count — no region RPCs, no history scan.
+//
+// A window reaching behind what the view retains — the later of its
+// coverage floor and the horizon counted back from the window's end — is
+// narrowed to the retained part, and one lying wholly behind the floor
+// collapses to the empty window at its end. The horizon is fixed, so that
+// half is applied here; the floor moves with every expiry, so the view
+// applies it under the lock hold it reads the buckets with and reports the
+// start it served. The Result's WindowClamped/EffectiveFromMillis are set
+// from that report, never from a separate look at the floor.
 func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spec Spec) (*Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	aggs, candidates := v.TopK(matview.TopKSpec{
+	aggs, candidates, served := v.TopKFrom(matview.TopKSpec{
 		BBox:       spec.BBox,
 		Keyword:    spec.Keyword,
-		FromMillis: spec.FromMillis,
+		FromMillis: max(spec.FromMillis, spec.ToMillis-v.HorizonMillis()),
 		ToMillis:   spec.ToMillis,
 		Limit:      spec.Limit,
 	})
@@ -154,6 +148,10 @@ func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spe
 		return nil, err
 	}
 	res := &Result{LatencySeconds: latency}
+	if served > spec.FromMillis {
+		res.WindowClamped = true
+		res.EffectiveFromMillis = served
+	}
 	for _, a := range aggs {
 		score := 0.0
 		if a.Visits > 0 {

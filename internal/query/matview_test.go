@@ -410,3 +410,100 @@ func TestConcurrentQueriesShareTheSimulation(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestTrendingClampHonestUnderExpiry marches the view's floor past the
+// readers' windows while they query (meaningful under -race). Whatever
+// window start an answer claims to have served — the requested one, or
+// effective_from_millis when window_clamped is set — every visit at or after
+// it that had been applied before the query began must be counted: an answer
+// may be narrowed, but never silently. The clamp and the bucket read once
+// used separate lock holds, and an expiry between them produced exactly such
+// an answer.
+func TestTrendingClampHonestUnderExpiry(t *testing.T) {
+	const (
+		hour    = int64(time.Hour / time.Millisecond)
+		horizon = 6 * hour
+		steps   = 4000
+		pois    = 5
+	)
+	f := newFixture(t, repos.SchemaReplicated, 2, 10)
+	view, err := matview.NewHotInView(matview.ViewOptions{BucketMillis: hour, HorizonMillis: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.engine.SetHotInView(view)
+	// The stream: one visit every 20 minutes, so the floor rises every third
+	// Apply. applied counts visits whose Apply has returned, started those
+	// whose Apply may have begun.
+	stream := make([]model.Visit, steps)
+	for i := range stream {
+		stream[i] = model.Visit{UserID: 1, Time: int64(i) * hour / 3, Grade: 3, Network: "facebook", POI: f.pois[i%pois]}
+	}
+	var started, applied atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range stream {
+			started.Add(1)
+			view.Apply(stream[i : i+1])
+			applied.Add(1)
+		}
+	}()
+	count := func(prefix, from, to int64) map[int64]int {
+		n := map[int64]int{}
+		for _, v := range stream[:prefix] {
+			if v.Time >= from && v.Time < to {
+				n[v.POI.ID]++
+			}
+		}
+		return n
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for applied.Load() < steps {
+				before := applied.Load()
+				floor := view.Floor()
+				// A window ending just past the newest visit and starting
+				// within two hours of the floor, on either side of it.
+				to := before*hour/3 + hour
+				from := max(0, to-horizon-2*hour+rng.Int63n(4*hour))
+				res, err := f.engine.Trending(context.Background(), Spec{FromMillis: from, ToMillis: to})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				after := started.Load()
+				served := from
+				if res.WindowClamped {
+					served = res.EffectiveFromMillis
+					// Capped at to: a window wholly behind the floor
+					// is served as the empty window at its end.
+					if served < min(floor, to) || served <= from {
+						t.Errorf("window [%d,%d) clamped to %d with the floor already at %d", from, to, served, floor)
+						return
+					}
+				}
+				got := map[int64]int{}
+				for _, p := range res.POIs {
+					got[p.POI.ID] = p.Visits
+				}
+				// At least what was applied before the query in [served, to),
+				// at most what was started by its end in the buckets that
+				// window touches (the view quantizes both bounds outward).
+				atLeast, atMost := count(before, served, to), count(after, served/hour*hour, (to+hour-1)/hour*hour)
+				for id := range atMost {
+					if got[id] < atLeast[id] || got[id] > atMost[id] {
+						t.Errorf("window [%d,%d) clamped=%v served from %d: poi %d has %d visits, want %d..%d",
+							from, to, res.WindowClamped, served, id, got[id], atLeast[id], atMost[id])
+						return
+					}
+				}
+			}
+		}(int64(r + 1))
+	}
+	wg.Wait()
+}

@@ -817,8 +817,8 @@ func (e *Engine) NonPersonalized(ctx context.Context, spec repos.SearchSpec) ([]
 // The window is validated up front: an empty or inverted window returns
 // ErrEmptyWindow instead of silently scanning full history. A friendless
 // window reaching behind what the view retains — longer than its horizon,
-// or starting before its coverage floor — is clamped to the retained part
-// before the view answers it, and the narrowing is surfaced on the Result
+// or starting before its coverage floor — is answered for the retained part
+// only, and the narrowing the view reports is surfaced on the Result
 // (WindowClamped/EffectiveFromMillis).
 func (e *Engine) Trending(ctx context.Context, spec Spec) (*Result, error) {
 	spec.OrderBy = ByHotness
@@ -832,11 +832,5 @@ func (e *Engine) Trending(ctx context.Context, spec Spec) (*Result, error) {
 	if v == nil {
 		return nil, errors.New("query: friendless trending needs a trending view (SetHotInView)")
 	}
-	clamped := clampToView(&spec, v)
-	res, err := e.trendingFromView(ctx, v, spec)
-	if err == nil && clamped {
-		res.WindowClamped = true
-		res.EffectiveFromMillis = spec.FromMillis
-	}
-	return res, err
+	return e.trendingFromView(ctx, v, spec)
 }
