@@ -1,13 +1,18 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"modissense/internal/admit"
+	"modissense/internal/faultinject"
+	"modissense/internal/matview"
 	"modissense/internal/model"
 )
 
@@ -203,5 +208,108 @@ func TestDurableCheckinsSurviveReboot(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("replayed %d check-ins after reboot, want 2", count)
+	}
+}
+
+// TestRejectedCheckinsLeaveNoTrace: on a durable platform with replicas and
+// failover, an op=put fault schedule drives both nodes down (the second has
+// no live replica left to promote, so its regions stay unavailable) while a
+// client keeps pushing batches. Every push is answered 200, 500 (the
+// injected fault) or 503 + Retry-After (primary down); whatever was not
+// answered 200 was neither logged nor applied, so after a reboot over the
+// same WALDir the table holds exactly the sum of `stored` over the 200
+// answers and the trending view's totals match it — retrying a 503 is safe.
+func TestRejectedCheckinsLeaveNoTrace(t *testing.T) {
+	walDir := t.TempDir()
+	mutate := func(cfg *Config) {
+		cfg.WALDir = walDir
+		cfg.Nodes = 2
+		cfg.ReadReplicas = 1
+		cfg.FailoverEnabled = true
+	}
+	c, p := newIngestClient(t, mutate)
+	base := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
+	poi := p.Catalog()[0]
+	var tokens []string
+	for i := 1; i <= 8; i++ {
+		tokens = append(tokens, c.signIn("facebook", fmt.Sprintf("facebook:%d", i)).Token)
+	}
+	pushes, stored, unavailable := 0, 0, 0
+	push := func() int {
+		pushes++
+		items := make([]CheckinPush, 3)
+		for i := range items {
+			items[i] = CheckinPush{POIID: poi.ID, Time: base.Add(time.Duration(pushes*3+i) * time.Second).UnixMilli(), Grade: 4, Network: "facebook"}
+		}
+		body := mustJSON(t, checkinsRequest{Token: tokens[pushes%len(tokens)], Checkins: items})
+		resp, err := http.Post(c.srv.URL+"/api/v1/checkins", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusOK:
+			var res checkinsResponse
+			decodeJSONBody(t, resp, &res)
+			stored += res.Stored
+		case http.StatusServiceUnavailable:
+			unavailable++
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("503 from /checkins without a Retry-After hint")
+			}
+		case http.StatusInternalServerError:
+		default:
+			t.Fatalf("push %d answered %d", pushes, resp.StatusCode)
+		}
+		return resp.StatusCode
+	}
+	for i := 0; i < 16; i++ {
+		if code := push(); code != http.StatusOK {
+			t.Fatalf("healthy push answered %d", code)
+		}
+	}
+	table := p.Visits.Table()
+	table.SetFaultInjector(faultinject.New(faultinject.Schedule{Seed: 1, Rules: []faultinject.Rule{
+		{Fault: faultinject.Crash, Op: faultinject.OpPut, Node: faultinject.Any, Region: faultinject.Any, Replica: faultinject.Any},
+	}}))
+	for i := 0; i < 400 && unavailable < 8; i++ {
+		if code := push(); code == http.StatusOK {
+			t.Fatal("a push was acknowledged under an always-failing put schedule")
+		}
+	}
+	if unavailable < 8 {
+		t.Fatalf("only %d of %d pushes were answered 503; the schedule never held a primary down", unavailable, pushes)
+	}
+	if err := table.WaitFailover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	totals := func(p *Platform) (scanned, viewed int) {
+		t.Helper()
+		if err := p.Visits.ScanAll(func(model.Visit) bool { scanned++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		aggs, _ := p.MatView.TopK(matview.TopKSpec{FromMillis: base.Add(-time.Hour).UnixMilli(), ToMillis: base.Add(24 * time.Hour).UnixMilli()})
+		for _, a := range aggs {
+			viewed += a.Visits
+		}
+		return scanned, viewed
+	}
+	if scanned, viewed := totals(p); scanned != stored || viewed != stored {
+		t.Errorf("live: table holds %d visits and the view %d, the 200 answers acknowledged %d", scanned, viewed, stored)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	mutate(&cfg)
+	re, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if scanned, viewed := totals(re); scanned != stored || viewed != stored {
+		t.Errorf("after reboot: table holds %d visits and the view %d, the 200 answers acknowledged %d (of %d pushes, %d answered 503)",
+			scanned, viewed, stored, pushes, unavailable)
 	}
 }

@@ -6,16 +6,16 @@ import (
 )
 
 // Durable tables: a table-level write-ahead log shared by all regions.
-// Region stores run WAL-less; the table appends every mutation to one log
-// before routing it, and OpenDurableTable replays the log through normal
+// Region stores keep no log; the table appends every admitted write to one
+// log before applying it, and OpenDurableTable replays the log through normal
 // routing on startup — so recovery is correct across any pre-split layout
 // and even across region splits (replayed cells simply route to whatever
 // region owns the key now).
 //
 // The log is a GroupCommitWAL: concurrent writers share commit groups, so
 // the table pays one buffered write (and, under SyncGroup, one fsync) per
-// group rather than per put. StoreOptions.WALSyncPolicy picks the policy;
-// the default SyncOS matches the seed FileWAL durability.
+// group rather than per put. StoreOptions.WALSyncPolicy picks the policy
+// (default SyncOS).
 
 // OpenDurableTable opens (creating if absent) the WAL at walPath, builds a
 // table with the given pre-splits, replays every logged mutation into it,
@@ -25,15 +25,13 @@ func OpenDurableTable(name string, splitKeys []string, nodes int, opts StoreOpti
 	if walPath == "" {
 		return nil, fmt.Errorf("kvstore: empty WAL path for durable table %q", name)
 	}
-	opts.WAL = nil // region stores must not double-log
 	t, err := NewTable(name, splitKeys, nodes, opts)
 	if err != nil {
 		return nil, err
 	}
 	// Replay BEFORE attaching the log: replayed cells must not re-append.
 	err = ReplayWAL(walPath, func(c Cell) error {
-		region := t.RegionFor(c.Row)
-		return region.Store().Apply(c)
+		return t.RegionFor(c.Row).Store().ApplyBatch([]Cell{c})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: replay %q: %w", walPath, err)

@@ -398,13 +398,11 @@ func (t *Table) promoteRegionLocked(r *Region, det *failureDetector) error {
 	// retained in-memory WAL tail directly — the durable history of every
 	// acked write — and bypasses fault injection: promotion is recovery,
 	// not workload.
-	for i := winner.applied - old.base; i < uint64(len(old.log)); i++ {
-		if err := winner.store.Apply(old.log[i]); err != nil {
-			old.mu.Unlock()
-			return fmt.Errorf("force-ship tail: %w", err)
-		}
-		winner.applied++
+	if err := winner.store.ApplyBatch(old.log[winner.applied-old.base:]); err != nil {
+		old.mu.Unlock()
+		return fmt.Errorf("force-ship tail: %w", err)
 	}
+	winner.applied = old.seq
 	survivors := copySurvivors(old, func(i int, rep *replicaState) bool {
 		return i != best && det.health(rep.nodeID) != NodeDown
 	})
@@ -623,7 +621,7 @@ func (t *Table) WaitFailover(ctx context.Context) error {
 	return nil
 }
 
-// admitWrite gates one mutation (or one batched region run) on the owning
+// admitWrite gates one region run of a write (see Table.write) on the owning
 // region: epoch fencing first (a fenced zombie write must never reach the
 // WAL), then the primary's health, then the write-side fault injection
 // point, whose failures feed the failure detector. Caller holds the table
@@ -654,22 +652,14 @@ func (t *Table) admitWrite(r *Region, epoch uint64) error {
 
 // noteWriteOK feeds a fully applied write back into the failure detector as
 // evidence the primary is alive.
-func (t *Table) noteWriteOK(r *Region) {
-	if det := t.det.Load(); det != nil {
-		det.recordSuccess(r.primary)
-	}
-}
+func (t *Table) noteWriteOK(r *Region) { t.det.Load().recordSuccess(r.primary) }
 
 // noteReadFailure feeds a failed read attempt into the failure detector as
 // evidence against the serving node. Read successes deliberately do not
 // reset the failure count: a node whose write path is dead must still reach
 // down even while its copies happen to serve reads (write successes do
 // reset it).
-func (t *Table) noteReadFailure(node int) {
-	if det := t.det.Load(); det != nil {
-		det.recordFailure(node)
-	}
-}
+func (t *Table) noteReadFailure(node int) { t.det.Load().recordFailure(node) }
 
 // epochGaugeMu serializes the monotonic max update of the region-epoch
 // gauge across tables.

@@ -24,8 +24,8 @@ type SyncPolicy int
 
 const (
 	// SyncOS acknowledges a group once it reaches the OS (buffered file
-	// write, no fsync). Matches the seed FileWAL durability: a process crash
-	// loses nothing, a machine crash can lose the unsynced tail.
+	// write, no fsync): a process crash loses nothing, a machine crash can
+	// lose the unsynced tail.
 	SyncOS SyncPolicy = iota
 	// SyncGroup fsyncs once per commit group before acknowledging — full
 	// durability, amortized across every writer in the group.
@@ -58,16 +58,15 @@ const groupCommitYields = 8
 
 // commitGroup is one in-flight batch of cells awaiting a leader's commit.
 type commitGroup struct {
-	cells  []Cell
-	sealed bool
-	done   chan struct{}
-	err    error
+	cells []Cell
+	done  chan struct{}
+	err   error
 }
 
-// GroupCommitWAL is a file-backed WAL whose concurrent appenders commit in
-// groups. It writes the same record formats as FileWAL (per-put records for
-// single-cell groups, batched records otherwise), so ReplayWAL reads its
-// logs unchanged. Safe for concurrent use.
+// GroupCommitWAL is the file-backed write-ahead log of a durable table; its
+// concurrent appenders commit in groups. A single-cell group is written as a
+// per-put record, any other as a batched record (see wal.go for both
+// layouts); ReplayWAL reads either. Safe for concurrent use.
 type GroupCommitWAL struct {
 	// mu guards cur and closed: the fast path that joins or opens a group.
 	mu     sync.Mutex
@@ -92,14 +91,10 @@ func OpenGroupCommitWAL(path string, policy SyncPolicy) (*GroupCommitWAL, error)
 	return &GroupCommitWAL{f: f, w: bufio.NewWriterSize(f, 1<<16), policy: policy}, nil
 }
 
-// Append implements WAL: the cell joins the open commit group (or opens one)
-// and the call returns once the group is durable per the sync policy.
-func (w *GroupCommitWAL) Append(c Cell) error {
-	return w.AppendBatch([]Cell{c})
-}
-
-// AppendBatch implements WAL: all cells land in the same commit group, so
-// they reach the log as one unit.
+// AppendBatch joins the open commit group (or opens one) and returns once
+// the group is durable per the sync policy. All cells of one call land in
+// the same group, so they reach the log as one unit: a replay applies either
+// all of them or (for a torn tail) none. The cells are only read.
 func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 	if len(cells) == 0 {
 		return nil
@@ -116,7 +111,9 @@ func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 		<-g.done
 		return g.err
 	}
-	g := &commitGroup{cells: cells, done: make(chan struct{})}
+	// The capacity is clamped so that followers joining the group append
+	// into a fresh array, never into the leader's caller's spare capacity.
+	g := &commitGroup{cells: cells[:len(cells):len(cells)], done: make(chan struct{})}
 	w.cur = g
 	w.mu.Unlock()
 
@@ -134,7 +131,6 @@ func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 	w.ioMu.Lock()
 	w.mu.Lock()
 	w.cur = nil
-	g.sealed = true
 	closed := w.closed
 	w.mu.Unlock()
 	if closed {

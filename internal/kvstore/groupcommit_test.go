@@ -67,7 +67,7 @@ func replayIntoStore(t *testing.T, path string) []Cell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayWAL(path, s.Apply); err != nil {
+	if err := ReplayWAL(path, func(c Cell) error { return s.ApplyBatch([]Cell{c}) }); err != nil {
 		t.Fatalf("replay %s: %v", path, err)
 	}
 	return s.rawCells()
@@ -88,10 +88,11 @@ func cellsEqual(a, b []Cell) bool {
 }
 
 // TestGroupCommitReplayEquivalence is the write-path equivalence property:
-// the same puts pushed through the seed per-put FileWAL and through a
-// GroupCommitWAL in random batch sizes must replay into byte-identical
-// stores. 20 seeded trials cover varied batch shapes (including runs of
-// single-cell batches, which take the per-put record format).
+// the same puts in the golden per-put encoding (wal_fuzz_test.go's
+// encodeWALFile) and pushed through a GroupCommitWAL in random batch sizes
+// must replay into byte-identical stores. 20 seeded trials cover varied
+// batch shapes (including runs of single-cell batches, which take the
+// per-put record format).
 func TestGroupCommitReplayEquivalence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
@@ -99,16 +100,8 @@ func TestGroupCommitReplayEquivalence(t *testing.T) {
 		dir := t.TempDir()
 
 		perPutPath := filepath.Join(dir, "perput.wal")
-		fw, err := OpenFileWAL(perPutPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cells {
-			if err := fw.Append(c); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := fw.Close(); err != nil {
+		golden, _ := encodeWALFile(cells)
+		if err := os.WriteFile(perPutPath, golden, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
@@ -141,25 +134,11 @@ func TestGroupCommitReplayEquivalence(t *testing.T) {
 
 // TestGroupCommitSoloWriterLogBytes: a writer that never shares a commit
 // group writes single-cell groups, which must use the per-put record format —
-// the log file is byte-for-byte identical to the seed FileWAL's.
+// the log file is byte-for-byte the golden per-put encoding.
 func TestGroupCommitSoloWriterLogBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cells := randomWALCells(rng, 64)
 	dir := t.TempDir()
-
-	perPutPath := filepath.Join(dir, "perput.wal")
-	fw, err := OpenFileWAL(perPutPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
-		if err := fw.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	groupPath := filepath.Join(dir, "group.wal")
 	gw, err := OpenGroupCommitWAL(groupPath, SyncOS)
@@ -167,7 +146,7 @@ func TestGroupCommitSoloWriterLogBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if err := gw.Append(c); err != nil {
+		if err := gw.AppendBatch([]Cell{c}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,16 +154,13 @@ func TestGroupCommitSoloWriterLogBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, err := os.ReadFile(perPutPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := encodeWALFile(cells)
 	b, err := os.ReadFile(groupPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatalf("solo-writer group-commit log (%d bytes) not byte-identical to FileWAL log (%d bytes)", len(b), len(a))
+		t.Fatalf("solo-writer group-commit log (%d bytes) not byte-identical to the golden per-put encoding (%d bytes)", len(b), len(a))
 	}
 }
 
@@ -217,7 +193,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 					Timestamp: int64(i),
 					Value:     []byte{byte(wi), byte(i)},
 				}
-				if err := w.Append(c); err != nil {
+				if err := w.AppendBatch([]Cell{c}); err != nil {
 					errs[wi] = err
 					return
 				}
@@ -262,13 +238,54 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	t.Logf("%d appends committed in %d groups", writers*perWriter, commits)
 }
 
+// TestGroupCommitLeaderDoesNotAliasCaller: a group's leader may hand in a
+// sub-slice of a larger buffer; followers joining the group must never be
+// appended into that buffer's spare capacity, which is the caller's live
+// data. Each writer appends buf[:1] of a two-cell buffer and checks buf[1]
+// afterwards. Run with -race, which also sees the write itself.
+func TestGroupCommitLeaderDoesNotAliasCaller(t *testing.T) {
+	const writers, perWriter = 8, 400
+	w, err := OpenGroupCommitWAL(filepath.Join(t.TempDir(), "alias.wal"), SyncGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var wg sync.WaitGroup
+	clobbered := make([]int, writers)
+	for wi := 0; wi < writers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			mine := fmt.Sprintf("spare-of-writer-%d", wi)
+			buf := make([]Cell, 2)
+			for i := 0; i < perWriter; i++ {
+				buf[0] = Cell{Row: fmt.Sprintf("w%02d|%04d", wi, i), Qualifier: "q", Timestamp: int64(i)}
+				buf[1] = Cell{Row: mine}
+				if err := w.AppendBatch(buf[:1]); err != nil {
+					t.Error(err)
+					return
+				}
+				if buf[1].Row != mine {
+					clobbered[wi]++
+				}
+			}
+		}(wi)
+	}
+	wg.Wait()
+	for wi, n := range clobbered {
+		if n > 0 {
+			t.Errorf("writer %d: the cell after its appended sub-slice was overwritten by another writer in %d of %d calls", wi, n, perWriter)
+		}
+	}
+}
+
 func TestGroupCommitWALClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "close.wal")
 	w, err := OpenGroupCommitWAL(path, SyncOS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(Cell{Row: "r", Qualifier: "q", Timestamp: 1}); err != nil {
+	if err := w.AppendBatch([]Cell{{Row: "r", Qualifier: "q", Timestamp: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -277,7 +294,7 @@ func TestGroupCommitWALClose(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("second Close must be a no-op, got %v", err)
 	}
-	if err := w.Append(Cell{Row: "r2", Qualifier: "q", Timestamp: 2}); err == nil {
+	if err := w.AppendBatch([]Cell{{Row: "r2", Qualifier: "q", Timestamp: 2}}); err == nil {
 		t.Fatal("append to closed WAL must fail")
 	}
 	var got []Cell

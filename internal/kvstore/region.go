@@ -189,12 +189,8 @@ func NewTable(name string, splitKeys []string, nodes int, opts StoreOptions) (*T
 }
 
 func storeOptsForRegion(opts StoreOptions, regionID int) StoreOptions {
-	o := opts
-	if o.WAL == nil {
-		o.WAL = NopWAL{}
-	}
-	o.Seed = opts.Seed*1000003 + int64(regionID)
-	return o
+	opts.Seed = opts.Seed*1000003 + int64(regionID)
+	return opts
 }
 
 // Name returns the table name.
@@ -246,11 +242,9 @@ func (t *Table) RegionFor(row string) *Region {
 	return t.regionFor(row)
 }
 
-// Put routes a versioned write to the owning region, logging it first on
-// durable tables. The table read lock is held across the store write so the
-// write cannot land in a store a concurrent split just retired.
+// Put writes one versioned cell: the one-cell form of PutBatch.
 func (t *Table) Put(row, qualifier string, timestamp int64, value []byte) error {
-	return t.putCell(Cell{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}, 0)
+	return t.write([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}}, 0)
 }
 
 // PutFenced is Put gated on the owning region's failover epoch: the write
@@ -260,87 +254,84 @@ func (t *Table) Put(row, qualifier string, timestamp int64, value []byte) error 
 // promoted away — carries the pre-promotion epoch and is rejected here,
 // which is what guarantees its late writes can never land.
 func (t *Table) PutFenced(row, qualifier string, timestamp int64, value []byte, epoch uint64) error {
-	return t.putCell(Cell{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}, epoch)
+	return t.write([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}}, epoch)
 }
 
-// putCell is the shared single-cell write path: admission (fencing, primary
-// health, write-side fault injection), WAL, store apply, replica ship,
-// detector success feedback.
-func (t *Table) putCell(c Cell, epoch uint64) error {
-	if c.Row == "" {
-		return fmt.Errorf("kvstore: empty row key")
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r := t.regionFor(c.Row)
-	if err := t.admitWrite(r, epoch); err != nil {
-		return err
-	}
-	if t.wal != nil {
-		if err := t.wal.Append(c); err != nil {
-			return fmt.Errorf("kvstore: table wal: %w", err)
+// Delete writes a tombstone masking all versions of (row, qualifier) at or
+// before timestamp: the one-cell form of PutBatch.
+func (t *Table) Delete(row, qualifier string, timestamp int64) error {
+	return t.write([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Tombstone: true}}, 0)
+}
+
+// PutBatch writes the cells, puts and tombstones alike, in input order: one
+// commit-group slot in the log for the whole call and one store lock
+// acquisition per run of consecutive cells owned by the same region. A call
+// answered with an error by admission (see write) is neither logged nor
+// applied to any region.
+func (t *Table) PutBatch(cells []Cell) error { return t.write(cells, 0) }
+
+// eachRun calls fn, in order, with every run of consecutive cells owned by
+// the same region, stopping at the first error. Caller holds t.mu, which is
+// what keeps the regions' bounds still.
+func (t *Table) eachRun(cells []Cell, fn func(r *Region, run []Cell) error) error {
+	for lo := 0; lo < len(cells); {
+		r := t.regionFor(cells[lo].Row)
+		hi := lo + 1
+		for hi < len(cells) && cells[hi].Row >= r.StartKey && (r.endKey == "" || cells[hi].Row < r.endKey) {
+			hi++
 		}
+		if err := fn(r, cells[lo:hi]); err != nil {
+			return err
+		}
+		lo = hi
 	}
-	var err error
-	if c.Tombstone {
-		err = r.store.Delete(c.Row, c.Qualifier, c.Timestamp)
-	} else {
-		err = r.store.Put(c.Row, c.Qualifier, c.Timestamp, c.Value)
-	}
-	if err != nil {
-		return err
-	}
-	if err := r.shipMutation(c); err != nil {
-		return err
-	}
-	t.noteWriteOK(r)
 	return nil
 }
 
-// PutBatch routes a batch of versioned writes in one pass: one WAL batch
-// append (group-commit capable — the whole batch costs one commit-group
-// slot), then runs of cells owned by the same region apply under one store
-// lock acquisition. Cells apply in input order; on error the batch may be
-// partially applied (the WAL holds it all, so recovery replays every cell).
-// Row keys are validated before anything is logged or applied.
-func (t *Table) PutBatch(cells []Cell) error {
-	if len(cells) == 0 {
-		return nil
-	}
+// write is the table's one write path; Put, PutFenced, Delete and PutBatch
+// are its forms. In order: validate every row key; admit each same-region
+// run exactly once (a non-zero fence epoch applies to every run, then primary
+// health, then op=put fault injection); only when every run is admitted,
+// append the whole call to the log as one unit (durable tables); then per run
+// apply to the region's store, hand the run to its replica shipping log and
+// feed the success to the failure detector. Admission precedes the log so
+// that a rejected write leaves no trace, live or after a reboot — the
+// caller's retry can never double it. After the log append only a store that
+// cannot accept writes (a sticky flush failure) stops the call; the log then
+// holds the whole call and replay completes it.
+//
+// The table read lock is held across the store writes so that no cell can
+// land in a store a concurrent split just retired, and so that the regions'
+// primaries and epochs cannot change between admission and apply.
+func (t *Table) write(cells []Cell, epoch uint64) error {
 	for i := range cells {
 		if cells[i].Row == "" {
-			return fmt.Errorf("kvstore: empty row key in batch item %d", i)
+			return fmt.Errorf("kvstore: empty row key in cell %d of the write", i)
 		}
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	err := t.eachRun(cells, func(r *Region, _ []Cell) error { return t.admitWrite(r, epoch) })
+	if err != nil {
+		return err
+	}
 	if t.wal != nil {
 		if err := t.wal.AppendBatch(cells); err != nil {
 			return fmt.Errorf("kvstore: table wal: %w", err)
 		}
 	}
-	for lo := 0; lo < len(cells); {
-		r := t.regionFor(cells[lo].Row)
-		hi := lo + 1
-		for hi < len(cells) && t.regionFor(cells[hi].Row) == r {
-			hi++
-		}
-		run := cells[lo:hi]
-		// One admission decision per region run — batched writes are one
-		// operation against that region's primary.
-		if err := t.admitWrite(r, 0); err != nil {
-			return err
-		}
+	return t.eachRun(cells, func(r *Region, run []Cell) error {
 		if err := r.store.ApplyBatch(run); err != nil {
 			return err
 		}
-		if err := r.shipMutations(run); err != nil {
-			return err
+		if rs := r.replicaSet(); rs != nil {
+			if err := rs.appendBatch(run); err != nil {
+				return err
+			}
 		}
 		t.noteWriteOK(r)
-		lo = hi
-	}
-	return nil
+		return nil
+	})
 }
 
 // WritePressure returns the table's hottest region's write pressure (0 =
@@ -364,12 +355,6 @@ func (t *Table) WaitMaintenance() error {
 		}
 	}
 	return nil
-}
-
-// Delete routes a tombstone to the owning region, logging it first on
-// durable tables.
-func (t *Table) Delete(row, qualifier string, timestamp int64) error {
-	return t.putCell(Cell{Row: row, Qualifier: qualifier, Timestamp: timestamp, Tombstone: true}, 0)
 }
 
 // Get reads the newest live view of a row.
@@ -419,14 +404,13 @@ func (t *Table) SplitRegion(splitKey string) error {
 	// tombstones) preserve full version history across the split. The old
 	// store is left untouched: frozen views handed to in-flight coprocessors
 	// keep reading a consistent full-range snapshot.
-	for _, c := range r.store.rawCells() {
-		dst := lower
-		if c.Row >= splitKey {
-			dst = upper
-		}
-		if err := dst.Apply(c); err != nil {
-			return err
-		}
+	cells := r.store.rawCells()
+	cut := sort.Search(len(cells), func(i int) bool { return cells[i].Row >= splitKey })
+	if err := lower.ApplyBatch(cells[:cut]); err != nil {
+		return err
+	}
+	if err := upper.ApplyBatch(cells[cut:]); err != nil {
+		return err
 	}
 	newRegion := &Region{
 		ID:       t.nextID,

@@ -102,24 +102,9 @@ func (rs *replicaSet) retireLocked() {
 	rs.retired = true
 }
 
-// append records one primary mutation into the shipping log, shipping the
-// batch when it is full.
-func (rs *replicaSet) append(c Cell) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	old := rs.lagLocked()
-	rs.log = append(rs.log, c)
-	rs.seq++
-	var err error
-	if rs.seq-rs.lastShip >= uint64(rs.batch) {
-		err = rs.shipLocked(false)
-	}
-	rs.adjustGaugeLocked(old)
-	return err
-}
-
-// appendBatch records a batch of primary mutations into the shipping log
-// under one lock acquisition, shipping when the batch threshold is reached.
+// appendBatch records a run of applied primary mutations into the shipping
+// log under one lock acquisition, shipping when the batch threshold is
+// reached. Called from Table.write with the table read lock held.
 func (rs *replicaSet) appendBatch(cells []Cell) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -153,15 +138,15 @@ func (rs *replicaSet) shipLocked(force bool) error {
 				continue
 			}
 		}
-		for i := rep.applied - rs.base; i < uint64(len(rs.log)); i++ {
-			if err := rep.store.Apply(rs.log[i]); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("kvstore: ship to replica: %w", err)
-				}
-				break
+		// A failed apply leaves the watermark where it was: the suffix is
+		// shipped again, and re-applying a cell is idempotent.
+		if err := rep.store.ApplyBatch(rs.log[rep.applied-rs.base:]); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("kvstore: ship to replica: %w", err)
 			}
-			rep.applied++
+			continue
 		}
+		rep.applied = rs.seq
 	}
 	if newMin := rs.seq - rs.lagLocked(); newMin > oldMin {
 		mReplicationShipped.Add(int64(newMin - oldMin))
@@ -299,9 +284,9 @@ func (t *Table) EnableReplication(n, shipBatch int) error {
 }
 
 // newReplicaSet builds a replica set seeded from the given primary store.
-// Caller holds t.mu, so the store cannot be swapped mid-copy. Replica
-// stores never write the table WAL: the primary's log is the durable one,
-// and replicas rebuild from it (here: from the primary's cells) on boot.
+// Caller holds t.mu, so the store cannot be swapped mid-copy. The table's
+// log is the one durable copy; replicas rebuild from it (here: from the
+// primary's cells) on boot.
 func (t *Table) newReplicaSet(regionID, primaryNode int, primary *Store) (*replicaSet, error) {
 	cells := primary.rawCells()
 	rs := &replicaSet{batch: t.shipBatch, intercept: t.shipInterceptFor(regionID)}
@@ -321,16 +306,12 @@ func (t *Table) newReplicaSet(regionID, primaryNode int, primary *Store) (*repli
 // seedReplicaStore builds one replica store pre-loaded with the given cell
 // snapshot.
 func (t *Table) seedReplicaStore(regionID int, cells []Cell) (*Store, error) {
-	opts := storeOptsForRegion(t.opts, regionID)
-	opts.WAL = NopWAL{}
-	st, err := NewStore(opts)
+	st, err := NewStore(storeOptsForRegion(t.opts, regionID))
 	if err != nil {
 		return nil, err
 	}
-	for ci := range cells {
-		if err := st.Apply(cells[ci]); err != nil {
-			return nil, fmt.Errorf("kvstore: seed replica: %w", err)
-		}
+	if err := st.ApplyBatch(cells); err != nil {
+		return nil, fmt.Errorf("kvstore: seed replica: %w", err)
 	}
 	return st, nil
 }
@@ -394,22 +375,4 @@ func (t *Table) ReplicationLag() uint64 {
 		total += r.ReplicationLag()
 	}
 	return total
-}
-
-// shipMutation forwards one applied primary mutation into the owning
-// region's shipping log. Called with t.mu read-held from Put/Delete.
-func (r *Region) shipMutation(c Cell) error {
-	if rs := r.replicaSet(); rs != nil {
-		return rs.append(c)
-	}
-	return nil
-}
-
-// shipMutations forwards a run of applied primary mutations into the owning
-// region's shipping log. Called with t.mu read-held from PutBatch.
-func (r *Region) shipMutations(cells []Cell) error {
-	if rs := r.replicaSet(); rs != nil {
-		return rs.appendBatch(cells)
-	}
-	return nil
 }

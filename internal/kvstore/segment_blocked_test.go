@@ -161,7 +161,7 @@ func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for i, c := range cells {
-					if err := s.Apply(c); err != nil {
+					if err := s.ApplyBatch([]Cell{c}); err != nil {
 						t.Fatalf("%s: apply: %v", name, err)
 					}
 					if i%137 == 136 {
@@ -236,7 +236,7 @@ func TestBlockedSegmentAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range cells {
-		if err := s.Apply(c); err != nil {
+		if err := s.ApplyBatch([]Cell{c}); err != nil {
 			t.Fatal(err)
 		}
 		if i%90 == 89 {

@@ -19,8 +19,6 @@ type StoreOptions struct {
 	// that makes a background compaction eligible; explicit Flush also
 	// full-compacts when the total segment count reaches it.
 	CompactionTrigger int
-	// WAL receives every mutation; defaults to NopWAL.
-	WAL WAL
 	// Seed pins the memtable skiplist randomness for determinism.
 	Seed int64
 	// MaxImmutableMemtables caps the rotated-but-unflushed memtable backlog;
@@ -51,7 +49,6 @@ func DefaultStoreOptions() StoreOptions {
 	return StoreOptions{
 		FlushThresholdBytes:   8 << 20,
 		CompactionTrigger:     6,
-		WAL:                   NopWAL{},
 		Seed:                  1,
 		MaxImmutableMemtables: DefaultMaxImmutableMemtables,
 	}
@@ -110,9 +107,6 @@ func NewStore(opts StoreOptions) (*Store, error) {
 	if opts.MaxImmutableMemtables == 0 {
 		opts.MaxImmutableMemtables = DefaultMaxImmutableMemtables
 	}
-	if opts.WAL == nil {
-		opts.WAL = NopWAL{}
-	}
 	if opts.BlockSizeBytes < 0 {
 		return nil, fmt.Errorf("kvstore: block size must be >= 0, got %d", opts.BlockSizeBytes)
 	}
@@ -134,27 +128,25 @@ func NewStore(opts StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// Put writes one versioned cell.
+// Put writes one versioned cell: the one-cell form of ApplyBatch.
 func (s *Store) Put(row, qualifier string, timestamp int64, value []byte) error {
-	return s.apply(Cell{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value})
+	return s.ApplyBatch([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}})
 }
 
 // Delete writes a tombstone masking all versions of (row, qualifier) at or
-// before timestamp.
+// before timestamp: the one-cell form of ApplyBatch.
 func (s *Store) Delete(row, qualifier string, timestamp int64) error {
-	return s.apply(Cell{Row: row, Qualifier: qualifier, Timestamp: timestamp, Tombstone: true})
+	return s.ApplyBatch([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Tombstone: true}})
 }
 
-// Apply writes a pre-built cell (used by WAL replay and bulk loads).
-func (s *Store) Apply(c Cell) error { return s.apply(c) }
-
-// ApplyBatch writes several cells under one lock acquisition and one WAL
-// batch append — the region-level leg of the batched ingest path. Cells
-// apply in order; a write stall mid-batch blocks like a stalled single put.
+// ApplyBatch writes pre-built cells, puts and tombstones alike, in order
+// under one lock acquisition — the store's one write routine (the table's
+// write path, log replay, replica shipping and region splits all end here).
+// Row keys are validated before anything is written; a write stall mid-batch
+// blocks until the flusher drains, and fails — with the cells before it
+// written — only when the flusher cannot make progress. A store keeps no log
+// of its own: durability is the owning table's (see OpenDurableTable).
 func (s *Store) ApplyBatch(cells []Cell) error {
-	if len(cells) == 0 {
-		return nil
-	}
 	for i := range cells {
 		if cells[i].Row == "" {
 			return fmt.Errorf("kvstore: empty row key in batch cell %d", i)
@@ -162,31 +154,12 @@ func (s *Store) ApplyBatch(cells []Cell) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.opts.WAL.AppendBatch(cells); err != nil {
-		return fmt.Errorf("kvstore: wal append: %w", err)
-	}
 	for i := range cells {
 		if err := s.waitWriteRoomLocked(); err != nil {
 			return err
 		}
 		s.addCellLocked(cells[i])
 	}
-	return nil
-}
-
-func (s *Store) apply(c Cell) error {
-	if c.Row == "" {
-		return fmt.Errorf("kvstore: empty row key")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.waitWriteRoomLocked(); err != nil {
-		return err
-	}
-	if err := s.opts.WAL.Append(c); err != nil {
-		return fmt.Errorf("kvstore: wal append: %w", err)
-	}
-	s.addCellLocked(c)
 	return nil
 }
 

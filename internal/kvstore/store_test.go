@@ -534,21 +534,6 @@ func TestStoreConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
-func BenchmarkStorePut(b *testing.B) {
-	opts := DefaultStoreOptions()
-	s, err := NewStore(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	value := []byte(`{"user_id":42,"time":1430000000,"grade":4.2,"network":"facebook"}`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Put(fmt.Sprintf("u%012d|t%013d", i%5000, i), "v", int64(i+1), value); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkStoreScanUserRange(b *testing.B) {
 	opts := DefaultStoreOptions()
 	s, err := NewStore(opts)

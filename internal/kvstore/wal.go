@@ -10,52 +10,17 @@ import (
 	"os"
 )
 
-// WAL is the write-ahead log interface of a store. Every mutation is
-// appended before it is applied to the memtable; replaying the log after a
-// crash reconstructs the store. The production implementation is
-// file-backed; tests and simulations may use NopWAL.
-type WAL interface {
-	// Append durably records one cell.
-	Append(c Cell) error
-	// AppendBatch records several cells as one unit: a replay applies either
-	// all of them or (for a torn tail) none. Batches amortize record framing
-	// and syncs across the cells of one logical write.
-	AppendBatch(cells []Cell) error
-	// Sync flushes buffered appends to stable storage.
-	Sync() error
-	// Close releases resources; the WAL must not be used afterwards.
-	Close() error
-}
-
-// NopWAL discards every record. Used when durability is not needed
-// (simulation datasets are regenerated from seeds).
-type NopWAL struct{}
-
-// Append implements WAL.
-func (NopWAL) Append(Cell) error { return nil }
-
-// AppendBatch implements WAL.
-func (NopWAL) AppendBatch([]Cell) error { return nil }
-
-// Sync implements WAL.
-func (NopWAL) Sync() error { return nil }
-
-// Close implements WAL.
-func (NopWAL) Close() error { return nil }
-
-// FileWAL is a file-backed WAL with CRC-protected, length-prefixed records.
-type FileWAL struct {
-	f      *os.File
-	w      *bufio.Writer
-	closed bool
-}
-
-// record layout: crc32(body) uint32 | bodyLen uint32 | body
-// body: rowLen u16 | row | qualLen u16 | qual | ts i64 | flags u8 | valLen u32 | val
+// The write-ahead log format. A durable table appends every write to one
+// log before applying it (see GroupCommitWAL, the one writer, and
+// OpenDurableTable); ReplayWAL reads the log back after a crash. Records are
+// CRC-protected and length-prefixed:
 //
-// Batched records (AppendBatch, group commit) set walBatchFlag — the top bit
-// of the bodyLen word, which plain records can never carry because body
-// lengths are capped at maxWALBody. A batch body is:
+//	record: crc32(body) uint32 | bodyLen uint32 | body
+//	body:   rowLen u16 | row | qualLen u16 | qual | ts i64 | flags u8 | valLen u32 | val
+//
+// Batched records (commit groups of more than one cell) set walBatchFlag —
+// the top bit of the bodyLen word, which plain records can never carry
+// because body lengths are capped at maxWALBody. A batch body is:
 //
 //	count u32 | count × (cellLen u32 | cell body)
 //
@@ -74,48 +39,6 @@ const maxWALBody = 1 << 28
 // corrupt count cannot drive a huge allocation during replay.
 const maxWALBatchCells = 1 << 20
 
-// OpenFileWAL opens (creating if needed) the WAL file at path for appending.
-func OpenFileWAL(path string) (*FileWAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: open wal: %w", err)
-	}
-	return &FileWAL{f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
-}
-
-// Append implements WAL.
-func (w *FileWAL) Append(c Cell) error {
-	if w.closed {
-		return errors.New("kvstore: append to closed wal")
-	}
-	if err := writeWALRecord(w.w, encodeWALBody(c), 0); err != nil {
-		return err
-	}
-	mWALAppends.Inc()
-	return nil
-}
-
-// AppendBatch implements WAL. A single-cell batch is written as a plain
-// per-put record, so logs produced by non-concurrent writers stay
-// byte-identical to the per-put format.
-func (w *FileWAL) AppendBatch(cells []Cell) error {
-	if w.closed {
-		return errors.New("kvstore: append to closed wal")
-	}
-	if len(cells) == 0 {
-		return nil
-	}
-	if len(cells) == 1 {
-		return w.Append(cells[0])
-	}
-	if err := writeWALRecord(w.w, encodeWALBatchBody(cells), walBatchFlag); err != nil {
-		return err
-	}
-	mWALAppends.Add(int64(len(cells)))
-	mWALBatchRecords.Inc()
-	return nil
-}
-
 // writeWALRecord frames one body (flag = 0 or walBatchFlag) onto the writer.
 func writeWALRecord(w io.Writer, body []byte, flag uint32) error {
 	var hdr [8]byte
@@ -126,31 +49,6 @@ func writeWALRecord(w io.Writer, body []byte, flag uint32) error {
 	}
 	_, err := w.Write(body)
 	return err
-}
-
-// Sync implements WAL.
-func (w *FileWAL) Sync() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	mWALSyncs.Inc()
-	return nil
-}
-
-// Close implements WAL.
-func (w *FileWAL) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
 }
 
 func encodeWALBody(c Cell) []byte {
@@ -334,24 +232,19 @@ func ReplayWAL(path string, apply func(Cell) error) error {
 			}
 			return errors.New("kvstore: wal checksum mismatch mid-log")
 		}
+		cells := make([]Cell, 1)
 		if isBatch {
-			cells, err := decodeWALBatchBody(body)
-			if err != nil {
-				return err
-			}
-			for _, c := range cells {
-				if err := apply(c); err != nil {
-					return err
-				}
-			}
-			continue
+			cells, err = decodeWALBatchBody(body)
+		} else {
+			cells[0], err = decodeWALBody(body)
 		}
-		c, err := decodeWALBody(body)
 		if err != nil {
 			return err
 		}
-		if err := apply(c); err != nil {
-			return err
+		for _, c := range cells {
+			if err := apply(c); err != nil {
+				return err
+			}
 		}
 	}
 }

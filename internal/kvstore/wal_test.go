@@ -8,24 +8,35 @@ import (
 	"testing"
 )
 
-func TestFileWALRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.wal")
-	w, err := OpenFileWAL(path)
+// writeLog opens the log at path and appends each cell as a group of its own
+// — what a solo writer produces: per-put records.
+func writeLog(t *testing.T, path string, cells []Cell) *GroupCommitWAL {
+	t.Helper()
+	w, err := OpenGroupCommitWAL(path, SyncOS)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range cells {
+		if err := w.AppendBatch([]Cell{c}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+// TestFileWALRoundTrip: what is appended to the log file replays cell for
+// cell (tombstones and nil values included); Close is idempotent and ends
+// appends.
+func TestFileWALRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.wal")
 	cells := []Cell{
 		{Row: "u1", Qualifier: "name", Timestamp: 10, Value: []byte("alice")},
 		{Row: "u2", Qualifier: "city", Timestamp: 20, Value: []byte("athens")},
 		{Row: "u1", Qualifier: "name", Timestamp: 30, Tombstone: true},
 		{Row: "u3", Qualifier: "empty", Timestamp: 40}, // nil value
 	}
-	for _, c := range cells {
-		if err := w.Append(c); err != nil {
-			t.Fatal(err)
-		}
-	}
+	w := writeLog(t, path, cells)
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +46,7 @@ func TestFileWALRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Errorf("double close should be a no-op, got %v", err)
 	}
-	if err := w.Append(Cell{Row: "x", Qualifier: "q"}); err == nil {
+	if err := w.AppendBatch([]Cell{{Row: "x", Qualifier: "q"}}); err == nil {
 		t.Error("append after close must fail")
 	}
 
@@ -57,16 +68,11 @@ func TestReplayWALMissingFile(t *testing.T) {
 func TestReplayWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.wal")
-	w, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cells []Cell
 	for i := 0; i < 10; i++ {
-		if err := w.Append(Cell{Row: "r", Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("0123456789")}); err != nil {
-			t.Fatal(err)
-		}
+		cells = append(cells, Cell{Row: "r", Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("0123456789")})
 	}
-	if err := w.Close(); err != nil {
+	if err := writeLog(t, path, cells).Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Truncate mid-record to simulate a crash during the last write.
@@ -89,16 +95,11 @@ func TestReplayWALTornTail(t *testing.T) {
 func TestReplayWALMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.wal")
-	w, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cells []Cell
 	for i := 0; i < 5; i++ {
-		if err := w.Append(Cell{Row: "r", Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("0123456789")}); err != nil {
-			t.Fatal(err)
-		}
+		cells = append(cells, Cell{Row: "r", Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("0123456789")})
 	}
-	if err := w.Close(); err != nil {
+	if err := writeLog(t, path, cells).Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte in the middle of the file.
@@ -112,52 +113,6 @@ func TestReplayWALMidLogCorruption(t *testing.T) {
 	}
 	if err := ReplayWAL(path, func(Cell) error { return nil }); err == nil {
 		t.Error("mid-log corruption must be reported")
-	}
-}
-
-func TestStoreRecoversFromWAL(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.wal")
-
-	// First life: write through a file WAL.
-	w, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultStoreOptions()
-	opts.WAL = w
-	s, err := NewStore(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("u1", "name", 10, []byte("alice")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("u2", "name", 20, []byte("bob")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("u2", "name", 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second life: replay into a fresh store.
-	s2, err := NewStore(DefaultStoreOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ReplayWAL(path, s2.Apply); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := s2.Get("u1")
-	if v, _ := res.Get("name"); string(v) != "alice" {
-		t.Errorf("recovered u1 = %q, want alice", v)
-	}
-	res, _ = s2.Get("u2")
-	if !res.Empty() {
-		t.Errorf("recovered u2 must be deleted, got %v", res.Cells)
 	}
 }
 

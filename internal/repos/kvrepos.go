@@ -137,22 +137,20 @@ func NewGPSRepo(maxUser int64, regions, nodes int, opts kvstore.StoreOptions) (*
 	return &GPSRepo{table: table}, nil
 }
 
-// Push appends one fix.
-func (r *GPSRepo) Push(f model.GPSFix) error {
-	if f.UserID < 1 {
-		return fmt.Errorf("repos: gps fix with invalid user %d", f.UserID)
-	}
-	return r.table.Put(gpsRowKey(f.UserID, f.Time, r.seq.Add(1)), "g", f.Time, model.EncodeJSON(f))
-}
+// Push appends one fix: PushBatch of one.
+func (r *GPSRepo) Push(f model.GPSFix) error { return r.PushBatch([]model.GPSFix{f}) }
 
-// PushBatch appends many fixes.
+// PushBatch appends many fixes through one table PutBatch. Validation runs
+// up front: an invalid fix fails the call before anything is written.
 func (r *GPSRepo) PushBatch(fixes []model.GPSFix) error {
-	for _, f := range fixes {
-		if err := r.Push(f); err != nil {
-			return err
+	cells := make([]kvstore.Cell, len(fixes))
+	for i, f := range fixes {
+		if f.UserID < 1 {
+			return fmt.Errorf("repos: gps fix %d with invalid user %d", i, f.UserID)
 		}
+		cells[i] = kvstore.Cell{Row: gpsRowKey(f.UserID, f.Time, r.seq.Add(1)), Qualifier: "g", Timestamp: f.Time, Value: model.EncodeJSON(f)}
 	}
-	return nil
+	return r.table.PutBatch(cells)
 }
 
 // ScanAll streams every stored fix (the event-detection input).

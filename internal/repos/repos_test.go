@@ -387,6 +387,50 @@ func TestGPSRepo(t *testing.T) {
 	if err := repo.Push(model.GPSFix{UserID: 0}); err == nil {
 		t.Error("invalid user must fail")
 	}
+	// A batch is validated before anything is written: one bad fix in the
+	// middle rejects the whole call.
+	bad := []model.GPSFix{{UserID: 7, Time: 1}, {UserID: 0, Time: 2}, {UserID: 7, Time: 3}}
+	if err := repo.PushBatch(bad); err == nil {
+		t.Error("batch with an invalid user must fail")
+	}
+	if n, err := repo.Len(); err != nil || n != 21 {
+		t.Errorf("Len = %d, %v after a rejected batch, want 21", n, err)
+	}
+	if err := repo.PushBatch(nil); err != nil {
+		t.Errorf("empty batch = %v, want nil", err)
+	}
+}
+
+// TestVisitsStoreIsStoreBatchOfOne: a single Store reaches the table and the
+// post-commit hook exactly as a one-element StoreBatch does, and an invalid
+// visit reaches neither.
+func TestVisitsStoreIsStoreBatchOfOne(t *testing.T) {
+	repo, err := NewVisitsRepo(SchemaReplicated, 100, 4, 2, kvstore.DefaultStoreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooked [][]model.Visit
+	repo.SetOnStore(func(vs []model.Visit) { hooked = append(hooked, vs) })
+	v := model.Visit{UserID: 9, Time: 1000, Grade: 4, POI: model.POI{ID: 3, Name: "cafe"}}
+	if err := repo.Store(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.StoreBatch([]model.Visit{v}); err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Store(model.Visit{UserID: 9, Time: 2000}); err == nil {
+		t.Error("visit without POI must fail")
+	}
+	if len(hooked) != 2 || len(hooked[0]) != 1 || len(hooked[1]) != 1 || hooked[0][0].Time != hooked[1][0].Time {
+		t.Fatalf("hook saw %+v, want two one-visit batches", hooked)
+	}
+	var got []model.Visit
+	if err := repo.ScanAll(func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].POI.Name != "cafe" || got[0].Time != got[1].Time {
+		t.Fatalf("stored %+v, want the same visit twice", got)
+	}
 }
 
 func TestBlogsRepo(t *testing.T) {

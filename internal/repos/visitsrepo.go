@@ -72,17 +72,9 @@ func (r *VisitsRepo) SetOnStore(fn func([]model.Visit)) { r.onStore = fn }
 // NewVisitsRepo creates the repository over a table pre-split into
 // `regions` user ranges placed round-robin on `nodes` simulated nodes.
 func NewVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts kvstore.StoreOptions) (*VisitsRepo, error) {
-	if maxUser < 1 {
-		return nil, fmt.Errorf("repos: maxUser must be >= 1, got %d", maxUser)
-	}
-	if regions < 1 {
-		return nil, fmt.Errorf("repos: regions must be >= 1, got %d", regions)
-	}
-	table, err := kvstore.NewTable("visits-"+schema.String(), userSplitKeys(maxUser, regions), nodes, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &VisitsRepo{table: table, schema: schema}, nil
+	return newVisitsRepo(schema, maxUser, regions, func(name string, splits []string) (*kvstore.Table, error) {
+		return kvstore.NewTable(name, splits, nodes, opts)
+	})
 }
 
 // NewDurableVisitsRepo is NewVisitsRepo over a durable table: every visit is
@@ -90,17 +82,25 @@ func NewVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts k
 // existing log replays it (see kvstore.OpenDurableTable). Close the backing
 // Table() to release the log.
 func NewDurableVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts kvstore.StoreOptions, walPath string) (*VisitsRepo, error) {
+	return newVisitsRepo(schema, maxUser, regions, func(name string, splits []string) (*kvstore.Table, error) {
+		return kvstore.OpenDurableTable(name, splits, nodes, opts, walPath)
+	})
+}
+
+// newVisitsRepo validates the sizing, opens the pre-split table through open
+// and wraps it.
+func newVisitsRepo(schema VisitSchema, maxUser int64, regions int, open func(name string, splits []string) (*kvstore.Table, error)) (*VisitsRepo, error) {
 	if maxUser < 1 {
 		return nil, fmt.Errorf("repos: maxUser must be >= 1, got %d", maxUser)
 	}
 	if regions < 1 {
 		return nil, fmt.Errorf("repos: regions must be >= 1, got %d", regions)
 	}
-	table, err := kvstore.OpenDurableTable("visits-"+schema.String(), userSplitKeys(maxUser, regions), nodes, opts, walPath)
+	table, err := open("visits-"+schema.String(), userSplitKeys(maxUser, regions))
 	if err != nil {
 		return nil, err
 	}
-	return &VisitsRepo{table: table, schema: schema}, nil
+	return NewVisitsRepoFromTable(schema, table)
 }
 
 // Schema returns the storage layout.
@@ -109,8 +109,8 @@ func (r *VisitsRepo) Schema() VisitSchema { return r.schema }
 // Table exposes the backing table for the region fan-out.
 func (r *VisitsRepo) Table() *kvstore.Table { return r.table }
 
-// visitCell validates one visit and renders it as the cell Store/StoreBatch
-// would write.
+// visitCell validates one visit and renders it as the cell StoreBatch
+// writes.
 func (r *VisitsRepo) visitCell(v model.Visit) (kvstore.Cell, error) {
 	if v.UserID < 1 {
 		return kvstore.Cell{}, fmt.Errorf("repos: visit with invalid user %d", v.UserID)
@@ -128,26 +128,16 @@ func (r *VisitsRepo) visitCell(v model.Visit) (kvstore.Cell, error) {
 	return kvstore.Cell{Row: key, Qualifier: VisitQualifier, Timestamp: v.Time, Value: payload}, nil
 }
 
-// Store persists one visit.
-func (r *VisitsRepo) Store(v model.Visit) error {
-	c, err := r.visitCell(v)
-	if err != nil {
-		return err
-	}
-	if err := r.table.Put(c.Row, c.Qualifier, c.Timestamp, c.Value); err != nil {
-		return err
-	}
-	if r.onStore != nil {
-		r.onStore([]model.Visit{v})
-	}
-	return nil
-}
+// Store persists one visit: StoreBatch of one.
+func (r *VisitsRepo) Store(v model.Visit) error { return r.StoreBatch([]model.Visit{v}) }
 
 // StoreBatch persists a batch of visits through one table PutBatch: the
 // whole batch costs one WAL commit-group slot and one store-lock acquisition
 // per contiguous region run, which is what makes batched check-in ingest
 // cheap. Validation runs up front — an invalid visit fails the call (with
-// its index) before anything is logged or applied.
+// its index) before anything is logged or applied — and so does the table's
+// admission: a batch answered with an error (fence, primary down, injected
+// fault) was neither logged nor applied, so retrying it cannot double it.
 func (r *VisitsRepo) StoreBatch(visits []model.Visit) error {
 	if len(visits) == 0 {
 		return nil
@@ -199,29 +189,17 @@ func DecodeVisit(schema VisitSchema, value []byte) (model.Visit, error) {
 // region-locally.
 func (r *VisitsRepo) ScanUser(userID, fromMillis, toMillis int64, fn func(model.Visit) bool) error {
 	start, stop := VisitScanBounds(userID, fromMillis, toMillis)
-	var decodeErr error
-	err := r.table.Scan(kvstore.ScanOptions{StartRow: start, StopRow: stop}, func(row kvstore.RowResult) bool {
-		raw, ok := row.Get(VisitQualifier)
-		if !ok {
-			return true
-		}
-		v, err := DecodeVisit(r.schema, raw)
-		if err != nil {
-			decodeErr = err
-			return false
-		}
-		return fn(v)
-	})
-	if decodeErr != nil {
-		return decodeErr
-	}
-	return err
+	return r.scan(kvstore.ScanOptions{StartRow: start, StopRow: stop}, fn)
 }
 
 // ScanAll streams every stored visit (the HotIn job's input).
 func (r *VisitsRepo) ScanAll(fn func(model.Visit) bool) error {
+	return r.scan(kvstore.ScanOptions{}, fn)
+}
+
+func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) error {
 	var decodeErr error
-	err := r.table.Scan(kvstore.ScanOptions{}, func(row kvstore.RowResult) bool {
+	err := r.table.Scan(opts, func(row kvstore.RowResult) bool {
 		raw, ok := row.Get(VisitQualifier)
 		if !ok {
 			return true
