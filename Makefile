@@ -8,8 +8,8 @@ GO ?= go
 ## read-fault, overload and primary-kill scenarios of internal/bench
 ## included: a broken invariant there fails this target), a short fuzz pass
 ## over the WAL replay contract, a smoke pass over the read-path, write-path,
-## matcher and trending-view microbenchmarks, and the repository benchmark's
-## own vet and tests. CI and pre-merge runs use this.
+## matcher, trending-view and result-cache microbenchmarks, and the repository
+## benchmark's own vet and tests. CI and pre-merge runs use this.
 check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-smoke bench-repo-smoke
 
 ## lint-metrics fails when any obs.L / obs.Label value is not a
@@ -62,17 +62,20 @@ fuzz-smoke:
 bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
-## bench-smoke runs the read-path, write-path, matcher and trending-view
-## microbenchmarks (three scan/merge/coprocessor cases, the table's one write
-## routine per cell and per batch of 50, the matcher's memo-hit case, the
-## view's benchmark-shaped read) a fixed small number of iterations: it
-## verifies they still build and run, not their timings (numbers come from
-## bench/, see BENCHMARK.json).
+## bench-smoke runs the read-path, write-path, matcher, trending-view and
+## result-cache microbenchmarks (three scan/merge/coprocessor cases, the
+## table's one write routine per cell and per batch of 50, the matcher's
+## memo-hit case, the view's benchmark-shaped read, a check-in batch folded
+## into the cached entries of its writer's friends, a cached search with its
+## ranking current and with it to re-derive) a fixed small number of
+## iterations: it verifies they still build and run, not their timings
+## (numbers come from bench/, see BENCHMARK.json).
 bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x
+	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x
 	$(GO) test ./internal/pubsub -run XXX -bench 'BenchmarkPublishBatch/static' -benchmem -benchtime=100x
 	$(GO) test ./internal/matview -run XXX -bench 'BenchmarkTopK/dense' -benchmem -benchtime=100x
 

@@ -171,7 +171,9 @@ func TestAPICheckinsShedsOnPressure(t *testing.T) {
 }
 
 // TestDurableCheckinsSurviveReboot: a platform booted with a WAL dir replays
-// pushed check-ins after a restart.
+// pushed check-ins after a restart, and check-ins pushed after it at the very
+// user and milliseconds of replayed ones are new rows beside them (the row
+// sequence used to restart at zero and such a push overwrote its twin).
 func TestDurableCheckinsSurviveReboot(t *testing.T) {
 	walDir := t.TempDir()
 	mutate := func(cfg *Config) {
@@ -208,6 +210,28 @@ func TestDurableCheckinsSurviveReboot(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("replayed %d check-ins after reboot, want 2", count)
+	}
+	_, token, err := re.Users.SignIn("facebook", "facebook:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := re.PushCheckins(token, []CheckinPush{
+		{POIID: poi.ID, Time: 1000, Grade: 3, Network: "facebook"},
+		{POIID: poi.ID, Time: 2000, Grade: 2, Network: "facebook"},
+	}); err != nil || n != 2 {
+		t.Fatalf("push after reboot stored %d (%v), want 2", n, err)
+	}
+	var grades float64
+	count = 0
+	if err := re.Visits.ScanUser(in.UserID, 0, 10_000, func(v model.Visit) bool {
+		count++
+		grades += v.Grade
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 4 || grades != 5+4+3+2 {
+		t.Fatalf("table holds %d check-ins with grades summing to %g after the second push, want 4 and 14", count, grades)
 	}
 }
 

@@ -307,9 +307,9 @@ type Platform struct {
 	// one aggregator of hotness; the Visits store hook applies every
 	// committed batch as counter deltas.
 	MatView *matview.HotInView
-	// ResultCache memoizes completed personalized top-k rankings (nil
-	// unless ResultCacheMB is set); the Visits store hook invalidates by
-	// writing user.
+	// ResultCache memoizes the merge state of completed personalized
+	// queries (nil unless ResultCacheMB is set); the Visits store hooks fold
+	// every committed check-in into the entries of the writer's friends.
 	ResultCache *matview.ResultCache
 
 	catalog []model.POI
@@ -445,9 +445,10 @@ func New(cfg Config) (*Platform, error) {
 
 	// Materialized trending view + personalized result cache (the cache off
 	// by default; see DESIGN.md "Materialized trending & result caching").
-	// The view and the cache ride the same post-commit hook as pub/sub: one
-	// committed batch → counter deltas into the view, epoch bumps for the
-	// writing users in the cache, then subscription matching.
+	// The view and the cache ride the same store hooks as pub/sub: a batch is
+	// announced to the cache before the table write, and once committed →
+	// counter deltas into the view, the visits folded into the cache's
+	// entries, then subscription matching.
 	p.MatView, err = matview.NewHotInView(matview.ViewOptions{
 		BucketMillis:  cfg.HotInBucket.Milliseconds(),
 		HorizonMillis: cfg.HotInHorizon.Milliseconds(),
@@ -460,9 +461,13 @@ func New(cfg Config) (*Platform, error) {
 		p.ResultCache = matview.NewResultCache(int64(cfg.ResultCacheMB) << 20)
 		p.Query.SetResultCache(p.ResultCache)
 	}
-	p.Visits.SetOnStore(p.onVisitsStored)
+	var announce func([]model.Visit)
+	if p.ResultCache != nil {
+		announce = p.ResultCache.Announce
+	}
+	p.Visits.SetOnStore(announce, p.onVisitsStored)
 
-	// A durable boot replays WAL history before the hook above exists, so
+	// A durable boot replays WAL history before the hooks above exist, so
 	// the view's aggregates must be rebuilt from one scan; the normalized
 	// schema stores POI ids only, so the catalog is joined back in.
 	if cfg.WALDir != "" {
@@ -756,20 +761,24 @@ func (p *Platform) PushCheckins(token string, items []CheckinPush) (int, []Check
 	return len(visits), itemErrs, nil
 }
 
-// onVisitsStored is the Visits repository's post-commit hook, fanning one
+// onVisitsStored is the Visits repository's settle hook, fanning one
 // committed batch out to every consumer of the ingest stream: the
 // materialized trending view (counter deltas), the personalized result
-// cache (invalidate every entry whose friend set contains a writing user),
-// and the pub/sub matcher. It runs synchronously on the writer, so each
-// stage is O(batch) with no I/O.
-func (p *Platform) onVisitsStored(visits []model.Visit) {
-	p.MatView.Apply(visits)
-	if c := p.ResultCache; c != nil {
-		users := make([]int64, 0, len(visits))
-		for i := range visits {
-			users = append(users, visits[i].UserID)
+// cache (the visits folded into every entry whose friend set contains their
+// writer), and the pub/sub matcher. It runs synchronously on the writer, so
+// each stage is O(batch) with no I/O. A batch whose write failed only
+// settles the cache's announcement.
+func (p *Platform) onVisitsStored(visits []model.Visit, committed bool) {
+	c := p.ResultCache
+	if !committed {
+		if c != nil {
+			c.Abandon(visits)
 		}
-		c.Invalidate(users)
+		return
+	}
+	p.MatView.Apply(visits)
+	if c != nil {
+		c.Apply(visits)
 	}
 	p.publishVisits(visits)
 }

@@ -4,23 +4,48 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"modissense/internal/model"
 )
 
 // cacheShards splits the LRU into independently locked shards so hits on
-// the hot read path never contend on the invalidation index.
+// the hot read path never contend on the friend index.
 const cacheShards = 16
 
-// entryOverheadBytes approximates the per-entry bookkeeping cost (list
-// element, map slots, friend-index registrations) charged against the
-// byte budget on top of the caller-reported value size.
-const entryOverheadBytes = 96
+// Per-entry bookkeeping charged against the byte budget on top of the
+// caller-reported value size and the key's bytes: entryOverheadBytes covers
+// the entry struct, its LRU list element and its slot in the shard's key
+// map; friendBytes covers one friend — its slot in the entry's friend list
+// and the entry's registration in that friend's index slice, at the slack an
+// appended-to slice carries.
+const (
+	entryOverheadBytes = 192
+	friendBytes        = 8 + 16
+)
 
-// entry is one cached result plus the bookkeeping to unregister it.
+// Value is what the cache memoizes: state derived from the visits of a
+// friend set, which a later visit by one of those friends either folds into
+// or makes untrustworthy. The cache calls Patch, and runs Get's read
+// callback, under the lock of the entry's shard, so a value needs no
+// synchronization of its own.
+type Value interface {
+	// Patch folds committed visits, all by one user of the value's friend
+	// set, into the value. It reports how many it folded (a visit the
+	// value's predicates reject changes nothing and is not counted), by how
+	// many bytes the value grew, and whether the value is still exactly what
+	// a recomputation would produce; on false the cache drops the entry, so
+	// the value may be left half patched.
+	Patch(visits []model.Visit) (folded int, grew int64, exact bool)
+}
+
+// entry is one cached value plus the bookkeeping to unregister it. elem is
+// nil once the entry has left its shard.
 type entry struct {
 	key     string
-	value   any
+	value   Value
 	size    int64
 	friends []int64
+	shard   *cacheShard
 	elem    *list.Element
 }
 
@@ -33,25 +58,27 @@ type cacheShard struct {
 	bytes int64
 }
 
-// ResultCache memoizes personalized query results keyed by the normalized
-// query spec. It is a sharded LRU bounded by bytes, with two pieces of
-// invalidation state shared across shards:
+// ResultCache memoizes personalized query state keyed by the normalized
+// query spec. It is a sharded LRU bounded by bytes, with three pieces of
+// write-tracking state shared across shards:
 //
-//   - an index from friend (user) id to the cache keys whose friend set
-//     contains it, so a check-in write removes exactly the results it
-//     stales;
-//   - a monotone epoch per friend, bumped on every invalidating write
-//     while a query holds a Snapshot of that friend.
+//   - an index from friend (user) id to the entries whose friend set
+//     contains it, so a check-in reaches exactly the entries it changes;
+//   - the writers with a batch in flight — announced, not yet settled;
+//   - a monotone epoch per friend, bumped by every announcement made while
+//     a query holds a Snapshot of that friend.
 //
-// The epochs close the race between a query's scan and its store: callers
-// Snapshot the epochs of the query's friends before scanning and pass the
-// snapshot to StoreIfFresh, which rejects the store if any epoch advanced
-// — a result computed from pre-write state never overwrites the
-// invalidation that should have killed it. Snapshots are reference
-// counted (pending): Invalidate bumps an epoch only while at least one
-// snapshot holds the user, and releasing the last snapshot of a user
-// drops their epoch entry, so the epoch map is bounded by in-flight
-// queries instead of growing with the distinct-writer population.
+// A committed batch is folded into the entries it reaches (Apply) instead
+// of dropping them, so an entry must never already contain a row that is
+// going to be folded in: the write is announced before the table makes it
+// visible and settled after. A query that snapshots while a friend's write
+// is in flight, or whose friend's write is announced before its store, may
+// or may not have scanned the new rows, and its store is refused
+// (StoreIfFresh); one that snapshots after the settle has scanned them all
+// and nothing is folded again. Snapshots are reference counted (pending):
+// an epoch exists only while a snapshot holds its user, and in-flight
+// writers only between announce and settle, so both maps are bounded by
+// what is in flight, not by the user population.
 type ResultCache struct {
 	shardBytes int64
 	shards     [cacheShards]cacheShard
@@ -61,10 +88,11 @@ type ResultCache struct {
 	liveBytes   atomic.Int64
 	liveEntries atomic.Int64
 
-	// indexMu guards byFriend, epochs and pending. Lock order: indexMu
-	// before any shard mu; Get takes only the shard mu.
+	// indexMu guards byFriend, inflight, epochs and pending. Lock order:
+	// indexMu before any shard mu; Get takes only the shard mu.
 	indexMu  sync.Mutex
-	byFriend map[int64]map[string]struct{}
+	byFriend map[int64][]*entry
+	inflight map[int64]int
 	epochs   map[int64]uint64
 	pending  map[int64]int
 }
@@ -76,7 +104,8 @@ func NewResultCache(maxBytes int64) *ResultCache {
 	}
 	c := &ResultCache{
 		shardBytes: maxBytes / cacheShards,
-		byFriend:   map[int64]map[string]struct{}{},
+		byFriend:   map[int64][]*entry{},
+		inflight:   map[int64]int{},
 		epochs:     map[int64]uint64{},
 		pending:    map[int64]int{},
 	}
@@ -100,33 +129,39 @@ func (c *ResultCache) shard(key string) *cacheShard {
 	return &c.shards[fnv1a(key)%cacheShards]
 }
 
-// Get returns the cached value for key, refreshing its recency.
-func (c *ResultCache) Get(key string) (any, bool) {
+// Get looks key up and, on a hit, refreshes its recency and hands the value
+// to read under the shard's lock — the lock patches run under, so read sees
+// a value with every settled batch folded in whole, and may itself update
+// what the value derives from them. read must not call back into the cache.
+func (c *ResultCache) Get(key string, read func(Value)) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[key]
 	if ok {
 		s.lru.MoveToFront(e.elem)
+		read(e.value)
 	}
 	s.mu.Unlock()
 	if ok {
 		mCacheHits.Inc()
-		return e.value, true
+	} else {
+		mCacheMisses.Inc()
 	}
-	mCacheMisses.Inc()
-	return nil, false
+	return ok
 }
 
 // EpochSnapshot is a claim on the epochs of one query's friend set, taken
 // before the query's scan. It must be settled exactly once: StoreIfFresh
 // consumes it, and any path that abandons the store (scan error, degraded
 // answer) must call Release instead. While unsettled it pins the friends'
-// epoch entries so an invalidating write is guaranteed to be visible to
-// the freshness check.
+// epoch entries so a write announced meanwhile is guaranteed to be visible
+// to the freshness check.
 type EpochSnapshot struct {
-	c        *ResultCache
-	friends  []int64
-	epochs   []uint64
+	c       *ResultCache
+	friends []int64
+	epochs  []uint64
+	// stale marks a snapshot taken while a friend had a write in flight.
+	stale    bool
 	released bool
 }
 
@@ -140,6 +175,9 @@ func (c *ResultCache) Snapshot(friends []int64) *EpochSnapshot {
 	for i, f := range friends {
 		s.epochs[i] = c.epochs[f]
 		c.pending[f]++
+		if c.inflight[f] > 0 {
+			s.stale = true
+		}
 	}
 	c.indexMu.Unlock()
 	return s
@@ -177,19 +215,20 @@ func (s *EpochSnapshot) releaseLocked() {
 	}
 }
 
-// StoreIfFresh inserts a value computed for snap's friend set, unless any
-// friend's epoch advanced since snap was taken (the value would embed
-// pre-invalidation state) or the value alone exceeds a shard's budget.
+// StoreIfFresh inserts a value computed for snap's friend set, unless a
+// friend had a write in flight when snap was taken or had one announced
+// since (the value may hold rows the settle is going to fold in again, or
+// lack rows it already folded) or the value alone exceeds a shard's budget.
 // The snapshot is consumed — released whether or not the value is stored.
-// valueBytes is the caller's estimate of the value's retained size; key
-// and index overhead are charged on top. Reports whether the value was
-// stored.
-func (c *ResultCache) StoreIfFresh(key string, snap *EpochSnapshot, value any, valueBytes int64) bool {
+// valueBytes is the caller's count of the bytes the value retains; key,
+// friend list and index registrations are charged on top. Reports whether
+// the value was stored.
+func (c *ResultCache) StoreIfFresh(key string, snap *EpochSnapshot, value Value, valueBytes int64) bool {
 	var friends []int64
 	if snap != nil {
 		friends = snap.friends
 	}
-	size := valueBytes + int64(len(key)) + int64(len(friends))*8 + entryOverheadBytes
+	size := valueBytes + int64(len(key)) + int64(len(friends))*friendBytes + entryOverheadBytes
 	c.indexMu.Lock()
 	defer c.indexMu.Unlock()
 	if snap != nil {
@@ -199,46 +238,34 @@ func (c *ResultCache) StoreIfFresh(key string, snap *EpochSnapshot, value any, v
 		return false
 	}
 	if snap != nil {
+		stale := snap.stale
 		for i, f := range snap.friends {
-			if c.epochs[f] != snap.epochs[i] {
-				mCacheStaleStores.Inc()
-				return false
-			}
+			stale = stale || c.epochs[f] != snap.epochs[i]
+		}
+		if stale {
+			mCacheStaleStores.Inc()
+			return false
 		}
 	}
 	s := c.shard(key)
 	s.mu.Lock()
 	// Unregister a replaced entry BEFORE registering the new one's
-	// friends: the old entry carries the same key, so the reverse order
-	// would strip the index registrations just added and leave the
-	// replacement invisible to Invalidate.
+	// friends, so the index never holds two entries for one key.
 	if old, ok := s.items[key]; ok {
-		c.removeLocked(s, old)
+		c.removeLocked(old)
 		c.unregisterLocked(old)
 	}
-	e := &entry{key: key, value: value, size: size, friends: friends}
+	e := &entry{key: key, value: value, size: size, friends: friends, shard: s}
 	for _, f := range friends {
-		keys := c.byFriend[f]
-		if keys == nil {
-			keys = map[string]struct{}{}
-			c.byFriend[f] = keys
-		}
-		keys[key] = struct{}{}
+		c.byFriend[f] = append(c.byFriend[f], e)
 	}
 	e.elem = s.lru.PushFront(e)
 	s.items[key] = e
 	s.bytes += size
 	c.liveBytes.Add(size)
 	c.liveEntries.Add(1)
-	for s.bytes > c.shardBytes {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*entry)
-		c.removeLocked(s, victim)
+	for _, victim := range c.evictLocked(s) {
 		c.unregisterLocked(victim)
-		mCacheEvictions.Inc()
 	}
 	s.mu.Unlock()
 	c.publishGauges()
@@ -247,63 +274,138 @@ func (c *ResultCache) StoreIfFresh(key string, snap *EpochSnapshot, value any, v
 
 // removeLocked detaches e from its shard's map, list, byte account and
 // the cache-wide gauge counters. Called with the shard's mu held.
-func (c *ResultCache) removeLocked(s *cacheShard, e *entry) {
+func (c *ResultCache) removeLocked(e *entry) {
+	s := e.shard
 	delete(s.items, e.key)
 	s.lru.Remove(e.elem)
+	e.elem = nil
 	s.bytes -= e.size
 	c.liveBytes.Add(-e.size)
 	c.liveEntries.Add(-1)
 }
 
-// unregisterLocked removes e's key from every friend's index set. Called
-// with indexMu held.
+// evictLocked removes least-recently-read entries until s is back inside
+// its budget and returns them for the caller to unregister. Called with
+// s.mu held.
+func (c *ResultCache) evictLocked(s *cacheShard) []*entry {
+	var victims []*entry
+	for s.bytes > c.shardBytes {
+		back := s.lru.Back()
+		if back == nil {
+			break
+		}
+		victim := back.Value.(*entry)
+		c.removeLocked(victim)
+		victims = append(victims, victim)
+		mCacheEvictions.Inc()
+	}
+	return victims
+}
+
+// unregisterLocked removes e from every friend's index slice. Called with
+// indexMu held.
 func (c *ResultCache) unregisterLocked(e *entry) {
 	for _, f := range e.friends {
-		keys := c.byFriend[f]
-		if keys == nil {
-			continue
+		es := c.byFriend[f]
+		for i := range es {
+			if es[i] == e {
+				es[i] = es[len(es)-1]
+				es[len(es)-1] = nil
+				es = es[:len(es)-1]
+				break
+			}
 		}
-		delete(keys, e.key)
-		if len(keys) == 0 {
+		if len(es) == 0 {
 			delete(c.byFriend, f)
+		} else {
+			c.byFriend[f] = es
 		}
 	}
 }
 
-// Invalidate removes the cached results whose friend set contains one of
-// the given users, and bumps the epoch of each user a live snapshot
-// holds. The Visits store hook calls it with each committed batch's user
-// ids, so a friend's check-in immediately stales every memoized result it
-// contributed to. Users with neither a cached entry nor an outstanding
-// snapshot leave no state behind — there is nothing of theirs to stale.
-func (c *ResultCache) Invalidate(userIDs []int64) {
-	if len(userIDs) == 0 {
-		return
+// writerRun cuts the leading run of visits by one user off visits. A
+// /checkins batch is one run; a collector batch is a few.
+func writerRun(visits []model.Visit) (run, rest []model.Visit) {
+	n := 0
+	for n < len(visits) && visits[n].UserID == visits[0].UserID {
+		n++
 	}
+	return visits[:n], visits[n:]
+}
+
+// Announce declares that the given visits are about to be written: until
+// they are settled with the same slice (Apply or Abandon), their writers
+// count as in flight, and every snapshot currently holding one of them goes
+// stale. The Visits repository calls it before the table write, so no query
+// can scan a row of the batch and still store what it computed.
+func (c *ResultCache) Announce(visits []model.Visit) {
 	c.indexMu.Lock()
-	var removed int64
-	for _, uid := range userIDs {
-		if c.pending[uid] > 0 {
-			c.epochs[uid]++
-		}
-		for key := range c.byFriend[uid] {
-			s := c.shard(key)
-			s.mu.Lock()
-			e, ok := s.items[key]
-			if ok {
-				c.removeLocked(s, e)
-			}
-			s.mu.Unlock()
-			if ok {
-				c.unregisterLocked(e)
-				removed++
-			}
+	for run, rest := writerRun(visits); len(run) > 0; run, rest = writerRun(rest) {
+		w := run[0].UserID
+		c.inflight[w]++
+		if c.pending[w] > 0 {
+			c.epochs[w]++
 		}
 	}
 	c.indexMu.Unlock()
-	if removed > 0 {
-		mCacheInvalidations.Add(removed)
+}
+
+// Apply settles an announced batch the table committed: each visit is
+// folded into every entry whose friend set contains its writer (Value.Patch,
+// one call per entry and writer), and an entry whose value cannot absorb it
+// exactly, or that outgrows its shard doing so, is dropped instead. Entries
+// that grew are charged the growth, which may evict others.
+func (c *ResultCache) Apply(visits []model.Visit) { c.settle(visits, true) }
+
+// Abandon settles an announced batch whose table write failed. A write that
+// fails after it was logged may have applied to some regions, so the
+// writers' entries are dropped rather than trusted; nothing is folded.
+func (c *ResultCache) Abandon(visits []model.Visit) { c.settle(visits, false) }
+
+func (c *ResultCache) settle(visits []model.Visit, committed bool) {
+	var folded, dropped int64
+	// gone collects the entries that left their shard during this call; they
+	// stay in the index slices being walked until the walk is over.
+	var gone []*entry
+	c.indexMu.Lock()
+	for run, rest := writerRun(visits); len(run) > 0; run, rest = writerRun(rest) {
+		w := run[0].UserID
+		if n := c.inflight[w]; n > 1 {
+			c.inflight[w] = n - 1
+		} else {
+			delete(c.inflight, w)
+		}
+		for _, e := range c.byFriend[w] {
+			s := e.shard
+			s.mu.Lock()
+			if e.elem == nil { // dropped or evicted earlier in this call
+				s.mu.Unlock()
+				continue
+			}
+			n, grew, exact := 0, int64(0), false
+			if committed {
+				n, grew, exact = e.value.Patch(run)
+			}
+			if !exact || e.size+grew > c.shardBytes {
+				c.removeLocked(e)
+				gone = append(gone, e)
+				dropped++
+			} else {
+				folded += int64(n)
+				e.size += grew
+				s.bytes += grew
+				c.liveBytes.Add(grew)
+				gone = append(gone, c.evictLocked(s)...)
+			}
+			s.mu.Unlock()
+		}
 	}
+	for _, e := range gone {
+		c.unregisterLocked(e)
+	}
+	c.indexMu.Unlock()
+	mCachePatches.Add(folded)
+	mCacheInvalidations.Add(dropped)
 	c.publishGauges()
 }
 

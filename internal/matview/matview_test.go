@@ -3,6 +3,7 @@ package matview
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -82,32 +83,72 @@ func TestViewExpiryAndCoverage(t *testing.T) {
 	}
 }
 
+// fixed is a cached value no visit can be folded into: a friend's write
+// drops it, the way every write did before entries could be patched.
+type fixed string
+
+func (fixed) Patch([]model.Visit) (int, int64, bool) { return 0, 0, false }
+
+// sums is a patchable value: it counts the visits folded into it and grows
+// by grow bytes per visit.
+type sums struct {
+	n    int
+	grow int64
+}
+
+func (s *sums) Patch(vs []model.Visit) (int, int64, bool) {
+	s.n += len(vs)
+	return len(vs), s.grow * int64(len(vs)), true
+}
+
+// get reads key's value out of the cache.
+func get(c *ResultCache, key string) (v Value, ok bool) {
+	ok = c.Get(key, func(got Value) { v = got })
+	return v, ok
+}
+
+// by is a batch of one visit by each given user.
+func by(users ...int64) []model.Visit {
+	vs := make([]model.Visit, len(users))
+	for i, u := range users {
+		vs[i] = mkVisit(u, 1, hourMs, 5)
+	}
+	return vs
+}
+
+// write runs a committed batch through the cache the way the Visits
+// repository does: announced, then (the table write would sit here) applied.
+func write(c *ResultCache, vs []model.Visit) {
+	c.Announce(vs)
+	c.Apply(vs)
+}
+
 func TestCacheStoreGetAndLRU(t *testing.T) {
 	c := NewResultCache(16 * (256 + 1024)) // 16 shards, tight per-shard budget
 	friends := []int64{1, 2}
-	if !c.StoreIfFresh("k1", c.Snapshot(friends), "v1", 100) {
+	if !c.StoreIfFresh("k1", c.Snapshot(friends), fixed("v1"), 100) {
 		t.Fatal("fresh store must succeed")
 	}
-	got, ok := c.Get("k1")
-	if !ok || got.(string) != "v1" {
+	got, ok := get(c, "k1")
+	if !ok || got.(fixed) != "v1" {
 		t.Fatalf("Get = %v/%v", got, ok)
 	}
-	if _, ok := c.Get("absent"); ok {
+	if _, ok := get(c, "absent"); ok {
 		t.Fatal("absent key must miss")
 	}
 	// Oversized value is refused outright.
-	if c.StoreIfFresh("huge", c.Snapshot(friends), "v", 1<<20) {
+	if c.StoreIfFresh("huge", c.Snapshot(friends), fixed("v"), 1<<20) {
 		t.Fatal("oversized value must not be cached")
 	}
 	// Same-key replacement keeps one entry.
-	if !c.StoreIfFresh("k1", c.Snapshot(friends), "v2", 100) {
+	if !c.StoreIfFresh("k1", c.Snapshot(friends), fixed("v2"), 100) {
 		t.Fatal("replacement must succeed")
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 after replacement", c.Len())
 	}
-	got, _ = c.Get("k1")
-	if got.(string) != "v2" {
+	got, _ = get(c, "k1")
+	if got.(fixed) != "v2" {
 		t.Fatalf("replacement not visible: %v", got)
 	}
 }
@@ -116,7 +157,7 @@ func TestCacheEvictionRespectsBudget(t *testing.T) {
 	budget := int64(16 * 600)
 	c := NewResultCache(budget)
 	for i := 0; i < 200; i++ {
-		c.StoreIfFresh(fmt.Sprintf("key-%03d", i), c.Snapshot(nil), i, 128)
+		c.StoreIfFresh(fmt.Sprintf("key-%03d", i), c.Snapshot(nil), fixed("v"), 128)
 	}
 	if c.Bytes() > budget {
 		t.Fatalf("cache holds %d bytes over the %d budget", c.Bytes(), budget)
@@ -126,21 +167,44 @@ func TestCacheEvictionRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestCacheInvalidateByFriend: a friend's write drops exactly the entries
+// it reaches that cannot absorb it.
 func TestCacheInvalidateByFriend(t *testing.T) {
 	c := NewResultCache(1 << 20)
-	c.StoreIfFresh("a", c.Snapshot([]int64{1, 2}), "a", 64)
-	c.StoreIfFresh("b", c.Snapshot([]int64{3, 4}), "b", 64)
-	c.Invalidate([]int64{2})
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry with invalidated friend must be gone")
+	c.StoreIfFresh("a", c.Snapshot([]int64{1, 2}), fixed("a"), 64)
+	c.StoreIfFresh("b", c.Snapshot([]int64{3, 4}), fixed("b"), 64)
+	write(c, by(2))
+	if _, ok := get(c, "a"); ok {
+		t.Fatal("entry that refused its friend's write must be gone")
 	}
-	if _, ok := c.Get("b"); !ok {
+	if _, ok := get(c, "b"); !ok {
 		t.Fatal("unrelated entry must survive")
 	}
-	// Invalidating an unknown user is a no-op.
-	c.Invalidate([]int64{999})
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("no-op invalidation must not evict")
+	// A write by an unknown user is a no-op.
+	write(c, by(999))
+	if _, ok := get(c, "b"); !ok {
+		t.Fatal("a stranger's write must not evict")
+	}
+}
+
+// TestCacheApplyPatchesByWriter: a batch reaches each entry once per writer
+// in its friend set, with that writer's visits only, and is counted.
+func TestCacheApplyPatchesByWriter(t *testing.T) {
+	c := NewResultCache(1 << 20)
+	both, one, none := &sums{}, &sums{}, &sums{}
+	c.StoreIfFresh("both", c.Snapshot([]int64{1, 2}), both, 64)
+	c.StoreIfFresh("one", c.Snapshot([]int64{2, 3}), one, 64)
+	c.StoreIfFresh("none", c.Snapshot([]int64{4}), none, 64)
+	patches0 := mCachePatches.Value()
+	write(c, by(1, 1, 1, 2, 2, 9))
+	if both.n != 5 || one.n != 2 || none.n != 0 {
+		t.Fatalf("folded %d / %d / %d visits, want 5 / 2 / 0", both.n, one.n, none.n)
+	}
+	if got := mCachePatches.Value() - patches0; got != 7 {
+		t.Fatalf("matview_cache_patches_total moved by %d, want 7", got)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d: patching must not drop entries", c.Len())
 	}
 }
 
@@ -148,17 +212,23 @@ func TestCacheStaleSnapshotRejected(t *testing.T) {
 	c := NewResultCache(1 << 20)
 	friends := []int64{7}
 	snap := c.Snapshot(friends)
-	// A write lands between the snapshot and the store: the store must
-	// lose, or the cache would serve pre-write results.
-	c.Invalidate([]int64{7})
-	if c.StoreIfFresh("k", snap, "stale", 64) {
+	// A write is announced between the snapshot and the store: the scan may
+	// or may not have seen its rows, so the store must lose.
+	vs := by(7)
+	c.Announce(vs)
+	if c.StoreIfFresh("k", snap, fixed("stale"), 64) {
 		t.Fatal("store with a stale epoch snapshot must be rejected")
 	}
-	if _, ok := c.Get("k"); ok {
+	// So must one whose snapshot was taken while the write was in flight.
+	if c.StoreIfFresh("k", c.Snapshot(friends), fixed("stale"), 64) {
+		t.Fatal("store snapshotted under an in-flight write must be rejected")
+	}
+	if _, ok := get(c, "k"); ok {
 		t.Fatal("rejected store must not be visible")
 	}
-	// A fresh snapshot taken after the write stores fine.
-	if !c.StoreIfFresh("k", c.Snapshot(friends), "fresh", 64) {
+	c.Apply(vs)
+	// A fresh snapshot taken after the write settled stores fine.
+	if !c.StoreIfFresh("k", c.Snapshot(friends), fixed("fresh"), 64) {
 		t.Fatal("post-write snapshot must store")
 	}
 }
@@ -166,50 +236,161 @@ func TestCacheStaleSnapshotRejected(t *testing.T) {
 // TestCacheReplacementStaysInvalidatable pins the replacement ordering
 // bug: storing the same key twice (two identical queries racing the same
 // miss) must leave the surviving entry registered in the friend index, so
-// a later friend check-in still removes it.
+// a later friend check-in still reaches it.
 func TestCacheReplacementStaysInvalidatable(t *testing.T) {
 	c := NewResultCache(1 << 20)
 	friends := []int64{11, 12}
-	if !c.StoreIfFresh("k", c.Snapshot(friends), "first", 64) {
+	if !c.StoreIfFresh("k", c.Snapshot(friends), fixed("first"), 64) {
 		t.Fatal("first store must succeed")
 	}
-	if !c.StoreIfFresh("k", c.Snapshot(friends), "second", 64) {
+	if !c.StoreIfFresh("k", c.Snapshot(friends), fixed("second"), 64) {
 		t.Fatal("replacement store must succeed")
 	}
-	c.Invalidate([]int64{11})
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("replaced entry survived an invalidating check-in")
+	write(c, by(11))
+	if _, ok := get(c, "k"); ok {
+		t.Fatal("replaced entry survived a check-in it cannot absorb")
+	}
+	c.indexMu.Lock()
+	registered := len(c.byFriend)
+	c.indexMu.Unlock()
+	if registered != 0 {
+		t.Fatalf("%d friends still indexed with no entry left", registered)
 	}
 }
 
-// TestCacheEpochsBounded checks the epoch map does not grow with the
-// distinct-writer population: epochs exist only while a snapshot holds
-// them, and settling the snapshot (store, reject or release) prunes them.
+// TestCacheEpochsBounded checks the write-tracking maps do not grow with
+// the distinct-writer population: epochs exist only while a snapshot holds
+// them, in-flight writers only between announce and settle, and settling
+// (store, reject, release; apply, abandon) prunes them.
 func TestCacheEpochsBounded(t *testing.T) {
 	c := NewResultCache(1 << 20)
-	// Writes by users nobody queried leave no state behind.
+	// Writes by users nobody queried leave no state behind, committed or
+	// failed.
 	for uid := int64(0); uid < 1000; uid++ {
-		c.Invalidate([]int64{uid})
+		vs := by(uid)
+		c.Announce(vs)
+		if uid%2 == 0 {
+			c.Apply(vs)
+		} else {
+			c.Abandon(vs)
+		}
 	}
 	// A stored entry keeps its friends indexed but pins no epochs once the
 	// snapshot is settled; an abandoned snapshot releases explicitly.
-	if !c.StoreIfFresh("k", c.Snapshot([]int64{1, 2}), "v", 64) {
+	if !c.StoreIfFresh("k", c.Snapshot([]int64{1, 2}), fixed("v"), 64) {
 		t.Fatal("store must succeed")
 	}
 	abandoned := c.Snapshot([]int64{3})
-	c.Invalidate([]int64{3}) // bumps: a snapshot holds user 3
+	// Two overlapping writes by user 3: the first bumps the epoch the
+	// snapshot holds, and the writer stays in flight until both settle.
+	a, b := by(3), by(3, 3)
+	c.Announce(a)
+	c.Announce(b)
+	c.Apply(a)
+	c.indexMu.Lock()
+	inflight := c.inflight[3]
+	c.indexMu.Unlock()
+	if inflight != 1 {
+		t.Fatalf("inflight[3] = %d with one of two writes settled, want 1", inflight)
+	}
+	c.Abandon(b)
 	abandoned.Release()
 	abandoned.Release() // idempotent
 	c.indexMu.Lock()
-	epochs, pending := len(c.epochs), len(c.pending)
+	epochs, pending, inflight := len(c.epochs), len(c.pending), len(c.inflight)
 	c.indexMu.Unlock()
-	if epochs != 0 || pending != 0 {
-		t.Fatalf("epochs/pending = %d/%d after settling all snapshots, want 0/0", epochs, pending)
+	if epochs != 0 || pending != 0 || inflight != 0 {
+		t.Fatalf("epochs/pending/inflight = %d/%d/%d after settling everything, want 0/0/0", epochs, pending, inflight)
 	}
-	// The invalidation index still removes the cached entry.
-	c.Invalidate([]int64{2})
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry must still be invalidatable without epoch state")
+	// The friend index still reaches the cached entry.
+	write(c, by(2))
+	if _, ok := get(c, "k"); ok {
+		t.Fatal("entry must still be reachable without epoch state")
+	}
+}
+
+// TestCacheAbandonDropsWritersEntries: a failed write may have applied in
+// part, so the writers' entries go, patchable or not, and nothing is folded.
+func TestCacheAbandonDropsWritersEntries(t *testing.T) {
+	c := NewResultCache(1 << 20)
+	mine, other := &sums{}, &sums{}
+	c.StoreIfFresh("mine", c.Snapshot([]int64{1}), mine, 64)
+	c.StoreIfFresh("other", c.Snapshot([]int64{2}), other, 64)
+	vs := by(1)
+	c.Announce(vs)
+	c.Abandon(vs)
+	if _, ok := get(c, "mine"); ok || mine.n != 0 {
+		t.Fatalf("failed write: entry kept = %v, visits folded = %d; want dropped, 0", ok, mine.n)
+	}
+	if _, ok := get(c, "other"); !ok {
+		t.Fatal("a failed write must not touch other users' entries")
+	}
+}
+
+// TestCacheBytesConservation runs a random sequence of stores, patches that
+// grow entries, refused patches, failed writes and the evictions they cause,
+// and checks after every step that the charged total is the sum of the live
+// entries' charges — and zero, with an empty index, once the cache is empty.
+func TestCacheBytesConservation(t *testing.T) {
+	c := NewResultCache(16 * 4096)
+	rng := rand.New(rand.NewSource(5))
+	check := func(step int) {
+		t.Helper()
+		var sum, entries int64
+		for i := range c.shards {
+			s := &c.shards[i]
+			var shard int64
+			for _, e := range s.items {
+				shard += e.size
+				entries++
+			}
+			if shard != s.bytes {
+				t.Fatalf("step %d: shard %d charges %d, its entries sum to %d", step, i, s.bytes, shard)
+			}
+			if s.bytes > c.shardBytes {
+				t.Fatalf("step %d: shard %d holds %d bytes over its %d budget", step, i, s.bytes, c.shardBytes)
+			}
+			sum += shard
+		}
+		if c.Bytes() != sum || c.liveBytes.Load() != sum || c.liveEntries.Load() != entries {
+			t.Fatalf("step %d: Bytes %d / gauge %d / entries gauge %d, live entries hold %d in %d",
+				step, c.Bytes(), c.liveBytes.Load(), c.liveEntries.Load(), sum, entries)
+		}
+	}
+	users := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(rng.Intn(12))
+		}
+		return out
+	}
+	for step := 0; step < 3000; step++ {
+		switch rng.Intn(4) {
+		case 0, 1:
+			var v Value = fixed("v")
+			if rng.Intn(3) > 0 {
+				v = &sums{grow: int64(rng.Intn(400))}
+			}
+			c.StoreIfFresh(fmt.Sprintf("k%d", rng.Intn(80)), c.Snapshot(users(1+rng.Intn(4))), v, int64(64+rng.Intn(1024)))
+		case 2:
+			write(c, by(users(1+rng.Intn(6))...))
+		default:
+			vs := by(users(1 + rng.Intn(2))...)
+			c.Announce(vs)
+			c.Abandon(vs)
+		}
+		check(step)
+	}
+	// Every entry has a friend among the twelve users: failing a write by
+	// each empties the cache.
+	for u := int64(0); u < 12; u++ {
+		vs := by(u)
+		c.Announce(vs)
+		c.Abandon(vs)
+	}
+	check(-1)
+	if c.Len() != 0 || c.Bytes() != 0 || len(c.byFriend) != 0 {
+		t.Fatalf("emptied cache holds %d entries, %d bytes, %d indexed friends", c.Len(), c.Bytes(), len(c.byFriend))
 	}
 }
 
@@ -223,11 +404,15 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			friends := []int64{int64(g % 4)}
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k-%d-%d", g, i%20)
-				if _, ok := c.Get(key); !ok {
-					c.StoreIfFresh(key, c.Snapshot(friends), i, 64)
+				if _, ok := get(c, key); !ok {
+					var v Value = fixed("v")
+					if i%2 == 0 {
+						v = &sums{grow: 64}
+					}
+					c.StoreIfFresh(key, c.Snapshot(friends), v, 64)
 				}
 				if i%17 == 0 {
-					c.Invalidate(friends)
+					write(c, by(friends...))
 				}
 			}
 		}(g)

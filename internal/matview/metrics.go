@@ -23,12 +23,14 @@ var (
 		"Personalized queries that missed the result cache.")
 	mCacheEvictions = obs.Default().Counter("matview_cache_evictions_total",
 		"Result-cache entries evicted by the LRU byte budget.")
+	mCachePatches = obs.Default().Counter("matview_cache_patches_total",
+		"Friends' check-ins folded into live result-cache entries, one per visit and entry.")
 	mCacheInvalidations = obs.Default().Counter("matview_cache_invalidations_total",
-		"Result-cache entries removed because a cached friend checked in.")
+		"Result-cache entries dropped because a cached friend's write could not be folded in exactly.")
 	mCacheStaleStores = obs.Default().Counter("matview_cache_stale_stores_total",
-		"Result-cache stores rejected because a friend epoch advanced mid-query.")
+		"Result-cache stores rejected because a friend's write was in flight or announced mid-query.")
 	mCacheBytes = obs.Default().Gauge("matview_cache_bytes",
-		"Bytes held by the result cache (keys, values and index overhead).")
+		"Bytes held by the result cache (keys, merge state, friend lists and index registrations).")
 	mCacheEntries = obs.Default().Gauge("matview_cache_entries",
 		"Entries held by the result cache.")
 )

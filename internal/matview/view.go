@@ -7,12 +7,13 @@
 //     covering its window instead of rescanning visit history — the
 //     aggregation cost the paper's offline MapReduce hotness pipeline
 //     amortizes, paid here one delta at a time.
-//   - ResultCache memoizes personalized top-k results keyed by the
-//     normalized query spec, invalidated when any friend in the cached
-//     friend set checks in again.
+//   - ResultCache memoizes personalized query state keyed by the
+//     normalized query spec; a check-in by a friend in the cached friend
+//     set is folded into the entry, which is dropped only when the fold
+//     cannot be exact.
 //
-// Both structures are fed from the VisitsRepo post-commit hook, so API
-// ingest and collector passes alike keep them current. Neither spawns
+// Both structures are fed from the VisitsRepo store hooks, so API ingest
+// and collector passes alike keep them current. Neither spawns
 // goroutines; maintenance is amortized over writes (lazy bucket expiry,
 // eviction on insert).
 package matview

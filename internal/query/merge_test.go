@@ -43,7 +43,7 @@ func TestStreamingTopKMatchesOracleProperty(t *testing.T) {
 			}
 			h := &boundedAggHeap{order: order, k: k}
 			for _, i := range rng.Perm(n) {
-				h.offer(aggs[i])
+				h.offer(&aggs[i])
 			}
 			got := h.sorted()
 			if len(oracle) == 0 && len(got) == 0 {

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -50,6 +51,7 @@ func oracleRegion(t *testing.T, cp *visitsCoprocessor, r *kvstore.Region) *regio
 			}
 			a.gradeSum += v.Grade
 			a.visits++
+			a.inexact = a.inexact || v.Grade != math.Trunc(v.Grade)
 			return true
 		})
 		if err != nil {

@@ -12,10 +12,12 @@
 package query
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -166,8 +168,8 @@ type Engine struct {
 	// view answers friendless trending queries from the incrementally
 	// maintained bucket aggregates (nil = personalized trending only).
 	view atomic.Pointer[matview.HotInView]
-	// cache, when set, memoizes personalized results keyed by the
-	// normalized spec, invalidated by friend check-ins (nil = no caching).
+	// cache, when set, memoizes personalized merge state keyed by the
+	// normalized spec, patched by friend check-ins (nil = no caching).
 	cache atomic.Pointer[matview.ResultCache]
 	// simMu serializes the timing simulations: the cluster's event heap and
 	// clock are one unlocked structure, so two requests scheduling on it at
@@ -206,12 +208,20 @@ func NewEngine(visits *repos.VisitsRepo, pois *repos.POIRepo, clus *cluster.Clus
 	return e, nil
 }
 
-// poiAgg is one POI's partial aggregate inside a region.
+// poiAgg is one POI's aggregate: partial inside a region, summed over the
+// regions as a merge candidate.
 type poiAgg struct {
 	poi      model.POI
 	gradeSum float64
 	visits   int
+	// inexact marks a sum that took a fractional grade. Floating-point
+	// addition of whole grades is exact in any order; with a fractional one
+	// the sum depends on the order of the rows, so only a scan reproduces it.
+	inexact bool
 }
+
+// fractional reports whether a grade is not a whole number.
+func fractional(grade float64) bool { return grade != float64(int64(grade)) }
 
 // wireBytes estimates the serialized size of one partial aggregate as it
 // would travel region → web server (id, sums, name, keywords).
@@ -348,6 +358,9 @@ func (g *regionAggregator) add(poiID int64, grade float64) *poiAgg {
 	a := &g.out.aggs[i]
 	a.gradeSum += grade
 	a.visits++
+	if fractional(grade) {
+		a.inexact = true
+	}
 	return a
 }
 
@@ -441,14 +454,14 @@ func (h *boundedAggHeap) Pop() interface{} {
 	return x
 }
 
-// offer considers one aggregate for the top k.
-func (h *boundedAggHeap) offer(a poiAgg) {
+// offer considers one aggregate for the top k, copying it only if it is kept.
+func (h *boundedAggHeap) offer(a *poiAgg) {
 	if len(h.items) < h.k {
-		heap.Push(h, a)
+		heap.Push(h, *a)
 		return
 	}
-	if aggLess(h.order, &a, &h.items[0]) {
-		h.items[0] = a
+	if aggLess(h.order, a, &h.items[0]) {
+		h.items[0] = *a
 		heap.Fix(h, 0)
 		mTopKEvictions.Inc()
 	}
@@ -505,6 +518,10 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 	cost := e.clus.Config().Cost
 	results := make([]*Result, len(specs))
 	plans := make([]*queryPlan, len(specs))
+	// hitMerged[qi] is, for a cache hit, how many candidates its ranking was
+	// derived from on this request: all of the entry's when a friend's
+	// check-in had been folded in since the last hit, else just the ranking.
+	hitMerged := make([]int, len(specs))
 
 	// liveSnap is the current iteration's unsettled epoch snapshot; the
 	// deferred release settles it on the error returns below so an
@@ -524,16 +541,20 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 		}
 		friends := sortedDistinctFriends(spec.FriendIDs)
 		// Result cache: a hit skips the scatter entirely; a miss snapshots
-		// the friends' invalidation epochs so the store after the merge can
-		// prove no invalidating check-in landed mid-query.
+		// the friends' write epochs so the store after the merge can prove
+		// no friend's check-in was in flight or announced mid-query.
 		cache := e.cache.Load()
 		useCache := cache != nil && !spec.NoCache
 		var ckey string
 		if useCache {
 			ckey = e.cacheKey(&spec, friends)
-			if v, ok := cache.Get(ckey); ok {
+			var pois []ScoredPOI
+			hit := cache.Get(ckey, func(v matview.Value) {
+				pois, hitMerged[qi] = v.(*cachedRanking).ranking()
+			})
+			if hit {
 				mQueriesPersonalized.Inc()
-				results[qi] = &Result{POIs: v.(*cachedPOIs).pois, Cached: true}
+				results[qi] = &Result{POIs: pois, Cached: true}
 				continue // plans[qi] stays nil; phase 2 schedules parse+merge only
 			}
 			liveSnap = cache.Snapshot(friends)
@@ -549,6 +570,7 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 		scatterSpan.End()
 		plan := &queryPlan{spec: &spec}
 		var missing []int
+		replicaServed := false
 		for _, rr := range regionResults {
 			if rr.Err != nil {
 				// The caller's own cancellation is always fatal: a timed-out
@@ -572,6 +594,7 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 			plan.outputs = append(plan.outputs, rr.Value)
 			plan.regions = append(plan.regions, rr.Region)
 			plan.nodes = append(plan.nodes, rr.ServedNode)
+			replicaServed = replicaServed || rr.Meta.Replica > 0
 		}
 		if len(missing) > 0 {
 			mQueriesDegraded.Inc()
@@ -581,7 +604,8 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 		// Merge (real): combine per-region aggregates.
 		mergeSpan := obs.SpanFromContext(ctx).Child("merge")
 		mergeStart := time.Now()
-		merged, totalWork := e.merge(plan, stats)
+		cands, totalWork := e.sum(plan, stats)
+		merged := e.rank(&spec, cands)
 		mMergeLatency.ObserveDuration(time.Since(mergeStart))
 		mMergeCandidates.Observe(float64(totalWork.CandidatePOIs))
 		mergeSpan.SetAttrInt("candidates", int64(totalWork.CandidatePOIs))
@@ -591,13 +615,17 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 			POIs: merged, Work: totalWork, Regions: len(plan.regions), Exec: stats.Snapshot(),
 			Degraded: len(missing) > 0, MissingRegions: missing,
 		}
-		// Memoize complete answers only — a degraded ranking must never be
-		// replayed to later callers — and only if no friend's epoch moved
-		// since the pre-scan snapshot (StoreIfFresh rejects stale results
-		// and consumes the snapshot; a degraded answer releases it).
+		// Memoize only answers every region's primary served: a degraded
+		// ranking must never be replayed to later callers, and a replica's
+		// (a won hedge or retry) may lag its primary by a shipping batch —
+		// harmless once, but a cached entry is patched forward from what it
+		// was stored with, never corrected. And only if no friend's write was
+		// in flight or announced since the pre-scan snapshot (StoreIfFresh
+		// rejects such results and consumes the snapshot; the other cases
+		// release it).
 		if useCache {
-			if len(missing) == 0 {
-				cr := &cachedPOIs{pois: merged}
+			if len(missing) == 0 && !replicaServed {
+				cr := newCachedRanking(e, &spec, cands, merged)
 				cache.StoreIfFresh(ckey, liveSnap, cr, cr.retainedBytes())
 			} else {
 				liveSnap.Release()
@@ -615,10 +643,12 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 			web := e.clus.PickWebServer()
 			if plan == nil {
 				// Cache hit: the web server parses the request, reads the
-				// memoized ranking and responds — no region RPCs to charge.
-				n := len(results[qi].POIs)
+				// memoized ranking — re-deriving it from the entry's
+				// candidates if a check-in was folded in — and responds; no
+				// region RPCs to charge.
+				merge := cost.MergeServiceTime(hitMerged[qi], len(results[qi].POIs))
 				_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-					_, err := web.Submit(parseDone, cost.MergeServiceTime(n, n), func(done float64) {
+					_, err := web.Submit(parseDone, merge, func(done float64) {
 						results[qi].LatencySeconds = done - base
 					})
 					if err != nil {
@@ -705,53 +735,75 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 	return results, nil
 }
 
-// merge combines region aggregates into the final ranking. Under the
-// normalized schema the POI info is joined from the relational repository
-// and the spatial/keyword predicates are applied post-join. With a positive
-// Limit the ranking streams through a bounded heap (O(n log k)); otherwise
-// it falls back to the exact full sort, which doubles as the oracle the
-// property tests compare the heap against.
-func (e *Engine) merge(plan *queryPlan, stats *exec.Stats) ([]ScoredPOI, cluster.CoprocessorWork) {
+// sum folds the regions' partial aggregates into one candidate per POI —
+// every POI any region matched, before any limit — sorted by POI id. A
+// candidate keeps the document of the first region that reported it. The
+// candidates are the query's merge state: rank derives the answer from them,
+// and a cached entry keeps them so a friend's later check-in can be added to
+// them instead of forcing a rescan.
+func (e *Engine) sum(plan *queryPlan, stats *exec.Stats) ([]poiAgg, cluster.CoprocessorWork) {
 	var work cluster.CoprocessorWork
-	byPOI := map[int64]*poiAgg{}
+	// The largest region's aggregates are a lower bound on the candidates.
+	most := 0
+	for _, out := range plan.outputs {
+		most = max(most, len(out.aggs))
+	}
+	cands := make([]poiAgg, 0, most)
+	slot := make(map[int64]int32, most)
 	for _, out := range plan.outputs {
 		work.Friends += out.work.Friends
 		work.RowsScanned += out.work.RowsScanned
 		work.VisitsMatched += out.work.VisitsMatched
 		work.CandidatePOIs += out.work.CandidatePOIs
-		for _, a := range out.aggs {
+		for i := range out.aggs {
+			a := &out.aggs[i]
 			stats.AddBytes(a.wireBytes())
-			cur := byPOI[a.poi.ID]
-			if cur == nil {
-				cp := a
-				byPOI[a.poi.ID] = &cp
+			j, seen := slot[a.poi.ID]
+			if !seen {
+				slot[a.poi.ID] = int32(len(cands))
+				cands = append(cands, *a)
 				continue
 			}
+			cur := &cands[j]
 			cur.gradeSum += a.gradeSum
 			cur.visits += a.visits
+			cur.inexact = cur.inexact || a.inexact
 		}
 	}
-	order := plan.spec.orderOrDefault()
-	limit := plan.spec.Limit
+	slices.SortFunc(cands, func(a, b poiAgg) int { return cmp.Compare(a.poi.ID, b.poi.ID) })
+	return cands, work
+}
+
+// rank turns merge candidates into the final ranking; it is the only code
+// that does, for a fresh merge and for a cached one a check-in was folded
+// into alike. Under the normalized schema the POI info is joined from the
+// relational repository and the spatial/keyword predicates are applied
+// post-join. With a positive Limit the ranking streams through a bounded
+// heap (O(n log k)); otherwise it falls back to the exact full sort, which
+// doubles as the oracle the property tests compare the heap against. The
+// candidates are only read.
+func (e *Engine) rank(spec *Spec, cands []poiAgg) []ScoredPOI {
+	order := spec.orderOrDefault()
+	normalized := e.visits.Schema() == repos.SchemaNormalized
 	var topk *boundedAggHeap
 	var aggs []poiAgg
-	if limit > 0 {
-		topk = &boundedAggHeap{order: order, k: limit}
+	if spec.Limit > 0 {
+		topk = &boundedAggHeap{order: order, k: spec.Limit}
 	}
-	for _, a := range byPOI {
-		if e.visits.Schema() == repos.SchemaNormalized {
+	for i := range cands {
+		a := &cands[i]
+		if normalized {
 			poi, ok := e.pois.Get(a.poi.ID)
-			if !ok {
-				continue
-			}
-			a.poi = poi
 			// Post-join residual predicates.
-			if !plan.spec.matchesPOI(&poi) {
+			if !ok || !spec.matchesPOI(&poi) {
 				continue
 			}
+			joined := *a
+			joined.poi = poi
+			a = &joined
 		}
 		if topk != nil {
-			topk.offer(*a)
+			topk.offer(a)
 		} else {
 			aggs = append(aggs, *a)
 		}
@@ -765,7 +817,7 @@ func (e *Engine) merge(plan *queryPlan, stats *exec.Stats) ([]ScoredPOI, cluster
 	for i, a := range aggs {
 		out[i] = ScoredPOI{POI: a.poi, Score: a.gradeSum / float64(a.visits), Visits: a.visits}
 	}
-	return out, work
+	return out
 }
 
 // NonPersonalized answers a query with no friend list straight from the

@@ -32,6 +32,12 @@ func newFixture(t testing.TB, schema repos.VisitSchema, nodes, users int) *fixtu
 // newFixtureVisits also controls the mean visits per user (the paper's
 // dataset uses 170).
 func newFixtureVisits(t testing.TB, schema repos.VisitSchema, nodes, users int, visitMean float64) *fixture {
+	return newFixtureWith(t, schema, nodes, users, visitMean, nil)
+}
+
+// newFixtureWith also passes every generated visit through edit before it is
+// stored (nil stores them as generated).
+func newFixtureWith(t testing.TB, schema repos.VisitSchema, nodes, users int, visitMean float64, edit func(*model.Visit)) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	pois := workload.GenPOIs(rng, 300)
@@ -53,6 +59,9 @@ func newFixtureVisits(t testing.TB, schema repos.VisitSchema, nodes, users int, 
 	end := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	for uid := int64(1); uid <= int64(users); uid++ {
 		for _, v := range workload.GenVisitsForUser(rng, uid, pois, start, end, visitMean, visitMean/8) {
+			if edit != nil {
+				edit(&v)
+			}
 			if err := visits.Store(v); err != nil {
 				t.Fatal(err)
 			}

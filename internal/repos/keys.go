@@ -78,6 +78,12 @@ func VisitScanBounds(userID, fromMillis, toMillis int64) (string, string) {
 	return visitTimeKey(userID, fromMillis), visitTimeKey(userID, toMillis+1)
 }
 
+// visitKeySeq reads just the sequence number off a Visits row key.
+func visitKeySeq(key string) (uint32, bool) {
+	s, err := strconv.ParseUint(key[strings.LastIndexByte(key, '|')+1:], 10, 32)
+	return uint32(s), err == nil
+}
+
 // parseVisitRowKey decodes a Visits row key.
 func parseVisitRowKey(key string) (userID, timeMillis int64, seq uint32, err error) {
 	parts := strings.Split(key, "|")

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"modissense/internal/faultinject"
 	"modissense/internal/geo"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
@@ -402,15 +403,31 @@ func TestGPSRepo(t *testing.T) {
 }
 
 // TestVisitsStoreIsStoreBatchOfOne: a single Store reaches the table and the
-// post-commit hook exactly as a one-element StoreBatch does, and an invalid
-// visit reaches neither.
+// store hooks exactly as a one-element StoreBatch does — announced before the
+// write, settled as committed after it — and an invalid visit reaches
+// neither.
 func TestVisitsStoreIsStoreBatchOfOne(t *testing.T) {
 	repo, err := NewVisitsRepo(SchemaReplicated, 100, 4, 2, kvstore.DefaultStoreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hooked [][]model.Visit
-	repo.SetOnStore(func(vs []model.Visit) { hooked = append(hooked, vs) })
+	announced := 0
+	repo.SetOnStore(
+		func(vs []model.Visit) {
+			// The announcement precedes the write: the table holds only the
+			// batches already settled.
+			if n := countVisits(t, repo); n != len(hooked) {
+				t.Errorf("announce of batch %d found %d visits in the table", announced, n)
+			}
+			announced++
+		},
+		func(vs []model.Visit, committed bool) {
+			if !committed {
+				t.Error("a write the table accepted settled as not committed")
+			}
+			hooked = append(hooked, vs)
+		})
 	v := model.Visit{UserID: 9, Time: 1000, Grade: 4, POI: model.POI{ID: 3, Name: "cafe"}}
 	if err := repo.Store(v); err != nil {
 		t.Fatal(err)
@@ -421,8 +438,8 @@ func TestVisitsStoreIsStoreBatchOfOne(t *testing.T) {
 	if err := repo.Store(model.Visit{UserID: 9, Time: 2000}); err == nil {
 		t.Error("visit without POI must fail")
 	}
-	if len(hooked) != 2 || len(hooked[0]) != 1 || len(hooked[1]) != 1 || hooked[0][0].Time != hooked[1][0].Time {
-		t.Fatalf("hook saw %+v, want two one-visit batches", hooked)
+	if announced != 2 || len(hooked) != 2 || len(hooked[0]) != 1 || len(hooked[1]) != 1 || hooked[0][0].Time != hooked[1][0].Time {
+		t.Fatalf("hooks saw %d announcements and %+v, want two one-visit batches", announced, hooked)
 	}
 	var got []model.Visit
 	if err := repo.ScanAll(func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
@@ -430,6 +447,47 @@ func TestVisitsStoreIsStoreBatchOfOne(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].POI.Name != "cafe" || got[0].Time != got[1].Time {
 		t.Fatalf("stored %+v, want the same visit twice", got)
+	}
+}
+
+func countVisits(t *testing.T, repo *VisitsRepo) int {
+	t.Helper()
+	n := 0
+	if err := repo.ScanAll(func(model.Visit) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestVisitsFailedWriteSettlesUncommitted: a batch the table refuses is
+// announced, then settled as not committed, and the caller gets the error.
+func TestVisitsFailedWriteSettlesUncommitted(t *testing.T) {
+	repo, err := NewVisitsRepo(SchemaReplicated, 100, 4, 2, kvstore.DefaultStoreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faultinject.ParseSchedule("crash:op=put", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo.Table().SetFaultInjector(faultinject.New(sched))
+	var announced, settled, committed int
+	repo.SetOnStore(
+		func([]model.Visit) { announced++ },
+		func(_ []model.Visit, ok bool) {
+			settled++
+			if ok {
+				committed++
+			}
+		})
+	if err := repo.Store(model.Visit{UserID: 9, Time: 1000, Grade: 4, POI: model.POI{ID: 3}}); err == nil {
+		t.Fatal("injected put fault must fail the store")
+	}
+	if announced != 1 || settled != 1 || committed != 0 {
+		t.Fatalf("announced/settled/committed = %d/%d/%d, want 1/1/0", announced, settled, committed)
+	}
+	if n := countVisits(t, repo); n != 0 {
+		t.Fatalf("refused write left %d visits", n)
 	}
 }
 
@@ -577,6 +635,15 @@ func TestVisitsRepoDurableRecovery(t *testing.T) {
 	}
 	if count != 20 {
 		t.Errorf("recovered %d visits, want 20", count)
+	}
+	// The reopened repository numbers its rows past the replayed ones: a
+	// visit at the user and millisecond of a replayed one is a second row,
+	// not an overwrite (the sequence used to restart at zero).
+	if err := repo2.Store(model.Visit{UserID: 1, Time: 0, Grade: 4, POI: poi}); err != nil {
+		t.Fatal(err)
+	}
+	if n := countVisits(t, repo2); n != 21 {
+		t.Errorf("%d visits after storing one more over the replayed log, want 21", n)
 	}
 	if _, err := NewVisitsRepoFromTable(SchemaReplicated, nil); err == nil {
 		t.Error("nil table must fail")

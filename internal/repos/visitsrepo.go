@@ -54,20 +54,29 @@ type normalizedVisit struct {
 type VisitsRepo struct {
 	table  *kvstore.Table
 	schema VisitSchema
-	seq    atomic.Uint32
-	// onStore, when set, observes every batch after it commits — the
-	// platform hooks the pub/sub matcher here so both API ingest and the
-	// collector publish to standing subscriptions. Set once at wiring time,
-	// before the repository serves concurrent writes.
-	onStore func([]model.Visit)
+	// seq keeps same-millisecond visits of one user on distinct rows. It
+	// starts past every sequence number the table already holds.
+	seq atomic.Uint32
+	// announce and settle, when set, bracket every batch's table write —
+	// the platform hangs the trending view, the result cache and the pub/sub
+	// matcher here, so API ingest and the collector feed them alike. Set
+	// once at wiring time, before the repository serves concurrent writes.
+	announce func([]model.Visit)
+	settle   func(visits []model.Visit, committed bool)
 }
 
-// SetOnStore installs a post-commit observer invoked with every stored
-// visit batch (single Stores arrive as one-element batches). The hook runs
-// synchronously on the writer's goroutine after the table write succeeds;
-// it must be fast and must not call back into the repository. Install it
+// SetOnStore installs the observers of the visit stream (single Stores
+// arrive as one-element batches). announce, which may be nil, sees a
+// validated batch just before the table write can make any of its rows
+// visible to a scan; settle sees the same slice right after, with whether the
+// write committed. A write reported as not committed was refused before it
+// was logged in the usual case, but one that failed after its log append may
+// have applied in part. Both run synchronously on the writer's goroutine;
+// they must be fast and must not call back into the repository. Install them
 // during wiring, before concurrent writes start.
-func (r *VisitsRepo) SetOnStore(fn func([]model.Visit)) { r.onStore = fn }
+func (r *VisitsRepo) SetOnStore(announce func([]model.Visit), settle func(visits []model.Visit, committed bool)) {
+	r.announce, r.settle = announce, settle
+}
 
 // NewVisitsRepo creates the repository over a table pre-split into
 // `regions` user ranges placed round-robin on `nodes` simulated nodes.
@@ -134,7 +143,8 @@ func (r *VisitsRepo) Store(v model.Visit) error { return r.StoreBatch([]model.Vi
 // StoreBatch persists a batch of visits through one table PutBatch: the
 // whole batch costs one WAL commit-group slot and one store-lock acquisition
 // per contiguous region run, which is what makes batched check-in ingest
-// cheap. Validation runs up front — an invalid visit fails the call (with
+// cheap. The write is bracketed by the SetOnStore observers. Validation runs
+// up front — an invalid visit fails the call (with
 // its index) before anything is logged or applied — and so does the table's
 // admission: a batch answered with an error (fence, primary down, injected
 // fault) was neither logged nor applied, so retrying it cannot double it.
@@ -150,13 +160,14 @@ func (r *VisitsRepo) StoreBatch(visits []model.Visit) error {
 		}
 		cells[i] = c
 	}
-	if err := r.table.PutBatch(cells); err != nil {
-		return err
+	if r.announce != nil {
+		r.announce(visits)
 	}
-	if r.onStore != nil {
-		r.onStore(visits)
+	err := r.table.PutBatch(cells)
+	if r.settle != nil {
+		r.settle(visits, err == nil)
 	}
-	return nil
+	return err
 }
 
 // DecodeVisit decodes a stored visit row, binary or legacy JSON — the tag
@@ -220,10 +231,26 @@ func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) e
 // NewVisitsRepoFromTable wraps an existing table (e.g. a durable one from
 // kvstore.OpenDurableTable) as a Visits repository. The table's key layout
 // must follow this package's visit row-key encoding — which holds for any
-// table previously populated through a VisitsRepo.
+// table previously populated through a VisitsRepo. One pass over the row
+// keys (no payload is decoded) seeds the sequence past the highest one
+// present: a repository reopened over a replayed log would otherwise hand out
+// the sequence numbers of the rows it holds again, and a visit at the user
+// and millisecond of a replayed one would overwrite it.
 func NewVisitsRepoFromTable(schema VisitSchema, table *kvstore.Table) (*VisitsRepo, error) {
 	if table == nil {
 		return nil, fmt.Errorf("repos: nil table")
 	}
-	return &VisitsRepo{table: table, schema: schema}, nil
+	r := &VisitsRepo{table: table, schema: schema}
+	var top uint32
+	err := table.Scan(kvstore.ScanOptions{}, func(row kvstore.RowResult) bool {
+		if seq, ok := visitKeySeq(row.Row); ok && seq > top {
+			top = seq
+		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("repos: seed visit sequence: %w", err)
+	}
+	r.seq.Store(top)
+	return r, nil
 }
