@@ -8,10 +8,16 @@
 // bytes shipped) into simulated latency with per-core FCFS queueing. This is
 // what lets a single-CPU machine reproduce the 4/8/16-node scaling curves of
 // the paper's Figures 2 and 3.
+//
+// Simulated time is a value, not state: a Cluster only describes the
+// deployment, and Cluster.Simulate, the one way to obtain simulated time, runs
+// each simulation on a Session of its own, so a simulated latency is a
+// function of the work it was given.
 package cluster
 
 import (
 	"fmt"
+	"sync"
 
 	"modissense/internal/sim"
 )
@@ -44,18 +50,17 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
-// Cluster is a simulated deployment: an engine, one Resource per worker
-// node and one per web server.
+// Cluster is a validated description of a simulated deployment — topology
+// and cost model — safe for concurrent use. Nothing in it changes after New
+// but its free list of idle sessions.
 type Cluster struct {
-	cfg     Config
-	eng     *sim.Engine
-	nodes   []*sim.Resource
-	web     []*sim.Resource
-	pg      *sim.Resource
-	nextWeb int // round-robin load-balancer cursor
+	cfg Config
+
+	mu   sync.Mutex
+	idle []*Session // each drained without error and reset
 }
 
-// New validates cfg and builds the cluster with a fresh simulation engine.
+// New validates cfg and returns the cluster it describes.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", cfg.Nodes)
@@ -72,71 +77,132 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Cost.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, eng: sim.NewEngine()}
-	for i := 0; i < cfg.Nodes; i++ {
-		r, err := sim.NewResource(c.eng, fmt.Sprintf("node-%d", i), cfg.CoresPerNode)
-		if err != nil {
-			return nil, err
-		}
-		c.nodes = append(c.nodes, r)
-	}
-	for i := 0; i < cfg.WebServers; i++ {
-		r, err := sim.NewResource(c.eng, fmt.Sprintf("web-%d", i), cfg.WebServerCores)
-		if err != nil {
-			return nil, err
-		}
-		c.web = append(c.web, r)
-	}
-	pg, err := sim.NewResource(c.eng, "postgres", 4)
-	if err != nil {
-		return nil, err
-	}
-	c.pg = pg
-	return c, nil
+	return &Cluster{cfg: cfg}, nil
 }
-
-// PG returns the relational-store server (PostgreSQL's role): a single
-// 4-core machine serving the non-personalized query path.
-func (c *Cluster) PG() *sim.Resource { return c.pg }
-
-// Engine exposes the simulation engine for experiment drivers.
-func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
 // Config returns the deployment configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
 // NumNodes returns the worker-node count.
-func (c *Cluster) NumNodes() int { return len(c.nodes) }
+func (c *Cluster) NumNodes() int { return c.cfg.Nodes }
+
+// maxEvents bounds one simulation. A generous guard: queries spawn
+// O(regions) events each; anything past tens of millions of events indicates
+// a scheduling bug.
+const maxEvents = 50_000_000
+
+// Simulate runs one simulation and returns the simulated time at which the
+// last work item submitted to it finishes. schedule receives a private
+// session — clock at zero, every resource idle — and submits the first work
+// items; their completion callbacks submit the rest while Simulate drains the
+// event queue. Work queues only behind work of the same call (the members of
+// a concurrent batch, the tasks of a job: that is where contention is
+// modelled). The first error a Session.Submit met, or the event guard's,
+// fails the simulation. The session is valid only until Simulate returns.
+func (c *Cluster) Simulate(schedule func(*Session)) (sim.Time, error) {
+	s, err := c.idleSession()
+	if err != nil {
+		return 0, err
+	}
+	schedule(s)
+	_, err = s.eng.Run(maxEvents)
+	if s.err != nil {
+		err = s.err
+	}
+	if err != nil {
+		// s is dropped with whatever the failure left in it.
+		return 0, fmt.Errorf("cluster: simulation failed: %w", err)
+	}
+	end := s.end
+	s.eng.Reset()
+	s.nextWeb, s.end = 0, 0
+	c.mu.Lock()
+	c.idle = append(c.idle, s)
+	c.mu.Unlock()
+	return end, nil
+}
+
+// idleSession takes a recycled session off the free list, or builds one:
+// steady-state simulations allocate no engine, resource or server array.
+func (c *Cluster) idleSession() (*Session, error) {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		s := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return s, nil
+	}
+	c.mu.Unlock()
+	cfg := c.cfg
+	s := &Session{
+		eng:   sim.NewEngine(),
+		nodes: make([]sim.Resource, cfg.Nodes),
+		web:   make([]sim.Resource, cfg.WebServers),
+	}
+	var err error
+	for i := range s.nodes {
+		if s.nodes[i], err = sim.NewResource(s.eng, cfg.CoresPerNode); err != nil {
+			return nil, err
+		}
+	}
+	for i := range s.web {
+		if s.web[i], err = sim.NewResource(s.eng, cfg.WebServerCores); err != nil {
+			return nil, err
+		}
+	}
+	if s.pg, err = sim.NewResource(s.eng, pgCores); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// pgCores is the size of the relational-store server (PostgreSQL's role): a
+// single 4-core machine serving the non-personalized query path.
+const pgCores = 4
+
+// Session is everything one simulation mutates: a private clock and event
+// queue, and one FCFS resource per worker node, per web server and for the
+// relational store. It is single-goroutine.
+type Session struct {
+	eng     *sim.Engine
+	nodes   []sim.Resource
+	web     []sim.Resource
+	pg      sim.Resource
+	nextWeb int      // round-robin load-balancer cursor
+	end     sim.Time // when the last submitted work item finishes
+	err     error    // the first error a Submit met
+}
 
 // Node returns the resource for worker node i (modulo the node count, so
 // any region→node assignment hashes safely).
-func (c *Cluster) Node(i int) *sim.Resource {
+func (s *Session) Node(i int) sim.Resource {
 	if i < 0 {
 		i = -i
 	}
-	return c.nodes[i%len(c.nodes)]
+	return s.nodes[i%len(s.nodes)]
 }
 
 // PickWebServer returns the next web server chosen by the round-robin load
 // balancer that fronts the farm.
-func (c *Cluster) PickWebServer() *sim.Resource {
-	w := c.web[c.nextWeb%len(c.web)]
-	c.nextWeb++
+func (s *Session) PickWebServer() sim.Resource {
+	w := s.web[s.nextWeb%len(s.web)]
+	s.nextWeb++
 	return w
 }
 
-// Run drains the event queue and returns the final simulated time.
-func (c *Cluster) Run() (sim.Time, error) {
-	// A generous guard: queries spawn O(regions) events each; anything past
-	// tens of millions of events indicates a scheduling bug.
-	return c.eng.Run(50_000_000)
-}
+// PG returns the relational-store server.
+func (s *Session) PG() sim.Resource { return s.pg }
 
-// TotalBusyTime sums busy server-seconds across worker nodes.
-func (c *Cluster) TotalBusyTime() float64 {
-	var t float64
-	for _, n := range c.nodes {
-		t += n.BusyTime()
+// Submit enqueues a work item on r that becomes ready at readyAt, occupies
+// one of r's servers for service seconds, and then calls done (which may be
+// nil) with the completion time, which it also returns. An item the kernel
+// rejects (a negative service time: a bug in the cost model) fails the whole
+// simulation: Simulate returns the first such error.
+func (s *Session) Submit(r sim.Resource, readyAt sim.Time, service float64, done func(sim.Time)) sim.Time {
+	finish, err := r.Submit(readyAt, service, done)
+	if err != nil && s.err == nil {
+		s.err = err
 	}
-	return t
+	s.end = max(s.end, finish)
+	return finish
 }

@@ -2,8 +2,21 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"modissense/internal/sim"
 )
+
+// simulate runs schedule on c and fails the test on a simulation error.
+func simulate(t *testing.T, c *Cluster, schedule func(*Session)) sim.Time {
+	t.Helper()
+	end, err := c.Simulate(schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end
+}
 
 func TestNewValidatesConfig(t *testing.T) {
 	cases := []struct {
@@ -43,12 +56,14 @@ func TestNodeIndexWrapsAndNegatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Node(0) != c.Node(4) {
-		t.Error("node index must wrap modulo the node count")
-	}
-	if c.Node(-1) == nil {
-		t.Error("negative indexes must map to a valid node")
-	}
+	simulate(t, c, func(s *Session) {
+		if s.Node(0) != s.Node(4) {
+			t.Error("node index must wrap modulo the node count")
+		}
+		if s.Node(-1) != s.Node(1) {
+			t.Error("negative indexes must map to a valid node")
+		}
+	})
 }
 
 func TestPickWebServerRoundRobin(t *testing.T) {
@@ -56,14 +71,16 @@ func TestPickWebServerRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := c.PickWebServer()
-	b := c.PickWebServer()
-	if a == b {
-		t.Error("consecutive picks should alternate between the two web servers")
-	}
-	if c.PickWebServer() != a {
-		t.Error("third pick should wrap back to the first web server")
-	}
+	simulate(t, c, func(s *Session) {
+		a := s.PickWebServer()
+		b := s.PickWebServer()
+		if a == b {
+			t.Error("consecutive picks should alternate between the two web servers")
+		}
+		if s.PickWebServer() != a {
+			t.Error("third pick should wrap back to the first web server")
+		}
+	})
 }
 
 func TestCoprocessorServiceTimeComposition(t *testing.T) {
@@ -111,23 +128,22 @@ func TestClusterScalingShape(t *testing.T) {
 		const regions = 64
 		done := 0
 		var finish float64
-		for i := 0; i < regions; i++ {
-			service := m.CoprocessorServiceTime(CoprocessorWork{Friends: 90, RowsScanned: 25000, VisitsMatched: 500, CandidatePOIs: 120})
-			_, err := c.Node(i).Submit(0, service, func(at float64) {
-				done++
-				if at > finish {
-					finish = at
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+		end := simulate(t, c, func(s *Session) {
+			for i := 0; i < regions; i++ {
+				service := m.CoprocessorServiceTime(CoprocessorWork{Friends: 90, RowsScanned: 25000, VisitsMatched: 500, CandidatePOIs: 120})
+				s.Submit(s.Node(i), 0, service, func(at float64) {
+					done++
+					if at > finish {
+						finish = at
+					}
+				})
 			}
-		}
-		if _, err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
+		})
 		if done != regions {
 			t.Fatalf("only %d/%d tasks completed", done, regions)
+		}
+		if end != finish {
+			t.Fatalf("Simulate returned %g, the last completion was at %g", end, finish)
 		}
 		return finish
 	}
@@ -146,18 +162,89 @@ func TestClusterScalingShape(t *testing.T) {
 	}
 }
 
+// TestRunDetectsRunawayScheduling: a callback that resubmits forever is
+// stopped by the event guard and reported, not left to spin.
 func TestRunDetectsRunawayScheduling(t *testing.T) {
 	c, err := New(DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var loop func()
-	loop = func() { _ = c.Engine().After(0.001, loop) }
-	if err := c.Engine().At(0, loop); err != nil {
+	_, err = c.Simulate(func(s *Session) {
+		var loop func(sim.Time)
+		loop = func(at sim.Time) { s.Submit(s.Node(0), at, 0.001, loop) }
+		loop(0)
+	})
+	if err == nil {
+		t.Error("expected the event guard to fire")
+	}
+}
+
+// TestSimulateReportsRejectedWork: work the kernel rejects fails the
+// simulation with the first such error, whether it was submitted by schedule
+// or by a completion callback.
+func TestSimulateReportsRejectedWork(t *testing.T) {
+	c, err := New(DefaultConfig(2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(); err == nil {
-		t.Error("expected the event guard to fire")
+	if _, err := c.Simulate(func(s *Session) { s.Submit(s.PG(), 0, -1, nil) }); err == nil {
+		t.Error("negative service submitted by schedule must fail the simulation")
+	}
+	_, err = c.Simulate(func(s *Session) {
+		s.Submit(s.Node(0), 0, 1, func(at sim.Time) {
+			s.Submit(s.Node(1), at, -2, nil)
+			s.Submit(s.Node(1), at, -3, nil)
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "-2.0") {
+		t.Errorf("want the first rejected item's error, got %v", err)
+	}
+}
+
+// TestSimulateSteadyStateAllocs: after warm-up a simulation of the cache-hit
+// shape (parse, then merge, on one web server) allocates its two events and
+// their closures and nothing else — no session, engine, resource or server
+// array — and a session whose simulation failed is not handed to the next
+// caller.
+func TestSimulateSteadyStateAllocs(t *testing.T) {
+	c, err := New(DefaultConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := c.Config().Cost
+	var latency sim.Time
+	hit := func(s *Session) {
+		web := s.PickWebServer()
+		s.Submit(web, 0, cost.WebParse, func(parseDone sim.Time) {
+			s.Submit(web, parseDone, cost.MergeServiceTime(10, 10), func(done sim.Time) { latency = done })
+		})
+	}
+	want := simulate(t, c, hit) // warm-up: builds the session
+	// Per run: the schedule closure's callbacks (parse, merge), the kernel's
+	// two event closures and two events.
+	const maxAllocs = 6
+	if got := testing.AllocsPerRun(200, func() { simulate(t, c, hit) }); got > maxAllocs {
+		t.Errorf("steady-state Simulate allocates %.0f objects, want at most %d", got, maxAllocs)
+	}
+	if latency != want {
+		t.Errorf("recycled session answered %g, the first %g", latency, want)
+	}
+
+	// A failed simulation leaves a busy web server and a clock at 100 behind;
+	// the next caller must see neither.
+	_, err = c.Simulate(func(s *Session) {
+		web := s.PickWebServer()
+		s.Submit(web, 0, 100, func(sim.Time) {})
+		s.Submit(web, 0, -1, nil)
+	})
+	if err == nil {
+		t.Fatal("expected the rejected item to fail the simulation")
+	}
+	if len(c.idle) != 0 {
+		t.Fatalf("a failed session was recycled: %d idle", len(c.idle))
+	}
+	if simulate(t, c, hit); latency != want {
+		t.Errorf("after a failed simulation the answer is %g, want %g", latency, want)
 	}
 }
 
@@ -168,24 +255,5 @@ func TestMapReduceCosts(t *testing.T) {
 	}
 	if m.ReduceTaskServiceTime(1000) <= m.TaskStart {
 		t.Error("reduce cost must grow with records")
-	}
-}
-
-func TestTotalBusyTimeAccounting(t *testing.T) {
-	c, err := New(DefaultConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Node(0).Submit(0, 1.5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Node(1).Submit(0, 2.5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.TotalBusyTime(); math.Abs(got-4.0) > 1e-12 {
-		t.Errorf("total busy time = %g, want 4.0", got)
 	}
 }

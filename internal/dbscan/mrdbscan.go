@@ -124,24 +124,16 @@ func MRDBSCAN(pts []geo.Point, p Params, opt MROptions) (*MRResult, error) {
 	if opt.Cluster != nil {
 		// Model the schedule directly from partition sizes: each map task's
 		// cost is proportional to the points it clusters (a partitionTask is
-		// a single MR record, so the generic per-record model would be flat).
-		cost := opt.Cluster.Config().Cost
-		var mapsDone float64
+		// a single MR record, so the generic per-record model would be flat),
+		// and the merge runs as one reduce over every emitted membership.
+		points := make([]int, len(tasks))
 		for i := range tasks {
-			finish, err := opt.Cluster.Node(i).Submit(0, cost.MapTaskServiceTime(len(tasks[i].indices)), nil)
-			if err != nil {
-				return nil, err
-			}
-			if finish > mapsDone {
-				mapsDone = finish
-			}
+			points[i] = len(tasks[i].indices)
 		}
-		// The merge runs as one reduce over every emitted membership.
-		finish, err := opt.Cluster.Node(0).Submit(mapsDone, cost.ReduceTaskServiceTime(len(mrRes.Output)), nil)
+		res.SimulatedSeconds, err = mapreduce.SimulateSchedule(opt.Cluster, points, []int{len(mrRes.Output)})
 		if err != nil {
 			return nil, err
 		}
-		res.SimulatedSeconds = finish
 	}
 
 	// ----- Merge phase: union-find over (partition, localID) clusters. -----

@@ -294,45 +294,46 @@ func (j *Job) run(c *cluster.Cluster) (*Result, error) {
 
 	// Timing model.
 	if c != nil {
-		makespan, err := j.simulateSchedule(c, taskOutputs, partitions)
-		if err != nil {
+		mapRecords := make([]int, len(taskOutputs))
+		for i, m := range taskOutputs {
+			mapRecords[i] = m.records
+		}
+		reduceRecords := make([]int, len(partitions))
+		for p, pairs := range partitions {
+			reduceRecords[p] = len(pairs)
+		}
+		var err error
+		if res.SimulatedSeconds, err = SimulateSchedule(c, mapRecords, reduceRecords); err != nil {
 			return nil, err
 		}
-		res.SimulatedSeconds = makespan
 	}
 	return res, nil
 }
 
-// simulateSchedule replays the task graph on the simulated cluster and
-// returns the makespan.
-func (j *Job) simulateSchedule(c *cluster.Cluster, maps []*mapTaskOutput, partitions [][]Pair) (float64, error) {
+// SimulateSchedule models a job's task graph on the simulated cluster, all
+// tasks on one session, and returns the makespan: map task i, over
+// mapRecords[i] records, runs on node i from time zero; reduce task p, over
+// reduceRecords[p] records, runs on node p once the slowest map task has
+// finished (the shuffle barrier).
+func SimulateSchedule(c *cluster.Cluster, mapRecords, reduceRecords []int) (float64, error) {
 	cost := c.Config().Cost
-	var finishMax float64
-	for i, m := range maps {
-		service := cost.MapTaskServiceTime(m.records)
-		finish, err := c.Node(i).Submit(0, service, nil)
-		if err != nil {
-			return 0, err
+	return c.Simulate(func(s *cluster.Session) {
+		reduce := func(mapsDone float64) {
+			for p, records := range reduceRecords {
+				s.Submit(s.Node(p), mapsDone, cost.ReduceTaskServiceTime(records), nil)
+			}
 		}
-		if finish > finishMax {
-			finishMax = finish
+		remaining := len(mapRecords)
+		if remaining == 0 {
+			reduce(0)
 		}
-	}
-	mapsDone := finishMax
-
-	jobEnd := mapsDone
-	for p, pairs := range partitions {
-		service := cost.ReduceTaskServiceTime(len(pairs))
-		finish, err := c.Node(p).Submit(mapsDone, service, nil)
-		if err != nil {
-			return 0, err
+		for i, records := range mapRecords {
+			s.Submit(s.Node(i), 0, cost.MapTaskServiceTime(records), func(at float64) {
+				// Completions fire in time order: the last is the slowest.
+				if remaining--; remaining == 0 {
+					reduce(at)
+				}
+			})
 		}
-		if finish > jobEnd {
-			jobEnd = finish
-		}
-	}
-	if _, err := c.Run(); err != nil {
-		return 0, err
-	}
-	return jobEnd, nil
+	})
 }

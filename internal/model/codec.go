@@ -10,10 +10,11 @@ import (
 // path: every personalized query decodes one payload per scanned visit row,
 // and the replicated schema embeds a full POI document in each. JSON
 // decoding pays reflection and field-name matching per row; this codec is a
-// flat, length-prefixed binary layout with a leading tag byte that can
-// never collide with a JSON document (JSON payloads start with '{'), so
-// stores holding a mix of old JSON rows and new binary rows — e.g. after a
-// WAL replay of pre-codec data — decode transparently.
+// flat, length-prefixed binary layout with a leading tag byte. It is the only
+// visit format: every writer has emitted it since before the durable log
+// existed, so no log holds a JSON visit, and readers treat a payload without
+// a known tag as corrupt. The tag byte stays reserved — a new layout takes a
+// new tag, never '{', so a JSON document can never pass for one.
 //
 // Layout: tag byte, version byte, then fields in declaration order.
 // Integers are varints, floats are 8-byte little-endian IEEE 754 bits,
@@ -31,8 +32,8 @@ const (
 	visitBinaryVersion byte = 1
 )
 
-// IsVisitBinary reports whether the payload carries a binary visit tag.
-// JSON visit payloads always start with '{', so the check is unambiguous.
+// IsVisitBinary reports whether the payload carries a binary visit tag (a
+// JSON document starts with '{' and never does).
 func IsVisitBinary(b []byte) bool {
 	return len(b) > 0 && (b[0] == VisitBinaryTagReplicated || b[0] == VisitBinaryTagNormalized)
 }
@@ -199,8 +200,7 @@ func (v *VisitView) Visit() Visit {
 }
 
 // DecodeVisitBinary decodes either binary visit layout. Normalized payloads
-// yield a Visit whose POI carries only the id, mirroring the JSON
-// normalized schema.
+// yield a Visit whose POI carries only the id.
 func DecodeVisitBinary(b []byte) (Visit, error) {
 	var view VisitView
 	if err := view.Parse(b); err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"unsafe"
 
+	"modissense/internal/cluster"
 	"modissense/internal/matview"
 	"modissense/internal/model"
 	"modissense/internal/repos"
@@ -263,18 +264,11 @@ func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spe
 	matview.RecordViewRead()
 	mQueriesRelational.Inc()
 	cost := e.clus.Config().Cost
-	var latency float64
-	err := e.simulate(func(base float64, fail func(error)) error {
-		web := e.clus.PickWebServer()
-		_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-			_, err := web.Submit(parseDone, cost.MergeServiceTime(candidates, len(aggs)), func(done float64) {
-				latency = done - base
-			})
-			if err != nil {
-				fail(fmt.Errorf("query: schedule view merge: %w", err))
-			}
+	latency, err := e.clus.Simulate(func(s *cluster.Session) {
+		web := s.PickWebServer()
+		s.Submit(web, 0, cost.WebParse, func(parseDone float64) {
+			s.Submit(web, parseDone, cost.MergeServiceTime(candidates, len(aggs)), nil)
 		})
-		return err
 	})
 	if err != nil {
 		return nil, err

@@ -121,7 +121,7 @@ func TestMultiRangePathMatchesNScanPath(t *testing.T) {
 
 // putVisitPayload stores payload as the i-th hand-written row of v's user
 // and time, bypassing the repository's encoder: how tests write what no
-// current writer produces (legacy JSON, other layouts, garbage). The leading
+// writer produces (JSON documents, other layouts, garbage). The leading
 // 9 keeps these keys clear of the repository's own sequence numbers.
 func putVisitPayload(t testing.TB, visits *repos.VisitsRepo, v *model.Visit, i int, payload []byte) {
 	t.Helper()
@@ -132,10 +132,11 @@ func putVisitPayload(t testing.TB, visits *repos.VisitsRepo, v *model.Visit, i i
 }
 
 // mixedStore fills a small visits table with everything a region can hold:
-// binary rows and legacy JSON rows of the repository's schema, binary rows
-// of the other layout, two documents for one POI id (the first row's wins),
-// and payloads no decoder accepts — truncated binary, a bad version,
-// trailing bytes, broken JSON, empty.
+// binary rows of the repository's schema, binary rows of the other layout,
+// two documents for one POI id (the first row's wins), and payloads the codec
+// rejects — JSON visit documents whole and broken (not binary, so skipped
+// like any corrupt row), truncated binary, a bad version, trailing bytes,
+// empty.
 func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.VisitsRepo {
 	t.Helper()
 	const users = 40
@@ -199,8 +200,9 @@ func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.V
 }
 
 // TestCoprocessorMatchesFullDecodeOracle is the late-materializing
-// kernel's property: over stores mixing binary, JSON and undecodable rows,
-// under both schemas and every predicate shape, the view-based coprocessor
+// kernel's property: over stores mixing binary and undecodable rows (JSON
+// documents among them), under both schemas and every predicate shape, the
+// view-based coprocessor
 // returns exactly what decoding every row in full returns — the same
 // first-row-wins documents, sums, order, skips and work counts.
 func TestCoprocessorMatchesFullDecodeOracle(t *testing.T) {
@@ -248,6 +250,22 @@ func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 	}
 	if out := agg.finish(); out.work.VisitsMatched != 102 || len(out.aggs) != 1 || out.aggs[0].visits != 102 {
 		t.Errorf("rows were not aggregated: %+v", out)
+	}
+}
+
+// TestVisitRowSkipsNonBinaryPayload: a payload without a binary tag — here a
+// JSON visit document, which readers once decoded — is accounted as scanned
+// and contributes nothing.
+func TestVisitRowSkipsNonBinaryPayload(t *testing.T) {
+	v := model.Visit{UserID: 3, Time: 1, Grade: 4, Network: "twitter", POI: model.POI{ID: 9, Name: "plaka-cafe"}}
+	for _, schema := range []repos.VisitSchema{repos.SchemaReplicated, repos.SchemaNormalized} {
+		agg := newRegionAggregator(&visitsCoprocessor{spec: &Spec{}, schema: schema})
+		for _, payload := range [][]byte{model.EncodeJSON(v), []byte(`{"user_id":3,"time":1,"grade":4,"network":"twitter","poi_id":9}`)} {
+			agg.visitRow(kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: payload}}})
+		}
+		if out := agg.finish(); out.work.RowsScanned != 2 || out.work.VisitsMatched != 0 || len(out.aggs) != 0 {
+			t.Errorf("schema %v: JSON rows must be scanned and skipped: %+v", schema, out)
+		}
 	}
 }
 

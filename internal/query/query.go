@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -149,7 +148,9 @@ type Result struct {
 type Engine struct {
 	visits *repos.VisitsRepo
 	pois   *repos.POIRepo
-	clus   *cluster.Cluster
+	// clus describes the deployment; each request (or RunConcurrent batch)
+	// obtains its simulated time from a Simulate call of its own.
+	clus *cluster.Cluster
 	// readPolicy budgets and hedges each region's read of the personalized
 	// scatter; never nil (see SetReadPolicy).
 	readPolicy atomic.Pointer[ReadPolicy]
@@ -171,31 +172,6 @@ type Engine struct {
 	// cache, when set, memoizes personalized merge state keyed by the
 	// normalized spec, patched by friend check-ins (nil = no caching).
 	cache atomic.Pointer[matview.ResultCache]
-	// simMu serializes the timing simulations: the cluster's event heap and
-	// clock are one unlocked structure, so two requests scheduling on it at
-	// once corrupt it. Only the simulation is serialized — the real region
-	// work of concurrent requests runs in parallel before it.
-	simMu sync.Mutex
-}
-
-// simulate runs one timing simulation alone on the cluster: schedule
-// submits the request's first events at the current simulation clock, the
-// cluster drains them, and the errors schedule's callbacks reported through
-// fail while it drained are returned joined. Scheduling in the past is a bug
-// in the cost model, but a buggy cost model must fail the query, not crash
-// the process.
-func (e *Engine) simulate(schedule func(base float64, fail func(error)) error) error {
-	e.simMu.Lock()
-	defer e.simMu.Unlock()
-	var schedErr error
-	fail := func(err error) { schedErr = errors.Join(schedErr, err) }
-	if err := schedule(e.clus.Engine().Now(), fail); err != nil {
-		return err
-	}
-	if _, err := e.clus.Run(); err != nil {
-		return err
-	}
-	return schedErr
 }
 
 // NewEngine builds the query engine.
@@ -313,9 +289,8 @@ func newRegionAggregator(cp *visitsCoprocessor) *regionAggregator {
 }
 
 // visitRow is the scan callback: it aggregates one visit row and never
-// stops the scan. Binary payloads are read through model.VisitView; legacy
-// JSON rows take the full decoder. A payload neither accepts is skipped,
-// still accounted as scanned.
+// stops the scan. Payloads are read through model.VisitView; one it rejects
+// is skipped, still accounted as scanned.
 func (g *regionAggregator) visitRow(row kvstore.RowResult) bool {
 	raw, ok := row.Get(repos.VisitQualifier)
 	if !ok {
@@ -326,19 +301,10 @@ func (g *regionAggregator) visitRow(row kvstore.RowResult) bool {
 	// normalized schema can only filter by time and must ship every
 	// aggregate to the web server for the join.
 	filter := g.cp.schema == repos.SchemaReplicated
-	spec := g.cp.spec
-	if model.IsVisitBinary(raw) {
-		var v model.VisitView
-		if v.Parse(raw) == nil && (!filter || spec.matchesView(&v)) {
-			if a := g.add(v.POIID, v.Grade); a.visits == 1 {
-				a.poi = v.POI()
-			}
-		}
-		return true
-	}
-	if v, err := repos.DecodeVisit(g.cp.schema, raw); err == nil && (!filter || spec.matchesPOI(&v.POI)) {
-		if a := g.add(v.POI.ID, v.Grade); a.visits == 1 {
-			a.poi = v.POI
+	var v model.VisitView
+	if v.Parse(raw) == nil && (!filter || g.cp.spec.matchesView(&v)) {
+		if a := g.add(v.POIID, v.Grade); a.visits == 1 {
+			a.poi = v.POI()
 		}
 	}
 	return true
@@ -388,8 +354,8 @@ func (s *Spec) matchesView(v *model.VisitView) bool {
 }
 
 // matchesPOI evaluates the spatial/keyword predicates on a decoded POI
-// document: a legacy JSON row in the coprocessor, a joined POI in the
-// normalized schema's merge.
+// document: a joined POI in the normalized schema's merge, a check-in's in a
+// cached entry's patch.
 func (s *Spec) matchesPOI(p *model.POI) bool {
 	if !s.inBBox(p.Lat, p.Lon) {
 		return false
@@ -634,30 +600,23 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 		}
 	}
 
-	// Phase 2: schedule all queries as simultaneous arrivals at the current
-	// simulation clock (the cluster may have served earlier work, so
-	// latencies are measured relative to this batch's arrival time).
-	err := e.simulate(func(base float64, fail func(error)) error {
+	// Phase 2: schedule all queries as simultaneous arrivals, at time zero of
+	// one simulation: the batch's members contend for the same nodes and web
+	// servers, and for nothing any other request scheduled.
+	_, err := e.clus.Simulate(func(s *cluster.Session) {
 		for qi, plan := range plans {
 			qi, plan := qi, plan
-			web := e.clus.PickWebServer()
+			web := s.PickWebServer()
+			respond := func(done float64) { results[qi].LatencySeconds = done }
 			if plan == nil {
 				// Cache hit: the web server parses the request, reads the
 				// memoized ranking — re-deriving it from the entry's
 				// candidates if a check-in was folded in — and responds; no
 				// region RPCs to charge.
 				merge := cost.MergeServiceTime(hitMerged[qi], len(results[qi].POIs))
-				_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-					_, err := web.Submit(parseDone, merge, func(done float64) {
-						results[qi].LatencySeconds = done - base
-					})
-					if err != nil {
-						fail(fmt.Errorf("query %d: schedule cached response: %w", qi, err))
-					}
+				s.Submit(web, 0, cost.WebParse, func(parseDone float64) {
+					s.Submit(web, parseDone, merge, respond)
 				})
-				if err != nil {
-					return err
-				}
 				continue
 			}
 			totalCandidates := 0
@@ -667,27 +626,18 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 			// The web server parses the request, then issues one RPC per
 			// region; each region's coprocessor runs on its node's cores; when
 			// the last region returns, the web server merges and responds.
-			_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
+			s.Submit(web, 0, cost.WebParse, func(parseDone float64) {
 				if len(plan.outputs) == 0 {
 					// Fully-degraded answer: every region was dropped, so the web
 					// server replies with the empty merge straight after parsing.
-					_, err := web.Submit(parseDone, cost.MergeServiceTime(0, 0), func(done float64) {
-						results[qi].LatencySeconds = done - base
-					})
-					if err != nil {
-						fail(fmt.Errorf("query %d: schedule empty merge: %w", qi, err))
-					}
+					s.Submit(web, parseDone, cost.MergeServiceTime(0, 0), respond)
 					return
 				}
 				remaining := len(plan.outputs)
-				var lastRegion float64
 				for ri, out := range plan.outputs {
-					node := e.clus.Node(plan.nodes[ri])
 					service := cost.CoprocessorServiceTime(out.work)
-					_, err := node.Submit(parseDone+cost.RPC, service, func(at float64) {
-						if at > lastRegion {
-							lastRegion = at
-						}
+					s.Submit(s.Node(plan.nodes[ri]), parseDone+cost.RPC, service, func(lastRegion float64) {
+						// Completions fire in time order: the last is the latest.
 						remaining--
 						if remaining > 0 {
 							return
@@ -698,23 +648,11 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 							// time: one indexed lookup per candidate.
 							mergeService += cost.RelationalServiceTime(totalCandidates)
 						}
-						_, err := web.Submit(lastRegion+cost.RPC, mergeService, func(done float64) {
-							results[qi].LatencySeconds = done - base
-						})
-						if err != nil {
-							fail(fmt.Errorf("query %d: schedule merge: %w", qi, err))
-						}
+						s.Submit(web, lastRegion+cost.RPC, mergeService, respond)
 					})
-					if err != nil {
-						fail(fmt.Errorf("query %d: schedule region %d: %w", qi, ri, err))
-					}
 				}
 			})
-			if err != nil {
-				return err
-			}
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -835,23 +773,13 @@ func (e *Engine) NonPersonalized(ctx context.Context, spec repos.SearchSpec) ([]
 	}
 	mQueriesRelational.Inc()
 	cost := e.clus.Config().Cost
-	var latency float64
-	err = e.simulate(func(base float64, fail func(error)) error {
-		web := e.clus.PickWebServer()
-		_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-			_, err := e.clus.PG().Submit(parseDone+cost.RPC, cost.RelationalServiceTime(examined), func(pgDone float64) {
-				_, err := web.Submit(pgDone+cost.RPC, cost.MergeServiceTime(len(pois), len(pois)), func(done float64) {
-					latency = done - base
-				})
-				if err != nil {
-					fail(fmt.Errorf("query: schedule response: %w", err))
-				}
+	latency, err := e.clus.Simulate(func(s *cluster.Session) {
+		web := s.PickWebServer()
+		s.Submit(web, 0, cost.WebParse, func(parseDone float64) {
+			s.Submit(s.PG(), parseDone+cost.RPC, cost.RelationalServiceTime(examined), func(pgDone float64) {
+				s.Submit(web, pgDone+cost.RPC, cost.MergeServiceTime(len(pois), len(pois)), nil)
 			})
-			if err != nil {
-				fail(fmt.Errorf("query: schedule relational lookup: %w", err))
-			}
 		})
-		return err
 	})
 	if err != nil {
 		return nil, 0, err

@@ -7,15 +7,13 @@ import (
 	"time"
 
 	"modissense/internal/kvstore"
-	"modissense/internal/model"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
 )
 
-// benchVisits populates a visits table for `users` users, either through the
-// repository (the binary codec) or with the JSON payloads older deployments
-// left behind, which only a test can still write.
-func benchVisits(b *testing.B, users int, legacyJSON bool) *repos.VisitsRepo {
+// benchVisits populates a visits table for `users` users through the
+// repository.
+func benchVisits(b *testing.B, users int) *repos.VisitsRepo {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	pois := workload.GenPOIs(rng, 300)
@@ -26,10 +24,8 @@ func benchVisits(b *testing.B, users int, legacyJSON bool) *repos.VisitsRepo {
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	end := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	for uid := int64(1); uid <= int64(users); uid++ {
-		for i, v := range workload.GenVisitsForUser(rng, uid, pois, start, end, 10, 2) {
-			if legacyJSON {
-				putVisitPayload(b, visits, &v, i, model.EncodeJSON(v))
-			} else if err := visits.Store(v); err != nil {
+		for _, v := range workload.GenVisitsForUser(rng, uid, pois, start, end, 10, 2) {
+			if err := visits.Store(v); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -40,8 +36,8 @@ func benchVisits(b *testing.B, users int, legacyJSON bool) *repos.VisitsRepo {
 // benchCoprocessor measures the full region-side read path of one
 // personalized query with `friends` friends: scan, decode, filter,
 // aggregate — the work Figure 2 scales with cluster size.
-func benchCoprocessor(b *testing.B, friends int, legacyJSON bool) {
-	visits := benchVisits(b, friends, legacyJSON)
+func benchCoprocessor(b *testing.B, friends int) {
+	visits := benchVisits(b, friends)
 	from, to := window()
 	spec := Spec{FriendIDs: friendRange(1, int64(friends)), FromMillis: from, ToMillis: to, OrderBy: ByInterest}
 	if err := spec.Validate(); err != nil {
@@ -71,25 +67,14 @@ func benchCoprocessor(b *testing.B, friends int, legacyJSON bool) {
 	}
 }
 
-// BenchmarkCoprocessor6000FriendsJSON reads legacy JSON visit payloads: the
-// rows that still take the full decoder.
-func BenchmarkCoprocessor6000FriendsJSON(b *testing.B) {
-	benchCoprocessor(b, 6000, true)
-}
-
 // BenchmarkCoprocessor6000FriendsBinary reads binary visit payloads through
-// the allocation-free view — what every row written today costs.
+// the allocation-free view — what every row costs.
 func BenchmarkCoprocessor6000FriendsBinary(b *testing.B) {
-	benchCoprocessor(b, 6000, false)
+	benchCoprocessor(b, 6000)
 }
 
-// The small variants keep `make bench-smoke` fast while exercising the
-// identical code paths.
-
-func BenchmarkCoprocessor200FriendsJSON(b *testing.B) {
-	benchCoprocessor(b, 200, true)
-}
-
+// BenchmarkCoprocessor200FriendsBinary keeps `make bench-smoke` fast while
+// exercising the identical code path.
 func BenchmarkCoprocessor200FriendsBinary(b *testing.B) {
-	benchCoprocessor(b, 200, false)
+	benchCoprocessor(b, 200)
 }

@@ -34,23 +34,13 @@ func (s VisitSchema) String() string {
 // read it directly during region-local scans.
 const VisitQualifier = "v"
 
-// normalizedVisit is the compact payload of the normalized schema.
-type normalizedVisit struct {
-	UserID  int64   `json:"user_id"`
-	Time    int64   `json:"time"`
-	Grade   float64 `json:"grade"`
-	Network string  `json:"network"`
-	POIID   int64   `json:"poi_id"`
-}
-
 // VisitsRepo is the Visits repository: one row per (user, time, seq) visit
 // on the range-partitioned KV store. Under the replicated schema the visit
 // struct carries full POI info; under the normalized schema readers must
 // join against the POI repository.
 //
-// Rows are written with the compact binary visit codec (model.codec); rows
-// written by older deployments carry JSON payloads, and the decode path
-// accepts both indefinitely — a WAL replay of pre-codec data keeps working.
+// Rows are written and read with the compact binary visit codec
+// (model/codec.go) and nothing else.
 type VisitsRepo struct {
 	table  *kvstore.Table
 	schema VisitSchema
@@ -170,29 +160,13 @@ func (r *VisitsRepo) StoreBatch(visits []model.Visit) error {
 	return err
 }
 
-// DecodeVisit decodes a stored visit row, binary or legacy JSON — the tag
-// byte distinguishes the two, so mixed stores (old JSON rows replayed from
-// a WAL next to new binary rows) decode transparently. Under the normalized
-// schema the returned Visit carries only POI.ID; the caller joins the rest.
-func DecodeVisit(schema VisitSchema, value []byte) (model.Visit, error) {
-	if model.IsVisitBinary(value) {
-		return model.DecodeVisitBinary(value)
-	}
-	if schema == SchemaReplicated {
-		var v model.Visit
-		if err := model.DecodeJSON(value, &v); err != nil {
-			return model.Visit{}, err
-		}
-		return v, nil
-	}
-	var n normalizedVisit
-	if err := model.DecodeJSON(value, &n); err != nil {
-		return model.Visit{}, err
-	}
-	return model.Visit{
-		UserID: n.UserID, Time: n.Time, Grade: n.Grade, Network: n.Network,
-		POI: model.POI{ID: n.POIID},
-	}, nil
+// DecodeVisit decodes a stored visit row of either binary layout; any other
+// payload is a decode error. A normalized row yields a Visit carrying only
+// POI.ID; the caller joins the rest. The payload's tag says which layout it
+// is, so the schema selects nothing; the repository benchmark calls this
+// signature.
+func DecodeVisit(_ VisitSchema, value []byte) (model.Visit, error) {
+	return model.DecodeVisitBinary(value)
 }
 
 // ScanUser streams one user's visits within [fromMillis, toMillis] in time

@@ -12,58 +12,44 @@ import (
 	"modissense/internal/model"
 )
 
-// storeLegacyJSON writes v the way a pre-codec deployment stored it: under
-// the repository's own row key, as the JSON document of its schema.
-func storeLegacyJSON(t *testing.T, r *VisitsRepo, v model.Visit) {
-	t.Helper()
-	payload := model.EncodeJSON(v)
-	if r.schema == SchemaNormalized {
-		payload = model.EncodeJSON(normalizedVisit{
-			UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: v.Network, POIID: v.POI.ID,
-		})
-	}
-	if err := r.table.Put(visitRowKey(v.UserID, v.Time, r.seq.Add(1)), VisitQualifier, v.Time, payload); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestVisitsRepoMixedJSONBinaryDecode stores rows under both payload
-// formats in one repository — the state a store reaches after a WAL replay
-// of pre-codec JSON data followed by new binary writes — and checks scans
-// decode every row identically.
+// TestVisitsRepoMixedJSONBinaryDecode puts a JSON visit document — what no
+// writer has emitted since the binary codec landed — on a table next to
+// binary rows: it is not binary, so a scan that reaches it fails with the
+// decode error a corrupt row gets, and scans that do not are unaffected.
 func TestVisitsRepoMixedJSONBinaryDecode(t *testing.T) {
 	for _, schema := range []VisitSchema{SchemaReplicated, SchemaNormalized} {
 		t.Run(schema.String(), func(t *testing.T) {
 			repo := newTestVisitsRepo(t, schema)
 			poi := model.POI{ID: 7, Name: "plaka-cafe", Lat: 37.97, Lon: 23.73, Keywords: []string{"cafe", "view"}}
 			base := time.Date(2015, 5, 1, 8, 0, 0, 0, time.UTC)
-			want := make([]model.Visit, 0, 8)
-			// First half: legacy JSON writes (the pre-codec deployment).
+			var want []model.Visit
 			for i := 0; i < 4; i++ {
-				v := model.Visit{UserID: 11, Time: model.Millis(base.Add(time.Duration(i) * time.Minute)), Grade: float64(i + 1), Network: "twitter", POI: poi}
-				storeLegacyJSON(t, repo, v)
-				want = append(want, v)
-			}
-			// Second half: current binary writes on the same table.
-			for i := 4; i < 8; i++ {
 				v := model.Visit{UserID: 11, Time: model.Millis(base.Add(time.Duration(i) * time.Minute)), Grade: float64(i + 1), Network: "twitter", POI: poi}
 				if err := repo.Store(v); err != nil {
 					t.Fatal(err)
 				}
+				if schema == SchemaNormalized {
+					v.POI = model.POI{ID: poi.ID}
+				}
 				want = append(want, v)
 			}
-			if schema == SchemaNormalized {
-				for i := range want {
-					want[i].POI = model.POI{ID: poi.ID}
-				}
+			stray := model.Visit{UserID: 12, Time: model.Millis(base), Grade: 3, Network: "twitter", POI: poi}
+			if err := repo.table.Put(visitRowKey(stray.UserID, stray.Time, repo.seq.Add(1)), VisitQualifier, stray.Time, model.EncodeJSON(stray)); err != nil {
+				t.Fatal(err)
 			}
 			var got []model.Visit
-			if err := repo.ScanAll(func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
+			if err := repo.ScanUser(11, 0, math.MaxInt64/2, func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
 				t.Fatal(err)
 			}
 			sort.Slice(got, func(i, j int) bool { return got[i].Time < got[j].Time })
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("mixed-format scan:\ngot  %+v\nwant %+v", got, want)
+				t.Errorf("scan of the binary rows:\ngot  %+v\nwant %+v", got, want)
+			}
+			if err := repo.ScanAll(func(model.Visit) bool { return true }); err == nil {
+				t.Error("a scan over the JSON row must return its decode error")
+			}
+			if _, err := DecodeVisit(schema, model.EncodeJSON(stray)); err == nil {
+				t.Error("DecodeVisit must reject a JSON document")
 			}
 		})
 	}

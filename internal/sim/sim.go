@@ -17,7 +17,8 @@ import (
 // Time is a point in simulated time, in seconds since simulation start.
 type Time = float64
 
-// Engine owns the virtual clock and the pending event queue. An Engine is
+// Engine owns everything a simulation mutates: the virtual clock, the pending
+// event queue and the servers of every Resource created on it. An Engine is
 // single-goroutine: processes are plain callbacks scheduled at absolute
 // times, and resources sequence work by chaining callbacks. This keeps the
 // kernel deterministic and allocation-light.
@@ -26,6 +27,9 @@ type Engine struct {
 	queue eventHeap
 	seq   uint64 // tie-breaker preserving scheduling order at equal times
 	fired uint64
+	// freeAt[i] is the time server i becomes idle; each Resource owns a
+	// contiguous run of it, so Reset idles them all at once.
+	freeAt []Time
 }
 
 // NewEngine returns an Engine with the clock at zero.
@@ -36,9 +40,13 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// EventsFired returns the number of events executed so far (useful for
-// tests and runaway detection).
-func (e *Engine) EventsFired() uint64 { return e.fired }
+// Reset returns a drained engine to time zero with every resource idle,
+// keeping its storage, so one engine can serve run after run with no run
+// seeing what an earlier one left behind.
+func (e *Engine) Reset() {
+	e.now, e.seq, e.fired = 0, 0, 0
+	clear(e.freeAt)
+}
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error: the kernel would otherwise silently reorder causality.
@@ -81,9 +89,6 @@ func (e *Engine) Run(maxEvents uint64) (Time, error) {
 	return e.now, nil
 }
 
-// Pending returns the number of not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 type event struct {
 	at  Time
 	seq uint64
@@ -113,80 +118,51 @@ func (h *eventHeap) Pop() interface{} {
 // Resource models a station with a fixed number of identical servers and a
 // FIFO queue — e.g. one cluster node with C cores. Work items request a
 // service time; when a server becomes free the item occupies it for that
-// long and then its completion callback fires.
+// long and then its completion callback fires. A Resource is a handle on its
+// engine's servers first … first+servers-1; copies are the same station.
 type Resource struct {
-	eng     *Engine
-	name    string
-	servers int
-	// freeAt[i] is the time server i becomes idle.
-	freeAt []Time
-	// waiting holds items that could not be placed immediately. Because the
-	// kernel is single-threaded we can compute placement eagerly: each
-	// Acquire picks the earliest-free server. That is exactly FCFS with C
-	// servers, so no explicit queue structure is needed.
-	busyTime  float64 // total busy server-seconds, for utilization stats
-	completed uint64
+	eng            *Engine
+	first, servers int
 }
 
-// NewResource creates a resource with the given number of servers.
-func NewResource(eng *Engine, name string, servers int) (*Resource, error) {
+// NewResource creates a resource with the given number of idle servers.
+func NewResource(eng *Engine, servers int) (Resource, error) {
 	if servers < 1 {
-		return nil, fmt.Errorf("sim: resource %q needs at least one server, got %d", name, servers)
+		return Resource{}, fmt.Errorf("sim: resource needs at least one server, got %d", servers)
 	}
-	return &Resource{
-		eng:     eng,
-		name:    name,
-		servers: servers,
-		freeAt:  make([]Time, servers),
-	}, nil
+	r := Resource{eng: eng, first: len(eng.freeAt), servers: servers}
+	eng.freeAt = append(eng.freeAt, make([]Time, servers)...)
+	return r, nil
 }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Servers returns the number of servers.
-func (r *Resource) Servers() int { return r.servers }
 
 // Submit enqueues a work item that becomes ready at readyAt, needs service
 // seconds of a single server, and calls done(completionTime) when finished.
-// It returns the completion time. FCFS order is the order of Submit calls.
-func (r *Resource) Submit(readyAt Time, service float64, done func(Time)) (Time, error) {
+// It returns the completion time. FCFS order is the order of Submit calls:
+// because the kernel is single-threaded, placement is computed eagerly — each
+// item takes the earliest-free server — which is exactly FCFS with C servers,
+// so no explicit queue structure is needed.
+func (r Resource) Submit(readyAt Time, service float64, done func(Time)) (Time, error) {
 	if service < 0 {
-		return 0, fmt.Errorf("sim: negative service time %.9f on %q", service, r.name)
+		return 0, fmt.Errorf("sim: negative service time %.9f", service)
 	}
 	if readyAt < r.eng.now {
 		readyAt = r.eng.now
 	}
+	freeAt := r.eng.freeAt[r.first : r.first+r.servers]
 	// Pick the server that frees up first.
 	best := 0
-	for i := 1; i < r.servers; i++ {
-		if r.freeAt[i] < r.freeAt[best] {
+	for i := 1; i < len(freeAt); i++ {
+		if freeAt[i] < freeAt[best] {
 			best = i
 		}
 	}
-	start := math.Max(readyAt, r.freeAt[best])
+	start := math.Max(readyAt, freeAt[best])
 	finish := start + service
-	r.freeAt[best] = finish
-	r.busyTime += service
-	r.completed++
+	freeAt[best] = finish
 	if done != nil {
 		if err := r.eng.At(finish, func() { done(finish) }); err != nil {
 			return 0, err
 		}
 	}
 	return finish, nil
-}
-
-// BusyTime returns the total server-seconds of service performed.
-func (r *Resource) BusyTime() float64 { return r.busyTime }
-
-// Completed returns the number of items served.
-func (r *Resource) Completed() uint64 { return r.completed }
-
-// Utilization returns busy-server-seconds divided by (servers × horizon).
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return r.busyTime / (float64(r.servers) * horizon)
 }
