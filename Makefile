@@ -6,7 +6,9 @@ GO ?= go
 ## cardinality lint, the exported-godoc lint, the route-table/API.md
 ## bijection lint, build, the full test suite under the race detector (the
 ## read-fault, overload and primary-kill scenarios of internal/bench
-## included: a broken invariant there fails this target), a short fuzz pass
+## included: a broken invariant there fails this target; so are the server
+## flags <-> OPERATIONS.md knob-table bijection and core's derived-tuning
+## test, which is why there is no lint-flags target), a short fuzz pass
 ## over the WAL replay contract, a smoke pass over the read-path, write-path,
 ## matcher, trending-view and result-cache microbenchmarks, and the repository
 ## benchmark's own vet and tests. CI and pre-merge runs use this.

@@ -1,5 +1,6 @@
 // Command modissense-server boots a MoDisSENSE platform instance and
-// serves its REST API.
+// serves its REST API until SIGINT/SIGTERM, then drains in-flight requests
+// and closes the platform.
 //
 // Usage:
 //
@@ -12,105 +13,112 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
+	"os"
+	"os/signal"
+	"strconv"
+	"syscall"
 	"time"
 
 	"modissense/internal/core"
-	"modissense/internal/exec"
 	"modissense/internal/repos"
 )
 
+// shutdownGrace bounds how long a signalled server waits for in-flight
+// requests before it closes the platform under them.
+const shutdownGrace = 10 * time.Second
+
+// bindFlags registers the server's flags on fs, each bound to its field of
+// cfg with the field's current value as the default — OPERATIONS.md's Knobs
+// tables document them, and main_test.go holds the two in bijection. It
+// returns the listen address, the one flag that is not platform
+// configuration.
+func bindFlags(fs *flag.FlagSet, cfg *core.Config) *string {
+	addr := fs.String("addr", ":8080", "listen address")
+	fs.IntVar(&cfg.Nodes, "nodes", cfg.Nodes, "simulated worker nodes")
+	fs.IntVar(&cfg.RegionsPerNode, "regions-per-node", cfg.RegionsPerNode, "visits-table regions per node")
+	fs.IntVar(&cfg.POIs, "pois", cfg.POIs, "POI catalog size")
+	fs.IntVar(&cfg.NetworkPopulation, "population", cfg.NetworkPopulation, "users per simulated social network")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "master random seed")
+	fs.BoolFunc("normalized-schema", "use the normalized (join-at-query-time) visits schema", func(s string) error {
+		on, err := strconv.ParseBool(s)
+		if on {
+			cfg.VisitSchema = repos.SchemaNormalized
+		}
+		return err
+	})
+	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", cfg.QueryTimeout, "per-request query deadline (0 = none); expiry answers 504")
+	fs.IntVar(&cfg.ReadReplicas, "read-replicas", cfg.ReadReplicas, "read-only replicas per visits region (0 = no replication)")
+	fs.IntVar(&cfg.ReadMaxAttempts, "read-attempts", cfg.ReadMaxAttempts, "per-region read attempt budget (0 = plain fail-fast reads); from 2, with replicas, a read slower than the observed p95 is hedged")
+	fs.BoolVar(&cfg.AllowDegraded, "allow-degraded", cfg.AllowDegraded, "answer partial results when a region exhausts its read attempts")
+	fs.Float64Var(&cfg.AdmitQPS, "admit-qps", cfg.AdmitQPS, "interactive admission rate in requests/s, burst of one second's worth; batch routes get half (0 = no rate limiting)")
+	fs.IntVar(&cfg.ExecQueueCap, "exec-queue-cap", cfg.ExecQueueCap, "bound on the exec pool's waiter queue; enables deadline-aware admission (0 = unbounded)")
+	fs.Float64Var(&cfg.RetryBudgetRatio, "retry-budget", cfg.RetryBudgetRatio, "retries+hedges allowed per primary read attempt, e.g. 0.1 (0 = unthrottled)")
+	fs.IntVar(&cfg.BreakerFailures, "breaker-failures", cfg.BreakerFailures, "consecutive node failures that trip a circuit breaker (0 = breakers off)")
+	fs.DurationVar(&cfg.BreakerSlowAfter, "breaker-slow-after", cfg.BreakerSlowAfter, "charge read attempts still running after this duration as failures (0 = off)")
+	fs.BoolVar(&cfg.FailoverEnabled, "failover", cfg.FailoverEnabled, "enable write-path failover: failure detection, replica promotion with epoch fencing, rejoin (requires -read-replicas >= 1)")
+	fs.IntVar(&cfg.DownAfter, "down-after", cfg.DownAfter, "consecutive node failures before the detector downs the node and promotes; suspect at half (0 = default, 6)")
+	fs.StringVar(&cfg.WALDir, "wal-dir", cfg.WALDir, "directory for the durable visits WAL (empty = in-memory, no recovery)")
+	fs.StringVar(&cfg.WALSync, "wal-sync", cfg.WALSync, "WAL durability policy: os (written to the file per commit group) or group (plus one fsync per group)")
+	fs.Float64Var(&cfg.CompactRateMBps, "compact-rate-mb", cfg.CompactRateMBps, "background-compaction I/O cap in MB/s (0 = unlimited)")
+	fs.IntVar(&cfg.MemtableFlushBytes, "memtable-flush-bytes", cfg.MemtableFlushBytes, "per-region memtable size that triggers rotation and background flush (0 = engine default)")
+	fs.Float64Var(&cfg.WriteQPS, "write-qps", cfg.WriteQPS, "write-class admission rate in requests/s for batched check-ins (0 = no rate limiting)")
+	fs.IntVar(&cfg.BlockCacheMB, "block-cache-mb", cfg.BlockCacheMB, "decoded-block cache shared by all tables, in MiB (0 = process default, 64)")
+	fs.StringVar(&cfg.BlockCompression, "block-compression", cfg.BlockCompression, "segment block codec: none, flate or snappy")
+	fs.IntVar(&cfg.MaxSubscriptions, "max-subscriptions", cfg.MaxSubscriptions, "global cap on live pub/sub subscriptions (0 = registry default, 10000)")
+	fs.IntVar(&cfg.SubQueueCap, "sub-queue-cap", cfg.SubQueueCap, "per-subscription bounded event queue; overflow drops oldest (0 = registry default, 256)")
+	fs.DurationVar(&cfg.HotInBucket, "hotin-bucket", cfg.HotInBucket, "materialized trending view bucket width (0 = 1h)")
+	fs.DurationVar(&cfg.HotInHorizon, "hotin-horizon", cfg.HotInHorizon, "trending view retention horizon; friendless trending windows are clamped to this span (0 = 14d)")
+	fs.IntVar(&cfg.ResultCacheMB, "result-cache-mb", cfg.ResultCacheMB, "personalized result cache budget in MiB (0 disables caching)")
+	return addr
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	nodes := flag.Int("nodes", 4, "simulated worker nodes")
-	regionsPerNode := flag.Int("regions-per-node", 4, "visits-table regions per node")
-	pois := flag.Int("pois", 800, "POI catalog size")
-	population := flag.Int("population", 2000, "users per simulated social network")
-	seed := flag.Int64("seed", 1, "master random seed")
-	normalized := flag.Bool("normalized-schema", false, "use the normalized (join-at-query-time) visits schema")
-	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request query deadline (0 = none); expiry answers 504")
-	scatterWorkers := flag.Int("scatter-workers", 0, "scatter-gather worker-pool size (0 = GOMAXPROCS)")
-	readReplicas := flag.Int("read-replicas", 0, "read-only replicas per visits region (0 = no replication)")
-	readAttempts := flag.Int("read-attempts", 0, "per-region read attempt budget (0 = plain fail-fast reads)")
-	readHedgeAfter := flag.Duration("read-hedge-after", 0, "enable latency hedging, capped at this threshold (0 = no hedging)")
-	allowDegraded := flag.Bool("allow-degraded", false, "answer partial results when a region exhausts its read attempts")
-	admitQPS := flag.Float64("admit-qps", 0, "interactive admission rate in requests/s; batch routes get half (0 = no rate limiting)")
-	admitBurst := flag.Int("admit-burst", 0, "interactive admission token-bucket depth (0 = derived from -admit-qps)")
-	execQueueCap := flag.Int("exec-queue-cap", 0, "bound on the exec pool's waiter queue; enables deadline-aware admission (0 = unbounded)")
-	retryBudget := flag.Float64("retry-budget", 0, "retries+hedges allowed per primary read attempt, e.g. 0.1 (0 = unthrottled)")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive node failures that trip a circuit breaker (0 = breakers off)")
-	breakerOpenFor := flag.Duration("breaker-open-for", 0, "base breaker open interval before the first half-open probe (0 = 500ms default)")
-	breakerSlowAfter := flag.Duration("breaker-slow-after", 0, "charge read attempts still running after this duration as failures (0 = off)")
-	failover := flag.Bool("failover", false, "enable write-path failover: failure detection, replica promotion with epoch fencing, rejoin (requires -read-replicas >= 1)")
-	suspectAfter := flag.Int("suspect-after", 0, "consecutive node failures before the failure detector marks it suspect (0 = default, 3)")
-	downAfter := flag.Int("down-after", 0, "consecutive node failures before the detector downs the node and promotes (0 = default, 6)")
-	walDir := flag.String("wal-dir", "", "directory for the durable visits WAL (empty = in-memory, no recovery)")
-	walSync := flag.String("wal-sync", "os", "WAL durability policy: os (buffered) or group (one fsync per commit group)")
-	compactRate := flag.Float64("compact-rate-mb", 0, "background-compaction I/O cap in MB/s (0 = unlimited)")
-	memtableFlush := flag.Int("memtable-flush-bytes", 0, "per-region memtable size that triggers rotation and background flush (0 = engine default)")
-	writeQPS := flag.Float64("write-qps", 0, "write-class admission rate in requests/s for batched check-ins (0 = no rate limiting)")
-	blockSize := flag.Int("block-size", 0, "target encoded segment-block size in bytes (0 = engine default, 4096)")
-	blockCacheMB := flag.Int("block-cache-mb", 0, "decoded-block cache shared by all tables, in MiB (0 = process default, 64)")
-	blockCompression := flag.String("block-compression", "none", "segment block codec: none, flate or snappy")
-	maxSubscriptions := flag.Int("max-subscriptions", 0, "global cap on live pub/sub subscriptions (0 = registry default, 10000)")
-	subQueueCap := flag.Int("sub-queue-cap", 0, "per-subscription bounded event queue; overflow drops oldest (0 = registry default, 256)")
-	subTTL := flag.Duration("sub-ttl", 0, "default subscription time-to-live (0 = registry default, 15m; clamped to 24h)")
-	hotinBucket := flag.Duration("hotin-bucket", time.Hour, "materialized trending view bucket width (0 = 1h default)")
-	hotinHorizon := flag.Duration("hotin-horizon", 336*time.Hour, "trending view retention horizon; friendless trending windows are clamped to this span (0 = 14d default)")
-	resultCacheMB := flag.Int("result-cache-mb", 32, "personalized result cache budget in MiB (0 disables caching)")
-	flag.Parse()
-
-	exec.SetDefaultWorkers(*scatterWorkers)
-
 	cfg := core.DefaultConfig()
-	cfg.Nodes = *nodes
-	cfg.RegionsPerNode = *regionsPerNode
-	cfg.POIs = *pois
-	cfg.NetworkPopulation = *population
-	cfg.Seed = *seed
-	cfg.QueryTimeout = *queryTimeout
-	cfg.ReadReplicas = *readReplicas
-	cfg.ReadMaxAttempts = *readAttempts
-	cfg.ReadHedgeAfter = *readHedgeAfter
-	cfg.AllowDegraded = *allowDegraded
-	cfg.AdmitQPS = *admitQPS
-	cfg.AdmitBurst = *admitBurst
-	cfg.ExecQueueCap = *execQueueCap
-	cfg.RetryBudgetRatio = *retryBudget
-	cfg.BreakerFailures = *breakerFailures
-	cfg.BreakerOpenFor = *breakerOpenFor
-	cfg.BreakerSlowAfter = *breakerSlowAfter
-	cfg.FailoverEnabled = *failover
-	cfg.SuspectAfter = *suspectAfter
-	cfg.DownAfter = *downAfter
-	cfg.WALDir = *walDir
-	cfg.WALSync = *walSync
-	cfg.CompactRateMBps = *compactRate
-	cfg.MemtableFlushBytes = *memtableFlush
-	cfg.WriteQPS = *writeQPS
-	cfg.BlockSizeBytes = *blockSize
-	cfg.BlockCacheMB = *blockCacheMB
-	cfg.BlockCompression = *blockCompression
-	cfg.MaxSubscriptions = *maxSubscriptions
-	cfg.SubQueueCap = *subQueueCap
-	cfg.SubTTL = *subTTL
-	cfg.HotInBucket = *hotinBucket
-	cfg.HotInHorizon = *hotinHorizon
-	cfg.ResultCacheMB = *resultCacheMB
-	if *normalized {
-		cfg.VisitSchema = repos.SchemaNormalized
+	cfg.ResultCacheMB = 32 // the library default is off; a server caches rankings
+	addr := bindFlags(flag.CommandLine, &cfg)
+	flag.Parse()
+	if err := serve(*addr, cfg); err != nil {
+		log.Fatal(err)
 	}
+}
 
+// serve boots the platform, serves the API on addr until SIGINT/SIGTERM (or
+// the listener fails), drains in-flight requests for at most shutdownGrace
+// and closes the platform: maintenance drained, WAL released.
+func serve(addr string, cfg core.Config) error {
 	log.Printf("booting platform: %d nodes × %d regions, %d POIs, %d users/network, schema=%s, wal=%q (sync=%s)",
 		cfg.Nodes, cfg.RegionsPerNode, cfg.POIs, cfg.NetworkPopulation, cfg.VisitSchema, cfg.WALDir, cfg.WALSync)
 	p, err := core.New(cfg)
 	if err != nil {
-		log.Fatalf("boot: %v", err)
+		return fmt.Errorf("boot: %w", err)
 	}
-	log.Printf("platform ready; serving REST API on %s", *addr)
-	if err := http.ListenAndServe(*addr, core.NewHandler(p)); err != nil {
-		log.Fatalf("serve: %v", err)
+	srv := &http.Server{Addr: addr, Handler: core.NewHandler(p)}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	listenErr := make(chan error, 1)
+	go func() { listenErr <- srv.ListenAndServe() }()
+	log.Printf("platform ready; serving REST API on %s", addr)
+
+	select {
+	case err = <-listenErr:
+		err = fmt.Errorf("serve: %w", err)
+	case <-ctx.Done():
+		stop() // a second signal kills the process the default way
+		log.Printf("signal received; draining for up to %s", shutdownGrace)
+		drain, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		if err = srv.Shutdown(drain); err != nil {
+			err = fmt.Errorf("shutdown: %w", err)
+		}
+		cancel()
 	}
+	if closeErr := p.Close(); closeErr != nil {
+		err = errors.Join(err, fmt.Errorf("close: %w", closeErr))
+	}
+	return err
 }

@@ -11,14 +11,15 @@ import (
 	"time"
 
 	"modissense/client"
+	"modissense/internal/admit"
 	"modissense/internal/core"
 	"modissense/internal/exec"
 	"modissense/internal/faultinject"
 )
 
 // The overload scenario's knobs. The storm stalls every read on node 1 for
-// 400 ms — under the 600 ms request deadline, far over the 50 ms hedge
-// threshold — while the clients push their scatters through a four-worker
+// 400 ms — under the 600 ms request deadline, far over the 100 ms hedge
+// cap — while the clients push their scatters through a four-worker
 // exec pool.
 const (
 	overloadSeed        = 73
@@ -71,21 +72,32 @@ func driveOverload(t *testing.T, protect bool, clients, requests int) overloadTa
 	cfg.ReadMaxAttempts = 1
 	cfg.AllowDegraded = false
 	if protect {
-		cfg.ReadMaxAttempts = 3
-		cfg.ReadHedgeAfter = 50 * time.Millisecond
-		cfg.AdmitQPS = 60
-		cfg.AdmitBurst = 20
+		cfg.ReadMaxAttempts = 3 // with the replica: hedged
 		cfg.ExecQueueCap = 16
 		cfg.RetryBudgetRatio = overloadBudgetRatio
-		cfg.BreakerFailures = 2
-		cfg.BreakerOpenFor = 5 * time.Second
-		cfg.BreakerSlowAfter = 10 * time.Millisecond
 	}
 	p, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	if protect {
+		// Two tunings the storm needs and no flag offers are installed the
+		// way core.New installs its own: a burst a third of the rate (the
+		// derived one, a full second's worth, would admit the whole load),
+		// and breakers that stay open for the rest of the run.
+		pool := exec.Default()
+		runTimes := exec.NewLatencyTracker(0)
+		pool.SetRunTracker(runTimes)
+		p.Admission = admit.NewController(admit.Config{
+			InteractiveQPS: 60, InteractiveBurst: 20,
+			BatchQPS: 30, BatchBurst: 10,
+			QueueLen: pool.QueueLen, Workers: pool.Workers(), RunTime: runTimes,
+		})
+		p.Query.SetBreakers(admit.NewBreakerSet(admit.BreakerConfig{
+			Failures: 2, OpenFor: 5 * time.Second, SlowAfter: 10 * time.Millisecond, Seed: overloadSeed,
+		}))
+	}
 	since := time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC)
 	until := time.Date(2015, 5, 8, 0, 0, 0, 0, time.UTC)
 	if _, err := p.Collect(since, until); err != nil {

@@ -58,15 +58,14 @@ func (c *apiClient) postRawSearch(body searchJSON) (*http.Response, apiError) {
 }
 
 func TestAPIRateAdmission(t *testing.T) {
-	cfg := testConfig()
+	p := bootPlatform(t)
 	// Two interactive tokens, then a near-zero refill: the third search in
-	// a burst must be rate-rejected.
-	cfg.AdmitQPS = 0.0001
-	cfg.AdmitBurst = 2
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// a burst must be rate-rejected. (core.New derives the burst from the
+	// rate, so a burst this far from it is installed directly.)
+	p.Admission = admit.NewController(admit.Config{
+		InteractiveQPS: 0.0001, InteractiveBurst: 2,
+		BatchQPS: 0.00005, BatchBurst: 1,
+	})
 	srv := httptest.NewServer(NewHandler(p))
 	defer srv.Close()
 	c := &apiClient{t: t, srv: srv}

@@ -76,11 +76,10 @@ type Config struct {
 	ReadReplicas int
 	// ReadMaxAttempts, when > 0, routes the personalized scatter through the
 	// fault-tolerant read path with this per-region attempt budget (hedges
-	// included). Zero keeps the plain fail-fast path.
+	// included). Zero keeps the plain fail-fast path. With a replica to race
+	// (ReadReplicas >= 1) and an attempt to spend (>= 2), a read slower than
+	// the observed p95 is hedged.
 	ReadMaxAttempts int
-	// ReadHedgeAfter, when > 0, enables latency hedging and caps the hedge
-	// threshold at this duration. Zero disables hedging.
-	ReadHedgeAfter time.Duration
 	// AllowDegraded answers partial results (degraded: true plus the missing
 	// region ids) when a region exhausts its read attempts, instead of
 	// failing the query.
@@ -89,11 +88,8 @@ type Config struct {
 	// API routes: interactive traffic (search) is admitted at this rate,
 	// batch traffic (trending, events, pipeline) at half of it, so batch is
 	// the first to shed under pressure. Over-rate requests answer 429 with
-	// a Retry-After hint.
+	// a Retry-After hint. Each bucket holds one second's worth.
 	AdmitQPS float64
-	// AdmitBurst is the interactive token-bucket depth (0 derives it from
-	// AdmitQPS); the batch bucket gets half.
-	AdmitBurst int
 	// ExecQueueCap, when > 0, bounds the shared exec pool's waiter queue:
 	// beyond the cap the newest lowest-priority task is shed (503). It also
 	// arms deadline-aware admission — requests whose predicted queue wait
@@ -108,9 +104,6 @@ type Config struct {
 	// fault-tolerant read path: a node tripping this many consecutive
 	// failures is fast-failed until a half-open probe succeeds.
 	BreakerFailures int
-	// BreakerOpenFor is the breaker's base open interval before the first
-	// probe (0 keeps the 500ms default).
-	BreakerOpenFor time.Duration
 	// BreakerSlowAfter, when > 0, also charges attempts still running after
 	// this duration as failures (fail-slow detection). Keep it below the
 	// hedge threshold or stalled attempts are canceled before they are
@@ -122,19 +115,17 @@ type Config struct {
 	// rejoin-as-replica for recovered nodes. Requires ReadReplicas >= 1
 	// (promotion needs a survivor to promote).
 	FailoverEnabled bool
-	// SuspectAfter is the consecutive-failure count that marks a node
-	// suspect (0 keeps the default of 3).
-	SuspectAfter int
 	// DownAfter is the consecutive-failure count that marks a node down
-	// and triggers promotion (0 keeps the default of 6).
+	// and triggers promotion (0 keeps the default of 6); a node is suspect
+	// halfway there.
 	DownAfter int
 	// WALDir, when non-empty, makes the Visits table durable: every write is
 	// group-committed to WALDir/visits.wal before it applies, and booting
 	// over an existing log replays it. Empty keeps the seed's in-memory
 	// behaviour.
 	WALDir string
-	// WALSync picks the WAL durability policy: "os" (default; buffered
-	// writes) or "group" (one fsync per commit group).
+	// WALSync picks the WAL durability policy: "os" (default; acknowledged
+	// once written to the file) or "group" (one fsync per commit group).
 	WALSync string
 	// CompactRateMBps caps background-compaction I/O across the Visits
 	// regions in MB/s (0 = unlimited).
@@ -146,9 +137,6 @@ type Config struct {
 	// endpoint) at admission; tokens are per request, not per cell, and the
 	// bucket holds one second's worth.
 	WriteQPS float64
-	// BlockSizeBytes is the target encoded size of one kvstore segment
-	// block (0 keeps the kvstore default).
-	BlockSizeBytes int
 	// BlockCacheMB sizes one block cache shared by every table of this
 	// platform, in MiB (0 keeps the process-wide default cache).
 	BlockCacheMB int
@@ -162,9 +150,6 @@ type Config struct {
 	// SubQueueCap sizes each subscriber's bounded event queue; a full queue
 	// drops its oldest event (0 keeps the pubsub default of 256).
 	SubQueueCap int
-	// SubTTL is the default subscription lifetime when a request names no
-	// TTL (0 keeps the pubsub default of 15m).
-	SubTTL time.Duration
 	// HotInBucket is the bucket width of the incrementally maintained
 	// trending view: per-POI visit aggregates updated on every stored
 	// check-in, the one source of friendless trending answers and of the
@@ -197,6 +182,8 @@ func DefaultConfig() Config {
 		ClassifierTrainDocs: 1000,
 		ClassifierOptions:   textproc.OptimizedOptions(),
 		QueryTimeout:        30 * time.Second,
+		WALSync:             "os",
+		BlockCompression:    "none",
 	}
 }
 
@@ -229,11 +216,8 @@ func (c Config) Validate() error {
 	if c.ReadMaxAttempts < 0 {
 		return fmt.Errorf("core: negative read attempts")
 	}
-	if c.ReadHedgeAfter < 0 {
-		return fmt.Errorf("core: negative read hedge threshold")
-	}
-	if c.AdmitQPS < 0 || c.AdmitBurst < 0 {
-		return fmt.Errorf("core: negative admission rate/burst")
+	if c.AdmitQPS < 0 {
+		return fmt.Errorf("core: negative admission rate")
 	}
 	if c.ExecQueueCap < 0 {
 		return fmt.Errorf("core: negative exec queue cap")
@@ -241,17 +225,14 @@ func (c Config) Validate() error {
 	if c.RetryBudgetRatio < 0 {
 		return fmt.Errorf("core: negative retry-budget ratio")
 	}
-	if c.BreakerFailures < 0 || c.BreakerOpenFor < 0 || c.BreakerSlowAfter < 0 {
+	if c.BreakerFailures < 0 || c.BreakerSlowAfter < 0 {
 		return fmt.Errorf("core: negative breaker parameters")
 	}
-	if c.SuspectAfter < 0 || c.DownAfter < 0 {
-		return fmt.Errorf("core: negative failover thresholds")
+	if c.DownAfter < 0 {
+		return fmt.Errorf("core: negative failover threshold")
 	}
 	if c.FailoverEnabled && c.ReadReplicas < 1 {
 		return fmt.Errorf("core: failover requires read replicas (promotion needs a survivor)")
-	}
-	if _, err := kvstore.ParseSyncPolicy(c.WALSync); err != nil {
-		return err
 	}
 	if c.CompactRateMBps < 0 || c.MemtableFlushBytes < 0 {
 		return fmt.Errorf("core: negative compaction rate/flush threshold")
@@ -259,14 +240,11 @@ func (c Config) Validate() error {
 	if c.WriteQPS < 0 {
 		return fmt.Errorf("core: negative write admission rate")
 	}
-	if c.BlockSizeBytes < 0 || c.BlockCacheMB < 0 {
-		return fmt.Errorf("core: negative block size/cache size")
+	if c.BlockCacheMB < 0 {
+		return fmt.Errorf("core: negative block cache size")
 	}
-	if _, err := kvstore.ParseBlockCompression(c.BlockCompression); err != nil {
-		return err
-	}
-	if c.MaxSubscriptions < 0 || c.SubQueueCap < 0 || c.SubTTL < 0 {
-		return fmt.Errorf("core: negative subscription cap/queue/ttl")
+	if c.MaxSubscriptions < 0 || c.SubQueueCap < 0 {
+		return fmt.Errorf("core: negative subscription cap/queue")
 	}
 	if c.HotInBucket < 0 || c.HotInHorizon < 0 {
 		return fmt.Errorf("core: negative trending view bucket/horizon")
@@ -275,6 +253,23 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative result cache size")
 	}
 	return nil
+}
+
+// readPolicy is the engine read policy the configuration asks for: nil (one
+// fail-fast attempt) without an attempt budget, else the query package's
+// recommended policy with the budget, seed and degradation switch from c.
+func (c Config) readPolicy() *query.ReadPolicy {
+	if c.ReadMaxAttempts < 1 {
+		return nil
+	}
+	pol := query.DefaultReadPolicy()
+	pol.MaxAttempts = c.ReadMaxAttempts
+	pol.JitterSeed = c.Seed
+	// A hedge needs a replica to race and an attempt to spend; when it fires
+	// is the latency tracker's p95 under the policy's own cap.
+	pol.HedgeEnabled = c.ReadReplicas >= 1 && c.ReadMaxAttempts >= 2
+	pol.AllowDegraded = c.AllowDegraded
+	return &pol
 }
 
 // Platform is a fully wired MoDisSENSE instance.
@@ -347,9 +342,12 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.CompactRateMBps > 0 {
 		kvOpts.CompactionRate = kvstore.NewRateLimiter(int(cfg.CompactRateMBps * 1e6))
 	}
-	kvOpts.WALSyncPolicy, _ = kvstore.ParseSyncPolicy(cfg.WALSync) // Validate already vetted it
-	kvOpts.BlockSizeBytes = cfg.BlockSizeBytes
-	kvOpts.BlockCompression, _ = kvstore.ParseBlockCompression(cfg.BlockCompression) // ditto
+	if kvOpts.WALSyncPolicy, err = kvstore.ParseSyncPolicy(cfg.WALSync); err != nil {
+		return nil, err
+	}
+	if kvOpts.BlockCompression, err = kvstore.ParseBlockCompression(cfg.BlockCompression); err != nil {
+		return nil, err
+	}
 	if cfg.BlockCacheMB > 0 {
 		// One cache for all of this platform's tables, so the configured
 		// budget is a platform-wide ceiling rather than per-table.
@@ -440,7 +438,6 @@ func New(cfg Config) (*Platform, error) {
 	p.PubSub = pubsub.NewRegistry(pubsub.Options{
 		MaxSubscriptions: cfg.MaxSubscriptions,
 		QueueCap:         cfg.SubQueueCap,
-		DefaultTTL:       cfg.SubTTL,
 	})
 
 	// Materialized trending view + personalized result cache (the cache off
@@ -501,24 +498,11 @@ func New(cfg Config) (*Platform, error) {
 	// "Write-path failover"). Must follow EnableReplication: promotion
 	// needs replicas to promote.
 	if cfg.FailoverEnabled {
-		if err := p.Visits.Table().EnableFailover(kvstore.FailoverConfig{
-			SuspectAfter: cfg.SuspectAfter,
-			DownAfter:    cfg.DownAfter,
-		}); err != nil {
+		if err := p.Visits.Table().EnableFailover(kvstore.FailoverConfig{DownAfter: cfg.DownAfter}); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.ReadMaxAttempts > 0 {
-		pol := query.DefaultReadPolicy()
-		pol.MaxAttempts = cfg.ReadMaxAttempts
-		pol.JitterSeed = cfg.Seed
-		pol.HedgeEnabled = cfg.ReadHedgeAfter > 0
-		if cfg.ReadHedgeAfter > 0 {
-			pol.HedgeMax = cfg.ReadHedgeAfter
-		}
-		pol.AllowDegraded = cfg.AllowDegraded
-		p.Query.SetReadPolicy(&pol)
-	}
+	p.Query.SetReadPolicy(cfg.readPolicy())
 
 	// Overload protection (off by default; see OPERATIONS.md "Overload &
 	// shedding"). The exec pool is process-wide, so the queue cap and run
@@ -539,10 +523,7 @@ func New(cfg Config) (*Platform, error) {
 		if cfg.AdmitQPS > 0 || cfg.ExecQueueCap > 0 {
 			runTimes := exec.NewLatencyTracker(0)
 			pool.SetRunTracker(runTimes)
-			burst := cfg.AdmitBurst
-			if burst < 1 {
-				burst = int(math.Ceil(cfg.AdmitQPS))
-			}
+			burst := int(math.Ceil(cfg.AdmitQPS))
 			acfg.InteractiveQPS = cfg.AdmitQPS
 			acfg.InteractiveBurst = burst
 			// Batch runs at half the interactive rate: under pressure the
@@ -563,7 +544,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.BreakerFailures > 0 {
 		bs := admit.NewBreakerSet(admit.BreakerConfig{
 			Failures:  cfg.BreakerFailures,
-			OpenFor:   cfg.BreakerOpenFor,
 			SlowAfter: cfg.BreakerSlowAfter,
 			Seed:      cfg.Seed,
 		})

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"modissense/internal/admit"
+	"modissense/internal/faultinject"
 	"modissense/internal/geo"
+	"modissense/internal/kvstore"
 	"modissense/internal/model"
 	"modissense/internal/query"
 	"modissense/internal/repos"
@@ -47,17 +50,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CheckinsPerDay = 0 },
 		func(c *Config) { c.ClassifierTrainDocs = 5 },
 		func(c *Config) { c.AdmitQPS = -1 },
-		func(c *Config) { c.AdmitBurst = -1 },
 		func(c *Config) { c.ExecQueueCap = -1 },
 		func(c *Config) { c.RetryBudgetRatio = -0.5 },
 		func(c *Config) { c.BreakerFailures = -1 },
-		func(c *Config) { c.BreakerOpenFor = -time.Second },
 		func(c *Config) { c.MaxSubscriptions = -1 },
 		func(c *Config) { c.SubQueueCap = -1 },
-		func(c *Config) { c.SubTTL = -time.Second },
-		func(c *Config) { c.SuspectAfter = -1 },
 		func(c *Config) { c.DownAfter = -1 },
 		func(c *Config) { c.FailoverEnabled = true }, // without replicas
+		func(c *Config) { c.WALSync = "always" },
+		func(c *Config) { c.BlockCompression = "zip" },
 	}
 	for i, mut := range muts {
 		cfg := testConfig()
@@ -66,6 +67,99 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("mutation %d must fail", i)
 		}
 	}
+}
+
+// TestDerivedTunings pins the values core.New works out from a knob that
+// stays, where a knob of their own used to carry them.
+func TestDerivedTunings(t *testing.T) {
+	t.Run("reads hedge given a replica to race and an attempt to spend", func(t *testing.T) {
+		for _, tc := range []struct {
+			replicas, attempts int
+			policy, hedged     bool
+		}{
+			{0, 0, false, false}, {2, 0, false, false},
+			{0, 3, true, false}, {1, 1, true, false},
+			{1, 2, true, true}, {2, 3, true, true},
+		} {
+			cfg := testConfig()
+			cfg.ReadReplicas, cfg.ReadMaxAttempts = tc.replicas, tc.attempts
+			pol := cfg.readPolicy()
+			if (pol != nil) != tc.policy || (pol != nil && pol.HedgeEnabled != tc.hedged) {
+				t.Errorf("replicas=%d attempts=%d: policy %+v, want installed=%v hedged=%v",
+					tc.replicas, tc.attempts, pol, tc.policy, tc.hedged)
+			}
+		}
+	})
+
+	t.Run("an admission bucket holds one second's worth", func(t *testing.T) {
+		for _, tc := range []struct {
+			qps                float64
+			interactive, batch int
+		}{{0.5, 1, 1}, {2.5, 3, 1}, {6, 6, 3}} {
+			cfg := testConfig()
+			cfg.AdmitQPS = tc.qps
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Draining a bucket takes microseconds; its refill at these
+			// rates, a sizeable fraction of a second per token.
+			for class, want := range map[admit.Class]int{admit.Interactive: tc.interactive, admit.Batch: tc.batch} {
+				got := 0
+				for p.Admission.Admit(class, 0).OK {
+					got++
+				}
+				if got != want {
+					t.Errorf("qps=%v: %s bucket admitted %d back to back, want %d", tc.qps, class, got, want)
+				}
+			}
+		}
+	})
+
+	t.Run("a node is suspect halfway to down", func(t *testing.T) {
+		for _, tc := range []struct{ downAfter, suspect, down int }{{0, 3, 6}, {2, 1, 2}, {5, 3, 5}} {
+			cfg := testConfig()
+			cfg.ReadReplicas, cfg.FailoverEnabled, cfg.DownAfter = 1, true, tc.downAfter
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatalf("down-after=%d does not boot: %v", tc.downAfter, err)
+			}
+			tbl := p.Visits.Table()
+			tbl.SetFaultInjector(faultinject.New(faultinject.Schedule{Seed: 1, Rules: []faultinject.Rule{{
+				Fault: faultinject.Crash, Op: faultinject.OpPut,
+				Node: faultinject.Any, Region: faultinject.Any, Replica: faultinject.Any, Prob: 1,
+			}}}))
+			// The region's row and node are read once: the down verdict
+			// promotes the region away on another goroutine.
+			r := tbl.Regions()[1]
+			row, node := r.StartKey+"\x00probe", r.PrimaryNode()
+			suspect, down := 0, 0
+			for i := 1; down == 0 && i <= 10; i++ {
+				if err := tbl.Put(row, "v", 1, nil); err == nil {
+					t.Fatal("a put under the crash schedule succeeded")
+				}
+				switch tbl.NodeHealth(node) {
+				case kvstore.NodeSuspect:
+					if suspect == 0 {
+						suspect = i
+					}
+				case kvstore.NodeDown:
+					down = i
+				}
+			}
+			if suspect != tc.suspect || down != tc.down {
+				t.Errorf("down-after=%d: suspect after %d failures and down after %d, want %d and %d",
+					tc.downAfter, suspect, down, tc.suspect, tc.down)
+			}
+			tbl.SetFaultInjector(nil)
+			if err := tbl.WaitFailover(context.Background()); err != nil {
+				t.Error(err)
+			}
+			if err := p.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	})
 }
 
 func TestPlatformEndToEndFlow(t *testing.T) {

@@ -54,15 +54,9 @@ func (h NodeHealth) String() string {
 	}
 }
 
-// Failure-detector threshold defaults (see FailoverConfig).
-const (
-	// DefaultSuspectAfter is the default consecutive-failure count that
-	// moves a node healthy → suspect.
-	DefaultSuspectAfter = 3
-	// DefaultDownAfter is the default consecutive-failure count that
-	// declares a node down and triggers automatic promotion.
-	DefaultDownAfter = 6
-)
+// DefaultDownAfter is the default consecutive-failure count that declares a
+// node down and triggers automatic promotion (see FailoverConfig).
+const DefaultDownAfter = 6
 
 // FailoverConfig tunes the per-node failure detector behind
 // Table.EnableFailover. Counts are consecutive failures observed on the
@@ -70,7 +64,7 @@ const (
 // success on the node resets the count while the node is not yet down.
 type FailoverConfig struct {
 	// SuspectAfter is the consecutive-failure count that marks a node
-	// suspect (<= 0 uses DefaultSuspectAfter).
+	// suspect (<= 0 derives it from DownAfter: halfway there, rounded up).
 	SuspectAfter int
 	// DownAfter is the consecutive-failure count that declares a node down
 	// and kicks off promotion of every region it primaries (<= 0 uses
@@ -248,11 +242,11 @@ func (d *failureDetector) downSet() []bool {
 // replacement replicas on healthy nodes. Requires EnableReplication first;
 // call once per table.
 func (t *Table) EnableFailover(cfg FailoverConfig) error {
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = DefaultSuspectAfter
-	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = DefaultDownAfter
+	}
+	if cfg.SuspectAfter <= 0 {
+		cfg.SuspectAfter = (cfg.DownAfter + 1) / 2
 	}
 	if cfg.DownAfter < cfg.SuspectAfter {
 		return fmt.Errorf("kvstore: failover DownAfter (%d) must be >= SuspectAfter (%d)", cfg.DownAfter, cfg.SuspectAfter)

@@ -156,10 +156,13 @@ func (w *GroupCommitWAL) commitLocked(cells []Cell) error {
 	if err != nil {
 		return err
 	}
+	// Both policies hand the group to the OS before acknowledging: the buffer
+	// only gathers one group's record into one write, it never holds an
+	// acknowledged cell.
+	if err := w.w.Flush(); err != nil {
+		return err
+	}
 	if w.policy == SyncGroup {
-		if err := w.w.Flush(); err != nil {
-			return err
-		}
 		if err := w.f.Sync(); err != nil {
 			return err
 		}

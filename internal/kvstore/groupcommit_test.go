@@ -429,3 +429,35 @@ func TestDurableTablePutBatchRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestAckedWriteIsInTheFileBeforeClose pins the SyncOS promise ("a process
+// crash loses nothing"): once PutBatch returns, a second handle on the log
+// replays every acknowledged cell, the table never having been closed — for
+// a lone cell (per-put record) and for a batch (batched record), under both
+// policies.
+func TestAckedWriteIsInTheFileBeforeClose(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncOS, SyncGroup} {
+		for _, n := range []int{1, 40} {
+			t.Run(fmt.Sprintf("%s/%d", policy, n), func(t *testing.T) {
+				walPath := filepath.Join(t.TempDir(), "table.wal")
+				opts := DefaultStoreOptions()
+				opts.WALSyncPolicy = policy
+				tbl, err := OpenDurableTable("visits", []string{"m"}, 2, opts, walPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tbl.Close()
+				cells := make([]Cell, n)
+				for i := range cells {
+					cells[i] = Cell{Row: fmt.Sprintf("user|%02d", i), Qualifier: "v", Timestamp: int64(i), Value: []byte("visit")}
+				}
+				if err := tbl.PutBatch(cells); err != nil {
+					t.Fatal(err)
+				}
+				if got := replayIntoStore(t, walPath); !cellsEqual(got, cells) {
+					t.Fatalf("replay before Close found %d cells, want the %d acknowledged", len(got), n)
+				}
+			})
+		}
+	}
+}
