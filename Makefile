@@ -8,10 +8,12 @@ GO ?= go
 ## read-fault, overload and primary-kill scenarios of internal/bench
 ## included: a broken invariant there fails this target; so are the server
 ## flags <-> OPERATIONS.md knob-table bijection and core's derived-tuning
-## test, which is why there is no lint-flags target), a short fuzz pass
-## over the WAL replay contract, a smoke pass over the read-path, write-path,
-## matcher, trending-view and result-cache microbenchmarks, and the repository
-## benchmark's own vet and tests. CI and pre-merge runs use this.
+## test, which is why there is no lint-flags target), short fuzz passes over
+## the untrusted-input parsers and the two hand codecs held to a reference
+## (binary visits, JSON answers), a smoke pass over the read-path,
+## write-path, matcher, trending-view, result-cache and answer-codec
+## microbenchmarks, and the repository benchmark's own vet and tests. CI and
+## pre-merge runs use this.
 check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-smoke bench-repo-smoke
 
 ## lint-metrics fails when any obs.L / obs.Label value is not a
@@ -48,36 +50,40 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-## fuzz-smoke runs the WAL-replay, block-decode and visit-view fuzzers for
-## short, bounded bursts: long enough to shake out regressions in the
-## torn-tail / mid-log corruption contract, the untrusted-block parsing
-## contract and the visit walker's agreement with the reference decoder,
-## short enough for every pre-merge run. (The visit fuzzer takes two
-## arguments, and minimizing an interesting pair at the default budget would
-## eat the whole burst.)
+## fuzz-smoke runs each fuzzer for a short, bounded burst: long enough to
+## shake out a regression in the WAL's torn-tail / mid-log corruption
+## contract, in the parsing of untrusted blocks and compressed payloads, in
+## the visit walker's agreement with its reference decoder, or in the answer
+## codec's agreement with encoding/json (same bytes out, same documents
+## accepted, same values in); short enough for every pre-merge run. (The
+## visit fuzzer takes two arguments, and minimizing an interesting pair at
+## the default budget would eat the whole burst.)
 fuzz-smoke:
 	$(GO) test ./internal/kvstore -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime=10s
 	$(GO) test ./internal/kvstore -run FuzzBlockDecode -fuzz FuzzBlockDecode -fuzztime=5s
 	$(GO) test ./internal/kvstore -run FuzzLZDecompress -fuzz FuzzLZDecompress -fuzztime=5s
 	$(GO) test ./internal/model -run FuzzVisitView -fuzz FuzzVisitView -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/query -run FuzzResultJSON -fuzz FuzzResultJSON -fuzztime=10s
 
 bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
-## bench-smoke runs the read-path, write-path, matcher, trending-view and
-## result-cache microbenchmarks (three scan/merge/coprocessor cases, the
-## table's one write routine per cell and per batch of 50, the matcher's
-## memo-hit case, the view's benchmark-shaped read, a check-in batch folded
-## into the cached entries of its writer's friends, a cached search with its
-## ranking current and with it to re-derive) a fixed small number of
-## iterations: it verifies they still build and run, not their timings
-## (numbers come from bench/, see BENCHMARK.json).
+## bench-smoke runs one case per hot path a fixed small number of
+## iterations — three scan/merge/coprocessor cases, the table's one write
+## routine per cell and per batch of 50, the matcher's memo-hit case, the
+## view's benchmark-shaped read, a check-in batch folded into the cached
+## entries of its writer's friends, a cached search with its ranking current
+## and with it to re-derive, and the hand codec encoding and decoding a
+## 10-POI answer (its encoding/json reference cases stay out: they measure
+## the standard library). It verifies they still build and run, not their
+## timings (numbers come from bench/, see BENCHMARK.json).
 bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x
+	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultJSON/(append|decode)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/pubsub -run XXX -bench 'BenchmarkPublishBatch/static' -benchmem -benchtime=100x
 	$(GO) test ./internal/matview -run XXX -bench 'BenchmarkTopK/dense' -benchmem -benchtime=100x
 

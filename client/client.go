@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -292,10 +293,52 @@ func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, ha
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if res, ok := out.(*query.Result); ok {
+		err = readAndDecode(resp, res)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decode %s response: %w", path, err)
 	}
 	return nil
+}
+
+// bodyBufs recycles the buffers answers are read into. DecodeJSON keeps no
+// reference to its input, so a buffer is reusable as soon as it returns; one
+// grown past maxPooledBody is left to the collector.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
+// readAndDecode reads a search or trending answer into a pooled buffer,
+// sized from the Content-Length when the server sent one, and decodes it in
+// one pass (query.Result.DecodeJSON) instead of through encoding/json.
+func readAndDecode(resp *http.Response, res *query.Result) error {
+	bp := bodyBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	if n := resp.ContentLength; n > int64(cap(buf)) && n <= maxPooledBody {
+		buf = make([]byte, 0, n)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, bytes.MinRead)
+		}
+		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+	}
+	err := res.DecodeJSON(buf)
+	if cap(buf) <= maxPooledBody {
+		*bp = buf
+		bodyBufs.Put(bp)
+	}
+	return err
 }
 
 // Session is the result of a sign-in or link call.
@@ -353,23 +396,38 @@ func (c *Client) Search(p SearchParams) (*query.Result, error) {
 	return c.SearchCtx(context.Background(), p)
 }
 
+// searchRequest is the body of POST /search: the keys of the server's
+// searchJSON, with an open window end left out.
+type searchRequest struct {
+	Token   string  `json:"token"`
+	MinLat  float64 `json:"min_lat"`
+	MinLon  float64 `json:"min_lon"`
+	MaxLat  float64 `json:"max_lat"`
+	MaxLon  float64 `json:"max_lon"`
+	Keyword string  `json:"keyword"`
+	Friends []int64 `json:"friends"`
+	From    string  `json:"from,omitempty"`
+	To      string  `json:"to,omitempty"`
+	OrderBy string  `json:"order_by"`
+	Limit   int     `json:"limit"`
+}
+
 // SearchCtx is Search bound to a caller context; cancelling it aborts the
 // query server-side mid-scan.
 func (c *Client) SearchCtx(ctx context.Context, p SearchParams) (*query.Result, error) {
-	body := map[string]interface{}{
-		"token":   c.token,
-		"min_lat": p.MinLat, "min_lon": p.MinLon,
-		"max_lat": p.MaxLat, "max_lon": p.MaxLon,
-		"keyword":  p.Keyword,
-		"friends":  p.Friends,
-		"order_by": p.OrderBy,
-		"limit":    p.Limit,
+	body := &searchRequest{
+		Token:  c.token,
+		MinLat: p.MinLat, MinLon: p.MinLon, MaxLat: p.MaxLat, MaxLon: p.MaxLon,
+		Keyword: p.Keyword,
+		Friends: p.Friends,
+		OrderBy: p.OrderBy,
+		Limit:   p.Limit,
 	}
 	if !p.From.IsZero() {
-		body["from"] = p.From.Format(time.RFC3339)
+		body.From = p.From.Format(time.RFC3339)
 	}
 	if !p.To.IsZero() {
-		body["to"] = p.To.Format(time.RFC3339)
+		body.To = p.To.Format(time.RFC3339)
 	}
 	var out query.Result
 	if err := c.doCtx(ctx, http.MethodPost, "/api/v1/search", body, &out); err != nil {
@@ -378,7 +436,9 @@ func (c *Client) SearchCtx(ctx context.Context, p SearchParams) (*query.Result, 
 	return &out, nil
 }
 
-// Trending fetches the hottest places in the box over the trailing window.
+// Trending fetches the hottest places in the box over the hours before
+// until. hours and limit of 0 (or less) take the server's defaults, 24 h
+// and 10 POIs; a zero until is the server's now.
 func (c *Client) Trending(minLat, minLon, maxLat, maxLon float64, hours, limit int, until time.Time) (*query.Result, error) {
 	return c.TrendingCtx(context.Background(), minLat, minLon, maxLat, maxLon, hours, limit, until)
 }
@@ -390,8 +450,12 @@ func (c *Client) TrendingCtx(ctx context.Context, minLat, minLon, maxLat, maxLon
 	v.Set("min_lon", strconv.FormatFloat(minLon, 'f', -1, 64))
 	v.Set("max_lat", strconv.FormatFloat(maxLat, 'f', -1, 64))
 	v.Set("max_lon", strconv.FormatFloat(maxLon, 'f', -1, 64))
-	v.Set("hours", strconv.Itoa(hours))
-	v.Set("limit", strconv.Itoa(limit))
+	if hours > 0 {
+		v.Set("hours", strconv.Itoa(hours))
+	}
+	if limit > 0 {
+		v.Set("limit", strconv.Itoa(limit))
+	}
 	if !until.IsZero() {
 		v.Set("until", until.Format(time.RFC3339))
 	}

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"modissense/internal/admit"
@@ -72,6 +73,38 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// resultBufs recycles the buffers search and trending answers are encoded
+// into. A buffer grown past maxPooledResult (a limit = 0 answer) is left to
+// the collector rather than pinned in the pool.
+var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResult = 64 << 10
+
+// writeResult answers a search or trending request with the bytes writeJSON
+// would send — query.Result.AppendJSON is encoding/json's output, plus the
+// newline json.Encoder ends with — but without reflection, and encoded
+// before the status is committed, so an unencodable answer (a NaN score) is
+// the 500 envelope rather than a 200 with an empty body.
+func writeResult(w http.ResponseWriter, r *http.Request, res *query.Result) {
+	bp := resultBufs.Get().(*[]byte)
+	b, err := res.AppendJSON((*bp)[:0])
+	if err != nil {
+		resultBufs.Put(bp)
+		writeErrCode(w, r, http.StatusInternalServerError, codeInternal, err.Error())
+		return
+	}
+	b = append(b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledResult {
+		*bp = b
+		resultBufs.Put(bp)
+	}
 }
 
 // writeErrCode emits the error envelope with an explicit code.
@@ -288,7 +321,7 @@ func (p *Platform) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, r, res)
 }
 
 // queryBox reads the optional min_lat/min_lon/max_lat/max_lon bounding box
@@ -386,7 +419,7 @@ func (p *Platform) handleTrending(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, r, res)
 }
 
 func (p *Platform) handlePOI(w http.ResponseWriter, r *http.Request) {

@@ -109,7 +109,10 @@ type ScoredPOI struct {
 	Visits int `json:"visits"`
 }
 
-// Result is a completed personalized query.
+// Result is a completed personalized query. Its JSON tags define the wire
+// form, which AppendJSON and DecodeJSON (resultjson.go) write and read by
+// hand; a field added here must be added there
+// (TestResultJSONCoversEveryField).
 type Result struct {
 	POIs []ScoredPOI `json:"pois"`
 	// LatencySeconds is the simulated end-to-end latency.
