@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet lint-metrics lint-docs lint-api build test test-race bench bench-smoke bench-repo-smoke fuzz-smoke clean
+.PHONY: check fmt vet lint-metrics lint-docs lint-api build test test-race census bench bench-smoke bench-repo-smoke fuzz-smoke clean
 
 ## check runs the tier-1 verification gate: formatting, vet, the metric-
-## cardinality lint, the exported-godoc lint, the route-table/API.md
-## bijection lint, build, the full test suite under the race detector (the
+## cardinality lint, the exported-godoc and production-caller lint, the
+## route-table/API.md bijection lint, build, the full test suite under the race detector (the
 ## read-fault, overload and primary-kill scenarios of internal/bench
 ## included: a broken invariant there fails this target; so are the server
 ## flags <-> OPERATIONS.md knob-table bijection and core's derived-tuning
@@ -24,7 +24,12 @@ lint-metrics:
 
 ## lint-docs fails when an exported identifier in any internal package or
 ## the Go client lacks a doc comment (the whole library surface, matview
-## and the once-uncovered packages included).
+## and the once-uncovered packages included), and when an exported
+## function, method, type, const or var of an internal package has no use
+## outside _test.go files in this module or bench/ (interface
+## implementations count as used) and is not on the short allowlist in
+## cmd/doc-lint/unused.go — or an allowlist entry is stale. It type-checks
+## the module from source with the standard library alone (a few seconds).
 lint-docs:
 	$(GO) run ./cmd/doc-lint ./internal/... ./client
 
@@ -49,6 +54,20 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+## census is the flake census: the whole suite twenty times under the race
+## detector, two packages at a time, output kept in census.log. It prints
+## every failing test with the lines that follow its FAIL (where a test
+## prints its seed), then how often each test failed, and exits non-zero if
+## any run failed. Tens of minutes on two CPUs, so it is not part of check;
+## the per-package timeout is an hour because twenty race runs of the
+## slowest packages outlast go test's default ten minutes.
+census:
+	@$(GO) test -race -count=20 -p 2 -timeout 1h ./... > census.log 2>&1; status=$$?; \
+	grep -A4 -e '--- FAIL' census.log; \
+	echo "census: failures per test (full output in census.log):"; \
+	grep -o -e '--- FAIL: [^ ]*' census.log | sort | uniq -c | sort -rn; \
+	exit $$status
 
 ## fuzz-smoke runs each fuzzer for a short, bounded burst: long enough to
 ## shake out a regression in the WAL's torn-tail / mid-log corruption
@@ -94,7 +113,7 @@ bench-smoke:
 bench-repo-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## clean removes what building and running the repository benchmark leaves
-## in the working tree (both directories are gitignored).
+## clean removes what building and running the repository benchmark and
+## the census leave in the working tree (all gitignored).
 clean:
-	rm -rf .bench_build bench/out
+	rm -rf .bench_build bench/out census.log

@@ -35,8 +35,10 @@ func TestClientPushCheckins(t *testing.T) {
 	}
 
 	count := 0
-	if err := p.Visits.ScanUser(sess.UserID, 0, 10_000, func(model.Visit) bool {
-		count++
+	if err := p.Visits.ScanAll(func(v model.Visit) bool {
+		if v.UserID == sess.UserID {
+			count++
+		}
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"modissense/internal/core"
+	"modissense/internal/geo"
 	"modissense/internal/model"
 	"modissense/internal/workload"
 )
@@ -169,8 +170,9 @@ func TestClientEventDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Date(2015, 5, 30, 20, 0, 0, 0, time.UTC)
-	crowd := workload.GenGathering(rand.New(rand.NewSource(5)),
-		workload.GreeceBounds().Center(), 120, 40, start, start.Add(2*time.Hour))
+	b := workload.GreeceBounds()
+	center := geo.Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
+	crowd := workload.GenGathering(rand.New(rand.NewSource(5)), center, 120, 40, start, start.Add(2*time.Hour))
 	if _, err := c.PushGPS(crowd); err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,28 @@
-// Command doc-lint enforces the godoc contract on the packages it is
-// pointed at: every exported top-level identifier — functions, methods,
-// types, and the exported names of const/var declarations — must carry a
-// doc comment. Grouped const/var declarations satisfy the rule with a
-// comment on the group or on the individual spec.
+// Command doc-lint runs two checks over the library surface.
 //
-// The tool is AST-only and dependency-free, a sibling of obs-lint: it makes
-// the documentation pass a build-time gate instead of a review-time
-// convention.
+// The doc check enforces the godoc contract on the packages it is pointed
+// at: every exported top-level identifier — functions, methods, types, and
+// the exported names of const/var declarations — must carry a doc comment.
+// Grouped const/var declarations satisfy the rule with a comment on the
+// group or on the individual spec. It is AST-only.
 //
-// Usage:
+// The caller check (unused.go) always runs over the module in the current
+// directory: every exported function, method, type, const and var of its
+// internal packages must be used outside _test.go files, in the module or
+// in a module nested under it (the repository benchmark), unless a short
+// allowlist in the tool names it with the reason it is kept.
 //
-//	doc-lint [dir ...]        # default: . ; a trailing /... is accepted
+// Both use the standard library alone, siblings of obs-lint: they make the
+// documentation pass and the "one entry point per mechanism" rule
+// build-time gates instead of review-time conventions.
 //
-// _test.go files are skipped: test helpers are internal to their file and
-// documented where it helps, not by mandate.
+// Usage, from the module root:
+//
+//	doc-lint [dir ...]        # doc check roots; default: . ; a trailing /... is accepted
+//
+// _test.go files are skipped by both: test helpers are internal to their
+// file and documented where it helps, not by mandate, and a test is not a
+// production caller.
 package main
 
 import (
@@ -69,14 +78,35 @@ func main() {
 		audited += n
 	}
 
+	unused, err := checkUnused(".", allowlist)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doc-lint: %v\n", err)
+		os.Exit(2)
+	}
+
+	printViolations(violations)
+	printViolations(unused.violations)
 	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", v.pos, v.msg)
-		}
 		fmt.Fprintf(os.Stderr, "doc-lint: %d undocumented exported identifier(s)\n", len(violations))
+	}
+	if len(unused.violations) > 0 {
+		fmt.Fprintf(os.Stderr, "doc-lint: %d exported identifier(s) without a production caller or stale allowlist entries\n", len(unused.violations))
+	}
+	if len(violations) > 0 || len(unused.violations) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("doc-lint: ok (%d exported identifiers audited)\n", audited)
+	fmt.Printf("doc-lint: ok (%d exported identifiers documented; %d in internal packages with a production caller, %d allowlisted)\n",
+		audited, unused.audited-unused.allowed, unused.allowed)
+}
+
+func printViolations(vs []violation) {
+	for _, v := range vs {
+		if v.pos.IsValid() {
+			fmt.Fprintf(os.Stderr, "%s: %s\n", v.pos, v.msg)
+		} else {
+			fmt.Fprintf(os.Stderr, "%s\n", v.msg)
+		}
+	}
 }
 
 // collectDirs gathers every directory under root that can hold Go source,

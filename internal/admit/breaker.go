@@ -212,27 +212,6 @@ func (b *Breaker) probeDelay() time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
-// State reports the breaker's current state (a probe-delay expiry shows as
-// open until the next Allow observes it).
-func (b *Breaker) State() State {
-	if b == nil {
-		return StateClosed
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// Trips reports how many times the breaker has opened.
-func (b *Breaker) Trips() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
-}
-
 // SlowAfter exposes the fail-slow threshold for the read path's timer.
 func (b *Breaker) SlowAfter() time.Duration {
 	if b == nil {
@@ -296,22 +275,6 @@ func (s *BreakerSet) SetOnTrip(fn func(node int)) {
 		fn, node := fn, node
 		b.setOnTrip(func() { fn(node) })
 	}
-}
-
-// OpenCount reports how many breakers are currently not closed.
-func (s *BreakerSet) OpenCount() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, b := range s.byNode {
-		if b.State() != StateClosed {
-			n++
-		}
-	}
-	return n
 }
 
 // splitmix64 is the SplitMix64 finalizer used for deterministic probe

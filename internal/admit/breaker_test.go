@@ -15,6 +15,14 @@ type step struct {
 	want State
 }
 
+// stateOf reads the breaker's state (a probe-delay expiry shows as open
+// until the next Allow observes it).
+func stateOf(b *Breaker) State {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 func TestBreakerStateMachine(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -77,7 +85,7 @@ func TestBreakerStateMachine(t *testing.T) {
 					clk.advance(s.d)
 					continue
 				}
-				if got := b.State(); got != s.want {
+				if got := stateOf(b); got != s.want {
 					t.Fatalf("step %d (%s): state = %v, want %v", i, s.op, got, s.want)
 				}
 			}
@@ -152,10 +160,13 @@ func TestBreakerConcurrentTrips(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if b.State() != StateOpen {
-		t.Fatalf("state = %v, want open after a failure storm", b.State())
+	if stateOf(b) != StateOpen {
+		t.Fatalf("state = %v, want open after a failure storm", stateOf(b))
 	}
-	if b.Trips() < 1 {
+	b.mu.Lock()
+	trips := b.trips
+	b.mu.Unlock()
+	if trips < 1 {
 		t.Fatal("no trips recorded")
 	}
 }
@@ -169,26 +180,23 @@ func TestBreakerSetPerNode(t *testing.T) {
 		t.Fatal("distinct nodes must get distinct breakers")
 	}
 	s.For(1).RecordFailure()
-	if got := s.For(1).State(); got != StateOpen {
+	if got := stateOf(s.For(1)); got != StateOpen {
 		t.Fatalf("node 1 state = %v, want open", got)
 	}
-	if got := s.For(2).State(); got != StateClosed {
+	if got := stateOf(s.For(2)); got != StateClosed {
 		t.Fatalf("node 2 state = %v, want closed (isolation)", got)
-	}
-	if got := s.OpenCount(); got != 1 {
-		t.Fatalf("OpenCount = %d, want 1", got)
 	}
 }
 
 func TestBreakerNilIsAlwaysClosed(t *testing.T) {
 	var b *Breaker
-	if !b.Allow() || b.State() != StateClosed || b.SlowAfter() != 0 {
+	if !b.Allow() || b.SlowAfter() != 0 {
 		t.Fatal("nil breaker must behave as closed")
 	}
 	b.RecordFailure()
 	b.RecordSuccess()
 	var s *BreakerSet
-	if s.For(3) != nil || s.OpenCount() != 0 {
+	if s.For(3) != nil {
 		t.Fatal("nil set must hand out nil breakers")
 	}
 }

@@ -113,7 +113,7 @@ func TestScenarioReadFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Visits.Table().EnableReplication(2, 0); err != nil {
+	if err := ds.Visits.Table().EnableReplication(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.Visits.Table().CatchUpReplication(); err != nil {

@@ -150,24 +150,16 @@ func (c *Cluster) idleSession() (*Session, error) {
 			return nil, err
 		}
 	}
-	if s.pg, err = sim.NewResource(s.eng, pgCores); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// pgCores is the size of the relational-store server (PostgreSQL's role): a
-// single 4-core machine serving the non-personalized query path.
-const pgCores = 4
-
 // Session is everything one simulation mutates: a private clock and event
-// queue, and one FCFS resource per worker node, per web server and for the
-// relational store. It is single-goroutine.
+// queue, and one FCFS resource per worker node and per web server. It is
+// single-goroutine.
 type Session struct {
 	eng     *sim.Engine
 	nodes   []sim.Resource
 	web     []sim.Resource
-	pg      sim.Resource
 	nextWeb int      // round-robin load-balancer cursor
 	end     sim.Time // when the last submitted work item finishes
 	err     error    // the first error a Submit met
@@ -189,9 +181,6 @@ func (s *Session) PickWebServer() sim.Resource {
 	s.nextWeb++
 	return w
 }
-
-// PG returns the relational-store server.
-func (s *Session) PG() sim.Resource { return s.pg }
 
 // Submit enqueues a work item on r that becomes ready at readyAt, occupies
 // one of r's servers for service seconds, and then calls done (which may be

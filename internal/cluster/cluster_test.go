@@ -187,7 +187,7 @@ func TestSimulateReportsRejectedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Simulate(func(s *Session) { s.Submit(s.PG(), 0, -1, nil) }); err == nil {
+	if _, err := c.Simulate(func(s *Session) { s.Submit(s.Node(0), 0, -1, nil) }); err == nil {
 		t.Error("negative service submitted by schedule must fail the simulation")
 	}
 	_, err = c.Simulate(func(s *Session) {

@@ -17,7 +17,7 @@ func TestAPIDegradedSearch(t *testing.T) {
 	c, p := newAPIClient(t)
 	in := c.signIn("facebook", "facebook:1")
 
-	if err := p.Visits.Table().EnableReplication(1, 0); err != nil {
+	if err := p.Visits.Table().EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
 	pol := query.DefaultReadPolicy()

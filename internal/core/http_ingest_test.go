@@ -91,8 +91,10 @@ func TestAPICheckinsBatch(t *testing.T) {
 
 	// The stored items are immediately visible on the user's visit scan.
 	var got []model.Visit
-	if err := p.Visits.ScanUser(in.UserID, 0, 10_000, func(v model.Visit) bool {
-		got = append(got, v)
+	if err := p.Visits.ScanAll(func(v model.Visit) bool {
+		if v.UserID == in.UserID {
+			got = append(got, v)
+		}
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -202,8 +204,10 @@ func TestDurableCheckinsSurviveReboot(t *testing.T) {
 	}
 	defer re.Close()
 	count := 0
-	if err := re.Visits.ScanUser(in.UserID, 0, 10_000, func(v model.Visit) bool {
-		count++
+	if err := re.Visits.ScanAll(func(v model.Visit) bool {
+		if v.UserID == in.UserID {
+			count++
+		}
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -223,9 +227,11 @@ func TestDurableCheckinsSurviveReboot(t *testing.T) {
 	}
 	var grades float64
 	count = 0
-	if err := re.Visits.ScanUser(in.UserID, 0, 10_000, func(v model.Visit) bool {
-		count++
-		grades += v.Grade
+	if err := re.Visits.ScanAll(func(v model.Visit) bool {
+		if v.UserID == in.UserID {
+			count++
+			grades += v.Grade
+		}
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -121,7 +121,7 @@ func TestAPIResultBytes(t *testing.T) {
 	}
 
 	// Degraded: one region's reads fail on every copy.
-	if err := p.Visits.Table().EnableReplication(1, 0); err != nil {
+	if err := p.Visits.Table().EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
 	pol := query.DefaultReadPolicy()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"modissense/internal/geo"
 	"modissense/internal/model"
 	"modissense/internal/workload"
 )
@@ -244,7 +245,8 @@ func TestAPIGPSAndBlog(t *testing.T) {
 func TestAPIEventDetection(t *testing.T) {
 	c, p := newAPIClient(t)
 	in := c.signIn("twitter", "twitter:8")
-	center := workload.GreeceBounds().Center()
+	b := workload.GreeceBounds()
+	center := geo.Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
 	start := time.Date(2015, 5, 30, 20, 0, 0, 0, time.UTC)
 	fixes := workload.GenGathering(newRng(12), center, 120, 40, start, start.Add(2*time.Hour))
 	if code := c.post("/api/v1/gps", gpsRequest{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {

@@ -490,7 +490,7 @@ func New(cfg Config) (*Platform, error) {
 
 	// Fault-tolerant read path (off by default; see OPERATIONS.md).
 	if cfg.ReadReplicas > 0 {
-		if err := p.Visits.Table().EnableReplication(cfg.ReadReplicas, 0); err != nil {
+		if err := p.Visits.Table().EnableReplication(cfg.ReadReplicas); err != nil {
 			return nil, err
 		}
 	}
@@ -557,9 +557,6 @@ func New(cfg Config) (*Platform, error) {
 	}
 	return p, nil
 }
-
-// Config returns the boot configuration.
-func (p *Platform) Config() Config { return p.cfg }
 
 // Close drains the Visits table's background maintenance and releases its
 // WAL (a no-op for non-durable platforms). The platform must not serve

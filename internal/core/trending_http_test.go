@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"modissense/internal/matview"
+	"modissense/internal/obs"
 )
 
 // newTrendingClient boots a platform with the personalized result cache on
@@ -51,11 +52,13 @@ func TestAPITrendingFromView(t *testing.T) {
 			Grade: 4, Network: "facebook",
 		})
 	}
+	applies := obs.Default().Counter("matview_applies_total", "")
+	applies0 := applies.Value()
 	var res checkinsResponse
 	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: pushes}, &res); code != http.StatusOK || res.Stored != len(pushes) {
 		t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
 	}
-	if p.MatView.Buckets() == 0 {
+	if applies.Value() == applies0 {
 		t.Fatal("ingest hook did not populate the view")
 	}
 	path := fmt.Sprintf("/api/v1/trending?hours=24&limit=5&until=%s",

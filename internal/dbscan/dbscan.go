@@ -45,17 +45,6 @@ type Result struct {
 	Core []bool
 }
 
-// ClusterSizes returns the size of each cluster.
-func (r *Result) ClusterSizes() []int {
-	sizes := make([]int, r.NumClusters)
-	for _, l := range r.Labels {
-		if l >= 0 {
-			sizes[l]++
-		}
-	}
-	return sizes
-}
-
 // Centroids returns the mean coordinate of each cluster — the location of
 // a detected event/POI.
 func (r *Result) Centroids(pts []geo.Point) []geo.Point {

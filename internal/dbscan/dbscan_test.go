@@ -65,7 +65,7 @@ func TestSequentialFindsPlantedClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.NumClusters != 3 {
-		t.Fatalf("found %d clusters, want 3 (sizes %v)", res.NumClusters, res.ClusterSizes())
+		t.Fatalf("found %d clusters, want 3 (labels %v)", res.NumClusters, res.Labels)
 	}
 	// Every planted blob should map (mostly) to a single cluster.
 	for b := 0; b < 3; b++ {

@@ -24,10 +24,8 @@ type RetryBudget struct {
 	ratio  float64
 	burst  float64
 	tokens float64
-	// attempts/spent/denied are lifetime totals for introspection.
+	// attempts is the lifetime count of credited primary attempts.
 	attempts int64
-	spent    int64
-	denied   int64
 }
 
 // NewRetryBudget builds a budget where retries+hedges may not exceed
@@ -67,23 +65,11 @@ func (b *RetryBudget) Spend() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
-		b.denied++
 		mBudgetDenied.Inc()
 		return false
 	}
 	b.tokens--
-	b.spent++
 	return true
-}
-
-// Tokens reports the current token balance.
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
 }
 
 // Attempts reports the lifetime primary-attempt count credited to the
@@ -95,24 +81,4 @@ func (b *RetryBudget) Attempts() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.attempts
-}
-
-// Spent reports how many retries/hedges the budget has paid for.
-func (b *RetryBudget) Spent() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spent
-}
-
-// Denied reports how many retries/hedges the budget has refused.
-func (b *RetryBudget) Denied() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.denied
 }

@@ -15,9 +15,6 @@ func TestRetryBudgetTokens(t *testing.T) {
 	if b.Spend() {
 		t.Fatal("third spend should be denied with the budget drained")
 	}
-	if got := b.Denied(); got != 1 {
-		t.Fatalf("denied = %d, want 1", got)
-	}
 	// Two primary attempts earn 2×0.5 = 1 token.
 	b.OnAttempt()
 	b.OnAttempt()
@@ -31,7 +28,7 @@ func TestRetryBudgetTokens(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.OnAttempt()
 	}
-	if got := b.Tokens(); got != 2 {
+	if got := b.tokens; got != 2 {
 		t.Fatalf("tokens = %v, want burst cap 2", got)
 	}
 }

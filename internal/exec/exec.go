@@ -224,12 +224,6 @@ type Stats = obs.QueryStats
 // Snapshot is an immutable copy of Stats for reporting.
 type Snapshot = obs.QuerySnapshot
 
-// WithStats attaches a Stats collector to the context; Gather and
-// cancellation-aware scans report into it.
-func WithStats(ctx context.Context, s *Stats) context.Context {
-	return obs.WithQueryStats(ctx, s)
-}
-
 // StatsFrom returns the context's Stats collector, or nil when none is
 // attached (nil is safe to use with every Stats method).
 func StatsFrom(ctx context.Context) *Stats {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"modissense/internal/obs"
 )
 
 func TestGatherOrderingAndValues(t *testing.T) {
@@ -116,7 +118,7 @@ func TestGatherParallelism(t *testing.T) {
 	}
 	p := NewPool(2)
 	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	// Two tasks that each wait for the other: only completes if both run
 	// concurrently on distinct worker goroutines.
 	barrier := make(chan struct{})

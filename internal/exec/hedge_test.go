@@ -8,11 +8,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"modissense/internal/obs"
 )
 
 func TestRunHedgedFirstAttemptWins(t *testing.T) {
 	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	v, meta, err := RunHedged(ctx, 1, 2, RetryPolicy{MaxAttempts: 3}, HedgePolicy{},
 		func(ctx context.Context, attempt, replica int) (interface{}, error) {
 			return fmt.Sprintf("a%d/r%d", attempt, replica), nil
@@ -31,7 +33,7 @@ func TestRunHedgedFirstAttemptWins(t *testing.T) {
 
 func TestRunHedgedRetriesAfterFailures(t *testing.T) {
 	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	boom := errors.New("boom")
 	v, meta, err := RunHedged(ctx, 7, 2, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}, HedgePolicy{},
 		func(ctx context.Context, attempt, replica int) (interface{}, error) {
@@ -72,7 +74,7 @@ func TestRunHedgedExhaustion(t *testing.T) {
 
 func TestRunHedgedHedgeWinsAndLoserCancelCountsOnce(t *testing.T) {
 	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	var loserSawCancel sync.WaitGroup
 	loserSawCancel.Add(1)
 	v, meta, err := RunHedged(ctx, 1, 1,
@@ -116,7 +118,7 @@ func TestRunHedgedLoserCompletedAfterCancelNotCounted(t *testing.T) {
 	// cancelled after it already completed must not be recorded as a
 	// cancellation.
 	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	var slowDone sync.WaitGroup
 	slowDone.Add(1)
 	v, meta, err := RunHedged(ctx, 1, 1,
@@ -173,7 +175,7 @@ func TestRunHedgedOneAttemptRunsInline(t *testing.T) {
 	answer := func(ctx context.Context, attempt, replica int) (int, error) { return 40 + attempt + replica, nil }
 	for _, maxAttempts := range []int{0, 1} {
 		rp := RetryPolicy{MaxAttempts: maxAttempts, Budget: budget}
-		ctx := WithStats(context.Background(), &Stats{})
+		ctx := obs.WithQueryStats(context.Background(), &Stats{})
 		allocs := testing.AllocsPerRun(50, func() {
 			v, meta, err := RunHedged(ctx, 1, 2, rp, hp, answer)
 			want := ReadMeta{Attempts: 1}
@@ -215,7 +217,7 @@ func TestGatherCancelAccountingExactlyOnce(t *testing.T) {
 	// cancelled (counted once, mid-task), the rest are skipped before
 	// running (counted once each, pre-run). Total cancels == tasks.
 	st := &Stats{}
-	ctx, cancel := context.WithCancel(WithStats(context.Background(), st))
+	ctx, cancel := context.WithCancel(obs.WithQueryStats(context.Background(), st))
 	p := NewPool(1)
 	tasks := []Task{
 		func(ctx context.Context) (interface{}, error) {
@@ -248,7 +250,7 @@ func TestGatherTaskCompletingDespiteCancelNotCounted(t *testing.T) {
 	// A task that finishes successfully even though the context was
 	// cancelled mid-flight observed no cancellation — zero cancel records.
 	st := &Stats{}
-	ctx, cancel := context.WithCancel(WithStats(context.Background(), st))
+	ctx, cancel := context.WithCancel(obs.WithQueryStats(context.Background(), st))
 	p := NewPool(1)
 	res, err := p.Gather(ctx, []Task{
 		func(ctx context.Context) (interface{}, error) {
@@ -271,7 +273,7 @@ func TestGatherTaskOwnErrorNotCountedAsCancel(t *testing.T) {
 	// A task failing with its own (non-context) error under an alive
 	// context is a failure, not a cancellation.
 	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	p := NewPool(1)
 	_, err := p.Gather(ctx, []Task{
 		func(ctx context.Context) (interface{}, error) { return nil, errors.New("boom") },

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"modissense/internal/obs"
 )
 
 // occupyPool blocks every worker slot of p and returns a release func that
@@ -71,7 +73,7 @@ func TestGatherCancelWhileQueued(t *testing.T) {
 				return nil, errors.New("should never run")
 			}
 		}
-		res, _ := p.Gather(WithStats(ctx, st), tasks)
+		res, _ := p.Gather(obs.WithQueryStats(ctx, st), tasks)
 		resCh <- res
 	}()
 	waitUntil(t, "both tasks queued", func() bool { return p.QueueLen() == 2 })

@@ -213,16 +213,6 @@ func New(sched Schedule) *Injector {
 	return &Injector{sched: sched, ops: make(map[Op]uint64)}
 }
 
-// Schedule returns a copy of the injector's schedule.
-func (i *Injector) Schedule() Schedule {
-	if i == nil {
-		return Schedule{}
-	}
-	out := i.sched
-	out.Rules = append([]Rule(nil), i.sched.Rules...)
-	return out
-}
-
 // nextSeq returns and advances the target's operation counter.
 func (i *Injector) nextSeq(op Op) uint64 {
 	i.mu.Lock()

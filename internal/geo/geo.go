@@ -1,6 +1,6 @@
 // Package geo provides the geodesic primitives and spatial indexes used by
 // every spatio-temporal component of the platform: points, bounding boxes,
-// haversine distances, geohash encoding, a uniform grid index and an R-tree.
+// haversine distances, a uniform grid index and an R-tree.
 //
 // All coordinates are expressed in decimal degrees (WGS-84); distances are in
 // meters. The package is self-contained and has no dependency on the rest of
@@ -23,20 +23,9 @@ type Point struct {
 	Lon float64 // longitude in degrees, west is negative
 }
 
-// Valid reports whether the point lies inside the legal WGS-84 domain.
-func (p Point) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%.6f,%.6f)", p.Lat, p.Lon)
-}
-
-// DistanceTo returns the haversine (great-circle) distance in meters
-// between p and q.
-func (p Point) DistanceTo(q Point) float64 {
-	return Haversine(p, q)
 }
 
 // Haversine returns the great-circle distance between a and b in meters.
@@ -86,12 +75,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.MinLon <= s.MaxLon && s.MinLon <= r.MaxLon
 }
 
-// ContainsRect reports whether s lies entirely inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return s.MinLat >= r.MinLat && s.MaxLat <= r.MaxLat &&
-		s.MinLon >= r.MinLon && s.MaxLon <= r.MaxLon
-}
-
 // Union returns the smallest Rect covering both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
@@ -107,11 +90,6 @@ func (r Rect) Union(s Rect) Rect {
 // quantity.
 func (r Rect) Area() float64 {
 	return (r.MaxLat - r.MinLat) * (r.MaxLon - r.MinLon)
-}
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
 }
 
 // Expand grows the Rect by the given margin in meters on every side,

@@ -96,12 +96,18 @@ func TestRectContainsAndIntersects(t *testing.T) {
 	}
 }
 
+// containsRect reports whether s lies entirely inside r.
+func containsRect(r, s Rect) bool {
+	return s.MinLat >= r.MinLat && s.MaxLat <= r.MaxLat &&
+		s.MinLon >= r.MinLon && s.MaxLon <= r.MaxLon
+}
+
 func TestRectUnionContainsBoth(t *testing.T) {
 	f := func(a1, o1, a2, o2, a3, o3, a4, o4 float64) bool {
 		r := NewRect(Point{clampLat(a1), clampLon(o1)}, Point{clampLat(a2), clampLon(o2)})
 		s := NewRect(Point{clampLat(a3), clampLon(o3)}, Point{clampLat(a4), clampLon(o4)})
 		u := r.Union(s)
-		return u.ContainsRect(r) && u.ContainsRect(s)
+		return containsRect(u, r) && containsRect(u, s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -111,7 +117,7 @@ func TestRectUnionContainsBoth(t *testing.T) {
 func TestRectExpandContainsOriginal(t *testing.T) {
 	r := Rect{MinLat: 37, MinLon: 23, MaxLat: 38, MaxLon: 24}
 	e := r.Expand(5000)
-	if !e.ContainsRect(r) {
+	if !containsRect(e, r) {
 		t.Errorf("expanded rect %+v must contain original %+v", e, r)
 	}
 	// The margin should be roughly 5km in latitude.
@@ -142,90 +148,6 @@ func TestRectAroundContainsCircle(t *testing.T) {
 				t.Fatalf("circle point %v outside RectAround(%v, %.0f) = %+v", p, center, radius, r)
 			}
 		}
-	}
-}
-
-func TestGeohashRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		p := randPoint(rng)
-		for _, prec := range []int{4, 6, 8, 10} {
-			h := EncodeGeohash(p, prec)
-			if len(h) != prec {
-				t.Fatalf("EncodeGeohash precision %d returned %q (len %d)", prec, h, len(h))
-			}
-			cell, err := DecodeGeohash(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !cell.Contains(p) {
-				t.Fatalf("decoded cell %+v of %q does not contain %v", cell, h, p)
-			}
-		}
-	}
-}
-
-func TestGeohashKnownValues(t *testing.T) {
-	// Reference value computed with the canonical geohash algorithm.
-	h := EncodeGeohash(Point{Lat: 57.64911, Lon: 10.40744}, 11)
-	if h != "u4pruydqqvj" {
-		t.Errorf("EncodeGeohash = %q, want u4pruydqqvj", h)
-	}
-}
-
-func TestGeohashPrefixProperty(t *testing.T) {
-	// A longer geohash cell must be contained in its prefix cell.
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
-		p := randPoint(rng)
-		long := EncodeGeohash(p, 8)
-		short := EncodeGeohash(p, 5)
-		if long[:5] != short {
-			t.Fatalf("geohash prefix mismatch: %q vs %q", long, short)
-		}
-	}
-}
-
-func TestDecodeGeohashInvalid(t *testing.T) {
-	if _, err := DecodeGeohash("abci"); err == nil { // 'i' is not in the alphabet
-		t.Error("expected error for invalid geohash character")
-	}
-}
-
-func TestGeohashesCovering(t *testing.T) {
-	r := Rect{MinLat: 37.9, MinLon: 23.6, MaxLat: 38.1, MaxLon: 23.9}
-	cells, err := GeohashesCovering(r, 5, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) == 0 {
-		t.Fatal("expected at least one covering cell")
-	}
-	// Every random point of the rect must fall in one of the cover cells.
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		p := Point{
-			Lat: r.MinLat + rng.Float64()*(r.MaxLat-r.MinLat),
-			Lon: r.MinLon + rng.Float64()*(r.MaxLon-r.MinLon),
-		}
-		h := EncodeGeohash(p, 5)
-		found := false
-		for _, c := range cells {
-			if c == h {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("point %v (cell %q) not covered by %v", p, h, cells)
-		}
-	}
-}
-
-func TestGeohashesCoveringTooMany(t *testing.T) {
-	r := Rect{MinLat: -80, MinLon: -170, MaxLat: 80, MaxLon: 170}
-	if _, err := GeohashesCovering(r, 8, 100); err == nil {
-		t.Error("expected cover-size error for world-sized rect at high precision")
 	}
 }
 

@@ -18,7 +18,6 @@ type Grid struct {
 	cellLon    float64 // cell width in degrees
 	cols, rows int
 	cells      map[int64][]gridEntry
-	size       int
 }
 
 type gridEntry struct {
@@ -56,12 +55,6 @@ func NewGrid(bounds Rect, cellMeters float64) (*Grid, error) {
 	}, nil
 }
 
-// Len returns the number of points currently stored.
-func (g *Grid) Len() int { return g.size }
-
-// Bounds returns the grid's coverage rectangle.
-func (g *Grid) Bounds() Rect { return g.bounds }
-
 func (g *Grid) cellOf(p Point) (int, int) {
 	col := int((p.Lon - g.bounds.MinLon) / g.cellLon)
 	row := int((p.Lat - g.bounds.MinLat) / g.cellLat)
@@ -90,7 +83,6 @@ func (g *Grid) Insert(id int64, p Point) {
 	row, col := g.cellOf(p)
 	k := g.key(row, col)
 	g.cells[k] = append(g.cells[k], gridEntry{id: id, pt: p})
-	g.size++
 }
 
 // WithinRadius appends to dst the ids of all points within radiusMeters of
@@ -103,26 +95,6 @@ func (g *Grid) WithinRadius(dst []int64, center Point, radiusMeters float64) []i
 		for col := minCol; col <= maxCol; col++ {
 			for _, e := range g.cells[g.key(row, col)] {
 				if Haversine(center, e.pt) <= radiusMeters {
-					dst = append(dst, e.id)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// InRect appends to dst the ids of all points inside the rectangle and
-// returns the extended slice.
-func (g *Grid) InRect(dst []int64, r Rect) []int64 {
-	if !g.bounds.Intersects(r) {
-		return dst
-	}
-	minRow, minCol := g.cellOf(Point{Lat: math.Max(r.MinLat, g.bounds.MinLat), Lon: math.Max(r.MinLon, g.bounds.MinLon)})
-	maxRow, maxCol := g.cellOf(Point{Lat: math.Min(r.MaxLat, g.bounds.MaxLat), Lon: math.Min(r.MaxLon, g.bounds.MaxLon)})
-	for row := minRow; row <= maxRow; row++ {
-		for col := minCol; col <= maxCol; col++ {
-			for _, e := range g.cells[g.key(row, col)] {
-				if r.Contains(e.pt) {
 					dst = append(dst, e.id)
 				}
 			}

@@ -65,9 +65,6 @@ func TestGridMatchesReferenceRadius(t *testing.T) {
 		pts[i] = randPointIn(rng, bounds)
 		g.Insert(int64(i), pts[i])
 	}
-	if g.Len() != len(pts) {
-		t.Fatalf("grid Len = %d, want %d", g.Len(), len(pts))
-	}
 	for q := 0; q < 50; q++ {
 		center := randPointIn(rng, bounds)
 		radius := rng.Float64()*50000 + 100
@@ -75,29 +72,6 @@ func TestGridMatchesReferenceRadius(t *testing.T) {
 		want := referenceWithinRadius(pts, center, radius)
 		if !sortedEqual(got, want) {
 			t.Fatalf("grid radius query mismatch at %v r=%.0f: got %d ids, want %d", center, radius, len(got), len(want))
-		}
-	}
-}
-
-func TestGridMatchesReferenceRect(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	bounds := greeceBounds()
-	g, err := NewGrid(bounds, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := make([]Point, 1500)
-	for i := range pts {
-		pts[i] = randPointIn(rng, bounds)
-		g.Insert(int64(i), pts[i])
-	}
-	for q := 0; q < 50; q++ {
-		a, b := randPointIn(rng, bounds), randPointIn(rng, bounds)
-		r := NewRect(a, b)
-		got := g.InRect(nil, r)
-		want := referenceInRect(pts, r)
-		if !sortedEqual(got, want) {
-			t.Fatalf("grid rect query mismatch for %+v", r)
 		}
 	}
 }
@@ -136,8 +110,11 @@ func TestRTreeMatchesReference(t *testing.T) {
 		pts[i] = randPointIn(rng, bounds)
 		tree.InsertPoint(int64(i), pts[i])
 	}
-	if tree.Len() != len(pts) {
-		t.Fatalf("rtree Len = %d, want %d", tree.Len(), len(pts))
+	if got := tree.Search(nil, bounds); len(got) != len(pts) {
+		t.Fatalf("rtree holds %d ids, want %d", len(got), len(pts))
+	}
+	if _, err := NewRTree(2); err == nil {
+		t.Error("expected error for tiny fan-out")
 	}
 	for q := 0; q < 60; q++ {
 		a, b := randPointIn(rng, bounds), randPointIn(rng, bounds)
@@ -150,115 +127,15 @@ func TestRTreeMatchesReference(t *testing.T) {
 	}
 }
 
-func TestRTreeBulkLoadMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	bounds := greeceBounds()
-	n := 5000
-	ids := make([]int64, n)
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		ids[i] = int64(i)
-		pts[i] = randPointIn(rng, bounds)
-	}
-	tree, err := BulkLoad(16, ids, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Len() != n {
-		t.Fatalf("bulk tree Len = %d, want %d", tree.Len(), n)
-	}
-	for q := 0; q < 60; q++ {
-		a, b := randPointIn(rng, bounds), randPointIn(rng, bounds)
-		r := NewRect(a, b)
-		got := tree.Search(nil, r)
-		want := referenceInRect(pts, r)
-		if !sortedEqual(got, want) {
-			t.Fatalf("bulk rtree search mismatch for %+v", r)
-		}
-	}
-}
-
-func TestRTreeBulkLoadEmptyAndMismatch(t *testing.T) {
-	tree, err := BulkLoad(16, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.Search(nil, greeceBounds()); len(got) != 0 {
-		t.Errorf("empty tree search returned %v", got)
-	}
-	if _, err := BulkLoad(16, []int64{1}, nil); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-	if _, err := NewRTree(2); err == nil {
-		t.Error("expected error for tiny fan-out")
-	}
-}
-
-func TestRTreeNearestNeighbors(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	bounds := greeceBounds()
-	pts := make([]Point, 1000)
-	tree, _ := NewRTree(16)
-	for i := range pts {
-		pts[i] = randPointIn(rng, bounds)
-		tree.InsertPoint(int64(i), pts[i])
-	}
-	for q := 0; q < 20; q++ {
-		center := randPointIn(rng, bounds)
-		k := 10
-		got := tree.NearestNeighbors(center, k)
-		if len(got) != k {
-			t.Fatalf("NearestNeighbors returned %d ids, want %d", len(got), k)
-		}
-		// Oracle: sort all points by distance.
-		idx := make([]int, len(pts))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(i, j int) bool {
-			return Haversine(center, pts[idx[i]]) < Haversine(center, pts[idx[j]])
-		})
-		for i := 0; i < k; i++ {
-			if got[i] != int64(idx[i]) {
-				// Allow ties in distance.
-				d1 := Haversine(center, pts[got[i]])
-				d2 := Haversine(center, pts[idx[i]])
-				if d1 != d2 {
-					t.Fatalf("kNN order mismatch at %d: got id %d (%.2f m) want %d (%.2f m)", i, got[i], d1, idx[i], d2)
-				}
-			}
-		}
-	}
-}
-
-func TestRTreeNearestNeighborsEdgeCases(t *testing.T) {
-	tree, _ := NewRTree(16)
-	if got := tree.NearestNeighbors(Point{}, 5); got != nil {
-		t.Errorf("empty tree kNN = %v, want nil", got)
-	}
-	tree.InsertPoint(42, Point{Lat: 1, Lon: 1})
-	if got := tree.NearestNeighbors(Point{}, 0); got != nil {
-		t.Errorf("k=0 kNN = %v, want nil", got)
-	}
-	got := tree.NearestNeighbors(Point{}, 5)
-	if len(got) != 1 || got[0] != 42 {
-		t.Errorf("kNN on single-element tree = %v", got)
-	}
-}
-
 func BenchmarkRTreeSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	bounds := greeceBounds()
-	n := 8500 // the POI catalog size from the paper
-	ids := make([]int64, n)
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		ids[i] = int64(i)
-		pts[i] = randPointIn(rng, bounds)
-	}
-	tree, err := BulkLoad(16, ids, pts)
+	tree, err := NewRTree(16)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for i := 0; i < 8500; i++ { // the POI catalog size from the paper
+		tree.InsertPoint(int64(i), randPointIn(rng, bounds))
 	}
 	query := RectAround(Point{Lat: 37.98, Lon: 23.72}, 10000)
 	var buf []int64
@@ -336,8 +213,8 @@ func TestRTreeDeleteMatchesReference(t *testing.T) {
 			live++
 		}
 	}
-	if tree.Len() != live {
-		t.Errorf("Len = %d, want %d", tree.Len(), live)
+	if got := tree.Search(nil, bounds); len(got) != live {
+		t.Errorf("tree holds %d ids, want %d", len(got), live)
 	}
 	// Delete everything; the tree must empty out and stay usable.
 	for i := range pts {
@@ -348,8 +225,8 @@ func TestRTreeDeleteMatchesReference(t *testing.T) {
 			alive[i] = false
 		}
 	}
-	if tree.Len() != 0 {
-		t.Errorf("emptied tree Len = %d", tree.Len())
+	if got := tree.Search(nil, bounds); len(got) != 0 {
+		t.Errorf("emptied tree holds %v", got)
 	}
 	tree.InsertPoint(7, pts[7])
 	if got := tree.Search(nil, greeceBounds()); len(got) != 1 || got[0] != 7 {

@@ -3,15 +3,13 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RTree is an in-memory R-tree over rectangles with opaque integer ids. It
 // backs the spatial index of the relational POI repository (the role
 // PostgreSQL+GiST plays in the original system).
 //
-// The implementation uses quadratic-split insertion (Guttman 1984) for
-// dynamic updates and Sort-Tile-Recursive packing for bulk loads. RTree is
+// The implementation uses quadratic-split insertion (Guttman 1984). RTree is
 // not safe for concurrent mutation; the relational store serializes writes.
 type RTree struct {
 	root    *rtreeNode
@@ -47,9 +45,6 @@ func NewRTree(maxFill int) (*RTree, error) {
 		maxFill: maxFill,
 	}, nil
 }
-
-// Len returns the number of stored rectangles.
-func (t *RTree) Len() int { return t.size }
 
 // Insert adds a rectangle with the given id. Point data is inserted as a
 // degenerate rectangle.
@@ -282,147 +277,6 @@ func searchNode(dst []int64, n *rtreeNode, q Rect) []int64 {
 		}
 	}
 	return dst
-}
-
-// NearestNeighbors returns the ids of the k rectangles whose centers are
-// closest (haversine) to p, ordered nearest first. It performs a best-first
-// branch-and-bound traversal.
-func (t *RTree) NearestNeighbors(p Point, k int) []int64 {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	type cand struct {
-		node *rtreeNode
-		ent  *rtreeEntry
-		dist float64
-	}
-	// Simple priority queue by insertion+sort; tree depth keeps it small.
-	pq := []cand{{node: t.root, dist: 0}}
-	var out []int64
-	for len(pq) > 0 && len(out) < k {
-		sort.Slice(pq, func(i, j int) bool { return pq[i].dist < pq[j].dist })
-		c := pq[0]
-		pq = pq[1:]
-		switch {
-		case c.ent != nil:
-			out = append(out, c.ent.id)
-		case c.node.leaf:
-			for i := range c.node.entries {
-				e := &c.node.entries[i]
-				pq = append(pq, cand{ent: e, dist: Haversine(p, e.rect.Center())})
-			}
-		default:
-			for _, ch := range c.node.children {
-				pq = append(pq, cand{node: ch, dist: rectMinDist(p, ch.rect)})
-			}
-		}
-	}
-	return out
-}
-
-// rectMinDist lower-bounds the haversine distance from p to any point of r.
-func rectMinDist(p Point, r Rect) float64 {
-	nearest := Point{
-		Lat: math.Max(r.MinLat, math.Min(p.Lat, r.MaxLat)),
-		Lon: math.Max(r.MinLon, math.Min(p.Lon, r.MaxLon)),
-	}
-	return Haversine(p, nearest)
-}
-
-// BulkLoad builds an R-tree from the given points using Sort-Tile-Recursive
-// packing, which produces much better leaves than repeated insertion for
-// static datasets such as the POI catalog.
-func BulkLoad(maxFill int, ids []int64, pts []Point) (*RTree, error) {
-	if len(ids) != len(pts) {
-		return nil, fmt.Errorf("geo: BulkLoad ids (%d) and pts (%d) length mismatch", len(ids), len(pts))
-	}
-	t, err := NewRTree(maxFill)
-	if err != nil {
-		return nil, err
-	}
-	if len(ids) == 0 {
-		return t, nil
-	}
-	entries := make([]rtreeEntry, len(ids))
-	for i := range ids {
-		entries[i] = rtreeEntry{
-			id:   ids[i],
-			rect: Rect{MinLat: pts[i].Lat, MaxLat: pts[i].Lat, MinLon: pts[i].Lon, MaxLon: pts[i].Lon},
-		}
-	}
-	leaves := strPack(entries, maxFill)
-	t.size = len(ids)
-	// Build upper levels by packing child rectangles the same way.
-	level := leaves
-	for len(level) > 1 {
-		level = strPackNodes(level, maxFill)
-	}
-	t.root = level[0]
-	return t, nil
-}
-
-// strPack tiles leaf entries into leaves of up to maxFill entries.
-func strPack(entries []rtreeEntry, maxFill int) []*rtreeNode {
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].rect.Center().Lon < entries[j].rect.Center().Lon
-	})
-	n := len(entries)
-	leafCount := (n + maxFill - 1) / maxFill
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	perSlice := (n + sliceCount - 1) / sliceCount
-	var leaves []*rtreeNode
-	for s := 0; s < n; s += perSlice {
-		e := s + perSlice
-		if e > n {
-			e = n
-		}
-		slice := entries[s:e]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].rect.Center().Lat < slice[j].rect.Center().Lat
-		})
-		for o := 0; o < len(slice); o += maxFill {
-			oe := o + maxFill
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			leaf := &rtreeNode{leaf: true, entries: append([]rtreeEntry(nil), slice[o:oe]...)}
-			leaf.rect = extendRect(leaf)
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
-}
-
-// strPackNodes tiles nodes into parents of up to maxFill children.
-func strPackNodes(nodes []*rtreeNode, maxFill int) []*rtreeNode {
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].rect.Center().Lon < nodes[j].rect.Center().Lon
-	})
-	n := len(nodes)
-	parentCount := (n + maxFill - 1) / maxFill
-	sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-	perSlice := (n + sliceCount - 1) / sliceCount
-	var parents []*rtreeNode
-	for s := 0; s < n; s += perSlice {
-		e := s + perSlice
-		if e > n {
-			e = n
-		}
-		slice := nodes[s:e]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].rect.Center().Lat < slice[j].rect.Center().Lat
-		})
-		for o := 0; o < len(slice); o += maxFill {
-			oe := o + maxFill
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			p := &rtreeNode{children: append([]*rtreeNode(nil), slice[o:oe]...)}
-			p.rect = extendRect(p)
-			parents = append(parents, p)
-		}
-	}
-	return parents
 }
 
 // Delete removes the entry with the given id and rectangle, returning

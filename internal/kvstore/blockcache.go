@@ -1,9 +1,6 @@
 package kvstore
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // BlockCache is a sharded, byte-capacity LRU over decoded segment blocks.
 // Keys are (segment cacheID, block index); values are the materialized
@@ -18,12 +15,6 @@ import (
 type BlockCache struct {
 	shards   [blockCacheShards]blockCacheShard
 	capacity int64 // per-shard byte capacity
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	resident  atomic.Int64 // bytes across all shards
-	entries   atomic.Int64
 }
 
 // blockCacheShards is the fixed shard count; a power of two so the key
@@ -96,11 +87,9 @@ func (c *BlockCache) get(k blockKey) []Cell {
 	}
 	s.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
 		mBlockCacheMisses.Add(1)
 		return nil
 	}
-	c.hits.Add(1)
 	mBlockCacheHits.Add(1)
 	return e.cells
 }
@@ -133,12 +122,9 @@ func (c *BlockCache) put(k blockKey, cells []Cell, size int64) {
 		evictedCount++
 	}
 	s.mu.Unlock()
-	c.resident.Add(size - evictedBytes)
-	c.entries.Add(1 - evictedCount)
 	mBlockCacheBytes.Add(size - evictedBytes)
 	mBlockCacheEntries.Add(1 - evictedCount)
 	if evictedCount > 0 {
-		c.evictions.Add(evictedCount)
 		mBlockCacheEvictions.Add(evictedCount)
 	}
 }
@@ -175,27 +161,4 @@ func (s *blockCacheShard) moveToFront(e *blockCacheEntry) {
 	}
 	s.remove(e)
 	s.pushFront(e)
-}
-
-// BlockCacheStats is a point-in-time snapshot of one cache's counters.
-type BlockCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	ResidentBytes int64
-	Entries       int64
-}
-
-// Stats snapshots the cache counters. Nil-safe: a nil cache reports zeros.
-func (c *BlockCache) Stats() BlockCacheStats {
-	if c == nil {
-		return BlockCacheStats{}
-	}
-	return BlockCacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		ResidentBytes: c.resident.Load(),
-		Entries:       c.entries.Load(),
-	}
 }

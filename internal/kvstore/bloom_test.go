@@ -50,55 +50,6 @@ func TestBloomFilterEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestGetVersions(t *testing.T) {
-	s := newTestStore(t)
-	for ts := int64(1); ts <= 5; ts++ {
-		if err := s.Put("u1", "q", ts*10, []byte(fmt.Sprintf("v%d", ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All versions, newest first.
-	vs, err := s.GetVersions("u1", "q", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 5 || string(vs[0].Value) != "v5" || string(vs[4].Value) != "v1" {
-		t.Fatalf("versions = %v", vs)
-	}
-	// Capped.
-	vs, _ = s.GetVersions("u1", "q", 2)
-	if len(vs) != 2 || string(vs[1].Value) != "v4" {
-		t.Fatalf("capped versions = %v", vs)
-	}
-	// A tombstone cuts history: versions above it survive, older are hidden.
-	if err := s.Delete("u1", "q", 25); err != nil {
-		t.Fatal(err)
-	}
-	vs, _ = s.GetVersions("u1", "q", 0)
-	if len(vs) != 3 || string(vs[2].Value) != "v3" {
-		t.Fatalf("post-delete versions = %v", vs)
-	}
-	// Missing qualifier and row.
-	vs, _ = s.GetVersions("u1", "missing", 0)
-	if len(vs) != 0 {
-		t.Errorf("missing qualifier versions = %v", vs)
-	}
-	if _, err := s.GetVersions("", "q", 0); err == nil {
-		t.Error("empty row must fail")
-	}
-	// Versions survive flushes (read across memtable + segments).
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("u1", "q", 60, []byte("v6")); err != nil {
-		t.Fatal(err)
-	}
-	vs, _ = s.GetVersions("u1", "q", 0)
-	if len(vs) != 4 || string(vs[0].Value) != "v6" {
-		t.Fatalf("cross-segment versions = %v", vs)
-	}
-}
-
 func TestBloomSkipsForeignSegments(t *testing.T) {
 	// Build a store with several flushed segments of disjoint rows and
 	// verify point reads stay correct (the bloom path) under random probes.
@@ -114,12 +65,12 @@ func TestBloomSkipsForeignSegments(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			row := fmt.Sprintf("seg%d-row%04d", seg, i)
 			val := fmt.Sprintf("v-%d-%d", seg, i)
-			if err := s.Put(row, "q", 1, []byte(val)); err != nil {
+			if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: "q", Timestamp: 1, Value: []byte(val)}}); err != nil {
 				t.Fatal(err)
 			}
 			written[row] = val
 		}
-		if err := s.Flush(); err != nil {
+		if err := flushNow(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,11 +114,11 @@ func BenchmarkGetWithBloomFilters(b *testing.B) {
 	const rowsPerSeg = 2000
 	for seg := 0; seg < segments; seg++ {
 		for i := 0; i < rowsPerSeg; i++ {
-			if err := s.Put(fmt.Sprintf("s%02d-r%05d", seg, i), "q", 1, []byte("value")); err != nil {
+			if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("s%02d-r%05d", seg, i), Qualifier: "q", Timestamp: 1, Value: []byte("value")}}); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := s.Flush(); err != nil {
+		if err := flushNow(s); err != nil {
 			b.Fatal(err)
 		}
 	}

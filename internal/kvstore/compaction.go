@@ -15,10 +15,9 @@ import (
 // parallelism comes from the regions of a table, and an optional shared
 // RateLimiter bounds the aggregate merge bandwidth.
 //
-// Background compactions never drop tombstones: a tombstone in the merged
-// run may mask older versions living in segments outside the run, and
-// dropping it would resurrect them. Only Compact — the explicit major that
-// merges everything — garbage-collects tombstones, exactly as in the seed.
+// Compactions never drop tombstones: a tombstone in the merged run may mask
+// older versions living in segments outside the run, and dropping it would
+// resurrect them.
 
 // sizeTier buckets a segment's byte size into exponential classes (tier 0
 // below 4 KiB, then ×4 per tier). Adjacent segments in the same tier are
@@ -126,7 +125,7 @@ func (s *Store) compactLoop() {
 		for i := range inputs {
 			newestFirst[i] = inputs[len(inputs)-1-i]
 		}
-		merged, err := compactSegments(id, newestFirst, false, s.segCfg)
+		merged, err := compactSegments(id, newestFirst, s.segCfg)
 
 		s.mu.Lock()
 		if err != nil {

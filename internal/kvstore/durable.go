@@ -1,9 +1,6 @@
 package kvstore
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Durable tables: a table-level write-ahead log shared by all regions.
 // Region stores keep no log; the table appends every admitted write to one
@@ -55,26 +52,4 @@ func (t *Table) Close() error {
 	err := t.wal.Close()
 	t.wal = nil
 	return err
-}
-
-// Sync flushes buffered WAL appends to stable storage and surfaces any
-// pending background-flush failure from the region stores — a put whose
-// memtable later failed to flush is not durable in segment form, and a Sync
-// that ignored that would report clean when data is at risk. Both error
-// sources are joined; non-durable tables only report flush errors.
-func (t *Table) Sync() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var errs []error
-	for _, r := range t.regions {
-		if err := r.Store().FlushError(); err != nil {
-			errs = append(errs, fmt.Errorf("kvstore: region %d: %w", r.ID, err))
-		}
-	}
-	if t.wal != nil {
-		if err := t.wal.Sync(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }

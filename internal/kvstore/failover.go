@@ -264,9 +264,6 @@ func (t *Table) EnableFailover(cfg FailoverConfig) error {
 	return nil
 }
 
-// FailoverEnabled reports whether EnableFailover has armed the table.
-func (t *Table) FailoverEnabled() bool { return t.det.Load() != nil }
-
 // SetFaultInjector installs (or, with nil, removes) the write-side fault
 // injector intercepting put admissions (op=put) and per-replica WAL
 // shipments (op=ship). The read path's injector is configured separately
@@ -484,8 +481,6 @@ func (t *Table) assembleReplicaSetLocked(regionID, primaryNode int, det *failure
 		log:       tail,
 		base:      base,
 		seq:       seq,
-		lastShip:  seq,
-		batch:     t.shipBatch,
 		intercept: t.shipInterceptFor(regionID),
 	}
 	var reseedErr error

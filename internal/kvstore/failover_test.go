@@ -13,13 +13,13 @@ import (
 
 // failoverTable builds a replicated, failover-armed single-region table on
 // the given node count.
-func failoverTable(t *testing.T, nodes, replicas, shipBatch int, cfg FailoverConfig) *Table {
+func failoverTable(t *testing.T, nodes, replicas int, cfg FailoverConfig) *Table {
 	t.Helper()
 	tbl, err := NewTable("failover-test", nil, nodes, DefaultStoreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.EnableReplication(replicas, shipBatch); err != nil {
+	if err := tbl.EnableReplication(replicas); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.EnableFailover(cfg); err != nil {
@@ -94,7 +94,7 @@ func TestEnableFailoverRequiresReplication(t *testing.T) {
 	if err := tbl.EnableFailover(FailoverConfig{}); err == nil {
 		t.Fatal("EnableFailover without replication should fail")
 	}
-	if err := tbl.EnableReplication(1, 1); err != nil {
+	if err := tbl.EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.EnableFailover(FailoverConfig{SuspectAfter: 5, DownAfter: 2}); err == nil {
@@ -109,23 +109,40 @@ func TestEnableFailoverRequiresReplication(t *testing.T) {
 }
 
 func TestFailoverPromotesMostCaughtUpAndForceShips(t *testing.T) {
-	// Replica index 2 is starved by a ship fault, so replica 1 is the
-	// most-caught-up copy. Promotion must pick it and force-ship the tail
+	// Replica index 2 is starved by a ship fault from the start and replica
+	// 1 from the tenth write on, so replica 1 is the most-caught-up copy
+	// without being current. Promotion must pick it and force-ship the tail
 	// it has not observed, so every acked write is readable after cutover.
-	tbl := failoverTable(t, 4, 2, 3, FailoverConfig{})
-	tbl.SetFaultInjector(faultinject.New(faultinject.Schedule{Seed: 1, Rules: []faultinject.Rule{
-		{Fault: faultinject.Crash, Op: faultinject.OpShip, Node: faultinject.Any, Region: faultinject.Any, Replica: 2},
-	}}))
-	for i := 0; i < 10; i++ {
-		if err := tbl.Put(fmt.Sprintf("k%02d", i), "q", 1, []byte("v")); err != nil {
+	// Each intercepted shipment counts one failure against the starved
+	// node; three batches of three keep it below the down threshold.
+	tbl := failoverTable(t, 4, 2, FailoverConfig{})
+	starve := func(replica int) {
+		tbl.SetFaultInjector(faultinject.New(faultinject.Schedule{Seed: 1, Rules: []faultinject.Rule{
+			{Fault: faultinject.Crash, Op: faultinject.OpShip, Node: faultinject.Any, Region: faultinject.Any, Replica: replica},
+		}}))
+	}
+	starve(2)
+	for b := 0; b < 3; b++ {
+		var cells []Cell
+		for i := 3 * b; i < 3*b+3; i++ {
+			cells = append(cells, Cell{Row: fmt.Sprintf("k%02d", i), Qualifier: "q", Timestamp: 1, Value: []byte("v")})
+		}
+		if err := tbl.PutBatch(cells); err != nil {
 			t.Fatal(err)
 		}
+	}
+	starve(faultinject.Any)
+	if err := tbl.Put("k09", "q", 1, []byte("v")); err != nil {
+		t.Fatal(err)
 	}
 	r := tbl.Regions()[0]
 	oldPrimary := r.PrimaryNode()
 	caughtUpNode := r.ReadView(1).NodeID
-	if lag := r.ReplicationLag(); lag == 0 {
-		t.Fatal("setup: starved replica should be lagging")
+	if lag := regionLag(r); lag != 10 {
+		t.Fatalf("setup: starved replica lags %d writes, want 10", lag)
+	}
+	if rows := scanRows(t, r.ReadView(1).Store()); len(rows) != 9 {
+		t.Fatalf("setup: replica 1 holds %d rows, want 9 (one write behind)", len(rows))
 	}
 	if err := tbl.FailoverNode(oldPrimary); err != nil {
 		t.Fatal(err)
@@ -150,7 +167,7 @@ func TestFailoverPromotesMostCaughtUpAndForceShips(t *testing.T) {
 }
 
 func TestZombiePrimaryFencing(t *testing.T) {
-	tbl := failoverTable(t, 4, 2, 1, FailoverConfig{})
+	tbl := failoverTable(t, 4, 2, FailoverConfig{})
 	if err := tbl.Put("k1", "q", 1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +203,7 @@ func TestZombiePrimaryFencing(t *testing.T) {
 }
 
 func TestWriteCrashTriggersAutoFailover(t *testing.T) {
-	tbl := failoverTable(t, 4, 2, 1, FailoverConfig{SuspectAfter: 2, DownAfter: 4})
+	tbl := failoverTable(t, 4, 2, FailoverConfig{SuspectAfter: 2, DownAfter: 4})
 	for i := 0; i < 5; i++ {
 		if err := tbl.Put(fmt.Sprintf("seed%d", i), "q", 1, []byte("v")); err != nil {
 			t.Fatal(err)
@@ -238,7 +255,7 @@ func TestWriteCrashTriggersAutoFailover(t *testing.T) {
 }
 
 func TestWritesToDownPrimaryFailFast(t *testing.T) {
-	tbl := failoverTable(t, 2, 1, 1, FailoverConfig{})
+	tbl := failoverTable(t, 2, 1, FailoverConfig{})
 	r := tbl.Regions()[0]
 	// With 2 nodes the promotion has nowhere to re-seed, but the cutover
 	// itself must work; force the down state without promoting first.
@@ -256,7 +273,7 @@ func TestRejoinEntersAsCatchingUpReplica(t *testing.T) {
 	// 3 nodes, factor 2: primary on node 0, replicas on nodes 1 and 2.
 	// Killing node 0 promotes one replica and leaves no free healthy node
 	// to re-seed on — the region runs under-replicated until the rejoin.
-	tbl := failoverTable(t, 3, 2, 1, FailoverConfig{})
+	tbl := failoverTable(t, 3, 2, FailoverConfig{})
 	for i := 0; i < 8; i++ {
 		if err := tbl.Put(fmt.Sprintf("k%02d", i), "q", 1, []byte("v")); err != nil {
 			t.Fatal(err)
@@ -303,15 +320,17 @@ func TestRejoinEntersAsCatchingUpReplica(t *testing.T) {
 }
 
 // TestReplicationLagGaugeUnderRace pins the lag-accounting fix: concurrent
-// appends, threshold ships and administrative catch-ups must leave the
-// global gauge exactly equal to the real lag (historically the ship and
-// catch-up paths could double-decrement when they raced). Run with -race.
+// appends, ships (a third of them intercepted, so lag builds up) and
+// administrative catch-ups must leave the global gauge exactly equal to the
+// real lag (historically the ship and catch-up paths could double-decrement
+// when they raced). Run with -race.
 func TestReplicationLagGaugeUnderRace(t *testing.T) {
 	before := mReplicationLag.Value()
 	tbl := newReplTable(t, []string{"m"}, 3)
-	if err := tbl.EnableReplication(2, 4); err != nil {
+	if err := tbl.EnableReplication(2); err != nil {
 		t.Fatal(err)
 	}
+	interceptShips(t, tbl, 1.0/3)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w
@@ -340,7 +359,7 @@ func TestReplicationLagGaugeUnderRace(t *testing.T) {
 	if err := tbl.CatchUpReplication(); err != nil {
 		t.Fatal(err)
 	}
-	if lag := tbl.ReplicationLag(); lag != 0 {
+	if lag := tableLag(tbl); lag != 0 {
 		t.Fatalf("lag = %d after final catch-up, want 0", lag)
 	}
 	if got := mReplicationLag.Value(); got != before {
@@ -352,7 +371,7 @@ func TestReplicationLagGaugeUnderRace(t *testing.T) {
 // promotions: retire-and-reinstall accounting must not leak.
 func TestReplicationLagGaugeAcrossFailover(t *testing.T) {
 	before := mReplicationLag.Value()
-	tbl := failoverTable(t, 4, 2, 1, FailoverConfig{})
+	tbl := failoverTable(t, 4, 2, FailoverConfig{})
 	for i := 0; i < 50; i++ {
 		if err := tbl.Put(fmt.Sprintf("k%03d", i), "q", 1, []byte("v")); err != nil {
 			t.Fatal(err)
@@ -368,7 +387,7 @@ func TestReplicationLagGaugeAcrossFailover(t *testing.T) {
 	if err := tbl.CatchUpReplication(); err != nil {
 		t.Fatal(err)
 	}
-	if lag := tbl.ReplicationLag(); lag != 0 {
+	if lag := tableLag(tbl); lag != 0 {
 		t.Fatalf("lag = %d, want 0", lag)
 	}
 	if got := mReplicationLag.Value(); got != before {

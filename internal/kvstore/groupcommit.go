@@ -174,21 +174,6 @@ func (w *GroupCommitWAL) commitLocked(cells []Cell) error {
 	return nil
 }
 
-// Sync flushes buffered groups to stable storage (an fsync regardless of the
-// sync policy).
-func (w *GroupCommitWAL) Sync() error {
-	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	mWALSyncs.Inc()
-	return nil
-}
-
 // Close flushes and releases the log. Appends in flight when Close acquires
 // the I/O lock fail with a closed-WAL error; Close is idempotent.
 func (w *GroupCommitWAL) Close() error {

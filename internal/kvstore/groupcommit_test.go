@@ -306,10 +306,11 @@ func TestGroupCommitWALClose(t *testing.T) {
 	}
 }
 
-// TestTableSyncSurfacesFlushError is the regression test for the Sync fix: a
-// put whose memtable later fails to flush is not durable in segment form, so
-// Table.Sync must report the failure instead of claiming the data is safe.
-func TestTableSyncSurfacesFlushError(t *testing.T) {
+// TestTableSurfacesFlushError: a put whose memtable later fails to flush is
+// not durable in segment form, so the store must report the failure
+// instead of claiming the data is safe, and the table must refuse further
+// writes through its write pressure.
+func TestTableSurfacesFlushError(t *testing.T) {
 	opts := DefaultStoreOptions()
 	opts.FlushThresholdBytes = 256
 	tbl, err := NewTable("sync-err", nil, 1, opts)
@@ -324,18 +325,12 @@ func TestTableSyncSurfacesFlushError(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		row := fmt.Sprintf("row-%03d", i)
 		if err := tbl.Put(row, "q", 1, bytes.Repeat([]byte("x"), 32)); err != nil {
-			break // backpressure may surface the flush failure mid-load; Sync must still report it
+			break // backpressure may surface the flush failure mid-load; WaitMaintenance must still report it
 		}
 	}
-	if err := st.WaitMaintenance(); err == nil {
-		t.Fatal("WaitMaintenance must surface the injected flush failure")
-	}
-	err = tbl.Sync()
-	if err == nil {
-		t.Fatal("Table.Sync reported clean while a background flush had failed")
-	}
-	if !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("Table.Sync error = %v, want the injected flush failure", err)
+	err = st.WaitMaintenance()
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("WaitMaintenance = %v, want the injected flush failure", err)
 	}
 	if p := tbl.WritePressure(); p != 1 {
 		t.Fatalf("WritePressure = %v after flush failure, want 1", p)
@@ -349,7 +344,7 @@ func TestTablePutBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.EnableReplication(1, 1); err != nil {
+	if err := tbl.EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
 	cells := []Cell{

@@ -6,9 +6,8 @@ import "modissense/internal/obs"
 // init; hot paths batch into locals and flush with one atomic add per scan,
 // matching the ctxPollInterval discipline (no per-row registry traffic).
 var (
-	mPuts        = obs.Default().Counter("kvstore_puts_total", "Cells applied to a memtable (puts and tombstones).")
-	mFlushes     = obs.Default().Counter("kvstore_memtable_flushes_total", "Memtable flushes into immutable segments.")
-	mCompactions = obs.Default().Counter("kvstore_compactions_total", "Segment compactions.")
+	mPuts    = obs.Default().Counter("kvstore_puts_total", "Cells applied to a memtable (puts and tombstones).")
+	mFlushes = obs.Default().Counter("kvstore_memtable_flushes_total", "Memtable flushes into immutable segments.")
 
 	mRowsScanned  = obs.Default().Counter("kvstore_rows_scanned_total", "Rows delivered by scans.")
 	mBytesScanned = obs.Default().Counter("kvstore_bytes_scanned_total", "Approximate bytes of cells delivered by scans.")
@@ -31,7 +30,7 @@ var (
 	mWriteStalls = obs.Default().Counter("kvstore_write_stalls_total",
 		"Writes that blocked because the immutable-memtable backlog was full (flush lagging ingest).")
 	mBgCompactions = obs.Default().Counter("kvstore_background_compactions_total",
-		"Size-tiered background compactions (majors are counted by kvstore_compactions_total).")
+		"Size-tiered background compactions.")
 	mCompactionDebt = obs.Default().Gauge("kvstore_compaction_debt_bytes",
 		"Bytes in segment tiers currently eligible for background compaction (all stores).")
 	mWriteAmp = obs.Default().Gauge("kvstore_write_amplification_x100",

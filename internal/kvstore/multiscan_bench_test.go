@@ -19,11 +19,11 @@ func benchScanStore(b *testing.B, nRows, nRanges int) (*Store, []ScanRange) {
 		b.Fatal(err)
 	}
 	for i := 0; i < nRows; i++ {
-		if err := s.Put(fmt.Sprintf("r%07d", i), "q", 1, []byte("0123456789abcdef")); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("r%07d", i), Qualifier: "q", Timestamp: 1, Value: []byte("0123456789abcdef")}}); err != nil {
 			b.Fatal(err)
 		}
 		if i%(nRows/4+1) == nRows/8 {
-			if err := s.Flush(); err != nil {
+			if err := flushNow(s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -51,7 +51,7 @@ func BenchmarkScanPathNScan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := 0
 		for _, rg := range ranges {
-			err := s.ScanCtx(ctx, ScanOptions{StartRow: rg.Start, StopRow: rg.Stop}, func(RowResult) bool {
+			err := s.MultiScanCtx(ctx, []ScanRange{rg}, 0, func(RowResult) bool {
 				rows++
 				return true
 			})

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"modissense/internal/exec"
+	"modissense/internal/obs"
 )
 
 // copyRow deep-copies a RowResult (MultiScanCtx reuses the backing slice).
@@ -62,25 +63,6 @@ func (m scanModel) at(row string, ts int64) *modelVersion {
 	return m[row][ts]
 }
 
-// majorCompact is what a major compaction does to history: every delete
-// goes, taking the versions at or below it along, so a later write of an
-// older version is visible again.
-func (m scanModel) majorCompact() {
-	for _, versions := range m {
-		purge := int64(-1)
-		for ts, v := range versions {
-			if v.deleted && ts > purge {
-				purge = ts
-			}
-		}
-		for ts := range versions {
-			if ts <= purge {
-				delete(versions, ts)
-			}
-		}
-	}
-}
-
 // scan resolves qualifier q of every row in the ranges as of asOf (0 = no
 // bound): the newest timestamp at or below asOf decides the row, a delete
 // there hides it (and masks a put at the same timestamp), otherwise the last
@@ -127,25 +109,20 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 			ts := int64(1 + rng.Intn(5))
 			switch rng.Intn(10) {
 			case 0:
-				if err := s.Delete(row, "q", ts); err != nil {
+				if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: "q", Timestamp: ts, Tombstone: true}}); err != nil {
 					t.Fatal(err)
 				}
 				model.at(row, ts).deleted = true
 			default:
 				value := []byte(fmt.Sprintf("%s@%d#%d", row, ts, i))
-				if err := s.Put(row, "q", ts, value); err != nil {
+				if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: "q", Timestamp: ts, Value: value}}); err != nil {
 					t.Fatal(err)
 				}
 				model.at(row, ts).value = value
 			}
 			if rng.Intn(60) == 0 {
-				majors := s.Stats().Compactions
-				if err := s.Flush(); err != nil {
+				if err := flushNow(s); err != nil {
 					t.Fatal(err)
-				}
-				// A flush that reaches the compaction trigger ends in a major.
-				if s.Stats().Compactions > majors {
-					model.majorCompact()
 				}
 			}
 		}
@@ -180,12 +157,12 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 		}
 		var seq []RowResult
 		for _, rg := range ranges {
-			err := s.ScanCtx(context.Background(), ScanOptions{StartRow: rg.Start, StopRow: rg.Stop, AsOf: asOf}, func(res RowResult) bool {
+			err := scanStore(s, ScanOptions{StartRow: rg.Start, StopRow: rg.Stop, AsOf: asOf}, func(res RowResult) bool {
 				seq = append(seq, copyRow(res))
 				return true
 			})
 			if err != nil {
-				t.Fatalf("trial %d: ScanCtx: %v", trial, err)
+				t.Fatalf("trial %d: one-range scan: %v", trial, err)
 			}
 		}
 		if !rowResultsEqual(seq, want) {
@@ -199,7 +176,7 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 func TestMultiScanEarlyStopAndCancel(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 500; i++ {
-		if err := s.Put(fmt.Sprintf("r%05d", i), "q", 1, []byte("v")); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("r%05d", i), Qualifier: "q", Timestamp: 1, Value: []byte("v")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,12 +213,12 @@ func TestMultiScanEarlyStopAndCancel(t *testing.T) {
 func TestMultiScanStatsBatched(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 100; i++ {
-		if err := s.Put(fmt.Sprintf("r%05d", i), "q", 1, []byte("v")); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("r%05d", i), Qualifier: "q", Timestamp: 1, Value: []byte("v")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := &exec.Stats{}
-	ctx := exec.WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	if err := s.MultiScanCtx(ctx, []ScanRange{{"r00010", "r00020"}, {"r00050", "r00055"}}, 0, func(RowResult) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +235,11 @@ func TestMultiScanSegmentPruning(t *testing.T) {
 	// Three disjoint key clusters flushed into three segments.
 	for seg, prefix := range []string{"a", "m", "z"} {
 		for i := 0; i < 20; i++ {
-			if err := s.Put(fmt.Sprintf("%s%04d", prefix, i), "q", int64(seg+1), []byte(prefix)); err != nil {
+			if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("%s%04d", prefix, i), Qualifier: "q", Timestamp: int64(seg + 1), Value: []byte(prefix)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Flush(); err != nil {
+		if err := flushNow(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,23 +324,28 @@ func TestSegmentMetadataSurvivesFlushCompactReplay(t *testing.T) {
 	}
 
 	t.Run("flush and compact", func(t *testing.T) {
-		s := newTestStore(t)
+		opts := DefaultStoreOptions()
+		opts.FlushThresholdBytes = 1 << 30
+		opts.CompactionTrigger = 3 // the third flush sets off a background merge
+		s, err := NewStore(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, row := range rows {
-			if err := s.Put(row, "q", int64(i+1), []byte("v")); err != nil {
+			if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("v")}}); err != nil {
 				t.Fatal(err)
 			}
 			if i%10 == 9 {
-				if err := s.Flush(); err != nil {
+				if err := flushNow(s); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		if err := s.Flush(); err != nil {
+		if err := flushNow(s); err != nil {
 			t.Fatal(err)
 		}
-		checkSegments(t, s, rows[0], rows[len(rows)-1], rows)
-		if err := s.Compact(); err != nil {
-			t.Fatal(err)
+		if s.Stats().BackgroundCompactions == 0 {
+			t.Fatal("no background compaction ran")
 		}
 		checkSegments(t, s, rows[0], rows[len(rows)-1], rows)
 	})
@@ -389,7 +371,7 @@ func TestSegmentMetadataSurvivesFlushCompactReplay(t *testing.T) {
 		}
 		defer reopened.Close()
 		st := reopened.Regions()[0].Store()
-		if err := st.Flush(); err != nil {
+		if err := flushNow(st); err != nil {
 			t.Fatal(err)
 		}
 		checkSegments(t, st, rows[0], rows[len(rows)-1], rows)
@@ -450,7 +432,7 @@ func TestTableMultiScanConcurrentMutations(t *testing.T) {
 			default:
 			}
 			for _, r := range tbl.Regions() {
-				_ = r.Store().Flush()
+				_ = flushNow(r.Store())
 			}
 		}
 	}()

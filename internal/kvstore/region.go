@@ -128,10 +128,9 @@ type Table struct {
 	// tables; see OpenDurableTable). Group commit batches the concurrent
 	// region writers' appends into shared commit groups.
 	wal *GroupCommitWAL
-	// replicas/shipBatch are the read-replication settings; zero replicas
-	// means replication is off (see EnableReplication).
-	replicas  int
-	shipBatch int
+	// replicas is the read-replica count; zero means replication is off
+	// (see EnableReplication).
+	replicas int
 	// det is the per-node failure detector (nil until EnableFailover) and
 	// writeInjector the write-side fault harness; both are atomics so the
 	// write and ship paths read them lock-free. failoversActive counts
@@ -193,9 +192,6 @@ func storeOptsForRegion(opts StoreOptions, regionID int) StoreOptions {
 	return opts
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
 // NumRegions returns the current region count.
 func (t *Table) NumRegions() int {
 	t.mu.RLock()
@@ -255,12 +251,6 @@ func (t *Table) Put(row, qualifier string, timestamp int64, value []byte) error 
 // which is what guarantees its late writes can never land.
 func (t *Table) PutFenced(row, qualifier string, timestamp int64, value []byte, epoch uint64) error {
 	return t.write([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}}, epoch)
-}
-
-// Delete writes a tombstone masking all versions of (row, qualifier) at or
-// before timestamp: the one-cell form of PutBatch.
-func (t *Table) Delete(row, qualifier string, timestamp int64) error {
-	return t.write([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Tombstone: true}}, 0)
 }
 
 // PutBatch writes the cells, puts and tombstones alike, in input order: one

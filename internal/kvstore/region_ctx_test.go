@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"modissense/internal/exec"
+	"modissense/internal/obs"
 )
 
 // TestSplitDuringExecRegionsSeesConsistentSnapshot is the regression test
@@ -33,7 +34,7 @@ func TestSplitDuringExecRegionsSeesConsistentSnapshot(t *testing.T) {
 	go func() {
 		outc <- ExecRegions(context.Background(), tbl, ReadOptions{}, func(ctx context.Context, r *Region) (int, error) {
 			count := 0
-			err := r.Store().ScanCtx(ctx, ScanOptions{}, func(RowResult) bool {
+			err := r.Store().MultiScanCtx(ctx, []ScanRange{{}}, 0, func(RowResult) bool {
 				if count == 0 {
 					checkin <- struct{}{}
 					<-resume
@@ -115,7 +116,7 @@ func TestExecRegionsRunsRegionsInParallel(t *testing.T) {
 	}
 	tbl := newTestTable(t, []string{"m"}, 2)
 	st := &exec.Stats{}
-	ctx := exec.WithStats(context.Background(), st)
+	ctx := obs.WithQueryStats(context.Background(), st)
 	// The region function blocks until two regions are executing
 	// simultaneously, proving real parallelism.
 	var arrivals atomic.Int32
@@ -210,7 +211,7 @@ func TestTableScanAcrossRegionBoundary(t *testing.T) {
 			}
 		}
 	}
-	if err := tbl.Delete("k", "q", 2); err != nil {
+	if err := tbl.PutBatch([]Cell{{Row: "k", Qualifier: "q", Timestamp: 2, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	scan := func(ctx context.Context, opts ScanOptions, keepGoing func(row string) bool) (string, error) {

@@ -110,7 +110,7 @@ func TestTablePutGetAcrossRegions(t *testing.T) {
 	if v, _ := res.Get("q"); string(v) != "high" {
 		t.Errorf("zeta = %q", v)
 	}
-	if err := tbl.Delete("zeta", "q", 2); err != nil {
+	if err := tbl.PutBatch([]Cell{{Row: "zeta", Qualifier: "q", Timestamp: 2, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ = tbl.Get("zeta")
@@ -120,7 +120,7 @@ func TestTablePutGetAcrossRegions(t *testing.T) {
 	if err := tbl.Put("", "q", 1, nil); err == nil {
 		t.Error("empty row must fail")
 	}
-	if err := tbl.Delete("", "q", 1); err == nil {
+	if err := tbl.PutBatch([]Cell{{Row: "", Qualifier: "q", Timestamp: 1, Tombstone: true}}); err == nil {
 		t.Error("empty row delete must fail")
 	}
 }
@@ -182,7 +182,7 @@ func TestTableScanRangeSpanningRegions(t *testing.T) {
 // rows of one region.
 func countRows(ctx context.Context, r *Region) (int, error) {
 	count := 0
-	err := r.Store().ScanCtx(ctx, ScanOptions{}, func(RowResult) bool { count++; return true })
+	err := r.Store().MultiScanCtx(ctx, []ScanRange{{}}, 0, func(RowResult) bool { count++; return true })
 	return count, err
 }
 
@@ -237,7 +237,7 @@ func TestSplitRegionPreservesDataAndHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Delete("d", "q", 3); err != nil {
+	if err := tbl.PutBatch([]Cell{{Row: "d", Qualifier: "q", Timestamp: 3, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.SplitRegion("m"); err != nil {

@@ -20,10 +20,10 @@ type replicaState struct {
 }
 
 // replicaSet tracks a region's read replicas plus the WAL-shipping state
-// that keeps them consistent with the primary. Every primary mutation is
+// that keeps them consistent with the primary. Every primary write is
 // appended to the retained log (the in-memory WAL tail) and shipped to each
-// replica once the batch fills — mirroring HBase's async WAL replication,
-// where replicas trail the primary by the unshipped edits.
+// replica by the same write — mirroring HBase's WAL replication, where
+// replicas trail the primary by the unshipped edits.
 //
 // Each replica carries its own applied watermark, so a replica whose
 // shipment was intercepted (a write-side fault, or a down node) simply
@@ -51,11 +51,6 @@ type replicaSet struct {
 	log  []Cell
 	base uint64
 	seq  uint64
-	// lastShip is the seq at the last shipment attempt; appends trigger a
-	// ship every batch mutations regardless of how far a faulted replica
-	// lags.
-	lastShip uint64
-	batch    int
 	// intercept, when non-nil, is consulted before shipping to one
 	// replica; an error skips that replica for this round (it lags and
 	// catches up on a later ship, an admin catch-up, or a promotion
@@ -103,18 +98,15 @@ func (rs *replicaSet) retireLocked() {
 }
 
 // appendBatch records a run of applied primary mutations into the shipping
-// log under one lock acquisition, shipping when the batch threshold is
-// reached. Called from Table.write with the table read lock held.
+// log and ships it, under one lock acquisition. Called from Table.write with
+// the table read lock held.
 func (rs *replicaSet) appendBatch(cells []Cell) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	old := rs.lagLocked()
 	rs.log = append(rs.log, cells...)
 	rs.seq += uint64(len(cells))
-	var err error
-	if rs.seq-rs.lastShip >= uint64(rs.batch) {
-		err = rs.shipLocked(false)
-	}
+	err := rs.shipLocked(false)
 	rs.adjustGaugeLocked(old)
 	return err
 }
@@ -126,7 +118,6 @@ func (rs *replicaSet) appendBatch(cells []Cell) error {
 // lags), which never fails the caller's write. Store apply errors do fail
 // the ship. Caller holds rs.mu and is responsible for the gauge delta.
 func (rs *replicaSet) shipLocked(force bool) error {
-	rs.lastShip = rs.seq
 	oldMin := rs.seq - rs.lagLocked()
 	var firstErr error
 	for idx, rep := range rs.replicas {
@@ -171,14 +162,6 @@ func (rs *replicaSet) truncateLocked() {
 	rs.base = min
 }
 
-// lag returns the unshipped-mutation count (the replication-lag watermark):
-// mutations the slowest replica has not observed.
-func (rs *replicaSet) lag() uint64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.lagLocked()
-}
-
 // dropPending abandons unshipped mutations (used when a split rebuilds the
 // replica set from the post-split stores, which already contain them),
 // keeping the global lag gauge consistent.
@@ -188,7 +171,6 @@ func (rs *replicaSet) dropPending() {
 	old := rs.lagLocked()
 	rs.log = nil
 	rs.base = rs.seq
-	rs.lastShip = rs.seq
 	for _, rep := range rs.replicas {
 		rep.applied = rs.seq
 	}
@@ -211,20 +193,11 @@ func (r *Region) Replicas() int {
 	return 0
 }
 
-// ReplicationLag returns the region's unshipped-mutation count: how many
-// primary writes its slowest replica has not yet observed.
-func (r *Region) ReplicationLag() uint64 {
-	if rs := r.replicaSet(); rs != nil {
-		return rs.lag()
-	}
-	return 0
-}
-
 // ReadView returns a frozen view of the region served by the given replica
 // index: 0 is the current primary, 1..Replicas() are the read replicas (the
 // view's NodeID is the node hosting that copy). Out-of-range indexes fall
 // back to the primary. Replica views may lag the primary by up to the
-// unshipped WAL tail — see ReplicationLag.
+// unshipped WAL tail (kvstore_replication_lag_entries).
 func (r *Region) ReadView(replica int) *Region {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -253,24 +226,22 @@ func (r *Region) ReadView(replica int) *Region {
 
 // EnableReplication equips every region with n read-only replicas hosted on
 // the next n nodes after the primary (modulo the cluster size), seeded from
-// a snapshot of the primary's cells. Subsequent mutations are WAL-shipped
-// in batches of shipBatch (values < 1 ship every mutation immediately);
-// CatchUpReplication force-ships the tail. Replicas created by a later
-// SplitRegion inherit the same settings. Call once per table, after which
-// reads may be served by ReadView / ExecRegions.
-func (t *Table) EnableReplication(n, shipBatch int) error {
+// a snapshot of the primary's cells. Every later write is WAL-shipped to
+// the replicas as it commits; a replica whose shipment is intercepted lags
+// until a later ship, CatchUpReplication or a promotion force-ships the
+// tail. Replicas created by a later SplitRegion inherit the same settings.
+// Call once per table, after which reads may be served by ReadView /
+// ExecRegions.
+func (t *Table) EnableReplication(n int) error {
 	if n < 1 {
 		return fmt.Errorf("kvstore: replication needs at least 1 replica, got %d", n)
-	}
-	if shipBatch < 1 {
-		shipBatch = 1
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.replicas > 0 {
 		return fmt.Errorf("kvstore: replication already enabled on table %q", t.name)
 	}
-	t.replicas, t.shipBatch = n, shipBatch
+	t.replicas = n
 	for _, r := range t.regions {
 		rs, err := t.newReplicaSet(r.ID, r.primary, r.store)
 		if err != nil {
@@ -289,7 +260,7 @@ func (t *Table) EnableReplication(n, shipBatch int) error {
 // primary's cells) on boot.
 func (t *Table) newReplicaSet(regionID, primaryNode int, primary *Store) (*replicaSet, error) {
 	cells := primary.rawCells()
-	rs := &replicaSet{batch: t.shipBatch, intercept: t.shipInterceptFor(regionID)}
+	rs := &replicaSet{intercept: t.shipInterceptFor(regionID)}
 	for i := 0; i < t.replicas; i++ {
 		st, err := t.seedReplicaStore(regionID, cells)
 		if err != nil {
@@ -365,14 +336,4 @@ func (t *Table) CatchUpReplication() error {
 		}
 	}
 	return nil
-}
-
-// ReplicationLag sums the unshipped-mutation counts across all regions —
-// the table-wide replication-lag watermark exported on /metrics.
-func (t *Table) ReplicationLag() uint64 {
-	var total uint64
-	for _, r := range t.Regions() {
-		total += r.ReplicationLag()
-	}
-	return total
 }

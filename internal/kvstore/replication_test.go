@@ -1,9 +1,12 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+
+	"modissense/internal/faultinject"
 )
 
 func newReplTable(t *testing.T, splits []string, nodes int) *Table {
@@ -18,7 +21,7 @@ func newReplTable(t *testing.T, splits []string, nodes int) *Table {
 func scanRows(t *testing.T, st *Store) []string {
 	t.Helper()
 	var rows []string
-	err := st.Scan(ScanOptions{}, func(res RowResult) bool {
+	err := st.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(res RowResult) bool {
 		for _, c := range res.Cells {
 			rows = append(rows, res.Row+"="+string(c.Value))
 		}
@@ -30,6 +33,39 @@ func scanRows(t *testing.T, st *Store) []string {
 	return rows
 }
 
+// interceptShips arms a crash:op=ship schedule on the table: every later
+// shipment (or, with prob in (0, 1), that share of them) is intercepted, so
+// the replicas lag until a catch-up, a split or a promotion.
+func interceptShips(t *testing.T, tbl *Table, prob float64) {
+	t.Helper()
+	sched, err := faultinject.ParseSchedule(fmt.Sprintf("crash:op=ship,prob=%g", prob), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.SetFaultInjector(faultinject.New(sched))
+}
+
+// regionLag is the region's unshipped-mutation count: how many primary
+// writes its slowest replica has not yet observed.
+func regionLag(r *Region) uint64 {
+	rs := r.replicaSet()
+	if rs == nil {
+		return 0
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.lagLocked()
+}
+
+// tableLag sums the unshipped-mutation counts of every region.
+func tableLag(t *Table) uint64 {
+	var total uint64
+	for _, r := range t.Regions() {
+		total += regionLag(r)
+	}
+	return total
+}
+
 func TestEnableReplicationSeedsExistingData(t *testing.T) {
 	tbl := newReplTable(t, []string{"m"}, 4)
 	for i := 0; i < 10; i++ {
@@ -37,7 +73,7 @@ func TestEnableReplicationSeedsExistingData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.EnableReplication(2, 4); err != nil {
+	if err := tbl.EnableReplication(2); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range tbl.Regions() {
@@ -56,23 +92,24 @@ func TestEnableReplicationSeedsExistingData(t *testing.T) {
 			}
 		}
 	}
-	if err := tbl.EnableReplication(2, 4); err == nil {
+	if err := tbl.EnableReplication(2); err == nil {
 		t.Fatal("double EnableReplication should fail")
 	}
 }
 
 func TestReplicationLagAndCatchUp(t *testing.T) {
 	tbl := newReplTable(t, nil, 3)
-	if err := tbl.EnableReplication(1, 100); err != nil {
+	if err := tbl.EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
+	interceptShips(t, tbl, 1)
 	for i := 0; i < 5; i++ {
 		if err := tbl.Put(fmt.Sprintf("k%d", i), "q", 1, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if lag := tbl.ReplicationLag(); lag != 5 {
-		t.Fatalf("lag = %d, want 5 (batch 100 never filled)", lag)
+	if lag := tableLag(tbl); lag != 5 {
+		t.Fatalf("lag = %d, want 5 (every shipment intercepted)", lag)
 	}
 	r := tbl.Regions()[0]
 	if rows := scanRows(t, r.ReadView(1).Store()); len(rows) != 0 {
@@ -81,7 +118,7 @@ func TestReplicationLagAndCatchUp(t *testing.T) {
 	if err := tbl.CatchUpReplication(); err != nil {
 		t.Fatal(err)
 	}
-	if lag := tbl.ReplicationLag(); lag != 0 {
+	if lag := tableLag(tbl); lag != 0 {
 		t.Fatalf("lag after catch-up = %d, want 0", lag)
 	}
 	if rows := scanRows(t, r.ReadView(1).Store()); len(rows) != 5 {
@@ -89,40 +126,52 @@ func TestReplicationLagAndCatchUp(t *testing.T) {
 	}
 }
 
+// TestReplicationBatchShipping: every write ships as it commits, a batch
+// as one shipment, and a write after an intercepted one ships the whole
+// unobserved tail.
 func TestReplicationBatchShipping(t *testing.T) {
 	tbl := newReplTable(t, nil, 2)
-	if err := tbl.EnableReplication(1, 2); err != nil {
+	if err := tbl.EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
-	mustPut := func(k string) {
-		t.Helper()
-		if err := tbl.Put(k, "q", 1, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustPut("a")
-	if lag := tbl.ReplicationLag(); lag != 1 {
-		t.Fatalf("lag = %d, want 1", lag)
-	}
-	mustPut("b") // fills the batch of 2: ships both
-	if lag := tbl.ReplicationLag(); lag != 0 {
-		t.Fatalf("lag = %d after batch fill, want 0", lag)
-	}
 	r := tbl.Regions()[0]
-	if rows := scanRows(t, r.ReadView(1).Store()); len(rows) != 2 {
-		t.Fatalf("replica rows = %v, want 2", rows)
+	if err := tbl.Put("a", "q", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if lag := tableLag(tbl); lag != 0 {
+		t.Fatalf("lag = %d after one put, want 0", lag)
+	}
+	if err := tbl.PutBatch([]Cell{{Row: "b", Qualifier: "q", Timestamp: 1}, {Row: "c", Qualifier: "q", Timestamp: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if rows := scanRows(t, r.ReadView(1).Store()); len(rows) != 3 || tableLag(tbl) != 0 {
+		t.Fatalf("replica rows = %v (lag %d), want 3 (lag 0)", rows, tableLag(tbl))
+	}
+	interceptShips(t, tbl, 1)
+	if err := tbl.Put("d", "q", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if lag := tableLag(tbl); lag != 1 {
+		t.Fatalf("lag = %d after an intercepted ship, want 1", lag)
+	}
+	tbl.SetFaultInjector(nil)
+	if err := tbl.Put("e", "q", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if rows := scanRows(t, r.ReadView(1).Store()); len(rows) != 5 || tableLag(tbl) != 0 {
+		t.Fatalf("replica rows = %v (lag %d), want 5 (lag 0)", rows, tableLag(tbl))
 	}
 }
 
 func TestReplicationShipsTombstones(t *testing.T) {
 	tbl := newReplTable(t, nil, 2)
-	if err := tbl.EnableReplication(1, 1); err != nil {
+	if err := tbl.EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Put("a", "q", 1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Delete("a", "q", 2); err != nil {
+	if err := tbl.PutBatch([]Cell{{Row: "a", Qualifier: "q", Timestamp: 2, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	r := tbl.Regions()[0]
@@ -133,20 +182,21 @@ func TestReplicationShipsTombstones(t *testing.T) {
 
 func TestSplitRebuildsReplicas(t *testing.T) {
 	tbl := newReplTable(t, nil, 3)
-	if err := tbl.EnableReplication(2, 100); err != nil {
+	if err := tbl.EnableReplication(2); err != nil {
 		t.Fatal(err)
 	}
+	interceptShips(t, tbl, 1)
 	for i := 0; i < 10; i++ {
 		if err := tbl.Put(fmt.Sprintf("k%02d", i), "q", 1, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Lag is nonzero (batch never filled); the split must fold the pending
-	// tail into the fresh replica stores without double-applying.
+	// Lag is nonzero (every shipment intercepted); the split must fold the
+	// pending tail into the fresh replica stores without double-applying.
 	if err := tbl.SplitRegion("k05"); err != nil {
 		t.Fatal(err)
 	}
-	if lag := tbl.ReplicationLag(); lag != 0 {
+	if lag := tableLag(tbl); lag != 0 {
 		t.Fatalf("lag after split = %d, want 0 (fresh replicas start converged)", lag)
 	}
 	total := 0
@@ -181,14 +231,14 @@ func TestReadViewFallsBackToPrimary(t *testing.T) {
 			t.Fatalf("ReadView(%d) without replication should serve the primary", idx)
 		}
 	}
-	if err := tbl.EnableReplication(1, 1); err != nil {
+	if err := tbl.EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-range replica index also falls back.
 	if view := r.ReadView(9); view.NodeID != r.NodeID {
 		t.Fatalf("out-of-range ReadView should serve the primary")
 	}
-	if r.ReplicationLag() != 0 {
-		t.Fatalf("fresh replication lag = %d", r.ReplicationLag())
+	if lag := regionLag(r); lag != 0 {
+		t.Fatalf("fresh replication lag = %d", lag)
 	}
 }

@@ -526,13 +526,10 @@ func (m *mergeIterator) next() {
 }
 
 // compactSegments merges the given segments (newest first) into one,
-// dropping shadowed duplicate keys. When dropTombstones is true, tombstones
-// and every version they mask are removed — valid only for a full
-// compaction of all segments including the memtable snapshot, otherwise
-// deleted rows would resurrect from older runs. Inputs are read through
-// cache-bypassing iterators: a compaction touches every block exactly once
-// and must not wipe the read path's cached working set.
-func compactSegments(id uint64, newestFirst []*segment, dropTombstones bool, cfg segmentConfig) (*segment, error) {
+// dropping shadowed duplicate keys and keeping tombstones. Inputs are read
+// through cache-bypassing iterators: a compaction touches every block
+// exactly once and must not wipe the read path's cached working set.
+func compactSegments(id uint64, newestFirst []*segment, cfg segmentConfig) (*segment, error) {
 	its := make([]cellIterator, len(newestFirst))
 	for i, s := range newestFirst {
 		its[i] = s.iteratorNoCache()
@@ -540,23 +537,8 @@ func compactSegments(id uint64, newestFirst []*segment, dropTombstones bool, cfg
 	merged := newMergeIterator(its)
 	var out []Cell
 	for merged.valid() {
-		c := *merged.cell()
+		out = append(out, *merged.cell())
 		merged.next()
-		if dropTombstones {
-			if c.Tombstone {
-				// Skip every older version of this (row, qualifier) at or
-				// below the tombstone timestamp.
-				for merged.valid() {
-					n := merged.cell()
-					if n.Row != c.Row || n.Qualifier != c.Qualifier || n.Timestamp > c.Timestamp {
-						break
-					}
-					merged.next()
-				}
-				continue
-			}
-		}
-		out = append(out, c)
 	}
 	return newSegment(id, out, cfg)
 }

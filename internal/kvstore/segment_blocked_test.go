@@ -165,12 +165,12 @@ func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
 						t.Fatalf("%s: apply: %v", name, err)
 					}
 					if i%137 == 136 {
-						if err := s.Flush(); err != nil {
+						if err := flushNow(s); err != nil {
 							t.Fatalf("%s: flush: %v", name, err)
 						}
 					}
 				}
-				if err := s.Flush(); err != nil {
+				if err := flushNow(s); err != nil {
 					t.Fatalf("%s: flush: %v", name, err)
 				}
 
@@ -188,7 +188,7 @@ func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
 				}
 
 				var gotFull []RowResult
-				if err := s.Scan(ScanOptions{}, func(res RowResult) bool {
+				if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(res RowResult) bool {
 					gotFull = append(gotFull, copyRow(res))
 					return true
 				}); err != nil {
@@ -231,6 +231,7 @@ func TestBlockedSegmentAfterCompaction(t *testing.T) {
 	opts.FlushThresholdBytes = 1 << 30
 	opts.BlockSizeBytes = 128
 	opts.BlockCompression = BlockSnappy
+	opts.CompactionTrigger = 2
 	s, err := NewStore(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -240,19 +241,19 @@ func TestBlockedSegmentAfterCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%90 == 89 {
-			if err := s.Flush(); err != nil {
+			if err := flushNow(s); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	if s.Stats().BackgroundCompactions == 0 {
+		t.Fatal("no background compaction merged the flushed segments")
 	}
-	// After a major, tombstones and masked versions are gone; the reference
+	// A merged segment keeps tombstones and masked versions; the reference
 	// resolution (which hides them) must still match for live reads.
 	want := referenceMultiScan(sorted, []ScanRange{{}}, 0)
 	var got []RowResult
-	if err := s.Scan(ScanOptions{}, func(res RowResult) bool {
+	if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(res RowResult) bool {
 		got = append(got, copyRow(res))
 		return true
 	}); err != nil {
@@ -308,48 +309,6 @@ func TestEmptyAndSingleRowSegments(t *testing.T) {
 	}
 }
 
-// TestCompactAllTombstones drives a major compaction whose every input cell
-// is deleted — the flush-of-only-tombstoned-cells case the empty-segment
-// guard exists for.
-func TestCompactAllTombstones(t *testing.T) {
-	s := newTestStore(t)
-	for i := 0; i < 20; i++ {
-		row := fmt.Sprintf("r%02d", i)
-		if err := s.Put(row, "q", 1, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := s.Delete(fmt.Sprintf("r%02d", i), "q", 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Segments != 1 || st.SegmentLogicalBytes != 0 {
-		t.Fatalf("post-compaction stats: %+v", st)
-	}
-	res, err := s.Get("r00")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Empty() {
-		t.Fatalf("deleted row resurfaced: %v", res)
-	}
-	rows := 0
-	if err := s.Scan(ScanOptions{}, func(RowResult) bool { rows++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if rows != 0 {
-		t.Fatalf("scan of fully-deleted store delivered %d rows", rows)
-	}
-}
-
 // TestBlockPruningCounters checks that scans over disjoint ranges skip
 // blocks without decoding them and that the counters see it.
 func TestBlockPruningCounters(t *testing.T) {
@@ -361,11 +320,11 @@ func TestBlockPruningCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := s.Put(fmt.Sprintf("r%05d", i), "q", 1, []byte("0123456789abcdef0123456789abcdef")); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("r%05d", i), Qualifier: "q", Timestamp: 1, Value: []byte("0123456789abcdef0123456789abcdef")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := flushNow(s); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.SegmentBlocks < 10 {
@@ -405,11 +364,11 @@ func TestSegmentResidentSmallerThanLogical(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		row := fmt.Sprintf("user-%06d", i/4)
 		val := []byte(fmt.Sprintf("poi=%06d grade=%d network=facebook padding=%s", i%500, i%5, bytes.Repeat([]byte{'x'}, 48)))
-		if err := s.Put(row, fmt.Sprintf("q%d", i%4), int64(i+1), val); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: fmt.Sprintf("q%d", i%4), Timestamp: int64(i + 1), Value: val}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := flushNow(s); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"context"
 	"fmt"
 	"sync"
 )
@@ -16,8 +15,7 @@ type StoreOptions struct {
 	// its approximate footprint exceeds this many bytes.
 	FlushThresholdBytes int
 	// CompactionTrigger is the run length of adjacent similar-sized segments
-	// that makes a background compaction eligible; explicit Flush also
-	// full-compacts when the total segment count reaches it.
+	// that makes a background compaction eligible.
 	CompactionTrigger int
 	// Seed pins the memtable skiplist randomness for determinism.
 	Seed int64
@@ -66,14 +64,14 @@ type Store struct {
 	mem  *memtable
 	imm  []*memtable // rotated, flush-pending memtables, oldest first
 	// segments is newest-last; flushers append, only the single-flight
-	// background compactor and the explicit majors remove entries.
+	// background compactor removes entries.
 	segments   []*segment
 	nextSeg    uint64
 	rotations  uint64
 	flushing   bool // background flusher running (single-flight)
 	compacting bool // background compactor running (single-flight)
-	// flushErr is the sticky last maintenance failure; Table.Sync and
-	// WaitMaintenance surface it, the next successful flush clears it.
+	// flushErr is the sticky last maintenance failure; WaitMaintenance and
+	// WritePressure surface it, the next successful flush clears it.
 	flushErr error
 	// flushHook, when set (tests only), runs before each memtable flush and
 	// can inject a failure.
@@ -88,7 +86,6 @@ type Store struct {
 	debtBytes   int64
 	puts        uint64
 	flushes     uint64
-	compacts    uint64
 	bgCompact   uint64
 	stalls      uint64
 }
@@ -126,17 +123,6 @@ func NewStore(opts StoreOptions) (*Store, error) {
 	s.segCfg = segmentConfig{blockSize: blockSize, codec: codec, cache: cache}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
-}
-
-// Put writes one versioned cell: the one-cell form of ApplyBatch.
-func (s *Store) Put(row, qualifier string, timestamp int64, value []byte) error {
-	return s.ApplyBatch([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}})
-}
-
-// Delete writes a tombstone masking all versions of (row, qualifier) at or
-// before timestamp: the one-cell form of ApplyBatch.
-func (s *Store) Delete(row, qualifier string, timestamp int64) error {
-	return s.ApplyBatch([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Tombstone: true}})
 }
 
 // ApplyBatch writes pre-built cells, puts and tombstones alike, in order
@@ -214,7 +200,7 @@ func (s *Store) startFlusherLocked() {
 // flushLoop drains the immutable-memtable backlog, building each segment
 // off the store lock, then exits (re-launched on the next rotation). On
 // failure the backlog entry is kept and the error parks in flushErr for
-// Sync/WaitMaintenance to surface.
+// WaitMaintenance and WritePressure to surface.
 func (s *Store) flushLoop() {
 	s.mu.Lock()
 	for len(s.imm) > 0 {
@@ -281,88 +267,6 @@ func (s *Store) updateSegmentBytesLocked() {
 	}
 }
 
-// Flush synchronously drains the memtable and any rotated backlog into
-// segments, full-compacting when the segment count reaches the trigger —
-// the explicit administrative path, unchanged from the seed semantics.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *Store) flushLocked() error {
-	for s.flushing {
-		s.cond.Wait()
-	}
-	if s.mem.len() == 0 && len(s.imm) == 0 {
-		return nil
-	}
-	if s.mem.len() > 0 {
-		s.imm = append(s.imm, s.mem)
-		s.rotations++
-		s.mem = newMemtable(s.opts.Seed + int64(s.rotations))
-	}
-	for len(s.imm) > 0 {
-		m := s.imm[0]
-		seg, err := buildSegmentFrom(s.nextSeg, m, s.flushHook, s.segCfg)
-		if err != nil {
-			s.flushErr = err
-			s.cond.Broadcast()
-			return err
-		}
-		s.flushErr = nil
-		s.nextSeg++
-		s.imm = s.imm[1:]
-		s.installSegmentLocked(seg)
-		s.cond.Broadcast()
-	}
-	if len(s.segments) >= s.opts.CompactionTrigger {
-		return s.compactAllLocked()
-	}
-	return nil
-}
-
-// Compact merges every segment (and implicitly drops shadowed versions and
-// tombstoned data, since all runs participate) — the explicit major
-// compaction.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		return err
-	}
-	return s.compactAllLocked()
-}
-
-// compactAllLocked is the major compaction: every segment merges into one
-// and tombstones drop. It waits out a running background compactor first so
-// the two never rewrite the same segments. Caller holds s.mu.
-func (s *Store) compactAllLocked() error {
-	for s.compacting {
-		s.cond.Wait()
-	}
-	if len(s.segments) <= 1 {
-		return nil
-	}
-	newestFirst := make([]*segment, len(s.segments))
-	for i := range s.segments {
-		newestFirst[i] = s.segments[len(s.segments)-1-i]
-	}
-	seg, err := compactSegments(s.nextSeg, newestFirst, true, s.segCfg)
-	if err != nil {
-		return err
-	}
-	s.nextSeg++
-	s.segments = []*segment{seg}
-	s.compacts++
-	mCompactions.Inc()
-	mBytesCompacted.Add(int64(seg.bytes))
-	s.updateDebtLocked()
-	s.updateSegmentBytesLocked()
-	updateWriteAmp()
-	return nil
-}
-
 // WaitMaintenance blocks until the flush backlog is drained and background
 // flush/compaction work is idle, returning the sticky maintenance error if
 // the flusher could not make progress. Benchmarks and tests use it to reach
@@ -375,14 +279,6 @@ func (s *Store) WaitMaintenance() error {
 		s.maybeCompactLocked()
 		s.cond.Wait()
 	}
-	return s.flushErr
-}
-
-// FlushError returns the sticky error of the last failed background flush
-// (nil after any later successful flush). Table.Sync folds this in.
-func (s *Store) FlushError() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.flushErr
 }
 
@@ -438,35 +334,6 @@ func (s *Store) GetAt(row string, asOf int64) (RowResult, error) {
 	res := RowResult{Row: row}
 	resolveRowVersions(merged, row, asOf, &res)
 	return res, nil
-}
-
-// GetVersions returns up to max versions of one (row, qualifier), newest
-// first, stopping at (and excluding) the first tombstone. max <= 0 returns
-// every live version down to the newest tombstone.
-func (s *Store) GetVersions(row, qualifier string, max int) ([]Cell, error) {
-	if row == "" {
-		return nil, fmt.Errorf("kvstore: empty row key")
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	start := &Cell{Row: row, Qualifier: qualifier, Timestamp: int64(1) << 62, Tombstone: true}
-	merged := newMergeIterator(s.pointIteratorsLocked(row, start))
-	var out []Cell
-	for merged.valid() {
-		c := merged.cell()
-		if c.Row != row || c.Qualifier != qualifier {
-			break
-		}
-		if c.Tombstone {
-			break
-		}
-		out = append(out, *c)
-		if max > 0 && len(out) >= max {
-			break
-		}
-		merged.next()
-	}
-	return out, nil
 }
 
 // pointIteratorsLocked is iteratorsLocked specialized for point reads: it
@@ -554,32 +421,18 @@ func (o ScanOptions) oneRange(fn func(RowResult) bool) ([]ScanRange, func(RowRes
 	}
 }
 
-// Scan streams resolved rows in key order to fn; returning false from fn
-// stops the scan early. The scan holds the store read lock for its duration.
-func (s *Store) Scan(opts ScanOptions, fn func(RowResult) bool) error {
-	return s.ScanCtx(context.Background(), opts, fn)
-}
-
-// ScanCtx is Scan with cancellation: the one-range case of MultiScanCtx,
-// with its semantics (including the reused RowResult backing slice).
-func (s *Store) ScanCtx(ctx context.Context, opts ScanOptions, fn func(RowResult) bool) error {
-	ranges, fn := opts.oneRange(fn)
-	return s.MultiScanCtx(ctx, ranges, opts.AsOf, fn)
-}
-
-// Stats reports store counters for tests and observability. Compactions
-// counts explicit majors only; size-tiered background merges are counted
-// separately in BackgroundCompactions (they keep tombstones, so their
-// read-visible effect is nil).
+// Stats reports store counters for tests and observability.
+// BackgroundCompactions counts the size-tiered merges (they keep
+// tombstones, so their read-visible effect is nil).
 type Stats struct {
-	Puts, Flushes, Compactions uint64
-	BackgroundCompactions      uint64
-	WriteStalls                uint64
-	Segments                   int
-	SegmentBlocks              int
-	MemtableCells              int
-	ImmutableMemtables         int
-	CompactionDebtBytes        int64
+	Puts, Flushes         uint64
+	BackgroundCompactions uint64
+	WriteStalls           uint64
+	Segments              int
+	SegmentBlocks         int
+	MemtableCells         int
+	ImmutableMemtables    int
+	CompactionDebtBytes   int64
 	// SegmentLogicalBytes is the flat-slice cell footprint the installed
 	// segments represent; SegmentResidentBytes is what they actually hold
 	// (encoded, possibly compressed, blocks). Their ratio is the resident
@@ -607,7 +460,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Puts:                  s.puts,
 		Flushes:               s.flushes,
-		Compactions:           s.compacts,
 		BackgroundCompactions: s.bgCompact,
 		WriteStalls:           s.stalls,
 		Segments:              len(s.segments),

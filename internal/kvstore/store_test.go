@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -20,12 +21,30 @@ func newTestStore(t testing.TB) *Store {
 	return s
 }
 
+// flushNow hands the memtable to the background flusher and waits until the
+// flush backlog is drained and background maintenance is idle, so the cells
+// written so far sit in segments.
+func flushNow(s *Store) error {
+	s.mu.Lock()
+	if s.mem.len() > 0 {
+		s.rotateLocked()
+	}
+	s.mu.Unlock()
+	return s.WaitMaintenance()
+}
+
+// scanStore is Table.ScanCtx's one-range scan over a single store.
+func scanStore(s *Store, opts ScanOptions, fn func(RowResult) bool) error {
+	ranges, fn := opts.oneRange(fn)
+	return s.MultiScanCtx(context.Background(), ranges, opts.AsOf, fn)
+}
+
 func TestStorePutGet(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.Put("u1", "name", 10, []byte("alice")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "name", Timestamp: 10, Value: []byte("alice")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("u1", "city", 10, []byte("athens")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "city", Timestamp: 10, Value: []byte("athens")}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Get("u1")
@@ -49,7 +68,7 @@ func TestStorePutGet(t *testing.T) {
 func TestStoreNewestVersionWins(t *testing.T) {
 	s := newTestStore(t)
 	for ts := int64(1); ts <= 5; ts++ {
-		if err := s.Put("u1", "q", ts, []byte(fmt.Sprintf("v%d", ts))); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: ts, Value: []byte(fmt.Sprintf("v%d", ts))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +81,7 @@ func TestStoreNewestVersionWins(t *testing.T) {
 func TestStoreGetAtSnapshot(t *testing.T) {
 	s := newTestStore(t)
 	for ts := int64(1); ts <= 5; ts++ {
-		if err := s.Put("u1", "q", ts*10, []byte(fmt.Sprintf("v%d", ts))); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: ts * 10, Value: []byte(fmt.Sprintf("v%d", ts))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,10 +100,10 @@ func TestStoreGetAtSnapshot(t *testing.T) {
 
 func TestStoreDeleteMasksOlderVersions(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.Put("u1", "q", 10, []byte("old")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Value: []byte("old")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("u1", "q", 20); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 20, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := s.Get("u1")
@@ -92,7 +111,7 @@ func TestStoreDeleteMasksOlderVersions(t *testing.T) {
 		t.Errorf("deleted row should be empty, got %v", res.Cells)
 	}
 	// A put after the tombstone resurrects the qualifier.
-	if err := s.Put("u1", "q", 30, []byte("new")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 30, Value: []byte("new")}}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ = s.Get("u1")
@@ -108,10 +127,10 @@ func TestStoreDeleteMasksOlderVersions(t *testing.T) {
 
 func TestStoreDeleteAtSameTimestampWins(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.Put("u1", "q", 10, []byte("x")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Value: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("u1", "q", 10); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := s.Get("u1")
@@ -122,10 +141,10 @@ func TestStoreDeleteAtSameTimestampWins(t *testing.T) {
 
 func TestStoreRewriteSameTimestampReplaces(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.Put("u1", "q", 10, []byte("a")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Value: []byte("a")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("u1", "q", 10, []byte("b")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Value: []byte("b")}}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := s.Get("u1")
@@ -136,16 +155,16 @@ func TestStoreRewriteSameTimestampReplaces(t *testing.T) {
 
 func TestStoreFlushAndReadAcrossSegments(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.Put("u1", "q", 10, []byte("v1")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Value: []byte("v1")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
+	if err := flushNow(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("u1", "q", 20, []byte("v2")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 20, Value: []byte("v2")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("u2", "q", 5, []byte("other")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "u2", Qualifier: "q", Timestamp: 5, Value: []byte("other")}}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := s.Get("u1")
@@ -163,28 +182,38 @@ func TestStoreFlushAndReadAcrossSegments(t *testing.T) {
 }
 
 func TestStoreCompactionPreservesView(t *testing.T) {
-	s := newTestStore(t)
-	if err := s.Put("a", "q", 1, []byte("a1")); err != nil {
+	opts := DefaultStoreOptions()
+	opts.FlushThresholdBytes = 1 << 30
+	opts.CompactionTrigger = 3
+	s, err := NewStore(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "a", Qualifier: "q", Timestamp: 1, Value: []byte("a1")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("a", "q", 2, []byte("a2")); err != nil {
+	if err := flushNow(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("b", "q", 3); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "a", Qualifier: "q", Timestamp: 2, Value: []byte("a2")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("b", "q", 1, []byte("b1")); err != nil {
+	if err := s.ApplyBatch([]Cell{{Row: "b", Qualifier: "q", Timestamp: 3, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Compact(); err != nil {
+	if err := flushNow(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyBatch([]Cell{{Row: "b", Qualifier: "q", Timestamp: 1, Value: []byte("b1")}}); err != nil {
+		t.Fatal(err)
+	}
+	// The third same-tier segment sets off the background merge.
+	if err := flushNow(s); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Segments != 1 || st.MemtableCells != 0 {
-		t.Fatalf("after compact stats = %+v", st)
+	if st.BackgroundCompactions != 1 || st.Segments != 1 || st.MemtableCells != 0 {
+		t.Fatalf("after compaction stats = %+v", st)
 	}
 	res, _ := s.Get("a")
 	if v, _ := res.Get("q"); string(v) != "a2" {
@@ -205,7 +234,7 @@ func TestStoreAutoFlushAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := s.Put(fmt.Sprintf("row-%04d", i), "q", int64(i+1), []byte("0123456789abcdef")); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("row-%04d", i), Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("0123456789abcdef")}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +258,7 @@ func TestStoreAutoFlushAndCompact(t *testing.T) {
 	}
 	// All rows must remain readable.
 	count := 0
-	err = s.Scan(ScanOptions{}, func(r RowResult) bool { count++; return true })
+	err = s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(r RowResult) bool { count++; return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +270,12 @@ func TestStoreAutoFlushAndCompact(t *testing.T) {
 func TestStoreScanRangeAndLimit(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 10; i++ {
-		if err := s.Put(fmt.Sprintf("row-%02d", i), "q", 1, []byte{byte(i)}); err != nil {
+		if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("row-%02d", i), Qualifier: "q", Timestamp: 1, Value: []byte{byte(i)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var got []string
-	err := s.Scan(ScanOptions{StartRow: "row-03", StopRow: "row-07"}, func(r RowResult) bool {
+	err := scanStore(s, ScanOptions{StartRow: "row-03", StopRow: "row-07"}, func(r RowResult) bool {
 		got = append(got, r.Row)
 		return true
 	})
@@ -259,7 +288,7 @@ func TestStoreScanRangeAndLimit(t *testing.T) {
 	}
 
 	got = nil
-	err = s.Scan(ScanOptions{Limit: 3}, func(r RowResult) bool {
+	err = scanStore(s, ScanOptions{Limit: 3}, func(r RowResult) bool {
 		got = append(got, r.Row)
 		return true
 	})
@@ -271,7 +300,7 @@ func TestStoreScanRangeAndLimit(t *testing.T) {
 	}
 
 	got = nil
-	err = s.Scan(ScanOptions{}, func(r RowResult) bool {
+	err = s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(r RowResult) bool {
 		got = append(got, r.Row)
 		return len(got) < 2 // early stop
 	})
@@ -285,13 +314,13 @@ func TestStoreScanRangeAndLimit(t *testing.T) {
 
 func TestStoreRejectsEmptyRow(t *testing.T) {
 	s := newTestStore(t)
-	if err := s.Put("", "q", 1, nil); err == nil {
+	if err := s.ApplyBatch([]Cell{{Row: "", Qualifier: "q", Timestamp: 1, Value: nil}}); err == nil {
 		t.Error("empty row put must fail")
 	}
 	if _, err := s.Get(""); err == nil {
 		t.Error("empty row get must fail")
 	}
-	if err := s.Scan(ScanOptions{}, nil); err == nil {
+	if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, nil); err == nil {
 		t.Error("nil scan callback must fail")
 	}
 }
@@ -344,11 +373,11 @@ func TestStoreMatchesModel(t *testing.T) {
 			del := rng.Intn(5) == 0
 			val := byte(rng.Intn(256))
 			if del {
-				if err := s.Delete(row, qual, ts); err != nil {
+				if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: qual, Timestamp: ts, Tombstone: true}}); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				if err := s.Put(row, qual, ts, []byte{val}); err != nil {
+				if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: qual, Timestamp: ts, Value: []byte{val}}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -367,41 +396,11 @@ func TestStoreMatchesModel(t *testing.T) {
 			if !replaced {
 				model[row][qual] = append(model[row][qual], ver{ts, del, val})
 			}
-			// Occasionally flush or compact mid-stream.
-			before := s.Stats().Compactions
-			switch rng.Intn(20) {
-			case 0:
-				if err := s.Flush(); err != nil {
+			// Occasionally flush mid-stream; every third flush sets off a
+			// background merge.
+			if rng.Intn(10) == 0 {
+				if err := flushNow(s); err != nil {
 					t.Fatal(err)
-				}
-			case 1:
-				if err := s.Compact(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if s.Stats().Compactions > before {
-				// Compaction garbage-collects tombstones and everything
-				// they mask (HBase major-compaction semantics); mirror
-				// that in the model so snapshot expectations stay aligned.
-				for _, quals := range model {
-					for qual, vers := range quals {
-						var maxDel int64 = -1
-						for _, v := range vers {
-							if v.del && v.ts > maxDel {
-								maxDel = v.ts
-							}
-						}
-						if maxDel < 0 {
-							continue
-						}
-						var kept []ver
-						for _, v := range vers {
-							if v.ts > maxDel {
-								kept = append(kept, v)
-							}
-						}
-						quals[qual] = kept
-					}
 				}
 			}
 		}
@@ -457,12 +456,12 @@ func TestScanOrderIsSorted(t *testing.T) {
 			if k == "" {
 				continue
 			}
-			if err := s.Put(k, "q", int64(i+1), []byte{1}); err != nil {
+			if err := s.ApplyBatch([]Cell{{Row: k, Qualifier: "q", Timestamp: int64(i + 1), Value: []byte{1}}}); err != nil {
 				return false
 			}
 		}
 		var scanned []string
-		if err := s.Scan(ScanOptions{}, func(r RowResult) bool {
+		if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(r RowResult) bool {
 			scanned = append(scanned, r.Row)
 			return true
 		}); err != nil {
@@ -497,7 +496,7 @@ func TestStoreConcurrentReadersAndWriters(t *testing.T) {
 		w := w
 		go func() {
 			for i := 0; i < 500; i++ {
-				if err := s.Put(fmt.Sprintf("w%d-row-%03d", w, i), "q", int64(i+1), []byte("value")); err != nil {
+				if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("w%d-row-%03d", w, i), Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("value")}}); err != nil {
 					done <- err
 					return
 				}
@@ -512,7 +511,7 @@ func TestStoreConcurrentReadersAndWriters(t *testing.T) {
 					done <- err
 					return
 				}
-				if err := s.Scan(ScanOptions{Limit: 10}, func(RowResult) bool { return true }); err != nil {
+				if err := scanStore(s, ScanOptions{Limit: 10}, func(RowResult) bool { return true }); err != nil {
 					done <- err
 					return
 				}
@@ -526,7 +525,7 @@ func TestStoreConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 	count := 0
-	if err := s.Scan(ScanOptions{}, func(RowResult) bool { count++; return true }); err != nil {
+	if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(RowResult) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1000 {
@@ -545,12 +544,12 @@ func BenchmarkStoreScanUserRange(b *testing.B) {
 	for u := 0; u < 500; u++ {
 		for v := 0; v < 17; v++ {
 			key := fmt.Sprintf("u%012d|t%013d|%06d", u, v*1000, v)
-			if err := s.Put(key, "v", int64(v+1), value); err != nil {
+			if err := s.ApplyBatch([]Cell{{Row: key, Qualifier: "v", Timestamp: int64(v + 1), Value: value}}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	if err := s.Compact(); err != nil {
+	if err := flushNow(s); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -559,7 +558,7 @@ func BenchmarkStoreScanUserRange(b *testing.B) {
 		start := fmt.Sprintf("u%012d|", u)
 		stop := fmt.Sprintf("u%012d|", u+1)
 		rows := 0
-		err := s.Scan(ScanOptions{StartRow: start, StopRow: stop}, func(RowResult) bool {
+		err := scanStore(s, ScanOptions{StartRow: start, StopRow: stop}, func(RowResult) bool {
 			rows++
 			return true
 		})

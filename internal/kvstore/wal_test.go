@@ -37,9 +37,6 @@ func TestFileWALRoundTrip(t *testing.T) {
 		{Row: "u3", Qualifier: "empty", Timestamp: 40}, // nil value
 	}
 	w := writeLog(t, path, cells)
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +128,7 @@ func TestDurableTableCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Delete("d", "q", 2); err != nil {
+	if err := tbl.PutBatch([]Cell{{Row: "d", Qualifier: "q", Timestamp: 2, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.SplitRegion("t"); err != nil {
@@ -172,7 +169,7 @@ func TestDurableTableCrashRecovery(t *testing.T) {
 	if err := tbl2.Put("recovered", "q", 9, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl2.Sync(); err != nil {
+	if err := tbl2.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -76,7 +76,9 @@ func TestRejectedWriteLeavesNoTrace(t *testing.T) {
 		{name: "PutFenced stale epoch", want: ErrEpochFenced,
 			call: func(tbl *Table) error { return tbl.PutFenced("a1", "q", mark, []byte("late"), 7) }},
 		{name: "Delete", down: true, want: ErrPrimaryDown,
-			call: func(tbl *Table) error { return tbl.Delete("z0", "q", mark) }},
+			call: func(tbl *Table) error {
+				return tbl.PutBatch([]Cell{{Row: "z0", Qualifier: "q", Timestamp: mark, Tombstone: true}})
+			}},
 		{name: "PutBatch one region", down: true, want: ErrPrimaryDown,
 			call: func(tbl *Table) error { return tbl.PutBatch([]Cell{put("z1"), put("z2")}) }},
 		{name: "PutBatch healthy then down region", down: true, want: ErrPrimaryDown, decides: [2]int{1, 0},
@@ -91,7 +93,7 @@ func TestRejectedWriteLeavesNoTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tbl.EnableReplication(2, 1); err != nil {
+			if err := tbl.EnableReplication(2); err != nil {
 				t.Fatal(err)
 			}
 			if err := tbl.EnableFailover(FailoverConfig{}); err != nil {
@@ -187,15 +189,18 @@ func TestOneAtATimeEqualsBatched(t *testing.T) {
 			return tbl
 		}
 		one, batched := open("one.wal", splits), open("batched.wal", splits)
+		// A random share of the shipments is intercepted, so the replicas
+		// lag by varying tails until the catch-up below.
 		for _, tbl := range []*Table{one, batched} {
-			if err := tbl.EnableReplication(2, 1+rng.Intn(8)); err != nil {
+			if err := tbl.EnableReplication(2); err != nil {
 				t.Fatal(err)
 			}
+			interceptShips(t, tbl, float64(1+rng.Intn(7))/8)
 		}
 		for _, c := range cells {
 			var err error
 			if c.Tombstone {
-				err = one.Delete(c.Row, c.Qualifier, c.Timestamp)
+				err = one.PutBatch([]Cell{{Row: c.Row, Qualifier: c.Qualifier, Timestamp: c.Timestamp, Tombstone: true}})
 			} else {
 				err = one.Put(c.Row, c.Qualifier, c.Timestamp, c.Value)
 			}

@@ -65,8 +65,8 @@ func TestViewExpiryAndCoverage(t *testing.T) {
 	}
 	// Advance far enough that the first bucket falls behind the horizon.
 	v.Apply([]model.Visit{mkVisit(1, 2, 20*hourMs, 5)})
-	if v.Buckets() != 1 {
-		t.Fatalf("buckets = %d, want 1 after expiry", v.Buckets())
+	if bucketCount(v) != 1 {
+		t.Fatalf("buckets = %d, want 1 after expiry", bucketCount(v))
 	}
 	// The floor rose past the expired bucket to exactly the horizon cutoff.
 	if got := v.Floor(); got != 20*hourMs-10*hourMs {

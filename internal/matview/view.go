@@ -128,9 +128,6 @@ func NewHotInView(opts ViewOptions) (*HotInView, error) {
 // oversized trending windows to it.
 func (v *HotInView) HorizonMillis() int64 { return v.horizonMillis }
 
-// BucketMillis returns the bucket width (window bounds quantize to it).
-func (v *HotInView) BucketMillis() int64 { return v.bucketMillis }
-
 // floorBucket rounds t down to its bucket's start (correct for negative
 // timestamps too).
 func (v *HotInView) floorBucket(t int64) int64 {
@@ -448,11 +445,4 @@ func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
 		aggs[i] = Agg{POI: v.slots[c.slot].poi, Visits: int(c.visits), GradeSum: c.gradeSum}
 	}
 	return aggs, candidates, served
-}
-
-// Buckets returns the live bucket count (runbook visibility).
-func (v *HotInView) Buckets() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.buckets)
 }

@@ -32,12 +32,6 @@ const (
 	visitBinaryVersion byte = 1
 )
 
-// IsVisitBinary reports whether the payload carries a binary visit tag (a
-// JSON document starts with '{' and never does).
-func IsVisitBinary(b []byte) bool {
-	return len(b) > 0 && (b[0] == VisitBinaryTagReplicated || b[0] == VisitBinaryTagNormalized)
-}
-
 // EncodeVisitBinary encodes a replicated-schema visit: the full struct
 // including the embedded POI document.
 func EncodeVisitBinary(v *Visit) []byte {

@@ -28,8 +28,8 @@ func sampleVisit() Visit {
 func TestVisitBinaryRoundTripReplicated(t *testing.T) {
 	v := sampleVisit()
 	b := EncodeVisitBinary(&v)
-	if !IsVisitBinary(b) {
-		t.Fatal("encoded payload not recognized as binary")
+	if b[0] != VisitBinaryTagReplicated {
+		t.Fatalf("encoded payload starts with %#x, want the replicated tag", b[0])
 	}
 	got, err := DecodeVisitBinary(b)
 	if err != nil {
@@ -52,8 +52,8 @@ func TestVisitBinaryRoundTripReplicated(t *testing.T) {
 func TestVisitBinaryRoundTripNormalized(t *testing.T) {
 	v := sampleVisit()
 	b := EncodeVisitBinaryNormalized(&v)
-	if !IsVisitBinary(b) {
-		t.Fatal("encoded payload not recognized as binary")
+	if b[0] != VisitBinaryTagNormalized {
+		t.Fatalf("encoded payload starts with %#x, want the normalized tag", b[0])
 	}
 	got, err := DecodeVisitBinary(b)
 	if err != nil {
@@ -97,13 +97,20 @@ func TestVisitBinaryRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
-func TestIsVisitBinaryNeverMatchesJSON(t *testing.T) {
-	v := sampleVisit()
-	j := EncodeJSON(v)
-	if IsVisitBinary(j) {
-		t.Error("JSON payload misidentified as binary")
+// TestVisitBinaryTagNeverMatchesJSON pins that a JSON visit document can
+// never pass for a binary one: no tag is '{', and the binary decoder
+// rejects the JSON form and the empty payload.
+func TestVisitBinaryTagNeverMatchesJSON(t *testing.T) {
+	for _, tag := range []byte{VisitBinaryTagReplicated, VisitBinaryTagNormalized} {
+		if tag == '{' {
+			t.Errorf("binary tag %#x is the first byte of every JSON document", tag)
+		}
 	}
-	if IsVisitBinary(nil) || IsVisitBinary([]byte{}) {
-		t.Error("empty payload misidentified as binary")
+	v := sampleVisit()
+	if _, err := DecodeVisitBinary(EncodeJSON(v)); err == nil {
+		t.Error("JSON payload decoded as binary")
+	}
+	if _, err := DecodeVisitBinary(nil); err == nil {
+		t.Error("empty payload decoded as binary")
 	}
 }

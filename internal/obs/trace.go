@@ -79,9 +79,6 @@ func NewTrace(id, rootName string) *Trace {
 	return &Trace{id: id, root: &Span{name: rootName, start: time.Now().UnixNano()}}
 }
 
-// ID returns the trace's request ID.
-func (t *Trace) ID() string { return t.id }
-
 // Root returns the root span.
 func (t *Trace) Root() *Span {
 	if t == nil {
@@ -207,11 +204,4 @@ func (ts *TraceStore) Get(id string) (*Trace, bool) {
 	defer ts.mu.Unlock()
 	t, ok := ts.m[id]
 	return t, ok
-}
-
-// Len returns the number of stored traces.
-func (ts *TraceStore) Len() int {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.m)
 }

@@ -90,8 +90,8 @@ func TestTraceStoreEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ts.Put(NewTrace(fmt.Sprintf("id-%d", i), "r"))
 	}
-	if ts.Len() != 3 {
-		t.Fatalf("len = %d, want 3", ts.Len())
+	if len(ts.m) != 3 {
+		t.Fatalf("len = %d, want 3", len(ts.m))
 	}
 	if _, ok := ts.Get("id-0"); ok {
 		t.Fatal("oldest trace not evicted")
@@ -101,8 +101,8 @@ func TestTraceStoreEviction(t *testing.T) {
 	}
 	// Replacing an existing ID must not evict.
 	ts.Put(NewTrace("id-4", "replacement"))
-	if ts.Len() != 3 {
-		t.Fatalf("len after replace = %d", ts.Len())
+	if len(ts.m) != 3 {
+		t.Fatalf("len after replace = %d", len(ts.m))
 	}
 	tr, _ := ts.Get("id-4")
 	if tr.View().Root.Name != "replacement" {

@@ -181,7 +181,6 @@ type subscriber struct {
 	start   int           // index of the oldest buffered event
 	count   int           // buffered events
 	nextSeq uint64        // seq assigned to the next event (starts at 1)
-	dropped uint64        // events evicted by drop-oldest
 	gone    bool          // removed or expired; wakes and fails waiters
 	notify  chan struct{} // nil unless a poller is waiting
 }
@@ -200,7 +199,6 @@ func (s *subscriber) push(e Event) (queued, evicted bool) {
 	if s.count == len(s.buf) {
 		s.start = (s.start + 1) % len(s.buf)
 		s.count--
-		s.dropped++
 		evicted = true
 	}
 	s.buf[(s.start+s.count)%len(s.buf)] = e
@@ -312,9 +310,6 @@ func NewRegistry(opts Options) *Registry {
 		memo:    make(map[memoKey][]*subscriber),
 	}
 }
-
-// Options returns the registry's effective (defaulted) options.
-func (r *Registry) Options() Options { return r.opts }
 
 // Len returns the number of live (unexpired) subscriptions.
 func (r *Registry) Len() int {
@@ -680,16 +675,4 @@ func (r *Registry) Poll(ctx context.Context, userID int64, id string, cursor uin
 			return nil, cursor, ctx.Err()
 		}
 	}
-}
-
-// Dropped returns the number of events the subscription evicted under
-// drop-oldest pressure.
-func (r *Registry) Dropped(userID int64, id string) (uint64, error) {
-	s, err := r.lookup(userID, id)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped, nil
 }

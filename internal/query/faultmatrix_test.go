@@ -127,7 +127,7 @@ func TestFaultMatrix(t *testing.T) {
 			}
 
 			if tc.replicas > 0 {
-				if err := f.visits.Table().EnableReplication(tc.replicas, 0); err != nil {
+				if err := f.visits.Table().EnableReplication(tc.replicas); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.visits.Table().CatchUpReplication(); err != nil {
@@ -253,7 +253,7 @@ func TestFaultMatrixFailoverMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := f.visits.Table()
-	if err := tbl.EnableReplication(2, 0); err != nil {
+	if err := tbl.EnableReplication(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.CatchUpReplication(); err != nil {
@@ -349,7 +349,7 @@ func TestFaultMatrixStallStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.visits.Table().EnableReplication(1, 0); err != nil {
+	if err := f.visits.Table().EnableReplication(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.visits.Table().CatchUpReplication(); err != nil {
@@ -366,12 +366,13 @@ func TestFaultMatrixStallStorm(t *testing.T) {
 	pol.HedgeMin = 50 * time.Millisecond
 	pol.HedgeMax = 50 * time.Millisecond
 	f.engine.SetReadPolicy(&pol)
-	f.engine.SetBreakers(admit.NewBreakerSet(admit.BreakerConfig{
+	breakers := admit.NewBreakerSet(admit.BreakerConfig{
 		Failures:  1,
 		OpenFor:   10 * time.Second, // stays open for the whole test
 		SlowAfter: 10 * time.Millisecond,
 		Seed:      42,
-	}))
+	})
+	f.engine.SetBreakers(breakers)
 
 	stormNode := f.visits.Table().Regions()[0].NodeID
 	f.engine.SetFaultInjector(faultinject.New(faultinject.Schedule{
@@ -407,12 +408,13 @@ func TestFaultMatrixStallStorm(t *testing.T) {
 		t.Error("storm query 1: expected hedges to mask the stall")
 	}
 
-	// The fail-slow timers fired mid-query; the breaker must now be open.
-	br := f.engine.Breakers().For(stormNode)
+	// The fail-slow timers fired mid-query; the breaker must now be open
+	// (it refuses attempts for the whole test once it is).
+	br := breakers.For(stormNode)
 	deadline := time.Now().Add(2 * time.Second)
-	for br.State() != admit.StateOpen {
+	for br.Allow() {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker for node %d = %v, want open", stormNode, br.State())
+			t.Fatalf("breaker for node %d still admits attempts, want open", stormNode)
 		}
 		time.Sleep(time.Millisecond)
 	}

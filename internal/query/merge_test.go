@@ -114,7 +114,8 @@ func TestRunCancelledContext(t *testing.T) {
 	if _, err := f.engine.Trending(ctx, Spec{FriendIDs: friendRange(1, 5), FromMillis: from, ToMillis: to}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Trending with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := f.engine.NonPersonalized(ctx, repos.SearchSpec{Limit: 3}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NonPersonalized with cancelled ctx: err = %v, want context.Canceled", err)
+	attachView(t, f)
+	if _, err := f.engine.Trending(ctx, Spec{FromMillis: from, ToMillis: to}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("friendless Trending with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

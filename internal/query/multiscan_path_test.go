@@ -30,7 +30,7 @@ func oracleRegion(t *testing.T, cp *visitsCoprocessor, r *kvstore.Region) *regio
 		}
 		out.work.Friends++
 		start, stop := repos.VisitScanBounds(friend, cp.spec.FromMillis, cp.spec.ToMillis)
-		err := r.Store().ScanCtx(context.Background(), kvstore.ScanOptions{StartRow: start, StopRow: stop}, func(row kvstore.RowResult) bool {
+		err := r.Store().MultiScanCtx(context.Background(), []kvstore.ScanRange{{Start: start, Stop: stop}}, 0, func(row kvstore.RowResult) bool {
 			raw, ok := row.Get(repos.VisitQualifier)
 			if !ok {
 				return true
@@ -140,7 +140,11 @@ func putVisitPayload(t testing.TB, visits *repos.VisitsRepo, v *model.Visit, i i
 func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.VisitsRepo {
 	t.Helper()
 	const users = 40
-	visits, err := repos.NewVisitsRepo(schema, users, 4, 2, kvstore.DefaultStoreOptions())
+	// Small memtables: each region's rows end up spread over several
+	// flushed segments and the memtable.
+	opts := kvstore.DefaultStoreOptions()
+	opts.FlushThresholdBytes = 16 << 10
+	visits, err := repos.NewVisitsRepo(schema, users, 4, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +191,13 @@ func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.V
 				t.Fatal(err)
 			}
 		}
-		if i == 700 {
-			// Half the rows in a segment, half in the memtable.
-			for _, r := range visits.Table().Regions() {
-				if err := r.Store().Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
+	}
+	for _, r := range visits.Table().Regions() {
+		if err := r.Store().WaitMaintenance(); err != nil {
+			t.Fatal(err)
+		}
+		if r.Store().Stats().Segments == 0 {
+			t.Fatalf("region %d flushed no segment", r.ID)
 		}
 	}
 	return visits

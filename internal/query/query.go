@@ -1,8 +1,8 @@
 // Package query implements the Query Answering module: personalized POI
 // search executed as coprocessors fanned out across the Visits table's
-// regions (with the web-server merge the paper describes), non-personalized
-// search on the relational POI repository, and trending-events queries —
-// personalized on the coprocessor path, global from the materialized view.
+// regions (with the web-server merge the paper describes), and
+// trending-events queries — personalized on the coprocessor path, global
+// (non-personalized) from the materialized view.
 //
 // Every query executes for real against the real stores — in parallel, on
 // the shared scatter-gather pool (internal/exec) — while the simulated
@@ -586,7 +586,7 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 		}
 		// Memoize only answers every region's primary served: a degraded
 		// ranking must never be replayed to later callers, and a replica's
-		// (a won hedge or retry) may lag its primary by a shipping batch —
+		// (a won hedge or retry) may lag its primary by intercepted shipments —
 		// harmless once, but a cached entry is patched forward from what it
 		// was stored with, never corrected. And only if no friend's write was
 		// in flight or announced since the pre-scan snapshot (StoreIfFresh
@@ -759,35 +759,6 @@ func (e *Engine) rank(spec *Spec, cands []poiAgg) []ScoredPOI {
 		out[i] = ScoredPOI{POI: a.poi, Score: a.gradeSum / float64(a.visits), Visits: a.visits}
 	}
 	return out
-}
-
-// NonPersonalized answers a query with no friend list straight from the
-// relational POI repository, returning the simulated latency of the
-// PostgreSQL path.
-func (e *Engine) NonPersonalized(ctx context.Context, spec repos.SearchSpec) ([]model.POI, float64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-	}
-	pois, examined, err := e.pois.Search(spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	mQueriesRelational.Inc()
-	cost := e.clus.Config().Cost
-	latency, err := e.clus.Simulate(func(s *cluster.Session) {
-		web := s.PickWebServer()
-		s.Submit(web, 0, cost.WebParse, func(parseDone float64) {
-			s.Submit(s.PG(), parseDone+cost.RPC, cost.RelationalServiceTime(examined), func(pgDone float64) {
-				s.Submit(web, pgDone+cost.RPC, cost.MergeServiceTime(len(pois), len(pois)), nil)
-			})
-		})
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return pois, latency, nil
 }
 
 // Trending answers a trending-events query: the hottest places within the

@@ -125,42 +125,47 @@ func referenceAnswer(t *testing.T, f *fixture, spec Spec) []ScoredPOI {
 		visits int
 	}
 	byPOI := map[int64]*agg{}
+	friends := map[int64]bool{}
 	for _, friend := range spec.FriendIDs {
-		err := f.visits.ScanUser(friend, spec.FromMillis, spec.ToMillis, func(v model.Visit) bool {
-			poi := v.POI
-			if f.visits.Schema() == repos.SchemaNormalized {
-				full, ok := f.poiNew.Get(poi.ID)
-				if !ok {
-					return true
-				}
-				poi = full
-			}
-			if spec.BBox != nil && !spec.BBox.Contains(poi.Point()) {
+		friends[friend] = true
+	}
+	err := f.visits.ScanAll(func(v model.Visit) bool {
+		if !friends[v.UserID] || v.Time < spec.FromMillis || v.Time > spec.ToMillis {
+			return true
+		}
+		poi := v.POI
+		if f.visits.Schema() == repos.SchemaNormalized {
+			full, ok := f.poiNew.Get(poi.ID)
+			if !ok {
 				return true
 			}
-			if spec.Keyword != "" {
-				found := false
-				for _, k := range poi.Keywords {
-					if k == spec.Keyword {
-						found = true
-					}
-				}
-				if !found {
-					return true
-				}
-			}
-			a := byPOI[poi.ID]
-			if a == nil {
-				a = &agg{poi: poi}
-				byPOI[poi.ID] = a
-			}
-			a.sum += v.Grade
-			a.visits++
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+			poi = full
 		}
+		if spec.BBox != nil && !spec.BBox.Contains(poi.Point()) {
+			return true
+		}
+		if spec.Keyword != "" {
+			found := false
+			for _, k := range poi.Keywords {
+				if k == spec.Keyword {
+					found = true
+				}
+			}
+			if !found {
+				return true
+			}
+		}
+		a := byPOI[poi.ID]
+		if a == nil {
+			a = &agg{poi: poi}
+			byPOI[poi.ID] = a
+		}
+		a.sum += v.Grade
+		a.visits++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var out []ScoredPOI
 	for _, a := range byPOI {
@@ -384,16 +389,6 @@ func TestNonPersonalizedAndTrending(t *testing.T) {
 		}
 	}
 	box := workload.GreeceBounds()
-	pois, latency, err := f.engine.NonPersonalized(context.Background(), repos.SearchSpec{BBox: &box, OrderBy: "hotness", Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pois) != 3 || pois[0].ID != f.pois[0].ID {
-		t.Errorf("hottest = %+v", pois)
-	}
-	if latency <= 0 {
-		t.Error("non-personalized latency must be positive")
-	}
 	// An empty window is rejected, not silently scanned as full history.
 	if _, err := f.engine.Trending(context.Background(), Spec{BBox: &box, Limit: 3}); !errors.Is(err, ErrEmptyWindow) {
 		t.Fatalf("empty trending window must fail with ErrEmptyWindow, got %v", err)

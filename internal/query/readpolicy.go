@@ -81,12 +81,6 @@ func (e *Engine) SetBreakers(s *admit.BreakerSet) {
 	e.breakers.Store(s)
 }
 
-// Breakers returns the installed breaker set (nil when breakers are off) —
-// ops surface for the benchmark and tests.
-func (e *Engine) Breakers() *admit.BreakerSet {
-	return e.breakers.Load()
-}
-
 // SetRetryBudget installs (or, with nil, removes) the engine-wide retry
 // budget throttling retries+hedges across all concurrent queries.
 func (e *Engine) SetRetryBudget(b *exec.RetryBudget) {

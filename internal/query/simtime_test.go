@@ -12,8 +12,8 @@ import (
 )
 
 // TestLatencyIsAFunctionOfTheWork: the same work reports bit-equal simulated
-// latencies however often it is asked — one query, a trending read, a
-// relational search, and each member of a concurrent batch. On a shared
+// latencies however often it is asked — one query, a view-served trending
+// read, and each member of a concurrent batch. On a shared
 // clock a latency was (clock + x) − clock, which differs from x in the last
 // bits once the clock has moved.
 func TestLatencyIsAFunctionOfTheWork(t *testing.T) {
@@ -38,7 +38,9 @@ func TestLatencyIsAFunctionOfTheWork(t *testing.T) {
 		t.Fatalf("the batch's members must queue behind each other: last %g s, alone %g s",
 			firstBatch[len(batch)-1].LatencySeconds, first.LatencySeconds)
 	}
-	_, firstRel, err := f.engine.NonPersonalized(ctx, repos.SearchSpec{Limit: 10})
+	attachView(t, f)
+	trending := Spec{FromMillis: from, ToMillis: to, Limit: 10}
+	firstTrend, err := f.engine.Trending(ctx, trending)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +62,12 @@ func TestLatencyIsAFunctionOfTheWork(t *testing.T) {
 					round, i, againBatch[i].LatencySeconds, firstBatch[i].LatencySeconds)
 			}
 		}
-		_, rel, err := f.engine.NonPersonalized(ctx, repos.SearchSpec{Limit: 10})
+		trend, err := f.engine.Trending(ctx, trending)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel != firstRel {
-			t.Errorf("round %d: the same relational search answered %v s, first %v s", round, rel, firstRel)
+		if trend.LatencySeconds != firstTrend.LatencySeconds {
+			t.Errorf("round %d: the same trending read answered %v s, first %v s", round, trend.LatencySeconds, firstTrend.LatencySeconds)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -31,27 +30,4 @@ func (db *DB) CreateTable(name string, schema *Schema) (*Table, error) {
 	}
 	db.tables[name] = t
 	return t, nil
-}
-
-// Table returns the named table, or an error if absent.
-func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("relstore: no table %q", name)
-	}
-	return t, nil
-}
-
-// TableNames lists tables in sorted order.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

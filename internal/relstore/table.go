@@ -41,12 +41,6 @@ func NewTable(name string, schema *Schema) (*Table, error) {
 	}, nil
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// Schema returns the table schema.
-func (t *Table) Schema() *Schema { return t.schema }
-
 // Len returns the row count.
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -169,28 +163,6 @@ func (t *Table) Update(r Row) error {
 	}
 	t.rows[id] = stored
 	return nil
-}
-
-// Delete removes the row with the given primary key, returning whether it
-// existed. Every index — B-tree and spatial — is maintained.
-func (t *Table) Delete(id int64) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old, ok := t.rows[id]
-	if !ok {
-		return false, nil
-	}
-	if t.spatial != nil {
-		pt := geo.Point{Lat: old[t.spatial.latCol].F, Lon: old[t.spatial.lonCol].F}
-		if !t.spatial.tree.DeletePoint(id, pt) {
-			return false, fmt.Errorf("relstore: spatial index out of sync for row %d", id)
-		}
-	}
-	for col, idx := range t.indexes {
-		idx.delete(old[t.schema.ColIndex(col)], id)
-	}
-	delete(t.rows, id)
-	return true, nil
 }
 
 // scanAllIDs returns all primary keys in ascending order (deterministic

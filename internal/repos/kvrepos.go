@@ -45,26 +45,6 @@ func (r *SocialInfoRepo) StoreFriends(userID int64, friends []model.Friend) erro
 	return nil
 }
 
-// Friends returns the user's friends on one network ("" = all networks).
-func (r *SocialInfoRepo) Friends(userID int64, network string) ([]model.Friend, error) {
-	row, err := r.table.Get(socialRowKey(userID))
-	if err != nil {
-		return nil, err
-	}
-	var out []model.Friend
-	for _, cell := range row.Cells {
-		if network != "" && cell.Qualifier != network {
-			continue
-		}
-		var fs []model.Friend
-		if err := model.DecodeJSON(cell.Value, &fs); err != nil {
-			return nil, err
-		}
-		out = append(out, fs...)
-	}
-	return out, nil
-}
-
 // TextRepo stores every collected comment, keyed (poi, user, time) so the
 // canonical lookup — "the comments a specified user made about a POI in a
 // time interval" — is a single range scan.
@@ -136,9 +116,6 @@ func NewGPSRepo(maxUser int64, regions, nodes int, opts kvstore.StoreOptions) (*
 	}
 	return &GPSRepo{table: table}, nil
 }
-
-// Push appends one fix: PushBatch of one.
-func (r *GPSRepo) Push(f model.GPSFix) error { return r.PushBatch([]model.GPSFix{f}) }
 
 // PushBatch appends many fixes through one table PutBatch. Validation runs
 // up front: an invalid fix fails the call before anything is written.

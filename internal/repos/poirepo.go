@@ -140,43 +140,6 @@ func (r *POIRepo) UpdateHotIn(id int64, hotness, interest float64) error {
 	return r.table.Update(row)
 }
 
-// SearchSpec is a non-personalized POI query: bounding box, optional
-// keyword, ordering and limit.
-type SearchSpec struct {
-	BBox    *geo.Rect
-	Keyword string
-	// OrderBy is "hotness", "interest" or "" (id order).
-	OrderBy string
-	Limit   int
-}
-
-// Search answers a non-personalized query straight from the relational
-// store and reports the rows examined (the cost-model input).
-func (r *POIRepo) Search(spec SearchSpec) ([]model.POI, int, error) {
-	q := relstore.Query{Within: spec.BBox, Limit: spec.Limit, Desc: spec.OrderBy != ""}
-	if spec.Keyword != "" {
-		q.Where = append(q.Where, relstore.Predicate{
-			Column: "keywords", Op: relstore.ContainsWord, Arg: relstore.TextVal(spec.Keyword),
-		})
-	}
-	switch spec.OrderBy {
-	case "hotness", "interest":
-		q.OrderBy = spec.OrderBy
-	case "":
-	default:
-		return nil, 0, fmt.Errorf("repos: unsupported order %q", spec.OrderBy)
-	}
-	rows, info, err := r.table.Select(q)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]model.POI, len(rows))
-	for i, row := range rows {
-		out[i] = rowToPOI(row)
-	}
-	return out, info.RowsExamined, nil
-}
-
 // All streams the full catalog in id order (used to bootstrap connectors
 // and the event-detection filter).
 func (r *POIRepo) All() ([]model.POI, error) {

@@ -1,6 +1,7 @@
 package repos
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -80,7 +81,7 @@ func newTestPOIRepo(t testing.TB) (*POIRepo, []model.POI) {
 	return repo, pois
 }
 
-func TestPOIRepoInsertGetSearch(t *testing.T) {
+func TestPOIRepoInsertGet(t *testing.T) {
 	repo, pois := newTestPOIRepo(t)
 	if repo.Len() != len(pois) {
 		t.Fatalf("len = %d", repo.Len())
@@ -97,32 +98,6 @@ func TestPOIRepoInsertGetSearch(t *testing.T) {
 	if created.ID <= 1_000_000_000 {
 		t.Errorf("auto id = %d, want above the reserved range start", created.ID)
 	}
-	// Spatial + keyword search.
-	box := geo.RectAround(geo.Point{Lat: 37.9838, Lon: 23.7275}, 20000)
-	results, examined, err := repo.Search(SearchSpec{BBox: &box, Keyword: "restaurant", OrderBy: "hotness", Limit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if examined == 0 {
-		t.Error("search must report rows examined")
-	}
-	for _, p := range results {
-		if !box.Contains(p.Point()) {
-			t.Errorf("POI %d outside box", p.ID)
-		}
-		found := false
-		for _, k := range p.Keywords {
-			if k == "restaurant" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("POI %d missing keyword: %v", p.ID, p.Keywords)
-		}
-	}
-	if _, _, err := repo.Search(SearchSpec{OrderBy: "bogus"}); err == nil {
-		t.Error("bad order must fail")
-	}
 	// ResolvePOI implements the collector interface.
 	p, ok := repo.ResolvePOI(model.Checkin{POIID: pois[3].ID})
 	if !ok || p.ID != pois[3].ID {
@@ -130,7 +105,7 @@ func TestPOIRepoInsertGetSearch(t *testing.T) {
 	}
 }
 
-func TestPOIRepoUpdateHotInOrdersSearch(t *testing.T) {
+func TestPOIRepoUpdateHotIn(t *testing.T) {
 	repo, pois := newTestPOIRepo(t)
 	if err := repo.UpdateHotIn(pois[0].ID, 0.99, 0.7); err != nil {
 		t.Fatal(err)
@@ -141,20 +116,21 @@ func TestPOIRepoUpdateHotInOrdersSearch(t *testing.T) {
 	if err := repo.UpdateHotIn(999999, 1, 1); err == nil {
 		t.Error("missing POI must fail")
 	}
-	results, _, err := repo.Search(SearchSpec{OrderBy: "hotness", Limit: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		id                int64
+		hotness, interest float64
+	}{{pois[0].ID, 0.99, 0.7}, {pois[1].ID, 0.5, 0.9}, {pois[2].ID, 0, 0}} {
+		if got, ok := repo.Get(c.id); !ok || got.Hotness != c.hotness || got.Interest != c.interest {
+			t.Errorf("POI %d after UpdateHotIn = %+v, want hotness %g interest %g", c.id, got, c.hotness, c.interest)
+		}
 	}
-	if len(results) != 1 || results[0].ID != pois[0].ID {
-		t.Errorf("hottest = %+v", results)
-	}
-	results, _, err = repo.Search(SearchSpec{OrderBy: "interest", Limit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[0].ID != pois[1].ID {
-		t.Errorf("most interesting = %+v", results)
-	}
+}
+
+// scanUser streams one user's visits within [fromMillis, toMillis] through
+// the key range a coprocessor scans for that user.
+func scanUser(r *VisitsRepo, userID, fromMillis, toMillis int64, fn func(model.Visit) bool) error {
+	start, stop := VisitScanBounds(userID, fromMillis, toMillis)
+	return r.scan(kvstore.ScanOptions{StartRow: start, StopRow: stop}, fn)
 }
 
 func newTestVisitsRepo(t testing.TB, schema VisitSchema) *VisitsRepo {
@@ -186,7 +162,7 @@ func TestVisitsRepoStoreScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []model.Visit
-			err := repo.ScanUser(42, model.Millis(base.Add(2*time.Hour)), model.Millis(base.Add(5*time.Hour)), func(v model.Visit) bool {
+			err := scanUser(repo, 42, model.Millis(base.Add(2*time.Hour)), model.Millis(base.Add(5*time.Hour)), func(v model.Visit) bool {
 				got = append(got, v)
 				return true
 			})
@@ -256,7 +232,7 @@ func TestVisitsRepoRegionDistribution(t *testing.T) {
 	// Every region should hold some data (uniform users over 8 ranges).
 	for _, region := range repo.Table().Regions() {
 		count := 0
-		err := region.Store().Scan(kvstore.ScanOptions{}, func(kvstore.RowResult) bool { count++; return true })
+		err := region.Store().MultiScanCtx(context.Background(), []kvstore.ScanRange{{}}, 0, func(kvstore.RowResult) bool { count++; return true })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,6 +240,28 @@ func TestVisitsRepoRegionDistribution(t *testing.T) {
 			t.Errorf("region [%q,%q) is empty", region.StartKey, region.EndKey())
 		}
 	}
+}
+
+// storedFriends decodes the newest friend list stored for the user on one
+// network ("" = all networks).
+func storedFriends(t *testing.T, r *SocialInfoRepo, userID int64, network string) []model.Friend {
+	t.Helper()
+	row, err := r.table.Get(socialRowKey(userID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []model.Friend
+	for _, cell := range row.Cells {
+		if network != "" && cell.Qualifier != network {
+			continue
+		}
+		var fs []model.Friend
+		if err := model.DecodeJSON(cell.Value, &fs); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fs...)
+	}
+	return out
 }
 
 func TestSocialInfoRepo(t *testing.T) {
@@ -279,17 +277,11 @@ func TestSocialInfoRepo(t *testing.T) {
 	if err := repo.StoreFriends(42, friends); err != nil {
 		t.Fatal(err)
 	}
-	fb, err := repo.Friends(42, "facebook")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fb := storedFriends(t, repo, 42, "facebook")
 	if len(fb) != 2 {
 		t.Errorf("facebook friends = %d, want 2", len(fb))
 	}
-	all, err := repo.Friends(42, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := storedFriends(t, repo, 42, "")
 	if len(all) != 3 {
 		t.Errorf("all friends = %d, want 3", len(all))
 	}
@@ -297,16 +289,15 @@ func TestSocialInfoRepo(t *testing.T) {
 	if err := repo.StoreFriends(42, friends[:1]); err != nil {
 		t.Fatal(err)
 	}
-	fb, _ = repo.Friends(42, "facebook")
+	fb = storedFriends(t, repo, 42, "facebook")
 	if len(fb) != 1 {
 		t.Errorf("after refresh facebook friends = %d, want 1", len(fb))
 	}
 	if err := repo.StoreFriends(0, friends); err == nil {
 		t.Error("invalid user must fail")
 	}
-	none, err := repo.Friends(999, "")
-	if err != nil || len(none) != 0 {
-		t.Errorf("unknown user friends = %v, %v", none, err)
+	if none := storedFriends(t, repo, 999, ""); len(none) != 0 {
+		t.Errorf("unknown user friends = %v", none)
 	}
 }
 
@@ -367,7 +358,7 @@ func TestGPSRepo(t *testing.T) {
 	if err := repo.PushBatch(fixes); err != nil {
 		t.Fatal(err)
 	}
-	if err := repo.Push(model.GPSFix{UserID: 6, Lat: 38, Lon: 23, Time: model.Millis(base)}); err != nil {
+	if err := repo.PushBatch([]model.GPSFix{{UserID: 6, Lat: 38, Lon: 23, Time: model.Millis(base)}}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := repo.Len()
@@ -385,7 +376,7 @@ func TestGPSRepo(t *testing.T) {
 	if len(got) != 6 {
 		t.Errorf("windowed scan = %d fixes, want 6", len(got))
 	}
-	if err := repo.Push(model.GPSFix{UserID: 0}); err == nil {
+	if err := repo.PushBatch([]model.GPSFix{{UserID: 0}}); err == nil {
 		t.Error("invalid user must fail")
 	}
 	// A batch is validated before anything is written: one bad fix in the
@@ -521,9 +512,7 @@ func TestBlogsRepo(t *testing.T) {
 		t.Errorf("got = %+v", got)
 	}
 	// Saving the same day replaces, not duplicates.
-	if err := blog.Annotate(0, "lovely morning"); err != nil {
-		t.Fatal(err)
-	}
+	blog.Entries[0].Comment = "lovely morning"
 	stored2, err := repo.Save(blog)
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +571,7 @@ func TestSinkBinding(t *testing.T) {
 	if err := sink.StoreComment(model.Comment{UserID: 1, POIID: 2, Time: 5, Text: "hi"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.StoreVisit(model.Visit{UserID: 1, Time: 5, POI: model.POI{ID: 2}}); err != nil {
+	if err := sink.StoreVisits([]model.Visit{{UserID: 1, Time: 5, POI: model.POI{ID: 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewSink(nil, texts, visits); err == nil {

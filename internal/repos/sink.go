@@ -32,7 +32,7 @@ func (s *Sink) StoreComment(c model.Comment) error {
 	return s.Texts.StoreComment(c)
 }
 
-// StoreVisit implements social.Sink.
-func (s *Sink) StoreVisit(v model.Visit) error {
-	return s.Visits.Store(v)
+// StoreVisits implements social.Sink: the account's pass is one batch.
+func (s *Sink) StoreVisits(visits []model.Visit) error {
+	return s.Visits.StoreBatch(visits)
 }

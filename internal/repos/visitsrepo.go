@@ -169,14 +169,6 @@ func DecodeVisit(_ VisitSchema, value []byte) (model.Visit, error) {
 	return model.DecodeVisitBinary(value)
 }
 
-// ScanUser streams one user's visits within [fromMillis, toMillis] in time
-// order. It exercises the same key-range scan a coprocessor performs
-// region-locally.
-func (r *VisitsRepo) ScanUser(userID, fromMillis, toMillis int64, fn func(model.Visit) bool) error {
-	start, stop := VisitScanBounds(userID, fromMillis, toMillis)
-	return r.scan(kvstore.ScanOptions{StartRow: start, StopRow: stop}, fn)
-}
-
 // ScanAll streams every stored visit (the HotIn job's input).
 func (r *VisitsRepo) ScanAll(fn func(model.Visit) bool) error {
 	return r.scan(kvstore.ScanOptions{}, fn)

@@ -38,7 +38,7 @@ func TestVisitsRepoMixedJSONBinaryDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []model.Visit
-			if err := repo.ScanUser(11, 0, math.MaxInt64/2, func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
+			if err := scanUser(repo, 11, 0, math.MaxInt64/2, func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
 				t.Fatal(err)
 			}
 			sort.Slice(got, func(i, j int) bool { return got[i].Time < got[j].Time })
@@ -112,7 +112,7 @@ func TestVisitKeysAcrossTheMillionthVisit(t *testing.T) {
 		want = append(want, v)
 	}
 	var got []model.Visit
-	if err := repo.ScanUser(11, 1000, 1003, func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
+	if err := scanUser(repo, 11, 1000, 1003, func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
 		t.Fatal(err)
 	}
 	byTimeGrade := func(vs []model.Visit) {

@@ -37,9 +37,6 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Now returns the current simulated time.
-func (e *Engine) Now() Time { return e.now }
-
 // Reset returns a drained engine to time zero with every resource idle,
 // keeping its storage, so one engine can serve run after run with no run
 // seeing what an earlier one left behind.
@@ -60,15 +57,6 @@ func (e *Engine) At(t Time, fn func()) error {
 	e.seq++
 	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
 	return nil
-}
-
-// After schedules fn to run d seconds from now. Negative delays are clamped
-// to zero.
-func (e *Engine) After(d float64, fn func()) error {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
 }
 
 // Run executes events until the queue drains, returning the final clock

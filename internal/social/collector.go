@@ -15,9 +15,9 @@ type Sink interface {
 	StoreFriends(userID int64, friends []model.Friend) error
 	// StoreComment persists one classified comment.
 	StoreComment(c model.Comment) error
-	// StoreVisit persists one visit (already enriched with POI info and
-	// sentiment grade).
-	StoreVisit(v model.Visit) error
+	// StoreVisits persists one account's visits of a pass, in check-in
+	// order (already enriched with POI info and sentiment grade).
+	StoreVisits(visits []model.Visit) error
 }
 
 // Classifier grades comment text; the Text Processing module's Naive Bayes
@@ -146,6 +146,7 @@ func (c *Collector) collectUser(acct *Account, since, until int64, st *RunStats)
 	st.FriendsStored += len(friends)
 
 	sort.Slice(checkins, func(i, j int) bool { return checkins[i].Time < checkins[j].Time })
+	var visits []model.Visit
 	for _, chk := range checkins {
 		grade := c.clf.SentimentGrade(chk.Comment)
 		poi, ok := c.resolver.ResolvePOI(chk)
@@ -162,16 +163,20 @@ func (c *Collector) collectUser(acct *Account, since, until int64, st *RunStats)
 		}); err != nil {
 			return err
 		}
-		if err := c.sink.StoreVisit(model.Visit{
+		visits = append(visits, model.Visit{
 			UserID:  acct.UserID,
 			Time:    chk.Time,
 			Grade:   grade,
 			Network: chk.Network,
 			POI:     poi,
-		}); err != nil {
-			return err
-		}
-		st.Checkins++
+		})
 	}
+	if len(visits) == 0 {
+		return nil
+	}
+	if err := c.sink.StoreVisits(visits); err != nil {
+		return err
+	}
+	st.Checkins += len(visits)
 	return nil
 }

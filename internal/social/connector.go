@@ -31,8 +31,6 @@ type Connector interface {
 	// Exchange validates third-party credentials and returns the network's
 	// stable user id — the OAuth code/token exchange.
 	Exchange(credentials string) (int64, error)
-	// Profile fetches the public profile of a network user.
-	Profile(networkUserID int64) (model.Friend, error)
 	// Friends fetches the user's connections.
 	Friends(networkUserID int64) ([]model.Friend, error)
 	// Updates fetches the user's check-ins (with comments) in
@@ -122,8 +120,8 @@ func (s *SimConnector) Exchange(credentials string) (int64, error) {
 	return id, nil
 }
 
-// Profile implements Connector.
-func (s *SimConnector) Profile(networkUserID int64) (model.Friend, error) {
+// profile is the public profile of a network user.
+func (s *SimConnector) profile(networkUserID int64) (model.Friend, error) {
 	if networkUserID < 1 || networkUserID > int64(s.cfg.Population) {
 		return model.Friend{}, fmt.Errorf("social: no %s account %d", s.cfg.Name, networkUserID)
 	}
@@ -153,7 +151,7 @@ func (s *SimConnector) Friends(networkUserID int64) ([]model.Friend, error) {
 	ids := workload.GenFriendList(rng, networkUserID, s.cfg.Population, n)
 	out := make([]model.Friend, len(ids))
 	for i, id := range ids {
-		p, err := s.Profile(id)
+		p, err := s.profile(id)
 		if err != nil {
 			return nil, err
 		}

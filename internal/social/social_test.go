@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -229,6 +230,7 @@ type memSink struct {
 	friends  map[int64][]model.Friend
 	comments []model.Comment
 	visits   []model.Visit
+	batches  [][]model.Visit // one entry per StoreVisits call
 }
 
 func newMemSink() *memSink {
@@ -249,10 +251,11 @@ func (s *memSink) StoreComment(c model.Comment) error {
 	return nil
 }
 
-func (s *memSink) StoreVisit(v model.Visit) error {
+func (s *memSink) StoreVisits(visits []model.Visit) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.visits = append(s.visits, v)
+	s.visits = append(s.visits, visits...)
+	s.batches = append(s.batches, append([]model.Visit(nil), visits...))
 	return nil
 }
 
@@ -343,6 +346,100 @@ func TestCollectorRun(t *testing.T) {
 	}
 }
 
+// TestCollectorStoresOneBatchPerAccount: a pass hands the sink one
+// StoreVisits call per account that has visits, holding exactly that
+// account's visits in check-in order (its check-ins from every linked
+// network, sorted by time, unresolved venues skipped).
+func TestCollectorStoresOneBatchPerAccount(t *testing.T) {
+	pois := testPOIs(t)
+	m, err := NewUserManager(testConnector(t, "facebook"), testConnector(t, "twitter"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tok1, err := m.SignIn("facebook", "facebook:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Link(tok1, "twitter", "twitter:1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, cred := range []string{"facebook:2", "facebook:5", "facebook:9"} {
+		if _, _, err := m.SignIn("facebook", cred); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := m.SignIn("twitter", "twitter:3"); err != nil {
+		t.Fatal(err)
+	}
+	// Every other venue is outside the catalog, so some check-ins are
+	// skipped in the middle of an account's pass.
+	resolver := catalogResolver{}
+	for i, p := range pois {
+		if i%2 == 0 {
+			resolver[p.ID] = p
+		}
+	}
+	since := model.Millis(time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC))
+	until := since + 4*24*3600*1000
+
+	want := map[int64][]model.Visit{}
+	for _, acct := range m.Accounts() {
+		var checkins []model.Checkin
+		for _, network := range acct.Networks() {
+			conn, err := m.Connector(network)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := conn.Updates(acct.Links[network], since, until)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkins = append(checkins, u...)
+		}
+		sort.Slice(checkins, func(i, j int) bool { return checkins[i].Time < checkins[j].Time })
+		for _, chk := range checkins {
+			if poi, ok := resolver.ResolvePOI(chk); ok {
+				want[acct.UserID] = append(want[acct.UserID], model.Visit{
+					UserID: acct.UserID, Time: chk.Time, Grade: stubClassifier{}.SentimentGrade(chk.Comment),
+					Network: chk.Network, POI: poi,
+				})
+			}
+		}
+	}
+	if len(want) < 3 {
+		t.Fatalf("fixture too thin: %d accounts with visits", len(want))
+	}
+
+	sink := newMemSink()
+	col, err := NewCollector(m, sink, stubClassifier{}, resolver, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := col.Run(since, until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.batches) != len(want) {
+		t.Fatalf("%d StoreVisits calls, want one per account with visits (%d)", len(sink.batches), len(want))
+	}
+	seen := map[int64]bool{}
+	total := 0
+	for _, batch := range sink.batches {
+		user := batch[0].UserID
+		if seen[user] {
+			t.Fatalf("user %d's visits arrived in more than one batch", user)
+		}
+		seen[user] = true
+		if !reflect.DeepEqual(batch, want[user]) {
+			t.Errorf("user %d: batch of %d visits differs from the %d expected in check-in order", user, len(batch), len(want[user]))
+		}
+		total += len(batch)
+	}
+	if stats.Checkins != total {
+		t.Errorf("stats.Checkins = %d, want %d", stats.Checkins, total)
+	}
+}
+
 func TestCollectorValidation(t *testing.T) {
 	fb := testConnector(t, "facebook")
 	m, _ := NewUserManager(fb)
@@ -426,19 +523,20 @@ func TestCollectorPropagatesConnectorFailures(t *testing.T) {
 	}
 }
 
-// failingSink errors on the Nth visit — storage-failure injection.
+// failingSink errors once more than failAfter visits would be stored —
+// storage-failure injection.
 type failingSink struct {
 	*memSink
 	failAfter int
 	stored    int
 }
 
-func (s *failingSink) StoreVisit(v model.Visit) error {
-	s.stored++
+func (s *failingSink) StoreVisits(visits []model.Visit) error {
+	s.stored += len(visits)
 	if s.stored > s.failAfter {
 		return fmt.Errorf("simulated datastore failure")
 	}
-	return s.memSink.StoreVisit(v)
+	return s.memSink.StoreVisits(visits)
 }
 
 func TestCollectorPropagatesSinkFailures(t *testing.T) {

@@ -29,20 +29,6 @@ type Document struct {
 	Label Label
 }
 
-// LabelFromRating maps a 1–5 star rating to a sentiment label the way the
-// paper uses Tripadvisor ranks as classification scores: 1–2 negative,
-// 4–5 positive. Rating 3 is ambiguous and excluded (ok=false).
-func LabelFromRating(stars int) (Label, bool) {
-	switch {
-	case stars <= 2:
-		return Negative, true
-	case stars >= 4:
-		return Positive, true
-	default:
-		return Negative, false
-	}
-}
-
 // NaiveBayes is a multinomial Naive Bayes sentiment classifier with
 // optional TF weighting, BNS feature scaling and rare-term pruning, all
 // selected through PipelineOptions at training time.
@@ -148,9 +134,6 @@ func TrainNaiveBayes(docs []Document, opts PipelineOptions) (*NaiveBayes, error)
 	nb.logPrior[Negative] = math.Log(float64(nNeg) / float64(len(docs)))
 	return nb, nil
 }
-
-// Options returns the pipeline configuration the classifier was trained with.
-func (nb *NaiveBayes) Options() PipelineOptions { return nb.opts }
 
 // VocabularySize returns the number of retained terms.
 func (nb *NaiveBayes) VocabularySize() int { return len(nb.vocab) }

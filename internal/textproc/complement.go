@@ -10,8 +10,6 @@ import (
 type TextClassifier interface {
 	// Predict classifies the text.
 	Predict(text string) Label
-	// Score returns the signed confidence: positive favors Positive.
-	Score(text string) float64
 }
 
 // Compile-time checks.
@@ -122,12 +120,6 @@ func TrainComplementNB(docs []Document, opts PipelineOptions) (*ComplementNB, er
 	}
 	return c, nil
 }
-
-// Options returns the pipeline configuration.
-func (c *ComplementNB) Options() PipelineOptions { return c.opts }
-
-// VocabularySize returns the number of retained terms.
-func (c *ComplementNB) VocabularySize() int { return len(c.vocab) }
 
 // classSums computes Σ f·w per class.
 func (c *ComplementNB) classSums(text string) [2]float64 {

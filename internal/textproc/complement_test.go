@@ -66,7 +66,7 @@ func TestComplementNBComparableToStandardNB(t *testing.T) {
 	if accCNB < accNB-0.05 {
 		t.Errorf("CNB accuracy %.3f collapsed below NB %.3f", accCNB, accNB)
 	}
-	if cnb.VocabularySize() != nb.VocabularySize() {
-		t.Errorf("same pipeline must build the same vocabulary: %d vs %d", cnb.VocabularySize(), nb.VocabularySize())
+	if len(cnb.vocab) != nb.VocabularySize() {
+		t.Errorf("same pipeline must build the same vocabulary: %d vs %d", len(cnb.vocab), nb.VocabularySize())
 	}
 }

@@ -1,10 +1,6 @@
 package textproc
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "fmt"
 
 // ConfusionMatrix tallies binary classification outcomes.
 type ConfusionMatrix struct {
@@ -79,71 +75,4 @@ func Evaluate(c TextClassifier, docs []Document) ConfusionMatrix {
 		}
 	}
 	return m
-}
-
-// TrainTestSplit shuffles docs with the rng and splits them with the given
-// training fraction (0 < frac < 1). The input slice is not modified.
-func TrainTestSplit(docs []Document, frac float64, rng *rand.Rand) (train, test []Document, err error) {
-	if frac <= 0 || frac >= 1 {
-		return nil, nil, fmt.Errorf("textproc: training fraction %g out of (0,1)", frac)
-	}
-	if len(docs) < 2 {
-		return nil, nil, fmt.Errorf("textproc: need at least 2 documents, got %d", len(docs))
-	}
-	shuffled := append([]Document(nil), docs...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	cut := int(float64(len(shuffled)) * frac)
-	if cut == 0 {
-		cut = 1
-	}
-	if cut == len(shuffled) {
-		cut = len(shuffled) - 1
-	}
-	return shuffled[:cut], shuffled[cut:], nil
-}
-
-// CrossValidate runs k-fold cross-validation of the pipeline on the corpus
-// and returns the per-fold accuracies (the "extensive experimental study"
-// instrument behind the paper's parameter fine-tuning). The docs are
-// shuffled once with rng; folds are contiguous slices of the shuffle.
-func CrossValidate(docs []Document, k int, opts PipelineOptions, rng *rand.Rand) ([]float64, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("textproc: need k >= 2 folds, got %d", k)
-	}
-	if len(docs) < k {
-		return nil, fmt.Errorf("textproc: %d documents cannot fill %d folds", len(docs), k)
-	}
-	shuffled := append([]Document(nil), docs...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	accs := make([]float64, 0, k)
-	for fold := 0; fold < k; fold++ {
-		lo := len(shuffled) * fold / k
-		hi := len(shuffled) * (fold + 1) / k
-		test := shuffled[lo:hi]
-		train := make([]Document, 0, len(shuffled)-len(test))
-		train = append(train, shuffled[:lo]...)
-		train = append(train, shuffled[hi:]...)
-		nb, err := TrainNaiveBayes(train, opts)
-		if err != nil {
-			return nil, fmt.Errorf("textproc: fold %d: %w", fold, err)
-		}
-		accs = append(accs, Evaluate(nb, test).Accuracy())
-	}
-	return accs, nil
-}
-
-// MeanStd returns the mean and (population) standard deviation of values.
-func MeanStd(values []float64) (mean, std float64) {
-	if len(values) == 0 {
-		return 0, 0
-	}
-	for _, v := range values {
-		mean += v
-	}
-	mean /= float64(len(values))
-	for _, v := range values {
-		std += (v - mean) * (v - mean)
-	}
-	std = math.Sqrt(std / float64(len(values)))
-	return mean, std
 }

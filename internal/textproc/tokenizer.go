@@ -72,9 +72,6 @@ yourselves t s re ll ve d m
 	}
 }
 
-// IsStopword reports whether the (lowercased) token is on the stopword list.
-func IsStopword(w string) bool { return stopwords[w] }
-
 // RemoveStopwords filters tokens in place, returning the shortened slice.
 func RemoveStopwords(tokens []string) []string {
 	out := tokens[:0]

@@ -30,9 +30,6 @@ type StayPoint struct {
 	Fixes int
 }
 
-// Duration returns the dwell time.
-func (s StayPoint) Duration() time.Duration { return s.Departure.Sub(s.Arrival) }
-
 // DetectStayPoints runs the classic stay-point detection algorithm (Li et
 // al., 2008) over a time-ordered trace: a maximal run of fixes that stays
 // within distThresholdMeters of its first fix and spans at least minDuration
@@ -154,43 +151,6 @@ func BuildBlog(userID int64, date time.Time, visits []Visit) *Blog {
 		Title:   fmt.Sprintf("My day on %s", date.Format("2006-01-02")),
 		Entries: entries,
 	}
-}
-
-// Reorder moves the entry at position from to position to, emulating the
-// demo's drag-to-reorder editing.
-func (b *Blog) Reorder(from, to int) error {
-	if from < 0 || from >= len(b.Entries) || to < 0 || to >= len(b.Entries) {
-		return fmt.Errorf("trajectory: reorder indexes (%d→%d) out of range [0,%d)", from, to, len(b.Entries))
-	}
-	e := b.Entries[from]
-	b.Entries = append(b.Entries[:from], b.Entries[from+1:]...)
-	rest := append([]Visit(nil), b.Entries[to:]...)
-	b.Entries = append(b.Entries[:to], e)
-	b.Entries = append(b.Entries, rest...)
-	return nil
-}
-
-// EditTimes updates the arrival/departure of one entry, emulating the
-// demo's visit-time editing screen.
-func (b *Blog) EditTimes(idx int, arrival, departure time.Time) error {
-	if idx < 0 || idx >= len(b.Entries) {
-		return fmt.Errorf("trajectory: entry index %d out of range [0,%d)", idx, len(b.Entries))
-	}
-	if departure.Before(arrival) {
-		return fmt.Errorf("trajectory: departure %v before arrival %v", departure, arrival)
-	}
-	b.Entries[idx].Stay.Arrival = arrival
-	b.Entries[idx].Stay.Departure = departure
-	return nil
-}
-
-// Annotate sets the comment of one entry.
-func (b *Blog) Annotate(idx int, comment string) error {
-	if idx < 0 || idx >= len(b.Entries) {
-		return fmt.Errorf("trajectory: entry index %d out of range [0,%d)", idx, len(b.Entries))
-	}
-	b.Entries[idx].Comment = comment
-	return nil
 }
 
 // Render produces the shareable text form of the blog (the paper's demo

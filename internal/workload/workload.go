@@ -21,8 +21,6 @@ import (
 const (
 	// PaperPOICount is the OpenStreetMap Greece POI count used in §3.1.
 	PaperPOICount = 8500
-	// PaperUserCount is the emulated social-network population.
-	PaperUserCount = 150000
 	// PaperVisitMean and PaperVisitSigma parameterize the per-user visit
 	// count distribution N(170, 10²).
 	PaperVisitMean  = 170.0

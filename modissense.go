@@ -16,7 +16,7 @@
 //
 // Architecture (one package per subsystem, all under internal/):
 //
-//   - geo        — haversine, geohash, grid index, R-tree
+//   - geo        — haversine, grid index, R-tree
 //   - sim        — discrete-event simulation kernel (virtual time)
 //   - cluster    — simulated worker nodes + calibrated cost model
 //   - kvstore    — LSM key-value store with regions and coprocessors (HBase role)
