@@ -61,9 +61,9 @@ func main() {
 	if err := p.Blogs.MarkShared(blog.ID); err != nil {
 		log.Fatal(err)
 	}
-	stored, ok, err := p.Blogs.Get(blog.UserID, day)
-	if err != nil || !ok {
-		log.Fatalf("reload blog: %v %v", ok, err)
+	stored, ok := p.Blogs.Get(blog.UserID, day)
+	if !ok {
+		log.Fatal("reload blog: not found")
 	}
 	fmt.Printf("blog %d shared=%v with %d entries\n", stored.ID, stored.Shared, len(stored.Entries))
 }

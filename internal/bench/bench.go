@@ -25,7 +25,6 @@ import (
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
 	"modissense/internal/query"
-	"modissense/internal/relstore"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
 )
@@ -101,11 +100,7 @@ func buildDatasetOnCluster(cfg DatasetConfig, clus *cluster.Cluster) (*Dataset, 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pois := workload.GenPOIs(rng, cfg.POIs)
 
-	db := relstore.NewDB()
-	poiRepo, err := repos.NewPOIRepo(db)
-	if err != nil {
-		return nil, err
-	}
+	poiRepo := repos.NewPOIRepo()
 	for _, p := range pois {
 		if _, err := poiRepo.Insert(p); err != nil {
 			return nil, err

@@ -661,10 +661,5 @@ func (p *Platform) handleCategoryAnalytics(w http.ResponseWriter, r *http.Reques
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	stats, err := p.POIs.CategoryStats(bbox)
-	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, stats)
+	writeJSON(w, http.StatusOK, p.POIs.CategoryStats(bbox))
 }

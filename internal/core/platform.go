@@ -27,7 +27,6 @@ import (
 	"modissense/internal/obs"
 	"modissense/internal/pubsub"
 	"modissense/internal/query"
-	"modissense/internal/relstore"
 	"modissense/internal/repos"
 	"modissense/internal/social"
 	"modissense/internal/textproc"
@@ -277,7 +276,6 @@ type Platform struct {
 	cfg Config
 
 	Cluster    *cluster.Cluster
-	DB         *relstore.DB
 	POIs       *repos.POIRepo
 	Visits     *repos.VisitsRepo
 	SocialInfo *repos.SocialInfoRepo
@@ -327,13 +325,8 @@ func New(cfg Config) (*Platform, error) {
 	p.Cluster = clus
 
 	// Repositories.
-	p.DB = relstore.NewDB()
-	if p.POIs, err = repos.NewPOIRepo(p.DB); err != nil {
-		return nil, err
-	}
-	if p.Blogs, err = repos.NewBlogsRepo(p.DB); err != nil {
-		return nil, err
-	}
+	p.POIs = repos.NewPOIRepo()
+	p.Blogs = repos.NewBlogsRepo()
 	kvOpts := kvstore.DefaultStoreOptions()
 	kvOpts.Seed = cfg.Seed
 	if cfg.MemtableFlushBytes > 0 {
@@ -892,10 +885,7 @@ func (p *Platform) DetectEvents(ctx context.Context, params EventDetectionParams
 		return nil, err
 	}
 	res := &EventDetectionResult{TracesScanned: len(pts), Watermark: watermark}
-	known, err := p.POIs.All()
-	if err != nil {
-		return nil, err
-	}
+	known := p.POIs.All()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -969,10 +959,7 @@ func (p *Platform) generateBlogForUser(uid int64, day time.Time) (repos.StoredBl
 	if err != nil {
 		return repos.StoredBlog{}, err
 	}
-	all, err := p.POIs.All()
-	if err != nil {
-		return repos.StoredBlog{}, err
-	}
+	all := p.POIs.All()
 	refs := make([]trajectory.POIRef, len(all))
 	for i, poi := range all {
 		refs[i] = trajectory.POIRef{ID: poi.ID, Name: poi.Name, Pt: poi.Point()}

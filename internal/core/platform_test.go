@@ -281,9 +281,9 @@ func TestPlatformGPSAndBlog(t *testing.T) {
 		t.Error("no blog entry matched a catalog POI")
 	}
 	// The blog is persisted and retrievable.
-	stored, ok, err := p.Blogs.Get(blog.UserID, day)
-	if err != nil || !ok {
-		t.Fatalf("stored blog missing: %v %v", ok, err)
+	stored, ok := p.Blogs.Get(blog.UserID, day)
+	if !ok {
+		t.Fatal("stored blog missing")
 	}
 	if stored.ID != blog.ID {
 		t.Error("stored blog id mismatch")

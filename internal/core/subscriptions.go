@@ -282,12 +282,7 @@ func (p *Platform) handleUserBlogList(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	blogs, err := p.Blogs.ListUser(uid)
-	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	writePage(w, blogs, pp)
+	writePage(w, p.Blogs.ListUser(uid), pp)
 }
 
 // handleUserBlogGet serves GET /users/{id}/blogs/{day}.
@@ -301,11 +296,7 @@ func (p *Platform) handleUserBlogGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	blog, found, err := p.Blogs.Get(uid, day)
-	if err != nil {
-		writeErr(w, r, http.StatusInternalServerError, err)
-		return
-	}
+	blog, found := p.Blogs.Get(uid, day)
 	if !found {
 		writeErr(w, r, http.StatusNotFound, fmt.Errorf("core: no blog for %s", r.PathValue("day")))
 		return

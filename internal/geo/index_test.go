@@ -182,14 +182,14 @@ func TestRTreeDeleteMatchesReference(t *testing.T) {
 		// Delete a random batch of live points.
 		for k := 0; k < 20; k++ {
 			i := rng.Intn(len(pts))
-			got := tree.DeletePoint(int64(i), pts[i])
+			got := tree.Delete(int64(i), NewRect(pts[i], pts[i]))
 			if got != alive[i] {
-				t.Fatalf("round %d: DeletePoint(%d) = %v, want %v", round, i, got, alive[i])
+				t.Fatalf("round %d: Delete(%d) = %v, want %v", round, i, got, alive[i])
 			}
 			alive[i] = false
 		}
 		// Deleting a never-inserted id fails cleanly.
-		if tree.DeletePoint(int64(len(pts)+1), randPointIn(rng, bounds)) {
+		if p := randPointIn(rng, bounds); tree.Delete(int64(len(pts)+1), NewRect(p, p)) {
 			t.Fatal("deleting a missing entry must return false")
 		}
 		// Random rect queries must match the oracle over live points.
@@ -219,7 +219,7 @@ func TestRTreeDeleteMatchesReference(t *testing.T) {
 	// Delete everything; the tree must empty out and stay usable.
 	for i := range pts {
 		if alive[i] {
-			if !tree.DeletePoint(int64(i), pts[i]) {
+			if !tree.Delete(int64(i), NewRect(pts[i], pts[i])) {
 				t.Fatalf("final delete of %d failed", i)
 			}
 			alive[i] = false

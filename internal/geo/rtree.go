@@ -5,12 +5,15 @@ import (
 	"math"
 )
 
-// RTree is an in-memory R-tree over rectangles with opaque integer ids. It
-// backs the spatial index of the relational POI repository (the role
-// PostgreSQL+GiST plays in the original system).
+// RTree is an in-memory R-tree over rectangles with opaque integer ids. Two
+// packages use it: the pub/sub registry indexes standing-query regions and
+// stabs them with each pushed check-in's point, and the trajectory matcher
+// indexes POI points to find a stay point's nearest POI.
 //
 // The implementation uses quadratic-split insertion (Guttman 1984). RTree is
-// not safe for concurrent mutation; the relational store serializes writes.
+// not safe for concurrent mutation: the registry inserts and deletes under
+// its write lock and searches under its read lock (Search does not mutate),
+// and the matcher builds a private tree per call.
 type RTree struct {
 	root    *rtreeNode
 	minFill int
@@ -329,11 +332,6 @@ func (t *RTree) Delete(id int64, r Rect) bool {
 		t.Insert(e.id, e.rect)
 	}
 	return true
-}
-
-// DeletePoint removes a point entry inserted with InsertPoint.
-func (t *RTree) DeletePoint(id int64, p Point) bool {
-	return t.Delete(id, Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLon: p.Lon, MaxLon: p.Lon})
 }
 
 // findLeaf locates the leaf holding the exact (id, rect) entry, recording

@@ -117,10 +117,7 @@ func resetAndRun(t *testing.T, p *core.Platform, run func() error) map[int64]hot
 	if err := run(); err != nil {
 		t.Fatal(err)
 	}
-	all, err := p.POIs.All()
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := p.POIs.All()
 	out := make(map[int64]hotIn, len(all))
 	for _, poi := range all {
 		out[poi.ID] = hotIn{poi.Hotness, poi.Interest}

@@ -8,17 +8,12 @@ import (
 	"modissense/internal/cluster"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
-	"modissense/internal/relstore"
 	"modissense/internal/repos"
 )
 
 func setup(t *testing.T) (*repos.VisitsRepo, *repos.POIRepo, []model.POI) {
 	t.Helper()
-	db := relstore.NewDB()
-	poiRepo, err := repos.NewPOIRepo(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	poiRepo := repos.NewPOIRepo()
 	pois := []model.POI{
 		{ID: 1, Name: "hot-taverna", Lat: 37.9, Lon: 23.7, Keywords: []string{"restaurant"}},
 		{ID: 2, Name: "quiet-museum", Lat: 37.95, Lon: 23.72, Keywords: []string{"museum"}},

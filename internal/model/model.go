@@ -7,13 +7,15 @@ package model
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"modissense/internal/geo"
 )
 
-// POI is a point of interest: the central catalog entity.
+// POI is a point of interest: the central catalog entity. The POI
+// repository hands its stored document out by value without copying
+// Keywords, so a POI read from the catalog shares that slice with every
+// other reader and must not be modified in place.
 type POI struct {
 	ID       int64    `json:"id"`
 	Name     string   `json:"name"`
@@ -30,10 +32,6 @@ type POI struct {
 
 // Point returns the POI location.
 func (p *POI) Point() geo.Point { return geo.Point{Lat: p.Lat, Lon: p.Lon} }
-
-// KeywordString renders keywords as the space-separated form stored in the
-// relational repository.
-func (p *POI) KeywordString() string { return strings.Join(p.Keywords, " ") }
 
 // User is a registered platform user.
 type User struct {

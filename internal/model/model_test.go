@@ -63,13 +63,6 @@ func TestPOIHelpers(t *testing.T) {
 	if pt := p.Point(); pt.Lat != 37.9 || pt.Lon != 23.7 {
 		t.Errorf("Point = %v", pt)
 	}
-	if ks := p.KeywordString(); ks != "a b" {
-		t.Errorf("KeywordString = %q", ks)
-	}
-	empty := POI{}
-	if ks := empty.KeywordString(); ks != "" {
-		t.Errorf("empty KeywordString = %q", ks)
-	}
 }
 
 func TestGPSFixPoint(t *testing.T) {

@@ -262,7 +262,6 @@ func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spe
 		Limit:      spec.Limit,
 	})
 	matview.RecordViewRead()
-	mQueriesRelational.Inc()
 	cost := e.clus.Config().Cost
 	latency, err := e.clus.Simulate(func(s *cluster.Session) {
 		web := s.PickWebServer()

@@ -2,14 +2,13 @@ package query
 
 import "modissense/internal/obs"
 
-// Query-layer series in the shared registry. The path label is a fixed
-// enum — "personalized" fans out coprocessors, "relational" serves the
-// PostgreSQL-style repository — never derived from user input.
+// Query-layer series in the shared registry. query_queries_total counts the
+// personalized queries, the ones that fan out coprocessors, under the fixed
+// label path="personalized"; trending reads answered from the view are
+// counted by matview_reads_total{path="view"} instead.
 var (
 	mQueriesPersonalized = obs.Default().Counter("query_queries_total", "Queries executed by path.",
 		obs.L("path", "personalized"))
-	mQueriesRelational = obs.Default().Counter("query_queries_total", "Queries executed by path.",
-		obs.L("path", "relational"))
 	mCoprocLatency = obs.Default().Histogram("query_coprocessor_seconds",
 		"Real execution time of one region's coprocessor.", obs.LatencyBuckets())
 	mMergeLatency = obs.Default().Histogram("query_merge_seconds",

@@ -718,7 +718,7 @@ func (e *Engine) sum(plan *queryPlan, stats *exec.Stats) ([]poiAgg, cluster.Copr
 // rank turns merge candidates into the final ranking; it is the only code
 // that does, for a fresh merge and for a cached one a check-in was folded
 // into alike. Under the normalized schema the POI info is joined from the
-// relational repository and the spatial/keyword predicates are applied
+// POI repository and the spatial/keyword predicates are applied
 // post-join. With a positive Limit the ranking streams through a bounded
 // heap (O(n log k)); otherwise it falls back to the exact full sort, which
 // doubles as the oracle the property tests compare the heap against. The

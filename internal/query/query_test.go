@@ -11,7 +11,6 @@ import (
 	"modissense/internal/geo"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
-	"modissense/internal/relstore"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
 )
@@ -41,11 +40,7 @@ func newFixtureWith(t testing.TB, schema repos.VisitSchema, nodes, users int, vi
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	pois := workload.GenPOIs(rng, 300)
-	db := relstore.NewDB()
-	poiRepo, err := repos.NewPOIRepo(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	poiRepo := repos.NewPOIRepo()
 	for _, p := range pois {
 		if _, err := poiRepo.Insert(p); err != nil {
 			t.Fatal(err)

@@ -2,54 +2,27 @@ package repos
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
+	"sync"
 	"time"
 
-	"modissense/internal/model"
-	"modissense/internal/relstore"
 	"modissense/internal/trajectory"
 )
 
-// BlogsRepo stores generated daily blogs on the relational store: blogs
-// are frequently queried by users but rarely updated, the same access
-// profile as POIs.
+// BlogsRepo stores generated daily blogs, one per (user, day): blogs are
+// frequently queried by users but rarely updated, the same access profile
+// as POIs. Blogs are indexed by user and day and by id; every StoredBlog
+// going in or out is a copy, so callers may keep or modify what they get.
 type BlogsRepo struct {
-	table  *relstore.Table
-	nextID atomic.Int64
+	mu     sync.RWMutex
+	byID   map[int64]StoredBlog
+	byUser map[int64]map[int64]int64 // user → day number → blog id
+	nextID int64
 }
 
-const (
-	blogColID = iota
-	blogColUser
-	blogColDay // days since epoch, UTC
-	blogColTitle
-	blogColRendered
-	blogColEntries // JSON-encoded visits for re-editing
-	blogColShared
-)
-
-// NewBlogsRepo creates the repository with an index on the owning user.
-func NewBlogsRepo(db *relstore.DB) (*BlogsRepo, error) {
-	schema, err := relstore.NewSchema(
-		relstore.Column{Name: "id", Type: relstore.Int},
-		relstore.Column{Name: "user_id", Type: relstore.Int},
-		relstore.Column{Name: "day", Type: relstore.Int},
-		relstore.Column{Name: "title", Type: relstore.Text},
-		relstore.Column{Name: "rendered", Type: relstore.Text},
-		relstore.Column{Name: "entries", Type: relstore.Text},
-		relstore.Column{Name: "shared", Type: relstore.Bool},
-	)
-	if err != nil {
-		return nil, err
-	}
-	table, err := db.CreateTable("blogs", schema)
-	if err != nil {
-		return nil, err
-	}
-	if err := table.CreateIndex("user_id"); err != nil {
-		return nil, err
-	}
-	return &BlogsRepo{table: table}, nil
+// NewBlogsRepo creates an empty repository.
+func NewBlogsRepo() *BlogsRepo {
+	return &BlogsRepo{byID: make(map[int64]StoredBlog), byUser: make(map[int64]map[int64]int64)}
 }
 
 // StoredBlog is the repository view of a blog.
@@ -63,104 +36,81 @@ type StoredBlog struct {
 	Shared   bool               `json:"shared"`
 }
 
+// clone copies b with an entries slice of its own.
+func (b StoredBlog) clone() StoredBlog {
+	b.Entries = slices.Clone(b.Entries)
+	return b
+}
+
 func dayNumber(t time.Time) int64 {
 	return t.UTC().Unix() / 86400
 }
 
-// Save persists (or replaces) the blog of (user, day).
+// Save persists (or replaces) the blog of (user, day). A replacement keeps
+// the blog's id and share flag.
 func (r *BlogsRepo) Save(b *trajectory.Blog) (StoredBlog, error) {
 	if b == nil {
 		return StoredBlog{}, fmt.Errorf("repos: nil blog")
 	}
-	existing, ok, err := r.Get(b.UserID, b.Date)
-	if err != nil {
-		return StoredBlog{}, err
+	day := dayNumber(b.Date)
+	stored := StoredBlog{
+		UserID:   b.UserID,
+		Day:      time.Unix(day*86400, 0).UTC(),
+		Title:    b.Title,
+		Rendered: b.Render(),
+		Entries:  slices.Clone(b.Entries),
 	}
-	id := r.nextID.Add(1)
-	if ok {
-		id = existing.ID
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	days := r.byUser[b.UserID]
+	if days == nil {
+		days = make(map[int64]int64)
+		r.byUser[b.UserID] = days
 	}
-	row := relstore.Row{
-		relstore.IntVal(id),
-		relstore.IntVal(b.UserID),
-		relstore.IntVal(dayNumber(b.Date)),
-		relstore.TextVal(b.Title),
-		relstore.TextVal(b.Render()),
-		relstore.TextVal(string(model.EncodeJSON(b.Entries))),
-		relstore.BoolVal(ok && existing.Shared),
-	}
-	if ok {
-		err = r.table.Update(row)
+	if id, ok := days[day]; ok {
+		stored.ID, stored.Shared = id, r.byID[id].Shared
 	} else {
-		err = r.table.Insert(row)
+		r.nextID++
+		stored.ID = r.nextID
+		days[day] = stored.ID
 	}
-	if err != nil {
-		return StoredBlog{}, err
-	}
-	return r.rowToBlog(row)
+	r.byID[stored.ID] = stored
+	return stored.clone(), nil
 }
 
 // Get returns the blog of (user, day) if present.
-func (r *BlogsRepo) Get(userID int64, day time.Time) (StoredBlog, bool, error) {
-	rows, _, err := r.table.Select(relstore.Query{Where: []relstore.Predicate{
-		{Column: "user_id", Op: relstore.Eq, Arg: relstore.IntVal(userID)},
-		{Column: "day", Op: relstore.Eq, Arg: relstore.IntVal(dayNumber(day))},
-	}})
-	if err != nil {
-		return StoredBlog{}, false, err
+func (r *BlogsRepo) Get(userID int64, day time.Time) (StoredBlog, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	id, ok := r.byUser[userID][dayNumber(day)]
+	if !ok {
+		return StoredBlog{}, false
 	}
-	if len(rows) == 0 {
-		return StoredBlog{}, false, nil
-	}
-	b, err := r.rowToBlog(rows[0])
-	return b, err == nil, err
+	return r.byID[id].clone(), true
 }
 
 // ListUser returns all blogs of a user, newest day first.
-func (r *BlogsRepo) ListUser(userID int64) ([]StoredBlog, error) {
-	rows, _, err := r.table.Select(relstore.Query{
-		Where:   []relstore.Predicate{{Column: "user_id", Op: relstore.Eq, Arg: relstore.IntVal(userID)}},
-		OrderBy: "day",
-		Desc:    true,
-	})
-	if err != nil {
-		return nil, err
+func (r *BlogsRepo) ListUser(userID int64) []StoredBlog {
+	r.mu.RLock()
+	days := r.byUser[userID]
+	out := make([]StoredBlog, 0, len(days))
+	for _, id := range days {
+		out = append(out, r.byID[id].clone())
 	}
-	out := make([]StoredBlog, 0, len(rows))
-	for _, row := range rows {
-		b, err := r.rowToBlog(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
+	r.mu.RUnlock()
+	slices.SortFunc(out, func(a, b StoredBlog) int { return b.Day.Compare(a.Day) })
+	return out
 }
 
 // MarkShared flags the blog as posted to a social network.
 func (r *BlogsRepo) MarkShared(blogID int64) error {
-	row, ok := r.table.Get(blogID)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b, ok := r.byID[blogID]
 	if !ok {
 		return fmt.Errorf("repos: no blog %d", blogID)
 	}
-	row[blogColShared] = relstore.BoolVal(true)
-	return r.table.Update(row)
-}
-
-func (r *BlogsRepo) rowToBlog(row relstore.Row) (StoredBlog, error) {
-	var entries []trajectory.Visit
-	if s := row[blogColEntries].S; s != "" && s != "null" {
-		if err := model.DecodeJSON([]byte(s), &entries); err != nil {
-			return StoredBlog{}, err
-		}
-	}
-	return StoredBlog{
-		ID:       row[blogColID].I,
-		UserID:   row[blogColUser].I,
-		Day:      time.Unix(row[blogColDay].I*86400, 0).UTC(),
-		Title:    row[blogColTitle].S,
-		Rendered: row[blogColRendered].S,
-		Entries:  entries,
-		Shared:   row[blogColShared].B,
-	}, nil
+	b.Shared = true
+	r.byID[blogID] = b
+	return nil
 }

@@ -1,8 +1,8 @@
 // Package repos implements the platform's datastore repositories (§2.1 of
-// the paper): POI and Blogs on the relational store, Social-Info, Text,
-// Visits and GPS-Traces on the NoSQL store. It owns the row-key encodings
-// that make range scans line up with the access patterns each repository
-// serves.
+// the paper): POI and Blogs as keyed in-memory maps (the paper's PostgreSQL
+// serves them by key only), Social-Info, Text, Visits and GPS-Traces on the
+// NoSQL store. It owns the row-key encodings that make range scans line up
+// with the access patterns each repository serves.
 package repos
 
 import (

@@ -1,157 +1,97 @@
 package repos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"slices"
+	"sync"
 
 	"modissense/internal/geo"
 	"modissense/internal/model"
-	"modissense/internal/relstore"
 )
 
 // POIRepo is the POI repository: all non-personalized POI information,
-// hosted on the relational store with a B-tree index on hotness and a
-// spatial index on (lat, lon). It serves heavy random-access read loads
-// with low insert/update rates, which is why the paper places it in
-// PostgreSQL.
+// keyed by POI id. It serves heavy random-access read loads with low
+// insert/update rates — the role the paper gives PostgreSQL, which it uses
+// only as an indexed random-access store.
 type POIRepo struct {
-	table  *relstore.Table
-	nextID atomic.Int64
+	mu     sync.RWMutex
+	pois   map[int64]model.POI
+	nextID int64 // last auto-assigned id above the reserved range start
 }
 
-const (
-	poiColID = iota
-	poiColName
-	poiColLat
-	poiColLon
-	poiColKeywords
-	poiColHotness
-	poiColInterest
-)
-
-// NewPOIRepo creates the repository with its schema and indexes.
-func NewPOIRepo(db *relstore.DB) (*POIRepo, error) {
-	schema, err := relstore.NewSchema(
-		relstore.Column{Name: "id", Type: relstore.Int},
-		relstore.Column{Name: "name", Type: relstore.Text},
-		relstore.Column{Name: "lat", Type: relstore.Float},
-		relstore.Column{Name: "lon", Type: relstore.Float},
-		relstore.Column{Name: "keywords", Type: relstore.Text},
-		relstore.Column{Name: "hotness", Type: relstore.Float},
-		relstore.Column{Name: "interest", Type: relstore.Float},
-	)
-	if err != nil {
-		return nil, err
-	}
-	table, err := db.CreateTable("pois", schema)
-	if err != nil {
-		return nil, err
-	}
-	if err := table.CreateIndex("hotness"); err != nil {
-		return nil, err
-	}
-	if err := table.CreateIndex("name"); err != nil {
-		return nil, err
-	}
-	if err := table.CreateSpatialIndex("lat", "lon"); err != nil {
-		return nil, err
-	}
-	return &POIRepo{table: table}, nil
-}
-
-func poiToRow(p model.POI) relstore.Row {
-	return relstore.Row{
-		relstore.IntVal(p.ID),
-		relstore.TextVal(p.Name),
-		relstore.FloatVal(p.Lat),
-		relstore.FloatVal(p.Lon),
-		relstore.TextVal(p.KeywordString()),
-		relstore.FloatVal(p.Hotness),
-		relstore.FloatVal(p.Interest),
-	}
-}
-
-func rowToPOI(r relstore.Row) model.POI {
-	p := model.POI{
-		ID:       r[poiColID].I,
-		Name:     r[poiColName].S,
-		Lat:      r[poiColLat].F,
-		Lon:      r[poiColLon].F,
-		Hotness:  r[poiColHotness].F,
-		Interest: r[poiColInterest].F,
-	}
-	if r[poiColKeywords].S != "" {
-		p.Keywords = splitWords(r[poiColKeywords].S)
-	}
-	return p
-}
-
-func splitWords(s string) []string {
-	var out []string
-	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ' ' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	return out
+// NewPOIRepo creates an empty repository.
+func NewPOIRepo() *POIRepo {
+	return &POIRepo{pois: make(map[int64]model.POI)}
 }
 
 // Insert adds a POI. A zero ID is auto-assigned from a reserved high range
 // (above 10⁹) so user- and event-created POIs never collide with catalog
-// ids; the stored POI is returned.
+// ids; inserting an id already present fails. The repository keeps its own
+// copy of the keyword list, so the caller may reuse p; the stored POI is
+// returned.
 func (r *POIRepo) Insert(p model.POI) (model.POI, error) {
+	if len(p.Keywords) == 0 {
+		p.Keywords = nil
+	} else {
+		p.Keywords = slices.Clip(slices.Clone(p.Keywords))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if p.ID == 0 {
-		p.ID = 1_000_000_000 + r.nextID.Add(1)
+		r.nextID++
+		p.ID = 1_000_000_000 + r.nextID
 	}
-	if err := r.table.Insert(poiToRow(p)); err != nil {
-		return model.POI{}, err
+	if _, dup := r.pois[p.ID]; dup {
+		return model.POI{}, fmt.Errorf("repos: duplicate POI id %d", p.ID)
 	}
+	r.pois[p.ID] = p
 	return p, nil
 }
 
-// Get fetches one POI by id.
+// Get fetches one POI by id. It does not copy: the returned Keywords slice
+// is the stored one, shared with every other reader, and must be treated
+// as read-only (its capacity equals its length, so an append reallocates).
 func (r *POIRepo) Get(id int64) (model.POI, bool) {
-	row, ok := r.table.Get(id)
-	if !ok {
-		return model.POI{}, false
-	}
-	return rowToPOI(row), true
+	r.mu.RLock()
+	p, ok := r.pois[id]
+	r.mu.RUnlock()
+	return p, ok
 }
 
 // Len returns the catalog size.
-func (r *POIRepo) Len() int { return r.table.Len() }
+func (r *POIRepo) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.pois)
+}
 
 // UpdateHotIn sets the hotness and interest metrics of one POI (the HotIn
 // Update module's write path).
 func (r *POIRepo) UpdateHotIn(id int64, hotness, interest float64) error {
-	row, ok := r.table.Get(id)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p, ok := r.pois[id]
 	if !ok {
 		return fmt.Errorf("repos: no POI %d", id)
 	}
-	row[poiColHotness] = relstore.FloatVal(hotness)
-	row[poiColInterest] = relstore.FloatVal(interest)
-	return r.table.Update(row)
+	p.Hotness, p.Interest = hotness, interest
+	r.pois[id] = p
+	return nil
 }
 
-// All streams the full catalog in id order (used to bootstrap connectors
-// and the event-detection filter).
-func (r *POIRepo) All() ([]model.POI, error) {
-	rows, _, err := r.table.Select(relstore.Query{})
-	if err != nil {
-		return nil, err
+// All returns the full catalog in id order (the event-detection filter and
+// the blog generator's POI matcher read it). As with Get, the keyword
+// slices are the stored ones and read-only.
+func (r *POIRepo) All() []model.POI {
+	r.mu.RLock()
+	out := make([]model.POI, 0, len(r.pois))
+	for _, p := range r.pois {
+		out = append(out, p)
 	}
-	out := make([]model.POI, len(rows))
-	for i, row := range rows {
-		out[i] = rowToPOI(row)
-	}
-	return out, nil
+	r.mu.RUnlock()
+	slices.SortFunc(out, func(a, b model.POI) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // ResolvePOI implements the collector's POIResolver against the catalog.
@@ -169,48 +109,37 @@ type CategoryStat struct {
 }
 
 // CategoryStats aggregates the catalog per leading keyword (the POI's
-// category): counts and hotness/interest statistics, optionally restricted
-// to a bounding box.
-func (r *POIRepo) CategoryStats(bbox *geo.Rect) ([]CategoryStat, error) {
-	// Group on the name prefix? The category is the first keyword; the
-	// keywords column stores "category extra...", so grouping needs a
-	// derived value. The relational store groups on stored columns only,
-	// so group on the full keyword string and fold prefixes here.
-	rows, err := r.table.GroupBy(relstore.Query{Within: bbox}, "keywords", []relstore.Aggregation{
-		{Func: relstore.Count},
-		{Func: relstore.Avg, Column: "hotness"},
-		{Func: relstore.Max, Column: "hotness"},
-		{Func: relstore.Avg, Column: "interest"},
-	})
-	if err != nil {
-		return nil, err
-	}
+// category; "uncategorized" when it has none): counts and hotness/interest
+// statistics, optionally restricted to a bounding box. It sums in id order,
+// so repeated calls over the same catalog return the same means.
+func (r *POIRepo) CategoryStats(bbox *geo.Rect) []CategoryStat {
+	all := r.All()
 	byCat := map[string]*CategoryStat{}
-	for _, g := range rows {
-		words := splitWords(g.Key.S)
+	for i := range all {
+		p := &all[i]
+		if bbox != nil && !bbox.Contains(p.Point()) {
+			continue
+		}
 		cat := "uncategorized"
-		if len(words) > 0 {
-			cat = words[0]
+		if len(p.Keywords) > 0 {
+			cat = p.Keywords[0]
 		}
 		s := byCat[cat]
 		if s == nil {
-			s = &CategoryStat{Category: cat}
+			s = &CategoryStat{Category: cat, MaxHotness: p.Hotness}
 			byCat[cat] = s
 		}
-		n := int(g.Values[0])
-		// Merge weighted averages across keyword-string groups.
-		total := float64(s.POIs + n)
-		s.AvgHotness = (s.AvgHotness*float64(s.POIs) + g.Values[1]*float64(n)) / total
-		s.AvgInterest = (s.AvgInterest*float64(s.POIs) + g.Values[3]*float64(n)) / total
-		if g.Values[2] > s.MaxHotness {
-			s.MaxHotness = g.Values[2]
-		}
-		s.POIs += n
+		s.POIs++
+		s.AvgHotness += p.Hotness // a sum until the division below
+		s.AvgInterest += p.Interest
+		s.MaxHotness = max(s.MaxHotness, p.Hotness)
 	}
 	out := make([]CategoryStat, 0, len(byCat))
 	for _, s := range byCat {
+		s.AvgHotness /= float64(s.POIs)
+		s.AvgInterest /= float64(s.POIs)
 		out = append(out, *s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Category < out[j].Category })
-	return out, nil
+	slices.SortFunc(out, func(a, b CategoryStat) int { return cmp.Compare(a.Category, b.Category) })
+	return out
 }

@@ -12,7 +12,6 @@ import (
 	"modissense/internal/geo"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
-	"modissense/internal/relstore"
 	"modissense/internal/trajectory"
 	"modissense/internal/workload"
 )
@@ -67,11 +66,7 @@ func TestUserSplitKeys(t *testing.T) {
 
 func newTestPOIRepo(t testing.TB) (*POIRepo, []model.POI) {
 	t.Helper()
-	db := relstore.NewDB()
-	repo, err := NewPOIRepo(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := NewPOIRepo()
 	pois := workload.GenPOIs(rand.New(rand.NewSource(3)), 500)
 	for _, p := range pois {
 		if _, err := repo.Insert(p); err != nil {
@@ -483,11 +478,7 @@ func TestVisitsFailedWriteSettlesUncommitted(t *testing.T) {
 }
 
 func TestBlogsRepo(t *testing.T) {
-	db := relstore.NewDB()
-	repo, err := NewBlogsRepo(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	repo := NewBlogsRepo()
 	day := time.Date(2015, 5, 31, 0, 0, 0, 0, time.UTC)
 	visits := []trajectory.Visit{
 		{
@@ -504,9 +495,9 @@ func TestBlogsRepo(t *testing.T) {
 	if stored.ID == 0 || stored.UserID != 42 || len(stored.Entries) != 1 {
 		t.Fatalf("stored = %+v", stored)
 	}
-	got, ok, err := repo.Get(42, day.Add(13*time.Hour)) // any time that day
-	if err != nil || !ok {
-		t.Fatalf("Get = %v %v", ok, err)
+	got, ok := repo.Get(42, day.Add(13*time.Hour)) // any time that day
+	if !ok {
+		t.Fatal("Get found no blog")
 	}
 	if got.ID != stored.ID || got.Entries[0].POI.Name != "Syntagma Square" {
 		t.Errorf("got = %+v", got)
@@ -520,15 +511,14 @@ func TestBlogsRepo(t *testing.T) {
 	if stored2.ID != stored.ID {
 		t.Errorf("resave must keep id %d, got %d", stored.ID, stored2.ID)
 	}
-	list, err := repo.ListUser(42)
-	if err != nil || len(list) != 1 {
-		t.Fatalf("ListUser = %v, %v", list, err)
+	if list := repo.ListUser(42); len(list) != 1 {
+		t.Fatalf("ListUser = %v", list)
 	}
 	// Share flag.
 	if err := repo.MarkShared(stored.ID); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ = repo.Get(42, day)
+	got, _ = repo.Get(42, day)
 	if !got.Shared {
 		t.Error("blog must be marked shared")
 	}
@@ -539,11 +529,11 @@ func TestBlogsRepo(t *testing.T) {
 	if _, err := repo.Save(blog); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ = repo.Get(42, day)
+	got, _ = repo.Get(42, day)
 	if !got.Shared {
 		t.Error("share flag must survive resave")
 	}
-	if _, ok, _ := repo.Get(42, day.Add(48*time.Hour)); ok {
+	if _, ok := repo.Get(42, day.Add(48*time.Hour)); ok {
 		t.Error("different day must be absent")
 	}
 	if _, err := repo.Save(nil); err == nil {

@@ -20,13 +20,13 @@
 //   - sim        — discrete-event simulation kernel (virtual time)
 //   - cluster    — simulated worker nodes + calibrated cost model
 //   - kvstore    — LSM key-value store with regions and coprocessors (HBase role)
-//   - relstore   — indexed relational store (PostgreSQL role)
 //   - mapreduce  — MapReduce engine (Hadoop role)
 //   - textproc   — Porter stemmer, BNS, Naive Bayes sentiment pipeline (Mahout role)
 //   - dbscan     — sequential DBSCAN + MR-DBSCAN event detection
 //   - trajectory — stay points, POI matching, daily blog generation
 //   - social     — connector plugins, OAuth-style sign-in, data collection
-//   - repos      — the six datastore repositories of the paper's §2.1
+//   - repos      — the six datastore repositories of the paper's §2.1 (POI and
+//     Blogs as keyed maps in PostgreSQL's role, the rest on kvstore)
 //   - matview    — the HotIn module: incrementally maintained hotness/trending
 //     view (the paper's periodic MapReduce job is its test oracle, hotin)
 //   - query      — coprocessor-based personalized query answering
