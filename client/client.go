@@ -14,11 +14,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"modissense/internal/jsonwire"
 	"modissense/internal/model"
 	"modissense/internal/obs"
 	"modissense/internal/query"
@@ -182,6 +182,7 @@ type apiEnvelope struct {
 }
 
 // do sends a request and decodes the JSON response into out (when non-nil).
+// A body is marshalled with encoding/json unless it is a jsonBody.
 func (c *Client) do(method, path string, body, out interface{}) error {
 	return c.doCtx(context.Background(), method, path, body, out)
 }
@@ -192,7 +193,11 @@ func (c *Client) do(method, path string, body, out interface{}) error {
 // hint with downward jitter; every other failure returns immediately.
 func (c *Client) doCtx(ctx context.Context, method, path string, body, out interface{}) error {
 	var raw []byte
-	if body != nil {
+	switch b := body.(type) {
+	case nil:
+	case jsonBody:
+		raw = b
+	default:
 		var err error
 		if raw, err = json.Marshal(body); err != nil {
 			return fmt.Errorf("client: marshal request: %w", err)
@@ -304,41 +309,57 @@ func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, ha
 	return nil
 }
 
-// bodyBufs recycles the buffers answers are read into. DecodeJSON keeps no
-// reference to its input, so a buffer is reusable as soon as it returns; one
-// grown past maxPooledBody is left to the collector.
+// bodyBufs recycles the buffers requests are encoded into and answers are
+// read into; one grown past maxPooledBody is left to the collector. An
+// answer buffer is reusable once DecodeJSON returns (it keeps no reference
+// to its input). A request buffer is reusable once the call returns: the
+// server has answered by then, so it has either read the body or refused
+// the request unread, and then whatever the transport may still be sending
+// from the buffer is discarded unread.
 var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 64 << 10
+
+func releaseBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyBufs.Put(bp)
+	}
+}
 
 // readAndDecode reads a search or trending answer into a pooled buffer,
 // sized from the Content-Length when the server sent one, and decodes it in
 // one pass (query.Result.DecodeJSON) instead of through encoding/json.
 func readAndDecode(resp *http.Response, res *query.Result) error {
 	bp := bodyBufs.Get().(*[]byte)
-	buf := (*bp)[:0]
-	if n := resp.ContentLength; n > int64(cap(buf)) && n <= maxPooledBody {
-		buf = make([]byte, 0, n)
+	defer releaseBody(bp)
+	buf, err := jsonwire.ReadBody(resp.Body, (*bp)[:0], resp.ContentLength, maxPooledBody)
+	*bp = buf
+	if err != nil {
+		return err
 	}
-	for {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, bytes.MinRead)
-		}
-		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
+	return res.DecodeJSON(buf)
+}
+
+// jsonBody is a request body already encoded, sent as it is.
+type jsonBody []byte
+
+// encodedBody is a request form with a hand encoder: appendJSON appends
+// json.Marshal's bytes for it.
+type encodedBody interface {
+	appendJSON(dst []byte) ([]byte, error)
+}
+
+// postCtx sends body, appended into a pooled buffer rather than marshalled,
+// and decodes the answer into out.
+func (c *Client) postCtx(ctx context.Context, path string, body encodedBody, out interface{}) error {
+	bp := bodyBufs.Get().(*[]byte)
+	defer releaseBody(bp)
+	raw, err := body.appendJSON((*bp)[:0])
+	if err != nil {
+		return fmt.Errorf("client: marshal request: %w", err)
 	}
-	err := res.DecodeJSON(buf)
-	if cap(buf) <= maxPooledBody {
-		*bp = buf
-		bodyBufs.Put(bp)
-	}
-	return err
+	*bp = raw
+	return c.doCtx(ctx, http.MethodPost, path, jsonBody(raw), out)
 }
 
 // Session is the result of a sign-in or link call.
@@ -397,7 +418,7 @@ func (c *Client) Search(p SearchParams) (*query.Result, error) {
 }
 
 // searchRequest is the body of POST /search: the keys of the server's
-// searchJSON, with an open window end left out.
+// searchJSON, with an open window end left out. appendJSON writes it.
 type searchRequest struct {
 	Token   string  `json:"token"`
 	MinLat  float64 `json:"min_lat"`
@@ -415,7 +436,7 @@ type searchRequest struct {
 // SearchCtx is Search bound to a caller context; cancelling it aborts the
 // query server-side mid-scan.
 func (c *Client) SearchCtx(ctx context.Context, p SearchParams) (*query.Result, error) {
-	body := &searchRequest{
+	body := searchRequest{
 		Token:  c.token,
 		MinLat: p.MinLat, MinLon: p.MinLon, MaxLat: p.MaxLat, MaxLon: p.MaxLon,
 		Keyword: p.Keyword,
@@ -430,10 +451,55 @@ func (c *Client) SearchCtx(ctx context.Context, p SearchParams) (*query.Result, 
 		body.To = p.To.Format(time.RFC3339)
 	}
 	var out query.Result
-	if err := c.doCtx(ctx, http.MethodPost, "/api/v1/search", body, &out); err != nil {
+	if err := c.postCtx(ctx, "/api/v1/search", &body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
+}
+
+// appendJSON appends json.Marshal(r)'s bytes to dst. A NaN or infinite
+// coordinate is json.Marshal's *json.UnsupportedValueError.
+func (r *searchRequest) appendJSON(dst []byte) ([]byte, error) {
+	w := jsonwire.Writer{B: dst}
+	w.Raw(`{"token":`)
+	w.String(r.Token)
+	w.Raw(`,"min_lat":`)
+	w.Float(r.MinLat)
+	w.Raw(`,"min_lon":`)
+	w.Float(r.MinLon)
+	w.Raw(`,"max_lat":`)
+	w.Float(r.MaxLat)
+	w.Raw(`,"max_lon":`)
+	w.Float(r.MaxLon)
+	w.Raw(`,"keyword":`)
+	w.String(r.Keyword)
+	w.Raw(`,"friends":`)
+	if r.Friends == nil {
+		w.Raw("null")
+	} else {
+		w.Raw("[")
+		for i, id := range r.Friends {
+			if i > 0 {
+				w.Raw(",")
+			}
+			w.Int(id)
+		}
+		w.Raw("]")
+	}
+	if r.From != "" {
+		w.Raw(`,"from":`)
+		w.String(r.From)
+	}
+	if r.To != "" {
+		w.Raw(`,"to":`)
+		w.String(r.To)
+	}
+	w.Raw(`,"order_by":`)
+	w.String(r.OrderBy)
+	w.Raw(`,"limit":`)
+	w.Int(int64(r.Limit))
+	w.Raw("}")
+	return w.B, w.Err
 }
 
 // Trending fetches the hottest places in the box over the hours before
@@ -527,10 +593,52 @@ func (c *Client) PushCheckins(checkins []Checkin) (BatchResult, error) {
 // PushCheckinsCtx is PushCheckins bound to a caller context.
 func (c *Client) PushCheckinsCtx(ctx context.Context, checkins []Checkin) (BatchResult, error) {
 	var out BatchResult
-	err := c.doCtx(ctx, http.MethodPost, "/api/v1/checkins", map[string]interface{}{
-		"token": c.token, "checkins": checkins,
-	}, &out)
+	err := c.postCtx(ctx, "/api/v1/checkins", &checkinsBody{Checkins: checkins, Token: c.token}, &out)
 	return out, err
+}
+
+// checkinsBody is the body of POST /checkins: the keys of the server's
+// checkinsRequest, in the sorted order the body had when it was a
+// map[string]interface{}. appendJSON writes it.
+type checkinsBody struct {
+	Checkins []Checkin `json:"checkins"`
+	Token    string    `json:"token"`
+}
+
+// appendJSON appends json.Marshal(b)'s bytes to dst. A NaN or infinite
+// grade is json.Marshal's *json.UnsupportedValueError.
+func (b *checkinsBody) appendJSON(dst []byte) ([]byte, error) {
+	w := jsonwire.Writer{B: dst}
+	w.Raw(`{"checkins":`)
+	if b.Checkins == nil {
+		w.Raw("null")
+	} else {
+		w.Raw("[")
+		for i := range b.Checkins {
+			if i > 0 {
+				w.Raw(",")
+			}
+			c := &b.Checkins[i]
+			w.Raw(`{"poi_id":`)
+			w.Int(c.POIID)
+			w.Raw(`,"time":`)
+			w.Int(c.Time)
+			if c.Grade != 0 {
+				w.Raw(`,"grade":`)
+				w.Float(c.Grade)
+			}
+			if c.Network != "" {
+				w.Raw(`,"network":`)
+				w.String(c.Network)
+			}
+			w.Raw("}")
+		}
+		w.Raw("]")
+	}
+	w.Raw(`,"token":`)
+	w.String(b.Token)
+	w.Raw("}")
+	return w.B, w.Err
 }
 
 // Blog is the client view of a stored daily blog.

@@ -75,12 +75,20 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// resultBufs recycles the buffers search and trending answers are encoded
-// into. A buffer grown past maxPooledResult (a limit = 0 answer) is left to
-// the collector rather than pinned in the pool.
-var resultBufs = sync.Pool{New: func() any { return new([]byte) }}
+// bodyBufs recycles the buffers search and check-in requests are read into
+// and search and trending answers are encoded into. A buffer grown past
+// maxPooledBody (a limit = 0 answer, a huge batch) is left to the collector
+// rather than pinned in the pool.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-const maxPooledResult = 64 << 10
+const maxPooledBody = 64 << 10
+
+// releaseBody returns a buffer to bodyBufs unless it grew too large.
+func releaseBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyBufs.Put(bp)
+	}
+}
 
 // writeResult answers a search or trending request with the bytes writeJSON
 // would send — query.Result.AppendJSON is encoding/json's output, plus the
@@ -88,23 +96,20 @@ const maxPooledResult = 64 << 10
 // before the status is committed, so an unencodable answer (a NaN score) is
 // the 500 envelope rather than a 200 with an empty body.
 func writeResult(w http.ResponseWriter, r *http.Request, res *query.Result) {
-	bp := resultBufs.Get().(*[]byte)
+	bp := bodyBufs.Get().(*[]byte)
+	defer releaseBody(bp)
 	b, err := res.AppendJSON((*bp)[:0])
 	if err != nil {
-		resultBufs.Put(bp)
 		writeErrCode(w, r, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
 	b = append(b, '\n')
+	*bp = b
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
-	if cap(b) <= maxPooledResult {
-		*bp = b
-		resultBufs.Put(bp)
-	}
 }
 
 // writeErrCode emits the error envelope with an explicit code.
@@ -175,14 +180,9 @@ func writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-func decodeBody(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("core: invalid request body: %w", err)
-	}
-	return nil
-}
+// decodeBody decodes a request body with encoding/json, unknown fields
+// refused. Search and check-in bodies go through decodeRequest instead.
+func decodeBody(r *http.Request, v interface{}) error { return decodeJSON(r.Body, v) }
 
 type signInRequest struct {
 	Network     string `json:"network"`
@@ -286,7 +286,7 @@ func parseTimeOr(s string, fallback time.Time) (time.Time, error) {
 
 func (p *Platform) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchJSON
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
@@ -471,7 +471,7 @@ type checkinsResponse struct {
 
 func (p *Platform) handleCheckins(w http.ResponseWriter, r *http.Request) {
 	var req checkinsRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}

@@ -108,8 +108,8 @@ func TestAPIResultBytes(t *testing.T) {
 	}
 
 	search.Limit = 0
-	if all, raw := fetchAnswer(t, c, "/api/v1/search", search); len(raw) <= maxPooledResult || len(all.POIs) != len(p.Catalog())+1 {
-		t.Errorf("unlimited search: %d bytes, %d POIs; want over %d bytes and every POI", len(raw), len(all.POIs), maxPooledResult)
+	if all, raw := fetchAnswer(t, c, "/api/v1/search", search); len(raw) <= maxPooledBody || len(all.POIs) != len(p.Catalog())+1 {
+		t.Errorf("unlimited search: %d bytes, %d POIs; want over %d bytes and every POI", len(raw), len(all.POIs), maxPooledBody)
 	}
 
 	floor := base.Add(6 * 24 * time.Hour)
