@@ -55,15 +55,21 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-## census is the flake census: the whole suite twenty times under the race
-## detector, two packages at a time, output kept in census.log. It prints
-## every failing test with the lines that follow its FAIL (where a test
-## prints its seed), then how often each test failed, and exits non-zero if
-## any run failed. Tens of minutes on two CPUs, so it is not part of check;
-## the per-package timeout is an hour because twenty race runs of the
-## slowest packages outlast go test's default ten minutes.
+## census is the flake census, in two passes whose output is kept in
+## census.log: the whole suite twenty times under the race detector, two
+## packages at a time, then twenty times without it, four packages at a
+## time. The second pass is there because some flakes need the timing of
+## uninstrumented code and of packages running side by side, which the race
+## pass does not give them. It prints every failing test with the lines
+## that follow its FAIL (where a test prints its seed), then how often each
+## test failed, and exits non-zero if any run failed. Tens of minutes on two
+## CPUs, so it is not part of check; the per-package timeout is an hour
+## because twenty race runs of the slowest packages outlast go test's
+## default ten minutes.
 census:
 	@$(GO) test -race -count=20 -p 2 -timeout 1h ./... > census.log 2>&1; status=$$?; \
+	echo '== non-race pass: -count=20 -p 4 ==' >> census.log; \
+	$(GO) test -count=20 -p 4 -timeout 1h ./... >> census.log 2>&1 || status=1; \
 	grep -A4 -e '--- FAIL' census.log; \
 	echo "census: failures per test (full output in census.log):"; \
 	grep -o -e '--- FAIL: [^ ]*' census.log | sort | uniq -c | sort -rn; \

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,6 +125,37 @@ func TestAPICheckinsBatch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPushCheckinsRejectsNaNGrade: JSON cannot carry a NaN, but a Go caller
+// of PushCheckins can. A NaN grade fails every ordered comparison, so a range
+// check written as "below 0 or above 5" lets it through; it must be rejected
+// as a bad item like any other out-of-range grade, and leave no row.
+func TestPushCheckinsRejectsNaNGrade(t *testing.T) {
+	_, p := newIngestClient(t, nil)
+	acct, token, err := p.Users.SignIn("facebook", "facebook:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	poi := p.Catalog()[0]
+	stored, itemErrs, err := p.PushCheckins(token, []CheckinPush{
+		{POIID: poi.ID, Time: 1000, Grade: 4, Network: "facebook"},
+		{POIID: poi.ID, Time: 2000, Grade: math.NaN(), Network: "facebook"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored != 1 || len(itemErrs) != 1 || itemErrs[0].Index != 1 || itemErrs[0].Code != codeBadRequest {
+		t.Fatalf("push stored %d with item errors %+v, want 1 stored and item 1 a bad_request", stored, itemErrs)
+	}
+	if err := p.Visits.ScanAll(func(v model.Visit) bool {
+		if v.UserID == acct.UserID && math.IsNaN(v.Grade) {
+			t.Errorf("a NaN grade was stored: %+v", v)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

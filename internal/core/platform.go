@@ -602,7 +602,7 @@ func (p *Platform) UpdateHotIn(from, to time.Time) (HotInStats, error) {
 	for _, a := range aggs {
 		stats.VisitsAggregated += a.Visits
 		hotness := float64(a.Visits) / float64(stats.MaxVisits)
-		interest := (a.GradeSum/float64(a.Visits) - 1) / 4
+		interest := (model.MeanGrade(a.GradeUnits, a.Visits) - 1) / 4
 		if err := p.POIs.UpdateHotIn(a.POI.ID, hotness, interest); err != nil {
 			continue // visited, but no longer (or never) in the catalog
 		}
@@ -712,7 +712,7 @@ func (p *Platform) PushCheckins(token string, items []CheckinPush) (int, []Check
 				Message: fmt.Sprintf("core: non-positive timestamp %d", it.Time)})
 			continue
 		}
-		if it.Grade < 0 || it.Grade > 5 {
+		if !(it.Grade >= 0 && it.Grade <= 5) { // NaN fails both
 			itemErrs = append(itemErrs, CheckinItemError{Index: i, Code: codeBadRequest,
 				Message: fmt.Sprintf("core: grade %g out of the 0-5 range", it.Grade)})
 			continue

@@ -2,7 +2,6 @@ package hotin
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 // TestUpdateHotInMatchesMRJob is the differential oracle for the production
 // hotness path: for seeded random check-in streams under both visit schemas,
 // the hotness/interest core.Platform.UpdateHotIn writes from the incremental
-// view equal, to 1e-9, what the MapReduce job computes from a scan of the
+// view equal exactly what the MapReduce job computes from a scan of the
 // Visits table over the same bucket-aligned window, and both leave a POI
 // with no visit in the window untouched. The comparison is repeated after
 // closing and rebooting the platform over its WAL — the view is then rebuilt
@@ -70,10 +69,11 @@ func boot(t *testing.T, cfg core.Config) *core.Platform {
 	return p
 }
 
-// pushRandom pushes n check-ins, numbered from first, by five users to the first third of the
-// catalog (the rest stays unvisited) at random grades and instants. Instant
-// i lies i ms after a random whole second, so no two check-ins of the whole
-// stream share a (user, time) row.
+// pushRandom pushes n check-ins, numbered from first, by five users to the
+// first third of the catalog (the rest stays unvisited) at random instants
+// and at random fractional grades, like the classifier's. Instant i lies
+// i ms after a random whole second, so no two check-ins of the whole stream
+// share a (user, time) row.
 func pushRandom(t *testing.T, p *core.Platform, rng *rand.Rand, first, n int) {
 	t.Helper()
 	visited := p.Catalog()[:len(p.Catalog())/3]
@@ -83,7 +83,7 @@ func pushRandom(t *testing.T, p *core.Platform, rng *rand.Rand, first, n int) {
 		u := rng.Intn(len(batches))
 		batches[u] = append(batches[u], core.CheckinPush{
 			POIID: visited[rng.Intn(len(visited))].ID, Time: at.UnixMilli(),
-			Grade: float64(1 + rng.Intn(5)), Network: "facebook",
+			Grade: 1 + 4*rng.Float64(), Network: "facebook",
 		})
 	}
 	for u, batch := range batches {
@@ -152,7 +152,7 @@ func compareWindows(t *testing.T, p *core.Platform, rng *rand.Rand) {
 		untouched := 0
 		for id, j := range job {
 			v := view[id]
-			if math.Abs(v.hotness-j.hotness) > 1e-9 || math.Abs(v.interest-j.interest) > 1e-9 {
+			if v != j {
 				t.Errorf("window %s..%s poi %d: view wrote %+v, MR job %+v", from, to, id, v, j)
 			}
 			if j == sentinel {

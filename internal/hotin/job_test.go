@@ -49,12 +49,14 @@ type Stats struct {
 }
 
 // poiAggregate is the reducer's per-POI output. Weight equals Visits when
-// decay is disabled; under decay it is the sum of the visits' decay
-// factors, and WeightedGradeSum weights each grade the same way.
+// decay is disabled, and GradeUnits sums the grades in model.GradeUnits;
+// under decay Weight is the sum of the visits' decay factors, and
+// WeightedGradeSum weights each grade the same way.
 type poiAggregate struct {
 	POIID            int64
 	Visits           int
 	Weight           float64
+	GradeUnits       int64
 	WeightedGradeSum float64
 }
 
@@ -107,7 +109,7 @@ func Run(visits *repos.VisitsRepo, pois *repos.POIRepo, cfg Config) (Stats, erro
 				w = math.Exp2(-age / float64(cfg.DecayHalfLifeMillis))
 			}
 			emit(fmt.Sprintf("p%012d", v.POI.ID), poiAggregate{
-				POIID: v.POI.ID, Visits: 1, Weight: w, WeightedGradeSum: v.Grade * w,
+				POIID: v.POI.ID, Visits: 1, Weight: w, GradeUnits: model.GradeUnits(v.Grade), WeightedGradeSum: v.Grade * w,
 			})
 			return nil
 		}),
@@ -143,9 +145,12 @@ func Run(visits *repos.VisitsRepo, pois *repos.POIRepo, cfg Config) (Stats, erro
 		if maxWeight > 0 {
 			hotness = a.Weight / maxWeight
 		}
-		interest := 0.0
-		if a.Weight > 0 {
-			interest = (a.WeightedGradeSum/a.Weight - 1) / 4 // [1,5] → [0,1]
+		var interest float64 // the mean grade, [1,5] → [0,1]
+		switch {
+		case cfg.DecayHalfLifeMillis <= 0:
+			interest = (model.MeanGrade(a.GradeUnits, a.Visits) - 1) / 4
+		case a.Weight > 0:
+			interest = (a.WeightedGradeSum/a.Weight - 1) / 4
 		}
 		if err := pois.UpdateHotIn(a.POIID, hotness, interest); err != nil {
 			// POIs that vanished from the catalog (or unresolved ids under
@@ -170,6 +175,7 @@ func sumReducer() mapreduce.Reducer {
 			total.POIID = a.POIID
 			total.Visits += a.Visits
 			total.Weight += a.Weight
+			total.GradeUnits += a.GradeUnits
 			total.WeightedGradeSum += a.WeightedGradeSum
 		}
 		emit(key, total)

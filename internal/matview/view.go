@@ -57,9 +57,9 @@ type slot struct {
 
 // counter is one POI's aggregate inside one bucket, addressed by slot.
 type counter struct {
-	gradeSum float64
-	visits   int64
-	slot     int32
+	gradeUnits int64
+	visits     int64
+	slot       int32
 }
 
 // bucket holds one time bucket's non-zero counters contiguously, in the
@@ -182,7 +182,7 @@ func (v *HotInView) Apply(visits []model.Visit) {
 		}
 		c := &b.entries[p]
 		c.visits++
-		c.gradeSum += vis.Grade
+		c.gradeUnits += model.GradeUnits(vis.Grade)
 	}
 	v.expireLocked()
 	buckets, pois := int64(len(v.buckets)), int64(len(v.slotOf))
@@ -283,20 +283,21 @@ func (spec *TopKSpec) selects(poi *model.POI) bool {
 	return spec.Keyword == "" || slices.Contains(poi.Keywords, spec.Keyword)
 }
 
-// Agg is one POI's aggregate over a queried window.
+// Agg is one POI's aggregate over a queried window; GradeUnits sums its
+// visits' grades in model.GradeUnits.
 type Agg struct {
-	POI      model.POI
-	Visits   int
-	GradeSum float64
+	POI        model.POI
+	Visits     int
+	GradeUnits int64
 }
 
 // candidate is what the ranking sorts: a selected POI's window totals and
 // its slot, 32 bytes, with no metadata attached.
 type candidate struct {
-	visits   int64
-	id       int64
-	gradeSum float64
-	slot     int32
+	visits     int64
+	id         int64
+	gradeUnits int64
+	slot       int32
 }
 
 // compare orders candidates by visits descending, then POI id ascending.
@@ -353,8 +354,8 @@ func (v *HotInView) TopK(spec TopKSpec) ([]Agg, int) {
 // history; it allocates four slices whatever the window.
 func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
 	type sum struct {
-		visits   int64
-		gradeSum float64
+		visits     int64
+		gradeUnits int64
 	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -384,7 +385,7 @@ func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
 			c := &b.entries[i]
 			s := &sums[acc[c.slot]]
 			s.visits += c.visits
-			s.gradeSum += c.gradeSum
+			s.gradeUnits += c.gradeUnits
 		}
 	}
 	from, width := v.floorBucket(served), uint64(v.bucketMillis)
@@ -424,7 +425,7 @@ func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
 		if s.visits == 0 {
 			continue
 		}
-		c := candidate{visits: s.visits, id: v.slots[i].poi.ID, gradeSum: s.gradeSum, slot: int32(i)}
+		c := candidate{visits: s.visits, id: v.slots[i].poi.ID, gradeUnits: s.gradeUnits, slot: int32(i)}
 		switch {
 		case len(ranked) < keep:
 			ranked = append(ranked, c)
@@ -442,7 +443,7 @@ func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
 	aggs := make([]Agg, len(ranked))
 	for i := range ranked {
 		c := &ranked[i]
-		aggs[i] = Agg{POI: v.slots[c.slot].poi, Visits: int(c.visits), GradeSum: c.gradeSum}
+		aggs[i] = Agg{POI: v.slots[c.slot].poi, Visits: int(c.visits), GradeUnits: c.gradeUnits}
 	}
 	return aggs, candidates, served
 }

@@ -108,7 +108,7 @@ func (o *viewOracle) topK(spec TopKSpec) ([]Agg, int) {
 			sums[poi.ID] = a
 		}
 		a.Visits++
-		a.GradeSum += v.Grade
+		a.GradeUnits += model.GradeUnits(v.Grade)
 	}
 	aggs := make([]Agg, 0, len(sums))
 	for _, a := range sums {
@@ -138,6 +138,13 @@ func oraclePOI(id int64, era int) model.POI {
 	}
 }
 
+// bucketCount is the view's live bucket count.
+func bucketCount(v *HotInView) int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return len(v.buckets)
+}
+
 // TestViewAgainstOracle is the seeded differential test of the view's
 // layout: Apply batches with out-of-order and behind-the-horizon timestamps,
 // time jumps that expire most buckets, and a POI population that turns over
@@ -146,14 +153,8 @@ func oraclePOI(id int64, era int) model.POI {
 // equal the oracle's for a handful of random specs — box / keyword / both /
 // neither, limit 0 / 1 / 10 / above the candidate count, windows aligned
 // and not, wider than the horizon, wholly behind the floor, unbounded, empty
-// and inverted. Whole grades keep the sums exact in any order.
-// bucketCount is the view's live bucket count.
-func bucketCount(v *HotInView) int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.buckets)
-}
-
+// and inverted. Grades are fractional, as the classifier's are: sums in grade
+// units are exact in any order, so the aggregates compare with ==.
 func TestViewAgainstOracle(t *testing.T) {
 	const minute = int64(60 * 1000)
 	geometries := []ViewOptions{
@@ -233,7 +234,7 @@ func TestViewAgainstOracle(t *testing.T) {
 						at = now + rng.Int63n(opts.BucketMillis) // ahead of the batch's clock
 					}
 					id := int64(era*4+rng.Intn(12)) + 1
-					batch[i] = model.Visit{UserID: int64(i), POI: oraclePOI(id, era), Time: at, Grade: float64(1 + rng.Intn(5))}
+					batch[i] = model.Visit{UserID: int64(i), POI: oraclePOI(id, era), Time: at, Grade: 1 + 4*rng.Float64()}
 				}
 				v.Apply(batch)
 				o.apply(batch)

@@ -7,6 +7,7 @@ package model
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"modissense/internal/geo"
@@ -64,6 +65,19 @@ type Visit struct {
 	// POI carries the full replicated POI info.
 	POI POI `json:"poi"`
 }
+
+const gradeUnit = 1 << 20 // grade-sum units per grade point, a power of two
+
+// GradeUnits converts a grade to the int64 units every grade sum is kept in,
+// rounding it to a multiple of 2⁻²⁰ (whole and binary-fraction grades convert
+// exactly). Integer sums are the same in any order; at most 5·2²⁰ units per
+// visit leave a sum room for about 1.7·10¹² visits.
+func GradeUnits(g float64) int64 { return int64(math.Round(g * gradeUnit)) }
+
+// MeanGrade is the mean grade of visits whose grades sum to units, the one
+// place a grade sum is divided. For whole grades it is bit-identical to the
+// float64 sum of the grades divided by the visit count.
+func MeanGrade(units int64, visits int) float64 { return float64(units) / gradeUnit / float64(visits) }
 
 // Checkin is a raw social-network check-in collected by the Data
 // Collection module before processing.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -69,5 +70,70 @@ func TestGPSFixPoint(t *testing.T) {
 	f := GPSFix{Lat: 1, Lon: 2}
 	if pt := f.Point(); pt.Lat != 1 || pt.Lon != 2 {
 		t.Errorf("Point = %v", pt)
+	}
+}
+
+// TestGradeSumsOrderIndependent is the property every grade sum rests on:
+// grades added as GradeUnits give the same sum, and so the same MeanGrade,
+// in any order — which float64 sums of fractional grades do not — and for
+// whole grades MeanGrade is exactly the integer sum over the visit count.
+func TestGradeSumsOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	floatOrderMattered := false
+	for trial := 0; trial < 20; trial++ {
+		grades := make([]float64, 1+rng.Intn(300))
+		for i := range grades {
+			grades[i] = 5 * rng.Float64()
+		}
+		grades = append(grades, 0, 5, 0x1p-20) // the boundaries ride along
+		var firstUnits int64
+		var firstFloat float64
+		for order := 0; order < 50; order++ {
+			rng.Shuffle(len(grades), func(i, j int) { grades[i], grades[j] = grades[j], grades[i] })
+			var units int64
+			var sum float64
+			for _, g := range grades {
+				units += GradeUnits(g)
+				sum += g
+			}
+			if order == 0 {
+				firstUnits, firstFloat = units, sum
+				continue
+			}
+			if units != firstUnits || MeanGrade(units, len(grades)) != MeanGrade(firstUnits, len(grades)) {
+				t.Fatalf("trial %d order %d: %d units (mean %v), first order %d (mean %v)", trial, order,
+					units, MeanGrade(units, len(grades)), firstUnits, MeanGrade(firstUnits, len(grades)))
+			}
+			floatOrderMattered = floatOrderMattered || sum != firstFloat
+		}
+	}
+	if !floatOrderMattered {
+		t.Error("no shuffle moved a float64 sum: the property is vacuous")
+	}
+
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(500)
+		var units int64
+		var sum int
+		for i := 0; i < n; i++ {
+			g := rng.Intn(6) // 0..5
+			units += GradeUnits(float64(g))
+			sum += g
+		}
+		if got, want := MeanGrade(units, n), float64(sum)/float64(n); got != want {
+			t.Fatalf("%d whole grades summing to %d: mean %v, want %v", n, sum, got, want)
+		}
+	}
+
+	for _, c := range []struct {
+		grade float64
+		units int64
+	}{{0, 0}, {5, 5 << 20}, {0x1p-20, 1}, {3.5, 7 << 19}} {
+		if got := GradeUnits(c.grade); got != c.units {
+			t.Errorf("GradeUnits(%v) = %d, want %d", c.grade, got, c.units)
+		}
+		if got := MeanGrade(c.units, 1); got != c.grade {
+			t.Errorf("MeanGrade(%d, 1) = %v, want %v", c.units, got, c.grade)
+		}
 	}
 }

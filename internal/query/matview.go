@@ -145,18 +145,16 @@ func sameDoc(a, b *model.POI) bool {
 // into the candidates exactly as the coprocessor would have folded their
 // rows — the time window, then, under the replicated schema, the spec's
 // predicates on the visit's document (the normalized schema filters after
-// the join, in rank) — adding (1, grade) to the POI's candidate or creating
-// it with the visit's document. A visit the filters reject leaves the entry
-// as it was. The entry stops being exact, and is given up, when a scan could
-// produce something the fold cannot know:
+// the join, in rank) — adding (1, grade units) to the POI's candidate or
+// creating it with the visit's document. A visit the filters reject leaves
+// the entry as it was. The entry stops being exact, and is given up, when a
+// scan could produce something the fold cannot know:
 //
 //   - the candidate's document differs from the visit's (a scan keeps the
 //     document of the first row in key order, and POST /admin/hotin rewrites
 //     the hotness and interest new rows carry);
 //   - the spec cuts each region's aggregates at RegionTopK, so the
-//     candidates are truncated partials, not sums;
-//   - the grade, or one already in the candidate's sum, is fractional, so
-//     the floating-point sum depends on the order of the rows.
+//     candidates are truncated partials, not sums.
 func (c *cachedRanking) Patch(visits []model.Visit) (folded int, grew int64, exact bool) {
 	schema := c.e.visits.Schema()
 	for i := range visits {
@@ -168,20 +166,20 @@ func (c *cachedRanking) Patch(visits []model.Visit) (folded int, grew int64, exa
 		if schema == repos.SchemaReplicated && !c.spec.matchesPOI(&doc) {
 			continue
 		}
-		if c.spec.RegionTopK > 0 || fractional(v.Grade) {
+		if c.spec.RegionTopK > 0 {
 			return folded, grew, false
 		}
 		j, found := slices.BinarySearchFunc(c.cands, doc.ID, func(a poiAgg, id int64) int { return cmp.Compare(a.poi.ID, id) })
 		if found {
 			a := &c.cands[j]
-			if a.inexact || !sameDoc(&a.poi, &doc) {
+			if !sameDoc(&a.poi, &doc) {
 				return folded, grew, false
 			}
-			a.gradeSum += v.Grade
+			a.gradeUnits += model.GradeUnits(v.Grade)
 			a.visits++
 		} else {
 			before := cap(c.cands)
-			c.cands = slices.Insert(c.cands, j, poiAgg{poi: doc, gradeSum: v.Grade, visits: 1})
+			c.cands = slices.Insert(c.cands, j, poiAgg{poi: doc, gradeUnits: model.GradeUnits(v.Grade), visits: 1})
 			// The new candidate may lengthen the ranking by one.
 			grew += int64(cap(c.cands)-before)*aggBytes + docBytes(&doc) + scoredBytes
 		}
@@ -278,11 +276,7 @@ func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spe
 		res.EffectiveFromMillis = served
 	}
 	for _, a := range aggs {
-		score := 0.0
-		if a.Visits > 0 {
-			score = a.GradeSum / float64(a.Visits)
-		}
-		res.POIs = append(res.POIs, ScoredPOI{POI: a.POI, Score: score, Visits: a.Visits})
+		res.POIs = append(res.POIs, ScoredPOI{POI: a.POI, Score: model.MeanGrade(a.GradeUnits, a.Visits), Visits: a.Visits})
 	}
 	return res, nil
 }

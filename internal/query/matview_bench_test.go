@@ -11,12 +11,12 @@ import (
 )
 
 // benchCache builds the cached state of the repository benchmark's `mixed`
-// workload: a 300-user community with whole-grade histories, and 400 live
-// entries — 100 searchers with a fixed list of 30 friends each, four filters
-// apiece.
+// workload: a 300-user community with classifier-like (fractional) grade
+// histories, and 400 live entries — 100 searchers with a fixed list of 30
+// friends each, four filters apiece.
 func benchCache(b *testing.B) (*fixture, *matview.ResultCache, []Spec) {
 	b.Helper()
-	f := newFixtureWith(b, repos.SchemaReplicated, 4, 300, 20, wholeGrades)
+	f := newFixture(b, repos.SchemaReplicated, 4, 300)
 	cache := matview.NewResultCache(32 << 20)
 	wireCache(f, cache, attachView(b, f))
 	rng := rand.New(rand.NewSource(11))

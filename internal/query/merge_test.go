@@ -30,9 +30,9 @@ func TestStreamingTopKMatchesOracleProperty(t *testing.T) {
 				used[id] = true
 				// Small integer grades/visits force frequent score ties.
 				aggs[i] = poiAgg{
-					poi:      model.POI{ID: id},
-					gradeSum: float64(rng.Intn(12) + 1),
-					visits:   rng.Intn(4) + 1,
+					poi:        model.POI{ID: id},
+					gradeUnits: model.GradeUnits(float64(rng.Intn(12) + 1)),
+					visits:     rng.Intn(4) + 1,
 				}
 			}
 			k := rng.Intn(12) + 1

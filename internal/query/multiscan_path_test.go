@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -49,9 +48,8 @@ func oracleRegion(t *testing.T, cp *visitsCoprocessor, r *kvstore.Region) *regio
 				a = &poiAgg{poi: v.POI}
 				aggs[v.POI.ID] = a
 			}
-			a.gradeSum += v.Grade
+			a.gradeUnits += model.GradeUnits(v.Grade)
 			a.visits++
-			a.inexact = a.inexact || v.Grade != math.Trunc(v.Grade)
 			return true
 		})
 		if err != nil {

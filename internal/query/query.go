@@ -188,19 +188,13 @@ func NewEngine(visits *repos.VisitsRepo, pois *repos.POIRepo, clus *cluster.Clus
 }
 
 // poiAgg is one POI's aggregate: partial inside a region, summed over the
-// regions as a merge candidate.
+// regions as a merge candidate. The grade sum is in model.GradeUnits, so it
+// is the same whatever order the rows were added in.
 type poiAgg struct {
-	poi      model.POI
-	gradeSum float64
-	visits   int
-	// inexact marks a sum that took a fractional grade. Floating-point
-	// addition of whole grades is exact in any order; with a fractional one
-	// the sum depends on the order of the rows, so only a scan reproduces it.
-	inexact bool
+	poi        model.POI
+	gradeUnits int64
+	visits     int
 }
-
-// fractional reports whether a grade is not a whole number.
-func fractional(grade float64) bool { return grade != float64(int64(grade)) }
 
 // wireBytes estimates the serialized size of one partial aggregate as it
 // would travel region → web server (id, sums, name, keywords).
@@ -325,11 +319,8 @@ func (g *regionAggregator) add(poiID int64, grade float64) *poiAgg {
 		g.out.aggs = append(g.out.aggs, poiAgg{})
 	}
 	a := &g.out.aggs[i]
-	a.gradeSum += grade
+	a.gradeUnits += model.GradeUnits(grade)
 	a.visits++
-	if fractional(grade) {
-		a.inexact = true
-	}
 	return a
 }
 
@@ -385,8 +376,8 @@ func aggLess(order OrderBy, a, b *poiAgg) bool {
 			return a.visits > b.visits
 		}
 	default: // ByInterest
-		sa := a.gradeSum / float64(a.visits)
-		sb := b.gradeSum / float64(b.visits)
+		sa := model.MeanGrade(a.gradeUnits, a.visits)
+		sb := model.MeanGrade(b.gradeUnits, b.visits)
 		if sa != sb {
 			return sa > sb
 		}
@@ -706,9 +697,8 @@ func (e *Engine) sum(plan *queryPlan, stats *exec.Stats) ([]poiAgg, cluster.Copr
 				continue
 			}
 			cur := &cands[j]
-			cur.gradeSum += a.gradeSum
+			cur.gradeUnits += a.gradeUnits
 			cur.visits += a.visits
-			cur.inexact = cur.inexact || a.inexact
 		}
 	}
 	slices.SortFunc(cands, func(a, b poiAgg) int { return cmp.Compare(a.poi.ID, b.poi.ID) })
@@ -756,7 +746,7 @@ func (e *Engine) rank(spec *Spec, cands []poiAgg) []ScoredPOI {
 	}
 	out := make([]ScoredPOI, len(aggs))
 	for i, a := range aggs {
-		out[i] = ScoredPOI{POI: a.poi, Score: a.gradeSum / float64(a.visits), Visits: a.visits}
+		out[i] = ScoredPOI{POI: a.poi, Score: model.MeanGrade(a.gradeUnits, a.visits), Visits: a.visits}
 	}
 	return out
 }

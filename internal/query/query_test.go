@@ -29,14 +29,8 @@ func newFixture(t testing.TB, schema repos.VisitSchema, nodes, users int) *fixtu
 }
 
 // newFixtureVisits also controls the mean visits per user (the paper's
-// dataset uses 170).
+// dataset uses 170). Grades are fractional, as the classifier's are.
 func newFixtureVisits(t testing.TB, schema repos.VisitSchema, nodes, users int, visitMean float64) *fixture {
-	return newFixtureWith(t, schema, nodes, users, visitMean, nil)
-}
-
-// newFixtureWith also passes every generated visit through edit before it is
-// stored (nil stores them as generated).
-func newFixtureWith(t testing.TB, schema repos.VisitSchema, nodes, users int, visitMean float64, edit func(*model.Visit)) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	pois := workload.GenPOIs(rng, 300)
@@ -54,9 +48,6 @@ func newFixtureWith(t testing.TB, schema repos.VisitSchema, nodes, users int, vi
 	end := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	for uid := int64(1); uid <= int64(users); uid++ {
 		for _, v := range workload.GenVisitsForUser(rng, uid, pois, start, end, visitMean, visitMean/8) {
-			if edit != nil {
-				edit(&v)
-			}
 			if err := visits.Store(v); err != nil {
 				t.Fatal(err)
 			}
@@ -111,12 +102,13 @@ func TestNewEngineValidation(t *testing.T) {
 }
 
 // referenceAnswer computes the expected result by brute force over the
-// visits repository.
+// visits repository, summing grades in model.GradeUnits as the engine does:
+// in whatever order the scan yields them, the sums are exact.
 func referenceAnswer(t *testing.T, f *fixture, spec Spec) []ScoredPOI {
 	t.Helper()
 	type agg struct {
 		poi    model.POI
-		sum    float64
+		units  int64
 		visits int
 	}
 	byPOI := map[int64]*agg{}
@@ -155,7 +147,7 @@ func referenceAnswer(t *testing.T, f *fixture, spec Spec) []ScoredPOI {
 			a = &agg{poi: poi}
 			byPOI[poi.ID] = a
 		}
-		a.sum += v.Grade
+		a.units += model.GradeUnits(v.Grade)
 		a.visits++
 		return true
 	})
@@ -164,7 +156,7 @@ func referenceAnswer(t *testing.T, f *fixture, spec Spec) []ScoredPOI {
 	}
 	var out []ScoredPOI
 	for _, a := range byPOI {
-		out = append(out, ScoredPOI{POI: a.poi, Score: a.sum / float64(a.visits), Visits: a.visits})
+		out = append(out, ScoredPOI{POI: a.poi, Score: model.MeanGrade(a.units, a.visits), Visits: a.visits})
 	}
 	return out
 }
@@ -199,7 +191,7 @@ func TestPersonalizedMatchesReference(t *testing.T) {
 				if !ok {
 					t.Fatalf("unexpected POI %d in results", got.POI.ID)
 				}
-				if got.Visits != w.Visits || !close(got.Score, w.Score) {
+				if got.Visits != w.Visits || got.Score != w.Score {
 					t.Fatalf("POI %d: got %d/%.3f want %d/%.3f", got.POI.ID, got.Visits, got.Score, w.Visits, w.Score)
 				}
 				// Keyword and bbox hold on every result.
@@ -207,7 +199,7 @@ func TestPersonalizedMatchesReference(t *testing.T) {
 					t.Fatalf("result %d outside bbox", got.POI.ID)
 				}
 				// Ranking is monotone in score.
-				if i > 0 && res.POIs[i-1].Score < got.Score-1e-9 {
+				if i > 0 && res.POIs[i-1].Score < got.Score {
 					t.Fatalf("results not sorted by score at %d", i)
 				}
 			}
@@ -219,11 +211,6 @@ func TestPersonalizedMatchesReference(t *testing.T) {
 			}
 		})
 	}
-}
-
-func close(a, b float64) bool {
-	d := a - b
-	return d < 1e-9 && d > -1e-9
 }
 
 func TestLimitAndHotnessOrder(t *testing.T) {
