@@ -99,7 +99,8 @@ bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
 ## bench-smoke runs one case per hot path a fixed small number of
-## iterations — three scan/merge/coprocessor cases, the table's one write
+## iterations — three scan/merge/coprocessor cases, the visit parser on
+## payloads with one-byte and multi-byte lengths, the table's one write
 ## routine per cell and per batch of 50, the matcher's memo-hit case, the
 ## view's benchmark-shaped read, a check-in batch folded into the cached
 ## entries of its writer's friends, a cached search with its ranking current
@@ -113,6 +114,7 @@ bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x
+	$(GO) test ./internal/model -run XXX -bench 'BenchmarkVisitViewParse' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultJSON/(append|decode)$$' -benchmem -benchtime=100x

@@ -24,13 +24,8 @@ func usersHomedOn(ds *Dataset, regions map[int]bool, on bool, n int) []int64 {
 	_, to := ds.Window()
 	for uid := int64(1); uid <= int64(ds.Config.Users) && len(out) < n; uid++ {
 		start, _ := repos.VisitScanBounds(uid, to, to)
-		for _, r := range ds.Visits.Table().Regions() {
-			if r.Contains(start) {
-				if regions[r.ID] == on {
-					out = append(out, uid)
-				}
-				break
-			}
+		if regions[ds.Visits.Table().RegionFor(start).ID] == on {
+			out = append(out, uid)
 		}
 	}
 	return out

@@ -73,7 +73,9 @@ func compareCells(a, b *Cell) int {
 }
 
 // RowResult is the materialized read view of one row: the newest live
-// version of every qualifier.
+// version of every qualifier. The Cells slice may be reused by the scan that
+// delivered it; the Value bytes it points at are never rewritten and may be
+// retained (see Table.PutBatch).
 type RowResult struct {
 	Row   string
 	Cells []Cell // sorted by qualifier, tombstones resolved away

@@ -59,6 +59,48 @@ func ValidateScanRanges(ranges []ScanRange) error {
 	return nil
 }
 
+// clipRanges returns the sub-slice of sorted, non-overlapping ranges that
+// intersects [start, end) ("" end = unbounded), its first range starting no
+// earlier than start and its last stopping no later than end. The input is
+// never written: when an end range needs clipping, the sub-slice is copied
+// first. Only the end ranges can: the ranges do not overlap, so any other
+// lies wholly inside the bounds.
+func clipRanges(ranges []ScanRange, start, end string) []ScanRange {
+	lo := sort.Search(len(ranges), func(i int) bool {
+		return ranges[i].Stop == "" || ranges[i].Stop > start
+	})
+	hi := len(ranges)
+	if end != "" {
+		hi = lo + sort.Search(len(ranges)-lo, func(i int) bool { return ranges[lo+i].Start >= end })
+	}
+	sub := ranges[lo:hi]
+	if len(sub) == 0 {
+		return nil
+	}
+	last := len(sub) - 1
+	clipStart := sub[0].Start < start
+	clipEnd := end != "" && (sub[last].Stop == "" || sub[last].Stop > end)
+	if clipStart || clipEnd {
+		sub = append([]ScanRange(nil), sub...)
+		if clipStart {
+			sub[0].Start = start
+		}
+		if clipEnd {
+			sub[last].Stop = end
+		}
+	}
+	return sub
+}
+
+// ClipRanges returns the part of sorted, non-overlapping ranges that falls
+// inside the region — the ranges a region-local scan of them serves,
+// clipped at the region's bounds exactly as Table.MultiScanCtx clips them.
+// The result aliases ranges when no range needed clipping; ranges are never
+// written.
+func (r *Region) ClipRanges(ranges []ScanRange) []ScanRange {
+	return clipRanges(ranges, r.StartKey, r.EndKey())
+}
+
 // overlapsRanges reports whether the segment's [minRow, maxRow] span
 // intersects any of the sorted, non-overlapping ranges.
 func (s *segment) overlapsRanges(ranges []ScanRange) bool {
@@ -103,7 +145,9 @@ func (s *Store) multiScanIteratorsLocked(ranges []ScanRange, start *Cell, bs *bl
 // holds the store read lock once and reuses one iterator set, seeking
 // between ranges; asOf hides versions newer than that timestamp (0 = no
 // bound). The RowResult passed to fn reuses one backing cell slice across
-// rows — callbacks must copy anything they retain past their return.
+// rows — callbacks must copy a Cell they retain past their return — but the
+// Value bytes it points at are the store's own, which nothing ever rewrites:
+// a callback may retain a Value slice as is (see Table.PutBatch).
 // Cancellation is polled every ctxPollInterval rows; delivered rows and
 // bytes are counted into the context's obs.QueryStats and the shared
 // registry in one batch at scan end.
@@ -208,27 +252,11 @@ func (t *Table) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 	}
 	regions := t.frozenRegions()
 	stopped := false
-	var clipped []ScanRange
 	for _, r := range regions {
 		if stopped {
 			return nil
 		}
-		clipped = clipped[:0]
-		for _, rg := range ranges {
-			if r.endKey != "" && rg.Start >= r.endKey {
-				break // ranges are sorted; the rest belong to later regions
-			}
-			if rg.Stop != "" && rg.Stop <= r.StartKey {
-				continue
-			}
-			if rg.Start < r.StartKey {
-				rg.Start = r.StartKey
-			}
-			if r.endKey != "" && (rg.Stop == "" || rg.Stop > r.endKey) {
-				rg.Stop = r.endKey
-			}
-			clipped = append(clipped, rg)
-		}
+		clipped := clipRanges(ranges, r.StartKey, r.endKey)
 		if len(clipped) == 0 {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -467,4 +468,57 @@ func TestTableMultiScanConcurrentMutations(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestClipRanges holds Region.ClipRanges (and so Table.MultiScanCtx's
+// routing) to the linear per-range clip it replaced, over random ranges and
+// region bounds — open ends and bounds inside a range included — and checks
+// that the caller's ranges are never written.
+func TestClipRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	key := func() string { return fmt.Sprintf("u%04d", rng.Intn(4000)) }
+	for trial := 0; trial < 2000; trial++ {
+		ranges := genRanges(rng, 1+rng.Intn(12))
+		if len(ranges) > 0 && rng.Intn(4) == 0 {
+			ranges[0].Start = ""
+		}
+		if len(ranges) > 0 && rng.Intn(4) == 0 {
+			ranges[len(ranges)-1].Stop = ""
+		}
+		start, end := key(), key()
+		if start > end {
+			start, end = end, start
+		}
+		if rng.Intn(4) == 0 {
+			start = ""
+		}
+		if rng.Intn(4) == 0 {
+			end = ""
+		}
+		var want []ScanRange
+		for _, rg := range ranges {
+			if end != "" && rg.Start >= end {
+				break
+			}
+			if rg.Stop != "" && rg.Stop <= start {
+				continue
+			}
+			if rg.Start < start {
+				rg.Start = start
+			}
+			if end != "" && (rg.Stop == "" || rg.Stop > end) {
+				rg.Stop = end
+			}
+			want = append(want, rg)
+		}
+		before := append([]ScanRange(nil), ranges...)
+		r := &Region{StartKey: start, endKey: end}
+		got := r.ClipRanges(ranges)
+		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ClipRanges(%v) in [%q, %q) = %v, want %v", trial, before, start, end, got, want)
+		}
+		if !reflect.DeepEqual(ranges, before) {
+			t.Fatalf("trial %d: ClipRanges wrote its input: %v, was %v", trial, ranges, before)
+		}
+	}
 }

@@ -50,17 +50,6 @@ func (r *Region) EndKey() string {
 	return r.endKey
 }
 
-// Contains reports whether the row key falls inside the region's range.
-func (r *Region) Contains(row string) bool {
-	if r.StartKey != "" && row < r.StartKey {
-		return false
-	}
-	if end := r.EndKey(); end != "" && row >= end {
-		return false
-	}
-	return true
-}
-
 // Store exposes the region's backing store to coprocessors; they run
 // "inside" the region and may only touch local data, which is what makes
 // the fan-out parallelism of the personalized query path honest.
@@ -238,7 +227,8 @@ func (t *Table) RegionFor(row string) *Region {
 	return t.regionFor(row)
 }
 
-// Put writes one versioned cell: the one-cell form of PutBatch.
+// Put writes one versioned cell: the one-cell form of PutBatch. The table
+// takes ownership of value's bytes.
 func (t *Table) Put(row, qualifier string, timestamp int64, value []byte) error {
 	return t.write([]Cell{{Row: row, Qualifier: qualifier, Timestamp: timestamp, Value: value}}, 0)
 }
@@ -258,6 +248,15 @@ func (t *Table) PutFenced(row, qualifier string, timestamp int64, value []byte, 
 // acquisition per run of consecutive cells owned by the same region. A call
 // answered with an error by admission (see write) is neither logged nor
 // applied to any region.
+//
+// Value ownership: a write takes ownership of its cells' Value bytes — the
+// memtable stores the slice without copying, so the caller must not modify
+// it afterwards, whatever the call returned. In return, the Value bytes any
+// read delivers are never rewritten, by the store or anyone: the memtable
+// holds the writer's bytes, and a segment block's values alias its decoded
+// payload, which is built once and never reused, so flushes, compactions,
+// cache evictions and later writes leave them as they were. A reader may
+// retain a delivered Value slice without copying it.
 func (t *Table) PutBatch(cells []Cell) error { return t.write(cells, 0) }
 
 // eachRun calls fn, in order, with every run of consecutive cells owned by

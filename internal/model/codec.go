@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -105,7 +106,9 @@ type VisitView struct {
 // dispatching on the tag byte. It is the codec's only parser —
 // DecodeVisitBinary materializes its result — and rejects an unknown version
 // or tag, any length or count that overruns the payload, and trailing bytes.
-// A view whose Parse failed holds no usable state.
+// It is one pass over the payload by offset; a length or varint of one byte
+// (most of them) is read without calling into encoding/binary. A view whose
+// Parse failed holds no usable state.
 func (v *VisitView) Parse(b []byte) error {
 	if len(b) < 2 {
 		return fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
@@ -114,40 +117,62 @@ func (v *VisitView) Parse(b []byte) error {
 	if version != visitBinaryVersion {
 		return fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
 	}
-	d := binReader{b: b[2:]}
-	*v = VisitView{}
-	v.UserID = d.varint()
-	v.Time = d.varint()
-	v.Grade = d.float()
-	v.network = d.bytes()
-	v.POIID = d.varint()
-	switch tag {
-	case VisitBinaryTagReplicated:
-		v.name = d.bytes()
-		v.Lat = d.float()
-		v.Lon = d.float()
-		// Every keyword takes at least its length byte, so a count beyond
-		// the remaining bytes is corrupt whatever follows.
-		if n := d.uvarint(); n > uint64(len(d.b)) {
-			d.fail("keyword count")
-		} else {
-			span := d.b
-			for i := uint64(0); i < n; i++ {
-				d.bytes()
-			}
-			v.keywords, v.nKeywords = span[:len(span)-len(d.b)], int(n)
-		}
-		v.Hotness = d.float()
-		v.Interest = d.float()
-	case VisitBinaryTagNormalized:
-	default:
+	if tag != VisitBinaryTagReplicated && tag != VisitBinaryTagNormalized {
 		return fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
 	}
-	if d.err != nil {
-		return d.err
+	*v = VisitView{}
+	off := 2
+	var err error
+	if v.UserID, off = varintAt(b, off); off < 0 {
+		return errAtVarint
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("model: %d trailing bytes in binary visit", len(d.b))
+	if v.Time, off = varintAt(b, off); off < 0 {
+		return errAtVarint
+	}
+	if v.Grade, off = floatAt(b, off); off < 0 {
+		return errAtFloat
+	}
+	if v.network, off, err = stringAt(b, off); err != nil {
+		return err
+	}
+	if v.POIID, off = varintAt(b, off); off < 0 {
+		return errAtVarint
+	}
+	if tag == VisitBinaryTagReplicated {
+		if v.name, off, err = stringAt(b, off); err != nil {
+			return err
+		}
+		if v.Lat, off = floatAt(b, off); off < 0 {
+			return errAtFloat
+		}
+		if v.Lon, off = floatAt(b, off); off < 0 {
+			return errAtFloat
+		}
+		var n uint64
+		if n, off = uvarintAt(b, off); off < 0 {
+			return errAtUvarint
+		}
+		// Every keyword takes at least its length byte, so a count beyond
+		// the remaining bytes is corrupt whatever follows.
+		if n > uint64(len(b)-off) {
+			return errAtKeywordCount
+		}
+		start := off
+		for i := uint64(0); i < n; i++ {
+			if _, off, err = stringAt(b, off); err != nil {
+				return err
+			}
+		}
+		v.keywords, v.nKeywords = b[start:off], int(n)
+		if v.Hotness, off = floatAt(b, off); off < 0 {
+			return errAtFloat
+		}
+		if v.Interest, off = floatAt(b, off); off < 0 {
+			return errAtFloat
+		}
+	}
+	if off != len(b) {
+		return fmt.Errorf("model: %d trailing bytes in binary visit", len(b)-off)
 	}
 	return nil
 }
@@ -155,7 +180,7 @@ func (v *VisitView) Parse(b []byte) error {
 // nextString splits the first length-prefixed string off a span Parse has
 // already validated.
 func nextString(span []byte) (s, rest []byte) {
-	n, w := binary.Uvarint(span)
+	n, w := uvarintAt(span, 0)
 	end := w + int(n)
 	return span[w:end], span[end:]
 }
@@ -170,6 +195,19 @@ func (v *VisitView) HasKeyword(kw string) bool {
 		}
 	}
 	return false
+}
+
+// DocTextLen returns the byte lengths of the POI document's strings: the
+// name's, and the keywords' count and summed length (length prefixes
+// excluded) — what a decoded copy of the document carries beyond its
+// fixed-size fields, without decoding it.
+func (v *VisitView) DocTextLen() (name, keywords, keywordBytes int) {
+	for rest := v.keywords; len(rest) > 0; {
+		var k []byte
+		k, rest = nextString(rest)
+		keywordBytes += len(k)
+	}
+	return len(v.name), v.nKeywords, keywordBytes
 }
 
 // POI materializes the POI document the payload carries: the full record
@@ -212,59 +250,61 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// binReader consumes the field stream, latching the first error so the
-// decode body reads linearly without per-field checks.
-type binReader struct {
-	b   []byte
-	err error
-}
+// The truncation errors, one per field kind: Parse rejects a payload at the
+// first field the remaining bytes cannot hold.
+var (
+	errAtVarint       = errors.New("model: truncated binary visit at varint")
+	errAtUvarint      = errors.New("model: truncated binary visit at uvarint")
+	errAtFloat        = errors.New("model: truncated binary visit at float")
+	errAtString       = errors.New("model: truncated binary visit at string")
+	errAtKeywordCount = errors.New("model: truncated binary visit at keyword count")
+)
 
-func (d *binReader) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("model: truncated binary visit at %s", what)
+// uvarintAt decodes the uvarint at b[off:] and returns it with the offset
+// past it, or -1 if the bytes end or the value overflows first. A one-byte
+// value takes the fast path; the rest are binary.Uvarint's, so non-minimal
+// encodings are accepted exactly as before.
+func uvarintAt(b []byte, off int) (uint64, int) {
+	if off < len(b) && b[off] < 0x80 {
+		return uint64(b[off]), off + 1
 	}
-	d.b = nil
-}
-
-func (d *binReader) varint() int64 {
-	v, n := binary.Varint(d.b)
+	x, n := binary.Uvarint(b[off:])
 	if n <= 0 {
-		d.fail("varint")
-		return 0
+		return 0, -1
 	}
-	d.b = d.b[n:]
-	return v
+	return x, off + n
 }
 
-func (d *binReader) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
+// varintAt is uvarintAt for a zig-zag signed varint (binary.Varint's
+// decoding).
+func varintAt(b []byte, off int) (int64, int) {
+	ux, next := uvarintAt(b, off)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	d.b = d.b[n:]
-	return v
+	return x, next
 }
 
-func (d *binReader) float() float64 {
-	if len(d.b) < 8 {
-		d.fail("float")
-		return 0
+// floatAt decodes the 8-byte little-endian float at b[off:], or returns -1
+// as the offset if fewer bytes remain.
+func floatAt(b []byte, off int) (float64, int) {
+	if len(b)-off < 8 {
+		return 0, -1
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[off:])), off + 8
 }
 
-// bytes consumes one length-prefixed string and returns it as a sub-slice
-// of the payload.
-func (d *binReader) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)) {
-		d.fail("string")
-		return nil
+// stringAt returns the length-prefixed string at b[off:] as a sub-slice of
+// the payload, with the offset past it.
+func stringAt(b []byte, off int) ([]byte, int, error) {
+	n, next := uvarintAt(b, off)
+	if next < 0 {
+		return nil, -1, errAtUvarint
 	}
-	s := d.b[:n]
-	d.b = d.b[n:]
-	return s
+	if n > uint64(len(b)-next) {
+		return nil, -1, errAtString
+	}
+	end := next + int(n)
+	return b[next:end], end, nil
 }

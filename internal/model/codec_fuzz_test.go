@@ -3,8 +3,10 @@ package model
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -88,6 +90,57 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 	return v, nil
 }
 
+// appendPaddedUvarint appends x one byte longer than its minimal uvarint:
+// a non-minimal encoding binary.Uvarint accepts.
+func appendPaddedUvarint(b []byte, x uint64) []byte {
+	b = binary.AppendUvarint(b, x)
+	b[len(b)-1] |= 0x80
+	return append(b, 0)
+}
+
+// encodePaddedVisit is EncodeVisitBinary with every length, count and
+// varint encoded one byte longer than needed.
+func encodePaddedVisit(v *Visit) []byte {
+	varint := func(b []byte, x int64) []byte {
+		ux := uint64(x) << 1
+		if x < 0 {
+			ux = ^ux
+		}
+		return appendPaddedUvarint(b, ux)
+	}
+	str := func(b []byte, s string) []byte { return append(appendPaddedUvarint(b, uint64(len(s))), s...) }
+	b := []byte{VisitBinaryTagReplicated, visitBinaryVersion}
+	b = varint(b, v.UserID)
+	b = varint(b, v.Time)
+	b = appendFloat(b, v.Grade)
+	b = str(b, v.Network)
+	b = varint(b, v.POI.ID)
+	b = str(b, v.POI.Name)
+	b = appendFloat(b, v.POI.Lat)
+	b = appendFloat(b, v.POI.Lon)
+	b = appendPaddedUvarint(b, uint64(len(v.POI.Keywords)))
+	for _, k := range v.POI.Keywords {
+		b = str(b, k)
+	}
+	b = appendFloat(b, v.POI.Hotness)
+	return appendFloat(b, v.POI.Interest)
+}
+
+// multiByteVisits are visits whose payloads take the slow branch of every
+// length Parse reads: a name and a keyword of 128 bytes or more, at least
+// 128 keywords, and ids and times too large for one varint byte.
+func multiByteVisits() []Visit {
+	long := sampleVisit()
+	long.POI.Name = strings.Repeat("Acropolis ", 20)
+	long.POI.Keywords = append([]string{strings.Repeat("k", 200)}, long.POI.Keywords...)
+	many := sampleVisit()
+	many.POI.Keywords = nil
+	for i := 0; i < 130; i++ {
+		many.POI.Keywords = append(many.POI.Keywords, fmt.Sprintf("kw%d", i))
+	}
+	return []Visit{long, many}
+}
+
 // sameFloat compares bit patterns, so a NaN equals itself.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -110,6 +163,14 @@ func FuzzVisitView(f *testing.F) {
 	noKeywords := v
 	noKeywords.POI.Keywords = nil
 	f.Add(EncodeVisitBinary(&noKeywords), "")
+	f.Add(encodePaddedVisit(&v), "history")
+	f.Add(encodePaddedVisit(&noKeywords), "")
+	for _, m := range multiByteVisits() {
+		full := EncodeVisitBinary(&m)
+		f.Add(full, m.POI.Keywords[len(m.POI.Keywords)-1])
+		f.Add(full[:len(full)-20], m.POI.Keywords[0])
+		f.Add(encodePaddedVisit(&m), "kw7")
+	}
 	f.Fuzz(func(t *testing.T, b []byte, kw string) {
 		var view VisitView
 		viewErr := view.Parse(b)

@@ -114,3 +114,79 @@ func TestVisitBinaryTagNeverMatchesJSON(t *testing.T) {
 		t.Error("empty payload decoded as binary")
 	}
 }
+
+// TestVisitBinaryMultiByteLengths round-trips payloads whose lengths,
+// counts and varints take more than one byte, minimal and padded.
+func TestVisitBinaryMultiByteLengths(t *testing.T) {
+	for _, v := range multiByteVisits() {
+		for _, b := range [][]byte{EncodeVisitBinary(&v), encodePaddedVisit(&v)} {
+			got, err := DecodeVisitBinary(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, v) {
+				t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, v)
+			}
+		}
+	}
+}
+
+// TestVisitBinaryErrorTexts pins the text of each rejection: the field kind
+// a truncated payload ran out at, the bad version or tag, the trailing
+// byte count.
+func TestVisitBinaryErrorTexts(t *testing.T) {
+	v := sampleVisit()
+	full := EncodeVisitBinary(&v)
+	// at builds a replicated-tag payload from its field bytes.
+	at := func(fields ...[]byte) []byte {
+		b := []byte{VisitBinaryTagReplicated, visitBinaryVersion}
+		for _, f := range fields {
+			b = append(b, f...)
+		}
+		return b
+	}
+	zero, float := []byte{0}, make([]byte, 8)
+	cases := []struct {
+		payload []byte
+		want    string
+	}{
+		{full[:1], "model: binary visit too short (1 bytes)"},
+		{[]byte{0x7F, 9}, "model: binary visit version 9 not supported (tag 0x7f)"},
+		{[]byte{0x7F, visitBinaryVersion, 0, 0}, "model: unknown binary visit tag 0x7f"},
+		{at(), "model: truncated binary visit at varint"},
+		{at(zero, zero, []byte{1}), "model: truncated binary visit at float"},
+		{at(zero, zero, float, []byte{0x80}), "model: truncated binary visit at uvarint"},
+		{at(zero, zero, float, []byte{5, 'a'}), "model: truncated binary visit at string"},
+		{at(zero, zero, float, zero, zero, zero, float, float, []byte{9}), "model: truncated binary visit at keyword count"},
+		{append(append([]byte(nil), full...), 1, 2), "model: 2 trailing bytes in binary visit"},
+	}
+	for _, c := range cases {
+		var view VisitView
+		if err := view.Parse(c.payload); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%x) = %v, want %q", c.payload, err, c.want)
+		}
+	}
+}
+
+// BenchmarkVisitViewParse measures the parser on a replicated payload of
+// the benchmark's shape (a short name, three keywords) and on one whose
+// lengths take the multi-byte branch.
+func BenchmarkVisitViewParse(b *testing.B) {
+	v := sampleVisit()
+	long := multiByteVisits()[1]
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{{"replicated", EncodeVisitBinary(&v)}, {"normalized", EncodeVisitBinaryNormalized(&v)}, {"multibyte", EncodeVisitBinary(&long)}} {
+		b.Run(c.name, func(b *testing.B) {
+			var view VisitView
+			b.ReportAllocs()
+			b.SetBytes(int64(len(c.payload)))
+			for i := 0; i < b.N; i++ {
+				if err := view.Parse(c.payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"modissense/internal/cluster"
 	"modissense/internal/geo"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
@@ -14,21 +16,40 @@ import (
 	"modissense/internal/workload"
 )
 
+// oracleAgg is a region aggregate as the tests state it: the sums, the
+// document of the POI's first matching row in the region, and the wire
+// estimate of that document.
+type oracleAgg struct {
+	agg  poiAgg
+	wire int64
+}
+
+// oracleOutput is a region's output as the tests compare it.
+type oracleOutput struct {
+	aggs []oracleAgg
+	work cluster.CoprocessorWork
+}
+
 // oracleRegion is the reference the coprocessor is tested against, sharing
 // nothing with it above the store's scan loop: the pre-kernel read shape
-// (one scan per friend instead of one multi-range scan per region) and the
-// pre-view aggregation (a full repos.DecodeVisit of every row, predicates
-// on the decoded document).
-func oracleRegion(t *testing.T, cp *visitsCoprocessor, r *kvstore.Region) *regionOutput {
+// (one scan per friend instead of one multi-range scan per region, routed
+// by comparing the friend's row range with the region's bounds), the
+// pre-view aggregation (a full repos.DecodeVisit of every row, predicates on
+// the decoded document) and the document-based wire estimate. Aggregates
+// come in POI-id order, or in rank order when RegionTopK cut them (cut).
+func oracleRegion(t *testing.T, cp *visitsCoprocessor, r *kvstore.Region) (out *oracleOutput, cut bool) {
 	t.Helper()
-	out := &regionOutput{}
+	out = &oracleOutput{}
 	aggs := map[int64]*poiAgg{}
-	for _, friend := range cp.friends {
-		if !r.Contains(repos.UserKeyPrefix(friend)) {
+	end := r.EndKey()
+	for _, friend := range sortedDistinctFriends(cp.spec.FriendIDs) {
+		start, stop := repos.VisitScanBounds(friend, cp.spec.FromMillis, cp.spec.ToMillis)
+		if stop <= r.StartKey || end != "" && start >= end {
 			continue
 		}
 		out.work.Friends++
-		start, stop := repos.VisitScanBounds(friend, cp.spec.FromMillis, cp.spec.ToMillis)
+		// The region's store holds the region's rows only, so the unclipped
+		// range reads exactly them.
 		err := r.Store().MultiScanCtx(context.Background(), []kvstore.ScanRange{{Start: start, Stop: stop}}, 0, func(row kvstore.RowResult) bool {
 			raw, ok := row.Get(repos.VisitQualifier)
 			if !ok {
@@ -57,33 +78,68 @@ func oracleRegion(t *testing.T, cp *visitsCoprocessor, r *kvstore.Region) *regio
 		}
 	}
 	for _, a := range aggs {
-		out.aggs = append(out.aggs, *a)
+		wire := 48 + len(a.poi.Name)
+		for _, k := range a.poi.Keywords {
+			wire += len(k) + 3
+		}
+		out.aggs = append(out.aggs, oracleAgg{agg: *a, wire: int64(wire)})
 	}
-	sortAggs(out.aggs, cp.spec.orderOrDefault())
 	if k := cp.spec.RegionTopK; k > 0 && len(out.aggs) > k {
-		out.aggs = out.aggs[:k]
+		order := cp.spec.orderOrDefault()
+		sort.Slice(out.aggs, func(i, j int) bool { return aggLess(order, &out.aggs[i].agg, &out.aggs[j].agg) })
+		out.aggs, cut = out.aggs[:k], true
+	} else {
+		sortByID(out.aggs)
 	}
 	out.work.CandidatePOIs = len(out.aggs)
+	return out, cut
+}
+
+func sortByID(aggs []oracleAgg) {
+	sort.Slice(aggs, func(i, j int) bool { return aggs[i].agg.poi.ID < aggs[j].agg.poi.ID })
+}
+
+// decodeRegionOutput states a coprocessor's output the way oracleRegion
+// does: each aggregate's document decoded from its kept payload, in POI-id
+// order unless the region's top-k cut ranked them (cut says whether it did).
+func decodeRegionOutput(t *testing.T, got *regionOutput, cut bool) *oracleOutput {
+	t.Helper()
+	out := &oracleOutput{work: got.work}
+	for _, a := range got.aggs {
+		v, err := model.DecodeVisitBinary(a.payload)
+		if err != nil {
+			t.Fatalf("kept payload of POI %d does not decode: %v", a.id, err)
+		}
+		if v.POI.ID != a.id {
+			t.Fatalf("aggregate of POI %d kept a payload of POI %d", a.id, v.POI.ID)
+		}
+		out.aggs = append(out.aggs, oracleAgg{agg: poiAgg{poi: v.POI, gradeUnits: a.gradeUnits, visits: a.visits}, wire: a.wire})
+	}
+	if !cut {
+		sortByID(out.aggs)
+	}
 	return out
 }
 
 // requireRegionsMatchOracle runs the coprocessor on every region of the
-// table and requires its output — aggregates, their order, work counts —
-// to equal the oracle's.
+// table and requires its output — aggregates, their documents and wire
+// estimates, the cut's order, work counts — to equal the oracle's.
 func requireRegionsMatchOracle(t *testing.T, label string, visits *repos.VisitsRepo, spec Spec) {
 	t.Helper()
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cp := &visitsCoprocessor{spec: &spec, schema: visits.Schema(), friends: sortedDistinctFriends(spec.FriendIDs)}
+	friends := sortedDistinctFriends(spec.FriendIDs)
+	cp := &visitsCoprocessor{spec: &spec, schema: visits.Schema(), ranges: friendRanges(friends, spec.FromMillis, spec.ToMillis)}
 	for _, r := range visits.Table().Regions() {
-		got, err := cp.runRegion(context.Background(), r)
+		out, err := cp.runRegion(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleRegion(t, cp, r)
-		// aggLess is a strict total order, so equal inputs sort identically
-		// whatever order the aggregates were built in.
+		want, cut := oracleRegion(t, cp, r)
+		// rankKey.less is a strict total order, so a cut ranks its
+		// aggregates identically whatever order they were built in.
+		got := decodeRegionOutput(t, out, cut)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s region %d: coprocessor output diverged from the oracle\ngot:  %+v\nwant: %+v", label, r.ID, got, want)
 		}
@@ -238,7 +294,10 @@ func TestCoprocessorMatchesFullDecodeOracle(t *testing.T) {
 }
 
 // TestVisitRowAllocatesNothingForSeenPOI guards the point of the view: a
-// row whose POI the region has already aggregated costs no allocation.
+// row whose POI the region has already aggregated costs no allocation, and
+// one whose POI is new to the region costs none beyond the growth of the
+// slot map and the aggregate slice — it keeps the row's payload, decoding no
+// document.
 func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 	v := model.Visit{UserID: 3, Time: 1, Grade: 4, Network: "twitter", POI: model.POI{
 		ID: 9, Name: "plaka-cafe", Lat: 37.97, Lon: 23.73, Keywords: []string{"cafe", "view"},
@@ -252,6 +311,67 @@ func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 	}
 	if out := agg.finish(); out.work.VisitsMatched != 102 || len(out.aggs) != 1 || out.aggs[0].visits != 102 {
 		t.Errorf("rows were not aggregated: %+v", out)
+	}
+
+	// AllocsPerRun calls the function once more than it is told to.
+	const fresh = 100
+	rows := make([]kvstore.RowResult, fresh+1)
+	for i := range rows {
+		v.POI.ID = int64(1000 + i)
+		rows[i] = kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: model.EncodeVisitBinary(&v)}}}
+	}
+	agg = newRegionAggregator(&visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated})
+	agg.slot = make(map[int64]int, 2*len(rows))
+	agg.out.aggs = make([]regionAgg, 0, 2*len(rows))
+	next := 0
+	if allocs := testing.AllocsPerRun(fresh, func() { agg.visitRow(rows[next]); next++ }); allocs != 0 {
+		t.Errorf("visitRow allocated %v times for a POI new to the region, want 0", allocs)
+	}
+	if out := agg.finish(); len(out.aggs) != len(rows) || out.aggs[0].visits != 1 {
+		t.Errorf("new POIs were not aggregated: %d aggregates", len(out.aggs))
+	}
+}
+
+// TestSplitInsideAUsersRowsReadsBothHalves: a split at a key inside one
+// user's visit rows leaves that friend's window in two regions, and the
+// coprocessor must read both halves — matching the full-decode oracle in
+// every region, and the answer the table gave before the split. Routing a
+// friend by their key prefix read the lower half only.
+func TestSplitInsideAUsersRowsReadsBothHalves(t *testing.T) {
+	ctx := context.Background()
+	for _, schema := range []repos.VisitSchema{repos.SchemaReplicated, repos.SchemaNormalized} {
+		f := newFixture(t, schema, 2, 40)
+		from, to := window()
+		spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, OrderBy: ByHotness, NoCache: true}
+		before, err := f.engine.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		start, stop := repos.VisitScanBounds(7, from, to)
+		if err := f.visits.Table().MultiScanCtx(ctx, []kvstore.ScanRange{{Start: start, Stop: stop}}, 0, func(row kvstore.RowResult) bool {
+			keys = append(keys, row.Row)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) < 2 {
+			t.Fatalf("user 7 has %d visits in the window, want at least 2", len(keys))
+		}
+		if err := f.visits.Table().SplitRegion(keys[len(keys)/2]); err != nil {
+			t.Fatal(err)
+		}
+		requireRegionsMatchOracle(t, fmt.Sprintf("schema %v", schema), f.visits, spec)
+		after, err := f.engine.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after.POIs, before.POIs) {
+			t.Errorf("schema %v: the split changed the answer:\ngot  %+v\nwant %+v", schema, after.POIs, before.POIs)
+		}
+		if after.Work.RowsScanned != before.Work.RowsScanned || after.Work.Friends != before.Work.Friends+1 {
+			t.Errorf("schema %v: work after the split %+v, before %+v; want the same rows and user 7 probed twice", schema, after.Work, before.Work)
+		}
 	}
 }
 

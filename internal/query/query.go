@@ -187,28 +187,69 @@ func NewEngine(visits *repos.VisitsRepo, pois *repos.POIRepo, clus *cluster.Clus
 	return e, nil
 }
 
-// poiAgg is one POI's aggregate: partial inside a region, summed over the
-// regions as a merge candidate. The grade sum is in model.GradeUnits, so it
-// is the same whatever order the rows were added in.
+// rankKey is what the ranking orders a POI's aggregate by: its sums and, as
+// the tiebreak, its id. The grade sum is in model.GradeUnits, so it is the
+// same whatever order the rows were added in.
+type rankKey struct {
+	id         int64
+	gradeUnits int64
+	visits     int
+}
+
+// less is the strict total order of the final ranking: score (or visit
+// count) descending, POI id ascending as the tiebreak. The exact sort, the
+// streaming top-k heap and the region top-k cut all rank through this one
+// function, which is what makes the merge paths return identical results.
+func (a rankKey) less(order OrderBy, b rankKey) bool {
+	switch order {
+	case ByHotness:
+		if a.visits != b.visits {
+			return a.visits > b.visits
+		}
+	default: // ByInterest
+		sa := model.MeanGrade(a.gradeUnits, a.visits)
+		sb := model.MeanGrade(b.gradeUnits, b.visits)
+		if sa != sb {
+			return sa > sb
+		}
+	}
+	return a.id < b.id
+}
+
+// poiAgg is one merge candidate: a POI's aggregate summed over the regions,
+// with its decoded document.
 type poiAgg struct {
 	poi        model.POI
 	gradeUnits int64
 	visits     int
 }
 
+func (a *poiAgg) key() rankKey {
+	return rankKey{id: a.poi.ID, gradeUnits: a.gradeUnits, visits: a.visits}
+}
+
+// regionAgg is one POI's partial aggregate inside a region. It keeps the
+// payload of the POI's first matching row in the region, undecoded — a
+// sub-slice of the store's bytes, which the store never rewrites — and the
+// size estimate of the document it carries; Engine.sum decodes one document
+// per merged candidate from the first region that reported it.
+type regionAgg struct {
+	rankKey
+	wire    int64
+	payload []byte
+}
+
 // wireBytes estimates the serialized size of one partial aggregate as it
-// would travel region → web server (id, sums, name, keywords).
-func (a *poiAgg) wireBytes() int64 {
-	n := 48 + len(a.poi.Name)
-	for _, k := range a.poi.Keywords {
-		n += len(k) + 3
-	}
-	return int64(n)
+// would travel region → web server (id, sums, name, keywords), from the
+// view of the row whose document the aggregate keeps.
+func wireBytes(v *model.VisitView) int64 {
+	name, keywords, keywordBytes := v.DocTextLen()
+	return int64(48 + name + keywordBytes + 3*keywords)
 }
 
 // regionOutput is what one coprocessor execution returns.
 type regionOutput struct {
-	aggs []poiAgg
+	aggs []regionAgg
 	work cluster.CoprocessorWork
 }
 
@@ -225,17 +266,29 @@ type queryPlan struct {
 }
 
 // visitsCoprocessor executes one query against one region, HBase-style:
-// read each local friend's visit rows, filter, aggregate per POI and sort.
-// Every local friend's row range goes into one multi-range scan per region
+// read each local friend's visit rows, filter and aggregate per POI. Every
+// local friend's row range goes into one multi-range scan per region
 // (kvstore.MultiScanCtx): one store lock, one iterator set, segment pruning.
 // The scan is late-materializing: each row is filtered and folded into its
-// POI's sums from an allocation-free view of the encoded payload, and a POI
-// document is decoded only for the first row of each POI in the region
-// (regionAggregator).
+// POI's sums from an allocation-free view of the encoded payload, and no
+// POI document is decoded in the region at all (regionAggregator).
 type visitsCoprocessor struct {
-	spec    *Spec
-	schema  repos.VisitSchema
-	friends []int64 // sorted, deduplicated
+	spec   *Spec
+	schema repos.VisitSchema
+	// ranges holds one visit row range per friend, built once per query:
+	// friends are sorted and distinct, so the ranges are sorted and
+	// non-overlapping — exactly the multi-range contract.
+	ranges []kvstore.ScanRange
+}
+
+// friendRanges builds the per-friend visit row ranges of a query's window
+// from its sorted, deduplicated friend list.
+func friendRanges(friends []int64, fromMillis, toMillis int64) []kvstore.ScanRange {
+	ranges := make([]kvstore.ScanRange, len(friends))
+	for i, friend := range friends {
+		ranges[i].Start, ranges[i].Stop = repos.VisitScanBounds(friend, fromMillis, toMillis)
+	}
+	return ranges
 }
 
 // runRegion is the region function kvstore.ExecRegions fans out: the region
@@ -245,17 +298,9 @@ func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (
 	regionStart := time.Now()
 	defer func() { mCoprocLatency.ObserveDuration(time.Since(regionStart)) }()
 	agg := newRegionAggregator(cp)
-	// Friends are sorted and distinct, so the per-friend ranges are sorted
-	// and non-overlapping — exactly the multi-range contract.
-	ranges := make([]kvstore.ScanRange, 0, len(cp.friends))
-	for _, friend := range cp.friends {
-		if !r.Contains(repos.UserKeyPrefix(friend)) {
-			continue
-		}
-		agg.out.work.Friends++
-		start, stop := repos.VisitScanBounds(friend, cp.spec.FromMillis, cp.spec.ToMillis)
-		ranges = append(ranges, kvstore.ScanRange{Start: start, Stop: stop})
-	}
+	// A friend whose rows a split divided is read in both regions.
+	ranges := r.ClipRanges(cp.ranges)
+	agg.out.work.Friends = len(ranges)
 	if len(ranges) > 0 {
 		if err := r.Store().MultiScanCtx(ctx, ranges, 0, agg.visitRow); err != nil {
 			return nil, err
@@ -272,8 +317,8 @@ func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (
 // regionAggregator folds one region's scanned visit rows into per-POI
 // partial aggregates. Predicates run on every row — two visits to one POI
 // can carry different replicated documents, so a verdict cannot be cached
-// per POI — but the aggregate keeps the document of the first matching row
-// only, so nothing else of a row is ever decoded.
+// per POI — but the aggregate keeps the payload of the first matching row
+// only, and decodes nothing of it.
 type regionAggregator struct {
 	cp  *visitsCoprocessor
 	out *regionOutput
@@ -300,37 +345,38 @@ func (g *regionAggregator) visitRow(row kvstore.RowResult) bool {
 	filter := g.cp.schema == repos.SchemaReplicated
 	var v model.VisitView
 	if v.Parse(raw) == nil && (!filter || g.cp.spec.matchesView(&v)) {
-		if a := g.add(v.POIID, v.Grade); a.visits == 1 {
-			a.poi = v.POI()
-		}
+		g.add(&v, raw)
 	}
 	return true
 }
 
-// add folds one matched visit into its POI's aggregate and returns it; a
-// visit count of one marks the POI's first row in the region, the one whose
-// document the caller keeps.
-func (g *regionAggregator) add(poiID int64, grade float64) *poiAgg {
+// add folds one matched visit into its POI's aggregate. The POI's first row
+// in the region is the one whose payload and document size the aggregate
+// keeps.
+func (g *regionAggregator) add(v *model.VisitView, payload []byte) {
 	g.out.work.VisitsMatched++
-	i, seen := g.slot[poiID]
+	i, seen := g.slot[v.POIID]
 	if !seen {
 		i = len(g.out.aggs)
-		g.slot[poiID] = i
-		g.out.aggs = append(g.out.aggs, poiAgg{})
+		g.slot[v.POIID] = i
+		g.out.aggs = append(g.out.aggs, regionAgg{rankKey: rankKey{id: v.POIID}, wire: wireBytes(v), payload: payload})
 	}
 	a := &g.out.aggs[i]
-	a.gradeUnits += model.GradeUnits(grade)
+	a.gradeUnits += model.GradeUnits(v.Grade)
 	a.visits++
-	return a
 }
 
-// finish sorts the aggregates by the query criterion (the coprocessor
-// "sorts the candidate POIs according to the aggregated scores"), applies
-// the optional region top-k cut and returns the region's output.
+// finish applies the optional region top-k cut — the coprocessor "sorts the
+// candidate POIs according to the aggregated scores" and ships the best K —
+// and returns the region's output. Without a cut the aggregates stay in
+// first-seen order: the merge sums them by id and reads no order.
 func (g *regionAggregator) finish() *regionOutput {
 	out := g.out
-	sortAggs(out.aggs, g.cp.spec.orderOrDefault())
 	if k := g.cp.spec.RegionTopK; k > 0 && len(out.aggs) > k {
+		order := g.cp.spec.orderOrDefault()
+		sort.Slice(out.aggs, func(i, j int) bool {
+			return out.aggs[i].less(order, out.aggs[j].rankKey)
+		})
 		out.aggs = out.aggs[:k]
 	}
 	out.work.CandidatePOIs = len(out.aggs)
@@ -365,24 +411,9 @@ func (s *Spec) matchesPOI(p *model.POI) bool {
 	return false
 }
 
-// aggLess is the strict total order of the final ranking: score (or visit
-// count) descending, POI id ascending as the tiebreak. Both the exact sort
-// and the streaming top-k heap rank through this one function, which is
-// what makes the two merge paths return identical results.
+// aggLess orders merge candidates by rankKey.less.
 func aggLess(order OrderBy, a, b *poiAgg) bool {
-	switch order {
-	case ByHotness:
-		if a.visits != b.visits {
-			return a.visits > b.visits
-		}
-	default: // ByInterest
-		sa := model.MeanGrade(a.gradeUnits, a.visits)
-		sb := model.MeanGrade(b.gradeUnits, b.visits)
-		if sa != sb {
-			return sa > sb
-		}
-	}
-	return a.poi.ID < b.poi.ID
+	return a.key().less(order, b.key())
 }
 
 func sortAggs(aggs []poiAgg, order OrderBy) {
@@ -519,7 +550,7 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 			}
 			liveSnap = cache.Snapshot(friends)
 		}
-		cp := &visitsCoprocessor{spec: &spec, schema: e.visits.Schema(), friends: friends}
+		cp := &visitsCoprocessor{spec: &spec, schema: e.visits.Schema(), ranges: friendRanges(friends, spec.FromMillis, spec.ToMillis)}
 		stats := &obs.QueryStats{}
 		qctx := obs.WithQueryStats(ctx, stats)
 		mQueriesPersonalized.Inc()
@@ -669,10 +700,10 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 
 // sum folds the regions' partial aggregates into one candidate per POI —
 // every POI any region matched, before any limit — sorted by POI id. A
-// candidate keeps the document of the first region that reported it. The
-// candidates are the query's merge state: rank derives the answer from them,
-// and a cached entry keeps them so a friend's later check-in can be added to
-// them instead of forcing a rescan.
+// candidate's document is decoded, once, from the payload the first region
+// that reported it kept. The candidates are the query's merge state: rank
+// derives the answer from them, and a cached entry keeps them so a friend's
+// later check-in can be added to them instead of forcing a rescan.
 func (e *Engine) sum(plan *queryPlan, stats *exec.Stats) ([]poiAgg, cluster.CoprocessorWork) {
 	var work cluster.CoprocessorWork
 	// The largest region's aggregates are a lower bound on the candidates.
@@ -680,8 +711,9 @@ func (e *Engine) sum(plan *queryPlan, stats *exec.Stats) ([]poiAgg, cluster.Copr
 	for _, out := range plan.outputs {
 		most = max(most, len(out.aggs))
 	}
-	cands := make([]poiAgg, 0, most)
+	merged := make([]regionAgg, 0, most)
 	slot := make(map[int64]int32, most)
+	var wire int64
 	for _, out := range plan.outputs {
 		work.Friends += out.work.Friends
 		work.RowsScanned += out.work.RowsScanned
@@ -689,19 +721,31 @@ func (e *Engine) sum(plan *queryPlan, stats *exec.Stats) ([]poiAgg, cluster.Copr
 		work.CandidatePOIs += out.work.CandidatePOIs
 		for i := range out.aggs {
 			a := &out.aggs[i]
-			stats.AddBytes(a.wireBytes())
-			j, seen := slot[a.poi.ID]
+			wire += a.wire
+			j, seen := slot[a.id]
 			if !seen {
-				slot[a.poi.ID] = int32(len(cands))
-				cands = append(cands, *a)
+				slot[a.id] = int32(len(merged))
+				merged = append(merged, *a)
 				continue
 			}
-			cur := &cands[j]
+			cur := &merged[j]
 			cur.gradeUnits += a.gradeUnits
 			cur.visits += a.visits
 		}
 	}
-	slices.SortFunc(cands, func(a, b poiAgg) int { return cmp.Compare(a.poi.ID, b.poi.ID) })
+	stats.AddBytes(wire)
+	slices.SortFunc(merged, func(a, b regionAgg) int { return cmp.Compare(a.id, b.id) })
+	cands := make([]poiAgg, len(merged))
+	var v model.VisitView
+	for i := range merged {
+		a := &merged[i]
+		// The payload parsed when its region kept it, and the store never
+		// rewrites bytes it delivered.
+		if err := v.Parse(a.payload); err != nil {
+			panic(fmt.Sprintf("query: a kept visit payload no longer parses: %v", err))
+		}
+		cands[i] = poiAgg{poi: v.POI(), gradeUnits: a.gradeUnits, visits: a.visits}
+	}
 	return cands, work
 }
 

@@ -44,9 +44,9 @@ func benchCoprocessor(b *testing.B, friends int) {
 		b.Fatal(err)
 	}
 	cp := &visitsCoprocessor{
-		spec:    &spec,
-		schema:  repos.SchemaReplicated,
-		friends: sortedDistinctFriends(spec.FriendIDs),
+		spec:   &spec,
+		schema: repos.SchemaReplicated,
+		ranges: friendRanges(sortedDistinctFriends(spec.FriendIDs), from, to),
 	}
 	regions := visits.Table().Regions()
 	ctx := context.Background()

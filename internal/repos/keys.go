@@ -30,9 +30,9 @@ func putPadded(dst []byte, v int64) bool {
 	return v == 0
 }
 
-// UserKeyPrefix returns the key prefix of all rows of one user. Exported
-// because the query coprocessors route friends to regions with it.
-func UserKeyPrefix(userID int64) string {
+// userKeyPrefix returns the key prefix of all rows of one user: the
+// pre-split boundaries of user-keyed tables.
+func userKeyPrefix(userID int64) string {
 	var b [14]byte
 	b[0], b[13] = 'u', '|'
 	if !putPadded(b[1:13], userID) {
@@ -141,7 +141,7 @@ func userSplitKeys(maxUser int64, n int) []string {
 		if boundary < 1 {
 			boundary = 1
 		}
-		keys = append(keys, UserKeyPrefix(boundary))
+		keys = append(keys, userKeyPrefix(boundary))
 	}
 	// Deduplicate (tiny maxUser with many regions).
 	out := keys[:0]

@@ -58,8 +58,8 @@ func TestVisitsRepoMixedJSONBinaryDecode(t *testing.T) {
 // TestPutPaddedFallback checks the allocation-free key builders agree with
 // their fmt formulations, including out-of-range fallbacks.
 func TestPutPaddedFallback(t *testing.T) {
-	if UserKeyPrefix(42) != "u000000000042|" {
-		t.Errorf("UserKeyPrefix(42) = %q", UserKeyPrefix(42))
+	if userKeyPrefix(42) != "u000000000042|" {
+		t.Errorf("userKeyPrefix(42) = %q", userKeyPrefix(42))
 	}
 	if got := visitRowKey(999999999999, 9999999999999, 999999); got != "u999999999999|t9999999999999|999999" {
 		t.Errorf("max in-range key = %q", got)
