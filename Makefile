@@ -102,7 +102,8 @@ bench:
 ## iterations — three scan/merge/coprocessor cases, the visit parser on
 ## payloads with one-byte and multi-byte lengths, the table's one write
 ## routine per cell and per batch of 50, the matcher's memo-hit case, the
-## view's benchmark-shaped read, a check-in batch folded into the cached
+## registry's idle subscription (whose bytes per op tier-1's
+## TestAddIdleMemoryBudget bounds), the view's benchmark-shaped read, a check-in batch folded into the cached
 ## entries of its writer's friends, a cached search with its ranking current
 ## and with it to re-derive, the hand codec encoding and decoding a 10-POI
 ## answer, and the request codec decoding (core) and appending (client) the
@@ -120,7 +121,7 @@ bench-smoke:
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultJSON/(append|decode)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/core -run XXX -bench 'BenchmarkRequestJSON/.*/^decode$$' -benchmem -benchtime=100x
 	$(GO) test ./client -run XXX -bench 'BenchmarkRequestJSON/.*/^append$$' -benchmem -benchtime=100x
-	$(GO) test ./internal/pubsub -run XXX -bench 'BenchmarkPublishBatch/static' -benchmem -benchtime=100x
+	$(GO) test ./internal/pubsub -run XXX -bench 'BenchmarkPublishBatch/static|BenchmarkAddIdle' -benchmem -benchtime=100x
 	$(GO) test ./internal/matview -run XXX -bench 'BenchmarkTopK/dense' -benchmem -benchtime=100x
 
 ## bench-repo-smoke vets and tests the repository benchmark (bench/, a Go

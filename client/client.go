@@ -11,11 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modissense/internal/jsonwire"
@@ -45,7 +45,8 @@ type Client struct {
 		mu     sync.Mutex
 		policy RetryPolicy
 		tokens float64
-		rng    *rand.Rand
+		// rng is the splitmix64 state the retry jitter is drawn from.
+		rng uint64
 	}
 }
 
@@ -97,8 +98,20 @@ func New(baseURL string, httpClient *http.Client) (*Client, error) {
 	c := &Client{baseURL: u.String(), http: httpClient}
 	c.retry.policy = DefaultRetryPolicy()
 	c.retry.tokens = c.retry.policy.Budget
-	c.retry.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+	c.retry.rng = uint64(time.Now().UnixNano()) ^ mix64(clientSeq.Add(1))
 	return c, nil
+}
+
+// clientSeq numbers the clients of the process, so two created within one
+// clock tick still seed different jitter streams.
+var clientSeq atomic.Uint64
+
+// mix64 is splitmix64's output function: a bijection of the 64-bit words
+// that sends nearby inputs far apart.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Token returns the current access token.
@@ -244,11 +257,11 @@ func (c *Client) nextRetryWait(attempt int, hint time.Duration) (time.Duration, 
 	if p.MaxWait > 0 && wait > p.MaxWait {
 		wait = p.MaxWait
 	}
-	// Jitter downward into [wait/2, wait): competing clients retrying the
-	// same overload hint should not stampede back in lockstep.
-	if c.retry.rng != nil {
-		wait = wait/2 + time.Duration(c.retry.rng.Int63n(int64(wait/2)+1))
-	}
+	// Jitter downward into [wait/2, wait]: competing clients retrying the
+	// same overload hint should not stampede back in lockstep. One
+	// splitmix64 step: advance the state by its gamma, mix the result.
+	c.retry.rng += 0x9e3779b97f4a7c15
+	wait = wait/2 + time.Duration(mix64(c.retry.rng)%uint64(wait/2+1))
 	return wait, true
 }
 

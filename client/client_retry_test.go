@@ -131,3 +131,81 @@ func TestClientNonOverloadErrorsNotRetried(t *testing.T) {
 		t.Fatalf("server saw %d requests, want 1 (400s are not retried)", got)
 	}
 }
+
+// jitterWaits draws n retry waits for one hint from c, with the per-call cap
+// and the budget out of the way.
+func jitterWaits(c *Client, hint time.Duration, n int) []time.Duration {
+	c.SetRetryPolicy(RetryPolicy{MaxRetries: 1, MaxWait: time.Hour, Budget: float64(n)})
+	out := make([]time.Duration, n)
+	for i := range out {
+		wait, ok := c.nextRetryWait(0, hint)
+		if !ok {
+			return out[:i]
+		}
+		out[i] = wait
+	}
+	return out
+}
+
+// TestRetryJitterDiffersAcrossClients: two clients created back to back,
+// within one clock tick or not, must not retry in lockstep.
+func TestRetryJitterDiffersAcrossClients(t *testing.T) {
+	a, err := New("http://localhost:1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New("http://localhost:1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa, wb := jitterWaits(a, time.Second, 8), jitterWaits(b, time.Second, 8)
+	same := 0
+	for i := range wa {
+		if wa[i] == wb[i] {
+			same++
+		}
+	}
+	if same > 0 {
+		t.Fatalf("back-to-back clients drew %d equal waits of 8:\n%v\n%v", same, wa, wb)
+	}
+}
+
+// TestRetryJitterRange: every jittered wait lies in [wait/2, wait], for
+// waits down to a nanosecond.
+func TestRetryJitterRange(t *testing.T) {
+	c, err := New("http://localhost:1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wait := range []time.Duration{1, 2, 3, 25 * time.Millisecond, time.Second} {
+		waits := jitterWaits(c, wait, 1000)
+		if len(waits) != 1000 {
+			t.Fatalf("wait %v: drew %d waits, want 1000", wait, len(waits))
+		}
+		for _, got := range waits {
+			if got < wait/2 || got > wait {
+				t.Fatalf("wait %v: jittered to %v, outside [%v, %v]", wait, got, wait/2, wait)
+			}
+		}
+	}
+}
+
+// BenchmarkNew creates clients over one shared http.Client: what a client
+// itself costs, in B/op.
+func BenchmarkNew(b *testing.B) {
+	hc := &http.Client{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New("http://modissense.example:8080", hc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestNewMemoryBudget keeps a client under 1 KiB beyond the caller's
+// http.Client. A private math/rand source alone is about 4.9 KiB.
+func TestNewMemoryBudget(t *testing.T) {
+	if got := testing.Benchmark(BenchmarkNew).AllocedBytesPerOp(); got >= 1<<10 {
+		t.Fatalf("New allocates %d B per client, want under 1 KiB", got)
+	}
+}

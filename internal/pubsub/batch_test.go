@@ -298,14 +298,14 @@ func TestMemoCapOverflow(t *testing.T) {
 // TestPushOnGoneSubscriber: a removed subscriber buffers nothing, so a push
 // that loses the race with its removal is neither a match nor queue depth.
 func TestPushOnGoneSubscriber(t *testing.T) {
-	s := &subscriber{buf: make([]Event, 4), nextSeq: 1}
-	if queued, evicted := s.push(Event{}); !queued || evicted {
+	s := &subscriber{nextSeq: 1}
+	if queued, evicted := s.push(Event{}, 4); !queued || evicted {
 		t.Fatalf("live push = (%v, %v), want (true, false)", queued, evicted)
 	}
 	if n := s.markGone(); n != 1 {
 		t.Fatalf("markGone returned %d buffered events, want 1", n)
 	}
-	if queued, evicted := s.push(Event{}); queued || evicted {
+	if queued, evicted := s.push(Event{}, 4); queued || evicted {
 		t.Fatalf("push on a gone subscriber = (%v, %v), want (false, false)", queued, evicted)
 	}
 	if s.count != 1 || s.nextSeq != 2 {
@@ -475,8 +475,8 @@ func TestConcurrentPublishBatch(t *testing.T) {
 
 // TestPublishBatchMemoHitAllocs pins the steady state of the ingest path:
 // a batch whose check-ins are all memoised, delivered to subscriptions
-// nobody is polling, allocates nothing — whether it produces 50 matches or
-// 5000.
+// nobody is polling and whose rings have grown to QueueCap, allocates
+// nothing — whether it produces 50 matches or 5000.
 func TestPublishBatchMemoHitAllocs(t *testing.T) {
 	for _, nSubs := range []int{1, 100} {
 		r := testRegistry(newFakeClock(), Options{MaxPerUser: 1000})
@@ -489,8 +489,15 @@ func TestPublishBatchMemoHitAllocs(t *testing.T) {
 		for i := range batch {
 			batch[i] = checkinAt(0.1*float64(i%8)+0.05, 0.5, fmt.Sprintf("poi %d", i%8))
 		}
-		if got := r.PublishBatch(batch); got != 50*nSubs {
-			t.Fatalf("%d subs: matched %d, want %d", nSubs, got, 50*nSubs)
+		for queued := 0; queued < r.opts.QueueCap; queued += len(batch) {
+			if got := r.PublishBatch(batch); got != 50*nSubs {
+				t.Fatalf("%d subs: matched %d, want %d", nSubs, got, 50*nSubs)
+			}
+		}
+		for _, s := range r.subs {
+			if len(s.buf) != r.opts.QueueCap || s.count != r.opts.QueueCap {
+				t.Fatalf("%d subs: warm-up left a ring of %d slots holding %d events, want %d full", nSubs, len(s.buf), s.count, r.opts.QueueCap)
+			}
 		}
 		if allocs := testing.AllocsPerRun(20, func() { r.PublishBatch(batch) }); allocs != 0 {
 			t.Errorf("%d matches per batch: %v allocations per memo-hit batch, want 0", 50*nSubs, allocs)

@@ -99,7 +99,9 @@ func runPublishBench(b *testing.B, churn bool, publish func(*Registry, []Checkin
 	rng := rand.New(rand.NewSource(18))
 	r := benchRegistry(b, rng)
 	batches := benchBatchesOf(rng)
-	for _, batch := range batches { // warm: rings full, memo (if any) filled
+	// Warm the memo (if any). Rings that rarely match are still growing
+	// toward QueueCap in the timed loop, as in a live registry.
+	for _, batch := range batches {
 		publish(r, batch)
 	}
 	b.ReportAllocs()

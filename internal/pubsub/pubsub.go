@@ -15,10 +15,10 @@
 // check-in's text normalize identically.
 //
 // Everything is bounded: a global subscription cap, a per-user cap, TTLs
-// on every subscription, and a fixed-size event ring per subscriber. The
-// registry spawns no goroutines of its own — expiry is enforced lazily on
-// access and by periodic sweeps from the publish path — so subscriber
-// churn cannot leak.
+// on every subscription, and a per-subscriber event ring that grows with
+// its events up to a fixed size. The registry spawns no goroutines of its
+// own — expiry is enforced lazily on access and by periodic sweeps from the
+// publish path — so subscriber churn cannot leak.
 package pubsub
 
 import (
@@ -131,8 +131,9 @@ type Options struct {
 	MaxSubscriptions int
 	// MaxPerUser caps one user's live subscriptions (0 = 100).
 	MaxPerUser int
-	// QueueCap is the per-subscriber event-ring size; the oldest event is
-	// dropped when a queue is full (0 = 256).
+	// QueueCap is the most events a subscriber's ring holds; the ring grows
+	// toward it as events arrive, and once it is full the oldest event is
+	// dropped (0 = 256).
 	QueueCap int
 	// DefaultTTL applies when a subscription names no TTL (0 = 15m).
 	DefaultTTL time.Duration
@@ -165,19 +166,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// subscriber is a registered subscription plus its delivery state: a
-// fixed-size event ring and a broadcast channel long-pollers and SSE
-// streams select on. The channel is lazy: it exists only between a poller
-// finding nothing to return and the next event (or removal) waking it, so
-// a subscription nobody watches costs a ring write per match and nothing
-// else.
+// subscriber is a registered subscription plus its delivery state: an
+// event ring and a broadcast channel long-pollers and SSE streams select
+// on. Both are lazy. The ring is allocated by the first event and doubles
+// as events arrive until it holds QueueCap, so an idle subscription holds
+// no ring at all. The channel exists only between a poller finding nothing
+// to return and the next event (or removal) waking it, so a subscription
+// nobody watches costs a ring write per match and nothing else.
 type subscriber struct {
 	sub    Subscription
 	num    int64
 	tokens []string // normalized keywords (sorted, deduped)
 
 	mu      sync.Mutex
-	buf     []Event       // ring of cap(QueueCap)
+	buf     []Event       // ring: nil, then minRing, 2×minRing, … QueueCap slots
 	start   int           // index of the oldest buffered event
 	count   int           // buffered events
 	nextSeq uint64        // seq assigned to the next event (starts at 1)
@@ -185,10 +187,14 @@ type subscriber struct {
 	notify  chan struct{} // nil unless a poller is waiting
 }
 
-// push appends an event, evicting the oldest when the ring is full, and
-// wakes every waiter. queued is false on a removed or expired subscriber,
-// which buffers nothing; evicted reports a drop-oldest eviction.
-func (s *subscriber) push(e Event) (queued, evicted bool) {
+// minRing is the size of a ring's first allocation.
+const minRing = 4
+
+// push appends an event and wakes every waiter. A full ring smaller than
+// queueCap grows first; a full ring of queueCap evicts its oldest event.
+// queued is false on a removed or expired subscriber, which buffers
+// nothing; evicted reports a drop-oldest eviction.
+func (s *subscriber) push(e Event, queueCap int) (queued, evicted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gone {
@@ -197,14 +203,28 @@ func (s *subscriber) push(e Event) (queued, evicted bool) {
 	e.Seq = s.nextSeq
 	s.nextSeq++
 	if s.count == len(s.buf) {
-		s.start = (s.start + 1) % len(s.buf)
-		s.count--
-		evicted = true
+		if len(s.buf) < queueCap {
+			s.growLocked(queueCap)
+		} else {
+			s.start = (s.start + 1) % len(s.buf)
+			s.count--
+			evicted = true
+		}
 	}
 	s.buf[(s.start+s.count)%len(s.buf)] = e
 	s.count++
 	s.wakeLocked()
 	return true, evicted
+}
+
+// growLocked replaces the full ring with one twice its size (minRing at
+// first, queueCap at most) holding the same events, oldest first at index
+// 0. Caller holds s.mu.
+func (s *subscriber) growLocked(queueCap int) {
+	buf := make([]Event, min(max(2*len(s.buf), minRing), queueCap))
+	n := copy(buf, s.buf[s.start:])
+	copy(buf[n:], s.buf[:s.start])
+	s.buf, s.start = buf, 0
 }
 
 // wakeLocked releases every poller waiting on the notify channel. Caller
@@ -383,7 +403,6 @@ func (r *Registry) Add(userID int64, region geo.Rect, keywords []string, ttl tim
 		sub:    sub,
 		num:    num,
 		tokens: sub.Keywords,
-		buf:    make([]Event, r.opts.QueueCap),
 	}
 	s.nextSeq = 1
 	r.subs[num] = s
@@ -596,7 +615,7 @@ func (r *Registry) PublishBatch(batch []Checkin) int {
 				continue
 			}
 			e.SubscriptionID = s.sub.ID
-			queued, evictedOne := s.push(e)
+			queued, evictedOne := s.push(e, r.opts.QueueCap)
 			if queued {
 				matched++
 			}

@@ -82,11 +82,14 @@ func (c SimNetworkConfig) Validate() error {
 // SimConnector is a deterministic synthetic social network. All state is
 // derived on demand from (seed, user id), so the network behaves as an
 // unbounded external service without materializing 150k users in memory.
+// What it memoizes is held once: a friend list as ids, and one profile per
+// network user, shared by every list that names the user.
 type SimConnector struct {
 	cfg SimNetworkConfig
 
-	mu      sync.Mutex
-	friends map[int64][]model.Friend // memoized: stable friend lists
+	mu       sync.Mutex
+	friends  map[int64][]int64      // memoized: stable friend lists
+	profiles map[int64]model.Friend // the profile of every user a list names
 }
 
 // NewSimConnector validates cfg and builds the provider.
@@ -94,7 +97,11 @@ func NewSimConnector(cfg SimNetworkConfig) (*SimConnector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SimConnector{cfg: cfg, friends: make(map[int64][]model.Friend)}, nil
+	return &SimConnector{
+		cfg:      cfg,
+		friends:  make(map[int64][]int64),
+		profiles: make(map[int64]model.Friend),
+	}, nil
 }
 
 // Network implements Connector.
@@ -134,15 +141,20 @@ func (s *SimConnector) profile(networkUserID int64) (model.Friend, error) {
 }
 
 // Friends implements Connector. Friend lists are stable per user and
-// roughly Poisson-sized around MeanFriends.
+// roughly Poisson-sized around MeanFriends. Each call returns a fresh
+// slice, which the caller may modify.
 func (s *SimConnector) Friends(networkUserID int64) ([]model.Friend, error) {
 	if networkUserID < 1 || networkUserID > int64(s.cfg.Population) {
 		return nil, fmt.Errorf("social: no %s account %d", s.cfg.Name, networkUserID)
 	}
 	s.mu.Lock()
-	if cached, ok := s.friends[networkUserID]; ok {
+	if ids, ok := s.friends[networkUserID]; ok {
+		out := make([]model.Friend, len(ids))
+		for i, id := range ids {
+			out[i] = s.profiles[id]
+		}
 		s.mu.Unlock()
-		return cached, nil
+		return out, nil
 	}
 	s.mu.Unlock()
 
@@ -157,8 +169,17 @@ func (s *SimConnector) Friends(networkUserID int64) ([]model.Friend, error) {
 		}
 		out[i] = p
 	}
+	// Keep the profiles already held (so every list shares one copy of a
+	// user's strings) and hold the new ones.
 	s.mu.Lock()
-	s.friends[networkUserID] = out
+	for i := range out {
+		if p, ok := s.profiles[out[i].ID]; ok {
+			out[i] = p
+		} else {
+			s.profiles[out[i].ID] = out[i]
+		}
+	}
+	s.friends[networkUserID] = ids
 	s.mu.Unlock()
 	return out, nil
 }
