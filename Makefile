@@ -11,7 +11,7 @@ GO ?= go
 ## test, which is why there is no lint-flags target), short fuzz passes over
 ## the untrusted-input parsers and the hand codecs held to a reference
 ## (binary visits, JSON answers, JSON search and check-in requests), a smoke
-## pass over the read-path, write-path, matcher, trending-view, result-cache,
+## pass over the read-path, block-load, write-path, matcher, trending-view, result-cache,
 ## answer-codec and request-codec microbenchmarks, and the repository
 ## benchmark's own vet and tests. CI and pre-merge runs use this.
 check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-smoke bench-repo-smoke
@@ -99,7 +99,9 @@ bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
 ## bench-smoke runs one case per hot path a fixed small number of
-## iterations — three scan/merge/coprocessor cases, the visit parser on
+## iterations — three scan/merge/coprocessor cases, a block load served
+## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
+## allocations) and one decoded, admitted and evicting (a miss), the visit parser on
 ## payloads with one-byte and multi-byte lengths, the table's one write
 ## routine per cell and per batch of 50, the matcher's memo-hit case, the
 ## registry's idle subscription (whose bytes per op tier-1's
@@ -114,6 +116,7 @@ bench:
 bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
+	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkBlockLoad' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x
 	$(GO) test ./internal/model -run XXX -bench 'BenchmarkVisitViewParse' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x

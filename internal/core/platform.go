@@ -306,6 +306,9 @@ type Platform struct {
 	ResultCache *matview.ResultCache
 
 	catalog []model.POI
+	// blockCache is the block cache this platform owns (BlockCacheMB > 0),
+	// released on Close; nil when its tables share the process default.
+	blockCache *kvstore.BlockCache
 }
 
 // New boots a platform: generates the POI catalog, trains the sentiment
@@ -344,7 +347,8 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.BlockCacheMB > 0 {
 		// One cache for all of this platform's tables, so the configured
 		// budget is a platform-wide ceiling rather than per-table.
-		kvOpts.BlockCache = kvstore.NewBlockCache(int64(cfg.BlockCacheMB) << 20)
+		p.blockCache = kvstore.NewBlockCache(int64(cfg.BlockCacheMB) << 20)
+		kvOpts.BlockCache = p.blockCache
 	}
 	maxUser := int64(cfg.NetworkPopulation) * 4 // headroom for platform accounts
 	regions := cfg.Nodes * cfg.RegionsPerNode
@@ -552,9 +556,11 @@ func New(cfg Config) (*Platform, error) {
 }
 
 // Close drains the Visits table's background maintenance and releases its
-// WAL (a no-op for non-durable platforms). The platform must not serve
-// requests afterwards.
+// WAL (a no-op for non-durable platforms) and the block cache it owns, if
+// any, taking that cache's bytes off the kvstore_block_cache_* gauges. The
+// platform must not serve requests afterwards.
 func (p *Platform) Close() error {
+	defer p.blockCache.Release()
 	if p.Visits == nil {
 		return nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"modissense/internal/geo"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
+	"modissense/internal/obs"
 	"modissense/internal/query"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
@@ -534,5 +536,48 @@ func TestEventDetectionIncremental(t *testing.T) {
 	}
 	if res2.Watermark <= res1.Watermark {
 		t.Error("watermark must advance")
+	}
+}
+
+// TestCloseReleasesBlockCache: a platform that owns its block cache gives
+// the cache's bytes and entries back to the kvstore_block_cache_* gauges
+// when it closes, so both read what they read before it booted.
+func TestCloseReleasesBlockCache(t *testing.T) {
+	bytesGauge := obs.Default().Gauge("kvstore_block_cache_resident_bytes", "")
+	entriesGauge := obs.Default().Gauge("kvstore_block_cache_entries", "")
+	bytesBefore, entriesBefore := bytesGauge.Value(), entriesGauge.Value()
+
+	cfg := testConfig()
+	cfg.BlockCacheMB = 1
+	cfg.MemtableFlushBytes = 1 << 10 // flush the collected visits into blocks
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		if _, _, err := p.Users.SignIn("facebook", fmt.Sprintf("facebook:%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Collect(collectWindow.since, collectWindow.until); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Visits.Table().WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	visits := 0
+	if err := p.Visits.ScanAll(func(model.Visit) bool { visits++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if visits == 0 || bytesGauge.Value() == bytesBefore || entriesGauge.Value() == entriesBefore {
+		t.Fatalf("reading %d visits cached %d bytes in %d entries: nothing to release",
+			visits, bytesGauge.Value()-bytesBefore, entriesGauge.Value()-entriesBefore)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, e := bytesGauge.Value(), entriesGauge.Value(); b != bytesBefore || e != entriesBefore {
+		t.Fatalf("after Close the gauges read %d bytes in %d entries, %d and %d before the platform booted",
+			b, e, bytesBefore, entriesBefore)
 	}
 }

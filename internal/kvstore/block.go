@@ -3,6 +3,7 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Blocked segment format. A segment's cells are packed into fixed-target-
@@ -27,9 +28,9 @@ import (
 //	          uint32le nRestarts
 //
 // The trailer's restart offsets anchor full row keys for partial decodes;
-// the current reader materializes whole blocks (the block cache holds the
-// decoded cells), and the offsets double as a structural checksum that the
-// fuzzed decoder validates.
+// the current reader materializes whole blocks (the segment's slots hold the
+// decoded cells while the block cache keeps them), and the offsets double as
+// a structural checksum that the fuzzed decoder validates.
 
 // blockRestartInterval is the entry count between full-row restart points.
 const blockRestartInterval = 16
@@ -144,8 +145,10 @@ func (b *blockBuilder) finish(codec blockCodec) (blockHandle, error) {
 		codec:  usedCodec,
 		rawLen: len(raw),
 		count:  b.count,
-		minRow: b.minRow,
-		maxRow: b.maxRow,
+		// Cloned: a compaction's input rows are substrings of decoded-block
+		// arenas, and a bound keeping one would pin its whole arena.
+		minRow: strings.Clone(b.minRow),
+		maxRow: strings.Clone(b.maxRow),
 		bloom:  bloom,
 	}, nil
 }
@@ -202,6 +205,12 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 	if wantCells > 0 {
 		cells = make([]Cell, 0, wantCells)
 	}
+	// arena holds the block's row keys and qualifiers back to back, and
+	// every cell's strings are substrings of it: a decode allocates it and
+	// the cell slice, nothing per cell. It is sized from the first entry (at
+	// most 4× the payload, whatever count a corrupt block claims); a longer
+	// key later regrows it.
+	var arena strings.Builder
 	prevRow := ""
 	off := 0
 	for off < len(entries) {
@@ -215,7 +224,7 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 			return nil, fmt.Errorf("kvstore: block entry %d: bad unshared row length", len(cells))
 		}
 		off += n
-		row := prevRow[:shared] + string(entries[off:off+int(unshared)])
+		suffix := entries[off : off+int(unshared)]
 		off += int(unshared)
 
 		qlen, n := binary.Uvarint(entries[off:])
@@ -223,7 +232,19 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 			return nil, fmt.Errorf("kvstore: block entry %d: bad qualifier length", len(cells))
 		}
 		off += n
-		qual := string(entries[off : off+int(qlen)])
+		if len(cells) == 0 {
+			arena.Grow(min(max(wantCells, 1)*(len(suffix)+int(qlen)), 4*len(entries)))
+		}
+		row := prevRow
+		if int(shared) < len(prevRow) || len(suffix) > 0 {
+			start := arena.Len()
+			arena.WriteString(prevRow[:shared])
+			arena.Write(suffix)
+			row = arena.String()[start:]
+		}
+		start := arena.Len()
+		arena.Write(entries[off : off+int(qlen)])
+		qual := arena.String()[start:]
 		off += int(qlen)
 
 		ts, n := binary.Varint(entries[off:])

@@ -37,6 +37,17 @@ func FuzzBlockDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(h.data)
+	// Rows that grow and shrink in length: the arena is sized from the
+	// first row, so a longer one later regrows it.
+	b.reset()
+	for i := 0; i < 40; i++ {
+		c := Cell{Row: fmt.Sprintf("r%0*d", 1+i%9*3, i), Qualifier: fmt.Sprintf("q%0*d", i%4, i), Timestamp: int64(i), Value: []byte("v")}
+		b.add(&c)
+	}
+	if h, err = b.finish(codecNone); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(h.data)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})
 
@@ -54,6 +65,17 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		if rb.count != len(cells) {
 			t.Fatalf("re-encode count %d, want %d", rb.count, len(cells))
+		}
+		// Told its cell count, as reads are, the decoder sizes its arena
+		// for every cell up front and must decode the same cells.
+		again, err := decodeBlockPayload(data, len(cells))
+		if err != nil {
+			t.Fatalf("decode with the count %d failed: %v", len(cells), err)
+		}
+		for i := range cells {
+			if again[i].Row != cells[i].Row || again[i].Qualifier != cells[i].Qualifier || !bytes.Equal(again[i].Value, cells[i].Value) {
+				t.Fatalf("cell %d decodes as %v with the count, %v without", i, again[i], cells[i])
+			}
 		}
 	})
 }

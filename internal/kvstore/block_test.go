@@ -201,3 +201,25 @@ func TestDecodeBlockPayloadRejectsCorruption(t *testing.T) {
 		decodeBlockPayload(mut, -1)
 	}
 }
+
+// TestDecodeBlockAllocs pins the decode's allocations: the cell slice and
+// the arena holding every row key and qualifier, whatever the cell count.
+func TestDecodeBlockAllocs(t *testing.T) {
+	var b blockBuilder
+	for i := 0; i < 50; i++ {
+		c := Cell{Row: fmt.Sprintf("user-%08d", i/2), Qualifier: fmt.Sprintf("q%d", i%2), Timestamp: int64(i), Value: []byte("some value here")}
+		b.add(&c)
+	}
+	h, err := b.finish(codecNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := decodeBlockPayload(h.data, h.count); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("decoding a %d-cell block allocates %.1f times, want 2", h.count, allocs)
+	}
+}

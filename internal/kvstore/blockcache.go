@@ -1,51 +1,49 @@
 package kvstore
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// BlockCache is a sharded, byte-capacity LRU over decoded segment blocks.
-// Keys are (segment cacheID, block index); values are the materialized
-// []Cell slices, charged at their logical cell footprint. Sharding (16
-// ways by key hash) keeps lock contention off the multi-region scan path;
-// each shard runs an intrusive doubly-linked LRU list under its own mutex.
+// BlockCache is the byte budget and eviction order of decoded segment
+// blocks. The decoded blocks themselves hang off their segments, one slot
+// per block (segment.slots), so a hit is one atomic load of the slot and
+// touches nothing shared here. Only a miss takes the cache's mutex: it
+// admits the block to one CLOCK ring, charged at its logical cell
+// footprint, and the hand makes room by clearing reference bits and
+// evicting the first entry it finds unreferenced (swapping its slot to
+// nil). As in SIEVE, admissions join the ring at its newest end, wherever
+// the hand is: a block read once and not again is met by the hand within
+// the sweep under way, while an entry that survived a pass stays where it
+// is until the next one.
 //
-// Segments are immutable, so cached blocks are never invalidated in place:
-// when a compaction retires a segment its blocks simply stop being
-// requested and age out of the LRU. Segment cacheIDs come from a global
-// atomic counter, so entries can never be revived by an ID reuse.
+// Segments are immutable, so cached blocks are never invalidated in place.
+// A retired segment's slots become unreachable with it: its entries can no
+// longer be hit or revived, and the hand evicts them once it has cleared
+// their reference bits.
 type BlockCache struct {
-	shards   [blockCacheShards]blockCacheShard
-	capacity int64 // per-shard byte capacity
+	mu       sync.Mutex
+	capacity int64
+	bytes    int64
+	// The ring runs oldest to newest through cachedBlock.next and wraps.
+	// hand is the next entry the sweep examines and prev the one before it;
+	// admissions go in after newest.
+	hand, prev, newest *cachedBlock
 }
 
-// blockCacheShards is the fixed shard count; a power of two so the key
-// hash reduces with a mask.
-const blockCacheShards = 16
+// cachedBlock is one decoded block resident in a BlockCache.
+type cachedBlock struct {
+	cells []Cell
+	size  int64
+	// ref is the CLOCK reference bit: set by hits, cleared by the hand.
+	ref  atomic.Bool
+	slot *atomic.Pointer[cachedBlock] // the segment slot that holds it
+	next *cachedBlock
+}
 
 // DefaultBlockCacheBytes sizes the process-wide default block cache used
 // by stores whose options leave BlockCache nil.
 const DefaultBlockCacheBytes = 64 << 20
-
-// blockKey addresses one decoded block.
-type blockKey struct {
-	seg uint64 // segment cacheID (globally unique, never reused)
-	idx int    // block index within the segment
-}
-
-type blockCacheShard struct {
-	mu      sync.Mutex
-	entries map[blockKey]*blockCacheEntry
-	// head is most-recently-used, tail least. Intrusive list: entries link
-	// themselves, no container/list allocation per touch.
-	head, tail *blockCacheEntry
-	bytes      int64
-}
-
-type blockCacheEntry struct {
-	key        blockKey
-	cells      []Cell
-	size       int64
-	prev, next *blockCacheEntry
-}
 
 // NewBlockCache builds a cache holding up to capacityBytes of decoded
 // block data. capacityBytes <= 0 returns nil — the "uncached" cache: every
@@ -54,111 +52,106 @@ func NewBlockCache(capacityBytes int64) *BlockCache {
 	if capacityBytes <= 0 {
 		return nil
 	}
-	perShard := capacityBytes / blockCacheShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &BlockCache{capacity: perShard}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[blockKey]*blockCacheEntry)
-	}
-	return c
+	return &BlockCache{capacity: capacityBytes}
 }
 
 // defaultBlockCache serves every store that does not bring its own cache,
 // so all tables in a process share one budget by default.
 var defaultBlockCache = NewBlockCache(DefaultBlockCacheBytes)
 
-func (k blockKey) shard() uint64 {
-	h := k.seg*0x9e3779b97f4a7c15 + uint64(k.idx)*0xff51afd7ed558ccd
-	return (h >> 32) % blockCacheShards
-}
-
-// get returns the cached decoded cells for key, or nil on miss. Nil-safe.
-func (c *BlockCache) get(k blockKey) []Cell {
+// lookup returns the decoded cells slot holds, or nil on a miss, and marks
+// a hit entry referenced. It takes no lock and writes nothing shared unless
+// the reference bit was clear. Nil-safe: the nil cache always misses.
+func (c *BlockCache) lookup(slot *atomic.Pointer[cachedBlock]) []Cell {
 	if c == nil {
 		return nil
 	}
-	s := &c.shards[k.shard()]
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	if ok {
-		s.moveToFront(e)
-	}
-	s.mu.Unlock()
-	if !ok {
-		mBlockCacheMisses.Add(1)
+	e := slot.Load()
+	if e == nil {
 		return nil
 	}
-	mBlockCacheHits.Add(1)
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 	return e.cells
 }
 
-// put inserts decoded cells for key, evicting LRU entries to fit. Entries
-// larger than a whole shard are not cached. Nil-safe.
-func (c *BlockCache) put(k blockKey, cells []Cell, size int64) {
+// admit caches a block's decoded cells in slot, sweeping the ring until
+// they fit. A block larger than the whole budget is not cached; a slot a
+// racing decoder filled first keeps its entry. Nil-safe.
+func (c *BlockCache) admit(slot *atomic.Pointer[cachedBlock], cells []Cell, size int64) {
 	if c == nil || size > c.capacity {
 		return
 	}
-	s := &c.shards[k.shard()]
-	var evictedBytes, evictedCount int64
-	s.mu.Lock()
-	if e, ok := s.entries[k]; ok {
-		// Racing decoders can insert the same block twice; keep the first.
-		s.moveToFront(e)
-		s.mu.Unlock()
+	var evictedBytes, evicted int64
+	c.mu.Lock()
+	if slot.Load() != nil {
+		c.mu.Unlock()
 		return
 	}
-	e := &blockCacheEntry{key: k, cells: cells, size: size}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.bytes += size
-	for s.bytes > c.capacity && s.tail != nil {
-		victim := s.tail
-		s.remove(victim)
-		delete(s.entries, victim.key)
-		s.bytes -= victim.size
-		evictedBytes += victim.size
-		evictedCount++
+	for c.bytes+size > c.capacity && c.hand != nil {
+		e := c.hand
+		if e.ref.Load() {
+			e.ref.Store(false)
+			c.prev, c.hand = e, e.next
+			continue
+		}
+		evictedBytes += c.evictHand()
+		evicted++
 	}
-	s.mu.Unlock()
+	e := &cachedBlock{cells: cells, size: size, slot: slot}
+	if c.hand == nil {
+		e.next, c.hand, c.prev = e, e, e
+	} else {
+		e.next, c.newest.next = c.newest.next, e
+		if c.prev == c.newest {
+			c.prev = e
+		}
+	}
+	c.newest = e
+	slot.Store(e)
+	c.bytes += size
+	c.mu.Unlock()
 	mBlockCacheBytes.Add(size - evictedBytes)
-	mBlockCacheEntries.Add(1 - evictedCount)
-	if evictedCount > 0 {
-		mBlockCacheEvictions.Add(evictedCount)
-	}
+	mBlockCacheEntries.Add(1 - evicted)
+	mBlockCacheEvictions.Add(evicted)
 }
 
-func (s *blockCacheShard) pushFront(e *blockCacheEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *blockCacheShard) remove(e *blockCacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// evictHand evicts the entry under the hand and returns its size: its slot
+// stops serving it, its bytes leave the budget and the hand moves to its
+// successor. The caller holds c.mu and moves the gauges.
+func (c *BlockCache) evictHand() int64 {
+	e := c.hand
+	e.slot.CompareAndSwap(e, nil)
+	c.bytes -= e.size
+	if e.next == e {
+		c.hand, c.prev, c.newest = nil, nil, nil
 	} else {
-		s.head = e.next
+		c.prev.next = e.next
+		c.hand = e.next
+		if c.newest == e {
+			c.newest = c.prev
+		}
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	e.next = nil
+	return e.size
 }
 
-func (s *blockCacheShard) moveToFront(e *blockCacheEntry) {
-	if s.head == e {
+// Release drops every entry and gives its bytes back to the
+// kvstore_block_cache_* gauges. A platform that owns its cache calls it on
+// close, so the gauges return to what they were before it started. The
+// cache stays usable. Nil-safe.
+func (c *BlockCache) Release() {
+	if c == nil {
 		return
 	}
-	s.remove(e)
-	s.pushFront(e)
+	var bytes, entries int64
+	c.mu.Lock()
+	for c.hand != nil {
+		bytes += c.evictHand()
+		entries++
+	}
+	c.mu.Unlock()
+	mBlockCacheBytes.Add(-bytes)
+	mBlockCacheEntries.Add(-entries)
 }

@@ -449,7 +449,9 @@ func (t *Table) SplitRegion(splitKey string) error {
 func (s *Store) rawCells() []Cell {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	merged := newMergeIterator(s.iteratorsLocked(nil, nil))
+	var bs blockScanStats
+	defer bs.flush()
+	merged := newMergeIterator(s.iteratorsLocked(nil, &bs))
 	var out []Cell
 	for merged.valid() {
 		out = append(out, *merged.cell())

@@ -17,14 +17,13 @@ import (
 type segment struct {
 	// id orders segments by creation; higher ids are newer. During reads
 	// the merge iterator breaks exact-key ties by preferring newer segments.
-	id uint64
-	// cacheID namespaces this segment's blocks in the block cache. Unlike
-	// id (which restarts per store), cacheIDs come from a process-global
-	// counter, so an entry cached for a retired segment can never be
-	// revived by a younger segment reusing its id.
-	cacheID uint64
-	cfg     segmentConfig
-	blocks  []blockHandle
+	id     uint64
+	cfg    segmentConfig
+	blocks []blockHandle
+	// slots holds each block's decoded cells while cfg.cache keeps them
+	// resident: one per block, loaded without a lock by reads, filled and
+	// emptied by the cache.
+	slots []atomic.Pointer[cachedBlock]
 	// bloom indexes the segment's row keys — the first-level filter point
 	// reads consult before the per-block filters.
 	bloom *bloomFilter
@@ -58,10 +57,6 @@ func defaultSegmentConfig() segmentConfig {
 	return segmentConfig{blockSize: DefaultBlockSize, codec: codecNone, cache: defaultBlockCache}
 }
 
-// nextSegmentCacheID allocates process-globally-unique block-cache
-// namespaces (see segment.cacheID).
-var nextSegmentCacheID atomic.Uint64
-
 // newSegment encodes a cell slice — which must already be sorted by
 // compareCells — into a blocked segment. Blocks cut at row boundaries once
 // the encoded payload reaches cfg.blockSize, so one row never spans two
@@ -75,7 +70,7 @@ func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
 	if cfg.blockSize <= 0 {
 		cfg.blockSize = DefaultBlockSize
 	}
-	seg := &segment{id: id, cacheID: nextSegmentCacheID.Add(1), cfg: cfg, numCells: len(cells)}
+	seg := &segment{id: id, cfg: cfg, numCells: len(cells)}
 	distinctRows := 0
 	for i := range cells {
 		seg.bytes += len(cells[i].Row) + len(cells[i].Qualifier) + len(cells[i].Value) + cellOverhead
@@ -102,6 +97,7 @@ func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
 		}
 		seg.blocks = append(seg.blocks, h)
 	}
+	seg.slots = make([]atomic.Pointer[cachedBlock], len(seg.blocks))
 	if len(seg.blocks) > 0 {
 		seg.minRow = seg.blocks[0].minRow
 		seg.maxRow = seg.blocks[len(seg.blocks)-1].maxRow
@@ -133,16 +129,19 @@ func (s *segment) len() int { return s.numCells }
 // plain ints and flush to the registry, the context's QueryStats and the
 // trace span once per scan (the ctxPollInterval discipline).
 type blockScanStats struct {
-	loaded    int64 // blocks materialized (cache hits + decodes)
-	decoded   int64 // blocks decoded on a cache miss
-	cacheHits int64
-	skipped   int64 // blocks pruned by min/max, block Bloom or segment pruning
+	loaded      int64 // blocks materialized (cache hits + decodes)
+	decoded     int64 // blocks decoded on a cache miss
+	cacheHits   int64
+	cacheMisses int64 // decodes of blocks a cache may admit
+	skipped     int64 // blocks pruned by min/max, block Bloom or segment pruning
 }
 
 // flush publishes the accumulated counters.
 func (bs *blockScanStats) flush() {
 	mBlocksLoaded.Add(bs.loaded)
 	mBlockDecodes.Add(bs.decoded)
+	mBlockCacheHits.Add(bs.cacheHits)
+	mBlockCacheMisses.Add(bs.cacheMisses)
 	mBlocksSkipped.Add(bs.skipped)
 }
 
@@ -156,13 +155,12 @@ func (s *segment) seekBlocks(from int, row string) int {
 
 // iterator returns a cellIterator positioned at the first cell >= start
 // (or the beginning when start is nil). Blocks before the start position
-// are skipped without decoding and counted into bs (nil bs falls back to
-// the global counters).
+// are skipped without decoding and counted into bs.
 func (s *segment) iterator(start *Cell, bs *blockScanStats) cellIterator {
-	it := &segmentIterator{seg: s, bs: bs}
+	it := &segmentIterator{seg: s, bs: bs, cache: s.cfg.cache}
 	if start != nil {
 		it.bi = s.seekBlocks(0, start.Row)
-		it.countSkipped(int64(it.bi))
+		bs.skipped += int64(it.bi)
 	}
 	if it.bi < len(s.blocks) {
 		if it.loadBlock() && start != nil {
@@ -176,8 +174,8 @@ func (s *segment) iterator(start *Cell, bs *blockScanStats) cellIterator {
 // iteratorNoCache returns a full-segment iterator that bypasses the block
 // cache — the compaction path, which reads every block exactly once and
 // must not evict the read path's working set.
-func (s *segment) iteratorNoCache() cellIterator {
-	it := &segmentIterator{seg: s, noCache: true}
+func (s *segment) iteratorNoCache(bs *blockScanStats) cellIterator {
+	it := &segmentIterator{seg: s, bs: bs}
 	if len(s.blocks) > 0 {
 		it.loadBlock()
 	}
@@ -195,15 +193,11 @@ func (s *segment) pointIterator(row string, start *Cell, bs *blockScanStats) cel
 	}
 	if !s.blocks[bi].bloom.mayContain(row) {
 		mBlockBloomMisses.Inc()
-		if bs != nil {
-			bs.skipped++
-		} else {
-			mBlocksSkipped.Add(1)
-		}
+		bs.skipped++
 		return nil
 	}
 	mBlockBloomHits.Inc()
-	it := &segmentIterator{seg: s, bi: bi, bs: bs}
+	it := &segmentIterator{seg: s, bi: bi, bs: bs, cache: s.cfg.cache}
 	if it.loadBlock() {
 		it.seekInBlock(start)
 		it.settle()
@@ -213,14 +207,15 @@ func (s *segment) pointIterator(row string, start *Cell, bs *blockScanStats) cel
 
 // segmentIterator walks a blocked segment: a block cursor plus a cell
 // cursor inside the current decoded block. The decoded cells come from the
-// block cache when resident and are decoded (and cached) otherwise.
+// block's slot when the cache holds them and are decoded (and offered to
+// the cache) otherwise.
 type segmentIterator struct {
-	seg     *segment
-	bi      int    // current block index; == len(blocks) when exhausted
-	cells   []Cell // decoded cells of blocks[bi]
-	ci      int    // cursor within cells
-	bs      *blockScanStats
-	noCache bool
+	seg   *segment
+	bi    int    // current block index; == len(blocks) when exhausted
+	cells []Cell // decoded cells of blocks[bi]
+	ci    int    // cursor within cells
+	bs    *blockScanStats
+	cache *BlockCache // nil for the compaction's cache-bypassing reads
 }
 
 func (it *segmentIterator) valid() bool { return it.bi < len(it.seg.blocks) }
@@ -248,7 +243,7 @@ func (it *segmentIterator) seek(probe *Cell) {
 	}
 	if probe.Row > it.seg.blocks[it.bi].maxRow {
 		target := it.seg.seekBlocks(it.bi+1, probe.Row)
-		it.countSkipped(int64(target - it.bi - 1))
+		it.bs.skipped += int64(target - it.bi - 1)
 		it.bi = target
 		it.ci = 0
 		it.cells = nil
@@ -287,61 +282,33 @@ func (it *segmentIterator) settle() {
 	}
 }
 
-// loadBlock materializes blocks[bi] through the cache. A decode failure —
-// impossible unless a block was corrupted in memory — exhausts the
-// iterator and counts kvstore_block_decode_errors_total (the cellIterator
-// interface has no error channel; the merge simply sees this source end).
+// loadBlock materializes blocks[bi] from its slot, or decodes it and
+// offers it to the cache. A decode failure — impossible unless a block was
+// corrupted in memory — exhausts the iterator and counts
+// kvstore_block_decode_errors_total (the cellIterator interface has no
+// error channel; the merge simply sees this source end).
 func (it *segmentIterator) loadBlock() bool {
-	h := &it.seg.blocks[it.bi]
-	key := blockKey{seg: it.seg.cacheID, idx: it.bi}
-	var cells []Cell
-	cacheHit := false
-	if !it.noCache {
-		if c := it.seg.cfg.cache.get(key); c != nil {
-			cells, cacheHit = c, true
-		}
-	}
-	if cells == nil {
+	cells := it.cache.lookup(&it.seg.slots[it.bi])
+	if cells != nil {
+		it.bs.cacheHits++
+	} else {
 		var err error
-		cells, err = decodeBlockHandle(h)
-		if err != nil {
+		if cells, err = decodeBlockHandle(&it.seg.blocks[it.bi]); err != nil {
 			mBlockDecodeErrors.Inc()
 			it.bi = len(it.seg.blocks)
 			it.cells = nil
 			return false
 		}
-		if !it.noCache {
-			it.seg.cfg.cache.put(key, cells, blockLogicalBytes(cells))
+		it.bs.decoded++
+		if it.cache != nil {
+			it.bs.cacheMisses++
 		}
+		it.cache.admit(&it.seg.slots[it.bi], cells, blockLogicalBytes(cells))
 	}
+	it.bs.loaded++
 	it.cells = cells
 	it.ci = 0
-	if it.bs != nil {
-		it.bs.loaded++
-		if cacheHit {
-			it.bs.cacheHits++
-		} else {
-			it.bs.decoded++
-		}
-	} else {
-		mBlocksLoaded.Inc()
-		if !cacheHit {
-			mBlockDecodes.Inc()
-		}
-	}
 	return true
-}
-
-// countSkipped records blocks pruned without decoding.
-func (it *segmentIterator) countSkipped(n int64) {
-	if n <= 0 {
-		return
-	}
-	if it.bs != nil {
-		it.bs.skipped += n
-	} else {
-		mBlocksSkipped.Add(n)
-	}
 }
 
 // blockLogicalBytes is the cache charge of one decoded block: the logical
@@ -530,9 +497,11 @@ func (m *mergeIterator) next() {
 // through cache-bypassing iterators: a compaction touches every block
 // exactly once and must not wipe the read path's cached working set.
 func compactSegments(id uint64, newestFirst []*segment, cfg segmentConfig) (*segment, error) {
+	var bs blockScanStats
+	defer bs.flush()
 	its := make([]cellIterator, len(newestFirst))
 	for i, s := range newestFirst {
-		its[i] = s.iteratorNoCache()
+		its[i] = s.iteratorNoCache(&bs)
 	}
 	merged := newMergeIterator(its)
 	var out []Cell

@@ -281,11 +281,11 @@ func TestEmptyAndSingleRowSegments(t *testing.T) {
 	if empty.overlapsRanges([]ScanRange{{}}) {
 		t.Fatal("empty segment overlaps the unbounded range")
 	}
-	it := empty.iterator(nil, nil)
+	it := empty.iterator(nil, &blockScanStats{})
 	if it.valid() {
 		t.Fatal("empty segment iterator is valid")
 	}
-	if empty.pointIterator("r", nil, nil) != nil {
+	if empty.pointIterator("r", nil, &blockScanStats{}) != nil {
 		t.Fatal("empty segment produced a point iterator")
 	}
 
@@ -299,7 +299,7 @@ func TestEmptyAndSingleRowSegments(t *testing.T) {
 	if !single.mayContainRow("only") {
 		t.Fatal("single-row segment denies its own row")
 	}
-	it = single.iterator(nil, nil)
+	it = single.iterator(nil, &blockScanStats{})
 	if !it.valid() || it.cell().Row != "only" {
 		t.Fatal("single-row segment iterator broken")
 	}

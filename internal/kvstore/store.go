@@ -301,8 +301,7 @@ func (s *Store) WritePressure() float64 {
 
 // iteratorsLocked returns the newest-first iterator stack (memtable, then
 // rotated memtables newest to oldest, then segments newest to oldest),
-// positioned at start. Segment block activity is counted into bs (nil =
-// the global counters directly).
+// positioned at start. Segment block activity is counted into bs.
 func (s *Store) iteratorsLocked(start *Cell, bs *blockScanStats) []cellIterator {
 	its := make([]cellIterator, 0, len(s.segments)+len(s.imm)+1)
 	its = append(its, s.mem.iterator(start))
@@ -330,7 +329,9 @@ func (s *Store) GetAt(row string, asOf int64) (RowResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	start := &Cell{Row: row, Qualifier: "", Timestamp: int64(1) << 62, Tombstone: true}
-	merged := newMergeIterator(s.pointIteratorsLocked(row, start))
+	var bs blockScanStats
+	defer bs.flush()
+	merged := newMergeIterator(s.pointIteratorsLocked(row, start, &bs))
 	res := RowResult{Row: row}
 	resolveRowVersions(merged, row, asOf, &res)
 	return res, nil
@@ -340,7 +341,7 @@ func (s *Store) GetAt(row string, asOf int64) (RowResult, error) {
 // consults each segment's Bloom filter (first level) and then the target
 // block's Bloom filter (second level, inside pointIterator), skipping
 // segments and blocks that cannot contain the row.
-func (s *Store) pointIteratorsLocked(row string, start *Cell) []cellIterator {
+func (s *Store) pointIteratorsLocked(row string, start *Cell, bs *blockScanStats) []cellIterator {
 	its := make([]cellIterator, 0, len(s.segments)+len(s.imm)+1)
 	its = append(its, s.mem.iterator(start))
 	for i := len(s.imm) - 1; i >= 0; i-- {
@@ -353,7 +354,7 @@ func (s *Store) pointIteratorsLocked(row string, start *Cell) []cellIterator {
 			continue
 		}
 		hits++
-		if it := s.segments[i].pointIterator(row, start, nil); it != nil {
+		if it := s.segments[i].pointIterator(row, start, bs); it != nil {
 			its = append(its, it)
 		}
 	}
