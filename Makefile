@@ -19,6 +19,9 @@ check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-
 ## lint-metrics fails when any obs.L / obs.Label value is not a
 ## compile-time constant — the static half of the bounded-cardinality
 ## contract (the registry's per-family series cap is the dynamic half).
+## That every served family has a reader (a runbook line in OPERATIONS.md or
+## a benchmark metric) is the tier-1 test TestEveryMetricFamilyHasAReader in
+## internal/core, not obs-lint: it checks the registry /metrics serves.
 lint-metrics:
 	$(GO) run ./cmd/obs-lint ./...
 

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"modissense/internal/cluster"
-	"modissense/internal/exec"
+	"modissense/internal/obs"
 	"modissense/internal/query"
 	"modissense/internal/workload"
 )
@@ -73,7 +73,7 @@ func servedAnswers() map[string]*query.Result {
 	fish[0].POI.Name, fish[0].POI.Keywords = "Fish & Chips <Caf\u00e9>", []string{}
 	return map[string]*query.Result{
 		"miss": {POIs: scored(10), LatencySeconds: 0.0421, Work: work, Regions: 16,
-			Exec: exec.Snapshot{Tasks: 16, Goroutines: 2, RowsScanned: 812, BytesMerged: 52371, WallSeconds: 0.00187, BlocksDecoded: 4}},
+			Exec: obs.QuerySnapshot{Tasks: 16, Goroutines: 2, RowsScanned: 812, BytesMerged: 52371, WallSeconds: 0.00187, BlocksDecoded: 4}},
 		"hit":      {POIs: scored(10), LatencySeconds: 0.000213, Cached: true},
 		"degraded": {POIs: scored(3), LatencySeconds: 0.05, Degraded: true, MissingRegions: []int{3, 11}, Regions: 14},
 		"clamped":  {POIs: scored(2), WindowClamped: true, EffectiveFromMillis: 1433548800000},

@@ -130,8 +130,7 @@ func routesFromSource(path string) (map[string]bool, error) {
 
 // docRouteRow matches one row of API.md's four-column route table: the
 // method cell, then the backticked path cell, then auth and description.
-// The three-column /metrics table and prose mentions of endpoints don't
-// match this shape.
+// Prose mentions of endpoints don't match this shape.
 var docRouteRow = regexp.MustCompile("^\\| (GET|POST|PUT|PATCH|DELETE) \\| `(/[^`]*)` \\|(?:[^|]*\\|){2}$")
 
 // routesFromDoc extracts "METHOD /path" keys from the API.md route table.

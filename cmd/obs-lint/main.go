@@ -18,6 +18,12 @@
 // _test.go files are skipped (tests may synthesize labels to provoke the
 // runtime cap), and so is internal/obs itself, whose exposition writer
 // builds the reserved "le" bucket label from float bounds.
+//
+// That every family has a reader — a runbook line in OPERATIONS.md or a
+// benchmark metric — is not checked here but by the tier-1 test
+// TestEveryMetricFamilyHasAReader (internal/core), which scrapes the
+// registry /metrics actually serves, per-route families included; an AST
+// walk would have to re-derive that list.
 package main
 
 import (

@@ -103,12 +103,12 @@ func TestAPIMetricsExposition(t *testing.T) {
 	for _, series := range []string{
 		// kvstore layer
 		"kvstore_rows_scanned_total",
-		"kvstore_bytes_scanned_total",
-		"kvstore_scan_seconds_bucket",
+		"kvstore_blocks_loaded_total",
+		"kvstore_read_attempts_total",
 		"kvstore_memtable_flushes_total",
 		// exec layer
 		"exec_tasks_total",
-		"exec_gather_seconds_bucket",
+		"exec_task_wait_seconds_bucket",
 		"exec_queue_depth",
 		// query layer
 		`query_queries_total{path="personalized"}`,

@@ -216,20 +216,6 @@ func SetDefaultWorkers(n int) {
 	defaultPool.Store(NewPool(n))
 }
 
-// Stats is the per-query statistics collector. It lives in internal/obs as
-// QueryStats so storage code can report into it without importing the
-// execution engine; the aliases below keep the historical exec API intact.
-type Stats = obs.QueryStats
-
-// Snapshot is an immutable copy of Stats for reporting.
-type Snapshot = obs.QuerySnapshot
-
-// StatsFrom returns the context's Stats collector, or nil when none is
-// attached (nil is safe to use with every Stats method).
-func StatsFrom(ctx context.Context) *Stats {
-	return obs.QueryStatsFrom(ctx)
-}
-
 // Gather runs every task on the pool and returns their results in task
 // order. It never aborts on the first failure: every task either runs or —
 // once ctx is cancelled — is marked with the context error, and the returned
@@ -240,7 +226,7 @@ func (p *Pool) Gather(ctx context.Context, tasks []Task) ([]Result, error) {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	st := StatsFrom(ctx)
+	st := obs.QueryStatsFrom(ctx)
 	n := len(tasks)
 	res := make([]Result, n)
 	if n == 0 {
@@ -278,8 +264,6 @@ func (p *Pool) Gather(ctx context.Context, tasks []Task) ([]Result, error) {
 					st.AddTask()
 					continue
 				}
-				mWorkersBusy.Add(1)
-				runStart := time.Now()
 				// Cancellation accounting is exactly once per task: either
 				// the task was skipped here before running, or it ran and
 				// returned the cancellation itself — never both, and a task
@@ -288,6 +272,7 @@ func (p *Pool) Gather(ctx context.Context, tasks []Task) ([]Result, error) {
 					res[i].Err = err
 					st.AddCancel()
 				} else {
+					runStart := time.Now()
 					res[i].Value, res[i].Err = runTask(ctx, tasks[i])
 					if res[i].Err != nil && ctx.Err() != nil &&
 						(errors.Is(res[i].Err, context.Canceled) || errors.Is(res[i].Err, context.DeadlineExceeded)) {
@@ -297,19 +282,14 @@ func (p *Pool) Gather(ctx context.Context, tasks []Task) ([]Result, error) {
 						tr.Observe(time.Since(runStart))
 					}
 				}
-				mTaskRun.ObserveDuration(time.Since(runStart))
 				mTasks.Inc()
 				st.AddTask()
-				mWorkersBusy.Add(-1)
 				<-p.sem
 			}
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
-	st.AddWall(wall)
-	mGathers.Inc()
-	mGatherWall.ObserveDuration(wall)
+	st.AddWall(time.Since(start))
 	var errs []error
 	for i := range res {
 		if res[i].Err != nil {

@@ -117,7 +117,7 @@ func TestGatherParallelism(t *testing.T) {
 		t.Skip("needs GOMAXPROCS >= 2")
 	}
 	p := NewPool(2)
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	// Two tasks that each wait for the other: only completes if both run
 	// concurrently on distinct worker goroutines.
@@ -150,14 +150,14 @@ func TestGatherParallelism(t *testing.T) {
 }
 
 func TestStatsNilSafe(t *testing.T) {
-	var s *Stats
+	var s *obs.QueryStats
 	s.AddRows(5)
 	s.AddBytes(5)
-	if got := s.Snapshot(); got != (Snapshot{}) {
-		t.Fatalf("nil Stats snapshot = %+v", got)
+	if got := s.Snapshot(); got != (obs.QuerySnapshot{}) {
+		t.Fatalf("nil QueryStats snapshot = %+v", got)
 	}
-	if StatsFrom(context.Background()) != nil {
-		t.Fatal("StatsFrom on bare context should be nil")
+	if obs.QueryStatsFrom(context.Background()) != nil {
+		t.Fatal("QueryStatsFrom on bare context should be nil")
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"modissense/internal/obs"
 )
 
 // ErrAttemptsExhausted marks a hedged read that failed every attempt in its
@@ -219,7 +221,7 @@ func runAttempt[T any](ctx context.Context, fn func(context.Context, int, int) (
 //
 // Cancellation accounting is exactly-once per attempt: a losing attempt
 // that observes the cancellation is recorded as a hedge-loser cancel in the
-// context's Stats; a losing attempt that completed before noticing is not
+// context's QueryStats; a losing attempt that completed before noticing is not
 // recorded at all (it was never cancelled mid-task); cancellation of the
 // caller's own ctx is left to the caller's task-level accounting.
 //
@@ -250,7 +252,7 @@ func RunHedged[T any](ctx context.Context, salt int64, replicas int, rp RetryPol
 		}
 		return zero, meta, errors.Join(ErrAttemptsExhausted, err)
 	}
-	st := StatsFrom(ctx)
+	st := obs.QueryStatsFrom(ctx)
 	actx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 

@@ -13,7 +13,7 @@ import (
 )
 
 func TestRunHedgedFirstAttemptWins(t *testing.T) {
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	v, meta, err := RunHedged(ctx, 1, 2, RetryPolicy{MaxAttempts: 3}, HedgePolicy{},
 		func(ctx context.Context, attempt, replica int) (interface{}, error) {
@@ -32,7 +32,7 @@ func TestRunHedgedFirstAttemptWins(t *testing.T) {
 }
 
 func TestRunHedgedRetriesAfterFailures(t *testing.T) {
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	boom := errors.New("boom")
 	v, meta, err := RunHedged(ctx, 7, 2, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}, HedgePolicy{},
@@ -73,7 +73,7 @@ func TestRunHedgedExhaustion(t *testing.T) {
 }
 
 func TestRunHedgedHedgeWinsAndLoserCancelCountsOnce(t *testing.T) {
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	var loserSawCancel sync.WaitGroup
 	loserSawCancel.Add(1)
@@ -117,7 +117,7 @@ func TestRunHedgedLoserCompletedAfterCancelNotCounted(t *testing.T) {
 	// Regression for the double-count/no-count edge: an attempt that is
 	// cancelled after it already completed must not be recorded as a
 	// cancellation.
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	var slowDone sync.WaitGroup
 	slowDone.Add(1)
@@ -175,7 +175,7 @@ func TestRunHedgedOneAttemptRunsInline(t *testing.T) {
 	answer := func(ctx context.Context, attempt, replica int) (int, error) { return 40 + attempt + replica, nil }
 	for _, maxAttempts := range []int{0, 1} {
 		rp := RetryPolicy{MaxAttempts: maxAttempts, Budget: budget}
-		ctx := obs.WithQueryStats(context.Background(), &Stats{})
+		ctx := obs.WithQueryStats(context.Background(), &obs.QueryStats{})
 		allocs := testing.AllocsPerRun(50, func() {
 			v, meta, err := RunHedged(ctx, 1, 2, rp, hp, answer)
 			want := ReadMeta{Attempts: 1}
@@ -216,7 +216,7 @@ func TestGatherCancelAccountingExactlyOnce(t *testing.T) {
 	// One worker, three tasks: the first blocks until the query is
 	// cancelled (counted once, mid-task), the rest are skipped before
 	// running (counted once each, pre-run). Total cancels == tasks.
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx, cancel := context.WithCancel(obs.WithQueryStats(context.Background(), st))
 	p := NewPool(1)
 	tasks := []Task{
@@ -249,7 +249,7 @@ func TestGatherCancelAccountingExactlyOnce(t *testing.T) {
 func TestGatherTaskCompletingDespiteCancelNotCounted(t *testing.T) {
 	// A task that finishes successfully even though the context was
 	// cancelled mid-flight observed no cancellation — zero cancel records.
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx, cancel := context.WithCancel(obs.WithQueryStats(context.Background(), st))
 	p := NewPool(1)
 	res, err := p.Gather(ctx, []Task{
@@ -272,7 +272,7 @@ func TestGatherTaskCompletingDespiteCancelNotCounted(t *testing.T) {
 func TestGatherTaskOwnErrorNotCountedAsCancel(t *testing.T) {
 	// A task failing with its own (non-context) error under an alive
 	// context is a failure, not a cancellation.
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	p := NewPool(1)
 	_, err := p.Gather(ctx, []Task{

@@ -5,13 +5,9 @@ import "modissense/internal/obs"
 // Pool-level series in the shared registry. Handles are resolved once at
 // package init; the scheduling loop touches only atomics.
 var (
-	mQueueDepth  = obs.Default().Gauge("exec_queue_depth", "Tasks waiting for a worker slot.")
-	mWorkersBusy = obs.Default().Gauge("exec_workers_busy", "Tasks currently running on a worker slot.")
-	mTasks       = obs.Default().Counter("exec_tasks_total", "Tasks executed (or cancelled before running).")
-	mGathers     = obs.Default().Counter("exec_gathers_total", "Scatter-gather batches executed.")
-	mTaskWait    = obs.Default().Histogram("exec_task_wait_seconds", "Time a task waited for a worker slot.", obs.LatencyBuckets())
-	mTaskRun     = obs.Default().Histogram("exec_task_run_seconds", "Time a task spent running.", obs.LatencyBuckets())
-	mGatherWall  = obs.Default().Histogram("exec_gather_seconds", "Wall time of one full Gather call.", obs.LatencyBuckets())
+	mQueueDepth = obs.Default().Gauge("exec_queue_depth", "Tasks waiting for a worker slot.")
+	mTasks      = obs.Default().Counter("exec_tasks_total", "Tasks executed (or cancelled before running).")
+	mTaskWait   = obs.Default().Histogram("exec_task_wait_seconds", "Time a task waited for a worker slot.", obs.LatencyBuckets())
 
 	mShedInteractive = obs.Default().Counter("exec_queue_shed_total",
 		"Tasks shed by the bounded queue, by priority class.", obs.L("class", "interactive"))

@@ -64,7 +64,7 @@ func TestGatherCancelWhileQueued(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	st := &Stats{}
+	st := &obs.QueryStats{}
 	resCh := make(chan []Result, 1)
 	go func() {
 		tasks := make([]Task, 2)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"modissense/internal/exec"
 	"modissense/internal/obs"
 )
 
@@ -313,7 +312,7 @@ func TestBlockCacheStoreCounters(t *testing.T) {
 			t.Fatalf("warm=%v: flush published %d hits, %d misses for %+v", warm, hits, misses, bs)
 		}
 		// The same scan through MultiScanCtx publishes the same counts.
-		st := &exec.Stats{}
+		st := &obs.QueryStats{}
 		hits, misses := counted(func() {
 			if err := s.MultiScanCtx(obs.WithQueryStats(context.Background(), st), ranges, 0, func(RowResult) bool { return true }); err != nil {
 				t.Fatal(err)

@@ -70,16 +70,6 @@ func (s *Store) compactionDebtLocked() int64 {
 	return debt
 }
 
-// updateDebtLocked refreshes the store's contribution to the global
-// compaction-debt gauge. Caller holds s.mu.
-func (s *Store) updateDebtLocked() {
-	d := s.compactionDebtLocked()
-	if d != s.debtBytes {
-		mCompactionDebt.Add(d - s.debtBytes)
-		s.debtBytes = d
-	}
-}
-
 // updateWriteAmp refreshes the global write-amplification gauge from the
 // byte counters (flush + compaction bytes per ingested byte, ×100).
 func updateWriteAmp() {
@@ -138,8 +128,7 @@ func (s *Store) compactLoop() {
 		s.bgCompact++
 		mBgCompactions.Inc()
 		mBytesCompacted.Add(int64(merged.bytes))
-		s.updateDebtLocked()
-		s.updateSegmentBytesLocked()
+		s.updateGaugesLocked()
 		updateWriteAmp()
 		s.cond.Broadcast()
 	}

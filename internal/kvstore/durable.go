@@ -41,11 +41,19 @@ func OpenDurableTable(name string, splitKeys []string, nodes int, opts StoreOpti
 	return t, nil
 }
 
-// Close flushes and releases the table's WAL (no-op for non-durable
-// tables). The table must not be mutated afterwards.
+// Close takes every region and replica store off the segment-bytes and
+// compaction-debt gauges (see Store.release) and every replica set off the
+// replication-lag gauge, then flushes and releases the table's WAL, if any.
+// The table must not be mutated afterwards; Close is idempotent.
 func (t *Table) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for _, r := range t.regions {
+		r.Store().release()
+		if rs := r.replicaSet(); rs != nil {
+			rs.retire()
+		}
+	}
 	if t.wal == nil {
 		return nil
 	}

@@ -404,11 +404,14 @@ func (t *Table) promoteRegionLocked(r *Region, det *failureDetector) error {
 
 	nrs, reseedErr := t.assembleReplicaSetLocked(r.ID, winner.nodeID, det, survivors, seq, base, tail, winner.store)
 	r.mu.Lock()
+	deposed := r.store
 	r.store = winner.store
 	r.primary = winner.nodeID
 	r.epoch++
 	r.repl = nrs
 	r.mu.Unlock()
+	deposed.release()
+	old.releaseStores(nrs, winner.store)
 	mFailoverPromotes.Inc()
 	return reseedErr
 }
@@ -438,6 +441,7 @@ func (t *Table) evictReplicaLocked(r *Region, node int, det *failureDetector) er
 	r.mu.Lock()
 	r.repl = nrs
 	r.mu.Unlock()
+	old.releaseStores(nrs, nil)
 	return err
 }
 

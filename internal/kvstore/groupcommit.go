@@ -168,7 +168,6 @@ func (w *GroupCommitWAL) commitLocked(cells []Cell) error {
 		}
 		mWALSyncs.Inc()
 	}
-	mWALAppends.Add(int64(len(cells)))
 	mWALGroupCommits.Inc()
 	mWALGroupCells.Add(int64(len(cells)))
 	return nil

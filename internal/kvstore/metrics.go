@@ -6,19 +6,12 @@ import "modissense/internal/obs"
 // init; hot paths batch into locals and flush with one atomic add per scan,
 // matching the ctxPollInterval discipline (no per-row registry traffic).
 var (
-	mPuts    = obs.Default().Counter("kvstore_puts_total", "Cells applied to a memtable (puts and tombstones).")
 	mFlushes = obs.Default().Counter("kvstore_memtable_flushes_total", "Memtable flushes into immutable segments.")
 
-	mRowsScanned  = obs.Default().Counter("kvstore_rows_scanned_total", "Rows delivered by scans.")
-	mBytesScanned = obs.Default().Counter("kvstore_bytes_scanned_total", "Approximate bytes of cells delivered by scans.")
-	mScanLatency  = obs.Default().Histogram("kvstore_scan_seconds", "Latency of one store-level scan.", obs.LatencyBuckets())
-
-	mBloomHits   = obs.Default().Counter("kvstore_bloom_hits_total", "Point reads where a segment Bloom filter admitted the row.")
-	mBloomMisses = obs.Default().Counter("kvstore_bloom_misses_total", "Point reads where a segment Bloom filter excluded the row.")
+	mRowsScanned = obs.Default().Counter("kvstore_rows_scanned_total", "Rows delivered by scans.")
 	mSegsPruned  = obs.Default().Counter("kvstore_multiscan_segments_pruned_total", "Segments skipped by multi-range span pruning.")
 
-	mWALAppends = obs.Default().Counter("kvstore_wal_appends_total", "Records appended to a file-backed WAL.")
-	mWALSyncs   = obs.Default().Counter("kvstore_wal_syncs_total", "File-backed WAL syncs to stable storage.")
+	mWALSyncs = obs.Default().Counter("kvstore_wal_syncs_total", "File-backed WAL syncs to stable storage.")
 
 	mWALBatchRecords = obs.Default().Counter("kvstore_wal_batch_records_total",
 		"Batched records written to a file-backed WAL (one per multi-cell batch or commit group).")
@@ -89,7 +82,7 @@ var (
 	mBlockCacheMisses = obs.Default().Counter("kvstore_block_cache_misses_total",
 		"Block-cache lookups that fell through to a decode.")
 	mBlockCacheEvictions = obs.Default().Counter("kvstore_block_cache_evictions_total",
-		"Decoded blocks evicted by the cache's byte-capacity LRU.")
+		"Decoded blocks evicted by the block cache's CLOCK hand to stay within its byte budget.")
 	mBlockCacheBytes = obs.Default().Gauge("kvstore_block_cache_resident_bytes",
 		"Decoded block bytes resident in block caches (all caches).")
 	mBlockCacheEntries = obs.Default().Gauge("kvstore_block_cache_entries",
@@ -99,15 +92,7 @@ var (
 		"Approximate logical cell bytes held by installed segments (all stores).")
 	mSegResidentBytes = obs.Default().Gauge("kvstore_segment_resident_bytes",
 		"Encoded (resident) segment block bytes held by installed segments (all stores).")
-)
 
-// approxRowBytes estimates the wire footprint of one delivered row: key,
-// qualifiers, values, plus a fixed per-cell overhead for the timestamp and
-// framing. Mirrors the memtable's footprint accounting.
-func approxRowBytes(res *RowResult) int64 {
-	n := int64(len(res.Row))
-	for i := range res.Cells {
-		n += int64(len(res.Cells[i].Qualifier)+len(res.Cells[i].Value)) + cellOverhead
-	}
-	return n
-}
+	// storeGauges are the gauges every store contributes to (Store.gauges).
+	storeGauges = [3]*obs.Gauge{mSegLogicalBytes, mSegResidentBytes, mCompactionDebt}
+)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"modissense/internal/obs"
 )
@@ -148,9 +147,9 @@ func (s *Store) multiScanIteratorsLocked(ranges []ScanRange, start *Cell, bs *bl
 // rows — callbacks must copy a Cell they retain past their return — but the
 // Value bytes it points at are the store's own, which nothing ever rewrites:
 // a callback may retain a Value slice as is (see Table.PutBatch).
-// Cancellation is polled every ctxPollInterval rows; delivered rows and
-// bytes are counted into the context's obs.QueryStats and the shared
-// registry in one batch at scan end.
+// Cancellation is polled every ctxPollInterval rows; delivered rows are
+// counted into the context's obs.QueryStats and the shared registry in one
+// batch at scan end.
 func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64, fn func(RowResult) bool) error {
 	if fn == nil {
 		return fmt.Errorf("kvstore: nil scan callback")
@@ -162,7 +161,6 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 		return nil
 	}
 	st := obs.QueryStatsFrom(ctx)
-	scanStart := time.Now()
 	done := ctx.Done()
 	if asOf == 0 {
 		asOf = int64(1) << 62
@@ -176,16 +174,14 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 	var bs blockScanStats
 	its, pruned := s.multiScanIteratorsLocked(ranges, start, &bs)
 	merged := newMergeIterator(its)
-	var delivered, deliveredBytes int64
+	var delivered int64
 	defer func() {
 		st.AddRows(delivered)
 		st.AddBlocksDecoded(bs.decoded)
 		st.AddBlocksSkipped(bs.skipped)
 		bs.flush()
 		mRowsScanned.Add(delivered)
-		mBytesScanned.Add(deliveredBytes)
 		mSegsPruned.Add(int64(pruned))
-		mScanLatency.ObserveDuration(time.Since(scanStart))
 		if sp := obs.SpanFromContext(ctx); sp != nil {
 			// One child span per store-level multiscan keeps the per-scan
 			// block accounting out of the (append-only) parent attrs.
@@ -226,7 +222,6 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 			resolveRowVersions(merged, row, asOf, &res)
 			if !res.Empty() {
 				delivered++
-				deliveredBytes += approxRowBytes(&res)
 				if !fn(res) {
 					return nil
 				}

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"modissense/internal/exec"
 	"modissense/internal/obs"
 )
 
@@ -210,7 +209,7 @@ func TestMultiScanEarlyStopAndCancel(t *testing.T) {
 }
 
 // TestMultiScanStatsBatched checks delivered rows reach the context's
-// exec.Stats in one batch.
+// obs.QueryStats in one batch.
 func TestMultiScanStatsBatched(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 100; i++ {
@@ -218,7 +217,7 @@ func TestMultiScanStatsBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := &exec.Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	if err := s.MultiScanCtx(ctx, []ScanRange{{"r00010", "r00020"}, {"r00050", "r00055"}}, 0, func(RowResult) bool { return true }); err != nil {
 		t.Fatal(err)

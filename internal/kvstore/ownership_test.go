@@ -7,7 +7,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"modissense/internal/exec"
 	"modissense/internal/obs"
 )
 
@@ -61,7 +60,7 @@ func TestDeliveredValuesAreNeverRewritten(t *testing.T) {
 		// served every block from the cache.
 		retain := func(source string, decoded bool) {
 			t.Helper()
-			st := &exec.Stats{}
+			st := &obs.QueryStats{}
 			n := 0
 			err := s.MultiScanCtx(obs.WithQueryStats(context.Background(), st), []ScanRange{{}}, 0, func(res RowResult) bool {
 				v, _ := res.Get("q")

@@ -61,7 +61,7 @@ type RegionResult[T any] struct {
 //
 // There is no first-error abort: every region's outcome is reported in its
 // RegionResult, leaving the served/missing split to the caller. When ctx
-// carries an exec.Stats the fan-out's parallelism, retries and hedges are
+// carries an obs.QueryStats the fan-out's parallelism, retries and hedges are
 // recorded there; when it carries a span, each attempt is a child span.
 func ExecRegions[T any](ctx context.Context, t *Table, ro ReadOptions, fn func(context.Context, *Region) (T, error)) []RegionResult[T] {
 	if ctx == nil {

@@ -391,8 +391,8 @@ func (t *Table) SplitRegion(splitKey string) error {
 	}
 	// Rewrite the region's cells into the two halves. Raw cells (including
 	// tombstones) preserve full version history across the split. The old
-	// store is left untouched: frozen views handed to in-flight coprocessors
-	// keep reading a consistent full-range snapshot.
+	// store only leaves the gauges (release): frozen views handed to
+	// in-flight coprocessors keep reading a consistent full-range snapshot.
 	cells := r.store.rawCells()
 	cut := sort.Search(len(cells), func(i int) bool { return cells[i].Row >= splitKey })
 	if err := lower.ApplyBatch(cells[:cut]); err != nil {
@@ -414,8 +414,8 @@ func (t *Table) SplitRegion(splitKey string) error {
 	// A replicated table rebuilds both halves' replica sets from the fresh
 	// post-split stores (unshipped WAL-tail entries are already inside the
 	// rewritten cells, so they are dropped rather than double-applied). The
-	// old replica stores stay untouched: frozen views that captured them
-	// keep a consistent pre-split snapshot.
+	// old set is only retired from the gauges: frozen views that captured
+	// its stores keep a consistent pre-split snapshot.
 	var lowerRepl, upperRepl *replicaSet
 	if t.replicas > 0 {
 		if lowerRepl, err = t.newReplicaSet(r.ID, r.primary, lower); err != nil {
@@ -427,13 +427,15 @@ func (t *Table) SplitRegion(splitKey string) error {
 		newRegion.repl = upperRepl
 	}
 	r.mu.Lock()
-	if old := r.repl; old != nil {
-		old.dropPending()
-	}
+	oldStore, oldRepl := r.store, r.repl
 	r.endKey = splitKey
 	r.store = lower
 	r.repl = lowerRepl
 	r.mu.Unlock()
+	oldStore.release()
+	if oldRepl != nil {
+		oldRepl.retire()
+	}
 	// Insert newRegion right after r.
 	idx := sort.Search(len(t.regions), func(i int) bool {
 		return t.regions[i].StartKey > splitKey

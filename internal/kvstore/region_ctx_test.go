@@ -115,7 +115,7 @@ func TestExecRegionsRunsRegionsInParallel(t *testing.T) {
 		t.Skip("needs GOMAXPROCS >= 2")
 	}
 	tbl := newTestTable(t, []string{"m"}, 2)
-	st := &exec.Stats{}
+	st := &obs.QueryStats{}
 	ctx := obs.WithQueryStats(context.Background(), st)
 	// The region function blocks until two regions are executing
 	// simultaneously, proving real parallelism.

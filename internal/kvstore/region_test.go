@@ -315,6 +315,108 @@ func TestSplitRegionRepeatedIncreasesParallelUnits(t *testing.T) {
 	}
 }
 
+// TestSegmentGaugesFollowLiveStores pins the segment-bytes and
+// compaction-debt gauges to the stores a table still holds: a split, a
+// failover rebuild and Close each take the stores they discard off the
+// gauges, region and replica stores alike.
+func TestSegmentGaugesFollowLiveStores(t *testing.T) {
+	gauges := func() [3]int64 {
+		return [3]int64{mSegLogicalBytes.Value(), mSegResidentBytes.Value(), mCompactionDebt.Value()}
+	}
+	before := gauges()
+	opts := DefaultStoreOptions()
+	opts.FlushThresholdBytes = 4 << 10
+	tbl, err := NewTable("segment-gauges", nil, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.EnableReplication(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.EnableFailover(FailoverConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	write := func(from, to int) {
+		t.Helper()
+		batch := make([]Cell, 0, 100)
+		for i := from; i < to; i++ {
+			batch = append(batch, Cell{Row: fmt.Sprintf("row-%05d", i), Qualifier: "q", Timestamp: 1, Value: []byte("value")})
+			if len(batch) == cap(batch) || i == to-1 {
+				if err := tbl.PutBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+	}
+	write(0, 4000)
+	// check waits out every live store's maintenance and compares the
+	// gauges with what those stores report, on top of the baseline.
+	check := func(stage string) {
+		t.Helper()
+		want := before
+		for _, r := range tbl.Regions() {
+			stores := []*Store{r.Store()}
+			for _, rep := range r.replicaSet().replicas {
+				stores = append(stores, rep.store)
+			}
+			for _, st := range stores {
+				if err := st.WaitMaintenance(); err != nil {
+					t.Fatal(err)
+				}
+				s := st.Stats()
+				want[0] += s.SegmentLogicalBytes
+				want[1] += s.SegmentResidentBytes
+				want[2] += s.CompactionDebtBytes
+			}
+		}
+		if want[0] == before[0] {
+			t.Fatalf("%s: the live stores hold no segment bytes", stage)
+		}
+		if got := gauges(); got != want {
+			t.Errorf("%s: gauges (logical, resident, debt) = %v, live stores hold %v", stage, got, want)
+		}
+	}
+	check("before the split")
+	// A flush still running when the split retires its store must not put
+	// the store's bytes back: hold one at its hook across the split.
+	old := tbl.Regions()[0].Store()
+	gate, held := make(chan struct{}), make(chan struct{}, 1)
+	old.mu.Lock()
+	old.flushHook = func(*memtable) error {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-gate
+		return nil
+	}
+	old.mu.Unlock()
+	write(4000, 4200) // over 4 KiB: rotates at least one memtable
+	<-held
+	if err := tbl.SplitRegion("row-02000"); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if err := old.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the split")
+	// Node 1 is the upper region's primary and the lower region's replica
+	// node: failing it over promotes one region and evicts the other's
+	// replica.
+	if err := tbl.FailoverNode(1); err != nil {
+		t.Fatal(err)
+	}
+	check("after the failover")
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauges(); got != before {
+		t.Errorf("after Close: gauges (logical, resident, debt) = %v, want the baseline %v", got, before)
+	}
+}
+
 // TestTableConcurrentMutationsAndCoprocessors stresses the table with
 // parallel writers, readers and region fan-outs; run it under -race.
 func TestTableConcurrentMutationsAndExecRegions(t *testing.T) {

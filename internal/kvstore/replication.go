@@ -162,19 +162,30 @@ func (rs *replicaSet) truncateLocked() {
 	rs.base = min
 }
 
-// dropPending abandons unshipped mutations (used when a split rebuilds the
-// replica set from the post-split stores, which already contain them),
-// keeping the global lag gauge consistent.
-func (rs *replicaSet) dropPending() {
+// retire discards the whole set, as a split (whose post-split stores
+// already hold its unshipped mutations) and Table.Close do: its lag leaves
+// the gauge and its replica stores are released.
+func (rs *replicaSet) retire() {
 	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	old := rs.lagLocked()
-	rs.log = nil
-	rs.base = rs.seq
-	for _, rep := range rs.replicas {
-		rep.applied = rs.seq
+	rs.retireLocked()
+	rs.mu.Unlock()
+	rs.releaseStores(nil, nil)
+}
+
+// releaseStores releases (see Store.release) every replica store of rs that
+// next does not carry over and that is not keep. next may be nil.
+func (rs *replicaSet) releaseStores(next *replicaSet, keep *Store) {
+	kept := map[*Store]bool{keep: true}
+	if next != nil {
+		for _, rep := range next.replicas {
+			kept[rep.store] = true
+		}
 	}
-	rs.adjustGaugeLocked(old)
+	for _, rep := range rs.replicas {
+		if !kept[rep.store] {
+			rep.store.release()
+		}
+	}
 }
 
 // replicaSet returns the region's replica set, or nil when replication is

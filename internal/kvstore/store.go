@@ -79,15 +79,17 @@ type Store struct {
 	// segCfg is the resolved block format handed to every segment this
 	// store builds; immutable after NewStore.
 	segCfg segmentConfig
-	// segLogical/segResident track this store's contribution to the global
-	// segment-bytes gauges (delta-updated like debtBytes).
-	segLogical  int64
-	segResident int64
-	debtBytes   int64
-	puts        uint64
-	flushes     uint64
-	bgCompact   uint64
-	stalls      uint64
+	// gauges holds this store's contributions to storeGauges; retired
+	// stores contribute nothing. gaugeMu guards both and is a leaf lock:
+	// release must not wait for s.mu, which a scan holds read-locked for its
+	// whole run, across the split that retires its store.
+	gaugeMu   sync.Mutex
+	gauges    [3]int64
+	retired   bool
+	puts      uint64
+	flushes   uint64
+	bgCompact uint64
+	stalls    uint64
 }
 
 // NewStore creates an empty store.
@@ -171,7 +173,6 @@ func (s *Store) waitWriteRoomLocked() error {
 func (s *Store) addCellLocked(c Cell) {
 	s.mem.add(c)
 	s.puts++
-	mPuts.Inc()
 	mBytesIngested.Add(int64(len(c.Row)+len(c.Qualifier)+len(c.Value)) + cellOverhead)
 	if s.mem.sizeBytes() >= s.opts.FlushThresholdBytes && len(s.imm) < s.opts.MaxImmutableMemtables {
 		s.rotateLocked()
@@ -244,28 +245,40 @@ func (s *Store) installSegmentLocked(seg *segment) {
 	s.flushes++
 	mFlushes.Inc()
 	mBytesFlushed.Add(int64(seg.bytes))
-	s.updateDebtLocked()
-	s.updateSegmentBytesLocked()
+	s.updateGaugesLocked()
 	updateWriteAmp()
 }
 
-// updateSegmentBytesLocked refreshes the store's contribution to the global
-// segment logical/resident byte gauges. Caller holds s.mu.
-func (s *Store) updateSegmentBytesLocked() {
+// updateGaugesLocked refreshes the store's contributions to the global
+// segment-bytes and compaction-debt gauges. Caller holds s.mu.
+func (s *Store) updateGaugesLocked() {
 	var logical, resident int64
 	for _, seg := range s.segments {
 		logical += int64(seg.bytes)
 		resident += int64(seg.encodedBytes)
 	}
-	if logical != s.segLogical {
-		mSegLogicalBytes.Add(logical - s.segLogical)
-		s.segLogical = logical
-	}
-	if resident != s.segResident {
-		mSegResidentBytes.Add(resident - s.segResident)
-		s.segResident = resident
-	}
+	s.setGauges([3]int64{logical, resident, s.compactionDebtLocked()}, false)
 }
+
+// setGauges moves storeGauges by the change in the store's contributions
+// and, with retire, retires the store. A retired store's gauges stay put.
+func (s *Store) setGauges(v [3]int64, retire bool) {
+	s.gaugeMu.Lock()
+	defer s.gaugeMu.Unlock()
+	if s.retired {
+		return
+	}
+	for i, g := range storeGauges {
+		g.Add(v[i] - s.gauges[i])
+	}
+	s.gauges, s.retired = v, retire
+}
+
+// release takes the store's contributions off the gauges and retires it, so
+// a flush or compaction that finishes later is not counted. A split, a
+// failover rebuild and Table.Close call it on each store they discard;
+// frozen views may still read the store. Idempotent.
+func (s *Store) release() { s.setGauges([3]int64{}, true) }
 
 // WaitMaintenance blocks until the flush backlog is drained and background
 // flush/compaction work is idle, returning the sticky maintenance error if
@@ -347,19 +360,14 @@ func (s *Store) pointIteratorsLocked(row string, start *Cell, bs *blockScanStats
 	for i := len(s.imm) - 1; i >= 0; i-- {
 		its = append(its, s.imm[i].iterator(start))
 	}
-	var hits, misses int64
 	for i := len(s.segments) - 1; i >= 0; i-- {
 		if !s.segments[i].mayContainRow(row) {
-			misses++
 			continue
 		}
-		hits++
 		if it := s.segments[i].pointIterator(row, start, bs); it != nil {
 			its = append(its, it)
 		}
 	}
-	mBloomHits.Add(hits)
-	mBloomMisses.Add(misses)
 	return its
 }
 
@@ -467,7 +475,7 @@ func (s *Store) Stats() Stats {
 		SegmentBlocks:         blocks,
 		MemtableCells:         cells,
 		ImmutableMemtables:    len(s.imm),
-		CompactionDebtBytes:   s.debtBytes,
+		CompactionDebtBytes:   s.compactionDebtLocked(),
 		SegmentLogicalBytes:   logical,
 		SegmentResidentBytes:  resident,
 	}

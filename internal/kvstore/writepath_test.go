@@ -116,7 +116,7 @@ func TestRejectedWriteLeavesNoTrace(t *testing.T) {
 			inj := faultinject.New(faultinject.Schedule{Seed: 1, Rules: rules})
 			tbl.SetFaultInjector(inj)
 			before := tableState(tbl)
-			logged := mWALAppends.Value()
+			logged := mWALGroupCells.Value()
 
 			if err := tc.call(tbl); !errors.Is(err, tc.want) {
 				t.Fatalf("call = %v, want %v", err, tc.want)
@@ -136,8 +136,8 @@ func TestRejectedWriteLeavesNoTrace(t *testing.T) {
 					t.Errorf("detector holds %d failures against node %d, want %d", det.nodes[node].fails, node, wantFails)
 				}
 			}
-			if got := mWALAppends.Value(); got != logged {
-				t.Errorf("kvstore_wal_appends_total moved by %d on a rejected write", got-logged)
+			if got := mWALGroupCells.Value(); got != logged {
+				t.Errorf("kvstore_wal_group_cells_total moved by %d on a rejected write", got-logged)
 			}
 			after := tableState(tbl)
 			for ri := range after {

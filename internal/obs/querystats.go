@@ -11,9 +11,6 @@ import (
 // the scatter-gather pool and the kvstore scans; all methods are safe for
 // concurrent use and tolerate a nil receiver, so code paths that execute
 // outside a query (background jobs, tests) need no special-casing.
-//
-// This is the platform-wide per-query collector (it started life as
-// exec.Stats; internal/exec aliases it for compatibility).
 type QueryStats struct {
 	tasks        atomic.Int64
 	goroutines   atomic.Int64

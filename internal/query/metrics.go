@@ -15,8 +15,6 @@ var (
 		"Real time of the web-server merge of per-region aggregates.", obs.LatencyBuckets())
 	mMergeCandidates = obs.Default().Histogram("query_merge_candidates",
 		"Partial aggregates entering one merge.", obs.SizeBuckets())
-	mTopKEvictions = obs.Default().Counter("query_topk_evictions_total",
-		"Aggregates displaced from the bounded top-k merge heap.")
 	mQueriesDegraded = obs.Default().Counter("query_queries_degraded_total",
 		"Personalized queries answered without every region (partial results).")
 	mRegionsMissing = obs.Default().Counter("query_regions_missing_total",

@@ -119,7 +119,7 @@ type Result struct {
 	LatencySeconds float64 `json:"latency_seconds"`
 	// Exec reports the real scatter-gather execution of this query: tasks,
 	// parallelism, rows scanned, bytes merged, wall time.
-	Exec exec.Snapshot `json:"exec"`
+	Exec obs.QuerySnapshot `json:"exec"`
 	// Work aggregates the per-region coprocessor work.
 	Work cluster.CoprocessorWork `json:"-"`
 	// Regions is the number of regions that participated.
@@ -454,7 +454,6 @@ func (h *boundedAggHeap) offer(a *poiAgg) {
 	if aggLess(h.order, a, &h.items[0]) {
 		h.items[0] = *a
 		heap.Fix(h, 0)
-		mTopKEvictions.Inc()
 	}
 }
 
@@ -704,7 +703,7 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 // that reported it kept. The candidates are the query's merge state: rank
 // derives the answer from them, and a cached entry keeps them so a friend's
 // later check-in can be added to them instead of forcing a rescan.
-func (e *Engine) sum(plan *queryPlan, stats *exec.Stats) ([]poiAgg, cluster.CoprocessorWork) {
+func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.CoprocessorWork) {
 	var work cluster.CoprocessorWork
 	// The largest region's aggregates are a lower bound on the candidates.
 	most := 0

@@ -3,9 +3,9 @@ package query
 import (
 	"fmt"
 
-	"modissense/internal/exec"
 	"modissense/internal/jsonwire"
 	"modissense/internal/model"
+	"modissense/internal/obs"
 )
 
 // The wire form of an answer. Search and trending answers are the
@@ -107,7 +107,7 @@ func appendScored(w *jsonwire.Writer, sp *ScoredPOI) {
 	w.Raw("}")
 }
 
-func appendSnapshot(w *jsonwire.Writer, s *exec.Snapshot) {
+func appendSnapshot(w *jsonwire.Writer, s *obs.QuerySnapshot) {
 	w.Raw(`{"tasks":`)
 	w.Int(s.Tasks)
 	w.Raw(`,"goroutines":`)
@@ -322,17 +322,17 @@ func (d *decoder) keywords(p *[]string) error {
 var snapshotKeys = []string{"tasks", "goroutines", "rows_scanned", "bytes_merged", "wall_seconds",
 	"retries", "hedges", "replica_reads", "cancels", "hedge_cancels", "blocks_decoded", "blocks_skipped"}
 
-func (d *decoder) snapshot(s *exec.Snapshot) error {
+func (d *decoder) snapshot(s *obs.QuerySnapshot) error {
 	switch d.Lookahead() {
 	case 'n':
 		return d.Literal("null")
 	case '{':
 		return d.Object(func(key string) error { return d.snapshotMember(s, key) })
 	}
-	return d.Mismatch("exec.Snapshot")
+	return d.Mismatch("obs.QuerySnapshot")
 }
 
-func (d *decoder) snapshotMember(s *exec.Snapshot, key string) error {
+func (d *decoder) snapshotMember(s *obs.QuerySnapshot, key string) error {
 	switch key {
 	case "tasks":
 		return d.Int64(&s.Tasks)

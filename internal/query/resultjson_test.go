@@ -12,8 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"modissense/internal/exec"
 	"modissense/internal/model"
+	"modissense/internal/obs"
 	"modissense/internal/workload"
 )
 
@@ -30,7 +30,7 @@ func sampleAnswer(n int, miss bool) *Result {
 	}
 	if miss {
 		res.LatencySeconds = 0.0421
-		res.Exec = exec.Snapshot{Tasks: 16, Goroutines: 2, RowsScanned: 3185, BytesMerged: 52371,
+		res.Exec = obs.QuerySnapshot{Tasks: 16, Goroutines: 2, RowsScanned: 3185, BytesMerged: 52371,
 			WallSeconds: 0.00187, BlocksDecoded: 41, BlocksSkipped: 9}
 	}
 	return res
@@ -271,7 +271,7 @@ func TestResultJSONCoversEveryField(t *testing.T) {
 		{reflect.TypeOf(Result{}), resultKeys},
 		{reflect.TypeOf(ScoredPOI{}), scoredKeys},
 		{reflect.TypeOf(model.POI{}), poiKeys},
-		{reflect.TypeOf(exec.Snapshot{}), snapshotKeys},
+		{reflect.TypeOf(obs.QuerySnapshot{}), snapshotKeys},
 	} {
 		var names []string
 		for i := 0; i < c.typ.NumField(); i++ {
