@@ -102,7 +102,10 @@ bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
 ## bench-smoke runs one case per hot path a fixed small number of
-## iterations — three scan/merge/coprocessor cases, a block load served
+## iterations — the scan path over key-ordered disjoint segments (one live
+## source a range, as N one-range scans and as one multi-range scan) and
+## over overlapping ones (the memtable and two segments hold every range),
+## the merge and the coprocessor, a block load served
 ## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
 ## allocations) and one decoded, admitted and evicting (a miss), the visit parser on
 ## payloads with one-byte and multi-byte lengths, the table's one write

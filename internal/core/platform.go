@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -555,20 +556,21 @@ func New(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// Close drains the Visits table's background maintenance and releases its
-// WAL (a no-op for non-durable platforms) and the block cache it owns, if
-// any, taking that cache's bytes off the kvstore_block_cache_* gauges. The
-// platform must not serve requests afterwards.
+// Close drains every table's background maintenance and releases it —
+// the Visits table's WAL (a no-op for non-durable platforms) and each
+// store's share of the kvstore_segment_* gauges — then the block cache it
+// owns, if any, taking that cache's bytes off the kvstore_block_cache_*
+// gauges. The platform must not serve requests afterwards.
 func (p *Platform) Close() error {
 	defer p.blockCache.Release()
 	if p.Visits == nil {
 		return nil
 	}
-	if err := p.Visits.Table().WaitMaintenance(); err != nil {
-		p.Visits.Table().Close()
-		return err
+	var errs []error
+	for _, t := range []*kvstore.Table{p.Visits.Table(), p.SocialInfo.Table(), p.Texts.Table(), p.GPS.Table()} {
+		errs = append(errs, t.WaitMaintenance(), t.Close())
 	}
-	return p.Visits.Table().Close()
+	return errors.Join(errs...)
 }
 
 // Catalog returns the generated POI catalog.

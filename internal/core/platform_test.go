@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -579,5 +580,53 @@ func TestCloseReleasesBlockCache(t *testing.T) {
 	if b, e := bytesGauge.Value(), entriesGauge.Value(); b != bytesBefore || e != entriesBefore {
 		t.Fatalf("after Close the gauges read %d bytes in %d entries, %d and %d before the platform booted",
 			b, e, bytesBefore, entriesBefore)
+	}
+}
+
+// TestCloseReleasesEveryTable: Close releases the stores of every table —
+// socialinfo, texts and gpstraces as well as visits — so each of the
+// gauges stores contribute to reads what it read before the platform
+// booted.
+func TestCloseReleasesEveryTable(t *testing.T) {
+	names := []string{"kvstore_segment_logical_bytes", "kvstore_segment_resident_bytes", "kvstore_compaction_debt_bytes"}
+	read := func() []int64 {
+		var v []int64
+		for _, n := range names {
+			v = append(v, obs.Default().Gauge(n, "").Value())
+		}
+		return v
+	}
+	before := read()
+	cfg := testConfig()
+	cfg.MemtableFlushBytes = 1 << 10 // every table flushes segments
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		if _, _, err := p.Users.SignIn("facebook", fmt.Sprintf("facebook:%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Collect(collectWindow.since, collectWindow.until); err != nil {
+		t.Fatal(err)
+	}
+	for i, tbl := range []*kvstore.Table{p.SocialInfo.Table(), p.Texts.Table()} {
+		if err := tbl.WaitMaintenance(); err != nil {
+			t.Fatal(err)
+		}
+		segments := 0
+		for _, r := range tbl.Regions() {
+			segments += r.Store().Stats().Segments
+		}
+		if segments == 0 {
+			t.Fatalf("table %d (socialinfo, texts) flushed no segment: nothing to release", i)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := read(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("after Close %v read %v, %v before the platform booted", names, after, before)
 	}
 }

@@ -62,9 +62,18 @@ func genMergeSources(rng *rand.Rand, n, cellsPer int, dupRate float64) [][]Cell 
 			}
 		}
 	}
+	// A source never holds two equal cells (the merge's precondition): keep
+	// the first of any run of equal keys.
 	for i := range out {
 		s := out[i]
-		sort.Slice(s, func(a, b int) bool { return compareCells(&s[a], &s[b]) < 0 })
+		sort.SliceStable(s, func(a, b int) bool { return compareCells(&s[a], &s[b]) < 0 })
+		uniq := s[:0]
+		for j := range s {
+			if len(uniq) == 0 || compareCells(&uniq[len(uniq)-1], &s[j]) != 0 {
+				uniq = append(uniq, s[j])
+			}
+		}
+		out[i] = uniq
 	}
 	return out
 }
@@ -112,7 +121,7 @@ func TestMergeIteratorSeek(t *testing.T) {
 		probe := Cell{Row: fmt.Sprintf("r%05d", rng.Intn(200)), Timestamp: int64(1) << 62, Tombstone: true}
 		tree := newMergeIterator(flatIterators(sources))
 		linear := &linearMergeIterator{sources: flatIterators(sources)}
-		tree.seek(&probe)
+		tree.seekRange(&probe, "")
 		for linear.valid() && compareCells(linear.cell(), &probe) < 0 {
 			w := linear.smallest()
 			linear.sources[w].next()
@@ -206,7 +215,7 @@ func TestMergeIteratorRunsAndInterleaving(t *testing.T) {
 					probe := key(rng.Intn(next))
 					probe.Timestamp, probe.Tombstone = int64(1)<<62, true
 					if compareCells(&probe, tc) > 0 {
-						tree.seek(&probe)
+						tree.seekRange(&probe, "")
 						for linear.valid() && compareCells(linear.cell(), &probe) < 0 {
 							linear.sources[linear.smallest()].next()
 						}
@@ -218,6 +227,123 @@ func TestMergeIteratorRunsAndInterleaving(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countingIterator counts the cell reads the merge makes of one source.
+type countingIterator struct {
+	flatIterator
+	reads int
+}
+
+func (it *countingIterator) cell() *Cell {
+	it.reads++
+	return it.flatIterator.cell()
+}
+
+// rangeRows positions the merge at the range and resolves its rows as
+// MultiScanCtx does, rendering each as "row=value" (or "row=" when every
+// version is hidden).
+func rangeRows(m *mergeIterator, rg ScanRange) []string {
+	m.seekRange(rowStart(rg.Start), rg.Stop)
+	var out []string
+	for m.valid() && rg.contains(m.cell().Row) {
+		res := RowResult{Row: m.cell().Row}
+		resolveRowVersions(m, res.Row, int64(1)<<62, &res)
+		v := ""
+		if !res.Empty() {
+			v = string(res.Cells[0].Value)
+		}
+		out = append(out, res.Row+"="+v)
+	}
+	return out
+}
+
+// rowStart is the first cell of the row: what a range starting there seeks.
+func rowStart(row string) *Cell {
+	return &Cell{Row: row, Timestamp: int64(1) << 62, Tombstone: true}
+}
+
+func put(row string, ts int64, value string) Cell {
+	return Cell{Row: row, Qualifier: "q", Timestamp: ts, Value: []byte(value)}
+}
+
+// TestMergeLiveSet pins the live set: the tournament of a range is played
+// over the sources whose head is below its stop, a set that only shrinks
+// inside the range and is formed anew for the next one.
+func TestMergeLiveSet(t *testing.T) {
+	t.Run("a source at or past stop is never compared", func(t *testing.T) {
+		inRange := &countingIterator{flatIterator: flatIterator{cells: []Cell{put("a1", 1, "x"), put("a2", 1, "y")}}}
+		atStop := &countingIterator{flatIterator: flatIterator{cells: []Cell{put("b", 1, "z")}}}
+		pastStop := &countingIterator{flatIterator: flatIterator{cells: []Cell{put("c", 1, "w")}}}
+		m := newMergeIterator([]cellIterator{atStop, pastStop, inRange})
+		m.seekRange(rowStart("a"), "b")
+		if len(m.live) != 1 {
+			t.Fatalf("live set has %d sources, want the one holding the range", len(m.live))
+		}
+		atStop.reads, pastStop.reads = 0, 0
+		var got []string
+		for ; m.valid(); m.next() {
+			got = append(got, m.cell().Row)
+		}
+		if fmt.Sprint(got) != "[a1 a2]" || atStop.reads != 0 || pastStop.reads != 0 {
+			t.Fatalf("range read %v with %d and %d reads of the sources at and past stop, want [a1 a2] and none", got, atStop.reads, pastStop.reads)
+		}
+	})
+	t.Run("a newer live source's duplicate wins", func(t *testing.T) {
+		newer := []Cell{put("k1", 5, "new")}
+		older := []Cell{put("k0", 5, "old"), put("k1", 5, "old"), put("k2", 5, "old")}
+		m := newMergeIterator(flatIterators([][]Cell{newer, older}))
+		if got := rangeRows(m, ScanRange{"k", "l"}); fmt.Sprint(got) != "[k0=old k1=new k2=old]" {
+			t.Fatalf("range read %v, want the newer k1 once", got)
+		}
+	})
+	t.Run("a newer tombstone shadows a range an older source holds", func(t *testing.T) {
+		newer := []Cell{{Row: "r2", Qualifier: "q", Timestamp: 9, Tombstone: true}}
+		older := []Cell{put("r1", 1, "v"), put("r2", 1, "v"), put("r3", 1, "v")}
+		m := newMergeIterator(flatIterators([][]Cell{newer, older}))
+		if got := rangeRows(m, ScanRange{"r", "s"}); fmt.Sprint(got) != "[r1=v r2= r3=v]" {
+			t.Fatalf("range read %v, want r2 hidden", got)
+		}
+	})
+	t.Run("the live source running out ends the range", func(t *testing.T) {
+		held := []Cell{put("a1", 1, "x"), put("a2", 1, "x")}
+		later := []Cell{put("c1", 1, "y")}
+		m := newMergeIterator(flatIterators([][]Cell{later, held}))
+		if got := rangeRows(m, ScanRange{"a", "b"}); fmt.Sprint(got) != "[a1=x a2=x]" || m.valid() {
+			t.Fatalf("range read %v and left the merge valid=%v, want [a1=x a2=x] and exhausted", got, m.valid())
+		}
+		if got := rangeRows(m, ScanRange{"c", "d"}); fmt.Sprint(got) != "[c1=y]" {
+			t.Fatalf("next range read %v, want [c1=y]", got)
+		}
+	})
+	t.Run("the next range re-forms the set", func(t *testing.T) {
+		newer := []Cell{put("b5", 2, "new"), put("c2", 2, "new")}
+		older := []Cell{put("a1", 1, "old"), put("a2", 1, "old"), put("a3", 1, "old"), put("b1", 1, "old"), put("b5", 2, "old"), put("b9", 1, "old")}
+		m := newMergeIterator(flatIterators([][]Cell{newer, older}))
+		if got := rangeRows(m, ScanRange{"a", "b"}); fmt.Sprint(got) != "[a1=old a2=old a3=old]" || len(m.live) != 1 {
+			t.Fatalf("first range read %v over %d live sources, want the older source alone", got, len(m.live))
+		}
+		m.seekRange(rowStart("b"), "c")
+		if len(m.live) != 2 {
+			t.Fatalf("second range has %d live sources, want 2", len(m.live))
+		}
+		if got := rangeRows(m, ScanRange{"b", "c"}); fmt.Sprint(got) != "[b1=old b5=new b9=old]" {
+			t.Fatalf("second range read %v", got)
+		}
+		// The newer source left the set when it passed stop; the older one
+		// ran out inside the range. Only the newer one holds the last range.
+		if got := rangeRows(m, ScanRange{"c", ""}); fmt.Sprint(got) != "[c2=new]" || len(m.live) != 1 {
+			t.Fatalf("last range read %v over %d live sources, want [c2=new] from one", got, len(m.live))
+		}
+	})
+	t.Run("a source leaving mid-range shrinks the set to the winner", func(t *testing.T) {
+		first := []Cell{put("a0", 1, "f")}
+		rest := []Cell{put("a1", 1, "r"), put("a2", 1, "r"), put("a3", 1, "r"), put("a4", 1, "r")}
+		m := newMergeIterator(flatIterators([][]Cell{first, rest}))
+		if got := rangeRows(m, ScanRange{"a", "b"}); fmt.Sprint(got) != "[a0=f a1=r a2=r a3=r a4=r]" || len(m.live) != 1 {
+			t.Fatalf("range read %v, %d live sources at its end, want every row and one", got, len(m.live))
+		}
+	})
 }
 
 func benchMergeSources(n int) [][]Cell {

@@ -14,10 +14,14 @@ import (
 // in the region — thousands of ranges against the same store. Issuing one
 // scan per range would re-acquire the store lock and rebuild the memtable
 // and segment iterators and a fresh merge view every time. MultiScanCtx
-// serves all ranges under one RLock with one iterator set, seeking forward
-// between ranges, and prunes segments whose [minRow, maxRow] span is
-// disjoint from every requested range — the range-scan complement of the
-// point-read Bloom filters.
+// serves all ranges under one RLock with one iterator set, and prunes
+// segments whose [minRow, maxRow] span is disjoint from every requested
+// range — the range-scan complement of the point-read Bloom filters. Each
+// range positions the merge once (mergeIterator.seekRange): the sources
+// behind its start seek forward, and the merge is played over the range's
+// live sources only, those whose head row is below its stop. A range that
+// one source holds — most of them, since a friend's visits in one window
+// mostly sit in one segment — is read from that source alone.
 
 // ctxPollInterval is how many row iterations a scan processes between
 // ctx.Done() polls. Cancellation needs to be prompt, not instant: checking
@@ -114,30 +118,6 @@ func (s *segment) overlapsRanges(ranges []ScanRange) bool {
 	return i < len(ranges) && ranges[i].Start <= s.maxRow
 }
 
-// multiScanIteratorsLocked builds the newest-first iterator stack for the
-// given ranges, skipping segments disjoint from all of them. It returns the
-// iterators and the number of segments pruned (observability for tests and
-// benchmarks); a pruned segment's blocks count into bs.skipped — they were
-// excluded without decoding, same as a block pruned individually. Caller
-// holds s.mu.
-func (s *Store) multiScanIteratorsLocked(ranges []ScanRange, start *Cell, bs *blockScanStats) ([]cellIterator, int) {
-	its := make([]cellIterator, 0, len(s.segments)+len(s.imm)+1)
-	its = append(its, s.mem.iterator(start))
-	for i := len(s.imm) - 1; i >= 0; i-- {
-		its = append(its, s.imm[i].iterator(start))
-	}
-	pruned := 0
-	for i := len(s.segments) - 1; i >= 0; i-- {
-		if !s.segments[i].overlapsRanges(ranges) {
-			pruned++
-			bs.skipped += int64(len(s.segments[i].blocks))
-			continue
-		}
-		its = append(its, s.segments[i].iterator(start, bs))
-	}
-	return its, pruned
-}
-
 // MultiScanCtx streams resolved rows of every range, in range order then
 // key order, to fn; returning false from fn stops the scan early. Ranges
 // must be sorted and non-overlapping (ValidateScanRanges). The whole scan
@@ -167,12 +147,16 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	// probe is the first cell of a range's start row: the iterators are
+	// built at the first range's, and each range positions the merge at its
+	// own.
+	probe := Cell{Row: ranges[0].Start, Timestamp: int64(1) << 62, Tombstone: true}
 	var start *Cell
-	if ranges[0].Start != "" {
-		start = &Cell{Row: ranges[0].Start, Timestamp: int64(1) << 62, Tombstone: true}
+	if probe.Row != "" {
+		start = &probe
 	}
 	var bs blockScanStats
-	its, pruned := s.multiScanIteratorsLocked(ranges, start, &bs)
+	its, pruned := s.iteratorsLocked(ranges, start, &bs)
 	merged := newMergeIterator(its)
 	var delivered int64
 	defer func() {
@@ -194,16 +178,10 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 		}
 	}()
 	res := RowResult{}
-	probe := Cell{Timestamp: int64(1) << 62, Tombstone: true}
 	iter := 0
 	for _, rg := range ranges {
-		if !merged.valid() {
-			return nil
-		}
-		if merged.cell().Row < rg.Start {
-			probe.Row = rg.Start
-			merged.seek(&probe)
-		}
+		probe.Row = rg.Start
+		merged.seekRange(&probe, rg.Stop)
 		for merged.valid() {
 			if done != nil && iter%ctxPollInterval == 0 {
 				select {

@@ -96,33 +96,82 @@ func (m scanModel) scan(ranges []ScanRange, asOf int64, q string) []RowResult {
 // TestMultiScanEquivalenceRandomized is the scan kernel's correctness
 // property: MultiScanCtx over K sorted disjoint ranges, and ScanCtx over each
 // of them in turn, must both deliver exactly the rows the model of the test's
-// own writes holds — across random data spread over memtable and segments,
-// with deletes, version history and same-timestamp rewrites.
+// own writes holds. The first half of the trials writes random data over the
+// memtable and a few segments, with deletes, version history and
+// same-timestamp rewrites. The second half builds many-segment stores the way
+// the benchmark's preload does — rows written in key order, a flush every few
+// rows, so segments are disjoint — then writes a random tail of rewrites,
+// same-timestamp rewrites and tombstones into newer sources. Those trials
+// must see both ranges that one source holds alone and ranges that several
+// live sources share.
 func TestMultiScanEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 25; trial++ {
-		s := newTestStore(t)
+	seen := map[bool]int{} // several live sources? → ranges seen
+	for trial := 0; trial < 50; trial++ {
+		manySegments := trial >= 25
+		opts := DefaultStoreOptions()
+		opts.FlushThresholdBytes = 1 << 30 // manual flushes only
+		if manySegments {
+			opts.CompactionTrigger = 1 << 20 // keep every flushed segment
+		}
+		s, err := NewStore(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		model := scanModel{}
-		nRows := 50 + rng.Intn(400)
-		for i := 0; i < nRows; i++ {
-			row := fmt.Sprintf("r%05d", rng.Intn(600))
-			ts := int64(1 + rng.Intn(5))
-			switch rng.Intn(10) {
-			case 0:
-				if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: "q", Timestamp: ts, Tombstone: true}}); err != nil {
-					t.Fatal(err)
-				}
+		write := func(i int, row string, ts int64, del bool) {
+			c := Cell{Row: row, Qualifier: "q", Timestamp: ts, Tombstone: del}
+			if del {
 				model.at(row, ts).deleted = true
-			default:
-				value := []byte(fmt.Sprintf("%s@%d#%d", row, ts, i))
-				if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: "q", Timestamp: ts, Value: value}}); err != nil {
-					t.Fatal(err)
-				}
-				model.at(row, ts).value = value
+			} else {
+				c.Value = []byte(fmt.Sprintf("%s@%d#%d", row, ts, i))
+				model.at(row, ts).value = c.Value
 			}
-			if rng.Intn(60) == 0 {
-				if err := flushNow(s); err != nil {
-					t.Fatal(err)
+			if err := s.ApplyBatch([]Cell{c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flush := func() {
+			if err := flushNow(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !manySegments {
+			nRows := 50 + rng.Intn(400)
+			for i := 0; i < nRows; i++ {
+				row := fmt.Sprintf("r%05d", rng.Intn(600))
+				ts := int64(1 + rng.Intn(5))
+				write(i, row, ts, rng.Intn(10) == 0)
+				if rng.Intn(60) == 0 {
+					flush()
+				}
+			}
+		} else {
+			every := 5 + rng.Intn(40)
+			var rows []string
+			var stamps []int64
+			for key := rng.Intn(3); key < 600; key += 1 + rng.Intn(3) {
+				rows = append(rows, fmt.Sprintf("r%05d", key))
+				stamps = append(stamps, int64(1+rng.Intn(3)))
+				write(len(rows), rows[len(rows)-1], stamps[len(stamps)-1], false)
+				if len(rows)%every == 0 {
+					flush()
+				}
+			}
+			flush()
+			tail := rng.Intn(40)
+			for i := 0; i < tail; i++ {
+				j := rng.Intn(len(rows))
+				switch rng.Intn(3) {
+				case 0: // a tombstone, at or above the row's version
+					write(len(rows)+i, rows[j], stamps[j]+int64(rng.Intn(2)), true)
+				case 1: // a same-timestamp rewrite
+					write(len(rows)+i, rows[j], stamps[j], false)
+				default: // a newer version
+					write(len(rows)+i, rows[j], stamps[j]+1+int64(rng.Intn(2)), false)
+				}
+				if rng.Intn(8) == 0 {
+					flush()
 				}
 			}
 		}
@@ -145,7 +194,7 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 		asOf := int64(rng.Intn(6)) // 0 = unbounded
 		want := model.scan(ranges, asOf, "q")
 		var multi []RowResult
-		err := s.MultiScanCtx(context.Background(), ranges, asOf, func(res RowResult) bool {
+		err = s.MultiScanCtx(context.Background(), ranges, asOf, func(res RowResult) bool {
 			multi = append(multi, copyRow(res))
 			return true
 		})
@@ -168,7 +217,33 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 		if !rowResultsEqual(seq, want) {
 			t.Fatalf("trial %d: one-range scans diverged from the model\nseq:   %d rows\nmodel: %d rows", trial, len(seq), len(want))
 		}
+		if manySegments {
+			for _, n := range liveSetSizes(s, ranges) {
+				if n > 0 {
+					seen[n > 1]++
+				}
+			}
+		}
 	}
+	t.Logf("many-segment trials: %d ranges with one live source, %d with several", seen[false], seen[true])
+	if seen[false] == 0 || seen[true] == 0 {
+		t.Fatalf("the many-segment trials saw %d ranges with one live source and %d with several, want both", seen[false], seen[true])
+	}
+}
+
+// liveSetSizes positions one merge over the store's stack at each range in
+// turn, as MultiScanCtx does, and returns the size of each range's live set.
+func liveSetSizes(s *Store, ranges []ScanRange) []int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	its, _ := s.iteratorsLocked(ranges, nil, &blockScanStats{})
+	m := newMergeIterator(its)
+	sizes := make([]int, len(ranges))
+	for i, rg := range ranges {
+		m.seekRange(rowStart(rg.Start), rg.Stop)
+		sizes[i] = len(m.live)
+	}
+	return sizes
 }
 
 // TestMultiScanEarlyStopAndCancel checks the callback-stop and cancellation
@@ -258,7 +333,7 @@ func TestMultiScanSegmentPruning(t *testing.T) {
 	}
 	s.mu.RLock()
 	for i, tc := range cases {
-		_, pruned := s.multiScanIteratorsLocked(tc.ranges, nil, &blockScanStats{})
+		_, pruned := s.iteratorsLocked(tc.ranges, nil, &blockScanStats{})
 		if pruned != tc.pruned {
 			t.Errorf("case %d: pruned %d segments, want %d", i, pruned, tc.pruned)
 		}

@@ -453,7 +453,8 @@ func (s *Store) rawCells() []Cell {
 	defer s.mu.RUnlock()
 	var bs blockScanStats
 	defer bs.flush()
-	merged := newMergeIterator(s.iteratorsLocked(nil, &bs))
+	its, _ := s.iteratorsLocked(nil, nil, &bs)
+	merged := newMergeIterator(its)
 	var out []Cell
 	for merged.valid() {
 		out = append(out, *merged.cell())

@@ -58,13 +58,14 @@ func defaultSegmentConfig() segmentConfig {
 }
 
 // newSegment encodes a cell slice — which must already be sorted by
-// compareCells — into a blocked segment. Blocks cut at row boundaries once
-// the encoded payload reaches cfg.blockSize, so one row never spans two
-// blocks (an oversized row yields an oversized block instead).
+// compareCells, no two cells equal — into a blocked segment. Blocks cut at
+// row boundaries once the encoded payload reaches cfg.blockSize, so one row
+// never spans two blocks (an oversized row yields an oversized block
+// instead).
 func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
 	for i := 1; i < len(cells); i++ {
-		if compareCells(&cells[i-1], &cells[i]) > 0 {
-			return nil, fmt.Errorf("kvstore: segment %d cells out of order at index %d", id, i)
+		if compareCells(&cells[i-1], &cells[i]) >= 0 {
+			return nil, fmt.Errorf("kvstore: segment %d cells out of order or duplicated at index %d", id, i)
 		}
 	}
 	if cfg.blockSize <= 0 {
@@ -322,7 +323,7 @@ func blockLogicalBytes(cells []Cell) int64 {
 }
 
 // cellIterator is the common forward-iteration interface over sorted cell
-// sources (memtable, segments, merged views). seek repositions the iterator
+// sources (memtables and segments). seek repositions the iterator
 // at the first cell >= probe and is forward-only: probes behind the current
 // position leave the iterator where it is.
 type cellIterator interface {
@@ -338,50 +339,96 @@ type cellIterator interface {
 // linear re-scan the seed used — the difference is decisive for
 // multi-range coprocessor scans that merge 16+ sources. Sources must be
 // given newest-first: when two sources expose cells that compare equal,
-// the earlier source wins and later duplicates are skipped.
+// the earlier source wins and later duplicates are skipped. No source may
+// hold two equal cells itself (the memtable overwrites in place, flushes
+// and compactions deduplicate).
 //
-// Time-ordered segments hand a range scan long runs of cells from one
-// source (a friend's visits in one window mostly sit in one segment), so
-// advancing does not replay the winner's path every time: once a source
-// has won twice running the iterator caches the runner-up — the best loser
-// on the winner's path, the only source that can take over — and keeps the
-// winner for one comparison per cell until the runner-up beats it.
+// The tournament is played over the live set only: the sources that can
+// hold a cell of the current row range [start, stop) — valid, head row
+// below stop — kept newest-first so ties still go to the newer source.
+// seekRange forms it; inside a range a source can only leave it (it runs
+// out or passes stop), never join it. A live set of one is read from that
+// source alone: no match, no duplicate check. A multi-range scan mostly
+// sees that case, since a friend's visits in one window mostly sit in one
+// segment.
+//
+// With several live sources, advancing does not replay the winner's path
+// every time: once a source has won twice running the iterator caches the
+// runner-up — the best loser on the winner's path, the only source that
+// can take over — and keeps the winner for one comparison per cell until
+// the runner-up beats it. A runner-up that is exhausted or past stop has
+// left the live set, and with it every other source: the set shrinks to
+// the winner.
 type mergeIterator struct {
 	sources []cellIterator
-	// tree[1..k-1] hold the losers of each internal tournament match;
-	// leaves are implicit (node n >= k is source n-k). tree[0] is unused.
+	// live is the newest-first subset of sources the tournament is played
+	// over; its backing array is the merge's own.
+	live []cellIterator
+	// stop is the current range's exclusive bound ("" = none).
+	stop string
+	// tree[1..k-1] hold the losers of each internal tournament match over
+	// the k live sources; leaves are implicit (node n >= k is live source
+	// n-k). tree[0] is unused.
 	tree   []int
-	winner int // source index holding the current smallest cell, -1 when k == 0
+	winner int // live index holding the current smallest cell, -1 when none is live
 	// runnerUp is the best loser on the winner's leaf-to-root path, or -1
 	// while it has not been worked out for the current winner.
 	runnerUp int
 }
 
+// newMergeIterator merges the sources as they stand, every valid one live.
 func newMergeIterator(newestFirst []cellIterator) *mergeIterator {
-	m := &mergeIterator{sources: newestFirst}
-	m.rebuild()
+	m := &mergeIterator{sources: newestFirst, live: make([]cellIterator, 0, len(newestFirst))}
+	m.seekRange(nil, "")
 	return m
 }
 
-// beats reports whether source a wins the match against source b: a valid
-// source beats an exhausted one, a smaller cell beats a larger one, and
-// ties go to the lower (newer) source index.
+// seekRange positions the merge at the row range from start — the first
+// cell of the range's start row, nil for where the sources stand — to stop
+// ("" = unbounded): every source whose head row is behind start's seeks to
+// it — one at or past it is left alone — and the tournament is replayed
+// over the sources whose head row is below stop. Forward-only, like the
+// source seeks it delegates to, which is what lets a multi-range scan reuse
+// one iterator set across ranges.
+func (m *mergeIterator) seekRange(start *Cell, stop string) {
+	m.live = m.live[:0]
+	for _, src := range m.sources {
+		if !src.valid() {
+			continue
+		}
+		head := src.cell()
+		if start != nil && head.Row < start.Row {
+			if src.seek(start); !src.valid() {
+				continue
+			}
+			head = src.cell()
+		}
+		if stop == "" || head.Row < stop {
+			m.live = append(m.live, src)
+		}
+	}
+	m.stop = stop
+	m.rebuild()
+}
+
+// beats reports whether live source a wins the match against live source
+// b: a valid source beats an exhausted one, a smaller cell beats a larger
+// one, and ties go to the lower (newer) index.
 func (m *mergeIterator) beats(a, b int) bool {
-	av, bv := m.sources[a].valid(), m.sources[b].valid()
+	av, bv := m.live[a].valid(), m.live[b].valid()
 	if !av || !bv {
 		return av
 	}
-	if c := compareCells(m.sources[a].cell(), m.sources[b].cell()); c != 0 {
+	if c := compareCells(m.live[a].cell(), m.live[b].cell()); c != 0 {
 		return c < 0
 	}
 	return a < b
 }
 
-// rebuild plays the full tournament bottom-up: each internal node records
-// its match's loser and forwards the winner. Used at construction and
-// after a seek moves every source at once.
+// rebuild plays the full tournament over the live set bottom-up: each
+// internal node records its match's loser and forwards the winner.
 func (m *mergeIterator) rebuild() {
-	k := len(m.sources)
+	k := len(m.live)
 	m.runnerUp = -1
 	switch k {
 	case 0:
@@ -392,7 +439,7 @@ func (m *mergeIterator) rebuild() {
 		return
 	}
 	if m.tree == nil {
-		m.tree = make([]int, k)
+		m.tree = make([]int, len(m.sources))
 	}
 	var play func(n int) int
 	play = func(n int) int {
@@ -410,10 +457,10 @@ func (m *mergeIterator) rebuild() {
 	m.winner = play(1)
 }
 
-// replay re-runs only the matches on source w's leaf-to-root path after w
-// advanced — the O(log k) step that replaces findSmallest.
+// replay re-runs only the matches on live source w's leaf-to-root path
+// after w advanced — the O(log k) step that replaces findSmallest.
 func (m *mergeIterator) replay(w int) {
-	k := len(m.sources)
+	k := len(m.live)
 	for n := (w + k) / 2; n >= 1; n /= 2 {
 		if m.beats(m.tree[n], w) {
 			w, m.tree[n] = m.tree[n], w
@@ -426,9 +473,10 @@ func (m *mergeIterator) replay(w int) {
 // cell. While w still beats the cached runner-up it beats every loser on
 // its path, so the tree stands as it is; otherwise the path is replayed.
 // The runner-up costs as many matches as a replay, so it is worked out only
-// when a source has just won twice running.
+// when a source has just won twice running; one that has left the live set
+// shrinks the set to w.
 func (m *mergeIterator) advanced(w int) {
-	k := len(m.sources)
+	k := len(m.live)
 	if k <= 1 {
 		return
 	}
@@ -450,30 +498,26 @@ func (m *mergeIterator) advanced(w int) {
 			best = m.tree[n]
 		}
 	}
+	if r := m.live[best]; !r.valid() || m.stop != "" && r.cell().Row >= m.stop {
+		m.live[0], m.live = m.live[w], m.live[:1]
+		m.winner = 0
+		return
+	}
 	m.runnerUp = best
 }
 
 func (m *mergeIterator) valid() bool {
-	return m.winner >= 0 && m.sources[m.winner].valid()
+	return m.winner >= 0 && m.live[m.winner].valid()
 }
 
-func (m *mergeIterator) cell() *Cell { return m.sources[m.winner].cell() }
-
-// seek advances every source to its first cell >= probe and replays the
-// whole tournament. Forward-only, like the source seeks it delegates to:
-// the merged view never moves backwards, which is what lets a multi-range
-// scan reuse one iterator set across ranges instead of rebuilding it per
-// range.
-func (m *mergeIterator) seek(probe *Cell) {
-	for _, src := range m.sources {
-		if src.valid() {
-			src.seek(probe)
-		}
-	}
-	m.rebuild()
-}
+func (m *mergeIterator) cell() *Cell { return m.live[m.winner].cell() }
 
 func (m *mergeIterator) next() {
+	if len(m.live) == 1 {
+		// One source holds no two equal cells: nothing to skip.
+		m.live[0].next()
+		return
+	}
 	// Advance every source holding a cell equal to the current one so that
 	// shadowed duplicates (older segments rewritten at the same timestamp)
 	// are skipped. Equal cells always surface consecutively as winners
@@ -484,7 +528,7 @@ func (m *mergeIterator) next() {
 	cur := m.cell()
 	for {
 		w := m.winner
-		m.sources[w].next()
+		m.live[w].next()
 		m.advanced(w)
 		if !m.valid() || compareCells(m.cell(), cur) != 0 {
 			return

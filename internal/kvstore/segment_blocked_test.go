@@ -88,13 +88,8 @@ func referenceMultiScan(sorted []Cell, ranges []ScanRange, asOf int64) []RowResu
 	var out []RowResult
 	probe := Cell{Timestamp: int64(1) << 62, Tombstone: true}
 	for _, rg := range ranges {
-		if !merged.valid() {
-			break
-		}
-		if merged.cell().Row < rg.Start {
-			probe.Row = rg.Start
-			merged.seek(&probe)
-		}
+		probe.Row = rg.Start
+		merged.seekRange(&probe, rg.Stop)
 		for merged.valid() {
 			row := merged.cell().Row
 			if rg.Stop != "" && row >= rg.Stop {
@@ -332,7 +327,7 @@ func TestBlockPruningCounters(t *testing.T) {
 	}
 	var bs blockScanStats
 	s.mu.RLock()
-	its, _ := s.multiScanIteratorsLocked([]ScanRange{{Start: "r00490", Stop: "r00492"}}, &Cell{Row: "r00490", Timestamp: 1 << 62, Tombstone: true}, &bs)
+	its, _ := s.iteratorsLocked([]ScanRange{{Start: "r00490", Stop: "r00492"}}, &Cell{Row: "r00490", Timestamp: 1 << 62, Tombstone: true}, &bs)
 	merged := newMergeIterator(its)
 	rows := 0
 	for merged.valid() && merged.cell().Row < "r00492" {

@@ -312,19 +312,28 @@ func (s *Store) WritePressure() float64 {
 	return float64(backlog) / float64(s.opts.MaxImmutableMemtables+1)
 }
 
-// iteratorsLocked returns the newest-first iterator stack (memtable, then
+// iteratorsLocked builds the newest-first iterator stack (memtable, then
 // rotated memtables newest to oldest, then segments newest to oldest),
-// positioned at start. Segment block activity is counted into bs.
-func (s *Store) iteratorsLocked(start *Cell, bs *blockScanStats) []cellIterator {
+// positioned at start, leaving out every segment disjoint from all of the
+// sorted ranges (nil ranges: none). It returns the stack and the number of
+// segments left out; a pruned segment's blocks count into bs.skipped — they
+// were excluded without decoding, same as a block pruned individually.
+func (s *Store) iteratorsLocked(ranges []ScanRange, start *Cell, bs *blockScanStats) ([]cellIterator, int) {
 	its := make([]cellIterator, 0, len(s.segments)+len(s.imm)+1)
 	its = append(its, s.mem.iterator(start))
 	for i := len(s.imm) - 1; i >= 0; i-- {
 		its = append(its, s.imm[i].iterator(start))
 	}
+	pruned := 0
 	for i := len(s.segments) - 1; i >= 0; i-- {
+		if ranges != nil && !s.segments[i].overlapsRanges(ranges) {
+			pruned++
+			bs.skipped += int64(len(s.segments[i].blocks))
+			continue
+		}
 		its = append(its, s.segments[i].iterator(start, bs))
 	}
-	return its
+	return its, pruned
 }
 
 // Get returns the newest live version of every qualifier of the row.

@@ -25,6 +25,9 @@ func NewSocialInfoRepo(maxUser int64, regions, nodes int, opts kvstore.StoreOpti
 	return &SocialInfoRepo{table: table}, nil
 }
 
+// Table exposes the backing table (maintenance and shutdown).
+func (r *SocialInfoRepo) Table() *kvstore.Table { return r.table }
+
 // StoreFriends persists a user's aggregated friend list, bucketed by
 // network (implements the collector Sink contract together with the other
 // repos via repos.Sink).
@@ -67,6 +70,9 @@ func NewTextRepo(maxPOI int64, regions, nodes int, opts kvstore.StoreOptions) (*
 	}
 	return &TextRepo{table: table}, nil
 }
+
+// Table exposes the backing table (maintenance and shutdown).
+func (r *TextRepo) Table() *kvstore.Table { return r.table }
 
 // StoreComment persists one classified comment.
 func (r *TextRepo) StoreComment(c model.Comment) error {
@@ -116,6 +122,9 @@ func NewGPSRepo(maxUser int64, regions, nodes int, opts kvstore.StoreOptions) (*
 	}
 	return &GPSRepo{table: table}, nil
 }
+
+// Table exposes the backing table (maintenance and shutdown).
+func (r *GPSRepo) Table() *kvstore.Table { return r.table }
 
 // PushBatch appends many fixes through one table PutBatch. Validation runs
 // up front: an invalid fix fails the call before anything is written.
