@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -27,7 +28,7 @@ import (
 // runs them.
 var experiments = []struct {
 	name string
-	run  func(quick bool) error
+	run  func(w io.Writer, quick bool) error
 }{
 	{"fig2", runFig2},
 	{"fig3", runFig3},
@@ -60,7 +61,7 @@ func main() {
 		}
 		ran = true
 		start := time.Now()
-		err := e.run(*quick)
+		err := e.run(os.Stdout, *quick)
 		fmt.Printf("[%s finished in %.1fs]\n\n", e.name, time.Since(start).Seconds())
 		if err != nil {
 			log.Fatalf("%s: %v", e.name, err)
@@ -76,15 +77,15 @@ func main() {
 func f(v float64) string  { return strconv.FormatFloat(v, 'f', 3, 64) }
 func ms(v float64) string { return strconv.FormatFloat(v*1000, 'f', 0, 64) }
 
-func runFig2(quick bool) error {
+func runFig2(w io.Writer, quick bool) error {
 	cfg := bench.DefaultFig2()
 	if quick {
 		cfg.Dataset.Users = 2000
 		cfg.FriendCounts = []int{500, 1000, 1500}
 		cfg.Repetitions = 1
 	}
-	fmt.Println("== Figure 2: personalized query latency vs number of SN friends ==")
-	fmt.Printf("dataset: %d POIs, %d users, visits/user ≈ N(%d, %d) (paper volume ÷ %d)\n\n",
+	fmt.Fprintln(w, "== Figure 2: personalized query latency vs number of SN friends ==")
+	fmt.Fprintf(w, "dataset: %d POIs, %d users, visits/user ≈ N(%d, %d) (paper volume ÷ %d)\n\n",
 		cfg.Dataset.POIs, cfg.Dataset.Users, 170/cfg.Dataset.VisitScale, 10/cfg.Dataset.VisitScale,
 		cfg.Dataset.VisitScale)
 	points, err := bench.RunFig2(cfg)
@@ -100,19 +101,19 @@ func runFig2(quick bool) error {
 			strconv.FormatInt(p.RowsScanned, 10), strconv.FormatInt(p.BytesMerged, 10),
 		})
 	}
-	fmt.Println(bench.RenderTable(
+	fmt.Fprintln(w, bench.RenderTable(
 		[]string{"nodes", "friends", "latency(ms)", "paper-equivalent(ms)", "rows-scanned", "bytes-merged"}, rows))
 	return nil
 }
 
-func runFig3(quick bool) error {
+func runFig3(w io.Writer, quick bool) error {
 	cfg := bench.DefaultFig3()
 	if quick {
 		cfg.Dataset.Users = 2000
 		cfg.Concurrency = []int{10, 20}
 		cfg.FriendsPerQuery = 1000
 	}
-	fmt.Println("== Figure 3: average latency of concurrent queries (6000 friends each) ==")
+	fmt.Fprintln(w, "== Figure 3: average latency of concurrent queries (6000 friends each) ==")
 	points, err := bench.RunFig3(cfg)
 	if err != nil {
 		return err
@@ -126,19 +127,19 @@ func runFig3(quick bool) error {
 			strconv.FormatInt(p.RowsScanned, 10), strconv.FormatInt(p.BytesMerged, 10),
 		})
 	}
-	fmt.Println(bench.RenderTable(
+	fmt.Fprintln(w, bench.RenderTable(
 		[]string{"nodes", "concurrent", "avg-latency(s)", "paper-equivalent(s)", "rows-scanned", "bytes-merged"}, rows))
 	return nil
 }
 
-func runFig4(quick bool) error {
+func runFig4(w io.Writer, quick bool) error {
 	cfg := bench.DefaultFig4()
 	if quick {
 		cfg.TrainSizes = []int{500, 1000, 4000}
 		cfg.TestDocs = 800
 	}
-	fmt.Println("== Figure 4: classification accuracy vs training-set size ==")
-	fmt.Printf("corpus scale: 1/%d of the paper's crawl (threshold 500k ↔ %d docs)\n\n",
+	fmt.Fprintln(w, "== Figure 4: classification accuracy vs training-set size ==")
+	fmt.Fprintf(w, "corpus scale: 1/%d of the paper's crawl (threshold 500k ↔ %d docs)\n\n",
 		bench.Fig4Scale, cfg.Corpus.CleanDocs)
 	points, err := bench.RunFig4(cfg)
 	if err != nil {
@@ -153,28 +154,28 @@ func runFig4(quick bool) error {
 			fmt.Sprintf("%.1f%%", p.Accuracy*100),
 		})
 	}
-	fmt.Println(bench.RenderTable(
+	fmt.Fprintln(w, bench.RenderTable(
 		[]string{"train-docs", "paper-equivalent", "pipeline", "accuracy"}, rows))
 	return nil
 }
 
-func runAccuracy(bool) error {
-	fmt.Println("== In-text claim: classifier accuracy towards unseen data ==")
+func runAccuracy(w io.Writer, _ bool) error {
+	fmt.Fprintln(w, "== In-text claim: classifier accuracy towards unseen data ==")
 	acc, err := bench.AccuracyClaim(46)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("optimized pipeline at the quality threshold: %.1f%% (paper: 94%%)\n\n", acc*100)
+	fmt.Fprintf(w, "optimized pipeline at the quality threshold: %.1f%% (paper: 94%%)\n\n", acc*100)
 	return nil
 }
 
-func runSchemaAblation(quick bool) error {
+func runSchemaAblation(w io.Writer, quick bool) error {
 	cfg := bench.DefaultSchemaAblation()
 	if quick {
 		cfg.Dataset.Users = 1500
 		cfg.Friends = 500
 	}
-	fmt.Println("== Ablation: replicated visit schema vs join-at-query-time (§2.1) ==")
+	fmt.Fprintln(w, "== Ablation: replicated visit schema vs join-at-query-time (§2.1) ==")
 	rows, err := bench.RunSchemaAblation(cfg)
 	if err != nil {
 		return err
@@ -185,19 +186,19 @@ func runSchemaAblation(quick bool) error {
 			r.Schema, ms(r.LatencySeconds), strconv.Itoa(r.CandidatesMoved), strconv.Itoa(r.ResultPOIs),
 		})
 	}
-	fmt.Println(bench.RenderTable(
+	fmt.Fprintln(w, bench.RenderTable(
 		[]string{"schema", "latency(ms)", "candidates-shipped", "results"}, table))
 	return nil
 }
 
-func runRegionAblation(quick bool) error {
+func runRegionAblation(w io.Writer, quick bool) error {
 	cfg := bench.DefaultRegionAblation()
 	if quick {
 		cfg.Dataset.Users = 1500
 		cfg.Friends = 500
 		cfg.RegionCounts = []int{4, 16, 64}
 	}
-	fmt.Println("== Ablation: region count vs intra-query parallelism (§2.2) ==")
+	fmt.Fprintln(w, "== Ablation: region count vs intra-query parallelism (§2.2) ==")
 	rows, err := bench.RunRegionAblation(cfg)
 	if err != nil {
 		return err
@@ -206,18 +207,18 @@ func runRegionAblation(quick bool) error {
 	for _, r := range rows {
 		table = append(table, []string{strconv.Itoa(r.Regions), ms(r.LatencySeconds)})
 	}
-	fmt.Println(bench.RenderTable([]string{"regions", "latency(ms)"}, table))
+	fmt.Fprintln(w, bench.RenderTable([]string{"regions", "latency(ms)"}, table))
 	return nil
 }
 
-func runDBSCAN(quick bool) error {
+func runDBSCAN(w io.Writer, quick bool) error {
 	cfg := bench.DefaultDBSCAN()
 	if quick {
 		cfg.Gatherings = 6
 		cfg.PointsPerGathering = 100
 		cfg.NoisePoints = 500
 	}
-	fmt.Println("== Event detection: MR-DBSCAN correctness and parallel speedup ==")
+	fmt.Fprintln(w, "== Event detection: MR-DBSCAN correctness and parallel speedup ==")
 	rows, err := bench.RunDBSCAN(cfg)
 	if err != nil {
 		return err
@@ -231,19 +232,19 @@ func runDBSCAN(quick bool) error {
 			f(r.SimulatedSeconds),
 		})
 	}
-	fmt.Println(bench.RenderTable(
+	fmt.Fprintln(w, bench.RenderTable(
 		[]string{"nodes", "clusters", "matches-sequential", "makespan(s)"}, table))
 	return nil
 }
 
-func runCNB(quick bool) error {
+func runCNB(w io.Writer, quick bool) error {
 	sizes := []int{500, 1000, 4000, 12000}
 	testDocs := 2000
 	if quick {
 		sizes = []int{500, 2000}
 		testDocs = 800
 	}
-	fmt.Println("== Extension: multinomial vs Complement Naive Bayes (both shipped by Mahout) ==")
+	fmt.Fprintln(w, "== Extension: multinomial vs Complement Naive Bayes (both shipped by Mahout) ==")
 	rows, err := bench.RunClassifierComparison(sizes, testDocs, 48)
 	if err != nil {
 		return err
@@ -254,18 +255,18 @@ func runCNB(quick bool) error {
 			strconv.Itoa(r.TrainDocs), r.Algorithm, fmt.Sprintf("%.1f%%", r.Accuracy*100),
 		})
 	}
-	fmt.Println(bench.RenderTable([]string{"train-docs", "algorithm", "accuracy"}, table))
+	fmt.Fprintln(w, bench.RenderTable([]string{"train-docs", "algorithm", "accuracy"}, table))
 	return nil
 }
 
-func runWebServers(quick bool) error {
+func runWebServers(w io.Writer, quick bool) error {
 	cfg := bench.DefaultWebServerAblation()
 	if quick {
 		cfg.Dataset.Users = 1500
 		cfg.Concurrent = 12
 		cfg.FriendsPerQuery = 500
 	}
-	fmt.Println("== Extension: web-server farm sizing (§3.1's 'two servers suffice' claim) ==")
+	fmt.Fprintln(w, "== Extension: web-server farm sizing (§3.1's 'two servers suffice' claim) ==")
 	rows, err := bench.RunWebServerAblation(cfg)
 	if err != nil {
 		return err
@@ -274,17 +275,17 @@ func runWebServers(quick bool) error {
 	for _, r := range rows {
 		table = append(table, []string{strconv.Itoa(r.WebServers), f(r.AvgLatencySeconds)})
 	}
-	fmt.Println(bench.RenderTable([]string{"web-servers", "avg-latency(s)"}, table))
+	fmt.Fprintln(w, bench.RenderTable([]string{"web-servers", "avg-latency(s)"}, table))
 	return nil
 }
 
-func runTopK(quick bool) error {
+func runTopK(w io.Writer, quick bool) error {
 	cfg := bench.DefaultTopKAblation()
 	if quick {
 		cfg.Dataset.Users = 1500
 		cfg.Friends = 500
 	}
-	fmt.Println("== Extension: exact merge vs per-region top-K truncation ==")
+	fmt.Fprintln(w, "== Extension: exact merge vs per-region top-K truncation ==")
 	rows, err := bench.RunTopKAblation(cfg)
 	if err != nil {
 		return err
@@ -299,6 +300,6 @@ func runTopK(quick bool) error {
 			label, ms(r.LatencySeconds), strconv.Itoa(r.CandidatesMoved), fmt.Sprintf("%.2f", r.Recall),
 		})
 	}
-	fmt.Println(bench.RenderTable([]string{"region-topk", "latency(ms)", "candidates-shipped", "recall@10"}, table))
+	fmt.Fprintln(w, bench.RenderTable([]string{"region-topk", "latency(ms)", "candidates-shipped", "recall@10"}, table))
 	return nil
 }
