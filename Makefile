@@ -108,7 +108,9 @@ bench:
 ## the merge and the coprocessor, a block load served
 ## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
 ## allocations) and one decoded, admitted and evicting (a miss), the visit parser on
-## payloads with one-byte and multi-byte lengths, the table's one write
+## payloads with one-byte and multi-byte lengths, the shared POI documents'
+## intern hit and shared-document parse (which TestSharedDocsAllocs keeps at
+## zero allocations), the table's one write
 ## routine per cell and per batch of 50, the matcher's memo-hit case, the
 ## registry's idle subscription (whose bytes per op tier-1's
 ## TestAddIdleMemoryBudget bounds), the view's benchmark-shaped read, a check-in batch folded into the cached
@@ -124,7 +126,7 @@ bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkBlockLoad' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x
-	$(GO) test ./internal/model -run XXX -bench 'BenchmarkVisitViewParse' -benchmem -benchtime=100x
+	$(GO) test ./internal/model -run XXX -bench 'BenchmarkVisitViewParse|BenchmarkSharedDocs' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultJSON/(append|decode)$$' -benchmem -benchtime=100x

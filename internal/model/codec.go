@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Binary visit codec. The Visits repository is the platform's hottest read
 // path: every personalized query decodes one payload per scanned visit row,
-// and the replicated schema embeds a full POI document in each. JSON
+// and the replicated schema gives each a full POI document. JSON
 // decoding pays reflection and field-name matching per row; this codec is a
 // flat, length-prefixed binary layout with a leading tag byte. It is the only
 // visit format: every writer has emitted it since before the durable log
@@ -19,7 +21,15 @@ import (
 //
 // Layout: tag byte, version byte, then fields in declaration order.
 // Integers are varints, floats are 8-byte little-endian IEEE 754 bits,
-// strings are uvarint length prefixes followed by raw bytes.
+// strings are uvarint length prefixes followed by raw bytes. All three tags
+// share the prefix user, time, grade, network, POI id; then
+//
+//	0x01 replicated: name, lat, lon, keyword count, keywords, hotness, interest
+//	0x02 normalized: nothing
+//	0x03 shared:     the document's content hash, 8 bytes little-endian
+//
+// The replicated schema writes 0x03 and keeps the document in the shared
+// table (docs.go); 0x01 rows written before it decode forever.
 
 const (
 	// VisitBinaryTagReplicated marks a full replicated-schema visit payload
@@ -28,13 +38,17 @@ const (
 	// VisitBinaryTagNormalized marks a compact normalized-schema payload
 	// (POI id only; the reader joins the rest).
 	VisitBinaryTagNormalized byte = 0x02
+	// VisitBinaryTagShared marks a replicated-schema visit payload whose POI
+	// document is the shared copy its id and content hash name (InternPOI).
+	VisitBinaryTagShared byte = 0x03
 	// visitBinaryVersion is the current layout version. Decoders reject
 	// versions they do not know instead of misreading them.
 	visitBinaryVersion byte = 1
 )
 
-// EncodeVisitBinary encodes a replicated-schema visit: the full struct
-// including the embedded POI document.
+// EncodeVisitBinary encodes a visit with its POI document embedded: the
+// replicated schema's row layout before shared documents, and the documents
+// log's record of one document.
 func EncodeVisitBinary(v *Visit) []byte {
 	n := 2 + 3*binary.MaxVarintLen64 + 8 + len(v.Network) + len(v.POI.Name) + 16 + 16 + 2 + 8
 	for _, k := range v.POI.Keywords {
@@ -59,6 +73,21 @@ func EncodeVisitBinary(v *Visit) []byte {
 	return b
 }
 
+// EncodeVisitBinaryShared encodes a replicated-schema visit as a reference to
+// its shared POI document: the normalized fields plus hash, the document's
+// content hash InternPOI returned for v.POI.
+func EncodeVisitBinaryShared(v *Visit, hash uint64) []byte {
+	n := 2 + varintLen(v.UserID) + varintLen(v.Time) + 8 + uvarintLen(uint64(len(v.Network))) + len(v.Network) + varintLen(v.POI.ID) + 8
+	b := make([]byte, 0, n)
+	b = append(b, VisitBinaryTagShared, visitBinaryVersion)
+	b = binary.AppendVarint(b, v.UserID)
+	b = binary.AppendVarint(b, v.Time)
+	b = appendFloat(b, v.Grade)
+	b = appendString(b, v.Network)
+	b = binary.AppendVarint(b, v.POI.ID)
+	return binary.LittleEndian.AppendUint64(b, hash)
+}
+
 // EncodeVisitBinaryNormalized encodes the normalized-schema projection of a
 // visit: identity, time, grade, network and the POI id.
 func EncodeVisitBinaryNormalized(v *Visit) []byte {
@@ -81,7 +110,8 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 // decode. A view aliases the payload it was built from and is valid only
 // while those bytes are; the zero value is ready for Parse, and one view can
 // be parsed over any number of payloads. A normalized payload leaves every
-// POI field but POIID at its zero value.
+// POI field but POIID at its zero value; a shared-document payload reads its
+// POI fields from the shared document.
 type VisitView struct {
 	UserID int64
 	// Time is the visit timestamp in milliseconds since epoch.
@@ -100,12 +130,15 @@ type VisitView struct {
 	// strings, every length already checked against the span.
 	keywords  []byte
 	nKeywords int
+	// doc is the shared document a VisitBinaryTagShared payload names.
+	doc *POI
 }
 
-// Parse points the view at a binary visit payload of either layout,
+// Parse points the view at a binary visit payload of any layout,
 // dispatching on the tag byte. It is the codec's only parser —
 // DecodeVisitBinary materializes its result — and rejects an unknown version
-// or tag, any length or count that overruns the payload, and trailing bytes.
+// or tag, any length or count that overruns the payload, trailing bytes, and
+// a shared-document payload whose document this process does not hold.
 // It is one pass over the payload by offset; a length or varint of one byte
 // (most of them) is read without calling into encoding/binary. A view whose
 // Parse failed holds no usable state.
@@ -117,7 +150,7 @@ func (v *VisitView) Parse(b []byte) error {
 	if version != visitBinaryVersion {
 		return fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
 	}
-	if tag != VisitBinaryTagReplicated && tag != VisitBinaryTagNormalized {
+	if tag != VisitBinaryTagReplicated && tag != VisitBinaryTagNormalized && tag != VisitBinaryTagShared {
 		return fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
 	}
 	*v = VisitView{}
@@ -137,6 +170,20 @@ func (v *VisitView) Parse(b []byte) error {
 	}
 	if v.POIID, off = varintAt(b, off); off < 0 {
 		return errAtVarint
+	}
+	if tag == VisitBinaryTagShared {
+		if len(b)-off < 8 {
+			return errAtDocHash
+		}
+		hash := binary.LittleEndian.Uint64(b[off:])
+		if off += 8; off != len(b) {
+			return fmt.Errorf("model: %d trailing bytes in binary visit", len(b)-off)
+		}
+		if v.doc = sharedDocs.lookup(v.POIID, hash); v.doc == nil {
+			return fmt.Errorf("model: binary visit names POI %d document %016x, which is not in the shared table", v.POIID, hash)
+		}
+		v.Lat, v.Lon, v.Hotness, v.Interest = v.doc.Lat, v.doc.Lon, v.doc.Hotness, v.doc.Interest
+		return nil
 	}
 	if tag == VisitBinaryTagReplicated {
 		if v.name, off, err = stringAt(b, off); err != nil {
@@ -188,6 +235,9 @@ func nextString(span []byte) (s, rest []byte) {
 // HasKeyword reports whether kw is one of the visit's POI keywords,
 // comparing bytes in place.
 func (v *VisitView) HasKeyword(kw string) bool {
+	if v.doc != nil {
+		return slices.Contains(v.doc.Keywords, kw)
+	}
 	for rest := v.keywords; len(rest) > 0; {
 		var k []byte
 		if k, rest = nextString(rest); string(k) == kw {
@@ -202,6 +252,12 @@ func (v *VisitView) HasKeyword(kw string) bool {
 // excluded) — what a decoded copy of the document carries beyond its
 // fixed-size fields, without decoding it.
 func (v *VisitView) DocTextLen() (name, keywords, keywordBytes int) {
+	if v.doc != nil {
+		for _, k := range v.doc.Keywords {
+			keywordBytes += len(k)
+		}
+		return len(v.doc.Name), len(v.doc.Keywords), keywordBytes
+	}
 	for rest := v.keywords; len(rest) > 0; {
 		var k []byte
 		k, rest = nextString(rest)
@@ -211,8 +267,13 @@ func (v *VisitView) DocTextLen() (name, keywords, keywordBytes int) {
 }
 
 // POI materializes the POI document the payload carries: the full record
-// under the replicated layout, the id alone under the normalized one.
+// under the replicated layout, the id alone under the normalized one. Under
+// the shared layout it is a copy of the shared document's struct that shares
+// its keyword slice, so it allocates nothing and must not be modified.
 func (v *VisitView) POI() POI {
+	if v.doc != nil {
+		return *v.doc
+	}
 	p := POI{ID: v.POIID, Name: string(v.name), Lat: v.Lat, Lon: v.Lon, Hotness: v.Hotness, Interest: v.Interest}
 	if v.nKeywords > 0 {
 		p.Keywords = make([]string, v.nKeywords)
@@ -226,13 +287,18 @@ func (v *VisitView) POI() POI {
 	return p
 }
 
+// SharedDoc returns the shared document a shared-document payload names, or
+// nil for the other layouts.
+func (v *VisitView) SharedDoc() *POI { return v.doc }
+
 // Visit materializes the whole visit.
 func (v *VisitView) Visit() Visit {
 	return Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: string(v.network), POI: v.POI()}
 }
 
-// DecodeVisitBinary decodes either binary visit layout. Normalized payloads
-// yield a Visit whose POI carries only the id.
+// DecodeVisitBinary decodes any binary visit layout. Normalized payloads
+// yield a Visit whose POI carries only the id; shared-document payloads one
+// whose POI shares the shared document's keyword slice.
 func DecodeVisitBinary(b []byte) (Visit, error) {
 	var view VisitView
 	if err := view.Parse(b); err != nil {
@@ -240,6 +306,12 @@ func DecodeVisitBinary(b []byte) (Visit, error) {
 	}
 	return view.Visit(), nil
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return max(1, (bits.Len64(x)+6)/7) }
+
+// varintLen is the length of x's zig-zag varint encoding.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 func appendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
@@ -258,6 +330,7 @@ var (
 	errAtFloat        = errors.New("model: truncated binary visit at float")
 	errAtString       = errors.New("model: truncated binary visit at string")
 	errAtKeywordCount = errors.New("model: truncated binary visit at keyword count")
+	errAtDocHash      = errors.New("model: truncated binary visit at document hash")
 )
 
 // uvarintAt decodes the uvarint at b[off:] and returns it with the offset

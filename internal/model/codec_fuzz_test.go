@@ -12,7 +12,9 @@ import (
 
 // referenceDecodeVisitBinary is the eager decoder the codec shipped with
 // before the view existed, kept as the oracle that pins the walker's
-// validation: it shares no code with VisitView.Parse.
+// validation: it shares no code with VisitView.Parse. A shared-document
+// payload's document is the shared table's (looked up after the layout is
+// checked).
 func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 	errCorrupt := errors.New("corrupt")
 	if len(b) < 2 || b[1] != visitBinaryVersion {
@@ -81,6 +83,16 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		v.POI.Hotness = float()
 		v.POI.Interest = float()
 	case VisitBinaryTagNormalized:
+	case VisitBinaryTagShared:
+		if len(b) != 8 {
+			return Visit{}, errCorrupt
+		}
+		doc := sharedDocs.lookup(v.POI.ID, binary.LittleEndian.Uint64(b))
+		if !ok || doc == nil {
+			return Visit{}, errCorrupt
+		}
+		v.POI = *doc
+		return v, nil
 	default:
 		return Visit{}, errCorrupt
 	}
@@ -170,6 +182,24 @@ func FuzzVisitView(f *testing.F) {
 		f.Add(full, m.POI.Keywords[len(m.POI.Keywords)-1])
 		f.Add(full[:len(full)-20], m.POI.Keywords[0])
 		f.Add(encodePaddedVisit(&m), "kw7")
+	}
+	// Shared-document payloads: documents the table holds (with and without
+	// keywords, multi-byte lengths), a truncated hash, a trailing byte, and a
+	// hash the table does not hold.
+	for _, m := range append(multiByteVisits(), v, noKeywords) {
+		_, hash, err := InternPOI(&m.POI)
+		if err != nil {
+			f.Fatal(err)
+		}
+		shared := EncodeVisitBinaryShared(&m, hash)
+		kw := ""
+		if len(m.POI.Keywords) > 0 {
+			kw = m.POI.Keywords[len(m.POI.Keywords)-1]
+		}
+		f.Add(shared, kw)
+		f.Add(shared[:len(shared)-3], kw)
+		f.Add(append(append([]byte(nil), shared...), 0), kw)
+		f.Add(EncodeVisitBinaryShared(&m, hash+1), kw)
 	}
 	f.Fuzz(func(t *testing.T, b []byte, kw string) {
 		var view VisitView

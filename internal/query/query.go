@@ -231,7 +231,7 @@ func (a *poiAgg) key() rankKey {
 // regionAgg is one POI's partial aggregate inside a region. It keeps the
 // payload of the POI's first matching row in the region, undecoded — a
 // sub-slice of the store's bytes, which the store never rewrites — and the
-// size estimate of the document it carries; Engine.sum decodes one document
+// size estimate of the document it carries; Engine.sum takes one document
 // per merged candidate from the first region that reported it.
 type regionAgg struct {
 	rankKey
@@ -241,7 +241,9 @@ type regionAgg struct {
 
 // wireBytes estimates the serialized size of one partial aggregate as it
 // would travel region → web server (id, sums, name, keywords), from the
-// view of the row whose document the aggregate keeps.
+// view of the row whose document the aggregate keeps. A shared-document row
+// reports its shared document's text lengths, which are those an embedded
+// copy would carry, so the estimate does not depend on the row layout.
 func wireBytes(v *model.VisitView) int64 {
 	name, keywords, keywordBytes := v.DocTextLen()
 	return int64(48 + name + keywordBytes + 3*keywords)
@@ -316,9 +318,11 @@ func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (
 
 // regionAggregator folds one region's scanned visit rows into per-POI
 // partial aggregates. Predicates run on every row — two visits to one POI
-// can carry different replicated documents, so a verdict cannot be cached
-// per POI — but the aggregate keeps the payload of the first matching row
-// only, and decodes nothing of it.
+// can carry different replicated documents (a HotIn refresh rewrites them),
+// so a verdict cannot be cached per POI; it could be per shared document,
+// but evaluating the bbox and keyword on the shared document the row's view
+// points at costs no more than a memo lookup — and the aggregate keeps the
+// payload of the first matching row only, and decodes nothing of it.
 type regionAggregator struct {
 	cp  *visitsCoprocessor
 	out *regionOutput
@@ -699,8 +703,10 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 
 // sum folds the regions' partial aggregates into one candidate per POI —
 // every POI any region matched, before any limit — sorted by POI id. A
-// candidate's document is decoded, once, from the payload the first region
-// that reported it kept. The candidates are the query's merge state: rank
+// candidate's document is taken, once, from the payload the first region
+// that reported it kept: a copy of the shared document's struct, sharing its
+// strings, for a shared-document row, or the embedded document decoded for
+// a row written before shared documents. The candidates are the query's merge state: rank
 // derives the answer from them, and a cached entry keeps them so a friend's
 // later check-in can be added to them instead of forcing a rescan.
 func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.CoprocessorWork) {

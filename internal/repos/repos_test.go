@@ -575,14 +575,11 @@ func TestVisitsRepoDurableRecovery(t *testing.T) {
 	poi := model.POI{ID: 3, Name: "taverna-3", Lat: 37.9, Lon: 23.7, Keywords: []string{"restaurant"}}
 
 	// First life.
-	tbl, err := kvstore.OpenDurableTable("visits", userSplitKeys(100, 4), 2, kvstore.DefaultStoreOptions(), walPath)
+	repo, err := NewDurableVisitsRepo(SchemaReplicated, 100, 4, 2, kvstore.DefaultStoreOptions(), walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repo, err := NewVisitsRepoFromTable(SchemaReplicated, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := repo.Table()
 	for i := 0; i < 20; i++ {
 		if err := repo.Store(model.Visit{UserID: int64(i%5 + 1), Time: int64(i * 1000), Grade: 4, POI: poi}); err != nil {
 			t.Fatal(err)
@@ -593,15 +590,11 @@ func TestVisitsRepoDurableRecovery(t *testing.T) {
 	}
 
 	// Second life: everything is back and scannable.
-	tbl2, err := kvstore.OpenDurableTable("visits", userSplitKeys(100, 4), 2, kvstore.DefaultStoreOptions(), walPath)
+	repo2, err := NewDurableVisitsRepo(SchemaReplicated, 100, 4, 2, kvstore.DefaultStoreOptions(), walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tbl2.Close()
-	repo2, err := NewVisitsRepoFromTable(SchemaReplicated, tbl2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer repo2.Table().Close()
 	count := 0
 	if err := repo2.ScanAll(func(v model.Visit) bool {
 		if v.POI.Name != "taverna-3" {
@@ -624,7 +617,7 @@ func TestVisitsRepoDurableRecovery(t *testing.T) {
 	if n := countVisits(t, repo2); n != 21 {
 		t.Errorf("%d visits after storing one more over the replayed log, want 21", n)
 	}
-	if _, err := NewVisitsRepoFromTable(SchemaReplicated, nil); err == nil {
+	if _, err := wrapVisitsTable(SchemaReplicated, nil, nil); err == nil {
 		t.Error("nil table must fail")
 	}
 }

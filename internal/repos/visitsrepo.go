@@ -12,9 +12,11 @@ import (
 type VisitSchema int
 
 const (
-	// SchemaReplicated embeds the complete POI record in every visit row —
-	// the design the paper adopted ("our experiments suggest data
-	// replication to be more efficient").
+	// SchemaReplicated gives every visit row the complete POI record — the
+	// design the paper adopted ("our experiments suggest data replication to
+	// be more efficient"). A row names its document by POI id and content
+	// hash, and the document is kept once per process (model.InternPOI),
+	// where every region reads it without a remote join.
 	SchemaReplicated VisitSchema = iota
 	// SchemaNormalized stores only the POI id and joins POI information at
 	// query time — the alternative the paper rejected; kept for the
@@ -35,15 +37,18 @@ func (s VisitSchema) String() string {
 const VisitQualifier = "v"
 
 // VisitsRepo is the Visits repository: one row per (user, time, seq) visit
-// on the range-partitioned KV store. Under the replicated schema the visit
-// struct carries full POI info; under the normalized schema readers must
-// join against the POI repository.
+// on the range-partitioned KV store. Under the replicated schema a visit
+// reads back with its full POI document, the shared copy its row names;
+// under the normalized schema readers must join against the POI repository.
 //
 // Rows are written and read with the compact binary visit codec
 // (model/codec.go) and nothing else.
 type VisitsRepo struct {
 	table  *kvstore.Table
 	schema VisitSchema
+	// docs, on a durable repository, is the log its rows' shared documents
+	// are made durable in before the rows are.
+	docs *docsLog
 	// seq keeps same-millisecond visits of one user on distinct rows. It
 	// starts past every sequence number the table already holds.
 	seq atomic.Uint32
@@ -71,36 +76,56 @@ func (r *VisitsRepo) SetOnStore(announce func([]model.Visit), settle func(visits
 // NewVisitsRepo creates the repository over a table pre-split into
 // `regions` user ranges placed round-robin on `nodes` simulated nodes.
 func NewVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts kvstore.StoreOptions) (*VisitsRepo, error) {
-	return newVisitsRepo(schema, maxUser, regions, func(name string, splits []string) (*kvstore.Table, error) {
-		return kvstore.NewTable(name, splits, nodes, opts)
-	})
+	if err := checkVisitsSizing(maxUser, regions); err != nil {
+		return nil, err
+	}
+	table, err := kvstore.NewTable(visitsTableName(schema), userSplitKeys(maxUser, regions), nodes, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &VisitsRepo{table: table, schema: schema}, nil
 }
 
 // NewDurableVisitsRepo is NewVisitsRepo over a durable table: every visit is
 // group-committed to the WAL at walPath before it applies, and opening an
-// existing log replays it (see kvstore.OpenDurableTable). Close the backing
-// Table() to release the log.
+// existing log replays it (see kvstore.OpenDurableTable). The shared POI
+// documents its rows name are kept in a second log beside it (walPath +
+// ".docs"), loaded before the visits are replayed; a replicated row naming a
+// document that log does not hold fails the open. Close the backing Table()
+// to release the visits log; the documents log holds no open file.
 func NewDurableVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts kvstore.StoreOptions, walPath string) (*VisitsRepo, error) {
-	return newVisitsRepo(schema, maxUser, regions, func(name string, splits []string) (*kvstore.Table, error) {
-		return kvstore.OpenDurableTable(name, splits, nodes, opts, walPath)
-	})
-}
-
-// newVisitsRepo validates the sizing, opens the pre-split table through open
-// and wraps it.
-func newVisitsRepo(schema VisitSchema, maxUser int64, regions int, open func(name string, splits []string) (*kvstore.Table, error)) (*VisitsRepo, error) {
-	if maxUser < 1 {
-		return nil, fmt.Errorf("repos: maxUser must be >= 1, got %d", maxUser)
+	if err := checkVisitsSizing(maxUser, regions); err != nil {
+		return nil, err
 	}
-	if regions < 1 {
-		return nil, fmt.Errorf("repos: regions must be >= 1, got %d", regions)
-	}
-	table, err := open("visits-"+schema.String(), userSplitKeys(maxUser, regions))
+	docs, err := openDocsLog(docsLogPath(walPath), opts.WALSyncPolicy)
 	if err != nil {
 		return nil, err
 	}
-	return NewVisitsRepoFromTable(schema, table)
+	table, err := kvstore.OpenDurableTable(visitsTableName(schema), userSplitKeys(maxUser, regions), nodes, opts, walPath)
+	if err != nil {
+		return nil, err
+	}
+	r, err := wrapVisitsTable(schema, table, docs)
+	if err != nil {
+		table.Close()
+		return nil, err
+	}
+	return r, nil
 }
+
+// NewVisitsRepo and NewDurableVisitsRepo share their sizing rules and table
+// name.
+func checkVisitsSizing(maxUser int64, regions int) error {
+	if maxUser < 1 {
+		return fmt.Errorf("repos: maxUser must be >= 1, got %d", maxUser)
+	}
+	if regions < 1 {
+		return fmt.Errorf("repos: regions must be >= 1, got %d", regions)
+	}
+	return nil
+}
+
+func visitsTableName(schema VisitSchema) string { return "visits-" + schema.String() }
 
 // Schema returns the storage layout.
 func (r *VisitsRepo) Schema() VisitSchema { return r.schema }
@@ -109,22 +134,28 @@ func (r *VisitsRepo) Schema() VisitSchema { return r.schema }
 func (r *VisitsRepo) Table() *kvstore.Table { return r.table }
 
 // visitCell validates one visit and renders it as the cell StoreBatch
-// writes.
-func (r *VisitsRepo) visitCell(v model.Visit) (kvstore.Cell, error) {
+// writes, with the shared document the cell names under the replicated
+// schema.
+func (r *VisitsRepo) visitCell(v *model.Visit) (kvstore.Cell, sharedDoc, error) {
 	if v.UserID < 1 {
-		return kvstore.Cell{}, fmt.Errorf("repos: visit with invalid user %d", v.UserID)
+		return kvstore.Cell{}, sharedDoc{}, fmt.Errorf("repos: visit with invalid user %d", v.UserID)
 	}
 	if v.POI.ID == 0 {
-		return kvstore.Cell{}, fmt.Errorf("repos: visit without POI")
+		return kvstore.Cell{}, sharedDoc{}, fmt.Errorf("repos: visit without POI")
 	}
-	key := visitRowKey(v.UserID, v.Time, r.seq.Add(1))
+	var d sharedDoc
 	var payload []byte
 	if r.schema == SchemaReplicated {
-		payload = model.EncodeVisitBinary(&v)
+		var err error
+		if d.doc, d.hash, err = model.InternPOI(&v.POI); err != nil {
+			return kvstore.Cell{}, sharedDoc{}, err
+		}
+		payload = model.EncodeVisitBinaryShared(v, d.hash)
 	} else {
-		payload = model.EncodeVisitBinaryNormalized(&v)
+		payload = model.EncodeVisitBinaryNormalized(v)
 	}
-	return kvstore.Cell{Row: key, Qualifier: VisitQualifier, Timestamp: v.Time, Value: payload}, nil
+	key := visitRowKey(v.UserID, v.Time, r.seq.Add(1))
+	return kvstore.Cell{Row: key, Qualifier: VisitQualifier, Timestamp: v.Time, Value: payload}, d, nil
 }
 
 // Store persists one visit: StoreBatch of one.
@@ -134,21 +165,36 @@ func (r *VisitsRepo) Store(v model.Visit) error { return r.StoreBatch([]model.Vi
 // whole batch costs one WAL commit-group slot and one store-lock acquisition
 // per contiguous region run, which is what makes batched check-in ingest
 // cheap. The write is bracketed by the SetOnStore observers. Validation runs
-// up front — an invalid visit fails the call (with
-// its index) before anything is logged or applied — and so does the table's
-// admission: a batch answered with an error (fence, primary down, injected
-// fault) was neither logged nor applied, so retrying it cannot double it.
+// up front — an invalid visit, or one whose POI document cannot be interned,
+// fails the call (with its index) before anything is logged or applied — and
+// so does the table's admission: a batch answered with an error (fence,
+// primary down, injected fault) was neither logged nor applied, so retrying
+// it cannot double it. A durable repository first makes the batch's new
+// shared documents durable; the table's WAL never holds a row whose document
+// its documents log lacks.
 func (r *VisitsRepo) StoreBatch(visits []model.Visit) error {
 	if len(visits) == 0 {
 		return nil
 	}
 	cells := make([]kvstore.Cell, len(visits))
+	var docs []sharedDoc
+	if r.docs != nil && r.schema == SchemaReplicated {
+		docs = make([]sharedDoc, len(visits))
+	}
 	for i := range visits {
-		c, err := r.visitCell(visits[i])
+		c, d, err := r.visitCell(&visits[i])
 		if err != nil {
 			return fmt.Errorf("repos: batch item %d: %w", i, err)
 		}
 		cells[i] = c
+		if docs != nil {
+			docs[i] = d
+		}
+	}
+	if docs != nil {
+		if err := r.docs.persist(docs); err != nil {
+			return fmt.Errorf("repos: persist POI documents: %w", err)
+		}
 	}
 	if r.announce != nil {
 		r.announce(visits)
@@ -194,28 +240,41 @@ func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) e
 	return err
 }
 
-// NewVisitsRepoFromTable wraps an existing table (e.g. a durable one from
-// kvstore.OpenDurableTable) as a Visits repository. The table's key layout
-// must follow this package's visit row-key encoding — which holds for any
-// table previously populated through a VisitsRepo. One pass over the row
-// keys (no payload is decoded) seeds the sequence past the highest one
-// present: a repository reopened over a replayed log would otherwise hand out
-// the sequence numbers of the rows it holds again, and a visit at the user
-// and millisecond of a replayed one would overwrite it.
-func NewVisitsRepoFromTable(schema VisitSchema, table *kvstore.Table) (*VisitsRepo, error) {
+// wrapVisitsTable wraps a replayed durable table and its documents log as a
+// Visits repository. One pass over the rows seeds the sequence past the
+// highest one present — a repository reopened over a replayed log would
+// otherwise hand out the sequence numbers of the rows it holds again, and a
+// visit at the user and millisecond of a replayed one would overwrite it —
+// and checks that docs holds the document of every shared-document row, so a
+// lost document fails the boot naming its row instead of a query later.
+func wrapVisitsTable(schema VisitSchema, table *kvstore.Table, docs *docsLog) (*VisitsRepo, error) {
 	if table == nil {
 		return nil, fmt.Errorf("repos: nil table")
 	}
-	r := &VisitsRepo{table: table, schema: schema}
+	r := &VisitsRepo{table: table, schema: schema, docs: docs}
 	var top uint32
+	var docErr error
+	var v model.VisitView
 	err := table.Scan(kvstore.ScanOptions{}, func(row kvstore.RowResult) bool {
 		if seq, ok := visitKeySeq(row.Row); ok && seq > top {
 			top = seq
 		}
-		return true
+		raw, ok := row.Get(VisitQualifier)
+		if !ok || len(raw) == 0 || raw[0] != model.VisitBinaryTagShared {
+			return true
+		}
+		if err := v.Parse(raw); err != nil {
+			docErr = fmt.Errorf("repos: visit row %q: %w", row.Row, err)
+		} else if !docs.holds(v.SharedDoc()) {
+			docErr = fmt.Errorf("repos: visit row %q names a document of POI %d that %s does not hold", row.Row, v.POIID, docs.path)
+		}
+		return docErr == nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repos: seed visit sequence: %w", err)
+	}
+	if docErr != nil {
+		return nil, docErr
 	}
 	r.seq.Store(top)
 	return r, nil
