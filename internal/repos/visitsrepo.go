@@ -76,14 +76,9 @@ func (r *VisitsRepo) SetOnStore(announce func([]model.Visit), settle func(visits
 // NewVisitsRepo creates the repository over a table pre-split into
 // `regions` user ranges placed round-robin on `nodes` simulated nodes.
 func NewVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts kvstore.StoreOptions) (*VisitsRepo, error) {
-	if err := checkVisitsSizing(maxUser, regions); err != nil {
-		return nil, err
-	}
-	table, err := kvstore.NewTable(visitsTableName(schema), userSplitKeys(maxUser, regions), nodes, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &VisitsRepo{table: table, schema: schema}, nil
+	return newVisitsRepo(schema, maxUser, regions, nil, func(name string, splits []string) (*kvstore.Table, error) {
+		return kvstore.NewTable(name, splits, nodes, opts)
+	})
 }
 
 // NewDurableVisitsRepo is NewVisitsRepo over a durable table: every visit is
@@ -94,14 +89,25 @@ func NewVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts k
 // document that log does not hold fails the open. Close the backing Table()
 // to release the visits log; the documents log holds no open file.
 func NewDurableVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int, opts kvstore.StoreOptions, walPath string) (*VisitsRepo, error) {
-	if err := checkVisitsSizing(maxUser, regions); err != nil {
-		return nil, err
-	}
 	docs, err := openDocsLog(docsLogPath(walPath), opts.WALSyncPolicy)
 	if err != nil {
 		return nil, err
 	}
-	table, err := kvstore.OpenDurableTable(visitsTableName(schema), userSplitKeys(maxUser, regions), nodes, opts, walPath)
+	return newVisitsRepo(schema, maxUser, regions, docs, func(name string, splits []string) (*kvstore.Table, error) {
+		return kvstore.OpenDurableTable(name, splits, nodes, opts, walPath)
+	})
+}
+
+// newVisitsRepo validates the sizing, opens the pre-split table through open
+// and wraps it with its documents log, if durable.
+func newVisitsRepo(schema VisitSchema, maxUser int64, regions int, docs *docsLog, open func(name string, splits []string) (*kvstore.Table, error)) (*VisitsRepo, error) {
+	if maxUser < 1 {
+		return nil, fmt.Errorf("repos: maxUser must be >= 1, got %d", maxUser)
+	}
+	if regions < 1 {
+		return nil, fmt.Errorf("repos: regions must be >= 1, got %d", regions)
+	}
+	table, err := open("visits-"+schema.String(), userSplitKeys(maxUser, regions))
 	if err != nil {
 		return nil, err
 	}
@@ -112,20 +118,6 @@ func NewDurableVisitsRepo(schema VisitSchema, maxUser int64, regions, nodes int,
 	}
 	return r, nil
 }
-
-// NewVisitsRepo and NewDurableVisitsRepo share their sizing rules and table
-// name.
-func checkVisitsSizing(maxUser int64, regions int) error {
-	if maxUser < 1 {
-		return fmt.Errorf("repos: maxUser must be >= 1, got %d", maxUser)
-	}
-	if regions < 1 {
-		return fmt.Errorf("repos: regions must be >= 1, got %d", regions)
-	}
-	return nil
-}
-
-func visitsTableName(schema VisitSchema) string { return "visits-" + schema.String() }
 
 // Schema returns the storage layout.
 func (r *VisitsRepo) Schema() VisitSchema { return r.schema }
@@ -240,7 +232,7 @@ func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) e
 	return err
 }
 
-// wrapVisitsTable wraps a replayed durable table and its documents log as a
+// wrapVisitsTable wraps a table and, if durable, its documents log as a
 // Visits repository. One pass over the rows seeds the sequence past the
 // highest one present — a repository reopened over a replayed log would
 // otherwise hand out the sequence numbers of the rows it holds again, and a
@@ -260,7 +252,7 @@ func wrapVisitsTable(schema VisitSchema, table *kvstore.Table, docs *docsLog) (*
 			top = seq
 		}
 		raw, ok := row.Get(VisitQualifier)
-		if !ok || len(raw) == 0 || raw[0] != model.VisitBinaryTagShared {
+		if docs == nil || !ok || len(raw) == 0 || raw[0] != model.VisitBinaryTagShared {
 			return true
 		}
 		if err := v.Parse(raw); err != nil {
