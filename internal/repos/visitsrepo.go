@@ -12,11 +12,11 @@ import (
 type VisitSchema int
 
 const (
-	// SchemaReplicated gives every visit row the complete POI record — the
-	// design the paper adopted ("our experiments suggest data replication to
-	// be more efficient"). A row names its document by POI id and content
-	// hash, and the document is kept once per process (model.InternPOI),
-	// where every region reads it without a remote join.
+	// SchemaReplicated reads every visit with its complete POI record, no
+	// join needed — the design the paper adopted ("our experiments suggest
+	// data replication to be more efficient"). A row names its document by
+	// POI id and content hash, and the document is kept once per process
+	// (model.InternPOI), where every region reads it locally.
 	SchemaReplicated VisitSchema = iota
 	// SchemaNormalized stores only the POI id and joins POI information at
 	// query time — the alternative the paper rejected; kept for the
