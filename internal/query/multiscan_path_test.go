@@ -295,8 +295,8 @@ func TestCoprocessorMatchesFullDecodeOracle(t *testing.T) {
 
 // TestVisitRowAllocatesNothingForSeenPOI guards the point of the view: a
 // row whose POI the region has already aggregated costs no allocation, and
-// one whose POI is new to the region costs none beyond the growth of the
-// slot map and the aggregate slice — it keeps the row's payload, decoding no
+// one whose POI is new to the region costs none once the slot map and the
+// aggregate slice have grown — it keeps the row's payload, decoding no
 // document.
 func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 	v := model.Visit{UserID: 3, Time: 1, Grade: 4, Network: "twitter", POI: model.POI{
@@ -304,7 +304,8 @@ func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 	}}
 	row := kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: model.EncodeVisitBinary(&v)}}}
 	spec := Spec{BBox: &geo.Rect{MinLat: 37, MinLon: 23, MaxLat: 38, MaxLon: 24}, Keyword: "view"}
-	agg := newRegionAggregator(&visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated})
+	cp := &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated}
+	agg := newRegionAggregator(cp, takeScratch())
 	agg.visitRow(row)
 	if allocs := testing.AllocsPerRun(100, func() { agg.visitRow(row) }); allocs != 0 {
 		t.Errorf("visitRow allocated %v times for an already aggregated POI, want 0", allocs)
@@ -320,9 +321,15 @@ func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 		v.POI.ID = int64(1000 + i)
 		rows[i] = kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: model.EncodeVisitBinary(&v)}}}
 	}
-	agg = newRegionAggregator(&visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated})
-	agg.slot = make(map[int64]int, 2*len(rows))
-	agg.out.aggs = make([]regionAgg, 0, 2*len(rows))
+	// Warm a scratch the way queries do: aggregate the rows on it, then
+	// reset it as a release does, keeping what it grew to.
+	s := takeScratch()
+	warm := newRegionAggregator(cp, s)
+	for _, row := range rows {
+		warm.visitRow(row)
+	}
+	s.reset(warm.finish().aggs)
+	agg = newRegionAggregator(cp, s)
 	next := 0
 	if allocs := testing.AllocsPerRun(fresh, func() { agg.visitRow(rows[next]); next++ }); allocs != 0 {
 		t.Errorf("visitRow allocated %v times for a POI new to the region, want 0", allocs)
@@ -381,7 +388,7 @@ func TestSplitInsideAUsersRowsReadsBothHalves(t *testing.T) {
 func TestVisitRowSkipsNonBinaryPayload(t *testing.T) {
 	v := model.Visit{UserID: 3, Time: 1, Grade: 4, Network: "twitter", POI: model.POI{ID: 9, Name: "plaka-cafe"}}
 	for _, schema := range []repos.VisitSchema{repos.SchemaReplicated, repos.SchemaNormalized} {
-		agg := newRegionAggregator(&visitsCoprocessor{spec: &Spec{}, schema: schema})
+		agg := newRegionAggregator(&visitsCoprocessor{spec: &Spec{}, schema: schema}, takeScratch())
 		for _, payload := range [][]byte{model.EncodeJSON(v), []byte(`{"user_id":3,"time":1,"grade":4,"network":"twitter","poi_id":9}`)} {
 			agg.visitRow(kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: payload}}})
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -249,10 +250,54 @@ func wireBytes(v *model.VisitView) int64 {
 	return int64(48 + name + keywordBytes + 3*keywords)
 }
 
-// regionOutput is what one coprocessor execution returns.
-type regionOutput struct {
+// aggScratch is one aggregation's reusable state: a map from POI id to
+// slot and the aggregate slice it indexes. Every region aggregator and every
+// Engine.sum takes one from aggScratches, and Engine.sum hands back its own
+// and those of the outputs it folds, so a query's aggregation grows no map
+// and no slice from empty.
+type aggScratch struct {
+	slot map[int64]int
 	aggs []regionAgg
-	work cluster.CoprocessorWork
+}
+
+var aggScratches = sync.Pool{New: func() any { return &aggScratch{slot: map[int64]int{}} }}
+
+// takeScratch returns an empty scratch from the pool.
+func takeScratch() *aggScratch { return aggScratches.Get().(*aggScratch) }
+
+// reset empties s for its next aggregation, keeping what its map and
+// aggs — the slice built on s, which may have outgrown s.aggs — have grown
+// to. The slice is zeroed up to its capacity, so a scratch waiting in the
+// pool pins no store payload.
+func (s *aggScratch) reset(aggs []regionAgg) {
+	clear(s.slot)
+	clear(aggs[:cap(aggs)])
+	s.aggs = aggs[:0]
+}
+
+// release resets s and returns it to the pool. Neither s nor aggs may be
+// touched afterwards.
+func (s *aggScratch) release(aggs []regionAgg) {
+	s.reset(aggs)
+	aggScratches.Put(s)
+}
+
+// regionOutput is what one coprocessor execution returns. Its aggs live in
+// scratch and belong to the query until Engine.sum has folded them; sum then
+// releases the output, and only work may be read after that.
+type regionOutput struct {
+	aggs    []regionAgg
+	work    cluster.CoprocessorWork
+	scratch *aggScratch
+}
+
+// release hands the output's scratch back to the pool and clears aggs. An
+// output that never reaches Engine.sum — a losing hedge or retry attempt, a
+// failed region, a cancelled query — is never released: the collector takes
+// its scratch, so none is returned twice or read after its return.
+func (o *regionOutput) release() {
+	o.scratch.release(o.aggs)
+	o.aggs, o.scratch = nil, nil
 }
 
 // queryPlan holds one query's real execution artifacts, ready for the
@@ -299,7 +344,7 @@ func friendRanges(friends []int64, fromMillis, toMillis int64) []kvstore.ScanRan
 func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (*regionOutput, error) {
 	regionStart := time.Now()
 	defer func() { mCoprocLatency.ObserveDuration(time.Since(regionStart)) }()
-	agg := newRegionAggregator(cp)
+	agg := newRegionAggregator(cp, takeScratch())
 	// A friend whose rows a split divided is read in both regions.
 	ranges := r.ClipRanges(cp.ranges)
 	agg.out.work.Friends = len(ranges)
@@ -322,7 +367,9 @@ func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (
 // so a verdict cannot be cached per POI; it could be per shared document,
 // but evaluating the bbox and keyword on the shared document the row's view
 // points at costs no more than a memo lookup — and the aggregate keeps the
-// payload of the first matching row only, and decodes nothing of it.
+// payload of the first matching row only, and decodes nothing of it. The
+// slot map and the aggregate slice are an empty scratch the aggregator is
+// handed, which its output carries to Engine.sum.
 type regionAggregator struct {
 	cp  *visitsCoprocessor
 	out *regionOutput
@@ -330,8 +377,8 @@ type regionAggregator struct {
 	slot map[int64]int
 }
 
-func newRegionAggregator(cp *visitsCoprocessor) *regionAggregator {
-	return &regionAggregator{cp: cp, out: &regionOutput{}, slot: map[int64]int{}}
+func newRegionAggregator(cp *visitsCoprocessor, s *aggScratch) *regionAggregator {
+	return &regionAggregator{cp: cp, out: &regionOutput{aggs: s.aggs, scratch: s}, slot: s.slot}
 }
 
 // visitRow is the scan callback: it aggregates one visit row and never
@@ -647,9 +694,10 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 				})
 				continue
 			}
+			// sum released the outputs' aggregates; their work remains.
 			totalCandidates := 0
 			for _, out := range plan.outputs {
-				totalCandidates += len(out.aggs)
+				totalCandidates += out.work.CandidatePOIs
 			}
 			// The web server parses the request, then issues one RPC per
 			// region; each region's coprocessor runs on its node's cores; when
@@ -708,16 +756,15 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 // strings, for a shared-document row, or the embedded document decoded for
 // a row written before shared documents. The candidates are the query's merge state: rank
 // derives the answer from them, and a cached entry keeps them so a friend's
-// later check-in can be added to them instead of forcing a rescan.
+// later check-in can be added to them instead of forcing a rescan, so they
+// are not pooled. Everything else sum reads or builds is: it releases each
+// region output once its aggregates are folded — only the output's work
+// may be read after that — and its own merge scratch once the candidates
+// are built.
 func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.CoprocessorWork) {
 	var work cluster.CoprocessorWork
-	// The largest region's aggregates are a lower bound on the candidates.
-	most := 0
-	for _, out := range plan.outputs {
-		most = max(most, len(out.aggs))
-	}
-	merged := make([]regionAgg, 0, most)
-	slot := make(map[int64]int32, most)
+	s := takeScratch()
+	merged := s.aggs
 	var wire int64
 	for _, out := range plan.outputs {
 		work.Friends += out.work.Friends
@@ -727,9 +774,9 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 		for i := range out.aggs {
 			a := &out.aggs[i]
 			wire += a.wire
-			j, seen := slot[a.id]
+			j, seen := s.slot[a.id]
 			if !seen {
-				slot[a.id] = int32(len(merged))
+				s.slot[a.id] = len(merged)
 				merged = append(merged, *a)
 				continue
 			}
@@ -737,6 +784,7 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 			cur.gradeUnits += a.gradeUnits
 			cur.visits += a.visits
 		}
+		out.release()
 	}
 	stats.AddBytes(wire)
 	slices.SortFunc(merged, func(a, b regionAgg) int { return cmp.Compare(a.id, b.id) })
@@ -751,6 +799,7 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 		}
 		cands[i] = poiAgg{poi: v.POI(), gradeUnits: a.gradeUnits, visits: a.visits}
 	}
+	s.release(merged)
 	return cands, work
 }
 
