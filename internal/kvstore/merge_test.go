@@ -246,9 +246,9 @@ func (it *countingIterator) cell() *Cell {
 func rangeRows(m *mergeIterator, rg ScanRange) []string {
 	m.seekRange(rowStart(rg.Start), rg.Stop)
 	var out []string
-	for m.valid() && rg.contains(m.cell().Row) {
-		res := RowResult{Row: m.cell().Row}
-		resolveRowVersions(m, res.Row, int64(1)<<62, &res)
+	var buf []Cell
+	for cells := m.nextRow(&buf); cells != nil; cells = m.nextRow(&buf) {
+		res := RowResult{Row: cells[0].Row, Cells: resolveRow(cells, int64(1)<<62, nil)}
 		v := ""
 		if !res.Empty() {
 			v = string(res.Cells[0].Value)

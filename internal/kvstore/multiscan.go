@@ -20,8 +20,14 @@ import (
 // range positions the merge once (mergeIterator.seekRange): the sources
 // behind its start seek forward, and the merge is played over the range's
 // live sources only, those whose head row is below its stop. A range that
-// one source holds — most of them, since a friend's visits in one window
-// mostly sit in one segment — is read from that source alone.
+// one segment holds — most of them, since a friend's visits in one window
+// mostly sit in one segment — is read from that segment alone, in row runs:
+// each row is handed to the resolver as the subslice of the decoded block
+// that holds it (blocks never split a row), and the range's stop is located
+// once per block by one binary search instead of compared on every row.
+// Rows that several sources or a memtable hold are gathered by the
+// tournament a cell at a time and resolved in place; both feed the one row
+// resolver, resolveRow, which point reads use too.
 
 // ctxPollInterval is how many row iterations a scan processes between
 // ctx.Done() polls. Cancellation needs to be prompt, not instant: checking
@@ -177,12 +183,18 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 			c.End()
 		}
 	}()
+	// res.Cells is both the resolved row handed to fn and the buffer a
+	// multi-source row is gathered into and resolved in place.
 	res := RowResult{}
 	iter := 0
 	for _, rg := range ranges {
 		probe.Row = rg.Start
 		merged.seekRange(&probe, rg.Stop)
-		for merged.valid() {
+		for {
+			cells := merged.nextRow(&res.Cells)
+			if cells == nil {
+				break
+			}
 			if done != nil && iter%ctxPollInterval == 0 {
 				select {
 				case <-done:
@@ -191,13 +203,8 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 				}
 			}
 			iter++
-			row := merged.cell().Row
-			if rg.Stop != "" && row >= rg.Stop {
-				break
-			}
-			res.Row = row
-			res.Cells = res.Cells[:0]
-			resolveRowVersions(merged, row, asOf, &res)
+			res.Row = cells[0].Row
+			res.Cells = resolveRow(cells, asOf, res.Cells[:0])
 			if !res.Empty() {
 				delivered++
 				if !fn(res) {

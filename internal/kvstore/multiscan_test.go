@@ -44,30 +44,56 @@ func TestValidateScanRanges(t *testing.T) {
 }
 
 // scanModel is what a store must answer, built by the test from its own
-// writes and sharing nothing with the store: per row, per timestamp, the last
-// put written there and whether a delete was.
-type scanModel map[string]map[int64]*modelVersion
+// writes and sharing nothing with the store: per row, per qualifier, per
+// timestamp, the last put written there and whether a delete was.
+type scanModel map[string]map[string]map[int64]*modelVersion
 
 type modelVersion struct {
 	value   []byte
 	deleted bool
 }
 
-func (m scanModel) at(row string, ts int64) *modelVersion {
+func (m scanModel) at(row, q string, ts int64) *modelVersion {
 	if m[row] == nil {
-		m[row] = map[int64]*modelVersion{}
+		m[row] = map[string]map[int64]*modelVersion{}
 	}
-	if m[row][ts] == nil {
-		m[row][ts] = &modelVersion{}
+	if m[row][q] == nil {
+		m[row][q] = map[int64]*modelVersion{}
 	}
-	return m[row][ts]
+	if m[row][q][ts] == nil {
+		m[row][q][ts] = &modelVersion{}
+	}
+	return m[row][q][ts]
 }
 
-// scan resolves qualifier q of every row in the ranges as of asOf (0 = no
-// bound): the newest timestamp at or below asOf decides the row, a delete
-// there hides it (and masks a put at the same timestamp), otherwise the last
-// value put there is the row's.
-func (m scanModel) scan(ranges []ScanRange, asOf int64, q string) []RowResult {
+// row resolves one row as of asOf (0 = no bound), in qualifier order: the
+// newest timestamp at or below asOf decides each qualifier, a delete there
+// hides it (and masks a put at the same timestamp), otherwise the last value
+// put there is the qualifier's.
+func (m scanModel) row(row string, asOf int64) []Cell {
+	quals := make([]string, 0, len(m[row]))
+	for q := range m[row] {
+		quals = append(quals, q)
+	}
+	sort.Strings(quals)
+	var out []Cell
+	for _, q := range quals {
+		newest := int64(-1)
+		for ts := range m[row][q] {
+			if (asOf == 0 || ts <= asOf) && ts > newest {
+				newest = ts
+			}
+		}
+		if v := m[row][q][newest]; v != nil && !v.deleted {
+			out = append(out, Cell{Row: row, Qualifier: q, Timestamp: newest, Value: v.value})
+		}
+	}
+	return out
+}
+
+// scan resolves every row the ranges hold as of asOf, leaving out the rows
+// with no live qualifier.
+func (m scanModel) scan(ranges []ScanRange, asOf int64) []RowResult {
 	rows := make([]string, 0, len(m))
 	for row := range m {
 		rows = append(rows, row)
@@ -79,14 +105,8 @@ func (m scanModel) scan(ranges []ScanRange, asOf int64, q string) []RowResult {
 			if !rg.contains(row) {
 				continue
 			}
-			newest := int64(-1)
-			for ts := range m[row] {
-				if (asOf == 0 || ts <= asOf) && ts > newest {
-					newest = ts
-				}
-			}
-			if v := m[row][newest]; v != nil && !v.deleted {
-				out = append(out, RowResult{Row: row, Cells: []Cell{{Row: row, Qualifier: q, Timestamp: newest, Value: v.value}}})
+			if cells := m.row(row, asOf); len(cells) > 0 {
+				out = append(out, RowResult{Row: row, Cells: cells})
 			}
 		}
 	}
@@ -122,10 +142,10 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 		write := func(i int, row string, ts int64, del bool) {
 			c := Cell{Row: row, Qualifier: "q", Timestamp: ts, Tombstone: del}
 			if del {
-				model.at(row, ts).deleted = true
+				model.at(row, "q", ts).deleted = true
 			} else {
 				c.Value = []byte(fmt.Sprintf("%s@%d#%d", row, ts, i))
-				model.at(row, ts).value = c.Value
+				model.at(row, "q", ts).value = c.Value
 			}
 			if err := s.ApplyBatch([]Cell{c}); err != nil {
 				t.Fatal(err)
@@ -192,7 +212,7 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 			cursor = stop
 		}
 		asOf := int64(rng.Intn(6)) // 0 = unbounded
-		want := model.scan(ranges, asOf, "q")
+		want := model.scan(ranges, asOf)
 		var multi []RowResult
 		err = s.MultiScanCtx(context.Background(), ranges, asOf, func(res RowResult) bool {
 			multi = append(multi, copyRow(res))
@@ -218,7 +238,8 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 			t.Fatalf("trial %d: one-range scans diverged from the model\nseq:   %d rows\nmodel: %d rows", trial, len(seq), len(want))
 		}
 		if manySegments {
-			for _, n := range liveSetSizes(s, ranges) {
+			sizes, _ := liveSetSizes(s, ranges)
+			for _, n := range sizes {
 				if n > 0 {
 					seen[n > 1]++
 				}
@@ -232,18 +253,191 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 }
 
 // liveSetSizes positions one merge over the store's stack at each range in
-// turn, as MultiScanCtx does, and returns the size of each range's live set.
-func liveSetSizes(s *Store, ranges []ScanRange) []int {
+// turn, as MultiScanCtx does, and returns the size of each range's live set
+// and whether the range is read in row runs (its one live source is a
+// segment).
+func liveSetSizes(s *Store, ranges []ScanRange) ([]int, []bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	its, _ := s.iteratorsLocked(ranges, nil, &blockScanStats{})
 	m := newMergeIterator(its)
 	sizes := make([]int, len(ranges))
+	runs := make([]bool, len(ranges))
 	for i, rg := range ranges {
 		m.seekRange(rowStart(rg.Start), rg.Stop)
-		sizes[i] = len(m.live)
+		sizes[i], runs[i] = len(m.live), m.run != nil
 	}
-	return sizes
+	return sizes, runs
+}
+
+// TestMultiScanRowShapes is TestMultiScanEquivalenceRandomized's sibling for
+// the row shapes its one-qualifier model never makes: rows of several
+// qualifiers, several versions of a qualifier and tombstones inside one
+// block, blocks of a few rows (every block ends with a row's last cell), and
+// range stops that fall inside a block or on a block's first row.
+// MultiScanCtx, ScanCtx over each range and GetAt of every key must all
+// answer what the model of the test's own writes holds. Even trials leave
+// one segment and nothing else, so their ranges are read as row runs; odd
+// trials write a tail of rewrites and tombstones over it into a newer
+// segment and the memtable, so rows are gathered from several sources too.
+// The trials must see both, and both kinds of stop in ranges read as runs.
+func TestMultiScanRowShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	quals := []string{"a", "b", "c", "d"}
+	key := func(n int) string { return fmt.Sprintf("r%04d", n) }
+	seen := map[string]int{}
+	for trial := 0; trial < 40; trial++ {
+		layered := trial%2 == 1
+		opts := DefaultStoreOptions()
+		opts.FlushThresholdBytes = 1 << 30 // manual flushes only
+		opts.CompactionTrigger = 1 << 20   // keep every flushed segment
+		opts.BlockSizeBytes = 48 + rng.Intn(200)
+		s, err := NewStore(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := scanModel{}
+		writes := 0
+		write := func(row, q string, ts int64, del bool) {
+			writes++
+			c := Cell{Row: row, Qualifier: q, Timestamp: ts, Tombstone: del}
+			if del {
+				model.at(row, q, ts).deleted = true
+			} else {
+				c.Value = []byte(fmt.Sprintf("%s/%s@%d#%d", row, q, ts, writes))
+				model.at(row, q, ts).value = c.Value
+			}
+			if err := s.ApplyBatch([]Cell{c}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flush := func() {
+			if err := flushNow(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Rows at even keys only, so an odd key is a stop between two rows.
+		for n := 0; n < 400; n += 2 * (1 + rng.Intn(2)) {
+			for _, q := range quals {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				for v := 1 + rng.Intn(3); v > 0; v-- {
+					write(key(n), q, int64(1+rng.Intn(6)), rng.Intn(6) == 0)
+				}
+			}
+		}
+		flush()
+		// Stops on a block's first row, and inside a block: past its first
+		// row, at or below its last.
+		var firsts, inside []string
+		s.mu.RLock()
+		base := s.segments[0]
+		for _, b := range base.blocks {
+			firsts = append(firsts, b.minRow)
+			var lo, hi int
+			fmt.Sscanf(b.minRow, "r%d", &lo)
+			fmt.Sscanf(b.maxRow, "r%d", &hi)
+			if hi > lo {
+				inside = append(inside, key(lo+1+rng.Intn(hi-lo)))
+			}
+		}
+		blocks := len(base.blocks)
+		s.mu.RUnlock()
+		if blocks < 4 {
+			t.Fatalf("trial %d: the segment has %d blocks, want several", trial, blocks)
+		}
+		if layered {
+			for i := 0; i < 60; i++ {
+				write(key(2*rng.Intn(200)), quals[rng.Intn(len(quals))], int64(1+rng.Intn(7)), rng.Intn(4) == 0)
+				if i == 30 {
+					flush()
+				}
+			}
+		}
+		// Sorted, non-overlapping ranges whose stops are drawn from the two
+		// lists or at random; the last may be unbounded.
+		var ranges []ScanRange
+		var kinds []string
+		cursor := 0
+		for len(ranges) < 8 && cursor < 400 {
+			start := key(cursor + rng.Intn(40))
+			if cursor == 0 && rng.Intn(4) == 0 {
+				start = ""
+			}
+			kind, stop := "random", key(cursor+41+rng.Intn(60))
+			if k := rng.Intn(3); k < 2 {
+				list := [2][]string{firsts, inside}[k]
+				if i := sort.SearchStrings(list, start+"\x00"); i < len(list) {
+					kind = [2]string{"stop on a block's first row", "stop inside a block"}[k]
+					stop = list[i+rng.Intn(min(3, len(list)-i))]
+				}
+			}
+			if stop >= key(400) {
+				stop = ""
+			}
+			ranges = append(ranges, ScanRange{Start: start, Stop: stop})
+			kinds = append(kinds, kind)
+			if stop == "" {
+				break
+			}
+			fmt.Sscanf(stop, "r%d", &cursor)
+		}
+		asOf := int64(rng.Intn(8)) // 0 = unbounded
+		want := model.scan(ranges, asOf)
+		var multi []RowResult
+		err = s.MultiScanCtx(context.Background(), ranges, asOf, func(res RowResult) bool {
+			multi = append(multi, copyRow(res))
+			return true
+		})
+		if err != nil {
+			t.Fatalf("trial %d: MultiScanCtx: %v", trial, err)
+		}
+		if !rowResultsEqual(multi, want) {
+			t.Fatalf("trial %d: multi-range scan diverged from the model: %s", trial, firstRowDiff(multi, want))
+		}
+		var seq []RowResult
+		for _, rg := range ranges {
+			err := scanStore(s, ScanOptions{StartRow: rg.Start, StopRow: rg.Stop, AsOf: asOf}, func(res RowResult) bool {
+				seq = append(seq, copyRow(res))
+				return true
+			})
+			if err != nil {
+				t.Fatalf("trial %d: one-range scan: %v", trial, err)
+			}
+		}
+		if !rowResultsEqual(seq, want) {
+			t.Fatalf("trial %d: one-range scans diverged from the model: %s", trial, firstRowDiff(seq, want))
+		}
+		bound := asOf
+		if bound == 0 {
+			bound = int64(1) << 62
+		}
+		for n := 0; n < 401; n++ {
+			res, err := s.GetAt(key(n), bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := (RowResult{Row: key(n), Cells: model.row(key(n), asOf)}); !rowResultsEqual([]RowResult{res}, []RowResult{w}) {
+				t.Fatalf("trial %d: GetAt(%s, %d) = %v, model %v", trial, key(n), bound, res.Cells, w.Cells)
+			}
+		}
+		_, runs := liveSetSizes(s, ranges)
+		for i, run := range runs {
+			if !run {
+				seen["gathered"]++
+				continue
+			}
+			seen["row run"]++
+			seen[kinds[i]]++
+		}
+	}
+	t.Logf("ranges seen: %v", seen)
+	for _, k := range []string{"row run", "gathered", "stop on a block's first row", "stop inside a block"} {
+		if seen[k] == 0 {
+			t.Fatalf("no trial saw a range of kind %q: %v", k, seen)
+		}
+	}
 }
 
 // TestMultiScanEarlyStopAndCancel checks the callback-stop and cancellation
@@ -299,6 +493,56 @@ func TestMultiScanStatsBatched(t *testing.T) {
 	}
 	if got := st.Snapshot().RowsScanned; got != 15 {
 		t.Errorf("stats recorded %d rows, want 15", got)
+	}
+}
+
+// firstRowDiff describes where two row sequences first differ.
+func firstRowDiff(got, want []RowResult) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if !rowResultsEqual(got[i:i+1], want[i:i+1]) {
+			return fmt.Sprintf("row %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	return fmt.Sprintf("%d rows, want %d", len(got), len(want))
+}
+
+// TestMultiScanRowAllocsFlat keeps the row loop free of allocations: on a
+// warm single-segment store, a scan over 10 rows and one over 1 000 make the
+// same number of allocations, those of setting the scan up.
+func TestMultiScanRowAllocsFlat(t *testing.T) {
+	opts := DefaultStoreOptions()
+	opts.FlushThresholdBytes = 1 << 30 // manual flushes only
+	opts.BlockCache = NewBlockCache(16 << 20)
+	s, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := s.ApplyBatch([]Cell{{Row: fmt.Sprintf("r%05d", i), Qualifier: "q", Timestamp: 1, Value: []byte("0123456789abcdef")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := flushNow(s); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Segments != 1 || st.MemtableCells != 0 || st.SegmentBlocks < 2 {
+		t.Fatalf("store holds %d segments of %d blocks and %d memtable cells, want one segment of several blocks alone", st.Segments, st.SegmentBlocks, st.MemtableCells)
+	}
+	ctx := context.Background()
+	scan := func(stop string, want int) func() {
+		ranges := []ScanRange{{Start: "r00000", Stop: stop}}
+		return func() {
+			rows := 0
+			if err := s.MultiScanCtx(ctx, ranges, 0, func(RowResult) bool { rows++; return true }); err != nil || rows != want {
+				t.Fatalf("scan to %q delivered %d rows (err %v), want %d", stop, rows, err, want)
+			}
+		}
+	}
+	scan("", 1000)() // warms the block cache
+	few := testing.AllocsPerRun(50, scan("r00010", 10))
+	many := testing.AllocsPerRun(50, scan("", 1000))
+	if few != many {
+		t.Fatalf("a scan over 10 rows allocates %.1f times, one over 1 000 rows %.1f", few, many)
 	}
 }
 

@@ -225,13 +225,63 @@ func (it *segmentIterator) cell() *Cell { return &it.cells[it.ci] }
 func (it *segmentIterator) next() {
 	it.ci++
 	if it.ci >= len(it.cells) {
-		it.bi++
-		it.ci = 0
-		it.cells = nil
-		if it.bi < len(it.seg.blocks) {
-			it.loadBlock()
-		}
+		it.nextBlock()
 	}
+}
+
+// nextBlock moves the cursor to the first cell of the next block.
+func (it *segmentIterator) nextBlock() {
+	it.bi++
+	it.ci = 0
+	it.cells = nil
+	if it.bi < len(it.seg.blocks) {
+		it.loadBlock()
+	}
+}
+
+// rowRun returns the cursor's row as a run of the decoded block's cells —
+// blocks never split a row, so the run is the whole row — and moves the
+// cursor past it in one step; nil once the segment has run out or the row
+// is at or past stop ("" = none). *end is where stop falls in the current
+// block (stopIndex), kept by the caller across calls: -1 until worked out,
+// which rowRun does once per block, so stop is not compared per row.
+// Finding the row's end is one string compare per cell, cheap inside the
+// row: the decoder hands a row's cells one row string (bar restart points),
+// and a string equals itself without a byte read. A cursor left at the
+// block's end moves on to the next block, as next does. The run aliases the
+// block: callers read it and never write it.
+func (it *segmentIterator) rowRun(stop string, end *int) []Cell {
+	if *end < 0 {
+		*end = it.stopIndex(stop)
+	}
+	i, e := it.ci, *end
+	if i >= e {
+		return nil
+	}
+	row := it.cells[i].Row
+	j := i + 1
+	for j < e && it.cells[j].Row == row {
+		j++
+	}
+	it.ci = j
+	run := it.cells[i:j:j]
+	if j == len(it.cells) {
+		it.nextBlock()
+		*end = -1
+	}
+	return run
+}
+
+// stopIndex is the index of the first cell of the current block at or past
+// stop, searched from the cursor: len(cells) when the block's rows all sort
+// below it, which its maxRow tells without a search.
+func (it *segmentIterator) stopIndex(stop string) int {
+	if stop == "" || !it.valid() || it.seg.blocks[it.bi].maxRow < stop {
+		return len(it.cells)
+	}
+	return it.ci + sort.Search(len(it.cells)-it.ci, func(i int) bool {
+		return it.cells[it.ci+i].Row >= stop
+	})
 }
 
 // seek repositions the iterator at the first cell >= probe. Forward-only:
@@ -275,12 +325,7 @@ func (it *segmentIterator) settle() {
 	if it.ci < len(it.cells) {
 		return
 	}
-	it.bi++
-	it.ci = 0
-	it.cells = nil
-	if it.bi < len(it.seg.blocks) {
-		it.loadBlock()
-	}
+	it.nextBlock()
 }
 
 // loadBlock materializes blocks[bi] from its slot, or decodes it and
@@ -350,7 +395,8 @@ type cellIterator interface {
 // out or passes stop), never join it. A live set of one is read from that
 // source alone: no match, no duplicate check. A multi-range scan mostly
 // sees that case, since a friend's visits in one window mostly sit in one
-// segment.
+// segment, and reads such a range a row at a time straight from the
+// segment's decoded blocks (nextRow, segmentIterator.rowRun).
 //
 // With several live sources, advancing does not replay the winner's path
 // every time: once a source has won twice running the iterator caches the
@@ -374,6 +420,11 @@ type mergeIterator struct {
 	// runnerUp is the best loser on the winner's leaf-to-root path, or -1
 	// while it has not been worked out for the current winner.
 	runnerUp int
+	// run is the live set's one source when that source is a segment,
+	// which nextRow reads in row runs; nil otherwise. runEnd is where stop
+	// falls in run's current block, -1 until worked out (rowRun).
+	run    *segmentIterator
+	runEnd int
 }
 
 // newMergeIterator merges the sources as they stand, every valid one live.
@@ -409,6 +460,19 @@ func (m *mergeIterator) seekRange(start *Cell, stop string) {
 	}
 	m.stop = stop
 	m.rebuild()
+	m.pickRun()
+}
+
+// pickRun sets run from the live set: its one source when that is a
+// segment, where the current stop is then located afresh.
+func (m *mergeIterator) pickRun() {
+	m.run, m.runEnd = nil, -1
+	if len(m.live) != 1 {
+		return
+	}
+	if it, ok := m.live[0].(*segmentIterator); ok {
+		m.run = it
+	}
 }
 
 // beats reports whether live source a wins the match against live source
@@ -501,6 +565,7 @@ func (m *mergeIterator) advanced(w int) {
 	if r := m.live[best]; !r.valid() || m.stop != "" && r.cell().Row >= m.stop {
 		m.live[0], m.live = m.live[w], m.live[:1]
 		m.winner = 0
+		m.pickRun()
 		return
 	}
 	m.runnerUp = best
@@ -511,6 +576,35 @@ func (m *mergeIterator) valid() bool {
 }
 
 func (m *mergeIterator) cell() *Cell { return m.live[m.winner].cell() }
+
+// nextRow moves the merge past the range's next row and returns that row's
+// cells in compareCells order; nil once the range is done. With one segment
+// live the cells are a row run of its decoded block (rowRun): no interface
+// call or copy per cell, and the range's stop checked once per block.
+// Otherwise the tournament gathers them a cell at a time into *buf, which
+// is reused and left holding them, so the caller can resolve them in place.
+func (m *mergeIterator) nextRow(buf *[]Cell) []Cell {
+	if m.run != nil {
+		return m.run.rowRun(m.stop, &m.runEnd)
+	}
+	if !m.valid() {
+		return nil
+	}
+	row := m.cell().Row
+	if m.stop != "" && row >= m.stop {
+		return nil
+	}
+	cells := (*buf)[:0]
+	for {
+		cells = append(cells, *m.cell())
+		m.next()
+		if !m.valid() || m.cell().Row != row {
+			break
+		}
+	}
+	*buf = cells
+	return cells
+}
 
 func (m *mergeIterator) next() {
 	if len(m.live) == 1 {
@@ -544,11 +638,15 @@ func compactSegments(id uint64, newestFirst []*segment, cfg segmentConfig) (*seg
 	var bs blockScanStats
 	defer bs.flush()
 	its := make([]cellIterator, len(newestFirst))
+	n := 0
 	for i, s := range newestFirst {
 		its[i] = s.iteratorNoCache(&bs)
+		n += s.numCells
 	}
 	merged := newMergeIterator(its)
-	var out []Cell
+	// The inputs' cell count bounds the output's: the merge only drops
+	// shadowed duplicates.
+	out := make([]Cell, 0, n)
 	for merged.valid() {
 		out = append(out, *merged.cell())
 		merged.next()

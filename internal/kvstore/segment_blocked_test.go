@@ -87,16 +87,12 @@ func referenceMultiScan(sorted []Cell, ranges []ScanRange, asOf int64) []RowResu
 	merged := newMergeIterator([]cellIterator{&flatIterator{cells: sorted}})
 	var out []RowResult
 	probe := Cell{Timestamp: int64(1) << 62, Tombstone: true}
+	var buf []Cell
 	for _, rg := range ranges {
 		probe.Row = rg.Start
 		merged.seekRange(&probe, rg.Stop)
-		for merged.valid() {
-			row := merged.cell().Row
-			if rg.Stop != "" && row >= rg.Stop {
-				break
-			}
-			res := RowResult{Row: row}
-			resolveRowVersions(merged, row, asOf, &res)
+		for cells := merged.nextRow(&buf); cells != nil; cells = merged.nextRow(&buf) {
+			res := RowResult{Row: cells[0].Row, Cells: resolveRow(cells, asOf, nil)}
 			if !res.Empty() {
 				out = append(out, res)
 			}

@@ -355,7 +355,10 @@ func (s *Store) GetAt(row string, asOf int64) (RowResult, error) {
 	defer bs.flush()
 	merged := newMergeIterator(s.pointIteratorsLocked(row, start, &bs))
 	res := RowResult{Row: row}
-	resolveRowVersions(merged, row, asOf, &res)
+	var buf []Cell
+	if cells := merged.nextRow(&buf); len(cells) > 0 && cells[0].Row == row {
+		res.Cells = resolveRow(cells, asOf, buf[:0])
+	}
 	return res, nil
 }
 
@@ -380,33 +383,28 @@ func (s *Store) pointIteratorsLocked(row string, start *Cell, bs *blockScanStats
 	return its
 }
 
-// resolveRowVersions walks merged cells of a single row and appends the
-// newest live version of each qualifier (as of asOf) to res.
-func resolveRowVersions(merged *mergeIterator, row string, asOf int64, res *RowResult) {
-	for merged.valid() {
-		c := merged.cell()
-		if c.Row != row {
-			return
-		}
-		qual := c.Qualifier
+// resolveRow is the store's one row resolver: given one row's cells in
+// compareCells order (mergeIterator.nextRow), it appends to dst the newest
+// live version of each qualifier as of asOf and returns dst. dst may be
+// cells[:0] — a gathered row is filtered in place — since it never gets
+// ahead of the cell being read.
+func resolveRow(cells []Cell, asOf int64, dst []Cell) []Cell {
+	for i := 0; i < len(cells); {
 		// The first visible (Timestamp <= asOf) version decides this
 		// qualifier's fate: a put surfaces, a tombstone hides it; every
-		// older version is consumed and discarded.
+		// older version is passed over.
+		qual := cells[i].Qualifier
 		decided := false
-		for merged.valid() {
-			cc := merged.cell()
-			if cc.Row != row || cc.Qualifier != qual {
-				break
-			}
-			if !decided && cc.Timestamp <= asOf {
-				if !cc.Tombstone {
-					res.Cells = append(res.Cells, *cc)
+		for ; i < len(cells) && cells[i].Qualifier == qual; i++ {
+			if !decided && cells[i].Timestamp <= asOf {
+				if !cells[i].Tombstone {
+					dst = append(dst, cells[i])
 				}
 				decided = true
 			}
-			merged.next()
 		}
 	}
+	return dst
 }
 
 // ScanOptions select a key range and visibility bound for Scan.
