@@ -1,45 +1,27 @@
 GO ?= go
 
-.PHONY: check fmt vet lint-metrics lint-docs lint-api build test test-race census bench bench-smoke bench-repo-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test test-race census bench bench-smoke bench-repo-smoke fuzz-smoke clean
 
-## check runs the tier-1 verification gate: formatting, vet, the metric-
-## cardinality lint, the exported-godoc and production-caller lint, the
-## route-table/API.md bijection lint, build, the full test suite under the race detector (the
-## read-fault, overload and primary-kill scenarios of internal/bench
-## included: a broken invariant there fails this target; so are the server
-## flags <-> OPERATIONS.md knob-table bijection and core's derived-tuning
-## test, which is why there is no lint-flags target), short fuzz passes over
-## the untrusted-input parsers and the hand codecs held to a reference
-## (binary visits, JSON answers, JSON search and check-in requests), a smoke
-## pass over the read-path, block-load, write-path, matcher, trending-view, result-cache,
-## answer-codec and request-codec microbenchmarks, and the repository
-## benchmark's own vet and tests. CI and pre-merge runs use this.
-check: fmt vet lint-metrics lint-docs lint-api build test-race fuzz-smoke bench-smoke bench-repo-smoke
-
-## lint-metrics fails when any obs.L / obs.Label value is not a
-## compile-time constant — the static half of the bounded-cardinality
-## contract (the registry's per-family series cap is the dynamic half).
-## That every served family has a reader (a runbook line in OPERATIONS.md or
-## a benchmark metric) is the tier-1 test TestEveryMetricFamilyHasAReader in
-## internal/core, not obs-lint: it checks the registry /metrics serves.
-lint-metrics:
-	$(GO) run ./cmd/obs-lint ./...
-
-## lint-docs fails when an exported identifier in any internal package or
-## the Go client lacks a doc comment (the whole library surface, matview
-## and the once-uncovered packages included), and when an exported
-## function, method, type, const or var of an internal package has no use
-## outside _test.go files in this module or bench/ (interface
-## implementations count as used) and is not on the short allowlist in
-## cmd/doc-lint/unused.go — or an allowlist entry is stale. It type-checks
-## the module from source with the standard library alone (a few seconds).
-lint-docs:
-	$(GO) run ./cmd/doc-lint ./internal/... ./client
-
-## lint-api fails when the served route table (internal/core/router.go)
-## and the documented route table (API.md) disagree in either direction.
-lint-api:
-	$(GO) run ./cmd/api-lint
+## check runs the tier-1 verification gate: formatting, vet, build, the full
+## test suite under the race detector, short fuzz passes over the
+## untrusted-input parsers and the hand codecs held to a reference (binary
+## visits, JSON answers, JSON search and check-in requests), a smoke pass
+## over the read-path, block-load, write-path, matcher, trending-view,
+## result-cache, answer-codec and request-codec microbenchmarks, and the
+## repository benchmark's own vet and tests. CI and pre-merge runs use this.
+## The static contracts are tests of the suite, so plain `go test ./...`
+## holds them too:
+##   - TestStaticContracts (lint_test.go) loads the module once, type-checked:
+##     every export of internal/... and client has a doc comment, every
+##     export of an internal package has a production caller or an allowlist
+##     entry there, and every obs.L / obs.Label value is a constant;
+##   - TestRouteTableMatchesAPIDoc (internal/core) holds routeTable and
+##     API.md's route table to each other;
+##   - TestEveryMetricFamilyHasAReader (internal/core) names a reader for
+##     every served metric family, and TestFlagsMatchOperationsKnobs
+##     (cmd/modissense-server) holds the server flags to OPERATIONS.md;
+##   - the read-fault, overload and primary-kill scenarios (internal/bench).
+check: fmt vet build test-race fuzz-smoke bench-smoke bench-repo-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -15,8 +15,8 @@
 // handler construction) and are plain atomics afterwards; scans batch their
 // counts and report once per scan, never per row. Label values must come
 // from fixed enums — never from user input such as keywords or user ids —
-// which `make check` enforces statically (cmd/obs-lint) and the registry
-// enforces dynamically with a hard series cap per family.
+// which the test suite enforces statically (TestStaticContracts) and the
+// registry enforces dynamically with a hard series cap per family.
 package obs
 
 import (
@@ -81,14 +81,14 @@ func (g *Gauge) Value() int64 {
 
 // Label is one metric dimension. Values must come from a fixed enum (route
 // names, status classes, schema names) — never from user input — so series
-// cardinality stays bounded; cmd/obs-lint rejects non-constant values.
+// cardinality stays bounded; TestStaticContracts rejects non-constant values.
 type Label struct {
 	Key   string
 	Value string
 }
 
-// L constructs a Label. This is the form cmd/obs-lint audits: the value
-// argument must be a compile-time constant.
+// L constructs a Label. TestStaticContracts audits every call: both
+// arguments must be compile-time constants.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // metricType discriminates a family's kind.

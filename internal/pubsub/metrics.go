@@ -5,7 +5,7 @@ import (
 )
 
 // Rejection reasons for pubsub_subscriptions_rejected_total. Constants so
-// cmd/obs-lint can prove the label cardinality is bounded.
+// TestStaticContracts can prove the label cardinality is bounded.
 const (
 	reasonCapacity  = "capacity"
 	reasonUserQuota = "user_quota"

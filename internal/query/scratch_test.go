@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -38,6 +39,9 @@ func TestQueryAggregationAllocsSteadyState(t *testing.T) {
 	f := newFixture(t, repos.SchemaReplicated, 2, 40)
 	from, to := window()
 	warmAllocs := func(keyword string) (float64, int) {
+		// A collection during the run empties the pool of scratches, and
+		// the next query allocates them again: no GC while measuring.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, Keyword: keyword}
 		cp := &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated, ranges: friendRanges(spec.FriendIDs, from, to)}
 		plan := &queryPlan{spec: &spec, outputs: make([]*regionOutput, 0, len(f.visits.Table().Regions()))}

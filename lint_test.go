@@ -1,15 +1,30 @@
-package main
+package modissense_test
 
-// The caller check: every exported function, method, type, const and var
-// of the module's internal packages has a use in a non-test file. Callers
-// are every non-test package under the module root, nested modules (the
-// repository benchmark) included; uses inside the identifier's own
-// declaration, and a type's uses inside its own methods, do not count. A
-// method that implements a method of any interface the program can see
-// (its own packages' and every standard-library package they import)
-// counts as used, and a use of an instantiated generic counts for its
-// origin. Everything is type-checked from source with go/types; nothing is
-// run.
+// The module's static contracts, checked over one type-checked load of
+// every non-test package under the module root, the repository benchmark's
+// nested module included. Three rules read that load:
+//
+//   - the doc rule: every exported top-level identifier of internal/... and
+//     client carries a doc comment (a group comment, a spec doc or a
+//     trailing line comment documents a const or var);
+//   - the caller rule: every exported function, method, type, const and var
+//     of an internal package has a use outside _test.go files, unless the
+//     allowlist below names it with the reason it is kept. Uses inside the
+//     identifier's own declaration, and a type's uses inside its own
+//     methods, do not count. A method that implements a method of any
+//     interface the program can see (its own packages' and every
+//     standard-library package they import) counts as used, and a use of an
+//     instantiated generic counts for its origin;
+//   - the label rule: every value handed to obs.L or written into an
+//     obs.Label literal is a compile-time constant, the static half of the
+//     bounded-cardinality contract (the registry's per-family series cap is
+//     the dynamic half). internal/obs itself is exempt: its exposition
+//     writer builds the reserved "le" bucket label from float bounds.
+//
+// _test.go files are outside all three: a test is not a production caller,
+// test helpers are documented where it helps, not by mandate, and a test
+// may synthesize labels to provoke the runtime cap. The route table's
+// agreement with API.md is checked beside the router, in internal/core.
 
 import (
 	"bufio"
@@ -24,9 +39,312 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"testing"
 )
+
+// TestStaticContracts loads the module once and holds it to the doc, caller
+// and label rules.
+func TestStaticContracts(t *testing.T) {
+	l := loadModule(t, ".")
+	t.Run("docs", func(t *testing.T) {
+		vs, audited := checkDocs(l)
+		failOn(t, vs, "%d exported identifiers documented", audited)
+	})
+	t.Run("callers", func(t *testing.T) {
+		rep := checkUnused(l, allowlist)
+		failOn(t, rep.violations, "%d exported identifiers in internal packages with a production caller, %d allowlisted",
+			rep.audited-rep.allowed, rep.allowed)
+	})
+	t.Run("labels", func(t *testing.T) {
+		vs, sites := checkLabels(l)
+		failOn(t, vs, "%d label construction sites audited", sites)
+	})
+}
+
+// TestDocRuleFixture runs the doc rule over a module whose client package
+// leaves an exported function, type, const and method undocumented, and
+// documents the rest each way the rule accepts.
+func TestDocRuleFixture(t *testing.T) {
+	vs, audited := checkDocs(loadModule(t, filepath.Join("testdata", "mod")))
+	want := []string{
+		"exported function Bare has no doc comment",
+		"exported type Plain has no doc comment",
+		"exported const Limit has no doc comment",
+		"exported method Method has no doc comment",
+	}
+	if got := messages(vs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+	// client: Bare, Plain, Limit, Documented, A, B, Tail, Plain.Method;
+	// lib: Unused, TestOnly, Shape, Square, Square.Area, NewSquare, Max, Box,
+	// Box.Get, Seam; obs: Label, L.
+	if audited != 20 {
+		t.Errorf("audited %d, want 20", audited)
+	}
+}
+
+// TestCheckUnusedFixture runs the unused-identifier check over a module
+// holding one case of each kind: a caller-less function and one called only
+// from a _test.go file are flagged, an interface implementation reached only
+// through the interface, a generic function called through instantiations
+// and a generic type's method called on an instantiation are not, an allowlisted name is not, and an allowlist
+// entry naming nothing or naming an identifier with a production caller is.
+func TestCheckUnusedFixture(t *testing.T) {
+	rep := checkUnused(loadModule(t, filepath.Join("testdata", "mod")), map[string]string{
+		"lib.Seam":      "test seam",
+		"lib.NewSquare": "kept after main started calling it",
+		"lib.Gone":      "deleted long ago",
+	})
+	got := messages(rep.violations)
+	sort.Strings(got)
+	want := []string{
+		"allowlist entry lib.Gone names no exported identifier of an internal package",
+		"allowlisted function lib.NewSquare has a production caller; drop its allowlist entry",
+		"exported function lib.TestOnly has no caller outside tests",
+		"exported function lib.Unused has no caller outside tests",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+	// Unused, TestOnly, Shape, Shape.Area, Square, Square.Area, NewSquare,
+	// Max, Box, Box.Get, Seam, obs.Label, obs.L; Seam is the one allowlisted.
+	if rep.audited != 13 || rep.allowed != 1 {
+		t.Errorf("audited %d, allowed %d; want 13 and 1", rep.audited, rep.allowed)
+	}
+}
+
+// TestLabelRuleFixture runs the label rule over a module whose label sites
+// pass a variable, a local that shadows a const's name, a variable through
+// a renamed import and a variable in an elided obs.Label literal, all
+// flagged, beside a constant concatenation and a constant literal that
+// pass and a variable inside the obs package, which is exempt.
+func TestLabelRuleFixture(t *testing.T) {
+	vs, sites := checkLabels(loadModule(t, filepath.Join("testdata", "mod")))
+	want := []string{
+		"obs.L argument route is not a compile-time constant",
+		"obs.L argument status is not a compile-time constant",
+		"obs.Label field route is not a compile-time constant",
+		"obs.L argument v is not a compile-time constant",
+	}
+	if got := messages(vs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations:\n%q\nwant:\n%q", got, want)
+	}
+	if sites != 6 {
+		t.Errorf("%d label sites, want 6", sites)
+	}
+}
+
+type violation struct {
+	pos token.Position
+	msg string
+}
+
+func messages(vs []violation) []string {
+	var out []string
+	for _, v := range vs {
+		out = append(out, v.msg)
+	}
+	return out
+}
+
+// failOn reports each violation as an error, or logs the counts of a clean
+// pass.
+func failOn(t *testing.T, vs []violation, ok string, args ...any) {
+	t.Helper()
+	for _, v := range vs {
+		if v.pos.IsValid() {
+			t.Errorf("%s: %s", v.pos, v.msg)
+		} else {
+			t.Error(v.msg)
+		}
+	}
+	if len(vs) == 0 {
+		t.Logf(ok, args...)
+	}
+}
+
+// loadModule type-checks every non-test package under root, a module root.
+func loadModule(t *testing.T, root string) *loader {
+	t.Helper()
+	l, err := newLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range l.paths() {
+		if _, err := l.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l
+}
+
+// checkDocs applies lintFile to the loaded files of the root module's
+// internal packages and its client package.
+func checkDocs(l *loader) ([]violation, int) {
+	var violations []violation
+	audited := 0
+	for _, p := range l.paths() {
+		if !strings.HasPrefix(p, l.rootMod+"/internal/") && p != l.rootMod+"/client" {
+			continue
+		}
+		for _, f := range l.pkgs[p].files {
+			v, n := lintFile(l.fset, f)
+			violations = append(violations, v...)
+			audited += n
+		}
+	}
+	return violations, audited
+}
+
+// lintFile audits one file's top-level declarations.
+func lintFile(fset *token.FileSet, f *ast.File) ([]violation, int) {
+	var violations []violation
+	audited := 0
+	report := func(pos token.Pos, kind, name string) {
+		violations = append(violations, violation{
+			pos: fset.Position(pos),
+			msg: fmt.Sprintf("exported %s %s has no doc comment", kind, name),
+		})
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			// Methods count when the receiver's base type is exported too;
+			// an exported method on an unexported type is unreachable API.
+			if d.Recv != nil && !exportedReceiver(d.Recv) {
+				continue
+			}
+			audited++
+			if d.Doc == nil {
+				kind := "function"
+				if d.Recv != nil {
+					kind = "method"
+				}
+				report(d.Name.Pos(), kind, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			switch d.Tok {
+			case token.TYPE:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					audited++
+					if d.Doc == nil && ts.Doc == nil {
+						report(ts.Name.Pos(), "type", ts.Name.Name)
+					}
+				}
+			case token.CONST, token.VAR:
+				kind := "const"
+				if d.Tok == token.VAR {
+					kind = "var"
+				}
+				for _, spec := range d.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok {
+						continue
+					}
+					for _, id := range vs.Names {
+						if !id.IsExported() {
+							continue
+						}
+						audited++
+						// A group comment, a spec doc, or a trailing line
+						// comment all document the name.
+						if d.Doc == nil && vs.Doc == nil && vs.Comment == nil {
+							report(id.Pos(), kind, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return violations, audited
+}
+
+// exportedReceiver reports whether the method receiver's base type name is
+// exported.
+func exportedReceiver(recv *ast.FieldList) bool {
+	if recv == nil || len(recv.List) == 0 {
+		return false
+	}
+	t := recv.List[0].Type
+	for {
+		switch tt := t.(type) {
+		case *ast.StarExpr:
+			t = tt.X
+		case *ast.IndexExpr:
+			t = tt.X
+		case *ast.IndexListExpr:
+			t = tt.X
+		case *ast.Ident:
+			return tt.IsExported()
+		default:
+			return false
+		}
+	}
+}
+
+// checkLabels reports every argument of a call to the root module's obs.L
+// and every element of an obs.Label literal that is not a compile-time
+// constant, outside internal/obs, and counts the label construction sites.
+func checkLabels(l *loader) ([]violation, int) {
+	obsPath := l.rootMod + "/internal/obs"
+	isObs := func(obj types.Object, name string) bool {
+		return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == obsPath && obj.Name() == name
+	}
+	var violations []violation
+	sites := 0
+	check := func(what string, e ast.Expr) {
+		if l.info.Types[e].Value == nil {
+			violations = append(violations, violation{
+				pos: l.fset.Position(e.Pos()),
+				msg: fmt.Sprintf("%s %s is not a compile-time constant", what, types.ExprString(e)),
+			})
+		}
+	}
+	for _, p := range l.paths() {
+		if p == obsPath {
+			continue
+		}
+		for _, f := range l.pkgs[p].files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					fun := ast.Unparen(n.Fun)
+					if sel, ok := fun.(*ast.SelectorExpr); ok {
+						fun = sel.Sel
+					}
+					if id, ok := fun.(*ast.Ident); ok && isObs(l.info.Uses[id], "L") {
+						sites++
+						for _, arg := range n.Args {
+							check("obs.L argument", arg)
+						}
+					}
+				case *ast.CompositeLit:
+					if named, ok := l.info.Types[n].Type.(*types.Named); ok && isObs(named.Obj(), "Label") {
+						sites++
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								elt = kv.Value
+							}
+							check("obs.Label field", elt)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return violations, sites
+}
 
 // allowlist names the exported identifiers that are kept without a
 // production caller, each with its caller class. An entry that names
@@ -65,26 +383,10 @@ type unusedReport struct {
 	allowed    int // of those, kept by an allowlist entry
 }
 
-// checkUnused type-checks every non-test package under root (a module
-// root) and reports the exported identifiers of root's internal packages
-// that nothing outside a _test.go file uses, plus every stale entry of
-// allow.
-func checkUnused(root string, allow map[string]string) (unusedReport, error) {
-	l, err := newLoader(root)
-	if err != nil {
-		return unusedReport{}, err
-	}
-	paths := make([]string, 0, len(l.dirs))
-	for p := range l.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := l.Import(p); err != nil {
-			return unusedReport{}, err
-		}
-	}
-
+// checkUnused reports the exported identifiers of the loaded root
+// module's internal packages that nothing outside a _test.go file uses,
+// plus every stale entry of allow.
+func checkUnused(l *loader, allow map[string]string) unusedReport {
 	targets := l.targets()
 	used := map[types.Object]bool{}
 	for id, obj := range l.info.Uses {
@@ -135,12 +437,12 @@ func checkUnused(root string, allow map[string]string) (unusedReport, error) {
 		}
 		return a.msg < b.msg
 	})
-	return rep, nil
+	return rep
 }
 
 // loader type-checks the packages under a root from source. It is the
-// types.Importer of its own packages and hands every other path to the
-// standard library's source importer.
+// types.Importer of its own packages and hands every other path, the
+// standard library's, to the compiler's export data.
 type loader struct {
 	fset    *token.FileSet
 	rootMod string            // module path of the root go.mod
@@ -157,14 +459,10 @@ type loadedPkg struct {
 }
 
 func newLoader(root string) (*loader, error) {
-	fset := token.NewFileSet()
-	// Type-checking needs no C: the pure-Go variants of cgo packages
-	// declare the same API.
-	build.Default.CgoEnabled = false
 	l := &loader{
-		fset: fset,
+		fset: token.NewFileSet(),
 		dirs: map[string]string{},
-		std:  importer.ForCompiler(fset, "source", nil),
+		std:  importer.Default(),
 		info: &types.Info{
 			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
@@ -211,6 +509,16 @@ func newLoader(root string) (*loader, error) {
 		return nil
 	})
 	return l, err
+}
+
+// paths lists the loader's import paths in order.
+func (l *loader) paths() []string {
+	paths := make([]string, 0, len(l.dirs))
+	for p := range l.dirs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
 }
 
 // within reports whether p is dir or below it.
@@ -274,7 +582,7 @@ func (l *loader) Import(p string) (*types.Package, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			lp.err = err
 			return nil, err
