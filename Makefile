@@ -84,11 +84,10 @@ bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
 ## bench-smoke runs one case per hot path a fixed small number of
-## iterations — the scan path over key-ordered disjoint segments (one live
-## source a range, as N one-range scans and as one multi-range scan) and
-## over overlapping ones (the memtable and two segments hold every range),
-## a point read (GetAt, through the scan's row resolver) among 16 segments
-## that the Bloom filters prune, the merge and the coprocessor, a block load served
+## iterations — the scan path, the store's one read, over key-ordered
+## disjoint segments (one live source a range, as N one-range scans and as
+## one multi-range scan) and over overlapping ones (the memtable and two
+## segments hold every range), the merge and the coprocessor, a block load served
 ## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
 ## allocations) and one decoded, admitted and evicting (a miss), the visit parser on
 ## payloads with one-byte and multi-byte lengths, the shared POI documents'
@@ -105,7 +104,7 @@ bench:
 ## verifies they still build and run, not their timings (numbers come from
 ## bench/, see BENCHMARK.json).
 bench-smoke:
-	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath|BenchmarkGetWithBloomFilters' -benchmem -benchtime=100x
+	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkBlockLoad' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x

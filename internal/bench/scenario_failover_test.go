@@ -265,10 +265,13 @@ func TestScenarioPrimaryKill(t *testing.T) {
 	if err := tbl.PutFenced(zombieRow, "z", winTo+1, []byte("zombie"), zombieEpoch); !errors.Is(err, kvstore.ErrEpochFenced) {
 		t.Errorf("zombie write at stale epoch %d: err = %v, want ErrEpochFenced", zombieEpoch, err)
 	}
-	if row, err := tbl.Get(zombieRow); err != nil {
+	if err := tbl.Scan(kvstore.ScanOptions{StartRow: zombieRow, StopRow: zombieRow + "\x00"}, func(row kvstore.RowResult) bool {
+		if _, visible := row.Get("z"); visible {
+			t.Error("zombie write is readable after being fenced")
+		}
+		return false
+	}); err != nil {
 		t.Error(err)
-	} else if _, visible := row.Get("z"); visible {
-		t.Error("zombie write is readable after being fenced")
 	}
 
 	// Zero acked-write loss: every sentinel acked before, during or after

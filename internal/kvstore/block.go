@@ -12,9 +12,9 @@ import (
 // Inside a block, row keys are prefix-compressed against the previous
 // entry with full keys re-anchored every blockRestartInterval entries
 // (restart points), and the whole payload may be compressed by the store's
-// block codec. Every block carries its own min/max row and Bloom filter so
-// reads decode only the blocks their probe can touch; blocks never split a
-// row, which is what makes a point read touch exactly one block.
+// block codec. Every block carries its own min/max row so reads decode only
+// the blocks their range can touch; blocks never split a row, which is what
+// lets a scan hand a row to the resolver as one run of a decoded block.
 //
 // Encoded block payload layout (before compression):
 //
@@ -50,20 +50,12 @@ type blockHandle struct {
 	count  int        // cells in the block
 	minRow string
 	maxRow string
-	// bloom indexes the block's distinct rows: the second-level filter
-	// behind the segment-level one, consulted by point reads before the
-	// block is decoded.
-	bloom *bloomFilter
 }
 
-// residentBytes is the handle's in-memory footprint: payload, key bounds,
-// Bloom bits and a fixed struct overhead.
+// residentBytes is the handle's in-memory footprint: payload, key bounds
+// and a fixed struct overhead.
 func (h *blockHandle) residentBytes() int {
-	n := len(h.data) + len(h.minRow) + len(h.maxRow) + 64
-	if h.bloom != nil {
-		n += 8 * len(h.bloom.bits)
-	}
-	return n
+	return len(h.data) + len(h.minRow) + len(h.maxRow) + 64
 }
 
 // blockBuilder accumulates one block's entries.
@@ -74,7 +66,6 @@ type blockBuilder struct {
 	prevRow  string
 	minRow   string
 	maxRow   string
-	rows     []string // distinct rows, for the block Bloom filter
 }
 
 // add appends one cell. Cells must arrive in compareCells order.
@@ -104,9 +95,6 @@ func (b *blockBuilder) add(c *Cell) {
 	if b.count == 0 {
 		b.minRow = c.Row
 	}
-	if b.count == 0 || c.Row != b.prevRow {
-		b.rows = append(b.rows, c.Row)
-	}
 	b.maxRow = c.Row
 	b.prevRow = c.Row
 	b.count++
@@ -118,7 +106,7 @@ func (b *blockBuilder) encodedSize() int { return len(b.buf) }
 
 // finish seals the block: append the restart trailer, compress with the
 // configured codec (falling back to identity when compression does not
-// shrink the payload), and build the block Bloom filter.
+// shrink the payload).
 func (b *blockBuilder) finish(codec blockCodec) (blockHandle, error) {
 	raw := b.buf
 	for _, off := range b.restarts {
@@ -136,10 +124,6 @@ func (b *blockBuilder) finish(codec blockCodec) (blockHandle, error) {
 			data, usedCodec = comp, codec
 		}
 	}
-	bloom := newBloomFilter(len(b.rows))
-	for _, r := range b.rows {
-		bloom.add(r)
-	}
 	return blockHandle{
 		data:   append([]byte(nil), data...), // trim builder capacity
 		codec:  usedCodec,
@@ -149,7 +133,6 @@ func (b *blockBuilder) finish(codec blockCodec) (blockHandle, error) {
 		// arenas, and a bound keeping one would pin its whole arena.
 		minRow: strings.Clone(b.minRow),
 		maxRow: strings.Clone(b.maxRow),
-		bloom:  bloom,
 	}, nil
 }
 
@@ -161,7 +144,6 @@ func (b *blockBuilder) reset() {
 	b.prevRow = ""
 	b.minRow = ""
 	b.maxRow = ""
-	b.rows = b.rows[:0]
 }
 
 // commonPrefixLen returns the length of the longest shared prefix.

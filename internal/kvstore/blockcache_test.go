@@ -325,7 +325,7 @@ func TestBlockCacheStoreCounters(t *testing.T) {
 	}
 	for _, warm := range []bool{false, true} {
 		hits, misses := counted(func() {
-			if _, err := s.Get("r0250"); err != nil {
+			if _, err := readRow(s, "r0250", 0); err != nil {
 				t.Fatal(err)
 			}
 		})

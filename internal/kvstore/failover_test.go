@@ -189,7 +189,7 @@ func TestZombiePrimaryFencing(t *testing.T) {
 	if !errors.Is(err, ErrEpochFenced) {
 		t.Fatalf("stale-epoch write = %v, want ErrEpochFenced", err)
 	}
-	res, err := tbl.Get("zombie")
+	res, err := readRow(tbl, "zombie", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestWriteCrashTriggersAutoFailover(t *testing.T) {
 	}
 	// Seed rows survived the cutover.
 	for i := 0; i < 5; i++ {
-		res, err := tbl.Get(fmt.Sprintf("seed%d", i))
+		res, err := readRow(tbl, fmt.Sprintf("seed%d", i), 0)
 		if err != nil || len(res.Cells) == 0 {
 			t.Fatalf("seed%d lost across failover (err %v)", i, err)
 		}

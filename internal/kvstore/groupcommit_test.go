@@ -357,7 +357,7 @@ func TestTablePutBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for row, want := range map[string]string{"apple": "a2", "zebra": "z1", "mango": "m1"} {
-		res, err := tbl.Get(row)
+		res, err := readRow(tbl, row, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestTablePutBatch(t *testing.T) {
 		}
 		// Replica view must see the same data (ship batch of 1 ships eagerly).
 		rep := tbl.RegionFor(row).ReadView(1)
-		rres, err := rep.Store().Get(row)
+		rres, err := readRow(rep.Store(), row, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestTablePutBatch(t *testing.T) {
 	if err := tbl.PutBatch([]Cell{{Row: "ok", Qualifier: "q"}, {Row: "", Qualifier: "q"}}); err == nil {
 		t.Fatal("PutBatch must reject empty row keys")
 	}
-	if res, err := tbl.Get("ok"); err != nil || len(res.Cells) != 0 {
+	if res, err := readRow(tbl, "ok", 0); err != nil || len(res.Cells) != 0 {
 		t.Fatalf("rejected batch must apply nothing, Get(ok) = %+v, %v", res, err)
 	}
 }
@@ -414,7 +414,7 @@ func TestDurableTablePutBatchRecovery(t *testing.T) {
 	defer re.Close()
 	for i := 20; i < 40; i++ { // ts 20..39 are the newest version per row
 		row := fmt.Sprintf("user|%02d", i%20)
-		res, err := re.Get(row)
+		res, err := readRow(re, row, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,13 +69,9 @@ var (
 	mBlockDecodes = obs.Default().Counter("kvstore_block_decodes_total",
 		"Segment blocks decoded on a block-cache miss.")
 	mBlocksSkipped = obs.Default().Counter("kvstore_blocks_skipped_total",
-		"Segment blocks pruned without decoding (min/max spans, block Bloom filters, segment pruning).")
+		"Segment blocks pruned without decoding (block min/max spans, segment pruning).")
 	mBlockDecodeErrors = obs.Default().Counter("kvstore_block_decode_errors_total",
 		"Segment block decode failures (corrupt in-memory payloads; the reader treats the segment as exhausted).")
-	mBlockBloomHits = obs.Default().Counter("kvstore_block_bloom_hits_total",
-		"Point reads where a block Bloom filter admitted the row.")
-	mBlockBloomMisses = obs.Default().Counter("kvstore_block_bloom_misses_total",
-		"Point reads where a block Bloom filter excluded the row after the segment filter admitted it.")
 
 	mBlockCacheHits = obs.Default().Counter("kvstore_block_cache_hits_total",
 		"Block-cache lookups served from cache.")

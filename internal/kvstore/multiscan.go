@@ -8,26 +8,26 @@ import (
 	"modissense/internal/obs"
 )
 
-// The scan kernel: every row scan of the store — Scan and ScanCtx are its
-// one-range case — runs the loop in Store.MultiScanCtx. A personalized
-// query's region function reads one contiguous row range per friend hosted
-// in the region — thousands of ranges against the same store. Issuing one
-// scan per range would re-acquire the store lock and rebuild the memtable
-// and segment iterators and a fresh merge view every time. MultiScanCtx
-// serves all ranges under one RLock with one iterator set, and prunes
-// segments whose [minRow, maxRow] span is disjoint from every requested
-// range — the range-scan complement of the point-read Bloom filters. Each
-// range positions the merge once (mergeIterator.seekRange): the sources
-// behind its start seek forward, and the merge is played over the range's
-// live sources only, those whose head row is below its stop. A range that
-// one segment holds — most of them, since a friend's visits in one window
+// The scan kernel: every row read of the store — Scan and ScanCtx are its
+// one-range case, and a one-row read is the range [row, row+"\x00") — runs
+// the loop in Store.MultiScanCtx. A personalized query's region function
+// reads one contiguous row range per friend hosted in the region —
+// thousands of ranges against the same store. Issuing one scan per range
+// would re-acquire the store lock and rebuild the memtable and segment
+// iterators and a fresh merge view every time. MultiScanCtx serves all
+// ranges under one RLock with one iterator set, and prunes segments whose
+// [minRow, maxRow] span is disjoint from every requested range. Each range
+// positions the merge once (mergeIterator.seekRange): the sources behind
+// its start seek forward, and the merge is played over the range's live
+// sources only, those whose head row is below its stop. A range that one
+// segment holds — most of them, since a friend's visits in one window
 // mostly sit in one segment — is read from that segment alone, in row runs:
 // each row is handed to the resolver as the subslice of the decoded block
 // that holds it (blocks never split a row), and the range's stop is located
 // once per block by one binary search instead of compared on every row.
 // Rows that several sources or a memtable hold are gathered by the
 // tournament a cell at a time and resolved in place; both feed the one row
-// resolver, resolveRow, which point reads use too.
+// resolver, resolveRow.
 
 // ctxPollInterval is how many row iterations a scan processes between
 // ctx.Done() polls. Cancellation needs to be prompt, not instant: checking

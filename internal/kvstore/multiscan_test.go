@@ -409,17 +409,13 @@ func TestMultiScanRowShapes(t *testing.T) {
 		if !rowResultsEqual(seq, want) {
 			t.Fatalf("trial %d: one-range scans diverged from the model: %s", trial, firstRowDiff(seq, want))
 		}
-		bound := asOf
-		if bound == 0 {
-			bound = int64(1) << 62
-		}
 		for n := 0; n < 401; n++ {
-			res, err := s.GetAt(key(n), bound)
+			res, err := readRow(s, key(n), asOf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if w := (RowResult{Row: key(n), Cells: model.row(key(n), asOf)}); !rowResultsEqual([]RowResult{res}, []RowResult{w}) {
-				t.Fatalf("trial %d: GetAt(%s, %d) = %v, model %v", trial, key(n), bound, res.Cells, w.Cells)
+				t.Fatalf("trial %d: readRow(%s, %d) = %v, model %v", trial, key(n), asOf, res.Cells, w.Cells)
 			}
 		}
 		_, runs := liveSetSizes(s, ranges)
@@ -547,8 +543,7 @@ func TestMultiScanRowAllocsFlat(t *testing.T) {
 }
 
 // TestMultiScanSegmentPruning verifies segments disjoint from every range
-// are skipped from the iterator stack — the range-scan analogue of bloom
-// filter point-read pruning.
+// are skipped from the iterator stack.
 func TestMultiScanSegmentPruning(t *testing.T) {
 	s := newTestStore(t)
 	// Three disjoint key clusters flushed into three segments.
@@ -596,9 +591,97 @@ func TestMultiScanSegmentPruning(t *testing.T) {
 	}
 }
 
+// TestOneRowReadsAcrossDisjointSegments reads single rows — the one-row
+// range [row, row+"\x00") — from a store of key-disjoint flushed segments:
+// random present rows resolve to their value, absent rows outside every
+// segment's span and inside one resolve empty, and a one-row read among 16
+// segments decodes at most one block while the other segments' blocks are
+// counted as skipped.
+func TestOneRowReadsAcrossDisjointSegments(t *testing.T) {
+	opts := DefaultStoreOptions()
+	opts.FlushThresholdBytes = 1 << 30
+	opts.CompactionTrigger = 1 << 30 // keep segments separate
+	opts.BlockSizeBytes = 512        // several blocks a segment
+	s, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const segments = 16
+	rng := rand.New(rand.NewSource(33))
+	written := map[string]string{}
+	for seg := 0; seg < segments; seg++ {
+		for i := 0; i < 200; i++ {
+			row := fmt.Sprintf("seg%02d-row%04d", seg, i)
+			val := fmt.Sprintf("v-%d-%d", seg, i)
+			if err := s.ApplyBatch([]Cell{{Row: row, Qualifier: "q", Timestamp: 1, Value: []byte(val)}}); err != nil {
+				t.Fatal(err)
+			}
+			written[row] = val
+		}
+		if err := flushNow(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.segments) != segments {
+		t.Fatalf("got %d segments, want %d", len(s.segments), segments)
+	}
+	// Present rows resolve correctly.
+	for row, want := range written {
+		if rng.Intn(10) != 0 {
+			continue // sample
+		}
+		res, err := readRow(s, row, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := res.Get("q"); !ok || string(v) != want {
+			t.Fatalf("row %s = %q/%v, want %q", row, v, ok, want)
+		}
+	}
+	// Absent rows resolve empty, whether they fall outside every segment's
+	// span or inside one.
+	for i := 0; i < 100; i++ {
+		for _, row := range []string{fmt.Sprintf("ghost-%d", i), fmt.Sprintf("seg%02d-row%04d-ghost", rng.Intn(segments), rng.Intn(200))} {
+			res, err := readRow(s, row, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Empty() {
+				t.Fatalf("absent row %s returned %v", row, res.Cells)
+			}
+		}
+	}
+	// One row among the 16 segments: its own segment reads the one block
+	// that can hold it; every other segment is pruned, blocks and all.
+	row := "seg07-row0123"
+	others, target := 0, 0
+	for _, seg := range s.segments {
+		if seg.minRow <= row && row <= seg.maxRow {
+			target = seg.seekBlocks(0, row)
+			continue
+		}
+		others += len(seg.blocks)
+	}
+	if others < 2*(segments-1) || target == 0 {
+		t.Fatalf("the other segments hold %d blocks and %d precede the row's, want several each", others, target)
+	}
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
+	if err := s.MultiScanCtx(ctx, []ScanRange{{Start: row, Stop: row + "\x00"}}, 0, func(RowResult) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	if snap.BlocksDecoded > 1 {
+		t.Errorf("one-row read decoded %d blocks, want at most 1", snap.BlocksDecoded)
+	}
+	if want := int64(others + target); snap.BlocksSkipped != want {
+		t.Errorf("one-row read skipped %d blocks, want %d (the other segments' %d and the %d before the row's block)", snap.BlocksSkipped, want, others, target)
+	}
+}
+
 // TestSegmentMetadataSurvivesFlushCompactReplay is the satellite guarding
-// the pruning metadata: min/max row keys and bloom filters must be rebuilt
-// identically by memtable flush, compaction and WAL replay.
+// the pruning metadata: min/max row keys must be rebuilt identically by
+// memtable flush, compaction and WAL replay.
 func TestSegmentMetadataSurvivesFlushCompactReplay(t *testing.T) {
 	checkSegments := func(t *testing.T, s *Store, wantMin, wantMax string, rows []string) {
 		t.Helper()
@@ -618,9 +701,6 @@ func TestSegmentMetadataSurvivesFlushCompactReplay(t *testing.T) {
 			if seg.maxRow > max {
 				max = seg.maxRow
 			}
-			if seg.bloom == nil {
-				t.Fatalf("segment %d missing bloom filter", seg.id)
-			}
 		}
 		if min != wantMin || max != wantMax {
 			t.Errorf("segment bounds [%q, %q], want [%q, %q]", min, max, wantMin, wantMax)
@@ -628,12 +708,12 @@ func TestSegmentMetadataSurvivesFlushCompactReplay(t *testing.T) {
 		for _, row := range rows {
 			found := false
 			for _, seg := range s.segments {
-				if seg.mayContainRow(row) {
+				if seg.minRow <= row && row <= seg.maxRow {
 					found = true
 				}
 			}
 			if !found {
-				t.Errorf("bloom filters deny stored row %q", row)
+				t.Errorf("no segment span covers stored row %q", row)
 			}
 		}
 	}
@@ -695,12 +775,12 @@ func TestSegmentMetadataSurvivesFlushCompactReplay(t *testing.T) {
 		}
 		checkSegments(t, st, rows[0], rows[len(rows)-1], rows)
 		// Replayed data must still read correctly through both paths.
-		res, err := reopened.Get(rows[7])
+		res, err := readRow(reopened, rows[7], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v, ok := res.Get("q"); !ok || string(v) != rows[7] {
-			t.Errorf("replayed Get(%q) = %q/%v", rows[7], v, ok)
+			t.Errorf("replayed readRow(%q) = %q/%v", rows[7], v, ok)
 		}
 		seen := 0
 		if err := reopened.MultiScanCtx(context.Background(), []ScanRange{{rows[0], rows[5]}, {rows[10], ""}}, 0, func(RowResult) bool {

@@ -346,13 +346,6 @@ func (t *Table) WaitMaintenance() error {
 	return nil
 }
 
-// Get reads the newest live view of a row.
-func (t *Table) Get(row string) (RowResult, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.regionFor(row).store.Get(row)
-}
-
 // Scan streams rows across all regions intersecting the range, in global
 // key order.
 func (t *Table) Scan(opts ScanOptions, fn func(RowResult) bool) error {
@@ -362,8 +355,7 @@ func (t *Table) Scan(opts ScanOptions, fn func(RowResult) bool) error {
 // ScanCtx is Scan with cancellation: the one-range case of MultiScanCtx,
 // with its semantics (including the reused RowResult backing slice).
 func (t *Table) ScanCtx(ctx context.Context, opts ScanOptions, fn func(RowResult) bool) error {
-	ranges, fn := opts.oneRange(fn)
-	return t.MultiScanCtx(ctx, ranges, opts.AsOf, fn)
+	return t.MultiScanCtx(ctx, opts.oneRange(), opts.AsOf, fn)
 }
 
 // SplitRegion splits the region containing splitKey at splitKey: the upper

@@ -199,8 +199,8 @@ func TestScanCtxCancellationMidScan(t *testing.T) {
 }
 
 // TestTableScanAcrossRegionBoundary pins what Scan's options mean now that
-// Scan is the one-range case of MultiScanCtx: Limit, AsOf, an early stop and
-// a cancellation that each take effect in a later region than the scan
+// Scan is the one-range case of MultiScanCtx: AsOf, an early stop and a
+// cancellation that each take effect in a later region than the scan
 // started in, and bounds that select nothing.
 func TestTableScanAcrossRegionBoundary(t *testing.T) {
 	tbl := newTestTable(t, []string{"e", "j", "o"}, 4)
@@ -230,11 +230,9 @@ func TestTableScanAcrossRegionBoundary(t *testing.T) {
 		stop string // the callback returns false on this row
 		want string
 	}{
-		{name: "limit", opts: ScanOptions{StartRow: "c", Limit: 4}, want: "c=v2 d=v2 e=v2 f=v2 "},
 		{name: "as-of sees the deleted row's old version", opts: ScanOptions{StartRow: "i", StopRow: "l", AsOf: 1}, want: "i=v1 j=v1 k=v1 "},
 		{name: "newest view hides the deleted row", opts: ScanOptions{StartRow: "i", StopRow: "l"}, want: "i=v2 j=v2 "},
 		{name: "early stop", opts: ScanOptions{StartRow: "n"}, stop: "p", want: "n=v2 o=v2 p=v2 "},
-		{name: "early stop before the limit", opts: ScanOptions{StartRow: "n", Limit: 9}, stop: "o", want: "n=v2 o=v2 "},
 		{name: "inverted bounds", opts: ScanOptions{StartRow: "q", StopRow: "c"}},
 		{name: "empty bounds", opts: ScanOptions{StartRow: "q", StopRow: "q"}},
 	} {

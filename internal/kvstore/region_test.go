@@ -104,21 +104,21 @@ func TestTablePutGetAcrossRegions(t *testing.T) {
 	if err := tbl.Put("zeta", "q", 1, []byte("high")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tbl.Get("alpha")
+	res, err := readRow(tbl, "alpha", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := res.Get("q"); string(v) != "low" {
 		t.Errorf("alpha = %q", v)
 	}
-	res, _ = tbl.Get("zeta")
+	res, _ = readRow(tbl, "zeta", 0)
 	if v, _ := res.Get("q"); string(v) != "high" {
 		t.Errorf("zeta = %q", v)
 	}
 	if err := tbl.PutBatch([]Cell{{Row: "zeta", Qualifier: "q", Timestamp: 2, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = tbl.Get("zeta")
+	res, _ = readRow(tbl, "zeta", 0)
 	if !res.Empty() {
 		t.Error("zeta must be deleted")
 	}
@@ -170,16 +170,16 @@ func TestTableScanRangeSpanningRegions(t *testing.T) {
 		t.Errorf("range scan = %v", got)
 	}
 
-	// Limit across region boundaries.
+	// An early stop across region boundaries.
 	got = nil
-	if err := tbl.Scan(ScanOptions{Limit: 9}, func(r RowResult) bool {
+	if err := tbl.Scan(ScanOptions{}, func(r RowResult) bool {
 		got = append(got, r.Row)
-		return true
+		return len(got) < 9
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 9 || got[8] != "i" {
-		t.Errorf("limited scan = %v", got)
+		t.Errorf("early-stopped scan = %v", got)
 	}
 }
 
@@ -273,7 +273,7 @@ func TestSplitRegionPreservesDataAndHistory(t *testing.T) {
 		t.Errorf("rows after split = %d, want 25", count)
 	}
 	// Version history preserved: snapshot read at ts=1 still sees v1.
-	res, err := tbl.RegionFor("t").Store().GetAt("t", 1)
+	res, err := readRow(tbl.RegionFor("t").Store(), "t", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestTableConcurrentMutationsAndExecRegions(t *testing.T) {
 	}
 	go func() {
 		for i := 0; i < 200; i++ {
-			if _, err := tbl.Get("a000"); err != nil {
+			if _, err := readRow(tbl, "a000", 0); err != nil {
 				done <- err
 				return
 			}

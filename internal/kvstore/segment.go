@@ -11,9 +11,8 @@ import (
 // in fixed-target-size blocks (see block.go): prefix-compressed, optionally
 // codec-compressed, and materialized lazily through the block cache, so a
 // segment's steady-state footprint is its encoded bytes, not its []Cell
-// slices. Reads consult two pruning levels before decoding anything: the
-// segment-level Bloom filter and min/max span first, then each block's own
-// min/max row and Bloom filter.
+// slices. Reads prune at two levels before decoding anything: the
+// segment's min/max span first, then each block's own min/max row.
 type segment struct {
 	// id orders segments by creation; higher ids are newer. During reads
 	// the merge iterator breaks exact-key ties by preferring newer segments.
@@ -24,12 +23,8 @@ type segment struct {
 	// resident: one per block, loaded without a lock by reads, filled and
 	// emptied by the cache.
 	slots []atomic.Pointer[cachedBlock]
-	// bloom indexes the segment's row keys — the first-level filter point
-	// reads consult before the per-block filters.
-	bloom *bloomFilter
-	// minRow/maxRow bound the segment's row keys so range scans can skip
-	// segments disjoint from the requested ranges — the range-read analogue
-	// of the point-read Bloom filter.
+	// minRow/maxRow bound the segment's row keys so scans can skip
+	// segments disjoint from the requested ranges.
 	minRow, maxRow string
 	// bytes is the approximate logical cell footprint (cellOverhead per
 	// cell, same accounting as the memtable) — the size-tiered compaction
@@ -72,12 +67,8 @@ func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
 		cfg.blockSize = DefaultBlockSize
 	}
 	seg := &segment{id: id, cfg: cfg, numCells: len(cells)}
-	distinctRows := 0
 	for i := range cells {
 		seg.bytes += len(cells[i].Row) + len(cells[i].Qualifier) + len(cells[i].Value) + cellOverhead
-		if i == 0 || cells[i].Row != cells[i-1].Row {
-			distinctRows++
-		}
 	}
 	var b blockBuilder
 	for i := range cells {
@@ -106,22 +97,7 @@ func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
 	for i := range seg.blocks {
 		seg.encodedBytes += seg.blocks[i].residentBytes()
 	}
-	seg.bloom = newBloomFilter(distinctRows)
-	for i := range cells {
-		if i == 0 || cells[i].Row != cells[i-1].Row {
-			seg.bloom.add(cells[i].Row)
-		}
-	}
 	return seg, nil
-}
-
-// mayContainRow consults the segment's first-level Bloom filter. An empty
-// segment (a compaction that dropped everything) contains nothing.
-func (s *segment) mayContainRow(row string) bool {
-	if s.numCells == 0 {
-		return false
-	}
-	return s.bloom.mayContain(row)
 }
 
 func (s *segment) len() int { return s.numCells }
@@ -134,7 +110,7 @@ type blockScanStats struct {
 	decoded     int64 // blocks decoded on a cache miss
 	cacheHits   int64
 	cacheMisses int64 // decodes of blocks a cache may admit
-	skipped     int64 // blocks pruned by min/max, block Bloom or segment pruning
+	skipped     int64 // blocks pruned by block min/max or segment pruning
 }
 
 // flush publishes the accumulated counters.
@@ -179,29 +155,6 @@ func (s *segment) iteratorNoCache(bs *blockScanStats) cellIterator {
 	it := &segmentIterator{seg: s, bs: bs}
 	if len(s.blocks) > 0 {
 		it.loadBlock()
-	}
-	return it
-}
-
-// pointIterator is iterator specialized for single-row reads: it locates
-// the one block that can hold the row (blocks never split a row) and
-// consults that block's Bloom filter before decoding. It returns nil when
-// the row cannot be present, counting the pruned block into bs.
-func (s *segment) pointIterator(row string, start *Cell, bs *blockScanStats) cellIterator {
-	bi := s.seekBlocks(0, row)
-	if bi >= len(s.blocks) || s.blocks[bi].minRow > row {
-		return nil
-	}
-	if !s.blocks[bi].bloom.mayContain(row) {
-		mBlockBloomMisses.Inc()
-		bs.skipped++
-		return nil
-	}
-	mBlockBloomHits.Inc()
-	it := &segmentIterator{seg: s, bi: bi, bs: bs, cache: s.cfg.cache}
-	if it.loadBlock() {
-		it.seekInBlock(start)
-		it.settle()
 	}
 	return it
 }

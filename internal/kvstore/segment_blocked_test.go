@@ -189,12 +189,12 @@ func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
 					t.Fatalf("%s: full scan diverged from flat reference (%d vs %d rows)", name, len(gotFull), len(wantFull))
 				}
 
-				// Point reads (block-bloom path), present and absent rows.
+				// One-row reads, present and absent rows.
 				for i := 0; i < 30; i++ {
 					row := fmt.Sprintf("u%04d", rng.Intn(300))
-					got, err := s.GetAt(row, asOf)
+					got, err := readRow(s, row, asOf)
 					if err != nil {
-						t.Fatalf("%s: get %s: %v", name, row, err)
+						t.Fatalf("%s: read %s: %v", name, row, err)
 					}
 					want := referenceMultiScan(sorted, []ScanRange{{Start: row, Stop: row + "\x00"}}, asOf)
 					wantRes := RowResult{Row: row}
@@ -202,7 +202,7 @@ func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
 						wantRes = want[0]
 					}
 					if !rowResultsEqual([]RowResult{got}, []RowResult{wantRes}) {
-						t.Fatalf("%s: GetAt(%s) diverged from flat reference", name, row)
+						t.Fatalf("%s: readRow(%s) diverged from flat reference", name, row)
 					}
 				}
 			}
@@ -257,7 +257,7 @@ func TestBlockedSegmentAfterCompaction(t *testing.T) {
 
 // TestEmptyAndSingleRowSegments guards the degenerate constructions: a
 // compaction that drops every cell must yield a harmless empty segment, and
-// a single-row segment must build a working one-entry bloom/min-max.
+// a single-row segment must build a working one-entry min/max.
 func TestEmptyAndSingleRowSegments(t *testing.T) {
 	empty, err := newSegment(1, nil, defaultSegmentConfig())
 	if err != nil {
@@ -266,18 +266,12 @@ func TestEmptyAndSingleRowSegments(t *testing.T) {
 	if empty.len() != 0 || len(empty.blocks) != 0 {
 		t.Fatalf("empty segment has %d cells, %d blocks", empty.len(), len(empty.blocks))
 	}
-	if empty.mayContainRow("anything") {
-		t.Fatal("empty segment claims to contain a row")
-	}
 	if empty.overlapsRanges([]ScanRange{{}}) {
 		t.Fatal("empty segment overlaps the unbounded range")
 	}
 	it := empty.iterator(nil, &blockScanStats{})
 	if it.valid() {
 		t.Fatal("empty segment iterator is valid")
-	}
-	if empty.pointIterator("r", nil, &blockScanStats{}) != nil {
-		t.Fatal("empty segment produced a point iterator")
 	}
 
 	single, err := newSegment(2, []Cell{{Row: "only", Qualifier: "q", Timestamp: 1, Value: []byte("v")}}, defaultSegmentConfig())
@@ -286,9 +280,6 @@ func TestEmptyAndSingleRowSegments(t *testing.T) {
 	}
 	if single.minRow != "only" || single.maxRow != "only" || len(single.blocks) != 1 {
 		t.Fatalf("single-row segment metadata: min=%q max=%q blocks=%d", single.minRow, single.maxRow, len(single.blocks))
-	}
-	if !single.mayContainRow("only") {
-		t.Fatal("single-row segment denies its own row")
 	}
 	it = single.iterator(nil, &blockScanStats{})
 	if !it.valid() || it.cell().Row != "only" {

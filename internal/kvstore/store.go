@@ -336,53 +336,6 @@ func (s *Store) iteratorsLocked(ranges []ScanRange, start *Cell, bs *blockScanSt
 	return its, pruned
 }
 
-// Get returns the newest live version of every qualifier of the row.
-func (s *Store) Get(row string) (RowResult, error) {
-	return s.GetAt(row, int64(1)<<62)
-}
-
-// GetAt reads the row as of the given timestamp: only versions with
-// Timestamp <= asOf are visible. This gives repositories snapshot reads.
-// Segments whose Bloom filter excludes the row are skipped entirely.
-func (s *Store) GetAt(row string, asOf int64) (RowResult, error) {
-	if row == "" {
-		return RowResult{}, fmt.Errorf("kvstore: empty row key")
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	start := &Cell{Row: row, Qualifier: "", Timestamp: int64(1) << 62, Tombstone: true}
-	var bs blockScanStats
-	defer bs.flush()
-	merged := newMergeIterator(s.pointIteratorsLocked(row, start, &bs))
-	res := RowResult{Row: row}
-	var buf []Cell
-	if cells := merged.nextRow(&buf); len(cells) > 0 && cells[0].Row == row {
-		res.Cells = resolveRow(cells, asOf, buf[:0])
-	}
-	return res, nil
-}
-
-// pointIteratorsLocked is iteratorsLocked specialized for point reads: it
-// consults each segment's Bloom filter (first level) and then the target
-// block's Bloom filter (second level, inside pointIterator), skipping
-// segments and blocks that cannot contain the row.
-func (s *Store) pointIteratorsLocked(row string, start *Cell, bs *blockScanStats) []cellIterator {
-	its := make([]cellIterator, 0, len(s.segments)+len(s.imm)+1)
-	its = append(its, s.mem.iterator(start))
-	for i := len(s.imm) - 1; i >= 0; i-- {
-		its = append(its, s.imm[i].iterator(start))
-	}
-	for i := len(s.segments) - 1; i >= 0; i-- {
-		if !s.segments[i].mayContainRow(row) {
-			continue
-		}
-		if it := s.segments[i].pointIterator(row, start, bs); it != nil {
-			its = append(its, it)
-		}
-	}
-	return its
-}
-
 // resolveRow is the store's one row resolver: given one row's cells in
 // compareCells order (mergeIterator.nextRow), it appends to dst the newest
 // live version of each qualifier as of asOf and returns dst. dst may be
@@ -415,26 +368,15 @@ type ScanOptions struct {
 	StopRow string
 	// AsOf hides versions newer than this timestamp (0 = no bound).
 	AsOf int64
-	// Limit stops the scan after this many rows (0 = unlimited).
-	Limit int
 }
 
 // oneRange puts the options into MultiScanCtx's terms: the single range to
-// scan — none when the bounds are empty or inverted, which selects no row —
-// and fn wrapped to stop the scan after Limit delivered rows.
-func (o ScanOptions) oneRange(fn func(RowResult) bool) ([]ScanRange, func(RowResult) bool) {
-	var ranges []ScanRange
-	if o.StopRow == "" || o.StopRow > o.StartRow {
-		ranges = []ScanRange{{Start: o.StartRow, Stop: o.StopRow}}
+// scan — none when the bounds are empty or inverted, which selects no row.
+func (o ScanOptions) oneRange() []ScanRange {
+	if o.StopRow != "" && o.StopRow <= o.StartRow {
+		return nil
 	}
-	if o.Limit <= 0 || fn == nil {
-		return ranges, fn
-	}
-	remaining := o.Limit
-	return ranges, func(res RowResult) bool {
-		remaining--
-		return fn(res) && remaining > 0
-	}
+	return []ScanRange{{Start: o.StartRow, Stop: o.StopRow}}
 }
 
 // Stats reports store counters for tests and observability.

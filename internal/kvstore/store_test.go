@@ -35,8 +35,23 @@ func flushNow(s *Store) error {
 
 // scanStore is Table.ScanCtx's one-range scan over a single store.
 func scanStore(s *Store, opts ScanOptions, fn func(RowResult) bool) error {
-	ranges, fn := opts.oneRange(fn)
-	return s.MultiScanCtx(context.Background(), ranges, opts.AsOf, fn)
+	return s.MultiScanCtx(context.Background(), opts.oneRange(), opts.AsOf, fn)
+}
+
+// rowScanner is the read Store and Table share.
+type rowScanner interface {
+	MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64, fn func(RowResult) bool) error
+}
+
+// readRow reads one row as of asOf (0 = no bound) through the one-row range
+// [row, row+"\x00"): the row's live cells, none when it has no live cell.
+func readRow(r rowScanner, row string, asOf int64) (RowResult, error) {
+	res := RowResult{Row: row}
+	err := r.MultiScanCtx(context.Background(), []ScanRange{{Start: row, Stop: row + "\x00"}}, asOf, func(got RowResult) bool {
+		res.Cells = append([]Cell(nil), got.Cells...)
+		return false
+	})
+	return res, err
 }
 
 func TestStorePutGet(t *testing.T) {
@@ -47,7 +62,7 @@ func TestStorePutGet(t *testing.T) {
 	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "city", Timestamp: 10, Value: []byte("athens")}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Get("u1")
+	res, err := readRow(s, "u1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +87,7 @@ func TestStoreNewestVersionWins(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, _ := s.Get("u1")
+	res, _ := readRow(s, "u1", 0)
 	if v, _ := res.Get("q"); string(v) != "v5" {
 		t.Errorf("newest version = %q, want v5", v)
 	}
@@ -85,14 +100,14 @@ func TestStoreGetAtSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.GetAt("u1", 35)
+	res, err := readRow(s, "u1", 35)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := res.Get("q"); string(v) != "v3" {
 		t.Errorf("snapshot at 35 = %q, want v3", v)
 	}
-	res, _ = s.GetAt("u1", 5)
+	res, _ = readRow(s, "u1", 5)
 	if !res.Empty() {
 		t.Errorf("snapshot before first write must be empty, got %v", res.Cells)
 	}
@@ -106,7 +121,7 @@ func TestStoreDeleteMasksOlderVersions(t *testing.T) {
 	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 20, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := s.Get("u1")
+	res, _ := readRow(s, "u1", 0)
 	if !res.Empty() {
 		t.Errorf("deleted row should be empty, got %v", res.Cells)
 	}
@@ -114,12 +129,12 @@ func TestStoreDeleteMasksOlderVersions(t *testing.T) {
 	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 30, Value: []byte("new")}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ = s.Get("u1")
+	res, _ = readRow(s, "u1", 0)
 	if v, _ := res.Get("q"); string(v) != "new" {
 		t.Errorf("post-delete put = %q, want new", v)
 	}
 	// Snapshot semantics: as of ts 15 the old value is still visible.
-	res, _ = s.GetAt("u1", 15)
+	res, _ = readRow(s, "u1", 15)
 	if v, _ := res.Get("q"); string(v) != "old" {
 		t.Errorf("snapshot before delete = %q, want old", v)
 	}
@@ -133,7 +148,7 @@ func TestStoreDeleteAtSameTimestampWins(t *testing.T) {
 	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Tombstone: true}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := s.Get("u1")
+	res, _ := readRow(s, "u1", 0)
 	if !res.Empty() {
 		t.Error("tombstone at equal timestamp must mask the put")
 	}
@@ -147,7 +162,7 @@ func TestStoreRewriteSameTimestampReplaces(t *testing.T) {
 	if err := s.ApplyBatch([]Cell{{Row: "u1", Qualifier: "q", Timestamp: 10, Value: []byte("b")}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := s.Get("u1")
+	res, _ := readRow(s, "u1", 0)
 	if v, _ := res.Get("q"); string(v) != "b" {
 		t.Errorf("rewrite at same ts = %q, want b", v)
 	}
@@ -167,11 +182,11 @@ func TestStoreFlushAndReadAcrossSegments(t *testing.T) {
 	if err := s.ApplyBatch([]Cell{{Row: "u2", Qualifier: "q", Timestamp: 5, Value: []byte("other")}}); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := s.Get("u1")
+	res, _ := readRow(s, "u1", 0)
 	if v, _ := res.Get("q"); string(v) != "v2" {
 		t.Errorf("memtable must shadow segment: got %q", v)
 	}
-	res, _ = s.GetAt("u1", 15)
+	res, _ = readRow(s, "u1", 15)
 	if v, _ := res.Get("q"); string(v) != "v1" {
 		t.Errorf("older segment version must be visible at ts 15: got %q", v)
 	}
@@ -215,11 +230,11 @@ func TestStoreCompactionPreservesView(t *testing.T) {
 	if st.BackgroundCompactions != 1 || st.Segments != 1 || st.MemtableCells != 0 {
 		t.Fatalf("after compaction stats = %+v", st)
 	}
-	res, _ := s.Get("a")
+	res, _ := readRow(s, "a", 0)
 	if v, _ := res.Get("q"); string(v) != "a2" {
 		t.Errorf("a = %q, want a2", v)
 	}
-	res, _ = s.Get("b")
+	res, _ = readRow(s, "b", 0)
 	if !res.Empty() {
 		t.Errorf("b must stay deleted after compaction, got %v", res.Cells)
 	}
@@ -288,18 +303,6 @@ func TestStoreScanRangeAndLimit(t *testing.T) {
 	}
 
 	got = nil
-	err = scanStore(s, ScanOptions{Limit: 3}, func(r RowResult) bool {
-		got = append(got, r.Row)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("limited scan returned %d rows, want 3", len(got))
-	}
-
-	got = nil
 	err = s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(r RowResult) bool {
 		got = append(got, r.Row)
 		return len(got) < 2 // early stop
@@ -316,9 +319,6 @@ func TestStoreRejectsEmptyRow(t *testing.T) {
 	s := newTestStore(t)
 	if err := s.ApplyBatch([]Cell{{Row: "", Qualifier: "q", Timestamp: 1, Value: nil}}); err == nil {
 		t.Error("empty row put must fail")
-	}
-	if _, err := s.Get(""); err == nil {
-		t.Error("empty row get must fail")
 	}
 	if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, nil); err == nil {
 		t.Error("nil scan callback must fail")
@@ -408,7 +408,7 @@ func TestStoreMatchesModel(t *testing.T) {
 		// Verify every row at several asOf horizons.
 		for _, row := range rows {
 			for _, asOf := range []int64{5, 17, 25, 49, 1 << 60} {
-				res, err := s.GetAt(row, asOf)
+				res, err := readRow(s, row, asOf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -507,11 +507,12 @@ func TestStoreConcurrentReadersAndWriters(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		go func() {
 			for i := 0; i < 200; i++ {
-				if _, err := s.Get("w0-row-001"); err != nil {
+				if _, err := readRow(s, "w0-row-001", 0); err != nil {
 					done <- err
 					return
 				}
-				if err := scanStore(s, ScanOptions{Limit: 10}, func(RowResult) bool { return true }); err != nil {
+				n := 0
+				if err := scanStore(s, ScanOptions{}, func(RowResult) bool { n++; return n < 10 }); err != nil {
 					done <- err
 					return
 				}

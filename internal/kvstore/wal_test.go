@@ -157,11 +157,11 @@ func TestDurableTableCrashRecovery(t *testing.T) {
 	if count != 26 { // 26 letters - deleted "d" + "zz"
 		t.Errorf("recovered %d rows, want 26", count)
 	}
-	res, _ := tbl2.Get("d")
+	res, _ := readRow(tbl2, "d", 0)
 	if !res.Empty() {
 		t.Error("deleted row resurrected after recovery")
 	}
-	res, _ = tbl2.Get("zz")
+	res, _ = readRow(tbl2, "zz", 0)
 	if v, _ := res.Get("q"); string(v) != "post-split" {
 		t.Errorf("post-split row = %q", v)
 	}

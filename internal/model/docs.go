@@ -94,7 +94,7 @@ func (t *docTable) lookup(id int64, hash uint64) *POI {
 
 func (t *docTable) intern(p *POI) (*POI, uint64, error) {
 	if s := t.slot(p.ID); s != nil {
-		if v := s.latest.Load(); sameDocument(v.doc, p) {
+		if v := s.latest.Load(); SameDocument(v.doc, p) {
 			return v.doc, v.hash, nil
 		}
 	}
@@ -107,7 +107,7 @@ func (t *docTable) intern(p *POI) (*POI, uint64, error) {
 			if v.hash != hash {
 				continue
 			}
-			if !sameDocument(v.doc, p) {
+			if !SameDocument(v.doc, p) {
 				return nil, 0, fmt.Errorf("model: POI %d document hash %016x already names a different document", p.ID, hash)
 			}
 			s.latest.Store(v)
@@ -162,9 +162,9 @@ func (t *docTable) publishLocked(id int64, s *docSlot) {
 	d[id].Store(s)
 }
 
-// sameDocument reports whether a and b are one document. Floats compare by
+// SameDocument reports whether a and b are one document. Floats compare by
 // bits, as the codec stores them, so a NaN equals itself and -0 is not 0.
-func sameDocument(a, b *POI) bool {
+func SameDocument(a, b *POI) bool {
 	return a.ID == b.ID && a.Name == b.Name && sameBits(a.Lat, b.Lat) && sameBits(a.Lon, b.Lon) &&
 		sameBits(a.Hotness, b.Hotness) && sameBits(a.Interest, b.Interest) && slices.Equal(a.Keywords, b.Keywords)
 }

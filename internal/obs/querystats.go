@@ -58,7 +58,7 @@ type QuerySnapshot struct {
 	HedgeCancels int64 `json:"hedge_cancels"`
 	// BlocksDecoded counts segment blocks the query's scans decoded on a
 	// block-cache miss; BlocksSkipped counts blocks pruned without
-	// decoding (min/max spans, Bloom filters, segment pruning). Their
+	// decoding (block min/max spans, segment pruning). Their
 	// ratio shows how selective the query's ranges were.
 	BlocksDecoded int64 `json:"blocks_decoded"`
 	BlocksSkipped int64 `json:"blocks_skipped"`

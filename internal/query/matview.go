@@ -136,11 +136,6 @@ func storedDoc(schema repos.VisitSchema, p *model.POI) model.POI {
 	return doc
 }
 
-func sameDoc(a, b *model.POI) bool {
-	return a.ID == b.ID && a.Name == b.Name && a.Lat == b.Lat && a.Lon == b.Lon &&
-		a.Hotness == b.Hotness && a.Interest == b.Interest && slices.Equal(a.Keywords, b.Keywords)
-}
-
 // Patch implements matview.Value: it folds one friend's committed visits
 // into the candidates exactly as the coprocessor would have folded their
 // rows — the time window, then, under the replicated schema, the spec's
@@ -172,7 +167,7 @@ func (c *cachedRanking) Patch(visits []model.Visit) (folded int, grew int64, exa
 		j, found := slices.BinarySearchFunc(c.cands, doc.ID, func(a poiAgg, id int64) int { return cmp.Compare(a.poi.ID, id) })
 		if found {
 			a := &c.cands[j]
-			if !sameDoc(&a.poi, &doc) {
+			if !model.SameDocument(&a.poi, &doc) {
 				return folded, grew, false
 			}
 			a.gradeUnits += model.GradeUnits(v.Grade)

@@ -493,6 +493,37 @@ func TestResultCacheEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// Documents that differ only in the sign of a zero are two documents, as
+	// the codec stores them. Friend 7 checks in at a POI whose latitude is
+	// +0, then friend 3 at the same POI with -0: a scan keeps friend 3's
+	// document (the first row in key order), so the cached answer must not
+	// fold the second visit into the +0 candidate.
+	t.Run("document differing in the sign of a zero", func(t *testing.T) {
+		f, _, _ := cachedFixture(t)
+		spec := Spec{FriendIDs: friends, FromMillis: from, ToMillis: to, OrderBy: ByInterest}
+		prime(t, f, spec)
+		doc := unvisited(t, f, spec, nil)
+		for _, w := range []struct {
+			user int64
+			lat  float64
+		}{{7, 0}, {3, math.Copysign(0, -1)}} {
+			doc.Lat = w.lat
+			if err := f.visits.Store(model.Visit{UserID: w.user, Time: from + 1000, Grade: 4, Network: "facebook", POI: doc}); err != nil {
+				t.Fatal(err)
+			}
+			after, scan := mustRun(t, f, spec), scanOf(t, f, spec)
+			if string(poisJSON(t, after.POIs)) != string(poisJSON(t, scan.POIs)) {
+				t.Fatalf("friend %d's visit at lat %v: answer differs from the uncached scan:\n got %s\nscan %s",
+					w.user, w.lat, poisJSON(t, after.POIs), poisJSON(t, scan.POIs))
+			}
+		}
+		for _, p := range scanOf(t, f, spec).POIs {
+			if p.POI.ID == doc.ID && !math.Signbit(p.POI.Lat) {
+				t.Fatalf("scan kept latitude %v for POI %d, want -0 (friend 3's row comes first)", p.POI.Lat, doc.ID)
+			}
+		}
+	})
 }
 
 // TestResultCacheUnrelatedWriteKeepsEntry checks the friend index's

@@ -241,12 +241,16 @@ func TestVisitsRepoRegionDistribution(t *testing.T) {
 // network ("" = all networks).
 func storedFriends(t *testing.T, r *SocialInfoRepo, userID int64, network string) []model.Friend {
 	t.Helper()
-	row, err := r.table.Get(socialRowKey(userID))
-	if err != nil {
+	var cells []kvstore.Cell
+	key := socialRowKey(userID)
+	if err := r.table.Scan(kvstore.ScanOptions{StartRow: key, StopRow: key + "\x00"}, func(row kvstore.RowResult) bool {
+		cells = append(cells, row.Cells...)
+		return false
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var out []model.Friend
-	for _, cell := range row.Cells {
+	for _, cell := range cells {
 		if network != "" && cell.Qualifier != network {
 			continue
 		}

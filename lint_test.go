@@ -356,7 +356,6 @@ var allowlist = map[string]string{
 	"faultinject.ParseSchedule":        "test seam: the fault-schedule DSL of the bench, query and repos tests (TestScenarioReadFaults -faults)",
 	"kvstore.Table.SetFaultInjector":   "test seam: arms op=put / op=ship faults in the bench, core, query and repos tests",
 	"kvstore.Table.PutFenced":          "test seam: TestScenarioPrimaryKill's zombie primary writes at its stale epoch",
-	"kvstore.Table.Get":                "test seam: TestScenarioPrimaryKill reads the fenced zombie row back; the point-read path (Bloom filters) hangs off it",
 	"kvstore.Table.NodeHealth":         "test seam: the bench, core and query failover tests read the detector's ladder",
 	"kvstore.Table.WaitFailover":       "test seam: the bench and core failover tests wait out an asynchronous promotion",
 	"kvstore.Table.CatchUpReplication": "test seam: the bench and query replica tests start from converged replicas",
