@@ -63,19 +63,21 @@ census:
 ## fuzz-smoke runs each fuzzer for a short, bounded burst: long enough to
 ## shake out a regression in the WAL's torn-tail / mid-log corruption
 ## contract, in the parsing of untrusted blocks and compressed payloads, in
-## the visit walker's agreement with its reference decoder, or in the answer
-## and request codecs' agreement with encoding/json (same bytes out, same
-## documents accepted, same values in; the request decoders in core, the
-## request encoders in client); short enough for every pre-merge run. (The
-## visit fuzzer and the request decoders get a one-second minimizing budget:
-## minimizing one interesting input at the default budget would eat the whole
-## burst — the visit fuzzer takes two arguments, and the request fuzzer's
-## seeds are kilobyte bodies.)
+## the visit walker's agreement with its reference decoder, in the visit row
+## key's round trip (the only copy of a replicated visit's user and time), or
+## in the answer and request codecs' agreement with encoding/json (same bytes
+## out, same documents accepted, same values in; the request decoders in
+## core, the request encoders in client); short enough for every pre-merge
+## run. (The visit fuzzer and the request decoders get a one-second
+## minimizing budget: minimizing one interesting input at the default budget
+## would eat the whole burst — the visit fuzzer takes two arguments, and the
+## request fuzzer's seeds are kilobyte bodies.)
 fuzz-smoke:
 	$(GO) test ./internal/kvstore -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime=10s
 	$(GO) test ./internal/kvstore -run FuzzBlockDecode -fuzz FuzzBlockDecode -fuzztime=5s
 	$(GO) test ./internal/kvstore -run FuzzLZDecompress -fuzz FuzzLZDecompress -fuzztime=5s
 	$(GO) test ./internal/model -run FuzzVisitView -fuzz FuzzVisitView -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/repos -run FuzzVisitRowKey -fuzz FuzzVisitRowKey -fuzztime=5s
 	$(GO) test ./internal/query -run FuzzResultJSON -fuzz FuzzResultJSON -fuzztime=10s
 	$(GO) test ./internal/core -run FuzzRequestJSON -fuzz FuzzRequestJSON -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./client -run FuzzRequestJSON -fuzz FuzzRequestJSON -fuzztime=5s
@@ -90,8 +92,8 @@ bench:
 ## segments hold every range), the merge and the coprocessor, a block load served
 ## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
 ## allocations) and one decoded, admitted and evicting (a miss), the visit parser on
-## payloads with one-byte and multi-byte lengths, the shared POI documents'
-## intern hit and shared-document parse (which TestSharedDocsAllocs keeps at
+## every layout's payload and on one with multi-byte lengths, the shared POI documents'
+## intern hit and keyed shared-document parse (which TestSharedDocsAllocs keeps at
 ## zero allocations), the table's one write
 ## routine per cell and per batch of 50, the matcher's memo-hit case, the
 ## registry's idle subscription (whose bytes per op tier-1's

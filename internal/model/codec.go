@@ -19,17 +19,22 @@ import (
 // a known tag as corrupt. The tag byte stays reserved — a new layout takes a
 // new tag, never '{', so a JSON document can never pass for one.
 //
-// Layout: tag byte, version byte, then fields in declaration order.
-// Integers are varints, floats are 8-byte little-endian IEEE 754 bits,
-// strings are uvarint length prefixes followed by raw bytes. All three tags
-// share the prefix user, time, grade, network, POI id; then
+// Layout: tag byte, version byte, then fields. Integers are varints, floats
+// are 8-byte little-endian IEEE 754 bits, strings are uvarint length
+// prefixes followed by raw bytes. Tags 0x01 to 0x03 share the prefix user,
+// time, grade, network, POI id; then
 //
 //	0x01 replicated: name, lat, lon, keyword count, keywords, hotness, interest
 //	0x02 normalized: nothing
 //	0x03 shared:     the document's content hash, 8 bytes little-endian
 //
-// The replicated schema writes 0x03 and keeps the document in the shared
-// table (docs.go); 0x01 rows written before it decode forever.
+// Tag 0x04 drops user and time, which the row key holds, and puts its fixed
+// fields first:
+//
+//	0x04 keyed: document hash (8 bytes LE), grade (float), POI id, network
+//
+// The replicated schema writes 0x04 and keeps the document in the shared
+// table (docs.go); 0x01 and 0x03 rows written before it decode forever.
 
 const (
 	// VisitBinaryTagReplicated marks a full replicated-schema visit payload
@@ -41,6 +46,9 @@ const (
 	// VisitBinaryTagShared marks a replicated-schema visit payload whose POI
 	// document is the shared copy its id and content hash name (InternPOI).
 	VisitBinaryTagShared byte = 0x03
+	// VisitBinaryTagKeyed marks a shared-document payload without user and
+	// time: the row key carries them, so the payload alone does not.
+	VisitBinaryTagKeyed byte = 0x04
 	// visitBinaryVersion is the current layout version. Decoders reject
 	// versions they do not know instead of misreading them.
 	visitBinaryVersion byte = 1
@@ -73,19 +81,17 @@ func EncodeVisitBinary(v *Visit) []byte {
 	return b
 }
 
-// EncodeVisitBinaryShared encodes a replicated-schema visit as a reference to
-// its shared POI document: the normalized fields plus hash, the document's
-// content hash InternPOI returned for v.POI.
-func EncodeVisitBinaryShared(v *Visit, hash uint64) []byte {
-	n := 2 + varintLen(v.UserID) + varintLen(v.Time) + 8 + uvarintLen(uint64(len(v.Network))) + len(v.Network) + varintLen(v.POI.ID) + 8
+// EncodeVisitBinaryKeyed encodes a replicated-schema visit as a reference to
+// its shared POI document, hash being the content hash InternPOI returned for
+// v.POI. User and time are left to the row key.
+func EncodeVisitBinaryKeyed(v *Visit, hash uint64) []byte {
+	n := 2 + 8 + 8 + varintLen(v.POI.ID) + uvarintLen(uint64(len(v.Network))) + len(v.Network)
 	b := make([]byte, 0, n)
-	b = append(b, VisitBinaryTagShared, visitBinaryVersion)
-	b = binary.AppendVarint(b, v.UserID)
-	b = binary.AppendVarint(b, v.Time)
+	b = append(b, VisitBinaryTagKeyed, visitBinaryVersion)
+	b = binary.LittleEndian.AppendUint64(b, hash)
 	b = appendFloat(b, v.Grade)
-	b = appendString(b, v.Network)
 	b = binary.AppendVarint(b, v.POI.ID)
-	return binary.LittleEndian.AppendUint64(b, hash)
+	return appendString(b, v.Network)
 }
 
 // EncodeVisitBinaryNormalized encodes the normalized-schema projection of a
@@ -111,26 +117,25 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 // while those bytes are; the zero value is ready for Parse, and one view can
 // be parsed over any number of payloads. A normalized payload leaves every
 // POI field but POIID at its zero value; a shared-document payload reads its
-// POI fields from the shared document.
+// POI fields from the shared document only when asked for them, and a keyed
+// payload leaves UserID and Time at zero (its row key holds them).
 type VisitView struct {
 	UserID int64
 	// Time is the visit timestamp in milliseconds since epoch.
 	Time  int64
 	Grade float64
 	POIID int64
-	Lat   float64
-	Lon   float64
-	// Hotness and Interest are the replicated POI metrics.
-	Hotness  float64
-	Interest float64
 
 	network []byte
-	name    []byte
+	// The document fields a 0x01 payload embeds.
+	name              []byte
+	lat, lon          float64
+	hotness, interest float64
 	// keywords is the encoded keyword span: nKeywords length-prefixed
 	// strings, every length already checked against the span.
 	keywords  []byte
 	nKeywords int
-	// doc is the shared document a VisitBinaryTagShared payload names.
+	// doc is the shared document a shared-document payload names.
 	doc *POI
 }
 
@@ -149,6 +154,9 @@ func (v *VisitView) Parse(b []byte) error {
 	tag, version := b[0], b[1]
 	if version != visitBinaryVersion {
 		return fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
+	}
+	if tag == VisitBinaryTagKeyed {
+		return v.parseKeyed(b)
 	}
 	if tag != VisitBinaryTagReplicated && tag != VisitBinaryTagNormalized && tag != VisitBinaryTagShared {
 		return fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
@@ -177,22 +185,18 @@ func (v *VisitView) Parse(b []byte) error {
 		}
 		hash := binary.LittleEndian.Uint64(b[off:])
 		if off += 8; off != len(b) {
-			return fmt.Errorf("model: %d trailing bytes in binary visit", len(b)-off)
+			return errTrailing(len(b) - off)
 		}
-		if v.doc = sharedDocs.lookup(v.POIID, hash); v.doc == nil {
-			return fmt.Errorf("model: binary visit names POI %d document %016x, which is not in the shared table", v.POIID, hash)
-		}
-		v.Lat, v.Lon, v.Hotness, v.Interest = v.doc.Lat, v.doc.Lon, v.doc.Hotness, v.doc.Interest
-		return nil
+		return v.lookupDoc(hash)
 	}
 	if tag == VisitBinaryTagReplicated {
 		if v.name, off, err = stringAt(b, off); err != nil {
 			return err
 		}
-		if v.Lat, off = floatAt(b, off); off < 0 {
+		if v.lat, off = floatAt(b, off); off < 0 {
 			return errAtFloat
 		}
-		if v.Lon, off = floatAt(b, off); off < 0 {
+		if v.lon, off = floatAt(b, off); off < 0 {
 			return errAtFloat
 		}
 		var n uint64
@@ -211,17 +215,64 @@ func (v *VisitView) Parse(b []byte) error {
 			}
 		}
 		v.keywords, v.nKeywords = b[start:off], int(n)
-		if v.Hotness, off = floatAt(b, off); off < 0 {
+		if v.hotness, off = floatAt(b, off); off < 0 {
 			return errAtFloat
 		}
-		if v.Interest, off = floatAt(b, off); off < 0 {
+		if v.interest, off = floatAt(b, off); off < 0 {
 			return errAtFloat
 		}
 	}
 	if off != len(b) {
-		return fmt.Errorf("model: %d trailing bytes in binary visit", len(b)-off)
+		return errTrailing(len(b) - off)
 	}
 	return nil
+}
+
+// parseKeyed is Parse for a keyed payload, whose hash and grade sit at fixed
+// offsets: it reads the POI id and the network after them and leaves the
+// document unread until a predicate asks for it.
+func (v *VisitView) parseKeyed(b []byte) error {
+	if len(b) < 10 {
+		return errAtDocHash
+	}
+	if len(b) < 18 {
+		return errAtFloat
+	}
+	*v = VisitView{Grade: math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))}
+	off := 18
+	var err error
+	if v.POIID, off = varintAt(b, off); off < 0 {
+		return errAtVarint
+	}
+	if v.network, off, err = stringAt(b, off); err != nil {
+		return err
+	}
+	if off != len(b) {
+		return errTrailing(len(b) - off)
+	}
+	return v.lookupDoc(binary.LittleEndian.Uint64(b[2:]))
+}
+
+// lookupDoc points the view at the shared document of its POI and hash.
+func (v *VisitView) lookupDoc(hash uint64) error {
+	if v.doc = sharedDocs.lookup(v.POIID, hash); v.doc == nil {
+		return fmt.Errorf("model: binary visit names POI %d document %016x, which is not in the shared table", v.POIID, hash)
+	}
+	return nil
+}
+
+// errTrailing rejects a payload with n bytes after its last field.
+func errTrailing(n int) error { return fmt.Errorf("model: %d trailing bytes in binary visit", n) }
+
+// Location returns the POI's latitude and longitude: the shared document's
+// under a shared-document layout, the embedded ones under the replicated
+// layout, zero under the normalized one. Parse does not copy them, so a scan
+// whose predicates need no location never reads the document for them.
+func (v *VisitView) Location() (lat, lon float64) {
+	if v.doc != nil {
+		return v.doc.Lat, v.doc.Lon
+	}
+	return v.lat, v.lon
 }
 
 // nextString splits the first length-prefixed string off a span Parse has
@@ -274,7 +325,7 @@ func (v *VisitView) POI() POI {
 	if v.doc != nil {
 		return *v.doc
 	}
-	p := POI{ID: v.POIID, Name: string(v.name), Lat: v.Lat, Lon: v.Lon, Hotness: v.Hotness, Interest: v.Interest}
+	p := POI{ID: v.POIID, Name: string(v.name), Lat: v.lat, Lon: v.lon, Hotness: v.hotness, Interest: v.interest}
 	if v.nKeywords > 0 {
 		p.Keywords = make([]string, v.nKeywords)
 		rest := v.keywords
@@ -298,7 +349,8 @@ func (v *VisitView) Visit() Visit {
 
 // DecodeVisitBinary decodes any binary visit layout. Normalized payloads
 // yield a Visit whose POI carries only the id; shared-document payloads one
-// whose POI shares the shared document's keyword slice.
+// whose POI shares the shared document's keyword slice. A keyed payload
+// yields UserID and Time zero: they are its row key's.
 func DecodeVisitBinary(b []byte) (Visit, error) {
 	var view VisitView
 	if err := view.Parse(b); err != nil {

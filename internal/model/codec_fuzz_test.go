@@ -12,9 +12,9 @@ import (
 
 // referenceDecodeVisitBinary is the eager decoder the codec shipped with
 // before the view existed, kept as the oracle that pins the walker's
-// validation: it shares no code with VisitView.Parse. A shared-document
-// payload's document is the shared table's (looked up after the layout is
-// checked).
+// validation: it shares no code with VisitView.Parse. It has learned the
+// keyed layout since. A shared-document payload's document is the shared
+// table's (looked up after the layout is checked).
 func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 	errCorrupt := errors.New("corrupt")
 	if len(b) < 2 || b[1] != visitBinaryVersion {
@@ -40,15 +40,16 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		b = b[n:]
 		return v
 	}
-	float := func() float64 {
+	u64 := func() uint64 {
 		if len(b) < 8 {
 			ok, b = false, nil
 			return 0
 		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		v := binary.LittleEndian.Uint64(b)
 		b = b[8:]
 		return v
 	}
+	float := func() float64 { return math.Float64frombits(u64()) }
 	str := func() string {
 		n := uvarint()
 		if !ok || n > uint64(len(b)) {
@@ -60,11 +61,19 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		return s
 	}
 	var v Visit
-	v.UserID = varint()
-	v.Time = varint()
-	v.Grade = float()
-	v.Network = str()
-	v.POI.ID = varint()
+	var hash uint64
+	if tag == VisitBinaryTagKeyed {
+		hash = u64()
+		v.Grade = float()
+		v.POI.ID = varint()
+		v.Network = str()
+	} else {
+		v.UserID = varint()
+		v.Time = varint()
+		v.Grade = float()
+		v.Network = str()
+		v.POI.ID = varint()
+	}
 	switch tag {
 	case VisitBinaryTagReplicated:
 		v.POI.Name = str()
@@ -83,12 +92,15 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		v.POI.Hotness = float()
 		v.POI.Interest = float()
 	case VisitBinaryTagNormalized:
-	case VisitBinaryTagShared:
-		if len(b) != 8 {
+	case VisitBinaryTagShared, VisitBinaryTagKeyed:
+		if tag == VisitBinaryTagShared {
+			hash = u64()
+		}
+		if !ok || len(b) != 0 {
 			return Visit{}, errCorrupt
 		}
-		doc := sharedDocs.lookup(v.POI.ID, binary.LittleEndian.Uint64(b))
-		if !ok || doc == nil {
+		doc := sharedDocs.lookup(v.POI.ID, hash)
+		if doc == nil {
 			return Visit{}, errCorrupt
 		}
 		v.POI = *doc
@@ -183,23 +195,27 @@ func FuzzVisitView(f *testing.F) {
 		f.Add(full[:len(full)-20], m.POI.Keywords[0])
 		f.Add(encodePaddedVisit(&m), "kw7")
 	}
-	// Shared-document payloads: documents the table holds (with and without
-	// keywords, multi-byte lengths), a truncated hash, a trailing byte, and a
-	// hash the table does not hold.
+	// Shared-document payloads of both layouts: documents the table holds
+	// (with and without keywords, multi-byte lengths), a truncation inside
+	// the last field and inside the fixed ones, a trailing byte, and a hash
+	// the table does not hold.
 	for _, m := range append(multiByteVisits(), v, noKeywords) {
 		_, hash, err := InternPOI(&m.POI)
 		if err != nil {
 			f.Fatal(err)
 		}
-		shared := EncodeVisitBinaryShared(&m, hash)
 		kw := ""
 		if len(m.POI.Keywords) > 0 {
 			kw = m.POI.Keywords[len(m.POI.Keywords)-1]
 		}
-		f.Add(shared, kw)
-		f.Add(shared[:len(shared)-3], kw)
-		f.Add(append(append([]byte(nil), shared...), 0), kw)
-		f.Add(EncodeVisitBinaryShared(&m, hash+1), kw)
+		for _, encode := range []func(*Visit, uint64) []byte{encodeVisitBinaryShared, EncodeVisitBinaryKeyed} {
+			shared := encode(&m, hash)
+			f.Add(shared, kw)
+			f.Add(shared[:len(shared)-3], kw)
+			f.Add(shared[:12], kw)
+			f.Add(append(append([]byte(nil), shared...), 0), kw)
+			f.Add(encode(&m, hash+1), kw)
+		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte, kw string) {
 		var view VisitView
@@ -212,8 +228,9 @@ func FuzzVisitView(f *testing.F) {
 		if refErr != nil {
 			return
 		}
+		lat, lon := view.Location()
 		if view.UserID != want.UserID || view.Time != want.Time || view.POIID != want.POI.ID ||
-			!sameFloat(view.Grade, want.Grade) || !sameFloat(view.Lat, want.POI.Lat) || !sameFloat(view.Lon, want.POI.Lon) {
+			!sameFloat(view.Grade, want.Grade) || !sameFloat(lat, want.POI.Lat) || !sameFloat(lon, want.POI.Lon) {
 			t.Fatalf("view scalars diverged on %x:\nview %+v\nwant %+v", b, view, want)
 		}
 		// Probe the fuzzed keyword and the list's two ends: a fixed number of

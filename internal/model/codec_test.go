@@ -101,7 +101,7 @@ func TestVisitBinaryRejectsCorruptPayloads(t *testing.T) {
 // never pass for a binary one: no tag is '{', and the binary decoder
 // rejects the JSON form and the empty payload.
 func TestVisitBinaryTagNeverMatchesJSON(t *testing.T) {
-	for _, tag := range []byte{VisitBinaryTagReplicated, VisitBinaryTagNormalized} {
+	for _, tag := range []byte{VisitBinaryTagReplicated, VisitBinaryTagNormalized, VisitBinaryTagShared, VisitBinaryTagKeyed} {
 		if tag == '{' {
 			t.Errorf("binary tag %#x is the first byte of every JSON document", tag)
 		}
@@ -159,6 +159,11 @@ func TestVisitBinaryErrorTexts(t *testing.T) {
 		{at(zero, zero, float, []byte{5, 'a'}), "model: truncated binary visit at string"},
 		{at(zero, zero, float, zero, zero, zero, float, float, []byte{9}), "model: truncated binary visit at keyword count"},
 		{append(append([]byte(nil), full...), 1, 2), "model: 2 trailing bytes in binary visit"},
+		{[]byte{VisitBinaryTagKeyed, visitBinaryVersion, 0}, "model: truncated binary visit at document hash"},
+		{append([]byte{VisitBinaryTagKeyed, visitBinaryVersion}, float...), "model: truncated binary visit at float"},
+		{append(append([]byte{VisitBinaryTagKeyed, visitBinaryVersion}, float...), float...), "model: truncated binary visit at varint"},
+		{append(append([]byte{VisitBinaryTagKeyed, visitBinaryVersion}, float...), append(float, 0, 3, 'a')...), "model: truncated binary visit at string"},
+		{append(append([]byte{VisitBinaryTagKeyed, visitBinaryVersion}, float...), append(float, 0, 0, 9)...), "model: 1 trailing bytes in binary visit"},
 	}
 	for _, c := range cases {
 		var view VisitView
@@ -168,16 +173,25 @@ func TestVisitBinaryErrorTexts(t *testing.T) {
 	}
 }
 
-// BenchmarkVisitViewParse measures the parser on a replicated payload of
-// the benchmark's shape (a short name, three keywords) and on one whose
-// lengths take the multi-byte branch.
+// BenchmarkVisitViewParse measures the parser on each layout's payload of
+// the benchmark's shape (a short name, three keywords) — the keyed one is
+// what the replicated schema writes — and on a replicated one whose lengths
+// take the multi-byte branch.
 func BenchmarkVisitViewParse(b *testing.B) {
 	v := sampleVisit()
 	long := multiByteVisits()[1]
+	_, hash, err := InternPOI(&v.POI)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name    string
 		payload []byte
-	}{{"replicated", EncodeVisitBinary(&v)}, {"normalized", EncodeVisitBinaryNormalized(&v)}, {"multibyte", EncodeVisitBinary(&long)}} {
+	}{
+		{"replicated", EncodeVisitBinary(&v)}, {"normalized", EncodeVisitBinaryNormalized(&v)},
+		{"shared", encodeVisitBinaryShared(&v, hash)}, {"keyed", EncodeVisitBinaryKeyed(&v, hash)},
+		{"multibyte", EncodeVisitBinary(&long)},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			var view VisitView
 			b.ReportAllocs()

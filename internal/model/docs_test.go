@@ -11,12 +11,21 @@ import (
 	"testing"
 )
 
+// encodeVisitBinaryShared writes the 0x03 layout, which logs hold but no
+// writer emits any more: the normalized layout plus the document hash.
+func encodeVisitBinaryShared(v *Visit, hash uint64) []byte {
+	b := EncodeVisitBinaryNormalized(v)
+	b[0] = VisitBinaryTagShared
+	return binary.LittleEndian.AppendUint64(b, hash)
+}
+
 // TestVisitBinaryGoldenBytes pins the stored row formats. The 0x01 and 0x02
 // payloads are what the encoders wrote before shared documents existed:
 // logs hold them, so they must keep parsing to the same visit, and the
 // encoders that still write them (the documents log writes 0x01) must keep
-// writing these bytes. The 0x03 payload pins the shared layout and the
-// content hash it carries, which rows store and so can never change.
+// writing these bytes. The 0x03 payload pins the first shared layout, which
+// logs hold too, and the 0x04 payload the one the replicated schema writes;
+// both carry the content hash, which rows store and so can never change.
 func TestVisitBinaryGoldenBytes(t *testing.T) {
 	v := sampleVisit()
 	doc, hash, err := InternPOI(&v.POI)
@@ -37,7 +46,10 @@ func TestVisitBinaryGoldenBytes(t *testing.T) {
 			EncodeVisitBinaryNormalized(&v), Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: v.Network, POI: POI{ID: v.POI.ID}}},
 		{"shared 0x03",
 			"0301e641f6f18fe4fd4e00000000000012400a666f7572737175617265be0f57a57e215ba53676",
-			EncodeVisitBinaryShared(&v, hash), v},
+			encodeVisitBinaryShared(&v, hash), v},
+		{"keyed 0x04",
+			"040157a57e215ba536760000000000001240be0f0a666f7572737175617265",
+			EncodeVisitBinaryKeyed(&v, hash), Visit{Grade: v.Grade, Network: v.Network, POI: v.POI}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			raw, err := hex.DecodeString(c.payload)
@@ -58,7 +70,8 @@ func TestVisitBinaryGoldenBytes(t *testing.T) {
 			if err := view.Parse(raw); err != nil {
 				t.Fatal(err)
 			}
-			if view.POIID != c.want.POI.ID || view.Lat != c.want.POI.Lat || view.Lon != c.want.POI.Lon || view.Hotness != c.want.POI.Hotness {
+			lat, lon := view.Location()
+			if view.UserID != c.want.UserID || view.Time != c.want.Time || view.POIID != c.want.POI.ID || lat != c.want.POI.Lat || lon != c.want.POI.Lon || view.POI().Hotness != c.want.POI.Hotness {
 				t.Errorf("view %+v disagrees with %+v", view, c.want)
 			}
 		})
@@ -167,14 +180,14 @@ func TestInternPOICollision(t *testing.T) {
 
 // TestSharedDocsAllocs pins the two hot paths at zero allocations: interning
 // the document a POI was interned with last (every visit a write stores),
-// and reading a shared-document payload (every row a query scans).
+// and reading a shared-document payload of either layout (every row a query
+// scans).
 func TestSharedDocsAllocs(t *testing.T) {
 	v := sampleVisit()
 	_, hash, err := InternPOI(&v.POI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := EncodeVisitBinaryShared(&v, hash)
 	// A distinct copy: the hit compares values, not pointers.
 	p := v.POI
 	p.Keywords = append([]string(nil), v.POI.Keywords...)
@@ -182,8 +195,10 @@ func TestSharedDocsAllocs(t *testing.T) {
 		t.Errorf("an intern hit allocates %.1f times", allocs)
 	}
 	var view VisitView
-	if allocs := testing.AllocsPerRun(100, func() { _ = view.Parse(payload) }); allocs != 0 {
-		t.Errorf("parsing a shared-document payload allocates %.1f times", allocs)
+	for _, payload := range [][]byte{encodeVisitBinaryShared(&v, hash), EncodeVisitBinaryKeyed(&v, hash)} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = view.Parse(payload) }); allocs != 0 {
+			t.Errorf("parsing shared-document payload %x allocates %.1f times", payload, allocs)
+		}
 	}
 }
 
@@ -221,45 +236,55 @@ func TestSharedDocsConcurrent(t *testing.T) {
 	}
 }
 
-// TestVisitBinarySharedLayout round-trips shared-document payloads, sizes
-// them exactly, and rejects every truncation, trailing bytes and a hash the
-// table does not hold.
+// TestVisitBinarySharedLayout round-trips shared-document payloads of both
+// layouts, sizes the keyed one exactly, and rejects every truncation,
+// trailing bytes and a hash the table does not hold.
 func TestVisitBinarySharedLayout(t *testing.T) {
 	for _, v := range append(multiByteVisits(), sampleVisit(), Visit{UserID: -1 << 62, Time: math.MaxInt64, POI: POI{ID: math.MinInt64}}) {
 		doc, hash, err := InternPOI(&v.POI)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := EncodeVisitBinaryShared(&v, hash)
-		if len(b) != cap(b) {
-			t.Errorf("payload of %d bytes allocated %d", len(b), cap(b))
+		keyed := EncodeVisitBinaryKeyed(&v, hash)
+		if len(keyed) != cap(keyed) {
+			t.Errorf("keyed payload of %d bytes allocated %d", len(keyed), cap(keyed))
 		}
-		got, err := DecodeVisitBinary(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := v
-		want.POI = *doc
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got.POI.Keywords, doc.Keywords) {
-			t.Errorf("round trip:\ngot  %+v\nwant %+v", got, want)
-		}
-		for i := 0; i < len(b); i++ {
-			if _, err := DecodeVisitBinary(b[:i]); err == nil {
-				t.Fatalf("truncation to %d/%d bytes decoded", i, len(b))
+		for _, c := range []struct {
+			encode func(*Visit, uint64) []byte
+			keyed  bool
+		}{{encodeVisitBinaryShared, false}, {EncodeVisitBinaryKeyed, true}} {
+			b := c.encode(&v, hash)
+			got, err := DecodeVisitBinary(b)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if _, err := DecodeVisitBinary(append(append([]byte(nil), b...), 0)); err == nil {
-			t.Error("trailing byte decoded")
-		}
-		unknown := EncodeVisitBinaryShared(&v, hash^1)
-		if _, err := DecodeVisitBinary(unknown); err == nil || !strings.Contains(err.Error(), "not in the shared table") {
-			t.Errorf("a payload naming an unknown document: %v", err)
+			want := v
+			want.POI = *doc
+			if c.keyed {
+				want.UserID, want.Time = 0, 0
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got.POI.Keywords, doc.Keywords) {
+				t.Errorf("round trip of %x:\ngot  %+v\nwant %+v", b, got, want)
+			}
+			for i := 0; i < len(b); i++ {
+				if _, err := DecodeVisitBinary(b[:i]); err == nil {
+					t.Fatalf("truncation of %x to %d bytes decoded", b, i)
+				}
+			}
+			if _, err := DecodeVisitBinary(append(append([]byte(nil), b...), 0)); err == nil {
+				t.Errorf("%x with a trailing byte decoded", b)
+			}
+			unknown := c.encode(&v, hash^1)
+			if _, err := DecodeVisitBinary(unknown); err == nil || !strings.Contains(err.Error(), "not in the shared table") {
+				t.Errorf("a payload naming an unknown document: %v", err)
+			}
 		}
 	}
 }
 
 // BenchmarkSharedDocs is the write path's intern hit and the read path's
-// parse of a shared-document payload (its document lookup included).
+// parse of the shared-document payload it writes (its document lookup
+// included).
 func BenchmarkSharedDocs(b *testing.B) {
 	v := sampleVisit()
 	_, hash, err := InternPOI(&v.POI)
@@ -274,7 +299,7 @@ func BenchmarkSharedDocs(b *testing.B) {
 		}
 	})
 	b.Run("lookup", func(b *testing.B) {
-		payload := EncodeVisitBinaryShared(&v, hash)
+		payload := EncodeVisitBinaryKeyed(&v, hash)
 		var view VisitView
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -440,8 +440,13 @@ func (s *Spec) inBBox(lat, lon float64) bool {
 }
 
 // matchesView evaluates the spatial/keyword predicates on an encoded visit.
+// It reads the location only under a bbox, so a scan without one never
+// reads a shared document's coordinates.
 func (s *Spec) matchesView(v *model.VisitView) bool {
-	return s.inBBox(v.Lat, v.Lon) && (s.Keyword == "" || v.HasKeyword(s.Keyword))
+	if s.BBox != nil && !s.inBBox(v.Location()) {
+		return false
+	}
+	return s.Keyword == "" || v.HasKeyword(s.Keyword)
 }
 
 // matchesPOI evaluates the spatial/keyword predicates on a decoded POI

@@ -84,23 +84,22 @@ func visitKeySeq(key string) (uint32, bool) {
 	return uint32(s), err == nil
 }
 
-// parseVisitRowKey decodes a Visits row key.
+// parseVisitRowKey decodes a Visits row key: every key visitRowKey writes,
+// at its fixed widths and at the wider ones of its fmt fallback (a user of
+// 10^12 or more, a time of 10^13 or more or negative). Under the replicated
+// schema the key is the only copy of a visit's user and time, so the two
+// must invert. It allocates only when it fails.
 func parseVisitRowKey(key string) (userID, timeMillis int64, seq uint32, err error) {
-	parts := strings.Split(key, "|")
-	if len(parts) != 3 || len(parts[0]) != 13 || len(parts[1]) != 14 || len(parts[2]) < 6 || len(parts[2]) > 10 {
+	user, rest, ok1 := strings.Cut(key, "|")
+	tm, sq, ok2 := strings.Cut(rest, "|")
+	if !ok1 || !ok2 || len(user) < 13 || user[0] != 'u' || len(tm) < 14 || tm[0] != 't' || len(sq) < 6 || len(sq) > 10 {
 		return 0, 0, 0, fmt.Errorf("repos: malformed visit key %q", key)
 	}
-	userID, err = strconv.ParseInt(parts[0][1:], 10, 64)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("repos: visit key user %q: %w", key, err)
-	}
-	timeMillis, err = strconv.ParseInt(parts[1][1:], 10, 64)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("repos: visit key time %q: %w", key, err)
-	}
-	s, err := strconv.ParseUint(parts[2], 10, 32)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("repos: visit key seq %q: %w", key, err)
+	userID, err1 := strconv.ParseInt(user[1:], 10, 64)
+	timeMillis, err2 := strconv.ParseInt(tm[1:], 10, 64)
+	s, err3 := strconv.ParseUint(sq, 10, 32)
+	if err1 != nil || err2 != nil || err3 != nil || userID < 1 {
+		return 0, 0, 0, fmt.Errorf("repos: malformed visit key %q", key)
 	}
 	return userID, timeMillis, uint32(s), nil
 }

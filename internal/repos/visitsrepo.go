@@ -142,7 +142,7 @@ func (r *VisitsRepo) visitCell(v *model.Visit) (kvstore.Cell, sharedDoc, error) 
 		if d.doc, d.hash, err = model.InternPOI(&v.POI); err != nil {
 			return kvstore.Cell{}, sharedDoc{}, err
 		}
-		payload = model.EncodeVisitBinaryShared(v, d.hash)
+		payload = model.EncodeVisitBinaryKeyed(v, d.hash)
 	} else {
 		payload = model.EncodeVisitBinaryNormalized(v)
 	}
@@ -198,10 +198,12 @@ func (r *VisitsRepo) StoreBatch(visits []model.Visit) error {
 	return err
 }
 
-// DecodeVisit decodes a stored visit row of either binary layout; any other
+// DecodeVisit decodes a stored visit payload of any binary layout; any other
 // payload is a decode error. A normalized row yields a Visit carrying only
-// POI.ID; the caller joins the rest. The payload's tag says which layout it
-// is, so the schema selects nothing; the repository benchmark calls this
+// POI.ID; the caller joins the rest. A keyed payload (what the replicated
+// schema writes) alone carries no user or time: they are its row key's, and
+// the Visit comes back with both zero. The payload's tag says which layout
+// it is, so the schema selects nothing; the repository benchmark calls this
 // signature.
 func DecodeVisit(_ VisitSchema, value []byte) (model.Visit, error) {
 	return model.DecodeVisitBinary(value)
@@ -212,6 +214,8 @@ func (r *VisitsRepo) ScanAll(fn func(model.Visit) bool) error {
 	return r.scan(kvstore.ScanOptions{}, fn)
 }
 
+// scan streams the visits of the rows opts covers, a keyed row's user and
+// time read off its row key.
 func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) error {
 	var decodeErr error
 	err := r.table.Scan(opts, func(row kvstore.RowResult) bool {
@@ -220,6 +224,9 @@ func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) e
 			return true
 		}
 		v, err := DecodeVisit(r.schema, raw)
+		if err == nil && raw[0] == model.VisitBinaryTagKeyed {
+			v.UserID, v.Time, _, err = parseVisitRowKey(row.Row)
+		}
 		if err != nil {
 			decodeErr = err
 			return false
@@ -252,7 +259,7 @@ func wrapVisitsTable(schema VisitSchema, table *kvstore.Table, docs *docsLog) (*
 			top = seq
 		}
 		raw, ok := row.Get(VisitQualifier)
-		if docs == nil || !ok || len(raw) == 0 || raw[0] != model.VisitBinaryTagShared {
+		if docs == nil || !ok || len(raw) == 0 || (raw[0] != model.VisitBinaryTagShared && raw[0] != model.VisitBinaryTagKeyed) {
 			return true
 		}
 		if err := v.Parse(raw); err != nil {

@@ -72,6 +72,33 @@ func TestPutPaddedFallback(t *testing.T) {
 	}
 }
 
+// FuzzVisitRowKey round-trips a row key for any visit visitCell accepts —
+// any user from 1, any time, any sequence number, whatever width the key
+// builder or its fmt fallback writes — since under the replicated schema
+// the key is the only copy of a visit's user and time. Parsing a key
+// allocates nothing.
+func FuzzVisitRowKey(f *testing.F) {
+	f.Add(int64(7), int64(42), uint32(0))
+	f.Add(int64(1_000_000_000_000), int64(42), uint32(7))
+	f.Add(int64(7), int64(10_000_000_000_000), uint32(7))
+	f.Add(int64(7), int64(-1_000_000_000_000), uint32(7))
+	f.Add(int64(math.MaxInt64), int64(math.MinInt64), uint32(math.MaxUint32))
+	f.Add(int64(1), int64(math.MaxInt64), uint32(1_000_000))
+	f.Fuzz(func(t *testing.T, user, tm int64, seq uint32) {
+		if user < 1 {
+			return
+		}
+		key := visitRowKey(user, tm, seq)
+		u, ts, s, err := parseVisitRowKey(key)
+		if err != nil || u != user || ts != tm || s != seq {
+			t.Fatalf("visitRowKey(%d, %d, %d) = %q parsed to %d %d %d %v", user, tm, seq, key, u, ts, s, err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _, _, _ = parseVisitRowKey(key) }); allocs != 0 {
+			t.Fatalf("parsing %q allocates %.0f times", key, allocs)
+		}
+	})
+}
+
 // TestVisitKeysAcrossTheMillionthVisit stores visits on both sides of the
 // sequence number's six-digit boundary and reads them back: the keys below
 // it keep their bytes, the keys above it come from the same builder, stay
@@ -93,7 +120,11 @@ func TestVisitKeysAcrossTheMillionthVisit(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _ = visitRowKey(7, 42, 1234567) }); allocs > 1 {
 		t.Errorf("a seven-digit sequence cost %v allocations, want the key alone", allocs)
 	}
-	for _, bad := range []string{"u000000000007|t0000000000042|99999", "u000000000007|t0000000000042|42949672950", "u000000000007|t0000000000042|4294967296"} {
+	for _, bad := range []string{
+		"u000000000007|t0000000000042|99999", "u000000000007|t0000000000042|42949672950", "u000000000007|t0000000000042|4294967296",
+		"u00000000007|t0000000000042|000001", "u000000000007|t000000000042|000001", "u000000000007|t0000000000042|00000a",
+		"u-00000000007|t0000000000042|000001", "u000000000007|t-000000000042|-00001", "u000000000007|t0000000000042", "u9223372036854775808|t0000000000042|000001",
+	} {
 		if _, _, _, err := parseVisitRowKey(bad); err == nil {
 			t.Errorf("malformed key %q parsed", bad)
 		}
