@@ -89,7 +89,9 @@ bench:
 ## iterations — the scan path, the store's one read, over key-ordered
 ## disjoint segments (one live source a range, as N one-range scans and as
 ## one multi-range scan) and over overlapping ones (the memtable and two
-## segments hold every range), the merge and the coprocessor, a block load served
+## segments hold every range), the merge, the coprocessor (over rows naming one
+## document version per POI, the per-POI document memo's hit, and over rows
+## alternating between two, its miss), a block load served
 ## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
 ## allocations) and one decoded, admitted and evicting (a miss), the visit parser on
 ## every layout's payload and on one with multi-byte lengths, the shared POI documents'
@@ -111,7 +113,7 @@ bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkBlockLoad' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x
 	$(GO) test ./internal/model -run XXX -bench 'BenchmarkVisitViewParse|BenchmarkSharedDocs' -benchmem -benchtime=100x
-	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x
+	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200Friends(Binary|TwoVersions)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultJSON/(append|decode)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/core -run XXX -bench 'BenchmarkRequestJSON/.*/^decode$$' -benchmem -benchtime=100x

@@ -15,6 +15,7 @@ import (
 	"modissense/internal/faultinject"
 	"modissense/internal/matview"
 	"modissense/internal/model"
+	"modissense/internal/repos"
 )
 
 // newIngestClient boots a platform with a mutated config and wraps it in the
@@ -152,6 +153,40 @@ func TestPushCheckinsRejectsNaNGrade(t *testing.T) {
 	if err := p.Visits.ScanAll(func(v model.Visit) bool {
 		if v.UserID == acct.UserID && math.IsNaN(v.Grade) {
 			t.Errorf("a NaN grade was stored: %+v", v)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPushCheckinsRejectsTimesPastTheKeyDomain: a check-in time the visit
+// row key cannot hold at its fixed width would be written under a key that
+// sorts among present-day ones, so a far-future check-in would answer
+// present-day searches. It must be a bad item, leave no row, and the largest
+// storable time must still be stored.
+func TestPushCheckinsRejectsTimesPastTheKeyDomain(t *testing.T) {
+	_, p := newIngestClient(t, nil)
+	acct, token, err := p.Users.SignIn("facebook", "facebook:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	poi := p.Catalog()[0]
+	stored, itemErrs, err := p.PushCheckins(token, []CheckinPush{
+		{POIID: poi.ID, Time: repos.MaxVisitMillis, Grade: 4, Network: "facebook"},
+		{POIID: poi.ID, Time: 15_000_000_000_000, Grade: 4, Network: "facebook"},
+		{POIID: poi.ID, Time: math.MaxInt64, Grade: 4, Network: "facebook"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored != 1 || len(itemErrs) != 2 || itemErrs[0].Index != 1 || itemErrs[1].Index != 2 ||
+		itemErrs[0].Code != codeBadRequest || itemErrs[1].Code != codeBadRequest {
+		t.Fatalf("push stored %d with item errors %+v, want 1 stored and items 1 and 2 bad_request", stored, itemErrs)
+	}
+	if err := p.Visits.ScanAll(func(v model.Visit) bool {
+		if v.UserID == acct.UserID && v.Time > repos.MaxVisitMillis {
+			t.Errorf("a visit past the key domain was stored: %+v", v)
 		}
 		return true
 	}); err != nil {

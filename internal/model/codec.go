@@ -35,6 +35,9 @@ import (
 //
 // The replicated schema writes 0x04 and keeps the document in the shared
 // table (docs.go); 0x01 and 0x03 rows written before it decode forever.
+// Reading a 0x03 or 0x04 row takes two steps: ParseFields walks the bytes,
+// and Resolve finds the document the row's id and hash name — in the table,
+// or in a handle an earlier Resolve returned for a row of the same POI.
 
 const (
 	// VisitBinaryTagReplicated marks a full replicated-schema visit payload
@@ -117,8 +120,9 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 // while those bytes are; the zero value is ready for Parse, and one view can
 // be parsed over any number of payloads. A normalized payload leaves every
 // POI field but POIID at its zero value; a shared-document payload reads its
-// POI fields from the shared document only when asked for them, and a keyed
-// payload leaves UserID and Time at zero (its row key holds them).
+// POI fields from the shared document Resolve found, only when asked for
+// them, and a keyed payload leaves UserID and Time at zero (its row key
+// holds them).
 type VisitView struct {
 	UserID int64
 	// Time is the visit timestamp in milliseconds since epoch.
@@ -135,19 +139,34 @@ type VisitView struct {
 	// strings, every length already checked against the span.
 	keywords  []byte
 	nKeywords int
-	// doc is the shared document a shared-document payload names.
-	doc *POI
+	// shared marks a shared-document payload, docHash the hash it names.
+	shared  bool
+	docHash uint64
+	// ver is the shared document version Resolve found.
+	ver *docVersion
 }
 
-// Parse points the view at a binary visit payload of any layout,
-// dispatching on the tag byte. It is the codec's only parser —
+// Parse points the view at a binary visit payload of any layout: ParseFields,
+// then Resolve with no handle. It is the codec's only parser —
 // DecodeVisitBinary materializes its result — and rejects an unknown version
 // or tag, any length or count that overruns the payload, trailing bytes, and
-// a shared-document payload whose document this process does not hold.
-// It is one pass over the payload by offset; a length or varint of one byte
-// (most of them) is read without calling into encoding/binary. A view whose
-// Parse failed holds no usable state.
+// a shared-document payload whose document this process does not hold. A
+// view whose Parse failed holds no usable state.
 func (v *VisitView) Parse(b []byte) error {
+	if err := v.ParseFields(b); err != nil {
+		return err
+	}
+	_, err := v.Resolve(DocHandle{})
+	return err
+}
+
+// ParseFields is Parse's pass over the bytes, dispatching on the tag byte:
+// it validates the whole payload and decodes its fields, but leaves a
+// shared-document payload's document to Resolve, which must run before any
+// of the view's document fields are read. It is one pass by offset; a length
+// or varint of one byte (most of them) is read without calling into
+// encoding/binary.
+func (v *VisitView) ParseFields(b []byte) error {
 	if len(b) < 2 {
 		return fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
 	}
@@ -183,11 +202,11 @@ func (v *VisitView) Parse(b []byte) error {
 		if len(b)-off < 8 {
 			return errAtDocHash
 		}
-		hash := binary.LittleEndian.Uint64(b[off:])
+		v.shared, v.docHash = true, binary.LittleEndian.Uint64(b[off:])
 		if off += 8; off != len(b) {
 			return errTrailing(len(b) - off)
 		}
-		return v.lookupDoc(hash)
+		return nil
 	}
 	if tag == VisitBinaryTagReplicated {
 		if v.name, off, err = stringAt(b, off); err != nil {
@@ -228,9 +247,8 @@ func (v *VisitView) Parse(b []byte) error {
 	return nil
 }
 
-// parseKeyed is Parse for a keyed payload, whose hash and grade sit at fixed
-// offsets: it reads the POI id and the network after them and leaves the
-// document unread until a predicate asks for it.
+// parseKeyed is ParseFields for a keyed payload, whose hash and grade sit at
+// fixed offsets: it reads the POI id and the network after them.
 func (v *VisitView) parseKeyed(b []byte) error {
 	if len(b) < 10 {
 		return errAtDocHash
@@ -238,7 +256,7 @@ func (v *VisitView) parseKeyed(b []byte) error {
 	if len(b) < 18 {
 		return errAtFloat
 	}
-	*v = VisitView{Grade: math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))}
+	*v = VisitView{Grade: math.Float64frombits(binary.LittleEndian.Uint64(b[10:])), shared: true, docHash: binary.LittleEndian.Uint64(b[2:])}
 	off := 18
 	var err error
 	if v.POIID, off = varintAt(b, off); off < 0 {
@@ -250,15 +268,29 @@ func (v *VisitView) parseKeyed(b []byte) error {
 	if off != len(b) {
 		return errTrailing(len(b) - off)
 	}
-	return v.lookupDoc(binary.LittleEndian.Uint64(b[2:]))
+	return nil
 }
 
-// lookupDoc points the view at the shared document of its POI and hash.
-func (v *VisitView) lookupDoc(hash uint64) error {
-	if v.doc = sharedDocs.lookup(v.POIID, hash); v.doc == nil {
-		return fmt.Errorf("model: binary visit names POI %d document %016x, which is not in the shared table", v.POIID, hash)
+// Resolve points a view ParseFields left at a shared-document payload at the
+// document version its POI id and hash name, and returns a handle on it; the
+// other layouts name no document and get no handle. A handle an earlier
+// Resolve returned is taken as it is when it names the row's own id and hash,
+// which spares the table lookup; any other handle is ignored. It fails when
+// the table holds no such document, which, since table entries are never
+// removed, a handle cannot hide.
+func (v *VisitView) Resolve(h DocHandle) (DocHandle, error) {
+	if !v.shared {
+		return DocHandle{}, nil
 	}
-	return nil
+	if h.v == nil || h.id != v.POIID || h.hash != v.docHash {
+		ver := sharedDocs.lookupVersion(v.POIID, v.docHash)
+		if ver == nil {
+			return DocHandle{}, fmt.Errorf("model: binary visit names POI %d document %016x, which is not in the shared table", v.POIID, v.docHash)
+		}
+		h = DocHandle{v: ver, id: v.POIID, hash: v.docHash}
+	}
+	v.ver = h.v
+	return h, nil
 }
 
 // errTrailing rejects a payload with n bytes after its last field.
@@ -269,8 +301,8 @@ func errTrailing(n int) error { return fmt.Errorf("model: %d trailing bytes in b
 // layout, zero under the normalized one. Parse does not copy them, so a scan
 // whose predicates need no location never reads the document for them.
 func (v *VisitView) Location() (lat, lon float64) {
-	if v.doc != nil {
-		return v.doc.Lat, v.doc.Lon
+	if v.ver != nil {
+		return v.ver.doc.Lat, v.ver.doc.Lon
 	}
 	return v.lat, v.lon
 }
@@ -286,8 +318,8 @@ func nextString(span []byte) (s, rest []byte) {
 // HasKeyword reports whether kw is one of the visit's POI keywords,
 // comparing bytes in place.
 func (v *VisitView) HasKeyword(kw string) bool {
-	if v.doc != nil {
-		return slices.Contains(v.doc.Keywords, kw)
+	if v.ver != nil {
+		return slices.Contains(v.ver.doc.Keywords, kw)
 	}
 	for rest := v.keywords; len(rest) > 0; {
 		var k []byte
@@ -301,13 +333,11 @@ func (v *VisitView) HasKeyword(kw string) bool {
 // DocTextLen returns the byte lengths of the POI document's strings: the
 // name's, and the keywords' count and summed length (length prefixes
 // excluded) — what a decoded copy of the document carries beyond its
-// fixed-size fields, without decoding it.
+// fixed-size fields, without decoding it. A shared document's were computed
+// when it was interned.
 func (v *VisitView) DocTextLen() (name, keywords, keywordBytes int) {
-	if v.doc != nil {
-		for _, k := range v.doc.Keywords {
-			keywordBytes += len(k)
-		}
-		return len(v.doc.Name), len(v.doc.Keywords), keywordBytes
+	if v.ver != nil {
+		return v.ver.nameLen, v.ver.nKeywords, v.ver.keywordBytes
 	}
 	for rest := v.keywords; len(rest) > 0; {
 		var k []byte
@@ -322,8 +352,8 @@ func (v *VisitView) DocTextLen() (name, keywords, keywordBytes int) {
 // the shared layout it is a copy of the shared document's struct that shares
 // its keyword slice, so it allocates nothing and must not be modified.
 func (v *VisitView) POI() POI {
-	if v.doc != nil {
-		return *v.doc
+	if v.ver != nil {
+		return *v.ver.doc
 	}
 	p := POI{ID: v.POIID, Name: string(v.name), Lat: v.lat, Lon: v.lon, Hotness: v.hotness, Interest: v.interest}
 	if v.nKeywords > 0 {
@@ -340,7 +370,12 @@ func (v *VisitView) POI() POI {
 
 // SharedDoc returns the shared document a shared-document payload names, or
 // nil for the other layouts.
-func (v *VisitView) SharedDoc() *POI { return v.doc }
+func (v *VisitView) SharedDoc() *POI {
+	if v.ver == nil {
+		return nil
+	}
+	return v.ver.doc
+}
 
 // Visit materializes the whole visit.
 func (v *VisitView) Visit() Visit {

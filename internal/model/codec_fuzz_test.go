@@ -99,7 +99,7 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		if !ok || len(b) != 0 {
 			return Visit{}, errCorrupt
 		}
-		doc := sharedDocs.lookup(v.POI.ID, hash)
+		doc := lookupDoc(v.POI.ID, hash)
 		if doc == nil {
 			return Visit{}, errCorrupt
 		}

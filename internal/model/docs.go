@@ -23,6 +23,13 @@ import (
 // refresh still name. Two documents with one id and one hash would make a row
 // ambiguous, so interning a document whose (id, hash) already names a
 // different one fails instead of aliasing it.
+//
+// A version records its document's text lengths when it is interned, so a
+// reader sizing a row's document (VisitView.DocTextLen) never walks its
+// keywords. A reader that resolves many rows of one POI can keep the
+// DocHandle a resolve returned and pass it to the next resolve, which
+// trusts it only for a row of the same id and hash: one compare instead of
+// a table lookup, and no row is ever pointed at another row's document.
 
 // maxDenseID bounds the POI ids whose slots live in the table's dense array,
 // indexed by id; the catalog's ids are small and dense. Other ids take a
@@ -47,9 +54,32 @@ type docSlot struct {
 	versions atomic.Pointer[[]*docVersion]
 }
 
+// docVersion is one interned document with the text lengths DocTextLen
+// reports for it, computed once at intern.
 type docVersion struct {
 	hash uint64
 	doc  *POI
+	// nameLen, nKeywords and keywordBytes are the name's length, the
+	// keyword count and the keywords' summed length.
+	nameLen, nKeywords, keywordBytes int
+}
+
+func newDocVersion(doc *POI, hash uint64) *docVersion {
+	v := &docVersion{hash: hash, doc: doc, nameLen: len(doc.Name), nKeywords: len(doc.Keywords)}
+	for _, k := range doc.Keywords {
+		v.keywordBytes += len(k)
+	}
+	return v
+}
+
+// DocHandle is an opaque handle on one version of a shared POI document,
+// which VisitView.Resolve returns and accepts back as a hint. It carries the
+// version's POI id and hash beside it, so checking it against a row reads the
+// handle alone. Its zero value is no handle.
+type DocHandle struct {
+	v    *docVersion
+	id   int64
+	hash uint64
 }
 
 // sharedDocs is the process's table.
@@ -76,17 +106,18 @@ func (t *docTable) slot(id int64) *docSlot {
 	return nil
 }
 
-func (t *docTable) lookup(id int64, hash uint64) *POI {
+// lookupVersion returns the version (id, hash) names, or nil.
+func (t *docTable) lookupVersion(id int64, hash uint64) *docVersion {
 	s := t.slot(id)
 	if s == nil {
 		return nil
 	}
 	if v := s.latest.Load(); v.hash == hash {
-		return v.doc
+		return v
 	}
 	for _, v := range *s.versions.Load() {
 		if v.hash == hash {
-			return v.doc
+			return v
 		}
 	}
 	return nil
@@ -119,7 +150,7 @@ func (t *docTable) intern(p *POI) (*POI, uint64, error) {
 	if len(p.Keywords) > 0 {
 		doc.Keywords = slices.Clone(p.Keywords)
 	}
-	v := &docVersion{hash: hash, doc: &doc}
+	v := newDocVersion(&doc, hash)
 	if s == nil {
 		s = &docSlot{}
 		s.versions.Store(&[]*docVersion{v})

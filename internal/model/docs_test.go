@@ -107,6 +107,14 @@ func TestHashPOIIsFNV1a(t *testing.T) {
 	}
 }
 
+// lookupDoc returns the shared document (id, hash) names, or nil.
+func lookupDoc(id int64, hash uint64) *POI {
+	if v := sharedDocs.lookupVersion(id, hash); v != nil {
+		return v.doc
+	}
+	return nil
+}
+
 // TestInternPOIShares checks what interning hands out: one copy per
 // document, immune to the caller's later writes, keyword-less documents
 // with nil keywords (as the embedded codec decodes them), every version of a
@@ -140,7 +148,7 @@ func TestInternPOIShares(t *testing.T) {
 		hash uint64
 		want *POI
 	}{{ha, a}, {hb, b}, {ha ^ 1, nil}} {
-		if got := sharedDocs.lookup(p.ID, c.hash); got != c.want {
+		if got := lookupDoc(p.ID, c.hash); got != c.want {
 			t.Errorf("lookup(%d, %016x) = %p, want %p", p.ID, c.hash, got, c.want)
 		}
 	}
@@ -150,7 +158,7 @@ func TestInternPOIShares(t *testing.T) {
 	}
 	for _, id := range []int64{-5, maxDenseID, 1 << 40} {
 		d, h, err := InternPOI(&POI{ID: id, Name: "far"})
-		if err != nil || sharedDocs.lookup(id, h) != d {
+		if err != nil || lookupDoc(id, h) != d {
 			t.Errorf("id %d: interned %p (%v), lookup does not find it", id, d, err)
 		}
 	}
@@ -218,7 +226,7 @@ func TestSharedDocsConcurrent(t *testing.T) {
 			for i := 0; i < ids; i++ {
 				p := POI{ID: int64(5000 + i), Name: "c", Keywords: []string{"k"}}
 				d, h, err := InternPOI(&p)
-				if err != nil || sharedDocs.lookup(p.ID, h) != d {
+				if err != nil || lookupDoc(p.ID, h) != d {
 					t.Errorf("worker %d, POI %d: interned %p (%v), lookup disagrees", w, p.ID, d, err)
 					return
 				}
@@ -232,6 +240,74 @@ func TestSharedDocsConcurrent(t *testing.T) {
 			if got[w][i] != got[0][i] {
 				t.Fatalf("POI %d interned to two copies", 5000+i)
 			}
+		}
+	}
+}
+
+// TestResolveHandles: Resolve takes a handle as it is only for a row of the
+// handle's own POI id and document hash. A handle of another version of the
+// POI, or of another POI with the row's hash, falls back to the table — and
+// the row then fails as Parse fails when the table lacks its document. The
+// text lengths a handle carries are its document's.
+func TestResolveHandles(t *testing.T) {
+	old := POI{ID: 9101, Name: "agora", Keywords: []string{"market"}}
+	refreshed := POI{ID: 9101, Name: "agora", Keywords: []string{"market", "fresh-fish"}, Hotness: 0.7}
+	other := POI{ID: 9102, Name: "stoa of attalos", Keywords: []string{"museum", "view"}}
+	var docs [3]*POI
+	var hashes [3]uint64
+	for i, p := range []*POI{&old, &refreshed, &other} {
+		var err error
+		if docs[i], hashes[i], err = InternPOI(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolve := func(p *POI, hash uint64, h DocHandle) (*VisitView, DocHandle, error) {
+		var v VisitView
+		if err := v.ParseFields(EncodeVisitBinaryKeyed(&Visit{Grade: 3, POI: *p}, hash)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := v.Resolve(h)
+		return &v, got, err
+	}
+	_, hOld, err := resolve(&old, hashes[0], DocHandle{})
+	if err != nil || hOld.v == nil || hOld.v.doc != docs[0] {
+		t.Fatalf("a resolve without a handle returned %+v (%v), want the old version's", hOld, err)
+	}
+	_, hOther, _ := resolve(&other, hashes[2], DocHandle{})
+	for _, c := range []struct {
+		name string
+		row  *POI
+		hash uint64
+		h    DocHandle
+		want *POI
+	}{
+		{"its own handle", &old, hashes[0], hOld, docs[0]},
+		{"another version's handle", &refreshed, hashes[1], hOld, docs[1]},
+		{"another POI's handle", &old, hashes[0], hOther, docs[0]},
+		// Handles come from Resolve only; these two stand for a table
+		// version of another POI under the row's hash, and for one of the
+		// row's POI under another hash.
+		{"another POI's handle under the row's hash", &old, hashes[0], DocHandle{v: hOther.v, id: other.ID, hash: hashes[0]}, docs[0]},
+		{"the row's POI under another hash", &old, hashes[0], DocHandle{v: hOther.v, id: old.ID, hash: hashes[2]}, docs[0]},
+	} {
+		v, h, err := resolve(c.row, c.hash, c.h)
+		if err != nil || v.SharedDoc() != c.want || h.v == nil || h.v.doc != c.want {
+			t.Errorf("%s: resolved to %p with handle %+v (%v), want %p", c.name, v.SharedDoc(), h, err, c.want)
+			continue
+		}
+		name, n, kwBytes := v.DocTextLen()
+		wantBytes := 0
+		for _, k := range c.want.Keywords {
+			wantBytes += len(k)
+		}
+		if name != len(c.want.Name) || n != len(c.want.Keywords) || kwBytes != wantBytes {
+			t.Errorf("%s: DocTextLen = %d, %d, %d; want %d, %d, %d", c.name, name, n, kwBytes, len(c.want.Name), len(c.want.Keywords), wantBytes)
+		}
+	}
+	for _, h := range []DocHandle{{}, hOld, hOther} {
+		v, got, err := resolve(&old, hashes[0]^1, h)
+		if err == nil || !strings.Contains(err.Error(), "not in the shared table") || got.v != nil || v.SharedDoc() != nil {
+			t.Errorf("a row naming a document the table lacks, handle %+v: resolved to %+v (%v)", h, got, err)
 		}
 	}
 }

@@ -250,27 +250,79 @@ func wireBytes(v *model.VisitView) int64 {
 	return int64(48 + name + keywordBytes + 3*keywords)
 }
 
-// aggScratch is one aggregation's reusable state: a map from POI id to
-// slot and the aggregate slice it indexes. Every region aggregator and every
-// Engine.sum takes one from aggScratches, and Engine.sum hands back its own
-// and those of the outputs it folds, so a query's aggregation grows no map
-// and no slice from empty.
-type aggScratch struct {
-	slot map[int64]int
-	aggs []regionAgg
+// maxDenseSlot bounds the POI ids whose entries an aggregation keeps in an
+// array indexed by id; the catalog's ids are small and dense. Other ids take
+// a map.
+const maxDenseSlot = 1 << 20
+
+// aggEntry is one POI's state in one aggregation.
+type aggEntry struct {
+	// slot is the index of the POI's aggregate plus one; zero while the POI
+	// has none.
+	slot int32
+	// listed marks a dense entry on its scratch's used list.
+	listed bool
+	// doc is the shared document the POI's last row resolved to, the hint
+	// the POI's next row, most likely naming the same version, resolves
+	// with.
+	doc model.DocHandle
 }
 
-var aggScratches = sync.Pool{New: func() any { return &aggScratch{slot: map[int64]int{}} }}
+// aggScratch is one aggregation's reusable state: an entry per POI id and
+// the aggregate slice the entries index. Every region aggregator and every
+// Engine.sum takes one from aggScratches, and Engine.sum hands back its own
+// and those of the outputs it folds, so a query's aggregation grows no array,
+// no map and no slice from empty.
+type aggScratch struct {
+	// dense holds the entries of ids in [0, maxDenseSlot), indexed by id and
+	// grown by doubling to the largest id seen; used lists the ids whose
+	// entries the aggregation touched.
+	dense []aggEntry
+	used  []int32
+	// sparse holds the entries of every other id.
+	sparse map[int64]*aggEntry
+	aggs   []regionAgg
+}
+
+var aggScratches = sync.Pool{New: func() any { return &aggScratch{sparse: map[int64]*aggEntry{}} }}
 
 // takeScratch returns an empty scratch from the pool.
 func takeScratch() *aggScratch { return aggScratches.Get().(*aggScratch) }
 
-// reset empties s for its next aggregation, keeping what its map and
+// entry returns id's entry.
+func (s *aggScratch) entry(id int64) *aggEntry {
+	if id >= 0 && id < maxDenseSlot {
+		if id >= int64(len(s.dense)) {
+			grown := make([]aggEntry, min(max(2*len(s.dense), int(id)+1, 64), maxDenseSlot))
+			copy(grown, s.dense)
+			s.dense = grown
+		}
+		e := &s.dense[id]
+		if !e.listed {
+			e.listed = true
+			s.used = append(s.used, int32(id))
+		}
+		return e
+	}
+	e := s.sparse[id]
+	if e == nil {
+		e = new(aggEntry)
+		s.sparse[id] = e
+	}
+	return e
+}
+
+// reset empties s for its next aggregation, keeping what its entries and
 // aggs — the slice built on s, which may have outgrown s.aggs — have grown
-// to. The slice is zeroed up to its capacity, so a scratch waiting in the
-// pool pins no store payload.
+// to. Only the dense entries the aggregation touched are cleared, so the
+// cost is the POIs it saw, not the largest id. The slice is zeroed up to its
+// capacity, so a scratch waiting in the pool pins no store payload.
 func (s *aggScratch) reset(aggs []regionAgg) {
-	clear(s.slot)
+	for _, id := range s.used {
+		s.dense[id] = aggEntry{}
+	}
+	s.used = s.used[:0]
+	clear(s.sparse)
 	clear(aggs[:cap(aggs)])
 	s.aggs = aggs[:0]
 }
@@ -329,11 +381,14 @@ type visitsCoprocessor struct {
 }
 
 // friendRanges builds the per-friend visit row ranges of a query's window
-// from its sorted, deduplicated friend list.
+// from its sorted, deduplicated friend list: none when the window holds no
+// time a visit can have.
 func friendRanges(friends []int64, fromMillis, toMillis int64) []kvstore.ScanRange {
-	ranges := make([]kvstore.ScanRange, len(friends))
-	for i, friend := range friends {
-		ranges[i].Start, ranges[i].Stop = repos.VisitScanBounds(friend, fromMillis, toMillis)
+	ranges := make([]kvstore.ScanRange, 0, len(friends))
+	for _, friend := range friends {
+		if start, stop := repos.VisitScanBounds(friend, fromMillis, toMillis); start < stop {
+			ranges = append(ranges, kvstore.ScanRange{Start: start, Stop: stop})
+		}
 	}
 	return ranges
 }
@@ -362,23 +417,24 @@ func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (
 }
 
 // regionAggregator folds one region's scanned visit rows into per-POI
-// partial aggregates. Predicates run on every row — two visits to one POI
-// can carry different replicated documents (a HotIn refresh rewrites them),
-// so a verdict cannot be cached per POI; it could be per shared document,
-// but evaluating the bbox and keyword on the shared document the row's view
-// points at costs no more than a memo lookup — and the aggregate keeps the
-// payload of the first matching row only, and decodes nothing of it. The
-// slot map and the aggregate slice are an empty scratch the aggregator is
-// handed, which its output carries to Engine.sum.
+// partial aggregates. A row costs its POI's entry, found by one array index,
+// and its document, which the entry's handle resolves with one compare when
+// the row names the same document version as the POI's last row (the
+// common case). Predicates run on every row — two visits to one POI can
+// carry different replicated documents (a HotIn refresh rewrites them), so a
+// verdict cannot be kept per POI, and evaluating the bbox and keyword on the
+// resolved document reads no more than a verdict kept per version would.
+// The aggregate keeps the payload of the first matching row only, and
+// decodes nothing of it. The entries and the aggregate slice are an empty
+// scratch the aggregator is handed, which its output carries to Engine.sum;
+// the document handles in it live for this aggregation only.
 type regionAggregator struct {
 	cp  *visitsCoprocessor
 	out *regionOutput
-	// slot maps a POI id to its aggregate's index in out.aggs.
-	slot map[int64]int
 }
 
 func newRegionAggregator(cp *visitsCoprocessor, s *aggScratch) *regionAggregator {
-	return &regionAggregator{cp: cp, out: &regionOutput{aggs: s.aggs, scratch: s}, slot: s.slot}
+	return &regionAggregator{cp: cp, out: &regionOutput{aggs: s.aggs, scratch: s}}
 }
 
 // visitRow is the scan callback: it aggregates one visit row and never
@@ -390,29 +446,36 @@ func (g *regionAggregator) visitRow(row kvstore.RowResult) bool {
 		return true
 	}
 	g.out.work.RowsScanned++
+	var v model.VisitView
+	if v.ParseFields(raw) != nil {
+		return true
+	}
+	e := g.out.scratch.entry(v.POIID)
+	doc, err := v.Resolve(e.doc)
+	if err != nil {
+		return true
+	}
+	e.doc = doc
 	// Under the replicated schema every predicate evaluates right here; the
 	// normalized schema can only filter by time and must ship every
 	// aggregate to the web server for the join.
-	filter := g.cp.schema == repos.SchemaReplicated
-	var v model.VisitView
-	if v.Parse(raw) == nil && (!filter || g.cp.spec.matchesView(&v)) {
-		g.add(&v, raw)
+	if g.cp.schema == repos.SchemaReplicated && !g.cp.spec.matchesView(&v) {
+		return true
 	}
+	g.add(e, &v, raw)
 	return true
 }
 
 // add folds one matched visit into its POI's aggregate. The POI's first row
 // in the region is the one whose payload and document size the aggregate
 // keeps.
-func (g *regionAggregator) add(v *model.VisitView, payload []byte) {
+func (g *regionAggregator) add(e *aggEntry, v *model.VisitView, payload []byte) {
 	g.out.work.VisitsMatched++
-	i, seen := g.slot[v.POIID]
-	if !seen {
-		i = len(g.out.aggs)
-		g.slot[v.POIID] = i
+	if e.slot == 0 {
 		g.out.aggs = append(g.out.aggs, regionAgg{rankKey: rankKey{id: v.POIID}, wire: wireBytes(v), payload: payload})
+		e.slot = int32(len(g.out.aggs))
 	}
-	a := &g.out.aggs[i]
+	a := &g.out.aggs[e.slot-1]
 	a.gradeUnits += model.GradeUnits(v.Grade)
 	a.visits++
 }
@@ -779,13 +842,13 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 		for i := range out.aggs {
 			a := &out.aggs[i]
 			wire += a.wire
-			j, seen := s.slot[a.id]
-			if !seen {
-				s.slot[a.id] = len(merged)
+			e := s.entry(a.id)
+			if e.slot == 0 {
 				merged = append(merged, *a)
+				e.slot = int32(len(merged))
 				continue
 			}
-			cur := &merged[j]
+			cur := &merged[e.slot-1]
 			cur.gradeUnits += a.gradeUnits
 			cur.visits += a.visits
 		}

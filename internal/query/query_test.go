@@ -3,7 +3,9 @@ package query
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -210,6 +212,35 @@ func TestPersonalizedMatchesReference(t *testing.T) {
 				t.Errorf("friends probed = %d, want 40", res.Work.Friends)
 			}
 		})
+	}
+}
+
+// TestSearchWindowsPastTheKeyDomain: a row key holds a visit time in
+// thirteen digits, and a window ending at the largest such time or at
+// math.MaxInt64, or starting before 0, answers what brute force does. A
+// window holding no storable time answers nothing, without an error.
+func TestSearchWindowsPastTheKeyDomain(t *testing.T) {
+	f := newFixture(t, repos.SchemaReplicated, 2, 40)
+	from, _ := window()
+	for _, w := range []struct{ from, to int64 }{
+		{from, repos.MaxVisitMillis},
+		{from, math.MaxInt64},
+		{math.MinInt64, math.MaxInt64},
+		{-100, -50},
+		{repos.MaxVisitMillis + 1, math.MaxInt64},
+	} {
+		spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: w.from, ToMillis: w.to, Limit: 20, NoCache: true}
+		res, err := f.engine.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("window [%d, %d]: %v", w.from, w.to, err)
+		}
+		want := referenceRanking(t, f, spec)
+		if len(want) == 0 && w.from < repos.MaxVisitMillis && w.to > 0 {
+			t.Fatalf("window [%d, %d]: the fixture has no visit in it", w.from, w.to)
+		}
+		if (len(res.POIs) != 0 || len(want) != 0) && !reflect.DeepEqual(res.POIs, want) {
+			t.Errorf("window [%d, %d]: answer diverged from brute force\ngot  %+v\nwant %+v", w.from, w.to, res.POIs, want)
+		}
 	}
 }
 

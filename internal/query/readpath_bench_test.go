@@ -1,22 +1,28 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"modissense/internal/kvstore"
+	"modissense/internal/model"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
 )
 
-// benchVisits populates a visits table for `users` users through the
-// repository.
-func benchVisits(b *testing.B, users int) *repos.VisitsRepo {
+// benchVisits populates a visits table for `users` users visiting a catalog
+// of `catalog` POIs through the repository. With two versions, every other
+// visit of a user, in time order, carries a refreshed copy of its POI's
+// document (as after a HotIn refresh), so a region's rows of one POI
+// alternate between two documents.
+func benchVisits(b *testing.B, users, catalog, versions int) *repos.VisitsRepo {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
-	pois := workload.GenPOIs(rng, 300)
+	pois := workload.GenPOIs(rng, catalog)
 	visits, err := repos.NewVisitsRepo(repos.SchemaReplicated, int64(users), 32, 4, kvstore.DefaultStoreOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -24,7 +30,14 @@ func benchVisits(b *testing.B, users int) *repos.VisitsRepo {
 	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	end := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
 	for uid := int64(1); uid <= int64(users); uid++ {
-		for _, v := range workload.GenVisitsForUser(rng, uid, pois, start, end, 10, 2) {
+		vs := workload.GenVisitsForUser(rng, uid, pois, start, end, 10, 2)
+		if versions == 2 {
+			slices.SortFunc(vs, func(a, b model.Visit) int { return cmp.Compare(a.Time, b.Time) })
+		}
+		for i, v := range vs {
+			if versions == 2 && i%2 == 1 {
+				v.POI.Hotness++
+			}
 			if err := visits.Store(v); err != nil {
 				b.Fatal(err)
 			}
@@ -38,8 +51,8 @@ func benchVisits(b *testing.B, users int) *repos.VisitsRepo {
 // aggregate — the work Figure 2 scales with cluster size. Each output is
 // released as Engine.sum releases it, so the aggregation state is reused
 // across iterations as it is across queries.
-func benchCoprocessor(b *testing.B, friends int) {
-	visits := benchVisits(b, friends)
+func benchCoprocessor(b *testing.B, friends, catalog, versions int) {
+	visits := benchVisits(b, friends, catalog, versions)
 	from, to := window()
 	spec := Spec{FriendIDs: friendRange(1, int64(friends)), FromMillis: from, ToMillis: to, OrderBy: ByInterest}
 	if err := spec.Validate(); err != nil {
@@ -73,11 +86,19 @@ func benchCoprocessor(b *testing.B, friends int) {
 // BenchmarkCoprocessor6000FriendsBinary reads binary visit payloads through
 // the allocation-free view — what every row costs.
 func BenchmarkCoprocessor6000FriendsBinary(b *testing.B) {
-	benchCoprocessor(b, 6000)
+	benchCoprocessor(b, 6000, 300, 1)
 }
 
 // BenchmarkCoprocessor200FriendsBinary keeps `make bench-smoke` fast while
 // exercising the identical code path.
 func BenchmarkCoprocessor200FriendsBinary(b *testing.B) {
-	benchCoprocessor(b, 200)
+	benchCoprocessor(b, 200, 300, 1)
+}
+
+// BenchmarkCoprocessor200FriendsTwoVersions is the same query over 20 POIs
+// whose rows alternate between two document versions: most rows name
+// another version than the POI's previous row, and resolve theirs in the
+// shared table.
+func BenchmarkCoprocessor200FriendsTwoVersions(b *testing.B) {
+	benchCoprocessor(b, 200, 20, 2)
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"modissense/internal/faultinject"
+	"modissense/internal/model"
 	"modissense/internal/obs"
 	"modissense/internal/repos"
 )
@@ -66,19 +68,82 @@ func TestQueryAggregationAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// storeVisits stores n visits of user to poi, from time at on, one a
+// minute, their grades cycling through 1 to 5.
+func storeVisits(t testing.TB, f *fixture, user int64, poi model.POI, at int64, n int) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		v := model.Visit{UserID: user, Time: at + int64(k)*60_000, Grade: float64(1 + k%5), Network: "twitter", POI: poi}
+		if err := f.visits.Store(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// emptyScratch fails unless s is as a pooled scratch must be: no touched or
+// sparse entry, every dense entry zero, and its aggregate slice zeroed up to
+// its capacity.
+func emptyScratch(t *testing.T, what string, s *aggScratch) {
+	t.Helper()
+	if len(s.used) != 0 || len(s.sparse) != 0 || len(s.aggs) != 0 {
+		t.Fatalf("%s holds %d touched entries, %d sparse ones and %d aggregates", what, len(s.used), len(s.sparse), len(s.aggs))
+	}
+	for id, e := range s.dense {
+		if e != (aggEntry{}) {
+			t.Fatalf("%s: dense entry %d holds %+v", what, id, e)
+		}
+	}
+	for j, a := range s.aggs[:cap(s.aggs)] {
+		if !reflect.DeepEqual(a, regionAgg{}) {
+			t.Fatalf("%s: slot %d of its aggregate slice holds %+v", what, j, a)
+		}
+	}
+}
+
 // TestSumReleasesRegionOutputs pins the ownership rule: after Engine.sum
 // every region output's aggregates are gone, the slices they lived in hold
-// no payload, and whatever scratch the pool hands out next is empty.
+// no payload, the entries every scratch touched are zero again, and whatever
+// scratch the pool hands out next is empty. Its fixture adds POIs whose ids
+// lie on both sides of the dense entries' bound — negative, 2²⁰ − 1, 2²⁰ and
+// a large sparse one — each visited several times in one region and in more
+// than one, and the answer over them equals brute force.
 func TestSumReleasesRegionOutputs(t *testing.T) {
 	f := newFixture(t, repos.SchemaReplicated, 2, 40)
 	from, to := window()
+	for i, id := range []int64{-7, -1, maxDenseSlot - 1, maxDenseSlot, 1 << 40} {
+		p := model.POI{ID: id, Name: fmt.Sprintf("edge-%d", i), Lat: 37.9, Lon: 23.7, Keywords: []string{"food"}}
+		users := []int64{1, 40}
+		if id == maxDenseSlot-1 {
+			// One region's dense array grows to the bound: 16 MiB.
+			users = users[:1]
+		}
+		for _, user := range users {
+			storeVisits(t, f, user, p, from+int64(i)*3_600_000, 3+i)
+		}
+	}
+	all := Spec{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, NoCache: true}
+	res, err := f.engine.Run(context.Background(), all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceRanking(t, f, all); !reflect.DeepEqual(res.POIs, want) {
+		t.Fatalf("answer over ids around the dense bound diverged from brute force\ngot  %+v\nwant %+v", res.POIs, want)
+	}
+
 	spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, OrderBy: ByHotness, RegionTopK: 3}
 	cp := &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated, ranges: friendRanges(spec.FriendIDs, from, to)}
 	plan := &queryPlan{spec: &spec}
 	scatterOnce(t, f, cp, plan)
 	held := make([][]regionAgg, len(plan.outputs))
+	scratches := make([]*aggScratch, len(plan.outputs))
+	dense, sparse := false, false
 	for i, out := range plan.outputs {
-		held[i] = out.aggs
+		held[i], scratches[i] = out.aggs, out.scratch
+		dense = dense || len(out.scratch.dense) == maxDenseSlot
+		sparse = sparse || len(out.scratch.sparse) > 0
+	}
+	if !dense || !sparse {
+		t.Fatalf("no region grew its dense entries to the bound (%v) or kept a sparse one (%v)", dense, sparse)
 	}
 	if cands, _ := f.engine.sum(plan, &obs.QueryStats{}); len(cands) == 0 {
 		t.Fatal("the query matched nothing")
@@ -93,14 +158,43 @@ func TestSumReleasesRegionOutputs(t *testing.T) {
 				t.Fatalf("region output %d: slot %d of its released slice holds %+v", i, j, a)
 			}
 		}
+		emptyScratch(t, fmt.Sprintf("region output %d's released scratch", i), scratches[i])
 	}
-	s := takeScratch()
-	if len(s.slot) != 0 || len(s.aggs) != 0 {
-		t.Fatalf("a pooled scratch came back holding %d slots and %d aggregates", len(s.slot), len(s.aggs))
+	emptyScratch(t, "a pooled scratch", takeScratch())
+}
+
+// TestAggregatorAlternatingDocumentVersions: a region's rows of one POI
+// alternate between two document versions, and only the newer one carries
+// the keyword searched. A row must be judged by its own version, never by the
+// one the POI's previous row resolved to, so the answer equals brute force.
+func TestAggregatorAlternatingDocumentVersions(t *testing.T) {
+	f := newFixture(t, repos.SchemaReplicated, 2, 40)
+	from, to := window()
+	old := model.POI{ID: 9001, Name: "agora", Lat: 37.97, Lon: 23.72, Keywords: []string{"market"}}
+	refreshed := old
+	refreshed.Keywords = []string{"market", "fresh-fish"}
+	refreshed.Hotness = 0.8
+	for k := int64(0); k < 8; k++ {
+		p := old
+		if k%2 == 1 {
+			p = refreshed
+		}
+		storeVisits(t, f, 3, p, from+k*60_000, 1)
 	}
-	for j, a := range s.aggs[:cap(s.aggs)] {
-		if !reflect.DeepEqual(a, regionAgg{}) {
-			t.Fatalf("slot %d of a pooled scratch holds %+v", j, a)
+	for _, spec := range []Spec{
+		{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, Keyword: "fresh-fish", NoCache: true},
+		{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, Keyword: "market", NoCache: true},
+	} {
+		res, err := f.engine.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceRanking(t, f, spec)
+		if len(want) != 1 || want[0].POI.ID != old.ID {
+			t.Fatalf("keyword %q: brute force found %+v, want POI %d alone", spec.Keyword, want, old.ID)
+		}
+		if !reflect.DeepEqual(res.POIs, want) {
+			t.Errorf("keyword %q: answer diverged from brute force\ngot  %+v\nwant %+v", spec.Keyword, res.POIs, want)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"modissense/internal/geo"
+	"modissense/internal/kvstore"
+	"modissense/internal/model"
 	"modissense/internal/repos"
 )
 
@@ -54,6 +56,66 @@ func TestExecAndWorkPinned(t *testing.T) {
 			res.Exec.Tasks, res.Exec.RowsScanned, res.Exec.BytesMerged, res.Work, res.LatencySeconds)
 		if got != c.want {
 			t.Errorf("%s:\ngot  %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestBytesMergedIsFirstRowDocuments: a query's Exec.BytesMerged estimates
+// what its regions ship, 48 bytes per partial aggregate plus its document's
+// text — the name, the keywords' bytes and 3 per keyword — sized from the
+// POI's first matching row in the region. Brute force sizes each region's
+// first matching row per POI from its decoded document, over a store where
+// one POI's rows alternate between two versions of different lengths.
+func TestBytesMergedIsFirstRowDocuments(t *testing.T) {
+	f := newFixture(t, repos.SchemaReplicated, 2, 40)
+	from, to := window()
+	short := model.POI{ID: 9002, Name: "stoa", Lat: 37.97, Lon: 23.72, Keywords: []string{"food"}}
+	long := model.POI{ID: 9002, Name: "stoa of attalos", Lat: 37.97, Lon: 23.72, Keywords: []string{"food", "museum", "view"}}
+	for k := int64(0); k < 6; k++ {
+		for _, user := range []int64{5, 6, 33} {
+			p := short
+			if (k+user)%2 == 0 {
+				p = long
+			}
+			storeVisits(t, f, user, p, from+k*60_000, 1)
+		}
+	}
+	athens := &geo.Rect{MinLat: 37.8, MinLon: 23.55, MaxLat: 38.15, MaxLon: 23.9}
+	for _, spec := range []Spec{
+		{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to},
+		{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, Keyword: "museum"},
+		{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, Keyword: "food", BBox: athens},
+	} {
+		spec.NoCache = true
+		res, err := f.engine.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		for _, r := range f.visits.Table().Regions() {
+			ranges := r.ClipRanges(friendRanges(sortedDistinctFriends(spec.FriendIDs), spec.FromMillis, spec.ToMillis))
+			if len(ranges) == 0 {
+				continue
+			}
+			seen := map[int64]bool{}
+			if err := r.Store().MultiScanCtx(context.Background(), ranges, 0, func(row kvstore.RowResult) bool {
+				raw, _ := row.Get(repos.VisitQualifier)
+				v, err := model.DecodeVisitBinary(raw)
+				if err != nil || seen[v.POI.ID] || !spec.matchesPOI(&v.POI) {
+					return true
+				}
+				seen[v.POI.ID] = true
+				want += int64(48 + len(v.POI.Name) + 3*len(v.POI.Keywords))
+				for _, k := range v.POI.Keywords {
+					want += int64(len(k))
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want == 0 || res.Exec.BytesMerged != want {
+			t.Errorf("keyword %q: BytesMerged = %d, brute force over each region's first matching rows %d", spec.Keyword, res.Exec.BytesMerged, want)
 		}
 	}
 }

@@ -70,12 +70,32 @@ func visitTimeKey(userID, timeMillis int64) string {
 	return string(b[:])
 }
 
+// MaxVisitMillis is the latest visit time a row key holds: keys write the
+// time in thirteen digits, and only there does their order follow the
+// times'. The repository stores no visit outside [0, MaxVisitMillis].
+const MaxVisitMillis int64 = 1e13 - 1
+
 // VisitScanBounds returns the [start, stop) row range covering one user's
-// visits within [fromMillis, toMillis]. Exported for the region-local scans
+// visits within [fromMillis, toMillis], the window first clamped to the
+// times a row key holds. A window reaching past MaxVisitMillis stops at the
+// end of the user's visit keys; one the clamp leaves empty gives
+// start == stop, a range callers drop. Exported for the region-local scans
 // the query coprocessors perform — built without fmt, since the coprocessor
 // constructs one range per friend per region on the query hot path.
 func VisitScanBounds(userID, fromMillis, toMillis int64) (string, string) {
-	return visitTimeKey(userID, fromMillis), visitTimeKey(userID, toMillis+1)
+	to := min(max(toMillis, -1), MaxVisitMillis) + 1
+	return visitTimeBound(userID, max(fromMillis, 0)), visitTimeBound(userID, to)
+}
+
+// visitTimeBound is the key every visit of the user at or after time t
+// sorts at or after, for t >= 0: the time's prefix, or past the user's last
+// visit key for a t past MaxVisitMillis.
+func visitTimeBound(userID, t int64) string {
+	if t > MaxVisitMillis {
+		// 'u' follows the 't' every visit key of the user has there.
+		return userKeyPrefix(userID) + "u"
+	}
+	return visitTimeKey(userID, t)
 }
 
 // visitKeySeq reads just the sequence number off a Visits row key.

@@ -135,6 +135,9 @@ func (r *VisitsRepo) visitCell(v *model.Visit) (kvstore.Cell, sharedDoc, error) 
 	if v.POI.ID == 0 {
 		return kvstore.Cell{}, sharedDoc{}, fmt.Errorf("repos: visit without POI")
 	}
+	if v.Time < 0 || v.Time > MaxVisitMillis {
+		return kvstore.Cell{}, sharedDoc{}, fmt.Errorf("repos: visit time %d outside the row key's [0, %d]", v.Time, MaxVisitMillis)
+	}
 	var d sharedDoc
 	var payload []byte
 	if r.schema == SchemaReplicated {

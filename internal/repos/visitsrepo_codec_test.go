@@ -177,3 +177,56 @@ func TestVisitKeysAcrossTheMillionthVisit(t *testing.T) {
 		t.Errorf("stored sequences = %v", seqs)
 	}
 }
+
+// TestVisitTimesOutsideTheKeyDomain: a row key holds a visit time in
+// thirteen digits, and only there do keys sort as times do. The repository
+// refuses a time outside [0, MaxVisitMillis], and a scan window reaching past
+// either end is clamped to it: a window ending at MaxVisitMillis or at
+// math.MaxInt64 finds every visit from its start and none of the next user's,
+// and a window the clamp empties is an empty range.
+func TestVisitTimesOutsideTheKeyDomain(t *testing.T) {
+	repo := newTestVisitsRepo(t, SchemaReplicated)
+	poi := model.POI{ID: 7, Name: "plaka-cafe"}
+	for _, tm := range []int64{-1, MaxVisitMillis + 1, 15_000_000_000_000, math.MaxInt64, math.MinInt64} {
+		if err := repo.Store(model.Visit{UserID: 11, Time: tm, POI: poi}); err == nil {
+			t.Errorf("a visit at %d was stored", tm)
+		}
+	}
+	const now = 1_430_000_000_000
+	for _, v := range []model.Visit{{UserID: 11, Time: 0}, {UserID: 11, Time: now}, {UserID: 11, Time: MaxVisitMillis}, {UserID: 12, Time: 0}} {
+		v.POI = poi
+		if err := repo.Store(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []struct {
+		from, to int64
+		want     []int64
+	}{
+		{math.MinInt64, math.MaxInt64, []int64{0, now, MaxVisitMillis}},
+		{1, MaxVisitMillis, []int64{now, MaxVisitMillis}},
+		{1, MaxVisitMillis - 1, []int64{now}},
+		{now, math.MaxInt64, []int64{now, MaxVisitMillis}},
+		{-100, 0, []int64{0}},
+		{-100, -50, nil},
+		{MaxVisitMillis + 1, math.MaxInt64, nil},
+	} {
+		start, stop := VisitScanBounds(11, w.from, w.to)
+		if empty := len(w.want) == 0; (start == stop) != empty || start > stop {
+			t.Errorf("window [%d, %d]: range [%q, %q), want it empty: %v", w.from, w.to, start, stop, empty)
+		}
+		var got []int64
+		if err := scanUser(repo, 11, w.from, w.to, func(v model.Visit) bool {
+			if v.UserID != 11 {
+				t.Errorf("window [%d, %d] read user %d's visit", w.from, w.to, v.UserID)
+			}
+			got = append(got, v.Time)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w.want) {
+			t.Errorf("window [%d, %d] read times %v, want %v", w.from, w.to, got, w.want)
+		}
+	}
+}
