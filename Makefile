@@ -62,22 +62,25 @@ census:
 
 ## fuzz-smoke runs each fuzzer for a short, bounded burst: long enough to
 ## shake out a regression in the WAL's torn-tail / mid-log corruption
-## contract, in the parsing of untrusted blocks and compressed payloads, in
-## the visit walker's agreement with its reference decoder, in the visit row
-## key's round trip (the only copy of a replicated visit's user and time), or
-## in the answer and request codecs' agreement with encoding/json (same bytes
-## out, same documents accepted, same values in; the request decoders in
-## core, the request encoders in client); short enough for every pre-merge
-## run. (The visit fuzzer and the request decoders get a one-second
-## minimizing budget: minimizing one interesting input at the default budget
-## would eat the whole burst — the visit fuzzer takes two arguments, and the
-## request fuzzer's seeds are kilobyte bodies.)
+## contract, in the parsing of untrusted blocks, in the visit walker's
+## agreement with its reference decoder, in the visit row key's round trip
+## (the only copy of a replicated visit's user and time), in the JSON
+## scanner and writer's agreement with encoding/json (json.Valid's
+## documents, json.Marshal's strings and floats), or in the answer and
+## request codecs' agreement with encoding/json (same bytes out, same
+## documents accepted, same values in; the request decoders in core, the
+## request encoders in client); short enough for every pre-merge run. (The
+## visit fuzzer and the request decoders get a one-second minimizing budget:
+## minimizing one interesting input at the default budget would eat the
+## whole burst — the visit fuzzer takes two arguments, and the request
+## fuzzer's seeds are kilobyte bodies.)
 fuzz-smoke:
 	$(GO) test ./internal/kvstore -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime=10s
 	$(GO) test ./internal/kvstore -run FuzzBlockDecode -fuzz FuzzBlockDecode -fuzztime=5s
-	$(GO) test ./internal/kvstore -run FuzzLZDecompress -fuzz FuzzLZDecompress -fuzztime=5s
 	$(GO) test ./internal/model -run FuzzVisitView -fuzz FuzzVisitView -fuzztime=5s -fuzzminimizetime=1s
 	$(GO) test ./internal/repos -run FuzzVisitRowKey -fuzz FuzzVisitRowKey -fuzztime=5s
+	$(GO) test ./internal/jsonwire -run FuzzSkipMatchesValid -fuzz FuzzSkipMatchesValid -fuzztime=5s
+	$(GO) test ./internal/jsonwire -run FuzzWriterMatchesMarshal -fuzz FuzzWriterMatchesMarshal -fuzztime=5s
 	$(GO) test ./internal/query -run FuzzResultJSON -fuzz FuzzResultJSON -fuzztime=10s
 	$(GO) test ./internal/core -run FuzzRequestJSON -fuzz FuzzRequestJSON -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./client -run FuzzRequestJSON -fuzz FuzzRequestJSON -fuzztime=5s

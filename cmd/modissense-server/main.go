@@ -69,7 +69,6 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) *string {
 	fs.IntVar(&cfg.MemtableFlushBytes, "memtable-flush-bytes", cfg.MemtableFlushBytes, "per-region memtable size that triggers rotation and background flush (0 = engine default)")
 	fs.Float64Var(&cfg.WriteQPS, "write-qps", cfg.WriteQPS, "write-class admission rate in requests/s for batched check-ins (0 = no rate limiting)")
 	fs.IntVar(&cfg.BlockCacheMB, "block-cache-mb", cfg.BlockCacheMB, "decoded-block cache shared by all tables, in MiB (0 = process default, 64)")
-	fs.StringVar(&cfg.BlockCompression, "block-compression", cfg.BlockCompression, "segment block codec: none, flate or snappy")
 	fs.IntVar(&cfg.MaxSubscriptions, "max-subscriptions", cfg.MaxSubscriptions, "global cap on live pub/sub subscriptions (0 = registry default, 10000)")
 	fs.IntVar(&cfg.SubQueueCap, "sub-queue-cap", cfg.SubQueueCap, "per-subscription bounded event queue; overflow drops oldest (0 = registry default, 256)")
 	fs.DurationVar(&cfg.HotInBucket, "hotin-bucket", cfg.HotInBucket, "materialized trending view bucket width (0 = 1h)")

@@ -140,9 +140,6 @@ type Config struct {
 	// BlockCacheMB sizes one block cache shared by every table of this
 	// platform, in MiB (0 keeps the process-wide default cache).
 	BlockCacheMB int
-	// BlockCompression selects the per-block segment codec: "none"
-	// (default), "flate" or "snappy".
-	BlockCompression string
 	// MaxSubscriptions caps the pub/sub registry's live standing queries;
 	// beyond it new subscriptions are shed with 503 (0 keeps the pubsub
 	// default of 10000).
@@ -183,7 +180,6 @@ func DefaultConfig() Config {
 		ClassifierOptions:   textproc.OptimizedOptions(),
 		QueryTimeout:        30 * time.Second,
 		WALSync:             "os",
-		BlockCompression:    "none",
 	}
 }
 
@@ -340,9 +336,6 @@ func New(cfg Config) (*Platform, error) {
 		kvOpts.CompactionRate = kvstore.NewRateLimiter(int(cfg.CompactRateMBps * 1e6))
 	}
 	if kvOpts.WALSyncPolicy, err = kvstore.ParseSyncPolicy(cfg.WALSync); err != nil {
-		return nil, err
-	}
-	if kvOpts.BlockCompression, err = kvstore.ParseBlockCompression(cfg.BlockCompression); err != nil {
 		return nil, err
 	}
 	if cfg.BlockCacheMB > 0 {

@@ -61,7 +61,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DownAfter = -1 },
 		func(c *Config) { c.FailoverEnabled = true }, // without replicas
 		func(c *Config) { c.WALSync = "always" },
-		func(c *Config) { c.BlockCompression = "zip" },
 	}
 	for i, mut := range muts {
 		cfg := testConfig()

@@ -8,15 +8,14 @@ import (
 
 // Blocked segment format. A segment's cells are packed into fixed-target-
 // size blocks — the HFile/SSTable layout that caps resident memory at the
-// encoded (compressed) bytes instead of the materialized []Cell slices.
-// Inside a block, row keys are prefix-compressed against the previous
-// entry with full keys re-anchored every blockRestartInterval entries
-// (restart points), and the whole payload may be compressed by the store's
-// block codec. Every block carries its own min/max row so reads decode only
-// the blocks their range can touch; blocks never split a row, which is what
-// lets a scan hand a row to the resolver as one run of a decoded block.
+// encoded bytes instead of the materialized []Cell slices. Inside a block,
+// row keys are prefix-compressed against the previous entry with full keys
+// re-anchored every blockRestartInterval entries (restart points). Every
+// block carries its own min/max row so reads decode only the blocks their
+// range can touch; blocks never split a row, which is what lets a scan hand
+// a row to the resolver as one run of a decoded block.
 //
-// Encoded block payload layout (before compression):
+// Encoded block payload layout:
 //
 //	entry*:   uvarint sharedRowLen   (0 at restart points)
 //	          uvarint unsharedRowLen, unshared row bytes
@@ -35,19 +34,16 @@ import (
 // blockRestartInterval is the entry count between full-row restart points.
 const blockRestartInterval = 16
 
-// DefaultBlockSize is the target encoded (pre-compression) payload size of
-// one segment block when StoreOptions.BlockSizeBytes is zero. Blocks cut
-// only at row boundaries, so a block holding one oversized row may exceed
-// the target.
+// DefaultBlockSize is the target encoded payload size of one segment block
+// when StoreOptions.BlockSizeBytes is zero. Blocks cut only at row
+// boundaries, so a block holding one oversized row may exceed the target.
 const DefaultBlockSize = 4096
 
 // blockHandle is one resident block: the encoded payload plus the metadata
 // reads use to skip it without decoding.
 type blockHandle struct {
 	data   []byte
-	codec  blockCodec // may fall back to codecNone for incompressible blocks
-	rawLen int        // decoded payload size (decompression sizing and bomb cap)
-	count  int        // cells in the block
+	count  int // cells in the block
 	minRow string
 	maxRow string
 }
@@ -104,36 +100,22 @@ func (b *blockBuilder) add(c *Cell) {
 // segment builder's cut criterion.
 func (b *blockBuilder) encodedSize() int { return len(b.buf) }
 
-// finish seals the block: append the restart trailer, compress with the
-// configured codec (falling back to identity when compression does not
-// shrink the payload).
-func (b *blockBuilder) finish(codec blockCodec) (blockHandle, error) {
+// finish seals the block: append the restart trailer and copy the payload
+// out of the builder's reused buffer.
+func (b *blockBuilder) finish() blockHandle {
 	raw := b.buf
 	for _, off := range b.restarts {
 		raw = binary.LittleEndian.AppendUint32(raw, off)
 	}
 	raw = binary.LittleEndian.AppendUint32(raw, uint32(len(b.restarts)))
-
-	data, usedCodec := raw, codecNone
-	if codec != codecNone {
-		comp, err := compressBlock(codec, raw)
-		if err != nil {
-			return blockHandle{}, err
-		}
-		if len(comp) < len(raw) {
-			data, usedCodec = comp, codec
-		}
-	}
 	return blockHandle{
-		data:   append([]byte(nil), data...), // trim builder capacity
-		codec:  usedCodec,
-		rawLen: len(raw),
-		count:  b.count,
+		data:  append([]byte(nil), raw...), // trim builder capacity
+		count: b.count,
 		// Cloned: a compaction's input rows are substrings of decoded-block
 		// arenas, and a bound keeping one would pin its whole arena.
 		minRow: strings.Clone(b.minRow),
 		maxRow: strings.Clone(b.maxRow),
-	}, nil
+	}
 }
 
 // reset clears the builder for the next block.
@@ -159,9 +141,9 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
-// decodeBlockPayload parses a decoded (decompressed) block payload back
-// into cells. Every read is bounds-checked: truncated or corrupt payloads
-// return errors, never panic (the contract FuzzBlockDecode enforces).
+// decodeBlockPayload parses a block payload back into cells. Every read is
+// bounds-checked: truncated or corrupt payloads return errors, never panic
+// (the contract FuzzBlockDecode enforces).
 // wantCells < 0 skips the count check (fuzzing arbitrary payloads).
 func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 	if len(raw) < 4 {
@@ -263,13 +245,4 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 		return nil, fmt.Errorf("kvstore: block decoded %d cells, want %d", len(cells), wantCells)
 	}
 	return cells, nil
-}
-
-// decodeBlockHandle decompresses and parses one resident block.
-func decodeBlockHandle(h *blockHandle) ([]Cell, error) {
-	raw, err := decompressBlock(h.codec, h.data, h.rawLen)
-	if err != nil {
-		return nil, err
-	}
-	return decodeBlockPayload(raw, h.count)
 }

@@ -24,19 +24,11 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		b.add(&c)
 	}
-	h, err := b.finish(codecNone)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(h.data)
+	f.Add(b.finish().data)
 	b.reset()
 	c := Cell{Row: "solo", Qualifier: "q", Timestamp: 1, Value: []byte("v")}
 	b.add(&c)
-	h, err = b.finish(codecNone)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(h.data)
+	f.Add(b.finish().data)
 	// Rows that grow and shrink in length: the arena is sized from the
 	// first row, so a longer one later regrows it.
 	b.reset()
@@ -44,10 +36,7 @@ func FuzzBlockDecode(f *testing.F) {
 		c := Cell{Row: fmt.Sprintf("r%0*d", 1+i%9*3, i), Qualifier: fmt.Sprintf("q%0*d", i%4, i), Timestamp: int64(i), Value: []byte("v")}
 		b.add(&c)
 	}
-	if h, err = b.finish(codecNone); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(h.data)
+	f.Add(b.finish().data)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})
 
@@ -76,43 +65,6 @@ func FuzzBlockDecode(f *testing.F) {
 			if again[i].Row != cells[i].Row || again[i].Qualifier != cells[i].Qualifier || !bytes.Equal(again[i].Value, cells[i].Value) {
 				t.Fatalf("cell %d decodes as %v with the count, %v without", i, again[i], cells[i])
 			}
-		}
-	})
-}
-
-// FuzzLZDecompress feeds arbitrary bytes to the LZ decoder with a range of
-// declared lengths. It must error on malformed streams, never panic.
-func FuzzLZDecompress(f *testing.F) {
-	f.Add(lzCompress(bytes.Repeat([]byte("modissense block "), 50)), 850)
-	f.Add(lzCompress([]byte("short")), 5)
-	f.Add([]byte{}, 0)
-	f.Add([]byte{1, 0, 0}, 10)
-	f.Fuzz(func(t *testing.T, data []byte, rawLen int) {
-		if rawLen < 0 || rawLen > 1<<20 {
-			return
-		}
-		out, err := lzDecompress(data, rawLen)
-		if err == nil && len(out) != rawLen {
-			t.Fatalf("decoder returned %d bytes without error, declared %d", len(out), rawLen)
-		}
-	})
-}
-
-// FuzzLZRoundtrip checks compress→decompress identity on arbitrary input.
-func FuzzLZRoundtrip(f *testing.F) {
-	f.Add([]byte("abcabcabcabc"))
-	f.Add(bytes.Repeat([]byte{0}, 300))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) > 1<<20 {
-			return
-		}
-		got, err := lzDecompress(lzCompress(raw), len(raw))
-		if err != nil {
-			t.Fatalf("roundtrip error: %v", err)
-		}
-		if !bytes.Equal(got, raw) {
-			t.Fatal("roundtrip mismatch")
 		}
 	})
 }

@@ -146,7 +146,7 @@ func TestBlockCacheRetiredSegmentAgesOut(t *testing.T) {
 		}
 		return bs
 	}
-	live := build(2, "live", segmentConfig{blockSize: 256, codec: codecNone})
+	live := build(2, "live", segmentConfig{blockSize: 256})
 	// The budget holds the live segment's blocks exactly, so the retired
 	// one's must all go for the live ones to stay.
 	live.cfg.cache = NewBlockCache(int64(live.bytes))
@@ -190,7 +190,7 @@ func TestBlockCacheNilSafe(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cells = append(cells, Cell{Row: fmt.Sprintf("r%03d", i), Qualifier: "q", Timestamp: 1, Value: []byte("value")})
 	}
-	s, err := newSegment(1, cells, segmentConfig{blockSize: 128, codec: codecNone})
+	s, err := newSegment(1, cells, segmentConfig{blockSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func blockLoadIterator(tb testing.TB, cache *BlockCache) *segmentIterator {
 	for i := 0; i < 64*50; i++ {
 		cells = append(cells, Cell{Row: fmt.Sprintf("user-%08d", i), Qualifier: "v", Timestamp: 1, Value: []byte("0123456789abcdef0123456789abcdef")})
 	}
-	s, err := newSegment(1, cells, segmentConfig{blockSize: 50 * 50, codec: codecNone, cache: cache})
+	s, err := newSegment(1, cells, segmentConfig{blockSize: 50 * 50, cache: cache})
 	if err != nil {
 		tb.Fatal(err)
 	}

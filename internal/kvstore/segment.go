@@ -8,11 +8,11 @@ import (
 
 // segment is an immutable sorted run of cells — the in-memory analogue of
 // an HBase HFile produced by a memtable flush or a compaction. Cells live
-// in fixed-target-size blocks (see block.go): prefix-compressed, optionally
-// codec-compressed, and materialized lazily through the block cache, so a
-// segment's steady-state footprint is its encoded bytes, not its []Cell
-// slices. Reads prune at two levels before decoding anything: the
-// segment's min/max span first, then each block's own min/max row.
+// in fixed-target-size blocks (see block.go): prefix-compressed and
+// materialized lazily through the block cache, so a segment's steady-state
+// footprint is its encoded bytes, not its []Cell slices. Reads prune at two
+// levels before decoding anything: the segment's min/max span first, then
+// each block's own min/max row.
 type segment struct {
 	// id orders segments by creation; higher ids are newer. During reads
 	// the merge iterator breaks exact-key ties by preferring newer segments.
@@ -28,28 +28,27 @@ type segment struct {
 	minRow, maxRow string
 	// bytes is the approximate logical cell footprint (cellOverhead per
 	// cell, same accounting as the memtable) — the size-tiered compaction
-	// policy's input, deliberately independent of compression so tiering
-	// does not shift when the codec changes.
+	// policy's input, deliberately independent of the block encoding so
+	// tiering does not shift when the encoding changes.
 	bytes int
-	// encodedBytes is the resident footprint: the encoded (possibly
-	// compressed) block payloads plus per-block metadata.
+	// encodedBytes is the resident footprint: the encoded block payloads
+	// plus per-block metadata.
 	encodedBytes int
 	numCells     int
 }
 
 // segmentConfig carries a store's block-format settings into every segment
-// it builds: target block size, compression codec and the block cache
-// decoded blocks are served through.
+// it builds: target block size and the block cache decoded blocks are
+// served through.
 type segmentConfig struct {
 	blockSize int
-	codec     blockCodec
 	cache     *BlockCache
 }
 
 // defaultSegmentConfig is used by tests and tools that build segments
 // outside a store.
 func defaultSegmentConfig() segmentConfig {
-	return segmentConfig{blockSize: DefaultBlockSize, codec: codecNone, cache: defaultBlockCache}
+	return segmentConfig{blockSize: DefaultBlockSize, cache: defaultBlockCache}
 }
 
 // newSegment encodes a cell slice — which must already be sorted by
@@ -73,21 +72,13 @@ func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
 	var b blockBuilder
 	for i := range cells {
 		if b.count > 0 && b.encodedSize() >= cfg.blockSize && cells[i].Row != b.prevRow {
-			h, err := b.finish(cfg.codec)
-			if err != nil {
-				return nil, err
-			}
-			seg.blocks = append(seg.blocks, h)
+			seg.blocks = append(seg.blocks, b.finish())
 			b.reset()
 		}
 		b.add(&cells[i])
 	}
 	if b.count > 0 {
-		h, err := b.finish(cfg.codec)
-		if err != nil {
-			return nil, err
-		}
-		seg.blocks = append(seg.blocks, h)
+		seg.blocks = append(seg.blocks, b.finish())
 	}
 	seg.slots = make([]atomic.Pointer[cachedBlock], len(seg.blocks))
 	if len(seg.blocks) > 0 {
@@ -291,8 +282,9 @@ func (it *segmentIterator) loadBlock() bool {
 	if cells != nil {
 		it.bs.cacheHits++
 	} else {
+		h := &it.seg.blocks[it.bi]
 		var err error
-		if cells, err = decodeBlockHandle(&it.seg.blocks[it.bi]); err != nil {
+		if cells, err = decodeBlockPayload(h.data, h.count); err != nil {
 			mBlockDecodeErrors.Inc()
 			it.bi = len(it.seg.blocks)
 			it.cells = nil

@@ -121,11 +121,10 @@ func rowResultsEqual(a, b []RowResult) bool {
 }
 
 // TestBlockedSegmentMatchesFlatReference is the property test: across
-// random datasets, block sizes (down to 1-cell blocks) and codecs, the
-// blocked store's MultiScanCtx, full Scan and point reads are identical to
+// random datasets and block sizes (down to 1-cell blocks), the blocked
+// store's MultiScanCtx, full Scan and point reads are identical to
 // flat-slice resolution.
 func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
-	codecs := []BlockCompression{BlockNone, BlockFlate, BlockSnappy}
 	blockSizes := []int{1, 64, 700, DefaultBlockSize}
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -137,73 +136,70 @@ func TestBlockedSegmentMatchesFlatReference(t *testing.T) {
 		wantMulti := referenceMultiScan(sorted, ranges, asOf)
 		wantFull := referenceMultiScan(sorted, []ScanRange{{}}, 0)
 
-		for _, codec := range codecs {
-			for _, bs := range blockSizes {
-				name := fmt.Sprintf("trial=%d codec=%s block=%d", trial, codec, bs)
-				opts := DefaultStoreOptions()
-				opts.FlushThresholdBytes = 1 << 30
-				opts.BlockSizeBytes = bs
-				opts.BlockCompression = codec
-				// A tiny cache forces constant eviction and re-decode, so
-				// both the hit and miss paths are exercised.
-				opts.BlockCache = NewBlockCache(1 << 14)
-				s, err := NewStore(opts)
+		for _, bs := range blockSizes {
+			name := fmt.Sprintf("trial=%d block=%d", trial, bs)
+			opts := DefaultStoreOptions()
+			opts.FlushThresholdBytes = 1 << 30
+			opts.BlockSizeBytes = bs
+			// A tiny cache forces constant eviction and re-decode, so
+			// both the hit and miss paths are exercised.
+			opts.BlockCache = NewBlockCache(1 << 14)
+			s, err := NewStore(opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, c := range cells {
+				if err := s.ApplyBatch([]Cell{c}); err != nil {
+					t.Fatalf("%s: apply: %v", name, err)
+				}
+				if i%137 == 136 {
+					if err := flushNow(s); err != nil {
+						t.Fatalf("%s: flush: %v", name, err)
+					}
+				}
+			}
+			if err := flushNow(s); err != nil {
+				t.Fatalf("%s: flush: %v", name, err)
+			}
+
+			var gotMulti []RowResult
+			err = s.MultiScanCtx(context.Background(), ranges, asOf, func(res RowResult) bool {
+				cp := RowResult{Row: res.Row, Cells: append([]Cell(nil), res.Cells...)}
+				gotMulti = append(gotMulti, cp)
+				return true
+			})
+			if err != nil {
+				t.Fatalf("%s: multiscan: %v", name, err)
+			}
+			if !rowResultsEqual(gotMulti, wantMulti) {
+				t.Fatalf("%s: multiscan diverged from flat reference (%d vs %d rows)", name, len(gotMulti), len(wantMulti))
+			}
+
+			var gotFull []RowResult
+			if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(res RowResult) bool {
+				gotFull = append(gotFull, copyRow(res))
+				return true
+			}); err != nil {
+				t.Fatalf("%s: scan: %v", name, err)
+			}
+			if !rowResultsEqual(gotFull, wantFull) {
+				t.Fatalf("%s: full scan diverged from flat reference (%d vs %d rows)", name, len(gotFull), len(wantFull))
+			}
+
+			// One-row reads, present and absent rows.
+			for i := 0; i < 30; i++ {
+				row := fmt.Sprintf("u%04d", rng.Intn(300))
+				got, err := readRow(s, row, asOf)
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("%s: read %s: %v", name, row, err)
 				}
-				for i, c := range cells {
-					if err := s.ApplyBatch([]Cell{c}); err != nil {
-						t.Fatalf("%s: apply: %v", name, err)
-					}
-					if i%137 == 136 {
-						if err := flushNow(s); err != nil {
-							t.Fatalf("%s: flush: %v", name, err)
-						}
-					}
+				want := referenceMultiScan(sorted, []ScanRange{{Start: row, Stop: row + "\x00"}}, asOf)
+				wantRes := RowResult{Row: row}
+				if len(want) == 1 {
+					wantRes = want[0]
 				}
-				if err := flushNow(s); err != nil {
-					t.Fatalf("%s: flush: %v", name, err)
-				}
-
-				var gotMulti []RowResult
-				err = s.MultiScanCtx(context.Background(), ranges, asOf, func(res RowResult) bool {
-					cp := RowResult{Row: res.Row, Cells: append([]Cell(nil), res.Cells...)}
-					gotMulti = append(gotMulti, cp)
-					return true
-				})
-				if err != nil {
-					t.Fatalf("%s: multiscan: %v", name, err)
-				}
-				if !rowResultsEqual(gotMulti, wantMulti) {
-					t.Fatalf("%s: multiscan diverged from flat reference (%d vs %d rows)", name, len(gotMulti), len(wantMulti))
-				}
-
-				var gotFull []RowResult
-				if err := s.MultiScanCtx(context.Background(), []ScanRange{{}}, 0, func(res RowResult) bool {
-					gotFull = append(gotFull, copyRow(res))
-					return true
-				}); err != nil {
-					t.Fatalf("%s: scan: %v", name, err)
-				}
-				if !rowResultsEqual(gotFull, wantFull) {
-					t.Fatalf("%s: full scan diverged from flat reference (%d vs %d rows)", name, len(gotFull), len(wantFull))
-				}
-
-				// One-row reads, present and absent rows.
-				for i := 0; i < 30; i++ {
-					row := fmt.Sprintf("u%04d", rng.Intn(300))
-					got, err := readRow(s, row, asOf)
-					if err != nil {
-						t.Fatalf("%s: read %s: %v", name, row, err)
-					}
-					want := referenceMultiScan(sorted, []ScanRange{{Start: row, Stop: row + "\x00"}}, asOf)
-					wantRes := RowResult{Row: row}
-					if len(want) == 1 {
-						wantRes = want[0]
-					}
-					if !rowResultsEqual([]RowResult{got}, []RowResult{wantRes}) {
-						t.Fatalf("%s: readRow(%s) diverged from flat reference", name, row)
-					}
+				if !rowResultsEqual([]RowResult{got}, []RowResult{wantRes}) {
+					t.Fatalf("%s: readRow(%s) diverged from flat reference", name, row)
 				}
 			}
 		}
@@ -221,7 +217,6 @@ func TestBlockedSegmentAfterCompaction(t *testing.T) {
 	opts := DefaultStoreOptions()
 	opts.FlushThresholdBytes = 1 << 30
 	opts.BlockSizeBytes = 128
-	opts.BlockCompression = BlockSnappy
 	opts.CompactionTrigger = 2
 	s, err := NewStore(opts)
 	if err != nil {
@@ -334,11 +329,13 @@ func TestBlockPruningCounters(t *testing.T) {
 }
 
 // TestSegmentResidentSmallerThanLogical checks the point of the format:
-// compressible data resident at a fraction of its flat footprint.
+// rows that share a key prefix are resident in fewer bytes than their flat
+// footprint. The bound pins the row-key sharing itself. On this data the
+// blocks hold ≈ 0.86 of the logical bytes with sharing and ≈ 0.95 without
+// it, so 0.9 separates the two.
 func TestSegmentResidentSmallerThanLogical(t *testing.T) {
 	opts := DefaultStoreOptions()
 	opts.FlushThresholdBytes = 1 << 30
-	opts.BlockCompression = BlockFlate
 	s, err := NewStore(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +354,8 @@ func TestSegmentResidentSmallerThanLogical(t *testing.T) {
 	if st.SegmentResidentBytes == 0 || st.SegmentLogicalBytes == 0 {
 		t.Fatalf("missing byte accounting: %+v", st)
 	}
-	if st.SegmentResidentBytes*2 > st.SegmentLogicalBytes {
-		t.Fatalf("resident %d not ≥2× smaller than logical %d", st.SegmentResidentBytes, st.SegmentLogicalBytes)
+	t.Logf("resident %d of %d logical bytes", st.SegmentResidentBytes, st.SegmentLogicalBytes)
+	if st.SegmentResidentBytes*10 > st.SegmentLogicalBytes*9 {
+		t.Fatalf("resident %d is more than 0.9 of logical %d", st.SegmentResidentBytes, st.SegmentLogicalBytes)
 	}
 }

@@ -33,9 +33,6 @@ type StoreOptions struct {
 	// 0 means DefaultBlockSize. Blocks cut only at row boundaries, so one
 	// oversized row yields one oversized block.
 	BlockSizeBytes int
-	// BlockCompression selects the per-block codec of this store's
-	// segments; the zero value means BlockNone.
-	BlockCompression BlockCompression
 	// BlockCache serves decoded blocks to this store's reads; nil means
 	// the process-wide shared default cache. The cache may (and usually
 	// should) be shared across stores.
@@ -109,10 +106,6 @@ func NewStore(opts StoreOptions) (*Store, error) {
 	if opts.BlockSizeBytes < 0 {
 		return nil, fmt.Errorf("kvstore: block size must be >= 0, got %d", opts.BlockSizeBytes)
 	}
-	codec, err := codecFor(opts.BlockCompression)
-	if err != nil {
-		return nil, err
-	}
 	blockSize := opts.BlockSizeBytes
 	if blockSize == 0 {
 		blockSize = DefaultBlockSize
@@ -122,7 +115,7 @@ func NewStore(opts StoreOptions) (*Store, error) {
 		cache = defaultBlockCache
 	}
 	s := &Store{opts: opts, mem: newMemtable(opts.Seed)}
-	s.segCfg = segmentConfig{blockSize: blockSize, codec: codec, cache: cache}
+	s.segCfg = segmentConfig{blockSize: blockSize, cache: cache}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -393,8 +386,8 @@ type Stats struct {
 	CompactionDebtBytes   int64
 	// SegmentLogicalBytes is the flat-slice cell footprint the installed
 	// segments represent; SegmentResidentBytes is what they actually hold
-	// (encoded, possibly compressed, blocks). Their ratio is the resident
-	// reduction the blocked format buys.
+	// (prefix-compressed blocks). Their ratio is the resident reduction the
+	// blocked format buys.
 	SegmentLogicalBytes  int64
 	SegmentResidentBytes int64
 }
