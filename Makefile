@@ -6,9 +6,10 @@ GO ?= go
 ## test suite under the race detector, short fuzz passes over the
 ## untrusted-input parsers and the hand codecs held to a reference (binary
 ## visits, JSON answers, JSON search and check-in requests), a smoke pass
-## over the read-path, block-load, write-path, matcher, trending-view,
-## result-cache, answer-codec and request-codec microbenchmarks, and the
-## repository benchmark's own vet and tests. CI and pre-merge runs use this.
+## over the read-path, block-load, write-path, flush, compaction, matcher,
+## trending-view, result-cache, answer-codec and request-codec
+## microbenchmarks, and the repository benchmark's own vet and tests. CI
+## and pre-merge runs use this.
 ## The static contracts are tests of the suite, so plain `go test ./...`
 ## holds them too:
 ##   - TestStaticContracts (lint_test.go) loads the module once, type-checked:
@@ -100,7 +101,9 @@ bench:
 ## every layout's payload and on one with multi-byte lengths, the shared POI documents'
 ## intern hit and keyed shared-document parse (which TestSharedDocsAllocs keeps at
 ## zero allocations), the table's one write
-## routine per cell and per batch of 50, the matcher's memo-hit case, the
+## routine per cell and per batch of 50, a flush and a compaction (whose
+## bytes per input cell tier-1's TestCompactionAllocsPerInputCell bounds),
+## the matcher's memo-hit case, the
 ## registry's idle subscription (whose bytes per op tier-1's
 ## TestAddIdleMemoryBudget bounds), the view's benchmark-shaped read, a check-in batch folded into the cached
 ## entries of its writer's friends, a cached search with its ranking current
@@ -114,7 +117,7 @@ bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkBlockLoad' -benchmem -benchtime=100x
-	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite' -benchmem -benchtime=100x
+	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite|BenchmarkFlush|BenchmarkCompaction' -benchmem -benchtime=100x
 	$(GO) test ./internal/model -run XXX -bench 'BenchmarkVisitViewParse|BenchmarkSharedDocs' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200Friends(Binary|TwoVersions)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x

@@ -141,11 +141,12 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
-// decodeBlockPayload parses a block payload back into cells. Every read is
-// bounds-checked: truncated or corrupt payloads return errors, never panic
-// (the contract FuzzBlockDecode enforces).
+// decodeBlockPayload parses a block payload back into cells, appended to
+// dst[:0] (a fresh slice when dst is nil or too small for wantCells). Every
+// read is bounds-checked: truncated or corrupt payloads return errors,
+// never panic (the contract FuzzBlockDecode enforces).
 // wantCells < 0 skips the count check (fuzzing arbitrary payloads).
-func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
+func decodeBlockPayload(dst []Cell, raw []byte, wantCells int) ([]Cell, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("kvstore: block payload %d bytes, shorter than its trailer", len(raw))
 	}
@@ -165,8 +166,8 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 		prevOff = off
 	}
 
-	var cells []Cell
-	if wantCells > 0 {
+	cells := dst[:0]
+	if wantCells > cap(cells) {
 		cells = make([]Cell, 0, wantCells)
 	}
 	// arena holds the block's row keys and qualifiers back to back, and

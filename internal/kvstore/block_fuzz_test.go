@@ -41,7 +41,7 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cells, err := decodeBlockPayload(data, -1)
+		cells, err := decodeBlockPayload(nil, data, -1)
 		if err != nil {
 			return
 		}
@@ -57,7 +57,7 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		// Told its cell count, as reads are, the decoder sizes its arena
 		// for every cell up front and must decode the same cells.
-		again, err := decodeBlockPayload(data, len(cells))
+		again, err := decodeBlockPayload(nil, data, len(cells))
 		if err != nil {
 			t.Fatalf("decode with the count %d failed: %v", len(cells), err)
 		}

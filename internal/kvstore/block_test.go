@@ -38,7 +38,7 @@ func TestBlockRoundtrip(t *testing.T) {
 	if h.minRow != cells[0].Row || h.maxRow != cells[len(cells)-1].Row {
 		t.Fatalf("bounds [%q, %q]", h.minRow, h.maxRow)
 	}
-	got, err := decodeBlockPayload(h.data, h.count)
+	got, err := decodeBlockPayload(nil, h.data, h.count)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -80,15 +80,15 @@ func TestDecodeBlockPayloadRejectsCorruption(t *testing.T) {
 	}
 	h := b.finish()
 	valid := h.data
-	if _, err := decodeBlockPayload(valid, h.count); err != nil {
+	if _, err := decodeBlockPayload(nil, valid, h.count); err != nil {
 		t.Fatalf("valid payload rejected: %v", err)
 	}
 	// Truncations at every boundary must error, never panic.
 	for n := 0; n < len(valid); n += 7 {
-		if _, err := decodeBlockPayload(valid[:n], -1); err == nil && n < len(valid) {
+		if _, err := decodeBlockPayload(nil, valid[:n], -1); err == nil && n < len(valid) {
 			// Some truncations still parse as a shorter valid block; what
 			// matters is no panic and the count check catching them.
-			if _, err := decodeBlockPayload(valid[:n], h.count); err == nil {
+			if _, err := decodeBlockPayload(nil, valid[:n], h.count); err == nil {
 				t.Fatalf("truncation to %d bytes decoded to the full cell count", n)
 			}
 		}
@@ -98,7 +98,7 @@ func TestDecodeBlockPayloadRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(valid); i += 11 {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
-		decodeBlockPayload(mut, -1)
+		decodeBlockPayload(nil, mut, -1)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestDecodeBlockAllocs(t *testing.T) {
 	}
 	h := b.finish()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := decodeBlockPayload(h.data, h.count); err != nil {
+		if _, err := decodeBlockPayload(nil, h.data, h.count); err != nil {
 			t.Fatal(err)
 		}
 	})

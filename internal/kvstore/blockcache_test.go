@@ -363,7 +363,7 @@ func blockLoadIterator(tb testing.TB, cache *BlockCache) *segmentIterator {
 	if len(s.blocks) < 32 {
 		tb.Fatalf("%d blocks, want at least 32", len(s.blocks))
 	}
-	it := &segmentIterator{seg: s, bs: &blockScanStats{}, cache: cache}
+	it := &segmentIterator{seg: s, bs: &blockScanStats{}}
 	for it.bi = range s.blocks {
 		it.loadBlock()
 	}

@@ -10,8 +10,8 @@ import "fmt"
 // region owns the key now).
 //
 // The log is a GroupCommitWAL: concurrent writers share commit groups, so
-// the table pays one buffered write (and, under SyncGroup, one fsync) per
-// group rather than per put. StoreOptions.WALSyncPolicy picks the policy
+// the table pays one write (and, under SyncGroup, one fsync) per group
+// rather than per put. StoreOptions.WALSyncPolicy picks the policy
 // (default SyncOS).
 
 // OpenDurableTable opens (creating if absent) the WAL at walPath, builds a

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -10,8 +9,8 @@ import (
 )
 
 // Group commit: concurrent WAL appenders are batched into commit groups so
-// the log pays one buffered write — and, under SyncGroup, one fsync — per
-// group instead of per put. The first appender to find no group open becomes
+// the log pays one write — and, under SyncGroup, one fsync — per group
+// instead of per put. The first appender to find no group open becomes
 // the leader; while the leader waits for the previous group's I/O to finish,
 // followers pile their cells into the open group and then block on its done
 // channel. The leader seals the group, writes one record (a plain per-put
@@ -23,9 +22,9 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncOS acknowledges a group once it reaches the OS (buffered file
-	// write, no fsync): a process crash loses nothing, a machine crash can
-	// lose the unsynced tail.
+	// SyncOS acknowledges a group once it reaches the OS (a file write
+	// into the page cache, no fsync): a process crash loses nothing, a
+	// machine crash can lose the unsynced tail.
 	SyncOS SyncPolicy = iota
 	// SyncGroup fsyncs once per commit group before acknowledging — full
 	// durability, amortized across every writer in the group.
@@ -56,6 +55,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // appenders that just woke from the previous group can join this one.
 const groupCommitYields = 8
 
+// walBufKeep caps the record buffer a GroupCommitWAL keeps between
+// commits: a buffer that an outsized group grew past it is dropped after
+// that commit, so one burst does not pin its peak for the log's lifetime.
+const walBufKeep = 1 << 20
+
 // commitGroup is one in-flight batch of cells awaiting a leader's commit.
 type commitGroup struct {
 	cells []Cell
@@ -76,7 +80,9 @@ type GroupCommitWAL struct {
 	// syncs is what lets the next group accumulate followers.
 	ioMu sync.Mutex
 	f    *os.File
-	w    *bufio.Writer
+	// buf is the record buffer each commit encodes its group into, used
+	// only under ioMu (see walBufKeep).
+	buf []byte
 
 	policy SyncPolicy
 }
@@ -88,16 +94,21 @@ func OpenGroupCommitWAL(path string, policy SyncPolicy) (*GroupCommitWAL, error)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open wal: %w", err)
 	}
-	return &GroupCommitWAL{f: f, w: bufio.NewWriterSize(f, 1<<16), policy: policy}, nil
+	return &GroupCommitWAL{f: f, policy: policy}, nil
 }
 
 // AppendBatch joins the open commit group (or opens one) and returns once
 // the group is durable per the sync policy. All cells of one call land in
 // the same group, so they reach the log as one unit: a replay applies either
-// all of them or (for a torn tail) none. The cells are only read.
+// all of them or (for a torn tail) none. A call the log could not replay
+// (checkWALBatch) is refused before it joins a group. The cells are only
+// read.
 func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 	if len(cells) == 0 {
 		return nil
+	}
+	if err := checkWALBatch(cells); err != nil {
+		return err
 	}
 	w.mu.Lock()
 	if w.closed {
@@ -143,23 +154,21 @@ func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 	return g.err
 }
 
-// commitLocked writes one record for the group and makes it durable per the
-// sync policy. Caller holds ioMu.
+// commitLocked encodes the group's record into the log's buffer, writes it
+// and makes it durable per the sync policy. Caller holds ioMu.
 func (w *GroupCommitWAL) commitLocked(cells []Cell) error {
-	var err error
-	if len(cells) == 1 {
-		err = writeWALRecord(w.w, encodeWALBody(cells[0]), 0)
+	rec := appendWALRecord(w.buf[:0], cells)
+	if cap(rec) > walBufKeep {
+		w.buf = nil
 	} else {
-		err = writeWALRecord(w.w, encodeWALBatchBody(cells), walBatchFlag)
+		w.buf = rec
+	}
+	if len(cells) > 1 {
 		mWALBatchRecords.Inc()
 	}
-	if err != nil {
-		return err
-	}
-	// Both policies hand the group to the OS before acknowledging: the buffer
-	// only gathers one group's record into one write, it never holds an
-	// acknowledged cell.
-	if err := w.w.Flush(); err != nil {
+	// Both policies hand the group to the OS in one write before
+	// acknowledging: nothing buffers an acknowledged cell in the process.
+	if _, err := w.f.Write(rec); err != nil {
 		return err
 	}
 	if w.policy == SyncGroup {
@@ -173,8 +182,8 @@ func (w *GroupCommitWAL) commitLocked(cells []Cell) error {
 	return nil
 }
 
-// Close flushes and releases the log. Appends in flight when Close acquires
-// the I/O lock fail with a closed-WAL error; Close is idempotent.
+// Close releases the log. Appends in flight when Close acquires the I/O
+// lock fail with a closed-WAL error; Close is idempotent.
 func (w *GroupCommitWAL) Close() error {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
@@ -185,9 +194,5 @@ func (w *GroupCommitWAL) Close() error {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
 	return w.f.Close()
 }

@@ -125,12 +125,3 @@ func (it *memtableIterator) seek(probe *Cell) {
 	}
 	it.node = it.mem.seek(probe)
 }
-
-// snapshot drains the memtable into a sorted slice for flushing.
-func (m *memtable) snapshot() []Cell {
-	out := make([]Cell, 0, m.length)
-	for n := m.first(); n != nil; n = n.next[0] {
-		out = append(out, n.cell)
-	}
-	return out
-}

@@ -51,34 +51,52 @@ func defaultSegmentConfig() segmentConfig {
 	return segmentConfig{blockSize: DefaultBlockSize, cache: defaultBlockCache}
 }
 
-// newSegment encodes a cell slice — which must already be sorted by
-// compareCells, no two cells equal — into a blocked segment. Blocks cut at
-// row boundaries once the encoded payload reaches cfg.blockSize, so one row
-// never spans two blocks (an oversized row yields an oversized block
-// instead).
-func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
-	for i := 1; i < len(cells); i++ {
-		if compareCells(&cells[i-1], &cells[i]) >= 0 {
-			return nil, fmt.Errorf("kvstore: segment %d cells out of order or duplicated at index %d", id, i)
-		}
-	}
+// segmentBuilder encodes cells, fed one at a time in compareCells order
+// with no two equal, into a blocked segment: the one build behind a flush
+// (the frozen memtable's skiplist) and a compaction (the merge of its
+// inputs). Blocks cut at row boundaries once the encoded payload reaches
+// cfg.blockSize, so one row never spans two blocks (an oversized row yields
+// an oversized block instead). Only the block builder's buffer and a copy
+// of the previous cell persist between cells; no cell slice is built.
+type segmentBuilder struct {
+	seg *segment
+	b   blockBuilder
+	// prev is a copy of the last cell added, for the order check: the cell
+	// it came from may be overwritten once the feeder moves on.
+	prev Cell
+}
+
+func newSegmentBuilder(id uint64, cfg segmentConfig) segmentBuilder {
 	if cfg.blockSize <= 0 {
 		cfg.blockSize = DefaultBlockSize
 	}
-	seg := &segment{id: id, cfg: cfg, numCells: len(cells)}
-	for i := range cells {
-		seg.bytes += len(cells[i].Row) + len(cells[i].Qualifier) + len(cells[i].Value) + cellOverhead
+	return segmentBuilder{seg: &segment{id: id, cfg: cfg}}
+}
+
+// add encodes c, cutting a block first when the current one is full and c
+// starts a new row. A cell that does not sort strictly after the previous
+// one fails the build.
+func (sb *segmentBuilder) add(c *Cell) error {
+	s := sb.seg
+	if s.numCells > 0 && compareCells(&sb.prev, c) >= 0 {
+		return fmt.Errorf("kvstore: segment %d cells out of order or duplicated at index %d", s.id, s.numCells)
 	}
-	var b blockBuilder
-	for i := range cells {
-		if b.count > 0 && b.encodedSize() >= cfg.blockSize && cells[i].Row != b.prevRow {
-			seg.blocks = append(seg.blocks, b.finish())
-			b.reset()
-		}
-		b.add(&cells[i])
+	if sb.b.count > 0 && sb.b.encodedSize() >= s.cfg.blockSize && c.Row != sb.b.prevRow {
+		s.blocks = append(s.blocks, sb.b.finish())
+		sb.b.reset()
 	}
-	if b.count > 0 {
-		seg.blocks = append(seg.blocks, b.finish())
+	sb.b.add(c)
+	sb.prev = *c
+	s.numCells++
+	s.bytes += len(c.Row) + len(c.Qualifier) + len(c.Value) + cellOverhead
+	return nil
+}
+
+// finish seals the last block and returns the segment.
+func (sb *segmentBuilder) finish() *segment {
+	seg := sb.seg
+	if sb.b.count > 0 {
+		seg.blocks = append(seg.blocks, sb.b.finish())
 	}
 	seg.slots = make([]atomic.Pointer[cachedBlock], len(seg.blocks))
 	if len(seg.blocks) > 0 {
@@ -88,7 +106,7 @@ func newSegment(id uint64, cells []Cell, cfg segmentConfig) (*segment, error) {
 	for i := range seg.blocks {
 		seg.encodedBytes += seg.blocks[i].residentBytes()
 	}
-	return seg, nil
+	return seg
 }
 
 func (s *segment) len() int { return s.numCells }
@@ -125,7 +143,7 @@ func (s *segment) seekBlocks(from int, row string) int {
 // (or the beginning when start is nil). Blocks before the start position
 // are skipped without decoding and counted into bs.
 func (s *segment) iterator(start *Cell, bs *blockScanStats) cellIterator {
-	it := &segmentIterator{seg: s, bs: bs, cache: s.cfg.cache}
+	it := &segmentIterator{seg: s, bs: bs}
 	if start != nil {
 		it.bi = s.seekBlocks(0, start.Row)
 		bs.skipped += int64(it.bi)
@@ -141,9 +159,13 @@ func (s *segment) iterator(start *Cell, bs *blockScanStats) cellIterator {
 
 // iteratorNoCache returns a full-segment iterator that bypasses the block
 // cache — the compaction path, which reads every block exactly once and
-// must not evict the read path's working set.
+// must not evict the read path's working set. It decodes each block into
+// the slice the previous block used: nothing outlives a compaction's look
+// at a cell but the builder's copy of it. Read-path iterators cannot do
+// this, since rowRun hands out runs that alias the decoded block and the
+// block cache keeps the slice.
 func (s *segment) iteratorNoCache(bs *blockScanStats) cellIterator {
-	it := &segmentIterator{seg: s, bs: bs}
+	it := &segmentIterator{seg: s, bs: bs, reuse: true}
 	if len(s.blocks) > 0 {
 		it.loadBlock()
 	}
@@ -152,15 +174,21 @@ func (s *segment) iteratorNoCache(bs *blockScanStats) cellIterator {
 
 // segmentIterator walks a blocked segment: a block cursor plus a cell
 // cursor inside the current decoded block. The decoded cells come from the
-// block's slot when the cache holds them and are decoded (and offered to
-// the cache) otherwise.
+// block's slot when the segment's cache holds them and are decoded (and
+// offered to the cache) otherwise. The struct stays within 64 bytes: a
+// query allocates one per segment per region.
 type segmentIterator struct {
 	seg   *segment
 	bi    int    // current block index; == len(blocks) when exhausted
 	cells []Cell // decoded cells of blocks[bi]
 	ci    int    // cursor within cells
 	bs    *blockScanStats
-	cache *BlockCache // nil for the compaction's cache-bypassing reads
+	// reuse marks a compaction's iterator (iteratorNoCache): it bypasses
+	// the block cache and decodes each block into cells, the slice the
+	// previous block used, which nextBlock keeps for it. Such an iterator
+	// is read a cell at a time only: rowRun relies on cells being nil once
+	// the iterator is exhausted.
+	reuse bool
 }
 
 func (it *segmentIterator) valid() bool { return it.bi < len(it.seg.blocks) }
@@ -177,7 +205,9 @@ func (it *segmentIterator) next() {
 func (it *segmentIterator) nextBlock() {
 	it.bi++
 	it.ci = 0
-	it.cells = nil
+	if !it.reuse {
+		it.cells = nil
+	}
 	if it.bi < len(it.seg.blocks) {
 		it.loadBlock()
 	}
@@ -278,23 +308,27 @@ func (it *segmentIterator) settle() {
 // kvstore_block_decode_errors_total (the cellIterator interface has no
 // error channel; the merge simply sees this source end).
 func (it *segmentIterator) loadBlock() bool {
-	cells := it.cache.lookup(&it.seg.slots[it.bi])
+	cache, dst := it.seg.cfg.cache, []Cell(nil)
+	if it.reuse {
+		cache, dst = nil, it.cells
+	}
+	cells := cache.lookup(&it.seg.slots[it.bi])
 	if cells != nil {
 		it.bs.cacheHits++
 	} else {
 		h := &it.seg.blocks[it.bi]
 		var err error
-		if cells, err = decodeBlockPayload(h.data, h.count); err != nil {
+		if cells, err = decodeBlockPayload(dst, h.data, h.count); err != nil {
 			mBlockDecodeErrors.Inc()
 			it.bi = len(it.seg.blocks)
 			it.cells = nil
 			return false
 		}
 		it.bs.decoded++
-		if it.cache != nil {
+		if cache != nil {
 			it.bs.cacheMisses++
 		}
-		it.cache.admit(&it.seg.slots[it.bi], cells, blockLogicalBytes(cells))
+		cache.admit(&it.seg.slots[it.bi], cells, blockLogicalBytes(cells))
 	}
 	it.bs.loaded++
 	it.cells = cells
@@ -561,15 +595,16 @@ func (m *mergeIterator) next() {
 	// shadowed duplicates (older segments rewritten at the same timestamp)
 	// are skipped. Equal cells always surface consecutively as winners
 	// (ties break by index, and advancing the winner promotes the next
-	// equal source). The current cell is compared in place, not copied: a
-	// source's cells live in a decoded block or a memtable node, neither of
-	// which moves while the iterator's reader holds the store lock.
-	cur := m.cell()
+	// equal source). The current cell is copied, not compared in place: a
+	// compaction's sources decode each block into the slice the previous
+	// block used (iteratorNoCache), so the winner's advance can overwrite
+	// it.
+	cur := *m.cell()
 	for {
 		w := m.winner
 		m.live[w].next()
 		m.advanced(w)
-		if !m.valid() || compareCells(m.cell(), cur) != 0 {
+		if !m.valid() || compareCells(m.cell(), &cur) != 0 {
 			return
 		}
 	}
@@ -578,23 +613,20 @@ func (m *mergeIterator) next() {
 // compactSegments merges the given segments (newest first) into one,
 // dropping shadowed duplicate keys and keeping tombstones. Inputs are read
 // through cache-bypassing iterators: a compaction touches every block
-// exactly once and must not wipe the read path's cached working set.
+// exactly once and must not wipe the read path's cached working set. The
+// merge streams into the segment builder a cell at a time.
 func compactSegments(id uint64, newestFirst []*segment, cfg segmentConfig) (*segment, error) {
 	var bs blockScanStats
 	defer bs.flush()
 	its := make([]cellIterator, len(newestFirst))
-	n := 0
 	for i, s := range newestFirst {
 		its[i] = s.iteratorNoCache(&bs)
-		n += s.numCells
 	}
-	merged := newMergeIterator(its)
-	// The inputs' cell count bounds the output's: the merge only drops
-	// shadowed duplicates.
-	out := make([]Cell, 0, n)
-	for merged.valid() {
-		out = append(out, *merged.cell())
-		merged.next()
+	b := newSegmentBuilder(id, cfg)
+	for m := newMergeIterator(its); m.valid(); m.next() {
+		if err := b.add(m.cell()); err != nil {
+			return nil, err
+		}
 	}
-	return newSegment(id, out, cfg)
+	return b.finish(), nil
 }

@@ -228,7 +228,13 @@ func buildSegmentFrom(id uint64, m *memtable, hook func(*memtable) error, cfg se
 			return nil, err
 		}
 	}
-	return newSegment(id, m.snapshot(), cfg)
+	b := newSegmentBuilder(id, cfg)
+	for n := m.first(); n != nil; n = n.next[0] {
+		if err := b.add(&n.cell); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish(), nil
 }
 
 // installSegmentLocked appends a flushed segment and updates the flush

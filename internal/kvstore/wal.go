@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
@@ -32,49 +33,82 @@ import (
 // walBatchFlag marks a record's bodyLen word as a batched record.
 const walBatchFlag = uint32(1) << 31
 
-// maxWALBody caps a single record body; larger lengths mean a corrupt log.
+// maxWALBody caps a single record body; replay reads a larger length as a
+// corrupt log, so checkWALBatch refuses a write that would need one.
 const maxWALBody = 1 << 28
 
 // maxWALBatchCells caps the declared cell count of a batch record so a
-// corrupt count cannot drive a huge allocation during replay.
+// corrupt count cannot drive a huge allocation during replay; checkWALBatch
+// refuses a larger write.
 const maxWALBatchCells = 1 << 20
 
-// writeWALRecord frames one body (flag = 0 or walBatchFlag) onto the writer.
-func writeWALRecord(w io.Writer, body []byte, flag uint32) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body))|flag)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+// walBodyLen is the length of c's per-put body.
+func walBodyLen(c *Cell) int {
+	return 2 + len(c.Row) + 2 + len(c.Qualifier) + 8 + 1 + 4 + len(c.Value)
 }
 
-func encodeWALBody(c Cell) []byte {
-	n := 2 + len(c.Row) + 2 + len(c.Qualifier) + 8 + 1 + 4 + len(c.Value)
-	b := make([]byte, 0, n)
-	var u16 [2]byte
-	var u32 [4]byte
-	var u64 [8]byte
-
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(c.Row)))
-	b = append(b, u16[:]...)
-	b = append(b, c.Row...)
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(c.Qualifier)))
-	b = append(b, u16[:]...)
-	b = append(b, c.Qualifier...)
-	binary.LittleEndian.PutUint64(u64[:], uint64(c.Timestamp))
-	b = append(b, u64[:]...)
+// appendWALBody appends c's per-put body to dst.
+func appendWALBody(dst []byte, c *Cell) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.Row)))
+	dst = append(dst, c.Row...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.Qualifier)))
+	dst = append(dst, c.Qualifier...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Timestamp))
 	var flags byte
 	if c.Tombstone {
 		flags = 1
 	}
-	b = append(b, flags)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(c.Value)))
-	b = append(b, u32[:]...)
-	b = append(b, c.Value...)
-	return b
+	dst = append(dst, flags)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Value)))
+	return append(dst, c.Value...)
+}
+
+// appendWALRecord appends one framed record of the cells to dst: a per-put
+// record for one cell, a batched record otherwise. The batch body is
+// written in one pass, since each cell's length is known before its bytes
+// are written; the header is filled in once the body is.
+func appendWALRecord(dst []byte, cells []Cell) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	flag := uint32(0)
+	if len(cells) == 1 {
+		dst = appendWALBody(dst, &cells[0])
+	} else {
+		flag = walBatchFlag
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(cells)))
+		for i := range cells {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(walBodyLen(&cells[i])))
+			dst = appendWALBody(dst, &cells[i])
+		}
+	}
+	body := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(body))|flag)
+	return dst
+}
+
+// checkWALBatch refuses cells the log could not replay: a row or qualifier
+// longer than its u16 length field, more cells than a batch record may
+// declare, or a batch body over maxWALBody. The batch body bounds every
+// record a commit group of these cells alone writes, each cell's per-put
+// body included.
+func checkWALBatch(cells []Cell) error {
+	if len(cells) > maxWALBatchCells {
+		return fmt.Errorf("kvstore: wal batch of %d cells over the %d-cell limit", len(cells), maxWALBatchCells)
+	}
+	n := 4
+	for i := range cells {
+		c := &cells[i]
+		if len(c.Row) > math.MaxUint16 || len(c.Qualifier) > math.MaxUint16 {
+			return fmt.Errorf("kvstore: cell %d: row key of %d bytes or qualifier of %d bytes over the wal's %d-byte limit",
+				i, len(c.Row), len(c.Qualifier), math.MaxUint16)
+		}
+		n += 4 + walBodyLen(c)
+	}
+	if n > maxWALBody {
+		return fmt.Errorf("kvstore: wal batch body of %d bytes over the %d-byte record limit", n, maxWALBody)
+	}
+	return nil
 }
 
 func decodeWALBody(b []byte) (Cell, error) {
@@ -126,26 +160,6 @@ func decodeWALBody(b []byte) (Cell, error) {
 		return c, errors.New("kvstore: trailing bytes in wal body")
 	}
 	return c, nil
-}
-
-// encodeWALBatchBody renders the cells as one batch record body.
-func encodeWALBatchBody(cells []Cell) []byte {
-	n := 4
-	bodies := make([][]byte, len(cells))
-	for i := range cells {
-		bodies[i] = encodeWALBody(cells[i])
-		n += 4 + len(bodies[i])
-	}
-	b := make([]byte, 0, n)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(cells)))
-	b = append(b, u32[:]...)
-	for _, body := range bodies {
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(body)))
-		b = append(b, u32[:]...)
-		b = append(b, body...)
-	}
-	return b
 }
 
 // decodeWALBatchBody parses a batch record body into its cells.

@@ -2,8 +2,6 @@ package kvstore
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -49,18 +47,13 @@ func fuzzWALCells(raw []byte) []Cell {
 // encodeWALFile renders the cells as a well-formed per-put WAL byte stream
 // and the cumulative end offset of each record.
 func encodeWALFile(cells []Cell) ([]byte, []int) {
-	var buf bytes.Buffer
+	var data []byte
 	ends := make([]int, len(cells))
-	for i, c := range cells {
-		body := encodeWALBody(c)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
-		buf.Write(hdr[:])
-		buf.Write(body)
-		ends[i] = buf.Len()
+	for i := range cells {
+		data = appendWALRecord(data, cells[i:i+1])
+		ends[i] = len(data)
 	}
-	return buf.Bytes(), ends
+	return data, ends
 }
 
 // encodeWALFileBatched renders the cells as a WAL mixing per-put and batched
@@ -69,31 +62,16 @@ func encodeWALFile(cells []Cell) ([]byte, []int) {
 // It returns the stream, each record's cumulative end offset, and each
 // record's cell count.
 func encodeWALFileBatched(cells []Cell, pattern byte) ([]byte, []int, []int) {
-	var buf bytes.Buffer
+	var data []byte
 	var ends, counts []int
 	for k := 0; len(cells) > 0; k++ {
-		n := 1 + (int(pattern)+k)%3
-		if n > len(cells) {
-			n = len(cells)
-		}
-		var body []byte
-		flag := uint32(0)
-		if n == 1 {
-			body = encodeWALBody(cells[0])
-		} else {
-			body = encodeWALBatchBody(cells[:n])
-			flag = walBatchFlag
-		}
+		n := min(1+(int(pattern)+k)%3, len(cells))
+		data = appendWALRecord(data, cells[:n])
 		cells = cells[n:]
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(body))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body))|flag)
-		buf.Write(hdr[:])
-		buf.Write(body)
-		ends = append(ends, buf.Len())
+		ends = append(ends, len(data))
 		counts = append(counts, n)
 	}
-	return buf.Bytes(), ends, counts
+	return data, ends, counts
 }
 
 func replayFile(t *testing.T, data []byte) ([]Cell, error) {

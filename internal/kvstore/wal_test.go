@@ -1,10 +1,14 @@
 package kvstore
 
 import (
+	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
+	"strings"
 	"testing"
 )
 
@@ -213,5 +217,113 @@ func TestDurableTableTornTail(t *testing.T) {
 func TestOpenDurableTableValidation(t *testing.T) {
 	if _, err := OpenDurableTable("t", nil, 1, DefaultStoreOptions(), ""); err == nil {
 		t.Error("empty WAL path must fail")
+	}
+}
+
+// TestWALRecordGolden pins the log's bytes: a per-put record and a batched
+// record of the same cells, byte for byte as logs already on disk hold
+// them, which replay must keep reading.
+func TestWALRecordGolden(t *testing.T) {
+	cells := []Cell{
+		{Row: "u1", Qualifier: "v", Timestamp: 7, Value: []byte("ab")},
+		{Row: "u2", Qualifier: "q", Timestamp: -1, Tombstone: true},
+	}
+	const want = "9ea623ea1600000002007531010076070000000000000000020000006162" +
+		"a59dc692360000800200000016000000020075310100760700000000000000000200000061621400000002007532010071ffffffffffffffff0100000000"
+	got := appendWALRecord(appendWALRecord(nil, cells[:1]), cells)
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("wal records =\n%x\nwant\n%s", got, want)
+	}
+}
+
+// TestWALAppendBatchAllocs pins the log's steady state: a 50-cell
+// AppendBatch by a lone writer allocates its commit group and the group's
+// channel, nothing else — the record is encoded into the log's own buffer.
+func TestWALAppendBatchAllocs(t *testing.T) {
+	w, err := OpenGroupCommitWAL(filepath.Join(t.TempDir(), "allocs.wal"), SyncOS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	cells := benchWriteCells(50)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(100, func() {
+		if err := w.AppendBatch(cells); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 2 {
+		t.Fatalf("a 50-cell AppendBatch allocates %.1f times, want 2 (the group and its channel)", got)
+	}
+}
+
+// TestDurableTableRefusesUnreplayableBatch: the log stores row and
+// qualifier lengths in 16 bits, so a longer key would be acknowledged and
+// then make the whole log unreplayable. Such a batch is refused before it
+// joins a commit group: nothing of it is applied, and a reopen replays
+// every write acknowledged before and after it.
+func TestDurableTableRefusesUnreplayableBatch(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "table.wal")
+	open := func() *Table {
+		tbl, err := OpenDurableTable("visits", []string{"m"}, 2, DefaultStoreOptions(), walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	visit := func(row string) Cell { return Cell{Row: row, Qualifier: "v", Timestamp: 1, Value: []byte(row)} }
+	tbl := open()
+	if err := tbl.PutBatch([]Cell{visit("a"), visit("p")}); err != nil {
+		t.Fatal(err)
+	}
+	longQual := visit("q")
+	longQual.Qualifier = strings.Repeat("q", math.MaxUint16+1)
+	for name, batch := range map[string][]Cell{
+		"row":       {visit("b"), visit(strings.Repeat("r", 70001))},
+		"qualifier": {visit("c"), longQual},
+	} {
+		if err := tbl.PutBatch(batch); err == nil {
+			t.Fatalf("%s: a batch the log cannot replay was acknowledged", name)
+		}
+	}
+	if err := tbl.PutBatch([]Cell{visit("d"), visit(strings.Repeat("z", math.MaxUint16))}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "d", "p", strings.Repeat("z", math.MaxUint16)}
+	rows := func(tbl *Table) []string {
+		var got []string
+		if err := tbl.Scan(ScanOptions{}, func(r RowResult) bool { got = append(got, r.Row); return true }); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := rows(tbl); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows after the refused batches = %.20q, want %.20q", got, want)
+	}
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := open()
+	defer re.Close()
+	if got := rows(re); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows after reopen = %.20q, want %.20q", got, want)
+	}
+}
+
+// TestCheckWALBatchLimits: besides the key lengths, a call whose batch body
+// would pass maxWALBody is refused (checked on lengths alone: the cells
+// share one value). The cell-count limit is not exercised: a slice of more
+// than maxWALBatchCells cells is 72 MiB.
+func TestCheckWALBatchLimits(t *testing.T) {
+	value := make([]byte, 1<<20)
+	big := make([]Cell, maxWALBody>>20+1)
+	for i := range big {
+		big[i] = Cell{Row: "r", Qualifier: "v", Timestamp: int64(i), Value: value}
+	}
+	if err := checkWALBatch(big); err == nil {
+		t.Fatal("a batch body over maxWALBody was accepted")
+	}
+	if err := checkWALBatch(big[:len(big)-2]); err != nil {
+		t.Fatalf("a batch body under maxWALBody was refused: %v", err)
 	}
 }
