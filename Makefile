@@ -21,7 +21,9 @@ GO ?= go
 ##   - TestEveryMetricFamilyHasAReader (internal/core) names a reader for
 ##     every served metric family, and TestFlagsMatchOperationsKnobs
 ##     (cmd/modissense-server) holds the server flags to OPERATIONS.md;
-##   - the read-fault, overload and primary-kill scenarios (internal/bench).
+##   - the read-fault, overload and primary-kill scenarios (internal/bench);
+##   - the six Example functions (example_test.go, client/example_test.go)
+##     run the paper's demo flows and must print their // Output: blocks.
 check: fmt vet build test-race fuzz-smoke bench-smoke bench-repo-smoke
 
 fmt:

@@ -660,7 +660,6 @@ type Blog struct {
 	UserID   int64  `json:"user_id"`
 	Title    string `json:"title"`
 	Rendered string `json:"rendered"`
-	Shared   bool   `json:"shared"`
 }
 
 // GenerateBlog builds and persists the signed-in user's blog for the day.

@@ -65,7 +65,6 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) *string {
 	fs.IntVar(&cfg.DownAfter, "down-after", cfg.DownAfter, "consecutive node failures before the detector downs the node and promotes; suspect at half (0 = default, 6)")
 	fs.StringVar(&cfg.WALDir, "wal-dir", cfg.WALDir, "directory for the durable visits WAL (empty = in-memory, no recovery)")
 	fs.StringVar(&cfg.WALSync, "wal-sync", cfg.WALSync, "WAL durability policy: os (written to the file per commit group) or group (plus one fsync per group)")
-	fs.Float64Var(&cfg.CompactRateMBps, "compact-rate-mb", cfg.CompactRateMBps, "background-compaction I/O cap in MB/s (0 = unlimited)")
 	fs.IntVar(&cfg.MemtableFlushBytes, "memtable-flush-bytes", cfg.MemtableFlushBytes, "per-region memtable size that triggers rotation and background flush (0 = engine default)")
 	fs.Float64Var(&cfg.WriteQPS, "write-qps", cfg.WriteQPS, "write-class admission rate in requests/s for batched check-ins (0 = no rate limiting)")
 	fs.IntVar(&cfg.BlockCacheMB, "block-cache-mb", cfg.BlockCacheMB, "decoded-block cache shared by all tables, in MiB (0 = process default, 64)")

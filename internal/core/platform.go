@@ -127,9 +127,6 @@ type Config struct {
 	// WALSync picks the WAL durability policy: "os" (default; acknowledged
 	// once written to the file) or "group" (one fsync per commit group).
 	WALSync string
-	// CompactRateMBps caps background-compaction I/O across the Visits
-	// regions in MB/s (0 = unlimited).
-	CompactRateMBps float64
 	// MemtableFlushBytes overrides the per-region memtable flush threshold
 	// (0 keeps the kvstore default).
 	MemtableFlushBytes int
@@ -230,8 +227,8 @@ func (c Config) Validate() error {
 	if c.FailoverEnabled && c.ReadReplicas < 1 {
 		return fmt.Errorf("core: failover requires read replicas (promotion needs a survivor)")
 	}
-	if c.CompactRateMBps < 0 || c.MemtableFlushBytes < 0 {
-		return fmt.Errorf("core: negative compaction rate/flush threshold")
+	if c.MemtableFlushBytes < 0 {
+		return fmt.Errorf("core: negative memtable flush threshold")
 	}
 	if c.WriteQPS < 0 {
 		return fmt.Errorf("core: negative write admission rate")
@@ -331,9 +328,6 @@ func New(cfg Config) (*Platform, error) {
 	kvOpts.Seed = cfg.Seed
 	if cfg.MemtableFlushBytes > 0 {
 		kvOpts.FlushThresholdBytes = cfg.MemtableFlushBytes
-	}
-	if cfg.CompactRateMBps > 0 {
-		kvOpts.CompactionRate = kvstore.NewRateLimiter(int(cfg.CompactRateMBps * 1e6))
 	}
 	if kvOpts.WALSyncPolicy, err = kvstore.ParseSyncPolicy(cfg.WALSync); err != nil {
 		return nil, err

@@ -186,9 +186,8 @@ func (p *Platform) handleSubscriptionEvents(w http.ResponseWriter, r *http.Reque
 			writeErr(w, r, http.StatusBadRequest, fmt.Errorf("core: invalid wait_ms %q", ms))
 			return
 		}
-		if wait = time.Duration(v) * time.Millisecond; wait > maxEventWait {
-			wait = maxEventWait
-		}
+		// Clamp before the multiply: a huge v would overflow Duration.
+		wait = time.Duration(min(int64(v), maxEventWait.Milliseconds())) * time.Millisecond
 	}
 	events, next, err := p.PubSub.Poll(r.Context(), uid, id, cursor, limit, wait)
 	switch {

@@ -211,6 +211,67 @@ func TestAPISubscriptionEventsLongPoll(t *testing.T) {
 	}
 }
 
+// TestAPISubscriptionEventsHugeWait holds a long poll whose wait_ms is too
+// large for a Duration in milliseconds: it must clamp to maxEventWait, not
+// overflow into a negative or sub-millisecond hold, so a check-in published
+// while the poll waits is delivered in that same response.
+func TestAPISubscriptionEventsHugeWait(t *testing.T) {
+	c, p := newAPIClient(t)
+	in := c.signIn("facebook", "facebook:3")
+	poi := p.Catalog()[0]
+	var sub pubsub.Subscription
+	if code := c.post("/api/v1/subscriptions", map[string]interface{}{
+		"token":   in.Token,
+		"min_lat": poi.Lat - 0.01, "min_lon": poi.Lon - 0.01,
+		"max_lat": poi.Lat + 0.01, "max_lon": poi.Lon + 0.01,
+	}, &sub); code != http.StatusCreated {
+		t.Fatalf("create = %d", code)
+	}
+	cursor := "0"
+	for _, waitMS := range []string{"9223372036855", "18446744073710"} {
+		type answer struct {
+			code int
+			page evPage
+			err  error
+		}
+		done := make(chan answer, 1)
+		go func() {
+			var a answer
+			resp, err := http.Get(c.srv.URL + "/api/v1/subscriptions/" + sub.ID + "/events?token=" + in.Token + "&cursor=" + cursor + "&wait_ms=" + waitMS)
+			if err != nil {
+				done <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			a.code, a.err = resp.StatusCode, json.NewDecoder(resp.Body).Decode(&a.page)
+			done <- a
+		}()
+		// A correct poll is still holding 100 ms on; an overflowed one has
+		// answered at once. A poll that starts only after the push below
+		// delivers it all the same, so a slow start cannot fail the test.
+		select {
+		case a := <-done:
+			t.Fatalf("wait_ms=%s: poll answered before any check-in: %d %+v (%v)", waitMS, a.code, a.page, a.err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		if code := c.post("/api/v1/checkins", map[string]interface{}{
+			"token":    in.Token,
+			"checkins": []map[string]interface{}{{"poi_id": poi.ID, "time": time.Now().UnixMilli(), "network": "facebook"}},
+		}, nil); code != http.StatusOK {
+			t.Fatalf("push = %d", code)
+		}
+		select {
+		case a := <-done:
+			if a.err != nil || a.code != http.StatusOK || len(a.page.Items) != 1 {
+				t.Fatalf("wait_ms=%s: poll = %d %+v (%v), want the check-in published while it waited", waitMS, a.code, a.page, a.err)
+			}
+			cursor = a.page.NextCursor
+		case <-time.After(10 * time.Second):
+			t.Fatalf("wait_ms=%s: poll still held 10 s after a matching check-in", waitMS)
+		}
+	}
+}
+
 func TestAPISubscriptionEventsSSE(t *testing.T) {
 	c, p := newAPIClient(t)
 	in := c.signIn("facebook", "facebook:3")

@@ -1,10 +1,5 @@
 package kvstore
 
-import (
-	"sync"
-	"time"
-)
-
 // Background size-tiered compaction. The seed store compacted on the write
 // path: when the segment count hit the trigger, the writer merged every
 // segment into one while holding the store lock — a stop-the-world pause
@@ -12,8 +7,7 @@ import (
 // similar-sized adjacent segments (a size tier), merges them off the lock,
 // and swaps the result in under a short critical section. Each store runs at
 // most one compactor goroutine at a time (single-flight), so compaction
-// parallelism comes from the regions of a table, and an optional shared
-// RateLimiter bounds the aggregate merge bandwidth.
+// parallelism comes from the regions of a table.
 //
 // Compactions never drop tombstones: a tombstone in the merged run may mask
 // older versions living in segments outside the run, and dropping it would
@@ -103,14 +97,8 @@ func (s *Store) compactLoop() {
 		inputs := append([]*segment(nil), s.segments[lo:hi]...)
 		id := s.nextSeg
 		s.nextSeg++
-		rate := s.opts.CompactionRate
 		s.mu.Unlock()
 
-		inBytes := 0
-		for _, seg := range inputs {
-			inBytes += seg.bytes
-		}
-		rate.Wait(inBytes)
 		newestFirst := make([]*segment, len(inputs))
 		for i := range inputs {
 			newestFirst[i] = inputs[len(inputs)-1-i]
@@ -154,46 +142,4 @@ func (s *Store) spliceSegmentsLocked(inputs []*segment, merged *segment) {
 	out = append(out, merged)
 	out = append(out, s.segments[lo+len(inputs):]...)
 	s.segments = out
-}
-
-// RateLimiter is a token-bucket byte-rate limiter shared by the background
-// compactors of every region store it is handed to. A nil *RateLimiter is
-// valid and means unlimited.
-type RateLimiter struct {
-	mu          sync.Mutex
-	bytesPerSec float64
-	tokens      float64
-	last        time.Time
-}
-
-// NewRateLimiter builds a limiter allowing bytesPerSec sustained throughput
-// (with up to one second of burst). bytesPerSec <= 0 returns nil: unlimited.
-func NewRateLimiter(bytesPerSec int) *RateLimiter {
-	if bytesPerSec <= 0 {
-		return nil
-	}
-	return &RateLimiter{bytesPerSec: float64(bytesPerSec), tokens: float64(bytesPerSec), last: time.Now()}
-}
-
-// Wait blocks until n bytes of budget are available, then consumes them.
-func (l *RateLimiter) Wait(n int) {
-	if l == nil || n <= 0 {
-		return
-	}
-	l.mu.Lock()
-	now := time.Now()
-	l.tokens += now.Sub(l.last).Seconds() * l.bytesPerSec
-	if l.tokens > l.bytesPerSec {
-		l.tokens = l.bytesPerSec // burst cap: one second of budget
-	}
-	l.last = now
-	l.tokens -= float64(n)
-	var wait time.Duration
-	if l.tokens < 0 {
-		wait = time.Duration(-l.tokens / l.bytesPerSec * float64(time.Second))
-	}
-	l.mu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
-	}
 }

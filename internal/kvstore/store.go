@@ -23,9 +23,6 @@ type StoreOptions struct {
 	// 0 means DefaultMaxImmutableMemtables. Writers hitting the cap stall
 	// until the flusher drains (see Stats.WriteStalls and WritePressure).
 	MaxImmutableMemtables int
-	// CompactionRate throttles background compaction bandwidth; the limiter
-	// may be shared across stores (all regions of a table). Nil = unlimited.
-	CompactionRate *RateLimiter
 	// WALSyncPolicy selects the group-commit durability of a durable table's
 	// log (see OpenDurableTable); region stores themselves ignore it.
 	WALSyncPolicy SyncPolicy

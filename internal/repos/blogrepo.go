@@ -33,7 +33,6 @@ type StoredBlog struct {
 	Title    string             `json:"title"`
 	Rendered string             `json:"rendered"`
 	Entries  []trajectory.Visit `json:"entries"`
-	Shared   bool               `json:"shared"`
 }
 
 // clone copies b with an entries slice of its own.
@@ -47,7 +46,7 @@ func dayNumber(t time.Time) int64 {
 }
 
 // Save persists (or replaces) the blog of (user, day). A replacement keeps
-// the blog's id and share flag.
+// the blog's id.
 func (r *BlogsRepo) Save(b *trajectory.Blog) (StoredBlog, error) {
 	if b == nil {
 		return StoredBlog{}, fmt.Errorf("repos: nil blog")
@@ -68,7 +67,7 @@ func (r *BlogsRepo) Save(b *trajectory.Blog) (StoredBlog, error) {
 		r.byUser[b.UserID] = days
 	}
 	if id, ok := days[day]; ok {
-		stored.ID, stored.Shared = id, r.byID[id].Shared
+		stored.ID = id
 	} else {
 		r.nextID++
 		stored.ID = r.nextID
@@ -100,17 +99,4 @@ func (r *BlogsRepo) ListUser(userID int64) []StoredBlog {
 	r.mu.RUnlock()
 	slices.SortFunc(out, func(a, b StoredBlog) int { return b.Day.Compare(a.Day) })
 	return out
-}
-
-// MarkShared flags the blog as posted to a social network.
-func (r *BlogsRepo) MarkShared(blogID int64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.byID[blogID]
-	if !ok {
-		return fmt.Errorf("repos: no blog %d", blogID)
-	}
-	b.Shared = true
-	r.byID[blogID] = b
-	return nil
 }

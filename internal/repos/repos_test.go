@@ -518,25 +518,6 @@ func TestBlogsRepo(t *testing.T) {
 	if list := repo.ListUser(42); len(list) != 1 {
 		t.Fatalf("ListUser = %v", list)
 	}
-	// Share flag.
-	if err := repo.MarkShared(stored.ID); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = repo.Get(42, day)
-	if !got.Shared {
-		t.Error("blog must be marked shared")
-	}
-	if err := repo.MarkShared(999); err == nil {
-		t.Error("missing blog must fail")
-	}
-	// Sharing survives a resave.
-	if _, err := repo.Save(blog); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = repo.Get(42, day)
-	if !got.Shared {
-		t.Error("share flag must survive resave")
-	}
 	if _, ok := repo.Get(42, day.Add(48*time.Hour)); ok {
 		t.Error("different day must be absent")
 	}

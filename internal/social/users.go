@@ -79,18 +79,6 @@ func (m *UserManager) Connector(network string) (Connector, error) {
 	return c, nil
 }
 
-// Networks lists the supported networks.
-func (m *UserManager) Networks() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.connectors))
-	for n := range m.connectors {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SignIn registers (or signs in) a user with social-network credentials
 // and returns the account plus a fresh access token. A social identity
 // seen before signs into its existing platform account.

@@ -140,27 +140,6 @@ func clampInto(p geo.Point, r geo.Rect) geo.Point {
 	return p
 }
 
-// GenUsers generates the social-network population with linked networks.
-func GenUsers(rng *rand.Rand, n int) []model.User {
-	networks := []string{"facebook", "twitter", "foursquare"}
-	users := make([]model.User, n)
-	for i := range users {
-		linked := []string{networks[rng.Intn(3)]}
-		if rng.Float64() < 0.4 {
-			second := networks[rng.Intn(3)]
-			if second != linked[0] {
-				linked = append(linked, second)
-			}
-		}
-		users[i] = model.User{
-			ID:       int64(i + 1),
-			Name:     fmt.Sprintf("user-%06d", i+1),
-			Networks: linked,
-		}
-	}
-	return users
-}
-
 // VisitCount draws one per-user visit count from N(mean, sigma²),
 // truncated at 1.
 func VisitCount(rng *rand.Rand, mean, sigma float64) int {

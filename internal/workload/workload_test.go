@@ -51,26 +51,6 @@ func TestGenPOIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenUsers(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	users := GenUsers(rng, 1000)
-	if len(users) != 1000 {
-		t.Fatalf("got %d users", len(users))
-	}
-	multi := 0
-	for _, u := range users {
-		if len(u.Networks) == 0 {
-			t.Fatalf("user %d has no networks", u.ID)
-		}
-		if len(u.Networks) > 1 {
-			multi++
-		}
-	}
-	if multi == 0 {
-		t.Error("no user linked a second network")
-	}
-}
-
 func TestVisitCountDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 20000

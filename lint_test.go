@@ -367,6 +367,8 @@ var allowlist = map[string]string{
 	"query.Engine.SetFaultInjector":    "test seam: arms read faults in the bench and core scenario tests",
 	"matview.HotInView.Floor":          "test seam: the core and query trending tests check the coverage floor a clamp reports",
 	"matview.ResultCache.Len":          "test seam: the query result-cache tests check what was memoized",
+	"workload.GenGPSDay":               "test seam: the core and client GPS and blog tests and the facade's blog example synthesize a day of fixes",
+	"workload.GenGathering":            "test seam: the core and client event-detection tests and the facade's example plant a crowd",
 	// The operator hatch OPERATIONS.md §11 documents.
 	"kvstore.Table.FailoverNode": "operator hatch: forced promotion, OPERATIONS.md §11",
 	"kvstore.Table.RejoinNode":   "operator hatch: re-entering a repaired node as a replica, OPERATIONS.md §11",
