@@ -7,7 +7,7 @@ GO ?= go
 ## untrusted-input parsers and the hand codecs held to a reference (binary
 ## visits, JSON answers, JSON search and check-in requests), a smoke pass
 ## over the read-path, block-load, write-path, flush, compaction, matcher,
-## trending-view, result-cache, answer-codec and request-codec
+## publish-hook, trending-view, result-cache, answer-codec and request-codec
 ## microbenchmarks, and the repository benchmark's own vet and tests. CI
 ## and pre-merge runs use this.
 ## The static contracts are tests of the suite, so plain `go test ./...`
@@ -105,7 +105,10 @@ bench:
 ## zero allocations), the table's one write
 ## routine per cell and per batch of 50, a flush and a compaction (whose
 ## bytes per input cell tier-1's TestCompactionAllocsPerInputCell bounds),
-## the matcher's memo-hit case, the
+## the matcher's memo-hit case (BenchmarkPublishBatch/static, whose
+## allocations tier-1's TestPublishBatchMemoHitAllocs keeps at zero), the
+## ingest hook's pub/sub stage on memoised check-ins (BenchmarkPublishVisits,
+## zero allocations by tier-1's TestPublishVisitsAllocs), the
 ## registry's idle subscription (whose bytes per op tier-1's
 ## TestAddIdleMemoryBudget bounds), the view's benchmark-shaped read, a check-in batch folded into the cached
 ## entries of its writer's friends, a cached search with its ranking current
@@ -127,6 +130,7 @@ bench-smoke:
 	$(GO) test ./internal/core -run XXX -bench 'BenchmarkRequestJSON/.*/^decode$$' -benchmem -benchtime=100x
 	$(GO) test ./client -run XXX -bench 'BenchmarkRequestJSON/.*/^append$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/pubsub -run XXX -bench 'BenchmarkPublishBatch/static|BenchmarkAddIdle' -benchmem -benchtime=100x
+	$(GO) test ./internal/core -run XXX -bench 'BenchmarkPublishVisits' -benchmem -benchtime=100x
 	$(GO) test ./internal/matview -run XXX -bench 'BenchmarkTopK/dense' -benchmem -benchtime=100x
 
 ## bench-repo-smoke vets and tests the repository benchmark (bench/, a Go

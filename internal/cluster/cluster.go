@@ -55,6 +55,9 @@ func DefaultConfig(nodes int) Config {
 // but its free list of idle sessions.
 type Cluster struct {
 	cfg Config
+	// maxEvents bounds each simulation's events: the package's maxEvents,
+	// lowered only by tests.
+	maxEvents uint64
 
 	mu   sync.Mutex
 	idle []*Session // each drained without error and reset
@@ -77,7 +80,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Cost.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cluster{cfg: cfg}, nil
+	return &Cluster{cfg: cfg, maxEvents: maxEvents}, nil
 }
 
 // Config returns the deployment configuration.
@@ -105,7 +108,7 @@ func (c *Cluster) Simulate(schedule func(*Session)) (sim.Time, error) {
 		return 0, err
 	}
 	schedule(s)
-	_, err = s.eng.Run(maxEvents)
+	_, err = s.eng.Run(c.maxEvents)
 	if s.err != nil {
 		err = s.err
 	}

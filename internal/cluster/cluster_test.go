@@ -163,19 +163,24 @@ func TestClusterScalingShape(t *testing.T) {
 }
 
 // TestRunDetectsRunawayScheduling: a callback that resubmits forever is
-// stopped by the event guard and reported, not left to spin.
+// stopped by the event guard and reported, not left to spin. The guard is
+// lowered from its 50 M events so that it fires in milliseconds.
 func TestRunDetectsRunawayScheduling(t *testing.T) {
 	c, err := New(DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.maxEvents != maxEvents {
+		t.Fatalf("New sets the event guard to %d, want %d", c.maxEvents, maxEvents)
+	}
+	c.maxEvents = 100_000
 	_, err = c.Simulate(func(s *Session) {
 		var loop func(sim.Time)
 		loop = func(at sim.Time) { s.Submit(s.Node(0), at, 0.001, loop) }
 		loop(0)
 	})
-	if err == nil {
-		t.Error("expected the event guard to fire")
+	if want := "exceeded 100000 events; likely a scheduling loop"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a runaway simulation returned %v, want the event guard's %q", err, want)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
+	"sync"
 	"time"
 
 	"modissense/internal/admit"
@@ -754,15 +755,18 @@ func (p *Platform) onVisitsStored(visits []model.Visit, committed bool) {
 }
 
 // publishVisits hands the committed batch to the pub/sub matcher in one
-// call. The matched text is the POI name plus its catalog keywords,
-// tokenized by the same textproc pipeline the subscription keywords went
-// through.
+// call. The matched text is the POI name plus its catalog keywords, which
+// the interned document carries (model.MatchText), tokenized by the same
+// textproc pipeline the subscription keywords went through. The batch is
+// built in a pooled buffer, so a batch whose check-ins the matcher has
+// memoised allocates nothing here or below.
 func (p *Platform) publishVisits(visits []model.Visit) {
 	reg := p.PubSub
 	if reg == nil || reg.Len() == 0 {
 		return
 	}
-	batch := make([]pubsub.Checkin, len(visits))
+	bp := checkinBufs.Get().(*[]pubsub.Checkin)
+	batch := slices.Grow((*bp)[:0], len(visits))[:len(visits)]
 	for i := range visits {
 		v := &visits[i]
 		batch[i] = pubsub.Checkin{
@@ -773,11 +777,22 @@ func (p *Platform) publishVisits(visits []model.Visit) {
 			TimeMillis: v.Time,
 			Grade:      v.Grade,
 			Network:    v.Network,
-			Text:       v.POI.Name + " " + strings.Join(v.POI.Keywords, " "),
+			Text:       model.MatchText(&v.POI),
 		}
 	}
 	reg.PublishBatch(batch)
+	if cap(batch) <= maxPooledCheckins {
+		clear(batch) // the pool holds no strings
+		*bp = batch
+		checkinBufs.Put(bp)
+	}
 }
+
+// checkinBufs recycles publishVisits' batches. One grown past
+// maxPooledCheckins (a collection pass's) is left to the collector.
+var checkinBufs = sync.Pool{New: func() any { return new([]pubsub.Checkin) }}
+
+const maxPooledCheckins = 1024
 
 // PushGPS ingests GPS fixes for the authenticated user (overriding the
 // fixes' user ids with the authenticated identity). With a configured

@@ -1,0 +1,6 @@
+//go:build race
+
+package core
+
+// raceEnabled reports a build under the race detector.
+const raceEnabled = true

@@ -15,8 +15,11 @@ import (
 // followers pile their cells into the open group and then block on its done
 // channel. The leader seals the group, writes one record (a plain per-put
 // record for a single cell, a batched record otherwise) and wakes everyone
-// with the shared outcome. Throughput scales with the number of concurrent
-// writers while every acknowledged write is as durable as a solo one.
+// with the shared outcome. A group is also sealed early, by a caller whose
+// cells would take its record past a cap replay enforces (maxWALBody,
+// maxWALBatchCells): that caller opens the next group instead. Throughput
+// scales with the number of concurrent writers while every acknowledged
+// write is as durable as a solo one.
 
 // SyncPolicy selects how a GroupCommitWAL makes commit groups durable.
 type SyncPolicy int
@@ -63,8 +66,15 @@ const walBufKeep = 1 << 20
 // commitGroup is one in-flight batch of cells awaiting a leader's commit.
 type commitGroup struct {
 	cells []Cell
+	body  int // the length of the cells' batch body (checkWALBatch)
 	done  chan struct{}
 	err   error
+}
+
+// admits reports whether a call of n cells with a batch body of body bytes
+// can join g and leave its record one that replay accepts.
+func (g *commitGroup) admits(n, body int) bool {
+	return len(g.cells)+n <= maxWALBatchCells && g.body+body-walBatchCountLen <= maxWALBody
 }
 
 // GroupCommitWAL is the file-backed write-ahead log of a durable table; its
@@ -101,13 +111,15 @@ func OpenGroupCommitWAL(path string, policy SyncPolicy) (*GroupCommitWAL, error)
 // the group is durable per the sync policy. All cells of one call land in
 // the same group, so they reach the log as one unit: a replay applies either
 // all of them or (for a torn tail) none. A call the log could not replay
-// (checkWALBatch) is refused before it joins a group. The cells are only
-// read.
+// (checkWALBatch) is refused before it joins a group, and a call the open
+// group could not take and still replay seals it and opens the next one.
+// The cells are only read.
 func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 	if len(cells) == 0 {
 		return nil
 	}
-	if err := checkWALBatch(cells); err != nil {
+	body, err := checkWALBatch(cells)
+	if err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -115,16 +127,18 @@ func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 		w.mu.Unlock()
 		return errors.New("kvstore: append to closed wal")
 	}
-	if g := w.cur; g != nil {
+	if g := w.cur; g != nil && g.admits(len(cells), body) {
 		// Follower: add to the open group and wait for its leader.
 		g.cells = append(g.cells, cells...)
+		g.body += body - walBatchCountLen
 		w.mu.Unlock()
 		<-g.done
 		return g.err
 	}
-	// The capacity is clamped so that followers joining the group append
-	// into a fresh array, never into the leader's caller's spare capacity.
-	g := &commitGroup{cells: cells[:len(cells):len(cells)], done: make(chan struct{})}
+	// Leader of a new group, which replaces a group too full to join. The
+	// capacity is clamped so that followers joining the group append into a
+	// fresh array, never into the leader's caller's spare capacity.
+	g := &commitGroup{cells: cells[:len(cells):len(cells)], body: body, done: make(chan struct{})}
 	w.cur = g
 	w.mu.Unlock()
 
@@ -141,7 +155,9 @@ func (w *GroupCommitWAL) AppendBatch(cells []Cell) error {
 	}
 	w.ioMu.Lock()
 	w.mu.Lock()
-	w.cur = nil
+	if w.cur == g { // else a joiner sealed g and opened the next group
+		w.cur = nil
+	}
 	closed := w.closed
 	w.mu.Unlock()
 	if closed {

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestParseSyncPolicy(t *testing.T) {
@@ -276,6 +278,81 @@ func TestGroupCommitLeaderDoesNotAliasCaller(t *testing.T) {
 		if n > 0 {
 			t.Errorf("writer %d: the cell after its appended sub-slice was overwritten by another writer in %d of %d calls", wi, n, perWriter)
 		}
+	}
+}
+
+// TestGroupCommitSealsAtTheCaps: two callers, each under the record caps,
+// would together pass one of them. The second must seal the first's group
+// and commit in a group of its own, so that both acknowledged records
+// replay. The caps are lowered to room for four of the test's cells, and
+// the first group is held open by holding the I/O lock its leader waits
+// on.
+func TestGroupCommitSealsAtTheCaps(t *testing.T) {
+	const perCall = 3
+	cell := Cell{Row: "row-00", Qualifier: "q", Value: []byte("value")}
+	fourCells := walBatchCountLen + 4*(4+walBodyLen(&cell))
+	for _, c := range []struct {
+		name        string
+		cells, body int
+	}{{"cells", 4, maxWALBody}, {"body", maxWALBatchCells, fourCells}} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func(cells, body int) { maxWALBatchCells, maxWALBody = cells, body }(maxWALBatchCells, maxWALBody)
+			maxWALBatchCells, maxWALBody = c.cells, c.body
+			path := filepath.Join(t.TempDir(), "seal.wal")
+			w, err := OpenGroupCommitWAL(path, SyncOS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			open := func() *commitGroup {
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				return w.cur
+			}
+			waitUntil := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting until %s", what)
+					}
+				}
+			}
+			errs := make(chan error, 2)
+			call := func(k int) {
+				cells := make([]Cell, perCall)
+				for i := range cells {
+					cells[i] = cell
+					cells[i].Row = fmt.Sprintf("row-%d%d", k, i)
+				}
+				errs <- w.AppendBatch(cells)
+			}
+			w.ioMu.Lock()
+			go call(0)
+			waitUntil("the first call opens a group", func() bool { return open() != nil })
+			first := open()
+			go call(1)
+			waitUntil("the second call joins or seals it", func() bool {
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				return w.cur != first || len(first.cells) > perCall
+			})
+			w.ioMu.Unlock()
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			replayed := 0
+			if err := ReplayWAL(path, func(Cell) error { replayed++; return nil }); err != nil {
+				t.Fatalf("replaying two acknowledged calls: %v", err)
+			}
+			if replayed != 2*perCall {
+				t.Fatalf("replayed %d cells, want %d", replayed, 2*perCall)
+			}
+		})
 	}
 }
 

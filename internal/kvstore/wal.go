@@ -33,14 +33,21 @@ import (
 // walBatchFlag marks a record's bodyLen word as a batched record.
 const walBatchFlag = uint32(1) << 31
 
-// maxWALBody caps a single record body; replay reads a larger length as a
-// corrupt log, so checkWALBatch refuses a write that would need one.
-const maxWALBody = 1 << 28
+// The record caps. They are variables only so that tests can lower them.
+var (
+	// maxWALBody caps a single record body; replay reads a larger length as
+	// a corrupt log, so checkWALBatch refuses a write that would need one
+	// and a commit group is sealed before it would need one.
+	maxWALBody = 1 << 28
+	// maxWALBatchCells caps the declared cell count of a batch record so a
+	// corrupt count cannot drive a huge allocation during replay;
+	// checkWALBatch refuses a larger write and a commit group is sealed
+	// before it would write one.
+	maxWALBatchCells = 1 << 20
+)
 
-// maxWALBatchCells caps the declared cell count of a batch record so a
-// corrupt count cannot drive a huge allocation during replay; checkWALBatch
-// refuses a larger write.
-const maxWALBatchCells = 1 << 20
+// walBatchCountLen is the length of a batch body's count word.
+const walBatchCountLen = 4
 
 // walBodyLen is the length of c's per-put body.
 func walBodyLen(c *Cell) int {
@@ -89,26 +96,26 @@ func appendWALRecord(dst []byte, cells []Cell) []byte {
 
 // checkWALBatch refuses cells the log could not replay: a row or qualifier
 // longer than its u16 length field, more cells than a batch record may
-// declare, or a batch body over maxWALBody. The batch body bounds every
-// record a commit group of these cells alone writes, each cell's per-put
-// body included.
-func checkWALBatch(cells []Cell) error {
+// declare, or a batch body over maxWALBody. It returns the length of that
+// batch body, which bounds every record a commit group of these cells alone
+// writes, each cell's per-put body included.
+func checkWALBatch(cells []Cell) (int, error) {
 	if len(cells) > maxWALBatchCells {
-		return fmt.Errorf("kvstore: wal batch of %d cells over the %d-cell limit", len(cells), maxWALBatchCells)
+		return 0, fmt.Errorf("kvstore: wal batch of %d cells over the %d-cell limit", len(cells), maxWALBatchCells)
 	}
-	n := 4
+	n := walBatchCountLen
 	for i := range cells {
 		c := &cells[i]
 		if len(c.Row) > math.MaxUint16 || len(c.Qualifier) > math.MaxUint16 {
-			return fmt.Errorf("kvstore: cell %d: row key of %d bytes or qualifier of %d bytes over the wal's %d-byte limit",
+			return 0, fmt.Errorf("kvstore: cell %d: row key of %d bytes or qualifier of %d bytes over the wal's %d-byte limit",
 				i, len(c.Row), len(c.Qualifier), math.MaxUint16)
 		}
 		n += 4 + walBodyLen(c)
 	}
 	if n > maxWALBody {
-		return fmt.Errorf("kvstore: wal batch body of %d bytes over the %d-byte record limit", n, maxWALBody)
+		return 0, fmt.Errorf("kvstore: wal batch body of %d bytes over the %d-byte record limit", n, maxWALBody)
 	}
-	return nil
+	return n, nil
 }
 
 func decodeWALBody(b []byte) (Cell, error) {
@@ -169,7 +176,7 @@ func decodeWALBatchBody(b []byte) ([]Cell, error) {
 	}
 	count := binary.LittleEndian.Uint32(b[:4])
 	b = b[4:]
-	if count > maxWALBatchCells {
+	if count > uint32(maxWALBatchCells) {
 		return nil, fmt.Errorf("kvstore: wal batch of %d cells is implausible; log corrupt", count)
 	}
 	cells := make([]Cell, 0, count)
@@ -227,7 +234,7 @@ func ReplayWAL(path string, apply func(Cell) error) error {
 		lenWord := binary.LittleEndian.Uint32(hdr[4:8])
 		isBatch := lenWord&walBatchFlag != 0
 		bodyLen := lenWord &^ walBatchFlag
-		if bodyLen > maxWALBody {
+		if bodyLen > uint32(maxWALBody) {
 			return fmt.Errorf("kvstore: wal record of %d bytes is implausible; log corrupt", bodyLen)
 		}
 		body := make([]byte, bodyLen)

@@ -320,10 +320,10 @@ func TestCheckWALBatchLimits(t *testing.T) {
 	for i := range big {
 		big[i] = Cell{Row: "r", Qualifier: "v", Timestamp: int64(i), Value: value}
 	}
-	if err := checkWALBatch(big); err == nil {
+	if _, err := checkWALBatch(big); err == nil {
 		t.Fatal("a batch body over maxWALBody was accepted")
 	}
-	if err := checkWALBatch(big[:len(big)-2]); err != nil {
+	if _, err := checkWALBatch(big[:len(big)-2]); err != nil {
 		t.Fatalf("a batch body under maxWALBody was refused: %v", err)
 	}
 }

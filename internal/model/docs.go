@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -26,7 +27,7 @@ import (
 //
 // A version records its document's text lengths when it is interned, so a
 // reader sizing a row's document (VisitView.DocTextLen) never walks its
-// keywords. A reader that resolves many rows of one POI can keep the
+// keywords, and its match text (MatchText), so a publisher never builds it. A reader that resolves many rows of one POI can keep the
 // DocHandle a resolve returned and pass it to the next resolve, which
 // trusts it only for a row of the same id and hash: one compare instead of
 // a table lookup, and no row is ever pointed at another row's document.
@@ -55,21 +56,39 @@ type docSlot struct {
 }
 
 // docVersion is one interned document with the text lengths DocTextLen
-// reports for it, computed once at intern.
+// reports for it and the text MatchText returns for it, computed once at
+// intern.
 type docVersion struct {
 	hash uint64
 	doc  *POI
 	// nameLen, nKeywords and keywordBytes are the name's length, the
 	// keyword count and the keywords' summed length.
 	nameLen, nKeywords, keywordBytes int
+	// text is the document's match text.
+	text string
 }
 
 func newDocVersion(doc *POI, hash uint64) *docVersion {
-	v := &docVersion{hash: hash, doc: doc, nameLen: len(doc.Name), nKeywords: len(doc.Keywords)}
+	v := &docVersion{hash: hash, doc: doc, nameLen: len(doc.Name), nKeywords: len(doc.Keywords), text: matchText(doc)}
 	for _, k := range doc.Keywords {
 		v.keywordBytes += len(k)
 	}
 	return v
+}
+
+// matchText is a document's name and keywords, space-separated.
+func matchText(p *POI) string { return p.Name + " " + strings.Join(p.Keywords, " ") }
+
+// MatchText returns the text a standing query's keywords are matched against
+// for p's document: its name and its keywords, space-separated. For the
+// document interned last for p's id, which a replicated visit just stored
+// names, it is the shared version's text and nothing is allocated; any other
+// document's text is built.
+func MatchText(p *POI) string {
+	if v := sharedDocs.latestSame(p); v != nil {
+		return v.text
+	}
+	return matchText(p)
 }
 
 // DocHandle is an opaque handle on one version of a shared POI document,
@@ -123,11 +142,20 @@ func (t *docTable) lookupVersion(id int64, hash uint64) *docVersion {
 	return nil
 }
 
-func (t *docTable) intern(p *POI) (*POI, uint64, error) {
+// latestSame returns the version interned last for p's id if it is p's
+// document, or nil: the lookup that takes no lock and computes no hash.
+func (t *docTable) latestSame(p *POI) *docVersion {
 	if s := t.slot(p.ID); s != nil {
 		if v := s.latest.Load(); SameDocument(v.doc, p) {
-			return v.doc, v.hash, nil
+			return v
 		}
+	}
+	return nil
+}
+
+func (t *docTable) intern(p *POI) (*POI, uint64, error) {
+	if v := t.latestSame(p); v != nil {
+		return v.doc, v.hash, nil
 	}
 	hash := t.hash(p)
 	t.mu.Lock()

@@ -210,6 +210,31 @@ func TestSharedDocsAllocs(t *testing.T) {
 	}
 }
 
+// TestMatchText: the match text is the name and the keywords,
+// space-separated. For the document interned last for its id it is the
+// shared version's, with no allocation; any other document's is built.
+func TestMatchText(t *testing.T) {
+	old := POI{ID: 9201, Name: "lykavittos", Keywords: []string{"view", "sunset"}}
+	cur := POI{ID: 9201, Name: "lykavittos", Keywords: []string{"view", "sunset", "theatre"}, Hotness: 0.4}
+	for _, p := range []*POI{&old, &cur} {
+		if _, _, err := InternPOI(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	never := POI{ID: 9202, Name: "kerameikos"}
+	for _, c := range []struct {
+		p    *POI
+		want string
+	}{{&cur, "lykavittos view sunset theatre"}, {&old, "lykavittos view sunset"}, {&never, "kerameikos "}} {
+		if got := MatchText(c.p); got != c.want {
+			t.Errorf("MatchText(%s, %v) = %q, want %q", c.p.Name, c.p.Keywords, got, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = MatchText(&cur) }); allocs != 0 {
+		t.Errorf("the match text of the document interned last allocates %.1f times", allocs)
+	}
+}
+
 // TestSharedDocsConcurrent interns and reads documents of overlapping POIs
 // from several goroutines (run under -race by make check): every reader
 // finds the document a writer interned before it, and equal documents

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -149,20 +151,26 @@ func differential(t *testing.T, seed int64) {
 		}
 	}
 	var timeMillis int64 = 1_430_000_000_000
+	networks := []string{"twitter", "facebook", "foursquare", ""}
 	checkin := func() Checkin {
 		p := pois[rng.Intn(len(pois))]
 		c := Checkin{
 			UserID: int64(rng.Intn(50) + 1), POIID: p.id, POIName: p.name, Point: p.pt,
-			TimeMillis: timeMillis, Grade: float64(rng.Intn(6)), Network: "twitter", Text: p.text,
+			TimeMillis: timeMillis, Grade: float64(rng.Intn(6)), Network: networks[rng.Intn(len(networks))], Text: p.text,
 		}
 		timeMillis += 1000
 		// Now and then a catalog POI shows up renamed or moved: same id, a
-		// different answer.
+		// different answer. Or another id or name arrives with its point
+		// and text: the same answer, but not the same events.
 		switch rng.Intn(20) {
 		case 0:
 			c.Text = p.name + " " + vocab[rng.Intn(len(vocab))]
 		case 1:
 			c.Point = geo.Point{Lat: rng.Float64(), Lon: rng.Float64()}
+		case 2:
+			c.POIID += 1000
+		case 3:
+			c.POIName = "Renamed " + p.name
 		}
 		return c
 	}
@@ -272,6 +280,46 @@ func TestMemoInvalidation(t *testing.T) {
 	publish(3, "after the expired subscription was reaped")
 }
 
+// TestMemoSharesPOIRecords: the events of one memoised check-in shape share
+// one POI record, and a check-in whose point and text hit the memo but whose
+// POI id, name or coordinate bits differ gets events of its own POI.
+func TestMemoSharesPOIRecords(t *testing.T) {
+	r := testRegistry(newFakeClock(), Options{})
+	sub, err := r.Add(1, region(-1, -1, 1, 1), nil, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := checkinAt(0, 0.5, "square")
+	otherID, otherName, negZero := first, first, first
+	otherID.POIID = 43
+	otherName.POIName = "renamed"
+	negZero.Point.Lat = math.Copysign(0, -1) // == 0, so the memo key hits
+	batch := []Checkin{first, first, otherID, otherName, negZero, first}
+	if got := r.PublishBatch(batch); got != len(batch) {
+		t.Fatalf("matched %d, want %d", got, len(batch))
+	}
+	if len(r.memo) != 1 {
+		t.Fatalf("memo holds %d entries, want 1: the key is (point, text)", len(r.memo))
+	}
+	events, _, err := r.Poll(context.Background(), 1, sub.ID, 0, 0, 0)
+	if err != nil || len(events) != len(batch) {
+		t.Fatalf("Poll = %d events (%v), want %d", len(events), err, len(batch))
+	}
+	for i, e := range events {
+		c := batch[i]
+		if e.POIID != c.POIID || e.POIName != c.POIName ||
+			math.Float64bits(e.Lat) != math.Float64bits(c.Point.Lat) || e.Lon != c.Point.Lon {
+			t.Errorf("event %d is POI %d %q at (%v, %v), want %d %q at (%v, %v)",
+				i, e.POIID, e.POIName, e.Lat, e.Lon, c.POIID, c.POIName, c.Point.Lat, c.Point.Lon)
+		}
+	}
+	num, _ := strconv.ParseInt(sub.ID, 10, 64)
+	ring := r.subs[num].buf
+	if ring[0].poi != ring[1].poi {
+		t.Error("two events of one memoised check-in hold two POI records")
+	}
+}
+
 // TestMemoCapOverflow: at the cap the memo is cleared whole and refills;
 // answers do not change.
 func TestMemoCapOverflow(t *testing.T) {
@@ -299,13 +347,13 @@ func TestMemoCapOverflow(t *testing.T) {
 // that loses the race with its removal is neither a match nor queue depth.
 func TestPushOnGoneSubscriber(t *testing.T) {
 	s := &subscriber{nextSeq: 1}
-	if queued, evicted := s.push(Event{}, 4); !queued || evicted {
+	if queued, evicted := s.push(&slot{}, 4); !queued || evicted {
 		t.Fatalf("live push = (%v, %v), want (true, false)", queued, evicted)
 	}
 	if n := s.markGone(); n != 1 {
 		t.Fatalf("markGone returned %d buffered events, want 1", n)
 	}
-	if queued, evicted := s.push(Event{}, 4); queued || evicted {
+	if queued, evicted := s.push(&slot{}, 4); queued || evicted {
 		t.Fatalf("push on a gone subscriber = (%v, %v), want (false, false)", queued, evicted)
 	}
 	if s.count != 1 || s.nextSeq != 2 {

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -166,6 +167,46 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// eventPOI is what every event of one check-in shape shares: the visited
+// POI and where it is. The memo entry of that shape owns it, and each ring
+// slot of its events points at it.
+type eventPOI struct {
+	id    int64
+	name  string
+	point geo.Point
+}
+
+// slot is one buffered event as a ring holds it: what varies per event,
+// and the shared POI record. The rest of the Event is the ring's: the
+// subscription id is its subscriber's, and a ring holds consecutive
+// sequence numbers, so a slot's Seq follows from its position.
+type slot struct {
+	poi            *eventPOI
+	user           int64
+	timeMillis     int64
+	grade          float64
+	network        string
+	publishedNanos int64
+}
+
+// event rebuilds the wire Event the slot holds as event seq of subscription
+// subID.
+func (e *slot) event(seq uint64, subID string) Event {
+	return Event{
+		Seq:            seq,
+		SubscriptionID: subID,
+		UserID:         e.user,
+		POIID:          e.poi.id,
+		POIName:        e.poi.name,
+		Lat:            e.poi.point.Lat,
+		Lon:            e.poi.point.Lon,
+		TimeMillis:     e.timeMillis,
+		Grade:          e.grade,
+		Network:        e.network,
+		publishedNanos: e.publishedNanos,
+	}
+}
+
 // subscriber is a registered subscription plus its delivery state: an
 // event ring and a broadcast channel long-pollers and SSE streams select
 // on. Both are lazy. The ring is allocated by the first event and doubles
@@ -179,7 +220,7 @@ type subscriber struct {
 	tokens []string // normalized keywords (sorted, deduped)
 
 	mu      sync.Mutex
-	buf     []Event       // ring: nil, then minRing, 2×minRing, … QueueCap slots
+	buf     []slot        // ring: nil, then minRing, 2×minRing, … QueueCap slots
 	start   int           // index of the oldest buffered event
 	count   int           // buffered events
 	nextSeq uint64        // seq assigned to the next event (starts at 1)
@@ -194,13 +235,12 @@ const minRing = 4
 // queueCap grows first; a full ring of queueCap evicts its oldest event.
 // queued is false on a removed or expired subscriber, which buffers
 // nothing; evicted reports a drop-oldest eviction.
-func (s *subscriber) push(e Event, queueCap int) (queued, evicted bool) {
+func (s *subscriber) push(e *slot, queueCap int) (queued, evicted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gone {
 		return false, false
 	}
-	e.Seq = s.nextSeq
 	s.nextSeq++
 	if s.count == len(s.buf) {
 		if len(s.buf) < queueCap {
@@ -211,7 +251,7 @@ func (s *subscriber) push(e Event, queueCap int) (queued, evicted bool) {
 			evicted = true
 		}
 	}
-	s.buf[(s.start+s.count)%len(s.buf)] = e
+	s.buf[(s.start+s.count)%len(s.buf)] = *e
 	s.count++
 	s.wakeLocked()
 	return true, evicted
@@ -221,7 +261,7 @@ func (s *subscriber) push(e Event, queueCap int) (queued, evicted bool) {
 // first, queueCap at most) holding the same events, oldest first at index
 // 0. Caller holds s.mu.
 func (s *subscriber) growLocked(queueCap int) {
-	buf := make([]Event, min(max(2*len(s.buf), minRing), queueCap))
+	buf := make([]slot, min(max(2*len(s.buf), minRing), queueCap))
 	n := copy(buf, s.buf[s.start:])
 	copy(buf[n:], s.buf[:s.start])
 	s.buf, s.start = buf, 0
@@ -237,18 +277,19 @@ func (s *subscriber) wakeLocked() {
 }
 
 // collect returns up to limit buffered events with Seq > cursor, or, when
-// none are ready, the channel the next push or removal closes.
+// none are ready, the channel the next push or removal closes. The ring's
+// events are numbered nextSeq−count up to nextSeq−1, oldest first.
 func (s *subscriber) collect(cursor uint64, limit int) ([]Event, <-chan struct{}, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gone {
 		return nil, nil, false
 	}
+	first := s.nextSeq - uint64(s.count)
 	var out []Event
 	for i := 0; i < s.count && (limit <= 0 || len(out) < limit); i++ {
-		e := s.buf[(s.start+i)%len(s.buf)]
-		if e.Seq > cursor {
-			out = append(out, e)
+		if seq := first + uint64(i); seq > cursor {
+			out = append(out, s.buf[(s.start+i)%len(s.buf)].event(seq, s.sub.ID))
 		}
 	}
 	if len(out) > 0 {
@@ -293,7 +334,7 @@ type Registry struct {
 	// every membership change drops the whole memo under mu's write lock.
 	// Publishers read and fill it under mu's read lock plus memoMu.
 	memoMu   sync.Mutex
-	memo     map[memoKey][]*subscriber
+	memo     map[memoKey]memoEntry
 	memoSize int // entries plus memoised pointers, at most memoCap
 
 	// published counts check-ins to pace the lazy expiry sweep.
@@ -304,6 +345,15 @@ type Registry struct {
 type memoKey struct {
 	pt   geo.Point
 	text string
+}
+
+// memoEntry is one memoised answer: the matching subscribers and, if there
+// are any, the POI record their events share. The key does not name the
+// POI, so the record is reused only for a check-in of its id, name and
+// point bits, and replaced for any other.
+type memoEntry struct {
+	poi  *eventPOI
+	subs []*subscriber
 }
 
 // memoCap bounds the memo (one unit per entry plus one per memoised
@@ -327,7 +377,7 @@ func NewRegistry(opts Options) *Registry {
 		subs:    make(map[int64]*subscriber),
 		perUser: make(map[int64]int),
 		tree:    tree,
-		memo:    make(map[memoKey][]*subscriber),
+		memo:    make(map[memoKey]memoEntry),
 	}
 }
 
@@ -537,17 +587,44 @@ func (r *Registry) dropMemoLocked() {
 
 // matchesLocked returns the subscribers whose region contains c's point
 // and whose keywords all appear in c's text, expired ones included (the
-// caller checks expiry at push time). A memo miss pays one R-tree point
+// caller checks expiry at push time), and the POI record of c their events
+// share (nil when there are none). A memo miss pays one R-tree point
 // probe, one tokenize of the text if any spatial candidate has keywords,
 // and a keyword containment test per candidate. Caller holds r.mu for
 // reading, and the returned slice is valid for as long as it does.
-func (r *Registry) matchesLocked(c *Checkin) []*subscriber {
+func (r *Registry) matchesLocked(c *Checkin) (*eventPOI, []*subscriber) {
 	key := memoKey{pt: c.Point, text: c.Text}
 	r.memoMu.Lock()
 	defer r.memoMu.Unlock()
-	if subs, ok := r.memo[key]; ok {
-		return subs
+	e, hit := r.memo[key]
+	if !hit {
+		e.subs = r.searchLocked(c)
+		if r.memoSize+1+len(e.subs) > memoCap {
+			r.dropMemoLocked()
+		}
+		r.memoSize += 1 + len(e.subs)
 	}
+	if len(e.subs) > 0 && !e.poi.is(c) {
+		e.poi = &eventPOI{id: c.POIID, name: c.POIName, point: c.Point}
+		hit = false
+	}
+	if !hit {
+		r.memo[key] = e
+	}
+	return e.poi, e.subs
+}
+
+// is reports whether the record describes c's POI. A nil record describes
+// none. Coordinates compare by bits: the memo key's == takes -0 for 0.
+func (p *eventPOI) is(c *Checkin) bool {
+	return p != nil && p.id == c.POIID && p.name == c.POIName &&
+		math.Float64bits(p.point.Lat) == math.Float64bits(c.Point.Lat) &&
+		math.Float64bits(p.point.Lon) == math.Float64bits(c.Point.Lon)
+}
+
+// searchLocked is the matcher without the memo. Caller holds r.mu for
+// reading.
+func (r *Registry) searchLocked(c *Checkin) []*subscriber {
 	var subs []*subscriber
 	var tokens map[string]bool
 candidates:
@@ -569,11 +646,6 @@ candidates:
 		}
 		subs = append(subs, s)
 	}
-	if r.memoSize+1+len(subs) > memoCap {
-		r.dropMemoLocked()
-	}
-	r.memo[key] = subs
-	r.memoSize += 1 + len(subs)
 	return subs
 }
 
@@ -598,24 +670,21 @@ func (r *Registry) PublishBatch(batch []Checkin) int {
 	r.mu.RLock()
 	for i := range batch {
 		c := &batch[i]
-		e := Event{
-			UserID:         c.UserID,
-			POIID:          c.POIID,
-			POIName:        c.POIName,
-			Lat:            c.Point.Lat,
-			Lon:            c.Point.Lon,
-			TimeMillis:     c.TimeMillis,
-			Grade:          c.Grade,
-			Network:        c.Network,
+		poi, subs := r.matchesLocked(c)
+		e := slot{
+			poi:            poi,
+			user:           c.UserID,
+			timeMillis:     c.TimeMillis,
+			grade:          c.Grade,
+			network:        c.Network,
 			publishedNanos: publishedNanos,
 		}
-		for _, s := range r.matchesLocked(c) {
+		for _, s := range subs {
 			if s.sub.ExpiresMillis <= nowMillis {
 				expired = append(expired, s)
 				continue
 			}
-			e.SubscriptionID = s.sub.ID
-			queued, evictedOne := s.push(e, r.opts.QueueCap)
+			queued, evictedOne := s.push(&e, r.opts.QueueCap)
 			if queued {
 				matched++
 			}

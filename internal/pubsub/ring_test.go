@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestAddHoldsNoRing: a subscription nothing has matched holds no ring, and
@@ -37,13 +38,13 @@ func TestAddHoldsNoRing(t *testing.T) {
 func TestRingGrowsWhileWrapped(t *testing.T) {
 	s := &subscriber{nextSeq: 1}
 	for i := 0; i < 6; i++ { // a full 4-slot ring evicts 1 and 2
-		s.push(Event{POIID: int64(i + 1)}, minRing)
+		s.push(&slot{poi: &eventPOI{id: int64(i + 1)}}, minRing)
 	}
 	if s.start == 0 || s.count != minRing {
 		t.Fatalf("set-up: start %d count %d, want a wrapped full ring", s.start, s.count)
 	}
 	for i := 6; i < 11; i++ {
-		if _, evicted := s.push(Event{POIID: int64(i + 1)}, 16); evicted {
+		if _, evicted := s.push(&slot{poi: &eventPOI{id: int64(i + 1)}}, 16); evicted {
 			t.Fatalf("push %d evicted below the cap", i+1)
 		}
 	}
@@ -58,6 +59,15 @@ func TestRingGrowsWhileWrapped(t *testing.T) {
 		if want := uint64(i + 3); e.Seq != want || e.POIID != int64(want) {
 			t.Fatalf("event %d = seq %d poi %d, want seq and poi %d", i, e.Seq, e.POIID, want)
 		}
+	}
+}
+
+// TestRingSlotFitsACacheLine: a ring slot holds what varies per event and a
+// pointer to the shared POI record, not the wire Event, so a push writes one
+// 64-byte line, not two.
+func TestRingSlotFitsACacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(slot{}); size > 64 {
+		t.Fatalf("a ring slot is %d bytes, want at most 64 (the wire Event is %d)", size, unsafe.Sizeof(Event{}))
 	}
 }
 
@@ -106,7 +116,7 @@ func TestRingGrowthAllocs(t *testing.T) {
 			s := subs[next]
 			next++
 			for i := 0; i < 3*queueCap; i++ {
-				s.push(Event{}, queueCap)
+				s.push(&slot{}, queueCap)
 			}
 		})
 		if limit := math.Ceil(math.Log2(float64(queueCap)/minRing)) + 1; allocs > limit {
@@ -132,8 +142,7 @@ func BenchmarkAddIdle(b *testing.B) {
 }
 
 // TestAddIdleMemoryBudget keeps an idle subscription under 2 KiB. An eager
-// QueueCap ring (256 events of over 100 B) would cost more than ten times
-// that.
+// QueueCap ring (256 slots of 56 B, 14 KiB) would cost seven times that.
 func TestAddIdleMemoryBudget(t *testing.T) {
 	if got := testing.Benchmark(BenchmarkAddIdle).AllocedBytesPerOp(); got >= 2<<10 {
 		t.Fatalf("Registry.Add of an idle subscription allocates %d B, want under 2 KiB", got)
