@@ -110,7 +110,10 @@ bench:
 ## ingest hook's pub/sub stage on memoised check-ins (BenchmarkPublishVisits,
 ## zero allocations by tier-1's TestPublishVisitsAllocs), the
 ## registry's idle subscription (whose bytes per op tier-1's
-## TestAddIdleMemoryBudget bounds), the view's benchmark-shaped read, a check-in batch folded into the cached
+## TestAddIdleMemoryBudget bounds), the trending view's reads over a dense and
+## a sparse catalog (with their windows held, TestTopKAllocsConstant's two
+## allocations; with every window rebuilt; and, dense, with visits applied
+## between reads), a check-in batch folded into the cached
 ## entries of its writer's friends, a cached search with its ranking current
 ## and with it to re-derive, the hand codec encoding and decoding a 10-POI
 ## answer, and the request codec decoding (core) and appending (client) the
@@ -131,7 +134,7 @@ bench-smoke:
 	$(GO) test ./client -run XXX -bench 'BenchmarkRequestJSON/.*/^append$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/pubsub -run XXX -bench 'BenchmarkPublishBatch/static|BenchmarkAddIdle' -benchmem -benchtime=100x
 	$(GO) test ./internal/core -run XXX -bench 'BenchmarkPublishVisits' -benchmem -benchtime=100x
-	$(GO) test ./internal/matview -run XXX -bench 'BenchmarkTopK/dense' -benchmem -benchtime=100x
+	$(GO) test ./internal/matview -run XXX -bench 'BenchmarkTopK' -benchmem -benchtime=100x
 
 ## bench-repo-smoke vets and tests the repository benchmark (bench/, a Go
 ## module of its own that `go build ./...` and `go test ./...` here do not

@@ -211,6 +211,78 @@ func TestAPISubscriptionEventsLongPoll(t *testing.T) {
 	}
 }
 
+// TestAPISubscriptionKeywordDelivery delivers a check-in to a keyword
+// subscription over the long poll: the keyword is one the checked-in POI's
+// document carries, so the event must arrive while the poll waits, and a
+// subscription over the same box whose keyword the document lacks must stay
+// empty.
+func TestAPISubscriptionKeywordDelivery(t *testing.T) {
+	c, p := newAPIClient(t)
+	in := c.signIn("facebook", "facebook:3")
+	var poi model.POI
+	for _, cand := range p.Catalog() {
+		if len(cand.Keywords) > 0 {
+			poi = cand
+			break
+		}
+	}
+	if len(poi.Keywords) == 0 {
+		t.Fatal("no catalog POI carries a keyword")
+	}
+	subscribe := func(keyword string) pubsub.Subscription {
+		var sub pubsub.Subscription
+		if code := c.post("/api/v1/subscriptions", map[string]interface{}{
+			"token":   in.Token,
+			"min_lat": poi.Lat - 0.01, "min_lon": poi.Lon - 0.01,
+			"max_lat": poi.Lat + 0.01, "max_lon": poi.Lon + 0.01,
+			"keywords": []string{keyword},
+		}, &sub); code != http.StatusCreated {
+			t.Fatalf("create %q = %d", keyword, code)
+		}
+		return sub
+	}
+	carried, absent := subscribe(poi.Keywords[0]), subscribe("no-poi-carries-this")
+
+	type answer struct {
+		code int
+		page evPage
+		err  error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		var a answer
+		resp, err := http.Get(c.srv.URL + "/api/v1/subscriptions/" + carried.ID + "/events?token=" + in.Token + "&cursor=0&wait_ms=10000")
+		if err != nil {
+			done <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		a.code, a.err = resp.StatusCode, json.NewDecoder(resp.Body).Decode(&a.page)
+		done <- a
+	}()
+	if code := c.post("/api/v1/checkins", map[string]interface{}{
+		"token":    in.Token,
+		"checkins": []map[string]interface{}{{"poi_id": poi.ID, "time": time.Now().UnixMilli(), "network": "facebook"}},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("push = %d", code)
+	}
+	select {
+	case a := <-done:
+		if a.err != nil || a.code != http.StatusOK || len(a.page.Items) != 1 {
+			t.Fatalf("keyword %q: poll = %d %+v (%v), want the check-in at %q", poi.Keywords[0], a.code, a.page, a.err, poi.Name)
+		}
+		if ev := a.page.Items[0]; ev.POIID != poi.ID || ev.POIName != poi.Name || ev.SubscriptionID != carried.ID {
+			t.Fatalf("keyword %q: event %+v, want POI %d %q on subscription %s", poi.Keywords[0], ev, poi.ID, poi.Name, carried.ID)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("keyword %q: poll still held 15 s after a matching check-in", poi.Keywords[0])
+	}
+	var page evPage
+	if code := c.get("/api/v1/subscriptions/"+absent.ID+"/events?token="+in.Token, &page); code != http.StatusOK || len(page.Items) != 0 {
+		t.Fatalf("absent keyword: poll = %d %+v, want no events", code, page)
+	}
+}
+
 // TestAPISubscriptionEventsHugeWait holds a long poll whose wait_ms is too
 // large for a Duration in milliseconds: it must clamp to maxEventWait, not
 // overflow into a negative or sub-millisecond hold, so a check-in published

@@ -39,8 +39,20 @@ func benchCatalog(rng *rand.Rand, n int) []model.POI {
 // benchTopK fills a 336-bucket view with perBucket visits an hour, each at
 // the POI draw picks, and times TopK over trailing 24/48/72 h windows × a
 // city box, the country box and no box, limit 10 — the benchmark's trending
-// mix. retained-B is the heap the filled view holds beyond its catalog.
-func benchTopK(b *testing.B, pois []model.POI, perBucket int, draw func() int) {
+// mix — in three ways:
+//   - repeat: the nine reads in turn, so the same three windows repeat, as
+//     the repository benchmark's trending reads do between writes;
+//   - cold: the same reads over twelve windows ending at the last four
+//     hours, taken in a cycle no smaller cache of windows can hold, so no
+//     read finds its window already summed;
+//   - apply-between (when applyBetween is set): repeat with 5 visits at the
+//     newest hour applied before each read (timed with it), as `mixed`
+//     interleaves its pushes. It needs a catalog the newest hour already
+//     covers: over a sparse one each visit would add a POI to the windows,
+//     which would then grow with the iteration count.
+//
+// retained-B is the heap the filled view holds beyond its catalog.
+func benchTopK(b *testing.B, pois []model.POI, perBucket int, draw func() int, applyBetween bool) {
 	const hours = 336
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -62,25 +74,51 @@ func benchTopK(b *testing.B, pois []model.POI, perBucket int, draw func() int) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pois) // live until here, so the difference does not subtract the catalog
 	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 
 	athens := geo.Rect{MinLat: 37.6838, MinLon: 23.4275, MaxLat: 38.2838, MaxLon: 24.0275}
 	greece := geo.Rect{MinLat: 34.8, MinLon: 19.3, MaxLat: 41.8, MaxLon: 28.3}
-	var specs []TopKSpec
+	var repeat, cold []TopKSpec
 	for _, box := range []*geo.Rect{&athens, &greece, nil} {
 		for _, h := range []int64{24, 48, 72} {
-			specs = append(specs, TopKSpec{BBox: box, FromMillis: (hours - h) * benchHourMs, ToMillis: hours * benchHourMs, Limit: 10})
+			repeat = append(repeat, TopKSpec{BBox: box, FromMillis: (hours - h) * benchHourMs, ToMillis: hours * benchHourMs, Limit: 10})
+		}
+		for end := int64(hours); end > hours-4; end-- {
+			for _, h := range []int64{24, 48, 72} {
+				cold = append(cold, TopKSpec{BBox: box, FromMillis: (end - h) * benchHourMs, ToMillis: end * benchHourMs, Limit: 10})
+			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aggs, candidates := v.TopK(specs[i%len(specs)])
-		topKSink += len(aggs) + candidates
+	read := func(b *testing.B, specs []TopKSpec, between func()) {
+		for _, spec := range specs {
+			v.TopK(spec)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			between()
+			aggs, candidates := v.TopK(specs[i%len(specs)])
+			topKSink += len(aggs) + candidates
+		}
+		b.StopTimer()
+		b.ReportMetric(retained, "retained-B")
 	}
-	b.StopTimer()
-	b.ReportMetric(retained, "retained-B")
-	runtime.KeepAlive(pois)
+	b.Run("repeat", func(b *testing.B) { read(b, repeat, func() {}) })
+	b.Run("cold", func(b *testing.B) { read(b, cold, func() {}) })
+	if !applyBetween {
+		return
+	}
+	b.Run("apply-between", func(b *testing.B) {
+		newest := batch[:5]
+		read(b, repeat, func() {
+			for i := range newest {
+				newest[i] = model.Visit{UserID: int64(i), POI: pois[draw()],
+					Time: (hours-1)*benchHourMs + rng.Int63n(benchHourMs), Grade: float64(rng.Intn(5) + 1)}
+			}
+			v.Apply(newest)
+		})
+	})
 }
 
 // BenchmarkTopK shows both sides of the view's layout. dense is shaped like
@@ -92,10 +130,10 @@ func BenchmarkTopK(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		zipf := rand.NewZipf(rng, 1.1, 4, 799)
-		benchTopK(b, benchCatalog(rng, 800), 1800, func() int { return int(zipf.Uint64()) })
+		benchTopK(b, benchCatalog(rng, 800), 1800, func() int { return int(zipf.Uint64()) }, true)
 	})
 	b.Run("sparse", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
-		benchTopK(b, benchCatalog(rng, 50000), 50, func() int { return rng.Intn(50000) })
+		benchTopK(b, benchCatalog(rng, 50000), 50, func() int { return rng.Intn(50000) }, false)
 	})
 }

@@ -24,6 +24,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"modissense/internal/geo"
 	"modissense/internal/model"
@@ -70,16 +71,48 @@ type bucket struct {
 	pos     map[int32]int32
 }
 
+// add folds visits and grade units into slot s's counter, appending the
+// counter the first time s is seen; it reports whether it appended.
+func (b *bucket) add(s int32, visits, gradeUnits int64) bool {
+	p, counted := b.pos[s]
+	if !counted {
+		p = int32(len(b.entries))
+		b.pos[s] = p
+		b.entries = append(b.entries, counter{slot: s})
+	}
+	c := &b.entries[p]
+	c.visits += visits
+	c.gradeUnits += gradeUnits
+	return !counted
+}
+
+// maxWindows is how many windows a view keeps; the least recently read one
+// makes room for a new one.
+const maxWindows = 8
+
+// window is one bucket range's per-slot totals, shaped like a bucket: the
+// sum of the counters of every bucket whose start lies in [from, last].
+// Apply folds each visit into the windows covering its bucket as well, so a
+// window stays equal to that sum without being rebuilt. Expiry drops a
+// window once its first bucket falls behind the floor, so a window covers
+// live buckets only and names only slots in use.
+type window struct {
+	bucket
+	from, last int64        // first and last bucket start covered
+	read       atomic.Int64 // the view's read clock at the last read
+}
+
 // HotInView is the incrementally maintained trending aggregate: per-POI
 // visit counts and grade sums, partitioned into fixed-width time buckets.
 // Apply folds stored visits in as they commit; TopK answers a trending
-// window by summing the buckets it covers. Buckets older than the horizon
-// (measured from the newest applied visit) are expired lazily on write.
+// window from the per-POI totals of the buckets it covers, which the view
+// keeps for the windows recently read and folds every later visit into.
+// Buckets older than the horizon (measured from the newest applied visit)
+// are expired lazily on write.
 //
 // Every tracked POI has a dense slot and every bucket stores only its
 // non-zero counters, so memory is proportional to the counters retained —
-// never to buckets × catalog size — and a read sums into one slot-indexed
-// slice instead of a map.
+// never to buckets × catalog size.
 //
 // Attach the view before the first write (or warm it with a scan). Floor
 // is where the retained range starts; TopKFrom reports the part of a window
@@ -96,6 +129,8 @@ type HotInView struct {
 	high    int64             // newest applied visit timestamp
 	low     int64             // inclusive coverage floor (rises on expiry)
 	applied bool              // at least one visit applied (high meaningful)
+	windows []*window         // at most maxWindows ranges recently read
+	reads   atomic.Int64      // read clock stamped on a window when it is read
 }
 
 // NewHotInView builds an empty view. A fresh view has no floor — it
@@ -121,6 +156,7 @@ func NewHotInView(opts ViewOptions) (*HotInView, error) {
 		buckets:       map[int64]*bucket{},
 		slotOf:        map[int64]int32{},
 		low:           math.MinInt64,
+		windows:       make([]*window, 0, maxWindows),
 	}, nil
 }
 
@@ -139,7 +175,8 @@ func (v *HotInView) floorBucket(t int64) int64 {
 }
 
 // Apply folds one committed visit batch into the view: O(1) counter deltas
-// per visit plus an expiry sweep when the floor advances — no recompute ever
+// per visit — into its bucket and into each held window covering that
+// bucket — plus an expiry sweep when the floor advances; no recompute ever
 // rescans history. Visits older than the horizon (relative to the newest
 // timestamp seen) are skipped; they fall outside every answerable window.
 func (v *HotInView) Apply(visits []model.Visit) {
@@ -173,16 +210,15 @@ func (v *HotInView) Apply(visits []model.Visit) {
 		if !tracked {
 			s = v.takeSlot(vis.POI)
 		}
-		p, counted := b.pos[s]
-		if !counted {
-			p = int32(len(b.entries))
-			b.pos[s] = p
-			b.entries = append(b.entries, counter{slot: s})
+		units := model.GradeUnits(vis.Grade)
+		if b.add(s, 1, units) {
 			v.slots[s].refs++
 		}
-		c := &b.entries[p]
-		c.visits++
-		c.gradeUnits += model.GradeUnits(vis.Grade)
+		for _, w := range v.windows {
+			if bs >= w.from && bs <= w.last {
+				w.add(s, 1, units)
+			}
+		}
 	}
 	v.expireLocked()
 	buckets, pois := int64(len(v.buckets)), int64(len(v.slotOf))
@@ -211,8 +247,9 @@ func (v *HotInView) takeSlot(poi model.POI) int32 {
 }
 
 // expireLocked drops buckets wholly behind the horizon, releases the slots
-// only they referenced and raises the coverage floor. Called with mu held,
-// after at least one visit was applied.
+// only they referenced, raises the coverage floor and drops the windows
+// starting below it. Called with mu held, after at least one visit was
+// applied.
 //
 // A bucket is expirable iff its end is at or behind the cutoff high−horizon;
 // bucket bounds are multiples of the width, so that is iff its start is
@@ -227,6 +264,7 @@ func (v *HotInView) expireLocked() {
 		return
 	}
 	v.low = floor
+	v.windows = slices.DeleteFunc(v.windows, func(w *window) bool { return w.from < floor })
 	var expired int64
 	for bs, b := range v.buckets {
 		if bs >= floor {
@@ -272,15 +310,6 @@ type TopKSpec struct {
 	ToMillis   int64
 	// Limit caps the ranking (0 = unlimited).
 	Limit int
-}
-
-// selects reports whether poi passes the spec's spatial and keyword
-// predicates.
-func (spec *TopKSpec) selects(poi *model.POI) bool {
-	if spec.BBox != nil && !spec.BBox.Contains(poi.Point()) {
-		return false
-	}
-	return spec.Keyword == "" || slices.Contains(poi.Keywords, spec.Keyword)
 }
 
 // Agg is one POI's aggregate over a queried window; GradeUnits sums its
@@ -333,66 +362,84 @@ func (v *HotInView) TopK(spec TopKSpec) ([]Agg, int) {
 	return aggs, candidates
 }
 
-// TopKFrom answers a trending window from the retained buckets: sum the
-// per-POI counters of every bucket the window touches, keeping only POIs
-// that pass the spatial and keyword predicates, and rank by visit volume
-// (POI id ascending as the tiebreak — the same total order as the
-// personalized hotness ranking). The second result is the candidate count
-// before the limit, which the caller feeds to the latency cost model. The
-// third is the window start actually served: FromMillis, raised to the
-// coverage floor when the window reaches behind it and capped at ToMillis —
-// read under the same lock hold as the buckets, so an expiry between a
-// caller's Floor() and its read cannot make the two disagree. Raising the
-// start to the floor never changes the aggregates: nothing is retained
-// below it.
+// TopKFrom answers a trending window from the retained buckets: the
+// per-POI totals over every bucket the window touches, kept to POIs that
+// pass the spatial and keyword predicates and ranked by visit volume (POI
+// id ascending as the tiebreak — the same total order as the personalized
+// hotness ranking). The second result is the candidate count before the
+// limit, which the caller feeds to the latency cost model. The third is the
+// window start actually served: FromMillis, raised to the coverage floor
+// when the window reaches behind it and capped at ToMillis — read under the
+// same lock hold as the totals, so an expiry between a caller's Floor() and
+// its read cannot make the two disagree. Raising the start to the floor
+// never changes the aggregates: nothing is retained below it.
 //
-// The predicates are evaluated once per tracked POI, before any sum; the
-// sums go into one slice indexed by slot; the limit is a bounded selection
-// over 32-byte candidates, and metadata is copied only for the POIs that
-// make it. Cost is one pass over the slots plus the counters in the
-// window's buckets plus candidates × log(limit), independent of total
-// history; it allocates four slices whatever the window.
+// The totals come from the window held for the read's bucket range. A read
+// whose range is held (a hit) runs under the read lock: it evaluates the
+// predicates once per window entry, keeps the limit best in a bounded heap
+// of 32-byte candidates and copies metadata for those alone, so it costs
+// the window's entries plus candidates × log(limit) and allocates two
+// slices, whatever the window's width. A read whose range is not held (a
+// miss) takes the write lock and first builds the window by summing the
+// range's buckets, evicting the least recently read window beyond
+// maxWindows.
 func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
-	type sum struct {
-		visits     int64
-		gradeUnits int64
-	}
 	v.mu.RLock()
-	defer v.mu.RUnlock()
-	served := min(max(spec.FromMillis, v.low), spec.ToMillis)
-	if served >= spec.ToMillis || len(v.buckets) == 0 {
-		return nil, 0, served
+	aggs, candidates, served, done := v.readLocked(&spec, false)
+	v.mu.RUnlock()
+	if done {
+		return aggs, candidates, served
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	aggs, candidates, served, _ = v.readLocked(&spec, true)
+	return aggs, candidates, served
+}
 
-	// 1. Predicates, once per slot and before any sum: acc[slot] is where
-	// the slot's counters accumulate — its own element of sums if the POI is
-	// selected, the shared discard element at the end if not. (A free slot
-	// is in no bucket; it is sent there too.) The summing loop then has no
-	// branch that depends on the data.
-	n := len(v.slots)
-	acc := make([]int32, n)
-	for i := range v.slots {
-		acc[i] = int32(n)
-		if sl := &v.slots[i]; sl.refs > 0 && spec.selects(&sl.poi) {
-			acc[i] = int32(i)
+// readLocked is one read under mu. With build false mu may be held for
+// reading, and done is false when the read's range is not held; with build
+// true mu is held for writing and a range not held is built.
+func (v *HotInView) readLocked(spec *TopKSpec, build bool) (aggs []Agg, candidates int, served int64, done bool) {
+	served = min(max(spec.FromMillis, v.low), spec.ToMillis)
+	if served >= spec.ToMillis || len(v.buckets) == 0 {
+		return nil, 0, served, true
+	}
+	from, last := v.floorBucket(served), v.floorBucket(spec.ToMillis-1)
+	var w *window
+	for _, held := range v.windows {
+		if held.from == from && held.last == last {
+			w = held
+			break
 		}
 	}
+	if w == nil {
+		if !build {
+			return nil, 0, served, false
+		}
+		w = v.buildWindow(from, last)
+	}
+	w.read.Store(v.reads.Add(1))
+	aggs, candidates = v.rank(w, spec)
+	return aggs, candidates, served, true
+}
 
-	// 2–3. Sum the window's buckets into the slot-indexed scratch.
-	sums := make([]sum, n+1)
+// buildWindow sums the buckets starting in [from, last] into a new window
+// and holds it, in place of the least recently read one when maxWindows
+// are held. Called with mu held for writing.
+func (v *HotInView) buildWindow(from, last int64) *window {
+	sums := make([]counter, len(v.slots))
 	add := func(b *bucket) {
 		for i := range b.entries {
 			c := &b.entries[i]
-			s := &sums[acc[c.slot]]
+			s := &sums[c.slot]
 			s.visits += c.visits
 			s.gradeUnits += c.gradeUnits
 		}
 	}
-	from, width := v.floorBucket(served), uint64(v.bucketMillis)
-	// Step through the window's bucket starts unless there are fewer
-	// buckets than steps (unsigned: a window reaching to the far future
-	// must not overflow).
-	if steps := (uint64(spec.ToMillis)-uint64(from)-1)/width + 1; steps <= uint64(len(v.buckets)) {
+	// Step through the range's bucket starts unless there are fewer buckets
+	// than steps (unsigned: a window reaching to the far future must not
+	// overflow).
+	if steps := (uint64(last)-uint64(from))/uint64(v.bucketMillis) + 1; steps <= uint64(len(v.buckets)) {
 		for i := int64(0); i < int64(steps); i++ {
 			if b := v.buckets[from+i*v.bucketMillis]; b != nil {
 				add(b)
@@ -400,42 +447,76 @@ func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
 		}
 	} else {
 		for bs, b := range v.buckets {
-			if bs >= from && bs < spec.ToMillis {
+			if bs >= from && bs <= last {
 				add(b)
 			}
 		}
 	}
-
-	// 4. Rank: keep the limit best candidates in a heap with the worst of
-	// them on top, sort those, and copy metadata for them alone.
-	sums = sums[:n]
-	candidates := 0
+	n := 0
 	for i := range sums {
 		if sums[i].visits > 0 {
-			candidates++
+			n++
 		}
 	}
-	keep := candidates
+	w := &window{bucket: bucket{entries: make([]counter, 0, n), pos: make(map[int32]int32, n)}, from: from, last: last}
+	for i := range sums {
+		if c := sums[i]; c.visits > 0 {
+			c.slot = int32(i)
+			w.pos[c.slot] = int32(len(w.entries))
+			w.entries = append(w.entries, c)
+		}
+	}
+	if len(v.windows) < maxWindows {
+		v.windows = append(v.windows, w)
+	} else {
+		oldest := 0
+		for i, held := range v.windows {
+			if held.read.Load() < v.windows[oldest].read.Load() {
+				oldest = i
+			}
+		}
+		v.windows[oldest] = w
+	}
+	return w
+}
+
+// rank answers spec from window w: the predicates once per entry, a bounded
+// heap with the worst kept candidate on top, a sort of the kept ones, and
+// metadata copied for them alone. Called with mu held.
+func (v *HotInView) rank(w *window, spec *TopKSpec) ([]Agg, int) {
+	keep := len(w.entries)
 	if spec.Limit > 0 && spec.Limit < keep {
 		keep = spec.Limit
 	}
 	ranked := make([]candidate, 0, keep)
-	for i := range sums {
-		s := &sums[i]
-		if s.visits == 0 {
+	candidates := 0
+	box, keyword := spec.BBox, spec.Keyword
+	for i := range w.entries {
+		c := &w.entries[i]
+		poi := &v.slots[c.slot].poi
+		// The predicates are written out here: a method holding them is not
+		// inlined, and the call was a tenth of a hit's time.
+		if box != nil && !box.Contains(poi.Point()) || keyword != "" && !slices.Contains(poi.Keywords, keyword) {
 			continue
 		}
-		c := candidate{visits: s.visits, id: v.slots[i].poi.ID, gradeUnits: s.gradeUnits, slot: int32(i)}
-		switch {
-		case len(ranked) < keep:
-			ranked = append(ranked, c)
-			if len(ranked) == keep && keep < candidates {
+		candidates++
+		full := len(ranked) == keep
+		if full {
+			if candidates == keep+1 { // the first one not kept outright
 				for j := keep/2 - 1; j >= 0; j-- {
 					siftDown(ranked, j)
 				}
 			}
-		case c.compare(ranked[0]) < 0:
-			ranked[0] = c
+			if c.visits < ranked[0].visits {
+				continue // ranks after every kept candidate
+			}
+		}
+		cand := candidate{visits: c.visits, id: poi.ID, gradeUnits: c.gradeUnits, slot: c.slot}
+		switch {
+		case !full:
+			ranked = append(ranked, cand)
+		case cand.compare(ranked[0]) < 0:
+			ranked[0] = cand
 			siftDown(ranked, 0)
 		}
 	}
@@ -445,5 +526,5 @@ func (v *HotInView) TopKFrom(spec TopKSpec) ([]Agg, int, int64) {
 		c := &ranked[i]
 		aggs[i] = Agg{POI: v.slots[c.slot].poi, Visits: int(c.visits), GradeUnits: c.gradeUnits}
 	}
-	return aggs, candidates, served
+	return aggs, candidates
 }

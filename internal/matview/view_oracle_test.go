@@ -145,6 +145,51 @@ func bucketCount(v *HotInView) int {
 	return len(v.buckets)
 }
 
+// checkWindows holds the view's windows to their invariant: at most
+// maxWindows of them, each starting at or above the floor, each with a
+// distinct range, and each equal to a fresh sum of the buckets it covers —
+// the same slots with the same totals, every entry found by pos.
+func checkWindows(v *HotInView) error {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	if len(v.windows) > maxWindows {
+		return fmt.Errorf("%d windows held, bound %d", len(v.windows), maxWindows)
+	}
+	type total struct{ visits, gradeUnits int64 }
+	ranges := map[[2]int64]bool{}
+	for _, w := range v.windows {
+		if w.from < v.low || w.last < w.from {
+			return fmt.Errorf("window [%d, %d] held with the floor at %d", w.from, w.last, v.low)
+		}
+		if ranges[[2]int64{w.from, w.last}] {
+			return fmt.Errorf("window [%d, %d] held twice", w.from, w.last)
+		}
+		ranges[[2]int64{w.from, w.last}] = true
+		want := map[int32]total{}
+		for bs, b := range v.buckets {
+			if bs < w.from || bs > w.last {
+				continue
+			}
+			for _, c := range b.entries {
+				t := want[c.slot]
+				want[c.slot] = total{t.visits + c.visits, t.gradeUnits + c.gradeUnits}
+			}
+		}
+		if len(w.entries) != len(want) || len(w.pos) != len(want) {
+			return fmt.Errorf("window [%d, %d]: %d entries / %d positions, buckets sum to %d slots", w.from, w.last, len(w.entries), len(w.pos), len(want))
+		}
+		for i, c := range w.entries {
+			if got := (total{c.visits, c.gradeUnits}); got != want[c.slot] || w.pos[c.slot] != int32(i) {
+				return fmt.Errorf("window [%d, %d] slot %d at %d: %+v, buckets sum to %+v (pos %d)", w.from, w.last, c.slot, i, got, want[c.slot], w.pos[c.slot])
+			}
+			if v.slots[c.slot].refs == 0 {
+				return fmt.Errorf("window [%d, %d] names free slot %d", w.from, w.last, c.slot)
+			}
+		}
+	}
+	return nil
+}
+
 // TestViewAgainstOracle is the seeded differential test of the view's
 // layout: Apply batches with out-of-order and behind-the-horizon timestamps,
 // time jumps that expire most buckets, and a POI population that turns over
@@ -155,6 +200,14 @@ func bucketCount(v *HotInView) int {
 // and not, wider than the horizon, wholly behind the floor, unbounded, empty
 // and inverted. Grades are fractional, as the classifier's are: sums in grade
 // units are exact in any order, so the aggregates compare with ==.
+//
+// Reads repeat windows so that held ones are compared too: each random spec
+// is read twice, the second time with its start moved inside the same
+// bucket and another box and limit (a hit that must serve its own start),
+// and three standing specs are read after every batch, so the batches'
+// out-of-order visits land in windows already held, the floor crosses their
+// starts and slots turn over under them. After every batch the held windows
+// must equal fresh sums of their buckets (checkWindows).
 func TestViewAgainstOracle(t *testing.T) {
 	const minute = int64(60 * 1000)
 	geometries := []ViewOptions{
@@ -171,6 +224,7 @@ func TestViewAgainstOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := &viewOracle{bucket: opts.BucketMillis, horizon: opts.HorizonMillis, meta: map[int64]model.POI{}}
+			var standing []TopKSpec // read after every batch; see below
 			check := func(step int) {
 				t.Helper()
 				if got, want := v.Floor(), o.floor(); got != want {
@@ -189,8 +243,20 @@ func TestViewAgainstOracle(t *testing.T) {
 						t.Fatalf("step %d: freed slot %d still holds %+v", step, i, sl.poi)
 					}
 				}
-				for q := 0; q < 6; q++ {
+				if err := checkWindows(v); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				specs := append([]TopKSpec(nil), standing...)
+				for q := 0; q < 4; q++ {
 					spec := randomSpec(rng, o)
+					again := randomSpec(rng, o)
+					again.FromMillis, again.ToMillis = spec.FromMillis, spec.ToMillis
+					if spec.FromMillis < spec.ToMillis-1 && o.bucketStart(spec.FromMillis) < o.bucketStart(spec.ToMillis-1) {
+						again.FromMillis = o.bucketStart(spec.FromMillis) + rng.Int63n(o.bucket)
+					}
+					specs = append(specs, spec, again)
+				}
+				for _, spec := range specs {
 					aggs, candidates, served := v.TopKFrom(spec)
 					want, wantCandidates := o.topK(spec)
 					if candidates != wantCandidates || len(aggs) != len(want) {
@@ -213,6 +279,15 @@ func TestViewAgainstOracle(t *testing.T) {
 			check(0) // the empty view
 			now := int64(1_000_000) * minute
 			for step := 1; step <= 300; step++ {
+				if step%20 == 1 {
+					// Trailing windows over the clock as it is now: held across
+					// the next twenty batches while the clock moves past them.
+					end := o.bucketStart(now) + opts.BucketMillis
+					standing = standing[:0]
+					for _, buckets := range []int64{1, 3, opts.HorizonMillis / opts.BucketMillis} {
+						standing = append(standing, TopKSpec{FromMillis: end - buckets*opts.BucketMillis, ToMillis: end, Limit: 3})
+					}
+				}
 				switch r := rng.Intn(40); {
 				case r == 0:
 					now += opts.HorizonMillis + rng.Int63n(opts.HorizonMillis) // expires everything older
@@ -291,9 +366,13 @@ func randomSpec(rng *rand.Rand, o *viewOracle) TopKSpec {
 
 // TestViewConcurrentApplyAndTopK runs appliers that march time past the
 // horizon with a population that turns over against readers of every read
-// method (meaningful under -race). A reader can still hold the answer to its
-// own invariants: ranking order, the limit, candidates ≥ results, a served
-// start inside [from, to], and a floor that never falls.
+// method (meaningful under -race). Readers repeat a few trailing windows, so
+// most reads find their window held while the appliers fold visits into it,
+// the floor crosses it and a newer range evicts it. A reader can still hold
+// the answer to its own invariants: ranking order, the limit, candidates ≥
+// results, a served start inside [from, to], and a floor that never falls;
+// once the appliers stop, every held window must equal a fresh sum of its
+// buckets.
 func TestViewConcurrentApplyAndTopK(t *testing.T) {
 	v, err := NewHotInView(ViewOptions{BucketMillis: hourMs, HorizonMillis: 12 * hourMs})
 	if err != nil {
@@ -328,8 +407,8 @@ func TestViewConcurrentApplyAndTopK(t *testing.T) {
 			box := geo.NewRect(geo.Point{Lat: 0, Lon: 0}, geo.Point{Lat: 5, Lon: 5})
 			lastFloor := int64(math.MinInt64)
 			for !done.Load() {
-				now := clock.Load()
-				spec := TopKSpec{FromMillis: now - rng.Int63n(20*hourMs), ToMillis: now + hourMs, Limit: rng.Intn(3) * 5}
+				end := (clock.Load()/hourMs + 1) * hourMs
+				spec := TopKSpec{FromMillis: end - []int64{2, 6, 20}[rng.Intn(3)]*hourMs, ToMillis: end, Limit: rng.Intn(3) * 5}
 				if rng.Intn(2) == 0 {
 					spec.BBox = &box
 				}
@@ -365,13 +444,20 @@ func TestViewConcurrentApplyAndTopK(t *testing.T) {
 	appliers.Wait()
 	done.Store(true)
 	readers.Wait()
+	if err := checkWindows(v); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestTopKAllocsConstant pins the read's allocation count: four slices — the
-// slot→accumulator index, the sums, the kept candidates and the result —
+// TestTopKAllocsConstant pins the read's allocations. A read whose window
+// is held allocates two slices — the kept candidates and the result —
 // whatever the window's bucket count and however many candidates there are.
+// A read whose window is not held first builds it: a slot-indexed scratch,
+// the window record, its entries and its position map, which is four
+// allocations of its own at this catalog size. The misses here each take a
+// range no earlier read left held.
 func TestTopKAllocsConstant(t *testing.T) {
-	const wantAllocs = 4
+	const wantHit, wantMiss = 2, 9
 	v, err := NewHotInView(ViewOptions{BucketMillis: hourMs, HorizonMillis: 200 * hourMs})
 	if err != nil {
 		t.Fatal(err)
@@ -395,8 +481,18 @@ func TestTopKAllocsConstant(t *testing.T) {
 		{"more steps than buckets", TopKSpec{FromMillis: -1000 * hourMs, ToMillis: 1000 * hourMs, Limit: 10}},
 	} {
 		_, candidates := v.TopK(tc.spec)
-		if got := testing.AllocsPerRun(20, func() { v.TopK(tc.spec) }); got != wantAllocs {
-			t.Errorf("%s (%d candidates): %v allocations per TopK, want %d", tc.name, candidates, got, wantAllocs)
+		if got := testing.AllocsPerRun(20, func() { v.TopK(tc.spec) }); got != wantHit {
+			t.Errorf("%s (%d candidates): %v allocations per held-window TopK, want %d", tc.name, candidates, got, wantHit)
+		}
+	}
+	for _, buckets := range []int64{2, 150} {
+		end := int64(150)
+		miss := func() {
+			end-- // one bucket earlier each run: a range never read before
+			v.TopK(TopKSpec{FromMillis: (end - buckets) * hourMs, ToMillis: end * hourMs, Limit: 10})
+		}
+		if got := testing.AllocsPerRun(20, miss); got != wantMiss {
+			t.Errorf("%d buckets: %v allocations per TopK building its window, want %d", buckets, got, wantMiss)
 		}
 	}
 }

@@ -229,7 +229,7 @@ func validateTrendingWindow(spec *Spec) error {
 }
 
 // trendingFromView answers a friendless trending query from the
-// materialized view: sum the buckets covering the window, rank by visit
+// materialized view: read the window's per-POI totals, rank by visit
 // volume, and charge the web server a parse plus a merge proportional to
 // the candidate count — no region RPCs, no history scan.
 //
@@ -270,8 +270,12 @@ func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spe
 		res.WindowClamped = true
 		res.EffectiveFromMillis = served
 	}
-	for _, a := range aggs {
-		res.POIs = append(res.POIs, ScoredPOI{POI: a.POI, Score: model.MeanGrade(a.GradeUnits, a.Visits), Visits: a.Visits})
+	if len(aggs) > 0 { // an empty answer keeps POIs nil: it encodes as null
+		res.POIs = make([]ScoredPOI, len(aggs))
+		for i := range aggs {
+			a := &aggs[i]
+			res.POIs[i] = ScoredPOI{POI: a.POI, Score: model.MeanGrade(a.GradeUnits, a.Visits), Visits: a.Visits}
+		}
 	}
 	return res, nil
 }
