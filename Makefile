@@ -95,7 +95,10 @@ bench:
 ## iterations — the scan path, the store's one read, over key-ordered
 ## disjoint segments (one live source a range, as N one-range scans and as
 ## one multi-range scan) and over overlapping ones (the memtable and two
-## segments hold every range), the merge, the coprocessor (over rows naming one
+## segments hold every range), the merge iterator, the web server's merge of
+## a search_scan-shaped query (12 region outputs summed into one candidate per
+## POI and ranked to a top 10, whose bytes and allocations tier-1's
+## TestSumBytesPerCandidate and TestRankAllocs bound), the coprocessor (over rows naming one
 ## document version per POI, the per-POI document memo's hit, and over rows
 ## alternating between two, its miss), a block load served
 ## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
@@ -128,6 +131,7 @@ bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkTableWrite|BenchmarkFlush|BenchmarkCompaction' -benchmem -benchtime=100x
 	$(GO) test ./internal/model -run XXX -bench 'BenchmarkVisitViewParse|BenchmarkSharedDocs' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200Friends(Binary|TwoVersions)$$' -benchmem -benchtime=100x
+	$(GO) test ./internal/query -run XXX -bench 'BenchmarkMergeRank' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultJSON/(append|decode)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/core -run XXX -bench 'BenchmarkRequestJSON/.*/^decode$$' -benchmem -benchtime=100x

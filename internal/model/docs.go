@@ -221,10 +221,31 @@ func (t *docTable) publishLocked(id int64, s *docSlot) {
 	d[id].Store(s)
 }
 
-// SameDocument reports whether a and b are one document. Floats compare by
-// bits, as the codec stores them, so a NaN equals itself and -0 is not 0.
+// IsShared reports whether p is one of the process's shared document
+// versions — what InternPOI returns and VisitView.SharedDoc names — rather
+// than a copy of one.
+func IsShared(p *POI) bool {
+	s := sharedDocs.slot(p.ID)
+	if s == nil {
+		return false
+	}
+	if s.latest.Load().doc == p {
+		return true
+	}
+	for _, v := range *s.versions.Load() {
+		if v.doc == p {
+			return true
+		}
+	}
+	return false
+}
+
+// SameDocument reports whether a and b are one document: at once when they
+// are one pointer, as two references to a shared version are, else field by
+// field. Floats compare by bits, as the codec stores them, so a NaN equals
+// itself and -0 is not 0.
 func SameDocument(a, b *POI) bool {
-	return a.ID == b.ID && a.Name == b.Name && sameBits(a.Lat, b.Lat) && sameBits(a.Lon, b.Lon) &&
+	return a == b || a.ID == b.ID && a.Name == b.Name && sameBits(a.Lat, b.Lat) && sameBits(a.Lon, b.Lon) &&
 		sameBits(a.Hotness, b.Hotness) && sameBits(a.Interest, b.Interest) && slices.Equal(a.Keywords, b.Keywords)
 }
 

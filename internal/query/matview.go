@@ -46,7 +46,8 @@ func (e *Engine) SetResultCache(c *matview.ResultCache) {
 
 // cachedRanking is the value memoized per cache entry: not the answer but
 // the merge state it was derived from — the spec's predicates and every
-// candidate's sums, as Engine.sum left them — plus the answer, derived by
+// candidate's sums, as Engine.sum left them, each candidate pointing at its
+// document (the shared version where the row named one) — plus the answer, derived by
 // Engine.rank and re-derived on the first hit after a friend's check-in was
 // added to the sums. Latency and execution stats are per-request, so a hit
 // gets a fresh Result around the shared ranking slice, which is never
@@ -58,6 +59,7 @@ type cachedRanking struct {
 	// keyword, order, limit and region top-k. Its friend list is the entry's.
 	spec Spec
 	// cands are the merge candidates, sorted by POI id, in one allocation.
+	// Their documents are shared versions or copies the entry owns.
 	cands []poiAgg
 	pois  []ScoredPOI
 	// dirty marks cands changed since pois was derived.
@@ -92,6 +94,7 @@ func (c *cachedRanking) ranking() (pois []ScoredPOI, mergedFrom int) {
 
 const (
 	aggBytes    = int64(unsafe.Sizeof(poiAgg{}))
+	poiBytes    = int64(unsafe.Sizeof(model.POI{}))
 	scoredBytes = int64(unsafe.Sizeof(ScoredPOI{}))
 )
 
@@ -108,16 +111,24 @@ func docBytes(p *model.POI) int64 {
 }
 
 // retainedBytes counts the memory the entry retains, charged against the
-// cache's byte budget: the candidate array at its capacity, the candidates'
-// documents, and the ranking (whose documents are the candidates' or, under
-// the normalized schema, the POI repository's).
+// cache's byte budget: the candidate array at its capacity, the struct of
+// every document a candidate owns, the candidates' document text, and the
+// ranking (whose documents share the candidates' strings or, under the
+// normalized schema, the POI repository's). A shared version's text is the
+// shared table's, which the entry does not retain; it is charged per
+// candidate all the same, a bound that keeps the cache from holding more
+// entries than the heap can afford if every version they name were its own.
 func (c *cachedRanking) retainedBytes() int64 {
 	n := int64(unsafe.Sizeof(*c)) + int64(cap(c.cands))*aggBytes + int64(len(c.pois))*scoredBytes
 	if c.spec.BBox != nil {
 		n += int64(unsafe.Sizeof(*c.spec.BBox))
 	}
 	for i := range c.cands {
-		n += docBytes(&c.cands[i].poi)
+		p := c.cands[i].poi
+		if !model.IsShared(p) {
+			n += poiBytes
+		}
+		n += docBytes(p)
 	}
 	return n
 }
@@ -141,9 +152,11 @@ func storedDoc(schema repos.VisitSchema, p *model.POI) model.POI {
 // rows — the time window, then, under the replicated schema, the spec's
 // predicates on the visit's document (the normalized schema filters after
 // the join, in rank) — adding (1, grade units) to the POI's candidate or
-// creating it with the visit's document. A visit the filters reject leaves
-// the entry as it was. The entry stops being exact, and is given up, when a
-// scan could produce something the fold cannot know:
+// creating it with the visit's document: the shared version StoreBatch
+// interned before the cache's Apply runs, found by model.InternPOI's
+// compare, or under the normalized schema a copy the entry owns. A visit the
+// filters reject leaves the entry as it was. The entry stops being exact,
+// and is given up, when a scan could produce something the fold cannot know:
 //
 //   - the candidate's document differs from the visit's (a scan keeps the
 //     document of the first row in key order, and POST /admin/hotin rewrites
@@ -167,16 +180,29 @@ func (c *cachedRanking) Patch(visits []model.Visit) (folded int, grew int64, exa
 		j, found := slices.BinarySearchFunc(c.cands, doc.ID, func(a poiAgg, id int64) int { return cmp.Compare(a.poi.ID, id) })
 		if found {
 			a := &c.cands[j]
-			if !model.SameDocument(&a.poi, &doc) {
+			if !model.SameDocument(a.poi, &doc) {
 				return folded, grew, false
 			}
 			a.gradeUnits += model.GradeUnits(v.Grade)
 			a.visits++
 		} else {
+			var p *model.POI
+			if schema == repos.SchemaReplicated {
+				// StoreBatch interned v.POI before the cache's Apply runs,
+				// so this is the compare of InternPOI's fast path. It
+				// fails only on a hash collision, which StoreBatch would
+				// have refused; p then stays nil.
+				p, _, _ = model.InternPOI(&v.POI)
+			}
+			if p == nil {
+				owned := doc
+				p = &owned
+				grew += poiBytes
+			}
 			before := cap(c.cands)
-			c.cands = slices.Insert(c.cands, j, poiAgg{poi: doc, gradeUnits: model.GradeUnits(v.Grade), visits: 1})
+			c.cands = slices.Insert(c.cands, j, poiAgg{poi: p, gradeUnits: model.GradeUnits(v.Grade), visits: 1})
 			// The new candidate may lengthen the ranking by one.
-			grew += int64(cap(c.cands)-before)*aggBytes + docBytes(&doc) + scoredBytes
+			grew += int64(cap(c.cands)-before)*aggBytes + docBytes(p) + scoredBytes
 		}
 		folded++
 		c.dirty = true

@@ -30,7 +30,7 @@ func TestStreamingTopKMatchesOracleProperty(t *testing.T) {
 				used[id] = true
 				// Small integer grades/visits force frequent score ties.
 				aggs[i] = poiAgg{
-					poi:        model.POI{ID: id},
+					poi:        &model.POI{ID: id},
 					gradeUnits: model.GradeUnits(float64(rng.Intn(12) + 1)),
 					visits:     rng.Intn(4) + 1,
 				}

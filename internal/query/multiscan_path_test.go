@@ -66,7 +66,7 @@ func oracleRegion(t *testing.T, cp *visitsCoprocessor, r *kvstore.Region) (out *
 			out.work.VisitsMatched++
 			a := aggs[v.POI.ID]
 			if a == nil {
-				a = &poiAgg{poi: v.POI}
+				a = &poiAgg{poi: &v.POI}
 				aggs[v.POI.ID] = a
 			}
 			a.gradeUnits += model.GradeUnits(v.Grade)
@@ -113,7 +113,7 @@ func decodeRegionOutput(t *testing.T, got *regionOutput, cut bool) *oracleOutput
 		if v.POI.ID != a.id {
 			t.Fatalf("aggregate of POI %d kept a payload of POI %d", a.id, v.POI.ID)
 		}
-		out.aggs = append(out.aggs, oracleAgg{agg: poiAgg{poi: v.POI, gradeUnits: a.gradeUnits, visits: a.visits}, wire: a.wire})
+		out.aggs = append(out.aggs, oracleAgg{agg: poiAgg{poi: &v.POI, gradeUnits: a.gradeUnits, visits: a.visits}, wire: a.wire})
 	}
 	if !cut {
 		sortByID(out.aggs)

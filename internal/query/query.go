@@ -13,7 +13,6 @@ package query
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -218,9 +217,12 @@ func (a rankKey) less(order OrderBy, b rankKey) bool {
 }
 
 // poiAgg is one merge candidate: a POI's aggregate summed over the regions,
-// with its decoded document.
+// with its document by pointer — the shared version a shared-document row
+// names, or a copy the candidate owns for a row that names none. Nothing
+// writes through poi: shared versions are immutable, and an owned copy is
+// never changed once the candidate is built.
 type poiAgg struct {
-	poi        model.POI
+	poi        *model.POI
 	gradeUnits int64
 	visits     int
 }
@@ -543,46 +545,72 @@ func sortAggs(aggs []poiAgg, order OrderBy) {
 
 // boundedAggHeap keeps the k best aggregates seen so far, worst at the
 // root, so the streaming merge is O(n log k) instead of sorting everything.
+// Its items are sized once, to what it can keep; it fills them unordered,
+// orders them into a heap when they reach k (or when sorted is called
+// first), and every reordering is one sift-down.
 type boundedAggHeap struct {
 	items []poiAgg
 	order OrderBy
 	k     int
 }
 
-func (h *boundedAggHeap) Len() int { return len(h.items) }
-func (h *boundedAggHeap) Less(i, j int) bool {
-	// Inverted: the root is the worst of the kept aggregates.
-	return aggLess(h.order, &h.items[j], &h.items[i])
+func newBoundedAggHeap(order OrderBy, k, n int) boundedAggHeap {
+	return boundedAggHeap{items: make([]poiAgg, 0, min(k, n)), order: order, k: k}
 }
-func (h *boundedAggHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *boundedAggHeap) Push(x interface{}) { h.items = append(h.items, x.(poiAgg)) }
-func (h *boundedAggHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
+
+// siftDown moves items[i] down the heap of items[:n] to its place. The
+// comparison is inverted: the root is the worst of the kept aggregates.
+func (h *boundedAggHeap) siftDown(i, n int) {
+	items := h.items
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && aggLess(h.order, &items[c], &items[r]) {
+			c = r
+		}
+		if !aggLess(h.order, &items[i], &items[c]) {
+			return
+		}
+		items[i], items[c] = items[c], items[i]
+		i = c
+	}
+}
+
+// heapify orders the items into a heap.
+func (h *boundedAggHeap) heapify() {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.siftDown(i, len(h.items))
+	}
 }
 
 // offer considers one aggregate for the top k, copying it only if it is kept.
 func (h *boundedAggHeap) offer(a *poiAgg) {
 	if len(h.items) < h.k {
-		heap.Push(h, *a)
+		h.items = append(h.items, *a)
+		if len(h.items) == h.k {
+			h.heapify()
+		}
 		return
 	}
 	if aggLess(h.order, a, &h.items[0]) {
 		h.items[0] = *a
-		heap.Fix(h, 0)
+		h.siftDown(0, len(h.items))
 	}
 }
 
-// sorted drains the heap into best-first order (destructive).
+// sorted heap-sorts the items in place into best-first order and returns
+// them; the heap is spent.
 func (h *boundedAggHeap) sorted() []poiAgg {
-	out := make([]poiAgg, len(h.items))
-	for i := len(h.items) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(poiAgg)
+	if len(h.items) < h.k {
+		h.heapify()
 	}
-	return out
+	for n := len(h.items) - 1; n > 0; n-- {
+		h.items[0], h.items[n] = h.items[n], h.items[0]
+		h.siftDown(0, n)
+	}
+	return h.items
 }
 
 // sortedDistinctFriends copies, sorts and deduplicates a friend list. The
@@ -820,9 +848,10 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 // sum folds the regions' partial aggregates into one candidate per POI —
 // every POI any region matched, before any limit — sorted by POI id. A
 // candidate's document is taken, once, from the payload the first region
-// that reported it kept: a copy of the shared document's struct, sharing its
-// strings, for a shared-document row, or the embedded document decoded for
-// a row written before shared documents. The candidates are the query's merge state: rank
+// that reported it kept: the shared version itself for a shared-document
+// row, or, for a row that names none (one written before shared documents,
+// or the normalized schema's id-only row), the document decoded into one
+// slice of copies the candidates own. The candidates are the query's merge state: rank
 // derives the answer from them, and a cached entry keeps them so a friend's
 // later check-in can be added to them instead of forcing a rescan, so they
 // are not pooled. Everything else sum reads or builds is: it releases each
@@ -857,6 +886,10 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 	stats.AddBytes(wire)
 	slices.SortFunc(merged, func(a, b regionAgg) int { return cmp.Compare(a.id, b.id) })
 	cands := make([]poiAgg, len(merged))
+	// owned holds the documents of rows naming no shared version. It is
+	// sized to the candidates left when the first such row comes, so it
+	// never grows and its elements never move.
+	var owned []model.POI
 	var v model.VisitView
 	for i := range merged {
 		a := &merged[i]
@@ -865,7 +898,15 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 		if err := v.Parse(a.payload); err != nil {
 			panic(fmt.Sprintf("query: a kept visit payload no longer parses: %v", err))
 		}
-		cands[i] = poiAgg{poi: v.POI(), gradeUnits: a.gradeUnits, visits: a.visits}
+		doc := v.SharedDoc()
+		if doc == nil {
+			if owned == nil {
+				owned = make([]model.POI, 0, len(merged)-i)
+			}
+			owned = append(owned, v.POI())
+			doc = &owned[len(owned)-1]
+		}
+		cands[i] = poiAgg{poi: doc, gradeUnits: a.gradeUnits, visits: a.visits}
 	}
 	s.release(merged)
 	return cands, work
@@ -875,44 +916,50 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 // that does, for a fresh merge and for a cached one a check-in was folded
 // into alike. Under the normalized schema the POI info is joined from the
 // POI repository and the spatial/keyword predicates are applied
-// post-join. With a positive Limit the ranking streams through a bounded
+// post-join; a joined candidate points at a copy of the repository's
+// document. With a positive Limit the ranking streams through a bounded
 // heap (O(n log k)); otherwise it falls back to the exact full sort, which
 // doubles as the oracle the property tests compare the heap against. The
-// candidates are only read.
+// candidates are only read, and a document is copied only into the answer.
 func (e *Engine) rank(spec *Spec, cands []poiAgg) []ScoredPOI {
 	order := spec.orderOrDefault()
-	normalized := e.visits.Schema() == repos.SchemaNormalized
-	var topk *boundedAggHeap
+	var joinedDocs []model.POI
+	if e.visits.Schema() == repos.SchemaNormalized {
+		joinedDocs = make([]model.POI, 0, len(cands))
+	}
+	var topk boundedAggHeap
 	var aggs []poiAgg
 	if spec.Limit > 0 {
-		topk = &boundedAggHeap{order: order, k: spec.Limit}
+		topk = newBoundedAggHeap(order, spec.Limit, len(cands))
 	}
 	for i := range cands {
 		a := &cands[i]
-		if normalized {
+		if joinedDocs != nil {
 			poi, ok := e.pois.Get(a.poi.ID)
 			// Post-join residual predicates.
 			if !ok || !spec.matchesPOI(&poi) {
 				continue
 			}
+			joinedDocs = append(joinedDocs, poi)
 			joined := *a
-			joined.poi = poi
+			joined.poi = &joinedDocs[len(joinedDocs)-1]
 			a = &joined
 		}
-		if topk != nil {
+		if spec.Limit > 0 {
 			topk.offer(a)
 		} else {
 			aggs = append(aggs, *a)
 		}
 	}
-	if topk != nil {
+	if spec.Limit > 0 {
 		aggs = topk.sorted()
 	} else {
 		sortAggs(aggs, order)
 	}
 	out := make([]ScoredPOI, len(aggs))
-	for i, a := range aggs {
-		out[i] = ScoredPOI{POI: a.poi, Score: model.MeanGrade(a.gradeUnits, a.visits), Visits: a.visits}
+	for i := range aggs {
+		a := &aggs[i]
+		out[i] = ScoredPOI{POI: *a.poi, Score: model.MeanGrade(a.gradeUnits, a.visits), Visits: a.visits}
 	}
 	return out
 }

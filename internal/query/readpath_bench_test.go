@@ -8,22 +8,25 @@ import (
 	"testing"
 	"time"
 
+	"modissense/internal/cluster"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
+	"modissense/internal/obs"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
 )
 
-// benchVisits populates a visits table for `users` users visiting a catalog
-// of `catalog` POIs through the repository. With two versions, every other
+// benchVisits populates a visits table of `regions` regions on four nodes
+// for `users` users visiting a catalog of `catalog` POIs through the
+// repository. With two versions, every other
 // visit of a user, in time order, carries a refreshed copy of its POI's
 // document (as after a HotIn refresh), so a region's rows of one POI
 // alternate between two documents.
-func benchVisits(b *testing.B, users, catalog, versions int) *repos.VisitsRepo {
+func benchVisits(b *testing.B, users, catalog, versions, regions int) *repos.VisitsRepo {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	pois := workload.GenPOIs(rng, catalog)
-	visits, err := repos.NewVisitsRepo(repos.SchemaReplicated, int64(users), 32, 4, kvstore.DefaultStoreOptions())
+	visits, err := repos.NewVisitsRepo(repos.SchemaReplicated, int64(users), regions, 4, kvstore.DefaultStoreOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func benchVisits(b *testing.B, users, catalog, versions int) *repos.VisitsRepo {
 // released as Engine.sum releases it, so the aggregation state is reused
 // across iterations as it is across queries.
 func benchCoprocessor(b *testing.B, friends, catalog, versions int) {
-	visits := benchVisits(b, friends, catalog, versions)
+	visits := benchVisits(b, friends, catalog, versions, 32)
 	from, to := window()
 	spec := Spec{FriendIDs: friendRange(1, int64(friends)), FromMillis: from, ToMillis: to, OrderBy: ByInterest}
 	if err := spec.Validate(); err != nil {
@@ -101,4 +104,52 @@ func BenchmarkCoprocessor200FriendsBinary(b *testing.B) {
 // shared table.
 func BenchmarkCoprocessor200FriendsTwoVersions(b *testing.B) {
 	benchCoprocessor(b, 200, 20, 2)
+}
+
+// BenchmarkMergeRank measures the web server's merge of one personalized
+// query in the repository benchmark's search_scan shape: the outputs of 12
+// regions, 1000 friends' visits over an 800-POI catalog, summed into one
+// candidate per POI (Engine.sum) and ranked to a limit of 10
+// (Engine.rank). Each iteration refills the region outputs from the one
+// scan made at set-up, off the clock.
+func BenchmarkMergeRank(b *testing.B) {
+	const friends, catalog = 1000, 800
+	visits := benchVisits(b, friends, catalog, 1, 12)
+	clus, err := cluster.New(cluster.DefaultConfig(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := NewEngine(visits, repos.NewPOIRepo(), clus)
+	if err != nil {
+		b.Fatal(err)
+	}
+	from, to := window()
+	spec := Spec{FriendIDs: friendRange(1, friends), FromMillis: from, ToMillis: to, Limit: 10}
+	cp := &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated, ranges: friendRanges(spec.FriendIDs, from, to)}
+	regions := visits.Table().Regions()
+	plan := &queryPlan{spec: &spec, outputs: make([]*regionOutput, len(regions))}
+	held := make([]regionOutput, len(regions))
+	for i, r := range regions {
+		out, err := cp.runRegion(context.Background(), r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		held[i] = regionOutput{aggs: slices.Clone(out.aggs), work: out.work}
+		out.release()
+	}
+	var stats obs.QueryStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for r := range held {
+			s := takeScratch()
+			plan.outputs[r] = &regionOutput{aggs: append(s.aggs, held[r].aggs...), work: held[r].work, scratch: s}
+		}
+		b.StartTimer()
+		cands, work := eng.sum(plan, &stats)
+		if pois := eng.rank(&spec, cands); len(pois) != spec.Limit || work.CandidatePOIs < catalog {
+			b.Fatalf("merged %d region candidates into %d POIs, want at least %d and %d", work.CandidatePOIs, len(pois), catalog, spec.Limit)
+		}
+	}
 }

@@ -3,7 +3,9 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"modissense/internal/faultinject"
+	"modissense/internal/matview"
 	"modissense/internal/model"
 	"modissense/internal/obs"
 	"modissense/internal/repos"
@@ -290,5 +293,125 @@ func TestConcurrentBatchesWithHedgesMatchOracle(t *testing.T) {
 	wg.Wait()
 	if hedges == 0 || retries == 0 {
 		t.Errorf("%d hedges and %d retries fired, want both", hedges, retries)
+	}
+}
+
+// sumOnce scatters spec over every region of f and sums the outputs: the
+// merge candidates of one query.
+func sumOnce(t testing.TB, f *fixture, spec *Spec) []poiAgg {
+	t.Helper()
+	cp := &visitsCoprocessor{spec: spec, schema: f.visits.Schema(), ranges: friendRanges(sortedDistinctFriends(spec.FriendIDs), spec.FromMillis, spec.ToMillis)}
+	plan := &queryPlan{spec: spec}
+	scatterOnce(t, f, cp, plan)
+	cands, _ := f.engine.sum(plan, &obs.QueryStats{})
+	return cands
+}
+
+// TestSumBytesPerCandidate: a candidate of a shared-document row costs sum
+// its entry in the candidate slice and nothing more — it points at the shared
+// version instead of copying the document's struct. Measured around sum
+// alone with the GC off, the least of several warm rounds, so a pooled
+// scratch that had to grow does not count.
+func TestSumBytesPerCandidate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a quarter of what is put back")
+	}
+	f := newFixture(t, repos.SchemaReplicated, 2, 40)
+	from, to := window()
+	spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to}
+	cp := &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated, ranges: friendRanges(spec.FriendIDs, from, to)}
+	plan := &queryPlan{spec: &spec}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	least, n := uint64(math.MaxUint64), 0
+	for round := 0; round < 8; round++ {
+		scatterOnce(t, f, cp, plan)
+		runtime.ReadMemStats(&before)
+		cands, _ := f.engine.sum(plan, &obs.QueryStats{})
+		runtime.ReadMemStats(&after)
+		least, n = min(least, after.TotalAlloc-before.TotalAlloc), len(cands)
+	}
+	if n < 200 {
+		t.Fatalf("fixture cannot tell: %d candidates", n)
+	}
+	t.Logf("sum allocated %d B for %d candidates", least, n)
+	if bound := uint64(32*n + 1024); least > bound {
+		t.Errorf("sum allocated %d B for %d candidates (%.1f B each), want at most %d", least, n, float64(least)/float64(n), bound)
+	}
+}
+
+// TestRankAllocs: a limited ranking allocates the heap's items and the
+// answer, nothing per candidate — the heap neither boxes what it keeps nor
+// grows, and only the answer's k entries copy a document.
+func TestRankAllocs(t *testing.T) {
+	f := newFixture(t, repos.SchemaReplicated, 2, 40)
+	from, to := window()
+	spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, Limit: 10}
+	cands := sumOnce(t, f, &spec)
+	if len(cands) < 200 {
+		t.Fatalf("fixture cannot tell: %d candidates", len(cands))
+	}
+	var pois []ScoredPOI
+	if allocs := testing.AllocsPerRun(50, func() { pois = f.engine.rank(&spec, cands) }); allocs != 2 {
+		t.Errorf("a limit-10 rank over %d candidates allocated %v times, want 2", len(cands), allocs)
+	}
+	if len(pois) != spec.Limit {
+		t.Fatalf("ranked %d POIs, want %d", len(pois), spec.Limit)
+	}
+}
+
+// TestCandidatesPointAtSharedVersions: under the replicated schema every
+// candidate sum builds, and every one Patch creates for a friend's
+// check-in, is the shared version of its document itself, not a copy.
+func TestCandidatesPointAtSharedVersions(t *testing.T) {
+	f, cache, _ := cachedFixture(t)
+	catalog := make(map[int64]*model.POI, len(f.pois))
+	for i := range f.pois {
+		catalog[f.pois[i].ID] = &f.pois[i]
+	}
+	shared := func(id int64) *model.POI {
+		p, _, err := model.InternPOI(catalog[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	from, to := window()
+	spec := Spec{FriendIDs: friendRange(1, 12), FromMillis: from, ToMillis: to, Limit: 5}
+	cands := sumOnce(t, f, &spec)
+	seen := map[int64]bool{}
+	for _, c := range cands {
+		seen[c.poi.ID] = true
+		if c.poi != shared(c.poi.ID) {
+			t.Fatalf("sum's candidate of POI %d holds a copy of its document, not the shared version", c.poi.ID)
+		}
+	}
+	fresh := int64(0)
+	for _, p := range f.pois {
+		if !seen[p.ID] {
+			fresh = p.ID
+			break
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("every catalog POI is a candidate")
+	}
+	prime(t, f, spec)
+	if err := f.visits.Store(model.Visit{UserID: 4, Time: from + 1000, Grade: 3, Network: "facebook", POI: *catalog[fresh]}); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	cache.Get(f.engine.cacheKey(&spec, sortedDistinctFriends(spec.FriendIDs)), func(v matview.Value) {
+		for _, c := range v.(*cachedRanking).cands {
+			if c.poi.ID == fresh {
+				found = true
+				if c.poi != shared(fresh) {
+					t.Errorf("Patch's candidate of POI %d holds a copy of its document, not the shared version", fresh)
+				}
+			}
+		}
+	})
+	if !found {
+		t.Fatalf("the check-in at POI %d created no candidate in the cached entry", fresh)
 	}
 }
