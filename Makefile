@@ -65,8 +65,9 @@ census:
 
 ## fuzz-smoke runs each fuzzer for a short, bounded burst: long enough to
 ## shake out a regression in the WAL's torn-tail / mid-log corruption
-## contract, in the parsing of untrusted blocks, in the visit walker's
-## agreement with its reference decoder, in the visit row key's round trip
+## contract, in the parsing of untrusted blocks, in the visit walker's and
+## the documents log's decoders' agreement with their reference decoders,
+## in the visit row key's round trip
 ## (the only copy of a replicated visit's user and time), in the JSON
 ## scanner and writer's agreement with encoding/json (json.Valid's
 ## documents, json.Marshal's strings and floats), or in the answer and
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kvstore -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime=10s
 	$(GO) test ./internal/kvstore -run FuzzBlockDecode -fuzz FuzzBlockDecode -fuzztime=5s
 	$(GO) test ./internal/model -run FuzzVisitView -fuzz FuzzVisitView -fuzztime=5s -fuzzminimizetime=1s
+	$(GO) test ./internal/model -run FuzzDocRecord -fuzz FuzzDocRecord -fuzztime=5s
 	$(GO) test ./internal/repos -run FuzzVisitRowKey -fuzz FuzzVisitRowKey -fuzztime=5s
 	$(GO) test ./internal/jsonwire -run FuzzSkipMatchesValid -fuzz FuzzSkipMatchesValid -fuzztime=5s
 	$(GO) test ./internal/jsonwire -run FuzzWriterMatchesMarshal -fuzz FuzzWriterMatchesMarshal -fuzztime=5s
@@ -103,7 +105,7 @@ bench:
 ## alternating between two, its miss), a block load served
 ## from its segment slot (a hit, which TestBlockLoadHitAllocs keeps at zero
 ## allocations) and one decoded, admitted and evicting (a miss), the visit parser on
-## every layout's payload and on one with multi-byte lengths, the shared POI documents'
+## both layouts' payloads and on one with multi-byte lengths, the shared POI documents'
 ## intern hit and keyed shared-document parse (which TestSharedDocsAllocs keeps at
 ## zero allocations), the table's one write
 ## routine per cell and per batch of 50, a flush and a compaction (whose

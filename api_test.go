@@ -6,18 +6,6 @@ import (
 	"modissense"
 )
 
-// TestClassifierOptionConstructors checks the exported pipeline presets.
-func TestClassifierOptionConstructors(t *testing.T) {
-	base := modissense.BaselineClassifierOptions()
-	opt := modissense.OptimizedClassifierOptions()
-	if base.Bigrams || base.BNS || base.TermFrequency {
-		t.Errorf("baseline must not enable optimizations: %+v", base)
-	}
-	if !opt.Bigrams || !opt.BNS || !opt.TermFrequency || opt.MinOccurrences < 2 {
-		t.Errorf("optimized must enable every optimization: %+v", opt)
-	}
-}
-
 // TestSchemaConstantsExported checks the ablation schema selectors.
 func TestSchemaConstantsExported(t *testing.T) {
 	cfg := modissense.DefaultConfig()

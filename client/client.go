@@ -553,7 +553,7 @@ func (c *Client) POI(id int64) (model.POI, error) {
 }
 
 // PushGPS uploads GPS fixes for the signed-in user and returns the stored
-// count (which may be smaller than len(fixes) when the server compresses).
+// count; the server stores the fixes raw.
 func (c *Client) PushGPS(fixes []model.GPSFix) (int, error) {
 	var out struct {
 		Stored int `json:"stored"`

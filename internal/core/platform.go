@@ -61,12 +61,6 @@ type Config struct {
 	// ClassifierTrainDocs is the sentiment-classifier training-corpus size
 	// (1000 is the scaled quality threshold of Figure 4).
 	ClassifierTrainDocs int
-	// ClassifierOptions selects the preprocessing pipeline.
-	ClassifierOptions textproc.PipelineOptions
-	// GPSCompressionToleranceMeters, when positive, compresses pushed GPS
-	// traces with time-aware Douglas–Peucker before storage (0 = store
-	// raw fixes).
-	GPSCompressionToleranceMeters float64
 	// QueryTimeout bounds every API query (search, trending, event
 	// detection, pipeline): the HTTP layer derives each request's context
 	// with this deadline and answers 504 when it fires. Zero disables the
@@ -175,7 +169,6 @@ func DefaultConfig() Config {
 		CheckinsPerDay:      1.5,
 		VisitSchema:         repos.SchemaReplicated,
 		ClassifierTrainDocs: 1000,
-		ClassifierOptions:   textproc.OptimizedOptions(),
 		QueryTimeout:        30 * time.Second,
 		WALSync:             "os",
 	}
@@ -377,7 +370,7 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.Classifier, err = textproc.TrainNaiveBayes(corpus, cfg.ClassifierOptions); err != nil {
+	if p.Classifier, err = textproc.TrainNaiveBayes(corpus, textproc.OptimizedOptions()); err != nil {
 		return nil, err
 	}
 
@@ -795,9 +788,7 @@ var checkinBufs = sync.Pool{New: func() any { return new([]pubsub.Checkin) }}
 const maxPooledCheckins = 1024
 
 // PushGPS ingests GPS fixes for the authenticated user (overriding the
-// fixes' user ids with the authenticated identity). With a configured
-// compression tolerance, time-ordered batches are TD-TR-compressed before
-// storage; unordered batches are stored raw.
+// fixes' user ids with the authenticated identity) and stores them raw.
 func (p *Platform) PushGPS(token string, fixes []model.GPSFix) (int, error) {
 	uid, err := p.Users.Authenticate(token)
 	if err != nil {
@@ -805,28 +796,6 @@ func (p *Platform) PushGPS(token string, fixes []model.GPSFix) (int, error) {
 	}
 	for i := range fixes {
 		fixes[i].UserID = uid
-	}
-	if tol := p.cfg.GPSCompressionToleranceMeters; tol > 0 && len(fixes) > 2 {
-		trace := make([]trajectory.Fix, len(fixes))
-		ordered := true
-		for i, f := range fixes {
-			trace[i] = trajectory.Fix{Pt: f.Point(), At: model.FromMillis(f.Time)}
-			if i > 0 && trace[i].At.Before(trace[i-1].At) {
-				ordered = false
-				break
-			}
-		}
-		if ordered {
-			compressed, err := trajectory.CompressTrace(trace, tol)
-			if err != nil {
-				return 0, err
-			}
-			out := make([]model.GPSFix, len(compressed))
-			for i, f := range compressed {
-				out[i] = model.GPSFix{UserID: uid, Lat: f.Pt.Lat, Lon: f.Pt.Lon, Time: model.Millis(f.At)}
-			}
-			fixes = out
-		}
 	}
 	if err := p.GPS.PushBatch(fixes); err != nil {
 		return 0, err

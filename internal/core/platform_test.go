@@ -457,36 +457,6 @@ func TestBlogEnrichedWithOwnComments(t *testing.T) {
 	}
 }
 
-func TestGPSCompressionOnIngest(t *testing.T) {
-	cfg := testConfig()
-	cfg.GPSCompressionToleranceMeters = 15
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tok, err := p.Users.SignIn("facebook", "facebook:13")
-	if err != nil {
-		t.Fatal(err)
-	}
-	day := time.Date(2015, 5, 30, 0, 0, 0, 0, time.UTC)
-	fixes := workload.GenGPSDay(newRng(23), 0, day, p.Catalog()[:3], 5*time.Minute, 40*time.Minute)
-	stored, err := p.PushGPS(tok, fixes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored >= len(fixes) {
-		t.Errorf("compression stored %d of %d fixes", stored, len(fixes))
-	}
-	// The blog pipeline still finds the visits on the compressed trace.
-	blog, err := p.GenerateBlog(tok, day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blog.Entries) < 2 {
-		t.Errorf("compressed trace lost the visits: %d entries\n%s", len(blog.Entries), blog.Rendered)
-	}
-}
-
 func TestEventDetectionIncremental(t *testing.T) {
 	p := bootPlatform(t)
 	_, tok, err := p.Users.SignIn("facebook", "facebook:15")

@@ -1,20 +1,16 @@
 package core
 
 import (
-	"cmp"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"modissense/internal/geo"
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
 )
@@ -74,11 +70,11 @@ func TestSharedDocsSurviveReboot(t *testing.T) {
 
 	docs := map[string]model.POI{}
 	err := kvstore.ReplayWAL(filepath.Join(dir, "visits.wal.docs"), func(c kvstore.Cell) error {
-		v, err := model.DecodeVisitBinary(c.Value)
-		if err != nil || v.POI.ID == 0 {
-			return fmt.Errorf("document %q: %v (%+v)", c.Row, err, v)
+		p, err := model.DecodeDocRecord(c.Value)
+		if err != nil || p.ID == 0 {
+			return fmt.Errorf("document %q: %v (%+v)", c.Row, err, p)
 		}
-		docs[c.Row] = v.POI
+		docs[c.Row] = p
 		return nil
 	})
 	if err != nil {
@@ -136,30 +132,79 @@ func TestSharedDocsSurviveReboot(t *testing.T) {
 // TestBootFailsOnUncoveredSharedRow drops one document from a closed
 // platform's documents log: booting must fail, naming a visit row that names
 // the lost document, although this process's shared table still holds it.
-// It does so over the keyed rows the platform writes and over the same rows
-// rewritten in the 0x03 layout older logs hold.
 func TestBootFailsOnUncoveredSharedRow(t *testing.T) {
-	for _, layout := range []string{"keyed", "shared"} {
-		t.Run(layout, func(t *testing.T) {
+	t.Run("keyed", func(t *testing.T) {
+		dir := t.TempDir()
+		pushSharedDocVisits(t, dir)
+		path := filepath.Join(dir, "visits.wal.docs")
+		var kept []kvstore.Cell
+		var dropped string
+		if err := kvstore.ReplayWAL(path, func(c kvstore.Cell) error {
+			if dropped == "" {
+				dropped = c.Row
+			} else {
+				kept = append(kept, c)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeLog(path, kept); err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.WALDir = dir
+		p, err := New(cfg)
+		if err == nil {
+			p.Close()
+			t.Fatalf("booted with document %s missing from the documents log", dropped)
+		}
+		id, _, _ := strings.Cut(dropped, "|")
+		if !strings.Contains(err.Error(), `visit row "u`) || !strings.Contains(err.Error(), "POI "+id+" ") {
+			t.Errorf("boot error %q does not name a visit row of POI %s", err, id)
+		}
+	})
+}
+
+// TestBootFailsOnDeletedLayout rewrites the first row of a closed platform's
+// visits log in a layout no writer emits any more and no reader accepts:
+// 0x01 (the document embedded) or 0x03 (the first shared layout, the
+// normalized fields plus the document hash). Booting must fail, naming the
+// tag and the row.
+func TestBootFailsOnDeletedLayout(t *testing.T) {
+	for _, c := range []struct {
+		tag    string
+		encode func(v *model.Visit, keyed []byte) []byte
+	}{
+		{"0x01", func(v *model.Visit, _ []byte) []byte { return model.EncodeVisitBinary(v) }},
+		{"0x03", func(v *model.Visit, keyed []byte) []byte {
+			b := model.EncodeVisitBinaryNormalized(v)
+			b[0] = 0x03
+			return append(b, keyed[2:10]...)
+		}},
+	} {
+		t.Run(c.tag, func(t *testing.T) {
 			dir := t.TempDir()
 			pushSharedDocVisits(t, dir)
-			if layout == "shared" {
-				rewriteAsShared(t, dir, func(int) bool { return true })
-			}
-			path := filepath.Join(dir, "visits.wal.docs")
-			var kept []kvstore.Cell
-			var dropped string
-			if err := kvstore.ReplayWAL(path, func(c kvstore.Cell) error {
-				if dropped == "" {
-					dropped = c.Row
-				} else {
-					kept = append(kept, c)
+			path := filepath.Join(dir, "visits.wal")
+			var cells []kvstore.Cell
+			if err := kvstore.ReplayWAL(path, func(cell kvstore.Cell) error {
+				if len(cells) == 0 {
+					v, err := model.DecodeVisitBinary(cell.Value)
+					if err != nil {
+						return fmt.Errorf("row %q: %v", cell.Row, err)
+					}
+					if _, err := fmt.Sscanf(cell.Row, "u%d|t%d|", &v.UserID, &v.Time); err != nil {
+						return fmt.Errorf("row %q: %v", cell.Row, err)
+					}
+					cell.Value = c.encode(&v, cell.Value)
 				}
+				cells = append(cells, cell)
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := writeLog(path, kept); err != nil {
+			if err := writeLog(path, cells); err != nil {
 				t.Fatal(err)
 			}
 			cfg := testConfig()
@@ -167,137 +212,12 @@ func TestBootFailsOnUncoveredSharedRow(t *testing.T) {
 			p, err := New(cfg)
 			if err == nil {
 				p.Close()
-				t.Fatalf("booted with document %s missing from the documents log", dropped)
+				t.Fatalf("booted over a visits log holding a %s row", c.tag)
 			}
-			id, _, _ := strings.Cut(dropped, "|")
-			if !strings.Contains(err.Error(), `visit row "u`) || !strings.Contains(err.Error(), "POI "+id+" ") {
-				t.Errorf("boot error %q does not name a visit row of POI %s", err, id)
+			if row := strconv.Quote(cells[0].Row); !strings.Contains(err.Error(), c.tag) || !strings.Contains(err.Error(), row) {
+				t.Errorf("boot error %q does not name tag %s and row %s", err, c.tag, row)
 			}
 		})
-	}
-}
-
-// TestMixedTagLogReboot reboots over a visits log whose rows alternate
-// between the 0x03 layout and the keyed one, as a log written across an
-// upgrade does: ScanAll returns every pushed visit, user and time included,
-// and searches with and without predicates over both layouts equal a
-// brute-force answer over the pushed visits.
-func TestMixedTagLogReboot(t *testing.T) {
-	dir := t.TempDir()
-	stored := pushSharedDocVisits(t, dir)
-	rewriteAsShared(t, dir, func(i int) bool { return i%2 == 0 })
-	tags := map[byte]int{}
-	if err := kvstore.ReplayWAL(filepath.Join(dir, "visits.wal"), func(c kvstore.Cell) error {
-		tags[c.Value[0]]++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tags[model.VisitBinaryTagShared] == 0 || tags[model.VisitBinaryTagKeyed] == 0 || len(tags) != 2 {
-		t.Fatalf("the rewritten log holds rows by tag %v, want 0x03 and 0x04 rows", tags)
-	}
-
-	cfg := testConfig()
-	cfg.WALDir = dir
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	acct, token, err := p.Users.SignIn("facebook", "facebook:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	uid := acct.UserID
-	var times []int64
-	for tm := range stored {
-		times = append(times, tm)
-	}
-	slices.Sort(times)
-	var want, got []model.Visit
-	for _, tm := range times {
-		want = append(want, model.Visit{UserID: uid, Time: tm, Grade: 4, Network: "facebook", POI: stored[tm]})
-	}
-	if err := p.Visits.ScanAll(func(v model.Visit) bool { got = append(got, v); return true }); err != nil {
-		t.Fatal(err)
-	}
-	slices.SortFunc(got, func(a, b model.Visit) int { return cmp.Compare(a.Time, b.Time) })
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ScanAll after the reboot:\ngot  %+v\nwant %+v", got, want)
-	}
-
-	catalog := p.Catalog()
-	box := geo.RectAround(catalog[2].Point(), 1)
-	for _, c := range []struct {
-		name    string
-		bbox    *geo.Rect
-		keyword string
-	}{{"none", nil, ""}, {"bbox", &box, ""}, {"keyword", nil, catalog[1].Keywords[0]}} {
-		from, to := time.UnixMilli(times[0]), time.UnixMilli(times[len(times)-1])
-		res, err := p.Search(context.Background(), SearchRequest{Token: token, Friends: []int64{uid}, BBox: c.bbox, Keyword: c.keyword, From: from, To: to})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Brute force: a POI's answer carries the document of its first
-		// visit in key order, which is time order for one user.
-		type agg struct {
-			doc    model.POI
-			units  int64
-			visits int
-		}
-		byPOI := map[int64]*agg{}
-		for _, v := range want {
-			if (c.bbox != nil && !c.bbox.Contains(v.POI.Point())) || (c.keyword != "" && !slices.Contains(v.POI.Keywords, c.keyword)) {
-				continue
-			}
-			a := byPOI[v.POI.ID]
-			if a == nil {
-				a = &agg{doc: v.POI}
-				byPOI[v.POI.ID] = a
-			}
-			a.units += model.GradeUnits(v.Grade)
-			a.visits++
-		}
-		if len(res.POIs) != len(byPOI) || len(byPOI) == 0 {
-			t.Fatalf("%s: %d POIs, brute force %d", c.name, len(res.POIs), len(byPOI))
-		}
-		for _, r := range res.POIs {
-			a := byPOI[r.POI.ID]
-			if a == nil || r.Visits != a.visits || r.Score != model.MeanGrade(a.units, a.visits) || !reflect.DeepEqual(r.POI, a.doc) {
-				t.Errorf("%s: answer %+v, brute force %+v", c.name, r, a)
-			}
-		}
-	}
-}
-
-// rewriteAsShared rewrites the i-th row of the visits log in dir, for every
-// i that shared selects, from the keyed layout to the 0x03 layout, encoded
-// here: the normalized layout plus the document hash, with the user and time
-// the row key holds.
-func rewriteAsShared(t *testing.T, dir string, shared func(i int) bool) {
-	t.Helper()
-	path := filepath.Join(dir, "visits.wal")
-	var cells []kvstore.Cell
-	if err := kvstore.ReplayWAL(path, func(c kvstore.Cell) error {
-		if shared(len(cells)) {
-			v, err := model.DecodeVisitBinary(c.Value)
-			if err != nil || c.Value[0] != model.VisitBinaryTagKeyed {
-				return fmt.Errorf("row %q: %v, tag %#x", c.Row, err, c.Value[0])
-			}
-			if _, err := fmt.Sscanf(c.Row, "u%d|t%d|", &v.UserID, &v.Time); err != nil {
-				return fmt.Errorf("row %q: %v", c.Row, err)
-			}
-			b := model.EncodeVisitBinaryNormalized(&v)
-			b[0] = model.VisitBinaryTagShared
-			c.Value = append(b, c.Value[2:10]...)
-		}
-		cells = append(cells, c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeLog(path, cells); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -21,36 +21,33 @@ import (
 //
 // Layout: tag byte, version byte, then fields. Integers are varints, floats
 // are 8-byte little-endian IEEE 754 bits, strings are uvarint length
-// prefixes followed by raw bytes. Tags 0x01 to 0x03 share the prefix user,
-// time, grade, network, POI id; then
+// prefixes followed by raw bytes. The two visit layouts are
 //
-//	0x01 replicated: name, lat, lon, keyword count, keywords, hotness, interest
-//	0x02 normalized: nothing
-//	0x03 shared:     the document's content hash, 8 bytes little-endian
+//	0x02 normalized: user, time, grade, network, POI id
+//	0x04 keyed:      document hash (8 bytes LE), grade (float), POI id, network
 //
-// Tag 0x04 drops user and time, which the row key holds, and puts its fixed
-// fields first:
+// The replicated schema writes 0x04, leaving user and time to the row key
+// and the document to the shared table (docs.go); the normalized schema
+// writes 0x02. Reading a 0x04 row takes two steps: ParseFields walks the
+// bytes, and Resolve finds the document the row's id and hash name — in the
+// table, or in a handle an earlier Resolve returned for a row of the same
+// POI. No other tag is a visit: the rows of the deleted layouts 0x01
+// (embedded document) and 0x03 (the first shared layout) fail as unknown.
 //
-//	0x04 keyed: document hash (8 bytes LE), grade (float), POI id, network
-//
-// The replicated schema writes 0x04 and keeps the document in the shared
-// table (docs.go); 0x01 and 0x03 rows written before it decode forever.
-// Reading a 0x03 or 0x04 row takes two steps: ParseFields walks the bytes,
-// and Resolve finds the document the row's id and hash name — in the table,
-// or in a handle an earlier Resolve returned for a row of the same POI.
+// Tag 0x01 lives on as the documents log's record (EncodeVisitBinary,
+// DecodeDocRecord): the 0x02 fields, then the document's name, lat, lon,
+// keyword count, keywords, hotness and interest.
 
 const (
-	// VisitBinaryTagReplicated marks a full replicated-schema visit payload
-	// (embedded POI document).
+	// VisitBinaryTagReplicated marks a documents-log record: a visit
+	// payload with its POI document embedded, which no visit row holds.
 	VisitBinaryTagReplicated byte = 0x01
 	// VisitBinaryTagNormalized marks a compact normalized-schema payload
 	// (POI id only; the reader joins the rest).
 	VisitBinaryTagNormalized byte = 0x02
-	// VisitBinaryTagShared marks a replicated-schema visit payload whose POI
-	// document is the shared copy its id and content hash name (InternPOI).
-	VisitBinaryTagShared byte = 0x03
-	// VisitBinaryTagKeyed marks a shared-document payload without user and
-	// time: the row key carries them, so the payload alone does not.
+	// VisitBinaryTagKeyed marks a replicated-schema visit payload whose POI
+	// document is the shared copy its id and content hash name (InternPOI),
+	// without user and time: the row key carries them.
 	VisitBinaryTagKeyed byte = 0x04
 	// visitBinaryVersion is the current layout version. Decoders reject
 	// versions they do not know instead of misreading them.
@@ -58,8 +55,7 @@ const (
 )
 
 // EncodeVisitBinary encodes a visit with its POI document embedded: the
-// replicated schema's row layout before shared documents, and the documents
-// log's record of one document.
+// documents log's record of one document (DecodeDocRecord reads it back).
 func EncodeVisitBinary(v *Visit) []byte {
 	n := 2 + 3*binary.MaxVarintLen64 + 8 + len(v.Network) + len(v.POI.Name) + 16 + 16 + 2 + 8
 	for _, k := range v.POI.Keywords {
@@ -111,18 +107,16 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 }
 
 // VisitView is an allocation-free view of one validated binary visit
-// payload: the scalar fields are decoded, while the strings and the keyword
-// list stay behind as sub-slices of the payload. The personalized-query
-// coprocessor filters and aggregates every scanned row from a view and
-// materializes a POI document only for the first row of each POI, so the
-// per-row cost of the replicated schema is a field walk, not a document
-// decode. A view aliases the payload it was built from and is valid only
-// while those bytes are; the zero value is ready for Parse, and one view can
-// be parsed over any number of payloads. A normalized payload leaves every
-// POI field but POIID at its zero value; a shared-document payload reads its
-// POI fields from the shared document Resolve found, only when asked for
-// them, and a keyed payload leaves UserID and Time at zero (its row key
-// holds them).
+// payload: the scalar fields are decoded, while the network stays behind as
+// a sub-slice of the payload. The personalized-query coprocessor filters and
+// aggregates every scanned row from a view and reads a keyed row's document
+// only through the shared version Resolve found, so the per-row cost of the
+// replicated schema is a field walk, not a document decode. A view aliases
+// the payload it was built from and is valid only while those bytes are;
+// the zero value is ready for Parse, and one view can be parsed over any
+// number of payloads. A normalized payload leaves every POI field but POIID
+// at its zero value, and a keyed payload leaves UserID and Time at zero (its
+// row key holds them).
 type VisitView struct {
 	UserID int64
 	// Time is the visit timestamp in milliseconds since epoch.
@@ -131,26 +125,18 @@ type VisitView struct {
 	POIID int64
 
 	network []byte
-	// The document fields a 0x01 payload embeds.
-	name              []byte
-	lat, lon          float64
-	hotness, interest float64
-	// keywords is the encoded keyword span: nKeywords length-prefixed
-	// strings, every length already checked against the span.
-	keywords  []byte
-	nKeywords int
-	// shared marks a shared-document payload, docHash the hash it names.
+	// shared marks a keyed payload, docHash the hash it names.
 	shared  bool
 	docHash uint64
 	// ver is the shared document version Resolve found.
 	ver *docVersion
 }
 
-// Parse points the view at a binary visit payload of any layout: ParseFields,
-// then Resolve with no handle. It is the codec's only parser —
-// DecodeVisitBinary materializes its result — and rejects an unknown version
-// or tag, any length or count that overruns the payload, trailing bytes, and
-// a shared-document payload whose document this process does not hold. A
+// Parse points the view at a binary visit payload of either layout:
+// ParseFields, then Resolve with no handle. It is the codec's only visit
+// parser — DecodeVisitBinary materializes its result — and rejects an
+// unknown version or tag, any length that overruns the payload, trailing
+// bytes, and a keyed payload whose document this process does not hold. A
 // view whose Parse failed holds no usable state.
 func (v *VisitView) Parse(b []byte) error {
 	if err := v.ParseFields(b); err != nil {
@@ -161,11 +147,10 @@ func (v *VisitView) Parse(b []byte) error {
 }
 
 // ParseFields is Parse's pass over the bytes, dispatching on the tag byte:
-// it validates the whole payload and decodes its fields, but leaves a
-// shared-document payload's document to Resolve, which must run before any
-// of the view's document fields are read. It is one pass by offset; a length
-// or varint of one byte (most of them) is read without calling into
-// encoding/binary.
+// it validates the whole payload and decodes its fields, but leaves a keyed
+// payload's document to Resolve, which must run before any of the view's
+// document fields are read. It is one pass by offset; a length or varint of
+// one byte (most of them) is read without calling into encoding/binary.
 func (v *VisitView) ParseFields(b []byte) error {
 	if len(b) < 2 {
 		return fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
@@ -177,7 +162,7 @@ func (v *VisitView) ParseFields(b []byte) error {
 	if tag == VisitBinaryTagKeyed {
 		return v.parseKeyed(b)
 	}
-	if tag != VisitBinaryTagReplicated && tag != VisitBinaryTagNormalized && tag != VisitBinaryTagShared {
+	if tag != VisitBinaryTagNormalized {
 		return fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
 	}
 	*v = VisitView{}
@@ -197,49 +182,6 @@ func (v *VisitView) ParseFields(b []byte) error {
 	}
 	if v.POIID, off = varintAt(b, off); off < 0 {
 		return errAtVarint
-	}
-	if tag == VisitBinaryTagShared {
-		if len(b)-off < 8 {
-			return errAtDocHash
-		}
-		v.shared, v.docHash = true, binary.LittleEndian.Uint64(b[off:])
-		if off += 8; off != len(b) {
-			return errTrailing(len(b) - off)
-		}
-		return nil
-	}
-	if tag == VisitBinaryTagReplicated {
-		if v.name, off, err = stringAt(b, off); err != nil {
-			return err
-		}
-		if v.lat, off = floatAt(b, off); off < 0 {
-			return errAtFloat
-		}
-		if v.lon, off = floatAt(b, off); off < 0 {
-			return errAtFloat
-		}
-		var n uint64
-		if n, off = uvarintAt(b, off); off < 0 {
-			return errAtUvarint
-		}
-		// Every keyword takes at least its length byte, so a count beyond
-		// the remaining bytes is corrupt whatever follows.
-		if n > uint64(len(b)-off) {
-			return errAtKeywordCount
-		}
-		start := off
-		for i := uint64(0); i < n; i++ {
-			if _, off, err = stringAt(b, off); err != nil {
-				return err
-			}
-		}
-		v.keywords, v.nKeywords = b[start:off], int(n)
-		if v.hotness, off = floatAt(b, off); off < 0 {
-			return errAtFloat
-		}
-		if v.interest, off = floatAt(b, off); off < 0 {
-			return errAtFloat
-		}
 	}
 	if off != len(b) {
 		return errTrailing(len(b) - off)
@@ -271,12 +213,12 @@ func (v *VisitView) parseKeyed(b []byte) error {
 	return nil
 }
 
-// Resolve points a view ParseFields left at a shared-document payload at the
-// document version its POI id and hash name, and returns a handle on it; the
-// other layouts name no document and get no handle. A handle an earlier
-// Resolve returned is taken as it is when it names the row's own id and hash,
-// which spares the table lookup; any other handle is ignored. It fails when
-// the table holds no such document, which, since table entries are never
+// Resolve points a view ParseFields left at a keyed payload at the document
+// version its POI id and hash name, and returns a handle on it; a normalized
+// payload names no document and gets no handle. A handle an earlier Resolve
+// returned is taken as it is when it names the row's own id and hash, which
+// spares the table lookup; any other handle is ignored. It fails when the
+// table holds no such document, which, since table entries are never
 // removed, a handle cannot hide.
 func (v *VisitView) Resolve(h DocHandle) (DocHandle, error) {
 	if !v.shared {
@@ -297,79 +239,46 @@ func (v *VisitView) Resolve(h DocHandle) (DocHandle, error) {
 func errTrailing(n int) error { return fmt.Errorf("model: %d trailing bytes in binary visit", n) }
 
 // Location returns the POI's latitude and longitude: the shared document's
-// under a shared-document layout, the embedded ones under the replicated
-// layout, zero under the normalized one. Parse does not copy them, so a scan
-// whose predicates need no location never reads the document for them.
+// under the keyed layout, zero under the normalized one. Parse does not copy
+// them, so a scan whose predicates need no location never reads the
+// document for them.
 func (v *VisitView) Location() (lat, lon float64) {
-	if v.ver != nil {
-		return v.ver.doc.Lat, v.ver.doc.Lon
+	if v.ver == nil {
+		return 0, 0
 	}
-	return v.lat, v.lon
+	return v.ver.doc.Lat, v.ver.doc.Lon
 }
 
-// nextString splits the first length-prefixed string off a span Parse has
-// already validated.
-func nextString(span []byte) (s, rest []byte) {
-	n, w := uvarintAt(span, 0)
-	end := w + int(n)
-	return span[w:end], span[end:]
-}
-
-// HasKeyword reports whether kw is one of the visit's POI keywords,
-// comparing bytes in place.
+// HasKeyword reports whether kw is one of the visit's POI keywords; a
+// normalized payload has none.
 func (v *VisitView) HasKeyword(kw string) bool {
-	if v.ver != nil {
-		return slices.Contains(v.ver.doc.Keywords, kw)
-	}
-	for rest := v.keywords; len(rest) > 0; {
-		var k []byte
-		if k, rest = nextString(rest); string(k) == kw {
-			return true
-		}
-	}
-	return false
+	return v.ver != nil && slices.Contains(v.ver.doc.Keywords, kw)
 }
 
 // DocTextLen returns the byte lengths of the POI document's strings: the
-// name's, and the keywords' count and summed length (length prefixes
-// excluded) — what a decoded copy of the document carries beyond its
-// fixed-size fields, without decoding it. A shared document's were computed
-// when it was interned.
+// name's, and the keywords' count and summed length — what a decoded copy
+// of the document carries beyond its fixed-size fields. A shared document's
+// were computed when it was interned; a normalized payload's are zero.
 func (v *VisitView) DocTextLen() (name, keywords, keywordBytes int) {
-	if v.ver != nil {
-		return v.ver.nameLen, v.ver.nKeywords, v.ver.keywordBytes
+	if v.ver == nil {
+		return 0, 0, 0
 	}
-	for rest := v.keywords; len(rest) > 0; {
-		var k []byte
-		k, rest = nextString(rest)
-		keywordBytes += len(k)
-	}
-	return len(v.name), v.nKeywords, keywordBytes
+	return v.ver.nameLen, v.ver.nKeywords, v.ver.keywordBytes
 }
 
-// POI materializes the POI document the payload carries: the full record
-// under the replicated layout, the id alone under the normalized one. Under
-// the shared layout it is a copy of the shared document's struct that shares
-// its keyword slice, so it allocates nothing and must not be modified.
+// POI materializes the POI document the payload names: the id alone under
+// the normalized layout, and under the keyed one a copy of the shared
+// document's struct that shares its keyword slice, so it allocates nothing
+// and must not be modified.
 func (v *VisitView) POI() POI {
-	if v.ver != nil {
-		return *v.ver.doc
+	if v.ver == nil {
+		return POI{ID: v.POIID}
 	}
-	p := POI{ID: v.POIID, Name: string(v.name), Lat: v.lat, Lon: v.lon, Hotness: v.hotness, Interest: v.interest}
-	if v.nKeywords > 0 {
-		p.Keywords = make([]string, v.nKeywords)
-		rest := v.keywords
-		for i := range p.Keywords {
-			var k []byte
-			k, rest = nextString(rest)
-			p.Keywords[i] = string(k)
-		}
-	}
-	return p
+	return *v.ver.doc
 }
 
-// SharedDoc returns the shared document a shared-document payload names, or
-// nil for the other layouts.
+// SharedDoc returns the shared document a keyed payload names, or nil for a
+// normalized one.
 func (v *VisitView) SharedDoc() *POI {
 	if v.ver == nil {
 		return nil
@@ -382,16 +291,88 @@ func (v *VisitView) Visit() Visit {
 	return Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: string(v.network), POI: v.POI()}
 }
 
-// DecodeVisitBinary decodes any binary visit layout. Normalized payloads
-// yield a Visit whose POI carries only the id; shared-document payloads one
-// whose POI shares the shared document's keyword slice. A keyed payload
-// yields UserID and Time zero: they are its row key's.
+// DecodeVisitBinary decodes a binary visit of either layout. Normalized
+// payloads yield a Visit whose POI carries only the id; keyed payloads one
+// whose POI shares the shared document's keyword slice, with UserID and Time
+// zero: they are its row key's.
 func DecodeVisitBinary(b []byte) (Visit, error) {
 	var view VisitView
 	if err := view.Parse(b); err != nil {
 		return Visit{}, err
 	}
 	return view.Visit(), nil
+}
+
+// DecodeDocRecord decodes one record of the documents log, EncodeVisitBinary's
+// layout, and returns the POI document it embeds; the record's visit fields
+// are validated and dropped. The log is read from disk, so every length and
+// count is checked against the bytes left, and trailing bytes fail.
+func DecodeDocRecord(b []byte) (POI, error) {
+	if len(b) < 2 {
+		return POI{}, fmt.Errorf("model: document record too short (%d bytes)", len(b))
+	}
+	if tag, version := b[0], b[1]; tag != VisitBinaryTagReplicated || version != visitBinaryVersion {
+		return POI{}, fmt.Errorf("model: document record tag 0x%02x version %d not supported", tag, version)
+	}
+	off := 2
+	var err error
+	// User, time, grade and network: a record's visit fields.
+	if _, off = varintAt(b, off); off < 0 {
+		return POI{}, errAtVarint
+	}
+	if _, off = varintAt(b, off); off < 0 {
+		return POI{}, errAtVarint
+	}
+	if _, off = floatAt(b, off); off < 0 {
+		return POI{}, errAtFloat
+	}
+	if _, off, err = stringAt(b, off); err != nil {
+		return POI{}, err
+	}
+	var p POI
+	if p.ID, off = varintAt(b, off); off < 0 {
+		return POI{}, errAtVarint
+	}
+	var name []byte
+	if name, off, err = stringAt(b, off); err != nil {
+		return POI{}, err
+	}
+	p.Name = string(name)
+	if p.Lat, off = floatAt(b, off); off < 0 {
+		return POI{}, errAtFloat
+	}
+	if p.Lon, off = floatAt(b, off); off < 0 {
+		return POI{}, errAtFloat
+	}
+	var n uint64
+	if n, off = uvarintAt(b, off); off < 0 {
+		return POI{}, errAtUvarint
+	}
+	// Every keyword takes at least its length byte, so a count beyond the
+	// remaining bytes is corrupt whatever follows.
+	if n > uint64(len(b)-off) {
+		return POI{}, errAtKeywordCount
+	}
+	if n > 0 {
+		p.Keywords = make([]string, n)
+		for i := range p.Keywords {
+			var k []byte
+			if k, off, err = stringAt(b, off); err != nil {
+				return POI{}, err
+			}
+			p.Keywords[i] = string(k)
+		}
+	}
+	if p.Hotness, off = floatAt(b, off); off < 0 {
+		return POI{}, errAtFloat
+	}
+	if p.Interest, off = floatAt(b, off); off < 0 {
+		return POI{}, errAtFloat
+	}
+	if off != len(b) {
+		return POI{}, errTrailing(len(b) - off)
+	}
+	return p, nil
 }
 
 // uvarintLen is the length of x's uvarint encoding.

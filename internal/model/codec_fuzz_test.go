@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// referenceDecodeVisitBinary is the eager decoder the codec shipped with
-// before the view existed, kept as the oracle that pins the walker's
-// validation: it shares no code with VisitView.Parse. It has learned the
-// keyed layout since. A shared-document payload's document is the shared
-// table's (looked up after the layout is checked).
-func referenceDecodeVisitBinary(b []byte) (Visit, error) {
+// referenceDecode is the eager decoder the codec shipped with before the
+// view existed, kept as the oracle that pins both parsers' validation: it
+// shares no code with VisitView.Parse or DecodeDocRecord. It reads the two
+// visit layouts and the documents log's 0x01 record; a keyed payload's
+// document is the shared table's (looked up after the layout is checked).
+func referenceDecode(b []byte) (Visit, error) {
 	errCorrupt := errors.New("corrupt")
 	if len(b) < 2 || b[1] != visitBinaryVersion {
 		return Visit{}, errCorrupt
@@ -31,15 +31,7 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		b = b[n:]
 		return v
 	}
-	varint := func() int64 {
-		v, n := binary.Varint(b)
-		if n <= 0 {
-			ok, b = false, nil
-			return 0
-		}
-		b = b[n:]
-		return v
-	}
+	varint := func() int64 { u := uvarint(); return int64(u>>1) ^ -int64(u&1) }
 	u64 := func() uint64 {
 		if len(b) < 8 {
 			ok, b = false, nil
@@ -61,21 +53,31 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		return s
 	}
 	var v Visit
-	var hash uint64
-	if tag == VisitBinaryTagKeyed {
-		hash = u64()
+	switch tag {
+	case VisitBinaryTagKeyed:
+		hash := u64()
 		v.Grade = float()
 		v.POI.ID = varint()
 		v.Network = str()
-	} else {
+		if !ok || len(b) != 0 {
+			return Visit{}, errCorrupt
+		}
+		doc := lookupDoc(v.POI.ID, hash)
+		if doc == nil {
+			return Visit{}, errCorrupt
+		}
+		v.POI = *doc
+		return v, nil
+	case VisitBinaryTagReplicated, VisitBinaryTagNormalized:
 		v.UserID = varint()
 		v.Time = varint()
 		v.Grade = float()
 		v.Network = str()
 		v.POI.ID = varint()
+	default:
+		return Visit{}, errCorrupt
 	}
-	switch tag {
-	case VisitBinaryTagReplicated:
+	if tag == VisitBinaryTagReplicated {
 		v.POI.Name = str()
 		v.POI.Lat = float()
 		v.POI.Lon = float()
@@ -91,22 +93,6 @@ func referenceDecodeVisitBinary(b []byte) (Visit, error) {
 		}
 		v.POI.Hotness = float()
 		v.POI.Interest = float()
-	case VisitBinaryTagNormalized:
-	case VisitBinaryTagShared, VisitBinaryTagKeyed:
-		if tag == VisitBinaryTagShared {
-			hash = u64()
-		}
-		if !ok || len(b) != 0 {
-			return Visit{}, errCorrupt
-		}
-		doc := lookupDoc(v.POI.ID, hash)
-		if doc == nil {
-			return Visit{}, errCorrupt
-		}
-		v.POI = *doc
-		return v, nil
-	default:
-		return Visit{}, errCorrupt
 	}
 	if !ok || len(b) != 0 {
 		return Visit{}, errCorrupt
@@ -122,32 +108,26 @@ func appendPaddedUvarint(b []byte, x uint64) []byte {
 	return append(b, 0)
 }
 
-// encodePaddedVisit is EncodeVisitBinary with every length, count and
-// varint encoded one byte longer than needed.
-func encodePaddedVisit(v *Visit) []byte {
-	varint := func(b []byte, x int64) []byte {
-		ux := uint64(x) << 1
-		if x < 0 {
-			ux = ^ux
-		}
-		return appendPaddedUvarint(b, ux)
-	}
+// encodePadded is the encoder of tag (0x01, 0x02 or 0x04, with hash) with
+// every length, count and varint encoded one byte longer than needed.
+func encodePadded(v *Visit, tag byte, hash uint64) []byte {
+	varint := func(b []byte, x int64) []byte { return appendPaddedUvarint(b, uint64(x<<1)^uint64(x>>63)) }
 	str := func(b []byte, s string) []byte { return append(appendPaddedUvarint(b, uint64(len(s))), s...) }
-	b := []byte{VisitBinaryTagReplicated, visitBinaryVersion}
-	b = varint(b, v.UserID)
-	b = varint(b, v.Time)
-	b = appendFloat(b, v.Grade)
-	b = str(b, v.Network)
-	b = varint(b, v.POI.ID)
-	b = str(b, v.POI.Name)
-	b = appendFloat(b, v.POI.Lat)
-	b = appendFloat(b, v.POI.Lon)
+	b := []byte{tag, visitBinaryVersion}
+	if tag == VisitBinaryTagKeyed {
+		b = appendFloat(binary.LittleEndian.AppendUint64(b, hash), v.Grade)
+		return str(varint(b, v.POI.ID), v.Network)
+	}
+	b = str(appendFloat(varint(varint(b, v.UserID), v.Time), v.Grade), v.Network)
+	if b = varint(b, v.POI.ID); tag == VisitBinaryTagNormalized {
+		return b
+	}
+	b = appendFloat(appendFloat(str(b, v.POI.Name), v.POI.Lat), v.POI.Lon)
 	b = appendPaddedUvarint(b, uint64(len(v.POI.Keywords)))
 	for _, k := range v.POI.Keywords {
 		b = str(b, k)
 	}
-	b = appendFloat(b, v.POI.Hotness)
-	return appendFloat(b, v.POI.Interest)
+	return appendFloat(appendFloat(b, v.POI.Hotness), v.POI.Interest)
 }
 
 // multiByteVisits are visits whose payloads take the slow branch of every
@@ -168,37 +148,43 @@ func multiByteVisits() []Visit {
 // sameFloat compares bit patterns, so a NaN equals itself.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// sameVisit compares two decoded visits, their floats by bits (NaNs defeat
+// DeepEqual) and the rest structurally.
+func sameVisit(a, b Visit) bool {
+	for _, p := range [][2]*float64{
+		{&a.Grade, &b.Grade}, {&a.POI.Lat, &b.POI.Lat}, {&a.POI.Lon, &b.POI.Lon},
+		{&a.POI.Hotness, &b.POI.Hotness}, {&a.POI.Interest, &b.POI.Interest},
+	} {
+		if !sameFloat(*p[0], *p[1]) {
+			return false
+		}
+		*p[0], *p[1] = 0, 0
+	}
+	return reflect.DeepEqual(a, b)
+}
+
 // FuzzVisitView is the differential test of the one parser behind both read
 // paths: on arbitrary bytes VisitView.Parse, DecodeVisitBinary and the
-// reference decoder accept and reject together and never panic; on accept
-// the view's scalars and keyword membership equal the decoded visit's, and
-// the materialized visit equals the reference's.
+// reference decoder accept and reject together and never panic — a 0x01
+// record, which the reference reads, is no visit — and on accept the view's
+// scalars and keyword membership equal the decoded visit's, and the
+// materialized visit equals the reference's.
 func FuzzVisitView(f *testing.F) {
 	v := sampleVisit()
-	full := EncodeVisitBinary(&v)
-	f.Add(full, "museum")
-	f.Add(EncodeVisitBinaryNormalized(&v), "")
-	f.Add(full[:len(full)/2], "history")
-	f.Add(append(append([]byte(nil), full...), 0), "athens")
-	f.Add([]byte{VisitBinaryTagReplicated, visitBinaryVersion}, "x")
-	f.Add([]byte{VisitBinaryTagReplicated, 9, 0}, "x")
 	f.Add([]byte{0x7F, visitBinaryVersion, 0, 0}, "x")
+	f.Add([]byte{VisitBinaryTagKeyed, 9, 0}, "x")
+	f.Add([]byte{VisitBinaryTagKeyed, visitBinaryVersion}, "x")
+	f.Add([]byte{VisitBinaryTagNormalized, visitBinaryVersion}, "x")
+	f.Add([]byte{}, "")
 	f.Add(EncodeJSON(v), "museum")
 	noKeywords := v
 	noKeywords.POI.Keywords = nil
-	f.Add(EncodeVisitBinary(&noKeywords), "")
-	f.Add(encodePaddedVisit(&v), "history")
-	f.Add(encodePaddedVisit(&noKeywords), "")
-	for _, m := range multiByteVisits() {
-		full := EncodeVisitBinary(&m)
-		f.Add(full, m.POI.Keywords[len(m.POI.Keywords)-1])
-		f.Add(full[:len(full)-20], m.POI.Keywords[0])
-		f.Add(encodePaddedVisit(&m), "kw7")
-	}
-	// Shared-document payloads of both layouts: documents the table holds
-	// (with and without keywords, multi-byte lengths), a truncation inside
-	// the last field and inside the fixed ones, a trailing byte, and a hash
-	// the table does not hold.
+	// Per visit, with and without keywords and with multi-byte lengths:
+	// keyed payloads naming a document the table holds, a truncation inside
+	// the last field and inside the fixed ones, a trailing byte, a hash the
+	// table does not hold, padded varints; normalized payloads whole, cut,
+	// with a trailing byte and padded; and rows of the deleted 0x01 and 0x03
+	// layouts, which must fail.
 	for _, m := range append(multiByteVisits(), v, noKeywords) {
 		_, hash, err := InternPOI(&m.POI)
 		if err != nil {
@@ -208,20 +194,27 @@ func FuzzVisitView(f *testing.F) {
 		if len(m.POI.Keywords) > 0 {
 			kw = m.POI.Keywords[len(m.POI.Keywords)-1]
 		}
-		for _, encode := range []func(*Visit, uint64) []byte{encodeVisitBinaryShared, EncodeVisitBinaryKeyed} {
-			shared := encode(&m, hash)
-			f.Add(shared, kw)
-			f.Add(shared[:len(shared)-3], kw)
-			f.Add(shared[:12], kw)
-			f.Add(append(append([]byte(nil), shared...), 0), kw)
-			f.Add(encode(&m, hash+1), kw)
+		keyed := EncodeVisitBinaryKeyed(&m, hash)
+		normalized := EncodeVisitBinaryNormalized(&m)
+		padded := encodePadded(&m, VisitBinaryTagKeyed, hash)
+		for _, b := range [][]byte{
+			keyed, keyed[:len(keyed)-3], keyed[:12], append(append([]byte(nil), keyed...), 0),
+			EncodeVisitBinaryKeyed(&m, hash+1), padded, padded[:len(padded)-1],
+			normalized, normalized[:len(normalized)-3], append(append([]byte(nil), normalized...), 0),
+			encodePadded(&m, VisitBinaryTagNormalized, 0), EncodeVisitBinary(&m),
+			binary.LittleEndian.AppendUint64(append([]byte{0x03}, normalized[1:]...), hash),
+		} {
+			f.Add(b, kw)
 		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte, kw string) {
 		var view VisitView
 		viewErr := view.Parse(b)
 		got, decErr := DecodeVisitBinary(b)
-		want, refErr := referenceDecodeVisitBinary(b)
+		want, refErr := referenceDecode(b)
+		if refErr == nil && b[0] == VisitBinaryTagReplicated {
+			refErr = errors.New("a documents-log record")
+		}
 		if (viewErr == nil) != (refErr == nil) || (decErr == nil) != (refErr == nil) {
 			t.Fatalf("accept/reject diverged on %x: view %v, decode %v, reference %v", b, viewErr, decErr, refErr)
 		}
@@ -234,7 +227,7 @@ func FuzzVisitView(f *testing.F) {
 			t.Fatalf("view scalars diverged on %x:\nview %+v\nwant %+v", b, view, want)
 		}
 		// Probe the fuzzed keyword and the list's two ends: a fixed number of
-		// linear walks, however long a list the fuzzer grows.
+		// linear walks, however long a list the table holds.
 		member := map[string]bool{}
 		for _, k := range want.POI.Keywords {
 			member[k] = true
@@ -248,19 +241,42 @@ func FuzzVisitView(f *testing.F) {
 				t.Fatalf("HasKeyword(%q) = %v on %x, keywords %q", k, !member[k], b, want.POI.Keywords)
 			}
 		}
-		// NaNs defeat DeepEqual; compare the floats by bits and the rest
-		// structurally.
-		for _, p := range [][2]*float64{
-			{&got.Grade, &want.Grade}, {&got.POI.Lat, &want.POI.Lat}, {&got.POI.Lon, &want.POI.Lon},
-			{&got.POI.Hotness, &want.POI.Hotness}, {&got.POI.Interest, &want.POI.Interest},
-		} {
-			if !sameFloat(*p[0], *p[1]) {
-				t.Fatalf("decoded floats diverged on %x:\ngot  %+v\nwant %+v", b, got, want)
-			}
-			*p[0], *p[1] = 0, 0
-		}
-		if !reflect.DeepEqual(got, want) {
+		if !sameVisit(got, want) {
 			t.Fatalf("decoded visit diverged on %x:\ngot  %+v\nwant %+v", b, got, want)
+		}
+	})
+}
+
+// FuzzDocRecord is the differential test of the documents log's decoder: on
+// arbitrary bytes DecodeDocRecord and the reference accept and reject
+// together and never panic — a visit row is no record — and on accept they
+// decode one document.
+func FuzzDocRecord(f *testing.F) {
+	v := sampleVisit()
+	noKeywords := v
+	noKeywords.POI.Keywords = nil
+	for _, m := range append(multiByteVisits(), v, noKeywords) {
+		full := EncodeVisitBinary(&m)
+		for _, b := range [][]byte{full, full[:len(full)/2], full[:len(full)-20], append(append([]byte(nil), full...), 0), encodePadded(&m, VisitBinaryTagReplicated, 0)} {
+			f.Add(b)
+		}
+	}
+	f.Add([]byte{VisitBinaryTagReplicated, visitBinaryVersion})
+	f.Add([]byte{VisitBinaryTagReplicated, 9, 0})
+	f.Add([]byte{0x7F, visitBinaryVersion, 0, 0})
+	f.Add(EncodeJSON(v))
+	f.Add(EncodeVisitBinaryNormalized(&v))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := DecodeDocRecord(b)
+		want, refErr := referenceDecode(b)
+		if refErr == nil && b[0] != VisitBinaryTagReplicated {
+			refErr = errors.New("a visit row")
+		}
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("accept/reject diverged on %x: decode %v, reference %v", b, err, refErr)
+		}
+		if err == nil && !sameVisit(Visit{POI: got}, Visit{POI: want.POI}) {
+			t.Fatalf("decoded document diverged on %x:\ngot  %+v\nwant %+v", b, got, want.POI)
 		}
 	})
 }

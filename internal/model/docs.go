@@ -12,9 +12,8 @@ import (
 // Shared POI documents. The replicated schema (§2.1) puts a POI's document
 // beside every visit so a region answers a query without a remote join.
 // Copying the document into each row costs most of the row's bytes, so a
-// shared-document visit (tag VisitBinaryTagKeyed, or VisitBinaryTagShared in
-// older logs) carries only the POI id and a 64-bit hash of the document's
-// content, and the document itself is kept once per process in the table
+// replicated visit (tag VisitBinaryTagKeyed) carries only the POI id and a
+// 64-bit hash of the document's content, and the document itself is kept once per process in the table
 // below, keyed by (id, hash). Every region server of the process reads it
 // locally: the schema is still replicated, per process instead of per row.
 //

@@ -11,21 +11,14 @@ import (
 	"testing"
 )
 
-// encodeVisitBinaryShared writes the 0x03 layout, which logs hold but no
-// writer emits any more: the normalized layout plus the document hash.
-func encodeVisitBinaryShared(v *Visit, hash uint64) []byte {
-	b := EncodeVisitBinaryNormalized(v)
-	b[0] = VisitBinaryTagShared
-	return binary.LittleEndian.AppendUint64(b, hash)
-}
-
-// TestVisitBinaryGoldenBytes pins the stored row formats. The 0x01 and 0x02
-// payloads are what the encoders wrote before shared documents existed:
-// logs hold them, so they must keep parsing to the same visit, and the
-// encoders that still write them (the documents log writes 0x01) must keep
-// writing these bytes. The 0x03 payload pins the first shared layout, which
-// logs hold too, and the 0x04 payload the one the replicated schema writes;
-// both carry the content hash, which rows store and so can never change.
+// TestVisitBinaryGoldenBytes pins the stored formats. The 0x02 payload is
+// what the normalized schema has written since before shared documents
+// existed, and the 0x04 payload the one the replicated schema writes; logs
+// hold both, so they must keep parsing to the same visit, and the 0x04
+// payload carries the content hash, which rows store and so can never
+// change. The 0x01 payload is the documents log's record of the same
+// document: the log's encoder must keep writing these bytes, and its
+// decoder must keep reading them back.
 func TestVisitBinaryGoldenBytes(t *testing.T) {
 	v := sampleVisit()
 	doc, hash, err := InternPOI(&v.POI)
@@ -38,18 +31,15 @@ func TestVisitBinaryGoldenBytes(t *testing.T) {
 		encoded []byte
 		want    Visit
 	}{
-		{"replicated 0x01",
-			"0101e641f6f18fe4fd4e00000000000012400a666f7572737175617265be0f104163726f706f6c6973204d757365756d24b9fc87f4fb4240d122dbf97eba374003066d757365756d07686973746f727906617468656e738fc2f5285c8fea3f6666666666661040",
-			EncodeVisitBinary(&v), v},
 		{"normalized 0x02",
 			"0201e641f6f18fe4fd4e00000000000012400a666f7572737175617265be0f",
 			EncodeVisitBinaryNormalized(&v), Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: v.Network, POI: POI{ID: v.POI.ID}}},
-		{"shared 0x03",
-			"0301e641f6f18fe4fd4e00000000000012400a666f7572737175617265be0f57a57e215ba53676",
-			encodeVisitBinaryShared(&v, hash), v},
 		{"keyed 0x04",
 			"040157a57e215ba536760000000000001240be0f0a666f7572737175617265",
 			EncodeVisitBinaryKeyed(&v, hash), Visit{Grade: v.Grade, Network: v.Network, POI: v.POI}},
+		{"replicated 0x01",
+			"0101e641f6f18fe4fd4e00000000000012400a666f7572737175617265be0f104163726f706f6c6973204d757365756d24b9fc87f4fb4240d122dbf97eba374003066d757365756d07686973746f727906617468656e738fc2f5285c8fea3f6666666666661040",
+			EncodeVisitBinary(&v), Visit{POI: v.POI}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			raw, err := hex.DecodeString(c.payload)
@@ -60,11 +50,14 @@ func TestVisitBinaryGoldenBytes(t *testing.T) {
 				t.Errorf("the encoder writes\n%s\nwant\n%s", got, c.payload)
 			}
 			got, err := DecodeVisitBinary(raw)
-			if err != nil {
-				t.Fatal(err)
+			if raw[0] == VisitBinaryTagReplicated {
+				got.POI, err = DecodeDocRecord(raw)
 			}
-			if !reflect.DeepEqual(got, c.want) {
-				t.Errorf("decoded\n%+v\nwant\n%+v", got, c.want)
+			if err != nil || !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("decoded (%v)\n%+v\nwant\n%+v", err, got, c.want)
+			}
+			if raw[0] == VisitBinaryTagReplicated {
+				return
 			}
 			var view VisitView
 			if err := view.Parse(raw); err != nil {
@@ -188,8 +181,7 @@ func TestInternPOICollision(t *testing.T) {
 
 // TestSharedDocsAllocs pins the two hot paths at zero allocations: interning
 // the document a POI was interned with last (every visit a write stores),
-// and reading a shared-document payload of either layout (every row a query
-// scans).
+// and reading a keyed payload (every row a query scans).
 func TestSharedDocsAllocs(t *testing.T) {
 	v := sampleVisit()
 	_, hash, err := InternPOI(&v.POI)
@@ -203,10 +195,9 @@ func TestSharedDocsAllocs(t *testing.T) {
 		t.Errorf("an intern hit allocates %.1f times", allocs)
 	}
 	var view VisitView
-	for _, payload := range [][]byte{encodeVisitBinaryShared(&v, hash), EncodeVisitBinaryKeyed(&v, hash)} {
-		if allocs := testing.AllocsPerRun(100, func() { _ = view.Parse(payload) }); allocs != 0 {
-			t.Errorf("parsing shared-document payload %x allocates %.1f times", payload, allocs)
-		}
+	payload := EncodeVisitBinaryKeyed(&v, hash)
+	if allocs := testing.AllocsPerRun(100, func() { _ = view.Parse(payload) }); allocs != 0 {
+		t.Errorf("parsing keyed payload %x allocates %.1f times", payload, allocs)
 	}
 }
 
@@ -337,48 +328,32 @@ func TestResolveHandles(t *testing.T) {
 	}
 }
 
-// TestVisitBinarySharedLayout round-trips shared-document payloads of both
-// layouts, sizes the keyed one exactly, and rejects every truncation,
-// trailing bytes and a hash the table does not hold.
+// TestVisitBinarySharedLayout round-trips keyed payloads, sizes them
+// exactly, and rejects a hash the table does not hold
+// (TestVisitBinaryRejectsCorruptPayloads cuts and pads them).
 func TestVisitBinarySharedLayout(t *testing.T) {
 	for _, v := range append(multiByteVisits(), sampleVisit(), Visit{UserID: -1 << 62, Time: math.MaxInt64, POI: POI{ID: math.MinInt64}}) {
 		doc, hash, err := InternPOI(&v.POI)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keyed := EncodeVisitBinaryKeyed(&v, hash)
-		if len(keyed) != cap(keyed) {
-			t.Errorf("keyed payload of %d bytes allocated %d", len(keyed), cap(keyed))
+		b := EncodeVisitBinaryKeyed(&v, hash)
+		if len(b) != cap(b) {
+			t.Errorf("keyed payload of %d bytes allocated %d", len(b), cap(b))
 		}
-		for _, c := range []struct {
-			encode func(*Visit, uint64) []byte
-			keyed  bool
-		}{{encodeVisitBinaryShared, false}, {EncodeVisitBinaryKeyed, true}} {
-			b := c.encode(&v, hash)
-			got, err := DecodeVisitBinary(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := v
-			want.POI = *doc
-			if c.keyed {
-				want.UserID, want.Time = 0, 0
-			}
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got.POI.Keywords, doc.Keywords) {
-				t.Errorf("round trip of %x:\ngot  %+v\nwant %+v", b, got, want)
-			}
-			for i := 0; i < len(b); i++ {
-				if _, err := DecodeVisitBinary(b[:i]); err == nil {
-					t.Fatalf("truncation of %x to %d bytes decoded", b, i)
-				}
-			}
-			if _, err := DecodeVisitBinary(append(append([]byte(nil), b...), 0)); err == nil {
-				t.Errorf("%x with a trailing byte decoded", b)
-			}
-			unknown := c.encode(&v, hash^1)
-			if _, err := DecodeVisitBinary(unknown); err == nil || !strings.Contains(err.Error(), "not in the shared table") {
-				t.Errorf("a payload naming an unknown document: %v", err)
-			}
+		got, err := DecodeVisitBinary(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := v
+		want.POI = *doc
+		want.UserID, want.Time = 0, 0
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got.POI.Keywords, doc.Keywords) {
+			t.Errorf("round trip of %x:\ngot  %+v\nwant %+v", b, got, want)
+		}
+		unknown := EncodeVisitBinaryKeyed(&v, hash^1)
+		if _, err := DecodeVisitBinary(unknown); err == nil || !strings.Contains(err.Error(), "not in the shared table") {
+			t.Errorf("a payload naming an unknown document: %v", err)
 		}
 	}
 }

@@ -173,6 +173,17 @@ func TestMultiRangePathMatchesNScanPath(t *testing.T) {
 	}
 }
 
+// keyedPayload interns v's document and returns the keyed row payload that
+// names it.
+func keyedPayload(t testing.TB, v *model.Visit) []byte {
+	t.Helper()
+	_, hash, err := model.InternPOI(&v.POI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return model.EncodeVisitBinaryKeyed(v, hash)
+}
+
 // putVisitPayload stores payload as the i-th hand-written row of v's user
 // and time, bypassing the repository's encoder: how tests write what no
 // writer produces (JSON documents, other layouts, garbage). The leading
@@ -186,11 +197,11 @@ func putVisitPayload(t testing.TB, visits *repos.VisitsRepo, v *model.Visit, i i
 }
 
 // mixedStore fills a small visits table with everything a region can hold:
-// binary rows of the repository's schema, binary rows of the other layout,
-// two documents for one POI id (the first row's wins), and payloads the codec
-// rejects — JSON visit documents whole and broken (not binary, so skipped
-// like any corrupt row), truncated binary, a bad version, trailing bytes,
-// empty.
+// binary rows of the repository's schema, normalized rows under either
+// schema, two documents for one POI id (the first row's wins), and payloads
+// the codec rejects — JSON visit documents whole and broken and rows of the
+// deleted embedded-document layout (skipped like any corrupt row), truncated
+// keyed rows, a bad version, trailing bytes, empty.
 func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.VisitsRepo {
 	t.Helper()
 	const users = 40
@@ -218,24 +229,24 @@ func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.V
 			v.POI.Keywords = []string{"moved"}
 		}
 		raw := func(payload []byte) { putVisitPayload(t, visits, &v, i, payload) }
-		full := model.EncodeVisitBinary(&v)
+		keyed := keyedPayload(t, &v)
 		switch rng.Intn(12) {
 		case 0:
 			raw(model.EncodeJSON(v)) // a replicated JSON document, whatever the schema
 		case 1:
 			raw([]byte(fmt.Sprintf(`{"user_id":%d,"time":%d,"grade":%g,"network":"twitter","poi_id":%d}`, v.UserID, v.Time, v.Grade, v.POI.ID)))
 		case 2:
-			raw(full) // replicated layout, whatever the schema
+			raw(model.EncodeVisitBinary(&v)) // the deleted embedded-document layout
 		case 3:
 			raw(model.EncodeVisitBinaryNormalized(&v))
 		case 4:
-			raw(full[:1+rng.Intn(len(full)-1)])
+			raw(keyed[:1+rng.Intn(len(keyed)-1)])
 		case 5:
-			bad := append([]byte(nil), full...)
+			bad := append([]byte(nil), keyed...)
 			bad[1] = 9
 			raw(bad)
 		case 6:
-			raw(append(append([]byte(nil), full...), 0))
+			raw(append(append([]byte(nil), keyed...), 0))
 		case 7:
 			raw([]byte(`{"user_id":`))
 		case 8:
@@ -294,15 +305,15 @@ func TestCoprocessorMatchesFullDecodeOracle(t *testing.T) {
 }
 
 // TestVisitRowAllocatesNothingForSeenPOI guards the point of the view: a
-// row whose POI the region has already aggregated costs no allocation, and
-// one whose POI is new to the region costs none once the slot map and the
-// aggregate slice have grown — it keeps the row's payload, decoding no
-// document.
+// keyed row whose POI the region has already aggregated costs no
+// allocation, and one whose POI is new to the region costs none once the
+// slot map and the aggregate slice have grown — it keeps the row's payload
+// and points at the shared document, copying none.
 func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 	v := model.Visit{UserID: 3, Time: 1, Grade: 4, Network: "twitter", POI: model.POI{
 		ID: 9, Name: "plaka-cafe", Lat: 37.97, Lon: 23.73, Keywords: []string{"cafe", "view"},
 	}}
-	row := kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: model.EncodeVisitBinary(&v)}}}
+	row := kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: keyedPayload(t, &v)}}}
 	spec := Spec{BBox: &geo.Rect{MinLat: 37, MinLon: 23, MaxLat: 38, MaxLon: 24}, Keyword: "view"}
 	cp := &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated}
 	agg := newRegionAggregator(cp, takeScratch())
@@ -319,7 +330,7 @@ func TestVisitRowAllocatesNothingForSeenPOI(t *testing.T) {
 	rows := make([]kvstore.RowResult, fresh+1)
 	for i := range rows {
 		v.POI.ID = int64(1000 + i)
-		rows[i] = kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: model.EncodeVisitBinary(&v)}}}
+		rows[i] = kvstore.RowResult{Row: "r", Cells: []kvstore.Cell{{Qualifier: repos.VisitQualifier, Value: keyedPayload(t, &v)}}}
 	}
 	// Warm a scratch the way queries do: aggregate the rows on it, then
 	// reset it as a release does, keeping what it grew to.

@@ -217,8 +217,8 @@ func (a rankKey) less(order OrderBy, b rankKey) bool {
 }
 
 // poiAgg is one merge candidate: a POI's aggregate summed over the regions,
-// with its document by pointer — the shared version a shared-document row
-// names, or a copy the candidate owns for a row that names none. Nothing
+// with its document by pointer — the shared version a keyed row names, or a
+// copy the candidate owns for a normalized row, which names none. Nothing
 // writes through poi: shared versions are immutable, and an owned copy is
 // never changed once the candidate is built.
 type poiAgg struct {
@@ -244,9 +244,9 @@ type regionAgg struct {
 
 // wireBytes estimates the serialized size of one partial aggregate as it
 // would travel region → web server (id, sums, name, keywords), from the
-// view of the row whose document the aggregate keeps. A shared-document row
-// reports its shared document's text lengths, which are those an embedded
-// copy would carry, so the estimate does not depend on the row layout.
+// view of the row whose document the aggregate keeps: a keyed row's shared
+// document's text lengths, which are those a copy of it would carry, and
+// none for a normalized row.
 func wireBytes(v *model.VisitView) int64 {
 	name, keywords, keywordBytes := v.DocTextLen()
 	return int64(48 + name + keywordBytes + 3*keywords)
@@ -848,10 +848,9 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 // sum folds the regions' partial aggregates into one candidate per POI —
 // every POI any region matched, before any limit — sorted by POI id. A
 // candidate's document is taken, once, from the payload the first region
-// that reported it kept: the shared version itself for a shared-document
-// row, or, for a row that names none (one written before shared documents,
-// or the normalized schema's id-only row), the document decoded into one
-// slice of copies the candidates own. The candidates are the query's merge state: rank
+// that reported it kept: the shared version itself for a keyed row, or, for
+// the normalized schema's id-only row, which names none, an id-only document
+// in one slice of copies the candidates own. The candidates are the query's merge state: rank
 // derives the answer from them, and a cached entry keeps them so a friend's
 // later check-in can be added to them instead of forcing a rescan, so they
 // are not pooled. Everything else sum reads or builds is: it releases each
@@ -886,7 +885,8 @@ func (e *Engine) sum(plan *queryPlan, stats *obs.QueryStats) ([]poiAgg, cluster.
 	stats.AddBytes(wire)
 	slices.SortFunc(merged, func(a, b regionAgg) int { return cmp.Compare(a.id, b.id) })
 	cands := make([]poiAgg, len(merged))
-	// owned holds the documents of rows naming no shared version. It is
+	// owned holds the documents of normalized rows, which name no shared
+	// version; rank joins the rest of each from the POI repository. It is
 	// sized to the candidates left when the first such row comes, so it
 	// never grows and its elements never move.
 	var owned []model.POI

@@ -14,8 +14,8 @@ import (
 // repository's rows name (model.InternPOI): an append-only log beside the
 // visits WAL, at docsLogPath of it, in the kvstore WAL format. Each record
 // holds one document as a cell: the row is docRow(id, hash), the value the
-// document as an embedded-document visit payload (model.EncodeVisitBinary of
-// a visit that is all zero but its POI).
+// document as a 0x01 record (model.EncodeVisitBinary of a visit that is all
+// zero but its POI, read back by model.DecodeDocRecord).
 //
 // Ordering: a batch writes the documents it names that the log does not
 // hold yet, and returns once they are durable, before its visit rows reach
@@ -52,11 +52,11 @@ func docRow(id int64, hash uint64) string {
 func openDocsLog(path string, policy kvstore.SyncPolicy) (*docsLog, error) {
 	l := &docsLog{path: path, policy: policy, held: map[*model.POI]struct{}{}}
 	err := kvstore.ReplayWAL(path, func(c kvstore.Cell) error {
-		v, err := model.DecodeVisitBinary(c.Value)
+		p, err := model.DecodeDocRecord(c.Value)
 		if err != nil {
 			return fmt.Errorf("document %q: %w", c.Row, err)
 		}
-		doc, hash, err := model.InternPOI(&v.POI)
+		doc, hash, err := model.InternPOI(&p)
 		if err != nil {
 			return fmt.Errorf("document %q: %w", c.Row, err)
 		}

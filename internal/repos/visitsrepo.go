@@ -201,13 +201,11 @@ func (r *VisitsRepo) StoreBatch(visits []model.Visit) error {
 	return err
 }
 
-// DecodeVisit decodes a stored visit payload of any binary layout; any other
-// payload is a decode error. A normalized row yields a Visit carrying only
-// POI.ID; the caller joins the rest. A keyed payload (what the replicated
-// schema writes) alone carries no user or time: they are its row key's, and
-// the Visit comes back with both zero. The payload's tag says which layout
-// it is, so the schema selects nothing; the repository benchmark calls this
-// signature.
+// DecodeVisit decodes a stored visit payload, keyed or normalized; any other
+// is a decode error. A normalized row yields only POI.ID, which the caller
+// joins; a keyed row, what the replicated schema writes, yields no user or
+// time, which are its row key's. The tag says which layout it is, so the
+// schema selects nothing; the repository benchmark calls this signature.
 func DecodeVisit(_ VisitSchema, value []byte) (model.Visit, error) {
 	return model.DecodeVisitBinary(value)
 }
@@ -247,8 +245,9 @@ func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) e
 // highest one present — a repository reopened over a replayed log would
 // otherwise hand out the sequence numbers of the rows it holds again, and a
 // visit at the user and millisecond of a replayed one would overwrite it —
-// and checks that docs holds the document of every shared-document row, so a
-// lost document fails the boot naming its row instead of a query later.
+// and, over a durable table, parses every row: one of a layout this build
+// does not read, or one naming a document docs lacks, fails the boot naming
+// its row instead of a query later.
 func wrapVisitsTable(schema VisitSchema, table *kvstore.Table, docs *docsLog) (*VisitsRepo, error) {
 	if table == nil {
 		return nil, fmt.Errorf("repos: nil table")
@@ -262,12 +261,12 @@ func wrapVisitsTable(schema VisitSchema, table *kvstore.Table, docs *docsLog) (*
 			top = seq
 		}
 		raw, ok := row.Get(VisitQualifier)
-		if docs == nil || !ok || len(raw) == 0 || (raw[0] != model.VisitBinaryTagShared && raw[0] != model.VisitBinaryTagKeyed) {
+		if docs == nil || !ok {
 			return true
 		}
 		if err := v.Parse(raw); err != nil {
 			docErr = fmt.Errorf("repos: visit row %q: %w", row.Row, err)
-		} else if !docs.holds(v.SharedDoc()) {
+		} else if doc := v.SharedDoc(); doc != nil && !docs.holds(doc) {
 			docErr = fmt.Errorf("repos: visit row %q names a document of POI %d that %s does not hold", row.Row, v.POIID, docs.path)
 		}
 		return docErr == nil

@@ -1,7 +1,6 @@
 package trajectory
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -216,159 +215,5 @@ func TestBlogUnmatchedVisitRender(t *testing.T) {
 	b := BuildBlog(1, day, visits)
 	if !strings.Contains(b.Render(), "unnamed place") {
 		t.Errorf("unmatched visits must render as unnamed places:\n%s", b.Render())
-	}
-}
-
-func TestCompressTraceValidation(t *testing.T) {
-	if _, err := CompressTrace(nil, 0); err == nil {
-		t.Error("zero tolerance must fail")
-	}
-	bad := []Fix{
-		{Pt: geo.Point{Lat: 1}, At: day.Add(time.Hour)},
-		{Pt: geo.Point{Lat: 1}, At: day},
-	}
-	if _, err := CompressTrace(bad, 10); err == nil {
-		t.Error("unordered trace must fail")
-	}
-}
-
-func TestCompressTraceSmallInputs(t *testing.T) {
-	for n := 0; n <= 2; n++ {
-		trace := make([]Fix, n)
-		for i := range trace {
-			trace[i] = Fix{Pt: geo.Point{Lat: 37.9 + float64(i)*0.001, Lon: 23.7}, At: day.Add(time.Duration(i) * time.Minute)}
-		}
-		out, err := CompressTrace(trace, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != n {
-			t.Errorf("n=%d: compressed to %d fixes", n, len(out))
-		}
-	}
-}
-
-func TestCompressTraceStraightLineCollapses(t *testing.T) {
-	// 50 fixes along a perfectly straight meridian segment: only the two
-	// endpoints should survive.
-	var trace []Fix
-	for i := 0; i < 50; i++ {
-		trace = append(trace, Fix{
-			Pt: geo.Point{Lat: 37.9 + float64(i)*0.0002, Lon: 23.7},
-			At: day.Add(time.Duration(i) * time.Minute),
-		})
-	}
-	out, err := CompressTrace(trace, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Errorf("straight line compressed to %d fixes, want 2", len(out))
-	}
-	if out[0] != trace[0] || out[1] != trace[len(trace)-1] {
-		t.Error("endpoints must be preserved")
-	}
-}
-
-func TestCompressTraceKeepsCorners(t *testing.T) {
-	// An L-shaped walk: the corner must survive compression.
-	var trace []Fix
-	at := day
-	for i := 0; i < 20; i++ { // north leg
-		trace = append(trace, Fix{Pt: geo.Point{Lat: 37.9 + float64(i)*0.0005, Lon: 23.7}, At: at})
-		at = at.Add(time.Minute)
-	}
-	for i := 1; i <= 20; i++ { // east leg
-		trace = append(trace, Fix{Pt: geo.Point{Lat: 37.9 + 19*0.0005, Lon: 23.7 + float64(i)*0.0005}, At: at})
-		at = at.Add(time.Minute)
-	}
-	out, err := CompressTrace(trace, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) < 3 || len(out) > 6 {
-		t.Fatalf("L-walk compressed to %d fixes, want 3-6", len(out))
-	}
-	corner := geo.Point{Lat: 37.9 + 19*0.0005, Lon: 23.7}
-	found := false
-	for _, f := range out {
-		if geo.Haversine(f.Pt, corner) < 15 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("corner fix lost in compression")
-	}
-}
-
-func TestCompressTracePreservesStayPoints(t *testing.T) {
-	// Compressing a realistic dwell-walk-dwell trace must preserve the
-	// detectable stay points (within tolerance-level displacement).
-	trace := walkTrace()
-	before, err := DetectStayPoints(trace, 100, 20*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := CompressTrace(trace, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) >= len(trace) {
-		t.Fatalf("compression did not reduce the trace: %d -> %d", len(trace), len(out))
-	}
-	after, err := DetectStayPoints(out, 100, 20*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("stay points changed: %d -> %d", len(before), len(after))
-	}
-	for i := range after {
-		if d := geo.Haversine(after[i].Center, before[i].Center); d > 50 {
-			t.Errorf("stay %d moved %.0f m after compression", i, d)
-		}
-	}
-}
-
-// TestCompressTraceErrorBound: every removed fix lies within the tolerance
-// of the compressed polyline (the Douglas–Peucker guarantee).
-func TestCompressTraceErrorBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var trace []Fix
-	at := day
-	lat, lon := 37.9, 23.7
-	for i := 0; i < 300; i++ {
-		lat += (rng.Float64() - 0.5) * 0.0004
-		lon += (rng.Float64() - 0.5) * 0.0004
-		trace = append(trace, Fix{Pt: geo.Point{Lat: lat, Lon: lon}, At: at})
-		at = at.Add(30 * time.Second)
-	}
-	tol := 25.0
-	out, err := CompressTrace(trace, tol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The TD-TR guarantee: every original fix lies within tol of its
-	// time-interpolated position on the bracketing compressed segment.
-	seg := 0
-	for _, f := range trace {
-		for seg+1 < len(out)-1 && out[seg+1].At.Before(f.At) {
-			seg++
-		}
-		if d := SynchronizedDistance(f, out[seg], out[seg+1]); d > tol*1.001 {
-			t.Fatalf("fix %v deviates %.1f m from the compressed trace (tol %.0f)", f.Pt, d, tol)
-		}
-	}
-	// And the spatial cross-track helper agrees the polyline stays close.
-	for _, f := range trace {
-		best := 1e18
-		for s := 0; s+1 < len(out); s++ {
-			if d := crossTrackDistance(f.Pt, out[s].Pt, out[s+1].Pt); d < best {
-				best = d
-			}
-		}
-		if best > tol*1.05 {
-			t.Fatalf("fix %v is %.1f m from the compressed polyline (tol %.0f)", f.Pt, best, tol)
-		}
 	}
 }

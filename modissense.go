@@ -42,7 +42,6 @@ import (
 	"modissense/internal/model"
 	"modissense/internal/query"
 	"modissense/internal/repos"
-	"modissense/internal/textproc"
 )
 
 // Platform is a fully wired MoDisSENSE instance. See core.Platform.
@@ -123,14 +122,6 @@ func RectAround(p Point, radiusMeters float64) Rect { return geo.RectAround(p, r
 
 // NewRect builds a normalized bounding box from two corners.
 func NewRect(a, b Point) Rect { return geo.NewRect(a, b) }
-
-// BaselineClassifierOptions is the paper's baseline preprocessing
-// (lowercase + stopwords + stemming).
-func BaselineClassifierOptions() textproc.PipelineOptions { return textproc.BaselineOptions() }
-
-// OptimizedClassifierOptions is the paper's optimized preprocessing
-// (baseline + tf + 2-grams + BNS + rare-term pruning).
-func OptimizedClassifierOptions() textproc.PipelineOptions { return textproc.OptimizedOptions() }
 
 // PipelineOptions tune the daily batch orchestration (collection → HotIn →
 // event detection → blogs).
