@@ -44,10 +44,10 @@ const (
 // lowers a route's cost lowers its row in the same diff; one that raises it
 // past its row and the slack fails the test.
 var routeBudgets = []routeBudget{
-	{"search/200/uncached", 879.1, 77245, 848.1, 70743},
-	{"search/400/uncached", 1507.3, 108544, 1476.3, 102228},
-	{"search/200/cached", 179, 21224, 148, 14713},
-	{"search/400/cached", 379, 30056, 348, 23673},
+	{"search/200/uncached", 386.1, 57658, 355.1, 51167},
+	{"search/400/uncached", 412.4, 67560, 381.4, 61244},
+	{"search/200/cached", 74, 20176, 43, 13665},
+	{"search/400/cached", 74, 27600, 43, 21217},
 	{"trending/held", 96, 13961, 42, 7488},
 	{"checkins/50", 258, 32729, 226, 29813},
 	{"subscription/poll", 117, 21120, 44, 9056},

@@ -300,7 +300,7 @@ func TestBlockCacheStoreCounters(t *testing.T) {
 		// The scan loop of MultiScanCtx, with its stats kept here.
 		var bs blockScanStats
 		s.mu.RLock()
-		its, _ := s.iteratorsLocked(ranges, nil, &bs)
+		its, _ := s.iteratorsLocked(ScanRanges(ranges), nil, &bs, new([]byte))
 		for m := newMergeIterator(its); m.valid() && m.cell().Row < ranges[0].Stop; m.next() {
 		}
 		s.mu.RUnlock()

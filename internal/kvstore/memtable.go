@@ -80,11 +80,11 @@ func (m *memtable) len() int { return m.length }
 // sizeBytes returns the approximate heap footprint, used by flush policy.
 func (m *memtable) sizeBytes() int { return m.bytes }
 
-// seek returns the first node whose cell is >= the probe cell.
-func (m *memtable) seek(probe *Cell) *skipNode {
+// seek returns the first node whose row is at or after row.
+func (m *memtable) seek(row []byte) *skipNode {
 	x := m.head
 	for i := m.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && compareCells(&x.next[i].cell, probe) < 0 {
+		for x.next[i] != nil && x.next[i].cell.Row < string(row) {
 			x = x.next[i]
 		}
 	}
@@ -96,13 +96,11 @@ func (m *memtable) first() *skipNode {
 	return m.head.next[0]
 }
 
-// iterator returns a cellIterator positioned at the first cell >= start
-// (or the beginning when start is nil).
-func (m *memtable) iterator(start *Cell) cellIterator {
-	var n *skipNode
-	if start == nil {
-		n = m.first()
-	} else {
+// iterator returns a cellIterator positioned at the first row at or after
+// start (the beginning when start is empty).
+func (m *memtable) iterator(start []byte) cellIterator {
+	n := m.first()
+	if len(start) > 0 {
 		n = m.seek(start)
 	}
 	return &memtableIterator{mem: m, node: n}
@@ -117,11 +115,12 @@ func (it *memtableIterator) valid() bool { return it.node != nil }
 func (it *memtableIterator) cell() *Cell { return &it.node.cell }
 func (it *memtableIterator) next()       { it.node = it.node.next[0] }
 
-// seek repositions the iterator at the first cell >= probe via the skiplist
-// towers. Forward-only: a probe at or behind the current cell is a no-op.
-func (it *memtableIterator) seek(probe *Cell) {
-	if it.node == nil || compareCells(&it.node.cell, probe) >= 0 {
+// seek repositions the iterator at the first row at or after row via the
+// skiplist towers. Forward-only: a row at or behind the current cell's is a
+// no-op.
+func (it *memtableIterator) seek(row []byte) {
+	if it.node == nil || it.node.cell.Row >= string(row) {
 		return
 	}
-	it.node = it.mem.seek(probe)
+	it.node = it.mem.seek(row)
 }

@@ -121,7 +121,7 @@ func TestMergeIteratorSeek(t *testing.T) {
 		probe := Cell{Row: fmt.Sprintf("r%05d", rng.Intn(200)), Timestamp: int64(1) << 62, Tombstone: true}
 		tree := newMergeIterator(flatIterators(sources))
 		linear := &linearMergeIterator{sources: flatIterators(sources)}
-		tree.seekRange(&probe, "")
+		tree.seekRange([]byte(probe.Row), nil)
 		for linear.valid() && compareCells(linear.cell(), &probe) < 0 {
 			w := linear.smallest()
 			linear.sources[w].next()
@@ -215,7 +215,7 @@ func TestMergeIteratorRunsAndInterleaving(t *testing.T) {
 					probe := key(rng.Intn(next))
 					probe.Timestamp, probe.Tombstone = int64(1)<<62, true
 					if compareCells(&probe, tc) > 0 {
-						tree.seekRange(&probe, "")
+						tree.seekRange([]byte(probe.Row), nil)
 						for linear.valid() && compareCells(linear.cell(), &probe) < 0 {
 							linear.sources[linear.smallest()].next()
 						}
@@ -244,7 +244,7 @@ func (it *countingIterator) cell() *Cell {
 // MultiScanCtx does, rendering each as "row=value" (or "row=" when every
 // version is hidden).
 func rangeRows(m *mergeIterator, rg ScanRange) []string {
-	m.seekRange(rowStart(rg.Start), rg.Stop)
+	m.seekRange([]byte(rg.Start), []byte(rg.Stop))
 	var out []string
 	var buf []Cell
 	for cells := m.nextRow(&buf); cells != nil; cells = m.nextRow(&buf) {
@@ -256,11 +256,6 @@ func rangeRows(m *mergeIterator, rg ScanRange) []string {
 		out = append(out, res.Row+"="+v)
 	}
 	return out
-}
-
-// rowStart is the first cell of the row: what a range starting there seeks.
-func rowStart(row string) *Cell {
-	return &Cell{Row: row, Timestamp: int64(1) << 62, Tombstone: true}
 }
 
 func put(row string, ts int64, value string) Cell {
@@ -276,7 +271,7 @@ func TestMergeLiveSet(t *testing.T) {
 		atStop := &countingIterator{flatIterator: flatIterator{cells: []Cell{put("b", 1, "z")}}}
 		pastStop := &countingIterator{flatIterator: flatIterator{cells: []Cell{put("c", 1, "w")}}}
 		m := newMergeIterator([]cellIterator{atStop, pastStop, inRange})
-		m.seekRange(rowStart("a"), "b")
+		m.seekRange([]byte("a"), []byte("b"))
 		if len(m.live) != 1 {
 			t.Fatalf("live set has %d sources, want the one holding the range", len(m.live))
 		}
@@ -323,7 +318,7 @@ func TestMergeLiveSet(t *testing.T) {
 		if got := rangeRows(m, ScanRange{"a", "b"}); fmt.Sprint(got) != "[a1=old a2=old a3=old]" || len(m.live) != 1 {
 			t.Fatalf("first range read %v over %d live sources, want the older source alone", got, len(m.live))
 		}
-		m.seekRange(rowStart("b"), "c")
+		m.seekRange([]byte("b"), []byte("c"))
 		if len(m.live) != 2 {
 			t.Fatalf("second range has %d live sources, want 2", len(m.live))
 		}

@@ -21,7 +21,18 @@ func copyRow(res RowResult) RowResult {
 	return out
 }
 
+// TestValidateScanRanges: ValidateScanRanges, the table's scan and a store's
+// scan, which checks each range as it reaches it, all refuse a list that
+// breaks the multi-range contract.
 func TestValidateScanRanges(t *testing.T) {
+	s, err := NewStore(DefaultStoreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := NewTable("t", []string{"m"}, 1, DefaultStoreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		ranges []ScanRange
@@ -37,8 +48,15 @@ func TestValidateScanRanges(t *testing.T) {
 		{"unbounded stop not last", []ScanRange{{"a", ""}, {"b", "c"}}, false},
 	}
 	for _, tc := range cases {
-		if err := ValidateScanRanges(tc.ranges); (err == nil) != tc.ok {
+		if err := ValidateScanRanges(ScanRanges(tc.ranges)); (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		all := func(RowResult) bool { return true }
+		if err := s.MultiScanCtx(context.Background(), tc.ranges, 0, all); (err == nil) != tc.ok {
+			t.Errorf("%s: store scan err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err := tbl.MultiScanCtx(context.Background(), tc.ranges, 0, all); (err == nil) != tc.ok {
+			t.Errorf("%s: table scan err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
@@ -259,12 +277,12 @@ func TestMultiScanEquivalenceRandomized(t *testing.T) {
 func liveSetSizes(s *Store, ranges []ScanRange) ([]int, []bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	its, _ := s.iteratorsLocked(ranges, nil, &blockScanStats{})
+	its, _ := s.iteratorsLocked(ScanRanges(ranges), nil, &blockScanStats{}, new([]byte))
 	m := newMergeIterator(its)
 	sizes := make([]int, len(ranges))
 	runs := make([]bool, len(ranges))
 	for i, rg := range ranges {
-		m.seekRange(rowStart(rg.Start), rg.Stop)
+		m.seekRange([]byte(rg.Start), []byte(rg.Stop))
 		sizes[i], runs[i] = len(m.live), m.run != nil
 	}
 	return sizes, runs
@@ -572,7 +590,7 @@ func TestMultiScanSegmentPruning(t *testing.T) {
 	}
 	s.mu.RLock()
 	for i, tc := range cases {
-		_, pruned := s.iteratorsLocked(tc.ranges, nil, &blockScanStats{})
+		_, pruned := s.iteratorsLocked(ScanRanges(tc.ranges), nil, &blockScanStats{}, new([]byte))
 		if pruned != tc.pruned {
 			t.Errorf("case %d: pruned %d segments, want %d", i, pruned, tc.pruned)
 		}
@@ -657,7 +675,7 @@ func TestOneRowReadsAcrossDisjointSegments(t *testing.T) {
 	others, target := 0, 0
 	for _, seg := range s.segments {
 		if seg.minRow <= row && row <= seg.maxRow {
-			target = seg.seekBlocks(0, row)
+			target = seg.seekBlocks(0, []byte(row))
 			continue
 		}
 		others += len(seg.blocks)
@@ -868,6 +886,15 @@ func TestTableMultiScanConcurrentMutations(t *testing.T) {
 	wg.Wait()
 }
 
+// collectRanges writes out every range of src.
+func collectRanges(src RangeSource) []ScanRange {
+	var out []ScanRange
+	for i := range src.Len() {
+		out = append(out, ScanRange{Start: string(src.AppendStart(nil, i)), Stop: string(src.AppendStop(nil, i))})
+	}
+	return out
+}
+
 // TestClipRanges holds Region.ClipRanges (and so Table.MultiScanCtx's
 // routing) to the linear per-range clip it replaced, over random ranges and
 // region bounds — open ends and bounds inside a range included — and checks
@@ -911,7 +938,7 @@ func TestClipRanges(t *testing.T) {
 		}
 		before := append([]ScanRange(nil), ranges...)
 		r := &Region{StartKey: start, endKey: end}
-		got := r.ClipRanges(ranges)
+		got := collectRanges(r.ClipRanges(ScanRanges(ranges)))
 		if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: ClipRanges(%v) in [%q, %q) = %v, want %v", trial, before, start, end, got, want)
 		}

@@ -445,7 +445,7 @@ func (s *Store) rawCells() []Cell {
 	defer s.mu.RUnlock()
 	var bs blockScanStats
 	defer bs.flush()
-	its, _ := s.iteratorsLocked(nil, nil, &bs)
+	its, _ := s.iteratorsLocked(nil, nil, &bs, nil)
 	merged := newMergeIterator(its)
 	var out []Cell
 	for merged.valid() {

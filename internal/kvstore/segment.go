@@ -133,23 +133,23 @@ func (bs *blockScanStats) flush() {
 
 // seekBlocks returns the index of the first block that may hold row: the
 // first whose maxRow >= row, searching from index from.
-func (s *segment) seekBlocks(from int, row string) int {
+func (s *segment) seekBlocks(from int, row []byte) int {
 	return from + sort.Search(len(s.blocks)-from, func(i int) bool {
-		return s.blocks[from+i].maxRow >= row
+		return s.blocks[from+i].maxRow >= string(row)
 	})
 }
 
-// iterator returns a cellIterator positioned at the first cell >= start
-// (or the beginning when start is nil). Blocks before the start position
-// are skipped without decoding and counted into bs.
-func (s *segment) iterator(start *Cell, bs *blockScanStats) cellIterator {
+// iterator returns a cellIterator positioned at the first row at or after
+// start (the beginning when start is empty). Blocks before the start
+// position are skipped without decoding and counted into bs.
+func (s *segment) iterator(start []byte, bs *blockScanStats) cellIterator {
 	it := &segmentIterator{seg: s, bs: bs}
-	if start != nil {
-		it.bi = s.seekBlocks(0, start.Row)
+	if len(start) > 0 {
+		it.bi = s.seekBlocks(0, start)
 		bs.skipped += int64(it.bi)
 	}
 	if it.bi < len(s.blocks) {
-		if it.loadBlock() && start != nil {
+		if it.loadBlock() && len(start) > 0 {
 			it.seekInBlock(start)
 			it.settle()
 		}
@@ -216,7 +216,7 @@ func (it *segmentIterator) nextBlock() {
 // rowRun returns the cursor's row as a run of the decoded block's cells —
 // blocks never split a row, so the run is the whole row — and moves the
 // cursor past it in one step; nil once the segment has run out or the row
-// is at or past stop ("" = none). *end is where stop falls in the current
+// is at or past stop (empty = none). *end is where stop falls in the current
 // block (stopIndex), kept by the caller across calls: -1 until worked out,
 // which rowRun does once per block, so stop is not compared per row.
 // Finding the row's end is one string compare per cell, cheap inside the
@@ -224,7 +224,7 @@ func (it *segmentIterator) nextBlock() {
 // and a string equals itself without a byte read. A cursor left at the
 // block's end moves on to the next block, as next does. The run aliases the
 // block: callers read it and never write it.
-func (it *segmentIterator) rowRun(stop string, end *int) []Cell {
+func (it *segmentIterator) rowRun(stop []byte, end *int) []Cell {
 	if *end < 0 {
 		*end = it.stopIndex(stop)
 	}
@@ -249,25 +249,25 @@ func (it *segmentIterator) rowRun(stop string, end *int) []Cell {
 // stopIndex is the index of the first cell of the current block at or past
 // stop, searched from the cursor: len(cells) when the block's rows all sort
 // below it, which its maxRow tells without a search.
-func (it *segmentIterator) stopIndex(stop string) int {
-	if stop == "" || !it.valid() || it.seg.blocks[it.bi].maxRow < stop {
+func (it *segmentIterator) stopIndex(stop []byte) int {
+	if len(stop) == 0 || !it.valid() || it.seg.blocks[it.bi].maxRow < string(stop) {
 		return len(it.cells)
 	}
 	return it.ci + sort.Search(len(it.cells)-it.ci, func(i int) bool {
-		return it.cells[it.ci+i].Row >= stop
+		return it.cells[it.ci+i].Row >= string(stop)
 	})
 }
 
-// seek repositions the iterator at the first cell >= probe. Forward-only:
-// a probe at or behind the cursor is a no-op. Seeks that leave the current
-// block binary-search the block index, skipping (without decoding) every
-// block in between.
-func (it *segmentIterator) seek(probe *Cell) {
+// seek repositions the iterator at the first row at or after row.
+// Forward-only: a row at or behind the cursor's is a no-op. Seeks that
+// leave the current block binary-search the block index, skipping (without
+// decoding) every block in between.
+func (it *segmentIterator) seek(row []byte) {
 	if !it.valid() {
 		return
 	}
-	if probe.Row > it.seg.blocks[it.bi].maxRow {
-		target := it.seg.seekBlocks(it.bi+1, probe.Row)
+	if string(row) > it.seg.blocks[it.bi].maxRow {
+		target := it.seg.seekBlocks(it.bi+1, row)
 		it.bs.skipped += int64(target - it.bi - 1)
 		it.bi = target
 		it.ci = 0
@@ -276,25 +276,22 @@ func (it *segmentIterator) seek(probe *Cell) {
 			return
 		}
 	}
-	it.seekInBlock(probe)
+	it.seekInBlock(row)
 	it.settle()
 }
 
-// seekInBlock advances the in-block cursor to the first cell >= probe
-// (never backwards). A nil probe is a no-op.
-func (it *segmentIterator) seekInBlock(probe *Cell) {
-	if probe == nil {
-		return
-	}
+// seekInBlock advances the in-block cursor to the first cell of a row at or
+// after row (never backwards).
+func (it *segmentIterator) seekInBlock(row []byte) {
 	it.ci += sort.Search(len(it.cells)-it.ci, func(i int) bool {
-		return compareCells(&it.cells[it.ci+i], probe) >= 0
+		return it.cells[it.ci+i].Row >= string(row)
 	})
 }
 
 // settle restores the invariant after an in-block seek exhausted the
 // current block: the next block's first cell is the successor, because
 // blocks cut at row boundaries (its minRow is strictly greater than the
-// current block's maxRow, hence greater than any exhausted probe's row).
+// current block's maxRow, hence greater than any exhausted seek's row).
 func (it *segmentIterator) settle() {
 	if it.ci < len(it.cells) {
 		return
@@ -347,14 +344,14 @@ func blockLogicalBytes(cells []Cell) int64 {
 }
 
 // cellIterator is the common forward-iteration interface over sorted cell
-// sources (memtables and segments). seek repositions the iterator
-// at the first cell >= probe and is forward-only: probes behind the current
-// position leave the iterator where it is.
+// sources (memtables and segments). seek repositions the iterator at the
+// first cell of a row at or after row and is forward-only: a row behind the
+// current position leaves the iterator where it is.
 type cellIterator interface {
 	valid() bool
 	cell() *Cell
 	next()
-	seek(probe *Cell)
+	seek(row []byte)
 }
 
 // mergeIterator performs an ordered merge across several cellIterators
@@ -389,8 +386,9 @@ type mergeIterator struct {
 	// live is the newest-first subset of sources the tournament is played
 	// over; its backing array is the merge's own.
 	live []cellIterator
-	// stop is the current range's exclusive bound ("" = none).
-	stop string
+	// stop is the current range's exclusive bound (empty = none); it
+	// aliases the scan's bound buffer, which the range does not rewrite.
+	stop []byte
 	// tree[1..k-1] hold the losers of each internal tournament match over
 	// the k live sources; leaves are implicit (node n >= k is live source
 	// n-k). tree[0] is unused.
@@ -409,31 +407,30 @@ type mergeIterator struct {
 // newMergeIterator merges the sources as they stand, every valid one live.
 func newMergeIterator(newestFirst []cellIterator) *mergeIterator {
 	m := &mergeIterator{sources: newestFirst, live: make([]cellIterator, 0, len(newestFirst))}
-	m.seekRange(nil, "")
+	m.seekRange(nil, nil)
 	return m
 }
 
-// seekRange positions the merge at the row range from start — the first
-// cell of the range's start row, nil for where the sources stand — to stop
-// ("" = unbounded): every source whose head row is behind start's seeks to
-// it — one at or past it is left alone — and the tournament is replayed
-// over the sources whose head row is below stop. Forward-only, like the
-// source seeks it delegates to, which is what lets a multi-range scan reuse
-// one iterator set across ranges.
-func (m *mergeIterator) seekRange(start *Cell, stop string) {
+// seekRange positions the merge at the row range from start (empty for
+// where the sources stand) to stop (empty = unbounded): every source whose
+// head row is behind start seeks to it — one at or past it is left alone —
+// and the tournament is replayed over the sources whose head row is below
+// stop. Forward-only, like the source seeks it delegates to, which is what
+// lets a multi-range scan reuse one iterator set across ranges.
+func (m *mergeIterator) seekRange(start, stop []byte) {
 	m.live = m.live[:0]
 	for _, src := range m.sources {
 		if !src.valid() {
 			continue
 		}
 		head := src.cell()
-		if start != nil && head.Row < start.Row {
+		if head.Row < string(start) {
 			if src.seek(start); !src.valid() {
 				continue
 			}
 			head = src.cell()
 		}
-		if stop == "" || head.Row < stop {
+		if len(stop) == 0 || head.Row < string(stop) {
 			m.live = append(m.live, src)
 		}
 	}
@@ -541,7 +538,7 @@ func (m *mergeIterator) advanced(w int) {
 			best = m.tree[n]
 		}
 	}
-	if r := m.live[best]; !r.valid() || m.stop != "" && r.cell().Row >= m.stop {
+	if r := m.live[best]; !r.valid() || len(m.stop) > 0 && r.cell().Row >= string(m.stop) {
 		m.live[0], m.live = m.live[w], m.live[:1]
 		m.winner = 0
 		m.pickRun()
@@ -570,7 +567,7 @@ func (m *mergeIterator) nextRow(buf *[]Cell) []Cell {
 		return nil
 	}
 	row := m.cell().Row
-	if m.stop != "" && row >= m.stop {
+	if len(m.stop) > 0 && row >= string(m.stop) {
 		return nil
 	}
 	cells := (*buf)[:0]

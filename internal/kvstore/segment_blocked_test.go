@@ -20,12 +20,12 @@ type flatIterator struct {
 func (it *flatIterator) valid() bool { return it.idx < len(it.cells) }
 func (it *flatIterator) cell() *Cell { return &it.cells[it.idx] }
 func (it *flatIterator) next()       { it.idx++ }
-func (it *flatIterator) seek(probe *Cell) {
+func (it *flatIterator) seek(row []byte) {
 	if it.idx >= len(it.cells) {
 		return
 	}
 	it.idx += sort.Search(len(it.cells)-it.idx, func(i int) bool {
-		return compareCells(&it.cells[it.idx+i], probe) >= 0
+		return it.cells[it.idx+i].Row >= string(row)
 	})
 }
 
@@ -86,11 +86,9 @@ func referenceMultiScan(sorted []Cell, ranges []ScanRange, asOf int64) []RowResu
 	}
 	merged := newMergeIterator([]cellIterator{&flatIterator{cells: sorted}})
 	var out []RowResult
-	probe := Cell{Timestamp: int64(1) << 62, Tombstone: true}
 	var buf []Cell
 	for _, rg := range ranges {
-		probe.Row = rg.Start
-		merged.seekRange(&probe, rg.Stop)
+		merged.seekRange([]byte(rg.Start), []byte(rg.Stop))
 		for cells := merged.nextRow(&buf); cells != nil; cells = merged.nextRow(&buf) {
 			res := RowResult{Row: cells[0].Row, Cells: resolveRow(cells, asOf, nil)}
 			if !res.Empty() {
@@ -261,7 +259,7 @@ func TestEmptyAndSingleRowSegments(t *testing.T) {
 	if empty.len() != 0 || len(empty.blocks) != 0 {
 		t.Fatalf("empty segment has %d cells, %d blocks", empty.len(), len(empty.blocks))
 	}
-	if empty.overlapsRanges([]ScanRange{{}}) {
+	if empty.overlapsRanges(ScanRanges{{}}, new([]byte)) {
 		t.Fatal("empty segment overlaps the unbounded range")
 	}
 	it := empty.iterator(nil, &blockScanStats{})
@@ -309,7 +307,7 @@ func TestBlockPruningCounters(t *testing.T) {
 	}
 	var bs blockScanStats
 	s.mu.RLock()
-	its, _ := s.iteratorsLocked([]ScanRange{{Start: "r00490", Stop: "r00492"}}, &Cell{Row: "r00490", Timestamp: 1 << 62, Tombstone: true}, &bs)
+	its, _ := s.iteratorsLocked(ScanRanges{{Start: "r00490", Stop: "r00492"}}, []byte("r00490"), &bs, new([]byte))
 	merged := newMergeIterator(its)
 	rows := 0
 	for merged.valid() && merged.cell().Row < "r00492" {

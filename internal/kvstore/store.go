@@ -310,11 +310,12 @@ func (s *Store) WritePressure() float64 {
 
 // iteratorsLocked builds the newest-first iterator stack (memtable, then
 // rotated memtables newest to oldest, then segments newest to oldest),
-// positioned at start, leaving out every segment disjoint from all of the
-// sorted ranges (nil ranges: none). It returns the stack and the number of
-// segments left out; a pruned segment's blocks count into bs.skipped — they
-// were excluded without decoding, same as a block pruned individually.
-func (s *Store) iteratorsLocked(ranges []ScanRange, start *Cell, bs *blockScanStats) ([]cellIterator, int) {
+// positioned at the first row at or after start, leaving out every segment
+// disjoint from all of the sorted ranges of src (nil: none), whose bounds it
+// writes into *buf. It returns the stack and the number of segments left
+// out; a pruned segment's blocks count into bs.skipped — they were excluded
+// without decoding, same as a block pruned individually.
+func (s *Store) iteratorsLocked(src RangeSource, start []byte, bs *blockScanStats, buf *[]byte) ([]cellIterator, int) {
 	its := make([]cellIterator, 0, len(s.segments)+len(s.imm)+1)
 	its = append(its, s.mem.iterator(start))
 	for i := len(s.imm) - 1; i >= 0; i-- {
@@ -322,7 +323,7 @@ func (s *Store) iteratorsLocked(ranges []ScanRange, start *Cell, bs *blockScanSt
 	}
 	pruned := 0
 	for i := len(s.segments) - 1; i >= 0; i-- {
-		if ranges != nil && !s.segments[i].overlapsRanges(ranges) {
+		if src != nil && !s.segments[i].overlapsRanges(src, buf) {
 			pruned++
 			bs.skipped += int64(len(s.segments[i].blocks))
 			continue

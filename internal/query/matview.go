@@ -213,33 +213,39 @@ func (c *cachedRanking) Patch(visits []model.Visit) (folded int, grew int64, exa
 // cacheKey renders the normalized query spec — every predicate plus the
 // sorted, deduplicated friend list — as the result-cache key. Two requests
 // that must return identical rankings map to the same key; anything that
-// can change the answer is folded in.
+// can change the answer is folded in. The key is written into one buffer,
+// sized for it up front, numbers through a small stack buffer, so it costs
+// one allocation however many friends the query names.
 func (e *Engine) cacheKey(spec *Spec, friends []int64) string {
 	var b strings.Builder
-	b.Grow(64 + len(friends)*8)
-	b.WriteString(string(e.visits.Schema().String()))
+	var num [32]byte
+	// Sorted ids are widest at either end (a minus sign at the low end).
+	idWidth := 1
+	if n := len(friends); n > 0 {
+		idWidth += max(len(strconv.AppendInt(num[:0], friends[0], 10)), len(strconv.AppendInt(num[:0], friends[n-1], 10)))
+	}
+	// 256 bytes hold the fixed fields at their widest: four hex floats of
+	// up to 24 bytes and four integers of up to 20, with the separators.
+	b.Grow(256 + len(spec.Keyword) + len(friends)*idWidth)
+	b.WriteString(e.visits.Schema().String())
 	b.WriteByte('|')
 	b.WriteString(string(spec.orderOrDefault()))
 	b.WriteByte('|')
 	if spec.BBox != nil {
-		for _, f := range []float64{spec.BBox.MinLat, spec.BBox.MinLon, spec.BBox.MaxLat, spec.BBox.MaxLon} {
-			b.WriteString(strconv.FormatFloat(f, 'x', -1, 64))
+		for _, f := range [...]float64{spec.BBox.MinLat, spec.BBox.MinLon, spec.BBox.MaxLat, spec.BBox.MaxLon} {
+			b.Write(strconv.AppendFloat(num[:0], f, 'x', -1, 64))
 			b.WriteByte(',')
 		}
 	}
 	b.WriteByte('|')
 	b.WriteString(spec.Keyword)
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(spec.FromMillis, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatInt(spec.ToMillis, 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(spec.Limit))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(spec.RegionTopK))
+	for _, n := range [...]int64{spec.FromMillis, spec.ToMillis, int64(spec.Limit), int64(spec.RegionTopK)} {
+		b.WriteByte('|')
+		b.Write(strconv.AppendInt(num[:0], n, 10))
+	}
 	b.WriteByte('|')
 	for _, f := range friends {
-		b.WriteString(strconv.FormatInt(f, 10))
+		b.Write(strconv.AppendInt(num[:0], f, 10))
 		b.WriteByte(',')
 	}
 	return b.String()

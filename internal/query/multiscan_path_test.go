@@ -393,6 +393,73 @@ func TestSplitInsideAUsersRowsReadsBothHalves(t *testing.T) {
 	}
 }
 
+// TestSplitsInsideTheFirstAndLastFriendsRows: splits inside user 7's visit
+// rows and inside user 20's leave a region whose first friend's window
+// starts below it and whose last friend's stops above it. Each region's
+// ranges must be clamped to its keys — the first starting at the region's
+// start key, the last stopping at its end key, none reaching outside — and
+// the coprocessor must match the full-decode oracle in every region and the
+// answer the table gave before the splits, with users 7 and 20 probed twice.
+func TestSplitsInsideTheFirstAndLastFriendsRows(t *testing.T) {
+	ctx := context.Background()
+	for _, schema := range []repos.VisitSchema{repos.SchemaReplicated, repos.SchemaNormalized} {
+		f := newFixtureRegions(t, schema, 1, 1, 40, 20)
+		from, to := window()
+		spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: from, ToMillis: to, OrderBy: ByInterest, NoCache: true}
+		before, err := f.engine.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, user := range []int64{7, 20} {
+			var keys []string
+			start, stop := repos.VisitScanBounds(user, from, to)
+			if err := f.visits.Table().MultiScanCtx(ctx, []kvstore.ScanRange{{Start: start, Stop: stop}}, 0, func(row kvstore.RowResult) bool {
+				keys = append(keys, row.Row)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) < 2 {
+				t.Fatalf("user %d has %d visits in the window, want at least 2", user, len(keys))
+			}
+			if err := f.visits.Table().SplitRegion(keys[len(keys)/2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		regions := f.visits.Table().Regions()
+		if len(regions) != 3 {
+			t.Fatalf("%d regions after two splits, want 3", len(regions))
+		}
+		ranges := friendRanges(sortedDistinctFriends(spec.FriendIDs), from, to)
+		for i, r := range regions {
+			clipped := r.ClipRanges(&ranges)
+			n := clipped.Len()
+			if n == 0 {
+				t.Fatalf("schema %v: region %d serves no friend", schema, i)
+			}
+			first := string(clipped.AppendStart(nil, 0))
+			last := string(clipped.AppendStop(nil, n-1))
+			if first < r.StartKey || r.EndKey() != "" && last > r.EndKey() {
+				t.Errorf("schema %v: region %d [%q, %q) serves ranges from %q to %q", schema, i, r.StartKey, r.EndKey(), first, last)
+			}
+			if i == 1 && (n != 14 || first != r.StartKey || last != r.EndKey()) {
+				t.Errorf("schema %v: the middle region [%q, %q) serves %d ranges from %q to %q; want users 7 to 20, clamped to its keys", schema, r.StartKey, r.EndKey(), n, first, last)
+			}
+		}
+		requireRegionsMatchOracle(t, fmt.Sprintf("schema %v", schema), f.visits, spec)
+		after, err := f.engine.Run(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after.POIs, before.POIs) {
+			t.Errorf("schema %v: the splits changed the answer:\ngot  %+v\nwant %+v", schema, after.POIs, before.POIs)
+		}
+		if after.Work.RowsScanned != before.Work.RowsScanned || after.Work.Friends != before.Work.Friends+2 {
+			t.Errorf("schema %v: work after the splits %+v, before %+v; want the same rows and users 7 and 20 probed twice", schema, after.Work, before.Work)
+		}
+	}
+}
+
 // TestVisitRowSkipsNonBinaryPayload: a payload without a binary tag — here a
 // JSON visit document, which readers once decoded — is accounted as scanned
 // and contributes nothing.

@@ -369,30 +369,51 @@ type queryPlan struct {
 // visitsCoprocessor executes one query against one region, HBase-style:
 // read each local friend's visit rows, filter and aggregate per POI. Every
 // local friend's row range goes into one multi-range scan per region
-// (kvstore.MultiScanCtx): one store lock, one iterator set, segment pruning.
-// The scan is late-materializing: each row is filtered and folded into its
-// POI's sums from an allocation-free view of the encoded payload, and no
-// POI document is decoded in the region at all (regionAggregator).
+// (kvstore.Store.MultiScanSource): one store lock, one iterator set, segment
+// pruning. The scan is late-materializing: each row is filtered and folded
+// into its POI's sums from an allocation-free view of the encoded payload,
+// and no POI document is decoded in the region at all (regionAggregator).
 type visitsCoprocessor struct {
 	spec   *Spec
 	schema repos.VisitSchema
-	// ranges holds one visit row range per friend, built once per query:
-	// friends are sorted and distinct, so the ranges are sorted and
-	// non-overlapping — exactly the multi-range contract.
-	ranges []kvstore.ScanRange
+	// ranges is the query's visit row ranges, one per friend: the friend
+	// ids and the window, which each region's scan writes into bounds only
+	// as it reaches them.
+	ranges visitRanges
 }
 
-// friendRanges builds the per-friend visit row ranges of a query's window
-// from its sorted, deduplicated friend list: none when the window holds no
-// time a visit can have.
-func friendRanges(friends []int64, fromMillis, toMillis int64) []kvstore.ScanRange {
-	ranges := make([]kvstore.ScanRange, 0, len(friends))
-	for _, friend := range friends {
-		if start, stop := repos.VisitScanBounds(friend, fromMillis, toMillis); start < stop {
-			ranges = append(ranges, kvstore.ScanRange{Start: start, Stop: stop})
+// visitRanges is one visit row range per friend over one window, as a
+// kvstore.RangeSource: the friends are sorted and distinct, so the ranges
+// are sorted and non-overlapping — exactly the multi-range contract. A
+// range's bounds are repos.VisitScanBounds', written by its append forms.
+type visitRanges struct {
+	friends  []int64
+	from, to int64
+}
+
+// friendRanges returns the visit row ranges of a query's window over its
+// sorted, deduplicated friend list: none when the window holds no time a
+// visit can have, which the clamp decides the same way for every friend.
+func friendRanges(friends []int64, fromMillis, toMillis int64) visitRanges {
+	r := visitRanges{friends: friends, from: fromMillis, to: toMillis}
+	if len(friends) > 0 {
+		var buf [64]byte
+		start := r.AppendStart(buf[:0], 0)
+		if stop := r.AppendStop(start, 0)[len(start):]; string(start) >= string(stop) {
+			r.friends = nil
 		}
 	}
-	return ranges
+	return r
+}
+
+func (r *visitRanges) Len() int { return len(r.friends) }
+
+func (r *visitRanges) AppendStart(dst []byte, i int) []byte {
+	return repos.AppendVisitScanStart(dst, r.friends[i], r.from)
+}
+
+func (r *visitRanges) AppendStop(dst []byte, i int) []byte {
+	return repos.AppendVisitScanStop(dst, r.friends[i], r.to)
 }
 
 // runRegion is the region function kvstore.ExecRegions fans out: the region
@@ -403,10 +424,10 @@ func (cp *visitsCoprocessor) runRegion(ctx context.Context, r *kvstore.Region) (
 	defer func() { mCoprocLatency.ObserveDuration(time.Since(regionStart)) }()
 	agg := newRegionAggregator(cp, takeScratch())
 	// A friend whose rows a split divided is read in both regions.
-	ranges := r.ClipRanges(cp.ranges)
-	agg.out.work.Friends = len(ranges)
-	if len(ranges) > 0 {
-		if err := r.Store().MultiScanCtx(ctx, ranges, 0, agg.visitRow); err != nil {
+	ranges := r.ClipRanges(&cp.ranges)
+	agg.out.work.Friends = ranges.Len()
+	if ranges.Len() > 0 {
+		if err := r.Store().MultiScanSource(ctx, ranges, 0, agg.visitRow); err != nil {
 			return nil, err
 		}
 	}
@@ -616,17 +637,12 @@ func (h *boundedAggHeap) sorted() []poiAgg {
 // sortedDistinctFriends copies, sorts and deduplicates a friend list. The
 // coprocessor turns it into sorted non-overlapping row ranges, so duplicate
 // ids must collapse here; a friend listed twice still contributes each of
-// their visits once.
+// their visits once. The copy is the query's own: the epoch snapshot and the
+// cache entry keep it.
 func sortedDistinctFriends(ids []int64) []int64 {
-	friends := append([]int64(nil), ids...)
-	sort.Slice(friends, func(i, j int) bool { return friends[i] < friends[j] })
-	out := friends[:0]
-	for i, f := range friends {
-		if i == 0 || f != friends[i-1] {
-			out = append(out, f)
-		}
-	}
-	return out
+	friends := slices.Clone(ids)
+	slices.Sort(friends)
+	return slices.Compact(friends)
 }
 
 // Run executes one personalized query and returns results plus simulated

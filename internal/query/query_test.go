@@ -33,6 +33,12 @@ func newFixture(t testing.TB, schema repos.VisitSchema, nodes, users int) *fixtu
 // newFixtureVisits also controls the mean visits per user (the paper's
 // dataset uses 170). Grades are fractional, as the classifier's are.
 func newFixtureVisits(t testing.TB, schema repos.VisitSchema, nodes, users int, visitMean float64) *fixture {
+	return newFixtureRegions(t, schema, nodes, 32, users, visitMean)
+}
+
+// newFixtureRegions also sets how many regions the visits table is
+// pre-split into.
+func newFixtureRegions(t testing.TB, schema repos.VisitSchema, nodes, regions, users int, visitMean float64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	pois := workload.GenPOIs(rng, 300)
@@ -42,7 +48,7 @@ func newFixtureVisits(t testing.TB, schema repos.VisitSchema, nodes, users int, 
 			t.Fatal(err)
 		}
 	}
-	visits, err := repos.NewVisitsRepo(schema, int64(users), 32, nodes, kvstore.DefaultStoreOptions())
+	visits, err := repos.NewVisitsRepo(schema, int64(users), regions, nodes, kvstore.DefaultStoreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

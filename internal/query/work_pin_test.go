@@ -93,12 +93,13 @@ func TestBytesMergedIsFirstRowDocuments(t *testing.T) {
 		}
 		var want int64
 		for _, r := range f.visits.Table().Regions() {
-			ranges := r.ClipRanges(friendRanges(sortedDistinctFriends(spec.FriendIDs), spec.FromMillis, spec.ToMillis))
-			if len(ranges) == 0 {
+			friends := friendRanges(sortedDistinctFriends(spec.FriendIDs), spec.FromMillis, spec.ToMillis)
+			ranges := r.ClipRanges(&friends)
+			if ranges.Len() == 0 {
 				continue
 			}
 			seen := map[int64]bool{}
-			if err := r.Store().MultiScanCtx(context.Background(), ranges, 0, func(row kvstore.RowResult) bool {
+			if err := r.Store().MultiScanSource(context.Background(), ranges, 0, func(row kvstore.RowResult) bool {
 				raw, _ := row.Get(repos.VisitQualifier)
 				v, err := model.DecodeVisitBinary(raw)
 				if err != nil || seen[v.POI.ID] || !spec.matchesPOI(&v.POI) {

@@ -16,15 +16,29 @@ import (
 // lead with the user id, clustering each user's history into a contiguous
 // key range — the property the per-region coprocessor gets exploit.
 
-// putPadded writes v as a fixed-width zero-padded decimal into dst. It
-// requires 0 <= v < 10^len(dst); callers fall back to fmt for values
-// outside that window (negative timestamps in hand-built specs).
-func putPadded(dst []byte, v int64) bool {
-	if v < 0 {
+// digitPairs holds the two decimal digits of every value below 100.
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// putPadded writes v as a fixed-width zero-padded decimal into dst, two
+// digits a division. It requires 0 <= v < 10^len(dst); callers fall back to
+// fmt for values outside that window (negative timestamps in hand-built
+// specs).
+func putPadded(dst []byte, sv int64) bool {
+	if sv < 0 {
 		return false
 	}
-	for i := len(dst) - 1; i >= 0; i-- {
-		dst[i] = byte('0' + v%10)
+	v := uint64(sv) // unsigned, the divide by 100 needs no sign fix-up
+	i := len(dst)
+	for ; i >= 2; i -= 2 {
+		q := v / 100
+		r := 2 * (v - 100*q)
+		dst[i-2], dst[i-1] = digitPairs[r], digitPairs[r+1]
+		v = q
+	}
+	if i == 1 {
+		dst[0] = byte('0' + v%10)
 		v /= 10
 	}
 	return v == 0
@@ -34,11 +48,17 @@ func putPadded(dst []byte, v int64) bool {
 // pre-split boundaries of user-keyed tables.
 func userKeyPrefix(userID int64) string {
 	var b [14]byte
-	b[0], b[13] = 'u', '|'
-	if !putPadded(b[1:13], userID) {
-		return fmt.Sprintf("u%012d|", userID)
+	return string(appendUserKeyPrefix(b[:0], userID))
+}
+
+// appendUserKeyPrefix appends userKeyPrefix(userID) to dst.
+func appendUserKeyPrefix(dst []byte, userID int64) []byte {
+	n := len(dst)
+	dst = append(dst, "u000000000000|"...)
+	if !putPadded(dst[n+1:n+13], userID) {
+		return fmt.Appendf(dst[:n], "u%012d|", userID)
 	}
-	return string(b[:])
+	return dst
 }
 
 // visitRowKey builds a Visits row key: user, time, then a sequence number
@@ -59,15 +79,16 @@ func visitRowKey(userID, timeMillis int64, seq uint32) string {
 	return string(b[:end])
 }
 
-// visitTimeKey builds the "u<user>|t<time>|" prefix that bounds one user's
-// visits at one timestamp.
-func visitTimeKey(userID, timeMillis int64) string {
-	var b [29]byte
-	b[0], b[13], b[14], b[28] = 'u', '|', 't', '|'
+// appendVisitTimeKey appends the "u<user>|t<time>|" prefix that bounds one
+// user's visits at one timestamp.
+func appendVisitTimeKey(dst []byte, userID, timeMillis int64) []byte {
+	n := len(dst)
+	dst = append(dst, "u000000000000|t0000000000000|"...)
+	b := dst[n:]
 	if !putPadded(b[1:13], userID) || !putPadded(b[15:28], timeMillis) {
-		return fmt.Sprintf("u%012d|t%013d|", userID, timeMillis)
+		return fmt.Appendf(dst[:n], "u%012d|t%013d|", userID, timeMillis)
 	}
-	return string(b[:])
+	return dst
 }
 
 // MaxVisitMillis is the latest visit time a row key holds: keys write the
@@ -79,23 +100,39 @@ const MaxVisitMillis int64 = 1e13 - 1
 // visits within [fromMillis, toMillis], the window first clamped to the
 // times a row key holds. A window reaching past MaxVisitMillis stops at the
 // end of the user's visit keys; one the clamp leaves empty gives
-// start == stop, a range callers drop. Exported for the region-local scans
-// the query coprocessors perform — built without fmt, since the coprocessor
-// constructs one range per friend per region on the query hot path.
+// start == stop, a range callers drop. The query coprocessors write the
+// same bounds with AppendVisitScanStart and AppendVisitScanStop.
 func VisitScanBounds(userID, fromMillis, toMillis int64) (string, string) {
-	to := min(max(toMillis, -1), MaxVisitMillis) + 1
-	return visitTimeBound(userID, max(fromMillis, 0)), visitTimeBound(userID, to)
+	var buf [64]byte
+	b := AppendVisitScanStart(buf[:0], userID, fromMillis)
+	at := len(b)
+	b = AppendVisitScanStop(b, userID, toMillis)
+	return string(b[:at]), string(b[at:])
 }
 
-// visitTimeBound is the key every visit of the user at or after time t
-// sorts at or after, for t >= 0: the time's prefix, or past the user's last
-// visit key for a t past MaxVisitMillis.
-func visitTimeBound(userID, t int64) string {
+// AppendVisitScanStart appends VisitScanBounds' start to dst: the bound of
+// the user's visits at or after fromMillis. It allocates nothing once dst
+// has room, which is how a region scan writes each friend's range just
+// before it seeks to it.
+func AppendVisitScanStart(dst []byte, userID, fromMillis int64) []byte {
+	return appendVisitTimeBound(dst, userID, max(fromMillis, 0))
+}
+
+// AppendVisitScanStop appends VisitScanBounds' stop to dst: the bound past
+// the user's visits at or before toMillis.
+func AppendVisitScanStop(dst []byte, userID, toMillis int64) []byte {
+	return appendVisitTimeBound(dst, userID, min(max(toMillis, -1), MaxVisitMillis)+1)
+}
+
+// appendVisitTimeBound appends the key every visit of the user at or after
+// time t sorts at or after, for t >= 0: the time's prefix, or past the
+// user's last visit key for a t past MaxVisitMillis.
+func appendVisitTimeBound(dst []byte, userID, t int64) []byte {
 	if t > MaxVisitMillis {
 		// 'u' follows the 't' every visit key of the user has there.
-		return userKeyPrefix(userID) + "u"
+		return append(appendUserKeyPrefix(dst, userID), 'u')
 	}
-	return visitTimeKey(userID, t)
+	return appendVisitTimeKey(dst, userID, t)
 }
 
 // visitKeySeq reads just the sequence number off a Visits row key.

@@ -3,6 +3,7 @@ package repos
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -69,6 +70,43 @@ func TestPutPaddedFallback(t *testing.T) {
 	k := visitRowKey(5, -5, 0)
 	if u, ts, _, err := parseVisitRowKey(k); err != nil || u != 5 || ts != -5 {
 		t.Errorf("fallback key %q parsed to %d %d %v", k, u, ts, err)
+	}
+	// putPadded writes what %0*d does at every width, and refuses a value
+	// too wide for it.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		width := 1 + rng.Intn(13)
+		v := rng.Int63n(int64(math.Pow10(width)))
+		if i%2 == 0 {
+			v %= int64(math.Pow10(rng.Intn(width + 1)))
+		}
+		dst := make([]byte, width)
+		if !putPadded(dst, v) || string(dst) != fmt.Sprintf("%0*d", width, v) {
+			t.Fatalf("putPadded(%d) at width %d wrote %q", v, width, dst)
+		}
+		if putPadded(dst, int64(math.Pow10(width))+v) {
+			t.Fatalf("putPadded(%d) fit width %d", int64(math.Pow10(width))+v, width)
+		}
+	}
+	// The append forms write VisitScanBounds' bounds, the fmt fallback's
+	// included, and allocate nothing into a buffer with room.
+	for _, user := range []int64{1, 42, 999999999999, 1000000000000} {
+		for _, w := range [][2]int64{{0, 5}, {-9, 1e13}, {1e13, 2e13}, {123456789, 987654321}} {
+			start, stop := VisitScanBounds(user, w[0], w[1])
+			buf := make([]byte, 0, 64)
+			if got := string(AppendVisitScanStart(buf, user, w[0])); got != start {
+				t.Errorf("AppendVisitScanStart(%d, %d) = %q, want %q", user, w[0], got, start)
+			}
+			if got := string(AppendVisitScanStop(buf, user, w[1])); got != stop {
+				t.Errorf("AppendVisitScanStop(%d, %d) = %q, want %q", user, w[1], got, stop)
+			}
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendVisitScanStop(AppendVisitScanStart(buf[:0], 42, 1000), 42, 2000)
+	}); allocs != 0 {
+		t.Errorf("writing a range's bounds allocated %v times", allocs)
 	}
 }
 

@@ -362,6 +362,7 @@ var allowlist = map[string]string{
 	"kvstore.Table.SplitRegion":        "test seam: kvstore's split-vs-scan, split-vs-replication and split-then-replay tests; the one entry to the region split DESIGN §5 describes",
 	"kvstore.Region.PrimaryNode":       "test seam: the bench, core and query failover tests locate a region's primary",
 	"kvstore.Region.Epoch":             "test seam: TestScenarioPrimaryKill checks the epoch a promotion bumps",
+	"kvstore.Store.MultiScanCtx":       "test seam: the kvstore, repos and query scan tests read one store over a []ScanRange; it is MultiScanSource over ScanRanges",
 	"exec.RetryBudget.Attempts":        "test seam: TestScenarioOverload bounds retries + hedges by the credited attempts",
 	"query.Engine.RetryBudget":         "test seam: TestScenarioOverload reads the engine's budget",
 	"query.Engine.SetFaultInjector":    "test seam: arms read faults in the bench and core scenario tests",
