@@ -49,7 +49,7 @@ var routeBudgets = []routeBudget{
 	{"search/200/cached", 74, 20176, 43, 13665},
 	{"search/400/cached", 74, 27600, 43, 21217},
 	{"trending/held", 96, 13961, 42, 7488},
-	{"checkins/50", 258, 32729, 226, 29813},
+	{"checkins/50", 258, 31529, 226, 28611},
 	{"subscription/poll", 117, 21120, 44, 9056},
 	{"poi/get", 56, 4059, 20, 1696},
 }

@@ -99,9 +99,10 @@ func TestScenarioPrimaryKill(t *testing.T) {
 		}
 		victimRegions[r.ID] = true
 		if zombieRow == "" {
-			// A row inside the region: the stale-epoch write the deposed
-			// primary replays after the promotion.
-			zombieRow = r.StartKey + "\x00zombie"
+			// A row inside the region, since its start key and a zero byte
+			// sort below the next region's start: the stale-epoch write the
+			// deposed primary replays after the promotion.
+			zombieRow = r.StartKey + "\x00"
 			zombieEpoch = r.Epoch()
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,6 @@ import (
 	"modissense/internal/faultinject"
 	"modissense/internal/matview"
 	"modissense/internal/model"
-	"modissense/internal/repos"
 )
 
 // newIngestClient boots a platform with a mutated config and wraps it in the
@@ -160,12 +160,11 @@ func TestPushCheckinsRejectsNaNGrade(t *testing.T) {
 	}
 }
 
-// TestPushCheckinsRejectsTimesPastTheKeyDomain: a check-in time the visit
-// row key cannot hold at its fixed width would be written under a key that
-// sorts among present-day ones, so a far-future check-in would answer
-// present-day searches. It must be a bad item, leave no row, and the largest
-// storable time must still be stored.
-func TestPushCheckinsRejectsTimesPastTheKeyDomain(t *testing.T) {
+// TestPushCheckinsStoresFarFutureTimes: a row key holds every int64 time in
+// order, so a check-in at any positive time is stored and read back, the
+// largest included. A time of 0 or less is still a bad item and leaves no
+// row.
+func TestPushCheckinsStoresFarFutureTimes(t *testing.T) {
 	_, p := newIngestClient(t, nil)
 	acct, token, err := p.Users.SignIn("facebook", "facebook:3")
 	if err != nil {
@@ -173,24 +172,29 @@ func TestPushCheckinsRejectsTimesPastTheKeyDomain(t *testing.T) {
 	}
 	poi := p.Catalog()[0]
 	stored, itemErrs, err := p.PushCheckins(token, []CheckinPush{
-		{POIID: poi.ID, Time: repos.MaxVisitMillis, Grade: 4, Network: "facebook"},
 		{POIID: poi.ID, Time: 15_000_000_000_000, Grade: 4, Network: "facebook"},
 		{POIID: poi.ID, Time: math.MaxInt64, Grade: 4, Network: "facebook"},
+		{POIID: poi.ID, Time: 0, Grade: 4, Network: "facebook"},
+		{POIID: poi.ID, Time: math.MinInt64, Grade: 4, Network: "facebook"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored != 1 || len(itemErrs) != 2 || itemErrs[0].Index != 1 || itemErrs[1].Index != 2 ||
+	if stored != 2 || len(itemErrs) != 2 || itemErrs[0].Index != 2 || itemErrs[1].Index != 3 ||
 		itemErrs[0].Code != codeBadRequest || itemErrs[1].Code != codeBadRequest {
-		t.Fatalf("push stored %d with item errors %+v, want 1 stored and items 1 and 2 bad_request", stored, itemErrs)
+		t.Fatalf("push stored %d with item errors %+v, want 2 stored and items 2 and 3 bad_request", stored, itemErrs)
 	}
+	var got []int64
 	if err := p.Visits.ScanAll(func(v model.Visit) bool {
-		if v.UserID == acct.UserID && v.Time > repos.MaxVisitMillis {
-			t.Errorf("a visit past the key domain was stored: %+v", v)
+		if v.UserID == acct.UserID {
+			got = append(got, v.Time)
 		}
 		return true
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if want := []int64{15_000_000_000_000, math.MaxInt64}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the user's stored visit times are %v, want %v", got, want)
 	}
 }
 

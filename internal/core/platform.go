@@ -701,11 +701,6 @@ func (p *Platform) PushCheckins(token string, items []CheckinPush) (int, []Check
 				Message: fmt.Sprintf("core: non-positive timestamp %d", it.Time)})
 			continue
 		}
-		if it.Time > repos.MaxVisitMillis {
-			itemErrs = append(itemErrs, CheckinItemError{Index: i, Code: codeBadRequest,
-				Message: fmt.Sprintf("core: timestamp %d past the latest storable %d", it.Time, repos.MaxVisitMillis)})
-			continue
-		}
 		if !(it.Grade >= 0 && it.Grade <= 5) { // NaN fails both
 			itemErrs = append(itemErrs, CheckinItemError{Index: i, Code: codeBadRequest,
 				Message: fmt.Sprintf("core: grade %g out of the 0-5 range", it.Grade)})

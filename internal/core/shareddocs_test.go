@@ -160,7 +160,15 @@ func TestBootFailsOnUncoveredSharedRow(t *testing.T) {
 			t.Fatalf("booted with document %s missing from the documents log", dropped)
 		}
 		id, _, _ := strings.Cut(dropped, "|")
-		if !strings.Contains(err.Error(), `visit row "u`) || !strings.Contains(err.Error(), "POI "+id+" ") {
+		named := false
+		if rerr := kvstore.ReplayWAL(filepath.Join(dir, "visits.wal"), func(c kvstore.Cell) error {
+			_, poi, _, rerr := keyedRowRef(c)
+			named = named || strconv.FormatInt(poi, 10) == id && strings.Contains(err.Error(), "visit row "+strconv.Quote(c.Row))
+			return rerr
+		}); rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !named || !strings.Contains(err.Error(), "POI "+id+" ") {
 			t.Errorf("boot error %q does not name a visit row of POI %s", err, id)
 		}
 	})
@@ -169,21 +177,28 @@ func TestBootFailsOnUncoveredSharedRow(t *testing.T) {
 // TestBootFailsOnDeletedLayout rewrites the first row of a closed platform's
 // visits log in a layout no writer emits any more and no reader accepts:
 // 0x01 (the document embedded) or 0x03 (the first shared layout, the
-// normalized fields plus the document hash). Booting must fail, naming the
-// tag and the row.
+// normalized fields plus the document hash) payloads, or a decimal row key
+// (u<user>|t<time>|<seq>, zero-padded). Booting must fail, naming the row
+// and what of it this build does not read.
 func TestBootFailsOnDeletedLayout(t *testing.T) {
 	for _, c := range []struct {
-		tag    string
-		encode func(v *model.Visit, keyed []byte) []byte
+		name, want string
+		rewrite    func(cell *kvstore.Cell, v *model.Visit, seq uint32)
 	}{
-		{"0x01", func(v *model.Visit, _ []byte) []byte { return model.EncodeVisitBinary(v) }},
-		{"0x03", func(v *model.Visit, keyed []byte) []byte {
+		{"0x01", "0x01", func(cell *kvstore.Cell, v *model.Visit, _ uint32) { cell.Value = model.EncodeVisitBinary(v) }},
+		{"0x03", "0x03", func(cell *kvstore.Cell, v *model.Visit, _ uint32) {
 			b := model.EncodeVisitBinaryNormalized(v)
 			b[0] = 0x03
-			return append(b, keyed[2:10]...)
+			cell.Value = append(b, cell.Value[2:10]...)
+		}},
+		// A normalized row carries its user and time, so no scan needs its
+		// key: only the boot pass's key parse can refuse it.
+		{"decimal-key", "malformed key", func(cell *kvstore.Cell, v *model.Visit, seq uint32) {
+			cell.Row = fmt.Sprintf("u%012d|t%013d|%06d", v.UserID, v.Time, seq)
+			cell.Value = model.EncodeVisitBinaryNormalized(v)
 		}},
 	} {
-		t.Run(c.tag, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			pushSharedDocVisits(t, dir)
 			path := filepath.Join(dir, "visits.wal")
@@ -194,10 +209,11 @@ func TestBootFailsOnDeletedLayout(t *testing.T) {
 					if err != nil {
 						return fmt.Errorf("row %q: %v", cell.Row, err)
 					}
-					if _, err := fmt.Sscanf(cell.Row, "u%d|t%d|", &v.UserID, &v.Time); err != nil {
-						return fmt.Errorf("row %q: %v", cell.Row, err)
+					var seq uint32
+					if v.UserID, v.Time, seq, err = visitKeyFields(cell.Row); err != nil {
+						return err
 					}
-					cell.Value = c.encode(&v, cell.Value)
+					c.rewrite(&cell, &v, seq)
 				}
 				cells = append(cells, cell)
 				return nil
@@ -212,10 +228,10 @@ func TestBootFailsOnDeletedLayout(t *testing.T) {
 			p, err := New(cfg)
 			if err == nil {
 				p.Close()
-				t.Fatalf("booted over a visits log holding a %s row", c.tag)
+				t.Fatalf("booted over a visits log holding a %s row", c.name)
 			}
-			if row := strconv.Quote(cells[0].Row); !strings.Contains(err.Error(), c.tag) || !strings.Contains(err.Error(), row) {
-				t.Errorf("boot error %q does not name tag %s and row %s", err, c.tag, row)
+			if row := strconv.Quote(cells[0].Row); !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), row) {
+				t.Errorf("boot error %q does not name %s and row %s", err, c.want, row)
 			}
 		})
 	}
@@ -244,8 +260,7 @@ func keyedRowRef(c kvstore.Cell) (tm, id int64, hash uint64, err error) {
 	if len(b) < 18 || b[0] != model.VisitBinaryTagKeyed {
 		return 0, 0, 0, fmt.Errorf("payload %x is not a keyed visit", b)
 	}
-	var user int64
-	if _, err := fmt.Sscanf(c.Row, "u%d|t%d|", &user, &tm); err != nil {
+	if _, tm, _, err = visitKeyFields(c.Row); err != nil {
 		return 0, 0, 0, err
 	}
 	hash = binary.LittleEndian.Uint64(b[2:])
@@ -258,4 +273,14 @@ func keyedRowRef(c kvstore.Cell) (tm, id int64, hash uint64, err error) {
 		return 0, 0, 0, fmt.Errorf("bad network")
 	}
 	return tm, id, hash, nil
+}
+
+// visitKeyFields reads a visit row key by its layout alone: user, time with
+// its sign bit flipped, and sequence number, big-endian.
+func visitKeyFields(row string) (user, tm int64, seq uint32, err error) {
+	if len(row) != 20 {
+		return 0, 0, 0, fmt.Errorf("row %q is not a visit key", row)
+	}
+	b := []byte(row)
+	return int64(binary.BigEndian.Uint64(b)), int64(binary.BigEndian.Uint64(b[8:]) ^ 1<<63), binary.BigEndian.Uint32(b[16:]), nil
 }

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"modissense/internal/matview"
+	"modissense/internal/model"
 	"modissense/internal/obs"
 )
 
@@ -104,6 +108,47 @@ func TestAPITrendingFromView(t *testing.T) {
 	}
 	if strings.Contains(text, "\nmatview_cache_hits_total 0\n") {
 		t.Error("/metrics shows no result-cache hit after a cached answer")
+	}
+}
+
+// TestTrendingViewCountsVisitsNearMaxInt64 pushes check-ins through the API
+// into the last buckets below math.MaxInt64, where a bucket's end is past
+// the int64 range. A friendless trending window over them, served by the
+// view, must count each visit as a brute-force count over the stored visits
+// does.
+func TestTrendingViewCountsVisitsNearMaxInt64(t *testing.T) {
+	c, p := newTrendingClient(t)
+	in := c.signIn("facebook", "facebook:5")
+	var pushes []CheckinPush
+	for i, poi := range p.Catalog()[:3] {
+		for n := 0; n <= i; n++ {
+			pushes = append(pushes, CheckinPush{POIID: poi.ID, Time: math.MaxInt64 - int64(1000*i+n), Grade: 4, Network: "facebook"})
+		}
+	}
+	var res checkinsResponse
+	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: pushes}, &res); code != http.StatusOK || res.Stored != len(pushes) {
+		t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
+	}
+	from, to := int64(math.MaxInt64)-time.Hour.Milliseconds(), int64(math.MaxInt64)
+	want := map[int64]int{}
+	if err := p.Visits.ScanAll(func(v model.Visit) bool {
+		if v.Time >= from && v.Time <= to {
+			want[v.POI.ID]++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	answer, err := p.Trending(context.Background(), nil, nil, time.UnixMilli(from), time.UnixMilli(to), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int64]int{}
+	for _, sp := range answer.POIs {
+		got[sp.POI.ID] = sp.Visits
+	}
+	if len(want) != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("the view counts %v visits by POI, the stored visits %v", got, want)
 	}
 }
 

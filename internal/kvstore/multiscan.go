@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -234,7 +235,7 @@ func (s *Store) MultiScanSource(ctx context.Context, src RangeSource, asOf int64
 	st := obs.QueryStatsFrom(ctx)
 	done := ctx.Done()
 	if asOf == 0 {
-		asOf = int64(1) << 62
+		asOf = math.MaxInt64
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -196,8 +196,11 @@ func (v *HotInView) Apply(visits []model.Visit) {
 		}
 		cutoff := v.high - v.horizonMillis
 		bs := v.floorBucket(vis.Time)
-		if bs+v.bucketMillis <= cutoff {
-			continue // entirely behind the horizon; never readable
+		// The bucket ends at or behind the cutoff: it is entirely behind the
+		// horizon and never readable. Unsigned, the last bucket below
+		// math.MaxInt64 must not overflow its end.
+		if bs < cutoff && uint64(cutoff)-uint64(bs) >= uint64(v.bucketMillis) {
+			continue
 		}
 		if b == nil || bs != bStart {
 			if b = v.buckets[bs]; b == nil {

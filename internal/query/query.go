@@ -392,18 +392,9 @@ type visitRanges struct {
 }
 
 // friendRanges returns the visit row ranges of a query's window over its
-// sorted, deduplicated friend list: none when the window holds no time a
-// visit can have, which the clamp decides the same way for every friend.
+// sorted, deduplicated friend list.
 func friendRanges(friends []int64, fromMillis, toMillis int64) visitRanges {
-	r := visitRanges{friends: friends, from: fromMillis, to: toMillis}
-	if len(friends) > 0 {
-		var buf [64]byte
-		start := r.AppendStart(buf[:0], 0)
-		if stop := r.AppendStop(start, 0)[len(start):]; string(start) >= string(stop) {
-			r.friends = nil
-		}
-	}
-	return r
+	return visitRanges{friends: friends, from: fromMillis, to: toMillis}
 }
 
 func (r *visitRanges) Len() int { return len(r.friends) }

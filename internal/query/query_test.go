@@ -221,19 +221,20 @@ func TestPersonalizedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSearchWindowsPastTheKeyDomain: a row key holds a visit time in
-// thirteen digits, and a window ending at the largest such time or at
-// math.MaxInt64, or starting before 0, answers what brute force does. A
-// window holding no storable time answers nothing, without an error.
+// TestSearchWindowsPastTheKeyDomain: a window ending at math.MaxInt64, where
+// no time follows, or starting at math.MinInt64, or lying wholly past the
+// fixture's visits answers what brute force does, without an error.
 func TestSearchWindowsPastTheKeyDomain(t *testing.T) {
 	f := newFixture(t, repos.SchemaReplicated, 2, 40)
-	from, _ := window()
+	from, to := window()
 	for _, w := range []struct{ from, to int64 }{
-		{from, repos.MaxVisitMillis},
+		{from, 10_000_000_000_000 - 1},
 		{from, math.MaxInt64},
 		{math.MinInt64, math.MaxInt64},
+		{math.MinInt64, math.MinInt64},
 		{-100, -50},
-		{repos.MaxVisitMillis + 1, math.MaxInt64},
+		{10_000_000_000_000, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64},
 	} {
 		spec := Spec{FriendIDs: friendRange(1, 40), FromMillis: w.from, ToMillis: w.to, Limit: 20, NoCache: true}
 		res, err := f.engine.Run(context.Background(), spec)
@@ -241,7 +242,7 @@ func TestSearchWindowsPastTheKeyDomain(t *testing.T) {
 			t.Fatalf("window [%d, %d]: %v", w.from, w.to, err)
 		}
 		want := referenceRanking(t, f, spec)
-		if len(want) == 0 && w.from < repos.MaxVisitMillis && w.to > 0 {
+		if len(want) == 0 && w.from <= from && w.to >= to {
 			t.Fatalf("window [%d, %d]: the fixture has no visit in it", w.from, w.to)
 		}
 		if (len(res.POIs) != 0 || len(want) != 0) && !reflect.DeepEqual(res.POIs, want) {

@@ -6,104 +6,53 @@
 package repos
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"encoding/binary"
+	"math"
 )
 
-// Row-key encoding: fixed-width zero-padded decimal fields joined by '|'
-// so that lexicographic order equals numeric order. Visits and GPS rows
-// lead with the user id, clustering each user's history into a contiguous
-// key range — the property the per-region coprocessor gets exploit.
+// Row-key encoding: fixed-width big-endian fields, as HBase row keys are
+// conventionally written, so that byte order is numeric order. Each table
+// holds one key shape, so keys carry no separators. Visits and GPS rows lead
+// with the user id, clustering each user's history into a contiguous key
+// range — the property the per-region coprocessor gets exploit.
 
-// digitPairs holds the two decimal digits of every value below 100.
-const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
-	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
-	"8081828384858687888990919293949596979899"
+// visitKeyLen is the length of a Visits or GPS row key: user, time, seq.
+const visitKeyLen = 8 + 8 + 4
 
-// putPadded writes v as a fixed-width zero-padded decimal into dst, two
-// digits a division. It requires 0 <= v < 10^len(dst); callers fall back to
-// fmt for values outside that window (negative timestamps in hand-built
-// specs).
-func putPadded(dst []byte, sv int64) bool {
-	if sv < 0 {
-		return false
-	}
-	v := uint64(sv) // unsigned, the divide by 100 needs no sign fix-up
-	i := len(dst)
-	for ; i >= 2; i -= 2 {
-		q := v / 100
-		r := 2 * (v - 100*q)
-		dst[i-2], dst[i-1] = digitPairs[r], digitPairs[r+1]
-		v = q
-	}
-	if i == 1 {
-		dst[0] = byte('0' + v%10)
-		v /= 10
-	}
-	return v == 0
+// appendField appends one key field, the eight big-endian bytes of v.
+func appendField(dst []byte, v uint64) []byte {
+	return binary.BigEndian.AppendUint64(dst, v)
 }
 
-// userKeyPrefix returns the key prefix of all rows of one user: the
-// pre-split boundaries of user-keyed tables.
-func userKeyPrefix(userID int64) string {
-	var b [14]byte
-	return string(appendUserKeyPrefix(b[:0], userID))
+// flipSign maps a time onto a field's unsigned order and back: with the sign
+// bit flipped, math.MinInt64 sorts first and math.MaxInt64 last.
+const flipSign = 1 << 63
+
+// idKey is a key of one id field: the Social-Info row of a user and the
+// pre-split boundaries of user- and POI-keyed tables.
+func idKey(id int64) string {
+	var b [8]byte
+	return string(appendField(b[:0], uint64(id)))
 }
 
-// appendUserKeyPrefix appends userKeyPrefix(userID) to dst.
-func appendUserKeyPrefix(dst []byte, userID int64) []byte {
-	n := len(dst)
-	dst = append(dst, "u000000000000|"...)
-	if !putPadded(dst[n+1:n+13], userID) {
-		return fmt.Appendf(dst[:n], "u%012d|", userID)
-	}
-	return dst
+// appendUserTime appends the 16-byte prefix of one user's rows at one time.
+func appendUserTime(dst []byte, userID, t int64) []byte {
+	return appendField(appendField(dst, uint64(userID)), uint64(t)^flipSign)
 }
 
-// visitRowKey builds a Visits row key: user, time, then a sequence number
-// to keep same-millisecond visits distinct. The sequence takes six digits,
-// zero-padded, up to 999 999 and as many as it needs (at most ten) beyond:
-// it only has to be unique, so keys written before a repository's millionth
-// visit keep their bytes and later ones stay off the fmt path.
+// visitRowKey builds a Visits or GPS row key: user, time, then a sequence
+// number to keep same-millisecond rows distinct.
 func visitRowKey(userID, timeMillis int64, seq uint32) string {
-	var b [39]byte
-	b[0], b[13], b[14], b[28] = 'u', '|', 't', '|'
-	end := 35
-	for limit := int64(1000000); int64(seq) >= limit; limit *= 10 {
-		end++
-	}
-	if !putPadded(b[1:13], userID) || !putPadded(b[15:28], timeMillis) || !putPadded(b[29:end], int64(seq)) {
-		return fmt.Sprintf("u%012d|t%013d|%06d", userID, timeMillis, seq)
-	}
-	return string(b[:end])
+	var b [visitKeyLen]byte
+	return string(binary.BigEndian.AppendUint32(appendUserTime(b[:0], userID, timeMillis), seq))
 }
-
-// appendVisitTimeKey appends the "u<user>|t<time>|" prefix that bounds one
-// user's visits at one timestamp.
-func appendVisitTimeKey(dst []byte, userID, timeMillis int64) []byte {
-	n := len(dst)
-	dst = append(dst, "u000000000000|t0000000000000|"...)
-	b := dst[n:]
-	if !putPadded(b[1:13], userID) || !putPadded(b[15:28], timeMillis) {
-		return fmt.Appendf(dst[:n], "u%012d|t%013d|", userID, timeMillis)
-	}
-	return dst
-}
-
-// MaxVisitMillis is the latest visit time a row key holds: keys write the
-// time in thirteen digits, and only there does their order follow the
-// times'. The repository stores no visit outside [0, MaxVisitMillis].
-const MaxVisitMillis int64 = 1e13 - 1
 
 // VisitScanBounds returns the [start, stop) row range covering one user's
-// visits within [fromMillis, toMillis], the window first clamped to the
-// times a row key holds. A window reaching past MaxVisitMillis stops at the
-// end of the user's visit keys; one the clamp leaves empty gives
-// start == stop, a range callers drop. The query coprocessors write the
-// same bounds with AppendVisitScanStart and AppendVisitScanStop.
+// visits within [fromMillis, toMillis]; GPS rows share the key shape. The
+// query coprocessors write the same bounds with AppendVisitScanStart and
+// AppendVisitScanStop.
 func VisitScanBounds(userID, fromMillis, toMillis int64) (string, string) {
-	var buf [64]byte
+	var buf [32]byte
 	b := AppendVisitScanStart(buf[:0], userID, fromMillis)
 	at := len(b)
 	b = AppendVisitScanStop(b, userID, toMillis)
@@ -115,74 +64,46 @@ func VisitScanBounds(userID, fromMillis, toMillis int64) (string, string) {
 // has room, which is how a region scan writes each friend's range just
 // before it seeks to it.
 func AppendVisitScanStart(dst []byte, userID, fromMillis int64) []byte {
-	return appendVisitTimeBound(dst, userID, max(fromMillis, 0))
+	return appendUserTime(dst, userID, fromMillis)
 }
 
 // AppendVisitScanStop appends VisitScanBounds' stop to dst: the bound past
-// the user's visits at or before toMillis.
+// the user's visits at or before toMillis — the next user's prefix when no
+// time follows toMillis.
 func AppendVisitScanStop(dst []byte, userID, toMillis int64) []byte {
-	return appendVisitTimeBound(dst, userID, min(max(toMillis, -1), MaxVisitMillis)+1)
+	if toMillis == math.MaxInt64 {
+		return appendField(dst, uint64(userID)+1)
+	}
+	return appendUserTime(dst, userID, toMillis+1)
 }
 
-// appendVisitTimeBound appends the key every visit of the user at or after
-// time t sorts at or after, for t >= 0: the time's prefix, or past the
-// user's last visit key for a t past MaxVisitMillis.
-func appendVisitTimeBound(dst []byte, userID, t int64) []byte {
-	if t > MaxVisitMillis {
-		// 'u' follows the 't' every visit key of the user has there.
-		return append(appendUserKeyPrefix(dst, userID), 'u')
+// parseVisitRowKey decodes a Visits row key. Under the replicated schema
+// the key is the only copy of a visit's user and time, so the two must
+// invert. ok is false for a key of any other length.
+func parseVisitRowKey(key string) (userID, timeMillis int64, seq uint32, ok bool) {
+	if len(key) != visitKeyLen {
+		return 0, 0, 0, false
 	}
-	return appendVisitTimeKey(dst, userID, t)
-}
-
-// visitKeySeq reads just the sequence number off a Visits row key.
-func visitKeySeq(key string) (uint32, bool) {
-	s, err := strconv.ParseUint(key[strings.LastIndexByte(key, '|')+1:], 10, 32)
-	return uint32(s), err == nil
-}
-
-// parseVisitRowKey decodes a Visits row key: every key visitRowKey writes,
-// at its fixed widths and at the wider ones of its fmt fallback (a user of
-// 10^12 or more, a time of 10^13 or more or negative). Under the replicated
-// schema the key is the only copy of a visit's user and time, so the two
-// must invert. It allocates only when it fails.
-func parseVisitRowKey(key string) (userID, timeMillis int64, seq uint32, err error) {
-	user, rest, ok1 := strings.Cut(key, "|")
-	tm, sq, ok2 := strings.Cut(rest, "|")
-	if !ok1 || !ok2 || len(user) < 13 || user[0] != 'u' || len(tm) < 14 || tm[0] != 't' || len(sq) < 6 || len(sq) > 10 {
-		return 0, 0, 0, fmt.Errorf("repos: malformed visit key %q", key)
-	}
-	userID, err1 := strconv.ParseInt(user[1:], 10, 64)
-	timeMillis, err2 := strconv.ParseInt(tm[1:], 10, 64)
-	s, err3 := strconv.ParseUint(sq, 10, 32)
-	if err1 != nil || err2 != nil || err3 != nil || userID < 1 {
-		return 0, 0, 0, fmt.Errorf("repos: malformed visit key %q", key)
-	}
-	return userID, timeMillis, uint32(s), nil
+	b := []byte(key) // does not escape: copied to the stack
+	return int64(binary.BigEndian.Uint64(b)), int64(binary.BigEndian.Uint64(b[8:]) ^ flipSign),
+		binary.BigEndian.Uint32(b[16:]), true
 }
 
 // textRowKey builds a Text row key: POI, user, time — "texts are indexed
 // by user, POI and time; for any given POI we are able to retrieve the
 // comments that a specified user made at any given time interval".
 func textRowKey(poiID, userID, timeMillis int64) string {
-	return fmt.Sprintf("p%012d|u%012d|t%013d", poiID, userID, timeMillis)
+	var b [24]byte
+	return string(appendUserTime(appendField(b[:0], uint64(poiID)), userID, timeMillis))
 }
 
-// textScanBounds covers (poi, user) comments within [from, to].
+// textScanBounds covers (poi, user) comments within [from, to]: the visit
+// bounds of the user, behind the POI.
 func textScanBounds(poiID, userID, fromMillis, toMillis int64) (string, string) {
-	return fmt.Sprintf("p%012d|u%012d|t%013d", poiID, userID, fromMillis),
-		fmt.Sprintf("p%012d|u%012d|t%013d", poiID, userID, toMillis+1)
-}
-
-// gpsRowKey builds a GPS-trace row key: user then time. The repository is
-// scan-only (no secondary indexes), matching the paper's design note.
-func gpsRowKey(userID, timeMillis int64, seq uint32) string {
-	return fmt.Sprintf("u%012d|t%013d|%06d", userID, timeMillis, seq)
-}
-
-// socialRowKey is the Social-Info row for one user.
-func socialRowKey(userID int64) string {
-	return fmt.Sprintf("u%012d", userID)
+	var b [48]byte
+	start := AppendVisitScanStart(appendField(b[:0], uint64(poiID)), userID, fromMillis)
+	stop := AppendVisitScanStop(appendField(start, uint64(poiID)), userID, toMillis)
+	return string(start), string(stop[len(start):])
 }
 
 // userSplitKeys pre-splits a user-keyed table into n contiguous user-id
@@ -197,7 +118,7 @@ func userSplitKeys(maxUser int64, n int) []string {
 		if boundary < 1 {
 			boundary = 1
 		}
-		keys = append(keys, userKeyPrefix(boundary))
+		keys = append(keys, idKey(boundary))
 	}
 	// Deduplicate (tiny maxUser with many regions).
 	out := keys[:0]

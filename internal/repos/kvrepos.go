@@ -41,7 +41,7 @@ func (r *SocialInfoRepo) StoreFriends(userID int64, friends []model.Friend) erro
 	}
 	ts := r.clock.Add(1)
 	for network, fs := range byNetwork {
-		if err := r.table.Put(socialRowKey(userID), network, ts, model.EncodeJSON(fs)); err != nil {
+		if err := r.table.Put(idKey(userID), network, ts, model.EncodeJSON(fs)); err != nil {
 			return err
 		}
 	}
@@ -59,10 +59,8 @@ type TextRepo struct {
 // the table is split into `regions` uniform key ranges over the id space.
 func NewTextRepo(maxPOI int64, regions, nodes int, opts kvstore.StoreOptions) (*TextRepo, error) {
 	var splits []string
-	if regions > 1 {
-		for i := 1; i < regions; i++ {
-			splits = append(splits, fmt.Sprintf("p%012d|", maxPOI*int64(i)/int64(regions)))
-		}
+	for i := 1; i < regions; i++ {
+		splits = append(splits, idKey(maxPOI*int64(i)/int64(regions)))
 	}
 	table, err := kvstore.NewTable("texts", splits, nodes, opts)
 	if err != nil {
@@ -109,6 +107,7 @@ func (r *TextRepo) Comments(poiID, userID, fromMillis, toMillis int64) ([]model.
 // GPSRepo stores raw GPS traces. The repository absorbs a high update rate
 // and is only ever read in bulk by the event-detection and blog pipelines,
 // so it carries no secondary indexes — exactly the trade the paper makes.
+// Its rows are keyed as Visits rows are: user, time, seq.
 type GPSRepo struct {
 	table *kvstore.Table
 	seq   atomic.Uint32
@@ -134,7 +133,7 @@ func (r *GPSRepo) PushBatch(fixes []model.GPSFix) error {
 		if f.UserID < 1 {
 			return fmt.Errorf("repos: gps fix %d with invalid user %d", i, f.UserID)
 		}
-		cells[i] = kvstore.Cell{Row: gpsRowKey(f.UserID, f.Time, r.seq.Add(1)), Qualifier: "g", Timestamp: f.Time, Value: model.EncodeJSON(f)}
+		cells[i] = kvstore.Cell{Row: visitRowKey(f.UserID, f.Time, r.seq.Add(1)), Qualifier: "g", Timestamp: f.Time, Value: model.EncodeJSON(f)}
 	}
 	return r.table.PutBatch(cells)
 }
@@ -153,8 +152,7 @@ func (r *GPSRepo) ScanAllCtx(ctx context.Context, fn func(model.GPSFix) bool) er
 // ScanUser streams one user's fixes within [fromMillis, toMillis] in time
 // order (the blog pipeline's input).
 func (r *GPSRepo) ScanUser(userID, fromMillis, toMillis int64, fn func(model.GPSFix) bool) error {
-	start := fmt.Sprintf("u%012d|t%013d|", userID, fromMillis)
-	stop := fmt.Sprintf("u%012d|t%013d|", userID, toMillis+1)
+	start, stop := VisitScanBounds(userID, fromMillis, toMillis)
 	return r.scanRange(context.Background(), start, stop, fn)
 }
 

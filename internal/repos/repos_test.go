@@ -3,8 +3,10 @@ package repos
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -21,24 +23,46 @@ func TestKeyEncodingOrderAndRoundTrip(t *testing.T) {
 	k1 := visitRowKey(5, 1000, 1)
 	k2 := visitRowKey(5, 1001, 0)
 	k3 := visitRowKey(6, 0, 0)
-	k4 := visitRowKey(10, 0, 0)
+	k4 := visitRowKey(256, 0, 0)
 	if !(k1 < k2 && k2 < k3 && k3 < k4) {
 		t.Errorf("key order broken: %q %q %q %q", k1, k2, k3, k4)
 	}
-	u, ts, seq, err := parseVisitRowKey(visitRowKey(123456, 98765432100, 42))
-	if err != nil || u != 123456 || ts != 98765432100 || seq != 42 {
-		t.Errorf("round trip = %d %d %d %v", u, ts, seq, err)
+	u, ts, seq, ok := parseVisitRowKey(visitRowKey(123456, 98765432100, 42))
+	if !ok || u != 123456 || ts != 98765432100 || seq != 42 {
+		t.Errorf("round trip = %d %d %d %v", u, ts, seq, ok)
 	}
-	if _, _, _, err := parseVisitRowKey("garbage"); err == nil {
-		t.Error("malformed key must fail")
+	for _, bad := range []string{"garbage", "u000000000007|t0000000000042|000001", k1[:19], k1 + "\x00"} {
+		if _, _, _, ok := parseVisitRowKey(bad); ok {
+			t.Errorf("malformed key %q parsed", bad)
+		}
 	}
 	// Scan bounds are inclusive of from and to.
 	start, stop := VisitScanBounds(5, 1000, 2000)
-	if !(start <= visitRowKey(5, 1000, 0) && visitRowKey(5, 2000, 999999) < stop) {
+	if !(start <= visitRowKey(5, 1000, 0) && visitRowKey(5, 2000, math.MaxUint32) < stop) {
 		t.Error("scan bounds must cover [from,to]")
 	}
 	if visitRowKey(5, 2001, 0) < stop {
 		t.Error("scan bounds must exclude times past to")
+	}
+	// The append forms write VisitScanBounds' bounds and allocate nothing
+	// into a buffer with room.
+	for _, user := range []int64{1, 42, math.MaxInt64} {
+		for _, w := range [][2]int64{{0, 5}, {-9, 1e13}, {math.MinInt64, math.MaxInt64}, {math.MaxInt64, math.MaxInt64}} {
+			start, stop := VisitScanBounds(user, w[0], w[1])
+			buf := make([]byte, 0, 64)
+			if got := string(AppendVisitScanStart(buf, user, w[0])); got != start {
+				t.Errorf("AppendVisitScanStart(%d, %d) = %q, want %q", user, w[0], got, start)
+			}
+			if got := string(AppendVisitScanStop(buf, user, w[1])); got != stop {
+				t.Errorf("AppendVisitScanStop(%d, %d) = %q, want %q", user, w[1], got, stop)
+			}
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendVisitScanStop(AppendVisitScanStart(buf[:0], 42, 1000), 42, 2000)
+	}); allocs != 0 {
+		t.Errorf("writing a range's bounds allocated %v times", allocs)
 	}
 }
 
@@ -242,7 +266,7 @@ func TestVisitsRepoRegionDistribution(t *testing.T) {
 func storedFriends(t *testing.T, r *SocialInfoRepo, userID int64, network string) []model.Friend {
 	t.Helper()
 	var cells []kvstore.Cell
-	key := socialRowKey(userID)
+	key := idKey(userID)
 	if err := r.table.Scan(kvstore.ScanOptions{StartRow: key, StopRow: key + "\x00"}, func(row kvstore.RowResult) bool {
 		cells = append(cells, row.Cells...)
 		return false
@@ -337,6 +361,9 @@ func TestTextRepo(t *testing.T) {
 			t.Fatal("comments not time-ordered")
 		}
 	}
+	if all, err := repo.Comments(99, 7, math.MinInt64, math.MaxInt64); err != nil || len(all) != 5 {
+		t.Errorf("full-range comments = %d, %v; want 5", len(all), err)
+	}
 	if err := repo.StoreComment(model.Comment{}); err == nil {
 		t.Error("invalid comment must fail")
 	}
@@ -374,6 +401,18 @@ func TestGPSRepo(t *testing.T) {
 	}
 	if len(got) != 6 {
 		t.Errorf("windowed scan = %d fixes, want 6", len(got))
+	}
+	// The full range ends at math.MaxInt64, where no time follows: the
+	// scan stops at user 6's rows.
+	got = got[:0]
+	if err := repo.ScanUser(5, math.MinInt64, math.MaxInt64, func(f model.GPSFix) bool {
+		got = append(got, f)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, fixes) {
+		t.Errorf("full-range scan read %+v, want user 5's %d fixes", got, len(fixes))
 	}
 	if err := repo.PushBatch([]model.GPSFix{{UserID: 0}}); err == nil {
 		t.Error("invalid user must fail")

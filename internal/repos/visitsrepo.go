@@ -135,9 +135,6 @@ func (r *VisitsRepo) visitCell(v *model.Visit) (kvstore.Cell, sharedDoc, error) 
 	if v.POI.ID == 0 {
 		return kvstore.Cell{}, sharedDoc{}, fmt.Errorf("repos: visit without POI")
 	}
-	if v.Time < 0 || v.Time > MaxVisitMillis {
-		return kvstore.Cell{}, sharedDoc{}, fmt.Errorf("repos: visit time %d outside the row key's [0, %d]", v.Time, MaxVisitMillis)
-	}
 	var d sharedDoc
 	var payload []byte
 	if r.schema == SchemaReplicated {
@@ -226,7 +223,10 @@ func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) e
 		}
 		v, err := DecodeVisit(r.schema, raw)
 		if err == nil && raw[0] == model.VisitBinaryTagKeyed {
-			v.UserID, v.Time, _, err = parseVisitRowKey(row.Row)
+			var ok bool
+			if v.UserID, v.Time, _, ok = parseVisitRowKey(row.Row); !ok {
+				err = fmt.Errorf("repos: visit row %q: malformed key", row.Row)
+			}
 		}
 		if err != nil {
 			decodeErr = err
@@ -241,41 +241,44 @@ func (r *VisitsRepo) scan(opts kvstore.ScanOptions, fn func(model.Visit) bool) e
 }
 
 // wrapVisitsTable wraps a table and, if durable, its documents log as a
-// Visits repository. One pass over the rows seeds the sequence past the
-// highest one present — a repository reopened over a replayed log would
-// otherwise hand out the sequence numbers of the rows it holds again, and a
-// visit at the user and millisecond of a replayed one would overwrite it —
-// and, over a durable table, parses every row: one of a layout this build
-// does not read, or one naming a document docs lacks, fails the boot naming
-// its row instead of a query later.
+// Visits repository. One pass over the rows parses every row key and seeds
+// the sequence past the highest one present — a repository reopened over a
+// replayed log would otherwise hand out the sequence numbers of the rows it
+// holds again, and a visit at the user and millisecond of a replayed one
+// would overwrite it — and, over a durable table, parses every payload. A
+// key or a layout this build does not read, or a row naming a document docs
+// lacks, fails the boot naming its row instead of a query later.
 func wrapVisitsTable(schema VisitSchema, table *kvstore.Table, docs *docsLog) (*VisitsRepo, error) {
 	if table == nil {
 		return nil, fmt.Errorf("repos: nil table")
 	}
 	r := &VisitsRepo{table: table, schema: schema, docs: docs}
 	var top uint32
-	var docErr error
+	var rowErr error
 	var v model.VisitView
 	err := table.Scan(kvstore.ScanOptions{}, func(row kvstore.RowResult) bool {
-		if seq, ok := visitKeySeq(row.Row); ok && seq > top {
-			top = seq
+		_, _, seq, ok := parseVisitRowKey(row.Row)
+		if !ok {
+			rowErr = fmt.Errorf("repos: visit row %q: malformed key", row.Row)
+			return false
 		}
+		top = max(top, seq)
 		raw, ok := row.Get(VisitQualifier)
 		if docs == nil || !ok {
 			return true
 		}
 		if err := v.Parse(raw); err != nil {
-			docErr = fmt.Errorf("repos: visit row %q: %w", row.Row, err)
+			rowErr = fmt.Errorf("repos: visit row %q: %w", row.Row, err)
 		} else if doc := v.SharedDoc(); doc != nil && !docs.holds(doc) {
-			docErr = fmt.Errorf("repos: visit row %q names a document of POI %d that %s does not hold", row.Row, v.POIID, docs.path)
+			rowErr = fmt.Errorf("repos: visit row %q names a document of POI %d that %s does not hold", row.Row, v.POIID, docs.path)
 		}
-		return docErr == nil
+		return rowErr == nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repos: seed visit sequence: %w", err)
 	}
-	if docErr != nil {
-		return nil, docErr
+	if rowErr != nil {
+		return nil, rowErr
 	}
 	r.seq.Store(top)
 	return r, nil
