@@ -299,6 +299,11 @@ type Platform struct {
 	blockCache *kvstore.BlockCache
 }
 
+// networks names the social networks the platform registers a connector
+// for, in the order their simulations are seeded. The keyed visit layout
+// gives each a one-byte code (model's code table).
+var networks = []string{"facebook", "twitter", "foursquare"}
+
 // New boots a platform: generates the POI catalog, trains the sentiment
 // classifier, builds the simulated networks and wires all modules.
 func New(cfg Config) (*Platform, error) {
@@ -376,7 +381,7 @@ func New(cfg Config) (*Platform, error) {
 
 	// Social networks + user management.
 	var connectors []social.Connector
-	for i, name := range []string{"facebook", "twitter", "foursquare"} {
+	for i, name := range networks {
 		conn, err := social.NewSimConnector(social.SimNetworkConfig{
 			Name:           name,
 			Seed:           cfg.Seed + int64(i)*101,

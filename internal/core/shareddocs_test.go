@@ -176,9 +176,10 @@ func TestBootFailsOnUncoveredSharedRow(t *testing.T) {
 
 // TestBootFailsOnDeletedLayout rewrites the first row of a closed platform's
 // visits log in a layout no writer emits any more and no reader accepts:
-// 0x01 (the document embedded) or 0x03 (the first shared layout, the
-// normalized fields plus the document hash) payloads, or a decimal row key
-// (u<user>|t<time>|<seq>, zero-padded). Booting must fail, naming the row
+// 0x01 (the document embedded), 0x03 (the first shared layout, the
+// normalized fields plus the document hash) or 0x04 (the varint keyed
+// layout: hash, grade, the POI id as a varint, the network length-prefixed)
+// payloads, or a decimal row key (u<user>|t<time>|<seq>, zero-padded). Booting must fail, naming the row
 // and what of it this build does not read.
 func TestBootFailsOnDeletedLayout(t *testing.T) {
 	for _, c := range []struct {
@@ -190,6 +191,12 @@ func TestBootFailsOnDeletedLayout(t *testing.T) {
 			b := model.EncodeVisitBinaryNormalized(v)
 			b[0] = 0x03
 			cell.Value = append(b, cell.Value[2:10]...)
+		}},
+		{"0x04", "0x04", func(cell *kvstore.Cell, v *model.Visit, _ uint32) {
+			b := append([]byte{0x04, 1}, cell.Value[2:18]...)
+			b = binary.AppendVarint(b, v.POI.ID)
+			b = binary.AppendUvarint(b, uint64(len(v.Network)))
+			cell.Value = append(b, v.Network...)
 		}},
 		// A normalized row carries its user and time, so no scan needs its
 		// key: only the boot pass's key parse can refuse it.
@@ -254,25 +261,18 @@ func writeLog(path string, cells []kvstore.Cell) error {
 
 // keyedRowRef reads the visit time, POI id and document hash of a keyed
 // visit row by its layout alone: the time from the row key, then the
-// payload's tag, version, hash, grade, POI id and network.
+// payload's tag, version, hash and POI id at their fixed offsets. Every row
+// pushSharedDocVisits writes is a facebook visit, so its payload is the 27
+// bytes of a network with a code, facebook's being 1.
 func keyedRowRef(c kvstore.Cell) (tm, id int64, hash uint64, err error) {
 	b := c.Value
-	if len(b) < 18 || b[0] != model.VisitBinaryTagKeyed {
-		return 0, 0, 0, fmt.Errorf("payload %x is not a keyed visit", b)
+	if len(b) != 27 || b[0] != model.VisitBinaryTagKeyed || b[1] != 1 || b[26] != 1 {
+		return 0, 0, 0, fmt.Errorf("payload %x is not a keyed facebook visit", b)
 	}
 	if _, tm, _, err = visitKeyFields(c.Row); err != nil {
 		return 0, 0, 0, err
 	}
-	hash = binary.LittleEndian.Uint64(b[2:])
-	id, w := binary.Varint(b[18:])
-	if w <= 0 {
-		return 0, 0, 0, fmt.Errorf("bad POI id")
-	}
-	b = b[18+w:]
-	if n, w := binary.Uvarint(b); w <= 0 || uint64(len(b)-w) != n {
-		return 0, 0, 0, fmt.Errorf("bad network")
-	}
-	return tm, id, hash, nil
+	return tm, int64(binary.LittleEndian.Uint64(b[18:])), binary.LittleEndian.Uint64(b[2:]), nil
 }
 
 // visitKeyFields reads a visit row key by its layout alone: user, time with
@@ -283,4 +283,39 @@ func visitKeyFields(row string) (user, tm int64, seq uint32, err error) {
 	}
 	b := []byte(row)
 	return int64(binary.BigEndian.Uint64(b)), int64(binary.BigEndian.Uint64(b[8:]) ^ 1<<63), binary.BigEndian.Uint32(b[16:]), nil
+}
+
+// TestNetworkCodesCoverConnectors holds the keyed visit layout's network
+// code table to the connectors the platform registers: a visit of each
+// registered network encodes to the 27 bytes of a network with a code, so
+// a connector added without one, whose rows would all take the escape's
+// slower parse, fails here. Names without a code — an unregistered one and
+// a 200-byte one — and the empty name round-trip all the same.
+func TestNetworkCodesCoverConnectors(t *testing.T) {
+	p, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	poi := p.Catalog()[0]
+	_, hash, err := model.InternPOI(&poi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range networks {
+		if _, err := p.Users.Connector(name); err != nil {
+			t.Fatal(err)
+		}
+		v := model.Visit{Grade: 4, Network: name, POI: poi}
+		if b := model.EncodeVisitBinaryKeyed(&v, hash); len(b) != 27 {
+			t.Errorf("a %s visit encodes to %d bytes (%x), want 27: the network has no code", name, len(b), b)
+		}
+	}
+	for _, name := range []string{"mastodon", "", strings.Repeat("n", 200)} {
+		v := model.Visit{Grade: 4, Network: name, POI: poi}
+		b := model.EncodeVisitBinaryKeyed(&v, hash)
+		if got, err := model.DecodeVisitBinary(b); err != nil || !reflect.DeepEqual(got, v) {
+			t.Errorf("network %q: %x decoded to %+v (%v), want %+v", name, b, got, err, v)
+		}
+	}
 }

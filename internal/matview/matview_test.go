@@ -83,6 +83,33 @@ func TestViewExpiryAndCoverage(t *testing.T) {
 	}
 }
 
+// TestViewNearMinInt64 applies a visit within one horizon of
+// math.MinInt64, where the horizon cutoff high−horizon and the start of the
+// partial bucket above math.MinInt64 would wrap, then a 2015 visit: each is
+// counted by a window around it, and the first expires.
+func TestViewNearMinInt64(t *testing.T) {
+	v, err := NewHotInView(ViewOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(from, to int64) int {
+		_, candidates := v.TopK(TopKSpec{FromMillis: from, ToMillis: to})
+		return candidates
+	}
+	v.Apply([]model.Visit{mkVisit(1, 1, math.MinInt64+5, 5)})
+	if got := count(math.MinInt64, math.MinInt64+hourMs); got != 1 || v.Floor() != math.MinInt64 {
+		t.Fatalf("after a visit at math.MinInt64+5: window counts %d, floor %d", got, v.Floor())
+	}
+	at := int64(1430481600000) // 2015-05-01T12:00:00Z
+	v.Apply([]model.Visit{mkVisit(1, 2, at, 5)})
+	if got := count(at-hourMs, at+hourMs); got != 1 {
+		t.Errorf("a window around the 2015 visit counts %d POIs, want 1", got)
+	}
+	if got := bucketCount(v); got != 1 {
+		t.Errorf("buckets = %d, want the 2015 visit's alone", got)
+	}
+}
+
 // fixed is a cached value no visit can be folded into: a friend's write
 // drops it, the way every write did before entries could be patched.
 type fixed string

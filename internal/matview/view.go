@@ -165,13 +165,29 @@ func NewHotInView(opts ViewOptions) (*HotInView, error) {
 func (v *HotInView) HorizonMillis() int64 { return v.horizonMillis }
 
 // floorBucket rounds t down to its bucket's start (correct for negative
-// timestamps too).
+// timestamps too). The partial bucket just above math.MinInt64, whose start
+// lies below it, starts at math.MinInt64: there the product wraps to a
+// positive value above t.
 func (v *HotInView) floorBucket(t int64) int64 {
 	q := t / v.bucketMillis
 	if t%v.bucketMillis < 0 {
 		q--
 	}
-	return q * v.bucketMillis
+	if start := q * v.bucketMillis; start <= t {
+		return start
+	}
+	return math.MinInt64
+}
+
+// horizonFloor is the start of the oldest bucket the horizon keeps: that of
+// the cutoff high−horizon, saturated at math.MinInt64. A bucket starting
+// below it ends at or behind the cutoff, since bucket bounds are multiples
+// of the width. Called with mu held, after at least one visit was applied.
+func (v *HotInView) horizonFloor() int64 {
+	if v.high < math.MinInt64+v.horizonMillis {
+		return math.MinInt64
+	}
+	return v.floorBucket(v.high - v.horizonMillis)
 }
 
 // Apply folds one committed visit batch into the view: O(1) counter deltas
@@ -187,19 +203,21 @@ func (v *HotInView) Apply(visits []model.Visit) {
 	var (
 		b      *bucket // bucket of the previous visit: batches cluster in time
 		bStart int64
+		floor  int64 // horizonFloor, recomputed when high moves
 	)
+	if v.applied {
+		floor = v.horizonFloor()
+	}
 	for i := range visits {
 		vis := &visits[i]
 		if !v.applied || vis.Time > v.high {
 			v.high = vis.Time
 			v.applied = true
+			floor = v.horizonFloor()
 		}
-		cutoff := v.high - v.horizonMillis
 		bs := v.floorBucket(vis.Time)
-		// The bucket ends at or behind the cutoff: it is entirely behind the
-		// horizon and never readable. Unsigned, the last bucket below
-		// math.MaxInt64 must not overflow its end.
-		if bs < cutoff && uint64(cutoff)-uint64(bs) >= uint64(v.bucketMillis) {
+		// The bucket is entirely behind the horizon and never readable.
+		if bs < floor {
 			continue
 		}
 		if b == nil || bs != bStart {
@@ -256,13 +274,13 @@ func (v *HotInView) takeSlot(poi model.POI) int32 {
 //
 // A bucket is expirable iff its end is at or behind the cutoff high−horizon;
 // bucket bounds are multiples of the width, so that is iff its start is
-// below floorBucket(cutoff). The previous sweep removed every bucket below
+// below horizonFloor. The previous sweep removed every bucket below
 // the floor it computed (v.low), and Apply has since refused every visit
-// whose bucket ends at or behind a cutoff that only grows — so no bucket
+// whose bucket starts below a floor that only grows — so no bucket
 // below v.low exists, and until the floor rises above v.low there is nothing
 // to sweep.
 func (v *HotInView) expireLocked() {
-	floor := v.floorBucket(v.high - v.horizonMillis)
+	floor := v.horizonFloor()
 	if floor <= v.low {
 		return
 	}

@@ -19,20 +19,28 @@ import (
 // a known tag as corrupt. The tag byte stays reserved — a new layout takes a
 // new tag, never '{', so a JSON document can never pass for one.
 //
-// Layout: tag byte, version byte, then fields. Integers are varints, floats
-// are 8-byte little-endian IEEE 754 bits, strings are uvarint length
-// prefixes followed by raw bytes. The two visit layouts are
+// Layout: tag byte, version byte, then fields. The normalized layout's
+// integers are varints, floats are 8-byte little-endian IEEE 754 bits, and
+// strings are uvarint length prefixes followed by raw bytes. The keyed
+// layout is fixed-width: its fields are 8-byte little-endian words and a
+// one-byte network code. The two visit layouts are
 //
 //	0x02 normalized: user, time, grade, network, POI id
-//	0x04 keyed:      document hash (8 bytes LE), grade (float), POI id, network
+//	0x05 keyed:      document hash, grade (float bits), POI id, network code
 //
-// The replicated schema writes 0x04, leaving user and time to the row key
+// The network code indexes networkCodes, an append-only table of the names
+// the platform's connectors use; code 0xff is an escape followed by the
+// name, length-prefixed, so any other network round-trips. A keyed row of a
+// tabled network is 27 bytes, which ParseFields reads with three loads.
+//
+// The replicated schema writes 0x05, leaving user and time to the row key
 // and the document to the shared table (docs.go); the normalized schema
-// writes 0x02. Reading a 0x04 row takes two steps: ParseFields walks the
+// writes 0x02. Reading a 0x05 row takes two steps: ParseFields reads the
 // bytes, and Resolve finds the document the row's id and hash name — in the
 // table, or in a handle an earlier Resolve returned for a row of the same
 // POI. No other tag is a visit: the rows of the deleted layouts 0x01
-// (embedded document) and 0x03 (the first shared layout) fail as unknown.
+// (embedded document), 0x03 (the first shared layout) and 0x04 (the varint
+// keyed layout) fail as unknown.
 //
 // Tag 0x01 lives on as the documents log's record (EncodeVisitBinary,
 // DecodeDocRecord): the 0x02 fields, then the document's name, lat, lon,
@@ -48,11 +56,20 @@ const (
 	// VisitBinaryTagKeyed marks a replicated-schema visit payload whose POI
 	// document is the shared copy its id and content hash name (InternPOI),
 	// without user and time: the row key carries them.
-	VisitBinaryTagKeyed byte = 0x04
+	VisitBinaryTagKeyed byte = 0x05
 	// visitBinaryVersion is the current layout version. Decoders reject
 	// versions they do not know instead of misreading them.
 	visitBinaryVersion byte = 1
+
+	// keyedLen is the length of a keyed payload whose network has a code.
+	keyedLen = 27
+	// networkEscape is the network code followed by the name itself.
+	networkEscape byte = 0xff
 )
+
+// networkCodes is the keyed layout's network code table: a code is an index.
+// Rows store the codes, so the table only grows, at its end.
+var networkCodes = [...][]byte{[]byte(""), []byte("facebook"), []byte("twitter"), []byte("foursquare")}
 
 // EncodeVisitBinary encodes a visit with its POI document embedded: the
 // documents log's record of one document (DecodeDocRecord reads it back).
@@ -84,13 +101,23 @@ func EncodeVisitBinary(v *Visit) []byte {
 // its shared POI document, hash being the content hash InternPOI returned for
 // v.POI. User and time are left to the row key.
 func EncodeVisitBinaryKeyed(v *Visit, hash uint64) []byte {
-	n := 2 + 8 + 8 + varintLen(v.POI.ID) + uvarintLen(uint64(len(v.Network))) + len(v.Network)
+	code := networkEscape
+	n := keyedLen + uvarintLen(uint64(len(v.Network))) + len(v.Network)
+	for i, name := range networkCodes {
+		if string(name) == v.Network {
+			code, n = byte(i), keyedLen
+			break
+		}
+	}
 	b := make([]byte, 0, n)
 	b = append(b, VisitBinaryTagKeyed, visitBinaryVersion)
 	b = binary.LittleEndian.AppendUint64(b, hash)
 	b = appendFloat(b, v.Grade)
-	b = binary.AppendVarint(b, v.POI.ID)
-	return appendString(b, v.Network)
+	b = binary.LittleEndian.AppendUint64(b, uint64(v.POI.ID))
+	if b = append(b, code); code == networkEscape {
+		b = appendString(b, v.Network)
+	}
+	return b
 }
 
 // EncodeVisitBinaryNormalized encodes the normalized-schema projection of a
@@ -108,13 +135,13 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 
 // VisitView is an allocation-free view of one validated binary visit
 // payload: the scalar fields are decoded, while the network stays behind as
-// a sub-slice of the payload. The personalized-query coprocessor filters and
-// aggregates every scanned row from a view and reads a keyed row's document
-// only through the shared version Resolve found, so the per-row cost of the
-// replicated schema is a field walk, not a document decode. A view aliases
-// the payload it was built from and is valid only while those bytes are;
-// the zero value is ready for Parse, and one view can be parsed over any
-// number of payloads. A normalized payload leaves every POI field but POIID
+// a sub-slice of the payload or of the code table. The personalized-query
+// coprocessor filters and aggregates every scanned row from a view and reads
+// a keyed row's document only through the shared version Resolve found, so
+// the per-row cost of the replicated schema is three loads, not a document
+// decode. A view aliases the payload it was built from and is valid only
+// while those bytes are; the zero value is ready for Parse, and one view can
+// be parsed over any number of payloads. A normalized payload leaves every POI field but POIID
 // at its zero value, and a keyed payload leaves UserID and Time at zero (its
 // row key holds them).
 type VisitView struct {
@@ -149,9 +176,20 @@ func (v *VisitView) Parse(b []byte) error {
 // ParseFields is Parse's pass over the bytes, dispatching on the tag byte:
 // it validates the whole payload and decodes its fields, but leaves a keyed
 // payload's document to Resolve, which must run before any of the view's
-// document fields are read. It is one pass by offset; a length or varint of
-// one byte (most of them) is read without calling into encoding/binary.
+// document fields are read. A keyed payload of a tabled network is a length
+// compare, a code check and three loads; the normalized one is one pass by
+// offset, where a length or varint of one byte (most of them) is read
+// without calling into encoding/binary.
 func (v *VisitView) ParseFields(b []byte) error {
+	if len(b) == keyedLen && b[0] == VisitBinaryTagKeyed && b[1] == visitBinaryVersion && int(b[26]) < len(networkCodes) {
+		// Field by field: a composite literal is built aside and copied.
+		v.UserID, v.Time = 0, 0
+		v.Grade = math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))
+		v.POIID = int64(binary.LittleEndian.Uint64(b[18:]))
+		v.network = networkCodes[b[26]]
+		v.shared, v.docHash, v.ver = true, binary.LittleEndian.Uint64(b[2:]), nil
+		return nil
+	}
 	if len(b) < 2 {
 		return fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
 	}
@@ -160,7 +198,7 @@ func (v *VisitView) ParseFields(b []byte) error {
 		return fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
 	}
 	if tag == VisitBinaryTagKeyed {
-		return v.parseKeyed(b)
+		return v.parseEscaped(b)
 	}
 	if tag != VisitBinaryTagNormalized {
 		return fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
@@ -189,23 +227,37 @@ func (v *VisitView) ParseFields(b []byte) error {
 	return nil
 }
 
-// parseKeyed is ParseFields for a keyed payload, whose hash and grade sit at
-// fixed offsets: it reads the POI id and the network after them.
-func (v *VisitView) parseKeyed(b []byte) error {
-	if len(b) < 10 {
+// parseEscaped is ParseFields for a keyed payload its fast path refused: one
+// whose network is escaped, or one that is cut, has trailing bytes or names
+// an unknown code.
+func (v *VisitView) parseEscaped(b []byte) error {
+	switch {
+	case len(b) < 10:
 		return errAtDocHash
-	}
-	if len(b) < 18 {
+	case len(b) < 18:
 		return errAtFloat
+	case len(b) < 26:
+		return errAtPOIID
+	case len(b) < keyedLen:
+		return errAtNetworkCode
 	}
-	*v = VisitView{Grade: math.Float64frombits(binary.LittleEndian.Uint64(b[10:])), shared: true, docHash: binary.LittleEndian.Uint64(b[2:])}
-	off := 18
-	var err error
-	if v.POIID, off = varintAt(b, off); off < 0 {
-		return errAtVarint
+	*v = VisitView{
+		Grade:   math.Float64frombits(binary.LittleEndian.Uint64(b[10:])),
+		POIID:   int64(binary.LittleEndian.Uint64(b[18:])),
+		shared:  true,
+		docHash: binary.LittleEndian.Uint64(b[2:]),
 	}
-	if v.network, off, err = stringAt(b, off); err != nil {
-		return err
+	off := keyedLen
+	if code := b[26]; code != networkEscape {
+		if int(code) >= len(networkCodes) {
+			return errUnknownNetworkCode
+		}
+		v.network = networkCodes[code]
+	} else {
+		var err error
+		if v.network, off, err = stringAt(b, off); err != nil {
+			return err
+		}
 	}
 	if off != len(b) {
 		return errTrailing(len(b) - off)
@@ -378,9 +430,6 @@ func DecodeDocRecord(b []byte) (POI, error) {
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return max(1, (bits.Len64(x)+6)/7) }
 
-// varintLen is the length of x's zig-zag varint encoding.
-func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
-
 func appendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
@@ -399,6 +448,11 @@ var (
 	errAtString       = errors.New("model: truncated binary visit at string")
 	errAtKeywordCount = errors.New("model: truncated binary visit at keyword count")
 	errAtDocHash      = errors.New("model: truncated binary visit at document hash")
+	errAtPOIID        = errors.New("model: truncated binary visit at POI id")
+	errAtNetworkCode  = errors.New("model: truncated binary visit at network code")
+	// errUnknownNetworkCode rejects a keyed payload whose network code is
+	// neither in networkCodes nor the escape.
+	errUnknownNetworkCode = errors.New("model: unknown network code in binary visit")
 )
 
 // uvarintAt decodes the uvarint at b[off:] and returns it with the offset

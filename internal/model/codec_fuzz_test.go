@@ -14,6 +14,7 @@ import (
 // view existed, kept as the oracle that pins both parsers' validation: it
 // shares no code with VisitView.Parse or DecodeDocRecord. It reads the two
 // visit layouts and the documents log's 0x01 record; a keyed payload's
+// network code is read from its own copy of the code table, and its
 // document is the shared table's (looked up after the layout is checked).
 func referenceDecode(b []byte) (Visit, error) {
 	errCorrupt := errors.New("corrupt")
@@ -41,6 +42,15 @@ func referenceDecode(b []byte) (Visit, error) {
 		b = b[8:]
 		return v
 	}
+	u8 := func() byte {
+		if len(b) < 1 {
+			ok, b = false, nil
+			return 0
+		}
+		v := b[0]
+		b = b[1:]
+		return v
+	}
 	float := func() float64 { return math.Float64frombits(u64()) }
 	str := func() string {
 		n := uvarint()
@@ -57,8 +67,15 @@ func referenceDecode(b []byte) (Visit, error) {
 	case VisitBinaryTagKeyed:
 		hash := u64()
 		v.Grade = float()
-		v.POI.ID = varint()
-		v.Network = str()
+		v.POI.ID = int64(u64())
+		switch code := u8(); {
+		case code == 0xff:
+			v.Network = str()
+		case int(code) < len(referenceNetworks):
+			v.Network = referenceNetworks[code]
+		default:
+			ok = false
+		}
 		if !ok || len(b) != 0 {
 			return Visit{}, errCorrupt
 		}
@@ -100,6 +117,19 @@ func referenceDecode(b []byte) (Visit, error) {
 	return v, nil
 }
 
+// referenceNetworks is the keyed layout's network code table as the
+// reference decoder knows it.
+var referenceNetworks = []string{"", "facebook", "twitter", "foursquare"}
+
+// encodeKeyedV4 is the encoder of the deleted varint keyed layout 0x04:
+// hash, grade, the POI id as a varint and the network length-prefixed. No
+// build reads it; tests write it to see it refused.
+func encodeKeyedV4(v *Visit, hash uint64) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte{0x04, visitBinaryVersion}, hash)
+	b = binary.AppendVarint(appendFloat(b, v.Grade), v.POI.ID)
+	return appendString(b, v.Network)
+}
+
 // appendPaddedUvarint appends x one byte longer than its minimal uvarint:
 // a non-minimal encoding binary.Uvarint accepts.
 func appendPaddedUvarint(b []byte, x uint64) []byte {
@@ -108,15 +138,16 @@ func appendPaddedUvarint(b []byte, x uint64) []byte {
 	return append(b, 0)
 }
 
-// encodePadded is the encoder of tag (0x01, 0x02 or 0x04, with hash) with
-// every length, count and varint encoded one byte longer than needed.
+// encodePadded is the encoder of tag (0x01, 0x02 or 0x05, with hash) with
+// every length, count and varint encoded one byte longer than needed; a
+// keyed payload escapes its network, whatever its name, to have a length.
 func encodePadded(v *Visit, tag byte, hash uint64) []byte {
 	varint := func(b []byte, x int64) []byte { return appendPaddedUvarint(b, uint64(x<<1)^uint64(x>>63)) }
 	str := func(b []byte, s string) []byte { return append(appendPaddedUvarint(b, uint64(len(s))), s...) }
 	b := []byte{tag, visitBinaryVersion}
 	if tag == VisitBinaryTagKeyed {
 		b = appendFloat(binary.LittleEndian.AppendUint64(b, hash), v.Grade)
-		return str(varint(b, v.POI.ID), v.Network)
+		return str(append(binary.LittleEndian.AppendUint64(b, uint64(v.POI.ID)), 0xff), v.Network)
 	}
 	b = str(appendFloat(varint(varint(b, v.UserID), v.Time), v.Grade), v.Network)
 	if b = varint(b, v.POI.ID); tag == VisitBinaryTagNormalized {
@@ -131,10 +162,12 @@ func encodePadded(v *Visit, tag byte, hash uint64) []byte {
 }
 
 // multiByteVisits are visits whose payloads take the slow branch of every
-// length Parse reads: a name and a keyword of 128 bytes or more, at least
-// 128 keywords, and ids and times too large for one varint byte.
+// length Parse reads: a network (escaped under the keyed layout), a name
+// and a keyword of 128 bytes or more, at least 128 keywords, and ids and
+// times too large for one varint byte.
 func multiByteVisits() []Visit {
 	long := sampleVisit()
+	long.Network = strings.Repeat("mastodon", 20)
 	long.POI.Name = strings.Repeat("Acropolis ", 20)
 	long.POI.Keywords = append([]string{strings.Repeat("k", 200)}, long.POI.Keywords...)
 	many := sampleVisit()
@@ -180,11 +213,11 @@ func FuzzVisitView(f *testing.F) {
 	noKeywords := v
 	noKeywords.POI.Keywords = nil
 	// Per visit, with and without keywords and with multi-byte lengths:
-	// keyed payloads naming a document the table holds, a truncation inside
-	// the last field and inside the fixed ones, a trailing byte, a hash the
-	// table does not hold, padded varints; normalized payloads whole, cut,
-	// with a trailing byte and padded; and rows of the deleted 0x01 and 0x03
-	// layouts, which must fail.
+	// keyed payloads naming a document the table holds, under each network
+	// code and escaped, cut at every offset, with a trailing byte, with an
+	// unknown code, naming a hash the table does not hold, and padded;
+	// normalized payloads whole, cut, with a trailing byte and padded; and
+	// rows of the deleted 0x01, 0x03 and 0x04 layouts, which must fail.
 	for _, m := range append(multiByteVisits(), v, noKeywords) {
 		_, hash, err := InternPOI(&m.POI)
 		if err != nil {
@@ -197,13 +230,25 @@ func FuzzVisitView(f *testing.F) {
 		keyed := EncodeVisitBinaryKeyed(&m, hash)
 		normalized := EncodeVisitBinaryNormalized(&m)
 		padded := encodePadded(&m, VisitBinaryTagKeyed, hash)
-		for _, b := range [][]byte{
-			keyed, keyed[:len(keyed)-3], keyed[:12], append(append([]byte(nil), keyed...), 0),
+		unknownCode := append([]byte(nil), keyed[:keyedLen]...)
+		unknownCode[keyedLen-1] = byte(len(networkCodes))
+		seeds := [][]byte{
+			keyed, append(append([]byte(nil), keyed...), 0), unknownCode,
 			EncodeVisitBinaryKeyed(&m, hash+1), padded, padded[:len(padded)-1],
 			normalized, normalized[:len(normalized)-3], append(append([]byte(nil), normalized...), 0),
 			encodePadded(&m, VisitBinaryTagNormalized, 0), EncodeVisitBinary(&m),
 			binary.LittleEndian.AppendUint64(append([]byte{0x03}, normalized[1:]...), hash),
-		} {
+			encodeKeyedV4(&m, hash),
+		}
+		for i := range keyed {
+			seeds = append(seeds, keyed[:i])
+		}
+		for _, network := range append(networkCodes[:], []byte("mastodon")) {
+			w := m
+			w.Network = string(network)
+			seeds = append(seeds, EncodeVisitBinaryKeyed(&w, hash))
+		}
+		for _, b := range seeds {
 			f.Add(b, kw)
 		}
 	}

@@ -47,7 +47,8 @@ func TestVisitBinaryRoundTripNormalized(t *testing.T) {
 }
 
 // TestVisitBinaryRejectsCorruptPayloads cuts and pads a payload of each
-// visit layout and of the documents log's record: every strict prefix, a
+// visit layout (a keyed one with a network code and one escaped) and of the
+// documents log's record: every strict prefix, a
 // trailing byte, an unknown version and an unknown tag fail cleanly, never
 // panic or half-decode.
 func TestVisitBinaryRejectsCorruptPayloads(t *testing.T) {
@@ -58,7 +59,9 @@ func TestVisitBinaryRejectsCorruptPayloads(t *testing.T) {
 	}
 	visit := func(b []byte) error { _, err := DecodeVisitBinary(b); return err }
 	record := func(b []byte) error { _, err := DecodeDocRecord(b); return err }
-	for _, full := range [][]byte{EncodeVisitBinaryNormalized(&v), EncodeVisitBinaryKeyed(&v, hash), EncodeVisitBinary(&v)} {
+	escaped := v
+	escaped.Network = "mastodon"
+	for _, full := range [][]byte{EncodeVisitBinaryNormalized(&v), EncodeVisitBinaryKeyed(&v, hash), EncodeVisitBinaryKeyed(&escaped, hash), EncodeVisitBinary(&v)} {
 		decode := visit
 		if full[0] == VisitBinaryTagReplicated {
 			decode = record
@@ -127,9 +130,9 @@ func TestVisitBinaryMultiByteLengths(t *testing.T) {
 }
 
 // TestVisitBinaryErrorTexts pins the text of each rejection: the field kind
-// a truncated payload ran out at, the bad version or tag (the deleted 0x01
-// and 0x03 visit layouts among them), the trailing byte count; and the
-// documents log's record's own.
+// a truncated payload ran out at, the bad version or tag (the deleted 0x01,
+// 0x03 and 0x04 visit layouts among them), an unknown network code, the
+// trailing byte count; and the documents log's record's own.
 func TestVisitBinaryErrorTexts(t *testing.T) {
 	v := sampleVisit()
 	_, hash, err := InternPOI(&v.POI)
@@ -164,11 +167,17 @@ func TestVisitBinaryErrorTexts(t *testing.T) {
 		{parse, at(n, zero, zero, float, []byte{0x80}), "model: truncated binary visit at uvarint"},
 		{parse, at(n, zero, zero, float, []byte{5, 'a'}), "model: truncated binary visit at string"},
 		{parse, append(append([]byte(nil), normalized...), 1, 2), "model: 2 trailing bytes in binary visit"},
+		{parse, encodeKeyedV4(&v, hash), "model: unknown binary visit tag 0x04"},
 		{parse, at(k, zero), "model: truncated binary visit at document hash"},
 		{parse, at(k, float), "model: truncated binary visit at float"},
-		{parse, at(k, float, float), "model: truncated binary visit at varint"},
-		{parse, at(k, float, float, zero, []byte{3, 'a'}), "model: truncated binary visit at string"},
-		{parse, at(k, float, float, zero, zero, []byte{9}), "model: 1 trailing bytes in binary visit"},
+		{parse, at(k, float, float), "model: truncated binary visit at POI id"},
+		{parse, at(k, float, float, float), "model: truncated binary visit at network code"},
+		{parse, at(k, float, float, float, []byte{byte(len(networkCodes))}), "model: unknown network code in binary visit"},
+		{parse, at(k, float, float, float, []byte{0xfe}), "model: unknown network code in binary visit"},
+		{parse, at(k, float, float, float, []byte{0xff}), "model: truncated binary visit at uvarint"},
+		{parse, at(k, float, float, float, []byte{0xff, 3, 'a'}), "model: truncated binary visit at string"},
+		{parse, at(k, float, float, float, []byte{1, 9}), "model: 1 trailing bytes in binary visit"},
+		{parse, at(k, float, float, float, []byte{0xff, 1, 'a', 9, 9}), "model: 2 trailing bytes in binary visit"},
 		{record, []byte{r}, "model: document record too short (1 bytes)"},
 		{record, normalized, "model: document record tag 0x02 version 1 not supported"},
 		{record, at(r, zero, zero, float, zero, zero, zero, float, float, []byte{9}), "model: truncated binary visit at keyword count"},

@@ -13,10 +13,10 @@ import (
 
 // TestVisitBinaryGoldenBytes pins the stored formats. The 0x02 payload is
 // what the normalized schema has written since before shared documents
-// existed, and the 0x04 payload the one the replicated schema writes; logs
-// hold both, so they must keep parsing to the same visit, and the 0x04
-// payload carries the content hash, which rows store and so can never
-// change. The 0x01 payload is the documents log's record of the same
+// existed, and the 0x05 payloads the ones the replicated schema writes, one
+// per network code and one escaped name; logs hold both, so they must keep
+// parsing to the same visit, and the 0x05 payload carries the content hash
+// and the network code, which rows store and so can never change. The 0x01 payload is the documents log's record of the same
 // document: the log's encoder must keep writing these bytes, and its
 // decoder must keep reading them back.
 func TestVisitBinaryGoldenBytes(t *testing.T) {
@@ -24,6 +24,11 @@ func TestVisitBinaryGoldenBytes(t *testing.T) {
 	doc, hash, err := InternPOI(&v.POI)
 	if err != nil {
 		t.Fatal(err)
+	}
+	keyedOn := func(network string) []byte {
+		w := v
+		w.Network = network
+		return EncodeVisitBinaryKeyed(&w, hash)
 	}
 	for _, c := range []struct {
 		name    string
@@ -34,9 +39,21 @@ func TestVisitBinaryGoldenBytes(t *testing.T) {
 		{"normalized 0x02",
 			"0201e641f6f18fe4fd4e00000000000012400a666f7572737175617265be0f",
 			EncodeVisitBinaryNormalized(&v), Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: v.Network, POI: POI{ID: v.POI.ID}}},
-		{"keyed 0x04",
-			"040157a57e215ba536760000000000001240be0f0a666f7572737175617265",
+		{"keyed 0x05 foursquare",
+			"050157a57e215ba536760000000000001240df0300000000000003",
 			EncodeVisitBinaryKeyed(&v, hash), Visit{Grade: v.Grade, Network: v.Network, POI: v.POI}},
+		{"keyed 0x05 no network",
+			"050157a57e215ba536760000000000001240df0300000000000000",
+			keyedOn(""), Visit{Grade: v.Grade, POI: v.POI}},
+		{"keyed 0x05 facebook",
+			"050157a57e215ba536760000000000001240df0300000000000001",
+			keyedOn("facebook"), Visit{Grade: v.Grade, Network: "facebook", POI: v.POI}},
+		{"keyed 0x05 twitter",
+			"050157a57e215ba536760000000000001240df0300000000000002",
+			keyedOn("twitter"), Visit{Grade: v.Grade, Network: "twitter", POI: v.POI}},
+		{"keyed 0x05 escaped",
+			"050157a57e215ba536760000000000001240df03000000000000ff086d6173746f646f6e",
+			keyedOn("mastodon"), Visit{Grade: v.Grade, Network: "mastodon", POI: v.POI}},
 		{"replicated 0x01",
 			"0101e641f6f18fe4fd4e00000000000012400a666f7572737175617265be0f104163726f706f6c6973204d757365756d24b9fc87f4fb4240d122dbf97eba374003066d757365756d07686973746f727906617468656e738fc2f5285c8fea3f6666666666661040",
 			EncodeVisitBinary(&v), Visit{POI: v.POI}},

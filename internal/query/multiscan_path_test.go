@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -184,6 +185,15 @@ func keyedPayload(t testing.TB, v *model.Visit) []byte {
 	return model.EncodeVisitBinaryKeyed(v, hash)
 }
 
+// keyedV4Payload rewrites a keyed payload in the deleted layout 0x04: its
+// hash and grade, then v's POI id as a varint and network length-prefixed.
+func keyedV4Payload(keyed []byte, v *model.Visit) []byte {
+	b := append([]byte{0x04, keyed[1]}, keyed[2:18]...)
+	b = binary.AppendVarint(b, v.POI.ID)
+	b = binary.AppendUvarint(b, uint64(len(v.Network)))
+	return append(b, v.Network...)
+}
+
 // putVisitPayload stores payload as the i-th hand-written row of v's user
 // and time, bypassing the repository's encoder: how tests write what no
 // writer produces (JSON documents, other layouts, garbage). The leading
@@ -200,8 +210,9 @@ func putVisitPayload(t testing.TB, visits *repos.VisitsRepo, v *model.Visit, i i
 // binary rows of the repository's schema, normalized rows under either
 // schema, two documents for one POI id (the first row's wins), and payloads
 // the codec rejects — JSON visit documents whole and broken and rows of the
-// deleted embedded-document layout (skipped like any corrupt row), truncated
-// keyed rows, a bad version, trailing bytes, empty.
+// deleted embedded-document and varint keyed layouts (skipped like any
+// corrupt row), truncated keyed rows, a bad version, trailing bytes, an
+// unknown network code, empty.
 func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.VisitsRepo {
 	t.Helper()
 	const users = 40
@@ -230,7 +241,7 @@ func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.V
 		}
 		raw := func(payload []byte) { putVisitPayload(t, visits, &v, i, payload) }
 		keyed := keyedPayload(t, &v)
-		switch rng.Intn(12) {
+		switch rng.Intn(14) {
 		case 0:
 			raw(model.EncodeJSON(v)) // a replicated JSON document, whatever the schema
 		case 1:
@@ -251,6 +262,12 @@ func mixedStore(t *testing.T, schema repos.VisitSchema, rng *rand.Rand) *repos.V
 			raw([]byte(`{"user_id":`))
 		case 8:
 			raw(nil)
+		case 9:
+			raw(keyedV4Payload(keyed, &v)) // the deleted varint keyed layout
+		case 10:
+			bad := append([]byte(nil), keyed...)
+			bad[len(bad)-1] = 0x80 // an unknown network code
+			raw(bad)
 		default:
 			if err := visits.Store(v); err != nil {
 				t.Fatal(err)
