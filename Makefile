@@ -72,12 +72,12 @@ census:
 ## scanner and writer's agreement with encoding/json (json.Valid's
 ## documents, json.Marshal's strings and floats), or in the answer and
 ## request codecs' agreement with encoding/json (same bytes out, same
-## documents accepted, same values in; the request decoders in core, the
-## request encoders in client); short enough for every pre-merge run. (The
-## visit fuzzer and the request decoders get a one-second minimizing budget:
-## minimizing one interesting input at the default budget would eat the
-## whole burst — the visit fuzzer takes two arguments, and the request
-## fuzzer's seeds are kilobyte bodies.)
+## documents accepted, same values in, and each request body's append and
+## decode one round trip; one target per body, in internal/wire); short
+## enough for every pre-merge run. (The visit fuzzer and the request bodies
+## get a one-second minimizing budget: minimizing one interesting input at
+## the default budget would eat the whole burst — the visit fuzzer takes two
+## arguments, and the request fuzzers' seeds are kilobyte bodies.)
 fuzz-smoke:
 	$(GO) test ./internal/kvstore -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime=10s
 	$(GO) test ./internal/kvstore -run FuzzBlockDecode -fuzz FuzzBlockDecode -fuzztime=5s
@@ -87,8 +87,8 @@ fuzz-smoke:
 	$(GO) test ./internal/jsonwire -run FuzzSkipMatchesValid -fuzz FuzzSkipMatchesValid -fuzztime=5s
 	$(GO) test ./internal/jsonwire -run FuzzWriterMatchesMarshal -fuzz FuzzWriterMatchesMarshal -fuzztime=5s
 	$(GO) test ./internal/query -run FuzzResultJSON -fuzz FuzzResultJSON -fuzztime=10s
-	$(GO) test ./internal/core -run FuzzRequestJSON -fuzz FuzzRequestJSON -fuzztime=10s -fuzzminimizetime=1s
-	$(GO) test ./client -run FuzzRequestJSON -fuzz FuzzRequestJSON -fuzztime=5s
+	$(GO) test ./internal/wire -run FuzzSearchRequest -fuzz FuzzSearchRequest -fuzztime=8s -fuzzminimizetime=1s
+	$(GO) test ./internal/wire -run FuzzCheckinsRequest -fuzz FuzzCheckinsRequest -fuzztime=7s -fuzzminimizetime=1s
 
 bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
@@ -121,7 +121,7 @@ bench:
 ## between reads), a check-in batch folded into the cached
 ## entries of its writer's friends, a cached search with its ranking current
 ## and with it to re-derive, the hand codec encoding and decoding a 10-POI
-## answer, and the request codec decoding (core) and appending (client) the
+## answer, and the request codecs (internal/wire) appending and decoding the
 ## benchmark-shaped search and 50-item check-in bodies (the encoding/json
 ## reference cases stay out: they measure the standard library). It
 ## verifies they still build and run, not their timings (numbers come from
@@ -136,8 +136,7 @@ bench-smoke:
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkMergeRank' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultCacheApply|BenchmarkCachedHit' -benchmem -benchtime=100x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkResultJSON/(append|decode)$$' -benchmem -benchtime=100x
-	$(GO) test ./internal/core -run XXX -bench 'BenchmarkRequestJSON/.*/^decode$$' -benchmem -benchtime=100x
-	$(GO) test ./client -run XXX -bench 'BenchmarkRequestJSON/.*/^append$$' -benchmem -benchtime=100x
+	$(GO) test ./internal/wire -run XXX -bench 'BenchmarkRequestJSON/.*/^(append|decode)$$' -benchmem -benchtime=100x
 	$(GO) test ./internal/pubsub -run XXX -bench 'BenchmarkPublishBatch/static|BenchmarkAddIdle' -benchmem -benchtime=100x
 	$(GO) test ./internal/core -run XXX -bench 'BenchmarkPublishVisits' -benchmem -benchtime=100x
 	$(GO) test ./internal/matview -run XXX -bench 'BenchmarkTopK' -benchmem -benchtime=100x

@@ -22,6 +22,7 @@ import (
 	"modissense/internal/model"
 	"modissense/internal/obs"
 	"modissense/internal/query"
+	"modissense/internal/wire"
 )
 
 // Client talks to one MoDisSENSE server. The zero value is not usable;
@@ -185,15 +186,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("%s (status %d, code %s)", e.Message, e.Status, e.Code)
 }
 
-// apiEnvelope mirrors the server's error envelope JSON.
-type apiEnvelope struct {
-	Error struct {
-		Code      string `json:"code"`
-		Message   string `json:"message"`
-		RequestID string `json:"requestId"`
-	} `json:"error"`
-}
-
 // do sends a request and decodes the JSON response into out (when non-nil).
 // A body is marshalled with encoding/json unless it is a jsonBody.
 func (c *Client) do(method, path string, body, out interface{}) error {
@@ -296,7 +288,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, ha
 		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
 		}
-		var e apiEnvelope
+		var e wire.ErrorEnvelope
 		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error.Message != "" {
 			apiErr.Code = e.Error.Code
 			apiErr.Message = e.Error.Message
@@ -356,10 +348,10 @@ func readAndDecode(resp *http.Response, res *query.Result) error {
 // jsonBody is a request body already encoded, sent as it is.
 type jsonBody []byte
 
-// encodedBody is a request form with a hand encoder: appendJSON appends
-// json.Marshal's bytes for it.
+// encodedBody is a request body with a hand encoder (internal/wire):
+// AppendJSON appends json.Marshal's bytes for it.
 type encodedBody interface {
-	appendJSON(dst []byte) ([]byte, error)
+	AppendJSON(dst []byte) ([]byte, error)
 }
 
 // postCtx sends body, appended into a pooled buffer rather than marshalled,
@@ -367,7 +359,7 @@ type encodedBody interface {
 func (c *Client) postCtx(ctx context.Context, path string, body encodedBody, out interface{}) error {
 	bp := bodyBufs.Get().(*[]byte)
 	defer releaseBody(bp)
-	raw, err := body.appendJSON((*bp)[:0])
+	raw, err := body.AppendJSON((*bp)[:0])
 	if err != nil {
 		return fmt.Errorf("client: marshal request: %w", err)
 	}
@@ -376,19 +368,13 @@ func (c *Client) postCtx(ctx context.Context, path string, body encodedBody, out
 }
 
 // Session is the result of a sign-in or link call.
-type Session struct {
-	UserID   int64    `json:"user_id"`
-	Token    string   `json:"token"`
-	Networks []string `json:"networks"`
-}
+type Session = wire.Session
 
 // SignIn registers or signs in with social-network credentials and stores
 // the access token on the client.
 func (c *Client) SignIn(network, credentials string) (Session, error) {
 	var s Session
-	err := c.do(http.MethodPost, "/api/v1/signin", map[string]string{
-		"network": network, "credentials": credentials,
-	}, &s)
+	err := c.do(http.MethodPost, "/api/v1/signin", wire.SignInRequest{Network: network, Credentials: credentials}, &s)
 	if err == nil {
 		c.token, c.userID = s.Token, s.UserID
 	}
@@ -398,9 +384,7 @@ func (c *Client) SignIn(network, credentials string) (Session, error) {
 // Link attaches one more social network to the signed-in account.
 func (c *Client) Link(network, credentials string) (Session, error) {
 	var s Session
-	err := c.do(http.MethodPost, "/api/v1/link", map[string]string{
-		"token": c.token, "network": network, "credentials": credentials,
-	}, &s)
+	err := c.do(http.MethodPost, "/api/v1/link", wire.LinkRequest{Token: c.token, Network: network, Credentials: credentials}, &s)
 	return s, err
 }
 
@@ -430,27 +414,22 @@ func (c *Client) Search(p SearchParams) (*query.Result, error) {
 	return c.SearchCtx(context.Background(), p)
 }
 
-// searchRequest is the body of POST /search: the keys of the server's
-// searchJSON, with an open window end left out. appendJSON writes it.
-type searchRequest struct {
-	Token   string  `json:"token"`
-	MinLat  float64 `json:"min_lat"`
-	MinLon  float64 `json:"min_lon"`
-	MaxLat  float64 `json:"max_lat"`
-	MaxLon  float64 `json:"max_lon"`
-	Keyword string  `json:"keyword"`
-	Friends []int64 `json:"friends"`
-	From    string  `json:"from,omitempty"`
-	To      string  `json:"to,omitempty"`
-	OrderBy string  `json:"order_by"`
-	Limit   int     `json:"limit"`
-}
-
 // SearchCtx is Search bound to a caller context; cancelling it aborts the
 // query server-side mid-scan.
 func (c *Client) SearchCtx(ctx context.Context, p SearchParams) (*query.Result, error) {
-	body := searchRequest{
-		Token:  c.token,
+	body := searchBody(c.token, p)
+	var out query.Result
+	if err := c.postCtx(ctx, "/api/v1/search", &body, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// searchBody is the body of POST /search for p, with an open window end
+// left out.
+func searchBody(token string, p SearchParams) wire.SearchRequest {
+	body := wire.SearchRequest{
+		Token:  token,
 		MinLat: p.MinLat, MinLon: p.MinLon, MaxLat: p.MaxLat, MaxLon: p.MaxLon,
 		Keyword: p.Keyword,
 		Friends: p.Friends,
@@ -463,56 +442,7 @@ func (c *Client) SearchCtx(ctx context.Context, p SearchParams) (*query.Result, 
 	if !p.To.IsZero() {
 		body.To = p.To.Format(time.RFC3339)
 	}
-	var out query.Result
-	if err := c.postCtx(ctx, "/api/v1/search", &body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// appendJSON appends json.Marshal(r)'s bytes to dst. A NaN or infinite
-// coordinate is json.Marshal's *json.UnsupportedValueError.
-func (r *searchRequest) appendJSON(dst []byte) ([]byte, error) {
-	w := jsonwire.Writer{B: dst}
-	w.Raw(`{"token":`)
-	w.String(r.Token)
-	w.Raw(`,"min_lat":`)
-	w.Float(r.MinLat)
-	w.Raw(`,"min_lon":`)
-	w.Float(r.MinLon)
-	w.Raw(`,"max_lat":`)
-	w.Float(r.MaxLat)
-	w.Raw(`,"max_lon":`)
-	w.Float(r.MaxLon)
-	w.Raw(`,"keyword":`)
-	w.String(r.Keyword)
-	w.Raw(`,"friends":`)
-	if r.Friends == nil {
-		w.Raw("null")
-	} else {
-		w.Raw("[")
-		for i, id := range r.Friends {
-			if i > 0 {
-				w.Raw(",")
-			}
-			w.Int(id)
-		}
-		w.Raw("]")
-	}
-	if r.From != "" {
-		w.Raw(`,"from":`)
-		w.String(r.From)
-	}
-	if r.To != "" {
-		w.Raw(`,"to":`)
-		w.String(r.To)
-	}
-	w.Raw(`,"order_by":`)
-	w.String(r.OrderBy)
-	w.Raw(`,"limit":`)
-	w.Int(int64(r.Limit))
-	w.Raw("}")
-	return w.B, w.Err
+	return body
 }
 
 // Trending fetches the hottest places in the box over the hours before
@@ -558,39 +488,21 @@ func (c *Client) PushGPS(fixes []model.GPSFix) (int, error) {
 	var out struct {
 		Stored int `json:"stored"`
 	}
-	err := c.do(http.MethodPost, "/api/v1/gps", map[string]interface{}{
-		"token": c.token, "fixes": fixes,
-	}, &out)
+	err := c.do(http.MethodPost, "/api/v1/gps", wire.GPSRequest[model.GPSFix]{Token: c.token, Fixes: fixes}, &out)
 	return out.Stored, err
 }
 
 // Checkin is one check-in in a batched ingest push.
-type Checkin struct {
-	// POIID references the visited catalog POI.
-	POIID int64 `json:"poi_id"`
-	// Time is the check-in timestamp in milliseconds since epoch.
-	Time int64 `json:"time"`
-	// Grade is the optional sentiment grade on the 1–5 scale (0 = ungraded).
-	Grade float64 `json:"grade,omitempty"`
-	// Network names the social network the check-in came from.
-	Network string `json:"network,omitempty"`
-}
+type Checkin = wire.Checkin
 
 // CheckinError is one rejected item of a batched check-in push: Index is the
 // item's position in the pushed slice, Code the envelope failure class.
-type CheckinError struct {
-	Index   int    `json:"index"`
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
+type CheckinError = wire.CheckinError
 
 // BatchResult reports a batched check-in push: how many items the server
 // stored, plus per-item errors for the rejected ones. A partially rejected
 // batch is NOT an error — inspect Errors.
-type BatchResult struct {
-	Stored int            `json:"stored"`
-	Errors []CheckinError `json:"errors"`
-}
+type BatchResult = wire.BatchResult
 
 // PushCheckins uploads a batch of check-ins for the signed-in user through
 // the batched ingest endpoint (one group-committed store write server-side).
@@ -606,52 +518,8 @@ func (c *Client) PushCheckins(checkins []Checkin) (BatchResult, error) {
 // PushCheckinsCtx is PushCheckins bound to a caller context.
 func (c *Client) PushCheckinsCtx(ctx context.Context, checkins []Checkin) (BatchResult, error) {
 	var out BatchResult
-	err := c.postCtx(ctx, "/api/v1/checkins", &checkinsBody{Checkins: checkins, Token: c.token}, &out)
+	err := c.postCtx(ctx, "/api/v1/checkins", &wire.CheckinsRequest{Checkins: checkins, Token: c.token}, &out)
 	return out, err
-}
-
-// checkinsBody is the body of POST /checkins: the keys of the server's
-// checkinsRequest, in the sorted order the body had when it was a
-// map[string]interface{}. appendJSON writes it.
-type checkinsBody struct {
-	Checkins []Checkin `json:"checkins"`
-	Token    string    `json:"token"`
-}
-
-// appendJSON appends json.Marshal(b)'s bytes to dst. A NaN or infinite
-// grade is json.Marshal's *json.UnsupportedValueError.
-func (b *checkinsBody) appendJSON(dst []byte) ([]byte, error) {
-	w := jsonwire.Writer{B: dst}
-	w.Raw(`{"checkins":`)
-	if b.Checkins == nil {
-		w.Raw("null")
-	} else {
-		w.Raw("[")
-		for i := range b.Checkins {
-			if i > 0 {
-				w.Raw(",")
-			}
-			c := &b.Checkins[i]
-			w.Raw(`{"poi_id":`)
-			w.Int(c.POIID)
-			w.Raw(`,"time":`)
-			w.Int(c.Time)
-			if c.Grade != 0 {
-				w.Raw(`,"grade":`)
-				w.Float(c.Grade)
-			}
-			if c.Network != "" {
-				w.Raw(`,"network":`)
-				w.String(c.Network)
-			}
-			w.Raw("}")
-		}
-		w.Raw("]")
-	}
-	w.Raw(`,"token":`)
-	w.String(b.Token)
-	w.Raw("}")
-	return w.B, w.Err
 }
 
 // Blog is the client view of a stored daily blog.
@@ -665,9 +533,7 @@ type Blog struct {
 // GenerateBlog builds and persists the signed-in user's blog for the day.
 func (c *Client) GenerateBlog(day time.Time) (Blog, error) {
 	var out Blog
-	err := c.do(http.MethodPost, "/api/v1/blog/generate", map[string]string{
-		"token": c.token, "date": day.Format("2006-01-02"),
-	}, &out)
+	err := c.do(http.MethodPost, "/api/v1/blog/generate", wire.BlogRequest{Token: c.token, Date: day.Format("2006-01-02")}, &out)
 	return out, err
 }
 
@@ -682,8 +548,8 @@ func (c *Client) GetBlog(day time.Time) (Blog, error) {
 // AdminCollect triggers a data-collection pass (admin surface).
 func (c *Client) AdminCollect(since, until time.Time) (map[string]interface{}, error) {
 	var out map[string]interface{}
-	err := c.do(http.MethodPost, "/api/v1/admin/collect", map[string]string{
-		"since": since.Format(time.RFC3339), "until": until.Format(time.RFC3339),
+	err := c.do(http.MethodPost, "/api/v1/admin/collect", wire.WindowRequest{
+		Since: since.Format(time.RFC3339), Until: until.Format(time.RFC3339),
 	}, &out)
 	return out, err
 }
@@ -692,8 +558,8 @@ func (c *Client) AdminCollect(since, until time.Time) (map[string]interface{}, e
 // of the window.
 func (c *Client) AdminHotIn(from, to time.Time) (map[string]interface{}, error) {
 	var out map[string]interface{}
-	err := c.do(http.MethodPost, "/api/v1/admin/hotin", map[string]string{
-		"since": from.Format(time.RFC3339), "until": to.Format(time.RFC3339),
+	err := c.do(http.MethodPost, "/api/v1/admin/hotin", wire.WindowRequest{
+		Since: from.Format(time.RFC3339), Until: to.Format(time.RFC3339),
 	}, &out)
 	return out, err
 }
@@ -701,9 +567,7 @@ func (c *Client) AdminHotIn(from, to time.Time) (map[string]interface{}, error) 
 // AdminDetectEvents triggers MR-DBSCAN event detection.
 func (c *Client) AdminDetectEvents(epsMeters float64, minPts int) (map[string]interface{}, error) {
 	var out map[string]interface{}
-	err := c.do(http.MethodPost, "/api/v1/admin/events", map[string]interface{}{
-		"eps_meters": epsMeters, "min_pts": minPts,
-	}, &out)
+	err := c.do(http.MethodPost, "/api/v1/admin/events", wire.EventsRequest{EpsMeters: epsMeters, MinPts: minPts}, &out)
 	return out, err
 }
 
@@ -719,10 +583,7 @@ func (c *Client) Blogs() ([]Blog, error) {
 	base := fmt.Sprintf("/api/v1/users/%d/blogs?token=%s", c.userID, url.QueryEscape(c.token))
 	var all []Blog
 	for path := base; ; {
-		var page struct {
-			Items      []Blog `json:"items"`
-			NextCursor string `json:"next_cursor"`
-		}
+		var page wire.Page[Blog]
 		if err := c.do(http.MethodGet, path, nil, &page); err != nil {
 			return nil, err
 		}

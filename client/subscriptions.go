@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"modissense/internal/wire"
 )
 
 // Subscription is the client view of one standing spatio-textual query.
@@ -58,20 +60,13 @@ type SubscriptionSpec struct {
 // IsOverloaded.
 func (c *Client) CreateSubscription(spec SubscriptionSpec) (Subscription, error) {
 	var out Subscription
-	err := c.do(http.MethodPost, "/api/v1/subscriptions", map[string]interface{}{
-		"token":   c.token,
-		"min_lat": spec.MinLat, "min_lon": spec.MinLon,
-		"max_lat": spec.MaxLat, "max_lon": spec.MaxLon,
-		"keywords":    spec.Keywords,
-		"ttl_seconds": int(spec.TTL / time.Second),
+	err := c.do(http.MethodPost, "/api/v1/subscriptions", wire.SubscriptionRequest{
+		Token:  c.token,
+		MinLat: spec.MinLat, MinLon: spec.MinLon, MaxLat: spec.MaxLat, MaxLon: spec.MaxLon,
+		Keywords:   spec.Keywords,
+		TTLSeconds: int(spec.TTL / time.Second),
 	}, &out)
 	return out, err
-}
-
-// subscriptionPage mirrors the server's uniform list envelope.
-type subscriptionPage struct {
-	Items      []Subscription `json:"items"`
-	NextCursor string         `json:"next_cursor"`
 }
 
 // Subscriptions lists the signed-in user's live subscriptions, one page
@@ -87,7 +82,7 @@ func (c *Client) Subscriptions(limit int, cursor string) ([]Subscription, string
 	if cursor != "" {
 		v.Set("cursor", cursor)
 	}
-	var out subscriptionPage
+	var out wire.Page[Subscription]
 	if err := c.do(http.MethodGet, "/api/v1/subscriptions?"+v.Encode(), nil, &out); err != nil {
 		return nil, "", err
 	}
@@ -106,12 +101,6 @@ func (c *Client) DeleteSubscription(id string) error {
 	return c.do(http.MethodDelete, "/api/v1/subscriptions/"+url.PathEscape(id)+"?token="+url.QueryEscape(c.token), nil, nil)
 }
 
-// eventPage mirrors the events endpoint's long-poll envelope.
-type eventPage struct {
-	Items      []SubscriptionEvent `json:"items"`
-	NextCursor string              `json:"next_cursor"`
-}
-
 // PollEvents long-polls one subscription for events newer than cursor,
 // holding the request up to wait when none are buffered (0 = return
 // immediately; the server clamps long waits). It returns the events and
@@ -126,7 +115,7 @@ func (c *Client) PollEvents(ctx context.Context, id string, cursor uint64, limit
 	if wait > 0 {
 		v.Set("wait_ms", strconv.FormatInt(int64(wait/time.Millisecond), 10))
 	}
-	var out eventPage
+	var out wire.Page[SubscriptionEvent]
 	if err := c.doCtx(ctx, http.MethodGet, "/api/v1/subscriptions/"+url.PathEscape(id)+"/events?"+v.Encode(), nil, &out); err != nil {
 		return nil, cursor, err
 	}
@@ -189,7 +178,7 @@ func (c *Client) StreamEvents(ctx context.Context, id string, cursor uint64) (*E
 	c.setLastRequestID(resp.Header.Get("X-Request-ID"))
 	if resp.StatusCode != http.StatusOK {
 		apiErr := &APIError{Status: resp.StatusCode, RequestID: resp.Header.Get("X-Request-ID")}
-		var e apiEnvelope
+		var e wire.ErrorEnvelope
 		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error.Message != "" {
 			apiErr.Code = e.Error.Code
 			apiErr.Message = e.Error.Message

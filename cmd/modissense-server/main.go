@@ -21,12 +21,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
 	"modissense/internal/core"
-	"modissense/internal/repos"
 )
 
 // shutdownGrace bounds how long a signalled server waits for in-flight
@@ -45,13 +43,6 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) *string {
 	fs.IntVar(&cfg.POIs, "pois", cfg.POIs, "POI catalog size")
 	fs.IntVar(&cfg.NetworkPopulation, "population", cfg.NetworkPopulation, "users per simulated social network")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "master random seed")
-	fs.BoolFunc("normalized-schema", "use the normalized (join-at-query-time) visits schema", func(s string) error {
-		on, err := strconv.ParseBool(s)
-		if on {
-			cfg.VisitSchema = repos.SchemaNormalized
-		}
-		return err
-	})
 	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", cfg.QueryTimeout, "per-request query deadline (0 = none); expiry answers 504")
 	fs.IntVar(&cfg.ReadReplicas, "read-replicas", cfg.ReadReplicas, "read-only replicas per visits region (0 = no replication)")
 	fs.IntVar(&cfg.ReadMaxAttempts, "read-attempts", cfg.ReadMaxAttempts, "per-region read attempt budget (0 = plain fail-fast reads); from 2, with replicas, a read slower than the observed p95 is hedged")

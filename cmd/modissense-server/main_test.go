@@ -60,7 +60,7 @@ func TestFlagsBindTheConfig(t *testing.T) {
 		if f.Name == "addr" {
 			return
 		}
-		value := "true" // the boolean flags, -normalized-schema's func included
+		value := "true" // the boolean flags
 		if g, ok := f.Value.(flag.Getter); ok {
 			switch g.Get().(type) {
 			case int, int64, float64:

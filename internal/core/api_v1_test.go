@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"modissense/internal/obs"
+	"modissense/internal/wire"
 )
 
 // TestAPIErrorEnvelope exercises the uniform error envelope: every failure
@@ -26,7 +27,7 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body status = %d, want 400", resp.StatusCode)
 	}
-	var envelope apiError
+	var envelope wire.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatalf("decode envelope: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	}
 
 	// Bad token → 401 unauthorized, same envelope shape.
-	var unauth apiError
+	var unauth wire.ErrorEnvelope
 	if code := c.get("/api/v1/friends?token=bogus", &unauth); code != http.StatusUnauthorized {
 		t.Fatalf("bad token status = %d, want 401", code)
 	}
@@ -67,7 +68,7 @@ func TestAPIRequestIDPropagation(t *testing.T) {
 	if got := resp.Header.Get("X-Request-ID"); got != "my-fixed-id-42" {
 		t.Errorf("X-Request-ID = %q, want the propagated id", got)
 	}
-	var envelope apiError
+	var envelope wire.ErrorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestAPIRequestIDPropagation(t *testing.T) {
 func TestAPIMetricsExposition(t *testing.T) {
 	c, _ := newAPIClient(t)
 	in := c.signIn("facebook", "facebook:1")
-	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
+	if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
 		t.Fatalf("search status %d", code)
 	}
 	resp, err := http.Get(c.srv.URL + "/metrics")
@@ -135,7 +136,7 @@ func TestAPIMetricsExposition(t *testing.T) {
 func TestAPISearchTraceRoundTrip(t *testing.T) {
 	c, _ := newAPIClient(t)
 	in := c.signIn("facebook", "facebook:1")
-	body, err := json.Marshal(searchJSON{Token: in.Token, Friends: []int64{1}})
+	body, err := json.Marshal(wire.SearchRequest{Token: in.Token, Friends: []int64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestAPISearchTraceRoundTrip(t *testing.T) {
 	}
 
 	// Unknown id → 404 envelope.
-	var missing apiError
+	var missing wire.ErrorEnvelope
 	if code := c.get("/api/v1/queries/no-such-request/trace", &missing); code != http.StatusNotFound {
 		t.Fatalf("unknown trace status = %d", code)
 	}

@@ -18,27 +18,10 @@ import (
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
 	"modissense/internal/query"
+	"modissense/internal/wire"
 )
 
-// apiError is the uniform error envelope of every endpoint:
-//
-//	{"error": {"code": "timeout", "message": "...", "requestId": "..."}}
-//
-// Code names the machine-readable failure class (a fixed enum — see
-// API.md); RequestID echoes the X-Request-ID so the failing request's trace
-// can be fetched.
-type apiError struct {
-	Error apiErrorBody `json:"error"`
-}
-
-// apiErrorBody is the payload inside the envelope.
-type apiErrorBody struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	RequestID string `json:"requestId"`
-}
-
-// Error codes of the envelope — the API's failure-class enum.
+// Error codes of the envelope (wire.ErrorEnvelope) — the API's failure-class enum.
 const (
 	codeBadRequest   = "bad_request"
 	codeUnauthorized = "unauthorized"
@@ -114,7 +97,7 @@ func writeResult(w http.ResponseWriter, r *http.Request, res *query.Result) {
 
 // writeErrCode emits the error envelope with an explicit code.
 func writeErrCode(w http.ResponseWriter, r *http.Request, status int, code, message string) {
-	writeJSON(w, status, apiError{Error: apiErrorBody{
+	writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{
 		Code:      code,
 		Message:   message,
 		RequestID: requestIDFrom(r.Context()),
@@ -184,19 +167,8 @@ func writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
 // refused. Search and check-in bodies go through decodeRequest instead.
 func decodeBody(r *http.Request, v interface{}) error { return decodeJSON(r.Body, v) }
 
-type signInRequest struct {
-	Network     string `json:"network"`
-	Credentials string `json:"credentials"`
-}
-
-type signInResponse struct {
-	UserID   int64    `json:"user_id"`
-	Token    string   `json:"token"`
-	Networks []string `json:"networks"`
-}
-
 func (p *Platform) handleSignIn(w http.ResponseWriter, r *http.Request) {
-	var req signInRequest
+	var req wire.SignInRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -206,17 +178,11 @@ func (p *Platform) handleSignIn(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusUnauthorized, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, signInResponse{UserID: acct.UserID, Token: token, Networks: acct.Networks()})
-}
-
-type linkRequest struct {
-	Token       string `json:"token"`
-	Network     string `json:"network"`
-	Credentials string `json:"credentials"`
+	writeJSON(w, http.StatusOK, wire.Session{UserID: acct.UserID, Token: token, Networks: acct.Networks()})
 }
 
 func (p *Platform) handleLink(w http.ResponseWriter, r *http.Request) {
-	var req linkRequest
+	var req wire.LinkRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -226,7 +192,7 @@ func (p *Platform) handleLink(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusUnauthorized, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, signInResponse{UserID: acct.UserID, Networks: acct.Networks()})
+	writeJSON(w, http.StatusOK, wire.Session{UserID: acct.UserID, Networks: acct.Networks()})
 }
 
 func (p *Platform) handleFriends(w http.ResponseWriter, r *http.Request) {
@@ -261,22 +227,6 @@ func (p *Platform) handleFriends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, friends)
 }
 
-// searchJSON is the REST form of a personalized search.
-type searchJSON struct {
-	Token   string  `json:"token"`
-	MinLat  float64 `json:"min_lat"`
-	MinLon  float64 `json:"min_lon"`
-	MaxLat  float64 `json:"max_lat"`
-	MaxLon  float64 `json:"max_lon"`
-	Keyword string  `json:"keyword"`
-	Friends []int64 `json:"friends"`
-	// From/To are RFC3339 timestamps; empty means open-ended.
-	From    string `json:"from"`
-	To      string `json:"to"`
-	OrderBy string `json:"order_by"`
-	Limit   int    `json:"limit"`
-}
-
 func parseTimeOr(s string, fallback time.Time) (time.Time, error) {
 	if s == "" {
 		return fallback, nil
@@ -285,7 +235,7 @@ func parseTimeOr(s string, fallback time.Time) (time.Time, error) {
 }
 
 func (p *Platform) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req searchJSON
+	var req wire.SearchRequest
 	if err := decodeRequest(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -436,13 +386,8 @@ func (p *Platform) handlePOI(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, poi)
 }
 
-type gpsRequest struct {
-	Token string         `json:"token"`
-	Fixes []model.GPSFix `json:"fixes"`
-}
-
 func (p *Platform) handleGPS(w http.ResponseWriter, r *http.Request) {
-	var req gpsRequest
+	var req wire.GPSRequest[model.GPSFix]
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -455,22 +400,8 @@ func (p *Platform) handleGPS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"stored": n})
 }
 
-// checkinsRequest is the batched ingest form: one authenticated user pushing
-// many check-ins in a single request.
-type checkinsRequest struct {
-	Token    string        `json:"token"`
-	Checkins []CheckinPush `json:"checkins"`
-}
-
-// checkinsResponse reports a batched push: how many items were stored plus a
-// per-item error list for the rejected ones (absent when every item landed).
-type checkinsResponse struct {
-	Stored int                `json:"stored"`
-	Errors []CheckinItemError `json:"errors,omitempty"`
-}
-
 func (p *Platform) handleCheckins(w http.ResponseWriter, r *http.Request) {
-	var req checkinsRequest
+	var req wire.CheckinsRequest
 	if err := decodeRequest(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -496,13 +427,7 @@ func (p *Platform) handleCheckins(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, checkinsResponse{Stored: stored, Errors: itemErrs})
-}
-
-type blogRequest struct {
-	Token string `json:"token"`
-	// Date is a YYYY-MM-DD day.
-	Date string `json:"date"`
+	writeJSON(w, http.StatusOK, wire.BatchResult{Stored: stored, Errors: itemErrs})
 }
 
 func parseDay(s string) (time.Time, error) {
@@ -510,7 +435,7 @@ func parseDay(s string) (time.Time, error) {
 }
 
 func (p *Platform) handleBlogGenerate(w http.ResponseWriter, r *http.Request) {
-	var req blogRequest
+	var req wire.BlogRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -528,12 +453,8 @@ func (p *Platform) handleBlogGenerate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, blog)
 }
 
-type windowRequest struct {
-	Since string `json:"since"`
-	Until string `json:"until"`
-}
-
-func (r windowRequest) parse() (time.Time, time.Time, error) {
+// parseWindow parses an admin window's two times.
+func parseWindow(r wire.WindowRequest) (time.Time, time.Time, error) {
 	since, err := time.Parse(time.RFC3339, r.Since)
 	if err != nil {
 		return time.Time{}, time.Time{}, err
@@ -546,12 +467,12 @@ func (r windowRequest) parse() (time.Time, time.Time, error) {
 }
 
 func (p *Platform) handleCollect(w http.ResponseWriter, r *http.Request) {
-	var req windowRequest
+	var req wire.WindowRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	since, until, err := req.parse()
+	since, until, err := parseWindow(req)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -565,12 +486,12 @@ func (p *Platform) handleCollect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (p *Platform) handleHotIn(w http.ResponseWriter, r *http.Request) {
-	var req windowRequest
+	var req wire.WindowRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	from, to, err := req.parse()
+	from, to, err := parseWindow(req)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -583,14 +504,8 @@ func (p *Platform) handleHotIn(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stats)
 }
 
-type eventsRequest struct {
-	EpsMeters  float64 `json:"eps_meters"`
-	MinPts     int     `json:"min_pts"`
-	Partitions int     `json:"partitions"`
-}
-
 func (p *Platform) handleEvents(w http.ResponseWriter, r *http.Request) {
-	var req eventsRequest
+	var req wire.EventsRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return

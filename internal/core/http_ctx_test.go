@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"modissense/internal/wire"
 )
 
 // TestAPIQueryTimeout drives a personalized search against a platform whose
@@ -18,8 +20,8 @@ func TestAPIQueryTimeout(t *testing.T) {
 	in := c.signIn("facebook", "facebook:1")
 
 	p.cfg.QueryTimeout = time.Nanosecond
-	var apiErr apiError
-	code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr)
+	var apiErr wire.ErrorEnvelope
+	code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, &apiErr)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("expired-deadline search status = %d, want %d", code, http.StatusGatewayTimeout)
 	}
@@ -28,7 +30,7 @@ func TestAPIQueryTimeout(t *testing.T) {
 	}
 
 	// Trending rides the same per-request context plumbing.
-	apiErr = apiError{}
+	apiErr = wire.ErrorEnvelope{}
 	if code := c.get("/api/v1/trending?min_lat=37&min_lon=23&max_lat=39&max_lon=24&hours=24&limit=3", &apiErr); code != http.StatusGatewayTimeout {
 		t.Fatalf("expired-deadline trending status = %d, want %d", code, http.StatusGatewayTimeout)
 	}
@@ -38,7 +40,7 @@ func TestAPIQueryTimeout(t *testing.T) {
 
 	// Restoring the deadline restores service.
 	p.cfg.QueryTimeout = 30 * time.Second
-	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
+	if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
 		t.Errorf("search after deadline restore status = %d, want 200", code)
 	}
 }
@@ -54,7 +56,7 @@ func TestAPIQueryClientCancel(t *testing.T) {
 	}
 	handler := NewHandler(p)
 
-	body, err := json.Marshal(searchJSON{Token: tok, Friends: []int64{2}})
+	body, err := json.Marshal(wire.SearchRequest{Token: tok, Friends: []int64{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestAPIQueryClientCancel(t *testing.T) {
 	if rec.Code != StatusClientClosedRequest {
 		t.Fatalf("cancelled search status = %d, want %d", rec.Code, StatusClientClosedRequest)
 	}
-	var apiErr apiError
+	var apiErr wire.ErrorEnvelope
 	if err := json.NewDecoder(rec.Body).Decode(&apiErr); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"modissense/internal/faultinject"
 	"modissense/internal/query"
+	"modissense/internal/wire"
 )
 
 // TestAPIDegradedSearch boots a replicated platform, permanently fails one
@@ -36,7 +37,7 @@ func TestAPIDegradedSearch(t *testing.T) {
 		Degraded bool  `json:"degraded"`
 		Missing  []int `json:"missing_regions"`
 	}
-	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
+	if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
 		t.Fatalf("degraded search status = %d, want 200", code)
 	}
 	if !res.Degraded {
@@ -49,8 +50,8 @@ func TestAPIDegradedSearch(t *testing.T) {
 	// With degradation off the same fault must fail the query outright.
 	pol.AllowDegraded = false
 	p.Query.SetReadPolicy(&pol)
-	var apiErr apiError
-	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
+	var apiErr wire.ErrorEnvelope
+	if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
 		t.Fatalf("non-degradable search status = %d, want 500", code)
 	}
 	if apiErr.Error.Code != "internal" || apiErr.Error.Message == "" {
@@ -60,8 +61,8 @@ func TestAPIDegradedSearch(t *testing.T) {
 	// The injector needs no policy to apply: with none installed a read is
 	// one attempt on the primary, and its failure is the query's.
 	p.Query.SetReadPolicy(nil)
-	apiErr = apiError{}
-	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
+	apiErr = wire.ErrorEnvelope{}
+	if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, &apiErr); code != http.StatusInternalServerError {
 		t.Fatalf("faulted search with no read policy: status = %d, want 500", code)
 	}
 	if apiErr.Error.Code != "internal" {
@@ -71,7 +72,7 @@ func TestAPIDegradedSearch(t *testing.T) {
 	// Clearing the injector restores the healthy path.
 	p.Query.SetFaultInjector(nil)
 	res.Degraded, res.Missing = false, nil
-	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
+	if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, &res); code != http.StatusOK {
 		t.Fatalf("restored search status = %d, want 200", code)
 	}
 	if res.Degraded || len(res.Missing) != 0 {

@@ -16,6 +16,7 @@ import (
 	"modissense/internal/faultinject"
 	"modissense/internal/matview"
 	"modissense/internal/model"
+	"modissense/internal/wire"
 )
 
 // newIngestClient boots a platform with a mutated config and wraps it in the
@@ -61,8 +62,8 @@ func TestAPICheckinsBatch(t *testing.T) {
 	in := c.signIn("facebook", "facebook:3")
 	poi := p.Catalog()[0]
 
-	var res checkinsResponse
-	code := c.post("/api/v1/checkins", checkinsRequest{
+	var res wire.BatchResult
+	code := c.post("/api/v1/checkins", wire.CheckinsRequest{
 		Token: in.Token,
 		Checkins: []CheckinPush{
 			{POIID: poi.ID, Time: 1000, Grade: 4, Network: "facebook"},
@@ -111,12 +112,12 @@ func TestAPICheckinsBatch(t *testing.T) {
 	}
 
 	// Request-level failures keep the envelope contract.
-	var env apiError
-	if code := c.post("/api/v1/checkins", checkinsRequest{Token: "bogus",
+	var env wire.ErrorEnvelope
+	if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: "bogus",
 		Checkins: []CheckinPush{{POIID: poi.ID, Time: 1}}}, &env); code != http.StatusUnauthorized {
 		t.Errorf("bad token status = %d, want 401", code)
 	}
-	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token}, &env); code != http.StatusBadRequest {
+	if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: in.Token}, &env); code != http.StatusBadRequest {
 		t.Errorf("empty batch status = %d, want 400", code)
 	}
 	resp, err := http.Post(c.srv.URL+"/api/v1/checkins", "application/json", strings.NewReader("{broken"))
@@ -210,7 +211,7 @@ func TestAPICheckinsShedsOnPressure(t *testing.T) {
 	p.Admission = admit.NewController(admit.Config{
 		MemPressure: func() float64 { return pressure },
 	})
-	body := checkinsRequest{Token: in.Token, Checkins: []CheckinPush{{POIID: poi.ID, Time: 1000}}}
+	body := wire.CheckinsRequest{Token: in.Token, Checkins: []CheckinPush{{POIID: poi.ID, Time: 1000}}}
 
 	resp, err := http.Post(c.srv.URL+"/api/v1/checkins", "application/json", strings.NewReader(mustJSON(t, body)))
 	if err != nil {
@@ -223,21 +224,21 @@ func TestAPICheckinsShedsOnPressure(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
 		t.Errorf("Retry-After = %q, want a positive backoff hint", ra)
 	}
-	var env apiError
+	var env wire.ErrorEnvelope
 	decodeJSONBody(t, resp, &env)
 	if env.Error.Code != "overloaded" || !strings.Contains(env.Error.Message, admit.ReasonPressure) {
 		t.Errorf("envelope = %+v, want overloaded/pressure", env)
 	}
 
 	// Pressure gates only the write class; a search still runs.
-	var out apiError
-	if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Limit: 1}, &out); code != http.StatusOK {
+	var out wire.ErrorEnvelope
+	if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Limit: 1}, &out); code != http.StatusOK {
 		t.Errorf("search under write pressure status = %d, want 200", code)
 	}
 
 	// Draining pressure reopens ingest.
 	pressure = 0
-	var res checkinsResponse
+	var res wire.BatchResult
 	if code := c.post("/api/v1/checkins", body, &res); code != http.StatusOK || res.Stored != 1 {
 		t.Errorf("post-drain checkins = %d/%+v, want 200 with 1 stored", code, res)
 	}
@@ -256,8 +257,8 @@ func TestDurableCheckinsSurviveReboot(t *testing.T) {
 	c, p := newIngestClient(t, mutate)
 	in := c.signIn("facebook", "facebook:3")
 	poi := p.Catalog()[0]
-	var res checkinsResponse
-	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: []CheckinPush{
+	var res wire.BatchResult
+	if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: in.Token, Checkins: []CheckinPush{
 		{POIID: poi.ID, Time: 1000, Grade: 5, Network: "facebook"},
 		{POIID: poi.ID, Time: 2000, Grade: 4, Network: "facebook"},
 	}}, &res); code != http.StatusOK || res.Stored != 2 {
@@ -342,7 +343,7 @@ func TestRejectedCheckinsLeaveNoTrace(t *testing.T) {
 		for i := range items {
 			items[i] = CheckinPush{POIID: poi.ID, Time: base.Add(time.Duration(pushes*3+i) * time.Second).UnixMilli(), Grade: 4, Network: "facebook"}
 		}
-		body := mustJSON(t, checkinsRequest{Token: tokens[pushes%len(tokens)], Checkins: items})
+		body := mustJSON(t, wire.CheckinsRequest{Token: tokens[pushes%len(tokens)], Checkins: items})
 		resp, err := http.Post(c.srv.URL+"/api/v1/checkins", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +351,7 @@ func TestRejectedCheckinsLeaveNoTrace(t *testing.T) {
 		defer resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var res checkinsResponse
+			var res wire.BatchResult
 			decodeJSONBody(t, resp, &res)
 			stored += res.Stored
 		case http.StatusServiceUnavailable:

@@ -12,12 +12,13 @@ import (
 
 	"modissense/internal/admit"
 	"modissense/internal/exec"
+	"modissense/internal/wire"
 )
 
 // checkOverloadAnswer asserts the overload contract on a raw response: the
 // expected 429/503 status, a positive whole-second Retry-After header, and
 // the "overloaded" error envelope.
-func checkOverloadAnswer(t *testing.T, resp *http.Response, apiErr apiError, wantStatus int) {
+func checkOverloadAnswer(t *testing.T, resp *http.Response, apiErr wire.ErrorEnvelope, wantStatus int) {
 	t.Helper()
 	if resp.StatusCode != wantStatus {
 		t.Fatalf("status = %d, want %d", resp.StatusCode, wantStatus)
@@ -38,7 +39,7 @@ func checkOverloadAnswer(t *testing.T, resp *http.Response, apiErr apiError, wan
 // postRawSearch posts a search and returns the raw response (for header
 // inspection) alongside the decoded error envelope; on 200 the envelope is
 // left zero. The caller closes the body.
-func (c *apiClient) postRawSearch(body searchJSON) (*http.Response, apiError) {
+func (c *apiClient) postRawSearch(body wire.SearchRequest) (*http.Response, wire.ErrorEnvelope) {
 	c.t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -48,7 +49,7 @@ func (c *apiClient) postRawSearch(body searchJSON) (*http.Response, apiError) {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	var apiErr apiError
+	var apiErr wire.ErrorEnvelope
 	if resp.StatusCode != http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
 			c.t.Fatalf("decode error envelope: %v", err)
@@ -71,7 +72,7 @@ func TestAPIRateAdmission(t *testing.T) {
 	c := &apiClient{t: t, srv: srv}
 
 	in := c.signIn("facebook", "facebook:1")
-	search := searchJSON{Token: in.Token, Friends: []int64{1}, Limit: 3}
+	search := wire.SearchRequest{Token: in.Token, Friends: []int64{1}, Limit: 3}
 
 	for i := 0; i < 2; i++ {
 		resp, _ := c.postRawSearch(search)
@@ -112,7 +113,7 @@ func TestAPIDeadlineAdmission(t *testing.T) {
 		MinSamples: 16,
 	})
 
-	resp, apiErr := c.postRawSearch(searchJSON{Token: in.Token, Friends: []int64{1}, Limit: 3})
+	resp, apiErr := c.postRawSearch(wire.SearchRequest{Token: in.Token, Friends: []int64{1}, Limit: 3})
 	resp.Body.Close()
 	checkOverloadAnswer(t, resp, apiErr, http.StatusServiceUnavailable)
 
@@ -123,7 +124,7 @@ func TestAPIDeadlineAdmission(t *testing.T) {
 		RunTime:    runTimes,
 		MinSamples: 16,
 	})
-	resp2, _ := c.postRawSearch(searchJSON{Token: in.Token, Friends: []int64{1}, Limit: 3})
+	resp2, _ := c.postRawSearch(wire.SearchRequest{Token: in.Token, Friends: []int64{1}, Limit: 3})
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain search status = %d", resp2.StatusCode)

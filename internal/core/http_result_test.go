@@ -16,6 +16,7 @@ import (
 	"modissense/internal/faultinject"
 	"modissense/internal/model"
 	"modissense/internal/query"
+	"modissense/internal/wire"
 )
 
 // fishAndChips is a POI name every escape rule of the encoder touches.
@@ -89,12 +90,12 @@ func TestAPIResultBytes(t *testing.T) {
 	}
 	// The last check-in raises the view's coverage floor to base + 6 days.
 	pushes = append(pushes, CheckinPush{POIID: fish.ID, Time: base.Add(20 * 24 * time.Hour).UnixMilli(), Grade: 5, Network: "facebook"})
-	var stored checkinsResponse
-	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: pushes}, &stored); code != http.StatusOK || stored.Stored != len(pushes) {
+	var stored wire.BatchResult
+	if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: in.Token, Checkins: pushes}, &stored); code != http.StatusOK || stored.Stored != len(pushes) {
 		t.Fatalf("checkins: status %d, stored %d of %d", code, stored.Stored, len(pushes))
 	}
 
-	search := searchJSON{Token: in.Token, Friends: []int64{in.UserID}, Limit: 5,
+	search := wire.SearchRequest{Token: in.Token, Friends: []int64{in.UserID}, Limit: 5,
 		From: base.Format(time.RFC3339), To: base.Add(30 * 24 * time.Hour).Format(time.RFC3339)}
 	miss, raw := fetchAnswer(t, c, "/api/v1/search", search)
 	if miss.Cached || len(miss.POIs) != 5 || miss.POIs[0].POI.Name != fishAndChips {
@@ -160,7 +161,7 @@ func TestWriteResult(t *testing.T) {
 
 	rec := httptest.NewRecorder()
 	writeResult(rec, req, &query.Result{POIs: []query.ScoredPOI{{Score: math.NaN()}}})
-	var env apiError
+	var env wire.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatalf("NaN answer body %q: %v", rec.Body.Bytes(), err)
 	}

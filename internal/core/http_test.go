@@ -12,6 +12,7 @@ import (
 
 	"modissense/internal/geo"
 	"modissense/internal/model"
+	"modissense/internal/wire"
 	"modissense/internal/workload"
 )
 
@@ -64,10 +65,10 @@ func (c *apiClient) get(path string, out interface{}) int {
 	return resp.StatusCode
 }
 
-func (c *apiClient) signIn(network, creds string) signInResponse {
+func (c *apiClient) signIn(network, creds string) wire.Session {
 	c.t.Helper()
-	var out signInResponse
-	if code := c.post("/api/v1/signin", signInRequest{Network: network, Credentials: creds}, &out); code != http.StatusOK {
+	var out wire.Session
+	if code := c.post("/api/v1/signin", wire.SignInRequest{Network: network, Credentials: creds}, &out); code != http.StatusOK {
 		c.t.Fatalf("signin status %d", code)
 	}
 	return out
@@ -80,16 +81,16 @@ func TestAPISignInLinkFriends(t *testing.T) {
 		t.Fatalf("signin = %+v", in)
 	}
 	// Bad credentials are rejected.
-	var apiErr apiError
-	if code := c.post("/api/v1/signin", signInRequest{Network: "facebook", Credentials: "nope"}, &apiErr); code != http.StatusUnauthorized {
+	var apiErr wire.ErrorEnvelope
+	if code := c.post("/api/v1/signin", wire.SignInRequest{Network: "facebook", Credentials: "nope"}, &apiErr); code != http.StatusUnauthorized {
 		t.Errorf("bad creds status = %d", code)
 	}
 	if apiErr.Error.Message == "" || apiErr.Error.Code != "unauthorized" {
 		t.Errorf("error envelope = %+v", apiErr)
 	}
 	// Link twitter.
-	var linked signInResponse
-	if code := c.post("/api/v1/link", linkRequest{Token: in.Token, Network: "twitter", Credentials: "twitter:3"}, &linked); code != http.StatusOK {
+	var linked wire.Session
+	if code := c.post("/api/v1/link", wire.LinkRequest{Token: in.Token, Network: "twitter", Credentials: "twitter:3"}, &linked); code != http.StatusOK {
 		t.Fatalf("link status %d", code)
 	}
 	if len(linked.Networks) != 2 {
@@ -122,7 +123,7 @@ func TestAPICollectSearchTrending(t *testing.T) {
 	in := c.signIn("facebook", "facebook:1")
 
 	// Admin: collect one week.
-	window := windowRequest{
+	window := wire.WindowRequest{
 		Since: collectWindow.since.Format(time.RFC3339),
 		Until: collectWindow.until.Format(time.RFC3339),
 	}
@@ -138,7 +139,7 @@ func TestAPICollectSearchTrending(t *testing.T) {
 	// Personalized search over the collected user's own id (a friend set
 	// guaranteed to have visits).
 	bounds := workload.GreeceBounds()
-	search := searchJSON{
+	search := wire.SearchRequest{
 		Token:  in.Token,
 		MinLat: bounds.MinLat, MinLon: bounds.MinLon,
 		MaxLat: bounds.MaxLat, MaxLon: bounds.MaxLon,
@@ -209,7 +210,7 @@ func TestAPIGPSAndBlog(t *testing.T) {
 	day := time.Date(2015, 5, 30, 0, 0, 0, 0, time.UTC)
 	fixes := workload.GenGPSDay(newRng(11), 0, day, p.Catalog()[:3], 5*time.Minute, 40*time.Minute)
 	var stored map[string]int
-	if code := c.post("/api/v1/gps", gpsRequest{Token: in.Token, Fixes: fixes}, &stored); code != http.StatusOK {
+	if code := c.post("/api/v1/gps", wire.GPSRequest[model.GPSFix]{Token: in.Token, Fixes: fixes}, &stored); code != http.StatusOK {
 		t.Fatalf("gps push failed")
 	}
 	if stored["stored"] != len(fixes) {
@@ -220,7 +221,7 @@ func TestAPIGPSAndBlog(t *testing.T) {
 		ID       int64  `json:"id"`
 		Rendered string `json:"rendered"`
 	}
-	if code := c.post("/api/v1/blog/generate", blogRequest{Token: in.Token, Date: "2015-05-30"}, &blog); code != http.StatusOK {
+	if code := c.post("/api/v1/blog/generate", wire.BlogRequest{Token: in.Token, Date: "2015-05-30"}, &blog); code != http.StatusOK {
 		t.Fatalf("blog generate failed")
 	}
 	if blog.ID == 0 || blog.Rendered == "" {
@@ -234,10 +235,10 @@ func TestAPIGPSAndBlog(t *testing.T) {
 	if code := c.get(blogs+"/2015-06-01?token="+in.Token, nil); code != http.StatusNotFound {
 		t.Error("missing blog must 404")
 	}
-	if code := c.post("/api/v1/blog/generate", blogRequest{Token: in.Token, Date: "not-a-date"}, nil); code != http.StatusBadRequest {
+	if code := c.post("/api/v1/blog/generate", wire.BlogRequest{Token: in.Token, Date: "not-a-date"}, nil); code != http.StatusBadRequest {
 		t.Error("bad date must 400")
 	}
-	if code := c.post("/api/v1/gps", gpsRequest{Token: "bogus"}, nil); code != http.StatusUnauthorized {
+	if code := c.post("/api/v1/gps", wire.GPSRequest[model.GPSFix]{Token: "bogus"}, nil); code != http.StatusUnauthorized {
 		t.Error("bad token must 401")
 	}
 }
@@ -249,21 +250,21 @@ func TestAPIEventDetection(t *testing.T) {
 	center := geo.Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
 	start := time.Date(2015, 5, 30, 20, 0, 0, 0, time.UTC)
 	fixes := workload.GenGathering(newRng(12), center, 120, 40, start, start.Add(2*time.Hour))
-	if code := c.post("/api/v1/gps", gpsRequest{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
+	if code := c.post("/api/v1/gps", wire.GPSRequest[model.GPSFix]{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
 		t.Fatal("gps push failed")
 	}
 	var out struct {
 		TracesScanned int         `json:"TracesScanned"`
 		NewPOIs       []model.POI `json:"NewPOIs"`
 	}
-	if code := c.post("/api/v1/admin/events", eventsRequest{EpsMeters: 120, MinPts: 10}, &out); code != http.StatusOK {
+	if code := c.post("/api/v1/admin/events", wire.EventsRequest{EpsMeters: 120, MinPts: 10}, &out); code != http.StatusOK {
 		t.Fatal("event detection failed")
 	}
 	if out.TracesScanned != 120 {
 		t.Errorf("scanned %d", out.TracesScanned)
 	}
 	_ = p
-	if code := c.post("/api/v1/admin/events", eventsRequest{}, nil); code != http.StatusBadRequest {
+	if code := c.post("/api/v1/admin/events", wire.EventsRequest{}, nil); code != http.StatusBadRequest {
 		t.Error("invalid params must 400")
 	}
 }
@@ -273,7 +274,7 @@ func TestAPIStats(t *testing.T) {
 	in := c.signIn("facebook", "facebook:2")
 	day := time.Date(2015, 5, 30, 0, 0, 0, 0, time.UTC)
 	fixes := workload.GenGPSDay(newRng(13), 0, day, p.Catalog()[:2], 5*time.Minute, 30*time.Minute)
-	if code := c.post("/api/v1/gps", gpsRequest{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
+	if code := c.post("/api/v1/gps", wire.GPSRequest[model.GPSFix]{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
 		t.Fatal("gps push failed")
 	}
 	var stats PlatformStats
@@ -349,10 +350,10 @@ func TestAPIBlogList(t *testing.T) {
 	for d := 29; d <= 30; d++ {
 		day := time.Date(2015, 5, d, 0, 0, 0, 0, time.UTC)
 		fixes := workload.GenGPSDay(newRng(int64(50+d)), 0, day, p.Catalog()[:2], 5*time.Minute, 40*time.Minute)
-		if code := c.post("/api/v1/gps", gpsRequest{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
+		if code := c.post("/api/v1/gps", wire.GPSRequest[model.GPSFix]{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
 			t.Fatal("gps push failed")
 		}
-		if code := c.post("/api/v1/blog/generate", blogRequest{Token: in.Token, Date: day.Format("2006-01-02")}, nil); code != http.StatusOK {
+		if code := c.post("/api/v1/blog/generate", wire.BlogRequest{Token: in.Token, Date: day.Format("2006-01-02")}, nil); code != http.StatusOK {
 			t.Fatal("blog generate failed")
 		}
 	}

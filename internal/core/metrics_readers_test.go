@@ -11,6 +11,7 @@ import (
 	"unicode"
 
 	"modissense/internal/obs"
+	"modissense/internal/wire"
 )
 
 // Every family /metrics serves must have a reader: a runbook line in
@@ -67,7 +68,7 @@ func TestEveryMetricFamilyHasAReader(t *testing.T) {
 	t.Run("served", func(t *testing.T) {
 		c, _ := newAPIClient(t)
 		in := c.signIn("facebook", "facebook:1")
-		if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
+		if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{1}}, nil); code != http.StatusOK {
 			t.Fatalf("search status %d", code)
 		}
 		body := scrapeMetrics(t, c)

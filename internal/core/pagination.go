@@ -4,17 +4,13 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"modissense/internal/wire"
 )
 
-// listPage is the uniform list envelope: every paginated list endpoint
-// answers {"items": [...], "next_cursor": "..."}, with next_cursor absent
-// on the final page. List resources always use it; the bare-array /friends
-// endpoint switches to it only when the caller passes ?limit= or ?cursor=,
-// so old clients keep decoding.
-type listPage struct {
-	Items      interface{} `json:"items"`
-	NextCursor string      `json:"next_cursor,omitempty"`
-}
+// List resources always answer the uniform list envelope (wire.Page); the
+// bare-array /friends endpoint switches to it only when the caller passes
+// ?limit= or ?cursor=, so old clients keep decoding.
 
 // maxPageLimit caps one page of any list endpoint.
 const maxPageLimit = 1000
@@ -70,5 +66,5 @@ func pageSlice[T any](items []T, pp pageParams) ([]T, string) {
 // writePage emits the uniform list envelope for one page.
 func writePage[T any](w http.ResponseWriter, items []T, pp pageParams) {
 	page, next := pageSlice(items, pp)
-	writeJSON(w, http.StatusOK, listPage{Items: page, NextCursor: next})
+	writeJSON(w, http.StatusOK, wire.Page[T]{Items: page, NextCursor: next})
 }

@@ -33,6 +33,7 @@ import (
 	"modissense/internal/social"
 	"modissense/internal/textproc"
 	"modissense/internal/trajectory"
+	"modissense/internal/wire"
 	"modissense/internal/workload"
 )
 
@@ -660,26 +661,10 @@ func (p *Platform) Trending(ctx context.Context, bbox *geo.Rect, friends []int64
 }
 
 // CheckinPush is one check-in in a batched ingest request.
-type CheckinPush struct {
-	// POIID references the visited catalog POI.
-	POIID int64 `json:"poi_id"`
-	// Time is the check-in timestamp in milliseconds since epoch.
-	Time int64 `json:"time"`
-	// Grade is the optional sentiment grade on the 1–5 scale (0 = ungraded).
-	Grade float64 `json:"grade"`
-	// Network names the social network the check-in came from.
-	Network string `json:"network"`
-}
+type CheckinPush = wire.Checkin
 
 // CheckinItemError reports one rejected item of a batched check-in push.
-type CheckinItemError struct {
-	// Index is the item's position in the request batch.
-	Index int `json:"index"`
-	// Code is the envelope failure-class enum value for this item.
-	Code string `json:"code"`
-	// Message is the human-readable reason.
-	Message string `json:"message"`
-}
+type CheckinItemError = wire.CheckinError
 
 // PushCheckins ingests a batch of check-ins for the authenticated user
 // through one batched store write (one WAL commit-group slot for the whole

@@ -3,60 +3,58 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"fmt"
 	"io"
-	"io/fs"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
-	"unsafe"
 
 	"modissense/internal/geo"
 	"modissense/internal/model"
 	"modissense/internal/query"
+	"modissense/internal/wire"
 )
 
 // reqDoc writes a JSON \u escape as ~ (so this file stays plain ASCII).
 func reqDoc(s string) string { return strings.ReplaceAll(s, "~", `\u`) }
 
-// checkRequest requires the hand decoder of T to accept exactly what the
-// reference (json.Decoder + DisallowUnknownFields) accepts into a zero T,
-// and to leave the same value. It reports whether doc was accepted.
+// checkRequest requires the route's decode of doc into T (decodeRequest)
+// to leave what the reference (json.Decoder + DisallowUnknownFields, the
+// decodeBody of every other route) leaves, its error message included, and
+// the hand decoder alone to accept exactly what the reference accepts: the
+// fallback must be the error path only. It reports whether doc was
+// accepted. (internal/wire's fuzz targets hold the codecs on their own.)
 func checkRequest[T any, P interface {
 	*T
 	requestBody
 }](t *testing.T, doc []byte) bool {
 	t.Helper()
-	var got, want T
-	err := P(&got).decode(doc)
+	var hand, route, want T
+	handErr := P(&hand).DecodeJSON(doc)
+	routeErr := decodeRequest(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(doc)), P(&route))
 	wantErr := decodeJSON(bytes.NewReader(doc), &want)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("%T: hand decode error %v, reference error %v, on %q", got, err, wantErr, doc)
+	if (handErr != nil) != (wantErr != nil) || fmt.Sprint(routeErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%T: hand decode error %v, route error %v, reference error %v, on %q", hand, handErr, routeErr, wantErr, doc)
 	}
-	if err == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("%T: hand decode diverged from the reference on %q:\ngot  %#v\nwant %#v", got, doc, got, want)
+	if wantErr == nil && (!reflect.DeepEqual(hand, want) || !reflect.DeepEqual(route, want)) {
+		t.Fatalf("%T: decode diverged from the reference on %q:\nhand  %#v\nroute %#v\nwant  %#v", hand, doc, hand, route, want)
 	}
-	return err == nil
+	return wantErr == nil
 }
 
 // checkBoth holds both request types to the reference on doc and returns
 // whether each accepted it.
 func checkBoth(t *testing.T, doc []byte) (search, checkins bool) {
 	t.Helper()
-	return checkRequest[searchJSON](t, doc), checkRequest[checkinsRequest](t, doc)
+	return checkRequest[wire.SearchRequest](t, doc), checkRequest[wire.CheckinsRequest](t, doc)
 }
 
 const deep = 10001 // one level past encoding/json's nesting limit
@@ -189,65 +187,10 @@ func benchBodies(tb testing.TB) (search, checkins []byte) {
 	return search, checkins
 }
 
-// reqBytes hands out a fuzz input piece by piece (zeros once it runs dry).
-type reqBytes []byte
-
-func (f *reqBytes) take(n int) []byte {
-	n = min(n, len(*f))
-	out := (*f)[:n]
-	*f = (*f)[n:]
-	return out
-}
-
-func (f *reqBytes) byte() byte {
-	if b := f.take(1); len(b) == 1 {
-		return b[0]
-	}
-	return 0
-}
-
-func (f *reqBytes) int64() int64 {
-	var raw [8]byte
-	copy(raw[:], f.take(int(f.byte()%9)))
-	return int64(binary.LittleEndian.Uint64(raw[:]))
-}
-
-func (f *reqBytes) float() float64 {
-	var raw [8]byte
-	copy(raw[:], f.take(int(f.byte()%9)))
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-}
-
-func (f *reqBytes) string() string { return string(f.take(int(f.byte() % 16))) }
-
-// requestsFrom builds both request values out of a fuzz input: every field,
-// nil and empty lists.
-func requestsFrom(data []byte) (*searchJSON, *checkinsRequest) {
-	f := reqBytes(data)
-	s := &searchJSON{Token: f.string(), MinLat: f.float(), MinLon: f.float(), MaxLat: f.float(), MaxLon: f.float(),
-		Keyword: f.string(), From: f.string(), To: f.string(), OrderBy: f.string(), Limit: int(f.int64())}
-	if n := int(f.byte() % 6); n > 0 {
-		s.Friends = make([]int64, n-1)
-	}
-	for i := range s.Friends {
-		s.Friends[i] = f.int64()
-	}
-	c := &checkinsRequest{Token: f.string()}
-	if n := int(f.byte() % 6); n > 0 {
-		c.Checkins = make([]CheckinPush, n-1)
-	}
-	for i := range c.Checkins {
-		c.Checkins[i] = CheckinPush{POIID: f.int64(), Time: f.int64(), Grade: f.float(), Network: f.string()}
-	}
-	return s, c
-}
-
-// FuzzRequestJSON is the differential test of the request decoders against
-// the reference: the raw input must be accepted or refused by each hand
-// decoder exactly when json.Decoder (unknown fields refused) accepts or
-// refuses it, with DeepEqual values when accepted; and the encoding of two
-// request values built from the input must be accepted and decoded alike.
-// (The client's FuzzRequestJSON holds the append side to json.Marshal.)
+// FuzzRequestJSON is the differential test of the route's request decode
+// against the reference: every input must be accepted or refused by each
+// hand decoder exactly when json.Decoder (unknown fields refused) accepts or
+// refuses it, and the route must leave the reference's value or error.
 func FuzzRequestJSON(f *testing.F) {
 	search, checkins := benchBodies(f)
 	f.Add(search)
@@ -257,205 +200,7 @@ func FuzzRequestJSON(f *testing.F) {
 			f.Add([]byte(reqDoc(c.doc)))
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkBoth(t, data)
-		s, c := requestsFrom(data)
-		if enc, err := json.Marshal(s); err == nil && !checkRequest[searchJSON](t, enc) {
-			t.Fatalf("search decode refused json.Marshal's %s", enc)
-		}
-		if enc, err := json.Marshal(c); err == nil && !checkRequest[checkinsRequest](t, enc) {
-			t.Fatalf("check-in decode refused json.Marshal's %s", enc)
-		}
-	})
-}
-
-// jsonNames returns the JSON member names of a struct's tags, in order.
-func jsonNames(tags []string) []string {
-	var names []string
-	for _, tag := range tags {
-		if name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ","); name != "-" {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-// clientStructTags parses the typed client's source and returns the field
-// tags of its struct type name.
-func clientStructTags(t *testing.T, name string) []string {
-	t.Helper()
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, "../../client", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || ts.Name.Name != name {
-						continue
-					}
-					var tags []string
-					for _, field := range ts.Type.(*ast.StructType).Fields.List {
-						tag := ""
-						if field.Tag != nil {
-							if tag, err = strconv.Unquote(field.Tag.Value); err != nil {
-								t.Fatal(err)
-							}
-						}
-						tags = append(tags, tag)
-					}
-					return tags
-				}
-			}
-		}
-	}
-	t.Fatalf("client declares no struct %s", name)
-	return nil
-}
-
-// TestRequestJSONCoversEveryField fails when a JSON field is added to a
-// request type on one side but not on the other: the server's request types
-// must have the hand decoder's key lists (declaration order), and the
-// client's request forms must name the same members.
-func TestRequestJSONCoversEveryField(t *testing.T) {
-	for _, c := range []struct {
-		typ    reflect.Type
-		keys   []string
-		client string
-	}{
-		{reflect.TypeOf(searchJSON{}), searchKeys, "searchRequest"},
-		{reflect.TypeOf(checkinsRequest{}), checkinsKeys, "checkinsBody"},
-		{reflect.TypeOf(CheckinPush{}), checkinKeys, "Checkin"},
-	} {
-		var tags []string
-		for i := 0; i < c.typ.NumField(); i++ {
-			tags = append(tags, string(c.typ.Field(i).Tag))
-		}
-		names := jsonNames(tags)
-		if !reflect.DeepEqual(names, c.keys) {
-			t.Errorf("%s has JSON fields %q, the decoder knows %q", c.typ, names, c.keys)
-		}
-		// The client's check-in body keeps a map's sorted member order.
-		clientNames := jsonNames(clientStructTags(t, c.client))
-		sort.Strings(clientNames)
-		sorted := append([]string(nil), names...)
-		sort.Strings(sorted)
-		if !reflect.DeepEqual(clientNames, sorted) {
-			t.Errorf("client %s sends members %q, the server's %s has %q", c.client, clientNames, c.typ, sorted)
-		}
-	}
-}
-
-// TestRequestJSONAllocs pins the hand decode of the benchmark-shaped bodies:
-// the body's one string copy, the friend or item list, and the strings that
-// outlive the request (the keyword and the order; the batch's one network).
-func TestRequestJSONAllocs(t *testing.T) {
-	search, checkins := benchBodies(t)
-	for _, c := range []struct {
-		name string
-		doc  []byte
-		v    requestBody
-		want float64
-	}{
-		{"search", search, new(searchJSON), 4},
-		{"checkins", checkins, new(checkinsRequest), 3},
-	} {
-		if n := testing.AllocsPerRun(100, func() {
-			reflect.ValueOf(c.v).Elem().SetZero()
-			if err := c.v.decode(c.doc); err != nil {
-				t.Fatal(err)
-			}
-		}); n != c.want {
-			t.Errorf("%s decode allocates %v times, want %v", c.name, n, c.want)
-		}
-	}
-}
-
-// TestRequestJSONDetachesRetainedStrings requires the strings a request
-// leaves behind — a check-in's network, a search's keyword and order — to
-// lie outside the body's string copy, which the token, used only while the
-// request runs, shows the place of.
-func TestRequestJSONDetachesRetainedStrings(t *testing.T) {
-	const token = "0123456789abcdef"
-	searchDoc := `{"token":"` + token + `","keyword":"food","order_by":"hotness"}`
-	checkinsDoc := `{"token":"` + token + `","checkins":[{"network":"facebook"},{"network":"facebook"},{"network":"twitter"},{}]}`
-	var s searchJSON
-	var c checkinsRequest
-	if err := s.decode([]byte(searchDoc)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.decode([]byte(checkinsDoc)); err != nil {
-		t.Fatal(err)
-	}
-	inBody := func(tok, doc, str string) bool {
-		if str == "" {
-			return false
-		}
-		start := uintptr(unsafe.Pointer(unsafe.StringData(tok))) - uintptr(strings.Index(doc, token))
-		p := uintptr(unsafe.Pointer(unsafe.StringData(str)))
-		return start <= p && p < start+uintptr(len(doc))
-	}
-	if !inBody(s.Token, searchDoc, s.Token) {
-		t.Fatal("sanity: the token is not a substring of the body copy")
-	}
-	for _, str := range []string{s.Keyword, s.OrderBy} {
-		if inBody(s.Token, searchDoc, str) {
-			t.Errorf("search member %q points into the body copy", str)
-		}
-	}
-	for i, it := range c.Checkins {
-		if inBody(c.Token, checkinsDoc, it.Network) {
-			t.Errorf("check-in %d's network %q points into the body copy", i, it.Network)
-		}
-	}
-	if unsafe.StringData(c.Checkins[0].Network) != unsafe.StringData(c.Checkins[1].Network) {
-		t.Error("two consecutive equal networks got a copy each")
-	}
-}
-
-// BenchmarkRequestJSON compares the hand decoders with the reference on the
-// benchmark-shaped bodies. (The client's BenchmarkRequestJSON has the
-// append side.)
-func BenchmarkRequestJSON(b *testing.B) {
-	search, checkins := benchBodies(b)
-	for _, c := range []struct {
-		name string
-		doc  []byte
-		v    requestBody
-	}{
-		{"search", search, new(searchJSON)},
-		{"checkins", checkins, new(checkinsRequest)},
-	} {
-		b.Run(c.name+"/decode", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(c.doc)))
-			for i := 0; i < b.N; i++ {
-				reflect.ValueOf(c.v).Elem().SetZero()
-				if err := c.v.decode(c.doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(c.name+"/encoding_json_decode", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(c.doc)))
-			for i := 0; i < b.N; i++ {
-				reflect.ValueOf(c.v).Elem().SetZero()
-				if err := decodeJSON(bytes.NewReader(c.doc), c.v); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkBoth(t, data) })
 }
 
 // bodyEnvelopes are malformed (and two odd but valid) search and check-in
@@ -472,24 +217,24 @@ var bodyEnvelopes = []struct {
 	{"/api/v1/search", " \n\t ", 400, "core: invalid request body: EOF"},
 	{"/api/v1/search", "{", 400, "core: invalid request body: unexpected EOF"},
 	{"/api/v1/search", "{broken", 400, "core: invalid request body: invalid character 'b' looking for beginning of object key string"},
-	{"/api/v1/search", "[]", 400, "core: invalid request body: json: cannot unmarshal array into Go value of type core.searchJSON"},
-	{"/api/v1/search", "\"str\"", 400, "core: invalid request body: json: cannot unmarshal string into Go value of type core.searchJSON"},
-	{"/api/v1/search", "7", 400, "core: invalid request body: json: cannot unmarshal number into Go value of type core.searchJSON"},
+	{"/api/v1/search", "[]", 400, "core: invalid request body: json: cannot unmarshal array into Go value of type wire.SearchRequest"},
+	{"/api/v1/search", "\"str\"", 400, "core: invalid request body: json: cannot unmarshal string into Go value of type wire.SearchRequest"},
+	{"/api/v1/search", "7", 400, "core: invalid request body: json: cannot unmarshal number into Go value of type wire.SearchRequest"},
 	{"/api/v1/search", "nul", 400, "core: invalid request body: unexpected EOF"},
 	{"/api/v1/search", "nullx", 400, "social: invalid access token"},
 	{"/api/v1/search", "{\"tokn\":\"x\"}", 400, "core: invalid request body: json: unknown field \"tokn\""},
 	{"/api/v1/search", "{\"token\":\"x\",\"extra\":{\"a\":[1,2]}}", 400, "core: invalid request body: json: unknown field \"extra\""},
-	{"/api/v1/search", "{\"limit\":1.5}", 400, "core: invalid request body: json: cannot unmarshal number 1.5 into Go struct field searchJSON.limit of type int"},
-	{"/api/v1/search", "{\"limit\":1.0}", 400, "core: invalid request body: json: cannot unmarshal number 1.0 into Go struct field searchJSON.limit of type int"},
-	{"/api/v1/search", "{\"limit\":\"5\"}", 400, "core: invalid request body: json: cannot unmarshal string into Go struct field searchJSON.limit of type int"},
-	{"/api/v1/search", "{\"limit\":99999999999999999999}", 400, "core: invalid request body: json: cannot unmarshal number 99999999999999999999 into Go struct field searchJSON.limit of type int"},
-	{"/api/v1/search", "{\"friends\":[1,\"2\"]}", 400, "core: invalid request body: json: cannot unmarshal string into Go struct field searchJSON.friends of type int64"},
-	{"/api/v1/search", "{\"friends\":{}}", 400, "core: invalid request body: json: cannot unmarshal object into Go struct field searchJSON.friends of type []int64"},
+	{"/api/v1/search", "{\"limit\":1.5}", 400, "core: invalid request body: json: cannot unmarshal number 1.5 into Go struct field SearchRequest.limit of type int"},
+	{"/api/v1/search", "{\"limit\":1.0}", 400, "core: invalid request body: json: cannot unmarshal number 1.0 into Go struct field SearchRequest.limit of type int"},
+	{"/api/v1/search", "{\"limit\":\"5\"}", 400, "core: invalid request body: json: cannot unmarshal string into Go struct field SearchRequest.limit of type int"},
+	{"/api/v1/search", "{\"limit\":99999999999999999999}", 400, "core: invalid request body: json: cannot unmarshal number 99999999999999999999 into Go struct field SearchRequest.limit of type int"},
+	{"/api/v1/search", "{\"friends\":[1,\"2\"]}", 400, "core: invalid request body: json: cannot unmarshal string into Go struct field SearchRequest.friends of type int64"},
+	{"/api/v1/search", "{\"friends\":{}}", 400, "core: invalid request body: json: cannot unmarshal object into Go struct field SearchRequest.friends of type []int64"},
 	{"/api/v1/search", "{\"friends\":[1,]}", 400, "core: invalid request body: invalid character ']' looking for beginning of value"},
-	{"/api/v1/search", "{\"friends\":[1e3]}", 400, "core: invalid request body: json: cannot unmarshal number 1e3 into Go struct field searchJSON.friends of type int64"},
-	{"/api/v1/search", "{\"min_lat\":1e400}", 400, "core: invalid request body: json: cannot unmarshal number 1e400 into Go struct field searchJSON.min_lat of type float64"},
-	{"/api/v1/search", "{\"max_lon\":true}", 400, "core: invalid request body: json: cannot unmarshal bool into Go struct field searchJSON.max_lon of type float64"},
-	{"/api/v1/search", "{\"token\":1}", 400, "core: invalid request body: json: cannot unmarshal number into Go struct field searchJSON.token of type string"},
+	{"/api/v1/search", "{\"friends\":[1e3]}", 400, "core: invalid request body: json: cannot unmarshal number 1e3 into Go struct field SearchRequest.friends of type int64"},
+	{"/api/v1/search", "{\"min_lat\":1e400}", 400, "core: invalid request body: json: cannot unmarshal number 1e400 into Go struct field SearchRequest.min_lat of type float64"},
+	{"/api/v1/search", "{\"max_lon\":true}", 400, "core: invalid request body: json: cannot unmarshal bool into Go struct field SearchRequest.max_lon of type float64"},
+	{"/api/v1/search", "{\"token\":1}", 400, "core: invalid request body: json: cannot unmarshal number into Go struct field SearchRequest.token of type string"},
 	{"/api/v1/search", "{\"token\":\"a\",\"token\":}", 400, "core: invalid request body: invalid character '}' looking for beginning of value"},
 	{"/api/v1/search", "{\"token\":\"x\",}", 400, "core: invalid request body: invalid character '}' looking for beginning of object key string"},
 	{"/api/v1/search", "{\"token\":\"\\q\"}", 400, "core: invalid request body: invalid character 'q' in string escape code"},
@@ -502,21 +247,21 @@ var bodyEnvelopes = []struct {
 	{"/api/v1/checkins", "{}", 400, "core: empty check-in batch"},
 	{"/api/v1/checkins", "{\"token\":\"x\",\"checkins\":null}", 400, "core: empty check-in batch"},
 	{"/api/v1/checkins", "{\"token\":\"x\",\"checkins\":[]}", 400, "core: empty check-in batch"},
-	{"/api/v1/checkins", "{\"checkins\":[{\"poi_id\":1,\"time\":1.5}]}", 400, "core: invalid request body: json: cannot unmarshal number 1.5 into Go struct field CheckinPush.checkins.time of type int64"},
+	{"/api/v1/checkins", "{\"checkins\":[{\"poi_id\":1,\"time\":1.5}]}", 400, "core: invalid request body: json: cannot unmarshal number 1.5 into Go struct field Checkin.checkins.time of type int64"},
 	{"/api/v1/checkins", "{\"checkins\":[{\"poi_id\":1,\"tme\":1}]}", 400, "core: invalid request body: json: unknown field \"tme\""},
-	{"/api/v1/checkins", "{\"checkins\":{}}", 400, "core: invalid request body: json: cannot unmarshal object into Go struct field checkinsRequest.checkins of type []core.CheckinPush"},
-	{"/api/v1/checkins", "{\"checkins\":[1]}", 400, "core: invalid request body: json: cannot unmarshal number into Go struct field checkinsRequest.checkins of type core.CheckinPush"},
-	{"/api/v1/checkins", "{\"checkins\":[{\"grade\":\"4\"}]}", 400, "core: invalid request body: json: cannot unmarshal string into Go struct field CheckinPush.checkins.grade of type float64"},
-	{"/api/v1/checkins", "{\"checkins\":[{\"network\":5}]}", 400, "core: invalid request body: json: cannot unmarshal number into Go struct field CheckinPush.checkins.network of type string"},
-	{"/api/v1/checkins", "{\"checkins\":[{\"poi_id\":-1e2}]}", 400, "core: invalid request body: json: cannot unmarshal number -1e2 into Go struct field CheckinPush.checkins.poi_id of type int64"},
-	{"/api/v1/checkins", "{\"checkins\":[{\"time\":92233720368547758070}]}", 400, "core: invalid request body: json: cannot unmarshal number 92233720368547758070 into Go struct field CheckinPush.checkins.time of type int64"},
-	{"/api/v1/checkins", "{\"checkins\":[{\"grade\":1e999}]}", 400, "core: invalid request body: json: cannot unmarshal number 1e999 into Go struct field CheckinPush.checkins.grade of type float64"},
+	{"/api/v1/checkins", "{\"checkins\":{}}", 400, "core: invalid request body: json: cannot unmarshal object into Go struct field CheckinsRequest.checkins of type []wire.Checkin"},
+	{"/api/v1/checkins", "{\"checkins\":[1]}", 400, "core: invalid request body: json: cannot unmarshal number into Go struct field CheckinsRequest.checkins of type wire.Checkin"},
+	{"/api/v1/checkins", "{\"checkins\":[{\"grade\":\"4\"}]}", 400, "core: invalid request body: json: cannot unmarshal string into Go struct field Checkin.checkins.grade of type float64"},
+	{"/api/v1/checkins", "{\"checkins\":[{\"network\":5}]}", 400, "core: invalid request body: json: cannot unmarshal number into Go struct field Checkin.checkins.network of type string"},
+	{"/api/v1/checkins", "{\"checkins\":[{\"poi_id\":-1e2}]}", 400, "core: invalid request body: json: cannot unmarshal number -1e2 into Go struct field Checkin.checkins.poi_id of type int64"},
+	{"/api/v1/checkins", "{\"checkins\":[{\"time\":92233720368547758070}]}", 400, "core: invalid request body: json: cannot unmarshal number 92233720368547758070 into Go struct field Checkin.checkins.time of type int64"},
+	{"/api/v1/checkins", "{\"checkins\":[{\"grade\":1e999}]}", 400, "core: invalid request body: json: cannot unmarshal number 1e999 into Go struct field Checkin.checkins.grade of type float64"},
 	{"/api/v1/checkins", "{\"checkins\":[{\"poi_id\":1}],\"token\":\"bogus\",\"x\":1}", 400, "core: invalid request body: json: unknown field \"x\""},
 	{"/api/v1/checkins", "{\"checkins\":[null],\"token\":\"bogus\"}", 401, "social: invalid access token"},
 	{"/api/v1/checkins", "{\"Checkins\":[{\"POI_ID\":1,\"TIME\":5}],\"TOKEN\":\"bogus\"}", 401, "social: invalid access token"},
 	{"/api/v1/checkins", "{\"checkins\":[{\"network\":\"a\x01\"}]}", 400, "core: invalid request body: invalid character '\\x01' in string literal"},
 	{"/api/v1/checkins", "{\"checkins\":[{\"poi_id\":1}]", 400, "core: invalid request body: unexpected EOF"},
-	{"/api/v1/checkins", "[{\"poi_id\":1}]", 400, "core: invalid request body: json: cannot unmarshal array into Go value of type core.checkinsRequest"},
+	{"/api/v1/checkins", "[{\"poi_id\":1}]", 400, "core: invalid request body: json: cannot unmarshal array into Go value of type wire.CheckinsRequest"},
 }
 
 // serve runs one request through the handler on the calling goroutine.
@@ -537,7 +282,7 @@ func TestAPIRequestBodyEnvelopes(t *testing.T) {
 	h := NewHandler(p)
 	for _, c := range bodyEnvelopes {
 		rec := serve(h, http.MethodPost, c.path, strings.NewReader(c.body))
-		var env apiError
+		var env wire.ErrorEnvelope
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 			t.Fatalf("%s %.60q: %v", c.path, c.body, err)
 		}
@@ -634,7 +379,7 @@ func TestRequestBodiesDoNotAlias(t *testing.T) {
 	}
 	search := func(kw string) query.Result {
 		var res query.Result
-		if err := json.Unmarshal(post("/api/v1/search", searchJSON{Token: tok, Friends: []int64{acct.UserID}, Keyword: kw,
+		if err := json.Unmarshal(post("/api/v1/search", wire.SearchRequest{Token: tok, Friends: []int64{acct.UserID}, Keyword: kw,
 			From: base.Format(time.RFC3339), To: base.Add(24 * time.Hour).Format(time.RFC3339)}), &res); err != nil {
 			t.Fatal(err)
 		}
@@ -650,12 +395,12 @@ func TestRequestBodiesDoNotAlias(t *testing.T) {
 	}
 
 	first := batch(0, base, "facebook")
-	post("/api/v1/checkins", checkinsRequest{Token: tok, Checkins: first})
+	post("/api/v1/checkins", wire.CheckinsRequest{Token: tok, Checkins: first})
 	keyword := cat[0].Keywords[0]
 	before := search(keyword)
 	scribble()
 	// Outside the search's window, so the cached answer stays as it was.
-	post("/api/v1/checkins", checkinsRequest{Token: tok, Checkins: batch(20, base.Add(48*time.Hour), "foursquare-and-more")})
+	post("/api/v1/checkins", wire.CheckinsRequest{Token: tok, Checkins: batch(20, base.Add(48*time.Hour), "foursquare-and-more")})
 	search("zzz-" + keyword)
 	scribble()
 
@@ -683,7 +428,7 @@ func TestRequestBodiesDoNotAlias(t *testing.T) {
 	if visitsAt(before, cat[0].ID) != 1 {
 		t.Fatalf("search for %q: %d visits at POI %d, want the pushed 1", keyword, visitsAt(before, cat[0].ID), cat[0].ID)
 	}
-	post("/api/v1/checkins", checkinsRequest{Token: tok, Checkins: []CheckinPush{
+	post("/api/v1/checkins", wire.CheckinsRequest{Token: tok, Checkins: []CheckinPush{
 		{POIID: cat[0].ID, Time: base.Add(time.Hour).UnixMilli(), Grade: 4, Network: "facebook"}}})
 	if after := search(keyword); !after.Cached || visitsAt(after, cat[0].ID) != 2 {
 		t.Errorf("repeated search: cached=%v, %d visits at POI %d; want the cached entry with the new visit folded in (2)",

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"modissense/internal/wire"
 )
 
 // TestAPIRouteContract drives every row of routeTable and asserts the
@@ -77,7 +79,7 @@ func TestAPIRouteContract(t *testing.T) {
 			}
 			// Non-2xx answers wear the uniform envelope.
 			if v1Resp.StatusCode/100 != 2 {
-				var envelope apiError
+				var envelope wire.ErrorEnvelope
 				if err := json.Unmarshal([]byte(v1Body), &envelope); err != nil {
 					t.Fatalf("status %d body is not the error envelope: %q", v1Resp.StatusCode, v1Body)
 				}

@@ -11,6 +11,7 @@ import (
 
 	"modissense/internal/geo"
 	"modissense/internal/pubsub"
+	"modissense/internal/wire"
 )
 
 // The subscriptions API is the resource family over the pub/sub registry:
@@ -27,26 +28,13 @@ import (
 // the overload contract (503/429 + Retry-After). Event consumption
 // supports plain JSON long-poll and SSE, both resumable from a cursor.
 
-// subscriptionRequest is the POST /subscriptions body.
-type subscriptionRequest struct {
-	Token    string   `json:"token"`
-	MinLat   float64  `json:"min_lat"`
-	MinLon   float64  `json:"min_lon"`
-	MaxLat   float64  `json:"max_lat"`
-	MaxLon   float64  `json:"max_lon"`
-	Keywords []string `json:"keywords"`
-	// TTLSeconds bounds the subscription lifetime (0 = server default,
-	// clamped to the server maximum).
-	TTLSeconds int `json:"ttl_seconds"`
-}
-
 // subQuotaRetryAfter is the Retry-After hint when a subscription is shed
 // for capacity: quota frees only when TTLs lapse or owners delete, so the
 // hint is coarser than the write-path token refill.
 const subQuotaRetryAfter = 5 * time.Second
 
 func (p *Platform) handleSubscriptionCreate(w http.ResponseWriter, r *http.Request) {
-	var req subscriptionRequest
+	var req wire.SubscriptionRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
@@ -201,7 +189,7 @@ func (p *Platform) handleSubscriptionEvents(w http.ResponseWriter, r *http.Reque
 	if events == nil {
 		events = []pubsub.Event{}
 	}
-	writeJSON(w, http.StatusOK, listPage{Items: events, NextCursor: strconv.FormatUint(next, 10)})
+	writeJSON(w, http.StatusOK, wire.Page[pubsub.Event]{Items: events, NextCursor: strconv.FormatUint(next, 10)})
 }
 
 // acceptsEventStream reports whether the request negotiates SSE: any

@@ -12,6 +12,7 @@ import (
 
 	"modissense/internal/model"
 	"modissense/internal/pubsub"
+	"modissense/internal/wire"
 	"modissense/internal/workload"
 )
 
@@ -103,7 +104,7 @@ func TestAPISubscriptionLifecycle(t *testing.T) {
 	if code := c.post("/api/v1/subscriptions", map[string]interface{}{"token": "bogus"}, nil); code != http.StatusUnauthorized {
 		t.Fatalf("bogus token create = %d", code)
 	}
-	var apiErr apiError
+	var apiErr wire.ErrorEnvelope
 	if code := c.post("/api/v1/subscriptions", map[string]interface{}{
 		"token": in.Token, "min_lat": 10.0, "max_lat": 5.0,
 	}, &apiErr); code != http.StatusBadRequest || apiErr.Error.Code != "bad_request" {
@@ -122,7 +123,7 @@ func TestAPISubscriptionCapacityShed(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := &apiClient{t: t, srv: srv}
 	in := c.signIn("facebook", "facebook:3")
-	mk := func() (int, http.Header, apiError) {
+	mk := func() (int, http.Header, wire.ErrorEnvelope) {
 		raw, _ := json.Marshal(map[string]interface{}{
 			"token": in.Token, "min_lat": 0.0, "min_lon": 0.0, "max_lat": 1.0, "max_lon": 1.0,
 		})
@@ -131,7 +132,7 @@ func TestAPISubscriptionCapacityShed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var e apiError
+		var e wire.ErrorEnvelope
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		return resp.StatusCode, resp.Header, e
 	}
@@ -173,7 +174,7 @@ func TestAPISubscriptionEventsLongPoll(t *testing.T) {
 	}
 
 	// Push two check-ins at the subscribed POI through the ingest API.
-	var pushed checkinsResponse
+	var pushed wire.BatchResult
 	if code := c.post("/api/v1/checkins", map[string]interface{}{
 		"token": in.Token,
 		"checkins": []map[string]interface{}{
@@ -475,7 +476,7 @@ func TestAPIListPagination(t *testing.T) {
 
 	// Invalid values are bad_request.
 	for _, bad := range []string{"limit=0", "limit=nope", "limit=100000", "cursor=-1", "cursor=abc"} {
-		var e apiError
+		var e wire.ErrorEnvelope
 		if code := c.get("/api/v1/friends?token="+in.Token+"&"+bad, &e); code != http.StatusBadRequest || e.Error.Code != "bad_request" {
 			t.Fatalf("%s = %d %+v", bad, code, e)
 		}
@@ -487,11 +488,11 @@ func TestAPIUserBlogResources(t *testing.T) {
 	in := c.signIn("foursquare", "foursquare:4")
 	day := time.Date(2015, 5, 30, 0, 0, 0, 0, time.UTC)
 	fixes := workload.GenGPSDay(newRng(11), 0, day, p.Catalog()[:3], 5*time.Minute, 40*time.Minute)
-	if code := c.post("/api/v1/gps", gpsRequest{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
+	if code := c.post("/api/v1/gps", wire.GPSRequest[model.GPSFix]{Token: in.Token, Fixes: fixes}, nil); code != http.StatusOK {
 		t.Fatalf("gps push failed")
 	}
 	var generated json.RawMessage
-	if code := c.post("/api/v1/blog/generate", blogRequest{Token: in.Token, Date: "2015-05-30"}, &generated); code != http.StatusOK {
+	if code := c.post("/api/v1/blog/generate", wire.BlogRequest{Token: in.Token, Date: "2015-05-30"}, &generated); code != http.StatusOK {
 		t.Fatalf("blog generate failed")
 	}
 

@@ -15,6 +15,7 @@ import (
 	"modissense/internal/matview"
 	"modissense/internal/model"
 	"modissense/internal/obs"
+	"modissense/internal/wire"
 )
 
 // newTrendingClient boots a platform with the personalized result cache on
@@ -58,8 +59,8 @@ func TestAPITrendingFromView(t *testing.T) {
 	}
 	applies := obs.Default().Counter("matview_applies_total", "")
 	applies0 := applies.Value()
-	var res checkinsResponse
-	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: pushes}, &res); code != http.StatusOK || res.Stored != len(pushes) {
+	var res wire.BatchResult
+	if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: in.Token, Checkins: pushes}, &res); code != http.StatusOK || res.Stored != len(pushes) {
 		t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
 	}
 	if applies.Value() == applies0 {
@@ -88,7 +89,7 @@ func TestAPITrendingFromView(t *testing.T) {
 		Cached bool `json:"cached"`
 	}
 	for i := 0; i < 2; i++ {
-		if code := c.post("/api/v1/search", searchJSON{Token: in.Token, Friends: []int64{in.UserID}, Limit: 5}, &repeat); code != http.StatusOK {
+		if code := c.post("/api/v1/search", wire.SearchRequest{Token: in.Token, Friends: []int64{in.UserID}, Limit: 5}, &repeat); code != http.StatusOK {
 			t.Fatalf("search %d status %d", i, code)
 		}
 	}
@@ -125,8 +126,8 @@ func TestTrendingViewCountsVisitsNearMaxInt64(t *testing.T) {
 			pushes = append(pushes, CheckinPush{POIID: poi.ID, Time: math.MaxInt64 - int64(1000*i+n), Grade: 4, Network: "facebook"})
 		}
 	}
-	var res checkinsResponse
-	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: pushes}, &res); code != http.StatusOK || res.Stored != len(pushes) {
+	var res wire.BatchResult
+	if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: in.Token, Checkins: pushes}, &res); code != http.StatusOK || res.Stored != len(pushes) {
 		t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
 	}
 	from, to := int64(math.MaxInt64)-time.Hour.Milliseconds(), int64(math.MaxInt64)
@@ -171,8 +172,8 @@ func TestAPITrendingClampsToCoverageFloor(t *testing.T) {
 		for i := 0; i < n; i++ {
 			items = append(items, CheckinPush{POIID: poi, Time: at.Add(time.Duration(i) * time.Minute).UnixMilli(), Grade: 4, Network: "facebook"})
 		}
-		var res checkinsResponse
-		if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: items}, &res); code != http.StatusOK || res.Stored != n {
+		var res wire.BatchResult
+		if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: in.Token, Checkins: items}, &res); code != http.StatusOK || res.Stored != n {
 			t.Fatalf("checkins: status %d, stored %d", code, res.Stored)
 		}
 	}
@@ -239,7 +240,7 @@ func TestAPITrendingEmptyWindow(t *testing.T) {
 	path := fmt.Sprintf("/api/v1/trending?from=%s&until=%s",
 		url.QueryEscape(until.Add(time.Hour).Format(time.RFC3339)),
 		url.QueryEscape(until.Format(time.RFC3339)))
-	var env apiError
+	var env wire.ErrorEnvelope
 	if code := c.get(path, &env); code != http.StatusBadRequest {
 		t.Fatalf("inverted window status = %d, want 400", code)
 	}
@@ -275,8 +276,8 @@ func TestAPITrendingMalformedBox(t *testing.T) {
 		}
 	}
 	base := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
-	var res checkinsResponse
-	if code := c.post("/api/v1/checkins", checkinsRequest{Token: in.Token, Checkins: []CheckinPush{
+	var res wire.BatchResult
+	if code := c.post("/api/v1/checkins", wire.CheckinsRequest{Token: in.Token, Checkins: []CheckinPush{
 		{POIID: inside.ID, Time: base.UnixMilli(), Grade: 4, Network: "facebook"},
 		{POIID: outside.ID, Time: base.Add(time.Minute).UnixMilli(), Grade: 4, Network: "facebook"},
 		{POIID: outside.ID, Time: base.Add(2 * time.Minute).UnixMilli(), Grade: 4, Network: "facebook"},
@@ -309,7 +310,7 @@ func TestAPITrendingMalformedBox(t *testing.T) {
 		strings.Replace(corners, fmt.Sprintf("min_lat=%g", inside.Lat), "min_lat=", 1), // empty corner
 	} {
 		for _, route := range []string{"/api/v1/trending?" + window + "&", "/api/v1/analytics/categories?"} {
-			var env apiError
+			var env wire.ErrorEnvelope
 			if code := c.get(route+bad, &env); code != http.StatusBadRequest {
 				t.Errorf("GET %s%s: status %d, want 400", route, bad, code)
 				continue

@@ -1,7 +1,7 @@
 // Package jsonwire is the one JSON scanner and writer behind the hand-written
 // codecs of the hot-path bodies: the search and trending answer
-// (query.Result, both ends) and the search and check-in request bodies (the
-// typed client appends them, the server decodes them).
+// (query.Result, both ends) and the search and check-in request bodies
+// (internal/wire: the typed client appends them, the server decodes them).
 //
 // The codecs mirror encoding/json exactly rather than define a format of
 // their own: a Writer produces json.Marshal's bytes, and a Decoder accepts

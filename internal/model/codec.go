@@ -68,8 +68,9 @@ const (
 )
 
 // networkCodes is the keyed layout's network code table: a code is an index.
-// Rows store the codes, so the table only grows, at its end.
-var networkCodes = [...][]byte{[]byte(""), []byte("facebook"), []byte("twitter"), []byte("foursquare")}
+// Rows store the codes, so the table only grows, at its end. A view of a
+// coded row hands out the table's own string, so decoding one copies no name.
+var networkCodes = [...]string{"", "facebook", "twitter", "foursquare"}
 
 // EncodeVisitBinary encodes a visit with its POI document embedded: the
 // documents log's record of one document (DecodeDocRecord reads it back).
@@ -104,7 +105,7 @@ func EncodeVisitBinaryKeyed(v *Visit, hash uint64) []byte {
 	code := networkEscape
 	n := keyedLen + uvarintLen(uint64(len(v.Network))) + len(v.Network)
 	for i, name := range networkCodes {
-		if string(name) == v.Network {
+		if name == v.Network {
 			code, n = byte(i), keyedLen
 			break
 		}
@@ -135,7 +136,8 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 
 // VisitView is an allocation-free view of one validated binary visit
 // payload: the scalar fields are decoded, while the network stays behind as
-// a sub-slice of the payload or of the code table. The personalized-query
+// its code in the table or, escaped or normalized, a sub-slice of the
+// payload. The personalized-query
 // coprocessor filters and aggregates every scanned row from a view and reads
 // a keyed row's document only through the shared version Resolve found, so
 // the per-row cost of the replicated schema is three loads, not a document
@@ -151,6 +153,9 @@ type VisitView struct {
 	Grade float64
 	POIID int64
 
+	// code indexes networkCodes, or is networkEscape when network holds
+	// the name.
+	code    byte
 	network []byte
 	// shared marks a keyed payload, docHash the hash it names.
 	shared  bool
@@ -186,7 +191,7 @@ func (v *VisitView) ParseFields(b []byte) error {
 		v.UserID, v.Time = 0, 0
 		v.Grade = math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))
 		v.POIID = int64(binary.LittleEndian.Uint64(b[18:]))
-		v.network = networkCodes[b[26]]
+		v.code = b[26]
 		v.shared, v.docHash, v.ver = true, binary.LittleEndian.Uint64(b[2:]), nil
 		return nil
 	}
@@ -203,7 +208,7 @@ func (v *VisitView) ParseFields(b []byte) error {
 	if tag != VisitBinaryTagNormalized {
 		return fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
 	}
-	*v = VisitView{}
+	*v = VisitView{code: networkEscape}
 	off := 2
 	var err error
 	if v.UserID, off = varintAt(b, off); off < 0 {
@@ -244,15 +249,15 @@ func (v *VisitView) parseEscaped(b []byte) error {
 	*v = VisitView{
 		Grade:   math.Float64frombits(binary.LittleEndian.Uint64(b[10:])),
 		POIID:   int64(binary.LittleEndian.Uint64(b[18:])),
+		code:    b[26],
 		shared:  true,
 		docHash: binary.LittleEndian.Uint64(b[2:]),
 	}
 	off := keyedLen
-	if code := b[26]; code != networkEscape {
-		if int(code) >= len(networkCodes) {
+	if v.code != networkEscape {
+		if int(v.code) >= len(networkCodes) {
 			return errUnknownNetworkCode
 		}
-		v.network = networkCodes[code]
 	} else {
 		var err error
 		if v.network, off, err = stringAt(b, off); err != nil {
@@ -340,7 +345,13 @@ func (v *VisitView) SharedDoc() *POI {
 
 // Visit materializes the whole visit.
 func (v *VisitView) Visit() Visit {
-	return Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: string(v.network), POI: v.POI()}
+	var network string
+	if v.code == networkEscape {
+		network = string(v.network)
+	} else {
+		network = networkCodes[v.code]
+	}
+	return Visit{UserID: v.UserID, Time: v.Time, Grade: v.Grade, Network: network, POI: v.POI()}
 }
 
 // DecodeVisitBinary decodes a binary visit of either layout. Normalized

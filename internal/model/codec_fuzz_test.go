@@ -243,9 +243,9 @@ func FuzzVisitView(f *testing.F) {
 		for i := range keyed {
 			seeds = append(seeds, keyed[:i])
 		}
-		for _, network := range append(networkCodes[:], []byte("mastodon")) {
+		for _, network := range append(networkCodes[:], "mastodon") {
 			w := m
-			w.Network = string(network)
+			w.Network = network
 			seeds = append(seeds, EncodeVisitBinaryKeyed(&w, hash))
 		}
 		for _, b := range seeds {

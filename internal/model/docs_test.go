@@ -198,7 +198,8 @@ func TestInternPOICollision(t *testing.T) {
 
 // TestSharedDocsAllocs pins the two hot paths at zero allocations: interning
 // the document a POI was interned with last (every visit a write stores),
-// and reading a keyed payload (every row a query scans).
+// and reading a keyed payload (every row a query scans). Decoding a keyed
+// visit costs its network's copy only when the network has no code.
 func TestSharedDocsAllocs(t *testing.T) {
 	v := sampleVisit()
 	_, hash, err := InternPOI(&v.POI)
@@ -215,6 +216,19 @@ func TestSharedDocsAllocs(t *testing.T) {
 	payload := EncodeVisitBinaryKeyed(&v, hash)
 	if allocs := testing.AllocsPerRun(100, func() { _ = view.Parse(payload) }); allocs != 0 {
 		t.Errorf("parsing keyed payload %x allocates %.1f times", payload, allocs)
+	}
+	// Decoded, a coded network is the code table's string; only an escaped
+	// one is copied out of the payload.
+	for _, c := range []struct {
+		network string
+		want    float64
+	}{{"facebook", 0}, {"", 0}, {"mastodon", 1}} {
+		w := v
+		w.Network = c.network
+		payload := EncodeVisitBinaryKeyed(&w, hash)
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeVisitBinary(payload) }); allocs != c.want {
+			t.Errorf("decoding keyed payload %x (network %q) allocates %.1f times, want %v", payload, c.network, allocs, c.want)
+		}
 	}
 }
 
