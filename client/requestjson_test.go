@@ -106,6 +106,29 @@ func FuzzRequestJSON(f *testing.F) {
 	})
 }
 
+// TestRequestJSONAllocs pins the encode of the bodies the client builds,
+// shaped like the repository benchmark's (a search over 30 friends, a push of
+// 50 check-ins), at no allocation into a buffer with room.
+func TestRequestJSONAllocs(t *testing.T) {
+	const token = "3f9a1c0e5b7d2a4c6e8f0a1b3c5d7e9f"
+	friends := make([]int64, 30)
+	for i := range friends {
+		friends[i] = int64(1 + i*613)
+	}
+	search := searchBody(token, SearchParams{MinLat: 37.9, MinLon: 23.6, MaxLat: 38.1, MaxLon: 23.9, Keyword: "food",
+		Friends: friends, From: time.Date(2015, 5, 1, 0, 0, 0, 0, time.UTC), OrderBy: "interest", Limit: 10})
+	items := make([]Checkin, 50)
+	for i := range items {
+		items[i] = Checkin{POIID: int64(1 + i*16), Time: 1433116800000 + int64(i)*60000, Grade: float64(1 + i%5), Network: "foursquare"}
+	}
+	buf := make([]byte, 0, 8<<10)
+	for _, enc := range []encodedBody{&search, &wire.CheckinsRequest{Checkins: items, Token: token}} {
+		if n := testing.AllocsPerRun(100, func() { buf, _ = enc.AppendJSON(buf[:0]) }); n != 0 {
+			t.Errorf("%T.AppendJSON allocates %v times, want 0", enc, n)
+		}
+	}
+}
+
 // TestClientSendsMarshalledBytes checks the wire: SearchCtx and
 // PushCheckinsCtx send exactly json.Marshal's bytes of the forms they used
 // to marshal, a search request and the check-in push as a map.

@@ -187,6 +187,32 @@ func benchBodies(tb testing.TB) (search, checkins []byte) {
 	return search, checkins
 }
 
+// TestRequestJSONAllocs pins the hand decode of the benchmark-shaped bodies
+// the route reads: the body's one string copy, the friend or item list, and
+// the strings that outlive the request (the keyword and the order; the
+// batch's one network).
+func TestRequestJSONAllocs(t *testing.T) {
+	search, checkins := benchBodies(t)
+	for _, c := range []struct {
+		name string
+		doc  []byte
+		v    requestBody
+		want float64
+	}{
+		{"search", search, new(wire.SearchRequest), 4},
+		{"checkins", checkins, new(wire.CheckinsRequest), 3},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			reflect.ValueOf(c.v).Elem().SetZero()
+			if err := c.v.DecodeJSON(c.doc); err != nil {
+				t.Fatal(err)
+			}
+		}); n != c.want {
+			t.Errorf("%s decode allocates %v times, want %v", c.name, n, c.want)
+		}
+	}
+}
+
 // FuzzRequestJSON is the differential test of the route's request decode
 // against the reference: every input must be accepted or refused by each
 // hand decoder exactly when json.Decoder (unknown fields refused) accepts or
