@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race census bench bench-smoke bench-repo-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test test-race mutants census bench bench-smoke bench-repo-smoke fuzz-smoke clean
 
 ## check runs the tier-1 verification gate: formatting, vet, build, the full
 ## test suite under the race detector, short fuzz passes over the
@@ -8,8 +8,8 @@ GO ?= go
 ## visits, JSON answers, JSON search and check-in requests), a smoke pass
 ## over the read-path, block-load, write-path, flush, compaction, matcher,
 ## publish-hook, trending-view, result-cache, answer-codec and request-codec
-## microbenchmarks, and the repository benchmark's own vet and tests. CI
-## and pre-merge runs use this.
+## microbenchmarks, the repository benchmark's own vet and tests, and the
+## mutant catalogue's runner. CI and pre-merge runs use this.
 ## The static contracts are tests of the suite, so plain `go test ./...`
 ## holds them too:
 ##   - TestStaticContracts (lint_test.go) loads the module once, type-checked:
@@ -23,16 +23,20 @@ GO ?= go
 ##     (cmd/modissense-server) holds the server flags to OPERATIONS.md;
 ##   - the read-fault, overload and primary-kill scenarios (internal/bench);
 ##   - the six Example functions (example_test.go, client/example_test.go)
-##     run the paper's demo flows and must print their // Output: blocks.
-check: fmt vet build test-race fuzz-smoke bench-smoke bench-repo-smoke
+##     run the paper's demo flows and must print their // Output: blocks;
+##   - TestMutantCatalogue (mutants_test.go) holds every catalogue row to
+##     the code and tests it names, without compiling them.
+check: fmt vet build test-race fuzz-smoke bench-smoke bench-repo-smoke mutants
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+## vet also vets the mutant runner, which only the mutants tag builds.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags mutants .
 
 build:
 	$(GO) build ./...
@@ -42,6 +46,15 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+## mutants runs the mutant catalogue (mutants_test.go, runner in
+## mutants_run_test.go): every row's edit is applied to a copy of the module
+## and every test it names must fail, two rows at a time. A row with a
+## named test that passes, whose old text no longer matches, whose edit
+## does not build, or whose run times out before each named test failed
+## fails the target. 80 rows took 83–92 s on two CPUs, so check runs it.
+mutants:
+	$(GO) test -tags mutants -count=1 -timeout 20m -run TestMutants .
 
 ## census is the flake census, in two passes whose output is kept in
 ## census.log: the whole suite twenty times under the race detector, two
