@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race mutants census bench bench-smoke bench-repo-smoke fuzz-smoke clean
+.PHONY: check fmt vet build test test-race crash-points mutants census bench bench-smoke bench-repo-smoke fuzz-smoke clean
 
 ## check runs the tier-1 verification gate: formatting, vet, build, the full
-## test suite under the race detector, short fuzz passes over the
+## test suite under the race detector, the crash-point checker's time under
+## it, short fuzz passes over the
 ## untrusted-input parsers and the hand codecs held to a reference (binary
 ## visits, JSON answers, JSON search and check-in requests), a smoke pass
 ## over the read-path, block-load, write-path, flush, compaction, matcher,
@@ -26,7 +27,7 @@ GO ?= go
 ##     run the paper's demo flows and must print their // Output: blocks;
 ##   - TestMutantCatalogue (mutants_test.go) holds every catalogue row to
 ##     the code and tests it names, without compiling them.
-check: fmt vet build test-race fuzz-smoke bench-smoke bench-repo-smoke mutants
+check: fmt vet build test-race crash-points fuzz-smoke bench-smoke bench-repo-smoke mutants
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -47,12 +48,21 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+## crash-points runs the crash-point checker (TestCrashPoints, internal/core)
+## alone under the race detector and prints its time, or its whole output if
+## it fails. Tier-1 holds it to 5 s without -race on two CPUs; it took
+## 2.9–3.5 s under -race on two CPUs when it was written.
+crash-points:
+	@out="$$($(GO) test -race -count=1 -v -run '^TestCrashPoints$$' ./internal/core 2>&1)"; status=$$?; \
+	if [ $$status -eq 0 ]; then echo "$$out" | grep -e '^--- ' -e '^ok'; else echo "$$out"; fi; exit $$status
+
 ## mutants runs the mutant catalogue (mutants_test.go, runner in
 ## mutants_run_test.go): every row's edit is applied to a copy of the module
 ## and every test it names must fail, two rows at a time. A row with a
 ## named test that passes, whose old text no longer matches, whose edit
 ## does not build, or whose run times out before each named test failed
-## fails the target. 80 rows took 83–92 s on two CPUs, so check runs it.
+## fails the target. 86 rows (85 that name tests) took 94–102 s on two CPUs, so
+## check runs it.
 mutants:
 	$(GO) test -tags mutants -count=1 -timeout 20m -run TestMutants .
 

@@ -15,9 +15,10 @@ import "fmt"
 // (default SyncOS).
 
 // OpenDurableTable opens (creating if absent) the WAL at walPath, builds a
-// table with the given pre-splits, replays every logged mutation into it,
-// and arranges for future mutations to be logged before they apply. Close
-// the table to flush and release the log.
+// table with the given pre-splits, replays every logged mutation into it
+// (RecoverWAL, which cuts a torn tail off the log), and arranges for future
+// mutations to be logged before they apply. Close the table to flush and
+// release the log.
 func OpenDurableTable(name string, splitKeys []string, nodes int, opts StoreOptions, walPath string) (*Table, error) {
 	if walPath == "" {
 		return nil, fmt.Errorf("kvstore: empty WAL path for durable table %q", name)
@@ -27,7 +28,7 @@ func OpenDurableTable(name string, splitKeys []string, nodes int, opts StoreOpti
 		return nil, err
 	}
 	// Replay BEFORE attaching the log: replayed cells must not re-append.
-	err = ReplayWAL(walPath, func(c Cell) error {
+	err = RecoverWAL(walPath, opts.WALSyncPolicy, func(c Cell) error {
 		return t.RegionFor(c.Row).Store().ApplyBatch([]Cell{c})
 	})
 	if err != nil {

@@ -80,7 +80,7 @@ func (g *commitGroup) admits(n, body int) bool {
 // GroupCommitWAL is the file-backed write-ahead log of a durable table; its
 // concurrent appenders commit in groups. A single-cell group is written as a
 // per-put record, any other as a batched record (see wal.go for both
-// layouts); ReplayWAL reads either. Safe for concurrent use.
+// layouts); RecoverWAL reads either. Safe for concurrent use.
 type GroupCommitWAL struct {
 	// mu guards cur and closed: the fast path that joins or opens a group.
 	mu     sync.Mutex

@@ -69,7 +69,7 @@ func replayIntoStore(t *testing.T, path string) []Cell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayWAL(path, func(c Cell) error { return s.ApplyBatch([]Cell{c}) }); err != nil {
+	if err := RecoverWAL(path, SyncOS, func(c Cell) error { return s.ApplyBatch([]Cell{c}) }); err != nil {
 		t.Fatalf("replay %s: %v", path, err)
 	}
 	return s.rawCells()
@@ -219,7 +219,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 
 	var got []Cell
-	if err := ReplayWAL(path, func(c Cell) error { got = append(got, c); return nil }); err != nil {
+	if err := RecoverWAL(path, SyncOS, func(c Cell) error { got = append(got, c); return nil }); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if len(got) != writers*perWriter {
@@ -346,7 +346,7 @@ func TestGroupCommitSealsAtTheCaps(t *testing.T) {
 				t.Fatal(err)
 			}
 			replayed := 0
-			if err := ReplayWAL(path, func(Cell) error { replayed++; return nil }); err != nil {
+			if err := RecoverWAL(path, SyncOS, func(Cell) error { replayed++; return nil }); err != nil {
 				t.Fatalf("replaying two acknowledged calls: %v", err)
 			}
 			if replayed != 2*perCall {
@@ -375,7 +375,7 @@ func TestGroupCommitWALClose(t *testing.T) {
 		t.Fatal("append to closed WAL must fail")
 	}
 	var got []Cell
-	if err := ReplayWAL(path, func(c Cell) error { got = append(got, c); return nil }); err != nil {
+	if err := RecoverWAL(path, SyncOS, func(c Cell) error { got = append(got, c); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].Row != "r" {

@@ -13,7 +13,7 @@ import (
 
 // The write-ahead log format. A durable table appends every write to one
 // log before applying it (see GroupCommitWAL, the one writer, and
-// OpenDurableTable); ReplayWAL reads the log back after a crash. Records are
+// OpenDurableTable); RecoverWAL reads the log back after a crash. Records are
 // CRC-protected and length-prefixed:
 //
 //	record: crc32(body) uint32 | bodyLen uint32 | body
@@ -202,56 +202,80 @@ func decodeWALBatchBody(b []byte) ([]Cell, error) {
 	return cells, nil
 }
 
-// ReplayWAL reads every valid record from the WAL file at path and passes it
-// to apply — batched records are unpacked and applied cell by cell, in the
-// order they were written, so the per-put and batched encodings replay to
-// identical stores. A torn tail (truncated or corrupt final record)
-// terminates the replay cleanly, matching the usual crash-recovery contract
-// — a torn batch applies none of its cells; corruption in the middle of the
-// log is reported as an error.
-func ReplayWAL(path string, apply func(Cell) error) error {
+// RecoverWAL replays the log at path and cuts a torn tail off it: every
+// whole record is passed to apply — batched records unpacked and applied
+// cell by cell, in the order they were written, so the per-put and batched
+// encodings replay to identical stores — and a torn tail (a final record
+// cut short or failing its checksum, what a crash mid-append leaves)
+// applies none of its cells and is truncated away, so the next append
+// follows the last whole record instead of bytes no replay reads past.
+// Under SyncGroup the cut is synced before RecoverWAL returns. A log with no
+// torn tail is not written; a missing log replays as empty; corruption in
+// the middle of the log is an error.
+func RecoverWAL(path string, policy SyncPolicy, apply func(Cell) error) error {
+	end, torn, err := replayWAL(path, apply)
+	if err != nil || !torn {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err == nil {
+		err = f.Truncate(end)
+		if err == nil && policy == SyncGroup {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("kvstore: cut torn wal tail: %w", err)
+	}
+	return nil
+}
+
+// replayWAL passes every whole record of the log at path to apply, and
+// returns the offset its last whole record ends at and whether bytes of a
+// torn record follow it.
+func replayWAL(path string, apply func(Cell) error) (end int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil // no log yet — empty store
+			return 0, false, nil // no log yet — empty store
 		}
-		return fmt.Errorf("kvstore: open wal for replay: %w", err)
+		return 0, false, fmt.Errorf("kvstore: open wal for replay: %w", err)
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
 	for {
 		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
+		if n, err := io.ReadFull(r, hdr[:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return end, n > 0, nil // clean end, or a torn header at the tail
 			}
-			if err == io.ErrUnexpectedEOF {
-				return nil // torn header at tail
-			}
-			return err
+			return end, false, err
 		}
 		wantCRC := binary.LittleEndian.Uint32(hdr[0:4])
 		lenWord := binary.LittleEndian.Uint32(hdr[4:8])
 		isBatch := lenWord&walBatchFlag != 0
 		bodyLen := lenWord &^ walBatchFlag
 		if bodyLen > uint32(maxWALBody) {
-			return fmt.Errorf("kvstore: wal record of %d bytes is implausible; log corrupt", bodyLen)
+			return end, false, fmt.Errorf("kvstore: wal record of %d bytes is implausible; log corrupt", bodyLen)
 		}
 		body := make([]byte, bodyLen)
 		if _, err := io.ReadFull(r, body); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil // torn body at tail
+				return end, true, nil // torn body at tail
 			}
-			return err
+			return end, false, err
 		}
 		if crc32.ChecksumIEEE(body) != wantCRC {
 			// A checksum mismatch on the very last record is a torn write;
 			// distinguishing that from mid-log corruption requires looking
 			// ahead. Peek: if nothing follows, treat as torn tail.
 			if _, err := r.Peek(1); err == io.EOF {
-				return nil
+				return end, true, nil
 			}
-			return errors.New("kvstore: wal checksum mismatch mid-log")
+			return end, false, errors.New("kvstore: wal checksum mismatch mid-log")
 		}
 		cells := make([]Cell, 1)
 		if isBatch {
@@ -260,12 +284,13 @@ func ReplayWAL(path string, apply func(Cell) error) error {
 			cells[0], err = decodeWALBody(body)
 		}
 		if err != nil {
-			return err
+			return end, false, err
 		}
 		for _, c := range cells {
 			if err := apply(c); err != nil {
-				return err
+				return end, false, err
 			}
 		}
+		end += int64(len(hdr)) + int64(bodyLen)
 	}
 }

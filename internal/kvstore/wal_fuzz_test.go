@@ -74,31 +74,37 @@ func encodeWALFileBatched(cells []Cell, pattern byte) ([]byte, []int, []int) {
 	return data, ends, counts
 }
 
-func replayFile(t *testing.T, data []byte) ([]Cell, error) {
+// replayFile writes data as a log and recovers it, returning the cells
+// replayed and the log's length after the recovery.
+func replayFile(t *testing.T, data []byte) ([]Cell, int64, error) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fuzz.wal")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var got []Cell
-	err := ReplayWAL(path, func(c Cell) error { got = append(got, c); return nil })
-	return got, err
+	err := RecoverWAL(path, SyncOS, func(c Cell) error { got = append(got, c); return nil })
+	fi, serr := os.Stat(path)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	return got, fi.Size(), err
 }
 
-// FuzzReplayWAL drives ReplayWAL through the crash-recovery contract:
+// FuzzReplayWAL drives RecoverWAL through the crash-recovery contract:
 //
 //   - mode 0: the raw fuzz bytes ARE the log file — replay may fail but must
 //     never panic and never hand a cell past an error.
 //   - mode 1: a valid log truncated at an arbitrary byte (torn tail) must
-//     replay cleanly (nil error) and yield exactly the complete-record
-//     prefix.
+//     replay cleanly (nil error), yield exactly the complete-record prefix
+//     and be cut to it.
 //   - mode 2: a single byte flipped inside a non-final record's body is
 //     mid-log corruption: replay must fail with the distinct mid-log error,
 //     never silently drop or misread the record.
 //   - mode 3: a log mixing per-put and batched group-commit records,
 //     truncated at an arbitrary byte: a torn batch tail must apply NONE of
 //     the torn batch's cells (a batch is one crash-atomic unit) and every
-//     complete record before it must replay in full.
+//     complete record before it must replay in full, and be cut to them.
 //   - mode 4: a byte flipped inside a non-final batched record must be
 //     classed as mid-log corruption, and no cell from the corrupt batch (or
 //     anything after it) may be handed to the apply callback.
@@ -115,21 +121,21 @@ func FuzzReplayWAL(f *testing.F) {
 		switch mode % 5 {
 		case 0:
 			// Arbitrary bytes: any error is acceptable, panics are not.
-			_, _ = replayFile(t, raw)
+			_, _, _ = replayFile(t, raw)
 
 		case 1:
 			cells := fuzzWALCells(raw)
 			data, ends := encodeWALFile(cells)
 			cut := int(pos) % (len(data) + 1)
-			want := 0
+			want, whole := 0, 0
 			for _, end := range ends {
 				if end <= cut {
-					want++
+					want, whole = want+1, end
 				}
 			}
-			got, err := replayFile(t, data[:cut])
-			if err != nil {
-				t.Fatalf("torn tail at %d/%d must replay cleanly, got %v", cut, len(data), err)
+			got, size, err := replayFile(t, data[:cut])
+			if err != nil || size != int64(whole) {
+				t.Fatalf("torn tail at %d/%d must replay cleanly and be cut to its %d whole-record bytes, got %v and %d bytes", cut, len(data), whole, err, size)
 			}
 			if len(got) != want {
 				t.Fatalf("replayed %d records, want the %d complete ones before cut %d", len(got), want, cut)
@@ -160,7 +166,7 @@ func FuzzReplayWAL(f *testing.F) {
 			flip := start + int(pos)%(ends[rec]-start)
 			mutated := append([]byte(nil), data...)
 			mutated[flip] ^= 0x01
-			got, err := replayFile(t, mutated)
+			got, _, err := replayFile(t, mutated)
 			if err == nil {
 				t.Fatalf("mid-log corruption at byte %d (record %d) replayed cleanly with %d records", flip, rec, len(got))
 			}
@@ -175,15 +181,15 @@ func FuzzReplayWAL(f *testing.F) {
 			cells := fuzzWALCells(raw)
 			data, ends, counts := encodeWALFileBatched(cells, uint8(pos))
 			cut := int(pos) % (len(data) + 1)
-			want := 0
+			want, whole := 0, 0
 			for i, end := range ends {
 				if end <= cut {
-					want += counts[i]
+					want, whole = want+counts[i], end
 				}
 			}
-			got, err := replayFile(t, data[:cut])
-			if err != nil {
-				t.Fatalf("torn batched tail at %d/%d must replay cleanly, got %v", cut, len(data), err)
+			got, size, err := replayFile(t, data[:cut])
+			if err != nil || size != int64(whole) {
+				t.Fatalf("torn batched tail at %d/%d must replay cleanly and be cut to its %d whole-record bytes, got %v and %d bytes", cut, len(data), whole, err, size)
 			}
 			if len(got) != want {
 				t.Fatalf("replayed %d cells, want the %d from complete records before cut %d (torn batches apply nothing)", len(got), want, cut)
@@ -214,7 +220,7 @@ func FuzzReplayWAL(f *testing.F) {
 			flip := start + int(pos)%(ends[rec]-start)
 			mutated := append([]byte(nil), data...)
 			mutated[flip] ^= 0x01
-			got, err := replayFile(t, mutated)
+			got, _, err := replayFile(t, mutated)
 			if err == nil {
 				t.Fatalf("mid-log corruption at byte %d (record %d) replayed cleanly with %d cells", flip, rec, len(got))
 			}

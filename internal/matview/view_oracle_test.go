@@ -371,8 +371,8 @@ func randomSpec(rng *rand.Rand, o *viewOracle) TopKSpec {
 // the floor crosses it and a newer range evicts it. A reader can still hold
 // the answer to its own invariants: ranking order, the limit, candidates ≥
 // results, a served start inside [from, to], and a floor that never falls;
-// once the appliers stop, every held window must equal a fresh sum of its
-// buckets.
+// once the appliers stop and one more visit is applied, every held window
+// must equal a fresh sum of its buckets.
 func TestViewConcurrentApplyAndTopK(t *testing.T) {
 	v, err := NewHotInView(ViewOptions{BucketMillis: hourMs, HorizonMillis: 12 * hourMs})
 	if err != nil {
@@ -444,6 +444,12 @@ func TestViewConcurrentApplyAndTopK(t *testing.T) {
 	appliers.Wait()
 	done.Store(true)
 	readers.Wait()
+	// The last reads may have rebuilt every held window after the last
+	// Apply, and may end before the clock: hold a window over the clock,
+	// then fold one more visit into every window that covers it.
+	now := clock.Load()
+	v.TopK(TopKSpec{FromMillis: now - 2*hourMs, ToMillis: now + 1})
+	v.Apply([]model.Visit{{UserID: 1, POI: oraclePOI(1, int(now/(30*hourMs))), Time: now, Grade: 3}})
 	if err := checkWindows(v); err != nil {
 		t.Fatal(err)
 	}

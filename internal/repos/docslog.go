@@ -46,12 +46,13 @@ func docRow(id int64, hash uint64) string {
 	return strconv.FormatInt(id, 10) + "|" + strconv.FormatUint(hash, 16)
 }
 
-// openDocsLog loads the log at path, if there is one, into the shared table.
+// openDocsLog loads the log at path, if there is one, into the shared table,
+// and cuts a torn tail off it (kvstore.RecoverWAL) before persist appends.
 // A record whose row does not match its document's id and hash is
 // corruption, and fails the open.
 func openDocsLog(path string, policy kvstore.SyncPolicy) (*docsLog, error) {
 	l := &docsLog{path: path, policy: policy, held: map[*model.POI]struct{}{}}
-	err := kvstore.ReplayWAL(path, func(c kvstore.Cell) error {
+	err := kvstore.RecoverWAL(path, policy, func(c kvstore.Cell) error {
 		p, err := model.DecodeDocRecord(c.Value)
 		if err != nil {
 			return fmt.Errorf("document %q: %w", c.Row, err)

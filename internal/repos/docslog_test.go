@@ -28,7 +28,7 @@ func TestDocsLogCommitsFirst(t *testing.T) {
 		}
 	}
 	records := 0
-	if err := kvstore.ReplayWAL(docsLogPath(walPath), func(kvstore.Cell) error { records++; return nil }); err != nil {
+	if err := kvstore.RecoverWAL(docsLogPath(walPath), kvstore.SyncOS, func(kvstore.Cell) error { records++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if records != 1 {

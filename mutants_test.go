@@ -76,7 +76,7 @@ var mutants = []mutant{
 	{pr: 36, file: "internal/repos/visitsrepo.go",
 		old: "\tif docs != nil {\n\t\tif err := r.docs.persist(docs); err != nil {",
 		new: "\tif false {\n\t\tif err := r.docs.persist(docs); err != nil {",
-		pkg: "./internal/core", run: "TestSharedDocsSurviveReboot"},
+		pkg: "./internal/core", run: "TestCrashPoints"},
 	{pr: 36, file: "internal/repos/visitsrepo.go",
 		old: "\tif docs != nil {\n\t\tif err := r.docs.persist(docs); err != nil {",
 		new: "\tif false {\n\t\tif err := r.docs.persist(docs); err != nil {",
@@ -85,7 +85,7 @@ var mutants = []mutant{
 	{pr: 36, file: "internal/repos/visitsrepo.go",
 		old: "doc != nil && !docs.holds(doc) {",
 		new: "doc != nil && false {",
-		pkg: "./internal/core", run: "TestBootFailsOnUncoveredSharedRow"},
+		pkg: "./internal/core", run: "TestCrashPoints"},
 	// Drop the intern's hash-collision check:
 	{pr: 36, file: "internal/model/docs.go",
 		old: "\t\t\tif !SameDocument(v.doc, p) {\n",
@@ -162,7 +162,7 @@ var mutants = []mutant{
 	{pr: 41, file: "internal/repos/visitsrepo.go",
 		old: keyFill,
 		new: "",
-		pkg: "./internal/core", run: "TestSharedDocsSurviveReboot"},
+		pkg: "./internal/core", run: "TestCrashPoints"},
 	{pr: 41, file: "internal/repos/visitsrepo.go",
 		old: keyFill,
 		new: "",
@@ -180,7 +180,7 @@ var mutants = []mutant{
 	{pr: 41, file: "internal/repos/visitsrepo.go",
 		old: "\t\tif docs == nil || !ok {\n",
 		new: "\t\tif docs == nil || !ok || raw[0] == model.VisitBinaryTagKeyed {\n",
-		pkg: "./internal/core", run: "TestBootFailsOnUncoveredSharedRow/keyed"},
+		pkg: "./internal/core", run: "TestCrashPoints"},
 
 	// The per-POI document memo, dense aggregation entries and
 	// keyword bytes computed at intern. The memo trusting a handle without
@@ -281,12 +281,10 @@ var mutants = []mutant{
 		new: "if g := w.cur; g != nil {",
 		pkg: "./internal/kvstore", run: "TestGroupCommitSealsAtTheCaps"},
 
-	// Trending windows kept. Apply skips the held windows (not caught by
-	// TestViewConcurrentApplyAndTopK, whose closing check sees only windows
-	// its readers rebuilt after the last Apply):
+	// Trending windows kept. Apply skips the held windows:
 	{pr: 47, file: "internal/matview/view.go",
 		old: "for _, w := range v.windows {", new: "for _, w := range v.windows[:0] {",
-		pkg: "./internal/matview", run: "TestViewAgainstOracle"},
+		pkg: "./internal/matview", run: "TestViewAgainstOracle|TestViewConcurrentApplyAndTopK"},
 	// Expiry keeps a window behind the floor:
 	{pr: 47, file: "internal/matview/view.go",
 		old: "return w.from < floor })", new: "return false })",
@@ -436,6 +434,38 @@ var mutants = []mutant{
 		old: "\ts.Keyword, s.OrderBy = strings.Clone(s.Keyword), strings.Clone(s.OrderBy)\n",
 		new: "\t_ = strings.Clone\n",
 		pkg: "./internal/wire", run: "TestRequestJSONDetachesRetainedStrings|TestRequestJSONAllocs"},
+
+	// Crash points over both logs, and the torn-tail cut. A reopened
+	// repository's sequence restarts at zero:
+	{pr: 57, file: "internal/repos/visitsrepo.go",
+		old: "\tr.seq.Store(top)\n", new: "",
+		pkg: "./internal/core", run: "TestCrashPoints"},
+	// A write refused at admission only after its log append, so a reboot
+	// replays it:
+	{pr: 57, file: "internal/kvstore/region.go",
+		old: "\terr := t.eachRun(cells, func(r *Region, _ []Cell) error { return t.admitWrite(r, epoch) })\n\tif err != nil {\n\t\treturn err\n\t}\n\tif t.wal != nil {\n\t\tif err := t.wal.AppendBatch(cells); err != nil {\n\t\t\treturn fmt.Errorf(\"kvstore: table wal: %w\", err)\n\t\t}\n\t}\n",
+		new: "\tif t.wal != nil {\n\t\tif err := t.wal.AppendBatch(cells); err != nil {\n\t\t\treturn fmt.Errorf(\"kvstore: table wal: %w\", err)\n\t\t}\n\t}\n\terr := t.eachRun(cells, func(r *Region, _ []Cell) error { return t.admitWrite(r, epoch) })\n\tif err != nil {\n\t\treturn err\n\t}\n",
+		pkg: "./internal/core", run: "TestCrashPoints"},
+	// The torn tail left in place, so the next append follows torn bytes
+	// and the boot after it fails mid-log or loses the append:
+	{pr: 57, file: "internal/kvstore/wal.go",
+		old: "if err != nil || !torn {", new: "if err != nil || !torn || true {",
+		pkg: "./internal/core", run: "TestCrashPoints"},
+	{pr: 57, file: "internal/kvstore/wal.go",
+		old: "if err != nil || !torn {", new: "if err != nil || !torn || true {",
+		pkg: "./internal/kvstore", run: "FuzzReplayWAL"},
+	// A batch's documents persisted after its visit rows: a crash image
+	// holds the logs' final bytes, not their write order, so the checker
+	// passes; the ordering test does not:
+	{pr: 57, file: "internal/repos/visitsrepo.go",
+		old: "\tif docs != nil {\n\t\tif err := r.docs.persist(docs); err != nil {\n\t\t\treturn fmt.Errorf(\"repos: persist POI documents: %w\", err)\n\t\t}\n\t}\n\tif r.announce != nil {\n\t\tr.announce(visits)\n\t}\n\terr := r.table.PutBatch(cells)\n",
+		new: "\tif r.announce != nil {\n\t\tr.announce(visits)\n\t}\n\terr := r.table.PutBatch(cells)\n\tif docs != nil && err == nil {\n\t\tif err := r.docs.persist(docs); err != nil {\n\t\t\treturn fmt.Errorf(\"repos: persist POI documents: %w\", err)\n\t\t}\n\t}\n",
+		pkg: "./internal/repos", run: "TestDocsLogCommitsFirst"},
+	// The cut not synced under SyncGroup:
+	{pr: 57, file: "internal/kvstore/wal.go",
+		old: "if err == nil && policy == SyncGroup {", new: "if err == nil && false {",
+		pkg:  "./internal/kvstore",
+		none: "a crash image copied from the page cache holds the cut whether or not it was synced; only a machine-crash model that drops unsynced writes sees it, item 5"},
 }
 
 // noneItem is what a none row's reason must name: the ROADMAP item whose
