@@ -9,10 +9,170 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"modissense/internal/kvstore"
 	"modissense/internal/model"
 )
+
+// pushSharedDocVisits boots a durable platform over dir, pushes check-ins at
+// five POIs, refreshes HotIn so their documents change, pushes again at the
+// same POIs, and closes the platform. It returns the document each visit was
+// stored with, by visit time. Every visit is by the user of facebook:3, with
+// grade 4 over network facebook.
+func pushSharedDocVisits(t *testing.T, dir string) map[int64]model.POI {
+	t.Helper()
+	cfg := testConfig()
+	cfg.WALDir = dir
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, token, err := p.Users.SignIn("facebook", "facebook:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
+	stored := map[int64]model.POI{}
+	push := func(round int) {
+		var items []CheckinPush
+		for i, poi := range p.Catalog()[:5] {
+			ts := base.Add(time.Duration(round*10+i) * time.Minute).UnixMilli()
+			// Unequal visit counts make the refreshed hotness differ per POI.
+			for n := 0; n <= i; n++ {
+				items = append(items, CheckinPush{POIID: poi.ID, Time: ts + int64(n), Grade: 4, Network: "facebook"})
+				stored[ts+int64(n)], _ = p.POIs.Get(poi.ID)
+			}
+		}
+		if n, errs, err := p.PushCheckins(token, items); err != nil || n != len(items) || len(errs) != 0 {
+			t.Fatalf("push: stored %d of %d, %v, %v", n, len(items), errs, err)
+		}
+	}
+	push(0)
+	if _, err := p.UpdateHotIn(base.Add(-time.Hour), base.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	push(1)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return stored
+}
+
+// TestSharedDocsSurviveReboot reads a closed durable platform's two logs
+// directly, without the process's shared table: every row of the visits log
+// is a keyed shared-document row, and the (POI id, hash) it names is in the
+// documents log and decodes to the document its visit was pushed with. A
+// reboot then reads every visit back with that document.
+func TestSharedDocsSurviveReboot(t *testing.T) {
+	dir := t.TempDir()
+	stored := pushSharedDocVisits(t, dir)
+
+	docs := map[string]model.POI{}
+	err := kvstore.RecoverWAL(filepath.Join(dir, "visits.wal.docs"), kvstore.SyncOS, func(c kvstore.Cell) error {
+		p, err := model.DecodeDocRecord(c.Value)
+		if err != nil || p.ID == 0 {
+			return fmt.Errorf("document %q: %v (%+v)", c.Row, err, p)
+		}
+		docs[c.Row] = p
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	err = kvstore.RecoverWAL(filepath.Join(dir, "visits.wal"), kvstore.SyncOS, func(c kvstore.Cell) error {
+		rows++
+		tm, id, hash, err := keyedRowRef(c)
+		if err != nil {
+			return fmt.Errorf("row %q: %v", c.Row, err)
+		}
+		key := strconv.FormatInt(id, 10) + "|" + strconv.FormatUint(hash, 16)
+		doc, ok := docs[key]
+		if !ok {
+			return fmt.Errorf("row %q names document %s, which the documents log does not hold", c.Row, key)
+		}
+		if want := stored[tm]; !reflect.DeepEqual(doc, want) {
+			return fmt.Errorf("row %q: the documents log holds\n%+v\nthe visit was pushed with\n%+v", c.Row, doc, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != len(stored) {
+		t.Fatalf("the visits log holds %d rows, %d were pushed", rows, len(stored))
+	}
+	if len(docs) != 10 {
+		t.Errorf("the documents log holds %d documents, want 10: two versions of each of 5 POIs", len(docs))
+	}
+
+	cfg := testConfig()
+	cfg.WALDir = dir
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	n := 0
+	if err := p.Visits.ScanAll(func(v model.Visit) bool {
+		n++
+		if want := stored[v.Time]; !reflect.DeepEqual(v.POI, want) {
+			t.Errorf("visit at %d rebooted with\n%+v\nwant\n%+v", v.Time, v.POI, want)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(stored) {
+		t.Errorf("rebooted with %d visits, want %d", n, len(stored))
+	}
+}
+
+// TestBootFailsOnUncoveredSharedRow drops one document from a closed
+// platform's documents log: booting must fail, naming a visit row that names
+// the lost document, although this process's shared table still holds it.
+func TestBootFailsOnUncoveredSharedRow(t *testing.T) {
+	t.Run("keyed", func(t *testing.T) {
+		dir := t.TempDir()
+		pushSharedDocVisits(t, dir)
+		path := filepath.Join(dir, "visits.wal.docs")
+		var kept []kvstore.Cell
+		var dropped string
+		if err := kvstore.RecoverWAL(path, kvstore.SyncOS, func(c kvstore.Cell) error {
+			if dropped == "" {
+				dropped = c.Row
+			} else {
+				kept = append(kept, c)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeLog(path, kept); err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.WALDir = dir
+		p, err := New(cfg)
+		if err == nil {
+			p.Close()
+			t.Fatalf("booted with document %s missing from the documents log", dropped)
+		}
+		id, _, _ := strings.Cut(dropped, "|")
+		named := false
+		if rerr := kvstore.RecoverWAL(filepath.Join(dir, "visits.wal"), kvstore.SyncOS, func(c kvstore.Cell) error {
+			_, poi, _, rerr := keyedRowRef(c)
+			named = named || strconv.FormatInt(poi, 10) == id && strings.Contains(err.Error(), "visit row "+strconv.Quote(c.Row))
+			return rerr
+		}); rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !named || !strings.Contains(err.Error(), "POI "+id+" ") {
+			t.Errorf("boot error %q does not name a visit row of POI %s", err, id)
+		}
+	})
+}
 
 // storeOneDurableVisit boots a durable platform over dir, stores one
 // facebook visit by user 3 and closes the platform.
